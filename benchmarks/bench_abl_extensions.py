@@ -5,9 +5,6 @@ reproduction adds on top of the core system:
 
 - **GQA sweep**: how grouped-query attention moves the hidden-vs-KV
   crossover and what the (search) scheduler does about it.
-- **Quantized hidden states**: CacheGen-style int8/int4 codecs — storage
-  saving, restoration-speed gain, and end-task logit drift on a real
-  model.
 - **Chunk-size ablation**: the 64-token choice of §4.2.1 versus smaller
   (IOPS-bound) and larger (fragmentation-bound) chunks.
 - **Multi-GPU restoration**: tensor-parallel sharded reads + all-gather
@@ -16,20 +13,18 @@ reproduction adds on top of the core system:
 
 from __future__ import annotations
 
-import numpy as np
 from _common import emit, run_once
 
 from repro.analysis.reporting import PaperExpectation, ResultTable
 from repro.core.gqa import analyze_gqa, gqa_crossover_heads
 from repro.core.profiler import build_storage_array
-from repro.models import Transformer, model_preset
+from repro.models import model_preset
 from repro.simulator import platform_preset
 from repro.simulator.multi_gpu import (
     pipeline_parallel_restoration,
     tensor_parallel_restoration,
 )
 from repro.storage.chunk import ChunkLayout
-from repro.storage.codec import GroupQuantizer, quantization_logit_drift
 
 
 def test_abl_gqa_crossover(benchmark):
@@ -70,51 +65,6 @@ def test_abl_gqa_crossover(benchmark):
     emit("abl_gqa_crossover", [table], expectations)
     assert dict(rows)[32].decision.scheme.n_hidden > 0
     assert dict(rows)[1].decision.scheme.n_hidden == 0
-
-
-def test_abl_quantized_hidden_states(benchmark):
-    def run():
-        config = model_preset("llama2-7b")
-        platform = platform_preset("default")
-        array = build_storage_array(platform)
-        tiny = Transformer.from_seed(model_preset("tiny-llama"), seed=2)
-        tokens = np.arange(32) % tiny.config.vocab_size
-        rows = []
-        fp16_bytes = 1024 * config.hidden_bytes_per_token_layer
-        chunk_bytes = 64 * config.hidden_bytes_per_token_layer
-        fp16_time = array.read_time(fp16_bytes, chunk_bytes)
-        rows.append(("fp16", 1.0, fp16_time, 0.0))
-        for bits in (8, 4):
-            quantizer = GroupQuantizer(bits=bits, group_size=64)
-            ratio = quantizer.compression_ratio(config.hidden_size)
-            time = array.read_time(int(fp16_bytes / ratio), chunk_bytes)
-            drift = quantization_logit_drift(
-                tiny, tokens, GroupQuantizer(bits=bits, group_size=16)
-            )
-            rows.append((f"int{bits}", ratio, time, drift))
-        return rows
-
-    rows = run_once(benchmark, run)
-    table = ResultTable(
-        "Quantized hidden-state storage (per-layer read, 1024 tokens of 7B)",
-        ["codec", "compression vs fp16", "layer read (us)", "max logit drift (tiny model)"],
-    )
-    for name, ratio, seconds, drift in rows:
-        table.add_row(name, f"{ratio:.2f}x", f"{seconds * 1e6:.0f}", f"{drift:.4f}")
-    fp16_time = rows[0][2]
-    int8 = next(r for r in rows if r[0] == "int8")
-    expectations = [
-        PaperExpectation(
-            "int8 transmission win", "~2x (CacheGen-style, §7)",
-            f"{fp16_time / int8[2]:.2f}x", holds=fp16_time / int8[2] > 1.6,
-        ),
-        PaperExpectation(
-            "int8 near-lossless", "small logit drift", f"{int8[3]:.4f}",
-            holds=int8[3] < 0.2,
-        ),
-    ]
-    emit("abl_quantized_states", [table], expectations)
-    assert fp16_time / int8[2] > 1.6
 
 
 def test_abl_chunk_size(benchmark):

@@ -18,7 +18,7 @@ against the preserved pre-refactor baseline
    stays honest about what the whole step gains once the irreducible
    model compute is included.
 3. **restore** — latency of rebuilding a KV cache from hidden states:
-   the batched norm+GEMM projection vs the per-layer loop, plus the full
+   the fused whole-layer granule projection vs the per-layer loop, plus the full
    storage-integrated chunk-streamed ``HCacheEngine.restore`` with its
    per-stage (read / norm / GEMM / RoPE) breakdown.  Restored caches are
    checked bit-exact against the naive path.
@@ -48,7 +48,7 @@ against the preserved pre-refactor baseline
    and a fresh-pool admission restore reading strictly fewer chunks than
    the private path (it streams only the non-shared suffix).  DRAM bytes
    saved by dedup and chunk reads saved on restore are recorded.
-7. **sharded restore** — the PR-9 ``ShardedRestoreExecutor``: one
+7. **sharded restore** — ``RestoreExecutor(shards=(P, T))``: one
    restoration partitioned across a ``(pipeline x tensor)`` grid of
    simulated GPUs (layer stages x GQA-aligned KV-head ranges), run
    under multi-channel latency emulation so the shard workers' reads
@@ -117,7 +117,7 @@ from repro.engine import (
     ServingFrontend,
     ServingRequest,
 )
-from repro.runtime import RestoreExecutor, ShardedRestoreExecutor
+from repro.runtime import RestoreExecutor
 from repro.simulator import platform_preset
 from repro.simulator.hardware import GB, SSDSpec
 from repro.state import BlockPool, BlockStateStore
@@ -480,7 +480,7 @@ def bench_decode_batched(model: Transformer, n_tokens: int, window: int) -> dict
 
 
 def bench_restore(model: Transformer, n_tokens: int) -> dict:
-    """Projection restore (naive loop vs batched GEMM) + engine restore."""
+    """Projection restore (naive loop vs fused granule kernel) + engine restore."""
     cfg = BENCH_CONFIG
     rng = _rng()
     hidden = [
@@ -652,7 +652,7 @@ def bench_restore_sharded(model: Transformer, n_tokens: int) -> dict:
     for pipeline_shards, tensor_shards in SHARDED_SHAPES:
         emulator = array.emulate_latency(channels=pipeline_shards * tensor_shards)
         try:
-            with ShardedRestoreExecutor((pipeline_shards, tensor_shards)) as executor:
+            with RestoreExecutor(shards=(pipeline_shards, tensor_shards)) as executor:
 
                 def sharded_run():
                     result = engine.restore("bench", executor=executor)

@@ -24,11 +24,11 @@
 # 4096-token gate size, so it *asserts*:
 #   - the PR-1 speedup floor (decode-with-capture state path >= 10x
 #     naive at 4k tokens),
-#   - that every restore flavor — including the PR-3 threaded executor —
-#     stays bit-exact vs the naive reference,
-#   - the PR-3 threaded-restore gate (faster than the single-threaded
-#     streamed path, wall clock within the gap ceiling of the modelled
-#     pipelined makespan at 4k tokens),
+#   - that every shape of the one restore loop (inline, threaded,
+#     sharded) stays bit-exact vs the naive reference,
+#   - the PR-3 threaded-restore gate (faster than the inline streamed
+#     path, wall clock within the gap ceiling of the modelled pipelined
+#     makespan at 4k tokens),
 #   - the PR-4 batched-decode gate (one decode_batch call over 16
 #     sessions >= 2x the serial per-session loop at 1k tokens — the
 #     serving-scale context; 4k is recorded but attention-bandwidth-

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
@@ -25,6 +25,7 @@ from repro.core.scheduler import BubbleFreeScheduler, ScheduleDecision
 from repro.errors import ConfigError, RecoveryError, RestorationError, StateError
 from repro.models.kv_cache import KVCache
 from repro.models.transformer import ProjectionStats, Transformer
+from repro.runtime.executor import GranuleTrace, RestoreExecutor, drain_granules
 from repro.simulator.hardware import InterconnectSpec, Platform
 from repro.simulator.multi_gpu import allgather_time
 from repro.simulator.pipeline import (
@@ -33,17 +34,12 @@ from repro.simulator.pipeline import (
     sharded_restoration_makespan,
 )
 from repro.storage.manager import StorageManager
-from repro.storage.streaming import pipelined_makespan
+from repro.storage.streaming import LayerChunk, pipelined_makespan
 
 if TYPE_CHECKING:  # pragma: no cover - typing-only imports
     # BlockStateStore is typing-only to break the import cycle
     # core.hcache -> repro.state -> repro.cache -> repro.baselines ->
     # repro.core; the store arrives fully constructed by the caller.
-    # The runtime executors are typing-only to keep the core layer free
-    # of a hard dependency on repro.runtime (it is imported lazily where
-    # a sharded restore actually needs it).
-    from repro.runtime.executor import RestoreExecutor
-    from repro.runtime.sharded import ShardedRestoreExecutor
     from repro.state import BlockStateStore
 
 
@@ -93,7 +89,7 @@ class RestoreBreakdown:
     #: Measured wall time projecting/installing pool-resident blocks.
     pool_s: float = 0.0
     #: Measured submit-side executor overhead: staging-slot acquisition
-    #: plus pool handoff per granule (threaded/sharded executors only).
+    #: plus pool handoff per granule (zero without an executor).
     #: Together with the exposed ``read_s`` stall it itemizes the gap
     #: between wall clock and the modelled makespan.
     dispatch_s: float = 0.0
@@ -102,11 +98,34 @@ class RestoreBreakdown:
     #: concurrent per-stage IO streams, merged against this run's
     #: measured compute on the one calling-thread merge stream (see
     #: :func:`repro.simulator.pipeline.sharded_restoration_makespan`).
-    #: Zero for unsharded restores.
+    #: On the ``(1, 1)`` shape this is the §4.1 recurrence per kind.
     modelled_sharded_s: float = 0.0
-    #: ``(pipeline, tensor)`` shard shape of the restore; ``None`` when
-    #: unsharded.
-    shard_shape: "tuple[int, int] | None" = None
+    #: ``(pipeline, tensor)`` shard shape of the restore.
+    shard_shape: tuple[int, int] = (1, 1)
+
+
+@dataclass(frozen=True)
+class _RestorePlan:
+    """What one restoration's hidden and KV drains share, resolved once.
+
+    ``shared`` is the pool-served prefix length (granule-aligned or the
+    whole context); ``suffix_rows`` are the collection buffers of an
+    admission gap being closed (see :meth:`HCacheEngine._shared_prefix`);
+    ``head_ranges`` the tensor dimension's KV-head partition, ``None`` on
+    a single tensor rank.
+    """
+
+    context_id: str
+    n_tokens: int
+    cache: KVCache
+    hidden_layers: list[int]
+    kv_layers: list[int]
+    head_ranges: "tuple[tuple[int, int], ...] | None"
+    granule_tokens: int
+    shared: int
+    suffix_rows: "dict[tuple[int, str], np.ndarray] | None"
+    executor: "RestoreExecutor | None"
+    stats: "RestoreBreakdown | None"
 
 
 @dataclass(frozen=True)
@@ -407,144 +426,162 @@ class HCacheEngine:
         reserve_tokens: int = 0,
         *,
         stats: RestoreBreakdown | None = None,
-        executor: "RestoreExecutor | None" = None,
-        shards: "tuple[int, int] | int | None" = None,
+        executor: RestoreExecutor | None = None,
     ) -> KVCache:
         """Rebuild the context's full KV cache, chunk-streamed (§4.1).
-
-        Keyword contract (PR 10): ``stats``, ``executor``, and ``shards``
-        are keyword-only — the options drifted in one by one across PRs
-        3–9 and positional calls silently swapped meaning between
-        revisions.  ``restore_sessions``, ``restore_contexts`` and
-        ``restore_contexts_async`` follow the same rule for every option
-        after the id list.
 
         Layers marked HIDDEN stream from storage as granules of a few
         chunks each and go through the fused per-chunk projection
         (:meth:`Transformer.project_kv_chunk`) straight into the cache's
         backing buffers; KV layers stream the same way and install chunk
         by chunk; a RECOMPUTE prefix is replayed from the retained
-        tokens.  The loop is double-buffered: the next granule's device
-        read is issued before the pending granule is projected, so in the
-        modelled timeline layer *k*'s projection overlaps layer *k+1*'s
-        read — compute starts at IO start, which is exactly what the
-        serving simulator's ``request_io_start`` assumes.
+        tokens.  Both kinds drain through the one loop
+        (:func:`repro.runtime.executor.drain_granules`), which is
+        double-buffered: the next granule's device read is issued before
+        the pending granule is projected, so in the modelled timeline
+        layer *k*'s projection overlaps layer *k+1*'s read — compute
+        starts at IO start, which is exactly what the serving simulator's
+        ``request_io_start`` assumes.
 
         With ``executor`` (a :class:`repro.runtime.RestoreExecutor`), the
         granule reads actually run on background IO workers while this
         thread projects, making the overlap real wall clock instead of
-        only modelled; the default stays single-threaded.  Threading
-        rules: all projection compute runs on the calling thread in the
-        single-threaded granule order, workers only fill staging slots
+        only modelled, and the restoration is partitioned across the
+        executor's ``(pipeline, tensor)`` grid of simulated GPUs:
+        contiguous layer stages drain concurrently, and with ``tensor >
+        1`` each granule's merge is split into GQA-group-aligned KV-head
+        ranges.  Threading rules: all projection compute runs on the
+        calling thread in plan order, workers only fill staging slots
         they own, and concurrent ``restore`` calls are safe for
         *distinct* contexts sharing one executor (never concurrently with
         a save of the same context).
 
         Bit-exactness contract: HIDDEN and KV layers come back
         bit-identical to the states that were saved — for every granule
-        size, pool size, and executor setting, and identical to the naive
-        whole-layer reference path.  A RECOMPUTE prefix replays the
-        forward pass as one block, which matches incrementally-decoded
-        originals to float rounding (the same GEMM-blocking caveat as
-        restoring any decode-produced state).
-
-        ``shards`` partitions this one restoration across a
-        ``(pipeline, tensor)`` grid of simulated GPUs (an int means
-        ``(int, 1)``): contiguous layer stages drain concurrently, and
-        with ``tensor > 1`` each granule's merge is split into
-        GQA-group-aligned KV-head ranges
-        (:meth:`Transformer.project_kv_chunk_sharded` /
-        :meth:`KVCache.install_packed_head_rows`) — the restored bytes
-        stay bit-identical to the single-shard path for every shard
-        shape.  The shape resolves as follows: an explicit ``shards``
-        wins (reusing ``executor``'s pool when one is given, else a
-        transient pool of ``pipeline * tensor`` workers); with
-        ``shards=None`` a
-        :class:`~repro.runtime.sharded.ShardedRestoreExecutor` passed as
-        ``executor`` shards by its own :attr:`shard_shape`; otherwise the
-        restore is unsharded.
+        size, pool size and shard shape, with or without an executor, and
+        identical to the naive whole-layer reference path.  A RECOMPUTE
+        prefix replays the forward pass as one block, which matches
+        incrementally-decoded originals to float rounding (the same
+        GEMM-blocking caveat as restoring any decode-produced state).
 
         ``reserve_tokens`` lets the serving engine size the cache for the
         upcoming round up front, so the restored history never has to be
         recopied by a post-restore capacity growth.  ``stats`` (optional)
-        collects the per-stage :class:`RestoreBreakdown`; in threaded
-        runs its ``read_s`` is the *exposed* IO stall (reads the pipeline
-        failed to hide) rather than total read time, and sharded runs
-        additionally fill ``shard_shape`` and ``modelled_sharded_s``.
+        collects the per-stage :class:`RestoreBreakdown`; with an
+        executor its ``read_s`` is the *exposed* IO stall (reads the
+        pipeline failed to hide) rather than total read time.
         """
-        shard_exec, transient = self._resolve_shards(executor, shards)
-        try:
-            return self._restore(context_id, reserve_tokens, stats, executor, shard_exec)
-        finally:
-            if transient:
-                assert shard_exec is not None
-                shard_exec.close()
-
-    def _resolve_shards(
-        self,
-        executor: "RestoreExecutor | None",
-        shards: "tuple[int, int] | int | None",
-    ) -> "tuple[ShardedRestoreExecutor | None, bool]":
-        """Resolve ``restore``'s (executor, shards) pair to a shard driver.
-
-        Returns ``(shard_exec, transient)``; ``transient`` means this
-        call created the executor and must close it (a no-op for pools it
-        merely borrowed — ``close`` only shuts down owned pools).
-        """
-        from repro.runtime.sharded import ShardedRestoreExecutor
-
-        if shards is None:
-            if isinstance(executor, ShardedRestoreExecutor):
-                return executor, False
-            return None, False
-        if isinstance(shards, int):
-            shards = (shards, 1)
-        shape = (int(shards[0]), int(shards[1]))
-        if isinstance(executor, ShardedRestoreExecutor) and executor.shard_shape == shape:
-            return executor, False
-        if executor is not None:
-            return ShardedRestoreExecutor(shape, pool=executor.pool), True
-        return ShardedRestoreExecutor(shape), True
+        return self._restore(context_id, reserve_tokens, stats, executor)
 
     def _restore(
         self,
         context_id: str,
         reserve_tokens: int,
         stats: RestoreBreakdown | None,
-        executor: "RestoreExecutor | None",
-        shard_exec: "ShardedRestoreExecutor | None",
+        executor: RestoreExecutor | None,
     ) -> KVCache:
+        """Plan -> drain -> install; see :meth:`restore` for the contract."""
+        plan = self._plan_restore(context_id, reserve_tokens, stats, executor)
+        cache, n_tokens, shared = plan.cache, plan.n_tokens, plan.shared
+        timed = stats is not None
+        traces: dict[str, list[GranuleTrace]] = {}
+        if plan.hidden_layers:
+            granule_tokens = plan.granule_tokens
+            workspace = self.transformer.restore_workspace(
+                np.arange(n_tokens), granule_tokens, plan.head_ranges
+            )
+            views = {
+                layer: cache.install_view(layer, n_tokens) for layer in plan.hidden_layers
+            }
+            proj_stats = stats.projection if timed else None
+            # One granule of pool rows, gathered across block boundaries.
+            staging = np.empty_like(workspace.normed) if shared else None
+
+            def project(layer: int, start: int, rows: np.ndarray) -> None:
+                k_view, v_view = views[layer]
+                stop = start + rows.shape[0]
+                self.transformer.project_kv_chunk(
+                    layer, rows, start, k_view[start:stop], v_view[start:stop],
+                    workspace, proj_stats,
+                )
+
+            def project_pool_prefix(layer: int) -> None:
+                # Pool-served rows MUST project in the exact granule
+                # partition the storage stream would have used: the fused
+                # projection is only bit-stable for a fixed chunk split,
+                # not across splits, so serving a block-sized chunk here
+                # would diverge from the private path in the last ulp.
+                for start in range(0, shared, granule_tokens):
+                    stop = min(start + granule_tokens, shared)
+                    self._gather_pool_hidden(context_id, layer, start, stop, staging)
+                    project(layer, start, staging[: stop - start])
+
+            traces["hidden"] = self._restore_kind(
+                plan, "hidden", plan.hidden_layers, project_pool_prefix, project
+            )
+        if plan.kv_layers:
+            for layer in plan.kv_layers:
+                cache.install_view(layer, n_tokens)
+
+            def install(layer: int, start: int, packed: np.ndarray) -> None:
+                t0 = time.perf_counter() if timed else 0.0
+                if plan.head_ranges is None:
+                    cache.install_packed_rows(layer, start, packed)
+                else:
+                    # Each tensor rank installs its own head range of the
+                    # packed granule; the ranges tile [0, n_kv_heads), so
+                    # together they land the same bytes as the full-width
+                    # install.
+                    for h0, h1 in plan.head_ranges:
+                        cache.install_packed_head_rows(layer, start, packed, h0, h1)
+                if timed:
+                    stats.install_s += time.perf_counter() - t0
+
+            def install_pool_prefix(layer: int) -> None:
+                block_tokens = self.shared_store.block_tokens
+                for bstart in range(0, shared, block_tokens):
+                    k_rows, v_rows = self.shared_store.kv_rows(
+                        context_id, bstart // block_tokens, layer
+                    )
+                    rows = min(k_rows.shape[0], shared - bstart)
+                    cache.install_rows(layer, bstart, k_rows[:rows], v_rows[:rows])
+
+            traces["kv"] = self._restore_kind(
+                plan, "kv", plan.kv_layers, install_pool_prefix, install
+            )
+        if plan.suffix_rows is not None:
+            self._republish_suffix(plan)
+        if timed:
+            self._model_makespans(stats, traces)
+        if len(cache) != n_tokens:
+            raise RestorationError("restored cache length mismatch")
+        return cache
+
+    def _plan_restore(
+        self,
+        context_id: str,
+        reserve_tokens: int,
+        stats: RestoreBreakdown | None,
+        executor: RestoreExecutor | None,
+    ) -> _RestorePlan:
+        """Resolve, once, everything the hidden and KV drains share."""
         n_tokens = self.saved_tokens(context_id)
         if n_tokens == 0:
             raise RestorationError(f"context {context_id!r} has no saved state")
         config = self.transformer.config
-        positions = np.arange(n_tokens)
         hidden_layers = list(self.scheme.layers_with(LayerMethod.HIDDEN))
         kv_layers = list(self.scheme.layers_with(LayerMethod.KV))
-        timed = stats is not None
-        if timed:
-            stats.n_tokens = n_tokens
-        sharded = shard_exec is not None
-        tensor_shards = shard_exec.tensor_shards if shard_exec is not None else 1
-        # Resolve the head partition up front: an illegal tensor split
-        # (more shards than KV heads would cut a GQA group) must raise
-        # before any state is touched.
+        shape = executor.shard_shape if executor is not None else (1, 1)
+        # An illegal tensor split (more shards than KV heads would cut a
+        # GQA group) must raise before any state is touched.
         head_ranges = (
-            partition_kv_heads(config.n_kv_heads, tensor_shards)
-            if tensor_shards > 1
-            else None
+            partition_kv_heads(config.n_kv_heads, shape[1]) if shape[1] > 1 else None
         )
-        if timed and shard_exec is not None:
-            stats.shard_shape = shard_exec.shard_shape
-        interconnect = (
-            self.platform.interconnect if self.platform is not None else InterconnectSpec()
-        )
-        sharded_makespan_s = 0.0
         if self.scheme.n_recompute:
             tokens = np.array(self.storage.token_log(context_id)[:n_tokens])
-            t0 = time.perf_counter() if timed else 0.0
+            t0 = time.perf_counter()
             cache, _ = self.transformer.recompute_prefix(tokens, self.scheme.n_recompute)
-            if timed:
+            if stats is not None:
                 stats.recompute_s += time.perf_counter() - t0
         else:
             cache = KVCache(config)
@@ -552,182 +589,145 @@ class HCacheEngine:
         self._check_stored(context_id, hidden_layers, "hidden", n_tokens)
         self._check_stored(context_id, kv_layers, "kv", n_tokens)
         shared, suffix_rows = self._shared_prefix(context_id, n_tokens)
-        if timed:
-            stats.shared_tokens = shared
-        io_times: list[float] = []
-        compute_times: list[float] = []
-        if hidden_layers:
-            granule_tokens = min(
-                n_tokens,
-                self.stream_granule_chunks * self.storage.tokens_per_chunk,
+        if stats is not None:
+            stats.n_tokens, stats.shared_tokens, stats.shard_shape = n_tokens, shared, shape
+        return _RestorePlan(
+            context_id=context_id,
+            n_tokens=n_tokens,
+            cache=cache,
+            hidden_layers=hidden_layers,
+            kv_layers=kv_layers,
+            head_ranges=head_ranges,
+            granule_tokens=min(
+                n_tokens, self.stream_granule_chunks * self.storage.tokens_per_chunk
+            ),
+            shared=shared,
+            suffix_rows=suffix_rows,
+            executor=executor,
+            stats=stats,
+        )
+
+    def _restore_kind(
+        self,
+        plan: _RestorePlan,
+        kind: str,
+        layers: list[int],
+        serve_prefix: Callable[[int], None],
+        consume_rows: Callable[[int, int, np.ndarray], None],
+    ) -> list[GranuleTrace]:
+        """Restore one kind (hidden or KV) of the planned context's layers.
+
+        ``serve_prefix(layer)`` serves the pool-resident shared prefix;
+        the stored suffix then drains through :func:`drain_granules`,
+        each granule handed to ``consume_rows(layer, start, rows)`` and —
+        when an admission gap is being closed — collected into the plan's
+        ``suffix_rows`` for the republish.  Returns the drain's trace.
+        """
+        shared, suffix_rows, stats = plan.shared, plan.suffix_rows, plan.stats
+        if shared:
+            t0 = time.perf_counter() if stats is not None else 0.0
+            for layer in layers:
+                serve_prefix(layer)
+            if stats is not None:
+                stats.pool_s += time.perf_counter() - t0
+        if shared == plan.n_tokens:
+            return []
+
+        def consume(chunk: LayerChunk) -> None:
+            consume_rows(chunk.layer, chunk.start, chunk.data)
+            if suffix_rows is not None:
+                suffix_rows[(chunk.layer, kind)][
+                    chunk.start - shared : chunk.stop - shared
+                ] = chunk.data
+
+        return drain_granules(
+            self.storage, plan.context_id, layers, kind, self.stream_granule_chunks,
+            consume, plan.executor, shared, stats,
+        )
+
+    def _republish_suffix(self, plan: _RestorePlan) -> None:
+        """Close an admission gap after the suffix streamed from storage.
+
+        The collected rows are republished into the pool, so the session
+        is fully pool-resident (future appends stay contiguous) and its
+        suffix blocks become shareable for later admissions.  The table
+        may hold a few more blocks than the granule-aligned ``shared``
+        (admission adopts whole blocks); append only what the pool does
+        not already have.
+        """
+        assert self.shared_store is not None and plan.suffix_rows is not None
+        resident = self.shared_store.resident_tokens(plan.context_id)
+        tokens_all = self.storage.token_log(plan.context_id)
+        fresh = {
+            key: rows[resident - plan.shared :] for key, rows in plan.suffix_rows.items()
+        }
+        self.shared_store.append(
+            plan.context_id, resident, list(tokens_all[resident : plan.n_tokens]), fresh
+        )
+
+    def _model_makespans(
+        self, stats: RestoreBreakdown, traces: dict[str, list[GranuleTrace]]
+    ) -> None:
+        """Fill ``stats``' hybrid makespans from the drains' measured traces."""
+        trace = [granule for kind_trace in traces.values() for granule in kind_trace]
+        io_times = [granule.io_seconds for granule in trace]
+        compute_times = [granule.compute_seconds for granule in trace]
+        # The RECOMPUTE prefix and the pool-resident shared prefix need no
+        # stored state, so their replay/projection overlaps the stream
+        # from the very first read.
+        prefix_s = stats.recompute_s + stats.pool_s
+        stats.modelled_io_s = sum(io_times)
+        stats.modelled_serial_s = stats.modelled_io_s + sum(compute_times) + prefix_s
+        stats.modelled_pipelined_s = pipelined_makespan(
+            [0.0] + io_times, [prefix_s] + compute_times
+        )
+        # The sequential hidden/kv drains each contribute their sharded
+        # makespan.  Hidden granules must be reassembled across tensor
+        # ranks before projection; KV installs gather nothing.
+        tensor_shards = stats.shard_shape[1]
+        hidden_row_bytes = 4 * self.transformer.config.hidden_size
+        stats.modelled_sharded_s = prefix_s + sum(
+            self._sharded_makespan(
+                kind_trace, tensor_shards, hidden_row_bytes if kind == "hidden" else 0
             )
-            workspace = self.transformer.restore_workspace(
-                positions, granule_tokens, sharded=head_ranges is not None
+            for kind, kind_trace in traces.items()
+        )
+
+    def _sharded_makespan(
+        self, trace: list[GranuleTrace], tensor_shards: int, gather_bytes_per_row: int
+    ) -> float:
+        """Hybrid sharded makespan of one drain's measured trace.
+
+        Per stage, the §4.1 two-stream recurrence over its granules with
+        reads priced at the tensor ranks' aggregated bandwidth plus a
+        per-granule all-gather of ``gather_bytes_per_row`` bytes per row:
+        stage IO streams advance concurrently, while every granule merges
+        through the single calling-thread compute stream.
+        """
+        if not trace:
+            return 0.0
+        interconnect = (
+            self.platform.interconnect if self.platform is not None else InterconnectSpec()
+        )
+        gathers = gather_bytes_per_row and tensor_shards > 1
+        by_stage: dict[int, list[GranuleTrace]] = {}
+        for granule in trace:
+            by_stage.setdefault(granule.stage, []).append(granule)
+        timelines = [
+            ShardedStageTimeline(
+                stage=stage,
+                io_seconds=tuple(g.io_seconds for g in granules),
+                compute_seconds=tuple(g.compute_seconds for g in granules),
+                gather_seconds=tuple(
+                    allgather_time(g.rows * gather_bytes_per_row, tensor_shards, interconnect)
+                    if gathers
+                    else 0.0
+                    for g in granules
+                ),
             )
-            views = {
-                layer: cache.install_view(layer, n_tokens) for layer in hidden_layers
-            }
-            proj_stats = stats.projection if timed else None
-            if shared:
-                t0 = time.perf_counter() if timed else 0.0
-                # Pool-served rows MUST project in the exact granule
-                # partition the storage stream would have used: the fused
-                # projection is only bit-stable for a fixed chunk split,
-                # not across splits, so serving a block-sized chunk here
-                # would diverge from the private path in the last ulp.
-                staging = np.empty(
-                    (granule_tokens, config.hidden_size), dtype=np.float32
-                )
-                for layer in hidden_layers:
-                    k_view, v_view = views[layer]
-                    for span_start in range(0, shared, granule_tokens):
-                        span_stop = min(span_start + granule_tokens, shared)
-                        rows = span_stop - span_start
-                        self._gather_pool_hidden(
-                            context_id, layer, span_start, span_stop, staging
-                        )
-                        self.transformer.project_kv_chunk(
-                            layer,
-                            staging[:rows],
-                            span_start,
-                            k_view[span_start:span_stop],
-                            v_view[span_start:span_stop],
-                            workspace,
-                            proj_stats,
-                        )
-                if timed:
-                    stats.pool_s += time.perf_counter() - t0
-
-            def project_hidden(chunk) -> None:
-                k_view, v_view = views[chunk.layer]
-                if head_ranges is not None:
-                    # Tensor-sharded merge: full-width norm+GEMMs (the
-                    # GEMM split is not bit-stable), head-sliced RoPE and
-                    # installs — one call per granule covering every
-                    # rank's disjoint range.
-                    self.transformer.project_kv_chunk_sharded(
-                        chunk.layer,
-                        chunk.data,
-                        chunk.start,
-                        k_view[chunk.start : chunk.stop],
-                        v_view[chunk.start : chunk.stop],
-                        workspace,
-                        head_ranges,
-                        proj_stats,
-                    )
-                else:
-                    self.transformer.project_kv_chunk(
-                        chunk.layer,
-                        chunk.data,
-                        chunk.start,
-                        k_view[chunk.start : chunk.stop],
-                        v_view[chunk.start : chunk.stop],
-                        workspace,
-                        proj_stats,
-                    )
-                if suffix_rows is not None:
-                    suffix_rows[(chunk.layer, "hidden")][
-                        chunk.start - shared : chunk.stop - shared
-                    ] = chunk.data
-
-            if shared < n_tokens:
-                if shard_exec is not None:
-                    sharded_makespan_s += self._drain_sharded(
-                        shard_exec, context_id, hidden_layers, "hidden",
-                        project_hidden, stats, io_times, compute_times,
-                        shared, interconnect,
-                        gather_bytes_per_row=4 * config.hidden_size,
-                    )
-                else:
-                    self._drain_stream(
-                        context_id, hidden_layers, "hidden", project_hidden,
-                        stats, io_times, compute_times, executor, shared,
-                    )
-        if kv_layers:
-            for layer in kv_layers:
-                cache.install_view(layer, n_tokens)
-            if shared:
-                t0 = time.perf_counter() if timed else 0.0
-                block_tokens = self.shared_store.block_tokens
-                for layer in kv_layers:
-                    for index in range(-(-shared // block_tokens)):
-                        bstart = index * block_tokens
-                        k_rows, v_rows = self.shared_store.kv_rows(
-                            context_id, index, layer
-                        )
-                        rows = min(k_rows.shape[0], shared - bstart)
-                        cache.install_rows(layer, bstart, k_rows[:rows], v_rows[:rows])
-                if timed:
-                    stats.pool_s += time.perf_counter() - t0
-
-            def install_kv(chunk) -> None:
-                t0 = time.perf_counter() if timed else 0.0
-                if head_ranges is not None:
-                    # Each tensor rank installs its own head range of the
-                    # packed granule; the ranges tile [0, n_kv_heads), so
-                    # together they land the same bytes as the full-width
-                    # install.
-                    for head_start, head_stop in head_ranges:
-                        cache.install_packed_head_rows(
-                            chunk.layer, chunk.start, chunk.data, head_start, head_stop
-                        )
-                else:
-                    cache.install_packed_rows(chunk.layer, chunk.start, chunk.data)
-                if timed:
-                    stats.install_s += time.perf_counter() - t0
-                if suffix_rows is not None:
-                    suffix_rows[(chunk.layer, "kv")][
-                        chunk.start - shared : chunk.stop - shared
-                    ] = chunk.data
-
-            if shared < n_tokens:
-                if shard_exec is not None:
-                    sharded_makespan_s += self._drain_sharded(
-                        shard_exec, context_id, kv_layers, "kv",
-                        install_kv, stats, io_times, compute_times,
-                        shared, interconnect, gather_bytes_per_row=0,
-                    )
-                else:
-                    self._drain_stream(
-                        context_id, kv_layers, "kv", install_kv,
-                        stats, io_times, compute_times, executor, shared,
-                    )
-        if suffix_rows is not None:
-            # Close the admission gap: the suffix rows just streamed from
-            # storage are republished into the pool, so the session is
-            # fully pool-resident (future appends stay contiguous) and its
-            # suffix blocks become shareable for later admissions.  The
-            # table may hold a few more blocks than the granule-aligned
-            # ``shared`` (admission adopts whole blocks); append only what
-            # the pool does not already have.
-            assert self.shared_store is not None
-            resident = self.shared_store.resident_tokens(context_id)
-            tokens_all = self.storage.token_log(context_id)
-            fresh = {
-                key: rows[resident - shared :] for key, rows in suffix_rows.items()
-            }
-            self.shared_store.append(
-                context_id, resident, list(tokens_all[resident:n_tokens]), fresh
-            )
-        if timed:
-            stats.modelled_io_s = sum(io_times)
-            compute_total = sum(compute_times) + stats.recompute_s + stats.pool_s
-            stats.modelled_serial_s = stats.modelled_io_s + compute_total
-            # The RECOMPUTE prefix and the pool-resident shared prefix
-            # need no stored state, so their replay/projection overlaps
-            # the stream from the very first read.
-            pipeline_io = [0.0] + io_times
-            pipeline_compute = [stats.recompute_s + stats.pool_s] + compute_times
-            stats.modelled_pipelined_s = pipelined_makespan(pipeline_io, pipeline_compute)
-            if sharded:
-                # The sequential hidden/kv drains each contribute their
-                # sharded makespan; the recompute/pool prefix precedes both.
-                stats.modelled_sharded_s = (
-                    stats.recompute_s + stats.pool_s + sharded_makespan_s
-                )
-        if len(cache) != n_tokens:
-            raise RestorationError("restored cache length mismatch")
-        return cache
+            for stage, granules in sorted(by_stage.items())
+        ]
+        return sharded_restoration_makespan(timelines, tensor_shards)
 
     def _shared_prefix(
         self, context_id: str, n_tokens: int
@@ -812,124 +812,6 @@ class HCacheEngine:
             out[filled : filled + take] = data[offset : offset + take]
             filled += take
             position += take
-
-    def _drain_sharded(
-        self,
-        shard_exec: "ShardedRestoreExecutor",
-        context_id: str,
-        layers: list[int],
-        kind: str,
-        consume,
-        stats: RestoreBreakdown | None,
-        io_times: list[float],
-        compute_times: list[float],
-        start_tokens: int,
-        interconnect: InterconnectSpec,
-        gather_bytes_per_row: int,
-    ) -> float:
-        """Sharded counterpart of :meth:`_drain_stream`.
-
-        Partitions ``layers`` into the executor's pipeline stages and
-        drains them concurrently; returns this drain's hybrid sharded
-        makespan (0.0 when untimed): per stage, the §4.1 two-stream
-        recurrence over its measured granule trace with reads priced at
-        the tensor ranks' aggregated bandwidth plus a per-granule
-        all-gather of ``gather_bytes_per_row`` bytes per row (hidden
-        granules must be reassembled across ranks before projection; KV
-        installs pass 0 — nothing to gather): stage IO streams advance
-        concurrently, while every granule merges through the single
-        calling-thread compute stream.
-        """
-        from repro.runtime.sharded import StageTrace, partition_layers
-
-        stage_layers = partition_layers(layers, shard_exec.pipeline_shards)
-        timed = stats is not None
-        traces: list[StageTrace] | None = [] if timed else None
-        shard_exec.drain_sharded(
-            self.storage, context_id, stage_layers, kind,
-            self.stream_granule_chunks, consume,
-            stats, io_times, compute_times, start_tokens, traces,
-        )
-        if not traces:
-            return 0.0
-        tensor_shards = shard_exec.tensor_shards
-        timelines = [
-            ShardedStageTimeline(
-                stage=trace.stage,
-                io_seconds=tuple(trace.io_seconds),
-                compute_seconds=tuple(trace.compute_seconds),
-                gather_seconds=tuple(
-                    allgather_time(
-                        rows * gather_bytes_per_row, tensor_shards, interconnect
-                    )
-                    if gather_bytes_per_row and tensor_shards > 1
-                    else 0.0
-                    for rows in trace.rows
-                ),
-            )
-            for trace in traces
-        ]
-        return sharded_restoration_makespan(timelines, tensor_shards)
-
-    def _drain_stream(
-        self,
-        context_id: str,
-        layers: list[int],
-        kind: str,
-        consume,
-        stats: RestoreBreakdown | None,
-        io_times: list[float],
-        compute_times: list[float],
-        executor: "RestoreExecutor | None" = None,
-        start_tokens: int = 0,
-    ) -> None:
-        """Double-buffered drain of a chunk stream.
-
-        ``start_tokens`` (chunk-aligned) skips each layer's pool-served
-        shared-prefix rows.
-
-        The staging ring holds two granules, so the pending granule's
-        data stays valid while the next granule's read is issued; only
-        then is the pending granule consumed (projected or installed).
-        Wall-clock read/compute per granule is recorded when ``stats``
-        is given, along with the modelled device seconds that feed the
-        pipelined-makespan accounting.
-
-        With an ``executor`` the drain is delegated to its IO worker
-        pool: same granule order, same consume calls on this thread, but
-        the reads run in the background.
-        """
-        if executor is not None:
-            executor.drain(
-                self.storage, context_id, layers, kind,
-                self.stream_granule_chunks, consume,
-                stats, io_times, compute_times, start_tokens,
-            )
-            return
-        timed = stats is not None
-        ring = self.storage.staging_ring(
-            context_id, kind, depth=2, granule_chunks=self.stream_granule_chunks
-        )
-        stream = self.storage.stream_layers(context_id, layers, kind, ring, start_tokens)
-
-        def advance():
-            t0 = time.perf_counter() if timed else 0.0
-            chunk = next(stream, None)
-            if timed and chunk is not None:
-                stats.read_s += time.perf_counter() - t0
-                stats.granules += 1
-                stats.device_reads += chunk.device_reads
-                io_times.append(chunk.io_seconds)
-            return chunk
-
-        pending = advance()
-        while pending is not None:
-            upcoming = advance()
-            t0 = time.perf_counter() if timed else 0.0
-            consume(pending)
-            if timed:
-                compute_times.append(time.perf_counter() - t0)
-            pending = upcoming
 
     # ------------------------------------------------------------------
     # timing

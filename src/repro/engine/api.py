@@ -1,7 +1,6 @@
 """Typed request/response surface of the serving front end.
 
-The submit/step engine API (PR 10) replaces the ad-hoc ``chat_rounds`` /
-``decode_iteration`` call patterns with three small, documented types:
+The submit/step engine API (PR 10) is three small, documented types:
 
 - :class:`ServingRequest` — what a caller submits (one conversation
   round: a prompt continuing a session plus an output budget);

@@ -144,7 +144,7 @@ class ContinuousBatcher:
         The admission-controlled decode batch: a numeric engine serves
         all of these in one :meth:`Transformer.decode_batch` pass per
         iteration (via
-        :meth:`repro.engine.numeric_engine.NumericServingEngine.decode_iteration`)
+        :meth:`repro.engine.numeric_engine.NumericServingEngine.execute_iteration`)
         rather than looping sessions serially — the whole point of
         continuous batching once memory admission has bounded the set.
         """

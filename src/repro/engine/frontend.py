@@ -183,9 +183,7 @@ class ServingFrontend:
         overlap_restores: Restore admitted-but-evicted sessions in the
             background through ``engine.executor`` while decode
             continues (requires an executor; without one, restores run
-            synchronously in the admitting step).  The shimmed
-            ``chat_rounds`` path disables this to keep the legacy
-            burst-then-prefill ordering.
+            synchronously in the admitting step, burst-then-prefill).
         evict_on_finish: Seal + drop a session's GPU cache when its last
             in-flight request finishes (the next round restores it) —
             the high-churn configuration a million-session trace needs.
@@ -447,7 +445,7 @@ class ServingFrontend:
                 tracked.restore_future = futures[request.spec.session_id]
         else:
             # One synchronous burst through the shared pool (or serially
-            # without an executor) — the legacy chat_rounds ordering.
+            # without an executor), finished before any prefill starts.
             self.engine.restore_sessions(
                 [r.spec.session_id for r in sync_restore], reserve_tokens=reserve
             )

@@ -11,7 +11,6 @@ which is the paper's losslessness claim in executable form.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -23,30 +22,7 @@ from repro.errors import ConfigError, StateError
 from repro.models.hidden_capture import HiddenCapture
 from repro.models.kv_cache import KVCache, StackedKVCacheBlock
 from repro.models.transformer import Transformer
-from repro.runtime.executor import RestoreExecutor
-
-#: Deprecated entry points that already warned once this process.  Tests
-#: that assert the warning fires clear this set first.
-_warned_deprecations: set[str] = set()
-
-
-def _warn_deprecated(name: str, replacement: str) -> None:
-    """Emit a one-time :class:`DeprecationWarning` for ``name``.
-
-    One warning per process, not per call: the shims sit under hot serving
-    loops and a per-call warning would flood logs (and trip pytest's
-    ``filterwarnings = error`` once per test instead of once per run; the
-    carve-out in ``pyproject.toml`` matches the message prefix here).
-    """
-    if name in _warned_deprecations:
-        return
-    _warned_deprecations.add(name)
-    warnings.warn(
-        f"{name} is deprecated; use {replacement} (see docs/MIGRATION.md)",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-
+from repro.runtime.executor import RestoreExecutor, per_context_reserve
 
 @dataclass
 class SessionState:
@@ -83,12 +59,10 @@ class NumericServingEngine:
         every restoration this engine performs then overlaps its storage
         reads with projection compute on the executor's IO worker pool,
         and :meth:`restore_sessions` brings several evicted sessions back
-        concurrently through that one pool.  A
-        :class:`~repro.runtime.sharded.ShardedRestoreExecutor` goes
-        further and partitions each restoration across its
-        ``(pipeline, tensor)`` shard grid — ``chat_round``'s implicit
-        restores included.  Restored values are bit-identical in every
-        case.
+        concurrently through that one pool.  An executor built with a
+        ``shards=(pipeline, tensor)`` shape additionally partitions each
+        restoration across that grid — ``chat_round``'s implicit restores
+        included.  Restored values are bit-identical in every case.
         """
         if hcache.transformer is not transformer:
             raise ConfigError("HCache engine must wrap the same transformer")
@@ -195,7 +169,7 @@ class NumericServingEngine:
         round_tokens: int,
         n_output_tokens: int,
     ) -> tuple[HiddenCapture, np.ndarray]:
-        """Prefill phase shared by :meth:`chat_round` and :meth:`chat_rounds`.
+        """Prefill phase of :meth:`chat_round`.
 
         Checks the cache/token-log agreement, reserves the round's full
         capacity, forwards the prompt into a round-sized capture buffer,
@@ -223,109 +197,6 @@ class NumericServingEngine:
         state.tokens.extend(int(t) for t in prompt_tokens)
         return capture, result.logits[-1]
 
-    def chat_rounds(
-        self,
-        rounds: Sequence[tuple[str, np.ndarray]],
-        n_output_tokens: int,
-    ) -> dict[str, list[int]]:
-        """Serve one round for several sessions, decoding them as one batch.
-
-        .. deprecated:: PR 10
-            A thin shim over the submit/step front end: it builds a
-            :class:`~repro.engine.frontend.ServingFrontend` sized to admit
-            every round at once, submits one
-            :class:`~repro.engine.api.ServingRequest` per ``(session,
-            prompt)`` pair, and drives :meth:`ServingFrontend.step` until
-            idle.  Use the front end directly for new code — it exposes
-            the same batched execution plus admission control, streaming,
-            and per-iteration stats.
-
-        The serving behaviour is the old contract: evicted sessions come
-        back in one restore burst (the shared executor's IO pool when
-        configured), prompts prefill under the SplitFuse token budget —
-        now *fused into the batched iteration* instead of the old serial
-        per-session prefill loop — and every output token is one batched
-        model call across all sessions.  Per-token hidden states still
-        flow through the per-session HCache saves, so storage contents
-        match the serial path.
-
-        Returns ``{session_id: generated tokens}``.  Numeric state
-        matches per-session :meth:`chat_round` calls within the
-        documented batched-GEMM tolerance
-        (:data:`repro.models.transformer.BATCHED_DECODE_ATOL`); the
-        greedy token streams therefore match too *unless* a step's top
-        two logits tie within that rounding band — the same caveat any
-        GEMM-shape change carries (cf. the ROADMAP's live-cache atol
-        note), not an additional batching hazard class.
-        """
-        _warn_deprecated("chat_rounds", "ServingFrontend.submit/step")
-        if not rounds:
-            raise ConfigError("need at least one (session, prompt) round")
-        if n_output_tokens <= 0:
-            raise ConfigError("output length must be positive")
-        session_ids: list[str] = []
-        prompts: list[np.ndarray] = []
-        for session_id, prompt_tokens in rounds:
-            prompt_tokens = np.asarray(prompt_tokens)
-            if prompt_tokens.ndim != 1 or prompt_tokens.size == 0:
-                raise ConfigError("prompt must be a non-empty 1-D token array")
-            session_ids.append(session_id)
-            prompts.append(prompt_tokens)
-        if len(set(session_ids)) != len(session_ids):
-            raise ConfigError("a session cannot appear twice in one batch")
-        states = [self.session(session_id) for session_id in session_ids]
-        # Deferred import: the front end is built on this engine's
-        # execute_iteration, not the other way around.
-        from repro.engine.api import ServingRequest
-        from repro.engine.batching import MemoryBudget
-        from repro.engine.frontend import ServingFrontend
-
-        capacity = sum(
-            len(state.tokens) + prompt.size + n_output_tokens
-            for state, prompt in zip(states, prompts)
-        )
-        frontend = ServingFrontend(
-            self,
-            budget=MemoryBudget(capacity_tokens=capacity),
-            max_running=max(len(rounds), 256),
-            evict_on_finish=False,
-            overlap_restores=False,
-        )
-        handles = [
-            frontend.submit(
-                ServingRequest(
-                    session_id=session_id,
-                    prompt_tokens=prompt,
-                    max_new_tokens=n_output_tokens,
-                )
-            )
-            for session_id, prompt in zip(session_ids, prompts)
-        ]
-        frontend.run_until_idle()
-        return {
-            handle.session_id: list(handle.result().tokens) for handle in handles
-        }
-
-    def decode_iteration(self, tokens_by_session: Mapping[str, int]) -> dict[str, int]:
-        """Run one engine iteration's decode batch as a single model call.
-
-        .. deprecated:: PR 10
-            A shim over :meth:`execute_iteration` (the fused iteration
-            primitive, which also carries prefill chunks); behaviour and
-            numerics are unchanged — this forwards ``tokens_by_session``
-            as the decode set and returns
-            :attr:`~repro.engine.api.IterationResult.next_tokens`.
-
-        All sessions must be GPU-resident with non-empty histories (the
-        pending token continues a prefilled context).
-        """
-        _warn_deprecated("decode_iteration", "execute_iteration")
-        if not tokens_by_session:
-            raise ConfigError("decode iteration needs at least one session")
-        return dict(
-            self.execute_iteration(decode_tokens=tokens_by_session).next_tokens
-        )
-
     def execute_iteration(
         self,
         prefill_chunks: Sequence[tuple[str, np.ndarray]] = (),
@@ -343,13 +214,11 @@ class NumericServingEngine:
 
         - **decode-only** iterations stack the caches into one
           :class:`StackedKVCacheBlock` and run
-          :meth:`Transformer.decode_batch` (bit-identical to the
-          pre-PR-10 ``decode_iteration``);
+          :meth:`Transformer.decode_batch`;
         - iterations carrying prefill work run
           :meth:`Transformer.forward_fused`, packing every chunk and
-          decode token into one variable-length segmented call — this
-          replaces the serial per-session prefill loop ``chat_rounds``
-          used to run (one model call per admitted session).
+          decode token into one variable-length segmented call (instead
+          of one model call per admitted session).
 
         Either way each segment's hidden states are persisted through the
         ordinary HCache save path and the token logs are extended, so
@@ -447,12 +316,10 @@ class NumericServingEngine:
     ) -> IterationResult:
         """Pure-decode iteration: one stacked :meth:`Transformer.decode_batch`.
 
-        Kept verbatim from the pre-PR-10 ``decode_iteration`` body so the
-        steady-state decode path stays bit-identical: caches are stacked
-        on first use and the block is reused while the batch stays
-        stable; a membership or order change re-stacks (one O(batch x
-        history) copy — the numpy analog of remapping KV pages into the
-        new batch layout).
+        Caches are stacked on first use and the block is reused while
+        the batch stays stable; a membership or order change re-stacks
+        (one O(batch x history) copy — the numpy analog of remapping KV
+        pages into the new batch layout).
         """
         session_ids = list(decode)
         caches = [state.kv_cache for state in states]
@@ -486,7 +353,6 @@ class NumericServingEngine:
         session_ids: Sequence[str],
         *,
         reserve_tokens: int | Mapping[str, int] = 0,
-        shards: "tuple[int, int] | int | None" = None,
     ) -> None:
         """Bring several evicted sessions back onto the GPU at once.
 
@@ -505,13 +371,6 @@ class NumericServingEngine:
         for its own restores.  Pass a per-session mapping when the
         sessions' expected lengths differ (missing ids reserve 0): a
         single int would size every cache to the largest session.
-
-        ``shards`` additionally partitions each restoration across a
-        ``(pipeline, tensor)`` grid of simulated GPUs (see
-        :meth:`HCacheEngine.restore`); a
-        :class:`~repro.runtime.sharded.ShardedRestoreExecutor` configured
-        as ``self.executor`` shards by its own shape even when this is
-        ``None`` — including ``chat_round``'s own restores.
         """
         states = []
         for session_id in session_ids:
@@ -521,23 +380,19 @@ class NumericServingEngine:
             if not state.tokens:
                 raise StateError(f"session {session_id!r} has no history to restore")
             states.append(state)
-        if isinstance(reserve_tokens, int):
-            reserve = dict.fromkeys(session_ids, reserve_tokens)
-        else:
-            reserve = {sid: int(reserve_tokens.get(sid, 0)) for sid in session_ids}
         if self.executor is not None:
             caches = self.executor.restore_contexts(
                 self.hcache,
                 [s.session_id for s in states],
-                reserve_tokens=reserve,
-                shards=shards,
+                reserve_tokens=reserve_tokens,
             )
             for state in states:
                 state.kv_cache = caches[state.session_id]
         else:
+            reserve = per_context_reserve(session_ids, reserve_tokens)
             for state in states:
                 state.kv_cache = self.hcache.restore(
-                    state.session_id, reserve[state.session_id], shards=shards
+                    state.session_id, reserve[state.session_id]
                 )
 
     def evict(self, session_id: str) -> None:

@@ -45,7 +45,7 @@ class IterationPlan:
 
         This is the unit the numeric engine executes as **one** batched
         model call
-        (:meth:`repro.engine.numeric_engine.NumericServingEngine.decode_iteration`)
+        (:meth:`repro.engine.numeric_engine.NumericServingEngine.execute_iteration`)
         instead of ``len(decode_requests)`` serial single-token steps —
         the Orca-style iteration batching made real.
         """

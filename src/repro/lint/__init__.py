@@ -23,9 +23,7 @@ design contract behind each):
 - ``api-surface`` — every ``__all__`` matches the module's public
   bindings.
 - ``frontend-api`` — the serving front-end ``__all__`` is pinned to an
-  explicit surface, and the deprecated ``chat_rounds`` /
-  ``decode_iteration`` entry points are not called outside their shim
-  module.
+  explicit surface.
 
 Deliberate exceptions are waived in place, with a mandatory reason::
 

@@ -1,18 +1,11 @@
 """Rule ``frontend-api``: the serving front-end surface stays pinned.
 
 PR 10 redesigned the engine entry points around ``submit``/``step``/
-``stream`` and demoted ``chat_rounds``/``decode_iteration`` to
-deprecation shims.  Two drifts would silently undo that redesign:
-
-- the typed surface growing (or shrinking) ad hoc — so the ``__all__``
-  of :mod:`repro.engine.api` and :mod:`repro.engine.frontend` is pinned
-  to an explicit expected list here; additions must edit this rule in
-  the same change, making surface growth a reviewed decision;
-- new *internal* callers of the deprecated entry points — so any
-  ``.chat_rounds(...)`` / ``.decode_iteration(...)`` call in checked
-  code is flagged, except inside the shim module itself
-  (``repro/engine/numeric_engine.py``).  Tests and benchmarks are
-  outside the ``src`` gate and may keep exercising the shims.
+``stream``.  The typed surface growing (or shrinking) ad hoc would
+silently undo that redesign — so the ``__all__`` of
+:mod:`repro.engine.api` and :mod:`repro.engine.frontend` is pinned to an
+explicit expected list here; additions must edit this rule in the same
+change, making surface growth a reviewed decision.
 """
 
 from __future__ import annotations
@@ -37,16 +30,6 @@ PINNED_SURFACES: dict[str, tuple[str, ...]] = {
     ),
 }
 
-#: Deprecated entry points and their replacements.
-DEPRECATED_CALLS: dict[str, str] = {
-    "chat_rounds": "ServingFrontend.submit + run_until_idle",
-    "decode_iteration": "NumericServingEngine.execute_iteration",
-}
-
-#: The shim module — the only checked code allowed to name the legacy
-#: entry points (it defines them).
-SHIM_MODULE_SUFFIX = "repro/engine/numeric_engine.py"
-
 
 def _literal_all(tree: ast.Module) -> tuple[ast.Assign, list[str]] | None:
     for stmt in tree.body:
@@ -67,18 +50,9 @@ def _literal_all(tree: ast.Module) -> tuple[ast.Assign, list[str]] | None:
 
 class FrontendApiRule(Rule):
     name = "frontend-api"
-    description = (
-        "the serving front-end __all__ is pinned and deprecated entry "
-        "points are not called from src"
-    )
+    description = "the serving front-end __all__ is pinned"
 
     def check(self, module: ModuleInfo) -> list[Finding]:
-        findings = self._check_pinned_surface(module)
-        if not module.posix_path.endswith(SHIM_MODULE_SUFFIX):
-            findings.extend(self._check_deprecated_calls(module))
-        return findings
-
-    def _check_pinned_surface(self, module: ModuleInfo) -> list[Finding]:
         expected = None
         for suffix, surface in PINNED_SURFACES.items():
             if module.posix_path.endswith(suffix):
@@ -121,25 +95,3 @@ class FrontendApiRule(Rule):
                 )
             ]
         return []
-
-    def _check_deprecated_calls(self, module: ModuleInfo) -> list[Finding]:
-        findings: list[Finding] = []
-        for node in ast.walk(module.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            func = node.func
-            if not isinstance(func, ast.Attribute):
-                continue
-            replacement = DEPRECATED_CALLS.get(func.attr)
-            if replacement is None:
-                continue
-            findings.append(
-                self.finding(
-                    module,
-                    node,
-                    f"call to deprecated entry point {func.attr!r} outside "
-                    f"the shim module",
-                    hint=f"use {replacement} (see docs/MIGRATION.md)",
-                )
-            )
-        return findings

@@ -7,29 +7,33 @@ IO/compute overlap is real wall clock:
 - :class:`IOWorkerPool` — shareable background threads that fill staging
   buffers (device ``read_into`` memcpys and emulated-latency sleeps both
   release the GIL).
-- :class:`RestoreExecutor` — drives ``HCacheEngine.restore`` with that
-  pool: granule reads run ahead on workers while the calling thread
-  projects, in the exact single-threaded order, so every pool size stays
-  bit-exact with the naive reference.  Also restores multiple contexts
-  concurrently through one shared pool for the serving layer.
-- :class:`ShardedRestoreExecutor` — partitions *one* restoration across
-  ``pipeline x tensor`` simulated GPUs: contiguous layer stages drain
-  concurrently (:func:`partition_layers`), KV-head ranges merge through
-  disjoint slices, and the result stays bit-exact with the single-shard
-  path for every shard shape.
+- :func:`drain_granules` — the one restore loop: granule reads run ahead
+  (on pool workers, or inline without an executor) while the calling
+  thread projects in plan order, so every pool size and shard shape stays
+  bit-exact with the naive reference.
+- :class:`RestoreExecutor` — the pool, the ``(pipeline, tensor)`` shard
+  shape (:func:`partition_layers` stages x KV-head ranges) and the
+  per-stage in-flight window a restoration drains with; also restores
+  multiple contexts concurrently through one shared pool for the serving
+  layer.
 
-The single-threaded path remains the default everywhere; pass an executor
-to opt in.  See ``docs/ARCHITECTURE.md`` for the pipeline timeline.
+The inline single-threaded drain remains the default everywhere; pass an
+executor to opt in.  See ``docs/ARCHITECTURE.md`` for the pipeline
+timeline.
 """
 
-from repro.runtime.executor import RestoreExecutor
+from repro.runtime.executor import (
+    GranuleTrace,
+    RestoreExecutor,
+    drain_granules,
+    partition_layers,
+)
 from repro.runtime.io_pool import IOWorkerPool
-from repro.runtime.sharded import ShardedRestoreExecutor, StageTrace, partition_layers
 
 __all__ = [
+    "GranuleTrace",
     "IOWorkerPool",
     "RestoreExecutor",
-    "ShardedRestoreExecutor",
-    "StageTrace",
+    "drain_granules",
     "partition_layers",
 ]

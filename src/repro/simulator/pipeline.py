@@ -165,8 +165,9 @@ def restoration_makespan(plans: list[LayerPlan]) -> float:
 class ShardedStageTimeline:
     """One pipeline stage's granule timeline in a sharded restoration.
 
-    Built from a measured :class:`~repro.runtime.sharded.StageTrace` (or
-    synthetic durations in tests): per consumed granule, the modelled
+    Built from one stage's measured
+    :class:`~repro.runtime.executor.GranuleTrace` entries (or synthetic
+    durations in tests): per consumed granule, the modelled
     single-link IO seconds, the measured consume seconds, and the gather
     seconds the tensor dimension adds (zero for KV installs or a single
     tensor rank).
@@ -206,7 +207,7 @@ def sharded_restoration_makespan(
 ) -> float:
     """Makespan of a sharded drain: parallel IO streams, one merge stream.
 
-    This models what :class:`~repro.runtime.sharded.ShardedRestoreExecutor`
+    This models what :func:`~repro.runtime.executor.drain_granules`
     actually executes — which is *not* a grid of fully independent GPUs
     (that idealization is :func:`repro.simulator.multi_gpu.sharded_restoration`):
 

@@ -8,7 +8,6 @@ restoration pipeline.
 from repro.storage.allocator import AllocatorStats, ChunkAllocator, ChunkRun
 from repro.storage.array import LayerReadTiming, StorageArray
 from repro.storage.chunk import CHUNK_TOKENS, ChunkKey, ChunkLayout
-from repro.storage.codec import GroupQuantizer, QuantizedBlock, quantization_logit_drift
 from repro.storage.daemon import FlushDaemon, SnapshotOutcome
 from repro.storage.device import IOReceipt, LatencyEmulator, StorageDevice
 from repro.storage.faults import FaultPolicy
@@ -40,14 +39,12 @@ __all__ = [
     "FaultPolicy",
     "FlushDaemon",
     "GranuleSpec",
-    "GroupQuantizer",
     "IOReceipt",
     "LatencyEmulator",
     "LayerChunk",
     "LayerReadTiming",
     "ManifestJournal",
     "ManifestState",
-    "QuantizedBlock",
     "ReplicatedDevice",
     "RunManifest",
     "SnapshotOutcome",
@@ -59,5 +56,4 @@ __all__ = [
     "TieredReadTiming",
     "TieredStreamTiming",
     "pipelined_makespan",
-    "quantization_logit_drift",
 ]

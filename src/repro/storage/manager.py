@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -38,7 +38,7 @@ from repro.storage.allocator import ChunkAllocator
 from repro.storage.array import LayerReadTiming, StorageArray
 from repro.storage.chunk import CHUNK_TOKENS, ChunkKey, ChunkLayout
 from repro.storage.journal import ContextManifest, ManifestJournal, ManifestState, RunManifest
-from repro.storage.streaming import GranuleSpec, LayerChunk, StagingRing
+from repro.storage.streaming import GranuleSpec, StagingRing
 
 
 def _payload_crc(payload: np.ndarray) -> int:
@@ -697,13 +697,12 @@ class StorageManager:
     ) -> list[GranuleSpec]:
         """Enumerate the granules a streamed restore of ``layers`` covers.
 
-        Pure metadata — no device is touched.  The specs come back in the
-        exact order :meth:`stream_layers` yields data (layers in the given
-        order, row ranges ascending within each layer), which is the order
-        every consumer — single-threaded or threaded — must project in to
-        stay bit-exact with the reference restore.  The threaded executor
-        walks this plan to submit :meth:`read_granule_into` calls to its
-        IO worker pool ahead of consumption.
+        Pure metadata — no device is touched.  The specs come back layers
+        in the given order, row ranges ascending within each layer — the
+        order every consumer must project in to stay bit-exact with the
+        reference restore.  The restore loop
+        (:func:`repro.runtime.executor.drain_granules`) walks this plan to
+        issue :meth:`read_granule_into` calls ahead of consumption.
 
         ``start_tokens`` skips rows ``[0, start_tokens)`` of every layer —
         the shared-prefix restore path reads only the non-shared suffix.
@@ -783,91 +782,6 @@ class StorageManager:
                 tail_start - flushed_tokens : spec.stop - flushed_tokens
             ]
         return io_seconds, device_reads
-
-    def stream_layer(
-        self,
-        context_id: str,
-        layer: int,
-        kind: str = "hidden",
-        ring: StagingRing | None = None,
-        start_tokens: int = 0,
-    ) -> Iterator[LayerChunk]:
-        """Stream one layer's token run as granule-sized row blocks.
-
-        ``start_tokens`` (chunk-aligned) starts the stream mid-run,
-        skipping rows a shared prefix already supplies.
-
-        Yields :class:`LayerChunk` granules in row order, filled by the
-        same :meth:`read_granule_into` the threaded executor calls from
-        its worker pool — the two paths share one read implementation, so
-        their IO accounting and their bytes are identical by construction.
-        Each yielded view stays valid for ``ring.depth - 1`` further
-        granules — enough for a double-buffered consumer that projects
-        granule ``k`` while granule ``k+1``'s read is issued.
-
-        The read for a granule happens when the iterator advances onto
-        it, which is what lets a consumer overlap (in pipeline structure,
-        and in the modelled timeline) reads with per-granule compute.
-        This generator is single-threaded by contract: advance it from one
-        thread only, and never concurrently with appends to the same
-        context.  Off-thread filling is the executor's job, not this
-        iterator's.
-        """
-        meta = self.meta(context_id)
-        self.allocator.run(context_id, layer, kind)
-        width = self._width(meta, kind)
-        if ring is None:
-            ring = self.staging_ring(context_id, kind)
-        if ring.width != width:
-            raise ConfigError(
-                f"staging ring width {ring.width} mismatches {kind!r} width {width}"
-            )
-        cpc = self.tokens_per_chunk
-        granule = ring.granule_tokens
-        if granule % cpc != 0:
-            raise ConfigError(
-                f"granule of {granule} tokens must be a multiple of the "
-                f"{cpc}-token chunk size"
-            )
-        for spec in self.granule_plan(
-            context_id, [layer], kind, granule // cpc, start_tokens
-        ):
-            slot = ring.acquire()
-            view = slot[: spec.n_tokens]
-            io_seconds, device_reads = self.read_granule_into(context_id, spec, view)
-            yield LayerChunk(
-                layer=spec.layer,
-                kind=spec.kind,
-                start=spec.start,
-                stop=spec.stop,
-                data=view,
-                io_seconds=io_seconds,
-                device_reads=device_reads,
-            )
-
-    def stream_layers(
-        self,
-        context_id: str,
-        layers: Sequence[int],
-        kind: str = "hidden",
-        ring: StagingRing | None = None,
-        start_tokens: int = 0,
-    ) -> Iterator[LayerChunk]:
-        """Stream several layers back to back through one staging ring.
-
-        Restoration consumes this as a single pipeline: the first granule
-        of layer ``k+1`` can be read while the last granule of layer ``k``
-        is still being projected — the §4.1 property that hidden-state
-        transmission proceeds without per-layer synchronization.  Like
-        :meth:`stream_layer`, the iterator itself is single-threaded; the
-        threaded executor achieves the same granule order via
-        :meth:`granule_plan` + :meth:`read_granule_into`, and both paths
-        restore bit-identical state.
-        """
-        if ring is None and len(layers) > 0:
-            ring = self.staging_ring(context_id, kind)
-        for layer in layers:
-            yield from self.stream_layer(context_id, layer, kind, ring, start_tokens)
 
     def layer_read_timing(
         self, context_id: str, layer: int, kind: str = "hidden"

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.core.profiler import build_storage_array
+from repro.engine import MemoryBudget, ServingFrontend, ServingRequest
 from repro.models import Transformer, model_preset
 from repro.simulator import platform_preset
 from repro.storage import StorageManager
@@ -60,6 +61,38 @@ def dram_platform():
 @pytest.fixture
 def storage_manager(default_platform):
     return StorageManager(build_storage_array(default_platform))
+
+
+@pytest.fixture
+def serve_rounds():
+    """One round for several sessions via ``ServingFrontend.submit/step``.
+
+    ``serve(engine, [(session_id, prompt), ...], n_output_tokens)`` admits
+    every round at once, runs the front end until idle (restores as one
+    synchronous burst, finished sessions stay resident) and returns
+    ``{session_id: generated tokens}``.
+    """
+    def serve(engine, rounds, n_output_tokens):
+        frontend = ServingFrontend(
+            engine,
+            MemoryBudget(capacity_tokens=1 << 20),
+            evict_on_finish=False,
+            overlap_restores=False,
+        )
+        handles = [
+            frontend.submit(
+                ServingRequest(
+                    session_id=session_id,
+                    prompt_tokens=prompt,
+                    max_new_tokens=n_output_tokens,
+                )
+            )
+            for session_id, prompt in rounds
+        ]
+        frontend.run_until_idle(max_steps=10_000)
+        return {handle.session_id: list(handle.result().tokens) for handle in handles}
+
+    return serve
 
 
 @pytest.fixture

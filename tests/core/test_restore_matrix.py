@@ -1,0 +1,242 @@
+"""One exactness matrix for every way a context can be restored.
+
+There is one restore loop (:func:`repro.runtime.executor.drain_granules`)
+and one projection kernel (:meth:`Transformer.project_kv_chunk`); what
+varies is only how the loop is parameterised — no executor (inline reads,
+window 1), an IO pool of 1 or 4, a ``(pipeline, tensor)`` shard shape —
+and where the bytes come from (storage, a tracked pool session, or a
+pool-admitted prefix plus a streamed gap).  Every combination must
+restore bytes identical to the naive whole-layer reference
+(:func:`naive_restore_cache_from_hidden`) and to each other, across
+partition schemes, norm/RoPE flavors, GQA, partial tail chunks, granule
+sizes and non-divisible layer/head splits.
+"""
+
+from __future__ import annotations
+
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+from repro.core.hcache import HCacheEngine, RestoreBreakdown
+from repro.core.partition import PartitionScheme
+from repro.core.profiler import build_storage_array
+from repro.errors import ConfigError
+from repro.models.config import model_preset
+from repro.models.reference import naive_restore_cache_from_hidden
+from repro.models.transformer import Transformer
+from repro.runtime import RestoreExecutor
+from repro.simulator import platform_preset
+from repro.simulator.pipeline import LayerMethod
+from repro.state import BlockPool, BlockStateStore
+from repro.storage import StorageManager
+
+CHUNK_TOKENS = 8
+BLOCK_TOKENS = 16
+SHARED_TOKENS = 72  # the donor's common prefix; admission adopts 64 of it
+N_TOKENS = 125  # partial tail chunk, two streamed gap granules per layer
+
+#: No executor at all: reads run inline at submit, window 1.
+INLINE = "inline"
+
+#: (IO pool — INLINE, a size, or None for one worker per simulated GPU —
+#: and shard shape).
+FLAVORS = [(INLINE, (1, 1))] + [
+    (pool, shape)
+    for pool in (1, 4)
+    for shape in ((1, 1), (2, 1), (1, 2), (2, 2))
+]
+
+R, H, K = LayerMethod.RECOMPUTE, LayerMethod.HIDDEN, LayerMethod.KV
+SCHEMES = {
+    "pure-hidden": PartitionScheme((H, H, H, H)),
+    "recompute+hidden+kv": PartitionScheme((R, H, H, K)),
+}
+POOL_STATES = ["no-store", "tracked", "admitted-gap"]
+
+GQA_CONFIG = replace(
+    model_preset("tiny-llama"), name="tiny-gqa", n_kv_heads=2, n_heads=4
+)
+
+
+def flavor_id(flavor):
+    pool, (pipeline, tensor) = flavor
+    return INLINE if pool == INLINE else f"pool{pool}-{pipeline}x{tensor}"
+
+
+def restore_through(engine, context_id, flavor, **kwargs):
+    pool, shards = flavor
+    if pool == INLINE:
+        return engine.restore(context_id, **kwargs)
+    with RestoreExecutor(pool, shards=shards) as executor:
+        return engine.restore(context_id, executor=executor, **kwargs)
+
+
+def prefill_and_save(engine, model, context_id, tokens, seal=True, block=37):
+    """Save a prefilled context in several append blocks; return the
+    naive-reference cache of the same hidden states."""
+    engine.register_context(context_id)
+    result, cache = model.prefill(tokens, capture_hidden=True)
+    for start in range(0, tokens.size, block):
+        stop = min(start + block, tokens.size)
+        engine.save_states(
+            context_id,
+            [h[start:stop] for h in result.hidden_states],
+            tokens[start:stop],
+            kv_cache=cache,
+        )
+    if seal:
+        engine.seal(context_id)
+    oracle = naive_restore_cache_from_hidden(model, result.hidden_states)
+    # Prefill-produced state: the projection replays the forward pass's
+    # own GEMMs, so the naive reference IS the live cache, bit for bit —
+    # which is what lets KV-offloaded and recomputed layers share it.
+    assert cache.equals(oracle, atol=0.0)
+    return oracle
+
+
+def make_store(config):
+    return BlockStateStore(
+        BlockPool(
+            n_layers=config.n_layers,
+            block_tokens=BLOCK_TOKENS,
+            n_kv_heads=config.n_kv_heads,
+            head_dim=config.head_dim,
+            hidden_width=config.hidden_size,
+            capacity_blocks=96,
+        )
+    )
+
+
+def build_case(scheme, pool_state):
+    """A saved context ``"c"`` in the requested pool state, plus its oracle."""
+    config = model_preset("tiny-llama")
+    model = Transformer.from_seed(config, seed=11)
+    storage = StorageManager(
+        build_storage_array(platform_preset("default")), tokens_per_chunk=CHUNK_TOKENS
+    )
+    rng = np.random.default_rng(5)
+    common = rng.integers(0, config.vocab_size, size=SHARED_TOKENS)
+    tokens = np.concatenate(
+        [common, rng.integers(0, config.vocab_size, size=N_TOKENS - SHARED_TOKENS)]
+    )
+    donor_tokens = np.concatenate([common, rng.integers(0, config.vocab_size, size=48)])
+    store = make_store(config) if pool_state == "tracked" else None
+    engine = HCacheEngine(model, storage, scheme=scheme, shared_store=store)
+    oracle = prefill_and_save(engine, model, "c", tokens)
+    if pool_state == "admitted-gap":
+        # A second engine over the same storage with a fresh pool: the
+        # donor's restore publishes the common prefix, so restoring "c"
+        # admits it from the pool and streams only the gap.
+        prefill_and_save(engine, model, "donor", donor_tokens)
+        adopted = HCacheEngine(model, storage, scheme=scheme, shared_store=make_store(config))
+        adopted._contexts = dict(engine._contexts)
+        adopted.restore("donor")
+        engine = adopted
+    return engine, oracle
+
+
+@pytest.mark.parametrize("pool_state", POOL_STATES)
+@pytest.mark.parametrize("scheme", sorted(SCHEMES))
+@pytest.mark.parametrize("flavor", FLAVORS, ids=flavor_id)
+def test_every_restore_shape_is_bit_exact(flavor, scheme, pool_state):
+    engine, oracle = build_case(SCHEMES[scheme], pool_state)
+    stats = RestoreBreakdown()
+    restored = restore_through(engine, "c", flavor, stats=stats)
+    assert restored.equals(oracle, atol=0.0)
+    # ... and to the inline restore of an identically built context (a
+    # restore may mutate pool state, so each side gets its own build).
+    twin, _ = build_case(SCHEMES[scheme], pool_state)
+    assert restored.equals(twin.restore("c"), atol=0.0)
+    assert stats.shard_shape == flavor[1]
+    if pool_state == "no-store":
+        assert stats.shared_tokens == 0 and stats.device_reads > 0
+    elif pool_state == "tracked":
+        assert stats.shared_tokens == N_TOKENS and stats.device_reads == 0
+    else:
+        assert 0 < stats.shared_tokens < N_TOKENS and stats.device_reads > 0
+        # The gap was republished: the session is now fully pool-resident.
+        assert engine.shared_store.resident_tokens("c") == N_TOKENS
+
+
+# ---------------------------------------------------------------------------
+# model / length / granule variants, through a spread of loop shapes
+# ---------------------------------------------------------------------------
+
+VARIANT_FLAVORS = [
+    (INLINE, (1, 1)),
+    (1, (1, 1)),
+    (2, (1, 1)),
+    (4, (1, 1)),
+    (None, (2, 2)),
+    (None, (3, 2)),  # more stages than divide the layers evenly
+    (None, (8, 1)),  # more stages than layers: clamped
+    (None, (3, 3)),  # 4 KV heads over 3 ranks: uneven head ranges
+]
+
+
+#: (id, config, scheme factory, n_tokens, granule_chunks, seal)
+VARIANTS = [
+    *[
+        (f"llama-{n}", "tiny-llama", None, n, 4, True)
+        for n in (5, 64, 100, 197, 256)
+    ],
+    *[(f"llama-197-granule{g}", "tiny-llama", None, 197, g, True) for g in (1, 2, 8)],
+    ("llama-97-unsealed", "tiny-llama", None, 97, 4, False),
+    ("llama-145-kv-suffix", "tiny-llama", lambda n: PartitionScheme.with_kv_suffix(n, 2), 145, 4, True),
+    ("gqa-150", GQA_CONFIG, None, 150, 4, True),
+    # tiny-opt: layernorm, no RoPE, 3 layers (not divisible by 2).
+    ("opt-130", "tiny-opt", None, 130, 4, True),
+]
+
+
+@pytest.mark.parametrize("variant", VARIANTS, ids=[v[0] for v in VARIANTS])
+@pytest.mark.parametrize("flavor", VARIANT_FLAVORS, ids=flavor_id)
+def test_model_length_and_granule_variants(flavor, variant):
+    _, config, scheme_of, n_tokens, granule_chunks, seal = variant
+    if isinstance(config, str):
+        config = model_preset(config)
+    if flavor[1][1] > config.n_kv_heads:
+        pytest.skip("tensor split would cut a GQA group (rejected; see below)")
+    model = Transformer.from_seed(config, seed=11)
+    engine = HCacheEngine(
+        model,
+        StorageManager(build_storage_array(platform_preset("default"))),
+        scheme=scheme_of(config.n_layers) if scheme_of else None,
+        stream_granule_chunks=granule_chunks,
+    )
+    tokens = np.random.default_rng(5).integers(0, config.vocab_size, size=n_tokens)
+    oracle = prefill_and_save(engine, model, "c", tokens, seal=seal)
+    assert restore_through(engine, "c", flavor).equals(oracle, atol=0.0)
+
+
+def test_gqa_oversplit_raises_before_restoring():
+    """More tensor ranks than KV heads would force a boundary through a
+    GQA group — must raise, never silently misproject."""
+    model = Transformer.from_seed(GQA_CONFIG, seed=11)
+    engine = HCacheEngine(
+        model, StorageManager(build_storage_array(platform_preset("default")))
+    )
+    tokens = np.random.default_rng(5).integers(0, GQA_CONFIG.vocab_size, size=64)
+    prefill_and_save(engine, model, "c", tokens)
+    with RestoreExecutor(shards=(1, 3)) as executor:
+        with pytest.raises(ConfigError, match="GQA group"):
+            engine.restore("c", executor=executor)
+
+
+@pytest.mark.parametrize("flavor", [(1, (1, 1)), (2, (1, 1)), (4, (2, 2))], ids=flavor_id)
+def test_repeated_runs_through_one_executor_are_stable(flavor):
+    """Shake out ordering races: repeated restores through one shared
+    executor must all produce identical bytes."""
+    config = model_preset("tiny-llama")
+    model = Transformer.from_seed(config, seed=11)
+    engine = HCacheEngine(
+        model, StorageManager(build_storage_array(platform_preset("default")))
+    )
+    tokens = np.random.default_rng(5).integers(0, config.vocab_size, size=197)
+    oracle = prefill_and_save(engine, model, "c", tokens)
+    pool, shards = flavor
+    with RestoreExecutor(pool, shards=shards) as executor:
+        for _ in range(5):
+            assert engine.restore("c", executor=executor).equals(oracle, atol=0.0)

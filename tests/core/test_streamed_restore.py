@@ -1,10 +1,9 @@
-"""Bit-exactness and breakdown tests for the chunk-streamed restore.
+"""Breakdown and kernel-validation tests for the chunk-streamed restore.
 
-The chunk-granular pipeline (streamed reads + fused per-chunk projection)
-must reproduce *exactly* the states the naive whole-layer reference path
-(:mod:`repro.models.reference`) computes from the same stored data —
-across partial tail chunks, GQA configs, layernorm/no-RoPE models, mixed
-partition schemes, and DRAM- vs SSD-backed arrays.
+Bit-exactness of every restore shape against the naive whole-layer
+reference lives in ``test_restore_matrix.py``; this file covers the
+per-stage :class:`RestoreBreakdown` accounting, the projection kernel's
+input validation, and DRAM- vs SSD-backed arrays restoring identically.
 """
 
 from __future__ import annotations
@@ -20,10 +19,8 @@ from repro.core.profiler import build_storage_array
 from repro.errors import ConfigError
 from repro.models.config import model_preset
 from repro.models.kv_cache import KVCache
-from repro.models.reference import NaiveKVCache
 from repro.models.transformer import Transformer
 from repro.simulator import platform_preset
-from repro.simulator.pipeline import LayerMethod
 from repro.storage import StorageManager
 
 
@@ -53,86 +50,12 @@ def save_rounds(engine, model, config, n_tokens, seal=True, block=37):
     return cache, hidden
 
 
-def reference_restore(model, engine, n_tokens):
-    """The naive whole-layer oracle, fed from the same stored state."""
-    config = model.config
-    scheme = engine.scheme
-    cache = NaiveKVCache(config)
-    hidden = [None] * config.n_layers
-    for layer in range(config.n_layers):
-        if scheme.methods[layer] is LayerMethod.HIDDEN:
-            hidden[layer] = engine.storage.load_layer("c", layer, kind="hidden")
-    for layer, h in enumerate(hidden):
-        if h is not None:
-            k, v = model.project_kv(layer, h, np.arange(n_tokens))
-            cache.install(layer, k, v)
-    for layer in range(config.n_layers):
-        if scheme.methods[layer] is LayerMethod.KV:
-            cache.install_packed(layer, engine.storage.load_layer("c", layer, kind="kv"))
-    return cache
-
-
-def assert_layers_bit_equal(restored, reference, layers):
-    for layer in layers:
-        k1, v1 = restored.get(layer)
-        k2, v2 = reference.get(layer)
-        assert np.array_equal(k1, k2), f"layer {layer} keys differ"
-        assert np.array_equal(v1, v2), f"layer {layer} values differ"
-
-
 GQA_CONFIG = replace(
     model_preset("tiny-llama"), name="tiny-gqa", n_kv_heads=2, n_heads=4
 )
 
 
-class TestBitExactness:
-    @pytest.mark.parametrize("n_tokens", [5, 64, 100, 197, 256])
-    def test_partial_tail_chunks(self, n_tokens):
-        config = model_preset("tiny-llama")
-        model, engine = build_engine(config)
-        save_rounds(engine, model, config, n_tokens)
-        restored = engine.restore("c")
-        reference = reference_restore(model, engine, n_tokens)
-        assert_layers_bit_equal(restored, reference, range(config.n_layers))
-
-    @pytest.mark.parametrize("granule_chunks", [1, 2, 4, 8])
-    def test_granule_size_invariant(self, granule_chunks):
-        config = model_preset("tiny-llama")
-        model, engine = build_engine(config, granule_chunks=granule_chunks)
-        save_rounds(engine, model, config, 197)
-        restored = engine.restore("c")
-        reference = reference_restore(model, engine, 197)
-        assert_layers_bit_equal(restored, reference, range(config.n_layers))
-
-    def test_gqa_config(self):
-        model, engine = build_engine(GQA_CONFIG)
-        save_rounds(engine, model, GQA_CONFIG, 150)
-        restored = engine.restore("c")
-        reference = reference_restore(model, engine, 150)
-        assert_layers_bit_equal(restored, reference, range(GQA_CONFIG.n_layers))
-
-    def test_layernorm_no_rope_config(self):
-        config = model_preset("tiny-opt")
-        model, engine = build_engine(config)
-        save_rounds(engine, model, config, 130)
-        restored = engine.restore("c")
-        reference = reference_restore(model, engine, 130)
-        assert_layers_bit_equal(restored, reference, range(config.n_layers))
-
-    def test_mixed_hidden_kv_scheme(self):
-        config = model_preset("tiny-llama")
-        scheme = PartitionScheme.with_kv_suffix(config.n_layers, 2)
-        model, engine = build_engine(config, scheme=scheme)
-        cache, _ = save_rounds(engine, model, config, 145)
-        restored = engine.restore("c")
-        reference = reference_restore(model, engine, 145)
-        assert_layers_bit_equal(restored, reference, range(config.n_layers))
-        # KV layers also match the live cache they were saved from.
-        for layer in scheme.layers_with(LayerMethod.KV):
-            k1, v1 = restored.get(layer)
-            k2, v2 = cache.get(layer)
-            assert np.array_equal(k1, k2) and np.array_equal(v1, v2)
-
+class TestStorageTiers:
     def test_dram_tier_matches_ssd_tier(self):
         config = model_preset("tiny-llama")
         model_a, engine_ssd = build_engine(config, "default")
@@ -142,20 +65,6 @@ class TestBitExactness:
         a = engine_ssd.restore("c")
         b = engine_dram.restore("c")
         assert a.equals(b, atol=0.0)
-
-    def test_matches_live_cache_exactly_for_prefill_states(self):
-        config = model_preset("tiny-llama")
-        model, engine = build_engine(config)
-        cache, _ = save_rounds(engine, model, config, 197)
-        restored = engine.restore("c")
-        assert restored.equals(cache, atol=0.0)
-
-    def test_unsealed_tail_restores_from_host_buffer(self):
-        config = model_preset("tiny-llama")
-        model, engine = build_engine(config)
-        cache, _ = save_rounds(engine, model, config, 97, seal=False)
-        restored = engine.restore("c")
-        assert restored.equals(cache, atol=0.0)
 
 
 class TestRestoreBreakdown:
@@ -243,6 +152,28 @@ class TestChunkProjectionValidation:
         k = np.empty((8, config.n_kv_heads, config.head_dim), dtype=np.float32)
         with pytest.raises(ConfigError):
             model.project_kv_chunk(0, h, 4, k, np.empty_like(k), ws)
+
+    def test_head_ranges_must_tile_the_kv_heads(self):
+        config = model_preset("tiny-llama")  # 4 KV heads
+        model = Transformer.from_seed(config, seed=0)
+        for bad in ([(0, 1), (2, 4)], [(0, 2), (1, 4)], [(0, 2)], [(0, 0), (0, 4)]):
+            with pytest.raises(ConfigError):
+                model.restore_workspace(np.arange(8), 8, bad)
+
+    @pytest.mark.parametrize("preset", ["tiny-llama", "tiny-opt"])
+    def test_head_sliced_chunk_matches_unsliced(self, preset):
+        """Head ranges only slice the elementwise merge: same bytes."""
+        config = model_preset(preset)
+        model = Transformer.from_seed(config, seed=3)
+        hidden = np.random.default_rng(0).normal(size=(40, config.hidden_size))
+        hidden = hidden.astype(np.float32)
+        k_ref, v_ref = model.project_kv(1, hidden, np.arange(40))
+        ranges = [(0, 1), (1, config.n_kv_heads)]
+        ws = model.restore_workspace(np.arange(40), 40, ranges)
+        k = np.empty_like(k_ref)
+        v = np.empty_like(v_ref)
+        model.project_kv_chunk(1, hidden, 0, k, v, ws)
+        assert np.array_equal(k, k_ref) and np.array_equal(v, v_ref)
 
     def test_invalid_granule_chunks_rejected(self):
         config = model_preset("tiny-llama")

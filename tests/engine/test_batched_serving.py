@@ -1,11 +1,12 @@
 """Batched multi-session serving through the numeric engine.
 
-``chat_rounds`` (restore burst + prefill + one batched decode call per
-output token) must generate the same token streams as per-session
-``chat_round`` calls, and ``decode_iteration`` must execute a
-continuous-batching iteration plan's decode set as a single model call
-— the wiring between ``ContinuousBatcher`` / ``SplitFuseScheduler``
-(time model) and ``NumericServingEngine`` (value model).
+A round served through ``ServingFrontend.submit/step`` (restore burst +
+fused prefill + one batched decode call per output token) must generate
+the same token streams as per-session ``chat_round`` calls, and
+``execute_iteration`` must execute a continuous-batching iteration
+plan's decode set as a single model call — the wiring between
+``ContinuousBatcher`` / ``SplitFuseScheduler`` (time model) and
+``NumericServingEngine`` (value model).
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import pytest
 
 from repro.core.hcache import HCacheEngine
 from repro.core.profiler import build_storage_array
+from repro.engine.api import ServingRequest
 from repro.engine.batching import ContinuousBatcher, MemoryBudget
 from repro.engine.numeric_engine import NumericServingEngine
 from repro.engine.request import Phase, Request, RequestSpec
@@ -40,8 +42,8 @@ def open_sessions(engine, prompts):
         engine.open_session(session_id)
 
 
-class TestChatRounds:
-    def test_matches_serial_chat_round(self, make_engine, tiny_config):
+class TestBatchedRounds:
+    def test_matches_serial_chat_round(self, make_engine, serve_rounds, tiny_config):
         rng = np.random.default_rng(31)
         prompts = {
             "a": rng.integers(0, tiny_config.vocab_size, size=9),
@@ -53,7 +55,7 @@ class TestChatRounds:
         ref = {s: serial.chat_round(s, p, 6) for s, p in prompts.items()}
         batched = make_engine()
         open_sessions(batched, prompts)
-        out = batched.chat_rounds(list(prompts.items()), 6)
+        out = serve_rounds(batched, list(prompts.items()), 6)
         assert out == ref
         for session_id in prompts:
             a = serial.session(session_id)
@@ -61,7 +63,7 @@ class TestChatRounds:
             assert a.tokens == b.tokens
             assert b.kv_cache.equals(a.kv_cache, atol=BATCHED_DECODE_ATOL)
 
-    def test_second_round_with_mixed_eviction(self, make_engine, tiny_config):
+    def test_second_round_with_mixed_eviction(self, make_engine, serve_rounds, tiny_config):
         """Round 2 batches a mix of evicted (restored) and resident sessions."""
         rng = np.random.default_rng(32)
         first = {s: rng.integers(0, tiny_config.vocab_size, size=7) for s in "abc"}
@@ -72,17 +74,19 @@ class TestChatRounds:
             serial.chat_round(s, p, 3)
         batched = make_engine()
         open_sessions(batched, first)
-        batched.chat_rounds(list(first.items()), 3)
+        serve_rounds(batched, list(first.items()), 3)
         for engine in (serial, batched):
             engine.evict("a")
             engine.evict("c")
         ref = {s: serial.chat_round(s, p, 4) for s, p in second.items()}
-        out = batched.chat_rounds(list(second.items()), 4)
+        out = serve_rounds(batched, list(second.items()), 4)
         assert out == ref
         for s in first:
             assert batched.session(s).tokens == serial.session(s).tokens
 
-    def test_single_session_batch_matches_chat_round(self, make_engine, tiny_config):
+    def test_single_session_batch_matches_chat_round(
+        self, make_engine, serve_rounds, tiny_config
+    ):
         rng = np.random.default_rng(33)
         prompt = rng.integers(0, tiny_config.vocab_size, size=8)
         serial = make_engine()
@@ -90,16 +94,16 @@ class TestChatRounds:
         ref = serial.chat_round("s", prompt, 5)
         batched = make_engine()
         batched.open_session("s")
-        assert batched.chat_rounds([("s", prompt)], 5) == {"s": ref}
+        assert serve_rounds(batched, [("s", prompt)], 5) == {"s": ref}
 
-    def test_evict_and_close_release_block_slots(self, make_engine, tiny_config):
+    def test_evict_and_close_release_block_slots(self, make_engine, serve_rounds, tiny_config):
         """A dead session must not keep the shared stacked block bloated:
         evict/close release the slot, survivors keep working."""
         rng = np.random.default_rng(36)
         prompts = {s: rng.integers(0, tiny_config.vocab_size, size=5) for s in "abc"}
         engine = make_engine()
         open_sessions(engine, prompts)
-        engine.chat_rounds(list(prompts.items()), 3)
+        serve_rounds(engine, list(prompts.items()), 3)
         cache_a = engine.session("a").kv_cache
         cache_b = engine.session("b").kv_cache
         block = cache_a.block
@@ -118,15 +122,17 @@ class TestChatRounds:
         engine = make_engine()
         engine.open_session("s")
         with pytest.raises(ConfigError):
-            engine.chat_rounds([], 3)
+            engine.execute_iteration()
         with pytest.raises(ConfigError):
-            engine.chat_rounds([("s", np.array([1]))], 0)
+            ServingRequest(session_id="s", prompt_tokens=np.array([1]), max_new_tokens=0)
         with pytest.raises(ConfigError):
-            engine.chat_rounds([("s", np.array([]))], 3)
+            ServingRequest(session_id="s", prompt_tokens=np.array([]), max_new_tokens=3)
         with pytest.raises(ConfigError):
-            engine.chat_rounds([("s", np.array([1])), ("s", np.array([2]))], 3)
+            engine.execute_iteration(
+                [("s", np.array([1]))], decode_tokens={"s": 2}
+            )
         with pytest.raises(StateError):
-            engine.chat_rounds([("ghost", np.array([1]))], 3)
+            engine.execute_iteration([("ghost", np.array([1]))])
 
 
 class TestDecodeIteration:
@@ -134,13 +140,13 @@ class TestDecodeIteration:
         engine = make_engine()
         engine.open_session("s")
         with pytest.raises(ConfigError):
-            engine.decode_iteration({})
+            engine.execute_iteration(decode_tokens={})
         with pytest.raises(StateError):
-            engine.decode_iteration({"s": 1})  # never prefilled, not on GPU
+            engine.execute_iteration(decode_tokens={"s": 1})  # never prefilled, not on GPU
         engine.chat_round("s", np.arange(4) % tiny_config.vocab_size, 2)
         engine.evict("s")
         with pytest.raises(StateError):
-            engine.decode_iteration({"s": 1})  # evicted
+            engine.execute_iteration(decode_tokens={"s": 1})  # evicted
 
     def test_matches_serial_decode_steps(self, make_engine, tiny_config):
         rng = np.random.default_rng(34)
@@ -166,7 +172,7 @@ class TestDecodeIteration:
                 )
                 state.tokens.append(token)
                 expected[s] = int(np.argmax(result.logits[-1]))
-            got = batched.decode_iteration(pending)
+            got = dict(batched.execute_iteration(decode_tokens=pending).next_tokens)
             assert got == expected
             pending = got
         for s in prompts:
@@ -224,8 +230,8 @@ class TestContinuousBatchingWiring:
         admitted = batcher.admit(now=0.0)
         assert len(admitted) == len(prompts)
 
-        # Prefill phase (serial block-level forwards as in chat_rounds'
-        # phase 2), producing each session's first generated token.
+        # Prefill phase (serial block-level forwards), producing each
+        # session's first generated token.
         pending = {}
         generated = {s: [] for s in prompts}
         for s, p in prompts.items():
@@ -248,6 +254,6 @@ class TestContinuousBatchingWiring:
             step = {s: pending[s] for s in plan.decode_session_ids}
             for s, token in step.items():
                 generated[s].append(token)
-            next_tokens = engine.decode_iteration(step)
+            next_tokens = engine.execute_iteration(decode_tokens=step).next_tokens
             pending.update(next_tokens)
         assert generated == ref

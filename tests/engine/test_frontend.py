@@ -10,12 +10,9 @@ call per iteration.
 
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
 import pytest
 
-import repro.engine.numeric_engine as numeric_engine_module
 from repro.core.hcache import HCacheEngine
 from repro.core.profiler import build_storage_array
 from repro.engine import (
@@ -72,27 +69,6 @@ class TestEquivalence:
             assert engine.session(s).kv_cache.equals(
                 serial.session(s).kv_cache, atol=BATCHED_DECODE_ATOL
             )
-
-    def test_matches_shimmed_chat_rounds(self, make_engine, tiny_config):
-        """The deprecation shim and a hand-driven front end agree."""
-        prompts = _prompts(tiny_config, [7, 5], seed=52)
-        shimmed = make_engine()
-        for s in prompts:
-            shimmed.open_session(s)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            ref = shimmed.chat_rounds(list(prompts.items()), 4)
-
-        engine = make_engine()
-        frontend = ServingFrontend(engine, MemoryBudget(capacity_tokens=4096))
-        handles = {
-            s: frontend.submit(
-                ServingRequest(session_id=s, prompt_tokens=p, max_new_tokens=4)
-            )
-            for s, p in prompts.items()
-        }
-        frontend.run_until_idle(max_steps=200)
-        assert {s: list(h.result().tokens) for s, h in handles.items()} == ref
 
     def test_second_round_restores_evicted_history(self, make_engine, tiny_config):
         """evict_on_finish + resubmission: the restore burst must be
@@ -379,26 +355,3 @@ class TestStreamingAndHandles:
         assert first.result().finished_at <= second.result().first_token_at
         # round 2 saw round 1's full history
         assert len(engine.session("s").tokens) == 3 + 2 + 2 + 2
-
-
-class TestDeprecationShims:
-    def test_chat_rounds_warns_once_per_process(self, make_engine, tiny_config):
-        engine = make_engine()
-        engine.open_session("s")
-        numeric_engine_module._warned_deprecations.clear()
-        with pytest.warns(DeprecationWarning, match="chat_rounds is deprecated"):
-            engine.chat_rounds([("s", np.array([1, 2, 3]))], 2)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            engine.chat_rounds([("s", np.array([4, 5]))], 2)  # no second warning
-
-    def test_decode_iteration_warns_and_delegates(self, make_engine, tiny_config):
-        engine = make_engine()
-        engine.open_session("s")
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            engine.chat_round("s", np.array([1, 2, 3]), 1)
-        numeric_engine_module._warned_deprecations.clear()
-        with pytest.warns(DeprecationWarning, match="decode_iteration is deprecated"):
-            out = engine.decode_iteration({"s": 1})
-        assert set(out) == {"s"}

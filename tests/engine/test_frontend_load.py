@@ -83,7 +83,7 @@ class _FakeEngine:
     def session(self, session_id):
         return self.sessions[session_id]
 
-    def restore_sessions(self, session_ids, *, reserve_tokens=0, shards=None):
+    def restore_sessions(self, session_ids, *, reserve_tokens=0):
         for session_id in session_ids:
             state = self.sessions[session_id]
             assert state.tokens and not state.on_gpu

@@ -15,7 +15,7 @@ path, and decoding continues:
 
 Token streams are compared for equality outright: the restore path is
 bit-exact, and the serial decode path is deterministic.  (The batched
-continuation at the end exercises ``chat_rounds`` post-recovery, whose
+continuation at the end runs ``ServingFrontend.submit/step`` post-recovery, whose
 values sit within the pinned ``BATCHED_DECODE_ATOL`` of the serial path
 as documented on the numeric engine.)
 """
@@ -152,7 +152,7 @@ class TestKillAndResume:
             resumed.session("s1").tokens[CPC:]
         )
 
-    def test_clean_kill_preserves_everything(self, model, journal_factory):
+    def test_clean_kill_preserves_everything(self, model, journal_factory, serve_rounds):
         """All sessions sealed before the crash: recovery is lossless and
         both sessions' continued streams match the control exactly."""
         n_layers = model.config.n_layers
@@ -191,7 +191,7 @@ class TestKillAndResume:
         # (values within the documented BATCHED_DECODE_ATOL of serial).
         resumed.evict("s1")
         resumed.evict("s2")
-        streams = resumed.chat_rounds([("s1", make(12)), ("s2", make(12))], 4)
+        streams = serve_rounds(resumed, [("s1", make(12)), ("s2", make(12))], 4)
         assert set(streams) == {"s1", "s2"}
         for sid in ("s1", "s2"):
             assert len(streams[sid]) == 4

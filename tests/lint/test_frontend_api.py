@@ -1,4 +1,4 @@
-"""frontend-api: pinned serving surface + no internal legacy callers."""
+"""frontend-api: pinned serving surface."""
 
 from pathlib import Path
 
@@ -17,24 +17,8 @@ def _check_source(tmp_path, relative, source):
     return check_module(module, [FrontendApiRule()])
 
 
-def test_bad_fixture_flags_both_deprecated_entry_points(run_rules):
-    findings = run_rules("frontend_bad.py", [FrontendApiRule()])
-    assert [f.rule for f in findings] == ["frontend-api"] * 2
-    assert any("'chat_rounds'" in f.message for f in findings)
-    assert any("'decode_iteration'" in f.message for f in findings)
-    assert all("MIGRATION" in f.hint for f in findings)
-
-
 def test_good_fixture_is_clean(run_rules):
     assert run_rules("frontend_good.py", [FrontendApiRule()]) == []
-
-
-def test_shim_module_may_define_and_call_the_legacy_names(tmp_path):
-    source = "def run(self):\n    return self.decode_iteration({})\n"
-    findings = _check_source(
-        tmp_path, "repro/engine/numeric_engine.py", source
-    )
-    assert findings == []
 
 
 def test_pinned_surface_drift_is_reported(tmp_path):

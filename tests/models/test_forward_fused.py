@@ -4,7 +4,7 @@
 sessions into one model call; it must stay inside the
 ``BATCHED_DECODE_ATOL`` band of running each segment through a serial
 ``forward`` (and produce identical greedy tokens), because the serving
-front end substitutes it for ``chat_rounds``'s serial prefill loop.
+front end substitutes it for a serial per-session prefill loop.
 """
 
 from __future__ import annotations

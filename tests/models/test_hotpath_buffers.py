@@ -270,39 +270,47 @@ class TestBatchedRestore:
         assert fast.equals(naive, atol=0.0)
         assert fast.equals(cache, atol=0.0)
 
-    def test_project_kv_all_matches_per_layer(self, tiny_model, tiny_config):
+    def test_whole_layer_granules_match_per_layer(self, tiny_model, tiny_config):
         result, _ = tiny_model.prefill(prompt(tiny_config, 17, seed=25), capture_hidden=True)
         pos = np.arange(17)
-        k_all, v_all = tiny_model.project_kv_all(result.hidden_states, pos)
+        restored = tiny_model.restore_cache_from_hidden(result.hidden_states)
         for layer in range(tiny_config.n_layers):
             k, v = tiny_model.project_kv(layer, result.hidden_states[layer], pos)
-            assert np.array_equal(k_all[layer], k)
-            assert np.array_equal(v_all[layer], v)
+            got_k, got_v = restored.get(layer)
+            assert np.array_equal(got_k, k)
+            assert np.array_equal(got_v, v)
 
-    def test_project_kv_all_layer_subset(self, tiny_model, tiny_config):
+    def test_kernel_projects_a_layer_subset(self, tiny_model, tiny_config):
         result, _ = tiny_model.prefill(prompt(tiny_config, 11, seed=26), capture_hidden=True)
         pos = np.arange(11)
-        subset = [1, 3]
-        k_all, v_all = tiny_model.project_kv_all(
-            [result.hidden_states[layer] for layer in subset], pos, layers=subset
-        )
-        for i, layer in enumerate(subset):
+        workspace = tiny_model.restore_workspace(pos, 11)
+        for layer in (1, 3):
+            k_out = np.empty((11, tiny_config.n_kv_heads, tiny_config.head_dim), np.float32)
+            v_out = np.empty_like(k_out)
+            tiny_model.project_kv_chunk(
+                layer, result.hidden_states[layer], 0, k_out, v_out, workspace
+            )
             k, v = tiny_model.project_kv(layer, result.hidden_states[layer], pos)
-            assert np.array_equal(k_all[i], k)
-            assert np.array_equal(v_all[i], v)
+            assert np.array_equal(k_out, k)
+            assert np.array_equal(v_out, v)
 
-    def test_project_kv_into_matches_project_kv_all(self, tiny_model, tiny_config):
+    def test_kernel_projects_into_reserved_cache(self, tiny_model, tiny_config):
         result, _ = tiny_model.prefill(prompt(tiny_config, 13, seed=31), capture_hidden=True)
         pos = np.arange(13)
-        k_all, v_all = tiny_model.project_kv_all(result.hidden_states, pos)
         cache = KVCache(tiny_config)
         cache.reserve(64)
-        tiny_model.project_kv_into(result.hidden_states, pos, cache)
+        workspace = tiny_model.restore_workspace(pos, 13)
+        for layer in range(tiny_config.n_layers):
+            k_view, v_view = cache.install_view(layer, 13)
+            tiny_model.project_kv_chunk(
+                layer, result.hidden_states[layer], 0, k_view, v_view, workspace
+            )
         assert cache.capacity == 64  # projected into the reserved buffer
         for layer in range(tiny_config.n_layers):
+            k, v = tiny_model.project_kv(layer, result.hidden_states[layer], pos)
             got_k, got_v = cache.get(layer)
-            assert np.array_equal(got_k, k_all[layer])
-            assert np.array_equal(got_v, v_all[layer])
+            assert np.array_equal(got_k, k)
+            assert np.array_equal(got_v, v)
 
     def test_restore_accepts_capture_and_stacked(self, tiny_model, tiny_config):
         p = prompt(tiny_config, 8, seed=27)

@@ -2,57 +2,17 @@
 
 from __future__ import annotations
 
-import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core.gqa import hidden_to_kv_ratio, with_kv_heads
 from repro.models.config import model_preset
-from repro.storage.codec import GroupQuantizer
 
 SETTINGS = settings(
     max_examples=40,
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
-
-
-@SETTINGS
-@given(
-    bits=st.sampled_from([4, 8]),
-    group_size=st.sampled_from([8, 16, 32]),
-    n=st.integers(1, 32),
-    n_groups=st.integers(1, 8),
-    seed=st.integers(0, 100),
-    scale=st.floats(1e-3, 1e3),
-)
-def test_codec_error_always_bounded(bits, group_size, n, n_groups, seed, scale):
-    """Reconstruction error never exceeds half a quantization step of the
-    group's absolute maximum — for any shape, scale, and bit width."""
-    quantizer = GroupQuantizer(bits=bits, group_size=group_size)
-    width = group_size * n_groups
-    states = (
-        np.random.default_rng(seed).normal(size=(n, width)).astype(np.float32) * scale
-    )
-    decoded = quantizer.decode(quantizer.encode(states))
-    grouped = states.reshape(n, n_groups, group_size)
-    err = np.abs(decoded.reshape(n, n_groups, group_size) - grouped)
-    bound = (
-        np.abs(grouped).max(axis=-1, keepdims=True) * quantizer.max_relative_error()
-    )
-    assert np.all(err <= bound + 1e-5 * scale)
-
-
-@SETTINGS
-@given(
-    bits=st.sampled_from([4, 8]),
-    group_size=st.sampled_from([16, 64]),
-    width_groups=st.integers(1, 64),
-)
-def test_codec_always_compresses(bits, group_size, width_groups):
-    quantizer = GroupQuantizer(bits=bits, group_size=group_size)
-    width = group_size * width_groups
-    assert quantizer.compression_ratio(width) > 1.0
 
 
 @SETTINGS

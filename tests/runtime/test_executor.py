@@ -1,34 +1,27 @@
-"""Determinism and bit-exactness tests for the threaded restore executor.
+"""The restore drain loop and executor: accounting, containment, lifecycle.
 
-The executor moves granule reads onto background IO workers; everything
-it restores must stay bit-identical to the single-threaded streamed path
-and to the naive whole-layer reference (:mod:`repro.models.reference`) —
-for every pool size, across GQA / layernorm / mixed hidden+KV schemes and
-partial tail chunks, and stably across repeated runs (ordering races
-would show up as flaky mismatches).
+Bit-exactness of every loop shape (inline, pooled, sharded) lives in
+``tests/core/test_restore_matrix.py``.  This file covers what the one
+loop (:func:`drain_granules`) owes its callers beyond the bytes: stats
+accounting parity between inline and pooled drains, containment of a
+read that fails mid-drain, concurrent multi-context restores, latency
+emulation, and executor/pool lifecycle.
 """
 
 from __future__ import annotations
-
-from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from repro.core.hcache import HCacheEngine, RestoreBreakdown
-from repro.core.partition import PartitionScheme
 from repro.core.profiler import build_storage_array
 from repro.engine.numeric_engine import NumericServingEngine
 from repro.errors import ConfigError, StateError
 from repro.models.config import model_preset
-from repro.models.reference import NaiveKVCache
 from repro.models.transformer import Transformer
-from repro.runtime import IOWorkerPool, RestoreExecutor
+from repro.runtime import IOWorkerPool, RestoreExecutor, drain_granules
 from repro.simulator import platform_preset
-from repro.simulator.pipeline import LayerMethod
 from repro.storage import LatencyEmulator, StorageManager
-
-POOL_SIZES = [1, 2, 4]
 
 
 def build_engine(config, scheme=None, granule_chunks=4):
@@ -58,148 +51,107 @@ def save_context(engine, model, config, n_tokens, context_id="c", seal=True, blo
     return cache
 
 
-def reference_restore(model, engine, context_id, n_tokens):
-    """The naive whole-layer oracle, fed from the same stored state."""
-    config = model.config
-    scheme = engine.scheme
-    cache = NaiveKVCache(config)
-    for layer in range(config.n_layers):
-        if scheme.methods[layer] is LayerMethod.HIDDEN:
-            h = engine.storage.load_layer(context_id, layer, kind="hidden")
-            k, v = model.project_kv(layer, h, np.arange(n_tokens))
-            cache.install(layer, k, v)
-        elif scheme.methods[layer] is LayerMethod.KV:
-            cache.install_packed(
-                layer, engine.storage.load_layer(context_id, layer, kind="kv")
-            )
-    return cache
+#: How the one loop is parameterised: no executor (inline reads), one
+#: pipeline stage on a pool, several stages on a pool.
+LOOP_SHAPES = {
+    "inline": None,
+    "single-stage": dict(pool=1, shards=(1, 1)),
+    "multi-stage": dict(pool=2, shards=(2, 2)),
+}
 
 
-def assert_bit_equal(restored, reference, layers):
-    for layer in layers:
-        k1, v1 = restored.get(layer)
-        k2, v2 = reference.get(layer)
-        assert np.array_equal(k1, k2), f"layer {layer} keys differ"
-        assert np.array_equal(v1, v2), f"layer {layer} values differ"
-
-
-GQA_CONFIG = replace(
-    model_preset("tiny-llama"), name="tiny-gqa", n_kv_heads=2, n_heads=4
-)
-
-
-class TestThreadedBitExactness:
-    @pytest.mark.parametrize("pool_size", POOL_SIZES)
-    @pytest.mark.parametrize("n_tokens", [5, 100, 197, 256])
-    def test_partial_tails_match_single_threaded_and_reference(
-        self, pool_size, n_tokens
-    ):
-        config = model_preset("tiny-llama")
-        model, engine = build_engine(config)
-        save_context(engine, model, config, n_tokens)
-        single = engine.restore("c")
-        reference = reference_restore(model, engine, "c", n_tokens)
-        with RestoreExecutor(pool_size) as executor:
-            threaded = engine.restore("c", executor=executor)
-        assert threaded.equals(single, atol=0.0)
-        assert_bit_equal(threaded, reference, range(config.n_layers))
-
-    @pytest.mark.parametrize("pool_size", POOL_SIZES)
-    def test_gqa_config(self, pool_size):
-        model, engine = build_engine(GQA_CONFIG)
-        save_context(engine, model, GQA_CONFIG, 150)
-        reference = reference_restore(model, engine, "c", 150)
-        with RestoreExecutor(pool_size) as executor:
-            threaded = engine.restore("c", executor=executor)
-        assert_bit_equal(threaded, reference, range(GQA_CONFIG.n_layers))
-
-    @pytest.mark.parametrize("pool_size", POOL_SIZES)
-    def test_layernorm_no_rope_config(self, pool_size):
-        config = model_preset("tiny-opt")
-        model, engine = build_engine(config)
-        save_context(engine, model, config, 130)
-        reference = reference_restore(model, engine, "c", 130)
-        with RestoreExecutor(pool_size) as executor:
-            threaded = engine.restore("c", executor=executor)
-        assert_bit_equal(threaded, reference, range(config.n_layers))
-
-    @pytest.mark.parametrize("pool_size", POOL_SIZES)
-    def test_mixed_hidden_kv_scheme(self, pool_size):
-        config = model_preset("tiny-llama")
-        scheme = PartitionScheme.with_kv_suffix(config.n_layers, 2)
-        model, engine = build_engine(config, scheme=scheme)
-        cache = save_context(engine, model, config, 145)
-        reference = reference_restore(model, engine, "c", 145)
-        with RestoreExecutor(pool_size) as executor:
-            threaded = engine.restore("c", executor=executor)
-        assert_bit_equal(threaded, reference, range(config.n_layers))
-        for layer in scheme.layers_with(LayerMethod.KV):
-            k1, v1 = threaded.get(layer)
-            k2, v2 = cache.get(layer)
-            assert np.array_equal(k1, k2) and np.array_equal(v1, v2)
-
-    def test_recompute_prefix_scheme(self):
-        config = model_preset("tiny-llama")
-        scheme = PartitionScheme.with_recompute_prefix(config.n_layers, 1)
-        model, engine = build_engine(config, scheme=scheme)
-        save_context(engine, model, config, 128)
-        single = engine.restore("c")
-        with RestoreExecutor(2) as executor:
-            threaded = engine.restore("c", executor=executor)
-        assert threaded.equals(single, atol=0.0)
-
-    def test_unsealed_tail_restores_from_host_buffer(self):
-        config = model_preset("tiny-llama")
-        model, engine = build_engine(config)
-        cache = save_context(engine, model, config, 97, seal=False)
-        with RestoreExecutor(2) as executor:
-            threaded = engine.restore("c", executor=executor)
-        assert threaded.equals(cache, atol=0.0)
-
-    @pytest.mark.parametrize("pool_size", POOL_SIZES)
-    def test_repeated_runs_are_stable(self, pool_size):
-        """Shake out ordering races: repeated threaded restores through
-        one shared executor must all produce identical bytes."""
-        config = model_preset("tiny-llama")
-        model, engine = build_engine(config)
-        save_context(engine, model, config, 197)
-        single = engine.restore("c")
-        with RestoreExecutor(pool_size) as executor:
-            for _ in range(5):
-                assert engine.restore("c", executor=executor).equals(single, atol=0.0)
-
-    @pytest.mark.parametrize("granule_chunks", [1, 2, 8])
-    def test_granule_size_invariant(self, granule_chunks):
-        config = model_preset("tiny-llama")
-        model, engine = build_engine(config, granule_chunks=granule_chunks)
-        save_context(engine, model, config, 197)
-        reference = reference_restore(model, engine, "c", 197)
-        with RestoreExecutor(2) as executor:
-            threaded = engine.restore("c", executor=executor)
-        assert_bit_equal(threaded, reference, range(config.n_layers))
+@pytest.fixture(params=sorted(LOOP_SHAPES))
+def loop_executor(request):
+    """``None`` or a live executor, per :data:`LOOP_SHAPES`."""
+    options = LOOP_SHAPES[request.param]
+    if options is None:
+        yield None
+        return
+    with RestoreExecutor(options["pool"], shards=options["shards"]) as executor:
+        yield executor
 
 
 class TestDrainDirectUse:
-    def test_drain_with_stats_but_default_lists(self):
-        """The documented defaults (io_times/compute_times omitted) must
-        work when stats is given — drain owns its own accumulators."""
+    def test_drain_traces_every_granule_it_consumed(self, loop_executor):
         config = model_preset("tiny-llama")
         model, engine = build_engine(config)
         save_context(engine, model, config, 128)
         chunks = []
         stats = RestoreBreakdown()
-        with RestoreExecutor(1) as executor:
-            executor.drain(
-                engine.storage, "c", list(range(config.n_layers)), "hidden",
-                engine.stream_granule_chunks, chunks.append, stats=stats,
-            )
-        assert stats.granules == len(chunks) > 0
+        trace = drain_granules(
+            engine.storage, "c", list(range(config.n_layers)), "hidden",
+            engine.stream_granule_chunks, chunks.append, loop_executor, stats=stats,
+        )
+        assert stats.granules == len(chunks) == len(trace) > 0
+        assert sum(g.rows for g in trace) == 128 * config.n_layers
+        stages = 1 if loop_executor is None else loop_executor.shard_shape[0]
+        assert {g.stage for g in trace} == set(range(stages))
+        # Within a stage, consumption follows the granule plan exactly.
+        plan = engine.storage.granule_plan(
+            "c", list(range(config.n_layers)), "hidden", engine.stream_granule_chunks
+        )
+        seen = [(c.layer, c.start) for c in chunks]
+        assert sorted(seen) == sorted((g.layer, g.start) for g in plan)
+        if stages == 1:
+            assert seen == [(g.layer, g.start) for g in plan]
+
+    def test_untimed_drain_returns_no_trace(self, loop_executor):
+        config = model_preset("tiny-llama")
+        model, engine = build_engine(config)
+        save_context(engine, model, config, 128)
+        chunks = []
+        trace = drain_granules(
+            engine.storage, "c", [0, 1], "hidden", 2, chunks.append, loop_executor
+        )
+        assert trace == [] and len(chunks) == 2
+
+
+class TestContainment:
+    def test_failed_read_mid_drain_settles_every_future(self, loop_executor):
+        """A granule read that raises mid-drain must propagate, leave no
+        in-flight read unsettled (no worker may keep filling an abandoned
+        staging slot) and leave the pool usable for the next restore."""
+        config = model_preset("tiny-llama")
+        model, engine = build_engine(config, granule_chunks=1)
+        save_context(engine, model, config, 256)
+        healthy = engine.restore("c")
+        storage = engine.storage
+        real_read = storage.read_granule_into
+        futures = []
+        if loop_executor is not None:
+            pool = loop_executor.pool
+            real_submit = pool.submit
+
+            def recording_submit(fn, /, *args, **kwargs):
+                futures.append(real_submit(fn, *args, **kwargs))
+                return futures[-1]
+
+            pool.submit = recording_submit
+        calls = []
+
+        def failing_read(context_id, spec, out):
+            calls.append(spec)
+            if len(calls) == 6:
+                raise OSError("injected read fault")
+            return real_read(context_id, spec, out)
+
+        storage.read_granule_into = failing_read  # instance-level wrapper
+        try:
+            with pytest.raises(OSError, match="injected read fault"):
+                engine.restore("c", executor=loop_executor)
+        finally:
+            del storage.read_granule_into
+        assert len(calls) >= 6
+        assert all(future.done() for future in futures)
+        # The same executor (and its pool) serves the next restore.
+        assert engine.restore("c", executor=loop_executor).equals(healthy, atol=0.0)
 
 
 class TestBreakdownParity:
-    def test_threaded_accounting_matches_single_threaded(self):
+    def test_pooled_accounting_matches_inline(self):
         """Granule/read counts and modelled makespans are identical; only
-        the wall-clock split differs (threaded read_s is exposed stall)."""
+        the wall-clock split differs (pooled read_s is exposed stall, and
+        only pooled drains pay dispatch)."""
         config = model_preset("tiny-llama")
         model, engine = build_engine(config)
         save_context(engine, model, config, 256)
@@ -208,6 +160,8 @@ class TestBreakdownParity:
         threaded_stats = RestoreBreakdown()
         with RestoreExecutor(2) as executor:
             engine.restore("c", stats=threaded_stats, executor=executor)
+        assert single_stats.read_s > 0.0 and single_stats.dispatch_s == 0.0
+        assert threaded_stats.dispatch_s > 0.0
         assert threaded_stats.granules == single_stats.granules
         assert threaded_stats.device_reads == single_stats.device_reads
         assert threaded_stats.n_tokens == single_stats.n_tokens
@@ -244,6 +198,46 @@ class TestConcurrentContexts:
         model, engine = build_engine(config)
         with RestoreExecutor(1) as executor:
             assert executor.restore_contexts(engine, []) == {}
+            assert executor.restore_contexts_async(engine, []) == {}
+
+    def test_blocking_restore_is_a_wait_over_the_async_one(self):
+        config = model_preset("tiny-llama")
+        model, engine = build_engine(config)
+        for cid, n in (("a", 100), ("b", 64)):
+            save_context(engine, model, config, n, context_id=cid)
+        with RestoreExecutor(1) as executor:
+            futures = executor.restore_contexts_async(
+                engine, ["a", "b"], reserve_tokens={"a": 300}
+            )
+            blocking = executor.restore_contexts(engine, ["a", "b"], reserve_tokens=300)
+            for cid, future in futures.items():
+                assert future.result().equals(blocking[cid], atol=0.0)
+            # int reserves every context; a mapping only the ids it names.
+            assert futures["a"].result().capacity >= 300
+            assert futures["b"].result().capacity < 300
+            assert all(cache.capacity >= 300 for cache in blocking.values())
+
+    def test_first_failure_propagates_after_all_drivers_finish(self):
+        config = model_preset("tiny-llama")
+        model, engine = build_engine(config)
+        save_context(engine, model, config, 64, context_id="a")
+        engine.register_context("empty")  # nothing saved: restore raises
+        with RestoreExecutor(1) as executor:
+            with pytest.raises(Exception, match="no saved state"):
+                executor.restore_contexts(engine, ["empty", "a"])
+            # The pool is still usable afterwards.
+            assert len(executor.restore_contexts(engine, ["a"])["a"]) == 64
+
+    @pytest.mark.parametrize("method", ["restore_contexts", "restore_contexts_async"])
+    def test_closed_executor_raises_typed_error_up_front(self, method):
+        config = model_preset("tiny-llama")
+        model, engine = build_engine(config)
+        save_context(engine, model, config, 64)
+        executor = RestoreExecutor(1)
+        executor.restore_contexts(engine, ["c"])
+        executor.close()
+        with pytest.raises(StateError, match="closed"):
+            getattr(executor, method)(engine, ["c"])
 
 
 class TestNumericServingEngineIntegration:
@@ -262,7 +256,7 @@ class TestNumericServingEngineIntegration:
             engine.evict("s")
         return outputs
 
-    def test_chat_rounds_identical_with_and_without_executor(self):
+    def test_rounds_identical_with_and_without_executor(self):
         baseline = self._run_session(None)
         with RestoreExecutor(2) as executor:
             threaded = self._run_session(executor)
@@ -397,6 +391,25 @@ class TestPoolAndExecutorValidation:
     def test_executor_validates_inflight(self):
         with pytest.raises(ConfigError):
             RestoreExecutor(1, inflight=0)
+
+    def test_executor_validates_shard_shape(self):
+        with pytest.raises(ConfigError):
+            RestoreExecutor(shards=(0, 1))
+        with pytest.raises(ConfigError):
+            RestoreExecutor(shards=(1, 0))
+
+    def test_default_pool_and_window_follow_the_shape(self):
+        """One worker per simulated GPU; each stage's window is its share
+        of the workers plus the runway."""
+        with RestoreExecutor(shards=(3, 2)) as executor:
+            assert executor.pool.size == 6
+            assert executor.shard_shape == (3, 2)
+            assert executor.inflight == 2 + 6
+        with RestoreExecutor(2) as executor:
+            assert executor.shard_shape == (1, 1)
+            assert executor.inflight == 2 + 6
+        with IOWorkerPool(1) as pool, RestoreExecutor(pool, inflight=9) as executor:
+            assert executor.inflight == 9  # explicit inflight wins
 
     def test_executor_validates_max_concurrent(self):
         with pytest.raises(ConfigError):

@@ -1,45 +1,34 @@
 """Sharded parallel restoration tests (PR 9).
 
-The headline contract: a restoration partitioned across any
-``(pipeline x tensor)`` grid of simulated GPUs restores bytes
-bit-identical to the single-shard path and the naive whole-layer
-reference — across norm/rope flavors, GQA configs, mixed hidden+KV
-schemes, partial tail chunks, and non-divisible layer/head counts.  Plus
-the shard planners' invariants (GQA groups are never split), executor
-resolution plumbing, the multi-channel latency emulator the benchmarks
-lean on, and the executor-overhead satellites (``dispatch_s`` counters,
-the ``lookahead`` serialization regression).
+Bit-exactness of every ``(pipeline x tensor)`` shard shape against the
+naive whole-layer reference lives in
+``tests/core/test_restore_matrix.py``.  This file covers the shard
+planners' invariants (GQA groups are never split), the shape travelling
+on the executor through every serving call surface, the multi-channel
+latency emulator the benchmarks lean on, and the executor-overhead
+satellites (``dispatch_s`` counters, the in-flight-window serialization
+regression).
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from repro.core.gqa import partition_kv_heads
 from repro.core.hcache import HCacheEngine, RestoreBreakdown
-from repro.core.partition import PartitionScheme
 from repro.core.profiler import build_storage_array
 from repro.engine.numeric_engine import NumericServingEngine
 from repro.errors import ConfigError
 from repro.models.config import model_preset
-from repro.models.reference import NaiveKVCache
 from repro.models.transformer import Transformer
-from repro.runtime import IOWorkerPool, RestoreExecutor, ShardedRestoreExecutor, partition_layers
+from repro.runtime import IOWorkerPool, RestoreExecutor, drain_granules, partition_layers
 from repro.simulator import platform_preset
 from repro.simulator.hardware import GPUS, GB, Platform, SSDSpec
-from repro.simulator.pipeline import LayerMethod
 from repro.storage import LatencyEmulator, StorageManager
-
-SHARD_SHAPES = [(1, 1), (2, 1), (1, 2), (2, 2), (3, 2), (8, 1)]
-
-GQA_CONFIG = replace(
-    model_preset("tiny-llama"), name="tiny-gqa", n_kv_heads=2, n_heads=4
-)
 
 
 def build_engine(config, scheme=None, granule_chunks=4):
@@ -68,31 +57,6 @@ def save_context(engine, model, config, n_tokens, context_id="c", seal=True, blo
     if seal:
         engine.seal(context_id)
     return cache
-
-
-def reference_restore(model, engine, context_id, n_tokens):
-    """The naive whole-layer oracle, fed from the same stored state."""
-    config = model.config
-    scheme = engine.scheme
-    cache = NaiveKVCache(config)
-    for layer in range(config.n_layers):
-        if scheme.methods[layer] is LayerMethod.HIDDEN:
-            h = engine.storage.load_layer(context_id, layer, kind="hidden")
-            k, v = model.project_kv(layer, h, np.arange(n_tokens))
-            cache.install(layer, k, v)
-        elif scheme.methods[layer] is LayerMethod.KV:
-            cache.install_packed(
-                layer, engine.storage.load_layer(context_id, layer, kind="kv")
-            )
-    return cache
-
-
-def assert_bit_equal(restored, reference, layers):
-    for layer in layers:
-        k1, v1 = restored.get(layer)
-        k2, v2 = reference.get(layer)
-        assert np.array_equal(k1, k2), f"layer {layer} keys differ"
-        assert np.array_equal(v1, v2), f"layer {layer} values differ"
 
 
 # ---------------------------------------------------------------------------
@@ -150,179 +114,51 @@ class TestPartitionKVHeads:
 
 
 # ---------------------------------------------------------------------------
-# bit-exactness across shard shapes
+# the shape lives on the executor
 # ---------------------------------------------------------------------------
 
 
-class TestShardedBitExactness:
-    @pytest.mark.parametrize("shards", SHARD_SHAPES)
-    @pytest.mark.parametrize("n_tokens", [100, 197, 256])
-    def test_rmsnorm_rope_partial_tails(self, shards, n_tokens):
-        config = model_preset("tiny-llama")
-        model, engine = build_engine(config)
-        save_context(engine, model, config, n_tokens)
-        single = engine.restore("c")
-        reference = reference_restore(model, engine, "c", n_tokens)
-        sharded = engine.restore("c", shards=shards)
-        assert sharded.equals(single, atol=0.0)
-        assert_bit_equal(sharded, reference, range(config.n_layers))
-
-    @pytest.mark.parametrize("shards", SHARD_SHAPES)
-    def test_layernorm_no_rope(self, shards):
-        # tiny-opt: 3 layers (non-divisible by 2) and no rope.
-        config = model_preset("tiny-opt")
-        model, engine = build_engine(config)
-        save_context(engine, model, config, 130)
-        reference = reference_restore(model, engine, "c", 130)
-        sharded = engine.restore("c", shards=shards)
-        assert_bit_equal(sharded, reference, range(config.n_layers))
-
-    @pytest.mark.parametrize("shards", [(1, 2), (2, 2), (4, 2)])
-    def test_gqa_config(self, shards):
-        """2 KV heads serving 4 query heads: legal tensor splits stay
-        bit-exact (group boundaries only)."""
-        model, engine = build_engine(GQA_CONFIG)
-        save_context(engine, model, GQA_CONFIG, 150)
-        reference = reference_restore(model, engine, "c", 150)
-        sharded = engine.restore("c", shards=shards)
-        assert_bit_equal(sharded, reference, range(GQA_CONFIG.n_layers))
-
-    def test_gqa_oversplit_raises_before_restoring(self):
-        model, engine = build_engine(GQA_CONFIG)
-        save_context(engine, model, GQA_CONFIG, 64)
-        with pytest.raises(ConfigError, match="GQA group"):
-            engine.restore("c", shards=(1, 3))
-
-    @pytest.mark.parametrize("shards", [(2, 2), (3, 3)])
-    def test_non_divisible_head_split(self, shards):
-        """4 KV heads over 3 shards exercises uneven head ranges."""
-        config = model_preset("tiny-llama")
-        model, engine = build_engine(config)
-        save_context(engine, model, config, 197)
-        reference = reference_restore(model, engine, "c", 197)
-        sharded = engine.restore("c", shards=shards)
-        assert_bit_equal(sharded, reference, range(config.n_layers))
-
-    @pytest.mark.parametrize("shards", [(2, 1), (2, 2)])
-    def test_mixed_hidden_kv_scheme(self, shards):
-        config = model_preset("tiny-llama")
-        scheme = PartitionScheme.with_kv_suffix(config.n_layers, 2)
-        model, engine = build_engine(config, scheme=scheme)
-        cache = save_context(engine, model, config, 145)
-        reference = reference_restore(model, engine, "c", 145)
-        sharded = engine.restore("c", shards=shards)
-        assert_bit_equal(sharded, reference, range(config.n_layers))
-        for layer in scheme.layers_with(LayerMethod.KV):
-            k1, v1 = sharded.get(layer)
-            k2, v2 = cache.get(layer)
-            assert np.array_equal(k1, k2) and np.array_equal(v1, v2)
-
-    def test_recompute_prefix_scheme(self):
-        config = model_preset("tiny-llama")
-        scheme = PartitionScheme.with_recompute_prefix(config.n_layers, 1)
-        model, engine = build_engine(config, scheme=scheme)
-        save_context(engine, model, config, 128)
-        single = engine.restore("c")
-        sharded = engine.restore("c", shards=(2, 2))
-        assert sharded.equals(single, atol=0.0)
-
-    @pytest.mark.parametrize("granule_chunks", [1, 2, 8])
-    def test_granule_size_invariant(self, granule_chunks):
-        config = model_preset("tiny-llama")
-        model, engine = build_engine(config, granule_chunks=granule_chunks)
-        save_context(engine, model, config, 197)
-        reference = reference_restore(model, engine, "c", 197)
-        sharded = engine.restore("c", shards=(2, 2))
-        assert_bit_equal(sharded, reference, range(config.n_layers))
-
-    def test_repeated_runs_stable_through_shared_executor(self):
-        config = model_preset("tiny-llama")
-        model, engine = build_engine(config)
-        save_context(engine, model, config, 197)
-        single = engine.restore("c")
-        with ShardedRestoreExecutor((2, 2)) as executor:
-            for _ in range(5):
-                assert engine.restore("c", executor=executor).equals(single, atol=0.0)
-
-
-# ---------------------------------------------------------------------------
-# executor construction + shard resolution
-# ---------------------------------------------------------------------------
-
-
-class TestShardResolution:
-    def test_int_shards_means_pipeline_only(self):
+class TestShardShapeOnExecutor:
+    def test_executor_shape_shards_the_restore(self):
         config = model_preset("tiny-llama")
         model, engine = build_engine(config)
         save_context(engine, model, config, 100)
         stats = RestoreBreakdown()
-        engine.restore("c", stats=stats, shards=2)
-        assert stats.shard_shape == (2, 1)
-
-    def test_sharded_executor_shards_implicitly(self):
-        config = model_preset("tiny-llama")
-        model, engine = build_engine(config)
-        save_context(engine, model, config, 100)
-        stats = RestoreBreakdown()
-        with ShardedRestoreExecutor((2, 2)) as executor:
+        with RestoreExecutor(shards=(2, 2)) as executor:
             engine.restore("c", stats=stats, executor=executor)
         assert stats.shard_shape == (2, 2)
         assert stats.modelled_sharded_s > 0.0
 
-    def test_explicit_shards_override_executor_shape(self):
+    def test_shape_and_pool_are_independent(self):
+        """Any shape drains through any pool: a shared pool of 2 serves a
+        (4, 1) grid, and survives the executor's close."""
         config = model_preset("tiny-llama")
         model, engine = build_engine(config)
         save_context(engine, model, config, 100)
         single = engine.restore("c")
         stats = RestoreBreakdown()
-        with ShardedRestoreExecutor((2, 2)) as executor:
-            before = executor.pool.tasks_submitted
-            cache = engine.restore("c", stats=stats, executor=executor, shards=(4, 1))
-            # The transient driver borrows the executor's pool...
-            assert executor.pool.tasks_submitted > before
-            # ...and that pool survives the transient's close.
-            assert not executor.pool.closed
+        with IOWorkerPool(2) as pool:
+            with RestoreExecutor(pool, shards=(4, 1)) as executor:
+                cache = engine.restore("c", stats=stats, executor=executor)
+            assert pool.tasks_submitted > 0
+            assert not pool.closed  # borrowed pool: close is a no-op
         assert stats.shard_shape == (4, 1)
         assert cache.equals(single, atol=0.0)
 
-    def test_plain_executor_with_shards_borrows_pool(self):
+    def test_unsharded_restore_is_the_1x1_corner(self):
+        """No executor, or a plain one: shape (1, 1), where the sharded
+        makespan degenerates to the two-stream recurrence."""
         config = model_preset("tiny-llama")
         model, engine = build_engine(config)
         save_context(engine, model, config, 100)
-        single = engine.restore("c")
-        with RestoreExecutor(2) as executor:
-            before = executor.pool.tasks_submitted
-            cache = engine.restore("c", executor=executor, shards=(2, 2))
-            assert executor.pool.tasks_submitted > before
-        assert cache.equals(single, atol=0.0)
-
-    def test_unsharded_stats_have_no_shape(self):
-        config = model_preset("tiny-llama")
-        model, engine = build_engine(config)
-        save_context(engine, model, config, 100)
-        stats = RestoreBreakdown()
-        engine.restore("c", stats=stats)
-        assert stats.shard_shape is None
-        assert stats.modelled_sharded_s == 0.0
-
-    def test_owned_pool_sized_to_grid(self):
-        with ShardedRestoreExecutor((3, 2)) as executor:
-            assert executor.pool.size == 6
-            assert executor.shard_shape == (3, 2)
-
-    def test_shared_pool_accepted(self):
-        with IOWorkerPool(2) as pool:
-            executor = ShardedRestoreExecutor((2, 2), pool=pool)
-            executor.close()  # borrowed pool: close is a no-op
-            assert not pool.closed
-
-    def test_invalid_shapes_rejected(self):
-        with pytest.raises(ConfigError):
-            ShardedRestoreExecutor((0, 1))
-        with pytest.raises(ConfigError):
-            ShardedRestoreExecutor((1, 0))
-        with pytest.raises(ConfigError):
-            ShardedRestoreExecutor((2, 2), inflight_per_shard=0)
+        inline_stats = RestoreBreakdown()
+        engine.restore("c", stats=inline_stats)
+        pooled_stats = RestoreBreakdown()
+        with RestoreExecutor(1) as executor:
+            engine.restore("c", stats=pooled_stats, executor=executor)
+        for stats in (inline_stats, pooled_stats):
+            assert stats.shard_shape == (1, 1)
+            assert stats.modelled_sharded_s == pytest.approx(stats.modelled_pipelined_s)
 
 
 # ---------------------------------------------------------------------------
@@ -331,36 +167,37 @@ class TestShardResolution:
 
 
 class TestServingIntegration:
-    def test_restore_contexts_forwards_shards(self):
+    def test_restore_contexts_shards_by_the_executor_shape(self):
         config = model_preset("tiny-llama")
         model, engine = build_engine(config)
         for cid in ("a", "b"):
             save_context(engine, model, config, 150, context_id=cid)
         singles = {cid: engine.restore(cid) for cid in ("a", "b")}
-        with ShardedRestoreExecutor((2, 2)) as executor:
+        with RestoreExecutor(shards=(2, 2)) as executor:
             caches = executor.restore_contexts(engine, ["a", "b"])
         for cid, cache in caches.items():
             assert cache.equals(singles[cid], atol=0.0)
 
-    def test_restore_sessions_with_shards(self):
+    def test_restore_sessions_with_a_sharded_executor(self):
         config = model_preset("tiny-llama")
         model = Transformer.from_seed(config, seed=3)
         manager = StorageManager(build_storage_array(platform_preset("default")))
         hcache = HCacheEngine(model, manager)
-        engine = NumericServingEngine(model, hcache)
-        rng = np.random.default_rng(4)
-        expected = {}
-        for sid in ("s1", "s2"):
-            engine.open_session(sid)
-            prompt = rng.integers(0, config.vocab_size, size=23)
-            engine.chat_round(sid, prompt, n_output_tokens=3)
-            engine.evict(sid)
-            expected[sid] = hcache.restore(sid)
-        engine.restore_sessions(["s1", "s2"], shards=(2, 2))
-        for sid, cache in expected.items():
-            restored = engine.session(sid).kv_cache
-            assert restored is not None
-            assert restored.equals(cache, atol=0.0)
+        with RestoreExecutor(shards=(2, 2)) as executor:
+            engine = NumericServingEngine(model, hcache, executor=executor)
+            rng = np.random.default_rng(4)
+            expected = {}
+            for sid in ("s1", "s2"):
+                engine.open_session(sid)
+                prompt = rng.integers(0, config.vocab_size, size=23)
+                engine.chat_round(sid, prompt, n_output_tokens=3)
+                engine.evict(sid)
+                expected[sid] = hcache.restore(sid)
+            engine.restore_sessions(["s1", "s2"])
+            for sid, cache in expected.items():
+                restored = engine.session(sid).kv_cache
+                assert restored is not None
+                assert restored.equals(cache, atol=0.0)
 
     def test_sharded_executor_shards_chat_round_restores(self):
         """A sharded executor configured on the engine shards the implicit
@@ -384,12 +221,12 @@ class TestServingIntegration:
             return outputs
 
         baseline = run()
-        with ShardedRestoreExecutor((2, 2)) as executor:
+        with RestoreExecutor(shards=(2, 2)) as executor:
             assert run(executor) == baseline
 
 
 # ---------------------------------------------------------------------------
-# satellite: executor-overhead accounting (dispatch_s) + lookahead knob
+# satellite: executor-overhead accounting (dispatch_s) + in-flight window
 # ---------------------------------------------------------------------------
 
 
@@ -412,32 +249,23 @@ class TestDispatchAccounting:
         model, engine = build_engine(config)
         save_context(engine, model, config, 197)
         stats = RestoreBreakdown()
-        engine.restore("c", stats=stats, shards=(2, 2))
+        with RestoreExecutor(shards=(2, 2)) as executor:
+            engine.restore("c", stats=stats, executor=executor)
         assert stats.dispatch_s > 0.0
 
-    def test_lookahead_knob_sets_inflight(self):
-        with RestoreExecutor(2, lookahead=0) as executor:
-            assert executor.inflight == executor.pool.size
-        with RestoreExecutor(2, lookahead=3) as executor:
-            assert executor.inflight == 5
-        with RestoreExecutor(IOWorkerPool(1), inflight=9, lookahead=0) as executor:
-            assert executor.inflight == 9  # explicit inflight wins
-        with pytest.raises(ConfigError):
-            RestoreExecutor(2, lookahead=-1)
 
-
-class TestLookaheadSerialization:
-    def test_zero_lookahead_serializes_under_bursty_completion(self):
-        """Regression for the PR-3 executor-overhead gap: the lookahead is
-        the runway that absorbs bursty IO completion.  Latency emulation
-        with a coarse sleep quantum completes granules in bursts — cheap
-        reads return instantly while debt accrues, then one read pays the
-        whole accumulated sleep.  With the default lookahead the window
-        holds enough granules that the burst sleep overlaps consumption;
-        with ``lookahead=0`` on a one-worker pool the window is a single
-        granule, the burst sleep lands with no runway banked, and the
-        consumer stalls for it in full — the pipeline measurably
-        serializes and the stall shows up in ``stats.read_s``."""
+class TestWindowSerialization:
+    def test_window_of_one_serializes_under_bursty_completion(self):
+        """Regression for the PR-3 executor-overhead gap: the in-flight
+        window is the runway that absorbs bursty IO completion.  Latency
+        emulation with a coarse sleep quantum completes granules in
+        bursts — cheap reads return instantly while debt accrues, then
+        one read pays the whole accumulated sleep.  With the default
+        window enough granules are banked that the burst sleep overlaps
+        consumption; with ``inflight=1`` the window is a single granule,
+        the burst sleep lands with no runway banked, and the consumer
+        stalls for it in full — the pipeline measurably serializes and
+        the stall shows up in ``stats.read_s``."""
         config = model_preset("tiny-llama")
         # 20 MB/s: each 128-token granule (32 KiB of fp32 hidden) models
         # ~1.6 ms of device time; 8 granules accrue ~13 ms of debt that a
@@ -452,16 +280,17 @@ class TestLookaheadSerialization:
         save_context(engine, model, config, 256)
         layers = list(range(config.n_layers))
 
-        def timed_drain(lookahead):
+        def timed_drain(inflight):
             engine.storage.array.emulate_latency(min_sleep_s=10e-3)
             try:
                 stats = RestoreBreakdown()
-                with RestoreExecutor(1, lookahead=lookahead) as executor:
+                with RestoreExecutor(1, inflight=inflight) as executor:
                     t0 = time.perf_counter()
-                    executor.drain(
+                    drain_granules(
                         engine.storage, "c", layers, "hidden",
                         engine.stream_granule_chunks,
                         lambda chunk: time.sleep(2e-3),
+                        executor,
                         stats=stats,
                     )
                     wall = time.perf_counter() - t0
@@ -469,11 +298,11 @@ class TestLookaheadSerialization:
             finally:
                 engine.storage.array.stop_latency_emulation()
 
-        serial_wall, serial_stats = timed_drain(lookahead=0)
-        overlap_wall, overlap_stats = timed_drain(lookahead=6)
+        serial_wall, serial_stats = timed_drain(inflight=1)
+        overlap_wall, overlap_stats = timed_drain(inflight=None)
         assert serial_stats.granules == overlap_stats.granules > 0
         # Expected ≈1.6x (the ~11 ms burst sleep is fully exposed at
-        # lookahead=0 and fully hidden at the default); 1.2x leaves slack
+        # inflight=1 and fully hidden at the default); 1.2x leaves slack
         # for scheduler noise without ever passing on a non-serialized run.
         assert serial_wall > 1.2 * overlap_wall, (serial_wall, overlap_wall)
         assert serial_stats.read_s > overlap_stats.read_s + 5e-3

@@ -8,7 +8,7 @@ import pytest
 from repro.core.profiler import build_storage_array
 from repro.errors import ConfigError
 from repro.simulator import platform_preset
-from repro.storage import StagingRing, StorageManager, pipelined_makespan
+from repro.storage import GranuleSpec, StagingRing, StorageManager, pipelined_makespan
 
 
 def make_manager(platform_name: str = "default") -> StorageManager:
@@ -38,6 +38,19 @@ def fill_context(
     return expected
 
 
+def stream(manager, layers, kind="hidden", granule_chunks=1, depth=2):
+    """Walk ``granule_plan`` through a staging ring, one read per granule.
+
+    Yields ``(spec, view, io_seconds, device_reads)``; each view stays
+    valid for ``depth - 1`` further granules (the ring recycles slots).
+    """
+    ring = manager.staging_ring("ctx", kind, depth=depth, granule_chunks=granule_chunks)
+    for spec in manager.granule_plan("ctx", layers, kind, granule_chunks):
+        view = ring.acquire()[: spec.n_tokens]
+        io_seconds, device_reads = manager.read_granule_into("ctx", spec, view)
+        yield spec, view, io_seconds, device_reads
+
+
 class TestStagingRing:
     def test_depth_below_two_rejected(self):
         with pytest.raises(ConfigError):
@@ -56,14 +69,14 @@ class TestStagingRing:
         assert a is not b
 
 
-class TestStreamLayer:
+class TestGranuleStream:
     @pytest.mark.parametrize("n_tokens", [1, 63, 64, 65, 197, 256])
     def test_reassembled_stream_matches_load_layer(self, n_tokens):
         manager = make_manager()
         expected = fill_context(manager, n_tokens)
         out = np.empty((n_tokens, 16), dtype=np.float32)
-        for chunk in manager.stream_layer("ctx", 1):
-            out[chunk.start : chunk.stop] = chunk.data
+        for spec, view, _, _ in stream(manager, [1]):
+            out[spec.start : spec.stop] = view
         assert np.array_equal(out, expected[1])
         assert np.array_equal(out, manager.load_layer("ctx", 1))
 
@@ -71,41 +84,47 @@ class TestStreamLayer:
     def test_granule_coalescing_preserves_content(self, granule_chunks):
         manager = make_manager()
         expected = fill_context(manager, 197)
-        ring = manager.staging_ring("ctx", granule_chunks=granule_chunks)
         out = np.zeros((197, 16), dtype=np.float32)
-        device_reads = 0
-        for chunk in manager.stream_layer("ctx", 0, ring=ring):
-            out[chunk.start : chunk.stop] = chunk.data  # consume before recycling
-            device_reads += chunk.device_reads
+        total_reads = 0
+        for spec, view, _, device_reads in stream(manager, [0], granule_chunks=granule_chunks):
+            out[spec.start : spec.stop] = view  # consume before recycling
+            total_reads += device_reads
         assert np.array_equal(out, expected[0])
         # Coalescing shrinks granule count but never IO granularity: the
         # device-read count stays one per 64-token storage chunk.
-        assert device_reads == 197 // 64
+        assert total_reads == 197 // 64
 
     def test_sealed_partial_tail_streams_from_host(self):
         manager = make_manager()
         expected = fill_context(manager, 100, seal=True)
-        chunks = list(manager.stream_layer("ctx", 2))
-        out = np.concatenate([c.data for c in chunks])
+        granules = [(view.copy(), io, reads) for _, view, io, reads in stream(manager, [2])]
+        out = np.concatenate([view for view, _, _ in granules])
         assert np.array_equal(out, expected[2])
         # 64 device tokens + 36 host-tail tokens: the tail granule costs
         # no device IO beyond its device-resident prefix.
-        assert chunks[-1].io_seconds >= 0.0
-        assert sum(c.device_reads for c in chunks) == 1
+        assert granules[-1][1] >= 0.0
+        assert sum(reads for _, _, reads in granules) == 1
 
     def test_kv_kind_streams_double_width(self):
         manager = make_manager()
         expected = fill_context(manager, 70, kind="kv")
-        ring = manager.staging_ring("ctx", kind="kv")
-        out = np.concatenate([c.data for c in manager.stream_layer("ctx", 0, "kv", ring)])
+        out = np.concatenate([view.copy() for _, view, _, _ in stream(manager, [0], "kv")])
         assert np.array_equal(out, expected[0])
         assert out.shape[1] == 32
 
-    def test_stream_layers_orders_layers_back_to_back(self):
+    def test_plan_orders_layers_back_to_back(self):
         manager = make_manager()
         fill_context(manager, 130)
-        seen = [(c.layer, c.start) for c in manager.stream_layers("ctx", [2, 0])]
+        seen = [(g.layer, g.start) for g in manager.granule_plan("ctx", [2, 0])]
         assert seen == [(2, 0), (2, 64), (2, 128), (0, 0), (0, 64), (0, 128)]
+
+    def test_plan_skips_a_chunk_aligned_prefix(self):
+        manager = make_manager()
+        fill_context(manager, 130)
+        plan = manager.granule_plan("ctx", [1], granule_chunks=2, start_tokens=64)
+        assert [(g.start, g.stop) for g in plan] == [(64, 130)]
+        with pytest.raises(ConfigError):
+            manager.granule_plan("ctx", [1], start_tokens=63)
 
     def test_dram_array_streams_identically(self):
         ssd = make_manager("default")
@@ -115,8 +134,8 @@ class TestStreamLayer:
         for layer in range(3):
             for manager, expected in ((ssd, expected_ssd), (dram, expected_dram)):
                 out = np.zeros((150, 16), dtype=np.float32)
-                for c in manager.stream_layer("ctx", layer):
-                    out[c.start : c.stop] = c.data
+                for spec, view, _, _ in stream(manager, [layer]):
+                    out[spec.start : spec.stop] = view
                 assert np.array_equal(out, expected[layer])
 
     def test_stream_charges_devices_like_load_layer(self):
@@ -126,43 +145,42 @@ class TestStreamLayer:
         manager.load_layer("ctx", 0)
         busy_load = [d.busy_seconds - b for d, b in zip(manager.array.devices, busy_before)]
         busy_mid = [d.busy_seconds for d in manager.array.devices]
-        list(manager.stream_layer("ctx", 0))
+        list(stream(manager, [0]))
         busy_stream = [d.busy_seconds - b for d, b in zip(manager.array.devices, busy_mid)]
         assert busy_stream == pytest.approx(busy_load)
 
     def test_modelled_io_seconds_reported_per_granule(self):
         manager = make_manager()
         fill_context(manager, 256)
-        chunks = list(manager.stream_layer("ctx", 0))
-        assert all(c.io_seconds > 0 for c in chunks)
+        assert all(io_seconds > 0 for _, _, io_seconds, _ in stream(manager, [0]))
 
-    def test_ring_width_mismatch_rejected(self):
+    def test_destination_shape_mismatch_rejected(self):
         manager = make_manager()
         fill_context(manager, 64)
-        bad = StagingRing(2, 64, 7)
+        (spec,) = manager.granule_plan("ctx", [0])
         with pytest.raises(ConfigError):
-            list(manager.stream_layer("ctx", 0, ring=bad))
+            manager.read_granule_into("ctx", spec, np.empty((64, 7), dtype=np.float32))
 
     def test_unaligned_granule_rejected(self):
         manager = make_manager()
-        fill_context(manager, 64)
-        bad = StagingRing(2, 63, 16)
+        fill_context(manager, 128)
         with pytest.raises(ConfigError):
-            list(manager.stream_layer("ctx", 0, ring=bad))
+            manager.granule_plan("ctx", [0], granule_chunks=0)
+        out = np.empty((63, 16), dtype=np.float32)
+        with pytest.raises(ConfigError):
+            manager.read_granule_into("ctx", GranuleSpec(0, "hidden", 1, 64), out)
 
     def test_view_valid_for_depth_minus_one_lookahead(self):
         manager = make_manager()
         expected = fill_context(manager, 192)
-        stream = manager.stream_layer("ctx", 0)
-        pending = next(stream)
-        snapshot = pending.data.copy()
-        upcoming = next(stream)  # double buffer: one lookahead is safe
-        assert np.array_equal(pending.data, snapshot)
-        next(stream)  # second lookahead recycles pending's slot
+        granules = stream(manager, [0])
+        _, pending, _, _ = next(granules)
+        snapshot = pending.copy()
+        upcoming = next(granules)  # double buffer: one lookahead is safe
+        assert np.array_equal(pending, snapshot)
+        next(granules)  # second lookahead recycles pending's slot
         assert upcoming is not None
-        assert np.array_equal(
-            np.asarray(pending.data), expected[0][128:192]
-        )  # slot now holds granule 2's rows
+        assert np.array_equal(pending, expected[0][128:192])  # now granule 2's rows
 
 
 class TestPipelinedMakespan:
