@@ -20,7 +20,10 @@ hot path" claim in ``docs/ARCHITECTURE.md``.
 from __future__ import annotations
 
 HOT_PATHS: dict[str, frozenset[str]] = {
-    # Decode fast paths: the per-token attention kernels (PR 1/PR 4).
+    # The attention kernels: the query-tiled kernel every serial forward,
+    # prefill chunk and recompute runs (PR 15) and the batched decode one
+    # (PR 4) — score buffers are masked and normalized in place, never
+    # copied.
     "repro/models/attention.py": frozenset(
         {
             "scaled_dot_product_attention",

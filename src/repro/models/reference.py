@@ -26,7 +26,7 @@ def naive_scaled_dot_product_attention(
     values: np.ndarray,
     query_offset: int,
 ) -> np.ndarray:
-    """The original einsum attention without the decode fast path.
+    """The original einsum attention, the oracle of the tiled BLAS kernel.
 
     Builds the causal mask and runs the full einsum contraction even for
     single-token decode steps.  ``bench_hotpath.py`` patches this into the

@@ -7,11 +7,13 @@ import pytest
 
 from repro.errors import ConfigError
 from repro.models.attention import (
+    QUERY_TILE,
     merge_heads,
     repeat_kv,
     scaled_dot_product_attention,
     split_heads,
 )
+from repro.models.reference import naive_scaled_dot_product_attention
 
 
 class TestHeadReshaping:
@@ -94,3 +96,76 @@ class TestScaledDotProductAttention:
         kv = np.zeros((3, 4, 8), dtype=np.float32)
         with pytest.raises(ConfigError):
             scaled_dot_product_attention(q, kv, kv, query_offset=0)
+
+    def test_negative_offset_rejected(self):
+        """Used to yield fully masked rows: the mean of all values."""
+        q = np.zeros((2, 2, 8), dtype=np.float32)
+        kv = np.zeros((4, 2, 8), dtype=np.float32)
+        with pytest.raises(ConfigError):
+            scaled_dot_product_attention(q, kv, kv, query_offset=-1)
+
+    def test_queries_past_the_keys_rejected(self):
+        q = np.zeros((2, 2, 8), dtype=np.float32)
+        kv = np.zeros((4, 2, 8), dtype=np.float32)
+        scaled_dot_product_attention(q, kv, kv, query_offset=2)
+        with pytest.raises(ConfigError):
+            scaled_dot_product_attention(q, kv, kv, query_offset=3)
+
+
+def _qkv(n_q, query_offset, n_heads, seed=6, head_dim=16):
+    rng = np.random.default_rng(seed)
+    n_k = query_offset + n_q
+    q = rng.normal(size=(n_q, n_heads, head_dim)).astype(np.float32)
+    k = rng.normal(size=(n_k, n_heads, head_dim)).astype(np.float32)
+    v = rng.normal(size=(n_k, n_heads, head_dim)).astype(np.float32)
+    return q, k, v
+
+
+class TestTiledKernel:
+    """The query-tiled GEMM kernel against the einsum oracle."""
+
+    @pytest.mark.parametrize("n_heads", [1, 8])
+    @pytest.mark.parametrize("query_offset", [0, 7, 512])
+    @pytest.mark.parametrize(
+        "n_q",
+        [1, 2, 16, QUERY_TILE - 1, QUERY_TILE, QUERY_TILE + 1, 2 * QUERY_TILE + 1, 256],
+    )
+    def test_matches_einsum_oracle(self, n_q, query_offset, n_heads):
+        q, k, v = _qkv(n_q, query_offset, n_heads)
+        out = scaled_dot_product_attention(q, k, v, query_offset)
+        ref = naive_scaled_dot_product_attention(q, k, v, query_offset)
+        assert out.dtype == np.float32
+        np.testing.assert_allclose(out, ref, atol=1e-5, rtol=0)
+
+    def test_keys_beyond_the_last_query_are_ignored(self):
+        q, k, v = _qkv(QUERY_TILE + 6, 5, 2)
+        longer_k = np.concatenate([k, 100.0 * np.ones_like(k[:9])])
+        longer_v = np.concatenate([v, 100.0 * np.ones_like(v[:9])])
+        assert np.array_equal(
+            scaled_dot_product_attention(q, longer_k, longer_v, 5),
+            scaled_dot_product_attention(q, k, v, 5),
+        )
+
+    @pytest.mark.parametrize("n_q", [1, QUERY_TILE + 1])
+    def test_out_form_equals_returned_form(self, n_q):
+        q, k, v = _qkv(n_q, 7, 4)
+        packed = np.full((n_q + 5, 4, 16), np.nan, dtype=np.float32)
+        returned = scaled_dot_product_attention(q, k, v, 7, out=packed[3 : 3 + n_q])
+        assert np.shares_memory(returned, packed)
+        assert np.array_equal(returned, scaled_dot_product_attention(q, k, v, 7))
+        assert np.isnan(packed[:3]).all() and np.isnan(packed[3 + n_q :]).all()
+
+    @pytest.mark.parametrize(
+        "out", [np.empty((3, 4, 16), np.float32), np.empty((2, 4, 16), np.float64)]
+    )
+    def test_wrong_out_rejected(self, out):
+        q, k, v = _qkv(2, 7, 4)
+        with pytest.raises(ConfigError):
+            scaled_dot_product_attention(q, k, v, 7, out=out)
+
+    def test_same_shape_calls_are_bit_identical(self):
+        q, k, v = _qkv(2 * QUERY_TILE + 1, 7, 8)
+        assert np.array_equal(
+            scaled_dot_product_attention(q, k, v, 7),
+            scaled_dot_product_attention(q.copy(), k.copy(), v.copy(), 7),
+        )

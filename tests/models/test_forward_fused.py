@@ -87,6 +87,30 @@ class TestEquivalence:
                     got[layer], serial[s][layer], atol=BATCHED_DECODE_ATOL
                 )
 
+    @pytest.mark.parametrize("chunks", [(255, 1), (128, 128)])
+    def test_chunked_prompt_matches_one_serial_forward(
+        self, tiny_model, tiny_config, chunks
+    ):
+        """Attention over a block is a BLAS stage: another chunking of the
+        same prompt agrees within the band, not bit for bit."""
+        (prompt,) = _prompts(tiny_config, [sum(chunks)], seed=45)
+        serial_cache = KVCache(tiny_config)
+        expected = tiny_model.forward(prompt, serial_cache).logits[-1]
+        fused_cache = KVCache(tiny_config)
+        start = 0
+        for size in chunks:
+            logits = tiny_model.forward_fused(
+                [prompt[start : start + size]], [fused_cache]
+            )
+            start += size
+        np.testing.assert_allclose(logits[0], expected, atol=BATCHED_DECODE_ATOL, rtol=0)
+        assert int(np.argmax(logits[0])) == int(np.argmax(expected))
+        for layer in range(tiny_config.n_layers):
+            for got, want in zip(fused_cache.get(layer), serial_cache.get(layer)):
+                np.testing.assert_allclose(
+                    got, want, atol=BATCHED_DECODE_ATOL, rtol=0, err_msg=f"layer {layer}"
+                )
+
 
 class TestValidation:
     def test_rejects_bad_inputs(self, tiny_model, tiny_config):
