@@ -61,10 +61,11 @@ against the preserved pre-refactor baseline
    ``gap_ratio`` within the acceptance band, and every shape restores
    bit-exact (never relaxed).
 8. **batched decode** — multi-session decode throughput: one
-   ``Transformer.decode_batch`` call per step over a
-   :class:`StackedKVCacheBlock` vs the serial per-session loop, at
-   batch sizes 1 / 4 / 16.  Gate: >= 2x tokens/s over serial at batch
-   16 at 1k tokens (the ShareGPT-scale serving context), with the
+   ``Transformer.decode_batch`` call per step (the packed kernel, every
+   session attending against its own cache) vs the serial per-session
+   loop, at batch sizes 1 / 4 / 16.  Gate: >= 1.5x tokens/s over serial
+   at batch 16 at 1k tokens (the ShareGPT-scale serving context; see
+   ``BATCHED_SPEEDUP_FLOOR`` for why not 2x), with the
    batched caches matching the serial ones within the pinned
    ``BATCHED_DECODE_ATOL`` (the GEMV-vs-GEMM blocking caveat — see
    :mod:`repro.models.transformer`).  The 4k numbers are recorded too:
@@ -73,10 +74,11 @@ against the preserved pre-refactor baseline
    1-core host), and the ratio is too noise-prone to gate on — which
    is itself the honest story the ROADMAP tells about decode e2e.
 
-Results are printed and written to ``BENCH_hotpath.json`` at the repo
-root (``--smoke`` runs a reduced-window subset — still including the
-4k-token gate sizes — and skips the write unless ``--out`` is given),
-establishing the performance trajectory future PRs are measured against.
+Results are printed, and written as JSON when ``--out PATH`` is given
+(``--smoke`` runs a reduced-window subset that still includes the
+4k-token gate sizes).  Nothing is committed: the serving benchmark
+(``benchmarks/serving/``) is the record performance PRs are judged by;
+this file's job is the exactness-and-floor gate.
 
 Setting ``CHECK_RELAX_TIMING=1`` (used by CI on noisy shared runners)
 widens the *timing* gates — threaded-restore and sharded-restore
@@ -104,7 +106,7 @@ from repro.core.hcache import HCacheEngine, RestoreBreakdown
 from repro.core.profiler import build_storage_array
 from repro.models.config import ModelConfig
 from repro.models.hidden_capture import HiddenCapture
-from repro.models.kv_cache import KVCache, StackedKVCacheBlock
+from repro.models.kv_cache import KVCache
 from repro.models.reference import (
     NaiveKVCache,
     naive_restore_cache_from_hidden,
@@ -138,7 +140,14 @@ THREADED_SPEEDUP_FLOOR = 0.75 if RELAX_TIMING else 1.0
 THREADED_GAP_CEILING = 3.0 if RELAX_TIMING else 1.5
 
 #: Batched-decode gate threshold at batch 16 (strict -> relaxed).
-BATCHED_SPEEDUP_FLOOR = 1.3 if RELAX_TIMING else 2.0
+#: On this 4-layer hidden-64 toy the per-segment attention calls of the
+#: packed kernel are interpreter-bound: B16@1k measured 2.00x serial,
+#: where the deleted stacked-block kernel (one padded attention call per
+#: layer, plus an O(batch x history) re-stack on every membership change)
+#: measured 2.71x.  On ``bench-mid``, where BLAS sets the time, the two
+#: were equal (2.02x vs 2.08x), so the floor follows the toy's honest
+#: number with the usual noise margin instead of keeping a second kernel.
+BATCHED_SPEEDUP_FLOOR = 1.2 if RELAX_TIMING else 1.5
 
 #: Sharded-restore gate thresholds (strict -> relaxed): the 2x2 grid
 #: must beat the single-shard threaded restore at 4k tokens, with wall
@@ -417,10 +426,10 @@ def bench_decode_batched(model: Transformer, n_tokens: int, window: int) -> dict
     Each batch size gets two identical session sets at ``n_tokens -
     window`` history: the serial set decodes ``window`` tokens with the
     per-session fast path (the post-PR-1 loop), the batched set decodes
-    the same tokens through :meth:`Transformer.decode_batch` on a
-    :class:`StackedKVCacheBlock`.  Throughput counts every session's
-    token; equivalence compares the final caches and last-step logits at
-    the pinned ``BATCHED_DECODE_ATOL``.
+    the same tokens through :meth:`Transformer.decode_batch`.
+    Throughput counts every session's token; equivalence compares the
+    final caches and last-step logits at the pinned
+    ``BATCHED_DECODE_ATOL``.
     """
     cfg = BENCH_CONFIG
     history = n_tokens - window
@@ -446,7 +455,6 @@ def bench_decode_batched(model: Transformer, n_tokens: int, window: int) -> dict
                 serial_logits[b] = model.forward(np.array([5]), cache).logits[-1]
         serial_s = time.perf_counter() - t0
 
-        StackedKVCacheBlock.adopt(batched_caches, reserve_tokens=n_tokens)
         tokens = np.full(n_batch, 5)
         batched_logits = None
         t0 = time.perf_counter()
@@ -1428,27 +1436,21 @@ def run(sizes: list[int], window: int) -> dict:
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument(
-        "--smoke", action="store_true", help="fast subset; skips the JSON write"
-    )
-    parser.add_argument("--out", type=Path, default=None, help="JSON output path")
+    parser.add_argument("--smoke", action="store_true", help="fast subset")
+    parser.add_argument("--out", type=Path, default=None, help="write the report as JSON")
     args = parser.parse_args()
     if args.smoke:
         # Keep 4096 in the smoke run (it carries the >= 10x acceptance
         # gate, the threaded-restore gate, and the restore bit-exactness
         # check) and 1024 (the batched-decode gate context), so
-        # scripts/check.sh catches hot-path regressions before the
-        # committed JSON drifts.
+        # scripts/check.sh catches hot-path regressions.
         sizes, window = [256, 1024, 4096], 16
     else:
         sizes, window = [256, 1024, 4096], 64
     report = run(sizes, window)
-    out = args.out
-    if out is None and not args.smoke:
-        out = Path(__file__).resolve().parent.parent / "BENCH_hotpath.json"
-    if out is not None:
-        out.write_text(json.dumps(report, indent=2) + "\n")
-        print(f"wrote {out}")
+    if args.out is not None:
+        args.out.write_text(json.dumps(report, indent=2) + "\n")
+        print(f"wrote {args.out}")
     if not report["headline"]["all_restores_bit_exact"]:
         print("ERROR: restored caches are not bit-exact", file=sys.stderr)
         return 1

@@ -20,7 +20,7 @@ from repro.core.hcache import HCacheEngine
 from repro.engine.api import IterationResult
 from repro.errors import ConfigError, StateError
 from repro.models.hidden_capture import HiddenCapture
-from repro.models.kv_cache import KVCache, StackedKVCacheBlock
+from repro.models.kv_cache import KVCache
 from repro.models.transformer import Transformer
 from repro.runtime.executor import RestoreExecutor, per_context_reserve
 
@@ -136,13 +136,10 @@ class NumericServingEngine:
         # buffer, so the per-token appends and hidden-state writes below
         # never allocate or recopy history.
         round_tokens = len(state.tokens) + prompt_tokens.size + n_output_tokens
-        if not state.on_gpu:
-            if state.tokens:
-                state.kv_cache = self.hcache.restore(
-                    session_id, reserve_tokens=round_tokens, executor=self.executor
-                )
-            else:
-                state.kv_cache = KVCache(self.transformer.config)
+        if state.tokens and not state.on_gpu:
+            state.kv_cache = self.hcache.restore(
+                session_id, reserve_tokens=round_tokens, executor=self.executor
+            )
         capture, logits = self._prefill_round(
             state, prompt_tokens, round_tokens, n_output_tokens
         )
@@ -177,13 +174,8 @@ class NumericServingEngine:
         Returns the capture (decode steps keep appending to it) and the
         prompt's last-token logits.
         """
-        cache = state.kv_cache
+        cache = self._resident(state.session_id).kv_cache
         assert cache is not None
-        if len(cache) != len(state.tokens):
-            raise StateError(
-                f"session {state.session_id!r}: cache holds {len(cache)} tokens, "
-                f"log has {len(state.tokens)}"
-            )
         cache.reserve(round_tokens)
         capture = HiddenCapture(
             self.transformer.config.n_layers, self.transformer.config.hidden_size
@@ -196,6 +188,30 @@ class NumericServingEngine:
         )
         state.tokens.extend(int(t) for t in prompt_tokens)
         return capture, result.logits[-1]
+
+    def _resident(self, session_id: str, *, decoding: bool = False) -> SessionState:
+        """The session, holding a GPU cache that agrees with its token log.
+
+        A session with no history at all gets a fresh cache — unless it
+        is ``decoding``, which needs a prefilled context to continue.
+        """
+        state = self.session(session_id)
+        if decoding and not state.tokens:
+            raise StateError(
+                f"session {session_id!r} has no prefilled context to decode from"
+            )
+        if state.kv_cache is None:
+            if state.tokens:
+                raise StateError(
+                    f"session {session_id!r} is not GPU-resident; restore it first"
+                )
+            state.kv_cache = KVCache(self.transformer.config)
+        if len(state.kv_cache) != len(state.tokens):
+            raise StateError(
+                f"session {session_id!r}: cache holds {len(state.kv_cache)} tokens, "
+                f"log has {len(state.tokens)}"
+            )
+        return state
 
     def execute_iteration(
         self,
@@ -210,25 +226,18 @@ class NumericServingEngine:
         tokens)`` prompt chunks under the SplitFuse budget, and
         ``decode_tokens`` feeds each decoding session its pending token.
 
-        Execution is always a single batched transformer pass:
-
-        - **decode-only** iterations stack the caches into one
-          :class:`StackedKVCacheBlock` and run
-          :meth:`Transformer.decode_batch`;
-        - iterations carrying prefill work run
-          :meth:`Transformer.forward_fused`, packing every chunk and
-          decode token into one variable-length segmented call (instead
-          of one model call per admitted session).
-
-        Either way each segment's hidden states are persisted through the
-        ordinary HCache save path and the token logs are extended, so
-        storage contents match the serial engine.  Returns an
-        :class:`~repro.engine.api.IterationResult` whose ``next_tokens``
-        carries every executed session's next greedy token; for a prefill
-        chunk that does not complete its prompt the entry is the argmax
-        over a mid-prompt row — the caller tracks completion and ignores
-        it.  ``model_calls`` is always 1 (the fused-iteration contract a
-        regression test pins).
+        Every chunk and every decode token becomes one segment of a
+        single packed transformer pass, each attending against its own
+        session's cache — so which sessions share an iteration is free to
+        change from one call to the next.  Each segment's hidden states
+        are persisted through the ordinary HCache save path and the token
+        logs are extended, so storage contents match the serial engine.
+        Returns an :class:`~repro.engine.api.IterationResult` whose
+        ``next_tokens`` carries every executed session's next greedy
+        token; for a prefill chunk that does not complete its prompt the
+        entry is the argmax over a mid-prompt row — the caller tracks
+        completion and ignores it.  ``model_calls`` is always 1 (the
+        fused-iteration contract a regression test pins).
 
         Decode sessions must be GPU-resident with non-empty histories;
         prefill sessions must be GPU-resident unless they have no history
@@ -246,55 +255,25 @@ class NumericServingEngine:
         if len(set(roles)) != len(roles):
             raise ConfigError("a session cannot appear twice in one iteration")
 
-        decode_states = [self.session(session_id) for session_id in decode]
-        for state in decode_states:
-            if not state.on_gpu:
-                raise StateError(
-                    f"session {state.session_id!r} is not GPU-resident; restore it first"
-                )
-            if not state.tokens:
-                raise StateError(
-                    f"session {state.session_id!r} has no prefilled context to decode from"
-                )
-            assert state.kv_cache is not None
-            if len(state.kv_cache) != len(state.tokens):
-                raise StateError(
-                    f"session {state.session_id!r}: cache holds "
-                    f"{len(state.kv_cache)} tokens, log has {len(state.tokens)}"
-                )
-
-        if not chunks:
-            return self._decode_only_iteration(decode, decode_states)
-
-        config = self.transformer.config
-        prefill_states = []
-        for session_id, _ in chunks:
-            state = self.session(session_id)
-            if not state.on_gpu:
-                if state.tokens:
-                    raise StateError(
-                        f"session {session_id!r} has evicted history; restore it first"
-                    )
-                state.kv_cache = KVCache(config)
-            assert state.kv_cache is not None
-            if len(state.kv_cache) != len(state.tokens):
-                raise StateError(
-                    f"session {session_id!r}: cache holds "
-                    f"{len(state.kv_cache)} tokens, log has {len(state.tokens)}"
-                )
-            prefill_states.append(state)
-
-        states = prefill_states + decode_states
-        segments = [tokens for _, tokens in chunks] + [
-            np.array([int(token)]) for token in decode.values()
+        states = [self._resident(sid) for sid, _ in chunks] + [
+            self._resident(sid, decoding=True) for sid in decode
         ]
+        step_tokens = np.array([int(token) for token in decode.values()], dtype=np.intp)
+        segments = [tokens for _, tokens in chunks] + list(step_tokens[:, None])
         caches = [state.kv_cache for state in states]
+        config = self.transformer.config
         captures = [
             HiddenCapture(config.n_layers, config.hidden_size) for _ in states
         ]
         for capture, segment in zip(captures, segments):
             capture.reserve(segment.size)
-        logits = self.transformer.forward_fused(segments, caches, captures=captures)
+        # One kernel under two public names: a decode-only iteration keeps
+        # its own, so a traced run can tell decode time from prefill time.
+        if chunks:
+            packed_call, batch = self.transformer.forward_fused, segments
+        else:
+            packed_call, batch = self.transformer.decode_batch, step_tokens
+        logits = packed_call(batch, caches, captures=captures)
         for b, (state, segment) in enumerate(zip(states, segments)):
             self.hcache.save_states(
                 state.session_id,
@@ -307,43 +286,6 @@ class NumericServingEngine:
             next_tokens={
                 state.session_id: int(np.argmax(logits[b]))
                 for b, state in enumerate(states)
-            },
-            model_calls=1,
-        )
-
-    def _decode_only_iteration(
-        self, decode: Mapping[str, int], states: "list[SessionState]"
-    ) -> IterationResult:
-        """Pure-decode iteration: one stacked :meth:`Transformer.decode_batch`.
-
-        Caches are stacked on first use and the block is reused while
-        the batch stays stable; a membership or order change re-stacks
-        (one O(batch x history) copy — the numpy analog of remapping KV
-        pages into the new batch layout).
-        """
-        session_ids = list(decode)
-        caches = [state.kv_cache for state in states]
-        StackedKVCacheBlock.ensure_stacked(caches)
-        config = self.transformer.config
-        captures = [
-            HiddenCapture(config.n_layers, config.hidden_size) for _ in states
-        ]
-        step_tokens = np.array(
-            [int(decode[session_id]) for session_id in session_ids]
-        )
-        logits = self.transformer.decode_batch(step_tokens, caches, captures=captures)
-        for b, state in enumerate(states):
-            self.hcache.save_states(
-                state.session_id,
-                captures[b].block_views(0, 1),
-                step_tokens[b : b + 1],
-                kv_cache=state.kv_cache,
-            )
-            state.tokens.append(int(step_tokens[b]))
-        return IterationResult(
-            next_tokens={
-                session_id: int(np.argmax(logits[b]))
-                for b, session_id in enumerate(session_ids)
             },
             model_calls=1,
         )
@@ -401,15 +343,11 @@ class NumericServingEngine:
         if not state.on_gpu:
             raise StateError(f"session {session_id!r} is already evicted")
         self.hcache.seal(session_id)
-        assert state.kv_cache is not None
-        state.kv_cache.release_block_slot()
         state.kv_cache = None
 
     def close_session(self, session_id: str) -> None:
         """End a conversation and free its storage."""
         state = self.session(session_id)
-        if state.kv_cache is not None:
-            state.kv_cache.release_block_slot()
         state.kv_cache = None
         self.hcache.drop_context(session_id)
         del self._sessions[session_id]

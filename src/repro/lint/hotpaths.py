@@ -20,21 +20,16 @@ hot path" claim in ``docs/ARCHITECTURE.md``.
 from __future__ import annotations
 
 HOT_PATHS: dict[str, frozenset[str]] = {
-    # The attention kernels: the query-tiled kernel every serial forward,
-    # prefill chunk and recompute runs (PR 15) and the batched decode one
-    # (PR 4) — score buffers are masked and normalized in place, never
-    # copied.
-    "repro/models/attention.py": frozenset(
-        {
-            "scaled_dot_product_attention",
-            "batched_decode_attention",
-        }
-    ),
-    # Batched decode iteration + the one fused restore projection kernel
-    # (PR 2/PR 4; head-sliced merges included).
+    # The one attention kernel — serial forward, prefill chunk, decode
+    # token and recompute all run it: the score buffer is masked and
+    # normalized in place, never copied.
+    "repro/models/attention.py": frozenset({"scaled_dot_product_attention"}),
+    # The serving iteration's packed model call (behind both decode_batch
+    # and forward_fused) + the one fused restore projection kernel
+    # (head-sliced merges included).
     "repro/models/transformer.py": frozenset(
         {
-            "Transformer.decode_batch",
+            "Transformer._forward_packed",
             "Transformer.project_kv_chunk",
         }
     ),
@@ -47,7 +42,6 @@ HOT_PATHS: dict[str, frozenset[str]] = {
             "KVCache.install_view",
             "KVCache.install_rows",
             "KVCache.install_packed_head_rows",
-            "StackedKVCacheBlock.append_token",
         }
     ),
     "repro/models/hidden_capture.py": frozenset(

@@ -3,7 +3,7 @@ numpy implementation used to validate HCache's lossless restoration."""
 
 from repro.models.config import FP16_BYTES, MODELS, ModelConfig, model_preset
 from repro.models.hidden_capture import HiddenCapture
-from repro.models.kv_cache import KVCache, StackedKVCacheBlock
+from repro.models.kv_cache import KVCache
 from repro.models.sampler import greedy, sample_temperature, sample_top_k
 from repro.models.transformer import (
     BATCHED_DECODE_ATOL,
@@ -21,7 +21,6 @@ __all__ = [
     "ForwardResult",
     "HiddenCapture",
     "KVCache",
-    "StackedKVCacheBlock",
     "LayerWeights",
     "ModelConfig",
     "ModelWeights",

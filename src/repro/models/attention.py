@@ -37,16 +37,11 @@ def merge_heads(x: np.ndarray) -> np.ndarray:
     return x.reshape(n, heads * head_dim)
 
 
-def repeat_kv(x: np.ndarray, n_rep: int, axis: int = 1) -> np.ndarray:
-    """Repeat KV heads for grouped-query attention.
-
-    ``axis`` is the head axis: 1 for the per-session ``(n, heads,
-    head_dim)`` layout, 2 for the batched ``(B, n, heads, head_dim)``
-    stacked layout.
-    """
+def repeat_kv(x: np.ndarray, n_rep: int) -> np.ndarray:
+    """Repeat the KV heads of ``(n, heads, head_dim)`` for grouped-query attention."""
     if n_rep == 1:
         return x
-    return np.repeat(x, n_rep, axis=axis)
+    return np.repeat(x, n_rep, axis=1)
 
 
 def scaled_dot_product_attention(
@@ -135,83 +130,6 @@ def scaled_dot_product_attention(
         scores /= stat
         np.matmul(scores, v_heads[:, :visible], out=out_heads[:, t0:t1])
     return out
-
-
-def batched_decode_attention(
-    queries: np.ndarray,
-    keys: np.ndarray,
-    values: np.ndarray,
-    lengths: np.ndarray,
-) -> np.ndarray:
-    """Single-token causal attention for a batch of sessions at once.
-
-    The multi-session generalization of a one-token call of
-    :func:`scaled_dot_product_attention`: every session contributes one
-    query token that may attend to its whole cached history, so no
-    causal mask is needed — only a *length* mask, because the sessions
-    sit at different positions and share one padded key/value stack.
-
-    Args:
-        queries: ``(B, n_heads, head_dim)`` — one decode token per session.
-        keys: ``(B, max_len, n_heads, head_dim)`` stacked histories
-            (GQA already repeated), where ``max_len >= lengths.max()``.
-            Rows at or beyond a session's length are padding; they must
-            be finite (the stacked block zero-fills) but their values
-            are irrelevant.
-        values: Same shape as ``keys``.
-        lengths: ``(B,)`` valid key counts per session, each ``>= 1``
-            (the decode token's own key is already appended).
-
-    Returns:
-        ``(B, n_heads, head_dim)`` attention output.  Row ``b`` is
-        computed with the same shapes and reduction order as the
-        per-session call up to the padded tail, whose scores are
-        masked to ``-1e30`` (their softmax terms underflow to exactly
-        ``0.0``, and summing extra zeros can differ from the unpadded
-        reduction only in the last ulp — see the batched-decode
-        equivalence note in :mod:`repro.models.transformer`).
-    """
-    if queries.ndim != 3:
-        raise ConfigError(f"queries must be (B, heads, head_dim), got {queries.shape}")
-    n_batch, n_heads, head_dim = queries.shape
-    if keys.shape != values.shape:
-        raise ConfigError("keys and values must share a shape")
-    if keys.ndim != 4 or keys.shape[0] != n_batch or keys.shape[2:] != (n_heads, head_dim):
-        raise ConfigError(
-            f"keys must be ({n_batch}, max_len, {n_heads}, {head_dim}), got {keys.shape}"
-        )
-    lengths = np.asarray(lengths)
-    max_len = keys.shape[1]
-    if lengths.shape != (n_batch,) or lengths.min() < 1 or lengths.max() > max_len:
-        raise ConfigError(
-            f"lengths must be (B,) in [1, {max_len}], got {lengths!r}"
-        )
-    scale = np.float32(1.0 / np.sqrt(head_dim))
-    # (B, heads, max_len, head_dim) @ (B, heads, head_dim, 1): per-session,
-    # per-head matvecs over the token-major stacked views, no copies.
-    # Every elementwise stage below runs in place on the scores buffer —
-    # same operations in the same order as the per-session kernel, so
-    # each row's arithmetic is unchanged; only the temporaries disappear.
-    scores4 = np.empty((n_batch, n_heads, max_len, 1), dtype=np.float32)
-    np.matmul(keys.transpose(0, 2, 1, 3), queries[:, :, :, None], out=scores4)
-    scores = scores4[..., 0]
-    scores *= scale  # (B, heads, max_len)
-    if int(lengths.min()) < max_len:
-        # Length mask: sessions shorter than the longest one get their
-        # padded tail pinned to -1e30 (softmax weight underflows to an
-        # exact 0.0), equivalent to the all-valid case with no padding.
-        for b in range(n_batch):
-            n_valid = int(lengths[b])
-            if n_valid < max_len:
-                scores[b, :, n_valid:] = np.float32(-1e30)
-    peak = np.max(scores, axis=-1, keepdims=True)
-    np.subtract(scores, peak, out=scores)
-    np.exp(scores, out=scores)
-    np.sum(scores, axis=-1, keepdims=True, out=peak)
-    np.divide(scores, peak, out=scores)
-    out = np.empty((n_batch, n_heads, 1, head_dim), dtype=np.float32)
-    np.matmul(scores[:, :, None, :], values.transpose(0, 2, 1, 3), out=out)
-    return out[:, :, 0, :]
 
 
 def attention_module(

@@ -2,7 +2,7 @@
 
 The cache stores keys and values per layer as ``(n_tokens, n_kv_heads,
 head_dim)`` arrays.  It supports the three ways state enters it in this
-reproduction: normal prefill/decode appends, bulk installation from a
+reproduction: normal prefill/decode appends, installation from a
 restoration (HCache projection, KV offload fetch, or prefix recompute),
 and truncation for eviction experiments.
 
@@ -11,9 +11,8 @@ Storage layout: all layers share two 4-D backing buffers of shape
 doubling, so ``append`` is an O(block) slice write instead of an
 O(history) ``np.concatenate`` — the difference between O(n) and O(n^2)
 decode over a whole conversation.  ``get`` returns zero-copy views of the
-live prefix; restoration paths can write straight into the backing
-buffers (:meth:`KVCache.install_view`) or donate whole pre-projected
-tensors (:meth:`KVCache.install_all`) without any defensive copy.
+live prefix; restoration paths write straight into the backing buffers
+(:meth:`KVCache.install_view`) without any defensive copy.
 
 View semantics: views returned by :meth:`get` alias the backing buffer.
 An in-capacity ``append`` only writes past the live prefix, so earlier
@@ -23,12 +22,10 @@ reallocation detaches them to a stale snapshot of the old buffer, and
 need a durable, current snapshot across any of those operations must
 copy, exactly as a real serving system snapshots KV pages before reuse.
 
-Batched serving: several same-config caches can share one stacked
-``(n_slots, n_layers, capacity, n_kv_heads, head_dim)`` backing via
-:class:`StackedKVCacheBlock`, which gives the batched decode path
-zero-copy ``(B, n_tokens, heads, head_dim)`` views across every session
-at once while each per-session :class:`KVCache` keeps its normal API
-(its buffers simply become views of one block slot).
+Every cache owns its buffers for its whole life: the packed model call
+(:meth:`repro.models.transformer.Transformer.forward_fused`) attends each
+session against its own cache, so a session joining or leaving a batch
+moves no K/V rows.
 """
 
 from __future__ import annotations
@@ -54,11 +51,6 @@ class KVCache:
         #: histogram as an invariant makes ``__len__`` (called on every
         #: forward pass) O(1) while still detecting layer disagreement.
         self._len_counts: dict[int, int] = {0: self._n_layers}
-        #: Set when this cache's buffers are views of one slot of a
-        #: :class:`StackedKVCacheBlock`; capacity management is then
-        #: delegated to the block (which repoints the views on growth).
-        self._block: "StackedKVCacheBlock | None" = None
-        self._block_slot = -1
 
     # ------------------------------------------------------------------
     # lengths
@@ -116,12 +108,6 @@ class KVCache:
     def _ensure_capacity(self, min_capacity: int) -> None:
         cap = self.capacity
         if cap >= min_capacity:
-            return
-        if self._block is not None:
-            # Block-backed: growth must reallocate the whole stacked
-            # buffer (and repoint every adopted cache, including this
-            # one), so it is the block's job.
-            self._block.reserve(min_capacity)
             return
         new_cap = grown_capacity(cap, min_capacity)
         new_k = np.empty((self._n_layers, new_cap, *self._row_shape), dtype=np.float32)
@@ -209,46 +195,6 @@ class KVCache:
         self._ensure_capacity(n_tokens)
         self._set_len(layer, n_tokens)
         return self._k[layer, :n_tokens], self._v[layer, :n_tokens]
-
-    def install_all(self, keys_all: np.ndarray, values_all: np.ndarray) -> None:
-        """Adopt pre-projected K/V for every layer at once, zero-copy.
-
-        ``keys_all``/``values_all`` have shape ``(n_layers, n, n_kv_heads,
-        head_dim)``.  Fresh C-contiguous float32 arrays (what the batched
-        restoration GEMM produces) become the backing buffers directly;
-        anything else is copied once.  The caller must not mutate donated
-        arrays afterwards.
-        """
-        keys_all = np.asarray(keys_all, dtype=np.float32)
-        values_all = np.asarray(values_all, dtype=np.float32)
-        expected_tail = (self._n_layers, *self._row_shape)
-        for name, arr in (("keys", keys_all), ("values", values_all)):
-            if arr.ndim != 4 or (arr.shape[0], *arr.shape[2:]) != expected_tail:
-                raise ConfigError(
-                    f"{name} must be ({self._n_layers}, n, {self._row_shape[0]}, "
-                    f"{self._row_shape[1]}), got {arr.shape}"
-                )
-        if keys_all.shape[1] != values_all.shape[1]:
-            raise ConfigError("keys and values must cover the same tokens")
-        n = keys_all.shape[1]
-        if self._block is not None:
-            # Block-backed storage cannot adopt foreign arrays: the
-            # stacked buffer is shared with the other slots, so the
-            # content is copied into this slot instead.
-            self._ensure_capacity(n)
-            self._k[:, :n] = keys_all
-            self._v[:, :n] = values_all
-        else:
-            self._k = self._adoptable(keys_all)
-            self._v = self._adoptable(values_all)
-        self._lens = [n] * self._n_layers
-        self._len_counts = {n: self._n_layers}
-
-    @staticmethod
-    def _adoptable(arr: np.ndarray) -> np.ndarray:
-        if arr.flags["C_CONTIGUOUS"] and arr.flags["OWNDATA"]:
-            return arr
-        return np.ascontiguousarray(arr)
 
     # ------------------------------------------------------------------
     # reads
@@ -435,280 +381,3 @@ class KVCache:
                 if not (np.allclose(k1, k2, atol=atol) and np.allclose(v1, v2, atol=atol)):
                     return False
         return True
-
-    # ------------------------------------------------------------------
-    # stacked-block membership
-    # ------------------------------------------------------------------
-
-    @property
-    def block(self) -> "StackedKVCacheBlock | None":
-        """The stacked block backing this cache, or ``None``."""
-        return self._block
-
-    def detach(self) -> None:
-        """Leave the stacked block, copying live content to private buffers.
-
-        A no-op for caches that are not block-backed.  The block slot is
-        released (it keeps its storage until the block grows or is
-        dropped, like any evicted page).
-        """
-        if self._block is None:
-            return
-        live = max(self._lens, default=0)
-        new_k = np.empty((self._n_layers, live, *self._row_shape), dtype=np.float32)
-        new_v = np.empty_like(new_k)
-        if live:
-            new_k[...] = self._k[:, :live]
-            new_v[...] = self._v[:, :live]
-        self._block.release_slot(self._block_slot)
-        self._block = None
-        self._block_slot = -1
-        self._k = new_k
-        self._v = new_v
-
-    def release_block_slot(self) -> None:
-        """Leave the stacked block *discarding* this cache's content.
-
-        The eviction path: the GPU copy is being dropped (host storage
-        keeps everything), so unlike :meth:`detach` nothing is copied
-        out — the slot is released and this cache resets to empty.
-        Without this, an evicted session's cache object would keep its
-        whole block (every slot) reachable and recopied on growth.
-        A no-op for caches that are not block-backed.
-        """
-        if self._block is None:
-            return
-        self._block.release_slot(self._block_slot)
-        self._block = None
-        self._block_slot = -1
-        self._k = np.empty((self._n_layers, 0, *self._row_shape), dtype=np.float32)
-        self._v = np.empty_like(self._k)
-        self._lens = [0] * self._n_layers
-        self._len_counts = {0: self._n_layers}
-
-
-class StackedKVCacheBlock:
-    """Shared stacked backing for a batch of same-config KV caches.
-
-    Holds one ``(n_slots, n_layers, capacity, n_kv_heads, head_dim)``
-    buffer pair and *adopts* per-session :class:`KVCache` objects into
-    its slots: each adopted cache's ``_k``/``_v`` become zero-copy views
-    of one slot, so every normal cache operation (append, get, packed
-    rows, truncate) keeps working unchanged, while the batched decode
-    path reads **all sessions of one layer at once** through
-    :meth:`stacked_kv` and appends one token per session with a single
-    vectorized write (:meth:`append_token`).
-
-    Growth uses the same amortized-doubling policy as a private cache,
-    reallocating the whole stacked buffer and repointing every adopted
-    cache — the stacked analog of the documented view-detachment
-    semantics (outstanding :meth:`KVCache.get` views snapshot the old
-    buffer after a growth).
-
-    Buffers are zero-initialized (unlike a private cache's
-    ``np.empty``): slots shorter than the batch's longest session are
-    read by the masked batched attention with probability-0 weights,
-    and zero filling guarantees those padding rows are finite, so
-    ``0 * pad`` contributes exactly ``0.0`` — the stacked and
-    gather-with-zero-padding attention paths stay bit-identical.
-    """
-
-    def __init__(self, config: ModelConfig, n_slots: int) -> None:
-        if n_slots <= 0:
-            raise ConfigError("a stacked block needs at least one slot")
-        self.config = config
-        self._n_slots = n_slots
-        self._n_layers = config.n_layers
-        self._row_shape = (config.n_kv_heads, config.head_dim)
-        self._k = np.zeros(
-            (n_slots, self._n_layers, 0, *self._row_shape), dtype=np.float32
-        )
-        self._v = np.zeros_like(self._k)
-        self._caches: list[KVCache | None] = [None] * n_slots
-
-    # ------------------------------------------------------------------
-    # construction
-    # ------------------------------------------------------------------
-
-    @classmethod
-    def adopt(
-        cls, caches: "list[KVCache]", reserve_tokens: int = 0
-    ) -> "StackedKVCacheBlock":
-        """Stack ``caches`` into a fresh block (slot ``b`` = ``caches[b]``).
-
-        Each cache's live content is copied into its slot once (the
-        numpy stand-in for remapping KV pages into a contiguous batch
-        region) and the cache is repointed to block-backed views.  A
-        cache already adopted by another block is migrated — the old
-        block's slot is released.  ``reserve_tokens`` presizes the
-        shared capacity (callers that know the decode budget avoid all
-        doubling growth during the batch's lifetime).
-        """
-        caches = list(caches)
-        if not caches:
-            raise ConfigError("need at least one cache to stack")
-        if len({id(c) for c in caches}) != len(caches):
-            raise ConfigError("the same cache cannot occupy two slots")
-        config = caches[0].config
-        for cache in caches:
-            if cache.config != config:
-                raise ConfigError("stacked caches must share one model config")
-        block = cls(config, len(caches))
-        need = max(
-            [reserve_tokens] + [max(c._lens, default=0) for c in caches]
-        )
-        block._grow_to(grown_capacity(0, need) if need else 0)
-        for slot, cache in enumerate(caches):
-            live = max(cache._lens, default=0)
-            if live:
-                block._k[slot, :, :live] = cache._k[:, :live]
-                block._v[slot, :, :live] = cache._v[:, :live]
-            if cache._block is not None:
-                cache._block.release_slot(cache._block_slot)
-            cache._block = block
-            cache._block_slot = slot
-            cache._k = block._k[slot]
-            cache._v = block._v[slot]
-            block._caches[slot] = cache
-        return block
-
-    @staticmethod
-    def of(caches: "list[KVCache]") -> "StackedKVCacheBlock | None":
-        """The block stacking exactly ``caches`` in slot order, or ``None``.
-
-        This is the batched decode path's fast-path test: when it
-        returns a block, ``stacked_kv`` views cover the batch zero-copy;
-        otherwise callers fall back to gathering per-session views.
-        """
-        if not caches:
-            return None
-        block = caches[0]._block
-        if block is None or block.n_slots != len(caches):
-            return None
-        for slot, cache in enumerate(caches):
-            if cache._block is not block or cache._block_slot != slot:
-                return None
-        return block
-
-    @classmethod
-    def ensure_stacked(
-        cls, caches: "list[KVCache]", reserve_tokens: int = 0
-    ) -> "StackedKVCacheBlock":
-        """Reuse the block already stacking ``caches``, or adopt a new one.
-
-        The engine calls this at the start of every batched decode
-        phase: a stable batch pays the adoption copy once, and only a
-        membership or order change re-stacks.
-        """
-        block = cls.of(caches)
-        if block is None:
-            return cls.adopt(caches, reserve_tokens)
-        block.reserve(reserve_tokens)
-        return block
-
-    # ------------------------------------------------------------------
-    # capacity
-    # ------------------------------------------------------------------
-
-    @property
-    def n_slots(self) -> int:
-        return self._n_slots
-
-    @property
-    def capacity(self) -> int:
-        """Allocated token capacity shared by every slot and layer."""
-        return self._k.shape[2]
-
-    def _grow_to(self, new_cap: int) -> None:
-        new_k = np.zeros(
-            (self._n_slots, self._n_layers, new_cap, *self._row_shape),
-            dtype=np.float32,
-        )
-        new_v = np.zeros_like(new_k)
-        for slot, cache in enumerate(self._caches):
-            if cache is None:
-                continue
-            live = max(cache._lens, default=0)
-            if live:
-                new_k[slot, :, :live] = self._k[slot, :, :live]
-                new_v[slot, :, :live] = self._v[slot, :, :live]
-        self._k = new_k
-        self._v = new_v
-        for slot, cache in enumerate(self._caches):
-            if cache is not None:
-                cache._k = new_k[slot]
-                cache._v = new_v[slot]
-
-    def reserve(self, n_tokens: int) -> None:
-        """Grow the shared capacity to at least ``n_tokens`` (amortized)."""
-        if n_tokens < 0:
-            raise ConfigError("cannot reserve a negative capacity")
-        if n_tokens <= self.capacity:
-            return
-        self._grow_to(grown_capacity(self.capacity, n_tokens))
-
-    def release_slot(self, slot: int) -> None:
-        """Forget the cache occupying ``slot`` (it detached or migrated)."""
-        if not 0 <= slot < self._n_slots:
-            raise ConfigError(f"slot {slot} out of range")
-        self._caches[slot] = None
-
-    def _full_batch(self) -> "list[KVCache]":
-        caches = []
-        for slot, cache in enumerate(self._caches):
-            if cache is None:
-                raise StateError(f"block slot {slot} has no adopted cache")
-            caches.append(cache)
-        return caches
-
-    # ------------------------------------------------------------------
-    # batched access
-    # ------------------------------------------------------------------
-
-    def layer_lengths(self, layer: int) -> np.ndarray:
-        """Per-slot live token counts of ``layer``, shape ``(n_slots,)``."""
-        return np.array(
-            [c._lens[layer] for c in self._full_batch()], dtype=np.intp
-        )
-
-    def append_token(self, layer: int, keys: np.ndarray, values: np.ndarray) -> None:
-        """Append one K/V row per slot to ``layer`` in a single write.
-
-        ``keys``/``values`` carry row ``b`` for slot ``b``, shape
-        ``(n_slots, n_kv_heads, head_dim)``.  Rows land at each slot's
-        own current length (sessions may be at different positions), via
-        one fancy-indexed write instead of ``n_slots`` per-cache appends
-        — the per-step write path of the batched decode loop.
-        """
-        caches = self._full_batch()
-        keys = np.asarray(keys, dtype=np.float32)
-        values = np.asarray(values, dtype=np.float32)
-        expected = (self._n_slots, *self._row_shape)
-        if keys.shape != expected or values.shape != expected:
-            raise ConfigError(
-                f"batched rows must be {expected}, got {keys.shape} / {values.shape}"
-            )
-        if not 0 <= layer < self._n_layers:
-            raise ConfigError(f"layer {layer} out of range")
-        lens = np.array([c._lens[layer] for c in caches], dtype=np.intp)
-        self.reserve(int(lens.max()) + 1)
-        slots = np.arange(self._n_slots)
-        self._k[slots, layer, lens] = keys
-        self._v[slots, layer, lens] = values
-        for cache, n in zip(caches, lens):
-            cache._set_len(layer, int(n) + 1)
-
-    def stacked_kv(self, layer: int, n_tokens: int) -> tuple[np.ndarray, np.ndarray]:
-        """Zero-copy ``(n_slots, n_tokens, heads, head_dim)`` K/V views.
-
-        ``n_tokens`` is normally the batch's longest session; slots
-        shorter than that expose zero-filled (or stale-but-finite)
-        padding rows that the masked batched attention ignores.
-        """
-        if not 0 <= layer < self._n_layers:
-            raise ConfigError(f"layer {layer} out of range")
-        if not 0 <= n_tokens <= self.capacity:
-            raise ConfigError(
-                f"{n_tokens} tokens outside the block's capacity {self.capacity}"
-            )
-        return self._k[:, layer, :n_tokens], self._v[:, layer, :n_tokens]

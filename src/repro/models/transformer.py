@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Sequence
 
 import numpy as np
@@ -32,7 +33,6 @@ import numpy as np
 from repro.errors import ConfigError
 from repro.models.attention import (
     attention_module,
-    batched_decode_attention,
     merge_heads,
     repeat_kv,
     scaled_dot_product_attention,
@@ -41,7 +41,7 @@ from repro.models.attention import (
 from repro.models.config import ModelConfig
 from repro.models.ffn import ffn_forward
 from repro.models.hidden_capture import HiddenCapture
-from repro.models.kv_cache import KVCache, StackedKVCacheBlock
+from repro.models.kv_cache import KVCache
 from repro.models.rope import (
     apply_rope,
     rope_rotate_fullwidth_into,
@@ -488,93 +488,21 @@ class Transformer:
     ) -> np.ndarray:
         """One decode step for ``B`` concurrent sessions in a single pass.
 
-        The continuous-batching hot path: instead of ``B`` serial
-        single-token forwards, QKV projection, attention, and FFN run as
-        batched GEMMs over all sessions at once.  ``tokens[b]`` is the
-        next token of session ``b`` and ``caches[b]`` its KV cache; the
-        sessions may sit at different positions (each token's RoPE angle
-        and attention span come from its own cache length).  When the
-        caches are stacked in one :class:`StackedKVCacheBlock` (slot
-        order matching ``caches``), history K/V is read through
-        zero-copy stacked views and the new rows land in one vectorized
-        write; otherwise the histories are gathered into a zero-padded
-        scratch stack per layer — same results, one extra copy.
+        The decode-only spelling of :meth:`forward_fused`: ``tokens[b]``
+        is the next token of session ``b`` and ``caches[b]`` its KV
+        cache, i.e. ``B`` segments of length one through the same packed
+        kernel (same shapes, so the two spellings are bit-identical).
+        The sessions may sit at different positions; each attends
+        against its own cache, so batch membership is free to change
+        between calls.
 
-        Per-session hidden states are written into ``captures[b]``
-        exactly like the serial path writes its capture (one row per
-        layer), so the HCache saving path is unchanged: callers persist
-        ``captures[b].block_views(row, row + 1)`` per step.
-
-        Returns ``(B, vocab)`` next-token logits.
-
-        **Equivalence contract:** row ``b`` matches a serial
-        ``forward([tokens[b]], caches[b])`` to within
-        :data:`BATCHED_DECODE_ATOL`, not bit-exactly — the batched GEMMs
-        (M=B) round differently from the serial M=1 GEMVs, the same
-        BLAS-blocking caveat documented for live-cache comparisons in
-        the ROADMAP.  All elementwise stages (norm, RoPE, softmax,
-        residuals) are per-row and bit-identical; the padded softmax's
-        extra exactly-zero terms can shift the reduction by an ulp.  The
-        stacked-block and gather fallback flavors of *this* method are
-        bit-identical to each other.
+        Returns ``(B, vocab)`` next-token logits; ``captures[b]`` gains
+        one row per layer, as in :meth:`forward_fused`.
         """
-        config = self.config
         tokens = np.asarray(tokens)
-        caches = list(caches)
-        if tokens.ndim != 1 or tokens.size == 0:
-            raise ConfigError("tokens must be a non-empty 1-D array, one per session")
-        if len(caches) != tokens.size:
-            raise ConfigError(
-                f"{tokens.size} tokens for {len(caches)} caches; need one each"
-            )
-        if len({id(cache) for cache in caches}) != len(caches):
-            raise ConfigError("the same cache cannot serve two batch slots")
-        for cache in caches:
-            if cache.config != config:
-                raise ConfigError("every cache must match the transformer's config")
-        if captures is not None:
-            captures = list(captures)
-            if len(captures) != len(caches):
-                raise ConfigError("need one capture per session")
-        lengths = np.array([len(cache) for cache in caches], dtype=np.intp)
-        if int(lengths.max()) + 1 > config.max_context:
-            raise ConfigError(
-                f"context {int(lengths.max()) + 1} exceeds max {config.max_context}"
-            )
-        # lint: disable=hot-path -- one (B,)-int vector per decode step, not O(tokens); mutated below while lengths stays pristine
-        positions = lengths.copy()
-        hidden = self.embed(tokens)  # (B, hidden)
-        block = StackedKVCacheBlock.of(caches)
-        rows = [capture.extend(1) for capture in captures] if captures is not None else None
-        n_rep = config.n_heads // config.n_kv_heads
-        new_lens = lengths + 1
-        max_len = int(new_lens.max())
-        for layer in range(config.n_layers):
-            if captures is not None:
-                for b, capture in enumerate(captures):
-                    capture.write(layer, rows[b], hidden[b : b + 1])
-            w = self.weights.layers[layer]
-            # One batched projection for all sessions: row b's position is
-            # session b's cache length, exactly what compute_qkv applies.
-            q, k, v = self.compute_qkv(layer, hidden, positions)
-            if block is not None:
-                block.append_token(layer, k, v)
-                keys, values = block.stacked_kv(layer, max_len)
-            else:
-                for b, cache in enumerate(caches):
-                    cache.append(layer, k[b : b + 1], v[b : b + 1])
-                keys, values = self._gather_kv(caches, layer, max_len)
-            attn = batched_decode_attention(
-                q,
-                repeat_kv(keys, n_rep, axis=2),
-                repeat_kv(values, n_rep, axis=2),
-                new_lens,
-            )
-            hidden = hidden + merge_heads(attn) @ w.wo
-            normed = self._norm(hidden, w.ffn_norm)
-            hidden = hidden + ffn_forward(normed, w, config.n_ffn_mats)
-        final = self._norm(hidden, self.weights.final_norm)
-        return final @ self.weights.lm_head
+        if tokens.ndim != 1:
+            raise ConfigError("tokens must be a 1-D array, one per session")
+        return self._forward_packed(list(tokens[:, None]), caches, captures)
 
     def forward_fused(
         self,
@@ -591,7 +519,7 @@ class Transformer:
         output projection, FFN, and the final lm_head run as *packed* GEMMs
         over the concatenated ``sum(len(seg))`` rows — while attention runs
         per segment against its own cache, so a single model call replaces
-        a serial per-session prefill loop.
+        a serial per-session loop.
         Every segment, decode token or chunk, goes through the attention
         kernel a serial ``forward`` uses.
 
@@ -605,19 +533,29 @@ class Transformer:
         (their argmax is meaningless mid-prompt); the front end tracks
         which chunks complete a prompt.
 
-        **Equivalence contract:** the same :data:`BATCHED_DECODE_ATOL`
-        band as :meth:`decode_batch`, for the same reason — elementwise
-        stages (norm, RoPE, residuals) are per-row and bit-identical to
-        the serial path, while the BLAS stages round differently in the
-        last ulps: the packed GEMMs by their M-blocking (M=sum of segment
-        lengths vs per-session M), block attention by how the prompt was
-        chunked (see the constant).
+        **Equivalence contract:** segment ``s`` matches a serial
+        ``forward(seg, caches[s])`` to within :data:`BATCHED_DECODE_ATOL`,
+        not bit-exactly — elementwise stages (norm, RoPE, residuals) are
+        per-row and bit-identical to the serial path, while the BLAS
+        stages round differently in the last ulps: the packed GEMMs by
+        their M-blocking (M=sum of segment lengths vs per-session M),
+        block attention by how the prompt was chunked (see the constant).
         """
+        return self._forward_packed(
+            [np.asarray(seg) for seg in segments], caches, captures
+        )
+
+    def _forward_packed(
+        self,
+        segments: list[np.ndarray],
+        caches: Sequence[KVCache],
+        captures: Sequence[HiddenCapture] | None,
+    ) -> np.ndarray:
+        """The one batched kernel behind both public spellings above."""
         config = self.config
-        segments = [np.asarray(seg) for seg in segments]
         caches = list(caches)
         if not segments:
-            raise ConfigError("forward_fused needs at least one segment")
+            raise ConfigError("a batched forward needs at least one segment")
         if len(caches) != len(segments):
             raise ConfigError(
                 f"{len(segments)} segments for {len(caches)} caches; need one each"
@@ -626,7 +564,7 @@ class Transformer:
             if seg.ndim != 1 or seg.size == 0:
                 raise ConfigError("every segment must be a non-empty 1-D token array")
         if len({id(cache) for cache in caches}) != len(caches):
-            raise ConfigError("the same cache cannot serve two fused segments")
+            raise ConfigError("the same cache cannot serve two segments")
         for cache in caches:
             if cache.config != config:
                 raise ConfigError("every cache must match the transformer's config")
@@ -635,25 +573,28 @@ class Transformer:
             if len(captures) != len(caches):
                 raise ConfigError("need one capture per segment")
         starts = [len(cache) for cache in caches]
-        for seg, start in zip(segments, starts):
-            if start + seg.size > config.max_context:
-                raise ConfigError(
-                    f"context {start + seg.size} exceeds max {config.max_context}"
-                )
-        # Packed row layout: segment s owns rows [bounds[s], bounds[s+1]).
         sizes = [seg.size for seg in segments]
-        bounds = np.concatenate(([0], np.cumsum(sizes)))
-        positions = np.concatenate(
-            [np.arange(start, start + size) for start, size in zip(starts, sizes)]
-        )
+        for start, size in zip(starts, sizes):
+            if start + size > config.max_context:
+                raise ConfigError(
+                    f"context {start + size} exceeds max {config.max_context}"
+                )
+        # Packed row layout: segment s owns rows [bounds[s], bounds[s + 1]).
+        bounds = list(accumulate(sizes, initial=0))
+        # lint: disable=hot-path -- this call's new token ids: O(rows) ints, never O(history)
         hidden = self.embed(np.concatenate(segments))
-        rows = [capture.extend(size) for capture, size in zip(captures, sizes)] if (
-            captures is not None
-        ) else None
+        # Packed row r of segment s sits at position starts[s] + (r - bounds[s]).
+        positions = np.arange(bounds[-1]) + np.repeat(
+            [start - first for start, first in zip(starts, bounds)], sizes
+        )
+        rows = (
+            [capture.extend(size) for capture, size in zip(captures, sizes)]
+            if captures is not None
+            else None
+        )
         n_rep = config.n_heads // config.n_kv_heads
-        n_total = int(bounds[-1])
         attn_out = np.empty(
-            (n_total, config.n_heads, config.head_dim), dtype=np.float32
+            (bounds[-1], config.n_heads, config.head_dim), dtype=np.float32
         )
         for layer in range(config.n_layers):
             if captures is not None:
@@ -664,7 +605,7 @@ class Transformer:
             # absolute position, exactly what compute_qkv applies rowwise.
             q, k, v = self.compute_qkv(layer, hidden, positions)
             for s, cache in enumerate(caches):
-                o0, o1 = int(bounds[s]), int(bounds[s + 1])
+                o0, o1 = bounds[s], bounds[s + 1]
                 cache.append(layer, k[o0:o1], v[o0:o1])
                 keys, values = cache.get(layer)
                 scaled_dot_product_attention(
@@ -677,30 +618,9 @@ class Transformer:
             hidden = hidden + merge_heads(attn_out) @ w.wo
             normed = self._norm(hidden, w.ffn_norm)
             hidden = hidden + ffn_forward(normed, w, config.n_ffn_mats)
-        last_rows = hidden[bounds[1:] - 1]
+        last_rows = hidden[[stop - 1 for stop in bounds[1:]]]
         final = self._norm(last_rows, self.weights.final_norm)
         return final @ self.weights.lm_head
-
-    def _gather_kv(
-        self, caches: "list[KVCache]", layer: int, max_len: int
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Copy per-session K/V views into one zero-padded stack.
-
-        The batched-decode fallback for caches that do not share a
-        :class:`StackedKVCacheBlock`.  Zero padding keeps the masked
-        attention's probability-0 tail terms finite and exactly zero,
-        matching the stacked path bit for bit.
-        """
-        config = self.config
-        k_pad = np.zeros(
-            (len(caches), max_len, config.n_kv_heads, config.head_dim), dtype=np.float32
-        )
-        v_pad = np.zeros_like(k_pad)
-        for b, cache in enumerate(caches):
-            keys, values = cache.get(layer)
-            k_pad[b, : keys.shape[0]] = keys
-            v_pad[b, : values.shape[0]] = values
-        return k_pad, v_pad
 
     # ------------------------------------------------------------------
     # restoration helpers

@@ -142,31 +142,6 @@ class TestInterleavedOpsMatchNaive:
 
 
 class TestInstallFastPaths:
-    def test_install_all_adopts_fresh_arrays(self, tiny_config):
-        """A fresh contiguous projection result becomes cache storage
-        without a defensive copy."""
-        L = tiny_config.n_layers
-        shape = (L, 9, tiny_config.n_kv_heads, tiny_config.head_dim)
-        rng = np.random.default_rng(11)
-        keys = rng.normal(size=shape).astype(np.float32)
-        values = rng.normal(size=shape).astype(np.float32)
-        cache = KVCache(tiny_config)
-        cache.install_all(keys, values)
-        assert len(cache) == 9
-        assert np.shares_memory(keys, cache.get(0)[0])
-        assert np.array_equal(cache.get(2)[0], keys[2])
-
-    def test_install_all_copies_strided_input(self, tiny_config):
-        L = tiny_config.n_layers
-        shape = (L, 20, tiny_config.n_kv_heads, tiny_config.head_dim)
-        rng = np.random.default_rng(12)
-        keys = rng.normal(size=shape).astype(np.float32)[:, ::2]
-        values = rng.normal(size=shape).astype(np.float32)[:, ::2]
-        cache = KVCache(tiny_config)
-        cache.install_all(keys, values)
-        assert not np.shares_memory(keys, cache.get(0)[0])
-        assert np.array_equal(cache.get(1)[0], keys[1])
-
     def test_install_view_writes_into_storage(self, tiny_config):
         rng = np.random.default_rng(13)
         cache = KVCache(tiny_config)
