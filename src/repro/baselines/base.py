@@ -36,14 +36,6 @@ class RestorationMethod(ABC):
         """Host-storage bytes consumed per context token."""
         return 0
 
-    def io_seconds(self, n_tokens: int) -> float:
-        """IO-stream work of a restoration (overlappable with decode)."""
-        return self.restoration_timing(n_tokens).io_busy
-
-    def compute_seconds(self, n_tokens: int) -> float:
-        """Compute-stream work of a restoration (contends with decode)."""
-        return self.restoration_timing(n_tokens).compute_busy
-
     def ttft(self, n_history: int, n_new: int) -> float:
         """Batch-1 TTFT: restoration makespan plus the new prompt's prefill.
 

@@ -57,6 +57,7 @@ class KVOffloadMethod(RestorationMethod):
                 n_layers=config.n_layers,
                 hidden_width=config.hidden_size,
                 dtype=np.float32,
+                kv_width=2 * config.kv_size,
             )
         for layer in range(config.n_layers):
             manager.append(context_id, layer, kv_cache.packed_layer(layer), kind="kv")

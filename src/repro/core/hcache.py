@@ -231,6 +231,7 @@ class HCacheEngine:
             n_layers=self.transformer.config.n_layers,
             hidden_width=self.transformer.config.hidden_size,
             dtype=np.float32,
+            kv_width=2 * self.transformer.config.kv_size,
         )
         if self.shared_store is not None:
             self.shared_store.track(context_id)

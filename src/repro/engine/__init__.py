@@ -1,20 +1,23 @@
-"""LLM serving substrate.
+"""LLM serving substrate: one loop, two engines.
 
-Three layers share the request/batching machinery:
-
-- :class:`ServingSimulator` — discrete-event timing simulation with
-  continuous batching and SplitFuse (reproduces TTFT/TBT under load).
-- :class:`NumericServingEngine` — real numpy forward passes with HCache
-  save/evict/restore (reproduces losslessness end to end); its
-  :meth:`execute_iteration` is the fused prefill+decode primitive.
-- :class:`ServingFrontend` — the submit/step/stream request loop with
-  admission control, SLO-aware scheduling, and restore/decode overlap
-  (typed surface in :mod:`repro.engine.api`).
+- :class:`ServingFrontend` — *the* submit/step/stream request loop:
+  continuous batching, SplitFuse, admission control, SLO-aware
+  scheduling and restore/decode overlap (typed surface, and the
+  :class:`ServingEngine` seam it drives, in :mod:`repro.engine.api`).
+- :class:`NumericServingEngine` — the engine of real runs: numpy forward
+  passes with HCache save/evict/restore (reproduces losslessness end to
+  end); its :meth:`execute_iteration` is the fused prefill+decode
+  primitive.
+- :class:`CostModelEngine` — the engine of the paper's figures: the same
+  seam answered by the timing model on a virtual clock;
+  :class:`ServingSimulator` feeds a trace to the front end over it
+  (reproduces TTFT/TBT under load).
 """
 
 from repro.engine.api import (
     IterationResult,
     IterationStats,
+    ServingEngine,
     ServingRequest,
     ServingResponse,
 )
@@ -24,6 +27,7 @@ from repro.engine.metrics import MetricsCollector, RequestRecord, ServingReport
 from repro.engine.numeric_engine import NumericServingEngine, SessionState
 from repro.engine.request import Phase, Request, RequestSpec
 from repro.engine.serving import (
+    CostModelEngine,
     EngineConfig,
     ServingSimulator,
     concurrent_context_estimate,
@@ -34,6 +38,7 @@ from repro.engine.splitfuse import IterationPlan, SplitFuseScheduler
 
 __all__ = [
     "ContinuousBatcher",
+    "CostModelEngine",
     "EngineConfig",
     "IterationPlan",
     "IterationResult",
@@ -46,6 +51,7 @@ __all__ = [
     "RequestHandle",
     "RequestRecord",
     "RequestSpec",
+    "ServingEngine",
     "ServingFrontend",
     "ServingReport",
     "ServingRequest",

@@ -1,6 +1,6 @@
-"""Typed request/response surface of the serving front end.
+"""Typed surface of the serving front end, on both of its sides.
 
-The submit/step engine API (PR 10) is three small, documented types:
+Towards callers, three small types:
 
 - :class:`ServingRequest` — what a caller submits (one conversation
   round: a prompt continuing a session plus an output budget);
@@ -10,9 +10,11 @@ The submit/step engine API (PR 10) is three small, documented types:
   reports (admissions, restore traffic, the fused batch composition,
   and the number of model calls — pinned to at most one per iteration).
 
-:class:`IterationResult` is the engine-level counterpart: what
-:meth:`NumericServingEngine.execute_iteration` returns for one fused
-prefill+decode model call.
+Towards whatever executes the iterations, one seam:
+:class:`ServingEngine` (and the :class:`IterationResult` its
+``execute_iteration`` returns).  The numeric engine implements it with
+real forward passes and restores, the cost-model engine with the
+paper's timing equations on a virtual clock.
 
 This module's ``__all__`` is pinned by the ``frontend-api`` lint rule;
 additions must update the rule's expected surface in the same change.
@@ -23,6 +25,8 @@ from __future__ import annotations
 from dataclasses import dataclass as _dataclass
 from dataclasses import field as _field
 from typing import Mapping as _Mapping
+from typing import Protocol as _Protocol
+from typing import Sequence as _Sequence
 
 import numpy as np
 
@@ -31,6 +35,7 @@ from repro.errors import ConfigError as _ConfigError
 __all__ = [
     "IterationResult",
     "IterationStats",
+    "ServingEngine",
     "ServingRequest",
     "ServingResponse",
 ]
@@ -88,6 +93,9 @@ class ServingResponse:
     arrival_time: float
     admitted_at: float
     first_token_at: float
+    #: When the final token was emitted; ``finished_at`` is one iteration
+    #: later (that token fed, its state saved, the KV reservation freed).
+    last_token_at: float
     finished_at: float
     restore_seconds: float = 0.0
 
@@ -102,7 +110,7 @@ class ServingResponse:
         n_gaps = len(self.tokens) - 1
         if n_gaps <= 0:
             return 0.0
-        return (self.finished_at - self.first_token_at) / n_gaps
+        return (self.last_token_at - self.first_token_at) / n_gaps
 
 
 @_dataclass(frozen=True)
@@ -117,7 +125,6 @@ class IterationStats:
     index: int
     time: float
     admitted: tuple[str, ...] = ()
-    rejected: tuple[str, ...] = ()
     restores_started: tuple[str, ...] = ()
     restores_completed: tuple[str, ...] = ()
     prefill_chunks: tuple[tuple[str, int], ...] = ()
@@ -143,7 +150,7 @@ class IterationStats:
 
 @_dataclass(frozen=True)
 class IterationResult:
-    """Outcome of one :meth:`NumericServingEngine.execute_iteration` call.
+    """Outcome of one :meth:`ServingEngine.execute_iteration` call.
 
     Attributes:
         next_tokens: Each executed session's next greedy token.  For a
@@ -157,3 +164,46 @@ class IterationResult:
 
     next_tokens: _Mapping[str, int] = _field(default_factory=dict)
     model_calls: int = 1
+
+
+class ServingEngine(_Protocol):
+    """Everything :class:`ServingFrontend` may ask of its engine.
+
+    The loop owns requests, phases and scheduling; the engine owns
+    sessions, their state and how a restoration is carried out.
+    """
+
+    def has_session(self, session_id: str) -> bool: ...
+
+    def open_session(self, session_id: str) -> object: ...
+
+    def history_length(self, session_id: str) -> int:
+        """Tokens in the session's log — what its next round builds on."""
+
+    def begin_round(self, session_id: str, total_context: int) -> bool:
+        """Prepare an admitted round that grows the session to
+        ``total_context`` tokens; ``True`` = its history is evicted and
+        must be restored before any of the round can run."""
+
+    def start_restores(
+        self, reserve_tokens: _Mapping[str, int], *, background: bool
+    ) -> None:
+        """Begin restoring these sessions (id -> tokens to reserve), off
+        the stepping thread when ``background`` and the engine is able."""
+
+    def finished_restores(self) -> _Sequence[str]:
+        """Sessions whose restore completed since the last call, now
+        resident.  A restore that failed raises here."""
+
+    def wait_for_restores(self) -> None:
+        """Nothing but unfinished restores is runnable: let time pass."""
+
+    def execute_iteration(
+        self,
+        prefill_chunks: _Sequence[tuple[str, np.ndarray]],
+        decode_tokens: _Mapping[str, int],
+    ) -> IterationResult:
+        """One fused iteration: prompt chunks plus one fed token per
+        decoding session; returns every executed session's next token."""
+
+    def evict(self, session_id: str) -> None: ...

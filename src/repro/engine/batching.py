@@ -138,18 +138,6 @@ class ContinuousBatcher:
     def decoding(self) -> list[Request]:
         return [r for r in self.running if r.phase is Phase.DECODING]
 
-    def decode_batch_sessions(self) -> tuple[str, ...]:
-        """Session ids of every running decode-phase request, FCFS order.
-
-        The admission-controlled decode batch: a numeric engine serves
-        all of these in one :meth:`Transformer.decode_batch` pass per
-        iteration (via
-        :meth:`repro.engine.numeric_engine.NumericServingEngine.execute_iteration`)
-        rather than looping sessions serially — the whole point of
-        continuous batching once memory admission has bounded the set.
-        """
-        return tuple(r.spec.session_id for r in self.decoding())
-
     def prefilling(self) -> list[Request]:
         return [r for r in self.running if r.phase is Phase.PREFILLING]
 

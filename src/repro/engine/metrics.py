@@ -20,13 +20,9 @@ from repro.errors import ConfigError, StateError
 class RequestRecord:
     """Immutable per-request measurement.
 
-    ``restore_started_at`` is when the request's restoration IO job got a
-    channel; minus the admission time, that is the queueing delay on the
-    shared restore IO path — the contention signal
-    ``EngineConfig.restore_io_parallelism`` exists to tune.  For requests
-    that needed no restoration (no history, ideal method, or a zero-IO
-    restore) it equals the admission time; use ``restore_seconds == 0``
-    to identify them.
+    ``restore_seconds`` runs from the step that started the request's
+    restoration to the step that settled it, so it includes any wait for
+    a restore IO channel; 0 for a request that restored nothing.
     """
 
     request_id: str
@@ -36,7 +32,6 @@ class RequestRecord:
     tbt: float
     queue_delay: float
     restore_seconds: float
-    restore_started_at: float
     output_tokens: int
     finished_at: float
 
@@ -80,10 +75,6 @@ class MetricsCollector:
         """Record a finished request."""
         if request.phase is not Phase.FINISHED:
             raise StateError("can only observe finished requests")
-        restore = 0.0
-        if request.restore_finished_at == request.restore_finished_at:  # not NaN
-            if request.restore_started_at == request.restore_started_at:
-                restore = request.restore_finished_at - request.restore_started_at
         queue_delay = request.admitted_at - request.spec.arrival_time
         record = RequestRecord(
             request_id=request.spec.request_id,
@@ -92,8 +83,7 @@ class MetricsCollector:
             ttft=request.ttft,
             tbt=request.tbt,
             queue_delay=queue_delay,
-            restore_seconds=restore,
-            restore_started_at=request.restore_started_at,
+            restore_seconds=request.restore_seconds,
             output_tokens=request.spec.output_tokens,
             finished_at=request.finished_at,
         )

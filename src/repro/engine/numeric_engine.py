@@ -11,6 +11,8 @@ which is the paper's losslessness claim in executable form.
 
 from __future__ import annotations
 
+import time
+from concurrent.futures import Future, wait
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -22,7 +24,7 @@ from repro.errors import ConfigError, StateError
 from repro.models.hidden_capture import HiddenCapture
 from repro.models.kv_cache import KVCache
 from repro.models.transformer import Transformer
-from repro.runtime.executor import RestoreExecutor, per_context_reserve
+from repro.runtime.executor import RestoreExecutor
 
 @dataclass
 class SessionState:
@@ -58,7 +60,7 @@ class NumericServingEngine:
         ``executor`` (optional) is a shared :class:`RestoreExecutor`:
         every restoration this engine performs then overlaps its storage
         reads with projection compute on the executor's IO worker pool,
-        and :meth:`restore_sessions` brings several evicted sessions back
+        and :meth:`start_restores` brings several evicted sessions back
         concurrently through that one pool.  An executor built with a
         ``shards=(pipeline, tensor)`` shape additionally partitions each
         restoration across that grid — ``chat_round``'s implicit restores
@@ -70,6 +72,9 @@ class NumericServingEngine:
         self.hcache = hcache
         self.executor = executor
         self._sessions: dict[str, SessionState] = {}
+        #: Restores begun by :meth:`start_restores` and not yet reported
+        #: by :meth:`finished_restores`.
+        self._restoring: dict[str, Future[KVCache]] = {}
 
     @classmethod
     def recover(
@@ -113,6 +118,9 @@ class NumericServingEngine:
     def has_session(self, session_id: str) -> bool:
         """Whether ``session_id`` is open (the front end opens lazily)."""
         return session_id in self._sessions
+
+    def history_length(self, session_id: str) -> int:
+        return len(self.session(session_id).tokens)
 
     def chat_round(
         self, session_id: str, prompt_tokens: np.ndarray, n_output_tokens: int
@@ -290,52 +298,62 @@ class NumericServingEngine:
             model_calls=1,
         )
 
-    def restore_sessions(
-        self,
-        session_ids: Sequence[str],
-        *,
-        reserve_tokens: int | Mapping[str, int] = 0,
+    # -- the serving loop's restore seam (repro.engine.api.ServingEngine) --
+
+    def begin_round(self, session_id: str, total_context: int) -> bool:
+        """Size the session's cache for an admitted round, or report
+        (``True``) that its history is evicted and must be restored first."""
+        state = self.session(session_id)
+        if state.kv_cache is None:
+            if state.tokens:
+                return True
+            state.kv_cache = KVCache(self.transformer.config)
+        state.kv_cache.reserve(total_context)
+        return False
+
+    def start_restores(
+        self, reserve_tokens: Mapping[str, int], *, background: bool
     ) -> None:
-        """Bring several evicted sessions back onto the GPU at once.
+        """Begin restoring evicted sessions, each into a cache sized for
+        ``reserve_tokens[session_id]`` so its round never recopies history.
 
-        The serving-layer admission burst: when a batch of requests with
-        evicted history is admitted together, their restorations contend
-        for one IO path.  With a shared :class:`RestoreExecutor` the
-        sessions restore concurrently through its worker pool (each one
-        still projecting in deterministic granule order); without one
-        they restore sequentially.  Either way every session's cache is
-        bit-identical to an individual ``chat_round`` restore.
-
-        ``reserve_tokens`` (the expected context length after the
-        upcoming round, when the caller knows it) sizes each restored
-        cache up front so the history is not recopied by the first
-        post-restore growth — the same reservation ``chat_round`` makes
-        for its own restores.  Pass a per-session mapping when the
-        sessions' expected lengths differ (missing ids reserve 0): a
-        single int would size every cache to the largest session.
+        With an executor the sessions restore concurrently through its
+        pool (granule reads on the IO workers, projection GEMMs on driver
+        threads under released GILs) — while the caller keeps iterating
+        when ``background``, as one burst finished before this returns
+        otherwise.  Without one they restore here, one after the other.
+        No iteration may touch a session until :meth:`finished_restores`
+        reports it: :meth:`HCacheEngine.restore` allows concurrent saves
+        of *other* contexts only.  Caches are bit-identical every way.
         """
-        states = []
-        for session_id in session_ids:
-            state = self.session(session_id)
-            if state.on_gpu:
-                raise StateError(f"session {session_id!r} is already on the GPU")
-            if not state.tokens:
-                raise StateError(f"session {session_id!r} has no history to restore")
-            states.append(state)
-        if self.executor is not None:
-            caches = self.executor.restore_contexts(
-                self.hcache,
-                [s.session_id for s in states],
-                reserve_tokens=reserve_tokens,
-            )
-            for state in states:
-                state.kv_cache = caches[state.session_id]
-        else:
-            reserve = per_context_reserve(session_ids, reserve_tokens)
-            for state in states:
-                state.kv_cache = self.hcache.restore(
-                    state.session_id, reserve[state.session_id]
+        session_ids = list(reserve_tokens)
+        if self.executor is None:
+            for session_id in session_ids:
+                future: Future[KVCache] = Future()
+                future.set_result(
+                    self.hcache.restore(session_id, reserve_tokens[session_id])
                 )
+                self._restoring[session_id] = future
+            return
+        futures = self.executor.restore_contexts_async(
+            self.hcache, session_ids, reserve_tokens=reserve_tokens
+        )
+        if not background:
+            wait(futures.values())
+        self._restoring.update(futures)
+
+    def finished_restores(self) -> list[str]:
+        """Install every completed restore (on the calling thread — workers
+        never touch session state); a failed one raises here."""
+        done = [sid for sid, future in self._restoring.items() if future.done()]
+        for session_id in done:
+            self.session(session_id).kv_cache = self._restoring.pop(session_id).result()
+        return done
+
+    def wait_for_restores(self) -> None:
+        """Yield briefly so a poll loop does not spin a core against the
+        restore futures."""
+        time.sleep(0.0002)  # lint: disable=exception-safety -- genuine wall-clock backoff while polling restore futures, not modelled latency
 
     def evict(self, session_id: str) -> None:
         """Drop a session's GPU state; host storage keeps everything."""

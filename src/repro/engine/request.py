@@ -9,8 +9,11 @@ timestamps that define TTFT and TBT.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
+
+import numpy as np
 
 from repro.errors import ConfigError, StateError
 
@@ -65,29 +68,35 @@ class RequestSpec:
 
 @dataclass
 class Request:
-    """Mutable runtime state of a request inside the engine."""
+    """Mutable runtime state of a request inside the serving loop.
+
+    Attributes:
+        prompt: The round's prompt tokens; chunks of it are what the loop
+            hands the engine.
+        deadline: Arrival plus the TTFT SLO — the prefill ordering key
+            (``inf`` for best-effort requests).
+        emitted: Tokens generated so far, in order.
+        last_token_at: When the final token was emitted.  TBT ends here;
+            ``finished_at`` comes one iteration later, once that token has
+            been fed through the model, its state saved and the KV
+            reservation released.
+    """
 
     spec: RequestSpec
+    prompt: np.ndarray | None = None
+    deadline: float = float("inf")
     phase: Phase = Phase.QUEUED
     prefill_remaining: int = field(default=0)
-    restore_io_remaining: float = 0.0
-    restore_compute_remaining: float = 0.0
-    restore_io_done_at: float = float("inf")
-    decoded_tokens: int = 0
+    emitted: list[int] = field(default_factory=list)
     admitted_at: float = float("nan")
     restore_started_at: float = float("nan")
     restore_finished_at: float = float("nan")
     first_token_at: float = float("nan")
+    last_token_at: float = float("nan")
     finished_at: float = float("nan")
 
     def __post_init__(self) -> None:
         self.prefill_remaining = self.spec.input_tokens
-
-    @property
-    def context_tokens(self) -> int:
-        """Tokens of context currently attended over while decoding."""
-        done_prefill = self.spec.input_tokens - self.prefill_remaining
-        return self.spec.history_tokens + done_prefill + self.decoded_tokens
 
     @property
     def ttft(self) -> float:
@@ -98,20 +107,30 @@ class Request:
 
     @property
     def tbt(self) -> float:
-        """Mean time between tokens after the first one."""
+        """Mean time between tokens, first to last emitted."""
         if self.phase is not Phase.FINISHED:
             raise StateError(f"request {self.spec.request_id} has not finished")
         n_gaps = self.spec.output_tokens - 1
         if n_gaps <= 0:
             return 0.0
-        return (self.finished_at - self.first_token_at) / n_gaps
+        return (self.last_token_at - self.first_token_at) / n_gaps
 
-    def mark_first_token(self, now: float) -> None:
-        if self.phase is not Phase.PREFILLING:
-            raise StateError("first token must come from the prefill phase")
-        self.first_token_at = now
-        self.decoded_tokens = 1
-        self.phase = Phase.DECODING
+    @property
+    def restore_seconds(self) -> float:
+        """Restore start to settle; 0.0 when nothing had to be restored."""
+        seconds = self.restore_finished_at - self.restore_started_at
+        return 0.0 if math.isnan(seconds) else seconds
+
+    def emit(self, token: int, now: float) -> None:
+        """Record one generated token; the first one ends the prefill."""
+        if self.phase is Phase.PREFILLING:
+            self.first_token_at = now
+            self.phase = Phase.DECODING
+        elif self.phase is not Phase.DECODING:
+            raise StateError("tokens come from the prefill or decode phase")
+        self.emitted.append(token)
+        if len(self.emitted) == self.spec.output_tokens:
+            self.last_token_at = now
 
     def mark_finished(self, now: float) -> None:
         if self.phase is not Phase.DECODING:

@@ -24,16 +24,10 @@ class IterationPlan:
     Attributes:
         decode_requests: Sequences generating one token each.
         prefill_chunks: ``(request, tokens)`` pairs of prompt work.
-        budget_used: Total forward tokens this iteration.
     """
 
     decode_requests: tuple[Request, ...]
     prefill_chunks: tuple[tuple[Request, int], ...]
-    budget_used: int
-
-    @property
-    def prefill_tokens(self) -> int:
-        return sum(tokens for _, tokens in self.prefill_chunks)
 
     @property
     def has_work(self) -> bool:
@@ -67,13 +61,11 @@ class SplitFuseScheduler:
         for request in decoding:
             if request.phase is not Phase.DECODING:
                 raise ConfigError("decode list contains a non-decoding request")
-        budget = self.budget_tokens
-        # Decoding tokens always fit: generation must not starve (§2.2),
-        # so ``budget_used`` may exceed the budget when the decode batch
-        # alone overflows it — prefills then get nothing this iteration.
-        used = len(decoding)
+        # Decoding tokens always fit: generation must not starve (§2.2).
+        # When the decode batch alone overflows the budget, prefills get
+        # nothing this iteration.
         chunks: list[tuple[Request, int]] = []
-        remaining = max(0, budget - used)
+        remaining = max(0, self.budget_tokens - len(decoding))
         for request in prefilling:
             if request.phase is not Phase.PREFILLING:
                 raise ConfigError("prefill list contains a non-prefilling request")
@@ -83,9 +75,6 @@ class SplitFuseScheduler:
             if take > 0:
                 chunks.append((request, take))
                 remaining -= take
-                used += take
         return IterationPlan(
-            decode_requests=tuple(decoding),
-            prefill_chunks=tuple(chunks),
-            budget_used=used,
+            decode_requests=tuple(decoding), prefill_chunks=tuple(chunks)
         )

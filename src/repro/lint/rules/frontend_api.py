@@ -1,4 +1,4 @@
-"""Rule ``frontend-api``: the serving front-end surface stays pinned.
+"""Rule ``frontend-api``: the serving front end's two surfaces stay pinned.
 
 PR 10 redesigned the engine entry points around ``submit``/``step``/
 ``stream``.  The typed surface growing (or shrinking) ad hoc would
@@ -6,6 +6,11 @@ silently undo that redesign — so the ``__all__`` of
 :mod:`repro.engine.api` and :mod:`repro.engine.frontend` is pinned to an
 explicit expected list here; additions must edit this rule in the same
 change, making surface growth a reviewed decision.
+
+The other surface is the engine seam: the one serving loop reaches what
+executes it only through :class:`repro.engine.api.ServingEngine`, so
+:mod:`repro.engine.frontend` importing from the packages behind that
+seam (:data:`SEALED_PACKAGES`) is a finding too.
 """
 
 from __future__ import annotations
@@ -20,6 +25,7 @@ PINNED_SURFACES: dict[str, tuple[str, ...]] = {
     "repro/engine/api.py": (
         "IterationResult",
         "IterationStats",
+        "ServingEngine",
         "ServingRequest",
         "ServingResponse",
     ),
@@ -29,6 +35,33 @@ PINNED_SURFACES: dict[str, tuple[str, ...]] = {
         "pool_admission_gate",
     ),
 }
+
+
+#: Packages behind the engine seam, which the loop module must not import.
+SEAM_MODULE = "repro/engine/frontend.py"
+SEALED_PACKAGES = ("repro.core", "repro.runtime", "repro.models")
+
+
+def _sealed_imports(tree: ast.Module) -> list[tuple[ast.stmt, str]]:
+    """Every import statement (anywhere in the module) that reaches a
+    sealed package, with the first sealed name it binds."""
+    found = []
+    for node in ast.walk(tree):
+        names: list[str] = []
+        if isinstance(node, ast.ImportFrom) and node.level == 0 and node.module:
+            # ``from repro import core`` reaches it as surely as
+            # ``from repro.core import hcache``.
+            names = [node.module] + [f"{node.module}.{a.name}" for a in node.names]
+        elif isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        sealed = [
+            name
+            for name in names
+            if any(name == p or name.startswith(p + ".") for p in SEALED_PACKAGES)
+        ]
+        if sealed:
+            found.append((node, sealed[0]))
+    return found
 
 
 def _literal_all(tree: ast.Module) -> tuple[ast.Assign, list[str]] | None:
@@ -60,9 +93,22 @@ class FrontendApiRule(Rule):
                 break
         if expected is None:
             return []
+        findings = []
+        if module.posix_path.endswith(SEAM_MODULE):
+            findings = [
+                self.finding(
+                    module,
+                    node,
+                    f"the serving loop imports {name}, which sits behind "
+                    "the engine seam",
+                    hint="ask the engine through repro.engine.api.ServingEngine; "
+                    "if the loop really needs something new, add it to the seam",
+                )
+                for node, name in _sealed_imports(module.tree)
+            ]
         declared = _literal_all(module.tree)
         if declared is None:
-            return [
+            return findings + [
                 self.finding(
                     module,
                     module.tree,
@@ -84,7 +130,7 @@ class FrontendApiRule(Rule):
                 )
                 if part
             )
-            return [
+            return findings + [
                 self.finding(
                     module,
                     assignment,
@@ -94,4 +140,4 @@ class FrontendApiRule(Rule):
                     "in the same change",
                 )
             ]
-        return []
+        return findings

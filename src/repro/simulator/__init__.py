@@ -1,9 +1,8 @@
-"""Hardware performance model: analytic costs, GEMM timing, streams, events.
+"""Hardware performance model: analytic costs, GEMM timing, streams.
 
 This package substitutes for the paper's physical testbed (A100/A30/4090/
 L20/H800 GPUs, PM9A3 SSDs, PCIe): it reproduces the §3.2 cost equations,
-cuBLAS tile quantization (Fig. 13b), CUDA-stream pipelining (Fig. 5/8), and
-a discrete event queue for the serving engine.
+cuBLAS tile quantization (Fig. 13b) and CUDA-stream pipelining (Fig. 5/8).
 """
 
 from repro.simulator.costs import (
@@ -15,7 +14,6 @@ from repro.simulator.costs import (
     prefill_time,
     theoretical_compute_speedup,
 )
-from repro.simulator.events import EventQueue, SimClock
 from repro.simulator.gemm import GemmTiming, gemm_time, kv_projection_time, round_up_tokens
 from repro.simulator.hardware import (
     GPUS,
@@ -47,7 +45,6 @@ __all__ = [
     "IO_STREAM",
     "PM9A3",
     "DRAMSpec",
-    "EventQueue",
     "GPUSpec",
     "GemmTiming",
     "InterconnectSpec",
@@ -59,7 +56,6 @@ __all__ = [
     "SSDSpec",
     "ScheduleResult",
     "ShardedStageTimeline",
-    "SimClock",
     "StreamSchedule",
     "Task",
     "TokenwiseLayerPlan",

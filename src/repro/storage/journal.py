@@ -81,9 +81,16 @@ class ContextManifest:
 
     n_layers: int
     hidden_width: int
+    kv_width: int
     dtype: str
     runs: dict[tuple[int, str], RunManifest] = field(default_factory=dict)
     tokens: list[int] = field(default_factory=list)
+
+
+def _kv_width(record: Mapping[str, Any]) -> int:
+    """A context's packed K|V width; journals older than GQA support omit
+    it, and every context they describe used the MHA width."""
+    return int(record.get("kv_width", 2 * int(record["hidden_width"])))
 
 
 class ManifestState:
@@ -121,6 +128,7 @@ class ManifestState:
                 self.contexts[context_id] = ContextManifest(
                     n_layers=int(record["n_layers"]),
                     hidden_width=int(record["hidden_width"]),
+                    kv_width=_kv_width(record),
                     dtype=str(record["dtype"]),
                 )
             elif op == "chunk":
@@ -176,6 +184,7 @@ class ManifestState:
             contexts[context_id] = {
                 "n_layers": crec.n_layers,
                 "hidden_width": crec.hidden_width,
+                "kv_width": crec.kv_width,
                 "dtype": crec.dtype,
                 "tokens": list(crec.tokens),
                 "runs": runs,
@@ -190,6 +199,7 @@ class ManifestState:
                 crec = ContextManifest(
                     n_layers=int(crec_p["n_layers"]),
                     hidden_width=int(crec_p["hidden_width"]),
+                    kv_width=_kv_width(crec_p),
                     dtype=str(crec_p["dtype"]),
                     tokens=[int(t) for t in crec_p["tokens"]],
                 )

@@ -69,7 +69,8 @@ class ContextMeta:
         context_id: Stable identity (conversation / document id).
         n_layers: Transformer layer count of the serving model.
         hidden_width: Per-token hidden-state element count.
-        kv_width: Per-token KV element count (2x hidden for MHA).
+        kv_width: Per-token packed K|V element count (``2 * kv_size``;
+            2x hidden for MHA, narrower under GQA).
         dtype: Element dtype of stored state.
     """
 
@@ -131,17 +132,24 @@ class StorageManager:
         n_layers: int,
         hidden_width: int,
         dtype: np.dtype | type = np.float32,
+        kv_width: int | None = None,
     ) -> ContextMeta:
-        """Declare a context before saving any of its state."""
+        """Declare a context before saving any of its state.
+
+        ``kv_width`` is the packed K|V row width of KV-offloaded layers;
+        ``None`` means the MHA width, ``2 * hidden_width``.
+        """
         if context_id in self._meta:
             raise StateError(f"context {context_id!r} already registered")
-        if n_layers <= 0 or hidden_width <= 0:
-            raise ConfigError("context needs positive layer count and hidden width")
+        if kv_width is None:
+            kv_width = 2 * hidden_width
+        if n_layers <= 0 or hidden_width <= 0 or kv_width <= 0:
+            raise ConfigError("context needs positive layer count and state widths")
         meta = ContextMeta(
             context_id=context_id,
             n_layers=n_layers,
             hidden_width=hidden_width,
-            kv_width=2 * hidden_width,
+            kv_width=kv_width,
             dtype=np.dtype(dtype),
         )
         self._meta[context_id] = meta
@@ -153,6 +161,7 @@ class StorageManager:
                     "context_id": context_id,
                     "n_layers": n_layers,
                     "hidden_width": hidden_width,
+                    "kv_width": kv_width,
                     "dtype": str(meta.dtype),
                 }
             )
@@ -406,6 +415,7 @@ class StorageManager:
             crec = ContextManifest(
                 n_layers=meta.n_layers,
                 hidden_width=meta.hidden_width,
+                kv_width=meta.kv_width,
                 dtype=str(meta.dtype),
                 tokens=list(self._token_logs.get(context_id, [])),
             )
@@ -496,7 +506,7 @@ class StorageManager:
                 context_id=context_id,
                 n_layers=crec.n_layers,
                 hidden_width=crec.hidden_width,
-                kv_width=2 * crec.hidden_width,
+                kv_width=crec.kv_width,
                 dtype=dtype,
             )
             manager._meta[context_id] = meta

@@ -186,6 +186,8 @@ VARIANTS = [
     ("llama-97-unsealed", "tiny-llama", None, 97, 4, False),
     ("llama-145-kv-suffix", "tiny-llama", lambda n: PartitionScheme.with_kv_suffix(n, 2), 145, 4, True),
     ("gqa-150", GQA_CONFIG, None, 150, 4, True),
+    # Packed K|V rows are 2 * kv_size wide, not 2 * hidden, under GQA.
+    ("gqa-150-kv-suffix", GQA_CONFIG, lambda n: PartitionScheme.with_kv_suffix(n, 2), 150, 4, True),
     # tiny-opt: layernorm, no RoPE, 3 layers (not divisible by 2).
     ("opt-130", "tiny-opt", None, 130, 4, True),
 ]

@@ -204,7 +204,8 @@ class TestMembershipChurn:
         decode("ca")  # leave + reorder
         decode("dac")  # join
         engine.evict("b")
-        engine.restore_sessions(["b"], reserve_tokens=history + steps)
+        engine.start_restores({"b": history + steps}, background=False)
+        assert engine.finished_restores() == ["b"]
         before["b"] = buffers("b")
         decode("bdac")  # a restored session joins
         decode("b")
@@ -315,7 +316,7 @@ class TestContinuousBatchingWiring:
         plan = SplitFuseScheduler(budget_tokens=64).plan(requests, [])
         assert plan.decode_session_ids == ("s0", "s1", "s2")
 
-    def test_batcher_reports_decode_batch_sessions(self):
+    def test_plan_over_the_batcher_names_its_decode_batch(self):
         batcher = ContinuousBatcher(MemoryBudget(capacity_tokens=1000))
         specs = [RequestSpec(f"r{i}", f"s{i}", 0.0, 0, 4, 4) for i in range(2)]
         for spec in specs:
@@ -324,7 +325,8 @@ class TestContinuousBatchingWiring:
         assert len(admitted) == 2
         for request in admitted:
             request.phase = Phase.DECODING
-        assert batcher.decode_batch_sessions() == ("s0", "s1")
+        plan = SplitFuseScheduler(budget_tokens=64).plan(batcher.decoding(), [])
+        assert plan.decode_session_ids == ("s0", "s1")
 
     def test_planned_iterations_drive_batched_numeric_decode(
         self, make_engine, tiny_config
@@ -372,7 +374,7 @@ class TestContinuousBatchingWiring:
         # numeric engine executes it as one call.
         for _ in range(n_out):
             plan = scheduler.plan(batcher.decoding(), batcher.prefilling())
-            assert plan.decode_session_ids == batcher.decode_batch_sessions()
+            assert plan.decode_session_ids == tuple(prompts)
             step = {s: pending[s] for s in plan.decode_session_ids}
             for s, token in step.items():
                 generated[s].append(token)

@@ -355,3 +355,73 @@ class TestStreamingAndHandles:
         assert first.result().finished_at <= second.result().first_token_at
         # round 2 saw round 1's full history
         assert len(engine.session("s").tokens) == 3 + 2 + 2 + 2
+
+
+class TestTimeline:
+    def test_tbt_excludes_the_final_feed_and_save_iteration(
+        self, make_engine, tiny_config
+    ):
+        """A clock advancing 1s per step emits 4 tokens at t = 1, 2, 3, 4;
+        the request then retires at t = 5, after the iteration that feeds
+        and saves the last token — which is not a token gap."""
+        t = [0.0]
+        frontend = ServingFrontend(
+            make_engine(), MemoryBudget(capacity_tokens=4096), clock=lambda: t[0]
+        )
+        handle = frontend.submit(
+            ServingRequest(
+                session_id="s",
+                prompt_tokens=np.arange(5) % tiny_config.vocab_size,
+                max_new_tokens=4,
+            )
+        )
+        while not frontend.idle:
+            t[0] += 1.0
+            frontend.step()
+        response = handle.result()
+        assert (response.first_token_at, response.last_token_at) == (1.0, 4.0)
+        assert response.finished_at == 5.0
+        assert response.tpot == 1.0
+        assert frontend.metrics.records[0].tbt == 1.0
+
+
+class TestBoundedBookkeeping:
+    def test_per_request_state_stays_at_in_flight_size(self, make_engine, tiny_config):
+        """2000 one-token rounds over fresh sessions: nothing keyed by
+        request outlives the request — its handle keeps the result."""
+        frontend = ServingFrontend(make_engine(), MemoryBudget(capacity_tokens=4096))
+        prompt = np.array([1, 2]) % tiny_config.vocab_size
+        first = None
+        for i in range(2000):
+            handle = frontend.submit(
+                ServingRequest(session_id=f"s{i}", prompt_tokens=prompt, max_new_tokens=1)
+            )
+            first = first or handle
+            frontend.run_until_idle(max_steps=10)
+            containers = (
+                frontend._in_flight,
+                frontend._finished_deps,
+                frontend._session_tail,
+                frontend.batcher.queue,
+                frontend.batcher.running,
+            )
+            assert not any(containers)
+        assert len(first.result().tokens) == len(first.tokens()) == 1
+        # What does grow is the caller's to drain: one metrics record each.
+        assert len(frontend.metrics) == 2000
+
+    def test_a_finished_id_is_kept_only_while_a_queued_round_depends_on_it(
+        self, make_engine, tiny_config
+    ):
+        frontend = ServingFrontend(make_engine(), MemoryBudget(capacity_tokens=4096))
+        prompt = np.array([1, 2]) % tiny_config.vocab_size
+        for _ in range(2):
+            frontend.submit(
+                ServingRequest(session_id="s", prompt_tokens=prompt, max_new_tokens=1)
+            )
+        seen = set()
+        while not frontend.idle:
+            frontend.step()
+            seen |= frontend._finished_deps
+            assert len(frontend._finished_deps) <= 1
+        assert seen == {"s/r0"} and not frontend._finished_deps

@@ -31,45 +31,21 @@ N_REQUESTS = 1_500
 
 
 class _FakeSession:
-    __slots__ = ("session_id", "tokens", "on_gpu", "kv_cache")
+    __slots__ = ("session_id", "tokens", "on_gpu")
 
     def __init__(self, session_id):
         self.session_id = session_id
         self.tokens = []
         self.on_gpu = False
-        self.kv_cache = None
-
-
-class _FakeCache:
-    """Counts reservations so the budget invariant is externally visible."""
-
-    __slots__ = ("reserved",)
-
-    def __init__(self):
-        self.reserved = 0
-
-    def reserve(self, n_tokens):
-        self.reserved = max(self.reserved, n_tokens)
-
-
-class _FakeTransformer:
-    """No weights, no forwards — just the config the front end reads
-    (to size fresh KV caches)."""
-
-    def __init__(self, config):
-        self.config = config
 
 
 class _FakeEngine:
-    """Bookkeeping-only stand-in honouring the engine iteration contract."""
+    """Bookkeeping-only stand-in honouring the ``ServingEngine`` seam."""
 
-    def __init__(self, config):
+    def __init__(self):
         self.sessions = {}
-        self.transformer = _FakeTransformer(config)
-        self.executor = None
-        self.hcache = None
         self.restored_sessions = 0
-        self.max_live_iteration_tokens = 0
+        self._restored = []
 
     def has_session(self, session_id):
         return session_id in self.sessions
@@ -83,18 +59,30 @@ class _FakeEngine:
     def session(self, session_id):
         return self.sessions[session_id]
 
-    def restore_sessions(self, session_ids, *, reserve_tokens=0):
-        for session_id in session_ids:
+    def history_length(self, session_id):
+        return len(self.sessions[session_id].tokens)
+
+    def begin_round(self, session_id, total_context):
+        state = self.sessions[session_id]
+        return bool(state.tokens) and not state.on_gpu
+
+    def start_restores(self, reserve_tokens, *, background):
+        for session_id in reserve_tokens:
             state = self.sessions[session_id]
             assert state.tokens and not state.on_gpu
             state.on_gpu = True
-            state.kv_cache = _FakeCache()
             self.restored_sessions += 1
+            self._restored.append(session_id)
+
+    def finished_restores(self):
+        done, self._restored = self._restored, []
+        return done
+
+    def wait_for_restores(self):
+        raise AssertionError("restores settle in the step that starts them")
 
     def evict(self, session_id):
-        state = self.sessions[session_id]
-        state.on_gpu = False
-        state.kv_cache = None
+        self.sessions[session_id].on_gpu = False
 
     def execute_iteration(self, prefill_chunks=(), decode_tokens=None):
         decode = dict(decode_tokens) if decode_tokens else {}
@@ -117,7 +105,7 @@ class _FakeEngine:
 def load_run(tiny_config):
     """One shared high-churn run (module-scoped: it is the slow part)."""
     capacity = 2_048
-    engine = _FakeEngine(tiny_config)
+    engine = _FakeEngine()
     frontend = ServingFrontend(
         engine,
         MemoryBudget(capacity_tokens=capacity),
@@ -138,7 +126,7 @@ def load_run(tiny_config):
             alpha=1.1,
             seed=9,
             generator=lengths,
-            vocab_size=engine.transformer.config.vocab_size,
+            vocab_size=tiny_config.vocab_size,
         )
     )
     handles = []
@@ -187,18 +175,15 @@ def test_admission_never_exceeded_capacity(load_run):
 
 def test_every_admitted_request_finished_with_its_budget(load_run):
     assert load_run["handles"], "no requests were admitted"
-    frontend = load_run["frontend"]
     for handle in load_run["handles"]:
         assert handle.finished
-        tracked = frontend._tracked[handle.request_id]
-        assert len(handle.result().tokens) == tracked.serving.max_new_tokens
+        assert len(handle.result().tokens) == handle.request.spec.output_tokens
 
 
 def test_hot_sessions_were_evicted_and_restored(load_run):
     engine = load_run["engine"]
     assert engine.restored_sessions > 0
     # Multi-round sessions accumulated every round's tokens.
-    frontend = load_run["frontend"]
     rounds_per_session = {}
     for handle in load_run["handles"]:
         rounds_per_session.setdefault(handle.session_id, []).append(handle)
@@ -206,9 +191,7 @@ def test_hot_sessions_were_evicted_and_restored(load_run):
     assert multi, "Zipf skew should produce multi-round sessions"
     for session_id, handles in multi.items():
         expected = sum(
-            frontend._tracked[h.request_id].serving.prompt_tokens.size
-            + frontend._tracked[h.request_id].serving.max_new_tokens
-            for h in handles
+            h.request.spec.input_tokens + h.request.spec.output_tokens for h in handles
         )
         assert len(engine.session(session_id).tokens) == expected
 

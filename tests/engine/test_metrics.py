@@ -22,8 +22,9 @@ def finished_request(rid: str, arrival: float, first: float, finish: float, out:
     )
     request.admitted_at = arrival
     request.phase = Phase.PREFILLING
-    request.mark_first_token(first)
-    request.decoded_tokens = out
+    request.emit(0, first)
+    for _ in range(out - 1):
+        request.emit(0, finish)
     request.mark_finished(finish)
     return request
 

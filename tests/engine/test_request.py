@@ -47,23 +47,16 @@ class TestLifecycle:
         assert request.phase is Phase.QUEUED
         assert request.prefill_remaining == 10
 
-    def test_context_tokens_track_progress(self):
-        request = Request(spec=spec())
-        assert request.context_tokens == 100
-        request.prefill_remaining = 4
-        assert request.context_tokens == 106
-        request.decoded_tokens = 2
-        assert request.context_tokens == 108
-
     def test_first_token_requires_prefilling(self):
         request = Request(spec=spec())
         with pytest.raises(StateError):
-            request.mark_first_token(1.0)
+            request.emit(7, 1.0)
 
     def test_ttft_definition(self):
         request = Request(spec=spec(arrival_time=2.0))
         request.phase = Phase.PREFILLING
-        request.mark_first_token(5.0)
+        request.emit(7, 5.0)
+        assert request.phase is Phase.DECODING
         assert request.ttft == pytest.approx(3.0)
 
     def test_ttft_before_first_token_rejected(self):
@@ -72,20 +65,30 @@ class TestLifecycle:
             _ = request.ttft
 
     def test_tbt_definition(self):
+        """First to last emitted token: the iteration that feeds and saves
+        the last token (ending at ``finished_at``) is not a token gap."""
         request = Request(spec=spec(output_tokens=5))
         request.phase = Phase.PREFILLING
-        request.mark_first_token(1.0)
-        request.decoded_tokens = 5
-        request.mark_finished(2.0)
+        for i in range(5):
+            request.emit(7, 1.0 + 0.25 * i)
+        request.mark_finished(9.0)
+        assert request.last_token_at == pytest.approx(2.0)
         assert request.tbt == pytest.approx(1.0 / 4)
 
     def test_tbt_single_token_output(self):
         request = Request(spec=spec(output_tokens=1))
         request.phase = Phase.PREFILLING
-        request.mark_first_token(1.0)
-        request.phase = Phase.DECODING
-        request.mark_finished(1.0)
+        request.emit(7, 1.0)
+        request.mark_finished(1.5)
         assert request.tbt == 0.0
+
+    def test_restore_seconds(self):
+        request = Request(spec=spec())
+        assert request.restore_seconds == 0.0  # nothing restored
+        request.restore_started_at = 1.0
+        assert request.restore_seconds == 0.0  # still restoring
+        request.restore_finished_at = 1.5
+        assert request.restore_seconds == pytest.approx(0.5)
 
     def test_finish_requires_decoding(self):
         request = Request(spec=spec())
@@ -95,6 +98,6 @@ class TestLifecycle:
     def test_tbt_before_finish_rejected(self):
         request = Request(spec=spec())
         request.phase = Phase.PREFILLING
-        request.mark_first_token(1.0)
+        request.emit(7, 1.0)
         with pytest.raises(StateError):
             _ = request.tbt

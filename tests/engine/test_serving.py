@@ -1,4 +1,5 @@
-"""Tests for the discrete-event serving simulation (Fig. 9 machinery)."""
+"""Tests for the serving simulation (Fig. 9 machinery): the shipped
+``ServingFrontend`` loop over the cost-model engine."""
 
 from __future__ import annotations
 
@@ -9,6 +10,7 @@ from repro.baselines.base import RestorationMethod
 from repro.core.restoration import RestorationTiming
 from repro.engine.request import RequestSpec
 from repro.engine.serving import (
+    CostModelEngine,
     EngineConfig,
     ServingSimulator,
     concurrent_context_estimate,
@@ -242,7 +244,7 @@ class TestZeroIORestoration:
         method = _SplitTimingMethod(seven_b, default_platform)
         sim = ServingSimulator(seven_b, default_platform, method)
         sim.run([single_spec(history=50, inp=32, out=4, rid="zero-io")])
-        assert sim._io_free_at == [0.0]
+        assert sim.engine._io_free_at == [0.0]
 
     def test_invalid_io_parallelism_rejected(self, seven_b, default_platform):
         method = _SplitTimingMethod(seven_b, default_platform)
@@ -281,13 +283,61 @@ class TestRestoreIOParallelism:
     ``restore_io_parallelism`` channels let an admitted burst of restores
     transfer concurrently instead of serializing on one IO path."""
 
-    def _specs(self, n):
-        return [
-            single_spec(history=10_000, inp=32, out=4, t=0.0, rid=f"r{i}")
-            for i in range(n)
-        ]
+    def _burst(self, seven_b, default_platform, channels, n=2):
+        """A cost-model engine with ``n`` 5s-IO restores started at t=0."""
+        method = _SplitTimingMethod(seven_b, default_platform, io_threshold=1)
+        engine = CostModelEngine(
+            seven_b, default_platform, method, budget_tokens=512, io_channels=channels
+        )
+        sessions = [f"s{i}" for i in range(n)]
+        for session_id in sessions:
+            engine.open_session(session_id, history_tokens=10_000)
+            assert engine.begin_round(session_id, 10_036)
+        engine.start_restores(dict.fromkeys(sessions, 10_036), background=True)
+        return engine
 
-    def _records(self, seven_b, default_platform, parallelism, n=2):
+    def _io_starts(self, engine):
+        return sorted(job.io_start for job in engine._restoring.values())
+
+    def test_serial_channel_staggers_restore_starts(self, seven_b, default_platform):
+        engine = self._burst(seven_b, default_platform, channels=1)
+        # Second restore's 5s IO job waits for the first to release the path.
+        assert self._io_starts(engine) == pytest.approx([0.0, 5.0])
+        assert engine._io_free_at == pytest.approx([10.0])
+
+    def test_two_channels_start_both_restores_at_admission(
+        self, seven_b, default_platform
+    ):
+        engine = self._burst(seven_b, default_platform, channels=2)
+        assert self._io_starts(engine) == pytest.approx([0.0, 0.0])
+
+    def test_extra_restores_still_queue_behind_full_pool(
+        self, seven_b, default_platform
+    ):
+        engine = self._burst(seven_b, default_platform, channels=2, n=3)
+        assert self._io_starts(engine) == pytest.approx([0.0, 0.0, 5.0])
+
+    def test_waiting_projects_first_then_jumps_to_the_next_io_completion(
+        self, seven_b, default_platform
+    ):
+        engine = self._burst(seven_b, default_platform, channels=1)
+        assert engine.finished_restores() == []
+        # Compute pipelines with the IO: the first wait is a restore-only
+        # iteration for the job whose IO has begun, not a sleep.
+        engine.wait_for_restores()
+        assert 0.0 < engine.now() < 1.0
+        while engine.now() < 5.0:
+            engine.wait_for_restores()
+        assert engine.now() == pytest.approx(5.0)
+        assert engine.finished_restores() == ["s0"]
+        # A wait never sleeps past the driver's next arrival.
+        engine.wake_at = 7.0
+        while engine._restore_compute(512):
+            pass
+        engine.wait_for_restores()
+        assert engine.now() == pytest.approx(7.0)
+
+    def _records(self, seven_b, default_platform, parallelism, n):
         method = _SplitTimingMethod(seven_b, default_platform, io_threshold=1)
         sim = ServingSimulator(
             seven_b,
@@ -295,31 +345,13 @@ class TestRestoreIOParallelism:
             method,
             EngineConfig(restore_io_parallelism=parallelism),
         )
-        sim.run(self._specs(n))
+        sim.run(
+            [
+                single_spec(history=10_000, inp=32, out=4, t=0.0, rid=f"r{i}")
+                for i in range(n)
+            ]
+        )
         return {r.request_id: r for r in sim.metrics.records}
-
-    def test_serial_channel_staggers_restore_starts(self, seven_b, default_platform):
-        records = self._records(seven_b, default_platform, parallelism=1)
-        starts = sorted(r.restore_started_at for r in records.values())
-        # Second restore's 5s IO job waits for the first to release the path.
-        assert starts[0] == pytest.approx(0.0, abs=1e-6)
-        assert starts[1] == pytest.approx(5.0, abs=1e-6)
-
-    def test_two_channels_start_both_restores_at_admission(
-        self, seven_b, default_platform
-    ):
-        records = self._records(seven_b, default_platform, parallelism=2)
-        for record in records.values():
-            assert record.restore_started_at == pytest.approx(0.0, abs=1e-6)
-
-    def test_extra_restores_still_queue_behind_full_pool(
-        self, seven_b, default_platform
-    ):
-        records = self._records(seven_b, default_platform, parallelism=2, n=3)
-        starts = sorted(r.restore_started_at for r in records.values())
-        assert starts[0] == pytest.approx(0.0, abs=1e-6)
-        assert starts[1] == pytest.approx(0.0, abs=1e-6)
-        assert starts[2] == pytest.approx(5.0, abs=1e-6)
 
     def test_parallel_channels_improve_ttft_under_burst(
         self, seven_b, default_platform
@@ -329,3 +361,8 @@ class TestRestoreIOParallelism:
         mean_serial = sum(r.ttft for r in serial.values()) / 3
         mean_parallel = sum(r.ttft for r in parallel.values()) / 3
         assert mean_parallel < mean_serial
+        # restore_seconds spans start-to-settle, so it carries the wait
+        # for the single channel: 5s, 10s, 15s.
+        assert sorted(r.restore_seconds for r in serial.values()) == pytest.approx(
+            [5.0, 10.0, 15.0], abs=0.2
+        )

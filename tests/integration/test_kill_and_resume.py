@@ -22,10 +22,13 @@ as documented on the numeric engine.)
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from repro.core.hcache import HCacheEngine
+from repro.core.partition import PartitionScheme
 from repro.engine.numeric_engine import NumericServingEngine
 from repro.models.config import model_preset
 from repro.models.transformer import Transformer
@@ -59,10 +62,10 @@ def journal_factory(tmp_path):
         journal.close()
 
 
-def build_stack(model, journal=None):
+def build_stack(model, journal=None, scheme=None):
     array = StorageArray([SPEC, SPEC], link_bandwidth=8 * GB)
     manager = StorageManager(array, journal=journal)
-    engine = NumericServingEngine(model, HCacheEngine(model, manager))
+    engine = NumericServingEngine(model, HCacheEngine(model, manager, scheme=scheme))
     return array, engine
 
 
@@ -87,9 +90,9 @@ def assert_cache_prefix(cache, reference, n_layers):
         assert np.array_equal(v[: len(v_ref)], v_ref)
 
 
-def recover_stack(model, array, journal):
+def recover_stack(model, array, journal, scheme=None):
     manager = StorageManager.recover(array, journal)
-    hcache = HCacheEngine.recover(model, manager)
+    hcache = HCacheEngine.recover(model, manager, scheme=scheme)
     return NumericServingEngine.recover(model, hcache)
 
 
@@ -224,3 +227,27 @@ class TestKillAndResume:
         assert len(first_round) == 6
         generated = final.chat_round("s1", make(5), 3)
         assert len(generated) == 3
+
+    def test_gqa_kv_offloaded_layers_survive_a_kill(self, journal_factory):
+        """GQA x KV offload: packed K|V rows are ``2 * kv_size`` wide, and
+        that width must ride the journal's register record through
+        recovery (it used to be assumed ``2 * hidden``)."""
+        config = replace(model_preset("tiny-llama"), name="tiny-gqa", n_kv_heads=2)
+        gqa = Transformer.from_seed(config, seed=11)
+        scheme = PartitionScheme.with_kv_suffix(config.n_layers, 2)
+        array, victim = build_stack(gqa, journal_factory("gqa"), scheme)
+        _, control = build_stack(gqa, scheme=scheme)
+        make = prompts(gqa, seed=9)
+        p1, p2 = make(70), make(20)
+        for engine in (victim, control):
+            engine.open_session("s")
+            engine.chat_round("s", p1, 10)
+            engine.evict("s")
+        ref = snapshot_prefix(victim.hcache.restore("s"), config.n_layers, 80)
+        victim.hcache.storage.journal.close()
+        del victim
+
+        resumed = recover_stack(gqa, array, journal_factory("gqa"), scheme)
+        assert resumed.hcache.storage.meta("s").kv_width == 2 * config.kv_size
+        assert_cache_prefix(resumed.hcache.restore("s"), ref, config.n_layers)
+        assert resumed.chat_round("s", p2, 6) == control.chat_round("s", p2, 6)

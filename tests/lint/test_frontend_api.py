@@ -35,6 +35,23 @@ def test_missing_all_in_pinned_module_is_reported(tmp_path):
     assert "must declare the pinned __all__" in findings[0].message
 
 
+def test_loop_module_reaching_behind_the_engine_seam_is_reported(tmp_path):
+    real = (REPO_ROOT / "src/repro/engine/frontend.py").read_text()
+    leaky = real + (
+        "\nfrom repro.models.kv_cache import KVCache as _KVCache\n"
+        "def f():\n    import repro.runtime.executor\n"
+        "from repro import core as _core\n"
+        "from repro.state.store import BlockStateStore as _Store\n"
+    )
+    findings = _check_source(tmp_path, "repro/engine/frontend.py", leaky)
+    assert [f.rule for f in findings] == ["frontend-api"] * 3
+    messages = " ".join(f.message for f in findings)
+    for name in ("repro.models.kv_cache", "repro.runtime.executor", "repro.core"):
+        assert f"imports {name}," in messages
+    # The seam binds the loop only: the engines import those packages freely.
+    assert _check_source(tmp_path, "repro/engine/numeric_engine.py", leaky) == []
+
+
 def test_real_frontend_modules_match_the_pin():
     for suffix in PINNED_SURFACES:
         module = load_module(REPO_ROOT / "src" / suffix)

@@ -262,7 +262,7 @@ class TestNumericServingEngineIntegration:
             threaded = self._run_session(executor)
         assert baseline == threaded
 
-    def test_restore_sessions_concurrently(self):
+    def test_start_restores_brings_sessions_back_concurrently(self):
         config = model_preset("tiny-llama")
         model = Transformer.from_seed(config, seed=3)
         manager = StorageManager(build_storage_array(platform_preset("default")))
@@ -280,21 +280,24 @@ class TestNumericServingEngineIntegration:
                 # state.  (The *live* cache matches only to float rounding
                 # for decode-produced rows — the GEMV-vs-GEMM caveat.)
                 expected[sid] = hcache.restore(sid)
-            engine.restore_sessions(["s1", "s2", "s3"])
+            engine.start_restores(dict.fromkeys(expected, 0), background=False)
+            assert engine.finished_restores() == list(expected)
             for sid, cache in expected.items():
                 restored = engine.session(sid).kv_cache
                 assert restored is not None
                 assert restored.equals(cache, atol=0.0)
 
-    def test_restore_sessions_rejects_resident_session(self):
+    def test_only_an_evicted_history_asks_for_a_restore(self):
         config = model_preset("tiny-llama")
         model = Transformer.from_seed(config, seed=3)
         manager = StorageManager(build_storage_array(platform_preset("default")))
         engine = NumericServingEngine(model, HCacheEngine(model, manager))
         engine.open_session("s")
+        assert not engine.begin_round("s", 16)  # fresh: nothing to restore
         engine.chat_round("s", np.arange(5), n_output_tokens=2)
-        with pytest.raises(StateError):
-            engine.restore_sessions(["s"])
+        assert not engine.begin_round("s", 16)  # resident
+        engine.evict("s")
+        assert engine.begin_round("s", 16)
 
 
 class TestLatencyEmulation:

@@ -178,7 +178,7 @@ class TestServingIntegration:
         for cid, cache in caches.items():
             assert cache.equals(singles[cid], atol=0.0)
 
-    def test_restore_sessions_with_a_sharded_executor(self):
+    def test_background_restores_with_a_sharded_executor(self):
         config = model_preset("tiny-llama")
         model = Transformer.from_seed(config, seed=3)
         manager = StorageManager(build_storage_array(platform_preset("default")))
@@ -193,7 +193,10 @@ class TestServingIntegration:
                 engine.chat_round(sid, prompt, n_output_tokens=3)
                 engine.evict(sid)
                 expected[sid] = hcache.restore(sid)
-            engine.restore_sessions(["s1", "s2"])
+            engine.start_restores(dict.fromkeys(expected, 0), background=True)
+            while len(engine._restoring):
+                engine.wait_for_restores()
+                engine.finished_restores()
             for sid, cache in expected.items():
                 restored = engine.session(sid).kv_cache
                 assert restored is not None

@@ -33,6 +33,7 @@ def states_equal(a: ManifestState, b: ManifestState) -> bool:
             cid: (
                 crec.n_layers,
                 crec.hidden_width,
+                crec.kv_width,
                 crec.dtype,
                 tuple(crec.tokens),
                 {
@@ -66,6 +67,14 @@ class TestAppendReplay:
                 journal.append(record)
         with ManifestJournal(tmp_path) as journal:
             assert states_equal(journal.replay(), fold(RECORDS))
+
+    def test_kv_width_defaults_to_mha_for_older_journals(self):
+        """Records written before GQA support carry no ``kv_width``."""
+        gqa = dict(RECORDS[0], context_id="g", kv_width=4)
+        state = fold([RECORDS[0], gqa])
+        assert state.contexts["a"].kv_width == 16
+        assert state.contexts["g"].kv_width == 4
+        assert states_equal(ManifestState.from_payload(state.to_payload()), state)
 
     def test_empty_journal_replays_empty(self, tmp_path):
         with ManifestJournal(tmp_path) as journal:
