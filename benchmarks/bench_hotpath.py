@@ -21,7 +21,12 @@ against the preserved pre-refactor baseline
    the fused whole-layer granule projection vs the per-layer loop, plus the full
    storage-integrated chunk-streamed ``HCacheEngine.restore`` with its
    per-stage (read / norm / GEMM / RoPE) breakdown.  Restored caches are
-   checked bit-exact against the naive path.
+   checked bit-exact against the naive path.  Exactness gate (never
+   relaxed): the default engine token-sources layer 0, so its devices
+   hold exactly ``N - 1`` layers of fp32 hidden rows per saved token, a
+   restore issues exactly ``N - 1`` layers of chunk reads (none for
+   layer 0), and the result is bit-identical to the all-stored
+   (``pure_hcache``) engine's restore of the same states.
 4. **threaded restore** — wall-clock of the ``repro.runtime``
    :class:`RestoreExecutor` (background IO workers) vs the
    single-threaded streamed path, both run with **device latency
@@ -103,6 +108,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 import repro.models.transformer as transformer_mod
 from repro.core.hcache import HCacheEngine, RestoreBreakdown
+from repro.core.partition import PartitionScheme
 from repro.core.profiler import build_storage_array
 from repro.models.config import ModelConfig
 from repro.models.hidden_capture import HiddenCapture
@@ -270,6 +276,24 @@ def _best_of(f, reps: int = 3):
 def _kv_rows(rng: np.random.Generator, n: int) -> np.ndarray:
     shape = (n, BENCH_CONFIG.n_kv_heads, BENCH_CONFIG.head_dim)
     return rng.normal(size=shape).astype(np.float32)
+
+
+def _synthetic_states(
+    model: Transformer, rng: np.random.Generator, n_tokens: int
+) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Token ids and per-layer hidden rows standing in for a forward pass.
+
+    Layer 0 is the tokens' embeddings — what a real capture records, and
+    what the default scheme rebuilds from the token log instead of
+    storing — the deeper layers are random.
+    """
+    cfg = model.config
+    tokens = rng.integers(0, cfg.vocab_size, size=n_tokens)
+    hidden = [model.embed(tokens)] + [
+        rng.normal(size=(n_tokens, cfg.hidden_size)).astype(np.float32)
+        for _ in range(cfg.n_layers - 1)
+    ]
+    return tokens, hidden
 
 
 class NaiveTailStore:
@@ -491,10 +515,7 @@ def bench_restore(model: Transformer, n_tokens: int) -> dict:
     """Projection restore (naive loop vs fused granule kernel) + engine restore."""
     cfg = BENCH_CONFIG
     rng = _rng()
-    hidden = [
-        rng.normal(size=(n_tokens, cfg.hidden_size)).astype(np.float32)
-        for _ in range(cfg.n_layers)
-    ]
+    tokens, hidden = _synthetic_states(model, rng, n_tokens)
 
     best_of = _best_of
 
@@ -506,7 +527,6 @@ def bench_restore(model: Transformer, n_tokens: int) -> dict:
     manager = StorageManager(build_storage_array(platform_preset("default")))
     engine = HCacheEngine(model, manager)
     engine.register_context("bench")
-    tokens = rng.integers(0, cfg.vocab_size, size=n_tokens)
     block = 160
     for start in range(0, n_tokens, block):
         stop = min(start + block, n_tokens)
@@ -535,6 +555,32 @@ def bench_restore(model: Transformer, n_tokens: int) -> dict:
         "modelled_serial_s": breakdown.modelled_serial_s,
         "modelled_pipelined_s": breakdown.modelled_pipelined_s,
     }
+
+    # The default scheme never puts layer 0 on a device: stored bytes,
+    # chunk reads and the restored bits, against the all-stored engine.
+    all_stored = HCacheEngine(
+        model,
+        StorageManager(build_storage_array(platform_preset("default"))),
+        scheme=PartitionScheme.pure_hcache(cfg.n_layers),
+    )
+    all_stored.register_context("bench")
+    all_stored.save_states("bench", hidden, tokens)
+    all_stored.seal("bench")
+    stored_layers = cfg.n_layers - 1
+    token_sourced = {
+        "device_bytes_per_token": manager.array.total_used_bytes / n_tokens,
+        "expected_bytes_per_token": stored_layers * cfg.hidden_size * 4,  # fp32 rows
+        "layer0_rows_stored": manager.tokens_stored("bench", 0),
+        "device_reads": breakdown.device_reads,
+        "expected_device_reads": stored_layers * -(-n_tokens // manager.tokens_per_chunk),
+        "matches_all_stored": bool(restored.equals(all_stored.restore("bench"), atol=0.0)),
+    }
+    token_sourced["met"] = bool(
+        token_sourced["device_bytes_per_token"] == token_sourced["expected_bytes_per_token"]
+        and token_sourced["layer0_rows_stored"] == 0
+        and token_sourced["device_reads"] == token_sourced["expected_device_reads"]
+        and token_sourced["matches_all_stored"]
+    )
 
     # Threaded executor vs single-threaded, both under device latency
     # emulation: modelled IO seconds become real (GIL-releasing) sleeps,
@@ -596,6 +642,7 @@ def bench_restore(model: Transformer, n_tokens: int) -> dict:
         "speedup": naive_s / fast_s,
         "engine_restore_s": engine_s,
         "stages": stages,
+        "token_sourced_layer0": token_sourced,
         "threaded": threaded,
         "bit_exact": bool(bit_exact),
     }
@@ -623,13 +670,8 @@ def bench_restore_sharded(model: Transformer, n_tokens: int) -> dict:
     and its ``gap_ratio``, the dispatch/stall overhead counters, and a
     bit-exactness check against the un-emulated single restore.
     """
-    cfg = BENCH_CONFIG
     rng = _rng()
-    hidden = [
-        rng.normal(size=(n_tokens, cfg.hidden_size)).astype(np.float32)
-        for _ in range(cfg.n_layers)
-    ]
-    tokens = rng.integers(0, cfg.vocab_size, size=n_tokens)
+    tokens, hidden = _synthetic_states(model, rng, n_tokens)
     array = StorageArray([SHARDED_BENCH_SSD], link_bandwidth=32 * GB)
     engine = HCacheEngine(model, StorageManager(array))
     engine.register_context("bench")
@@ -724,13 +766,8 @@ def bench_durability(model: Transformer, n_tokens: int) -> dict:
     (replay + chunk checksum verification + re-compaction) and the
     journal's pre-recovery log footprint are recorded.
     """
-    cfg = BENCH_CONFIG
     rng = _rng()
-    hidden = [
-        rng.normal(size=(n_tokens, cfg.hidden_size)).astype(np.float32)
-        for _ in range(cfg.n_layers)
-    ]
-    tokens = rng.integers(0, cfg.vocab_size, size=n_tokens)
+    tokens, hidden = _synthetic_states(model, rng, n_tokens)
     block = 160
 
     def save_all(engine: HCacheEngine) -> None:
@@ -843,11 +880,7 @@ def bench_block_sharing(model: Transformer, n_tokens: int) -> dict:
                 )
             )
         )
-    system_tokens = rng.integers(0, cfg.vocab_size, size=prompt_tokens)
-    system_hidden = [
-        rng.normal(size=(prompt_tokens, cfg.hidden_size)).astype(np.float32)
-        for _ in range(cfg.n_layers)
-    ]
+    system_tokens, system_hidden = _synthetic_states(model, rng, prompt_tokens)
 
     def make_store() -> BlockStateStore:
         pool = BlockPool(
@@ -873,11 +906,7 @@ def bench_block_sharing(model: Transformer, n_tokens: int) -> dict:
     block = 160
     for index, suffix_len in enumerate(suffix_lens):
         context_id = f"share-{index}"
-        suffix_tokens = rng.integers(0, cfg.vocab_size, size=suffix_len)
-        suffix_hidden = [
-            rng.normal(size=(suffix_len, cfg.hidden_size)).astype(np.float32)
-            for _ in range(cfg.n_layers)
-        ]
+        suffix_tokens, suffix_hidden = _synthetic_states(model, rng, suffix_len)
         tokens = np.concatenate([system_tokens, suffix_tokens])
         hidden = [
             np.concatenate([system_hidden[layer], suffix_hidden[layer]])
@@ -1198,6 +1227,14 @@ def run(sizes: list[int], window: int) -> dict:
             f"({recovery['journal_bytes']} journal B, "
             f"bit_exact={recovery['bit_exact']})"
         )
+        sourced = restore["token_sourced_layer0"]
+        print(
+            f"         layer 0 token-sourced: {sourced['device_bytes_per_token']:.0f} "
+            f"device B/token (expected {sourced['expected_bytes_per_token']}), "
+            f"{sourced['device_reads']} chunk reads "
+            f"(expected {sourced['expected_device_reads']}), "
+            f"== all-stored restore: {sourced['matches_all_stored']}"
+        )
         gate_shape = sharded["per_shape"][SHARDED_GATE_SHAPE]
         print(
             "         sharded restore "
@@ -1283,6 +1320,11 @@ def run(sizes: list[int], window: int) -> dict:
         "met": bool(headline >= 10.0) if target_applies else None,
         "all_restores_bit_exact": bool(
             all(r["bit_exact"] for r in report["restore"].values())
+        ),
+        # Structural, never relaxed: N - 1 layers stored and read, and
+        # the same bits as the all-stored engine, at every size.
+        "layer0_token_sourced": bool(
+            all(r["token_sourced_layer0"]["met"] for r in report["restore"].values())
         ),
         # Threaded-restore acceptance (defined at 4k like the 10x floor):
         # faster than the single-threaded streamed path, and wall clock
@@ -1453,6 +1495,16 @@ def main() -> int:
         print(f"wrote {args.out}")
     if not report["headline"]["all_restores_bit_exact"]:
         print("ERROR: restored caches are not bit-exact", file=sys.stderr)
+        return 1
+    if not report["headline"]["layer0_token_sourced"]:
+        print(
+            "ERROR: the default engine must store and read exactly N - 1 "
+            "layers (none for layer 0) and restore the all-stored engine's bits: "
+            + json.dumps(
+                {n: r["token_sourced_layer0"] for n, r in report["restore"].items()}
+            ),
+            file=sys.stderr,
+        )
         return 1
     if report["headline"]["met"] is False:
         print("ERROR: decode-with-capture speedup target missed", file=sys.stderr)

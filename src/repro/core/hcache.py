@@ -164,8 +164,14 @@ class HCacheEngine:
             platform: Hardware platform for timing queries; when given and
                 ``scheme`` is omitted, the bubble-free scheduler picks the
                 partition from an offline profile at a reference length.
-            scheme: Fixed partition scheme; defaults to pure HCache when
-                neither a scheme nor a platform is supplied.
+            scheme: Fixed partition scheme.  With neither a scheme nor a
+                platform, layer 0 is a 1-layer RECOMPUTE prefix and every
+                other layer HIDDEN: layer 0's hidden state *is*
+                ``embedding[tokens]``, so it is never stored, written or
+                read — restores project it from the journaled token log,
+                bit-identically to a stored layer 0.
+                ``PartitionScheme.pure_hcache`` is the explicit all-stored
+                HCache-O ablation.
             stream_granule_chunks: Storage chunks coalesced into each
                 streamed restore granule.  IO stays chunk-granular; this
                 only sets how many rows each fused projection call covers.
@@ -195,7 +201,7 @@ class HCacheEngine:
             self.decision = BubbleFreeScheduler(config.n_layers).schedule(profile)
             self.scheme = self.decision.scheme
         else:
-            self.scheme = PartitionScheme.pure_hcache(config.n_layers)
+            self.scheme = PartitionScheme.with_recompute_prefix(config.n_layers, 1)
             self.decision = None
         if shared_store is not None:
             pool = shared_store.pool
@@ -263,6 +269,13 @@ class HCacheEngine:
         context* (tail buffers and device key sets would race); saving one
         context while other contexts restore is fine.
 
+        RECOMPUTE layers store nothing: their K/V comes back from the
+        journaled token ids.  Under such a scheme (the default) the
+        layer-0 block is checked against ``embedding[tokens]`` — one
+        gather and compare in place of a device append — and a mismatch
+        raises :class:`~repro.errors.ConfigError` before anything is
+        journaled, instead of restoring silently different K/V later.
+
         Args:
             context_id: The context the block extends.
             hidden_states: Per-layer ``(n_new, hidden)`` arrays — the
@@ -284,6 +297,15 @@ class HCacheEngine:
             raise ConfigError("token block must match the hidden-state block length")
         if self.scheme.n_kv and kv_cache is None:
             raise ConfigError("scheme KV-offloads layers; a kv_cache is required to save them")
+        if self.scheme.n_recompute and not np.array_equal(
+            hidden_states[0], self.transformer.embed(tokens)
+        ):
+            # Layer 0 is not stored: a restore rebuilds it from the token
+            # log, which is only right if these rows are the embeddings.
+            raise ConfigError(
+                "layer-0 hidden states are not embedding[tokens]; the scheme "
+                "restores layer 0 from the token log"
+            )
         start = self.saved_tokens(context_id)
         # Token ids are journaled ahead of the state rows: the durable log
         # then always covers the durable rows, so crash recovery can
@@ -369,7 +391,11 @@ class HCacheEngine:
         mismatches (wrong model) and per-layer row counts that contradict
         the scheme's layer methods raise
         :class:`~repro.errors.RecoveryError` rather than restoring wrong
-        state.
+        state.  Runs the scheme does *not* read are freed on adoption —
+        an all-stored layout opened under the token-sourced default gives
+        up its layer-0 rows (and their device bytes) — because a run that
+        stops growing would become the shortest one, and the next
+        ``StorageManager.recover`` truncates a context to its shortest run.
 
         ``shared_store`` may be a fresh (empty) block store: the DRAM
         pool does not survive a crash, but each post-recovery
@@ -382,6 +408,7 @@ class HCacheEngine:
             shared_store=shared_store,
         )
         config = transformer.config
+        unread: list[tuple[str, int, str]] = []
         for context_id in storage.context_ids():
             meta = storage.meta(context_id)
             if meta.n_layers != config.n_layers or meta.hidden_width != config.hidden_size:
@@ -397,6 +424,9 @@ class HCacheEngine:
                     kind = "hidden"
                 elif method is LayerMethod.KV:
                     kind = "kv"
+                for other in ("hidden", "kv"):
+                    if other != kind and storage.tokens_stored(context_id, layer, kind=other):
+                        unread.append((context_id, layer, other))
                 if kind is None:
                     continue
                 stored = storage.tokens_stored(context_id, layer, kind=kind)
@@ -407,6 +437,12 @@ class HCacheEngine:
                         f"saved under a different partition scheme?"
                     )
             engine._contexts[context_id] = n_tokens
+        # Rows this scheme never reads (an all-stored layout's layer 0
+        # under a token-sourced one) would never grow again, and the next
+        # recovery would cut their whole context back to them.  Freed only
+        # once every context has passed the checks above.
+        for run in unread:
+            storage.free_run(*run)
         return engine
 
     # ------------------------------------------------------------------
@@ -435,8 +471,16 @@ class HCacheEngine:
         chunks each and go through the fused per-chunk projection
         (:meth:`Transformer.project_kv_chunk`) straight into the cache's
         backing buffers; KV layers stream the same way and install chunk
-        by chunk; a RECOMPUTE prefix is replayed from the retained
-        tokens.  Both kinds drain through the one loop
+        by chunk.  A RECOMPUTE prefix of ``r`` layers is token-sourced:
+        layers ``[0, r - 1)`` are replayed from the journaled tokens and
+        layer ``r - 1`` — whose input rows are all its K/V needs — goes
+        through the same projection closure, workspace and granule
+        partition as a HIDDEN layer, with no attention or FFN; for ``r =
+        1`` (the default scheme) that is the embedding gather plus one
+        projection.  This work needs no stored state, so it runs on the
+        calling thread right after the drain has put its first window of
+        reads in flight and hides under the IO stream (inline, or with
+        nothing stored, it simply runs).  Both kinds drain through the one loop
         (:func:`repro.runtime.executor.drain_granules`), which is
         double-buffered: the next granule's device read is issued before
         the pending granule is projected, so in the modelled timeline
@@ -460,8 +504,10 @@ class HCacheEngine:
         Bit-exactness contract: HIDDEN and KV layers come back
         bit-identical to the states that were saved — for every granule
         size, pool size and shard shape, with or without an executor, and
-        identical to the naive whole-layer reference path.  A RECOMPUTE
-        prefix replays the forward pass as one block, which matches
+        identical to the naive whole-layer reference path.  A 1-layer
+        RECOMPUTE prefix is bit-identical to restoring a stored layer 0
+        (same rows, same kernel, same granule split).  A longer one
+        replays the forward pass as one block, which matches
         incrementally-decoded originals to float rounding (the same
         GEMM-blocking caveat as restoring any decode-produced state).
 
@@ -485,15 +531,20 @@ class HCacheEngine:
         plan = self._plan_restore(context_id, reserve_tokens, stats, executor)
         cache, n_tokens, shared = plan.cache, plan.n_tokens, plan.shared
         timed = stats is not None
-        traces: dict[str, list[GranuleTrace]] = {}
-        if plan.hidden_layers:
+        n_recompute = self.scheme.n_recompute
+        token_prefix: Callable[[], None] | None = None
+        token_prefix_s = 0.0
+        # (kind, layers, serve_prefix, consume_rows) of each stored kind.
+        drains: list[tuple] = []
+        if plan.hidden_layers or n_recompute:
             granule_tokens = plan.granule_tokens
             workspace = self.transformer.restore_workspace(
                 np.arange(n_tokens), granule_tokens, plan.head_ranges
             )
-            views = {
-                layer: cache.install_view(layer, n_tokens) for layer in plan.hidden_layers
-            }
+            # The last RECOMPUTE layer is projected like a HIDDEN one —
+            # its input rows come from the token log instead of a device.
+            projected = ([n_recompute - 1] if n_recompute else []) + plan.hidden_layers
+            views = {layer: cache.install_view(layer, n_tokens) for layer in projected}
             proj_stats = stats.projection if timed else None
             # One granule of pool rows, gathered across block boundaries.
             staging = np.empty_like(workspace.normed) if shared else None
@@ -517,9 +568,16 @@ class HCacheEngine:
                     self._gather_pool_hidden(context_id, layer, start, stop, staging)
                     project(layer, start, staging[: stop - start])
 
-            traces["hidden"] = self._restore_kind(
-                plan, "hidden", plan.hidden_layers, project_pool_prefix, project
-            )
+            if n_recompute:
+
+                def run_token_prefix() -> None:
+                    nonlocal token_prefix_s
+                    token_prefix_s = self._restore_token_prefix(plan, project)
+
+                token_prefix = run_token_prefix
+
+            if plan.hidden_layers:
+                drains.append(("hidden", plan.hidden_layers, project_pool_prefix, project))
         if plan.kv_layers:
             for layer in plan.kv_layers:
                 cache.install_view(layer, n_tokens)
@@ -547,16 +605,48 @@ class HCacheEngine:
                     rows = min(k_rows.shape[0], shared - bstart)
                     cache.install_rows(layer, bstart, k_rows[:rows], v_rows[:rows])
 
-            traces["kv"] = self._restore_kind(
-                plan, "kv", plan.kv_layers, install_pool_prefix, install
-            )
+            drains.append(("kv", plan.kv_layers, install_pool_prefix, install))
+        # The token-sourced prefix rides under the first drain's IO
+        # stream; with nothing stored it simply runs.
+        traces = {
+            drain[0]: self._restore_kind(plan, *drain, None if i else token_prefix)
+            for i, drain in enumerate(drains)
+        }
+        if token_prefix is not None and not drains:
+            token_prefix()
         if plan.suffix_rows is not None:
             self._republish_suffix(plan)
         if timed:
-            self._model_makespans(stats, traces)
+            self._model_makespans(stats, traces, token_prefix_s)
         if len(cache) != n_tokens:
             raise RestorationError("restored cache length mismatch")
         return cache
+
+    def _restore_token_prefix(
+        self, plan: _RestorePlan, project: Callable[[int, int, np.ndarray], None]
+    ) -> float:
+        """Fill the RECOMPUTE layers ``[0, r)`` from the token log alone.
+
+        Only the layers *before* the last one are replayed in full
+        (:meth:`Transformer.recompute_prefix`); the last one's input rows
+        are all its K/V needs — for ``r = 1`` the embedding gather alone
+        — and go through ``project`` in the stored stream's granule
+        partition, so the result is bit-identical to restoring those
+        rows from a device.  Returns the wall seconds of the whole
+        prefix; ``stats.recompute_s`` gets the replay alone (the last
+        layer's projection is in ``stats.projection``).
+        """
+        last = self.scheme.n_recompute - 1
+        t0 = time.perf_counter()
+        tokens = np.array(self.storage.token_log(plan.context_id)[: plan.n_tokens])
+        replayed, rows = self.transformer.recompute_prefix(tokens, last)
+        for layer in range(last):
+            plan.cache.install(layer, *replayed.get(layer))
+        if plan.stats is not None:
+            plan.stats.recompute_s += time.perf_counter() - t0
+        for start in range(0, plan.n_tokens, plan.granule_tokens):
+            project(last, start, rows[start : start + plan.granule_tokens])
+        return time.perf_counter() - t0
 
     def _plan_restore(
         self,
@@ -578,14 +668,7 @@ class HCacheEngine:
         head_ranges = (
             partition_kv_heads(config.n_kv_heads, shape[1]) if shape[1] > 1 else None
         )
-        if self.scheme.n_recompute:
-            tokens = np.array(self.storage.token_log(context_id)[:n_tokens])
-            t0 = time.perf_counter()
-            cache, _ = self.transformer.recompute_prefix(tokens, self.scheme.n_recompute)
-            if stats is not None:
-                stats.recompute_s += time.perf_counter() - t0
-        else:
-            cache = KVCache(config)
+        cache = KVCache(config)
         cache.reserve(max(n_tokens, reserve_tokens))
         self._check_stored(context_id, hidden_layers, "hidden", n_tokens)
         self._check_stored(context_id, kv_layers, "kv", n_tokens)
@@ -615,6 +698,7 @@ class HCacheEngine:
         layers: list[int],
         serve_prefix: Callable[[int], None],
         consume_rows: Callable[[int, int, np.ndarray], None],
+        under_io: Callable[[], None] | None,
     ) -> list[GranuleTrace]:
         """Restore one kind (hidden or KV) of the planned context's layers.
 
@@ -622,7 +706,11 @@ class HCacheEngine:
         the stored suffix then drains through :func:`drain_granules`,
         each granule handed to ``consume_rows(layer, start, rows)`` and —
         when an admission gap is being closed — collected into the plan's
-        ``suffix_rows`` for the republish.  Returns the drain's trace.
+        ``suffix_rows`` for the republish.  ``under_io`` (the
+        token-sourced prefix, or ``None``) runs once the drain's first
+        reads are in flight — or right away when the pool serves
+        everything (``shared`` is then the whole context, not a chunk
+        boundary the drain could start from).  Returns the drain's trace.
         """
         shared, suffix_rows, stats = plan.shared, plan.suffix_rows, plan.stats
         if shared:
@@ -632,6 +720,8 @@ class HCacheEngine:
             if stats is not None:
                 stats.pool_s += time.perf_counter() - t0
         if shared == plan.n_tokens:
+            if under_io is not None:
+                under_io()
             return []
 
         def consume(chunk: LayerChunk) -> None:
@@ -643,7 +733,7 @@ class HCacheEngine:
 
         return drain_granules(
             self.storage, plan.context_id, layers, kind, self.stream_granule_chunks,
-            consume, plan.executor, shared, stats,
+            consume, plan.executor, shared, stats, under_io,
         )
 
     def _republish_suffix(self, plan: _RestorePlan) -> None:
@@ -667,31 +757,35 @@ class HCacheEngine:
         )
 
     def _model_makespans(
-        self, stats: RestoreBreakdown, traces: dict[str, list[GranuleTrace]]
+        self,
+        stats: RestoreBreakdown,
+        traces: dict[str, list[GranuleTrace]],
+        token_prefix_s: float,
     ) -> None:
         """Fill ``stats``' hybrid makespans from the drains' measured traces."""
-        trace = [granule for kind_trace in traces.values() for granule in kind_trace]
+        # The token-sourced prefix and the pool-resident shared prefix
+        # need no stored state: one leading zero-IO granule on the compute
+        # stream of the first drain, overlapping the stream from its
+        # very first read.
+        lead = GranuleTrace(0, 0, 0.0, token_prefix_s + stats.pool_s)
+        drains = list(traces.items()) or [("hidden", [])]
+        drains[0] = (drains[0][0], [lead, *drains[0][1]])
+        trace = [granule for _, kind_trace in drains for granule in kind_trace]
         io_times = [granule.io_seconds for granule in trace]
         compute_times = [granule.compute_seconds for granule in trace]
-        # The RECOMPUTE prefix and the pool-resident shared prefix need no
-        # stored state, so their replay/projection overlaps the stream
-        # from the very first read.
-        prefix_s = stats.recompute_s + stats.pool_s
         stats.modelled_io_s = sum(io_times)
-        stats.modelled_serial_s = stats.modelled_io_s + sum(compute_times) + prefix_s
-        stats.modelled_pipelined_s = pipelined_makespan(
-            [0.0] + io_times, [prefix_s] + compute_times
-        )
+        stats.modelled_serial_s = stats.modelled_io_s + sum(compute_times)
+        stats.modelled_pipelined_s = pipelined_makespan(io_times, compute_times)
         # The sequential hidden/kv drains each contribute their sharded
         # makespan.  Hidden granules must be reassembled across tensor
         # ranks before projection; KV installs gather nothing.
         tensor_shards = stats.shard_shape[1]
         hidden_row_bytes = 4 * self.transformer.config.hidden_size
-        stats.modelled_sharded_s = prefix_s + sum(
+        stats.modelled_sharded_s = sum(
             self._sharded_makespan(
                 kind_trace, tensor_shards, hidden_row_bytes if kind == "hidden" else 0
             )
-            for kind, kind_trace in traces.items()
+            for kind, kind_trace in drains
         )
 
     def _sharded_makespan(
@@ -721,7 +815,7 @@ class HCacheEngine:
                 compute_seconds=tuple(g.compute_seconds for g in granules),
                 gather_seconds=tuple(
                     allgather_time(g.rows * gather_bytes_per_row, tensor_shards, interconnect)
-                    if gathers
+                    if gathers and g.rows
                     else 0.0
                     for g in granules
                 ),

@@ -64,13 +64,22 @@ class ScheduleDecision:
 
 
 def layer_plans_for_scheme(scheme: PartitionScheme, profile: HardwareProfile) -> list[LayerPlan]:
-    """Expand a partition scheme into per-layer pipeline tasks."""
+    """Expand a partition scheme into per-layer pipeline tasks.
+
+    The *last* layer of a RECOMPUTE prefix costs a projection, not a
+    full-layer forward: its K/V need only its input rows (the previous
+    layer's output — for layer 0 the embedding gather), never its own
+    attention or FFN, which is how :meth:`HCacheEngine.restore` runs it.
+    """
     plans: list[LayerPlan] = []
+    last_recompute = scheme.n_recompute - 1
     for layer, method in enumerate(scheme.methods):
         if method is LayerMethod.HIDDEN:
             plans.append(LayerPlan(layer, method, profile.io_hidden, profile.compute_hidden))
         elif method is LayerMethod.KV:
             plans.append(LayerPlan(layer, method, profile.io_kv, 0.0))
+        elif layer == last_recompute:
+            plans.append(LayerPlan(layer, method, 0.0, profile.compute_hidden))
         else:
             plans.append(LayerPlan(layer, method, 0.0, profile.compute_token))
     return plans
@@ -123,7 +132,11 @@ class BubbleFreeScheduler:
         recompute joins the candidate set (and symmetrically pure KV on
         IO-bound platforms).  Mixed cross-regime complements stay out of
         scope: within either regime's own cost model the mixed optimum is
-        already covered by the closed form plus these endpoints.
+        already covered by the closed form plus these endpoints.  That
+        includes token-sourcing layer 0 on a compute-bound platform: it
+        would save the start-up read under any KV suffix, so it belongs
+        with the mixed recompute-prefix + KV-suffix schemes, and until
+        those exist compute-bound decisions keep a stored layer 0.
         """
         l_h = self.closed_form_l_h(profile)
         candidates = {
@@ -169,15 +182,19 @@ class BubbleFreeScheduler:
 
         Slower than :meth:`schedule` but guaranteed optimal within the
         layer-wise partition family; the test suite asserts the closed form
-        stays within a small factor of this.
+        stays within a small factor of this.  The family is the one
+        :meth:`schedule` draws from: on a compute-bound profile layer 0
+        stays stored, so the 1-layer recompute prefix (a projection of
+        the token log — the start-up read saved at no compute) is left
+        to the mixed prefix + KV-suffix follow-up, not searched alone.
         """
         best: tuple[float, PartitionScheme] | None = None
         for l_h in range(self.n_layers + 1):
             l_o = self.n_layers - l_h
-            for scheme in (
-                PartitionScheme.with_kv_suffix(self.n_layers, l_o),
-                PartitionScheme.with_recompute_prefix(self.n_layers, l_o),
-            ):
+            schemes = [PartitionScheme.with_kv_suffix(self.n_layers, l_o)]
+            if not (profile.compute_bound and l_o == 1):
+                schemes.append(PartitionScheme.with_recompute_prefix(self.n_layers, l_o))
+            for scheme in schemes:
                 makespan = evaluate_scheme(scheme, profile)
                 if best is None or makespan < best[0] - 1e-12:
                     best = (makespan, scheme)

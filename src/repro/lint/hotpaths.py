@@ -83,8 +83,15 @@ HOT_PATHS: dict[str, frozenset[str]] = {
             "BlockStateStore.kv_rows",
         }
     ),
-    # Pool-served shared-prefix gather on the restore path.
-    "repro/core/hcache.py": frozenset({"HCacheEngine._gather_pool_hidden"}),
+    # Pool-served shared-prefix gather on the restore path, and the
+    # token-sourced prefix (one projection per granule of the last
+    # RECOMPUTE layer, rows sliced from the replayed hidden block).
+    "repro/core/hcache.py": frozenset(
+        {
+            "HCacheEngine._gather_pool_hidden",
+            "HCacheEngine._restore_token_prefix",
+        }
+    ),
     # Sharded restoration planning (PR 9): shard plans run once per
     # restore but feed every granule of it; keeping them allocation-lean
     # keeps the dispatch half of the executor-overhead budget flat.

@@ -528,10 +528,11 @@ class Transformer:
         them, so the HCache saving path is unchanged.
 
         Returns ``(S, vocab)`` logits — for each segment, the next-token
-        logits of its *last* row.  Rows of segments that have not yet
-        reached the end of their prompt are computed but not returned
-        (their argmax is meaningless mid-prompt); the front end tracks
-        which chunks complete a prompt.
+        logits of its *last* row (for a chunk that does not complete its
+        prompt the argmax is meaningless; the front end tracks which
+        chunks do).  No other row's final-layer output is ever read, so
+        the last layer appends every row's K/V but attends, projects and
+        feeds forward only each segment's last row.
 
         **Equivalence contract:** segment ``s`` matches a serial
         ``forward(seg, caches[s])`` to within :data:`BATCHED_DECODE_ATOL`,
@@ -596,30 +597,38 @@ class Transformer:
         attn_out = np.empty(
             (bounds[-1], config.n_heads, config.head_dim), dtype=np.float32
         )
+        # Only each segment's last row reaches lm_head, so the final
+        # layer attends / projects / feeds forward those rows alone
+        # (every row's K/V is still appended first).  Decode-only calls
+        # are unchanged: every row is a last row.
+        last = np.array(bounds[1:]) - 1
         for layer in range(config.n_layers):
             if captures is not None:
                 for s, capture in enumerate(captures):
                     capture.write(layer, rows[s], hidden[bounds[s] : bounds[s + 1]])
             w = self.weights.layers[layer]
+            final_layer = layer == config.n_layers - 1
             # One packed projection: row r's RoPE angle comes from its own
             # absolute position, exactly what compute_qkv applies rowwise.
             q, k, v = self.compute_qkv(layer, hidden, positions)
+            if final_layer:
+                hidden, attn_out = hidden[last], attn_out[: len(segments)]
             for s, cache in enumerate(caches):
                 o0, o1 = bounds[s], bounds[s + 1]
                 cache.append(layer, k[o0:o1], v[o0:o1])
                 keys, values = cache.get(layer)
+                q0, out = (o1 - 1, attn_out[s : s + 1]) if final_layer else (o0, attn_out[o0:o1])
                 scaled_dot_product_attention(
-                    q[o0:o1],
+                    q[q0:o1],
                     repeat_kv(keys, n_rep),
                     repeat_kv(values, n_rep),
-                    query_offset=starts[s],
-                    out=attn_out[o0:o1],
+                    query_offset=starts[s] + q0 - o0,
+                    out=out,
                 )
             hidden = hidden + merge_heads(attn_out) @ w.wo
             normed = self._norm(hidden, w.ffn_norm)
             hidden = hidden + ffn_forward(normed, w, config.n_ffn_mats)
-        last_rows = hidden[[stop - 1 for stop in bounds[1:]]]
-        final = self._norm(last_rows, self.weights.final_norm)
+        final = self._norm(hidden, self.weights.final_norm)
         return final @ self.weights.lm_head
 
     # ------------------------------------------------------------------

@@ -133,6 +133,7 @@ def drain_granules(
     executor: "RestoreExecutor | None" = None,
     start_tokens: int = 0,
     stats: "RestoreBreakdown | None" = None,
+    under_io: "Callable[[], None] | None" = None,
 ) -> list[GranuleTrace]:
     """Stream ``layers``' stored rows through ``consume``, reads running ahead.
 
@@ -153,6 +154,13 @@ def drain_granules(
 
     ``start_tokens`` (chunk-aligned) skips every layer's pool-served
     shared-prefix rows.
+
+    ``under_io`` is work that needs no stored state (the engine's
+    token-sourced recompute prefix): it runs once on the calling thread,
+    right after every stage's first window of reads has been submitted
+    and before the first granule is consumed, so with an executor it
+    hides under the IO stream.  Inline, or with nothing to read, it
+    simply runs at that point.
 
     Accounting (only when ``stats`` is given): ``stats.granules`` /
     ``device_reads`` count what was consumed; ``stats.read_s``
@@ -210,6 +218,8 @@ def drain_granules(
         for s in range(len(plans)):
             for _ in range(window):
                 submit_next(s)
+        if under_io is not None:
+            under_io()
         live = deque(range(len(plans)))
         while live:
             # A single live stage just blocks on its head granule; several

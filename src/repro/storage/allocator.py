@@ -139,20 +139,22 @@ class ChunkAllocator:
         """Whether any run (any layer, any kind) exists for a context."""
         return any(k[0] == context_id for k in self._runs)
 
+    def free_run(self, context_id: str, layer: int, kind: str) -> int:
+        """Release one run, returning the bytes freed."""
+        run = self.run(context_id, layer, kind)
+        del self._runs[(context_id, layer, kind)]
+        self._stats.allocated_bytes -= run.allocated_bytes
+        self._stats.used_bytes -= run.used_bytes
+        self._stats.n_chunks -= run.n_chunks
+        self._stats.n_runs -= 1
+        return run.allocated_bytes
+
     def free_context(self, context_id: str) -> int:
         """Release every run of a context, returning the bytes freed."""
         keys = [k for k in self._runs if k[0] == context_id]
         if not keys:
             raise StateError(f"context {context_id!r} has no runs")
-        freed = 0
-        for key in keys:
-            run = self._runs.pop(key)
-            freed += run.allocated_bytes
-            self._stats.allocated_bytes -= run.allocated_bytes
-            self._stats.used_bytes -= run.used_bytes
-            self._stats.n_chunks -= run.n_chunks
-            self._stats.n_runs -= 1
-        return freed
+        return sum(self.free_run(*key) for key in keys)
 
     def context_ids(self) -> tuple[str, ...]:
         seen: dict[str, None] = {}

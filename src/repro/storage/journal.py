@@ -10,7 +10,7 @@ classic write-ahead log:
 
 - Every mutation of the manager's durable state appends one **record** to
   an append-only journal file: ``register`` / ``chunk`` / ``seal`` /
-  ``tokens`` / ``free``.
+  ``tokens`` / ``free_run`` / ``free``.
 - Records are framed as ``<u32 payload_len><u32 crc32><payload>`` with a
   JSON payload.  A torn final write — the normal crash artifact of an
   append-only file — is detected by the length field; every other
@@ -156,6 +156,11 @@ class ManifestState:
                     run.sealed_tail_crc = int(tail["crc"])
             elif op == "tokens":
                 self._context(record).tokens.extend(int(t) for t in record["ids"])
+            elif op == "free_run":
+                # A run with only unsealed tail rows was never journaled.
+                self._context(record).runs.pop(
+                    (int(record["layer"]), str(record["kind"])), None
+                )
             elif op == "free":
                 context_id = record.get("context_id")
                 if context_id not in self.contexts:

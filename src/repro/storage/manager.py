@@ -208,6 +208,36 @@ class StorageManager:
         del self._meta[meta.context_id]
         return freed
 
+    def free_run(self, context_id: str, layer: int, kind: str = "hidden") -> int:
+        """Drop one layer's run of a context, returning bytes freed.
+
+        For a run the serving scheme no longer reads (a store adopted
+        under a scheme that token-sources the layer): left in place it
+        would stop growing, and :meth:`recover` — which cuts every run of
+        a context back to the shortest — would roll the whole context
+        back to it.  Journaled before any deletion, like
+        :meth:`free_context`.
+        """
+        self.allocator.run(context_id, layer, kind)
+        if self.journal is not None:
+            self.journal.append(
+                {"op": "free_run", "context_id": context_id, "layer": layer, "kind": kind}
+            )
+        freed = self.allocator.free_run(context_id, layer, kind)
+        run_key = (context_id, layer, kind)
+        del self._tails[run_key]
+        self._sealed_partial.discard(run_key)
+        self._stale_partial.pop(run_key, None)
+        for device in self.array.devices:
+            for key in device.keys():
+                if (
+                    isinstance(key, ChunkKey)
+                    and (key.context_id, key.layer, key.kind) == run_key
+                ):
+                    device.delete(key)
+                    self._chunk_crcs.pop(key, None)
+        return freed
+
     def context_ids(self) -> tuple[str, ...]:
         return tuple(self._meta)
 

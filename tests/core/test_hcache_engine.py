@@ -53,8 +53,10 @@ class TestLifecycle:
 
 
 class TestSchemes:
-    def test_default_scheme_pure_hcache(self, engine, tiny_config):
-        assert engine.scheme == PartitionScheme.pure_hcache(tiny_config.n_layers)
+    def test_default_scheme_token_sources_layer_0(self, engine, tiny_config):
+        assert engine.scheme == PartitionScheme.with_recompute_prefix(
+            tiny_config.n_layers, 1
+        )
 
     def test_platform_engine_uses_scheduler(self, tiny_model, storage_manager, default_platform):
         eng = HCacheEngine(tiny_model, storage_manager, platform=default_platform)
@@ -141,5 +143,6 @@ class TestTimingFacade:
 
     def test_storage_bytes_per_token(self, tiny_model, storage_manager, tiny_config):
         eng = HCacheEngine(tiny_model, storage_manager)
-        expected = tiny_config.hidden_bytes_per_token_layer * tiny_config.n_layers
+        # Layer 0 comes back from the token log: N - 1 layers are stored.
+        expected = tiny_config.hidden_bytes_per_token_layer * (tiny_config.n_layers - 1)
         assert eng.storage_bytes_per_token() == expected

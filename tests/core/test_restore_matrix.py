@@ -10,6 +10,12 @@ restore bytes identical to the naive whole-layer reference
 (:func:`naive_restore_cache_from_hidden`) and to each other, across
 partition schemes, norm/RoPE flavors, GQA, partial tail chunks, granule
 sizes and non-divisible layer/head splits.
+
+The engine's default scheme token-sources layer 0 (a 1-layer RECOMPUTE
+prefix): every matrix cell also runs it and a 2-layer prefix, and must
+restore the same bytes as the all-stored pure-hidden engine.  The last
+section pins *where* that token-sourced work runs (under the drain's
+first window of reads) and that layer 0 never touches a device.
 """
 
 from __future__ import annotations
@@ -24,6 +30,7 @@ from repro.core.partition import PartitionScheme
 from repro.core.profiler import build_storage_array
 from repro.errors import ConfigError
 from repro.models.config import model_preset
+from repro.models.kv_cache import KVCache
 from repro.models.reference import naive_restore_cache_from_hidden
 from repro.models.transformer import Transformer
 from repro.runtime import RestoreExecutor
@@ -51,6 +58,8 @@ FLAVORS = [(INLINE, (1, 1))] + [
 R, H, K = LayerMethod.RECOMPUTE, LayerMethod.HIDDEN, LayerMethod.KV
 SCHEMES = {
     "pure-hidden": PartitionScheme((H, H, H, H)),
+    "default": None,  # the engine's own choice: (R, H, H, H)
+    "recompute2+hidden": PartitionScheme((R, R, H, H)),
     "recompute+hidden+kv": PartitionScheme((R, H, H, K)),
 }
 POOL_STATES = ["no-store", "tracked", "admitted-gap"]
@@ -137,14 +146,24 @@ def build_case(scheme, pool_state):
     return engine, oracle
 
 
+@pytest.fixture(scope="module")
+def pure_hidden_restore():
+    """The all-stored engine's inline restore of the matrix context."""
+    engine, _ = build_case(SCHEMES["pure-hidden"], "no-store")
+    return engine.restore("c")
+
+
 @pytest.mark.parametrize("pool_state", POOL_STATES)
 @pytest.mark.parametrize("scheme", sorted(SCHEMES))
 @pytest.mark.parametrize("flavor", FLAVORS, ids=flavor_id)
-def test_every_restore_shape_is_bit_exact(flavor, scheme, pool_state):
+def test_every_restore_shape_is_bit_exact(flavor, scheme, pool_state, pure_hidden_restore):
     engine, oracle = build_case(SCHEMES[scheme], pool_state)
     stats = RestoreBreakdown()
     restored = restore_through(engine, "c", flavor, stats=stats)
     assert restored.equals(oracle, atol=0.0)
+    # Whatever a scheme sources from tokens or K/V instead of stored
+    # hidden rows, every layer equals the all-stored restore's.
+    assert restored.equals(pure_hidden_restore, atol=0.0)
     # ... and to the inline restore of an identically built context (a
     # restore may mutate pool state, so each side gets its own build).
     twin, _ = build_case(SCHEMES[scheme], pool_state)
@@ -242,3 +261,112 @@ def test_repeated_runs_through_one_executor_are_stable(flavor):
     with RestoreExecutor(pool, shards=shards) as executor:
         for _ in range(5):
             assert engine.restore("c", executor=executor).equals(oracle, atol=0.0)
+
+
+# ---------------------------------------------------------------------------
+# token-sourced layer 0: never on a device, projected under the IO stream
+# ---------------------------------------------------------------------------
+
+
+def spied_default_engine():
+    """A default-scheme engine whose storage appends/reads and layer
+    projections are logged, in call order, into the returned list."""
+    config = model_preset("tiny-llama")
+    model = Transformer.from_seed(config, seed=11)
+    storage = StorageManager(
+        build_storage_array(platform_preset("default")), tokens_per_chunk=CHUNK_TOKENS
+    )
+    events = []
+    real_append, real_read, real_project = (
+        storage.append, storage.read_granule_into, model.project_kv_chunk
+    )
+
+    def append(context_id, layer, *args, **kwargs):
+        events.append(("append", layer))
+        return real_append(context_id, layer, *args, **kwargs)
+
+    def read_granule_into(context_id, spec, out):
+        events.append(("read", spec.layer))
+        return real_read(context_id, spec, out)
+
+    def project_kv_chunk(layer, *args, **kwargs):
+        events.append(("project", layer))
+        return real_project(layer, *args, **kwargs)
+
+    storage.append, storage.read_granule_into = append, read_granule_into
+    model.project_kv_chunk = project_kv_chunk
+    engine = HCacheEngine(model, storage)
+    tokens = np.random.default_rng(5).integers(0, config.vocab_size, size=N_TOKENS)
+    oracle = prefill_and_save(engine, model, "c", tokens)
+    return engine, oracle, events
+
+
+def test_layer_0_is_never_appended_or_read_and_projects_after_the_first_read():
+    engine, oracle, events = spied_default_engine()
+    n_layers = engine.transformer.config.n_layers
+    assert {layer for kind, layer in events if kind == "append"} == set(range(1, n_layers))
+    assert engine.storage.tokens_stored("c", 0) == 0
+    del events[:]
+    stats = RestoreBreakdown()
+    assert engine.restore("c", stats=stats).equals(oracle, atol=0.0)
+    # Inline, a read runs at submit: the first one precedes layer 0.
+    assert events[0] == ("read", 1) and ("project", 0) in events
+    assert 0 not in {layer for kind, layer in events if kind == "read"}
+    # Layer 0 is projected in the stored stream's granule partition.
+    per_layer = -(-N_TOKENS // (engine.stream_granule_chunks * CHUNK_TOKENS))
+    assert events.count(("project", 0)) == events.count(("project", 1)) == per_layer
+    assert stats.granules == per_layer * (n_layers - 1)
+    assert stats.recompute_s > 0.0
+
+
+def test_token_sourced_work_starts_once_the_first_window_is_in_flight():
+    """On a pool the reads run on workers, so the deterministic order is
+    the calling thread's: submissions vs its own projections."""
+    engine, oracle, events = spied_default_engine()
+    del events[:]
+    with RestoreExecutor(1) as executor:
+        real_submit = executor.pool.submit
+
+        def submit(fn, /, *args, **kwargs):
+            events.append(("submit", args[1].layer))
+            return real_submit(fn, *args, **kwargs)
+
+        executor.pool.submit = submit
+        assert engine.restore("c", executor=executor).equals(oracle, atol=0.0)
+        own = [event for event in events if event[0] != "read"]
+        first_projection = own.index(("project", 0))
+        # Exactly the first window, and nothing consumed yet.
+        assert first_projection == executor.inflight
+        assert {kind for kind, _ in own[:first_projection]} == {"submit"}
+        assert ("submit", 0) not in own
+
+
+def test_fully_pool_served_restore_still_projects_layer_0():
+    engine, oracle = build_case(None, "tracked")
+    stats = RestoreBreakdown()
+    assert engine.restore("c", stats=stats).equals(oracle, atol=0.0)
+    assert stats.device_reads == 0 and stats.recompute_s > 0.0
+
+
+def test_save_states_rejects_a_layer_0_block_that_is_not_the_embeddings():
+    config = model_preset("tiny-llama")
+    model = Transformer.from_seed(config, seed=11)
+    tokens = np.random.default_rng(5).integers(0, config.vocab_size, size=12)
+    result = model.forward(tokens, KVCache(config), capture_hidden=True)
+    hidden = [np.array(h) for h in result.hidden_states]
+    hidden[0][3, 5] += 1.0
+    engine = HCacheEngine(model, StorageManager(build_storage_array(platform_preset("default"))))
+    engine.register_context("c")
+    with pytest.raises(ConfigError, match="layer-0"):
+        engine.save_states("c", hidden, tokens)
+    # Rejected before anything was journaled or stored ...
+    assert engine.saved_tokens("c") == 0 and engine.token_log("c") == ()
+    # ... while the all-stored scheme takes any layer-0 rows, as before.
+    stored = HCacheEngine(
+        model,
+        StorageManager(build_storage_array(platform_preset("default"))),
+        scheme=PartitionScheme.pure_hcache(config.n_layers),
+    )
+    stored.register_context("c")
+    stored.save_states("c", hidden, tokens)
+    assert stored.saved_tokens("c") == 12

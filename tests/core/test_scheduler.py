@@ -143,6 +143,10 @@ class TestRealPlatforms:
         prof = profile_platform(seven_b, platform, 1024)
         decision = BubbleFreeScheduler(seven_b.n_layers).schedule(prof)
         assert decision.scheme.n_hidden >= 30  # almost everything via HCache
+        # Compute-bound: the complement is a KV suffix and layer 0 stays
+        # stored (token-sourcing it there is the mixed-scheme follow-up).
+        assert prof.compute_bound
+        assert decision.scheme.n_kv == 1 and decision.scheme.n_recompute == 0
 
     def test_13b_schedule_close_to_table3(self, thirteen_b):
         """Table 3: 13B = "36 H + 4 KV"."""

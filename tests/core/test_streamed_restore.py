@@ -75,10 +75,14 @@ class TestRestoreBreakdown:
         stats = RestoreBreakdown()
         engine.restore("c", stats=stats)
         assert stats.n_tokens == 256
-        assert stats.granules == config.n_layers  # 256 tokens, 4-chunk granules
-        assert stats.device_reads == config.n_layers * 4
+        # 256 tokens, 4-chunk granules; layer 0 is token-sourced, so it is
+        # projected (one granule) but streams nothing.
+        stored_layers = config.n_layers - 1
+        assert stats.granules == stored_layers
+        assert stats.device_reads == stored_layers * 4
         assert stats.read_s > 0
-        assert stats.projection.chunks == stats.granules
+        assert stats.recompute_s > 0
+        assert stats.projection.chunks == config.n_layers
         assert stats.projection.norm_s > 0
         assert stats.projection.gemm_s > 0
         assert stats.projection.rope_s > 0  # tiny-llama uses RoPE

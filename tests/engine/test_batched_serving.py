@@ -292,16 +292,20 @@ class TestMembershipChurn:
         assert replay_streams == ref
         for s in plans:
             assert engine.hcache.token_log(s) == serial.hcache.token_log(s)
-            for layer in range(tiny_config.n_layers):
+            # Layer 0 is token-sourced under the default scheme: nothing is
+            # stored for it, and the equal token logs above pin its rows
+            # (embedding[tokens]) exactly.
+            assert engine.hcache.storage.tokens_stored(s, 0) == 0
+            for layer in range(1, tiny_config.n_layers):
                 stored = engine.hcache.storage.load_layer(s, layer)
                 # The same schedule stores the same bytes: no row depends
                 # on what a buffer held beyond a session's live prefix.
                 assert np.array_equal(stored, replay.hcache.storage.load_layer(s, layer))
                 # Against the serial engine the packed GEMMs round within
-                # the documented band; layer 0 (embeddings) is pre-GEMM.
+                # the documented band.
                 expected = serial.hcache.storage.load_layer(s, layer)
                 np.testing.assert_allclose(
-                    stored, expected, atol=BATCHED_DECODE_ATOL if layer else 0, rtol=0
+                    stored, expected, atol=BATCHED_DECODE_ATOL, rtol=0
                 )
 
 

@@ -30,6 +30,7 @@ import pytest
 from repro.core.hcache import HCacheEngine
 from repro.core.partition import PartitionScheme
 from repro.engine.numeric_engine import NumericServingEngine
+from repro.errors import RecoveryError
 from repro.models.config import model_preset
 from repro.models.transformer import Transformer
 from repro.simulator.hardware import GB, SSDSpec
@@ -251,3 +252,63 @@ class TestKillAndResume:
         assert resumed.hcache.storage.meta("s").kv_width == 2 * config.kv_size
         assert_cache_prefix(resumed.hcache.restore("s"), ref, config.n_layers)
         assert resumed.chat_round("s", p2, 6) == control.chat_round("s", p2, 6)
+
+    def test_parent_layout_store_recovers_under_the_default_scheme(
+        self, model, journal_factory
+    ):
+        """A store written with layer-0 rows on the devices (the all-stored
+        layout every earlier version wrote) is adopted by the default
+        engine: layer 0 comes back from the token log, bit-identical to
+        the stored-layer-0 restore, and its stale rows are freed — left
+        behind they would stop growing, and a *second* crash would roll
+        the context back to them."""
+        n_layers = model.config.n_layers
+        all_stored = PartitionScheme.pure_hcache(n_layers)
+        array, victim = build_stack(model, journal_factory("old"), all_stored)
+        _, control = build_stack(model, scheme=all_stored)
+        make = prompts(model, seed=21)
+        p1, p2 = make(70), make(20)
+        for engine in (victim, control):
+            engine.open_session("s")
+            engine.chat_round("s", p1, 10)
+            engine.evict("s")
+        assert victim.hcache.storage.tokens_stored("s", 0) == 80
+        ref = snapshot_prefix(victim.hcache.restore("s"), n_layers, 80)
+        victim.hcache.storage.journal.close()
+        del victim
+
+        resumed = recover_stack(model, array, journal_factory("old"))
+        assert resumed.hcache.scheme == PartitionScheme.with_recompute_prefix(n_layers, 1)
+        assert resumed.hcache.saved_tokens("s") == 80
+        assert_cache_prefix(resumed.hcache.restore("s"), ref, n_layers)
+        assert resumed.hcache.storage.tokens_stored("s", 0) == 0
+        assert not any(key.layer == 0 for device in array.devices for key in device.keys())
+        assert resumed.chat_round("s", p2, 6) == control.chat_round("s", p2, 6)
+
+        # Crash again after a sealed post-upgrade round: nothing rolls back.
+        for engine in (resumed, control):
+            engine.evict("s")
+        ref = snapshot_prefix(control.hcache.restore("s"), n_layers, 106)
+        resumed.hcache.storage.journal.close()
+        del resumed
+        again = recover_stack(model, array, journal_factory("old"))
+        assert again.hcache.saved_tokens("s") == 106
+        assert again.session("s").tokens == list(control.session("s").tokens)
+        assert_cache_prefix(again.hcache.restore("s"), ref, n_layers)
+
+    def test_new_layout_store_opened_as_all_stored_is_refused(
+        self, model, journal_factory
+    ):
+        """The default layout holds no layer-0 rows; claiming it was saved
+        all-stored must fail recovery, not restore an empty layer."""
+        array, victim = build_stack(model, journal_factory("new"))
+        victim.open_session("s")
+        victim.chat_round("s", prompts(model, seed=22)(70), 10)
+        victim.evict("s")
+        victim.hcache.storage.journal.close()
+        del victim
+        with pytest.raises(RecoveryError, match="layer 0"):
+            recover_stack(
+                model, array, journal_factory("new"),
+                PartitionScheme.pure_hcache(model.config.n_layers),
+            )

@@ -87,12 +87,14 @@ class TestEquivalence:
                     got[layer], serial[s][layer], atol=BATCHED_DECODE_ATOL
                 )
 
-    @pytest.mark.parametrize("chunks", [(255, 1), (128, 128)])
+    @pytest.mark.parametrize("chunks", [(256,), (255, 1), (128, 128)])
     def test_chunked_prompt_matches_one_serial_forward(
         self, tiny_model, tiny_config, chunks
     ):
         """Attention over a block is a BLAS stage: another chunking of the
-        same prompt agrees within the band, not bit for bit."""
+        same prompt agrees within the band, not bit for bit.  The final
+        layer attends only each chunk's last row, yet its K/V rows are
+        installed for *every* position."""
         (prompt,) = _prompts(tiny_config, [sum(chunks)], seed=45)
         serial_cache = KVCache(tiny_config)
         expected = tiny_model.forward(prompt, serial_cache).logits[-1]
@@ -105,6 +107,7 @@ class TestEquivalence:
             start += size
         np.testing.assert_allclose(logits[0], expected, atol=BATCHED_DECODE_ATOL, rtol=0)
         assert int(np.argmax(logits[0])) == int(np.argmax(expected))
+        assert fused_cache.layer_len(tiny_config.n_layers - 1) == sum(chunks)
         for layer in range(tiny_config.n_layers):
             for got, want in zip(fused_cache.get(layer), serial_cache.get(layer)):
                 np.testing.assert_allclose(

@@ -377,9 +377,12 @@ class TestSaveSealAppendRestore:
         # tolerance-level, and the batched path must match the naive
         # restore bit-for-bit on the same stored states.
         assert restored.equals(cache, atol=1e-5)
-        stored = [
+        # Layer 0 is token-sourced (never on a device): its rows are the
+        # embeddings of the journaled tokens.
+        assert engine.storage.tokens_stored("decode", 0) == 0
+        stored = [tiny_model.embed(np.array(engine.token_log("decode")))] + [
             engine.storage.load_layer("decode", layer)
-            for layer in range(tiny_config.n_layers)
+            for layer in range(1, tiny_config.n_layers)
         ]
         assert restored.equals(
             naive_restore_cache_from_hidden(tiny_model, stored), atol=0.0

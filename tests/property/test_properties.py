@@ -16,7 +16,11 @@ from hypothesis import strategies as st
 
 from repro.core.partition import PartitionScheme
 from repro.core.profiler import HardwareProfile
-from repro.core.scheduler import BubbleFreeScheduler, evaluate_scheme
+from repro.core.scheduler import (
+    BubbleFreeScheduler,
+    evaluate_scheme,
+    layer_plans_for_scheme,
+)
 from repro.cache.lru import LRUCache
 from repro.models.config import ModelConfig
 from repro.models.transformer import Transformer
@@ -223,6 +227,9 @@ def test_scheduler_never_worse_than_pure_schemes(io_h, kv_ratio, c_h, c_tok_mult
 
 
 @SETTINGS
+# Compute-bound, two layers: token-sourcing layer 0 would beat every KV
+# mix, but compute-bound decisions keep a stored layer 0 in both paths.
+@example(io_h=2.5, c_h=3.0, n_layers=2)
 @given(
     io_h=st.floats(0.5, 4.0),
     c_h=st.floats(0.5, 4.0),
@@ -241,6 +248,46 @@ def test_closed_form_close_to_search(io_h, c_h, n_layers):
     fast = scheduler.schedule(profile)
     best = scheduler.schedule_by_search(profile)
     assert fast.predicted_makespan <= best.predicted_makespan * 1.10
+
+
+@SETTINGS
+@_with_range_corners
+@given(
+    io_h=st.floats(*_SCHEDULER_RANGES["io_h"]),
+    kv_ratio=st.floats(*_SCHEDULER_RANGES["kv_ratio"]),
+    c_h=st.floats(*_SCHEDULER_RANGES["c_h"]),
+    c_tok_mult=st.floats(*_SCHEDULER_RANGES["c_tok_mult"]),
+    n_layers=st.integers(*_SCHEDULER_RANGES["n_layers"]),
+)
+def test_token_sourced_layer_0_is_priced_as_a_projection(
+    io_h, kv_ratio, c_h, c_tok_mult, n_layers
+):
+    """A 1-layer recompute prefix has the all-hidden scheme's compute and
+    one layer's hidden IO less, so it never loses to it — and on an
+    IO-bound profile the scheduler never stores layer 0."""
+    profile = HardwareProfile(
+        model="prop",
+        n_tokens=1024,
+        io_hidden=io_h,
+        io_kv=io_h * kv_ratio,
+        compute_hidden=c_h,
+        compute_token=c_h * c_tok_mult,
+    )
+    stored = PartitionScheme.pure_hcache(n_layers)
+    sourced = PartitionScheme.with_recompute_prefix(n_layers, 1)
+    stored_plans = layer_plans_for_scheme(stored, profile)
+    sourced_plans = layer_plans_for_scheme(sourced, profile)
+    assert [p.compute_time for p in sourced_plans] == [p.compute_time for p in stored_plans]
+    assert [p.io_time for p in sourced_plans] == [0.0] + [
+        p.io_time for p in stored_plans[1:]
+    ]
+    assert evaluate_scheme(sourced, profile) <= evaluate_scheme(stored, profile)
+    # A longer prefix pays the full-layer forward for all but its last layer.
+    longer = layer_plans_for_scheme(PartitionScheme.with_recompute_prefix(n_layers, 2), profile)
+    assert [p.compute_time for p in longer[:2]] == [profile.compute_token, c_h]
+    if not profile.compute_bound:
+        decision = BubbleFreeScheduler(n_layers).schedule(profile)
+        assert decision.scheme.methods[0] is LayerMethod.RECOMPUTE
 
 
 # ---------------------------------------------------------------------------

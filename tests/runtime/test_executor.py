@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from repro.core.hcache import HCacheEngine, RestoreBreakdown
+from repro.core.partition import PartitionScheme
 from repro.core.profiler import build_storage_array
 from repro.engine.numeric_engine import NumericServingEngine
 from repro.errors import ConfigError, StateError
@@ -72,9 +73,12 @@ def loop_executor(request):
 
 
 class TestDrainDirectUse:
+    """The drain over every layer: pinned to the all-stored scheme (the
+    default scheme stores no layer-0 rows to drain)."""
+
     def test_drain_traces_every_granule_it_consumed(self, loop_executor):
         config = model_preset("tiny-llama")
-        model, engine = build_engine(config)
+        model, engine = build_engine(config, PartitionScheme.pure_hcache(config.n_layers))
         save_context(engine, model, config, 128)
         chunks = []
         stats = RestoreBreakdown()
@@ -97,7 +101,7 @@ class TestDrainDirectUse:
 
     def test_untimed_drain_returns_no_trace(self, loop_executor):
         config = model_preset("tiny-llama")
-        model, engine = build_engine(config)
+        model, engine = build_engine(config, PartitionScheme.pure_hcache(config.n_layers))
         save_context(engine, model, config, 128)
         chunks = []
         trace = drain_granules(

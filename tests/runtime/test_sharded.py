@@ -20,6 +20,7 @@ import pytest
 
 from repro.core.gqa import partition_kv_heads
 from repro.core.hcache import HCacheEngine, RestoreBreakdown
+from repro.core.partition import PartitionScheme
 from repro.core.profiler import build_storage_array
 from repro.engine.numeric_engine import NumericServingEngine
 from repro.errors import ConfigError
@@ -279,7 +280,11 @@ class TestWindowSerialization:
         platform = Platform(GPUS["A100"]).with_ssds(4, slow_ssd)
         model = Transformer.from_seed(config, seed=11)
         manager = StorageManager(build_storage_array(platform))
-        engine = HCacheEngine(model, manager, stream_granule_chunks=2)
+        # The test drains every layer directly: all-stored scheme.
+        engine = HCacheEngine(
+            model, manager, scheme=PartitionScheme.pure_hcache(config.n_layers),
+            stream_granule_chunks=2,
+        )
         save_context(engine, model, config, 256)
         layers = list(range(config.n_layers))
 
