@@ -78,6 +78,16 @@ against the preserved pre-refactor baseline
    serial and batched converge on the same memory floor (~1.7-2x on a
    1-core host), and the ratio is too noise-prone to gate on — which
    is itself the honest story the ROADMAP tells about decode e2e.
+9. **early release** — a restoring session joins the iteration while
+   its last layers are still landing (the engine reports it once the
+   restore's predicted remainder fits in its last prefill-carrying
+   iteration; the packed kernel waits per layer).  Run on the numeric
+   engine over an executor and the latency-emulated IO-dominated device,
+   with nothing pinned.  Exactness-and-count gate, never relaxed:
+   front-end streams identical to the serial loop, ``early_releases >=
+   1``, and every session's final cache equal to a synchronous restore
+   + serial prefill — ``atol=0`` on the history rows,
+   ``BATCHED_DECODE_ATOL`` on the prompt rows.
 
 Results are printed, and written as JSON when ``--out PATH`` is given
 (``--smoke`` runs a reduced-window subset that still includes the
@@ -258,6 +268,16 @@ FRONTEND_SPEEDUP_FLOOR = 0.75 if RELAX_TIMING else 1.0
 #: the goodput sweep, and requests per load point.
 FRONTEND_SWEEP_LOADS = (0.5, 1.0, 2.0)
 FRONTEND_SWEEP_REQUESTS = 12
+
+
+#: Early-release section (flat, run once): histories long enough that a
+#: restore streams for a few emulated-device milliseconds, second-round
+#: prompts long enough that their prefill iteration outlasts one layer of
+#: it — the regime the release rule exists for.
+EARLY_SESSIONS = 3
+EARLY_HISTORY_TOKENS = 1024
+EARLY_PROMPT_TOKENS = 256
+EARLY_OUTPUT_TOKENS = 4
 
 
 def _rng() -> np.random.Generator:
@@ -1159,6 +1179,94 @@ def bench_serving_frontend(model: Transformer) -> dict:
     }
 
 
+def bench_early_release(model: Transformer) -> dict:
+    """Prefill under the tail of a restore: streams, counts and final caches.
+
+    ``EARLY_SESSIONS`` sessions serve one round through the front end
+    (which also gives the engine its measured prefill-iteration time),
+    are evicted, and serve a second round that must restore them — on an
+    executor, over the latency-emulated IO-dominated device, with the
+    engine's own release rule deciding when each joins the iteration.
+    In the second round users join one at a time, each once the previous
+    one has its first token, so every restore after the first streams
+    under decode iterations and its prompt's prefill is co-batched with
+    them.  The serial control is the ``chat_round`` loop with the same
+    evictions.  Nothing here is a timing gate.
+    """
+    rng = _rng()
+    sessions = [f"er{i}" for i in range(EARLY_SESSIONS)]
+    vocab = BENCH_CONFIG.vocab_size
+    first = {s: rng.integers(0, vocab, size=EARLY_HISTORY_TOKENS) for s in sessions}
+    second = {s: rng.integers(0, vocab, size=EARLY_PROMPT_TOKENS) for s in sessions}
+
+    serial = NumericServingEngine(
+        model,
+        HCacheEngine(model, StorageManager(build_storage_array(platform_preset("default")))),
+    )
+    ref_tokens = {}
+    for s in sessions:
+        serial.open_session(s)
+        serial.chat_round(s, first[s], EARLY_OUTPUT_TOKENS)
+        serial.evict(s)
+    for s in sessions:
+        ref_tokens[s] = serial.chat_round(s, second[s], EARLY_OUTPUT_TOKENS)
+
+    array = StorageArray([SHARDED_BENCH_SSD], link_bandwidth=32 * GB)
+    hcache = HCacheEngine(model, StorageManager(array, tokens_per_chunk=CHUNK_TOKENS))
+    with RestoreExecutor(THREADED_POOL_SIZE) as executor:
+        engine = NumericServingEngine(model, hcache, executor=executor)
+        frontend = ServingFrontend(engine, MemoryBudget(capacity_tokens=1 << 20))
+
+        def serve(prompts: dict, next_joins_at) -> dict:
+            handles = {}
+            for s, p in prompts.items():
+                handles[s] = frontend.submit(
+                    ServingRequest(
+                        session_id=s, prompt_tokens=p, max_new_tokens=EARLY_OUTPUT_TOKENS
+                    )
+                )
+                while not next_joins_at(handles[s]):
+                    frontend.step()
+            frontend.run_until_idle()
+            return {s: list(h.result().tokens) for s, h in handles.items()}
+
+        # One at a time: every prefill-carrying iteration is a whole
+        # SplitFuse chunk, not a remainder squeezed in beside decodes.
+        serve(first, lambda handle: handle.finished)
+        restored = {}
+        for s in sessions:
+            engine.evict(s)
+            restored[s] = hcache.restore(s)  # synchronous, inline
+        array.emulate_latency()
+        tokens = serve(second, lambda handle: handle.tokens())
+        array.stop_latency_emulation()
+
+        # Every session is checked, handed over early or not: the claim
+        # is that it makes no difference to what a session ends up holding.
+        caches_equal = True
+        for s in sessions:
+            cache, n = engine.session(s).kv_cache, len(restored[s])
+            reference = restored[s]
+            model.forward(second[s], reference)
+            for token in tokens[s]:
+                model.forward(np.array([token]), reference)
+            for layer in range(BENCH_CONFIG.n_layers):
+                for got, want in zip(cache.get(layer), reference.get(layer)):
+                    caches_equal &= bool(
+                        got.shape == want.shape
+                        and np.array_equal(got[:n], want[:n])
+                        and np.allclose(got[n:], want[n:], atol=BATCHED_DECODE_ATOL, rtol=0)
+                    )
+    return {
+        "sessions": EARLY_SESSIONS,
+        "history_tokens": EARLY_HISTORY_TOKENS + EARLY_OUTPUT_TOKENS,
+        "prompt_tokens": EARLY_PROMPT_TOKENS,
+        "tokens_equal": tokens == ref_tokens,
+        "early_releases": engine.early_releases,
+        "caches_equal": bool(caches_equal),
+    }
+
+
 def run(sizes: list[int], window: int) -> dict:
     model = Transformer.from_seed(BENCH_CONFIG, seed=7)
     bench_restore(model, 64)  # warmup: projection stacks, BLAS threads
@@ -1184,6 +1292,7 @@ def run(sizes: list[int], window: int) -> dict:
         # Flat (run once): the serving front end is a request loop, not
         # a per-context microbenchmark.
         "serving_frontend": {},
+        "early_release": {},
     }
     for n in sizes:
         state = bench_state_path(n, window)
@@ -1270,6 +1379,13 @@ def run(sizes: list[int], window: int) -> dict:
             f"{point['offered_load']:.1f}x:{point['goodput_tok_s']:7.1f}"
             for point in frontend["goodput_vs_load"]
         )
+    )
+    early = bench_early_release(model)
+    report["early_release"] = early
+    print(
+        f"early release: {early['early_releases']} of {early['sessions']} restores "
+        f"handed over while streaming (final caches equal={early['caches_equal']}), "
+        f"tokens_equal={early['tokens_equal']}"
     )
     largest = str(max(sizes))
     headline = report["decode_with_capture"][largest]["speedup"]
@@ -1446,6 +1562,16 @@ def run(sizes: list[int], window: int) -> dict:
                 and frontend["speedup"] >= FRONTEND_SPEEDUP_FLOOR
             ),
         },
+        # Early-release acceptance (prefill under the tail of the
+        # restore): counts and exactness only, never relaxed.
+        "early_release": {
+            **early,
+            "met": bool(
+                early["tokens_equal"]
+                and early["early_releases"] >= 1
+                and early["caches_equal"]
+            ),
+        },
     }
     gate = (
         f"target 10x, met={report['headline']['met']}"
@@ -1600,6 +1726,16 @@ def main() -> int:
             "serving must reach >= "
             f"{FRONTEND_SPEEDUP_FLOOR}x the serial chat_round throughput "
             "at the serial p99 SLO)",
+            file=sys.stderr,
+        )
+        return 1
+    if not report["headline"]["early_release"]["met"]:
+        print(
+            "ERROR: early-release gate failed (streams must equal the serial "
+            "loop, at least one restore must be handed over while streaming, "
+            "and every session's final cache must equal a synchronous "
+            "restore + serial prefill): "
+            + json.dumps(report["headline"]["early_release"]),
             file=sys.stderr,
         )
         return 1

@@ -26,6 +26,7 @@ from repro.errors import ConfigError, RecoveryError, RestorationError, StateErro
 from repro.models.kv_cache import KVCache
 from repro.models.transformer import ProjectionStats, Transformer
 from repro.runtime.executor import GranuleTrace, RestoreExecutor, drain_granules
+from repro.runtime.progress import RestoreProgress
 from repro.simulator.hardware import InterconnectSpec, Platform
 from repro.simulator.multi_gpu import allgather_time
 from repro.simulator.pipeline import (
@@ -464,6 +465,7 @@ class HCacheEngine:
         *,
         stats: RestoreBreakdown | None = None,
         executor: RestoreExecutor | None = None,
+        progress: RestoreProgress | None = None,
     ) -> KVCache:
         """Rebuild the context's full KV cache, chunk-streamed (§4.1).
 
@@ -517,8 +519,19 @@ class HCacheEngine:
         collects the per-stage :class:`RestoreBreakdown`; with an
         executor its ``read_s`` is the *exposed* IO stall (reads the
         pipeline failed to hide) rather than total read time.
+
+        ``progress`` (optional) makes the hand-over a *layer*, not a
+        cache: it is told the planned cache before the first row is
+        written, then each layer the moment its last row has been
+        projected or installed — hidden drain, KV drain, token-sourced
+        prefix and pool-served prefix alike, each layer exactly once, in
+        whatever order the stages finish them.  The stepping thread may
+        then prefill on ``progress.step_cache`` while later layers are
+        still landing (see :mod:`repro.runtime.progress`); the cache
+        returned here is untouched by that — at return it still
+        ``.equals`` the saved history, with ``len(cache) == n_tokens``.
         """
-        return self._restore(context_id, reserve_tokens, stats, executor)
+        return self._restore(context_id, reserve_tokens, stats, executor, progress)
 
     def _restore(
         self,
@@ -526,12 +539,24 @@ class HCacheEngine:
         reserve_tokens: int,
         stats: RestoreBreakdown | None,
         executor: RestoreExecutor | None,
+        progress: RestoreProgress | None,
     ) -> KVCache:
         """Plan -> drain -> install; see :meth:`restore` for the contract."""
         plan = self._plan_restore(context_id, reserve_tokens, stats, executor)
         cache, n_tokens, shared = plan.cache, plan.n_tokens, plan.shared
         timed = stats is not None
         n_recompute = self.scheme.n_recompute
+        if progress is not None:
+            progress.planned(cache, n_tokens)
+        rows_left = [n_tokens] * self.transformer.config.n_layers
+
+        def landed(layer: int, rows: int) -> None:
+            # Every stage that fills rows of a layer counts them here;
+            # the layer is complete when its last row is in.
+            rows_left[layer] -= rows
+            if not rows_left[layer] and progress is not None:
+                progress.layer_landed(layer)
+
         token_prefix: Callable[[], None] | None = None
         token_prefix_s = 0.0
         # (kind, layers, serve_prefix, consume_rows) of each stored kind.
@@ -556,6 +581,7 @@ class HCacheEngine:
                     layer, rows, start, k_view[start:stop], v_view[start:stop],
                     workspace, proj_stats,
                 )
+                landed(layer, rows.shape[0])
 
             def project_pool_prefix(layer: int) -> None:
                 # Pool-served rows MUST project in the exact granule
@@ -572,7 +598,7 @@ class HCacheEngine:
 
                 def run_token_prefix() -> None:
                     nonlocal token_prefix_s
-                    token_prefix_s = self._restore_token_prefix(plan, project)
+                    token_prefix_s = self._restore_token_prefix(plan, project, landed)
 
                 token_prefix = run_token_prefix
 
@@ -595,6 +621,7 @@ class HCacheEngine:
                         cache.install_packed_head_rows(layer, start, packed, h0, h1)
                 if timed:
                     stats.install_s += time.perf_counter() - t0
+                landed(layer, packed.shape[0])
 
             def install_pool_prefix(layer: int) -> None:
                 block_tokens = self.shared_store.block_tokens
@@ -604,6 +631,7 @@ class HCacheEngine:
                     )
                     rows = min(k_rows.shape[0], shared - bstart)
                     cache.install_rows(layer, bstart, k_rows[:rows], v_rows[:rows])
+                    landed(layer, rows)
 
             drains.append(("kv", plan.kv_layers, install_pool_prefix, install))
         # The token-sourced prefix rides under the first drain's IO
@@ -623,7 +651,10 @@ class HCacheEngine:
         return cache
 
     def _restore_token_prefix(
-        self, plan: _RestorePlan, project: Callable[[int, int, np.ndarray], None]
+        self,
+        plan: _RestorePlan,
+        project: Callable[[int, int, np.ndarray], None],
+        landed: Callable[[int, int], None],
     ) -> float:
         """Fill the RECOMPUTE layers ``[0, r)`` from the token log alone.
 
@@ -632,8 +663,9 @@ class HCacheEngine:
         are all its K/V needs — for ``r = 1`` the embedding gather alone
         — and go through ``project`` in the stored stream's granule
         partition, so the result is bit-identical to restoring those
-        rows from a device.  Returns the wall seconds of the whole
-        prefix; ``stats.recompute_s`` gets the replay alone (the last
+        rows from a device (and counted as landed there; a replayed
+        layer is reported through ``landed`` as it is installed).
+        Returns the wall seconds of the whole prefix; ``stats.recompute_s`` gets the replay alone (the last
         layer's projection is in ``stats.projection``).
         """
         last = self.scheme.n_recompute - 1
@@ -642,6 +674,7 @@ class HCacheEngine:
         replayed, rows = self.transformer.recompute_prefix(tokens, last)
         for layer in range(last):
             plan.cache.install(layer, *replayed.get(layer))
+            landed(layer, plan.n_tokens)
         if plan.stats is not None:
             plan.stats.recompute_s += time.perf_counter() - t0
         for start in range(0, plan.n_tokens, plan.granule_tokens):

@@ -192,11 +192,15 @@ class ServingEngine(_Protocol):
         the stepping thread when ``background`` and the engine is able."""
 
     def finished_restores(self) -> _Sequence[str]:
-        """Sessions whose restore completed since the last call, now
-        resident.  A restore that failed raises here."""
+        """Sessions an iteration may name from now on, each reported
+        once.  The engine decides when: at the latest when the restore
+        has completed, possibly while its last layers are still landing —
+        it then waits, per layer, inside ``execute_iteration``.  A
+        restore that failed raises here."""
 
     def wait_for_restores(self) -> None:
-        """Nothing but unfinished restores is runnable: let time pass."""
+        """Nothing but unreported restores is runnable: return when one
+        may have become reportable."""
 
     def execute_iteration(
         self,

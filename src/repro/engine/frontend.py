@@ -17,10 +17,13 @@ Ownership and threading rules (the event-loop contract):
   the requests and every engine call run on whichever thread calls
   :meth:`ServingFrontend.step`.  The front end is not itself thread-safe
   — one driver thread, like an asyncio loop.
-- **A restoring session is out of every plan**: it sits in the RESTORING
-  phase from ``start_restores`` until ``finished_restores`` reports it,
-  so the engine may restore it on other threads — no iteration touches
-  (or saves to) that session meanwhile.
+- **A restoring session is out of every plan until the engine reports
+  it**: it sits in the RESTORING phase from ``start_restores`` until
+  ``finished_restores`` names it, so the engine may restore it on other
+  threads — no iteration touches (or saves to) that session meanwhile.
+  The engine may report it while its last layers land; the iteration
+  that then carries its prompt waits per layer *inside the engine*, and
+  nothing here changes — a reported session is a plannable session.
 
 This module's ``__all__`` and its imports are pinned by the
 ``frontend-api`` lint rule.

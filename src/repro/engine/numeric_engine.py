@@ -11,6 +11,7 @@ which is the paper's losslessness claim in executable form.
 
 from __future__ import annotations
 
+import threading
 import time
 from concurrent.futures import Future, wait
 from dataclasses import dataclass, field
@@ -20,11 +21,22 @@ import numpy as np
 
 from repro.core.hcache import HCacheEngine
 from repro.engine.api import IterationResult
-from repro.errors import ConfigError, StateError
+from repro.errors import ConfigError, RestorationError, StateError
 from repro.models.hidden_capture import HiddenCapture
 from repro.models.kv_cache import KVCache
 from repro.models.transformer import Transformer
 from repro.runtime.executor import RestoreExecutor
+from repro.runtime.progress import RestoreProgress
+
+
+@dataclass(frozen=True)
+class _Restoring:
+    """One restore begun by ``start_restores``: what it resolves to, and
+    which of its layers have landed."""
+
+    future: "Future[KVCache]"
+    progress: RestoreProgress
+
 
 @dataclass
 class SessionState:
@@ -74,7 +86,21 @@ class NumericServingEngine:
         self._sessions: dict[str, SessionState] = {}
         #: Restores begun by :meth:`start_restores` and not yet reported
         #: by :meth:`finished_restores`.
-        self._restoring: dict[str, Future[KVCache]] = {}
+        self._restoring: dict[str, _Restoring] = {}
+        #: Reported sessions whose restore has not been seen to return:
+        #: they step on ``progress.step_cache`` and must not be saved to,
+        #: sealed or dropped before :meth:`_settle_restore`.
+        self._landing: dict[str, _Restoring] = {}
+        #: Notified by every restore on each landed layer and at its end.
+        self._restore_changed = threading.Condition()
+        #: Wall seconds of the last prefill-carrying iteration, net of the
+        #: time it spent waiting on landing layers — what a restore's
+        #: predicted remainder is compared with.
+        self._prefill_s = 0.0
+        #: Sessions reported by :meth:`finished_restores` while their
+        #: restore was still streaming (monotonic; tests and the smoke gate
+        #: read it).
+        self.early_releases = 0
 
     @classmethod
     def recover(
@@ -138,6 +164,7 @@ class NumericServingEngine:
             raise ConfigError("prompt must be a non-empty 1-D token array")
         if n_output_tokens <= 0:
             raise ConfigError("output length must be positive")
+        self._settle_restore(session_id)
 
         # The round's final length is known up front: restore into (or
         # reserve) a cache sized for the whole round and one shared capture
@@ -281,8 +308,30 @@ class NumericServingEngine:
             packed_call, batch = self.transformer.forward_fused, segments
         else:
             packed_call, batch = self.transformer.decode_batch, step_tokens
-        logits = packed_call(batch, caches, captures=captures)
+        started = time.perf_counter()
+        try:
+            logits = packed_call(batch, caches, captures=captures)
+        except RestorationError:
+            # The kernel rolled every cache back to its starting length;
+            # a session whose restore died is evicted again (storage still
+            # holds its history), the others are as they were.
+            for state in states:
+                restoring = self._landing.get(state.session_id)
+                if restoring is not None and restoring.progress.failed:
+                    del self._landing[state.session_id]
+                    state.kv_cache = None
+            raise
+        if chunks:
+            # Net of the waits on landing layers (a session gates only this
+            # one call: it is settled below), or each early release would
+            # stretch the measurement that justifies the next one.
+            self._prefill_s = time.perf_counter() - started - sum(
+                self._landing[state.session_id].progress.blocked_s
+                for state in states
+                if state.session_id in self._landing
+            )
         for b, (state, segment) in enumerate(zip(states, segments)):
+            self._settle_restore(state.session_id)
             self.hcache.save_states(
                 state.session_id,
                 captures[b].block_views(0, segment.size),
@@ -315,7 +364,8 @@ class NumericServingEngine:
         self, reserve_tokens: Mapping[str, int], *, background: bool
     ) -> None:
         """Begin restoring evicted sessions, each into a cache sized for
-        ``reserve_tokens[session_id]`` so its round never recopies history.
+        ``reserve_tokens[session_id]`` so its round never recopies history
+        (and never has to grow while the restore still writes).
 
         With an executor the sessions restore concurrently through its
         pool (granule reads on the IO workers, projection GEMMs on driver
@@ -323,49 +373,102 @@ class NumericServingEngine:
         when ``background``, as one burst finished before this returns
         otherwise.  Without one they restore here, one after the other.
         No iteration may touch a session until :meth:`finished_restores`
-        reports it: :meth:`HCacheEngine.restore` allows concurrent saves
-        of *other* contexts only.  Caches are bit-identical every way.
+        reports it.  Caches are bit-identical every way.
         """
         session_ids = list(reserve_tokens)
+        n_layers = self.transformer.config.n_layers
+        progress = {
+            sid: RestoreProgress(sid, n_layers, self._restore_changed)
+            for sid in session_ids
+        }
         if self.executor is None:
-            for session_id in session_ids:
-                future: Future[KVCache] = Future()
-                future.set_result(
-                    self.hcache.restore(session_id, reserve_tokens[session_id])
+            futures: dict[str, Future[KVCache]] = {}
+            for sid in session_ids:
+                futures[sid] = Future()
+                futures[sid].set_result(
+                    self.hcache.restore(sid, reserve_tokens[sid], progress=progress[sid])
                 )
-                self._restoring[session_id] = future
-            return
-        futures = self.executor.restore_contexts_async(
-            self.hcache, session_ids, reserve_tokens=reserve_tokens
-        )
-        if not background:
-            wait(futures.values())
-        self._restoring.update(futures)
+                futures[sid].add_done_callback(progress[sid].settle)
+        else:
+            futures = self.executor.restore_contexts_async(
+                self.hcache, session_ids, reserve_tokens=reserve_tokens, progress=progress
+            )
+            if not background:
+                wait(futures.values())
+        for sid in session_ids:
+            self._restoring[sid] = _Restoring(futures[sid], progress[sid])
+
+    def _releasable(self) -> list[str]:
+        """The one release rule: a restoring session may join the
+        iteration once its restore's predicted remaining time is no
+        longer than the last prefill-carrying iteration took — from then
+        on the prefill can no longer outrun the layers still landing (the
+        bubble-free condition at the restore/prefill boundary).  A
+        restore that has ended has nothing remaining."""
+        return [
+            sid
+            for sid, restoring in self._restoring.items()
+            if restoring.progress.remaining_s() <= self._prefill_s
+        ]
 
     def finished_restores(self) -> list[str]:
-        """Install every completed restore (on the calling thread — workers
-        never touch session state); a failed one raises here."""
-        done = [sid for sid, future in self._restoring.items() if future.done()]
-        for session_id in done:
-            self.session(session_id).kv_cache = self._restoring.pop(session_id).result()
-        return done
+        """Sessions an iteration may now name (see :meth:`_releasable`),
+        made resident on the calling thread — workers never touch session
+        state.  One whose restore is still streaming steps on a second
+        handle over the restoring cache's rows, and the packed kernel
+        waits per layer for its history; a restore that failed raises
+        here and leaves its session evicted."""
+        released = self._releasable()
+        for sid in released:
+            restoring = self._restoring.pop(sid)
+            if restoring.future.done():
+                restoring.future.result()
+            else:
+                self.early_releases += 1
+            self.session(sid).kv_cache = restoring.progress.step_cache
+            self._landing[sid] = restoring
+        return released
 
     def wait_for_restores(self) -> None:
-        """Yield briefly so a poll loop does not spin a core against the
-        restore futures."""
-        time.sleep(0.0002)  # lint: disable=exception-safety -- genuine wall-clock backoff while polling restore futures, not modelled latency
+        """Block until restore progress: a layer landing, a completion and
+        a failure all notify, and every restore ends in one of the three —
+        so there is always a next event while nothing is reportable, and
+        no timeout.  Returns per event, not per release: the loop gets to
+        admit new arrivals within one layer's time."""
+        with self._restore_changed:
+            if self._restoring and not self._releasable():
+                self._restore_changed.wait()
+
+    def _settle_restore(self, session_id: str) -> None:
+        """Wait out a reported session's restore before its context is
+        saved to, sealed or dropped (:meth:`HCacheEngine.restore` allows
+        concurrent saves of *other* contexts only).  From here on its
+        cache is an ordinary one; a restore that failed after all leaves
+        the session evicted and raises."""
+        restoring = self._landing.pop(session_id, None)
+        if restoring is None:
+            return
+        state = self.session(session_id)
+        assert state.kv_cache is not None
+        error = restoring.future.exception()
+        if error is not None:
+            state.kv_cache = None
+            raise error
+        state.kv_cache.landing = None
 
     def evict(self, session_id: str) -> None:
         """Drop a session's GPU state; host storage keeps everything."""
         state = self.session(session_id)
         if not state.on_gpu:
             raise StateError(f"session {session_id!r} is already evicted")
+        self._settle_restore(session_id)
         self.hcache.seal(session_id)
         state.kv_cache = None
 
     def close_session(self, session_id: str) -> None:
         """End a conversation and free its storage."""
         state = self.session(session_id)
+        self._settle_restore(session_id)
         state.kv_cache = None
         self.hcache.drop_context(session_id)
         del self._sessions[session_id]

@@ -83,13 +83,15 @@ HOT_PATHS: dict[str, frozenset[str]] = {
             "BlockStateStore.kv_rows",
         }
     ),
-    # Pool-served shared-prefix gather on the restore path, and the
+    # Pool-served shared-prefix gather on the restore path, the
     # token-sourced prefix (one projection per granule of the last
-    # RECOMPUTE layer, rows sliced from the replayed hidden block).
+    # RECOMPUTE layer, rows sliced from the replayed hidden block), and
+    # the per-granule row count that reports a layer as landed.
     "repro/core/hcache.py": frozenset(
         {
             "HCacheEngine._gather_pool_hidden",
             "HCacheEngine._restore_token_prefix",
+            "HCacheEngine._restore.landed",
         }
     ),
     # Sharded restoration planning (PR 9): shard plans run once per
@@ -97,6 +99,14 @@ HOT_PATHS: dict[str, frozenset[str]] = {
     # keeps the dispatch half of the executor-overhead budget flat.
     "repro/core/gqa.py": frozenset({"partition_kv_heads"}),
     "repro/runtime/executor.py": frozenset({"partition_layers"}),
+    # The per-layer hand-over: one landing per restored layer, one wait
+    # per (layer, gated segment) inside the packed model call.
+    "repro/runtime/progress.py": frozenset(
+        {
+            "RestoreProgress.layer_landed",
+            "RestoreProgress.wait_layer",
+        }
+    ),
     # Storage granule loop: chunk reads land straight in staging slots.
     "repro/storage/device.py": frozenset({"StorageDevice.read_into"}),
     "repro/storage/manager.py": frozenset(

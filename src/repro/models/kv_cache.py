@@ -25,16 +25,24 @@ copy, exactly as a real serving system snapshots KV pages before reuse.
 Every cache owns its buffers for its whole life: the packed model call
 (:meth:`repro.models.transformer.Transformer.forward_fused`) attends each
 session against its own cache, so a session joining or leaving a batch
-moves no K/V rows.
+moves no K/V rows.  The one sharing there is, is between the cache a
+restore is filling and its :meth:`KVCache.landing_handle` — same rows,
+separate lengths — which lets a prompt prefill behind layers that have
+landed while later ones still stream.
 """
 
 from __future__ import annotations
+
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.errors import ConfigError, StateError
 from repro.models.config import ModelConfig
 from repro.models.growth import grown_capacity
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.runtime.progress import RestoreProgress
 
 
 class KVCache:
@@ -51,6 +59,10 @@ class KVCache:
         #: histogram as an invariant makes ``__len__`` (called on every
         #: forward pass) O(1) while still detecting layer disagreement.
         self._len_counts: dict[int, int] = {0: self._n_layers}
+        #: Set only on a :meth:`landing_handle`: the restore still writing
+        #: this cache's history rows.  The packed kernel waits on it per
+        #: layer before it appends; ``None`` for every resident cache.
+        self.landing: RestoreProgress | None = None
 
     # ------------------------------------------------------------------
     # lengths
@@ -109,6 +121,13 @@ class KVCache:
         cap = self.capacity
         if cap >= min_capacity:
             return
+        if self.landing is not None and not self.landing.settled:
+            # A reallocation would copy rows the restore has not written
+            # yet, and strand its later writes in the old buffers.
+            raise StateError(
+                f"cannot grow past {cap} tokens while a restore is still "
+                "landing rows in this cache (reserve the round at restore time)"
+            )
         new_cap = grown_capacity(cap, min_capacity)
         new_k = np.empty((self._n_layers, new_cap, *self._row_shape), dtype=np.float32)
         new_v = np.empty_like(new_k)
@@ -129,6 +148,29 @@ class KVCache:
         if n_tokens < 0:
             raise ConfigError("cannot reserve a negative capacity")
         self._ensure_capacity(n_tokens)
+
+    def landing_handle(self, n_tokens: int, landing: RestoreProgress) -> "KVCache":
+        """A second handle over this cache's row storage, for the thread
+        that steps while a restore still fills rows ``[0, n_tokens)``.
+
+        The handle has lengths of its own — every layer at ``n_tokens``
+        from the start — so the two threads share no mutable metadata:
+        the restore keeps writing (and finally returns) this cache, the
+        stepping thread appends rows ``>= n_tokens`` through the handle,
+        and layer ``L`` of the handle may be read only after
+        ``landing.wait_layer(L)``.  Capacity must already cover the
+        round: the handle refuses to grow until the restore has ended.
+        """
+        if not 0 <= n_tokens <= self.capacity:
+            raise ConfigError(
+                f"{n_tokens} tokens do not fit the reserved {self.capacity}"
+            )
+        handle = KVCache(self.config)
+        handle._k, handle._v = self._k, self._v
+        handle._lens = [n_tokens] * self._n_layers
+        handle._len_counts = {n_tokens: self._n_layers}
+        handle.landing = landing
+        return handle
 
     # ------------------------------------------------------------------
     # validation helpers

@@ -602,32 +602,43 @@ class Transformer:
         # (every row's K/V is still appended first).  Decode-only calls
         # are unchanged: every row is a last row.
         last = np.array(bounds[1:]) - 1
-        for layer in range(config.n_layers):
-            if captures is not None:
-                for s, capture in enumerate(captures):
-                    capture.write(layer, rows[s], hidden[bounds[s] : bounds[s + 1]])
-            w = self.weights.layers[layer]
-            final_layer = layer == config.n_layers - 1
-            # One packed projection: row r's RoPE angle comes from its own
-            # absolute position, exactly what compute_qkv applies rowwise.
-            q, k, v = self.compute_qkv(layer, hidden, positions)
-            if final_layer:
-                hidden, attn_out = hidden[last], attn_out[: len(segments)]
-            for s, cache in enumerate(caches):
-                o0, o1 = bounds[s], bounds[s + 1]
-                cache.append(layer, k[o0:o1], v[o0:o1])
-                keys, values = cache.get(layer)
-                q0, out = (o1 - 1, attn_out[s : s + 1]) if final_layer else (o0, attn_out[o0:o1])
-                scaled_dot_product_attention(
-                    q[q0:o1],
-                    repeat_kv(keys, n_rep),
-                    repeat_kv(values, n_rep),
-                    query_offset=starts[s] + q0 - o0,
-                    out=out,
-                )
-            hidden = hidden + merge_heads(attn_out) @ w.wo
-            normed = self._norm(hidden, w.ffn_norm)
-            hidden = hidden + ffn_forward(normed, w, config.n_ffn_mats)
+        try:
+            for layer in range(config.n_layers):
+                if captures is not None:
+                    for s, capture in enumerate(captures):
+                        capture.write(layer, rows[s], hidden[bounds[s] : bounds[s + 1]])
+                w = self.weights.layers[layer]
+                final_layer = layer == config.n_layers - 1
+                # One packed projection: row r's RoPE angle comes from its own
+                # absolute position, exactly what compute_qkv applies rowwise.
+                q, k, v = self.compute_qkv(layer, hidden, positions)
+                if final_layer:
+                    hidden, attn_out = hidden[last], attn_out[: len(segments)]
+                for s, cache in enumerate(caches):
+                    o0, o1 = bounds[s], bounds[s + 1]
+                    if cache.landing is not None:
+                        # A session released while its restore still streams:
+                        # this layer's history must have landed before the
+                        # prompt's rows go behind it (resident caches skip this).
+                        cache.landing.wait_layer(layer)
+                    cache.append(layer, k[o0:o1], v[o0:o1])
+                    keys, values = cache.get(layer)
+                    q0, out = (o1 - 1, attn_out[s : s + 1]) if final_layer else (o0, attn_out[o0:o1])
+                    scaled_dot_product_attention(
+                        q[q0:o1],
+                        repeat_kv(keys, n_rep),
+                        repeat_kv(values, n_rep),
+                        query_offset=starts[s] + q0 - o0,
+                        out=out,
+                    )
+                hidden = hidden + merge_heads(attn_out) @ w.wo
+                normed = self._norm(hidden, w.ffn_norm)
+                hidden = hidden + ffn_forward(normed, w, config.n_ffn_mats)
+        # lint: disable=exception-safety -- rollback, then re-raise: a call that dies at layer k must not leave every cache of the batch appended for layers < k only
+        except BaseException:
+            for cache, start in zip(caches, starts):
+                cache.truncate(start)
+            raise
         final = self._norm(hidden, self.weights.final_norm)
         return final @ self.weights.lm_head
 

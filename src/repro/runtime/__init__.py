@@ -16,6 +16,10 @@ IO/compute overlap is real wall clock:
   per-stage in-flight window a restoration drains with; also restores
   multiple contexts concurrently through one shared pool for the serving
   layer.
+- :class:`RestoreProgress` — the per-layer hand-over between a streaming
+  restore and the serving iteration: the restore posts each layer as its
+  last row lands, the packed model call waits per layer, a failure wakes
+  the waiter with a typed error.
 
 The inline single-threaded drain remains the default everywhere; pass an
 executor to opt in.  See ``docs/ARCHITECTURE.md`` for the pipeline
@@ -29,11 +33,13 @@ from repro.runtime.executor import (
     partition_layers,
 )
 from repro.runtime.io_pool import IOWorkerPool
+from repro.runtime.progress import RestoreProgress
 
 __all__ = [
     "GranuleTrace",
     "IOWorkerPool",
     "RestoreExecutor",
+    "RestoreProgress",
     "drain_granules",
     "partition_layers",
 ]

@@ -57,6 +57,7 @@ from repro.storage.streaming import LayerChunk
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from repro.core.hcache import HCacheEngine, RestoreBreakdown
     from repro.models.kv_cache import KVCache
+    from repro.runtime.progress import RestoreProgress
 
 #: Granules each stage keeps in flight *beyond* one per IO worker it can
 #: expect.  The runway of completed-but-unconsumed granules absorbs bursty
@@ -385,6 +386,7 @@ class RestoreExecutor:
         context_ids: Sequence[str],
         *,
         reserve_tokens: "int | Mapping[str, int]" = 0,
+        progress: "Mapping[str, RestoreProgress] | None" = None,
     ) -> dict[str, "Future[KVCache]"]:
         """Start restoring several contexts through the shared pool.
 
@@ -406,11 +408,18 @@ class RestoreExecutor:
         ``reserve_tokens`` is one capacity for every context or a
         per-context mapping (see :func:`per_context_reserve`).
 
+        ``progress`` (one :class:`~repro.runtime.progress.RestoreProgress`
+        per context id) is handed to each ``engine.restore`` — which posts
+        every layer as it lands — and settled from the future's
+        done-callback, so a waiter on it always wakes: on the layer, on
+        completion, or with the failure.
+
         Safety: the restored context must not be saved to or dropped
-        while its future is outstanding (the front end keeps such
-        sessions in the RESTORING phase, outside every iteration plan);
-        concurrent saves of *other* contexts are fine, per the
-        :meth:`HCacheEngine.restore` concurrency contract.
+        while its future is outstanding; concurrent saves of *other*
+        contexts are fine, per the :meth:`HCacheEngine.restore`
+        concurrency contract.  With ``progress`` the serving engine may
+        prefill on ``progress[cid].step_cache`` meanwhile — a second
+        handle, never the cache the future resolves to.
         """
         if self._closed:
             raise StateError("restore executor is closed")
@@ -428,12 +437,18 @@ class RestoreExecutor:
                 max_workers=self.max_concurrent_restores,
                 thread_name_prefix="hcache-restore",
             )
-        return {
+        sinks: "Mapping[str, RestoreProgress]" = progress if progress is not None else {}
+        futures = {
             cid: self._drivers.submit(
-                partial(engine.restore, cid, reserve[cid], executor=self)
+                partial(
+                    engine.restore, cid, reserve[cid], executor=self, progress=sinks.get(cid)
+                )
             )
             for cid in ids
         }
+        for cid, sink in sinks.items():
+            futures[cid].add_done_callback(sink.settle)
+        return futures
 
     def restore_contexts(
         self,

@@ -13,9 +13,13 @@ sizes and non-divisible layer/head splits.
 
 The engine's default scheme token-sources layer 0 (a 1-layer RECOMPUTE
 prefix): every matrix cell also runs it and a 2-layer prefix, and must
-restore the same bytes as the all-stored pure-hidden engine.  The last
-section pins *where* that token-sourced work runs (under the drain's
-first window of reads) and that layer 0 never touches a device.
+restore the same bytes as the all-stored pure-hidden engine.  Every cell
+restores with a progress sink attached: whichever stages fill a layer
+(hidden drain, KV drain, token-sourced prefix, pool-served prefix), it is
+reported exactly once, and the returned cache is the one a restore
+nobody watched returns.  The last section pins *where* the token-sourced
+work runs (under the drain's first window of reads) and that layer 0
+never touches a device.
 """
 
 from __future__ import annotations
@@ -34,6 +38,7 @@ from repro.models.kv_cache import KVCache
 from repro.models.reference import naive_restore_cache_from_hidden
 from repro.models.transformer import Transformer
 from repro.runtime import RestoreExecutor
+from repro.runtime import RestoreProgress
 from repro.simulator import platform_preset
 from repro.simulator.pipeline import LayerMethod
 from repro.state import BlockPool, BlockStateStore
@@ -72,6 +77,18 @@ GQA_CONFIG = replace(
 def flavor_id(flavor):
     pool, (pipeline, tensor) = flavor
     return INLINE if pool == INLINE else f"pool{pool}-{pipeline}x{tensor}"
+
+
+class RecordingProgress(RestoreProgress):
+    """A real sink that also lists the layers in the order they landed."""
+
+    def __init__(self, n_layers):
+        super().__init__("c", n_layers)
+        self.layers = []
+
+    def layer_landed(self, layer):
+        super().layer_landed(layer)
+        self.layers.append(layer)
 
 
 def restore_through(engine, context_id, flavor, **kwargs):
@@ -159,8 +176,18 @@ def pure_hidden_restore():
 def test_every_restore_shape_is_bit_exact(flavor, scheme, pool_state, pure_hidden_restore):
     engine, oracle = build_case(SCHEMES[scheme], pool_state)
     stats = RestoreBreakdown()
-    restored = restore_through(engine, "c", flavor, stats=stats)
+    n_layers = engine.transformer.config.n_layers
+    sink = RecordingProgress(n_layers)
+    restored = restore_through(engine, "c", flavor, stats=stats, progress=sink)
     assert restored.equals(oracle, atol=0.0)
+    # Every layer reported once (a second report raises inside the sink),
+    # and the step-side handle sits on the rows that were just returned.
+    assert sorted(sink.layers) == list(range(n_layers))
+    assert len(restored) == len(sink.step_cache) == N_TOKENS
+    assert all(
+        np.shares_memory(sink.step_cache.get(layer)[0], restored.get(layer)[0])
+        for layer in range(n_layers)
+    )
     # Whatever a scheme sources from tokens or K/V instead of stored
     # hidden rows, every layer equals the all-stored restore's.
     assert restored.equals(pure_hidden_restore, atol=0.0)
@@ -229,7 +256,9 @@ def test_model_length_and_granule_variants(flavor, variant):
     )
     tokens = np.random.default_rng(5).integers(0, config.vocab_size, size=n_tokens)
     oracle = prefill_and_save(engine, model, "c", tokens, seal=seal)
-    assert restore_through(engine, "c", flavor).equals(oracle, atol=0.0)
+    sink = RecordingProgress(config.n_layers)
+    assert restore_through(engine, "c", flavor, progress=sink).equals(oracle, atol=0.0)
+    assert sorted(sink.layers) == list(range(config.n_layers))
 
 
 def test_gqa_oversplit_raises_before_restoring():

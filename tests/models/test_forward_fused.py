@@ -9,13 +9,16 @@ front end substitutes it for a serial per-session prefill loop.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from repro.errors import ConfigError
+from repro.models.config import model_preset
 from repro.models.hidden_capture import HiddenCapture
 from repro.models.kv_cache import KVCache
-from repro.models.transformer import BATCHED_DECODE_ATOL
+from repro.models.transformer import BATCHED_DECODE_ATOL, Transformer
 
 
 def _prompts(config, sizes, seed):
@@ -139,3 +142,50 @@ class TestValidation:
         too_long = np.zeros(tiny_config.max_context + 1, dtype=np.int64)
         with pytest.raises(ConfigError):
             tiny_model.forward_fused([too_long], [cache])
+
+
+class TestRollback:
+    """A call that dies at layer k leaves no cache appended for layers < k."""
+
+    def test_a_failure_mid_stack_leaves_every_cache_of_the_batch_as_it_was(self):
+        config = replace(model_preset("tiny-llama"), name="tiny-6", n_layers=6)
+        model = Transformer.from_seed(config, seed=7)
+        histories = _prompts(config, [6, 4, 9], seed=47)
+        segments = [np.array([3]), _prompts(config, [5], seed=48)[0], np.array([7])]
+
+        def prefilled():
+            caches = [KVCache(config) for _ in histories]
+            for cache, history in zip(caches, histories):
+                model.forward(history, cache)
+            return caches
+
+        control, caches = prefilled(), prefilled()
+        before = [
+            [tuple(np.array(x) for x in cache.get(layer)) for layer in range(config.n_layers)]
+            for cache in caches
+        ]
+        real = model.compute_qkv
+
+        def dies_at_layer_5(layer, hidden, positions):
+            if layer == 5:
+                raise MemoryError("injected at layer 5")
+            return real(layer, hidden, positions)
+
+        model.compute_qkv = dies_at_layer_5
+        try:
+            with pytest.raises(MemoryError, match="layer 5"):
+                model.forward_fused(segments, caches)
+        finally:
+            del model.compute_qkv
+        for cache, history, rows in zip(caches, histories, before):
+            cache.debug_validate()
+            assert len(cache) == history.size  # no "layers disagree" StateError
+            for layer, (keys, values) in enumerate(rows):
+                assert np.array_equal(cache.get(layer)[0], keys)
+                assert np.array_equal(cache.get(layer)[1], values)
+        # The next call serves the same sessions exactly as if nothing happened.
+        expected = model.forward_fused(segments, control)
+        logits = model.forward_fused(segments, caches)
+        assert np.array_equal(logits, expected)
+        for cache, twin in zip(caches, control):
+            assert cache.equals(twin, atol=0.0)
