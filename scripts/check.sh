@@ -10,8 +10,10 @@
 #   - ruff with the repo config in pyproject.toml (style/pyflakes);
 #   - `python -m repro.lint src` — the project-specific invariant
 #     checker (lock discipline, §6.2 commit-point ordering, hot-path
-#     allocation bans, exception safety, __all__ drift); zero findings
-#     required, deliberate exceptions carry in-source waivers;
+#     allocation bans, exception safety, __all__ drift, unused imports —
+#     ruff's F401, so a local run without ruff still catches a stale
+#     import); zero findings required, deliberate exceptions carry
+#     in-source waivers;
 #   - mypy, non-strict, over repro.storage + repro.runtime + repro.state.
 # ruff and mypy are optional *locally* (skipped with a notice via
 # require_or_skip below) but REQUIRED in CI: a missing tool there is a
@@ -89,7 +91,7 @@ python -m compileall -q src benchmarks scripts
 echo "== lint (ruff) =="
 require_or_skip ruff python -m ruff check src tests benchmarks scripts
 
-echo "== invariant lint (repro.lint: guarded-by, commit-point, hot-path, exception-safety, api-surface) =="
+echo "== invariant lint (repro.lint: guarded-by, commit-point, hot-path, exception-safety, api-surface, frontend-api, unused-import) =="
 python -m repro.lint src
 
 echo "== types (mypy, non-strict, repro.storage + repro.runtime + repro.state) =="

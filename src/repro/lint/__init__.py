@@ -24,6 +24,9 @@ design contract behind each):
   bindings.
 - ``frontend-api`` — the serving front-end ``__all__`` is pinned to an
   explicit surface.
+- ``unused-import`` — every module-level import is referenced, exported
+  via ``__all__``, re-exported by a package ``__init__`` or marked
+  ``# noqa: F401`` (pyflakes F401, without ruff).
 
 Deliberate exceptions are waived in place, with a mandatory reason::
 
@@ -48,6 +51,7 @@ from repro.lint.rules import (
     FrontendApiRule,
     GuardedByRule,
     HotPathRule,
+    UnusedImportRule,
     default_rules,
 )
 
@@ -62,6 +66,7 @@ __all__ = [
     "HotPathRule",
     "ModuleInfo",
     "Rule",
+    "UnusedImportRule",
     "Waiver",
     "check_module",
     "check_paths",

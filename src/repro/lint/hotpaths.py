@@ -50,11 +50,14 @@ HOT_PATHS: dict[str, frozenset[str]] = {
             "HiddenCapture.write",
         }
     ),
-    # The fused elementwise kernels project_kv_chunk relies on.
+    # The fused elementwise kernels project_kv_chunk relies on, and the
+    # packed call's small-batch product: its panel loop writes strided
+    # weight views into one output array and allocates nothing else.
     "repro/models/tensor_ops.py": frozenset(
         {
             "rmsnorm_into",
             "layernorm_into",
+            "panelled_matmul",
         }
     ),
     "repro/models/rope.py": frozenset(

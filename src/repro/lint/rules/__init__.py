@@ -2,8 +2,8 @@
 
 Each rule turns one documented contract (locking discipline, durability
 ordering, hot-path allocation budget, failure visibility, export
-surface) into an AST check; :data:`default_rules` is the set the CLI and
-the CI gate run.
+surface, import hygiene) into an AST check; :data:`default_rules` is the
+set the CLI and the CI gate run.
 """
 
 from repro.lint.rules.api_surface import ApiSurfaceRule
@@ -12,6 +12,7 @@ from repro.lint.rules.exception_safety import ExceptionSafetyRule
 from repro.lint.rules.frontend_api import FrontendApiRule
 from repro.lint.rules.guarded_by import GuardedByRule
 from repro.lint.rules.hot_path import HotPathRule
+from repro.lint.rules.unused_import import UnusedImportRule
 
 __all__ = [
     "ApiSurfaceRule",
@@ -20,6 +21,7 @@ __all__ = [
     "FrontendApiRule",
     "GuardedByRule",
     "HotPathRule",
+    "UnusedImportRule",
     "default_rules",
 ]
 
@@ -33,4 +35,5 @@ def default_rules() -> list:
         ExceptionSafetyRule(),
         ApiSurfaceRule(),
         FrontendApiRule(),
+        UnusedImportRule(),
     ]

@@ -47,7 +47,13 @@ from repro.models.rope import (
     rope_rotate_fullwidth_into,
     rope_rotation_tables,
 )
-from repro.models.tensor_ops import layernorm, layernorm_into, rmsnorm, rmsnorm_into
+from repro.models.tensor_ops import (
+    layernorm,
+    layernorm_into,
+    panelled_matmul,
+    rmsnorm,
+    rmsnorm_into,
+)
 from repro.models.weights import LayerWeights, ModelWeights, init_weights
 
 #: Pinned tolerance for comparing the batched multi-session decode path
@@ -539,8 +545,9 @@ class Transformer:
         not bit-exactly — elementwise stages (norm, RoPE, residuals) are
         per-row and bit-identical to the serial path, while the BLAS
         stages round differently in the last ulps: the packed GEMMs by
-        their M-blocking (M=sum of segment lengths vs per-session M),
-        block attention by how the prompt was chunked (see the constant).
+        their M-blocking (M=sum of segment lengths vs per-session M) and
+        small-batch column panels (see :meth:`_forward_packed`), block
+        attention by how the prompt was chunked (see the constant).
         """
         return self._forward_packed(
             [np.asarray(seg) for seg in segments], caches, captures
@@ -552,7 +559,21 @@ class Transformer:
         caches: Sequence[KVCache],
         captures: Sequence[HiddenCapture] | None,
     ) -> np.ndarray:
-        """The one batched kernel behind both public spellings above."""
+        """The one batched kernel behind both public spellings above.
+
+        Its output projection, FFN and LM head go through
+        :func:`~repro.models.tensor_ops.panelled_matmul`: a decode step
+        of 2–``M_MAX`` sessions, and the last-row-only final layer and
+        LM head of a prefill-carrying call, issue those products as
+        column panels inside BLAS's small-matrix limit instead of one
+        call that packs the weight every time; a larger block (a prefill
+        chunk, a 16-session decode) is one call as before.  Q, K and V
+        stay on :meth:`compute_qkv`'s single GEMMs — K and V are the
+        arithmetic a restore replays — and the serial :meth:`forward`,
+        :meth:`project_kv` and :meth:`project_kv_chunk` keep plain
+        ``matmul``, so restore bit-exactness and the serial reference do
+        not depend on the panelling.
+        """
         config = self.config
         caches = list(caches)
         if not segments:
@@ -631,16 +652,18 @@ class Transformer:
                         query_offset=starts[s] + q0 - o0,
                         out=out,
                     )
-                hidden = hidden + merge_heads(attn_out) @ w.wo
+                hidden = hidden + panelled_matmul(merge_heads(attn_out), w.wo)
                 normed = self._norm(hidden, w.ffn_norm)
-                hidden = hidden + ffn_forward(normed, w, config.n_ffn_mats)
+                hidden = hidden + ffn_forward(
+                    normed, w, config.n_ffn_mats, panelled_matmul
+                )
         # lint: disable=exception-safety -- rollback, then re-raise: a call that dies at layer k must not leave every cache of the batch appended for layers < k only
         except BaseException:
             for cache, start in zip(caches, starts):
                 cache.truncate(start)
             raise
         final = self._norm(hidden, self.weights.final_norm)
-        return final @ self.weights.lm_head
+        return panelled_matmul(final, self.weights.lm_head)
 
     # ------------------------------------------------------------------
     # restoration helpers

@@ -51,6 +51,7 @@ def test_list_rules_names_all_five(capsys):
         "hot-path",
         "exception-safety",
         "api-surface",
+        "unused-import",
     ):
         assert rule in out
 

@@ -92,3 +92,16 @@ def test_injected_hot_path_copy_is_caught(tmp_path):
     assert len(findings) == 1
     assert findings[0].rule == "hot-path"
     assert "StorageDevice.read_into" in findings[0].message
+
+
+def test_injected_stale_import_is_caught(tmp_path):
+    # The edit that moves a call out of a module and leaves its import.
+    dest = _copy_into_tree(tmp_path, "repro/models/ffn.py")
+    source = dest.read_text()
+    target = "matmul(gelu(matmul(x, weights.w_up)), weights.w_down)"
+    assert source.count(target) == 1, "gelu_ffn moved; update test"
+    dest.write_text(source.replace(target, "matmul(matmul(x, weights.w_up), weights.w_down)"))
+    findings = check_paths([tmp_path], default_rules())
+    assert len(findings) == 1
+    assert findings[0].rule == "unused-import"
+    assert "'gelu' is imported but never used" in findings[0].message

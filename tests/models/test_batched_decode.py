@@ -7,9 +7,15 @@ serial decode path for every session of the batch — unequal lengths,
 GQA, layernorm/no-rope — within the documented batched-GEMM tolerance
 (:data:`repro.models.transformer.BATCHED_DECODE_ATOL`), with identical
 post-step cache contents, and must agree with each other bit for bit.
+
+The hidden-64 presets never cross BLAS's small-matrix limit, so the two
+``wide-*`` configs (bench-mid width, two layers) are what puts the
+panelled products of a 2–``M_MAX``-session step under every check here.
 """
 
 from __future__ import annotations
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,6 +26,7 @@ from repro.errors import ConfigError
 from repro.models.config import ModelConfig, model_preset
 from repro.models.hidden_capture import HiddenCapture
 from repro.models.kv_cache import KVCache
+from repro.models.tensor_ops import M_MAX
 from repro.models.transformer import BATCHED_DECODE_ATOL, Transformer
 
 GQA_CONFIG = ModelConfig(
@@ -34,10 +41,18 @@ GQA_CONFIG = ModelConfig(
     max_context=256,
 )
 
+#: Bench-mid width and vocabulary on two layers: a 2-row FFN or LM-head
+#: product already exceeds the small-matrix limit.
+WIDE = dict(
+    n_layers=2, hidden_size=512, n_heads=8, n_kv_heads=8, ffn_hidden_size=1408, vocab_size=4096
+)
+
 CONFIGS = {
     "tiny-llama": model_preset("tiny-llama"),
     "tiny-opt": model_preset("tiny-opt"),
     "tiny-gqa": GQA_CONFIG,
+    "wide-llama": replace(model_preset("tiny-llama"), name="wide-llama", **WIDE),
+    "wide-opt": replace(model_preset("tiny-opt"), name="wide-opt", **WIDE),
 }
 
 _MODELS: dict[str, Transformer] = {}
@@ -186,6 +201,49 @@ class TestEquivalence:
             np.testing.assert_allclose(got, ref, atol=BATCHED_DECODE_ATOL, rtol=0)
             tokens = np.argmax(ref, axis=1)
         caches_close(batched, serial, BATCHED_DECODE_ATOL)
+
+
+class TestPanelledDecode:
+    """The panelled products on the serving batch sizes, SwiGLU and GELU."""
+
+    @spelling
+    @pytest.mark.parametrize("batch", [2, 3, 4, 8])
+    @pytest.mark.parametrize("name", ["wide-llama", "wide-opt"])
+    def test_matches_serial_loop(self, name, batch, step, panel_spy):
+        model = get_model(name)
+        lengths = [2 + 3 * b for b in range(batch)]
+        _, (serial, batched) = prefilled_caches(model, lengths, seed=batch, copies=2)
+        assert panel_spy.panels == 0  # serial prefill of 2..23 rows: plain @
+        tokens = np.random.default_rng(batch).integers(0, 4096, size=batch)
+        for _ in range(3):
+            ref = serial_decode(model, tokens, serial)
+            got = step(model, tokens, batched)
+            np.testing.assert_allclose(got, ref, atol=BATCHED_DECODE_ATOL, rtol=0)
+            assert np.array_equal(np.argmax(got, 1), np.argmax(ref, 1))
+            tokens = np.argmax(ref, axis=1)
+        caches_close(batched, serial, BATCHED_DECODE_ATOL)
+        # B <= M_MAX panels its FFN and LM head; B = 8 is one call each.
+        assert (panel_spy.panels > 0) == (batch <= M_MAX)
+
+    def test_restore_and_serial_paths_never_panel(self, panel_spy):
+        """K/V stay on the single GEMM a restore replays, bit for bit."""
+        model = get_model("wide-llama")
+        config = model.config
+        prompts, (caches,) = prefilled_caches(model, [4, 3], seed=5)
+        captured = [
+            model.forward(prompt, KVCache(config), capture_hidden=True).hidden_states
+            for prompt in prompts
+        ]
+        for cache, hidden in zip(caches, captured):
+            positions = np.arange(len(cache))
+            for layer in range(config.n_layers):
+                k, v = model.project_kv(layer, hidden[layer], positions)
+                assert np.array_equal(k, cache.get(layer)[0])
+                assert np.array_equal(v, cache.get(layer)[1])
+            assert model.restore_cache_from_hidden(hidden).equals(cache, atol=0.0)
+        assert panel_spy.panels == 0
+        model.decode_batch(np.array([1, 2]), caches)
+        assert panel_spy.panels > 0
 
 
 @spelling

@@ -6,7 +6,17 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigError
-from repro.models.tensor_ops import causal_mask, gelu, layernorm, rmsnorm, silu, softmax
+from repro.models.tensor_ops import (
+    M_MAX,
+    SMALL_GEMM_MNK,
+    causal_mask,
+    gelu,
+    layernorm,
+    panelled_matmul,
+    rmsnorm,
+    silu,
+    softmax,
+)
 
 
 class TestSoftmax:
@@ -99,3 +109,70 @@ class TestCausalMask:
     def test_negative_dims_rejected(self):
         with pytest.raises(ConfigError):
             causal_mask(-1, 3, 0)
+
+
+#: The bench-mid product shapes (output projection, gate/up, down, LM
+#: head) and a width no 16-column panel divides.
+PRODUCT_SHAPES = [(512, 512), (512, 1408), (1408, 512), (512, 4096), (512, 1000)]
+
+
+def _operands(m, k, n, seed=0):
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((m, k), dtype=np.float32)
+    w = rng.standard_normal((k, n), dtype=np.float32) / np.float32(np.sqrt(k))
+    return x, w
+
+
+def _panelled(m, k, n):
+    return 2 <= m <= M_MAX and m * k * n > SMALL_GEMM_MNK
+
+
+class TestPanelledMatmul:
+    @pytest.mark.parametrize("k,n", PRODUCT_SHAPES)
+    @pytest.mark.parametrize("m", range(1, 17))
+    def test_equals_one_call(self, m, k, n, panel_spy):
+        x, w = _operands(m, k, n)
+        ref = x @ w
+        got = panelled_matmul(x, w)
+        assert got.shape == ref.shape and got.dtype == np.float32
+        # The spy NaN-fills the output buffer: every column was written.
+        np.testing.assert_allclose(got, ref, rtol=1e-6, atol=1e-5)
+        assert np.array_equal(panelled_matmul(x, w), got)
+        if _panelled(m, k, n):
+            assert panel_spy.panels >= 4  # two calls, at least two panels each
+        else:
+            # Outside the panelled range the primitive *is* one call.
+            assert panel_spy.panels == 0
+            assert np.array_equal(got, ref)
+
+    @pytest.mark.parametrize("k,n", PRODUCT_SHAPES)
+    @pytest.mark.parametrize("m", range(2, M_MAX + 1))
+    def test_panels_stay_inside_the_limit(self, m, k, n, monkeypatch):
+        widths = []
+        real = np.matmul
+
+        def recording(a, b, out):
+            widths.append(b.shape[1])
+            assert not b.flags.owndata and np.shares_memory(b, w)
+            return real(a, b, out=out)
+
+        x, w = _operands(m, k, n)
+        monkeypatch.setattr(np, "matmul", recording)
+        panelled_matmul(x, w)
+        monkeypatch.undo()
+        if not _panelled(m, k, n):
+            assert widths == []
+            return
+        assert sum(widths) == n
+        assert all(m * k * width <= SMALL_GEMM_MNK for width in widths)
+        assert all(width % 16 == 0 for width in widths[:-1])
+        assert len(set(widths[:-1])) <= 1 and widths[-1] <= widths[0]
+        # Fewest 16-aligned panels: one fewer could not hold n columns.
+        widest = SMALL_GEMM_MNK // (m * k) // 16 * 16
+        assert (len(widths) - 1) * widest < n
+
+    def test_a_depth_no_aligned_panel_fits_is_one_call(self, panel_spy):
+        # 2 x 40 000 x 16 already exceeds the limit: panels cannot help.
+        x, w = _operands(2, 40_000, 32)
+        assert np.array_equal(panelled_matmul(x, w), x @ w)
+        assert panel_spy.panels == 0

@@ -102,8 +102,8 @@ class TestLosslessRestoration:
         result, cache = tiny_model.prefill(prompt(tiny_config, 6), capture_hidden=True)
         k, v = tiny_model.project_kv(1, result.hidden_states[1], np.arange(6))
         orig_k, orig_v = cache.get(1)
-        assert np.allclose(k, orig_k, atol=0)
-        assert np.allclose(v, orig_v, atol=0)
+        assert np.array_equal(k, orig_k)
+        assert np.array_equal(v, orig_v)
 
     def test_rope_positions_matter(self, tiny_model, tiny_config):
         """Restoring with wrong positions corrupts keys — RoPE replay is
