@@ -53,19 +53,7 @@ against the preserved pre-refactor baseline
    and a fresh-pool admission restore reading strictly fewer chunks than
    the private path (it streams only the non-shared suffix).  DRAM bytes
    saved by dedup and chunk reads saved on restore are recorded.
-7. **sharded restore** — ``RestoreExecutor(shards=(P, T))``: one
-   restoration partitioned across a ``(pipeline x tensor)`` grid of
-   simulated GPUs (layer stages x GQA-aligned KV-head ranges), run
-   under multi-channel latency emulation so the shard workers' reads
-   genuinely overlap (``channels = pipeline * tensor`` — the per-shard
-   ingest links of §5's sharded-read picture).  Measured wall clock per
-   shard shape is recorded next to the ``modelled_sharded_s`` makespan
-   (slowest-stage two-stream recurrence with the tensor dimension's
-   aggregated bandwidth and all-gathers).  Gate at 4k: the 2x2 grid
-   beats the single-shard threaded restore (speedup > 1) with
-   ``gap_ratio`` within the acceptance band, and every shape restores
-   bit-exact (never relaxed).
-8. **batched decode** — multi-session decode throughput: one
+7. **batched decode** — multi-session decode throughput: one
    ``Transformer.decode_batch`` call per step (the packed kernel, every
    session attending against its own cache) vs the serial per-session
    loop, at batch sizes 1 / 4 / 16.  Gate: >= 1.5x tokens/s over serial
@@ -78,7 +66,7 @@ against the preserved pre-refactor baseline
    serial and batched converge on the same memory floor (~1.7-2x on a
    1-core host), and the ratio is too noise-prone to gate on — which
    is itself the honest story the ROADMAP tells about decode e2e.
-9. **early release** — a restoring session joins the iteration while
+8. **early release** — a restoring session joins the iteration while
    its last layers are still landing (the engine reports it once the
    restore's predicted remainder fits in its last prefill-carrying
    iteration; the packed kernel waits per layer).  Run on the numeric
@@ -96,8 +84,8 @@ Results are printed, and written as JSON when ``--out PATH`` is given
 this file's job is the exactness-and-floor gate.
 
 Setting ``CHECK_RELAX_TIMING=1`` (used by CI on noisy shared runners)
-widens the *timing* gates — threaded-restore and sharded-restore
-speedup/gap and the batched-decode speedup floor — while keeping every
+widens the *timing* gates — threaded-restore speedup/gap and the
+batched-decode speedup floor — while keeping every
 exactness check and the 10x state-path floor strict.  The committed JSON
 must be produced without it.
 """
@@ -165,18 +153,6 @@ THREADED_GAP_CEILING = 3.0 if RELAX_TIMING else 1.5
 #: number with the usual noise margin instead of keeping a second kernel.
 BATCHED_SPEEDUP_FLOOR = 1.2 if RELAX_TIMING else 1.5
 
-#: Sharded-restore gate thresholds (strict -> relaxed): the 2x2 grid
-#: must beat the single-shard threaded restore at 4k tokens, with wall
-#: clock within the gap ceiling of the modelled sharded makespan.
-#: Bit-exactness across every shard shape is never relaxed.
-SHARDED_SPEEDUP_FLOOR = 0.75 if RELAX_TIMING else 1.0
-SHARDED_GAP_CEILING = 3.0 if RELAX_TIMING else 1.5
-
-#: Shard shapes measured by the sharded-restore section
-#: (pipeline_shards x tensor_shards).  2x2 carries the gate.
-SHARDED_SHAPES = ((1, 1), (2, 1), (1, 2), (2, 2))
-SHARDED_GATE_SHAPE = "2x2"
-
 #: Degraded-read gate (strict -> relaxed): a restore that fails every
 #: primary chunk read over to the mirror must finish within this
 #: multiple of the healthy wall clock.  Only the *timing* side relaxes
@@ -216,15 +192,12 @@ BALANCED_BENCH_SSD = SSDSpec(
     io_latency=20e-6,
 )
 
-#: Storage device for the sharded-restore comparison.  Sharding's win is
-#: aggregated read bandwidth, so the section runs IO-dominated (read
-#: time several times the projection compute): a single ingest link is
-#: the bottleneck the shard grid removes.  4x slower than the balanced
-#: device puts the 4k restore at ~40 ms of modelled IO vs ~10 ms of
-#: compute — a 2x2 grid's aggregated links turn that into a compute-
-#: bound restore, which is exactly the §5 story being measured.
-SHARDED_BENCH_SSD = SSDSpec(
-    name="bench-sharded",
+#: Storage device for the early-release section.  4x slower than the
+#: balanced device, so restores are IO-dominated (read time several
+#: times the projection compute) and the last layers are still landing
+#: when the iteration could already take the session.
+EARLY_RELEASE_SSD = SSDSpec(
+    name="bench-io-bound",
     read_bandwidth=0.1 * GB,
     write_bandwidth=1.0 * GB,
     io_latency=20e-6,
@@ -664,100 +637,6 @@ def bench_restore(model: Transformer, n_tokens: int) -> dict:
         "stages": stages,
         "token_sourced_layer0": token_sourced,
         "threaded": threaded,
-        "bit_exact": bool(bit_exact),
-    }
-
-
-# ----------------------------------------------------------------------
-# 4b. sharded restore: (pipeline x tensor) grids vs single-shard threaded
-# ----------------------------------------------------------------------
-
-
-def bench_restore_sharded(model: Transformer, n_tokens: int) -> dict:
-    """Sharded parallel restoration across simulated GPU grids (PR 9).
-
-    One context is saved onto a deliberately slow single-link array
-    (``SHARDED_BENCH_SSD`` — the IO-dominated regime where aggregated
-    read bandwidth is the win), then restored through every
-    ``SHARDED_SHAPES`` grid under latency emulation with ``channels =
-    pipeline * tensor``: each shard worker sleeps its modelled IO on its
-    own channel, so the grid's reads genuinely overlap while the
-    single-shard baseline (``RestoreExecutor`` pool of 1, one channel)
-    pays the full serial link — measured wall clock, not accounting.
-
-    Per shape the report records wall clock, speedup vs the single-shard
-    threaded baseline, the ``modelled_sharded_s`` slowest-stage makespan
-    and its ``gap_ratio``, the dispatch/stall overhead counters, and a
-    bit-exactness check against the un-emulated single restore.
-    """
-    rng = _rng()
-    tokens, hidden = _synthetic_states(model, rng, n_tokens)
-    array = StorageArray([SHARDED_BENCH_SSD], link_bandwidth=32 * GB)
-    engine = HCacheEngine(model, StorageManager(array))
-    engine.register_context("bench")
-    block = 160
-    for start in range(0, n_tokens, block):
-        stop = min(start + block, n_tokens)
-        engine.save_states("bench", [h[start:stop] for h in hidden], tokens[start:stop])
-    engine.seal("bench")
-    oracle = engine.restore("bench")
-
-    # Single-shard threaded baseline: one IO worker, one emulation
-    # channel — the serial ingest link every grid is compared against.
-    emulator = array.emulate_latency()
-    try:
-        with RestoreExecutor(1) as executor:
-
-            def baseline_run():
-                result = engine.restore("bench", executor=executor)
-                emulator.flush()
-                return result
-
-            base_cache, base_s = _best_of(baseline_run, reps=5)
-    finally:
-        array.stop_latency_emulation()
-    bit_exact = base_cache.equals(oracle, atol=0.0)
-
-    per_shape = {}
-    for pipeline_shards, tensor_shards in SHARDED_SHAPES:
-        emulator = array.emulate_latency(channels=pipeline_shards * tensor_shards)
-        try:
-            with RestoreExecutor(shards=(pipeline_shards, tensor_shards)) as executor:
-
-                def sharded_run():
-                    result = engine.restore("bench", executor=executor)
-                    emulator.flush()
-                    return result
-
-                # Five reps (vs three elsewhere): the gap gate compares a
-                # wall clock against a modelled makespan, and on a busy
-                # host the minimum needs more draws to converge.
-                cache, wall_s = _best_of(sharded_run, reps=5)
-                # Separate timed run so the stage probes never inflate
-                # the measured wall clock.
-                stats = RestoreBreakdown()
-                engine.restore("bench", stats=stats, executor=executor)
-                emulator.flush()
-        finally:
-            array.stop_latency_emulation()
-        shape_exact = cache.equals(oracle, atol=0.0)
-        bit_exact = bit_exact and shape_exact
-        modelled = stats.modelled_sharded_s
-        per_shape[f"{pipeline_shards}x{tensor_shards}"] = {
-            "pipeline_shards": pipeline_shards,
-            "tensor_shards": tensor_shards,
-            "wall_s": wall_s,
-            "speedup_vs_single_shard": base_s / wall_s,
-            "modelled_sharded_s": modelled,
-            "gap_ratio": wall_s / modelled if modelled else float("inf"),
-            "dispatch_s": stats.dispatch_s,
-            "exposed_read_stall_s": stats.read_s,
-            "bit_exact": bool(shape_exact),
-        }
-    return {
-        "n_tokens": n_tokens,
-        "single_shard_threaded_s": base_s,
-        "per_shape": per_shape,
         "bit_exact": bool(bit_exact),
     }
 
@@ -1211,7 +1090,7 @@ def bench_early_release(model: Transformer) -> dict:
     for s in sessions:
         ref_tokens[s] = serial.chat_round(s, second[s], EARLY_OUTPUT_TOKENS)
 
-    array = StorageArray([SHARDED_BENCH_SSD], link_bandwidth=32 * GB)
+    array = StorageArray([EARLY_RELEASE_SSD], link_bandwidth=32 * GB)
     hcache = HCacheEngine(model, StorageManager(array, tokens_per_chunk=CHUNK_TOKENS))
     with RestoreExecutor(THREADED_POOL_SIZE) as executor:
         engine = NumericServingEngine(model, hcache, executor=executor)
@@ -1271,7 +1150,7 @@ def run(sizes: list[int], window: int) -> dict:
     model = Transformer.from_seed(BENCH_CONFIG, seed=7)
     bench_restore(model, 64)  # warmup: projection stacks, BLAS threads
     report = {
-        "schema": "bench_hotpath/v8",
+        "schema": "bench_hotpath/v9",
         "config": {
             "name": BENCH_CONFIG.name,
             "n_layers": BENCH_CONFIG.n_layers,
@@ -1286,7 +1165,6 @@ def run(sizes: list[int], window: int) -> dict:
         "decode_e2e": {},
         "decode_batched": {},
         "restore": {},
-        "restore_sharded": {},
         "durability": {},
         "block_sharing": {},
         # Flat (run once): the serving front end is a request loop, not
@@ -1299,14 +1177,12 @@ def run(sizes: list[int], window: int) -> dict:
         e2e = bench_decode_e2e(model, n, window)
         batched = bench_decode_batched(model, n, window)
         restore = bench_restore(model, n)
-        sharded = bench_restore_sharded(model, n)
         durability = bench_durability(model, n)
         sharing = bench_block_sharing(model, n)
         report["decode_with_capture"][str(n)] = state
         report["decode_e2e"][str(n)] = e2e
         report["decode_batched"][str(n)] = batched
         report["restore"][str(n)] = restore
-        report["restore_sharded"][str(n)] = sharded
         report["durability"][str(n)] = durability
         report["block_sharing"][str(n)] = sharing
         stages = restore["stages"]
@@ -1343,17 +1219,6 @@ def run(sizes: list[int], window: int) -> dict:
             f"{sourced['device_reads']} chunk reads "
             f"(expected {sourced['expected_device_reads']}), "
             f"== all-stored restore: {sourced['matches_all_stored']}"
-        )
-        gate_shape = sharded["per_shape"][SHARDED_GATE_SHAPE]
-        print(
-            "         sharded restore "
-            + "  ".join(
-                f"{name} {entry['speedup_vs_single_shard']:4.2f}x "
-                f"(gap {entry['gap_ratio']:4.2f}x)"
-                for name, entry in sharded["per_shape"].items()
-            )
-            + f"  vs single-shard {sharded['single_shard_threaded_s'] * 1e3:6.2f} ms "
-            f"(bit_exact={sharded['bit_exact']})"
         )
         print(
             f"         block-sharing dedup {sharing['dedup_ratio']:.2f}x "
@@ -1401,10 +1266,6 @@ def run(sizes: list[int], window: int) -> dict:
         entry["equivalent"]
         for size_report in report["decode_batched"].values()
         for entry in size_report["per_batch"].values()
-    )
-    sharded_head = report["restore_sharded"][largest]["per_shape"][SHARDED_GATE_SHAPE]
-    sharded_all_exact = all(
-        entry["bit_exact"] for entry in report["restore_sharded"].values()
     )
     durable_head = report["durability"][largest]
     durable_all_exact = all(
@@ -1456,29 +1317,6 @@ def run(sizes: list[int], window: int) -> dict:
                 bool(
                     threaded_head["speedup"] > THREADED_SPEEDUP_FLOOR
                     and threaded_head["gap_ratio"] <= THREADED_GAP_CEILING
-                )
-                if target_applies
-                else None
-            ),
-        },
-        # Sharded-restore acceptance (defined at 4k like the other
-        # timing gates): the 2x2 grid must beat the single-shard
-        # threaded restore and keep measured wall clock within the gap
-        # ceiling of the modelled sharded makespan; every shard shape at
-        # every size must restore bit-exact (never relaxed).  The
-        # speedup/gap thresholds are the CHECK_RELAX_TIMING-aware ones.
-        "sharded_restore": {
-            "at_tokens": max(sizes),
-            "shape": SHARDED_GATE_SHAPE,
-            "speedup_vs_single_shard": sharded_head["speedup_vs_single_shard"],
-            "speedup_floor": SHARDED_SPEEDUP_FLOOR if target_applies else None,
-            "gap_ratio": sharded_head["gap_ratio"],
-            "gap_target": SHARDED_GAP_CEILING if target_applies else None,
-            "all_bit_exact": bool(sharded_all_exact),
-            "met": (
-                bool(
-                    sharded_head["speedup_vs_single_shard"] > SHARDED_SPEEDUP_FLOOR
-                    and sharded_head["gap_ratio"] <= SHARDED_GAP_CEILING
                 )
                 if target_applies
                 else None
@@ -1583,10 +1421,7 @@ def run(sizes: list[int], window: int) -> dict:
         f"{largest} tokens ({gate}); threaded restore "
         f"{threaded_head['speedup']:.2f}x vs single, "
         f"{threaded_head['gap_ratio']:.2f}x of pipelined model "
-        f"(met={report['headline']['threaded_restore']['met']}); sharded restore "
-        f"{sharded_head['speedup_vs_single_shard']:.2f}x at {SHARDED_GATE_SHAPE}, "
-        f"gap {sharded_head['gap_ratio']:.2f}x "
-        f"(met={report['headline']['sharded_restore']['met']}); "
+        f"(met={report['headline']['threaded_restore']['met']}); "
         f"batched decode {batched_head['speedup']:.2f}x at "
         f"B{batched_head['batch']} (met={report['headline']['batched_decode']['met']}, "
         f"equivalent={batched_equivalent}); durable restore "
@@ -1641,24 +1476,6 @@ def main() -> int:
             f"single-threaded path by > {THREADED_SPEEDUP_FLOOR}x and stay "
             f"within {THREADED_GAP_CEILING}x of the pipelined makespan at "
             "4k tokens)",
-            file=sys.stderr,
-        )
-        return 1
-    sharded = report["headline"]["sharded_restore"]
-    if not sharded["all_bit_exact"]:
-        print(
-            "ERROR: a sharded restore diverged from the single-shard path "
-            "(shard merges must never change a restored byte)",
-            file=sys.stderr,
-        )
-        return 1
-    if sharded["met"] is False:
-        print(
-            "ERROR: sharded restore missed its gate (the "
-            f"{SHARDED_GATE_SHAPE} grid must beat the single-shard "
-            f"threaded restore by > {SHARDED_SPEEDUP_FLOOR}x and stay "
-            f"within {SHARDED_GAP_CEILING}x of the modelled sharded "
-            "makespan at 4k tokens)",
             file=sys.stderr,
         )
         return 1

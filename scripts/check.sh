@@ -10,9 +10,10 @@
 #   - ruff with the repo config in pyproject.toml (style/pyflakes);
 #   - `python -m repro.lint src` — the project-specific invariant
 #     checker (lock discipline, §6.2 commit-point ordering, hot-path
-#     allocation bans, exception safety, __all__ drift, unused imports —
-#     ruff's F401, so a local run without ruff still catches a stale
-#     import); zero findings required, deliberate exceptions carry
+#     allocation bans, exception safety, __all__ drift, unused imports
+#     and undefined names — ruff's F401 and F821, so a local run without
+#     ruff still catches a stale import or a reference to a deleted
+#     name); zero findings required, deliberate exceptions carry
 #     in-source waivers;
 #   - mypy, non-strict, over repro.storage + repro.runtime + repro.state.
 # ruff and mypy are optional *locally* (skipped with a notice via
@@ -26,8 +27,8 @@
 # window but still including the 4096-token gate size, so it *asserts*:
 #   - the PR-1 speedup floor (decode-with-capture state path >= 10x
 #     naive at 4k tokens),
-#   - that every shape of the one restore loop (inline, threaded,
-#     sharded) stays bit-exact vs the naive reference,
+#   - that the one restore loop, inline and threaded, stays bit-exact
+#     vs the naive reference,
 #   - the PR-3 threaded-restore gate (faster than the inline streamed
 #     path, wall clock within the gap ceiling of the modelled pipelined
 #     makespan at 4k tokens),
@@ -36,10 +37,6 @@
 #     serving-scale context; 4k is recorded but attention-bandwidth-
 #     bound — with batched caches/logits inside the pinned
 #     BATCHED_DECODE_ATOL at every measured size),
-#   - the PR-9 sharded-restore gate (the 2x2 pipeline-x-tensor shard
-#     grid beats the single-shard threaded restore at 4k tokens with
-#     wall clock within the gap ceiling of the modelled sharded
-#     makespan, every shard shape restoring bit-exact),
 #   - the PR-6 durable-restore gate (all-primaries-dead failover reads
 #     bit-exact and <= 2x the healthy restore's wall clock; journaled
 #     save -> full in-memory drop -> recover -> bit-exact restore),
@@ -58,8 +55,8 @@
 #     synchronous restore + serial prefill).
 #
 # CHECK_RELAX_TIMING=1 (set by CI) widens the timing thresholds
-# (threaded and sharded speedup/gap, batched speedup) for noisy shared
-# runners; exactness checks and the 10x floor are never relaxed.  See
+# (threaded speedup/gap, batched speedup) for noisy shared runners;
+# exactness checks and the 10x floor are never relaxed.  See
 # benchmarks/README.md.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -91,7 +88,7 @@ python -m compileall -q src benchmarks scripts
 echo "== lint (ruff) =="
 require_or_skip ruff python -m ruff check src tests benchmarks scripts
 
-echo "== invariant lint (repro.lint: guarded-by, commit-point, hot-path, exception-safety, api-surface, frontend-api, unused-import) =="
+echo "== invariant lint (repro.lint: guarded-by, commit-point, hot-path, exception-safety, api-surface, frontend-api, unused-import, undefined-name) =="
 python -m repro.lint src
 
 echo "== types (mypy, non-strict, repro.storage + repro.runtime + repro.state) =="
@@ -112,7 +109,7 @@ echo "== crash-recovery smoke (journal truncation property, crash-window recover
 python -m pytest -q tests/storage/test_journal.py tests/storage/test_recovery.py \
     tests/integration/test_kill_and_resume.py
 
-echo "== hot-path benchmark (smoke gate: bit-exact incl. threaded + sharded + 10x floor at 4k + pipeline/sharded gaps at 4k + batched decode at 1k + degraded/recovered restore + block-sharing dedup/bit-exactness + serving-frontend throughput/token-equality + early-release counts/exactness) =="
+echo "== hot-path benchmark (smoke gate: bit-exact incl. threaded + 10x floor at 4k + pipeline gap at 4k + batched decode at 1k + degraded/recovered restore + block-sharing dedup/bit-exactness + serving-frontend throughput/token-equality + early-release counts/exactness) =="
 python benchmarks/bench_hotpath.py --smoke
 
 # The serving benchmark (BENCHMARK.json's command) is what performance PRs

@@ -16,7 +16,6 @@ where the crossover sits for a model family.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from itertools import accumulate
 
 from repro.core.profiler import profile_platform
 from repro.core.scheduler import BubbleFreeScheduler, ScheduleDecision
@@ -56,48 +55,6 @@ def with_kv_heads(config: ModelConfig, n_kv_heads: int) -> ModelConfig:
         name=f"{config.name}-gqa{n_kv_heads}",
         n_kv_heads=n_kv_heads,
     )
-
-
-def partition_kv_heads(
-    n_kv_heads: int, n_shards: int
-) -> tuple[tuple[int, int], ...]:
-    """Split ``n_kv_heads`` KV heads into ``n_shards`` contiguous ranges.
-
-    This is the tensor dimension of a sharded restoration: each shard
-    projects and installs the KV-head range ``[start, stop)`` it is
-    handed.  Ranges are GQA-group-aligned by construction — every KV head
-    serves a whole group of ``n_heads / n_kv_heads`` query heads, so the
-    only legal split boundaries are *between* KV heads.  Asking for more
-    shards than KV heads would force a boundary through a group (the
-    naive "split by query heads" mistake), which silently misprojects
-    under GQA; that is rejected here rather than realigned downstream.
-
-    Non-divisible counts are balanced: range sizes differ by at most one,
-    larger ranges first.
-
-    Returns:
-        ``n_shards`` ``(start, stop)`` pairs covering ``[0, n_kv_heads)``
-        contiguously.
-
-    Raises:
-        ConfigError: for non-positive inputs, or when ``n_shards``
-            exceeds ``n_kv_heads`` (a KV head — one GQA group — is the
-            smallest unit a tensor shard can own).
-    """
-    if n_kv_heads < 1:
-        raise ConfigError(f"n_kv_heads must be positive, got {n_kv_heads}")
-    if n_shards < 1:
-        raise ConfigError(f"tensor shard count must be positive, got {n_shards}")
-    if n_shards > n_kv_heads:
-        raise ConfigError(
-            f"{n_shards} tensor shards over {n_kv_heads} KV heads would split "
-            "a GQA group across shards; use at most one shard per KV head"
-        )
-    base, extra = divmod(n_kv_heads, n_shards)
-    bounds = list(
-        accumulate((base + (1 if rank < extra else 0) for rank in range(n_shards)), initial=0)
-    )
-    return tuple(zip(bounds[:-1], bounds[1:]))
 
 
 def hidden_to_kv_ratio(config: ModelConfig) -> float:

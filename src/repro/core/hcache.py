@@ -17,7 +17,6 @@ from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
-from repro.core.gqa import partition_kv_heads
 from repro.core.partition import PartitionScheme
 from repro.core.profiler import profile_platform
 from repro.core.restoration import RestorationTiming, scheme_timing
@@ -27,13 +26,8 @@ from repro.models.kv_cache import KVCache
 from repro.models.transformer import ProjectionStats, Transformer
 from repro.runtime.executor import GranuleTrace, RestoreExecutor, drain_granules
 from repro.runtime.progress import RestoreProgress
-from repro.simulator.hardware import InterconnectSpec, Platform
-from repro.simulator.multi_gpu import allgather_time
-from repro.simulator.pipeline import (
-    LayerMethod,
-    ShardedStageTimeline,
-    sharded_restoration_makespan,
-)
+from repro.simulator.hardware import Platform
+from repro.simulator.pipeline import LayerMethod
 from repro.storage.manager import StorageManager
 from repro.storage.streaming import LayerChunk, pipelined_makespan
 
@@ -94,15 +88,6 @@ class RestoreBreakdown:
     #: Together with the exposed ``read_s`` stall it itemizes the gap
     #: between wall clock and the modelled makespan.
     dispatch_s: float = 0.0
-    #: Hybrid makespan of the sharded timeline: modelled device reads at
-    #: the shards' aggregated bandwidth plus per-granule gathers on
-    #: concurrent per-stage IO streams, merged against this run's
-    #: measured compute on the one calling-thread merge stream (see
-    #: :func:`repro.simulator.pipeline.sharded_restoration_makespan`).
-    #: On the ``(1, 1)`` shape this is the §4.1 recurrence per kind.
-    modelled_sharded_s: float = 0.0
-    #: ``(pipeline, tensor)`` shard shape of the restore.
-    shard_shape: tuple[int, int] = (1, 1)
 
 
 @dataclass(frozen=True)
@@ -111,9 +96,7 @@ class _RestorePlan:
 
     ``shared`` is the pool-served prefix length (granule-aligned or the
     whole context); ``suffix_rows`` are the collection buffers of an
-    admission gap being closed (see :meth:`HCacheEngine._shared_prefix`);
-    ``head_ranges`` the tensor dimension's KV-head partition, ``None`` on
-    a single tensor rank.
+    admission gap being closed (see :meth:`HCacheEngine._shared_prefix`).
     """
 
     context_id: str
@@ -121,7 +104,6 @@ class _RestorePlan:
     cache: KVCache
     hidden_layers: list[int]
     kv_layers: list[int]
-    head_ranges: "tuple[tuple[int, int], ...] | None"
     granule_tokens: int
     shared: int
     suffix_rows: "dict[tuple[int, str], np.ndarray] | None"
@@ -482,8 +464,8 @@ class HCacheEngine:
         projection.  This work needs no stored state, so it runs on the
         calling thread right after the drain has put its first window of
         reads in flight and hides under the IO stream (inline, or with
-        nothing stored, it simply runs).  Both kinds drain through the one loop
-        (:func:`repro.runtime.executor.drain_granules`), which is
+        nothing stored, it simply runs).  Both kinds drain through the one
+        loop (:func:`repro.runtime.executor.drain_granules`), which is
         double-buffered: the next granule's device read is issued before
         the pending granule is projected, so in the modelled timeline
         layer *k*'s projection overlaps layer *k+1*'s read — compute
@@ -493,20 +475,16 @@ class HCacheEngine:
         With ``executor`` (a :class:`repro.runtime.RestoreExecutor`), the
         granule reads actually run on background IO workers while this
         thread projects, making the overlap real wall clock instead of
-        only modelled, and the restoration is partitioned across the
-        executor's ``(pipeline, tensor)`` grid of simulated GPUs:
-        contiguous layer stages drain concurrently, and with ``tensor >
-        1`` each granule's merge is split into GQA-group-aligned KV-head
-        ranges.  Threading rules: all projection compute runs on the
-        calling thread in plan order, workers only fill staging slots
+        only modelled.  Threading rules: all projection compute runs on
+        the calling thread in plan order, workers only fill staging slots
         they own, and concurrent ``restore`` calls are safe for
         *distinct* contexts sharing one executor (never concurrently with
         a save of the same context).
 
         Bit-exactness contract: HIDDEN and KV layers come back
         bit-identical to the states that were saved — for every granule
-        size, pool size and shard shape, with or without an executor, and
-        identical to the naive whole-layer reference path.  A 1-layer
+        size and pool size, with or without an executor, and identical
+        to the naive whole-layer reference path.  A 1-layer
         RECOMPUTE prefix is bit-identical to restoring a stored layer 0
         (same rows, same kernel, same granule split).  A longer one
         replays the forward pass as one block, which matches
@@ -524,24 +502,13 @@ class HCacheEngine:
         cache: it is told the planned cache before the first row is
         written, then each layer the moment its last row has been
         projected or installed — hidden drain, KV drain, token-sourced
-        prefix and pool-served prefix alike, each layer exactly once, in
-        whatever order the stages finish them.  The stepping thread may
-        then prefill on ``progress.step_cache`` while later layers are
-        still landing (see :mod:`repro.runtime.progress`); the cache
-        returned here is untouched by that — at return it still
-        ``.equals`` the saved history, with ``len(cache) == n_tokens``.
+        prefix and pool-served prefix alike, each layer exactly once.
+        The stepping thread may then prefill on ``progress.step_cache``
+        while later layers are still landing (see
+        :mod:`repro.runtime.progress`); the cache returned here is
+        untouched by that — at return it still ``.equals`` the saved
+        history, with ``len(cache) == n_tokens``.
         """
-        return self._restore(context_id, reserve_tokens, stats, executor, progress)
-
-    def _restore(
-        self,
-        context_id: str,
-        reserve_tokens: int,
-        stats: RestoreBreakdown | None,
-        executor: RestoreExecutor | None,
-        progress: RestoreProgress | None,
-    ) -> KVCache:
-        """Plan -> drain -> install; see :meth:`restore` for the contract."""
         plan = self._plan_restore(context_id, reserve_tokens, stats, executor)
         cache, n_tokens, shared = plan.cache, plan.n_tokens, plan.shared
         timed = stats is not None
@@ -563,9 +530,7 @@ class HCacheEngine:
         drains: list[tuple] = []
         if plan.hidden_layers or n_recompute:
             granule_tokens = plan.granule_tokens
-            workspace = self.transformer.restore_workspace(
-                np.arange(n_tokens), granule_tokens, plan.head_ranges
-            )
+            workspace = self.transformer.restore_workspace(np.arange(n_tokens), granule_tokens)
             # The last RECOMPUTE layer is projected like a HIDDEN one —
             # its input rows come from the token log instead of a device.
             projected = ([n_recompute - 1] if n_recompute else []) + plan.hidden_layers
@@ -610,15 +575,7 @@ class HCacheEngine:
 
             def install(layer: int, start: int, packed: np.ndarray) -> None:
                 t0 = time.perf_counter() if timed else 0.0
-                if plan.head_ranges is None:
-                    cache.install_packed_rows(layer, start, packed)
-                else:
-                    # Each tensor rank installs its own head range of the
-                    # packed granule; the ranges tile [0, n_kv_heads), so
-                    # together they land the same bytes as the full-width
-                    # install.
-                    for h0, h1 in plan.head_ranges:
-                        cache.install_packed_head_rows(layer, start, packed, h0, h1)
+                cache.install_packed_rows(layer, start, packed)
                 if timed:
                     stats.install_s += time.perf_counter() - t0
                 landed(layer, packed.shape[0])
@@ -636,16 +593,26 @@ class HCacheEngine:
             drains.append(("kv", plan.kv_layers, install_pool_prefix, install))
         # The token-sourced prefix rides under the first drain's IO
         # stream; with nothing stored it simply runs.
-        traces = {
-            drain[0]: self._restore_kind(plan, *drain, None if i else token_prefix)
+        traces = [
+            granule
             for i, drain in enumerate(drains)
-        }
+            for granule in self._restore_kind(plan, *drain, None if i else token_prefix)
+        ]
         if token_prefix is not None and not drains:
             token_prefix()
         if plan.suffix_rows is not None:
             self._republish_suffix(plan)
         if timed:
-            self._model_makespans(stats, traces, token_prefix_s)
+            # The token-sourced prefix and the pool-resident shared prefix
+            # need no stored state: one leading zero-IO granule on the
+            # compute stream, overlapping the stream from its first read.
+            io_times = [0.0] + [granule.io_seconds for granule in traces]
+            compute_times = [token_prefix_s + stats.pool_s] + [
+                granule.compute_seconds for granule in traces
+            ]
+            stats.modelled_io_s = sum(io_times)
+            stats.modelled_serial_s = stats.modelled_io_s + sum(compute_times)
+            stats.modelled_pipelined_s = pipelined_makespan(io_times, compute_times)
         if len(cache) != n_tokens:
             raise RestorationError("restored cache length mismatch")
         return cache
@@ -692,29 +659,21 @@ class HCacheEngine:
         n_tokens = self.saved_tokens(context_id)
         if n_tokens == 0:
             raise RestorationError(f"context {context_id!r} has no saved state")
-        config = self.transformer.config
         hidden_layers = list(self.scheme.layers_with(LayerMethod.HIDDEN))
         kv_layers = list(self.scheme.layers_with(LayerMethod.KV))
-        shape = executor.shard_shape if executor is not None else (1, 1)
-        # An illegal tensor split (more shards than KV heads would cut a
-        # GQA group) must raise before any state is touched.
-        head_ranges = (
-            partition_kv_heads(config.n_kv_heads, shape[1]) if shape[1] > 1 else None
-        )
-        cache = KVCache(config)
+        cache = KVCache(self.transformer.config)
         cache.reserve(max(n_tokens, reserve_tokens))
         self._check_stored(context_id, hidden_layers, "hidden", n_tokens)
         self._check_stored(context_id, kv_layers, "kv", n_tokens)
         shared, suffix_rows = self._shared_prefix(context_id, n_tokens)
         if stats is not None:
-            stats.n_tokens, stats.shared_tokens, stats.shard_shape = n_tokens, shared, shape
+            stats.n_tokens, stats.shared_tokens = n_tokens, shared
         return _RestorePlan(
             context_id=context_id,
             n_tokens=n_tokens,
             cache=cache,
             hidden_layers=hidden_layers,
             kv_layers=kv_layers,
-            head_ranges=head_ranges,
             granule_tokens=min(
                 n_tokens, self.stream_granule_chunks * self.storage.tokens_per_chunk
             ),
@@ -788,74 +747,6 @@ class HCacheEngine:
         self.shared_store.append(
             plan.context_id, resident, list(tokens_all[resident : plan.n_tokens]), fresh
         )
-
-    def _model_makespans(
-        self,
-        stats: RestoreBreakdown,
-        traces: dict[str, list[GranuleTrace]],
-        token_prefix_s: float,
-    ) -> None:
-        """Fill ``stats``' hybrid makespans from the drains' measured traces."""
-        # The token-sourced prefix and the pool-resident shared prefix
-        # need no stored state: one leading zero-IO granule on the compute
-        # stream of the first drain, overlapping the stream from its
-        # very first read.
-        lead = GranuleTrace(0, 0, 0.0, token_prefix_s + stats.pool_s)
-        drains = list(traces.items()) or [("hidden", [])]
-        drains[0] = (drains[0][0], [lead, *drains[0][1]])
-        trace = [granule for _, kind_trace in drains for granule in kind_trace]
-        io_times = [granule.io_seconds for granule in trace]
-        compute_times = [granule.compute_seconds for granule in trace]
-        stats.modelled_io_s = sum(io_times)
-        stats.modelled_serial_s = stats.modelled_io_s + sum(compute_times)
-        stats.modelled_pipelined_s = pipelined_makespan(io_times, compute_times)
-        # The sequential hidden/kv drains each contribute their sharded
-        # makespan.  Hidden granules must be reassembled across tensor
-        # ranks before projection; KV installs gather nothing.
-        tensor_shards = stats.shard_shape[1]
-        hidden_row_bytes = 4 * self.transformer.config.hidden_size
-        stats.modelled_sharded_s = sum(
-            self._sharded_makespan(
-                kind_trace, tensor_shards, hidden_row_bytes if kind == "hidden" else 0
-            )
-            for kind, kind_trace in drains
-        )
-
-    def _sharded_makespan(
-        self, trace: list[GranuleTrace], tensor_shards: int, gather_bytes_per_row: int
-    ) -> float:
-        """Hybrid sharded makespan of one drain's measured trace.
-
-        Per stage, the §4.1 two-stream recurrence over its granules with
-        reads priced at the tensor ranks' aggregated bandwidth plus a
-        per-granule all-gather of ``gather_bytes_per_row`` bytes per row:
-        stage IO streams advance concurrently, while every granule merges
-        through the single calling-thread compute stream.
-        """
-        if not trace:
-            return 0.0
-        interconnect = (
-            self.platform.interconnect if self.platform is not None else InterconnectSpec()
-        )
-        gathers = gather_bytes_per_row and tensor_shards > 1
-        by_stage: dict[int, list[GranuleTrace]] = {}
-        for granule in trace:
-            by_stage.setdefault(granule.stage, []).append(granule)
-        timelines = [
-            ShardedStageTimeline(
-                stage=stage,
-                io_seconds=tuple(g.io_seconds for g in granules),
-                compute_seconds=tuple(g.compute_seconds for g in granules),
-                gather_seconds=tuple(
-                    allgather_time(g.rows * gather_bytes_per_row, tensor_shards, interconnect)
-                    if gathers and g.rows
-                    else 0.0
-                    for g in granules
-                ),
-            )
-            for stage, granules in sorted(by_stage.items())
-        ]
-        return sharded_restoration_makespan(timelines, tensor_shards)
 
     def _shared_prefix(
         self, context_id: str, n_tokens: int

@@ -73,10 +73,9 @@ class NumericServingEngine:
         every restoration this engine performs then overlaps its storage
         reads with projection compute on the executor's IO worker pool,
         and :meth:`start_restores` brings several evicted sessions back
-        concurrently through that one pool.  An executor built with a
-        ``shards=(pipeline, tensor)`` shape additionally partitions each
-        restoration across that grid — ``chat_round``'s implicit restores
-        included.  Restored values are bit-identical in every case.
+        concurrently through that one pool — ``chat_round``'s implicit
+        restores included.  Restored values are bit-identical in every
+        case.
         """
         if hcache.transformer is not transformer:
             raise ConfigError("HCache engine must wrap the same transformer")

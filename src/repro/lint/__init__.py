@@ -27,6 +27,8 @@ design contract behind each):
 - ``unused-import`` — every module-level import is referenced, exported
   via ``__all__``, re-exported by a package ``__init__`` or marked
   ``# noqa: F401`` (pyflakes F401, without ruff).
+- ``undefined-name`` — every loaded name is bound in a visible scope,
+  imported or a builtin (pyflakes F821, without ruff).
 
 Deliberate exceptions are waived in place, with a mandatory reason::
 
@@ -51,6 +53,7 @@ from repro.lint.rules import (
     FrontendApiRule,
     GuardedByRule,
     HotPathRule,
+    UndefinedNameRule,
     UnusedImportRule,
     default_rules,
 )
@@ -66,6 +69,7 @@ __all__ = [
     "HotPathRule",
     "ModuleInfo",
     "Rule",
+    "UndefinedNameRule",
     "UnusedImportRule",
     "Waiver",
     "check_module",

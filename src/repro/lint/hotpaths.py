@@ -25,8 +25,7 @@ HOT_PATHS: dict[str, frozenset[str]] = {
     # normalized in place, never copied.
     "repro/models/attention.py": frozenset({"scaled_dot_product_attention"}),
     # The serving iteration's packed model call (behind both decode_batch
-    # and forward_fused) + the one fused restore projection kernel
-    # (head-sliced merges included).
+    # and forward_fused) + the one fused restore projection kernel.
     "repro/models/transformer.py": frozenset(
         {
             "Transformer._forward_packed",
@@ -34,14 +33,11 @@ HOT_PATHS: dict[str, frozenset[str]] = {
         }
     ),
     # Per-step cache writes: O(1) amortized appends, zero-copy views.
-    # install_packed_head_rows is the tensor-shard merge primitive — one
-    # call per (granule, head range) on the sharded restore path.
     "repro/models/kv_cache.py": frozenset(
         {
             "KVCache.append",
             "KVCache.install_view",
             "KVCache.install_rows",
-            "KVCache.install_packed_head_rows",
         }
     ),
     "repro/models/hidden_capture.py": frozenset(
@@ -94,14 +90,9 @@ HOT_PATHS: dict[str, frozenset[str]] = {
         {
             "HCacheEngine._gather_pool_hidden",
             "HCacheEngine._restore_token_prefix",
-            "HCacheEngine._restore.landed",
+            "HCacheEngine.restore.landed",
         }
     ),
-    # Sharded restoration planning (PR 9): shard plans run once per
-    # restore but feed every granule of it; keeping them allocation-lean
-    # keeps the dispatch half of the executor-overhead budget flat.
-    "repro/core/gqa.py": frozenset({"partition_kv_heads"}),
-    "repro/runtime/executor.py": frozenset({"partition_layers"}),
     # The per-layer hand-over: one landing per restored layer, one wait
     # per (layer, gated segment) inside the packed model call.
     "repro/runtime/progress.py": frozenset(

@@ -2,8 +2,8 @@
 
 Each rule turns one documented contract (locking discipline, durability
 ordering, hot-path allocation budget, failure visibility, export
-surface, import hygiene) into an AST check; :data:`default_rules` is the
-set the CLI and the CI gate run.
+surface, import and name hygiene) into an AST check; :data:`default_rules`
+is the set the CLI and the CI gate run.
 """
 
 from repro.lint.rules.api_surface import ApiSurfaceRule
@@ -12,6 +12,7 @@ from repro.lint.rules.exception_safety import ExceptionSafetyRule
 from repro.lint.rules.frontend_api import FrontendApiRule
 from repro.lint.rules.guarded_by import GuardedByRule
 from repro.lint.rules.hot_path import HotPathRule
+from repro.lint.rules.undefined_name import UndefinedNameRule
 from repro.lint.rules.unused_import import UnusedImportRule
 
 __all__ = [
@@ -21,6 +22,7 @@ __all__ = [
     "FrontendApiRule",
     "GuardedByRule",
     "HotPathRule",
+    "UndefinedNameRule",
     "UnusedImportRule",
     "default_rules",
 ]
@@ -36,4 +38,5 @@ def default_rules() -> list:
         ApiSurfaceRule(),
         FrontendApiRule(),
         UnusedImportRule(),
+        UndefinedNameRule(),
     ]

@@ -332,47 +332,6 @@ class KVCache:
         self._k[layer, start : start + n].reshape(n, kv_size)[...] = packed[:, :kv_size]
         self._v[layer, start : start + n].reshape(n, kv_size)[...] = packed[:, kv_size:]
 
-    def install_packed_head_rows(
-        self,
-        layer: int,
-        start: int,
-        packed: np.ndarray,
-        head_start: int,
-        head_stop: int,
-    ) -> None:
-        """Write KV heads ``[head_start, head_stop)`` of packed K|V rows.
-
-        The tensor-shard merge primitive: ``packed`` carries *full-width*
-        rows (the on-storage layout), but only the named KV-head range
-        lands in the cache — each tensor rank of a sharded restore owns a
-        disjoint range, so the ranks' installs tile the layer without
-        overlap.  Pure strided slice copies, so the installed bytes are
-        bit-identical to a full-width :meth:`install_packed_rows` of the
-        same rows.  The rows must lie inside the layer's live region
-        (size it first with :meth:`install_view`).
-        """
-        self._check_layer(layer)
-        packed = self._check_packed(packed)
-        n_kv_heads, head_dim = self._row_shape
-        if not 0 <= head_start < head_stop <= n_kv_heads:
-            raise ConfigError(
-                f"head range [{head_start}, {head_stop}) invalid for "
-                f"{n_kv_heads} KV heads"
-            )
-        n = packed.shape[0]
-        if not 0 <= start <= start + n <= self._lens[layer]:
-            raise ConfigError(
-                f"rows [{start}, {start + n}) outside the layer's "
-                f"{self._lens[layer]} live tokens"
-            )
-        kv_size = self.config.kv_size
-        k_heads = packed[:, :kv_size].reshape(n, n_kv_heads, head_dim)
-        v_heads = packed[:, kv_size:].reshape(n, n_kv_heads, head_dim)
-        rows = slice(start, start + n)
-        heads = slice(head_start, head_stop)
-        self._k[layer, rows, heads] = k_heads[:, heads]
-        self._v[layer, rows, heads] = v_heads[:, heads]
-
     def install_rows(
         self, layer: int, start: int, keys: np.ndarray, values: np.ndarray
     ) -> None:

@@ -15,7 +15,7 @@ the test suite asserts.
 
 Hot-path layout: capture accumulates into a :class:`HiddenCapture`
 doubling buffer (O(1) per decode step instead of an O(history)
-concatenate), and every restoration — streamed, sharded, or whole-layer —
+concatenate), and every restoration — streamed, threaded, or whole-layer —
 goes through the one fused granule kernel
 (:meth:`Transformer.project_kv_chunk`), which writes straight into the KV
 cache's backing storage.
@@ -91,10 +91,6 @@ class ProjectionStats:
     norm_s: float = 0.0
     gemm_s: float = 0.0
     rope_s: float = 0.0
-    #: Head-range slice copies of a head-sliced projection (the
-    #: in-process stand-in for the tensor dimension's all-gather); zero
-    #: without head ranges.
-    merge_s: float = 0.0
     chunks: int = 0
 
     @property
@@ -104,7 +100,7 @@ class ProjectionStats:
 
     @property
     def total_s(self) -> float:
-        return self.norm_s + self.gemm_s + self.rope_s + self.merge_s
+        return self.norm_s + self.gemm_s + self.rope_s
 
 
 class RestoreWorkspace:
@@ -116,53 +112,19 @@ class RestoreWorkspace:
     working set (a few chunk-sized arrays) stays cache-resident.  The
     cos/sin tables cover the full restored position range and are sliced
     per chunk — the trigonometry is computed once, not per layer or per
-    chunk.
-
-    ``head_ranges`` makes every projection through this workspace merge
-    its result as those disjoint KV-head ranges — the tensor dimension of
-    a sharded restore, one range per simulated rank (see
-    :func:`repro.core.gqa.partition_kv_heads`).  They must tile
-    ``[0, n_kv_heads)`` contiguously in order — a gap or overlap would
-    silently misproject, so it is rejected here, once per restore.  The
-    workspace then also carries full-width K *and* V GEMM destinations
-    (:attr:`k_tmp`/:attr:`v_tmp`): each GEMM runs once at full width and
-    only the merge is head-sliced, because a head-sliced GEMM would
-    change the BLAS blocking and with it the last-ulp bits.
+    chunk.  Under RoPE the K GEMM lands in :attr:`k_tmp` and is rotated
+    from there into the cache.
     """
 
-    def __init__(
-        self,
-        config: ModelConfig,
-        positions: np.ndarray,
-        max_chunk_tokens: int,
-        head_ranges: Sequence[tuple[int, int]] | None = None,
-    ) -> None:
+    def __init__(self, config: ModelConfig, positions: np.ndarray, max_chunk_tokens: int) -> None:
         if max_chunk_tokens <= 0:
             raise ConfigError("workspace needs a positive chunk capacity")
-        if head_ranges is not None:
-            expected = 0
-            for h0, h1 in head_ranges:
-                if h0 != expected or h1 <= h0:
-                    raise ConfigError(
-                        f"head ranges {list(head_ranges)} must tile "
-                        f"[0, {config.n_kv_heads}) contiguously in order"
-                    )
-                expected = h1
-            if expected != config.n_kv_heads:
-                raise ConfigError(
-                    f"head ranges {list(head_ranges)} must cover all "
-                    f"{config.n_kv_heads} KV heads"
-                )
-            head_ranges = tuple(head_ranges)
         self.config = config
         self.max_chunk_tokens = max_chunk_tokens
-        self.head_ranges = head_ranges
         self.normed = np.empty((max_chunk_tokens, config.hidden_size), dtype=np.float32)
         self.sq = (
             np.empty_like(self.normed) if config.norm == "rmsnorm" else None
         )
-        row_shape = (max_chunk_tokens, config.n_kv_heads, config.head_dim)
-        split = head_ranges is not None
         if config.rope:
             positions = np.asarray(positions)
             if positions.ndim != 1:
@@ -170,13 +132,12 @@ class RestoreWorkspace:
             self.rot_c, self.rot_s = rope_rotation_tables(
                 positions, config.head_dim, config.n_kv_heads
             )
-            self.k_tmp = np.empty(row_shape, dtype=np.float32)
+            self.k_tmp = np.empty(
+                (max_chunk_tokens, config.n_kv_heads, config.head_dim), dtype=np.float32
+            )
             self.rot_swap = np.empty_like(self.k_tmp)
         else:
-            self.rot_c = self.rot_s = None
-            self.k_tmp = np.empty(row_shape, dtype=np.float32) if split else None
-            self.rot_swap = None
-        self.v_tmp = np.empty(row_shape, dtype=np.float32) if split else None
+            self.rot_c = self.rot_s = self.k_tmp = self.rot_swap = None
 
 
 @dataclass
@@ -270,21 +231,15 @@ class Transformer:
             self._projection_stack_cache = (norm_w, wk_all, wv_all)
         return self._projection_stack_cache
 
-    def restore_workspace(
-        self,
-        positions: np.ndarray,
-        max_chunk_tokens: int,
-        head_ranges: Sequence[tuple[int, int]] | None = None,
-    ) -> RestoreWorkspace:
+    def restore_workspace(self, positions: np.ndarray, max_chunk_tokens: int) -> RestoreWorkspace:
         """Build the per-restore scratch for :meth:`project_kv_chunk`.
 
         ``positions`` are the absolute positions of every token the
         restore will cover (the RoPE tables are precomputed for all of
         them once); ``max_chunk_tokens`` bounds the largest chunk that
-        will be projected through the workspace; ``head_ranges``
-        (optional) are the KV-head ranges every projection merges as.
+        will be projected through the workspace.
         """
-        return RestoreWorkspace(self.config, positions, max_chunk_tokens, head_ranges)
+        return RestoreWorkspace(self.config, positions, max_chunk_tokens)
 
     def project_kv_chunk(
         self,
@@ -308,18 +263,6 @@ class Transformer:
         Arithmetic order matches :meth:`project_kv` exactly, keeping the
         result bit-identical to a whole-layer (or naive per-layer)
         projection of the same rows.
-
-        **Head ranges, and why they never reach the GEMM:** when the
-        workspace carries ``head_ranges`` (the tensor dimension of a
-        sharded restore), the norm and both GEMMs still run once at
-        *full width* into workspace scratch — a head-sliced GEMM
-        (``normed @ w[:, h0:h1]``) changes the BLAS blocking and with it
-        the last-ulp bits.  Only the strictly elementwise stages are
-        head-sliced: the RoPE rotation (per-element over ``(token, head,
-        dim)``, so a strided head-slice computes identical bits) and the
-        V / non-RoPE-K slice copies.  The union of the ranges' writes is
-        therefore bit-identical to the unsliced projection, for every
-        partition of the heads.
 
         ``stats`` (optional) accumulates per-stage wall time.
         """
@@ -347,7 +290,6 @@ class Transformer:
                 f"chunk rows [{row_start}, {rows.stop}) outside the "
                 f"workspace's {workspace.rot_c.shape[0]} precomputed positions"
             )
-        head_ranges = workspace.head_ranges
         kv_size = config.kv_size
         timed = stats is not None
         t0 = time.perf_counter() if timed else 0.0
@@ -360,37 +302,25 @@ class Transformer:
             t1 = time.perf_counter()
             stats.norm_s += t1 - t0
             t0 = t1
-        # Each GEMM lands directly in its destination unless an
-        # elementwise stage still has to run over it: K detours through
-        # scratch for RoPE, both do for a head-sliced merge.
-        k_out = workspace.k_tmp[:m] if config.rope or head_ranges else k_dest
-        v_out = workspace.v_tmp[:m] if head_ranges else v_dest
+        # Each GEMM lands directly in its destination, except K under
+        # RoPE, which detours through scratch to be rotated into place.
+        k_out = workspace.k_tmp[:m] if config.rope else k_dest
         np.matmul(normed, wk_all[layer], out=k_out.reshape(m, kv_size))
-        np.matmul(normed, wv_all[layer], out=v_out.reshape(m, kv_size))
+        np.matmul(normed, wv_all[layer], out=v_dest.reshape(m, kv_size))
         if timed:
             t1 = time.perf_counter()
             stats.gemm_s += t1 - t0
             t0 = t1
         if config.rope:
-            for h0, h1 in head_ranges or ((0, config.n_kv_heads),):
-                rope_rotate_fullwidth_into(
-                    k_out[:, h0:h1],
-                    workspace.rot_c[rows, h0:h1],
-                    workspace.rot_s[rows, h0:h1],
-                    out=k_dest[:, h0:h1],
-                    swap=workspace.rot_swap[:m, h0:h1],
-                )
+            rope_rotate_fullwidth_into(
+                k_out,
+                workspace.rot_c[rows],
+                workspace.rot_s[rows],
+                out=k_dest,
+                swap=workspace.rot_swap[:m],
+            )
             if timed:
-                t1 = time.perf_counter()
-                stats.rope_s += t1 - t0
-                t0 = t1
-        if head_ranges:
-            for h0, h1 in head_ranges:
-                if not config.rope:
-                    k_dest[:, h0:h1] = k_out[:, h0:h1]
-                v_dest[:, h0:h1] = v_out[:, h0:h1]
-            if timed:
-                stats.merge_s += time.perf_counter() - t0
+                stats.rope_s += time.perf_counter() - t0
         if timed:
             stats.chunks += 1
 

@@ -9,13 +9,11 @@ IO/compute overlap is real wall clock:
   release the GIL).
 - :func:`drain_granules` — the one restore loop: granule reads run ahead
   (on pool workers, or inline without an executor) while the calling
-  thread projects in plan order, so every pool size and shard shape stays
-  bit-exact with the naive reference.
-- :class:`RestoreExecutor` — the pool, the ``(pipeline, tensor)`` shard
-  shape (:func:`partition_layers` stages x KV-head ranges) and the
-  per-stage in-flight window a restoration drains with; also restores
-  multiple contexts concurrently through one shared pool for the serving
-  layer.
+  thread projects in plan order, so every pool size stays bit-exact
+  with the naive reference.
+- :class:`RestoreExecutor` — the pool and the in-flight window a
+  restoration drains with; also restores multiple contexts concurrently
+  through one shared pool for the serving layer.
 - :class:`RestoreProgress` — the per-layer hand-over between a streaming
   restore and the serving iteration: the restore posts each layer as its
   last row lands, the packed model call waits per layer, a failure wakes
@@ -26,12 +24,7 @@ executor to opt in.  See ``docs/ARCHITECTURE.md`` for the pipeline
 timeline.
 """
 
-from repro.runtime.executor import (
-    GranuleTrace,
-    RestoreExecutor,
-    drain_granules,
-    partition_layers,
-)
+from repro.runtime.executor import GranuleTrace, RestoreExecutor, drain_granules
 from repro.runtime.io_pool import IOWorkerPool
 from repro.runtime.progress import RestoreProgress
 
@@ -41,5 +34,4 @@ __all__ = [
     "RestoreExecutor",
     "RestoreProgress",
     "drain_granules",
-    "partition_layers",
 ]

@@ -30,12 +30,10 @@ from repro.simulator.pipeline import (
     IO_STREAM,
     LayerMethod,
     LayerPlan,
-    ShardedStageTimeline,
     TokenwiseLayerPlan,
     build_layerwise_schedule,
     build_tokenwise_schedule,
     restoration_makespan,
-    sharded_restoration_makespan,
 )
 from repro.simulator.streams import ScheduleResult, StreamSchedule, Task
 
@@ -55,7 +53,6 @@ __all__ = [
     "RestorationEstimate",
     "SSDSpec",
     "ScheduleResult",
-    "ShardedStageTimeline",
     "StreamSchedule",
     "Task",
     "TokenwiseLayerPlan",
@@ -70,6 +67,5 @@ __all__ = [
     "prefill_time",
     "restoration_makespan",
     "round_up_tokens",
-    "sharded_restoration_makespan",
     "theoretical_compute_speedup",
 ]

@@ -159,87 +159,3 @@ def build_tokenwise_schedule(plans: list[TokenwiseLayerPlan]) -> ScheduleResult:
 def restoration_makespan(plans: list[LayerPlan]) -> float:
     """Convenience wrapper returning only the layer-wise makespan."""
     return build_layerwise_schedule(plans).makespan
-
-
-@dataclass(frozen=True)
-class ShardedStageTimeline:
-    """One pipeline stage's granule timeline in a sharded restoration.
-
-    Built from one stage's measured
-    :class:`~repro.runtime.executor.GranuleTrace` entries (or synthetic
-    durations in tests): per consumed granule, the modelled
-    single-link IO seconds, the measured consume seconds, and the gather
-    seconds the tensor dimension adds (zero for KV installs or a single
-    tensor rank).
-
-    Attributes:
-        stage: Stage index along the pipeline dimension.
-        io_seconds: Per-granule device IO at single-link bandwidth.
-        compute_seconds: Per-granule projection/install time.
-        gather_seconds: Per-granule all-gather reassembly time.
-    """
-
-    stage: int
-    io_seconds: tuple[float, ...]
-    compute_seconds: tuple[float, ...]
-    gather_seconds: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        lengths = {
-            len(self.io_seconds),
-            len(self.compute_seconds),
-            len(self.gather_seconds),
-        }
-        if len(lengths) != 1:
-            raise SchedulingError(
-                f"stage {self.stage}: io/compute/gather series must align, got "
-                f"{len(self.io_seconds)}/{len(self.compute_seconds)}/"
-                f"{len(self.gather_seconds)} entries"
-            )
-        for series in (self.io_seconds, self.compute_seconds, self.gather_seconds):
-            if any(t < 0 for t in series):
-                raise SchedulingError(f"stage {self.stage}: negative task duration")
-
-
-def sharded_restoration_makespan(
-    stages: "list[ShardedStageTimeline] | tuple[ShardedStageTimeline, ...]",
-    tensor_shards: int,
-) -> float:
-    """Makespan of a sharded drain: parallel IO streams, one merge stream.
-
-    This models what :func:`~repro.runtime.executor.drain_granules`
-    actually executes — which is *not* a grid of fully independent GPUs
-    (that idealization is :func:`repro.simulator.multi_gpu.sharded_restoration`):
-
-    - **IO**: each pipeline stage owns an independent IO stream, and the
-      tensor dimension is folded in on it — each granule's single-link IO
-      is divided by ``tensor_shards`` (the ranks read disjoint shards at
-      aggregated bandwidth) and followed by its gather before the merge
-      can start.  Stage streams advance concurrently.
-    - **Compute**: every stage's granules merge through *one* compute
-      stream (the §4.1 recurrence), because the executor's bit-exactness
-      contract runs all projection/install work on the single calling
-      thread.  Granules enter the merge stream as their stage IO streams
-      deliver them (readiness order — the executor's rotation services
-      whichever stage has a granule ready).
-
-    Sharding therefore accelerates the IO side of the §4.1 pipeline; the
-    makespan floors at the total single-stream merge compute, which is
-    exactly how the measured harness behaves.
-    """
-    if tensor_shards < 1:
-        raise SchedulingError("tensor_shards must be >= 1")
-    if not stages:
-        raise SchedulingError("sharded restoration plan is empty")
-    ready_times = []
-    for timeline in stages:
-        io_done = 0.0
-        for io, compute, gather in zip(
-            timeline.io_seconds, timeline.compute_seconds, timeline.gather_seconds
-        ):
-            io_done += io / tensor_shards + gather
-            ready_times.append((io_done, compute))
-    compute_done = 0.0
-    for ready, compute in sorted(ready_times, key=lambda event: event[0]):
-        compute_done = max(compute_done, ready) + compute
-    return compute_done

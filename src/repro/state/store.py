@@ -28,7 +28,7 @@ Sharing model:
 
 Concurrency contract: session-table operations take the store's own
 lock, because concurrent restores of *distinct* sessions (the threaded
-executor's ``restore_contexts``) admit and publish in parallel.  Block
+executor's ``restore_contexts_async``) admit and publish in parallel.  Block
 *content* writes stay single-writer per block — only a table holding a
 block at refcount 1 writes rows — and the pool's metadata lock keeps its
 index consistent underneath.

@@ -81,35 +81,28 @@ class StorageArray:
         """The shared emulator, or ``None`` when emulation is off."""
         return self._emulator
 
-    def emulate_latency(
-        self, min_sleep_s: float = 1e-3, channels: int = 1
-    ) -> LatencyEmulator:
+    def emulate_latency(self, min_sleep_s: float = 1e-3) -> LatencyEmulator:
         """Make every device sleep its modelled seconds for real.
 
-        All devices share one :class:`LatencyEmulator` — with the default
-        ``channels=1`` the timing model charges chunk reads to a single
-        serial IO stream, and the shared debt keeps the emulated wall
-        clock faithful to that.  ``channels=N`` emulates N independent
-        ingest links instead (one per simulated GPU of a sharded
-        restore): concurrent readers sleep different channels at the same
-        time, so emulated IO wall clock floors at the aggregated-bandwidth
-        ``total / N`` the sharded makespan model prices.  Returns the
+        All devices share one :class:`LatencyEmulator`: the timing model
+        charges chunk reads to a single serial IO stream, and the shared
+        debt keeps the emulated wall clock faithful to that.  Returns the
         emulator so callers can :meth:`LatencyEmulator.flush` at the end
         of a timed region.  Idempotent while already emulating with the
-        same channel count.
+        same quantum.
 
         Raises:
             ConfigError: when already emulating with a different
-                ``channels`` — call :meth:`stop_latency_emulation` first.
+                ``min_sleep_s`` — call :meth:`stop_latency_emulation` first.
         """
         if self._emulator is None:
-            self._emulator = LatencyEmulator(min_sleep_s, channels=channels)
+            self._emulator = LatencyEmulator(min_sleep_s)
             for device in self.devices:
                 device.emulator = self._emulator
-        elif self._emulator.channels != channels:
+        elif self._emulator.min_sleep_s != min_sleep_s:
             raise ConfigError(
-                f"already emulating with {self._emulator.channels} channel(s); "
-                "stop_latency_emulation() before changing the channel count"
+                f"already emulating with a {self._emulator.min_sleep_s} s sleep "
+                "quantum; stop_latency_emulation() before changing it"
             )
         return self._emulator
 

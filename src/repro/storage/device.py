@@ -58,27 +58,15 @@ class LatencyEmulator:
     stay faithful to the model (within one quantum) while each actual
     sleep is long enough for the OS timer to honour it.
 
-    One emulator is shared by every device of an array.  With the default
-    ``channels=1`` that matches how the restoration timing model charges
-    all chunk reads to a single serial IO stream
-    (:func:`repro.storage.streaming.pipelined_makespan`): ``charge`` is
-    thread-safe, and the sleeps themselves serialize on a dedicated lock,
-    so even when several IO workers charge concurrently, emulated IO wall
-    clock accumulates like the one serial stream the model costs — a
-    bigger pool cannot "parallelize" the emulated device time, only hide
-    it under compute.  (The debt bookkeeping lock is separate, so
-    charging never blocks behind an in-progress sleep.)
-
-    ``channels=N`` models N *independent ingest links* — the §5 sharded
-    restoration picture where every simulated GPU pulls its shard of the
-    state through its own PCIe lane, so total read bandwidth aggregates
-    across shards.  Debt quanta are slept off round-robin across N sleep
-    locks: N threads charging concurrently each sleep a different
-    channel's quantum at the same time, so emulated IO wall clock floors
-    at ``total_modelled / N`` — exactly the aggregated-bandwidth read
-    term the sharded makespan model divides by the shard count.  A single
-    thread still pays the full total (it cannot sleep in parallel with
-    itself), which keeps unsharded baselines honest.
+    One emulator is shared by every device of an array.  That matches how
+    the restoration timing model charges all chunk reads to a single
+    serial IO stream (:func:`repro.storage.streaming.pipelined_makespan`):
+    ``charge`` is thread-safe, and the sleeps themselves serialize on a
+    dedicated lock, so even when several IO workers charge concurrently,
+    emulated IO wall clock accumulates like the one serial stream the
+    model costs — a bigger pool cannot "parallelize" the emulated device
+    time, only hide it under compute.  (The debt bookkeeping lock is
+    separate, so charging never blocks behind an in-progress sleep.)
 
     Sleeps are self-correcting: the OS overshoots short sleeps by tens of
     microseconds, so the emulator measures each sleep's *actual* duration
@@ -91,18 +79,13 @@ class LatencyEmulator:
         self,
         min_sleep_s: float = 1e-3,
         sleep_fn: Callable[[float], None] = time.sleep,
-        channels: int = 1,
     ) -> None:
         if min_sleep_s <= 0:
             raise ConfigError("latency emulation needs a positive sleep quantum")
-        if channels < 1:
-            raise ConfigError("latency emulation needs at least one channel")
         self.min_sleep_s = min_sleep_s
-        self.channels = channels
         self._sleep = sleep_fn
         self._lock = threading.Lock()
-        self._sleep_locks = [threading.Lock() for _ in range(channels)]
-        self._next_channel = 0  # guarded-by: _lock
+        self._sleep_lock = threading.Lock()
         self._debt_s = 0.0  # guarded-by: _lock
         self._slept_s = 0.0  # guarded-by: _lock
 
@@ -119,14 +102,8 @@ class LatencyEmulator:
             return self._slept_s
 
     def _sleep_off(self, take: float) -> None:
-        # Round-robin the quantum onto the next channel's sleep lock:
-        # with one channel this serializes every sleep (the single-stream
-        # model); with N channels up to N threads sleep concurrently (the
-        # N-link aggregated-bandwidth model).
-        with self._lock:
-            channel = self._next_channel
-            self._next_channel = (channel + 1) % len(self._sleep_locks)
-        with self._sleep_locks[channel]:
+        # Every sleep serializes on one lock: the single-stream model.
+        with self._sleep_lock:
             t0 = time.perf_counter()
             self._sleep(take)
             overshoot = (time.perf_counter() - t0) - take

@@ -3,13 +3,13 @@
 There is one restore loop (:func:`repro.runtime.executor.drain_granules`)
 and one projection kernel (:meth:`Transformer.project_kv_chunk`); what
 varies is only how the loop is parameterised — no executor (inline reads,
-window 1), an IO pool of 1 or 4, a ``(pipeline, tensor)`` shard shape —
-and where the bytes come from (storage, a tracked pool session, or a
-pool-admitted prefix plus a streamed gap).  Every combination must
+window 1) or an IO pool of 1, 2 or 4 workers — and where the bytes come
+from (storage, a tracked pool session, or a pool-admitted prefix plus a
+streamed gap).  Every combination must
 restore bytes identical to the naive whole-layer reference
 (:func:`naive_restore_cache_from_hidden`) and to each other, across
 partition schemes, norm/RoPE flavors, GQA, partial tail chunks, granule
-sizes and non-divisible layer/head splits.
+sizes and layer counts.
 
 The engine's default scheme token-sources layer 0 (a 1-layer RECOMPUTE
 prefix): every matrix cell also runs it and a 2-layer prefix, and must
@@ -52,13 +52,9 @@ N_TOKENS = 125  # partial tail chunk, two streamed gap granules per layer
 #: No executor at all: reads run inline at submit, window 1.
 INLINE = "inline"
 
-#: (IO pool — INLINE, a size, or None for one worker per simulated GPU —
-#: and shard shape).
-FLAVORS = [(INLINE, (1, 1))] + [
-    (pool, shape)
-    for pool in (1, 4)
-    for shape in ((1, 1), (2, 1), (1, 2), (2, 2))
-]
+#: The IO pool a restore drains through: INLINE, a pool size, or None
+#: for the executor's default pool.
+POOLS = [INLINE, 1, 2, 4, None]
 
 R, H, K = LayerMethod.RECOMPUTE, LayerMethod.HIDDEN, LayerMethod.KV
 SCHEMES = {
@@ -74,9 +70,12 @@ GQA_CONFIG = replace(
 )
 
 
-def flavor_id(flavor):
-    pool, (pipeline, tensor) = flavor
-    return INLINE if pool == INLINE else f"pool{pool}-{pipeline}x{tensor}"
+def pool_id(pool):
+    return INLINE if pool == INLINE else f"pool{pool or '-default'}"
+
+
+def executor_for(pool):
+    return RestoreExecutor() if pool is None else RestoreExecutor(pool)
 
 
 class RecordingProgress(RestoreProgress):
@@ -91,11 +90,10 @@ class RecordingProgress(RestoreProgress):
         self.layers.append(layer)
 
 
-def restore_through(engine, context_id, flavor, **kwargs):
-    pool, shards = flavor
+def restore_through(engine, context_id, pool, **kwargs):
     if pool == INLINE:
         return engine.restore(context_id, **kwargs)
-    with RestoreExecutor(pool, shards=shards) as executor:
+    with executor_for(pool) as executor:
         return engine.restore(context_id, executor=executor, **kwargs)
 
 
@@ -172,13 +170,13 @@ def pure_hidden_restore():
 
 @pytest.mark.parametrize("pool_state", POOL_STATES)
 @pytest.mark.parametrize("scheme", sorted(SCHEMES))
-@pytest.mark.parametrize("flavor", FLAVORS, ids=flavor_id)
-def test_every_restore_shape_is_bit_exact(flavor, scheme, pool_state, pure_hidden_restore):
+@pytest.mark.parametrize("pool", POOLS, ids=pool_id)
+def test_every_restore_shape_is_bit_exact(pool, scheme, pool_state, pure_hidden_restore):
     engine, oracle = build_case(SCHEMES[scheme], pool_state)
     stats = RestoreBreakdown()
     n_layers = engine.transformer.config.n_layers
     sink = RecordingProgress(n_layers)
-    restored = restore_through(engine, "c", flavor, stats=stats, progress=sink)
+    restored = restore_through(engine, "c", pool, stats=stats, progress=sink)
     assert restored.equals(oracle, atol=0.0)
     # Every layer reported once (a second report raises inside the sink),
     # and the step-side handle sits on the rows that were just returned.
@@ -195,7 +193,6 @@ def test_every_restore_shape_is_bit_exact(flavor, scheme, pool_state, pure_hidde
     # restore may mutate pool state, so each side gets its own build).
     twin, _ = build_case(SCHEMES[scheme], pool_state)
     assert restored.equals(twin.restore("c"), atol=0.0)
-    assert stats.shard_shape == flavor[1]
     if pool_state == "no-store":
         assert stats.shared_tokens == 0 and stats.device_reads > 0
     elif pool_state == "tracked":
@@ -207,20 +204,8 @@ def test_every_restore_shape_is_bit_exact(flavor, scheme, pool_state, pure_hidde
 
 
 # ---------------------------------------------------------------------------
-# model / length / granule variants, through a spread of loop shapes
+# model / length / granule variants, through every pool
 # ---------------------------------------------------------------------------
-
-VARIANT_FLAVORS = [
-    (INLINE, (1, 1)),
-    (1, (1, 1)),
-    (2, (1, 1)),
-    (4, (1, 1)),
-    (None, (2, 2)),
-    (None, (3, 2)),  # more stages than divide the layers evenly
-    (None, (8, 1)),  # more stages than layers: clamped
-    (None, (3, 3)),  # 4 KV heads over 3 ranks: uneven head ranges
-]
-
 
 #: (id, config, scheme factory, n_tokens, granule_chunks, seal)
 VARIANTS = [
@@ -240,13 +225,11 @@ VARIANTS = [
 
 
 @pytest.mark.parametrize("variant", VARIANTS, ids=[v[0] for v in VARIANTS])
-@pytest.mark.parametrize("flavor", VARIANT_FLAVORS, ids=flavor_id)
-def test_model_length_and_granule_variants(flavor, variant):
+@pytest.mark.parametrize("pool", POOLS, ids=pool_id)
+def test_model_length_and_granule_variants(pool, variant):
     _, config, scheme_of, n_tokens, granule_chunks, seal = variant
     if isinstance(config, str):
         config = model_preset(config)
-    if flavor[1][1] > config.n_kv_heads:
-        pytest.skip("tensor split would cut a GQA group (rejected; see below)")
     model = Transformer.from_seed(config, seed=11)
     engine = HCacheEngine(
         model,
@@ -257,26 +240,12 @@ def test_model_length_and_granule_variants(flavor, variant):
     tokens = np.random.default_rng(5).integers(0, config.vocab_size, size=n_tokens)
     oracle = prefill_and_save(engine, model, "c", tokens, seal=seal)
     sink = RecordingProgress(config.n_layers)
-    assert restore_through(engine, "c", flavor, progress=sink).equals(oracle, atol=0.0)
+    assert restore_through(engine, "c", pool, progress=sink).equals(oracle, atol=0.0)
     assert sorted(sink.layers) == list(range(config.n_layers))
 
 
-def test_gqa_oversplit_raises_before_restoring():
-    """More tensor ranks than KV heads would force a boundary through a
-    GQA group — must raise, never silently misproject."""
-    model = Transformer.from_seed(GQA_CONFIG, seed=11)
-    engine = HCacheEngine(
-        model, StorageManager(build_storage_array(platform_preset("default")))
-    )
-    tokens = np.random.default_rng(5).integers(0, GQA_CONFIG.vocab_size, size=64)
-    prefill_and_save(engine, model, "c", tokens)
-    with RestoreExecutor(shards=(1, 3)) as executor:
-        with pytest.raises(ConfigError, match="GQA group"):
-            engine.restore("c", executor=executor)
-
-
-@pytest.mark.parametrize("flavor", [(1, (1, 1)), (2, (1, 1)), (4, (2, 2))], ids=flavor_id)
-def test_repeated_runs_through_one_executor_are_stable(flavor):
+@pytest.mark.parametrize("pool", [1, 2, 4], ids=pool_id)
+def test_repeated_runs_through_one_executor_are_stable(pool):
     """Shake out ordering races: repeated restores through one shared
     executor must all produce identical bytes."""
     config = model_preset("tiny-llama")
@@ -286,8 +255,7 @@ def test_repeated_runs_through_one_executor_are_stable(flavor):
     )
     tokens = np.random.default_rng(5).integers(0, config.vocab_size, size=197)
     oracle = prefill_and_save(engine, model, "c", tokens)
-    pool, shards = flavor
-    with RestoreExecutor(pool, shards=shards) as executor:
+    with RestoreExecutor(pool) as executor:
         for _ in range(5):
             assert engine.restore("c", executor=executor).equals(oracle, atol=0.0)
 

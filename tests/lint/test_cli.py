@@ -42,7 +42,7 @@ def test_rule_filter_limits_scope(capsys):
     assert main(["--rule", "api-surface", str(FIXTURES / "api_bad.py")]) == 1
 
 
-def test_list_rules_names_all_five(capsys):
+def test_list_rules_names_every_rule(capsys):
     assert main(["--list-rules"]) == 0
     out = capsys.readouterr().out
     for rule in (
@@ -51,7 +51,9 @@ def test_list_rules_names_all_five(capsys):
         "hot-path",
         "exception-safety",
         "api-surface",
+        "frontend-api",
         "unused-import",
+        "undefined-name",
     ):
         assert rule in out
 

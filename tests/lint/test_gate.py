@@ -105,3 +105,15 @@ def test_injected_stale_import_is_caught(tmp_path):
     assert len(findings) == 1
     assert findings[0].rule == "unused-import"
     assert "'gelu' is imported but never used" in findings[0].message
+
+
+def test_injected_reference_to_a_deleted_name_is_caught(tmp_path):
+    # The edit that deletes a function's import but leaves a caller.
+    dest = _copy_into_tree(tmp_path, "repro/models/ffn.py")
+    source = dest.read_text()
+    target = "matmul(gelu(matmul(x, weights.w_up)), weights.w_down)"
+    assert source.count(target) == 1, "gelu_ffn moved; update test"
+    dest.write_text(source.replace(target, target.replace("gelu(", "gelu_tanh(")))
+    findings = check_paths([tmp_path], default_rules())
+    assert [f.rule for f in findings] == ["unused-import", "undefined-name"]
+    assert "undefined name 'gelu_tanh'" in findings[1].message

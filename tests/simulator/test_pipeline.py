@@ -8,14 +8,11 @@ from repro.errors import SchedulingError
 from repro.simulator.pipeline import (
     LayerMethod,
     LayerPlan,
-    ShardedStageTimeline,
     TokenwiseLayerPlan,
     build_layerwise_schedule,
     build_tokenwise_schedule,
     restoration_makespan,
-    sharded_restoration_makespan,
 )
-from repro.storage.streaming import pipelined_makespan
 
 
 def hidden_plan(layer: int, io: float = 1.0, compute: float = 0.5) -> LayerPlan:
@@ -129,87 +126,3 @@ class TestTokenwisePipeline:
         result = build_tokenwise_schedule(plans)
         names = [t.name for t in result.tasks if t.stream == "io"]
         assert names == ["io:L0", "io:L1"]
-
-
-class TestShardedStageTimeline:
-    def test_series_length_mismatch_rejected(self):
-        with pytest.raises(SchedulingError):
-            ShardedStageTimeline(
-                stage=0,
-                io_seconds=(1.0, 1.0),
-                compute_seconds=(0.5,),
-                gather_seconds=(0.0, 0.0),
-            )
-
-    def test_negative_duration_rejected(self):
-        with pytest.raises(SchedulingError):
-            ShardedStageTimeline(
-                stage=0,
-                io_seconds=(1.0,),
-                compute_seconds=(-0.5,),
-                gather_seconds=(0.0,),
-            )
-
-
-class TestShardedRestorationMakespan:
-    def stage(self, io, compute, gather=None, stage=0):
-        gather = gather if gather is not None else [0.0] * len(io)
-        return ShardedStageTimeline(
-            stage=stage,
-            io_seconds=tuple(io),
-            compute_seconds=tuple(compute),
-            gather_seconds=tuple(gather),
-        )
-
-    def test_empty_plan_rejected(self):
-        with pytest.raises(SchedulingError):
-            sharded_restoration_makespan([], 1)
-
-    def test_non_positive_tensor_shards_rejected(self):
-        with pytest.raises(SchedulingError):
-            sharded_restoration_makespan([self.stage([1.0], [0.5])], 0)
-
-    def test_single_stage_matches_two_stream_recurrence(self):
-        io = [1.0, 2.0, 0.5, 1.5]
-        compute = [0.7, 0.7, 0.7, 0.7]
-        got = sharded_restoration_makespan([self.stage(io, compute)], 1)
-        assert got == pytest.approx(pipelined_makespan(io, compute))
-
-    def test_tensor_shards_divide_io_stream(self):
-        io = [4.0, 4.0]
-        compute = [0.1, 0.1]
-        one = sharded_restoration_makespan([self.stage(io, compute)], 1)
-        four = sharded_restoration_makespan([self.stage(io, compute)], 4)
-        # IO-bound: 4 ranks read disjoint shards at aggregated bandwidth.
-        assert four < one
-        assert four == pytest.approx(8.0 / 4 + 0.1)
-
-    def test_gather_serializes_on_io_stream(self):
-        plain = sharded_restoration_makespan(
-            [self.stage([2.0, 2.0], [0.1, 0.1])], 2
-        )
-        gathered = sharded_restoration_makespan(
-            [self.stage([2.0, 2.0], [0.1, 0.1], gather=[0.3, 0.3])], 2
-        )
-        assert gathered == pytest.approx(plain + 0.6)
-
-    def test_io_streams_parallel_slowest_bounds_io_side(self):
-        """Stage IO streams advance concurrently: with negligible merge
-        compute, a fast stage rides along under the slow one for free."""
-        fast = self.stage([0.5, 0.5], [0.1, 0.1], stage=0)
-        slow = self.stage([3.0, 3.0], [0.1, 0.1], stage=1)
-        got = sharded_restoration_makespan([fast, slow], 1)
-        assert got == pytest.approx(
-            sharded_restoration_makespan([slow], 1)
-        )
-
-    def test_merge_stream_is_single(self):
-        """Compute does NOT parallelize across stages: the executor merges
-        every stage's granules on one calling thread, so two
-        compute-heavy stages cost their summed compute, not the max."""
-        a = self.stage([1.0, 1.0], [1.0, 1.0], stage=0)
-        b = self.stage([1.0, 1.0], [1.0, 1.0], stage=1)
-        got = sharded_restoration_makespan([a, b], 1)
-        # First granule ready at t=1, then four 1s merges back-to-back.
-        assert got == pytest.approx(5.0)
-        assert got > sharded_restoration_makespan([a], 1)
