@@ -3,9 +3,10 @@
 There is one restore loop (:func:`repro.runtime.executor.drain_granules`)
 and one projection kernel (:meth:`Transformer.project_kv_chunk`); what
 varies is only how the loop is parameterised — no executor (inline reads,
-window 1) or an IO pool of 1, 2 or 4 workers — and where the bytes come
-from (storage, a tracked pool session, or a pool-admitted prefix plus a
-streamed gap).  Every combination must
+window 1), or an IO pool of 1, 2 or 4 workers with an in-flight window
+from one read up to deeper than the whole granule plan — and where the
+bytes come from (storage, a tracked pool session, or a pool-admitted
+prefix plus a streamed gap).  Every combination must
 restore bytes identical to the naive whole-layer reference
 (:func:`naive_restore_cache_from_hidden`) and to each other, across
 partition schemes, norm/RoPE flavors, GQA, partial tail chunks, granule
@@ -52,9 +53,27 @@ N_TOKENS = 125  # partial tail chunk, two streamed gap granules per layer
 #: No executor at all: reads run inline at submit, window 1.
 INLINE = "inline"
 
-#: The IO pool a restore drains through: INLINE, a pool size, or None
-#: for the executor's default pool.
-POOLS = [INLINE, 1, 2, 4, None]
+#: Deeper than any plan below: every granule is submitted before the
+#: first one is consumed.
+WHOLE_PLAN = 64
+
+#: The loop shapes a restore drains with: INLINE, or (IO pool size —
+#: None for the executor's default pool — and in-flight window, None for
+#: the executor's default of pool size plus runway).  A window of 1 on a
+#: wide pool serialises the reads; a window below the pool size leaves
+#: workers idle; a whole-plan window fills the ring up front.
+LOOPS = [
+    INLINE,
+    (1, None),
+    (2, None),
+    (4, None),
+    (None, None),
+    (1, 1),
+    (4, 1),
+    (4, 2),
+    (1, WHOLE_PLAN),
+    (4, WHOLE_PLAN),
+]
 
 R, H, K = LayerMethod.RECOMPUTE, LayerMethod.HIDDEN, LayerMethod.KV
 SCHEMES = {
@@ -70,12 +89,19 @@ GQA_CONFIG = replace(
 )
 
 
-def pool_id(pool):
-    return INLINE if pool == INLINE else f"pool{pool or '-default'}"
+def loop_id(loop):
+    if loop == INLINE:
+        return INLINE
+    pool, inflight = loop
+    name = f"pool{pool or '-default'}"
+    return name if inflight is None else f"{name}-window{inflight}"
 
 
-def executor_for(pool):
-    return RestoreExecutor() if pool is None else RestoreExecutor(pool)
+def executor_for(loop):
+    pool, inflight = loop
+    if pool is None:
+        return RestoreExecutor(inflight=inflight)
+    return RestoreExecutor(pool, inflight=inflight)
 
 
 class RecordingProgress(RestoreProgress):
@@ -90,10 +116,10 @@ class RecordingProgress(RestoreProgress):
         self.layers.append(layer)
 
 
-def restore_through(engine, context_id, pool, **kwargs):
-    if pool == INLINE:
+def restore_through(engine, context_id, loop, **kwargs):
+    if loop == INLINE:
         return engine.restore(context_id, **kwargs)
-    with executor_for(pool) as executor:
+    with executor_for(loop) as executor:
         return engine.restore(context_id, executor=executor, **kwargs)
 
 
@@ -170,13 +196,13 @@ def pure_hidden_restore():
 
 @pytest.mark.parametrize("pool_state", POOL_STATES)
 @pytest.mark.parametrize("scheme", sorted(SCHEMES))
-@pytest.mark.parametrize("pool", POOLS, ids=pool_id)
-def test_every_restore_shape_is_bit_exact(pool, scheme, pool_state, pure_hidden_restore):
+@pytest.mark.parametrize("loop", LOOPS, ids=loop_id)
+def test_every_restore_shape_is_bit_exact(loop, scheme, pool_state, pure_hidden_restore):
     engine, oracle = build_case(SCHEMES[scheme], pool_state)
     stats = RestoreBreakdown()
     n_layers = engine.transformer.config.n_layers
     sink = RecordingProgress(n_layers)
-    restored = restore_through(engine, "c", pool, stats=stats, progress=sink)
+    restored = restore_through(engine, "c", loop, stats=stats, progress=sink)
     assert restored.equals(oracle, atol=0.0)
     # Every layer reported once (a second report raises inside the sink),
     # and the step-side handle sits on the rows that were just returned.
@@ -204,7 +230,7 @@ def test_every_restore_shape_is_bit_exact(pool, scheme, pool_state, pure_hidden_
 
 
 # ---------------------------------------------------------------------------
-# model / length / granule variants, through every pool
+# model / length / granule variants, through every loop shape
 # ---------------------------------------------------------------------------
 
 #: (id, config, scheme factory, n_tokens, granule_chunks, seal)
@@ -225,8 +251,8 @@ VARIANTS = [
 
 
 @pytest.mark.parametrize("variant", VARIANTS, ids=[v[0] for v in VARIANTS])
-@pytest.mark.parametrize("pool", POOLS, ids=pool_id)
-def test_model_length_and_granule_variants(pool, variant):
+@pytest.mark.parametrize("loop", LOOPS, ids=loop_id)
+def test_model_length_and_granule_variants(loop, variant):
     _, config, scheme_of, n_tokens, granule_chunks, seal = variant
     if isinstance(config, str):
         config = model_preset(config)
@@ -240,12 +266,12 @@ def test_model_length_and_granule_variants(pool, variant):
     tokens = np.random.default_rng(5).integers(0, config.vocab_size, size=n_tokens)
     oracle = prefill_and_save(engine, model, "c", tokens, seal=seal)
     sink = RecordingProgress(config.n_layers)
-    assert restore_through(engine, "c", pool, progress=sink).equals(oracle, atol=0.0)
+    assert restore_through(engine, "c", loop, progress=sink).equals(oracle, atol=0.0)
     assert sorted(sink.layers) == list(range(config.n_layers))
 
 
-@pytest.mark.parametrize("pool", [1, 2, 4], ids=pool_id)
-def test_repeated_runs_through_one_executor_are_stable(pool):
+@pytest.mark.parametrize("loop", [loop for loop in LOOPS if loop != INLINE], ids=loop_id)
+def test_repeated_runs_through_one_executor_are_stable(loop):
     """Shake out ordering races: repeated restores through one shared
     executor must all produce identical bytes."""
     config = model_preset("tiny-llama")
@@ -255,7 +281,7 @@ def test_repeated_runs_through_one_executor_are_stable(pool):
     )
     tokens = np.random.default_rng(5).integers(0, config.vocab_size, size=197)
     oracle = prefill_and_save(engine, model, "c", tokens)
-    with RestoreExecutor(pool) as executor:
+    with executor_for(loop) as executor:
         for _ in range(5):
             assert engine.restore("c", executor=executor).equals(oracle, atol=0.0)
 
