@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from functools import partial
 from typing import TYPE_CHECKING, Callable
 
 import numpy as np
@@ -24,12 +25,12 @@ from repro.core.scheduler import BubbleFreeScheduler, ScheduleDecision
 from repro.errors import ConfigError, RecoveryError, RestorationError, StateError
 from repro.models.kv_cache import KVCache
 from repro.models.transformer import ProjectionStats, Transformer
-from repro.runtime.executor import GranuleTrace, RestoreExecutor, drain_granules
+from repro.runtime.executor import RestoreExecutor, drain_granules
 from repro.runtime.progress import RestoreProgress
 from repro.simulator.hardware import Platform
 from repro.simulator.pipeline import LayerMethod
 from repro.storage.manager import StorageManager
-from repro.storage.streaming import LayerChunk, pipelined_makespan
+from repro.storage.streaming import LayerChunk
 
 if TYPE_CHECKING:  # pragma: no cover - typing-only imports
     # BlockStateStore is typing-only to break the import cycle
@@ -42,15 +43,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing-only imports
 class RestoreBreakdown:
     """Per-stage accounting of one chunk-streamed restoration.
 
-    Filled by :meth:`HCacheEngine.restore` when passed in.  Measured
-    fields are wall-clock seconds of this process.  ``modelled_io_s``
-    comes from the storage devices' timing model; the two makespans are
-    **hybrid** figures — modelled device IO overlapped against this
-    run's *measured* per-granule compute — so they show the structure of
-    the §4.1 pipeline (how much the overlap buys on this machine), not a
-    host-independent prediction.  With compute overlapping transfer, the
-    restoration critical path is ``modelled_pipelined_s``, not the
-    serial sum.
+    Filled by :meth:`HCacheEngine.restore` when passed in.  Every
+    ``*_s`` field is measured wall-clock seconds of this process; the
+    modelled device seconds of the reads are on the devices
+    (``busy_seconds``).
 
     Attributes:
         n_tokens: Tokens restored.
@@ -60,12 +56,6 @@ class RestoreBreakdown:
         install_s: Measured wall time installing KV-offloaded chunks.
         recompute_s: Measured wall time replaying a RECOMPUTE prefix.
         projection: Per-stage (norm / GEMM / RoPE) projection times.
-        modelled_io_s: Modelled device time of all chunk reads.
-        modelled_serial_s: Hybrid makespan of the pre-pipeline shape
-            (modelled reads, then all measured compute, serially).
-        modelled_pipelined_s: Hybrid makespan with each granule's
-            measured compute overlapping the next granule's modelled
-            read — the §4.1 shape.
     """
 
     n_tokens: int = 0
@@ -75,9 +65,6 @@ class RestoreBreakdown:
     install_s: float = 0.0
     recompute_s: float = 0.0
     projection: ProjectionStats = field(default_factory=ProjectionStats)
-    modelled_io_s: float = 0.0
-    modelled_serial_s: float = 0.0
-    modelled_pipelined_s: float = 0.0
     #: Tokens served from the shared block pool instead of storage (their
     #: chunk reads never reach a device).
     shared_tokens: int = 0
@@ -85,8 +72,6 @@ class RestoreBreakdown:
     pool_s: float = 0.0
     #: Measured submit-side executor overhead: staging-slot acquisition
     #: plus pool handoff per granule (zero without an executor).
-    #: Together with the exposed ``read_s`` stall it itemizes the gap
-    #: between wall clock and the modelled makespan.
     dispatch_s: float = 0.0
 
 
@@ -525,7 +510,6 @@ class HCacheEngine:
                 progress.layer_landed(layer)
 
         token_prefix: Callable[[], None] | None = None
-        token_prefix_s = 0.0
         # (kind, layers, serve_prefix, consume_rows) of each stored kind.
         drains: list[tuple] = []
         if plan.hidden_layers or n_recompute:
@@ -560,12 +544,7 @@ class HCacheEngine:
                     project(layer, start, staging[: stop - start])
 
             if n_recompute:
-
-                def run_token_prefix() -> None:
-                    nonlocal token_prefix_s
-                    token_prefix_s = self._restore_token_prefix(plan, project, landed)
-
-                token_prefix = run_token_prefix
+                token_prefix = partial(self._restore_token_prefix, plan, project, landed)
 
             if plan.hidden_layers:
                 drains.append(("hidden", plan.hidden_layers, project_pool_prefix, project))
@@ -593,26 +572,12 @@ class HCacheEngine:
             drains.append(("kv", plan.kv_layers, install_pool_prefix, install))
         # The token-sourced prefix rides under the first drain's IO
         # stream; with nothing stored it simply runs.
-        traces = [
-            granule
-            for i, drain in enumerate(drains)
-            for granule in self._restore_kind(plan, *drain, None if i else token_prefix)
-        ]
+        for i, drain in enumerate(drains):
+            self._restore_kind(plan, *drain, None if i else token_prefix)
         if token_prefix is not None and not drains:
             token_prefix()
         if plan.suffix_rows is not None:
             self._republish_suffix(plan)
-        if timed:
-            # The token-sourced prefix and the pool-resident shared prefix
-            # need no stored state: one leading zero-IO granule on the
-            # compute stream, overlapping the stream from its first read.
-            io_times = [0.0] + [granule.io_seconds for granule in traces]
-            compute_times = [token_prefix_s + stats.pool_s] + [
-                granule.compute_seconds for granule in traces
-            ]
-            stats.modelled_io_s = sum(io_times)
-            stats.modelled_serial_s = stats.modelled_io_s + sum(compute_times)
-            stats.modelled_pipelined_s = pipelined_makespan(io_times, compute_times)
         if len(cache) != n_tokens:
             raise RestorationError("restored cache length mismatch")
         return cache
@@ -622,7 +587,7 @@ class HCacheEngine:
         plan: _RestorePlan,
         project: Callable[[int, int, np.ndarray], None],
         landed: Callable[[int, int], None],
-    ) -> float:
+    ) -> None:
         """Fill the RECOMPUTE layers ``[0, r)`` from the token log alone.
 
         Only the layers *before* the last one are replayed in full
@@ -632,11 +597,11 @@ class HCacheEngine:
         partition, so the result is bit-identical to restoring those
         rows from a device (and counted as landed there; a replayed
         layer is reported through ``landed`` as it is installed).
-        Returns the wall seconds of the whole prefix; ``stats.recompute_s`` gets the replay alone (the last
-        layer's projection is in ``stats.projection``).
+        ``stats.recompute_s`` gets the replay alone (the last layer's
+        projection is in ``stats.projection``).
         """
         last = self.scheme.n_recompute - 1
-        t0 = time.perf_counter()
+        t0 = time.perf_counter() if plan.stats is not None else 0.0
         tokens = np.array(self.storage.token_log(plan.context_id)[: plan.n_tokens])
         replayed, rows = self.transformer.recompute_prefix(tokens, last)
         for layer in range(last):
@@ -646,7 +611,6 @@ class HCacheEngine:
             plan.stats.recompute_s += time.perf_counter() - t0
         for start in range(0, plan.n_tokens, plan.granule_tokens):
             project(last, start, rows[start : start + plan.granule_tokens])
-        return time.perf_counter() - t0
 
     def _plan_restore(
         self,
@@ -691,7 +655,7 @@ class HCacheEngine:
         serve_prefix: Callable[[int], None],
         consume_rows: Callable[[int, int, np.ndarray], None],
         under_io: Callable[[], None] | None,
-    ) -> list[GranuleTrace]:
+    ) -> None:
         """Restore one kind (hidden or KV) of the planned context's layers.
 
         ``serve_prefix(layer)`` serves the pool-resident shared prefix;
@@ -702,7 +666,7 @@ class HCacheEngine:
         token-sourced prefix, or ``None``) runs once the drain's first
         reads are in flight — or right away when the pool serves
         everything (``shared`` is then the whole context, not a chunk
-        boundary the drain could start from).  Returns the drain's trace.
+        boundary the drain could start from).
         """
         shared, suffix_rows, stats = plan.shared, plan.suffix_rows, plan.stats
         if shared:
@@ -714,7 +678,7 @@ class HCacheEngine:
         if shared == plan.n_tokens:
             if under_io is not None:
                 under_io()
-            return []
+            return
 
         def consume(chunk: LayerChunk) -> None:
             consume_rows(chunk.layer, chunk.start, chunk.data)
@@ -723,7 +687,7 @@ class HCacheEngine:
                     chunk.start - shared : chunk.stop - shared
                 ] = chunk.data
 
-        return drain_granules(
+        drain_granules(
             self.storage, plan.context_id, layers, kind, self.stream_granule_chunks,
             consume, plan.executor, shared, stats, under_io,
         )

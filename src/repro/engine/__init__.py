@@ -22,7 +22,7 @@ from repro.engine.api import (
     ServingResponse,
 )
 from repro.engine.batching import ContinuousBatcher, MemoryBudget
-from repro.engine.frontend import RequestHandle, ServingFrontend, pool_admission_gate
+from repro.engine.frontend import RequestHandle, ServingFrontend
 from repro.engine.metrics import MetricsCollector, RequestRecord, ServingReport
 from repro.engine.numeric_engine import NumericServingEngine, SessionState
 from repro.engine.request import Phase, Request, RequestSpec
@@ -61,6 +61,5 @@ __all__ = [
     "SplitFuseScheduler",
     "concurrent_context_estimate",
     "max_context_tokens",
-    "pool_admission_gate",
     "simulate_methods",
 ]

@@ -59,8 +59,8 @@ class ServingRequest:
             Trace replays pass explicit arrivals so queueing delay is
             measured against the offered load, not the submit loop.
         slo_ttft_s: Optional time-to-first-token target used for
-            SLO-aware scheduling (earliest-deadline-first prefill order)
-            and goodput accounting; ``None`` means best effort.
+            SLO-aware scheduling (earliest-deadline-first prefill
+            order); ``None`` means best effort.
     """
 
     session_id: str

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable
 
 from repro.engine.request import Phase, Request, RequestSpec
 from repro.errors import ConfigError
@@ -90,20 +89,12 @@ class ContinuousBatcher:
         self,
         now: float,
         finished_sessions: set[str] | None = None,
-        admission_gate: Callable[[RequestSpec], bool] | None = None,
     ) -> list[Request]:
         """Admit queued requests FCFS while memory allows.
 
         ``finished_sessions`` gates dependent rounds: a round whose
         predecessor has not finished stays queued even if memory is free
         (users do not send round *k+1* before reading round *k*).
-
-        ``admission_gate`` is an extra capacity veto consulted per
-        request — the serving front end passes a state-pool pressure
-        check (:meth:`repro.state.store.BlockStateStore.admission_headroom`)
-        so KV-token accounting and block-pool headroom must *both* admit.
-        A gate veto blocks head-of-line exactly like exhausted memory,
-        preserving FCFS order.
         """
         admitted: list[Request] = []
         blocked: deque[Request] = deque()
@@ -111,8 +102,7 @@ class ContinuousBatcher:
             request = self.queue.popleft()
             dep = request.spec.depends_on
             dep_ready = dep is None or (finished_sessions is not None and dep in finished_sessions)
-            gate_ok = admission_gate is None or admission_gate(request.spec)
-            if dep_ready and gate_ok and self._fits(request.spec):
+            if dep_ready and self._fits(request.spec):
                 self._reserved_tokens += request.spec.total_context
                 request.admitted_at = now
                 self.running.append(request)

@@ -1,10 +1,9 @@
 """The serving loop: submit/step/stream with admission control.
 
 The loop the paper's restoration primitive exists to feed (§5): requests
-arrive continuously, admission control gates them on KV memory (and
-optionally block-pool headroom), evicted histories restore while
-resident sessions keep decoding, and every iteration executes as **one**
-fused prefill+decode call.  It is the only such loop in the repo: what
+arrive continuously, admission control gates them on KV memory, evicted
+histories restore while resident sessions keep decoding, and every
+iteration executes as **one** fused prefill+decode call.  It is the only such loop in the repo: what
 executes an iteration sits behind the
 :class:`~repro.engine.api.ServingEngine` seam — real forward passes
 (:class:`~repro.engine.numeric_engine.NumericServingEngine`) or the
@@ -32,7 +31,6 @@ This module's ``__all__`` and its imports are pinned by the
 from __future__ import annotations
 
 import time
-from typing import TYPE_CHECKING as _TYPE_CHECKING
 from typing import Callable as _Callable
 from typing import Iterator as _Iterator
 
@@ -52,37 +50,10 @@ from repro.errors import ConfigError as _ConfigError
 from repro.errors import SchedulingError as _SchedulingError
 from repro.errors import StateError as _StateError
 
-if _TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.state.store import BlockStateStore
-
 __all__ = [
     "RequestHandle",
     "ServingFrontend",
-    "pool_admission_gate",
 ]
-
-
-def pool_admission_gate(
-    store: "BlockStateStore", *, headroom_blocks: int = 0
-) -> _Callable[[_RequestSpec], bool]:
-    """Admission veto tied to a shared block pool's real headroom.
-
-    Returns a gate for :class:`ServingFrontend` (and ultimately
-    :meth:`ContinuousBatcher.admit`) that only admits a request when the
-    pool can absorb its whole context *now* — free blocks plus evictable
-    refcount-0 blocks, minus a ``headroom_blocks`` safety margin kept for
-    in-flight appends.  Token-budget accounting alone cannot see pool
-    pressure from prefix sharing and pinned blocks; this closes that gap
-    with :meth:`BlockStateStore.admission_headroom`.
-    """
-    if headroom_blocks < 0:
-        raise _ConfigError("headroom_blocks must be non-negative")
-
-    def gate(spec: _RequestSpec) -> bool:
-        margin = headroom_blocks * store.pool.block_tokens
-        return store.admission_headroom(spec.total_context + margin)
-
-    return gate
 
 
 class RequestHandle:
@@ -158,8 +129,6 @@ class ServingFrontend:
         max_running: Cap on concurrently admitted requests.
         max_queue: Arrival-queue bound; submits beyond it are rejected
             with :class:`AdmissionError` (typed back-pressure).
-        admission_gate: Extra per-request admission veto, e.g.
-            :func:`pool_admission_gate`; consulted by every admit pass.
         overlap_restores: Forwarded to the engine's ``start_restores``:
             restore admitted-but-evicted sessions in the background
             while decode continues, where the engine is able to.
@@ -180,7 +149,6 @@ class ServingFrontend:
         scheduler: _SplitFuseScheduler | None = None,
         max_running: int = 256,
         max_queue: int = 4096,
-        admission_gate: _Callable[[_RequestSpec], bool] | None = None,
         overlap_restores: bool = True,
         evict_on_finish: bool = False,
         clock: _Callable[[], float] | None = None,
@@ -192,7 +160,6 @@ class ServingFrontend:
         self.scheduler = scheduler if scheduler is not None else _SplitFuseScheduler()
         self.metrics = _MetricsCollector()
         self.max_queue = max_queue
-        self.admission_gate = admission_gate
         self.overlap_restores = overlap_restores
         self.evict_on_finish = evict_on_finish
         self._clock = clock if clock is not None else time.perf_counter
@@ -226,6 +193,9 @@ class ServingFrontend:
     def submit(self, request: _ServingRequest) -> RequestHandle:
         """Enqueue one round; typed rejection instead of a deep crash.
 
+        A rejected request leaves nothing behind: the session is opened
+        and an auto-generated round number used up only on acceptance.
+
         Raises:
             AdmissionError: if the request's full context could never fit
                 the KV budget (it would queue forever), or the arrival
@@ -233,25 +203,24 @@ class ServingFrontend:
             ConfigError: if ``request_id`` names a request still in flight.
         """
         session_id = request.session_id
-        if request.request_id is None:
-            n = self._round_counter.get(session_id, 0)
-            self._round_counter[session_id] = n + 1
-            request_id = f"{session_id}/r{n}"
-        else:
-            request_id = request.request_id
+        round_index = self._round_counter.get(session_id, 0)
+        request_id = request.request_id
+        if request_id is None:
+            request_id = f"{session_id}/r{round_index}"
         if request_id in self._in_flight:
             raise _ConfigError(f"request id {request_id!r} was already submitted")
 
-        if not self.engine.has_session(session_id):
-            self.engine.open_session(session_id)
         # With no round in flight the history is the session's real log
-        # (it may have been served outside this front end); otherwise it
-        # is what the rounds ahead of this one will leave behind.
+        # (it may have been served outside this front end; an unopened
+        # session has none); otherwise it is what the rounds ahead of
+        # this one will leave behind.
         tail = self._session_tail.get(session_id)
-        if tail is None:
+        if tail is not None:
+            history = tail.spec.total_context
+        elif self.engine.has_session(session_id):
             history = self.engine.history_length(session_id)
         else:
-            history = tail.spec.total_context
+            history = 0
         now = self._clock()
         arrival = request.arrival_time if request.arrival_time is not None else now
         spec = _RequestSpec(
@@ -275,6 +244,10 @@ class ServingFrontend:
             raise _AdmissionError(
                 f"arrival queue is full ({self.max_queue} requests); retry later"
             )
+        if not self.engine.has_session(session_id):
+            self.engine.open_session(session_id)
+        if request.request_id is None:
+            self._round_counter[session_id] = round_index + 1
         slo = request.slo_ttft_s
         queued = _Request(
             spec=spec,
@@ -292,7 +265,7 @@ class ServingFrontend:
         """Run one serving iteration; at most one batched model call.
 
         The one order: **admit** queued requests FCFS under the KV budget
-        + gate → **start restores** for the admitted rounds whose history
+        → **start restores** for the admitted rounds whose history
         is evicted → **settle** whatever restores have finished (after
         the start, so a synchronous restore, a free one and a background
         one that completed since the last step are the same case) →
@@ -304,9 +277,7 @@ class ServingFrontend:
         now = self._clock()
         index = self._iteration
         self._iteration += 1
-        admitted = self.batcher.admit(
-            now, finished_sessions=self._finished_deps, admission_gate=self.admission_gate
-        )
+        admitted = self.batcher.admit(now, finished_sessions=self._finished_deps)
         restores_started = self._start_admitted(admitted, now)
         restores_completed = self._settle_restores()
         # Earliest TTFT deadline first; the sort is stable, so best-effort
@@ -445,6 +416,6 @@ class ServingFrontend:
         ):
             raise _SchedulingError(
                 "serving loop stalled: queued work exists but nothing can be "
-                "admitted or executed (check the admission gate and budget)"
+                "admitted or executed (check the budget)"
             )
         return stats

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.engine.request import Phase, Request
-from repro.errors import ConfigError, StateError
+from repro.errors import StateError
 
 
 @dataclass(frozen=True)
@@ -119,22 +119,3 @@ class MetricsCollector:
             p50_tbt=float(np.percentile(tbts, 50)),
             p99_tbt=float(np.percentile(tbts, 99)),
         )
-
-    def goodput(self, slo_ttft_s: float) -> float:
-        """Output-token rate from requests whose TTFT met the SLO.
-
-        The front-end bench's load sweep plots this against the offered
-        rate: past saturation, throughput keeps climbing while goodput
-        collapses — the admission-control signal.
-        """
-        if slo_ttft_s <= 0:
-            raise ConfigError("slo_ttft_s must be positive")
-        if not self.records:
-            raise StateError("no finished requests to summarize")
-        start = min(r.arrival_time for r in self.records)
-        end = max(r.finished_at for r in self.records)
-        duration = max(end - start, 1e-9)
-        good_tokens = sum(
-            r.output_tokens for r in self.records if r.ttft <= slo_ttft_s
-        )
-        return good_tokens / duration

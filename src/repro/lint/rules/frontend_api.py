@@ -32,7 +32,6 @@ PINNED_SURFACES: dict[str, tuple[str, ...]] = {
     "repro/engine/frontend.py": (
         "RequestHandle",
         "ServingFrontend",
-        "pool_admission_gate",
     ),
 }
 

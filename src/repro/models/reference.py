@@ -29,8 +29,7 @@ def naive_scaled_dot_product_attention(
     """The original einsum attention, the oracle of the tiled BLAS kernel.
 
     Builds the causal mask and runs the full einsum contraction even for
-    single-token decode steps.  ``bench_hotpath.py`` patches this into the
-    transformer to reproduce the pre-refactor decode cost.
+    single-token decode steps.
     """
     n_q, n_heads, head_dim = queries.shape
     n_k = keys.shape[0]

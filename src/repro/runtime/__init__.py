@@ -24,12 +24,11 @@ executor to opt in.  See ``docs/ARCHITECTURE.md`` for the pipeline
 timeline.
 """
 
-from repro.runtime.executor import GranuleTrace, RestoreExecutor, drain_granules
+from repro.runtime.executor import RestoreExecutor, drain_granules
 from repro.runtime.io_pool import IOWorkerPool
 from repro.runtime.progress import RestoreProgress
 
 __all__ = [
-    "GranuleTrace",
     "IOWorkerPool",
     "RestoreExecutor",
     "RestoreProgress",

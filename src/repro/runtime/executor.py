@@ -32,7 +32,6 @@ from __future__ import annotations
 
 from collections import deque
 from concurrent.futures import Future, ThreadPoolExecutor
-from dataclasses import dataclass
 from functools import partial
 from time import perf_counter
 from typing import TYPE_CHECKING, Any, Callable, Mapping, Sequence
@@ -56,24 +55,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
 RUNWAY_GRANULES = 6
 
 
-@dataclass(frozen=True)
-class GranuleTrace:
-    """One consumed granule of a timed drain, in consumption order.
-
-    The engine turns a drain's trace into its hybrid makespans (the
-    two-stream §4.1 recurrence over all granules).
-
-    Attributes:
-        rows: Token rows it covered.
-        io_seconds: Modelled device seconds of its chunk reads.
-        compute_seconds: Measured wall clock of its ``consume`` call.
-    """
-
-    rows: int
-    io_seconds: float
-    compute_seconds: float
-
-
 def _run_inline(fn: Callable[..., Any], /, *args: Any) -> Future:
     """``IOWorkerPool.submit`` without a pool: run now, return it settled."""
     future: Future = Future()
@@ -92,7 +73,7 @@ def drain_granules(
     start_tokens: int = 0,
     stats: "RestoreBreakdown | None" = None,
     under_io: "Callable[[], None] | None" = None,
-) -> list[GranuleTrace]:
+) -> None:
     """Stream ``layers``' stored rows through ``consume``, reads running ahead.
 
     The one restore loop: one granule plan, one staging ring and a window
@@ -123,10 +104,7 @@ def drain_granules(
     read when inline, otherwise only the *stall* the pipeline failed to
     hide (0 in the ideal §4.1 timeline); ``stats.dispatch_s`` gets the
     submit-side overhead of pooled reads (staging-slot acquisition +
-    pool handoff per granule), which together with ``read_s`` itemizes
-    the gap between wall clock and the modelled makespan.  Returns the
-    per-granule :class:`GranuleTrace` in consumption order (empty when
-    untimed).
+    pool handoff per granule).
     """
     submit: Callable[..., Future]
     if executor is None:
@@ -137,7 +115,6 @@ def drain_granules(
         storage.granule_plan(context_id, layers, kind, granule_chunks, start_tokens)
     )
     timed = stats is not None
-    trace: list[GranuleTrace] = []
     # Outstanding reads never exceed `window` (one refill per consume), and
     # the ring is `window + 1` deep, so the slot a refill recycles was
     # acquired window + 1 submissions earlier — always a granule already
@@ -177,7 +154,6 @@ def drain_granules(
                 stats.granules += 1
                 stats.device_reads += device_reads
             submit_next()
-            t0 = perf_counter() if timed else 0.0
             consume(
                 LayerChunk(
                     layer=spec.layer,
@@ -189,8 +165,6 @@ def drain_granules(
                     device_reads=device_reads,
                 )
             )
-            if timed:
-                trace.append(GranuleTrace(spec.n_tokens, io_seconds, perf_counter() - t0))
     # lint: disable=exception-safety -- sanctioned drain containment: settles in-flight reads, then re-raises
     except BaseException:
         # Containment: a failed read (e.g. every replica of a device
@@ -206,7 +180,6 @@ def drain_granules(
             except BaseException:
                 pass
         raise
-    return trace
 
 
 class RestoreExecutor:

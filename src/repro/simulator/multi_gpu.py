@@ -103,116 +103,6 @@ def tensor_parallel_restoration(
     )
 
 
-@dataclass(frozen=True)
-class ShardedRestoration:
-    """Timing of a ``pipeline x tensor`` sharded restoration.
-
-    Attributes:
-        pipeline_shards: Stage count along the layer dimension.
-        tensor_shards: Rank count along the KV-head dimension.
-        read_seconds: Largest stage's sharded hidden-state read (its
-            tensor ranks' aggregated bandwidth — ``1/pipeline_shards`` of
-            the platform total).
-        allgather_seconds: Largest stage's per-layer reassembly
-            collectives.
-        compute_seconds: Largest stage's per-rank KV projection (full
-            tokens, the widest head range's output channels).
-        stage_makespans: Pipelined makespan of every stage; stages are
-            independent, so the restoration finishes with the slowest.
-        makespan: ``max(stage_makespans)``.
-    """
-
-    pipeline_shards: int
-    tensor_shards: int
-    read_seconds: float
-    allgather_seconds: float
-    compute_seconds: float
-    stage_makespans: tuple[float, ...]
-    makespan: float
-
-
-def sharded_restoration(
-    config: ModelConfig,
-    platform: Platform,
-    n_tokens: int,
-    pipeline_shards: int,
-    tensor_shards: int,
-) -> ShardedRestoration:
-    """Price a ``pipeline x tensor`` sharded HCache restoration.
-
-    Generalizes §5's two patterns onto one GPU grid of
-    ``pipeline_shards * tensor_shards`` devices (which must equal
-    ``platform.n_gpus`` — the grid *is* the platform):
-
-    - Layers split into contiguous balanced stages; each stage restores
-      independently on its own tensor group (pipeline dimension), so the
-      makespan is the slowest stage's.
-    - Within a stage, the ``tensor_shards`` ranks read disjoint token
-      shards at aggregated bandwidth, all-gather each layer's hidden
-      states over ``platform.interconnect``, then project their own
-      KV-head ranges (full tokens, ``1/tensor_shards`` of the output
-      channels, GQA-group-aligned).
-
-    Degenerate shapes recover the existing models: ``(1, N)`` is
-    :func:`tensor_parallel_restoration` exactly (equal reads, gathers,
-    and — for head counts divisible by ``N`` — compute), and ``(N, 1)``
-    matches :func:`pipeline_parallel_restoration`'s per-stage structure
-    with zero gather.
-    """
-    if n_tokens <= 0:
-        raise ConfigError("n_tokens must be positive")
-    if pipeline_shards < 1 or tensor_shards < 1:
-        raise ConfigError("shard counts must be positive")
-    if platform.n_gpus != pipeline_shards * tensor_shards:
-        raise ConfigError(
-            f"shard grid {pipeline_shards}x{tensor_shards} needs "
-            f"{pipeline_shards * tensor_shards} GPUs, platform has {platform.n_gpus}"
-        )
-    if tensor_shards > config.n_kv_heads:
-        raise ConfigError(
-            f"{tensor_shards} tensor shards over {config.n_kv_heads} KV heads "
-            "would split a GQA group across shards"
-        )
-    from repro.simulator.gemm import kv_projection_time
-
-    n_stages = min(pipeline_shards, config.n_layers)
-    base, extra = divmod(config.n_layers, n_stages)
-    stage_sizes = [base + (1 if s < extra else 0) for s in range(n_stages)]
-    layer_bytes = n_tokens * config.hidden_bytes_per_token_layer
-    # Each stage owns tensor_shards of the platform's GPUs, hence that
-    # fraction of the aggregate storage/PCIe read bandwidth.
-    stage_read_bw = platform.storage_read_bandwidth / pipeline_shards
-    gather_per_layer = allgather_time(
-        layer_bytes, tensor_shards, platform.interconnect
-    )
-    # Widest head range of the GQA-aligned split: full token run,
-    # ceil(n_kv_heads / tensor_shards) heads of output channels, on one GPU.
-    per_gpu = replace(platform, n_gpus=1)
-    rank_heads = -(-config.n_kv_heads // tensor_shards)
-    rank_kv = rank_heads * config.head_dim
-    compute_per_layer = kv_projection_time(
-        n_tokens, config.hidden_size, rank_kv, per_gpu
-    ).seconds
-
-    stage_makespans = tuple(
-        max(
-            n * layer_bytes / stage_read_bw + n * gather_per_layer,
-            n * compute_per_layer + n * gather_per_layer,
-        )
-        for n in stage_sizes
-    )
-    widest = stage_sizes[0]
-    return ShardedRestoration(
-        pipeline_shards=pipeline_shards,
-        tensor_shards=tensor_shards,
-        read_seconds=widest * layer_bytes / stage_read_bw,
-        allgather_seconds=widest * gather_per_layer,
-        compute_seconds=widest * compute_per_layer,
-        stage_makespans=stage_makespans,
-        makespan=max(stage_makespans),
-    )
-
-
 def pipeline_parallel_restoration(
     config: ModelConfig, platform: Platform, n_tokens: int
 ) -> float:

@@ -314,19 +314,6 @@ class BlockPool:
         with self._lock:
             return tuple(int(b) for b in self._lru.unpinned_lru_order())
 
-    @property
-    def headroom_blocks(self) -> int:
-        """Blocks an allocation burst could obtain right now.
-
-        Free blocks plus committed refcount-0 eviction candidates, read
-        under one lock acquisition so serving admission control sees a
-        consistent snapshot — summing :attr:`free_blocks` and
-        ``len(evictable_blocks())`` separately could double- or
-        under-count across a concurrent allocate/release.
-        """
-        with self._lock:
-            return len(self._free) + len(self._lru.unpinned_lru_order())
-
     def block_nbytes(self) -> int:
         """Bytes of backing storage one block spans (all layers, kinds)."""
         return int(self._k[0].nbytes + self._v[0].nbytes + self._hidden[0].nbytes)

@@ -367,23 +367,6 @@ class BlockStateStore:
         with self._sessions_lock:
             return len({b for t in self._tables.values() for b in t.blocks})
 
-    def admission_headroom(self, n_tokens: int) -> bool:
-        """Can the pool absorb ``n_tokens`` of new session state right now?
-
-        The serving front end's pool-pressure admission check: a request
-        whose full context needs more blocks than the pool can free
-        (free blocks + refcount-0 eviction candidates) must stay queued —
-        admitting it would crash mid-iteration with a
-        :class:`~repro.errors.CapacityError` deep inside a state append.
-        Worst case is assumed (no prefix sharing, a fresh partial tail
-        block), so a ``True`` here can only over-reserve, never admit a
-        request the pool cannot hold.
-        """
-        if n_tokens < 0:
-            raise ConfigError("n_tokens must be non-negative")
-        blocks_needed = -(-n_tokens // self.pool.block_tokens)
-        return blocks_needed <= self.pool.headroom_blocks
-
     def dedup_ratio(self) -> float:
         """Logical over physical blocks (1.0 when nothing is shared)."""
         with self._sessions_lock:

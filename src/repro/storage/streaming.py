@@ -13,10 +13,9 @@ engine needs to actually execute that shape:
 - :class:`LayerChunk` — one streamed granule: a row range of one layer's
   token run, a zero-copy view of its staging slot, and the modelled IO
   seconds its device reads cost.
-- :func:`pipelined_makespan` — the two-stream chunk timeline shared by
-  the numeric engine's restore breakdown and the tiered/prefetching
-  timing models, so the DRAM-warm path and the SSD path are costed by
-  identical code.
+- :func:`pipelined_makespan` — the two-stream chunk timeline the
+  tiered/prefetching timing models share, so the DRAM-warm path and the
+  SSD path are costed by identical code.
 """
 
 from __future__ import annotations
@@ -144,12 +143,9 @@ def pipelined_makespan(
 
     Chunk ``i``'s transfer chains on the IO stream; its compute starts
     once both its own transfer and chunk ``i-1``'s compute are done —
-    the §4.1 restoration shape at chunk granularity.  Both the numeric
-    engine's restore breakdown and the tiered-backend timing model cost
-    their streams through this one function, and the threaded restore
-    executor is its executable form: with device-latency emulation on,
-    the executor's measured wall clock should approach this makespan
-    (``benchmarks/bench_hotpath.py`` tracks the gap).
+    the §4.1 restoration shape at chunk granularity.  The tiered-backend
+    and prefetching timing models cost their streams through this one
+    function; the threaded restore executor is its executable form.
     """
     io_list = list(io_seconds)
     compute_list = list(compute_seconds)

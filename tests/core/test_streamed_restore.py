@@ -33,6 +33,15 @@ def build_engine(config, platform_name="default", scheme=None, granule_chunks=4)
     return model, engine
 
 
+def device_totals(storage):
+    """``(busy seconds, reads)`` summed over the array's devices so far."""
+    devices = storage.array.devices
+    return (
+        sum(device.busy_seconds for device in devices),
+        sum(device.op_counts[0] for device in devices),
+    )
+
+
 def save_rounds(engine, model, config, n_tokens, seal=True, block=37):
     """Persist a prefilled context in several append blocks."""
     rng = np.random.default_rng(5)
@@ -99,27 +108,39 @@ class TestRestoreBreakdown:
         assert stats.projection.rope_s == 0.0
         assert stats.projection.gemm_s > 0
 
-    def test_pipelined_makespan_bounded_by_serial(self):
+    def test_device_counters_match_the_breakdown(self):
         config = model_preset("tiny-llama")
         model, engine = build_engine(config)
         save_rounds(engine, model, config, 256)
+        before = device_totals(engine.storage)
         stats = RestoreBreakdown()
         engine.restore("c", stats=stats)
-        assert stats.modelled_io_s > 0
-        assert stats.modelled_pipelined_s >= stats.modelled_io_s
-        assert stats.modelled_pipelined_s <= stats.modelled_serial_s + 1e-12
+        busy, reads = (after - b for after, b in zip(device_totals(engine.storage), before))
+        assert reads == stats.device_reads
+        assert busy > 0
 
-    def test_recompute_prefix_overlaps_stream(self):
+    def test_recompute_prefix_costs_no_device_time(self):
+        """The token-sourced layer 0 reads nothing: the restore pays the
+        device seconds of the stored layers alone."""
         config = model_preset("tiny-llama")
-        scheme = PartitionScheme.with_recompute_prefix(config.n_layers, 1)
-        model, engine = build_engine(config, scheme=scheme)
-        save_rounds(engine, model, config, 128)
-        stats = RestoreBreakdown()
-        restored = engine.restore("c", stats=stats)
-        assert stats.recompute_s > 0
-        assert len(restored) == 128
-        # The prefix replay needs no stored bytes: pipelined < serial.
-        assert stats.modelled_pipelined_s < stats.modelled_serial_s
+        device_cost = {}
+        for name, scheme in (
+            ("prefix", PartitionScheme.with_recompute_prefix(config.n_layers, 1)),
+            ("all-stored", PartitionScheme.pure_hcache(config.n_layers)),
+        ):
+            model, engine = build_engine(config, scheme=scheme)
+            save_rounds(engine, model, config, 128)
+            before = device_totals(engine.storage)
+            stats = RestoreBreakdown()
+            assert len(engine.restore("c", stats=stats)) == 128
+            busy, reads = (after - b for after, b in zip(device_totals(engine.storage), before))
+            device_cost[name] = busy, reads, stats.recompute_s
+        busy, reads, recompute_s = device_cost["prefix"]
+        all_busy, all_reads, _ = device_cost["all-stored"]
+        stored = (config.n_layers - 1) / config.n_layers
+        assert recompute_s > 0
+        assert reads == all_reads * stored
+        assert busy == pytest.approx(all_busy * stored)
 
     def test_untimed_restore_leaves_no_stats(self):
         config = model_preset("tiny-llama")

@@ -243,6 +243,32 @@ class TestAdmissionControl:
                 )
             )
 
+    def test_a_rejected_request_leaves_nothing_behind(self, make_engine, tiny_config):
+        """No session opened, no storage context registered, no round
+        number used up — whichever check refuses it."""
+        engine = make_engine()
+        frontend = ServingFrontend(engine, MemoryBudget(capacity_tokens=16), max_queue=1)
+
+        def request(session_id, n_prompt):
+            return ServingRequest(
+                session_id=session_id,
+                prompt_tokens=np.arange(n_prompt) % tiny_config.vocab_size,
+                max_new_tokens=2,
+            )
+
+        frontend.submit(request("a", 4))
+        with pytest.raises(AdmissionError, match="queue is full"):
+            frontend.submit(request("b", 4))
+        with pytest.raises(AdmissionError, match="never be admitted"):
+            frontend.submit(request("c", 40))
+        assert frontend.rejected_requests == 2
+        assert not engine.has_session("b") and not engine.has_session("c")
+        assert engine.hcache.storage.context_ids() == ("a",)
+        frontend.run_until_idle(max_steps=50)
+        # The retry is the session's first round, not its second.
+        assert frontend.submit(request("b", 4)).request_id == "b/r0"
+        assert engine.has_session("b")
+
     def test_memory_admission_never_exceeds_budget(self, make_engine, tiny_config):
         capacity = 80
         engine = make_engine()

@@ -4,15 +4,11 @@ from __future__ import annotations
 
 import pytest
 
-from dataclasses import replace
-
 from repro.errors import ConfigError
-from repro.models.config import model_preset
-from repro.simulator.hardware import GPUS, InterconnectSpec, Platform, platform_preset
+from repro.simulator.hardware import InterconnectSpec, platform_preset
 from repro.simulator.multi_gpu import (
     allgather_time,
     pipeline_parallel_restoration,
-    sharded_restoration,
     tensor_parallel_restoration,
 )
 
@@ -73,49 +69,6 @@ class TestPipelineParallel:
         pp = pipeline_parallel_restoration(opt_30b, platform, 4096)
         tp = tensor_parallel_restoration(opt_30b, platform, 4096)
         assert pp == pytest.approx(tp.makespan, rel=0.5)
-
-
-class TestShardedRestoration:
-    def test_1xN_is_exactly_tensor_parallel(self, opt_30b):
-        """The (1, N) grid degenerates to §5 tensor parallelism — same
-        reads, gathers, compute (56 KV heads divide by 4), makespan."""
-        platform = platform_preset("a100x4-dram")
-        tp = tensor_parallel_restoration(opt_30b, platform, 4096)
-        sharded = sharded_restoration(opt_30b, platform, 4096, 1, 4)
-        assert sharded.read_seconds == tp.read_seconds
-        assert sharded.allgather_seconds == tp.allgather_seconds
-        assert sharded.compute_seconds == tp.compute_seconds
-        assert sharded.makespan == tp.makespan
-
-    def test_Nx1_is_pipeline_parallel_with_no_collective(self, opt_30b):
-        platform = platform_preset("a100x4-dram")
-        pp = pipeline_parallel_restoration(opt_30b, platform, 4096)
-        sharded = sharded_restoration(opt_30b, platform, 4096, 4, 1)
-        assert sharded.allgather_seconds == 0.0
-        assert sharded.makespan == pytest.approx(pp, rel=1e-12)
-
-    def test_stage_count_clamped_to_layers(self):
-        config = model_preset("tiny-llama")
-        platform = Platform(GPUS["A100"], n_gpus=8)
-        sharded = sharded_restoration(config, platform, 1024, 8, 1)
-        assert len(sharded.stage_makespans) == config.n_layers
-        assert sharded.makespan == max(sharded.stage_makespans)
-
-    def test_grid_must_match_platform(self, opt_30b):
-        with pytest.raises(ConfigError, match="GPUs"):
-            sharded_restoration(opt_30b, platform_preset("a100x4-dram"), 1024, 2, 1)
-
-    def test_tensor_shards_respect_gqa_groups(self):
-        gqa = replace(model_preset("tiny-llama"), name="tiny-gqa", n_kv_heads=2)
-        platform = Platform(GPUS["A100"], n_gpus=4)
-        with pytest.raises(ConfigError, match="GQA group"):
-            sharded_restoration(gqa, platform, 1024, 1, 4)
-        # The same grid transposed is legal: 4 stages, 1 head rank each.
-        assert sharded_restoration(gqa, platform, 1024, 4, 1).makespan > 0
-
-    def test_zero_tokens_rejected(self, opt_30b):
-        with pytest.raises(ConfigError):
-            sharded_restoration(opt_30b, platform_preset("a100x4-dram"), 0, 2, 2)
 
 
 class TestInterconnectSpec:

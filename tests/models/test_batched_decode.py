@@ -108,14 +108,23 @@ def caches_close(a, b, atol):
         assert ca.equals(cb, atol=atol)
 
 
+#: Session history lengths per batch: unequal, and a batch of 16 — past
+#: the panel limit, so the 16-row products take the plain GEMM.
+BATCHES = {
+    "b4": [3, 17, 9, 1],
+    "b16": [3, 17, 9, 1, 30, 12, 5, 22, 8, 2, 40, 14, 6, 27, 11, 19],
+}
+
+
 class TestEquivalence:
     @spelling
+    @pytest.mark.parametrize("batch", sorted(BATCHES))
     @pytest.mark.parametrize("name", sorted(CONFIGS))
-    def test_matches_serial_loop(self, name, step):
+    def test_matches_serial_loop(self, name, batch, step):
         """Batched == serial decode outputs and post-step cache contents."""
         model = get_model(name)
         config = model.config
-        lengths = [3, 17, 9, 1]
+        lengths = BATCHES[batch]
         _, (serial, batched) = prefilled_caches(model, lengths, seed=1, copies=2)
         rng = np.random.default_rng(2)
         tokens = rng.integers(0, config.vocab_size, size=len(lengths))

@@ -58,6 +58,15 @@ def save_context(engine, model, config, n_tokens, context_id="c", seal=True, blo
     return cache
 
 
+def device_totals(storage):
+    """``(busy seconds, reads)`` summed over the array's devices so far."""
+    devices = storage.array.devices
+    return (
+        sum(device.busy_seconds for device in devices),
+        sum(device.op_counts[0] for device in devices),
+    )
+
+
 def restore_all(executor, engine, context_ids, **kwargs):
     """Start every restore, wait for all of them, return their futures."""
     futures = executor.restore_contexts_async(engine, context_ids, **kwargs)
@@ -85,33 +94,40 @@ class TestDrainDirectUse:
     """The drain over every layer: pinned to the all-stored scheme (the
     default scheme stores no layer-0 rows to drain)."""
 
-    def test_drain_traces_every_granule_it_consumed(self, loop_executor):
+    def test_drain_hands_over_every_granule_with_its_receipts(self, loop_executor):
         config = model_preset("tiny-llama")
         model, engine = build_engine(config, PartitionScheme.pure_hcache(config.n_layers))
         save_context(engine, model, config, 128)
         chunks = []
         stats = RestoreBreakdown()
-        trace = drain_granules(
+        busy_before, reads_before = device_totals(engine.storage)
+        drain_granules(
             engine.storage, "c", list(range(config.n_layers)), "hidden",
             engine.stream_granule_chunks, chunks.append, loop_executor, stats=stats,
         )
-        assert stats.granules == len(chunks) == len(trace) > 0
-        assert sum(g.rows for g in trace) == 128 * config.n_layers
+        busy_after, reads_after = device_totals(engine.storage)
+        assert stats.granules == len(chunks) > 0
+        assert sum(c.n_tokens for c in chunks) == 128 * config.n_layers
+        # Each granule carries the receipts of the device reads behind it.
+        assert sum(c.device_reads for c in chunks) == stats.device_reads
+        assert stats.device_reads == reads_after - reads_before > 0
+        assert sum(c.io_seconds for c in chunks) == pytest.approx(busy_after - busy_before)
         # Consumption follows the granule plan exactly.
         plan = engine.storage.granule_plan(
             "c", list(range(config.n_layers)), "hidden", engine.stream_granule_chunks
         )
         assert [(c.layer, c.start) for c in chunks] == [(g.layer, g.start) for g in plan]
 
-    def test_untimed_drain_returns_no_trace(self, loop_executor):
+    def test_untimed_drain_still_reads_every_chunk(self, loop_executor):
         config = model_preset("tiny-llama")
         model, engine = build_engine(config, PartitionScheme.pure_hcache(config.n_layers))
         save_context(engine, model, config, 128)
         chunks = []
-        trace = drain_granules(
-            engine.storage, "c", [0, 1], "hidden", 2, chunks.append, loop_executor
-        )
-        assert trace == [] and len(chunks) == 2
+        _, reads_before = device_totals(engine.storage)
+        drain_granules(engine.storage, "c", [0, 1], "hidden", 2, chunks.append, loop_executor)
+        _, reads_after = device_totals(engine.storage)
+        assert len(chunks) == 2
+        assert reads_after - reads_before == sum(c.device_reads for c in chunks) == 4
 
 
 class TestContainment:
@@ -157,27 +173,27 @@ class TestContainment:
 
 class TestBreakdownParity:
     def test_pooled_accounting_matches_inline(self):
-        """Granule/read counts and modelled makespans are identical; only
-        the wall-clock split differs (pooled read_s is exposed stall, and
-        only pooled drains pay dispatch)."""
+        """Granule/read counts and modelled device seconds are identical;
+        only the wall-clock split differs (pooled read_s is exposed stall,
+        and only pooled drains pay dispatch)."""
         config = model_preset("tiny-llama")
         model, engine = build_engine(config)
         save_context(engine, model, config, 256)
         single_stats = RestoreBreakdown()
+        busy_0, _ = device_totals(engine.storage)
         engine.restore("c", stats=single_stats)
+        busy_1, _ = device_totals(engine.storage)
         threaded_stats = RestoreBreakdown()
         with RestoreExecutor(2) as executor:
             engine.restore("c", stats=threaded_stats, executor=executor)
+        busy_2, _ = device_totals(engine.storage)
         assert single_stats.read_s > 0.0 and single_stats.dispatch_s == 0.0
         assert threaded_stats.dispatch_s > 0.0
         assert threaded_stats.granules == single_stats.granules
         assert threaded_stats.device_reads == single_stats.device_reads
         assert threaded_stats.n_tokens == single_stats.n_tokens
-        assert threaded_stats.modelled_io_s == pytest.approx(
-            single_stats.modelled_io_s
-        )
+        assert busy_2 - busy_1 == pytest.approx(busy_1 - busy_0)
         assert threaded_stats.projection.chunks == single_stats.projection.chunks
-        assert threaded_stats.modelled_pipelined_s <= threaded_stats.modelled_serial_s
 
     def test_threaded_restore_fills_dispatch_counters(self):
         config = model_preset("tiny-llama")
@@ -433,22 +449,25 @@ class TestLatencyEmulation:
         # minus whatever overshoot the emulator credited back.
         assert emulator.slept_s > 0.030
 
-    def test_array_emulation_charges_modelled_read_seconds(self):
+    def test_array_emulation_charges_modelled_read_seconds(self, loop_executor):
         config = model_preset("tiny-llama")
         model, engine = build_engine(config)
         save_context(engine, model, config, 256)
+        healthy = engine.restore("c")
         array = engine.storage.array
         emulator = array.emulate_latency()
         # Swap the real sleep for a recorder: totals must equal the
         # modelled device seconds of the restore's reads.
         charged = []
         emulator._sleep = charged.append
-        stats = RestoreBreakdown()
-        restored = engine.restore("c", stats=stats)
+        busy_before, _ = device_totals(engine.storage)
+        restored = engine.restore("c", executor=loop_executor)
         emulator.flush()
         array.stop_latency_emulation()
-        assert len(restored) == 256
-        assert sum(charged) == pytest.approx(stats.modelled_io_s)
+        busy_after, _ = device_totals(engine.storage)
+        assert restored.equals(healthy, atol=0.0)
+        assert busy_after > busy_before
+        assert sum(charged) == pytest.approx(busy_after - busy_before)
 
     def test_emulation_is_idempotent_and_detachable(self):
         config = model_preset("tiny-llama")

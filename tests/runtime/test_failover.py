@@ -71,16 +71,20 @@ def test_primary_failing_mid_stream_is_bit_exact(saved_stack, pool_size):
         assert np.array_equal(v_h, v_d)
 
 
-def test_single_threaded_failover_matches_too(saved_stack):
+@pytest.mark.parametrize("dead", [[1], [0, 1]], ids=["primary1", "all-primaries"])
+def test_single_threaded_failover_matches_too(saved_stack, dead):
     array, engine = saved_stack
     clear_faults(array)
     healthy = engine.restore("c")
-    array.replica(1).fault_policy = FaultPolicy.dead()
+    degraded_before = array.degraded_reads
+    for slot in dead:
+        array.replica(slot).fault_policy = FaultPolicy.dead()
     try:
         restored = engine.restore("c")
     finally:
         clear_faults(array)
-    assert healthy.equals(restored)
+    assert array.degraded_reads > degraded_before
+    assert healthy.equals(restored, atol=0.0)
 
 
 def test_total_replica_loss_fails_loud_and_executor_survives(saved_stack):
