@@ -47,13 +47,13 @@ HOT_PATHS: dict[str, frozenset[str]] = {
         }
     ),
     # The fused elementwise kernels project_kv_chunk relies on, and the
-    # packed call's small-batch product: its panel loop writes strided
-    # weight views into one output array and allocates nothing else.
+    # packed call's small-batch product: it sums row-slab views of the
+    # weight into one output through one scratch, allocating nothing else.
     "repro/models/tensor_ops.py": frozenset(
         {
             "rmsnorm_into",
             "layernorm_into",
-            "panelled_matmul",
+            "slab_matmul",
         }
     ),
     "repro/models/rope.py": frozenset(

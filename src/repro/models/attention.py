@@ -8,10 +8,13 @@ which the paper lists as an extension (§7); all paper experiments use MHA.
 
 from __future__ import annotations
 
+from operator import matmul as plain_matmul
+
 import numpy as np
 
 from repro.errors import ConfigError
 from repro.models.config import ModelConfig
+from repro.models.tensor_ops import MatMul
 
 #: Query rows per tile of the block attention kernel.  Measured on the
 #: benchmark host (8 heads x 64, one BLAS thread): 64 beats 16/32/128/256
@@ -138,15 +141,16 @@ def attention_module(
     wk: np.ndarray,
     wv: np.ndarray,
     config: ModelConfig,
+    matmul: MatMul = plain_matmul,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Project normalized hidden states into per-head Q, K, V.
 
     Returns Q of shape ``(n, n_heads, head_dim)`` and K/V of shape
     ``(n, n_kv_heads, head_dim)`` — RoPE is applied by the caller because
     it needs absolute positions (the detail HCache's restoration kernel
-    must replay, §5).
+    must replay, §5).  ``matmul`` is the dense product (default ``@``).
     """
-    q = split_heads(hidden_norm @ wq, config.n_heads)
-    k = split_heads(hidden_norm @ wk, config.n_kv_heads)
-    v = split_heads(hidden_norm @ wv, config.n_kv_heads)
+    q = split_heads(matmul(hidden_norm, wq), config.n_heads)
+    k = split_heads(matmul(hidden_norm, wk), config.n_kv_heads)
+    v = split_heads(matmul(hidden_norm, wv), config.n_kv_heads)
     return q, k, v

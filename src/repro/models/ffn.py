@@ -7,22 +7,19 @@ source of its >= 6x compute saving (§3.2).
 
 Every variant takes the dense product as ``matmul`` (default: the plain
 ``@``), so the packed model call can issue its small-batch products
-through :func:`repro.models.tensor_ops.panelled_matmul` while the formula
+through :func:`repro.models.tensor_ops.slab_matmul` while the formula
 lives here once.
 """
 
 from __future__ import annotations
 
 from operator import matmul as plain_matmul
-from typing import Callable
 
 import numpy as np
 
 from repro.errors import ConfigError
-from repro.models.tensor_ops import gelu, silu
+from repro.models.tensor_ops import MatMul, gelu, silu
 from repro.models.weights import LayerWeights
-
-MatMul = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
 def swiglu_ffn(

@@ -7,9 +7,14 @@ property easy to assert exactly while preserving every structural detail).
 
 from __future__ import annotations
 
+from typing import Callable
+
 import numpy as np
 
 from repro.errors import ConfigError
+
+#: A dense product ``(x, w) -> x @ w``: plain ``@`` or :func:`slab_matmul`.
+MatMul = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
 def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
@@ -111,60 +116,56 @@ def layernorm_into(
 #: for m = 2, 4, 8 (n = 355 / 356, 177 / 178, 88 / 89).
 SMALL_GEMM_MNK = 1_000_000
 
-#: Most rows a :func:`panelled_matmul` product issues as column panels.
-#: The largest m at which panels are no slower than one call on every
-#: bench-mid product shape (512×512, 512×1408, 1408×512, 512×4096 — the
-#: output projection, gate/up, down and LM head), measured m = 1 … 16
-#: with DRAM-resident weights, best of 7, panel time / one-call time:
-#: m = 2: 1.0 (inside the limit), 0.41, 0.64, 0.51; m = 4: 0.48, 0.44,
-#: 0.88, 0.53; m = 6: 0.76, 0.51, 0.85, 0.78; m = 7: 0.58, 0.59, 1.16,
-#: 1.13; m = 8: 0.67, 0.59, 1.14, 0.98; by m = 16 the 1408×512 ratio is
-#: 2.0.  Odd m and m > 6 lose the gain on the two deepest shapes —
-#: consistent with the small kernel streaming the weight once per
-#: register block of rows — but m = 3 and 5 only break even there
-#: (0.91–1.03) and keep the ~0.5 they win on the others.  A constant,
-#: not a start-up autotune: two runs of one schedule must round
-#: identically.
-M_MAX = 6
+#: Most weight floats in one :func:`slab_matmul` row slab (256 KB): 128
+#: rows at n = 512, 32 at n = 1408, 16 at n = 4096.  Probed on the
+#: bench-mid shapes (k×n: Q/K/V and W_o 512×512, gate/up 512×1408, down
+#: 1408×512, LM head 512×4096), same host and BLAS, each product cycling
+#: through 192 MB of weights so every one comes from DRAM; median of 5,
+#: slab / one-call time at m = 2 4 8 for 16 / 32 / 64 / 128 Ki (— no slab):
+#:   512×512   .67 .35 .41 / .56 .31 .34 / .56 .29 .32 / .99 .53 .39
+#:   512×1408  —           / .33 .40 .44 / .29 .36 .40 / .60 .67 .85
+#:   1408×512  .38 .40 .44 / .30 .35 .37 / .34 .39 .34 / .50 .53 .42
+#:   512×4096  —           / —           / .25 .28 .33 / .23 .25 .33
+#: 64 Ki is best or within noise of it here and at m = 12–32.  A one-row
+#: GEMV already streams the weight once; slabs cost it 1.15–1.25x.
+SLAB_FLOATS = 65_536
 
-#: Panel widths are multiples of the AVX-512 kernel's 16-float column
-#: step, so no panel ends in a masked tail.
-_PANEL_ALIGN = 16
+#: Most rows :func:`slab_matmul` sums over slabs: the largest m at which
+#: slabs are no slower than one call on every bench-mid shape.  Same
+#: probe at 64 Ki, on 512×512 / 512×1408 / 1408×512 (512×4096 has no
+#: slab inside the limit from m = 16 up): m = 16: .45 .54 .44; m = 32:
+#: .66 .81 .64; m = 48: .92 — .83; m = 56: .92–.97 — .86–.88; m = 60:
+#: .91–1.01 — .95–1.01; m = 64: .94–1.09 — 1.07–1.09.  A constant, not a
+#: start-up autotune: two runs of one schedule must round identically.
+M_MAX = 56
 
 
-def panelled_matmul(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+def slab_matmul(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     """``x @ w`` for an ``(m, k)`` batch, issued at sizes BLAS runs fast.
 
-    A product with ``2 <= m <= M_MAX`` rows whose ``m * k * n`` exceeds
-    :data:`SMALL_GEMM_MNK` is issued as the fewest equal-width column
-    panels (multiples of 16 columns, the last one taking the remainder)
-    that each stay within the limit: every panel is an ``np.matmul`` of
-    a strided column view of ``w`` into the matching column slice of one
-    output array, so no weight is copied, re-laid-out or cached.  Any
-    other product — one row (numpy's GEMV path), more than ``M_MAX``
-    rows, or one already inside the limit — is exactly one ``x @ w``.
+    A product of ``2 <= m <= M_MAX`` rows is summed over contiguous row
+    slabs ``x[:, k0:k0 + kb] @ w[k0:k0 + kb]``, ``kb`` the largest
+    multiple of 16 with ``kb * n <= SLAB_FLOATS`` and ``m * kb * n <=
+    SMALL_GEMM_MNK``.  Slabs are views of ``w``: no weight is copied,
+    re-laid-out or cached.  One row (numpy's GEMV), more than ``M_MAX``
+    rows, ``kb >= k`` or no 16-row slab is exactly one ``x @ w``.
 
-    A panel computes each output element from the same row and column
-    as the one call, but the kernels sum ``k`` in a different order, so
-    the result agrees with ``x @ w`` to float32 rounding, not bit for
-    bit; the panelling depends only on the shapes, so equal calls
-    return equal bits.  On another BLAS the panels cost a few extra
-    calls, never correctness.
+    Slabs sum ``k`` in another order than one call, so the result agrees
+    with ``x @ w`` to float32 rounding, not bit for bit; the slab rows
+    depend only on the shapes, so equal calls return equal bits.
     """
     m, k = x.shape
     n = w.shape[1]
-    if (
-        not 2 <= m <= M_MAX
-        or m * k * n <= SMALL_GEMM_MNK
-        or m * k * _PANEL_ALIGN > SMALL_GEMM_MNK  # not even one aligned panel fits
-    ):
+    if not 2 <= m <= M_MAX:
         return x @ w
-    widest = SMALL_GEMM_MNK // (m * k) // _PANEL_ALIGN * _PANEL_ALIGN
-    panels = -(-n // widest)
-    width = -(-n // (panels * _PANEL_ALIGN)) * _PANEL_ALIGN
-    out = np.empty((m, n), dtype=np.result_type(x, w))
-    for c0 in range(0, n, width):
-        np.matmul(x, w[:, c0 : c0 + width], out=out[:, c0 : c0 + width])
+    kb = min(SLAB_FLOATS // n, SMALL_GEMM_MNK // (m * n)) // 16 * 16
+    if not 16 <= kb < k:
+        return x @ w
+    out = np.matmul(x[:, :kb], w[:kb])
+    tmp = np.empty((m, n), dtype=out.dtype)
+    for k0 in range(kb, k, kb):
+        np.matmul(x[:, k0 : k0 + kb], w[k0 : k0 + kb], out=tmp)
+        out += tmp
     return out
 
 

@@ -26,6 +26,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from itertools import accumulate
+from operator import matmul as plain_matmul
 from typing import Sequence
 
 import numpy as np
@@ -48,11 +49,12 @@ from repro.models.rope import (
     rope_rotation_tables,
 )
 from repro.models.tensor_ops import (
+    MatMul,
     layernorm,
     layernorm_into,
-    panelled_matmul,
     rmsnorm,
     rmsnorm_into,
+    slab_matmul,
 )
 from repro.models.weights import LayerWeights, ModelWeights, init_weights
 
@@ -194,12 +196,13 @@ class Transformer:
         return self.weights.embedding[tokens]
 
     def compute_qkv(
-        self, layer: int, hidden: np.ndarray, positions: np.ndarray
+        self, layer: int, hidden: np.ndarray, positions: np.ndarray, matmul: MatMul = plain_matmul
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Project a layer's input hidden states into rotated Q, K, V."""
+        """Project a layer's input hidden states into rotated Q, K, V through
+        ``matmul`` (plain ``@``, the arithmetic :meth:`project_kv` replays)."""
         w = self.weights.layers[layer]
         normed = self._norm(hidden, w.attn_norm)
-        q, k, v = attention_module(normed, w.wq, w.wk, w.wv, self.config)
+        q, k, v = attention_module(normed, w.wq, w.wk, w.wv, self.config, matmul)
         if self.config.rope:
             q = apply_rope(q, positions)
             k = apply_rope(k, positions)
@@ -476,7 +479,7 @@ class Transformer:
         per-row and bit-identical to the serial path, while the BLAS
         stages round differently in the last ulps: the packed GEMMs by
         their M-blocking (M=sum of segment lengths vs per-session M) and
-        small-batch column panels (see :meth:`_forward_packed`), block
+        small-batch row slabs (see :meth:`_forward_packed`), block
         attention by how the prompt was chunked (see the constant).
         """
         return self._forward_packed(
@@ -491,18 +494,13 @@ class Transformer:
     ) -> np.ndarray:
         """The one batched kernel behind both public spellings above.
 
-        Its output projection, FFN and LM head go through
-        :func:`~repro.models.tensor_ops.panelled_matmul`: a decode step
-        of 2–``M_MAX`` sessions, and the last-row-only final layer and
-        LM head of a prefill-carrying call, issue those products as
-        column panels inside BLAS's small-matrix limit instead of one
-        call that packs the weight every time; a larger block (a prefill
-        chunk, a 16-session decode) is one call as before.  Q, K and V
-        stay on :meth:`compute_qkv`'s single GEMMs — K and V are the
-        arithmetic a restore replays — and the serial :meth:`forward`,
-        :meth:`project_kv` and :meth:`project_kv_chunk` keep plain
-        ``matmul``, so restore bit-exactness and the serial reference do
-        not depend on the panelling.
+        Every dense product (Q/K/V, output projection, FFN, LM head) is
+        :func:`~repro.models.tensor_ops.slab_matmul`: 2–``M_MAX`` rows (a
+        small decode batch, the last-row final layer) sum over row slabs
+        of the weight inside BLAS's small-matrix limit; a prefill chunk
+        is one call.  The serial :meth:`forward`, :meth:`project_kv` and
+        :meth:`project_kv_chunk` keep plain ``matmul``, so restores stay
+        bit-exact and the serial reference takes no slabs.
         """
         config = self.config
         caches = list(caches)
@@ -562,7 +560,7 @@ class Transformer:
                 final_layer = layer == config.n_layers - 1
                 # One packed projection: row r's RoPE angle comes from its own
                 # absolute position, exactly what compute_qkv applies rowwise.
-                q, k, v = self.compute_qkv(layer, hidden, positions)
+                q, k, v = self.compute_qkv(layer, hidden, positions, slab_matmul)
                 if final_layer:
                     hidden, attn_out = hidden[last], attn_out[: len(segments)]
                 for s, cache in enumerate(caches):
@@ -582,18 +580,16 @@ class Transformer:
                         query_offset=starts[s] + q0 - o0,
                         out=out,
                     )
-                hidden = hidden + panelled_matmul(merge_heads(attn_out), w.wo)
+                hidden = hidden + slab_matmul(merge_heads(attn_out), w.wo)
                 normed = self._norm(hidden, w.ffn_norm)
-                hidden = hidden + ffn_forward(
-                    normed, w, config.n_ffn_mats, panelled_matmul
-                )
+                hidden = hidden + ffn_forward(normed, w, config.n_ffn_mats, slab_matmul)
         # lint: disable=exception-safety -- rollback, then re-raise: a call that dies at layer k must not leave every cache of the batch appended for layers < k only
         except BaseException:
             for cache, start in zip(caches, starts):
                 cache.truncate(start)
             raise
         final = self._norm(hidden, self.weights.final_norm)
-        return panelled_matmul(final, self.weights.lm_head)
+        return slab_matmul(final, self.weights.lm_head)
 
     # ------------------------------------------------------------------
     # restoration helpers

@@ -8,25 +8,25 @@ import pytest
 from repro.models import tensor_ops
 
 
-class PanelSpy:
+class SlabSpy:
     """Stands in for numpy inside :mod:`repro.models.tensor_ops`.
 
-    ``panelled_matmul`` spells its one-call path ``x @ w``, so the only
-    ``np.matmul`` in the module is a column panel: :attr:`panels` counts
-    them, whoever called the primitive.  ``np.empty`` (its output buffer)
-    comes back NaN-filled, so a column no panel writes cannot pass for a
-    product.
+    ``slab_matmul`` spells its one-call path ``x @ w``, so the only
+    ``np.matmul`` in the module is a row slab: :attr:`slabs` records the
+    weight operand of each one, whoever called the primitive.
+    ``np.empty`` (the slab scratch) comes back NaN-filled, so a slab
+    that fails to write its product cannot pass for one.
     """
 
     def __init__(self) -> None:
-        self.panels = 0
+        self.slabs: list[np.ndarray] = []
 
     def __getattr__(self, name):
         return getattr(np, name)
 
-    def matmul(self, *args, **kwargs):
-        self.panels += 1
-        return np.matmul(*args, **kwargs)
+    def matmul(self, x, w, **kwargs):
+        self.slabs.append(w)
+        return np.matmul(x, w, **kwargs)
 
     @staticmethod
     def empty(*args, **kwargs):
@@ -36,7 +36,7 @@ class PanelSpy:
 
 
 @pytest.fixture
-def panel_spy(monkeypatch):
-    spy = PanelSpy()
+def slab_spy(monkeypatch):
+    spy = SlabSpy()
     monkeypatch.setattr(tensor_ops, "np", spy)
     return spy

@@ -8,9 +8,9 @@ GQA, layernorm/no-rope — within the documented batched-GEMM tolerance
 (:data:`repro.models.transformer.BATCHED_DECODE_ATOL`), with identical
 post-step cache contents, and must agree with each other bit for bit.
 
-The hidden-64 presets never cross BLAS's small-matrix limit, so the two
-``wide-*`` configs (bench-mid width, two layers) are what puts the
-panelled products of a 2–``M_MAX``-session step under every check here.
+The hidden-64 presets' products never span more than one row slab, so
+the two ``wide-*`` configs (bench-mid width, two layers) are what puts
+the slab products of a 2–``M_MAX``-session step under every check here.
 """
 
 from __future__ import annotations
@@ -41,8 +41,8 @@ GQA_CONFIG = ModelConfig(
     max_context=256,
 )
 
-#: Bench-mid width and vocabulary on two layers: a 2-row FFN or LM-head
-#: product already exceeds the small-matrix limit.
+#: Bench-mid width and vocabulary on two layers: every product of a
+#: 2-row step is summed over several row slabs.
 WIDE = dict(
     n_layers=2, hidden_size=512, n_heads=8, n_kv_heads=8, ffn_hidden_size=1408, vocab_size=4096
 )
@@ -108,8 +108,7 @@ def caches_close(a, b, atol):
         assert ca.equals(cb, atol=atol)
 
 
-#: Session history lengths per batch: unequal, and a batch of 16 — past
-#: the panel limit, so the 16-row products take the plain GEMM.
+#: Session history lengths per batch: unequal, four and 16 sessions.
 BATCHES = {
     "b4": [3, 17, 9, 1],
     "b16": [3, 17, 9, 1, 30, 12, 5, 22, 8, 2, 40, 14, 6, 27, 11, 19],
@@ -212,17 +211,18 @@ class TestEquivalence:
         caches_close(batched, serial, BATCHED_DECODE_ATOL)
 
 
-class TestPanelledDecode:
-    """The panelled products on the serving batch sizes, SwiGLU and GELU."""
+class TestSlabDecode:
+    """The slab products on the serving batch sizes and either side of
+    ``M_MAX``, SwiGLU and GELU."""
 
     @spelling
-    @pytest.mark.parametrize("batch", [2, 3, 4, 8])
+    @pytest.mark.parametrize("batch", [2, 3, 4, 8, M_MAX, M_MAX + 1])
     @pytest.mark.parametrize("name", ["wide-llama", "wide-opt"])
-    def test_matches_serial_loop(self, name, batch, step, panel_spy):
+    def test_matches_serial_loop(self, name, batch, step, slab_spy):
         model = get_model(name)
-        lengths = [2 + 3 * b for b in range(batch)]
+        lengths = [2 + 3 * (b % 8) for b in range(batch)]
         _, (serial, batched) = prefilled_caches(model, lengths, seed=batch, copies=2)
-        assert panel_spy.panels == 0  # serial prefill of 2..23 rows: plain @
+        assert slab_spy.slabs == []  # serial prefills: plain @
         tokens = np.random.default_rng(batch).integers(0, 4096, size=batch)
         for _ in range(3):
             ref = serial_decode(model, tokens, serial)
@@ -231,10 +231,10 @@ class TestPanelledDecode:
             assert np.array_equal(np.argmax(got, 1), np.argmax(ref, 1))
             tokens = np.argmax(ref, axis=1)
         caches_close(batched, serial, BATCHED_DECODE_ATOL)
-        # B <= M_MAX panels its FFN and LM head; B = 8 is one call each.
-        assert (panel_spy.panels > 0) == (batch <= M_MAX)
+        # B <= M_MAX sums its products over slabs; past it, one call each.
+        assert bool(slab_spy.slabs) == (batch <= M_MAX)
 
-    def test_restore_and_serial_paths_never_panel(self, panel_spy):
+    def test_restore_and_serial_paths_never_take_slabs(self, slab_spy):
         """K/V stay on the single GEMM a restore replays, bit for bit."""
         model = get_model("wide-llama")
         config = model.config
@@ -250,9 +250,9 @@ class TestPanelledDecode:
                 assert np.array_equal(k, cache.get(layer)[0])
                 assert np.array_equal(v, cache.get(layer)[1])
             assert model.restore_cache_from_hidden(hidden).equals(cache, atol=0.0)
-        assert panel_spy.panels == 0
+        assert slab_spy.slabs == []
         model.decode_batch(np.array([1, 2]), caches)
-        assert panel_spy.panels > 0
+        assert slab_spy.slabs
 
 
 @spelling

@@ -7,8 +7,8 @@ sessions into one model call; it must stay inside the
 front end substitutes it for a serial per-session prefill loop.
 
 Every equivalence test runs on ``tiny-llama`` and on two bench-mid-width
-configs (SwiGLU and GELU) whose last-row final layer and LM head cross
-BLAS's small-matrix limit and take the panelled products.
+configs (SwiGLU and GELU) whose packed products are summed over row
+slabs of the weight (``tensor_ops.slab_matmul``).
 """
 
 from __future__ import annotations
@@ -45,13 +45,13 @@ def _prompts(config, sizes, seed):
     return [rng.integers(0, config.vocab_size, size=size) for size in sizes]
 
 
-def _panels_expected(config):
-    """A multi-segment call panels its last rows on the wide configs only."""
+def _slabs_expected(config):
+    """A multi-segment call takes row slabs on the wide configs only."""
     return config.hidden_size >= 512
 
 
 class TestEquivalence:
-    def test_packed_prefill_matches_serial_forward(self, model, panel_spy):
+    def test_packed_prefill_matches_serial_forward(self, model, slab_spy):
         config = model.config
         segments = _prompts(config, [9, 1, 5, 13], seed=41)
         serial_caches = [KVCache(config) for _ in segments]
@@ -59,7 +59,7 @@ class TestEquivalence:
         for seg, cache in zip(segments, serial_caches):
             result = model.forward(seg, cache)
             expected_logits.append(result.logits[-1])
-        assert panel_spy.panels == 0  # a 5-row serial forward: plain @
+        assert slab_spy.slabs == []  # a serial forward: plain @
         fused_caches = [KVCache(config) for _ in segments]
         logits = model.forward_fused(segments, fused_caches)
         assert logits.shape == (len(segments), config.vocab_size)
@@ -71,9 +71,9 @@ class TestEquivalence:
             assert fused_caches[s].equals(
                 serial_caches[s], atol=BATCHED_DECODE_ATOL
             )
-        assert (panel_spy.panels > 0) == _panels_expected(config)
+        assert bool(slab_spy.slabs) == _slabs_expected(config)
 
-    def test_mixed_prefill_and_decode_segments(self, model, panel_spy):
+    def test_mixed_prefill_and_decode_segments(self, model, slab_spy):
         """Chunked prefill folded into the decode batch — one call."""
         config = model.config
         history = _prompts(config, [6, 4], seed=42)
@@ -89,15 +89,44 @@ class TestEquivalence:
             model.forward(seg, cache).logits[-1]
             for seg, cache in zip(segments, serial_caches)
         ]
-        assert panel_spy.panels == 0  # the serial reference never panels
+        assert slab_spy.slabs == []  # the serial reference never takes slabs
         logits = model.forward_fused(segments, fused_caches)
         for s in range(3):
             np.testing.assert_allclose(logits[s], expected[s], atol=BATCHED_DECODE_ATOL)
             assert int(np.argmax(logits[s])) == int(np.argmax(expected[s]))
             assert fused_caches[s].equals(serial_caches[s], atol=BATCHED_DECODE_ATOL)
-        # 9 packed rows take one call per product; the final layer's 3
-        # last rows and the LM head are panelled.
-        assert (panel_spy.panels > 0) == _panels_expected(config)
+        # 9 packed rows, then the final layer's 3 last rows: all slabbed.
+        assert bool(slab_spy.slabs) == _slabs_expected(config)
+
+    def test_only_the_packed_call_takes_slabs_qkv_included(self, model, slab_spy):
+        """The serial forward, ``project_kv`` and ``project_kv_chunk`` keep
+        plain ``matmul`` — so restores stay bit-exact — while the packed
+        call sums every product over slabs, Q, K and V among them."""
+        config = model.config
+        prompts = _prompts(config, [6, 4], seed=49)
+        caches = [KVCache(config) for _ in prompts]
+        for prompt, cache in zip(prompts, caches):
+            hidden = model.forward(prompt, cache, capture_hidden=True).hidden_states
+            positions = np.arange(prompt.size)
+            for layer in range(config.n_layers):
+                k, v = model.project_kv(layer, hidden[layer], positions)
+                assert np.array_equal(k, cache.get(layer)[0])
+                assert np.array_equal(v, cache.get(layer)[1])
+            # One project_kv_chunk granule per layer.
+            assert model.restore_cache_from_hidden(hidden).equals(cache, atol=0.0)
+        assert slab_spy.slabs == []
+        model.forward_fused([np.array([3]), np.array([5])], caches)
+        if not _slabs_expected(config):
+            assert slab_spy.slabs == []
+            return
+        weights = [model.weights.lm_head] + [
+            weight
+            for lw in model.weights.layers
+            for weight in (lw.wq, lw.wk, lw.wv, lw.wo, lw.w_gate, lw.w_up, lw.w_down)
+            if weight is not None
+        ]
+        for weight in weights:
+            assert any(np.shares_memory(slab, weight) for slab in slab_spy.slabs)
 
     def test_captured_hidden_states_match_serial_capture(self, model):
         """The HCache saving path sees identical per-segment hidden states."""
@@ -197,10 +226,10 @@ class TestRollback:
         ]
         real = model.compute_qkv
 
-        def dies_at_layer_5(layer, hidden, positions):
+        def dies_at_layer_5(layer, hidden, positions, *product):
             if layer == 5:
                 raise MemoryError("injected at layer 5")
-            return real(layer, hidden, positions)
+            return real(layer, hidden, positions, *product)
 
         model.compute_qkv = dies_at_layer_5
         try:

@@ -8,13 +8,14 @@ import pytest
 from repro.errors import ConfigError
 from repro.models.tensor_ops import (
     M_MAX,
+    SLAB_FLOATS,
     SMALL_GEMM_MNK,
     causal_mask,
     gelu,
     layernorm,
-    panelled_matmul,
     rmsnorm,
     silu,
+    slab_matmul,
     softmax,
 )
 
@@ -111,9 +112,9 @@ class TestCausalMask:
             causal_mask(-1, 3, 0)
 
 
-#: The bench-mid product shapes (output projection, gate/up, down, LM
-#: head) and a width no 16-column panel divides.
-PRODUCT_SHAPES = [(512, 512), (512, 1408), (1408, 512), (512, 4096), (512, 1000)]
+#: The bench-mid product shapes (Q/K/V and output projection, gate/up,
+#: down, LM head) and a depth no slab divides, off the 16-column grid.
+PRODUCT_SHAPES = [(512, 512), (512, 1408), (1408, 512), (512, 4096), (1000, 1000)]
 
 
 def _operands(m, k, n, seed=0):
@@ -123,56 +124,72 @@ def _operands(m, k, n, seed=0):
     return x, w
 
 
-def _panelled(m, k, n):
-    return 2 <= m <= M_MAX and m * k * n > SMALL_GEMM_MNK
+def _slab_rows(m, k, n):
+    """The contract's slab height, or ``None`` where the product is one call."""
+    if not 2 <= m <= M_MAX:
+        return None
+    fits = [r for r in range(16, SLAB_FLOATS // n + 1, 16) if m * r * n <= SMALL_GEMM_MNK]
+    return fits[-1] if fits and fits[-1] < k else None
 
 
-class TestPanelledMatmul:
+def _first_row(slab, w):
+    """Row of ``w`` where the view ``slab`` starts."""
+    offset = slab.__array_interface__["data"][0] - w.__array_interface__["data"][0]
+    assert offset % w.strides[0] == 0
+    return offset // w.strides[0]
+
+
+class TestSlabMatmul:
     @pytest.mark.parametrize("k,n", PRODUCT_SHAPES)
     @pytest.mark.parametrize("m", range(1, 17))
-    def test_equals_one_call(self, m, k, n, panel_spy):
+    def test_equals_one_call(self, m, k, n, slab_spy):
         x, w = _operands(m, k, n)
         ref = x @ w
-        got = panelled_matmul(x, w)
+        got = slab_matmul(x, w)
         assert got.shape == ref.shape and got.dtype == np.float32
-        # The spy NaN-fills the output buffer: every column was written.
+        # The spy NaN-fills the slab scratch: every slab was written.
         np.testing.assert_allclose(got, ref, rtol=1e-6, atol=1e-5)
-        assert np.array_equal(panelled_matmul(x, w), got)
-        if _panelled(m, k, n):
-            assert panel_spy.panels >= 4  # two calls, at least two panels each
-        else:
-            # Outside the panelled range the primitive *is* one call.
-            assert panel_spy.panels == 0
+        assert np.array_equal(slab_matmul(x, w), got)
+        if _slab_rows(m, k, n) is None:
+            # Outside the slab range the primitive *is* one call.
+            assert slab_spy.slabs == []
             assert np.array_equal(got, ref)
+        else:
+            assert len(slab_spy.slabs) >= 4  # two calls, at least two slabs each
 
     @pytest.mark.parametrize("k,n", PRODUCT_SHAPES)
-    @pytest.mark.parametrize("m", range(2, M_MAX + 1))
-    def test_panels_stay_inside_the_limit(self, m, k, n, monkeypatch):
-        widths = []
-        real = np.matmul
-
-        def recording(a, b, out):
-            widths.append(b.shape[1])
-            assert not b.flags.owndata and np.shares_memory(b, w)
-            return real(a, b, out=out)
-
+    @pytest.mark.parametrize("m", range(1, 17))
+    def test_slabs_are_row_blocks_of_w_covering_k_once(self, m, k, n, slab_spy):
         x, w = _operands(m, k, n)
-        monkeypatch.setattr(np, "matmul", recording)
-        panelled_matmul(x, w)
-        monkeypatch.undo()
-        if not _panelled(m, k, n):
-            assert widths == []
+        slab_matmul(x, w)
+        kb = _slab_rows(m, k, n)
+        if kb is None:
+            assert slab_spy.slabs == []
             return
-        assert sum(widths) == n
-        assert all(m * k * width <= SMALL_GEMM_MNK for width in widths)
-        assert all(width % 16 == 0 for width in widths[:-1])
-        assert len(set(widths[:-1])) <= 1 and widths[-1] <= widths[0]
-        # Fewest 16-aligned panels: one fewer could not hold n columns.
-        widest = SMALL_GEMM_MNK // (m * k) // 16 * 16
-        assert (len(widths) - 1) * widest < n
+        covered = np.zeros(k, dtype=int)
+        for slab in slab_spy.slabs:
+            assert slab.flags.c_contiguous and np.shares_memory(slab, w)
+            assert slab.shape[1] == n
+            assert m * slab.shape[0] * n <= SMALL_GEMM_MNK
+            first = _first_row(slab, w)
+            covered[first : first + slab.shape[0]] += 1
+        assert np.array_equal(covered, np.ones(k, dtype=int))
+        # Full slabs of the largest height the contract allows; the last
+        # one takes the remainder.
+        heights = [slab.shape[0] for slab in slab_spy.slabs]
+        assert set(heights[:-1]) == {kb} and heights[-1] <= kb
 
-    def test_a_depth_no_aligned_panel_fits_is_one_call(self, panel_spy):
-        # 2 x 40 000 x 16 already exceeds the limit: panels cannot help.
-        x, w = _operands(2, 40_000, 32)
-        assert np.array_equal(panelled_matmul(x, w), x @ w)
-        assert panel_spy.panels == 0
+    @pytest.mark.parametrize(
+        "m,k,n",
+        [
+            (1, 512, 4096),  # one row: numpy's GEMV path
+            (M_MAX + 1, 512, 512),  # more rows than slabs pay for
+            (2, 512, 40_000),  # no 16-row slab inside the limit
+            (4, 64, 256),  # one slab would cover all of k
+        ],
+        ids=["one-row", "past-m-max", "no-slab-fits", "slab-covers-k"],
+    )
+    def test_one_call_cases(self, m, k, n, slab_spy):
+        x, w = _operands(m, k, n)
+        assert np.array_equal(slab_matmul(x, w), x @ w)
+        assert slab_spy.slabs == []
