@@ -15,7 +15,7 @@
 #     ruff still catches a stale import or a reference to a deleted
 #     name); zero findings required, deliberate exceptions carry
 #     in-source waivers;
-#   - mypy, non-strict, over repro.storage + repro.runtime + repro.state.
+#   - mypy, non-strict, over repro.storage + repro.runtime.
 # ruff and mypy are optional *locally* (skipped with a notice via
 # require_or_skip below) but REQUIRED in CI: a missing tool there is a
 # broken pipeline, not a soft skip.  repro.lint ships with the repo and
@@ -30,7 +30,7 @@
 #     (N-1)*ceil(n/64) chunk reads, and it restores the all-stored
 #     engine's bits.
 # Restore exactness in every shape, batched-decode equivalence,
-# failover, recovery, block sharing and the front end's token streams
+# failover, recovery and the front end's token streams
 # are tier-1 tests; speed is the serving benchmark's job.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -65,7 +65,7 @@ require_or_skip ruff python -m ruff check src tests benchmarks scripts
 echo "== invariant lint (repro.lint: guarded-by, commit-point, hot-path, exception-safety, api-surface, frontend-api, unused-import, undefined-name) =="
 python -m repro.lint src
 
-echo "== types (mypy, non-strict, repro.storage + repro.runtime + repro.state) =="
+echo "== types (mypy, non-strict, repro.storage + repro.runtime) =="
 require_or_skip mypy python -m mypy
 
 echo "== tier-1 tests =="

@@ -2,7 +2,7 @@
 in front of HCache restoration (§4 extension)."""
 
 from repro.cache.gpu_cache import CachedServingResult, GPUCacheSimulator
-from repro.cache.lru import CacheStats, LRUCache, PinnedLRU
+from repro.cache.lru import CacheStats, LRUCache
 from repro.cache.prefetch import PrefetchingHCache, WarmRestoration
 
 __all__ = [
@@ -10,7 +10,6 @@ __all__ = [
     "CachedServingResult",
     "GPUCacheSimulator",
     "LRUCache",
-    "PinnedLRU",
     "PrefetchingHCache",
     "WarmRestoration",
 ]

@@ -11,8 +11,6 @@ HCache's advantage.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
-
 from repro.baselines.base import RestorationMethod
 from repro.cache.lru import LRUCache
 from repro.engine.batching import MemoryBudget
@@ -68,16 +66,11 @@ class GPUCacheSimulator:
         n_requests: int,
         alpha: float | None,
         seed: int = 0,
-        shared_prefix: Mapping[str, int] | None = None,
     ) -> CachedServingResult:
         """Replay Zipf-distributed references through an LRU cache.
 
         Each reference targets one context from the pool; hits reuse the
         GPU-resident KV, misses restore it with ``method`` first.
-        ``shared_prefix`` maps context ids to tokens already resident in
-        the block pool (:class:`repro.state.BlockStateStore`); a miss only
-        pays restoration for the non-shared suffix, the way the engine's
-        restore path skips pool-served prefix rows.
         """
         if not contexts:
             raise ConfigError("context pool is empty")
@@ -94,13 +87,7 @@ class GPUCacheSimulator:
                     self.config, self.platform, ctx.input_tokens
                 )
             else:
-                shared = 0
-                if shared_prefix is not None:
-                    shared = int(shared_prefix.get(ctx.context_id, 0))
-                    if shared < 0:
-                        raise ConfigError("shared prefix tokens must be >= 0")
-                    shared = min(shared, ctx.context_tokens)
-                ttft = method.ttft(ctx.context_tokens - shared, ctx.input_tokens)
+                ttft = method.ttft(ctx.context_tokens, ctx.input_tokens)
             total_ttft += ttft
         return CachedServingResult(
             method=method.name,

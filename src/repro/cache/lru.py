@@ -1,13 +1,9 @@
-"""Size-aware and pin-aware LRU eviction orders.
+"""Size-aware LRU eviction order.
 
 :class:`LRUCache` drives GPU-resident KV reuse (§6.4): entries are
 contexts whose size is their KV footprint in tokens; capacity is the
-GPU's free KV budget.  :class:`PinnedLRU` is the recency order behind the
-block-paged state store's refcount-aware eviction
-(:class:`repro.state.BlockPool`): entries pinned by a live refcount are
-never eviction candidates, and victims come strictly from the unpinned
-(refcount-0) tail, least recently used first.  Both are generic so tests
-can drive them with arbitrary keys and sizes.
+GPU's free KV budget.  It is generic so tests can drive it with arbitrary
+keys and sizes.
 """
 
 from __future__ import annotations
@@ -106,78 +102,3 @@ class LRUCache:
     def keys_lru_order(self) -> tuple[Hashable, ...]:
         """Keys from least to most recently used."""
         return tuple(self._entries)
-
-
-class PinnedLRU:
-    """An LRU recency order whose pinned entries cannot be evicted.
-
-    The block store's eviction policy in isolation: every tracked key is
-    either *pinned* (some live block table still references it) or an
-    eviction candidate.  :meth:`pop_lru` returns the least recently used
-    unpinned key — never a pinned one, however old — which is exactly the
-    "evict the refcount-0 tail first" contract the block pool needs.
-    Pinning is idempotent per key (the pool owns the refcount; this class
-    only tracks the boolean), and recency is updated with :meth:`touch`.
-    """
-
-    def __init__(self) -> None:
-        self._entries: OrderedDict[Hashable, bool] = OrderedDict()
-        self.stats = CacheStats()
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def __contains__(self, key: Hashable) -> bool:
-        return key in self._entries
-
-    def add(self, key: Hashable, pinned: bool = False) -> None:
-        """Track ``key`` as most recently used."""
-        if key in self._entries:
-            raise ConfigError(f"key {key!r} already tracked")
-        self._entries[key] = pinned
-
-    def discard(self, key: Hashable) -> None:
-        """Stop tracking ``key`` (no-op when absent)."""
-        self._entries.pop(key, None)
-
-    def touch(self, key: Hashable) -> None:
-        """Mark ``key`` most recently used."""
-        if key not in self._entries:
-            raise ConfigError(f"key {key!r} not tracked")
-        self._entries.move_to_end(key)
-
-    def is_pinned(self, key: Hashable) -> bool:
-        if key not in self._entries:
-            raise ConfigError(f"key {key!r} not tracked")
-        return self._entries[key]
-
-    def pin(self, key: Hashable) -> None:
-        """Exempt ``key`` from eviction until :meth:`unpin`."""
-        if key not in self._entries:
-            raise ConfigError(f"key {key!r} not tracked")
-        self._entries[key] = True
-
-    def unpin(self, key: Hashable) -> None:
-        """Return ``key`` to the eviction-candidate pool (as MRU)."""
-        if key not in self._entries:
-            raise ConfigError(f"key {key!r} not tracked")
-        self._entries[key] = False
-        self._entries.move_to_end(key)
-
-    def pop_lru(self) -> Hashable | None:
-        """Evict and return the least recently used *unpinned* key.
-
-        Pinned entries are skipped regardless of age; returns ``None``
-        when every tracked key is pinned (the caller must then fail or
-        grow — evicting pinned state is never an option).
-        """
-        for key, pinned in self._entries.items():
-            if not pinned:
-                del self._entries[key]
-                self.stats.evictions += 1
-                return key
-        return None
-
-    def unpinned_lru_order(self) -> tuple[Hashable, ...]:
-        """Unpinned keys from least to most recently used."""
-        return tuple(k for k, pinned in self._entries.items() if not pinned)

@@ -35,9 +35,8 @@ class WarmRestoration:
         scheme: Partition the scheduler chose for this tier's IO speed.
         chunk_pipelined_s: Makespan of the same restoration at chunk
             granularity — per-chunk reads from the tiered backend
-            overlapped with per-chunk projection compute through the
-            same :func:`repro.storage.streaming.pipelined_makespan`
-            timeline the numeric engine's streamed restore reports, so
+            overlapped with per-chunk projection compute through
+            :func:`repro.storage.streaming.pipelined_makespan`, so
             DRAM-warm and SSD reads are costed by identical code.
     """
 
@@ -132,8 +131,8 @@ class PrefetchingHCache:
 
         Streams the scheme's *actually stored* bytes chunk by chunk and
         overlaps each chunk's share of the hidden-layer projection with
-        the remaining transfer — the same two-stream timeline the numeric
-        engine's :class:`~repro.core.hcache.RestoreBreakdown` reports.
+        the remaining transfer (a modelled two-stream timeline; the
+        numeric engine's restore measures wall time and models none).
         The backend's per-chunk times cover the all-hidden footprint
         (:meth:`_context_bytes`), so they are rescaled to the partition's
         stored bytes — hidden layers move ``D`` per token, KV layers

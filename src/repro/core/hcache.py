@@ -14,7 +14,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from functools import partial
-from typing import TYPE_CHECKING, Callable
+from typing import Callable
 
 import numpy as np
 
@@ -31,12 +31,6 @@ from repro.simulator.hardware import Platform
 from repro.simulator.pipeline import LayerMethod
 from repro.storage.manager import StorageManager
 from repro.storage.streaming import LayerChunk
-
-if TYPE_CHECKING:  # pragma: no cover - typing-only imports
-    # BlockStateStore is typing-only to break the import cycle
-    # core.hcache -> repro.state -> repro.cache -> repro.baselines ->
-    # repro.core; the store arrives fully constructed by the caller.
-    from repro.state import BlockStateStore
 
 
 @dataclass
@@ -65,11 +59,6 @@ class RestoreBreakdown:
     install_s: float = 0.0
     recompute_s: float = 0.0
     projection: ProjectionStats = field(default_factory=ProjectionStats)
-    #: Tokens served from the shared block pool instead of storage (their
-    #: chunk reads never reach a device).
-    shared_tokens: int = 0
-    #: Measured wall time projecting/installing pool-resident blocks.
-    pool_s: float = 0.0
     #: Measured submit-side executor overhead: staging-slot acquisition
     #: plus pool handoff per granule (zero without an executor).
     dispatch_s: float = 0.0
@@ -77,12 +66,7 @@ class RestoreBreakdown:
 
 @dataclass(frozen=True)
 class _RestorePlan:
-    """What one restoration's hidden and KV drains share, resolved once.
-
-    ``shared`` is the pool-served prefix length (granule-aligned or the
-    whole context); ``suffix_rows`` are the collection buffers of an
-    admission gap being closed (see :meth:`HCacheEngine._shared_prefix`).
-    """
+    """What one restoration's hidden and KV drains share, resolved once."""
 
     context_id: str
     n_tokens: int
@@ -90,9 +74,6 @@ class _RestorePlan:
     hidden_layers: list[int]
     kv_layers: list[int]
     granule_tokens: int
-    shared: int
-    suffix_rows: "dict[tuple[int, str], np.ndarray] | None"
-    executor: "RestoreExecutor | None"
     stats: "RestoreBreakdown | None"
 
 
@@ -121,7 +102,6 @@ class HCacheEngine:
         platform: Platform | None = None,
         scheme: PartitionScheme | None = None,
         stream_granule_chunks: int = 4,
-        shared_store: BlockStateStore | None = None,
     ) -> None:
         """Create an engine.
 
@@ -143,14 +123,6 @@ class HCacheEngine:
             stream_granule_chunks: Storage chunks coalesced into each
                 streamed restore granule.  IO stays chunk-granular; this
                 only sets how many rows each fused projection call covers.
-            shared_store: Optional block-paged state store
-                (:class:`repro.state.BlockStateStore`).  When given,
-                saves also publish each context's stored rows into the
-                shared pool and restores serve any pool-resident shared
-                prefix without touching storage — bit-exactly equal to
-                the unshared path.  Its block size must be a multiple of
-                the storage chunk size so shared prefixes are always
-                chunk-aligned, and its geometry must match the model.
         """
         if stream_granule_chunks <= 0:
             raise ConfigError("stream_granule_chunks must be positive")
@@ -171,25 +143,6 @@ class HCacheEngine:
         else:
             self.scheme = PartitionScheme.with_recompute_prefix(config.n_layers, 1)
             self.decision = None
-        if shared_store is not None:
-            pool = shared_store.pool
-            if pool.block_tokens % storage.tokens_per_chunk != 0:
-                raise ConfigError(
-                    f"pool blocks of {pool.block_tokens} tokens must be a "
-                    f"multiple of the {storage.tokens_per_chunk}-token chunk"
-                )
-            if (
-                pool.n_layers != config.n_layers
-                or pool.hidden_width != config.hidden_size
-                or pool.n_kv_heads != config.n_kv_heads
-                or pool.head_dim != config.head_dim
-            ):
-                raise ConfigError("shared store geometry mismatches the model")
-            if self.scheme.n_recompute == config.n_layers:
-                # A pure-recompute scheme stores no state rows at all;
-                # tracking sessions would only pin empty blocks.
-                shared_store = None
-        self.shared_store = shared_store
         self._contexts: dict[str, int] = {}
 
     # ------------------------------------------------------------------
@@ -207,8 +160,6 @@ class HCacheEngine:
             dtype=np.float32,
             kv_width=2 * self.transformer.config.kv_size,
         )
-        if self.shared_store is not None:
-            self.shared_store.track(context_id)
         self._contexts[context_id] = 0
 
     def has_context(self, context_id: str) -> bool:
@@ -279,16 +230,9 @@ class HCacheEngine:
         # then always covers the durable rows, so crash recovery can
         # truncate it to the recovered row count without inventing ids.
         self.storage.journal_tokens(context_id, tokens)
-        shared_rows: dict[tuple[int, str], np.ndarray] = {}
-        publish = (
-            self.shared_store is not None
-            and self.shared_store.is_tracked(context_id)
-        )
         for layer, method in enumerate(self.scheme.methods):
             if method is LayerMethod.HIDDEN:
                 self.storage.append(context_id, layer, hidden_states[layer], kind="hidden")
-                if publish:
-                    shared_rows[(layer, "hidden")] = hidden_states[layer]
             elif method is LayerMethod.KV:
                 assert kv_cache is not None
                 have = kv_cache.layer_len(layer)
@@ -300,15 +244,6 @@ class HCacheEngine:
                 # Pack only the new rows — O(block), not O(history).
                 packed = kv_cache.packed_rows(layer, start, start + n_new)
                 self.storage.append(context_id, layer, packed, kind="kv")
-                if publish:
-                    shared_rows[(layer, "kv")] = packed
-        if publish:
-            # Mirror the same bytes into the shared pool (dedup happens as
-            # blocks fill).  A False return means the session fell back to
-            # the unshared path — storage remains the source of truth, so
-            # nothing else changes.
-            assert self.shared_store is not None
-            self.shared_store.append(context_id, start, tokens, shared_rows)
         self._contexts[context_id] = start + n_new
 
     def seal(self, context_id: str) -> None:
@@ -317,15 +252,8 @@ class HCacheEngine:
         self.storage.seal_context(context_id)
 
     def drop_context(self, context_id: str) -> None:
-        """Remove a context's states entirely.
-
-        Shared pool blocks are unreferenced, not destroyed: blocks other
-        sessions still reference stay live, and committed refcount-0
-        blocks linger as eviction candidates for future admissions.
-        """
+        """Remove a context's states entirely."""
         self.saved_tokens(context_id)
-        if self.shared_store is not None and self.shared_store.is_tracked(context_id):
-            self.shared_store.release(context_id)
         self.storage.free_context(context_id)
         del self._contexts[context_id]
 
@@ -348,7 +276,6 @@ class HCacheEngine:
         platform: Platform | None = None,
         scheme: PartitionScheme | None = None,
         stream_granule_chunks: int = 4,
-        shared_store: BlockStateStore | None = None,
     ) -> "HCacheEngine":
         """Adopt a crash-recovered storage manager's contexts.
 
@@ -364,17 +291,8 @@ class HCacheEngine:
         up its layer-0 rows (and their device bytes) — because a run that
         stops growing would become the shortest one, and the next
         ``StorageManager.recover`` truncates a context to its shortest run.
-
-        ``shared_store`` may be a fresh (empty) block store: the DRAM
-        pool does not survive a crash, but each post-recovery
-        :meth:`restore` re-admits its context and republishes the rows it
-        streams back, so shared prefixes re-deduplicate to the same
-        content-hash keys and refcounts rebuild as survivors restore.
         """
-        engine = cls(
-            transformer, storage, platform, scheme, stream_granule_chunks,
-            shared_store=shared_store,
-        )
+        engine = cls(transformer, storage, platform, scheme, stream_granule_chunks)
         config = transformer.config
         unread: list[tuple[str, int, str]] = []
         for context_id in storage.context_ids():
@@ -486,16 +404,16 @@ class HCacheEngine:
         ``progress`` (optional) makes the hand-over a *layer*, not a
         cache: it is told the planned cache before the first row is
         written, then each layer the moment its last row has been
-        projected or installed — hidden drain, KV drain, token-sourced
-        prefix and pool-served prefix alike, each layer exactly once.
+        projected or installed — hidden drain, KV drain and token-sourced
+        prefix alike, each layer exactly once.
         The stepping thread may then prefill on ``progress.step_cache``
         while later layers are still landing (see
         :mod:`repro.runtime.progress`); the cache returned here is
         untouched by that — at return it still ``.equals`` the saved
         history, with ``len(cache) == n_tokens``.
         """
-        plan = self._plan_restore(context_id, reserve_tokens, stats, executor)
-        cache, n_tokens, shared = plan.cache, plan.n_tokens, plan.shared
+        plan = self._plan_restore(context_id, reserve_tokens, stats)
+        cache, n_tokens = plan.cache, plan.n_tokens
         timed = stats is not None
         n_recompute = self.scheme.n_recompute
         if progress is not None:
@@ -510,18 +428,17 @@ class HCacheEngine:
                 progress.layer_landed(layer)
 
         token_prefix: Callable[[], None] | None = None
-        # (kind, layers, serve_prefix, consume_rows) of each stored kind.
-        drains: list[tuple] = []
+        # (kind, layers, consume) of each stored kind.
+        drains: list[tuple[str, list[int], Callable[[LayerChunk], None]]] = []
         if plan.hidden_layers or n_recompute:
-            granule_tokens = plan.granule_tokens
-            workspace = self.transformer.restore_workspace(np.arange(n_tokens), granule_tokens)
+            workspace = self.transformer.restore_workspace(
+                np.arange(n_tokens), plan.granule_tokens
+            )
             # The last RECOMPUTE layer is projected like a HIDDEN one —
             # its input rows come from the token log instead of a device.
             projected = ([n_recompute - 1] if n_recompute else []) + plan.hidden_layers
             views = {layer: cache.install_view(layer, n_tokens) for layer in projected}
             proj_stats = stats.projection if timed else None
-            # One granule of pool rows, gathered across block boundaries.
-            staging = np.empty_like(workspace.normed) if shared else None
 
             def project(layer: int, start: int, rows: np.ndarray) -> None:
                 k_view, v_view = views[layer]
@@ -532,52 +449,35 @@ class HCacheEngine:
                 )
                 landed(layer, rows.shape[0])
 
-            def project_pool_prefix(layer: int) -> None:
-                # Pool-served rows MUST project in the exact granule
-                # partition the storage stream would have used: the fused
-                # projection is only bit-stable for a fixed chunk split,
-                # not across splits, so serving a block-sized chunk here
-                # would diverge from the private path in the last ulp.
-                for start in range(0, shared, granule_tokens):
-                    stop = min(start + granule_tokens, shared)
-                    self._gather_pool_hidden(context_id, layer, start, stop, staging)
-                    project(layer, start, staging[: stop - start])
-
             if n_recompute:
                 token_prefix = partial(self._restore_token_prefix, plan, project, landed)
-
             if plan.hidden_layers:
-                drains.append(("hidden", plan.hidden_layers, project_pool_prefix, project))
+                drains.append((
+                    "hidden", plan.hidden_layers,
+                    lambda chunk: project(chunk.layer, chunk.start, chunk.data),
+                ))
         if plan.kv_layers:
             for layer in plan.kv_layers:
                 cache.install_view(layer, n_tokens)
 
-            def install(layer: int, start: int, packed: np.ndarray) -> None:
+            def install(chunk: LayerChunk) -> None:
                 t0 = time.perf_counter() if timed else 0.0
-                cache.install_packed_rows(layer, start, packed)
+                cache.install_packed_rows(chunk.layer, chunk.start, chunk.data)
                 if timed:
                     stats.install_s += time.perf_counter() - t0
-                landed(layer, packed.shape[0])
+                landed(chunk.layer, chunk.data.shape[0])
 
-            def install_pool_prefix(layer: int) -> None:
-                block_tokens = self.shared_store.block_tokens
-                for bstart in range(0, shared, block_tokens):
-                    k_rows, v_rows = self.shared_store.kv_rows(
-                        context_id, bstart // block_tokens, layer
-                    )
-                    rows = min(k_rows.shape[0], shared - bstart)
-                    cache.install_rows(layer, bstart, k_rows[:rows], v_rows[:rows])
-                    landed(layer, rows)
-
-            drains.append(("kv", plan.kv_layers, install_pool_prefix, install))
+            drains.append(("kv", plan.kv_layers, install))
         # The token-sourced prefix rides under the first drain's IO
         # stream; with nothing stored it simply runs.
-        for i, drain in enumerate(drains):
-            self._restore_kind(plan, *drain, None if i else token_prefix)
-        if token_prefix is not None and not drains:
+        for kind, layers, consume in drains:
+            drain_granules(
+                self.storage, context_id, layers, kind, self.stream_granule_chunks,
+                consume, executor, stats, token_prefix,
+            )
+            token_prefix = None
+        if token_prefix is not None:
             token_prefix()
-        if plan.suffix_rows is not None:
-            self._republish_suffix(plan)
         if len(cache) != n_tokens:
             raise RestorationError("restored cache length mismatch")
         return cache
@@ -617,7 +517,6 @@ class HCacheEngine:
         context_id: str,
         reserve_tokens: int,
         stats: RestoreBreakdown | None,
-        executor: RestoreExecutor | None,
     ) -> _RestorePlan:
         """Resolve, once, everything the hidden and KV drains share."""
         n_tokens = self.saved_tokens(context_id)
@@ -629,9 +528,8 @@ class HCacheEngine:
         cache.reserve(max(n_tokens, reserve_tokens))
         self._check_stored(context_id, hidden_layers, "hidden", n_tokens)
         self._check_stored(context_id, kv_layers, "kv", n_tokens)
-        shared, suffix_rows = self._shared_prefix(context_id, n_tokens)
         if stats is not None:
-            stats.n_tokens, stats.shared_tokens = n_tokens, shared
+            stats.n_tokens = n_tokens
         return _RestorePlan(
             context_id=context_id,
             n_tokens=n_tokens,
@@ -641,160 +539,8 @@ class HCacheEngine:
             granule_tokens=min(
                 n_tokens, self.stream_granule_chunks * self.storage.tokens_per_chunk
             ),
-            shared=shared,
-            suffix_rows=suffix_rows,
-            executor=executor,
             stats=stats,
         )
-
-    def _restore_kind(
-        self,
-        plan: _RestorePlan,
-        kind: str,
-        layers: list[int],
-        serve_prefix: Callable[[int], None],
-        consume_rows: Callable[[int, int, np.ndarray], None],
-        under_io: Callable[[], None] | None,
-    ) -> None:
-        """Restore one kind (hidden or KV) of the planned context's layers.
-
-        ``serve_prefix(layer)`` serves the pool-resident shared prefix;
-        the stored suffix then drains through :func:`drain_granules`,
-        each granule handed to ``consume_rows(layer, start, rows)`` and —
-        when an admission gap is being closed — collected into the plan's
-        ``suffix_rows`` for the republish.  ``under_io`` (the
-        token-sourced prefix, or ``None``) runs once the drain's first
-        reads are in flight — or right away when the pool serves
-        everything (``shared`` is then the whole context, not a chunk
-        boundary the drain could start from).
-        """
-        shared, suffix_rows, stats = plan.shared, plan.suffix_rows, plan.stats
-        if shared:
-            t0 = time.perf_counter() if stats is not None else 0.0
-            for layer in layers:
-                serve_prefix(layer)
-            if stats is not None:
-                stats.pool_s += time.perf_counter() - t0
-        if shared == plan.n_tokens:
-            if under_io is not None:
-                under_io()
-            return
-
-        def consume(chunk: LayerChunk) -> None:
-            consume_rows(chunk.layer, chunk.start, chunk.data)
-            if suffix_rows is not None:
-                suffix_rows[(chunk.layer, kind)][
-                    chunk.start - shared : chunk.stop - shared
-                ] = chunk.data
-
-        drain_granules(
-            self.storage, plan.context_id, layers, kind, self.stream_granule_chunks,
-            consume, plan.executor, shared, stats, under_io,
-        )
-
-    def _republish_suffix(self, plan: _RestorePlan) -> None:
-        """Close an admission gap after the suffix streamed from storage.
-
-        The collected rows are republished into the pool, so the session
-        is fully pool-resident (future appends stay contiguous) and its
-        suffix blocks become shareable for later admissions.  The table
-        may hold a few more blocks than the granule-aligned ``shared``
-        (admission adopts whole blocks); append only what the pool does
-        not already have.
-        """
-        assert self.shared_store is not None and plan.suffix_rows is not None
-        resident = self.shared_store.resident_tokens(plan.context_id)
-        tokens_all = self.storage.token_log(plan.context_id)
-        fresh = {
-            key: rows[resident - plan.shared :] for key, rows in plan.suffix_rows.items()
-        }
-        self.shared_store.append(
-            plan.context_id, resident, list(tokens_all[resident : plan.n_tokens]), fresh
-        )
-
-    def _shared_prefix(
-        self, context_id: str, n_tokens: int
-    ) -> tuple[int, dict[tuple[int, str], np.ndarray] | None]:
-        """Resolve the pool-resident prefix before a restore.
-
-        Returns ``(shared_tokens, suffix_rows)``.  A tracked session is
-        fully pool-resident (saves mirror appends 1:1), so the whole
-        restore is served from blocks.  An untracked one — evicted before
-        the store existed, or re-registered after crash recovery — is
-        admitted against the pool's committed prefixes; when that leaves
-        a gap, ``suffix_rows`` carries preallocated collection buffers
-        the drain fills so the gap can be republished afterwards.
-        ``shared_tokens`` is always granule-aligned or equal to
-        ``n_tokens``, so the streamed suffix sits on the same granule
-        grid a private restore uses.
-        """
-        store = self.shared_store
-        if store is None:
-            return 0, None
-        granule = self.stream_granule_chunks * self.storage.tokens_per_chunk
-        if store.is_tracked(context_id):
-            resident = store.resident_tokens(context_id)
-            if resident > n_tokens:
-                raise StateError(
-                    f"context {context_id!r} has {resident} pool-resident tokens "
-                    f"but only {n_tokens} saved"
-                )
-            if resident == n_tokens:
-                return resident, None
-            # Defensive: a tracked session should mirror its saves
-            # exactly; serve whatever aligned prefix is resident.
-            return (resident // granule) * granule, None
-        tokens = self.storage.token_log(context_id)
-        admitted = store.admit(context_id, list(tokens[:n_tokens]))
-        if admitted >= n_tokens:
-            return admitted, None
-        # Rounding down to a granule boundary keeps the suffix stream on
-        # the same granule grid a fully private restore walks — sharing
-        # may only change where bytes come from, never the chunk split
-        # the projection sees (bit-exactness is split-sensitive).
-        shared = (admitted // granule) * granule
-        config = self.transformer.config
-        suffix = n_tokens - shared
-        suffix_rows: dict[tuple[int, str], np.ndarray] = {}
-        for layer, method in enumerate(self.scheme.methods):
-            if method is LayerMethod.HIDDEN:
-                suffix_rows[(layer, "hidden")] = np.empty(
-                    (suffix, config.hidden_size), dtype=np.float32
-                )
-            elif method is LayerMethod.KV:
-                suffix_rows[(layer, "kv")] = np.empty(
-                    (suffix, 2 * config.kv_size), dtype=np.float32
-                )
-        return shared, suffix_rows
-
-    def _gather_pool_hidden(
-        self,
-        context_id: str,
-        layer: int,
-        start: int,
-        stop: int,
-        out: np.ndarray,
-    ) -> None:
-        """Assemble pool-resident hidden rows ``[start, stop)`` into ``out``.
-
-        Spans cross block boundaries, so the rows are copied into one
-        contiguous staging buffer before projection — the projection must
-        see the stream path's exact granule shapes, and a pool block view
-        cannot provide a span that straddles two blocks.
-        """
-        store = self.shared_store
-        assert store is not None
-        block_tokens = store.block_tokens
-        filled = 0
-        position = start
-        while position < stop:
-            index = position // block_tokens
-            offset = position % block_tokens
-            data = store.hidden_rows(context_id, index, layer)
-            take = min(stop - position, data.shape[0] - offset)
-            out[filled : filled + take] = data[offset : offset + take]
-            filled += take
-            position += take
 
     # ------------------------------------------------------------------
     # timing

@@ -37,7 +37,6 @@ HOT_PATHS: dict[str, frozenset[str]] = {
         {
             "KVCache.append",
             "KVCache.install_view",
-            "KVCache.install_rows",
         }
     ),
     "repro/models/hidden_capture.py": frozenset(
@@ -62,33 +61,12 @@ HOT_PATHS: dict[str, frozenset[str]] = {
             "rope_rotate_fullwidth_into",
         }
     ),
-    # Block-paged state store (PR 8): per-save block writes, admission
-    # probes, and the pool-served restore reads run once per append /
-    # per block — rows move by slice assignment into preallocated pool
-    # arrays, never through fresh concatenations.
-    "repro/state/pool.py": frozenset(
-        {
-            "BlockPool.lookup",
-            "BlockPool.adopt_committed",
-            "BlockPool.kv_views",
-            "BlockPool.hidden_view",
-        }
-    ),
-    "repro/state/store.py": frozenset(
-        {
-            "BlockStateStore.append",
-            "BlockStateStore._write_rows",
-            "BlockStateStore.hidden_rows",
-            "BlockStateStore.kv_rows",
-        }
-    ),
-    # Pool-served shared-prefix gather on the restore path, the
-    # token-sourced prefix (one projection per granule of the last
-    # RECOMPUTE layer, rows sliced from the replayed hidden block), and
-    # the per-granule row count that reports a layer as landed.
+    # The token-sourced prefix on the restore path (one projection per
+    # granule of the last RECOMPUTE layer, rows sliced from the replayed
+    # hidden block), and the per-granule row count that reports a layer
+    # as landed.
     "repro/core/hcache.py": frozenset(
         {
-            "HCacheEngine._gather_pool_hidden",
             "HCacheEngine._restore_token_prefix",
             "HCacheEngine.restore.landed",
         }

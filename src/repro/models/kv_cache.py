@@ -332,31 +332,6 @@ class KVCache:
         self._k[layer, start : start + n].reshape(n, kv_size)[...] = packed[:, :kv_size]
         self._v[layer, start : start + n].reshape(n, kv_size)[...] = packed[:, kv_size:]
 
-    def install_rows(
-        self, layer: int, start: int, keys: np.ndarray, values: np.ndarray
-    ) -> None:
-        """Write already-split K/V rows into ``[start, start + n)`` of a layer.
-
-        The unpacked sibling of :meth:`install_packed_rows`: block-paged
-        restores hold K and V as separate ``(n, n_kv_heads, head_dim)``
-        pool views and land them here without packing through a scratch
-        buffer first.  The rows must lie inside the layer's live region
-        (size it first with :meth:`install_view`).
-        """
-        self._check_layer(layer)
-        keys = self._check_shape(keys, "keys")
-        values = self._check_shape(values, "values")
-        if keys.shape[0] != values.shape[0]:
-            raise ConfigError("keys and values must cover the same tokens")
-        n = keys.shape[0]
-        if not 0 <= start <= start + n <= self._lens[layer]:
-            raise ConfigError(
-                f"rows [{start}, {start + n}) outside the layer's "
-                f"{self._lens[layer]} live tokens"
-            )
-        self._k[layer, start : start + n] = keys
-        self._v[layer, start : start + n] = values
-
     # ------------------------------------------------------------------
     # accounting / comparison
     # ------------------------------------------------------------------

@@ -70,7 +70,6 @@ def drain_granules(
     granule_chunks: int,
     consume: Callable[[LayerChunk], None],
     executor: "RestoreExecutor | None" = None,
-    start_tokens: int = 0,
     stats: "RestoreBreakdown | None" = None,
     under_io: "Callable[[], None] | None" = None,
 ) -> None:
@@ -87,9 +86,6 @@ def drain_granules(
     executes each read synchronously at submit: the double-buffered
     single-threaded drain (the pending granule's slot stays valid while
     the next one is read into the other).
-
-    ``start_tokens`` (chunk-aligned) skips every layer's pool-served
-    shared-prefix rows.
 
     ``under_io`` is work that needs no stored state (the engine's
     token-sourced recompute prefix): it runs once on the calling thread,
@@ -111,9 +107,7 @@ def drain_granules(
         window, submit = 1, _run_inline
     else:
         window, submit = executor.inflight, executor.pool.submit
-    plan = iter(
-        storage.granule_plan(context_id, layers, kind, granule_chunks, start_tokens)
-    )
+    plan = iter(storage.granule_plan(context_id, layers, kind, granule_chunks))
     timed = stats is not None
     # Outstanding reads never exceed `window` (one refill per consume), and
     # the ring is `window + 1` deep, so the slot a refill recycles was

@@ -35,7 +35,7 @@ import numpy as np
 
 from repro.errors import ConfigError, RecoveryError, StateError
 from repro.storage.allocator import ChunkAllocator
-from repro.storage.array import LayerReadTiming, StorageArray
+from repro.storage.array import StorageArray
 from repro.storage.chunk import CHUNK_TOKENS, ChunkKey, ChunkLayout
 from repro.storage.journal import ContextManifest, ManifestJournal, ManifestState, RunManifest
 from repro.storage.streaming import GranuleSpec, StagingRing
@@ -733,7 +733,6 @@ class StorageManager:
         layers: Sequence[int],
         kind: str = "hidden",
         granule_chunks: int = 1,
-        start_tokens: int = 0,
     ) -> list[GranuleSpec]:
         """Enumerate the granules a streamed restore of ``layers`` covers.
 
@@ -743,26 +742,15 @@ class StorageManager:
         reference restore.  The restore loop
         (:func:`repro.runtime.executor.drain_granules`) walks this plan to
         issue :meth:`read_granule_into` calls ahead of consumption.
-
-        ``start_tokens`` skips rows ``[0, start_tokens)`` of every layer —
-        the shared-prefix restore path reads only the non-shared suffix.
-        It must be chunk-aligned (granule starts stay chunk boundaries,
-        so the suffix stream reads the same device chunks a full stream
-        would for those rows).
         """
         if granule_chunks <= 0:
             raise ConfigError("granule_chunks must be positive")
-        if start_tokens < 0 or start_tokens % self.tokens_per_chunk != 0:
-            raise ConfigError(
-                f"start_tokens must be a non-negative multiple of the "
-                f"{self.tokens_per_chunk}-token chunk size, got {start_tokens}"
-            )
         self.meta(context_id)
         granule = granule_chunks * self.tokens_per_chunk
         plan: list[GranuleSpec] = []
         for layer in layers:
             n_tokens = self.allocator.run(context_id, layer, kind).n_tokens
-            for gstart in range(start_tokens, n_tokens, granule):
+            for gstart in range(0, n_tokens, granule):
                 plan.append(
                     GranuleSpec(
                         layer=layer,
@@ -822,14 +810,6 @@ class StorageManager:
                 tail_start - flushed_tokens : spec.stop - flushed_tokens
             ]
         return io_seconds, device_reads
-
-    def layer_read_timing(
-        self, context_id: str, layer: int, kind: str = "hidden"
-    ) -> LayerReadTiming:
-        """Modelled wall-clock cost of fetching one layer's chunks."""
-        run = self.allocator.run(context_id, layer, kind)
-        layout = run.layout
-        return self.array.layer_read_timing(layout.chunks_for(run.n_tokens), layout.chunk_bytes)
 
     # ------------------------------------------------------------------
     # accounting

@@ -14,6 +14,7 @@ from repro.baselines import (
     RecomputationMethod,
     default_methods,
 )
+from repro.core.hcache import HCacheEngine
 from repro.core.partition import PartitionScheme
 from repro.errors import ConfigError
 from repro.simulator.hardware import platform_preset
@@ -68,11 +69,17 @@ class TestKVOffload:
         assert s2 == pytest.approx(s1, rel=0.1)
 
     def test_numeric_roundtrip(self, tiny_model, tiny_config, storage_manager):
+        """The numeric KV-offload path is the engine's all-KV scheme."""
         tokens = np.arange(12) % tiny_config.vocab_size
-        _, cache = tiny_model.prefill(tokens)
-        KVOffloadMethod.save_numeric(storage_manager, "ctx", cache)
-        restored = KVOffloadMethod.restore_numeric(storage_manager, "ctx", tiny_config)
-        assert cache.equals(restored)
+        result, cache = tiny_model.prefill(tokens, capture_hidden=True)
+        engine = HCacheEngine(
+            tiny_model, storage_manager,
+            scheme=PartitionScheme.pure_kv(tiny_config.n_layers),
+        )
+        engine.register_context("ctx")
+        engine.save_states("ctx", result.hidden_states, tokens, kv_cache=cache)
+        engine.seal("ctx")
+        assert cache.equals(engine.restore("ctx"), atol=0.0)
 
 
 class TestHCacheMethod:

@@ -73,44 +73,6 @@ class TestReplay:
         with pytest.raises(ConfigError):
             cache_sim.replay([], HCacheMethod(seven_b, default_platform), 10, None)
 
-    def test_shared_prefix_cuts_miss_cost(
-        self, cache_sim, contexts, seven_b, default_platform
-    ):
-        """A pool-resident shared prefix shrinks the restored suffix, so
-        mean TTFT drops; hit ratio (arrival pattern) is unchanged."""
-        method = HCacheMethod(seven_b, default_platform)
-        base = cache_sim.replay(contexts, method, 800, alpha=None, seed=5)
-        shared = {c.context_id: c.context_tokens // 2 for c in contexts}
-        helped = cache_sim.replay(
-            contexts, method, 800, alpha=None, seed=5, shared_prefix=shared
-        )
-        assert helped.hit_ratio == pytest.approx(base.hit_ratio)
-        assert helped.mean_ttft < base.mean_ttft
-
-    def test_shared_prefix_clamped_and_partial_mapping(
-        self, cache_sim, contexts, seven_b, default_platform
-    ):
-        """Over-long prefixes clamp to the context; unmapped ids share 0."""
-        method = HCacheMethod(seven_b, default_platform)
-        everything = {c.context_id: 10**9 for c in contexts}
-        floor = cache_sim.replay(
-            contexts, method, 800, alpha=None, seed=5, shared_prefix=everything
-        )
-        nothing = cache_sim.replay(
-            contexts, method, 800, alpha=None, seed=5, shared_prefix={}
-        )
-        base = cache_sim.replay(contexts, method, 800, alpha=None, seed=5)
-        assert nothing.mean_ttft == pytest.approx(base.mean_ttft)
-        assert floor.mean_ttft < base.mean_ttft
-
-    def test_shared_prefix_rejects_negative(
-        self, cache_sim, contexts, seven_b, default_platform
-    ):
-        method = HCacheMethod(seven_b, default_platform)
-        bad = {contexts[0].context_id: -1}
-        with pytest.raises(ConfigError):
-            cache_sim.replay(contexts, method, 200, alpha=None, seed=5, shared_prefix=bad)
-
 
 class TestSweep:
     def test_sweep_shape(self, cache_sim, contexts, seven_b, default_platform):

@@ -1,10 +1,10 @@
-"""Tests for the size-aware LRU cache and the pin-aware recency order."""
+"""Tests for the size-aware LRU cache."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.cache.lru import LRUCache, PinnedLRU
+from repro.cache.lru import LRUCache
 from repro.errors import CapacityError, ConfigError
 
 
@@ -84,55 +84,3 @@ class TestStats:
         cache.lookup("a", 30)
         assert cache.free == 70
         assert len(cache) == 1
-
-
-class TestPinnedLRU:
-    def test_pop_lru_skips_pinned_entries(self):
-        lru = PinnedLRU()
-        lru.add("old-pinned", pinned=True)
-        lru.add("a")
-        lru.add("b")
-        assert lru.pop_lru() == "a"  # oldest unpinned, not the pinned head
-        assert lru.pop_lru() == "b"
-        assert lru.pop_lru() is None  # everything left is pinned
-        assert "old-pinned" in lru
-        assert lru.stats.evictions == 2
-
-    def test_touch_and_unpin_update_recency(self):
-        lru = PinnedLRU()
-        for key in "abc":
-            lru.add(key)
-        lru.touch("a")
-        assert lru.unpinned_lru_order() == ("b", "c", "a")
-        lru.pin("b")
-        assert lru.unpinned_lru_order() == ("c", "a")
-        # Unpinning re-enters the candidate pool as most recently used.
-        lru.unpin("b")
-        assert lru.unpinned_lru_order() == ("c", "a", "b")
-        assert lru.pop_lru() == "c"
-
-    def test_pin_state_transitions(self):
-        lru = PinnedLRU()
-        lru.add("a")
-        assert not lru.is_pinned("a")
-        lru.pin("a")
-        assert lru.is_pinned("a")
-        lru.pin("a")  # idempotent
-        assert lru.is_pinned("a")
-        lru.unpin("a")
-        assert not lru.is_pinned("a")
-
-    def test_add_discard_and_validation(self):
-        lru = PinnedLRU()
-        lru.add("a")
-        with pytest.raises(ConfigError):
-            lru.add("a")
-        lru.discard("a")
-        lru.discard("a")  # no-op when absent
-        assert len(lru) == 0
-        for method in (lru.touch, lru.pin, lru.unpin, lru.is_pinned):
-            with pytest.raises(ConfigError):
-                method("ghost")
-
-    def test_empty_pop_returns_none(self):
-        assert PinnedLRU().pop_lru() is None

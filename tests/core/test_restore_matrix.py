@@ -4,10 +4,8 @@ There is one restore loop (:func:`repro.runtime.executor.drain_granules`)
 and one projection kernel (:meth:`Transformer.project_kv_chunk`); what
 varies is only how the loop is parameterised — no executor (inline reads,
 window 1), or an IO pool of 1, 2 or 4 workers with an in-flight window
-from one read up to deeper than the whole granule plan — and where the
-bytes come from (storage, a tracked pool session, or a pool-admitted
-prefix plus a streamed gap).  Every combination must
-restore bytes identical to the naive whole-layer reference
+from one read up to deeper than the whole granule plan.  Every
+combination must restore bytes identical to the naive whole-layer reference
 (:func:`naive_restore_cache_from_hidden`) and to each other, across
 partition schemes, norm/RoPE flavors, GQA, partial tail chunks, granule
 sizes and layer counts.
@@ -16,7 +14,7 @@ The engine's default scheme token-sources layer 0 (a 1-layer RECOMPUTE
 prefix): every matrix cell also runs it and a 2-layer prefix, and must
 restore the same bytes as the all-stored pure-hidden engine.  Every cell
 restores with a progress sink attached: whichever stages fill a layer
-(hidden drain, KV drain, token-sourced prefix, pool-served prefix), it is
+(hidden drain, KV drain, token-sourced prefix), it is
 reported exactly once, and the returned cache is the one a restore
 nobody watched returns.  The last section pins *where* the token-sourced
 work runs (under the drain's first window of reads) and that layer 0
@@ -42,13 +40,10 @@ from repro.runtime import RestoreExecutor
 from repro.runtime import RestoreProgress
 from repro.simulator import platform_preset
 from repro.simulator.pipeline import LayerMethod
-from repro.state import BlockPool, BlockStateStore
 from repro.storage import StorageManager
 
 CHUNK_TOKENS = 8
-BLOCK_TOKENS = 16
-SHARED_TOKENS = 72  # the donor's common prefix; admission adopts 64 of it
-N_TOKENS = 125  # partial tail chunk, two streamed gap granules per layer
+N_TOKENS = 125  # partial tail chunk
 
 #: No executor at all: reads run inline at submit, window 1.
 INLINE = "inline"
@@ -82,7 +77,6 @@ SCHEMES = {
     "recompute2+hidden": PartitionScheme((R, R, H, H)),
     "recompute+hidden+kv": PartitionScheme((R, H, H, K)),
 }
-POOL_STATES = ["no-store", "tracked", "admitted-gap"]
 
 GQA_CONFIG = replace(
     model_preset("tiny-llama"), name="tiny-gqa", n_kv_heads=2, n_heads=4
@@ -146,59 +140,29 @@ def prefill_and_save(engine, model, context_id, tokens, seal=True, block=37):
     return oracle
 
 
-def make_store(config):
-    return BlockStateStore(
-        BlockPool(
-            n_layers=config.n_layers,
-            block_tokens=BLOCK_TOKENS,
-            n_kv_heads=config.n_kv_heads,
-            head_dim=config.head_dim,
-            hidden_width=config.hidden_size,
-            capacity_blocks=96,
-        )
-    )
-
-
-def build_case(scheme, pool_state):
-    """A saved context ``"c"`` in the requested pool state, plus its oracle."""
+def build_case(scheme):
+    """A saved context ``"c"`` under ``scheme``, plus its oracle."""
     config = model_preset("tiny-llama")
     model = Transformer.from_seed(config, seed=11)
     storage = StorageManager(
         build_storage_array(platform_preset("default")), tokens_per_chunk=CHUNK_TOKENS
     )
-    rng = np.random.default_rng(5)
-    common = rng.integers(0, config.vocab_size, size=SHARED_TOKENS)
-    tokens = np.concatenate(
-        [common, rng.integers(0, config.vocab_size, size=N_TOKENS - SHARED_TOKENS)]
-    )
-    donor_tokens = np.concatenate([common, rng.integers(0, config.vocab_size, size=48)])
-    store = make_store(config) if pool_state == "tracked" else None
-    engine = HCacheEngine(model, storage, scheme=scheme, shared_store=store)
-    oracle = prefill_and_save(engine, model, "c", tokens)
-    if pool_state == "admitted-gap":
-        # A second engine over the same storage with a fresh pool: the
-        # donor's restore publishes the common prefix, so restoring "c"
-        # admits it from the pool and streams only the gap.
-        prefill_and_save(engine, model, "donor", donor_tokens)
-        adopted = HCacheEngine(model, storage, scheme=scheme, shared_store=make_store(config))
-        adopted._contexts = dict(engine._contexts)
-        adopted.restore("donor")
-        engine = adopted
-    return engine, oracle
+    tokens = np.random.default_rng(5).integers(0, config.vocab_size, size=N_TOKENS)
+    engine = HCacheEngine(model, storage, scheme=scheme)
+    return engine, prefill_and_save(engine, model, "c", tokens)
 
 
 @pytest.fixture(scope="module")
 def pure_hidden_restore():
     """The all-stored engine's inline restore of the matrix context."""
-    engine, _ = build_case(SCHEMES["pure-hidden"], "no-store")
+    engine, _ = build_case(SCHEMES["pure-hidden"])
     return engine.restore("c")
 
 
-@pytest.mark.parametrize("pool_state", POOL_STATES)
 @pytest.mark.parametrize("scheme", sorted(SCHEMES))
 @pytest.mark.parametrize("loop", LOOPS, ids=loop_id)
-def test_every_restore_shape_is_bit_exact(loop, scheme, pool_state, pure_hidden_restore):
-    engine, oracle = build_case(SCHEMES[scheme], pool_state)
+def test_every_restore_shape_is_bit_exact(loop, scheme, pure_hidden_restore):
+    engine, oracle = build_case(SCHEMES[scheme])
     stats = RestoreBreakdown()
     n_layers = engine.transformer.config.n_layers
     sink = RecordingProgress(n_layers)
@@ -215,18 +179,9 @@ def test_every_restore_shape_is_bit_exact(loop, scheme, pool_state, pure_hidden_
     # Whatever a scheme sources from tokens or K/V instead of stored
     # hidden rows, every layer equals the all-stored restore's.
     assert restored.equals(pure_hidden_restore, atol=0.0)
-    # ... and to the inline restore of an identically built context (a
-    # restore may mutate pool state, so each side gets its own build).
-    twin, _ = build_case(SCHEMES[scheme], pool_state)
-    assert restored.equals(twin.restore("c"), atol=0.0)
-    if pool_state == "no-store":
-        assert stats.shared_tokens == 0 and stats.device_reads > 0
-    elif pool_state == "tracked":
-        assert stats.shared_tokens == N_TOKENS and stats.device_reads == 0
-    else:
-        assert 0 < stats.shared_tokens < N_TOKENS and stats.device_reads > 0
-        # The gap was republished: the session is now fully pool-resident.
-        assert engine.shared_store.resident_tokens("c") == N_TOKENS
+    # ... and to the same context's inline restore.
+    assert restored.equals(engine.restore("c"), atol=0.0)
+    assert stats.device_reads > 0
 
 
 # ---------------------------------------------------------------------------
@@ -362,13 +317,6 @@ def test_token_sourced_work_starts_once_the_first_window_is_in_flight():
         assert first_projection == executor.inflight
         assert {kind for kind, _ in own[:first_projection]} == {"submit"}
         assert ("submit", 0) not in own
-
-
-def test_fully_pool_served_restore_still_projects_layer_0():
-    engine, oracle = build_case(None, "tracked")
-    stats = RestoreBreakdown()
-    assert engine.restore("c", stats=stats).equals(oracle, atol=0.0)
-    assert stats.device_reads == 0 and stats.recompute_s > 0.0
 
 
 def test_save_states_rejects_a_layer_0_block_that_is_not_the_embeddings():

@@ -5,8 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.baselines import KVOffloadMethod, RecomputationMethod, default_methods
-from repro.core import HCacheEngine
+from repro.baselines import RecomputationMethod, default_methods
+from repro.core import HCacheEngine, PartitionScheme
 from repro.core.profiler import build_storage_array
 from repro.engine import NumericServingEngine, simulate_methods
 from repro.models import KVCache
@@ -30,17 +30,22 @@ class TestAllRestorationPathsAgree:
         hcache.seal("c")
         via_hidden = hcache.restore("c")
 
-        # KV offload path.
+        # KV offload path: the same engine with every layer KV-offloaded.
         kv_storage = StorageManager(build_storage_array(default_platform))
-        KVOffloadMethod.save_numeric(kv_storage, "c", reference)
-        via_kv = KVOffloadMethod.restore_numeric(kv_storage, "c", tiny_config)
+        kv_offload = HCacheEngine(
+            tiny_model, kv_storage, scheme=PartitionScheme.pure_kv(tiny_config.n_layers)
+        )
+        kv_offload.register_context("c")
+        kv_offload.save_states("c", result.hidden_states, tokens, kv_cache=reference)
+        kv_offload.seal("c")
+        via_kv = kv_offload.restore("c")
 
         # Recomputation path.
         via_recompute = RecomputationMethod.restore_numeric(tiny_model, tokens)
 
-        assert reference.equals(via_hidden)
-        assert reference.equals(via_kv)
-        assert reference.equals(via_recompute)
+        assert reference.equals(via_hidden, atol=0.0)
+        assert reference.equals(via_kv, atol=0.0)
+        assert reference.equals(via_recompute, atol=0.0)
 
     def test_continuations_agree_across_paths(self, tiny_model, tiny_config, default_platform):
         tokens = np.random.default_rng(2).integers(0, tiny_config.vocab_size, size=15)

@@ -41,7 +41,7 @@ def test_loop_module_reaching_behind_the_engine_seam_is_reported(tmp_path):
         "\nfrom repro.models.kv_cache import KVCache as _KVCache\n"
         "def f():\n    import repro.runtime.executor\n"
         "from repro import core as _core\n"
-        "from repro.state.store import BlockStateStore as _Store\n"
+        "from repro.storage.manager import StorageManager as _Storage\n"
     )
     findings = _check_source(tmp_path, "repro/engine/frontend.py", leaky)
     assert [f.rule for f in findings] == ["frontend-api"] * 3

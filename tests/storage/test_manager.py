@@ -218,12 +218,6 @@ class TestAccounting:
         manager.append("ctx", 0, rows(64, 32))
         assert manager.context_bytes("ctx") > 0
 
-    def test_layer_read_timing_positive(self, manager):
-        manager.append("ctx", 0, rows(500, 32))
-        timing = manager.layer_read_timing("ctx", 0)
-        assert timing.seconds > 0
-        assert timing.n_chunks == 8  # ceil(500 / 64)
-
     def test_balance_across_devices(self, manager):
         """Round-robin striping balances device bytes (many chunks)."""
         for layer in range(4):

@@ -118,14 +118,6 @@ class TestGranuleStream:
         seen = [(g.layer, g.start) for g in manager.granule_plan("ctx", [2, 0])]
         assert seen == [(2, 0), (2, 64), (2, 128), (0, 0), (0, 64), (0, 128)]
 
-    def test_plan_skips_a_chunk_aligned_prefix(self):
-        manager = make_manager()
-        fill_context(manager, 130)
-        plan = manager.granule_plan("ctx", [1], granule_chunks=2, start_tokens=64)
-        assert [(g.start, g.stop) for g in plan] == [(64, 130)]
-        with pytest.raises(ConfigError):
-            manager.granule_plan("ctx", [1], start_tokens=63)
-
     def test_dram_array_streams_identically(self):
         ssd = make_manager("default")
         dram = make_manager("a100-dram")
