@@ -8,7 +8,9 @@ from one read up to deeper than the whole granule plan.  Every
 combination must restore bytes identical to the naive whole-layer reference
 (:func:`naive_restore_cache_from_hidden`) and to each other, across
 partition schemes, norm/RoPE flavors, GQA, partial tail chunks, granule
-sizes and layer counts.
+sizes, layer counts and the ways a context reaches storage (one append,
+unaligned blocks, one token at a time, or read back by an engine that
+crash recovery rebuilt from the journal and the device chunks alone).
 
 The engine's default scheme token-sources layer 0 (a 1-layer RECOMPUTE
 prefix): every matrix cell also runs it and a 2-layer prefix, and must
@@ -40,7 +42,7 @@ from repro.runtime import RestoreExecutor
 from repro.runtime import RestoreProgress
 from repro.simulator import platform_preset
 from repro.simulator.pipeline import LayerMethod
-from repro.storage import StorageManager
+from repro.storage import ManifestJournal, StorageManager
 
 CHUNK_TOKENS = 8
 N_TOKENS = 125  # partial tail chunk
@@ -76,6 +78,18 @@ SCHEMES = {
     "default": None,  # the engine's own choice: (R, H, H, H)
     "recompute2+hidden": PartitionScheme((R, R, H, H)),
     "recompute+hidden+kv": PartitionScheme((R, H, H, K)),
+    # The KV-offload baseline: every layer installs stored K|V rows.
+    "pure-kv": PartitionScheme((K, K, K, K)),
+}
+
+#: How the matrix context reaches storage: the append block size, and
+#: whether the restoring engine is the one that saved it or one that
+#: crash recovery rebuilt from the journal and the device chunks alone.
+SAVES = {
+    "blocks": (37, False),
+    "one-append": (N_TOKENS, False),
+    "per-token": (1, False),
+    "recovered": (37, True),
 }
 
 GQA_CONFIG = replace(
@@ -140,16 +154,41 @@ def prefill_and_save(engine, model, context_id, tokens, seal=True, block=37):
     return oracle
 
 
-def build_case(scheme):
-    """A saved context ``"c"`` under ``scheme``, plus its oracle."""
+def build_case(scheme, save="blocks", open_journal=None):
+    """A saved context ``"c"`` under ``scheme``, written as ``SAVES[save]``
+    says, plus its oracle.  A recovered case journals through
+    ``open_journal()`` and is restored by the engine recovery builds."""
+    block, recovered = SAVES[save]
     config = model_preset("tiny-llama")
     model = Transformer.from_seed(config, seed=11)
-    storage = StorageManager(
-        build_storage_array(platform_preset("default")), tokens_per_chunk=CHUNK_TOKENS
-    )
+    array = build_storage_array(platform_preset("default"))
+    journal = open_journal() if recovered else None
+    storage = StorageManager(array, tokens_per_chunk=CHUNK_TOKENS, journal=journal)
     tokens = np.random.default_rng(5).integers(0, config.vocab_size, size=N_TOKENS)
     engine = HCacheEngine(model, storage, scheme=scheme)
-    return engine, prefill_and_save(engine, model, "c", tokens)
+    oracle = prefill_and_save(engine, model, "c", tokens, block=block)
+    if recovered:
+        # Only the devices and the journal directory survive the crash.
+        journal.close()
+        storage = StorageManager.recover(array, open_journal(), tokens_per_chunk=CHUNK_TOKENS)
+        engine = HCacheEngine.recover(model, storage, scheme=scheme)
+        assert engine.saved_tokens("c") == N_TOKENS
+        assert engine.token_log("c") == tuple(tokens)
+    return engine, oracle
+
+
+@pytest.fixture
+def open_journal(tmp_path):
+    """Opens the test's journal directory; every handle closes at teardown."""
+    opened = []
+
+    def open_():
+        opened.append(ManifestJournal(tmp_path / "journal"))
+        return opened[-1]
+
+    yield open_
+    for journal in opened:
+        journal.close()
 
 
 @pytest.fixture(scope="module")
@@ -159,10 +198,11 @@ def pure_hidden_restore():
     return engine.restore("c")
 
 
+@pytest.mark.parametrize("save", list(SAVES))
 @pytest.mark.parametrize("scheme", sorted(SCHEMES))
 @pytest.mark.parametrize("loop", LOOPS, ids=loop_id)
-def test_every_restore_shape_is_bit_exact(loop, scheme, pure_hidden_restore):
-    engine, oracle = build_case(SCHEMES[scheme])
+def test_every_restore_shape_is_bit_exact(loop, scheme, save, open_journal, pure_hidden_restore):
+    engine, oracle = build_case(SCHEMES[scheme], save, open_journal)
     stats = RestoreBreakdown()
     n_layers = engine.transformer.config.n_layers
     sink = RecordingProgress(n_layers)
@@ -197,11 +237,16 @@ VARIANTS = [
     *[(f"llama-197-granule{g}", "tiny-llama", None, 197, g, True) for g in (1, 2, 8)],
     ("llama-97-unsealed", "tiny-llama", None, 97, 4, False),
     ("llama-145-kv-suffix", "tiny-llama", lambda n: PartitionScheme.with_kv_suffix(n, 2), 145, 4, True),
+    ("llama-1", "tiny-llama", None, 1, 4, True),
+    ("llama-145-pure-kv", "tiny-llama", PartitionScheme.pure_kv, 145, 4, True),
     ("gqa-150", GQA_CONFIG, None, 150, 4, True),
+    # Layer 0 replayed through grouped-query attention, layer 1 projected.
+    ("gqa-150-recompute2", GQA_CONFIG, lambda n: PartitionScheme.with_recompute_prefix(n, 2), 150, 4, True),
     # Packed K|V rows are 2 * kv_size wide, not 2 * hidden, under GQA.
     ("gqa-150-kv-suffix", GQA_CONFIG, lambda n: PartitionScheme.with_kv_suffix(n, 2), 150, 4, True),
     # tiny-opt: layernorm, no RoPE, 3 layers (not divisible by 2).
     ("opt-130", "tiny-opt", None, 130, 4, True),
+    ("opt-130-kv-suffix", "tiny-opt", lambda n: PartitionScheme.with_kv_suffix(n, 1), 130, 4, True),
 ]
 
 
