@@ -10,7 +10,8 @@
 #   - ruff with the repo config in pyproject.toml (style/pyflakes);
 #   - `python -m repro.lint src` — the project-specific invariant
 #     checker (lock discipline, §6.2 commit-point ordering, hot-path
-#     allocation bans, exception safety, __all__ drift, unused imports
+#     allocation and clock-read bans — no in-band timing in the
+#     kernels — exception safety, __all__ drift, unused imports
 #     and undefined names — ruff's F401 and F821, so a local run without
 #     ruff still catches a stale import or a reference to a deleted
 #     name); zero findings required, deliberate exceptions carry

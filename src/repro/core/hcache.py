@@ -11,8 +11,7 @@ performance views stay consistent.
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 from typing import Callable
 
@@ -24,44 +23,13 @@ from repro.core.restoration import RestorationTiming, scheme_timing
 from repro.core.scheduler import BubbleFreeScheduler, ScheduleDecision
 from repro.errors import ConfigError, RecoveryError, RestorationError, StateError
 from repro.models.kv_cache import KVCache
-from repro.models.transformer import ProjectionStats, Transformer
+from repro.models.transformer import Transformer
 from repro.runtime.executor import RestoreExecutor, drain_granules
 from repro.runtime.progress import RestoreProgress
 from repro.simulator.hardware import Platform
 from repro.simulator.pipeline import LayerMethod
 from repro.storage.manager import StorageManager
 from repro.storage.streaming import LayerChunk
-
-
-@dataclass
-class RestoreBreakdown:
-    """Per-stage accounting of one chunk-streamed restoration.
-
-    Filled by :meth:`HCacheEngine.restore` when passed in.  Every
-    ``*_s`` field is measured wall-clock seconds of this process; the
-    modelled device seconds of the reads are on the devices
-    (``busy_seconds``).
-
-    Attributes:
-        n_tokens: Tokens restored.
-        granules: Streamed granules consumed (across layers and kinds).
-        device_reads: Chunk reads issued against storage devices.
-        read_s: Measured wall time inside streamed storage reads.
-        install_s: Measured wall time installing KV-offloaded chunks.
-        recompute_s: Measured wall time replaying a RECOMPUTE prefix.
-        projection: Per-stage (norm / GEMM / RoPE) projection times.
-    """
-
-    n_tokens: int = 0
-    granules: int = 0
-    device_reads: int = 0
-    read_s: float = 0.0
-    install_s: float = 0.0
-    recompute_s: float = 0.0
-    projection: ProjectionStats = field(default_factory=ProjectionStats)
-    #: Measured submit-side executor overhead: staging-slot acquisition
-    #: plus pool handoff per granule (zero without an executor).
-    dispatch_s: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -74,7 +42,6 @@ class _RestorePlan:
     hidden_layers: list[int]
     kv_layers: list[int]
     granule_tokens: int
-    stats: "RestoreBreakdown | None"
 
 
 @dataclass(frozen=True)
@@ -348,7 +315,6 @@ class HCacheEngine:
         context_id: str,
         reserve_tokens: int = 0,
         *,
-        stats: RestoreBreakdown | None = None,
         executor: RestoreExecutor | None = None,
         progress: RestoreProgress | None = None,
     ) -> KVCache:
@@ -396,10 +362,10 @@ class HCacheEngine:
 
         ``reserve_tokens`` lets the serving engine size the cache for the
         upcoming round up front, so the restored history never has to be
-        recopied by a post-restore capacity growth.  ``stats`` (optional)
-        collects the per-stage :class:`RestoreBreakdown`; with an
-        executor its ``read_s`` is the *exposed* IO stall (reads the
-        pipeline failed to hide) rather than total read time.
+        recopied by a post-restore capacity growth.  The restore keeps no
+        accounting of its own: the devices count and time its reads
+        (``op_counts``, ``busy_seconds``) and an executor's pool its
+        submissions (``tasks_submitted``, ``dispatch_s``).
 
         ``progress`` (optional) makes the hand-over a *layer*, not a
         cache: it is told the planned cache before the first row is
@@ -412,9 +378,8 @@ class HCacheEngine:
         untouched by that — at return it still ``.equals`` the saved
         history, with ``len(cache) == n_tokens``.
         """
-        plan = self._plan_restore(context_id, reserve_tokens, stats)
+        plan = self._plan_restore(context_id, reserve_tokens)
         cache, n_tokens = plan.cache, plan.n_tokens
-        timed = stats is not None
         n_recompute = self.scheme.n_recompute
         if progress is not None:
             progress.planned(cache, n_tokens)
@@ -438,14 +403,12 @@ class HCacheEngine:
             # its input rows come from the token log instead of a device.
             projected = ([n_recompute - 1] if n_recompute else []) + plan.hidden_layers
             views = {layer: cache.install_view(layer, n_tokens) for layer in projected}
-            proj_stats = stats.projection if timed else None
 
             def project(layer: int, start: int, rows: np.ndarray) -> None:
                 k_view, v_view = views[layer]
                 stop = start + rows.shape[0]
                 self.transformer.project_kv_chunk(
-                    layer, rows, start, k_view[start:stop], v_view[start:stop],
-                    workspace, proj_stats,
+                    layer, rows, start, k_view[start:stop], v_view[start:stop], workspace
                 )
                 landed(layer, rows.shape[0])
 
@@ -461,10 +424,7 @@ class HCacheEngine:
                 cache.install_view(layer, n_tokens)
 
             def install(chunk: LayerChunk) -> None:
-                t0 = time.perf_counter() if timed else 0.0
                 cache.install_packed_rows(chunk.layer, chunk.start, chunk.data)
-                if timed:
-                    stats.install_s += time.perf_counter() - t0
                 landed(chunk.layer, chunk.data.shape[0])
 
             drains.append(("kv", plan.kv_layers, install))
@@ -473,7 +433,7 @@ class HCacheEngine:
         for kind, layers, consume in drains:
             drain_granules(
                 self.storage, context_id, layers, kind, self.stream_granule_chunks,
-                consume, executor, stats, token_prefix,
+                consume, executor, token_prefix,
             )
             token_prefix = None
         if token_prefix is not None:
@@ -497,27 +457,17 @@ class HCacheEngine:
         partition, so the result is bit-identical to restoring those
         rows from a device (and counted as landed there; a replayed
         layer is reported through ``landed`` as it is installed).
-        ``stats.recompute_s`` gets the replay alone (the last layer's
-        projection is in ``stats.projection``).
         """
         last = self.scheme.n_recompute - 1
-        t0 = time.perf_counter() if plan.stats is not None else 0.0
         tokens = np.array(self.storage.token_log(plan.context_id)[: plan.n_tokens])
         replayed, rows = self.transformer.recompute_prefix(tokens, last)
         for layer in range(last):
             plan.cache.install(layer, *replayed.get(layer))
             landed(layer, plan.n_tokens)
-        if plan.stats is not None:
-            plan.stats.recompute_s += time.perf_counter() - t0
         for start in range(0, plan.n_tokens, plan.granule_tokens):
             project(last, start, rows[start : start + plan.granule_tokens])
 
-    def _plan_restore(
-        self,
-        context_id: str,
-        reserve_tokens: int,
-        stats: RestoreBreakdown | None,
-    ) -> _RestorePlan:
+    def _plan_restore(self, context_id: str, reserve_tokens: int) -> _RestorePlan:
         """Resolve, once, everything the hidden and KV drains share."""
         n_tokens = self.saved_tokens(context_id)
         if n_tokens == 0:
@@ -528,8 +478,6 @@ class HCacheEngine:
         cache.reserve(max(n_tokens, reserve_tokens))
         self._check_stored(context_id, hidden_layers, "hidden", n_tokens)
         self._check_stored(context_id, kv_layers, "kv", n_tokens)
-        if stats is not None:
-            stats.n_tokens = n_tokens
         return _RestorePlan(
             context_id=context_id,
             n_tokens=n_tokens,
@@ -539,7 +487,6 @@ class HCacheEngine:
             granule_tokens=min(
                 n_tokens, self.stream_granule_chunks * self.storage.tokens_per_chunk
             ),
-            stats=stats,
         )
 
     # ------------------------------------------------------------------

@@ -17,7 +17,7 @@ design contract behind each):
 - ``commit-point`` — journal 'chunk'/'seal' records follow the device
   write on every path; 'free' records precede their deletions.
 - ``hot-path`` — functions in ``repro/lint/hotpaths.py`` perform no
-  per-call allocations (concatenate/copy/list-growth).
+  per-call allocations (concatenate/copy/list-growth) and read no clock.
 - ``exception-safety`` — no bare/BaseException handlers outside waived
   drain paths; ``time.sleep`` only in the latency emulator.
 - ``api-surface`` — every ``__all__`` matches the module's public

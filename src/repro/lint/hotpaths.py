@@ -5,7 +5,8 @@ one stray ``np.concatenate`` or ``.copy()`` here reintroduces the exact
 O(n^2) save/decode regressions those PRs eliminated — and shows up only
 as slow bench drift, never as a test failure.  The ``hot-path`` rule
 (:mod:`repro.lint.rules.hot_path`) forbids the known regression-causing
-allocation patterns inside every function listed here.
+allocation patterns, and clock reads (in-band timing), inside every
+function listed here.
 
 Keys are posix path suffixes (matched against the end of each analyzed
 file's path, so any checkout root works); values are the qualified
@@ -55,12 +56,7 @@ HOT_PATHS: dict[str, frozenset[str]] = {
             "slab_matmul",
         }
     ),
-    "repro/models/rope.py": frozenset(
-        {
-            "rope_rotate_into",
-            "rope_rotate_fullwidth_into",
-        }
-    ),
+    "repro/models/rope.py": frozenset({"rope_rotate_fullwidth_into"}),
     # The token-sourced prefix on the restore path (one projection per
     # granule of the last RECOMPUTE layer, rows sliced from the replayed
     # hidden block), and the per-granule row count that reports a layer

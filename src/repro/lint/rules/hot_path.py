@@ -1,4 +1,4 @@
-"""Rule ``hot-path``: no allocation regressions in manifest functions.
+"""Rule ``hot-path``: no allocation regressions or clock reads in manifest functions.
 
 PR 1 removed every O(history) allocation from the save/decode hot path
 (capacity-doubling buffers, zero-copy views, ``out=`` GEMMs); PR 2 did
@@ -14,6 +14,11 @@ inside every function listed in :mod:`repro.lint.hotpaths`:
 - Appending to a locally created list inside a loop — the
   accumulate-then-concatenate pattern (list growth is O(n) *and* the
   parts get copied again downstream).
+- Clock reads — ``perf_counter()``, ``monotonic()``,
+  ``time.perf_counter()`` / ``time.time()`` / ``time.monotonic()``.
+  In-band timing threads ``if timed:`` branches and stats records
+  through the kernels; a hot function is timed from outside (a wrapper
+  span around the call) or through the devices' and IO pool's counters.
 
 An intentional small allocation (e.g. copying a ``(B,)`` index vector,
 not an O(tokens) tensor) is waived in place with
@@ -30,6 +35,9 @@ from repro.lint.hotpaths import HOT_PATHS
 
 _BANNED_NP_CALLS = {"concatenate", "vstack", "hstack", "ascontiguousarray"}
 _NP_MODULE_NAMES = {"np", "numpy"}
+#: Clocks read as ``time.<name>()`` and, imported bare, as ``<name>()``.
+_TIME_CLOCKS = {"perf_counter", "time", "monotonic"}
+_BARE_CLOCKS = {"perf_counter", "monotonic"}
 
 
 def _banned_call_name(call: ast.Call) -> str | None:
@@ -49,11 +57,26 @@ def _banned_call_name(call: ast.Call) -> str | None:
     return None
 
 
+def _clock_call_name(call: ast.Call) -> str | None:
+    """The clock a call reads, if any."""
+    func = call.func
+    if (
+        isinstance(func, ast.Attribute)
+        and func.attr in _TIME_CLOCKS
+        and isinstance(func.value, ast.Name)
+        and func.value.id == "time"
+    ):
+        return f"time.{func.attr}()"
+    if isinstance(func, ast.Name) and func.id in _BARE_CLOCKS:
+        return f"{func.id}()"
+    return None
+
+
 class HotPathRule(Rule):
     name = "hot-path"
     description = (
         "functions in repro/lint/hotpaths.py may not concatenate/copy/"
-        "ascontiguousarray or grow lists in loops"
+        "ascontiguousarray, grow lists in loops or read the clock"
     )
 
     def __init__(self, manifest: dict[str, frozenset[str]] | None = None) -> None:
@@ -140,6 +163,18 @@ class HotPathRule(Rule):
                             f"{banned} — an allocation per call",
                             hint="write into a preallocated destination "
                             "(out=, slice assignment, install_view)",
+                        )
+                    )
+                clock = _clock_call_name(node)
+                if clock is not None:
+                    findings.append(
+                        self.finding(
+                            module,
+                            node,
+                            f"{qualname} is a hot-path function but reads the "
+                            f"clock ({clock}) — in-band timing",
+                            hint="time the call from outside (a wrapper span) "
+                            "or read the devices' / IO pool's counters",
                         )
                     )
         # Nested loops would double-report an append; dedupe by location.

@@ -8,7 +8,6 @@ from repro.models.sampler import greedy, sample_temperature, sample_top_k
 from repro.models.transformer import (
     BATCHED_DECODE_ATOL,
     ForwardResult,
-    ProjectionStats,
     RestoreWorkspace,
     Transformer,
 )
@@ -24,7 +23,6 @@ __all__ = [
     "LayerWeights",
     "ModelConfig",
     "ModelWeights",
-    "ProjectionStats",
     "RestoreWorkspace",
     "Transformer",
     "greedy",

@@ -304,13 +304,6 @@ class KVCache:
             raise ConfigError(f"packed KV must be (n, {2 * kv_size}), got {packed.shape}")
         return packed
 
-    def install_packed(self, layer: int, packed: np.ndarray) -> None:
-        """Inverse of :meth:`packed_layer`, writing directly into storage."""
-        self._check_layer(layer)
-        packed = self._check_packed(packed)
-        self.install_view(layer, packed.shape[0])
-        self.install_packed_rows(layer, 0, packed)
-
     def install_packed_rows(self, layer: int, start: int, packed: np.ndarray) -> None:
         """Write packed K|V rows into ``[start, start + n)`` of a layer.
 

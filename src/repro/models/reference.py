@@ -123,15 +123,6 @@ class NaiveKVCache:
         flat_v = values.reshape(n, -1)
         return np.concatenate([flat_k, flat_v], axis=1)
 
-    def install_packed(self, layer: int, packed: np.ndarray) -> None:
-        packed = np.asarray(packed, dtype=np.float32)
-        kv_size = self.config.kv_size
-        if packed.ndim != 2 or packed.shape[1] != 2 * kv_size:
-            raise ConfigError(f"packed KV must be (n, {2 * kv_size}), got {packed.shape}")
-        n = packed.shape[0]
-        shape = (n, self.config.n_kv_heads, self.config.head_dim)
-        self.install(layer, packed[:, :kv_size].reshape(shape), packed[:, kv_size:].reshape(shape))
-
     def nbytes(self) -> int:
         return sum(k.nbytes + v.nbytes for k, v in zip(self._keys, self._values))
 

@@ -42,32 +42,6 @@ def rope_cos_sin(
     return np.cos(angles)[:, None, :], np.sin(angles)[:, None, :]
 
 
-def rope_rotate_into(
-    x: np.ndarray, cos: np.ndarray, sin: np.ndarray, out: np.ndarray
-) -> np.ndarray:
-    """Rotate ``x`` by precomputed cos/sin terms, writing into ``out``.
-
-    Bit-identical to :func:`apply_rope` (the per-element arithmetic is the
-    same) but with no concatenate and no fresh output allocation.  The
-    chunk-streamed restore uses the faster full-width formulation
-    (:func:`rope_rotate_fullwidth_into`); this half-split variant remains
-    the simplest out-of-place rotation for callers without a workspace.
-    ``out`` must not alias ``x``.
-    """
-    if x.shape != out.shape:
-        raise ConfigError(f"out shape {out.shape} mismatches input {x.shape}")
-    if np.may_share_memory(x, out):
-        raise ConfigError("rope_rotate_into requires out not to alias the input")
-    half = x.shape[-1] // 2
-    x1, x2 = x[..., :half], x[..., half:]
-    r1, r2 = out[..., :half], out[..., half:]
-    np.multiply(x1, cos, out=r1)
-    r1 -= x2 * sin
-    np.multiply(x1, sin, out=r2)
-    r2 += x2 * cos
-    return out
-
-
 def rope_rotation_tables(
     positions: np.ndarray,
     head_dim: int,
@@ -103,8 +77,7 @@ def rope_rotate_fullwidth_into(
     """Rotation as ``out = x * C + swap_halves(x) * S`` — three contiguous
     full-width passes plus one half-swap copy.
 
-    Bit-identical to :func:`rope_rotate_into` / :func:`apply_rope`:
-    the first half is ``x1 * cos + x2 * (-sin)`` — IEEE multiplication is
+    Bit-identical to :func:`apply_rope`: the first half is ``x1 * cos + x2 * (-sin)`` — IEEE multiplication is
     sign-symmetric, so ``x2 * (-sin) == -(x2 * sin)`` exactly, and adding
     a negated product equals the subtraction — and the second half is
     ``x2 * cos + x1 * sin``, the same two products summed in the other

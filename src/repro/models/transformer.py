@@ -23,7 +23,6 @@ cache's backing storage.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from itertools import accumulate
 from operator import matmul as plain_matmul
@@ -78,31 +77,6 @@ from repro.models.weights import LayerWeights, ModelWeights, init_weights
 #: *restore* is outside the band and stays bit-exact: it is a function
 #: of the saved hidden states only, whichever chunking produced them.
 BATCHED_DECODE_ATOL = 1e-4
-
-
-@dataclass
-class ProjectionStats:
-    """Accumulated wall time of each restoration projection stage.
-
-    Filled by :meth:`Transformer.project_kv_chunk` when passed along; the
-    split quantifies how much of the projection is elementwise work (norm
-    and RoPE) versus the GEMMs — the ratio the fused chunk path exists to
-    shrink.
-    """
-
-    norm_s: float = 0.0
-    gemm_s: float = 0.0
-    rope_s: float = 0.0
-    chunks: int = 0
-
-    @property
-    def elementwise_s(self) -> float:
-        """Non-GEMM projection time (norm + RoPE passes)."""
-        return self.norm_s + self.rope_s
-
-    @property
-    def total_s(self) -> float:
-        return self.norm_s + self.gemm_s + self.rope_s
 
 
 class RestoreWorkspace:
@@ -169,8 +143,6 @@ class Transformer:
             )
         self.config = config
         self.weights = weights
-        #: Lazily built (norm, W_k, W_v) stacks for the batched projection.
-        self._projection_stack_cache: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
 
     @classmethod
     def from_seed(cls, config: ModelConfig, seed: int = 0) -> "Transformer":
@@ -224,16 +196,6 @@ class Transformer:
             k = apply_rope(k, positions)
         return k, v
 
-    def _projection_stack(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Stacked per-layer ``(attn_norm, W_k, W_v)`` for batched restores."""
-        if self._projection_stack_cache is None:
-            layers = self.weights.layers
-            norm_w = np.stack([w.attn_norm for w in layers])[:, None, :]
-            wk_all = np.stack([w.wk for w in layers])
-            wv_all = np.stack([w.wv for w in layers])
-            self._projection_stack_cache = (norm_w, wk_all, wv_all)
-        return self._projection_stack_cache
-
     def restore_workspace(self, positions: np.ndarray, max_chunk_tokens: int) -> RestoreWorkspace:
         """Build the per-restore scratch for :meth:`project_kv_chunk`.
 
@@ -252,7 +214,6 @@ class Transformer:
         k_dest: np.ndarray,
         v_dest: np.ndarray,
         workspace: RestoreWorkspace,
-        stats: ProjectionStats | None = None,
     ) -> None:
         """Fused restoration projection of one chunk of one layer.
 
@@ -263,14 +224,14 @@ class Transformer:
         KV cache's backing storage.  All intermediates live in
         ``workspace``; the elementwise stages (norm, RoPE) are the fused
         ``out=`` variants, so the chunk path performs zero allocations.
-        Arithmetic order matches :meth:`project_kv` exactly, keeping the
-        result bit-identical to a whole-layer (or naive per-layer)
-        projection of the same rows.
-
-        ``stats`` (optional) accumulates per-stage wall time.
+        It reads the layer's ``attn_norm`` / ``wk`` / ``wv`` — the arrays
+        :meth:`project_kv` and the forward pass use — in the same
+        arithmetic order as :meth:`project_kv`, keeping the result
+        bit-identical to a whole-layer (or naive per-layer) projection of
+        the same rows, with whatever weights the model holds now.
         """
         config = self.config
-        norm_w, wk_all, wv_all = self._projection_stack()
+        w = self.weights.layers[layer]
         hidden_chunk = np.asarray(hidden_chunk, dtype=np.float32)
         if hidden_chunk.ndim != 2 or hidden_chunk.shape[1] != config.hidden_size:
             raise ConfigError(
@@ -294,26 +255,16 @@ class Transformer:
                 f"workspace's {workspace.rot_c.shape[0]} precomputed positions"
             )
         kv_size = config.kv_size
-        timed = stats is not None
-        t0 = time.perf_counter() if timed else 0.0
         normed = workspace.normed[:m]
         if config.norm == "rmsnorm":
-            rmsnorm_into(hidden_chunk, norm_w[layer, 0], normed, workspace.sq[:m])
+            rmsnorm_into(hidden_chunk, w.attn_norm, normed, workspace.sq[:m])
         else:
-            layernorm_into(hidden_chunk, norm_w[layer, 0], normed)
-        if timed:
-            t1 = time.perf_counter()
-            stats.norm_s += t1 - t0
-            t0 = t1
+            layernorm_into(hidden_chunk, w.attn_norm, normed)
         # Each GEMM lands directly in its destination, except K under
         # RoPE, which detours through scratch to be rotated into place.
         k_out = workspace.k_tmp[:m] if config.rope else k_dest
-        np.matmul(normed, wk_all[layer], out=k_out.reshape(m, kv_size))
-        np.matmul(normed, wv_all[layer], out=v_dest.reshape(m, kv_size))
-        if timed:
-            t1 = time.perf_counter()
-            stats.gemm_s += t1 - t0
-            t0 = t1
+        np.matmul(normed, w.wk, out=k_out.reshape(m, kv_size))
+        np.matmul(normed, w.wv, out=v_dest.reshape(m, kv_size))
         if config.rope:
             rope_rotate_fullwidth_into(
                 k_out,
@@ -322,10 +273,6 @@ class Transformer:
                 out=k_dest,
                 swap=workspace.rot_swap[:m],
             )
-            if timed:
-                stats.rope_s += time.perf_counter() - t0
-        if timed:
-            stats.chunks += 1
 
     def layer_forward(
         self,

@@ -33,7 +33,6 @@ from __future__ import annotations
 from collections import deque
 from concurrent.futures import Future, ThreadPoolExecutor
 from functools import partial
-from time import perf_counter
 from typing import TYPE_CHECKING, Any, Callable, Mapping, Sequence
 
 from repro.errors import ConfigError, StateError
@@ -42,7 +41,7 @@ from repro.storage.manager import StorageManager
 from repro.storage.streaming import LayerChunk
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
-    from repro.core.hcache import HCacheEngine, RestoreBreakdown
+    from repro.core.hcache import HCacheEngine
     from repro.models.kv_cache import KVCache
     from repro.runtime.progress import RestoreProgress
 
@@ -70,7 +69,6 @@ def drain_granules(
     granule_chunks: int,
     consume: Callable[[LayerChunk], None],
     executor: "RestoreExecutor | None" = None,
-    stats: "RestoreBreakdown | None" = None,
     under_io: "Callable[[], None] | None" = None,
 ) -> None:
     """Stream ``layers``' stored rows through ``consume``, reads running ahead.
@@ -94,13 +92,8 @@ def drain_granules(
     IO stream.  Inline, or with nothing to read, it simply runs at that
     point.
 
-    Accounting (only when ``stats`` is given): ``stats.granules`` /
-    ``device_reads`` count what was consumed; ``stats.read_s``
-    accumulates the time this thread spent blocked on reads — the whole
-    read when inline, otherwise only the *stall* the pipeline failed to
-    hide (0 in the ideal §4.1 timeline); ``stats.dispatch_s`` gets the
-    submit-side overhead of pooled reads (staging-slot acquisition +
-    pool handoff per granule).
+    The loop reads no clock and counts nothing: the devices count and
+    time each chunk read, and the executor's pool its submissions.
     """
     submit: Callable[..., Future]
     if executor is None:
@@ -108,7 +101,6 @@ def drain_granules(
     else:
         window, submit = executor.inflight, executor.pool.submit
     plan = iter(storage.granule_plan(context_id, layers, kind, granule_chunks))
-    timed = stats is not None
     # Outstanding reads never exceed `window` (one refill per consume), and
     # the ring is `window + 1` deep, so the slot a refill recycles was
     # acquired window + 1 submissions earlier — always a granule already
@@ -122,17 +114,11 @@ def drain_granules(
         spec = next(plan, None)
         if spec is None:
             return
-        t0 = perf_counter() if timed else 0.0
         view = ring.acquire()[: spec.n_tokens]
         # The read is looked up on the storage instance at every submit,
         # so instance-level wrappers (tracing) see each granule.
         future = submit(storage.read_granule_into, context_id, spec, view)
         pending.append((spec, view, future))
-        if timed:
-            if executor is None:
-                stats.read_s += perf_counter() - t0
-            else:
-                stats.dispatch_s += perf_counter() - t0
 
     try:
         for _ in range(window):
@@ -141,24 +127,9 @@ def drain_granules(
             under_io()
         while pending:
             spec, view, future = pending.popleft()
-            t0 = perf_counter() if timed else 0.0
-            io_seconds, device_reads = future.result()
-            if timed:
-                stats.read_s += perf_counter() - t0
-                stats.granules += 1
-                stats.device_reads += device_reads
+            future.result()
             submit_next()
-            consume(
-                LayerChunk(
-                    layer=spec.layer,
-                    kind=spec.kind,
-                    start=spec.start,
-                    stop=spec.stop,
-                    data=view,
-                    io_seconds=io_seconds,
-                    device_reads=device_reads,
-                )
-            )
+            consume(LayerChunk(spec.layer, spec.kind, spec.start, spec.stop, view))
     # lint: disable=exception-safety -- sanctioned drain containment: settles in-flight reads, then re-raises
     except BaseException:
         # Containment: a failed read (e.g. every replica of a device
@@ -291,9 +262,6 @@ class RestoreExecutor:
             if isinstance(reserve_tokens, int)
             else {cid: int(reserve_tokens.get(cid, 0)) for cid in ids}
         )
-        # Build the shared projection-weight stacks once, up front; the
-        # lazy build is idempotent but racing it wastes work.
-        engine.transformer._projection_stack()
         if self._drivers is None:
             self._drivers = ThreadPoolExecutor(
                 max_workers=self.max_concurrent_restores,

@@ -69,11 +69,9 @@ class IOWorkerPool:
     def dispatch_s(self) -> float:
         """Cumulative wall time spent inside :meth:`submit`.
 
-        The pool-side half of the executor-overhead accounting: queue
-        handoff to the worker threads (lock + deque + condition wake).
-        Compare against a restore's ``stats.dispatch_s`` (which also
-        covers staging-slot acquisition) to localize submit-side
-        overhead.
+        The executor-overhead accounting of every restore drained through
+        this pool: queue handoff to the worker threads (lock + deque +
+        condition wake).
         """
         with self._lock:
             return self._dispatch_s

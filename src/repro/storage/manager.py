@@ -761,15 +761,14 @@ class StorageManager:
                 )
         return plan
 
-    def read_granule_into(
-        self, context_id: str, spec: GranuleSpec, out: np.ndarray
-    ) -> tuple[float, int]:
-        """Fill ``out`` with one granule's rows; return ``(io_seconds, reads)``.
+    def read_granule_into(self, context_id: str, spec: GranuleSpec, out: np.ndarray) -> None:
+        """Fill ``out`` with one granule's rows.
 
         Device-resident chunks are read with :meth:`StorageDevice.read_into`
         straight into the destination's row slices (one read per chunk, so
         IO granularity and device busy accounting match :meth:`load_layer`
         exactly); host-buffered tail rows are slice-copied after them.
+        The devices keep the count and modelled seconds of those reads.
 
         Threading rules: this method is safe to run on an IO worker thread
         while another thread projects earlier granules — devices are
@@ -793,23 +792,18 @@ class StorageManager:
                 f"granule rows [{spec.start}, {spec.stop}) misaligned or out of range"
             )
         flushed_tokens = run.n_tokens - tail.n
-        io_seconds = 0.0
-        device_reads = 0
         device_stop = min(spec.stop, flushed_tokens)
         for start in range(spec.start, device_stop, cpc):
             chunk_index = start // cpc
             key = ChunkKey(context_id, spec.layer, chunk_index, spec.kind)
-            receipt = self.array.device_for(chunk_index, offset=spec.layer).read_into(
+            self.array.device_for(chunk_index, offset=spec.layer).read_into(
                 key, out[start - spec.start : start - spec.start + cpc]
             )
-            io_seconds += receipt.seconds
-            device_reads += 1
         if spec.stop > flushed_tokens:
             tail_start = max(spec.start, flushed_tokens)
             out[tail_start - spec.start :] = tail.data[
                 tail_start - flushed_tokens : spec.stop - flushed_tokens
             ]
-        return io_seconds, device_reads
 
     # ------------------------------------------------------------------
     # accounting

@@ -11,8 +11,7 @@ engine needs to actually execute that shape:
   default depth of 2 the consumer can hold one granule while the next
   one's read is already in flight (double buffering).
 - :class:`LayerChunk` — one streamed granule: a row range of one layer's
-  token run, a zero-copy view of its staging slot, and the modelled IO
-  seconds its device reads cost.
+  token run and a zero-copy view of its staging slot.
 - :func:`pipelined_makespan` — the two-stream chunk timeline the
   tiered/prefetching timing models share, so the DRAM-warm path and the
   SSD path are costed by identical code.
@@ -117,9 +116,6 @@ class LayerChunk:
         data: ``(stop - start, width)`` view of a staging-ring slot.
             Valid until the ring recycles the slot (``depth - 1`` more
             granules); consumers that look further ahead must copy.
-        io_seconds: Modelled device time of the granule's chunk reads
-            (0 for rows served from the host-buffered tail).
-        device_reads: Device chunk reads issued for this granule.
     """
 
     layer: int
@@ -127,8 +123,6 @@ class LayerChunk:
     start: int
     stop: int
     data: np.ndarray
-    io_seconds: float
-    device_reads: int
 
     @property
     def n_tokens(self) -> int:

@@ -30,7 +30,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from repro.core.hcache import HCacheEngine, RestoreBreakdown
+from repro.core.hcache import HCacheEngine
 from repro.core.partition import PartitionScheme
 from repro.core.profiler import build_storage_array
 from repro.errors import ConfigError
@@ -124,6 +124,11 @@ class RecordingProgress(RestoreProgress):
         self.layers.append(layer)
 
 
+def device_reads(engine):
+    """Chunk reads issued against the engine's devices so far."""
+    return sum(device.op_counts[0] for device in engine.storage.array.devices)
+
+
 def restore_through(engine, context_id, loop, **kwargs):
     if loop == INLINE:
         return engine.restore(context_id, **kwargs)
@@ -203,10 +208,11 @@ def pure_hidden_restore():
 @pytest.mark.parametrize("loop", LOOPS, ids=loop_id)
 def test_every_restore_shape_is_bit_exact(loop, scheme, save, open_journal, pure_hidden_restore):
     engine, oracle = build_case(SCHEMES[scheme], save, open_journal)
-    stats = RestoreBreakdown()
     n_layers = engine.transformer.config.n_layers
     sink = RecordingProgress(n_layers)
-    restored = restore_through(engine, "c", loop, stats=stats, progress=sink)
+    reads_before = device_reads(engine)
+    restored = restore_through(engine, "c", loop, progress=sink)
+    assert device_reads(engine) > reads_before
     assert restored.equals(oracle, atol=0.0)
     # Every layer reported once (a second report raises inside the sink),
     # and the step-side handle sits on the rows that were just returned.
@@ -221,7 +227,6 @@ def test_every_restore_shape_is_bit_exact(loop, scheme, save, open_journal, pure
     assert restored.equals(pure_hidden_restore, atol=0.0)
     # ... and to the same context's inline restore.
     assert restored.equals(engine.restore("c"), atol=0.0)
-    assert stats.device_reads > 0
 
 
 # ---------------------------------------------------------------------------
@@ -330,16 +335,14 @@ def test_layer_0_is_never_appended_or_read_and_projects_after_the_first_read():
     assert {layer for kind, layer in events if kind == "append"} == set(range(1, n_layers))
     assert engine.storage.tokens_stored("c", 0) == 0
     del events[:]
-    stats = RestoreBreakdown()
-    assert engine.restore("c", stats=stats).equals(oracle, atol=0.0)
+    assert engine.restore("c").equals(oracle, atol=0.0)
     # Inline, a read runs at submit: the first one precedes layer 0.
     assert events[0] == ("read", 1) and ("project", 0) in events
     assert 0 not in {layer for kind, layer in events if kind == "read"}
     # Layer 0 is projected in the stored stream's granule partition.
     per_layer = -(-N_TOKENS // (engine.stream_granule_chunks * CHUNK_TOKENS))
     assert events.count(("project", 0)) == events.count(("project", 1)) == per_layer
-    assert stats.granules == per_layer * (n_layers - 1)
-    assert stats.recompute_s > 0.0
+    assert sum(kind == "read" for kind, _ in events) == per_layer * (n_layers - 1)
 
 
 def test_token_sourced_work_starts_once_the_first_window_is_in_flight():

@@ -1,9 +1,10 @@
-"""Breakdown and kernel-validation tests for the chunk-streamed restore.
+"""Device-accounting and kernel-validation tests for the chunk-streamed restore.
 
 Bit-exactness of every restore shape against the naive whole-layer
-reference lives in ``test_restore_matrix.py``; this file covers the
-per-stage :class:`RestoreBreakdown` accounting, the projection kernel's
-input validation, and DRAM- vs SSD-backed arrays restoring identically.
+reference lives in ``test_restore_matrix.py``; this file covers what a
+restore costs the devices (their ``op_counts`` / ``busy_seconds``), the
+projection kernel's input validation and its reading of the model's live
+weights, and DRAM- vs SSD-backed arrays restoring identically.
 """
 
 from __future__ import annotations
@@ -13,12 +14,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from repro.core.hcache import HCacheEngine, RestoreBreakdown
+from repro.core.hcache import HCacheEngine
 from repro.core.partition import PartitionScheme
 from repro.core.profiler import build_storage_array
 from repro.errors import ConfigError
 from repro.models.config import model_preset
 from repro.models.kv_cache import KVCache
+from repro.models.reference import naive_restore_cache_from_hidden
 from repro.models.transformer import Transformer
 from repro.simulator import platform_preset
 from repro.storage import StorageManager
@@ -76,47 +78,29 @@ class TestStorageTiers:
         assert a.equals(b, atol=0.0)
 
 
-class TestRestoreBreakdown:
-    def test_stage_accounting_filled(self):
+class TestRestoreDeviceCost:
+    def test_device_counters_count_every_granule_read(self):
         config = model_preset("tiny-llama")
         model, engine = build_engine(config)
         save_rounds(engine, model, config, 256)
-        stats = RestoreBreakdown()
-        engine.restore("c", stats=stats)
-        assert stats.n_tokens == 256
+        storage = engine.storage
+        granules = []
+        real_read = storage.read_granule_into
+
+        def read_granule_into(context_id, spec, out):
+            granules.append(spec)
+            return real_read(context_id, spec, out)
+
+        storage.read_granule_into = read_granule_into
+        before = device_totals(storage)
+        assert len(engine.restore("c")) == 256
+        busy, reads = (after - b for after, b in zip(device_totals(storage), before))
         # 256 tokens, 4-chunk granules; layer 0 is token-sourced, so it is
         # projected (one granule) but streams nothing.
         stored_layers = config.n_layers - 1
-        assert stats.granules == stored_layers
-        assert stats.device_reads == stored_layers * 4
-        assert stats.read_s > 0
-        assert stats.recompute_s > 0
-        assert stats.projection.chunks == config.n_layers
-        assert stats.projection.norm_s > 0
-        assert stats.projection.gemm_s > 0
-        assert stats.projection.rope_s > 0  # tiny-llama uses RoPE
-        assert stats.projection.elementwise_s == pytest.approx(
-            stats.projection.norm_s + stats.projection.rope_s
-        )
-
-    def test_no_rope_model_reports_zero_rope_time(self):
-        config = model_preset("tiny-opt")
-        model, engine = build_engine(config)
-        save_rounds(engine, model, config, 128)
-        stats = RestoreBreakdown()
-        engine.restore("c", stats=stats)
-        assert stats.projection.rope_s == 0.0
-        assert stats.projection.gemm_s > 0
-
-    def test_device_counters_match_the_breakdown(self):
-        config = model_preset("tiny-llama")
-        model, engine = build_engine(config)
-        save_rounds(engine, model, config, 256)
-        before = device_totals(engine.storage)
-        stats = RestoreBreakdown()
-        engine.restore("c", stats=stats)
-        busy, reads = (after - b for after, b in zip(device_totals(engine.storage), before))
-        assert reads == stats.device_reads
+        assert len(granules) == stored_layers
+        assert 0 not in {spec.layer for spec in granules}
+        assert reads == stored_layers * 4
         assert busy > 0
 
     def test_recompute_prefix_costs_no_device_time(self):
@@ -131,23 +115,36 @@ class TestRestoreBreakdown:
             model, engine = build_engine(config, scheme=scheme)
             save_rounds(engine, model, config, 128)
             before = device_totals(engine.storage)
-            stats = RestoreBreakdown()
-            assert len(engine.restore("c", stats=stats)) == 128
+            assert len(engine.restore("c")) == 128
             busy, reads = (after - b for after, b in zip(device_totals(engine.storage), before))
-            device_cost[name] = busy, reads, stats.recompute_s
-        busy, reads, recompute_s = device_cost["prefix"]
-        all_busy, all_reads, _ = device_cost["all-stored"]
+            device_cost[name] = busy, reads
+        busy, reads = device_cost["prefix"]
+        all_busy, all_reads = device_cost["all-stored"]
         stored = (config.n_layers - 1) / config.n_layers
-        assert recompute_s > 0
         assert reads == all_reads * stored
         assert busy == pytest.approx(all_busy * stored)
 
-    def test_untimed_restore_leaves_no_stats(self):
-        config = model_preset("tiny-llama")
+
+class TestLiveWeights:
+    @pytest.mark.parametrize("name", ["wk", "wv", "attn_norm"])
+    @pytest.mark.parametrize("preset", ["tiny-llama", "tiny-opt"])
+    def test_restore_after_an_in_place_weight_update_projects_the_new_weights(
+        self, preset, name
+    ):
+        """The kernel reads the model's own weights: one updated in place
+        between two restores is the one the second restore projects —
+        with RoPE and rmsnorm (tiny-llama) or without (tiny-opt)."""
+        config = model_preset(preset)
         model, engine = build_engine(config)
-        save_rounds(engine, model, config, 64)
-        restored = engine.restore("c")
-        assert len(restored) == 64
+        _, hidden = save_rounds(engine, model, config, 130)
+        assert engine.restore("c").equals(
+            naive_restore_cache_from_hidden(model, hidden), atol=0.0
+        )
+        weight = getattr(model.weights.layers[config.n_layers - 1], name)
+        weight[...] = np.random.default_rng(1).normal(0.0, 0.1, size=weight.shape)
+        assert engine.restore("c").equals(
+            naive_restore_cache_from_hidden(model, hidden), atol=0.0
+        )
 
 
 class TestChunkProjectionValidation:

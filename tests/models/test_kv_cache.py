@@ -81,7 +81,8 @@ class TestInstallAndPacking:
         cache.append(2, k, v)
         packed = cache.packed_layer(2)
         other = KVCache(tiny_config)
-        other.install_packed(2, packed)
+        other.install_view(2, 7)
+        other.install_packed_rows(2, 0, packed)
         got_k, got_v = other.get(2)
         assert np.array_equal(got_k, k)
         assert np.array_equal(got_v, v)
@@ -94,8 +95,9 @@ class TestInstallAndPacking:
 
     def test_install_packed_bad_width(self, tiny_config):
         cache = KVCache(tiny_config)
+        cache.install_view(0, 3)
         with pytest.raises(ConfigError):
-            cache.install_packed(0, np.zeros((3, 7)))
+            cache.install_packed_rows(0, 0, np.zeros((3, 7)))
 
     def test_install_packed_rows_chunked_roundtrip(self, tiny_config):
         """Chunk-granular packed installs equal one whole-layer install."""

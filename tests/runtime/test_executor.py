@@ -2,11 +2,11 @@
 
 Bit-exactness of every loop shape (inline, pooled) lives in
 ``tests/core/test_restore_matrix.py``.  This file covers what the one
-loop (:func:`drain_granules`) owes its callers beyond the bytes: stats
-accounting parity between inline and pooled drains, the in-flight
-window that absorbs bursty completion, containment of a read that fails
-mid-drain, concurrent multi-context restores, latency emulation, and
-executor/pool lifecycle.
+loop (:func:`drain_granules`) owes its callers beyond the bytes: the
+same device reads inline and pooled (counted by the devices and the IO
+pool, not by the loop), the in-flight window that absorbs bursty
+completion, containment of a read that fails mid-drain, concurrent
+multi-context restores, latency emulation, and executor/pool lifecycle.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from concurrent.futures import wait
 import numpy as np
 import pytest
 
-from repro.core.hcache import HCacheEngine, RestoreBreakdown
+from repro.core.hcache import HCacheEngine
 from repro.core.partition import PartitionScheme
 from repro.core.profiler import build_storage_array
 from repro.engine.numeric_engine import NumericServingEngine
@@ -94,31 +94,28 @@ class TestDrainDirectUse:
     """The drain over every layer: pinned to the all-stored scheme (the
     default scheme stores no layer-0 rows to drain)."""
 
-    def test_drain_hands_over_every_granule_with_its_receipts(self, loop_executor):
+    def test_drain_hands_over_every_granule_in_plan_order(self, loop_executor):
         config = model_preset("tiny-llama")
         model, engine = build_engine(config, PartitionScheme.pure_hcache(config.n_layers))
         save_context(engine, model, config, 128)
         chunks = []
-        stats = RestoreBreakdown()
         busy_before, reads_before = device_totals(engine.storage)
         drain_granules(
             engine.storage, "c", list(range(config.n_layers)), "hidden",
-            engine.stream_granule_chunks, chunks.append, loop_executor, stats=stats,
+            engine.stream_granule_chunks, chunks.append, loop_executor,
         )
         busy_after, reads_after = device_totals(engine.storage)
-        assert stats.granules == len(chunks) > 0
         assert sum(c.n_tokens for c in chunks) == 128 * config.n_layers
-        # Each granule carries the receipts of the device reads behind it.
-        assert sum(c.device_reads for c in chunks) == stats.device_reads
-        assert stats.device_reads == reads_after - reads_before > 0
-        assert sum(c.io_seconds for c in chunks) == pytest.approx(busy_after - busy_before)
+        # The devices count one read per 64-token chunk behind the granules.
+        assert reads_after - reads_before == 2 * config.n_layers
+        assert busy_after > busy_before
         # Consumption follows the granule plan exactly.
         plan = engine.storage.granule_plan(
             "c", list(range(config.n_layers)), "hidden", engine.stream_granule_chunks
         )
         assert [(c.layer, c.start) for c in chunks] == [(g.layer, g.start) for g in plan]
 
-    def test_untimed_drain_still_reads_every_chunk(self, loop_executor):
+    def test_drain_reads_every_chunk_once(self, loop_executor):
         config = model_preset("tiny-llama")
         model, engine = build_engine(config, PartitionScheme.pure_hcache(config.n_layers))
         save_context(engine, model, config, 128)
@@ -127,7 +124,7 @@ class TestDrainDirectUse:
         drain_granules(engine.storage, "c", [0, 1], "hidden", 2, chunks.append, loop_executor)
         _, reads_after = device_totals(engine.storage)
         assert len(chunks) == 2
-        assert reads_after - reads_before == sum(c.device_reads for c in chunks) == 4
+        assert reads_after - reads_before == 4
 
 
 class TestContainment:
@@ -171,42 +168,35 @@ class TestContainment:
         assert engine.restore("c", executor=loop_executor).equals(healthy, atol=0.0)
 
 
-class TestBreakdownParity:
+class TestAccountingParity:
     def test_pooled_accounting_matches_inline(self):
-        """Granule/read counts and modelled device seconds are identical;
-        only the wall-clock split differs (pooled read_s is exposed stall,
-        and only pooled drains pay dispatch)."""
+        """Device read counts and modelled device seconds are identical;
+        only a pooled restore submits tasks to the pool, one per granule."""
         config = model_preset("tiny-llama")
         model, engine = build_engine(config)
         save_context(engine, model, config, 256)
-        single_stats = RestoreBreakdown()
-        busy_0, _ = device_totals(engine.storage)
-        engine.restore("c", stats=single_stats)
-        busy_1, _ = device_totals(engine.storage)
-        threaded_stats = RestoreBreakdown()
+        totals = [device_totals(engine.storage)]
+        single = engine.restore("c")
+        totals.append(device_totals(engine.storage))
         with RestoreExecutor(2) as executor:
-            engine.restore("c", stats=threaded_stats, executor=executor)
-        busy_2, _ = device_totals(engine.storage)
-        assert single_stats.read_s > 0.0 and single_stats.dispatch_s == 0.0
-        assert threaded_stats.dispatch_s > 0.0
-        assert threaded_stats.granules == single_stats.granules
-        assert threaded_stats.device_reads == single_stats.device_reads
-        assert threaded_stats.n_tokens == single_stats.n_tokens
+            threaded = engine.restore("c", executor=executor)
+            granules = executor.pool.tasks_submitted
+        totals.append(device_totals(engine.storage))
+        (busy_0, reads_0), (busy_1, reads_1), (busy_2, reads_2) = totals
+        assert len(threaded) == len(single) == 256
+        assert reads_2 - reads_1 == reads_1 - reads_0 > 0
         assert busy_2 - busy_1 == pytest.approx(busy_1 - busy_0)
-        assert threaded_stats.projection.chunks == single_stats.projection.chunks
+        # 256 tokens in 4-chunk granules: one granule per stored layer.
+        assert granules == config.n_layers - 1
 
     def test_threaded_restore_fills_dispatch_counters(self):
         config = model_preset("tiny-llama")
         model, engine = build_engine(config)
         save_context(engine, model, config, 197)
-        stats = RestoreBreakdown()
         with RestoreExecutor(2) as executor:
-            engine.restore("c", stats=stats, executor=executor)
-            assert stats.dispatch_s > 0.0
+            engine.restore("c", executor=executor)
             assert executor.pool.dispatch_s > 0.0
-            # The pool-side handoff is part of the restore-side total's
-            # scope (slot acquisition + handoff), measured per submit.
-            assert stats.granules > 0
+            assert executor.pool.tasks_submitted > 0
 
 
 class TestWindowSerialization:
@@ -219,7 +209,7 @@ class TestWindowSerialization:
         sleep overlaps consumption; with ``inflight=1`` the window is a
         single granule, the burst sleep lands with no runway banked, and
         the consumer stalls for it in full — the pipeline measurably
-        serializes and the stall shows up in ``stats.read_s``."""
+        serializes and the stall shows up in the drain's wall clock."""
         config = model_preset("tiny-llama")
         # 20 MB/s: each 128-token granule (32 KiB of fp32 hidden) models
         # ~1.6 ms of device time; 8 granules accrue ~13 ms of debt that a
@@ -241,29 +231,33 @@ class TestWindowSerialization:
         def timed_drain(inflight):
             engine.storage.array.emulate_latency(min_sleep_s=10e-3)
             try:
-                stats = RestoreBreakdown()
+                consumed = []
+
+                def consume(chunk):
+                    consumed.append(chunk.layer)
+                    time.sleep(2e-3)
+
                 with RestoreExecutor(1, inflight=inflight) as executor:
                     t0 = time.perf_counter()
                     drain_granules(
                         engine.storage, "c", layers, "hidden",
-                        engine.stream_granule_chunks,
-                        lambda chunk: time.sleep(2e-3),
-                        executor,
-                        stats=stats,
+                        engine.stream_granule_chunks, consume, executor,
                     )
                     wall = time.perf_counter() - t0
-                return wall, stats
+                return wall, len(consumed)
             finally:
                 engine.storage.array.stop_latency_emulation()
 
-        serial_wall, serial_stats = timed_drain(inflight=1)
-        overlap_wall, overlap_stats = timed_drain(inflight=None)
-        assert serial_stats.granules == overlap_stats.granules > 0
+        serial_wall, serial_granules = timed_drain(inflight=1)
+        overlap_wall, overlap_granules = timed_drain(inflight=None)
+        assert serial_granules == overlap_granules > 0
         # Expected ≈1.6x (the ~11 ms burst sleep is fully exposed at
         # inflight=1 and fully hidden at the default); 1.2x leaves slack
         # for scheduler noise without ever passing on a non-serialized run.
         assert serial_wall > 1.2 * overlap_wall, (serial_wall, overlap_wall)
-        assert serial_stats.read_s > overlap_stats.read_s + 5e-3
+        # Both drains sleep the same per granule, so the wall-clock gap is
+        # the read stall the window of one failed to hide.
+        assert serial_wall > overlap_wall + 5e-3
 
 
 class TestConcurrentContexts:

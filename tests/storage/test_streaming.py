@@ -38,17 +38,30 @@ def fill_context(
     return expected
 
 
+def device_totals(manager):
+    """``(busy seconds, reads)`` summed over the array's devices so far."""
+    devices = manager.array.devices
+    return (
+        sum(device.busy_seconds for device in devices),
+        sum(device.op_counts[0] for device in devices),
+    )
+
+
 def stream(manager, layers, kind="hidden", granule_chunks=1, depth=2):
     """Walk ``granule_plan`` through a staging ring, one read per granule.
 
-    Yields ``(spec, view, io_seconds, device_reads)``; each view stays
-    valid for ``depth - 1`` further granules (the ring recycles slots).
+    Yields ``(spec, view, io_seconds, device_reads)``, the last two the
+    granule's deltas of the devices' ``busy_seconds`` / read counts; each
+    view stays valid for ``depth - 1`` further granules (the ring
+    recycles slots).
     """
     ring = manager.staging_ring("ctx", kind, depth=depth, granule_chunks=granule_chunks)
     for spec in manager.granule_plan("ctx", layers, kind, granule_chunks):
         view = ring.acquire()[: spec.n_tokens]
-        io_seconds, device_reads = manager.read_granule_into("ctx", spec, view)
-        yield spec, view, io_seconds, device_reads
+        busy_before, reads_before = device_totals(manager)
+        manager.read_granule_into("ctx", spec, view)
+        busy_after, reads_after = device_totals(manager)
+        yield spec, view, busy_after - busy_before, reads_after - reads_before
 
 
 class TestStagingRing:
