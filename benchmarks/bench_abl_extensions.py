@@ -7,8 +7,6 @@ reproduction adds on top of the core system:
   crossover and what the (search) scheduler does about it.
 - **Chunk-size ablation**: the 64-token choice of §4.2.1 versus smaller
   (IOPS-bound) and larger (fragmentation-bound) chunks.
-- **Multi-GPU restoration**: tensor-parallel sharded reads + all-gather
-  versus pipeline-parallel independence (§5).
 """
 
 from __future__ import annotations
@@ -20,10 +18,6 @@ from repro.core.gqa import analyze_gqa, gqa_crossover_heads
 from repro.core.profiler import build_storage_array
 from repro.models import model_preset
 from repro.simulator import platform_preset
-from repro.simulator.multi_gpu import (
-    pipeline_parallel_restoration,
-    tensor_parallel_restoration,
-)
 from repro.storage.chunk import ChunkLayout
 
 
@@ -111,34 +105,3 @@ def test_abl_chunk_size(benchmark):
     assert by_size[8][1] > by_size[64][1]  # tiny chunks are IOPS-bound
     assert by_size[64][2] < by_size[1024][2]
 
-
-def test_abl_multi_gpu_restoration(benchmark):
-    def run():
-        config = model_preset("opt-30b")
-        platform = platform_preset("a100x4-dram")
-        tp = tensor_parallel_restoration(config, platform, 4096)
-        pp = pipeline_parallel_restoration(config, platform, 4096)
-        return tp, pp
-
-    tp, pp = run_once(benchmark, run)
-    table = ResultTable(
-        "Multi-GPU restoration (OPT-30B, 4x A100, 4096 tokens)",
-        ["strategy", "read (ms)", "all-gather (ms)", "compute (ms)", "makespan (ms)"],
-    )
-    table.add_row(
-        "tensor-parallel",
-        f"{tp.read_seconds * 1e3:.1f}",
-        f"{tp.allgather_seconds * 1e3:.2f}",
-        f"{tp.compute_seconds * 1e3:.1f}",
-        f"{tp.makespan * 1e3:.1f}",
-    )
-    table.add_row("pipeline-parallel", "-", "0", "-", f"{pp * 1e3:.1f}")
-    expectations = [
-        PaperExpectation(
-            "all-gather overhead", "small vs transmission (§5)",
-            f"{tp.allgather_seconds / tp.read_seconds * 100:.0f}% of read time",
-            holds=tp.allgather_seconds < 0.25 * tp.read_seconds,
-        ),
-    ]
-    emit("abl_multi_gpu", [table], expectations)
-    assert tp.allgather_seconds < 0.25 * tp.read_seconds

@@ -32,7 +32,11 @@
 #     engine's bits.
 # Restore exactness in every shape, batched-decode equivalence,
 # failover, recovery and the front end's token streams
-# are tier-1 tests; speed is the serving benchmark's job.
+# are tier-1 tests; speed is the serving benchmark's job.  The paper's
+# figure, table and ablation benches (benchmarks/bench_{fig,tab,abl}*.py,
+# about 20 s with timing disabled) run as their own step: they need the
+# pytest-benchmark plugin, which CI installs and requires like ruff and
+# mypy.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
@@ -83,6 +87,10 @@ python scripts/check_docs.py
 echo "== crash-recovery smoke (journal truncation property, crash-window recovery, kill-and-resume) =="
 python -m pytest -q tests/storage/test_journal.py tests/storage/test_recovery.py \
     tests/integration/test_kill_and_resume.py
+
+echo "== paper figure/table/ablation benches (expectations asserted, timing disabled) =="
+require_or_skip pytest_benchmark python -m pytest -q benchmarks/bench_fig*.py \
+    benchmarks/bench_tab*.py benchmarks/bench_abl*.py --benchmark-disable
 
 echo "== hot-path gate (state path >= 10x naive at 4k + layer-0 storage/read counts) =="
 python benchmarks/bench_hotpath.py

@@ -22,7 +22,7 @@ class RequestRecord:
 
     ``restore_seconds`` runs from the step that started the request's
     restoration to the step that settled it, so it includes any wait for
-    a restore IO channel; 0 for a request that restored nothing.
+    the restore IO path; 0 for a request that restored nothing.
     """
 
     request_id: str

@@ -11,9 +11,8 @@ passes:
 - Every iteration carries one token per decoding sequence plus SplitFuse
   chunks of pending prefills; its duration comes from the decode bandwidth
   model plus the chunk compute.
-- Restoration is split into an **IO job** (serialized on the PCIe/storage
-  path — or spread over ``restore_io_parallelism`` channels modelling the
-  shared IO worker pool — overlapping decode compute) and **compute work**
+- Restoration is split into an **IO job** (serialized on the one
+  PCIe/storage path, overlapping decode compute) and **compute work**
   (consumed inside iterations from the SplitFuse budget they leave over,
   contending with decode — which is why recomputation hurts TBT and TTFT
   while KV offload hurts only TTFT, and why HCache's small projection cost
@@ -61,20 +60,12 @@ class EngineConfig:
         activation_reserve: HBM fraction reserved for activations.
         max_running: Concurrency cap of the running batch.
         max_sim_seconds: Safety horizon; the run aborts past it.
-        restore_io_parallelism: Concurrent restoration IO channels — the
-            timing-model counterpart of the numeric engines' shared
-            :class:`repro.runtime.IOWorkerPool`.  With 1 (the default,
-            and the paper's single PCIe/storage path) restoration IO jobs
-            serialize behind each other; with ``k`` an admitted burst of
-            ``k`` restores starts transferring at once and only the
-            ``k+1``-th waits.
     """
 
     budget_tokens: int = 512
     activation_reserve: float = 0.05
     max_running: int = 256
     max_sim_seconds: float = 24 * 3600.0
-    restore_io_parallelism: int = 1
 
 
 @dataclass
@@ -103,10 +94,7 @@ class CostModelEngine:
         method: RestorationMethod,
         *,
         budget_tokens: int,
-        io_channels: int = 1,
     ) -> None:
-        if io_channels < 1:
-            raise ConfigError("restore_io_parallelism must be at least 1")
         self.config = config
         self.platform = platform
         self.method = method
@@ -114,8 +102,8 @@ class CostModelEngine:
         self._prefill_sec_per_token = config.n_layers * full_layer_flops(config, 1) / (
             platform.total_flops * platform.prefill_efficiency
         )
-        #: One entry per restoration IO channel: when it frees up next.
-        self._io_free_at = [0.0] * io_channels
+        #: When the one restoration IO path frees up next.
+        self._io_free_at = 0.0
         self._now = 0.0
         #: A wait never sleeps past this (the driver's next arrival).
         self.wake_at = math.inf
@@ -152,18 +140,16 @@ class CostModelEngine:
     def start_restores(
         self, reserve_tokens: Mapping[str, int], *, background: bool = True
     ) -> None:
-        """Book each restore's IO job on the earliest-free channel; its
-        compute may begin with the IO (HCache projects the first chunks
-        as they land), so a zero-IO restore never waits on the IO path."""
+        """Book each restore's IO job on the one IO path, behind the jobs
+        already on it; its compute may begin with the IO (HCache projects
+        the first chunks as they land), so a zero-IO restore never waits
+        on the IO path."""
         for session_id in reserve_tokens:
             timing = self.method.restoration_timing(self._tokens[session_id])
             start = self._now
             if timing.io_busy > 0:
-                channel = min(
-                    range(len(self._io_free_at)), key=self._io_free_at.__getitem__
-                )
-                start = max(start, self._io_free_at[channel])
-                self._io_free_at[channel] = start + timing.io_busy
+                start = max(start, self._io_free_at)
+                self._io_free_at = start + timing.io_busy
             self._restoring[session_id] = _Restoration(
                 start, start + timing.io_busy, timing.compute_busy
             )
@@ -249,7 +235,6 @@ class ServingSimulator:
             platform,
             method,
             budget_tokens=scheduler.budget_tokens,
-            io_channels=cfg.restore_io_parallelism,
         )
         self.frontend = ServingFrontend(
             self.engine,

@@ -221,11 +221,10 @@ class RestoreExecutor:
         Returns ``{context_id: Future[KVCache]}`` immediately; each
         restoration is the ordinary ``engine.restore(..., executor=self)``
         on a persistent driver pool (at most ``max_concurrent_restores``
-        concurrently), all of them contending for the same IO workers —
-        the serving-layer scenario the simulator's
-        ``restore_io_parallelism`` models in time.  This is the serving
-        front end's restore/decode overlap: admitted-but-evicted sessions
-        restore in the background — their granule reads on the shared
+        concurrently), all of them contending for the same IO workers.
+        This is the serving front end's restore/decode overlap:
+        admitted-but-evicted sessions restore in the background — their
+        granule reads on the shared
         :class:`IOWorkerPool`, their projection GEMMs on the driver
         threads (numpy BLAS releases the GIL) — while the calling thread
         keeps issuing fused decode iterations for GPU-resident sessions.

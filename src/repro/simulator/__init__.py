@@ -20,7 +20,6 @@ from repro.simulator.hardware import (
     PM9A3,
     DRAMSpec,
     GPUSpec,
-    InterconnectSpec,
     Platform,
     SSDSpec,
     platform_preset,
@@ -45,7 +44,6 @@ __all__ = [
     "DRAMSpec",
     "GPUSpec",
     "GemmTiming",
-    "InterconnectSpec",
     "LayerCosts",
     "LayerMethod",
     "LayerPlan",

@@ -120,38 +120,6 @@ class DRAMSpec:
         return n_ios * self.io_latency + nbytes / self.bandwidth
 
 
-@dataclass(frozen=True)
-class InterconnectSpec:
-    """The GPU-to-GPU interconnect used by restoration collectives (§5).
-
-    Sharded restoration reassembles each layer's hidden states with an
-    all-gather over this link before the per-GPU projections.  Lifting the
-    numbers into the platform (instead of module constants in
-    :mod:`repro.simulator.multi_gpu`) makes the benchmarks and the
-    modelled timeline price the *same* hardware; the defaults equal the
-    former constants (A100 SXM4 NVLink3), so existing platforms are
-    unchanged.
-
-    Attributes:
-        name: Interconnect generation, e.g. ``"nvlink3"``.
-        bandwidth: Per-GPU link bandwidth in bytes/s.
-        collective_latency: Fixed latency of launching one collective, in
-            seconds.
-    """
-
-    name: str = "nvlink3"
-    bandwidth: float = 600e9
-    collective_latency: float = 20e-6
-
-    def __post_init__(self) -> None:
-        if self.bandwidth <= 0:
-            raise ConfigError(f"interconnect {self.name!r} must have positive bandwidth")
-        if self.collective_latency < 0:
-            raise ConfigError(
-                f"interconnect {self.name!r} must have non-negative latency"
-            )
-
-
 #: GPU presets from Table 2 of the paper.  HBM bandwidths come from the
 #: public datasheets; they only affect decode (TBT) modelling.
 GPUS: dict[str, GPUSpec] = {
@@ -181,8 +149,6 @@ class Platform:
             support: each GPU fetches a disjoint shard of hidden states).
         ssds: SSD devices attached to the host (empty when DRAM is used).
         dram: Host DRAM backend, used when ``ssds`` is empty.
-        interconnect: GPU-to-GPU link pricing the restoration collectives
-            (all-gather of the tensor dimension's hidden states).
         gemm_efficiency: Optional override of the GPU's large-GEMM MFU
             ceiling; ``None`` (the default) uses ``gpu.gemm_mfu``.
         prefill_efficiency: MFU of a full prefill forward pass, lower than a
@@ -199,7 +165,6 @@ class Platform:
     n_gpus: int = 1
     ssds: tuple[SSDSpec, ...] = ()
     dram: DRAMSpec = field(default_factory=DRAMSpec)
-    interconnect: InterconnectSpec = field(default_factory=InterconnectSpec)
     gemm_efficiency: float | None = None
     prefill_efficiency: float = 0.55
     iteration_overhead: float = 2e-3

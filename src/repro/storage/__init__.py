@@ -19,13 +19,7 @@ from repro.storage.journal import (
 )
 from repro.storage.manager import ContextMeta, StorageManager
 from repro.storage.replicated import ReplicatedDevice
-from repro.storage.streaming import (
-    GranuleSpec,
-    LayerChunk,
-    StagingRing,
-    pipelined_makespan,
-)
-from repro.storage.tiered import TieredBackend, TieredReadTiming, TieredStreamTiming
+from repro.storage.streaming import GranuleSpec, LayerChunk, StagingRing
 
 __all__ = [
     "CHUNK_TOKENS",
@@ -52,8 +46,4 @@ __all__ = [
     "StorageArray",
     "StorageDevice",
     "StorageManager",
-    "TieredBackend",
-    "TieredReadTiming",
-    "TieredStreamTiming",
-    "pipelined_makespan",
 ]

@@ -170,9 +170,7 @@ class StorageArray:
         spec = device.spec
         return getattr(spec, "read_bandwidth", None) or spec.bandwidth
 
-    def layer_read_timing(
-        self, n_chunks: int, chunk_bytes: int, io_parallelism: int = 1
-    ) -> LayerReadTiming:
+    def layer_read_timing(self, n_chunks: int, chunk_bytes: int) -> LayerReadTiming:
         """Time to fetch ``n_chunks`` chunks of ``chunk_bytes`` each.
 
         Devices work in parallel.  Because successive layer reads chain on
@@ -184,17 +182,9 @@ class StorageArray:
         floored by a pure link-bandwidth transfer of the same bytes, so a
         fast array degenerates to the PCIe-bound case (§6.2.2: 4 SSDs
         saturate an A100's upstream PCIe).
-
-        ``io_parallelism`` models the restore executor's IO worker pool
-        keeping that many chunk reads in flight per device (NVMe queue
-        depth): overlapped IOs hide per-operation latency — charged on
-        ``ceil(n_ios / io_parallelism)`` serial rounds — but can never
-        exceed device or link bandwidth.
         """
         if n_chunks < 0 or chunk_bytes < 0:
             raise ConfigError("chunk count and size must be non-negative")
-        if io_parallelism < 1:
-            raise ConfigError("io_parallelism must be at least 1")
         if n_chunks == 0:
             return LayerReadTiming(0, 0, 0.0, "device")
         nbytes = n_chunks * chunk_bytes
@@ -204,10 +194,7 @@ class StorageArray:
             n_ios = math.ceil(n_chunks / n_dev)
             share_bytes = n_chunks / n_dev * chunk_bytes
             spec = device.spec
-            latency_rounds = math.ceil(n_ios / io_parallelism)
-            latency = (
-                latency_rounds * spec.io_latency if hasattr(spec, "io_latency") else 0.0
-            )
+            latency = n_ios * spec.io_latency if hasattr(spec, "io_latency") else 0.0
             bw = self._device_read_bw(device)
             device_time = max(device_time, latency + share_bytes / bw)
         link_time = nbytes / self.link_bandwidth
@@ -215,12 +202,12 @@ class StorageArray:
             return LayerReadTiming(n_chunks, nbytes, device_time, "device")
         return LayerReadTiming(n_chunks, nbytes, link_time, "link")
 
-    def read_time(self, nbytes: int, chunk_bytes: int, io_parallelism: int = 1) -> float:
+    def read_time(self, nbytes: int, chunk_bytes: int) -> float:
         """Convenience: striped read time for ``nbytes`` of chunked data."""
         if chunk_bytes <= 0:
             raise ConfigError("chunk_bytes must be positive")
         n_chunks = math.ceil(nbytes / chunk_bytes)
-        return self.layer_read_timing(n_chunks, chunk_bytes, io_parallelism).seconds
+        return self.layer_read_timing(n_chunks, chunk_bytes).seconds
 
     def write_time(self, nbytes: int, chunk_bytes: int) -> float:
         """Striped write time for ``nbytes`` of chunked data."""

@@ -59,8 +59,9 @@ class LatencyEmulator:
     sleep is long enough for the OS timer to honour it.
 
     One emulator is shared by every device of an array.  That matches how
-    the restoration timing model charges all chunk reads to a single
-    serial IO stream (:func:`repro.storage.streaming.pipelined_makespan`):
+    the restoration timing model (:mod:`repro.simulator.pipeline`,
+    :mod:`repro.core.restoration`) charges all chunk reads to one serial
+    IO stream:
     ``charge`` is thread-safe, and the sleeps themselves serialize on a
     dedicated lock, so even when several IO workers charge concurrently,
     emulated IO wall clock accumulates like the one serial stream the

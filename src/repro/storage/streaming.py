@@ -12,15 +12,13 @@ engine needs to actually execute that shape:
   one's read is already in flight (double buffering).
 - :class:`LayerChunk` — one streamed granule: a row range of one layer's
   token run and a zero-copy view of its staging slot.
-- :func:`pipelined_makespan` — the two-stream chunk timeline the
-  tiered/prefetching timing models share, so the DRAM-warm path and the
-  SSD path are costed by identical code.
+- :class:`GranuleSpec` — where one granule sits in a layer's token run,
+  without its data.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -128,31 +126,3 @@ class LayerChunk:
     def n_tokens(self) -> int:
         return self.stop - self.start
 
-
-def pipelined_makespan(
-    io_seconds: Sequence[float] | Iterable[float],
-    compute_seconds: Sequence[float] | Iterable[float],
-) -> float:
-    """Makespan of a chunk pipeline over one IO and one compute stream.
-
-    Chunk ``i``'s transfer chains on the IO stream; its compute starts
-    once both its own transfer and chunk ``i-1``'s compute are done —
-    the §4.1 restoration shape at chunk granularity.  The tiered-backend
-    and prefetching timing models cost their streams through this one
-    function; the threaded restore executor is its executable form.
-    """
-    io_list = list(io_seconds)
-    compute_list = list(compute_seconds)
-    if len(io_list) != len(compute_list):
-        raise ConfigError(
-            f"pipeline stages must align: {len(io_list)} IO chunks vs "
-            f"{len(compute_list)} compute chunks"
-        )
-    io_done = 0.0
-    compute_done = 0.0
-    for io_s, compute_s in zip(io_list, compute_list):
-        if io_s < 0 or compute_s < 0:
-            raise ConfigError("chunk durations must be non-negative")
-        io_done += io_s
-        compute_done = max(compute_done, io_done) + compute_s
-    return compute_done

@@ -196,7 +196,7 @@ class TestCapacityHelpers:
 class _SplitTimingMethod(RestorationMethod):
     """Stub: big histories pay IO; small ones are zero-IO, compute-only.
 
-    Models a DRAM-warm (or pure-recompute) restoration whose state needs
+    Models a pure-recompute restoration whose state needs
     no transfer — the case where compute must not serialize behind other
     requests' IO path.
     """
@@ -244,17 +244,7 @@ class TestZeroIORestoration:
         method = _SplitTimingMethod(seven_b, default_platform)
         sim = ServingSimulator(seven_b, default_platform, method)
         sim.run([single_spec(history=50, inp=32, out=4, rid="zero-io")])
-        assert sim.engine._io_free_at == [0.0]
-
-    def test_invalid_io_parallelism_rejected(self, seven_b, default_platform):
-        method = _SplitTimingMethod(seven_b, default_platform)
-        with pytest.raises(ConfigError):
-            ServingSimulator(
-                seven_b,
-                default_platform,
-                method,
-                EngineConfig(restore_io_parallelism=0),
-            )
+        assert sim.engine._io_free_at == 0.0
 
     def test_zero_io_trace_finishes_without_micro_stepping(
         self, seven_b, default_platform
@@ -278,17 +268,15 @@ class TestZeroIORestoration:
         assert elapsed < 5.0
 
 
-class TestRestoreIOParallelism:
-    """The timing-model counterpart of the shared restore IO worker pool:
-    ``restore_io_parallelism`` channels let an admitted burst of restores
-    transfer concurrently instead of serializing on one IO path."""
+class TestSerialRestoreIO:
+    """Restoration IO jobs share the one PCIe/storage path: an admitted
+    burst of restores transfers one after another, and each start waits
+    for the job before it to release the path."""
 
-    def _burst(self, seven_b, default_platform, channels, n=2):
+    def _burst(self, seven_b, default_platform, n=2):
         """A cost-model engine with ``n`` 5s-IO restores started at t=0."""
         method = _SplitTimingMethod(seven_b, default_platform, io_threshold=1)
-        engine = CostModelEngine(
-            seven_b, default_platform, method, budget_tokens=512, io_channels=channels
-        )
+        engine = CostModelEngine(seven_b, default_platform, method, budget_tokens=512)
         sessions = [f"s{i}" for i in range(n)]
         for session_id in sessions:
             engine.open_session(session_id, history_tokens=10_000)
@@ -299,28 +287,20 @@ class TestRestoreIOParallelism:
     def _io_starts(self, engine):
         return sorted(job.io_start for job in engine._restoring.values())
 
-    def test_serial_channel_staggers_restore_starts(self, seven_b, default_platform):
-        engine = self._burst(seven_b, default_platform, channels=1)
+    def test_serial_path_staggers_restore_starts(self, seven_b, default_platform):
+        engine = self._burst(seven_b, default_platform)
         # Second restore's 5s IO job waits for the first to release the path.
         assert self._io_starts(engine) == pytest.approx([0.0, 5.0])
-        assert engine._io_free_at == pytest.approx([10.0])
+        assert engine._io_free_at == pytest.approx(10.0)
 
-    def test_two_channels_start_both_restores_at_admission(
-        self, seven_b, default_platform
-    ):
-        engine = self._burst(seven_b, default_platform, channels=2)
-        assert self._io_starts(engine) == pytest.approx([0.0, 0.0])
-
-    def test_extra_restores_still_queue_behind_full_pool(
-        self, seven_b, default_platform
-    ):
-        engine = self._burst(seven_b, default_platform, channels=2, n=3)
-        assert self._io_starts(engine) == pytest.approx([0.0, 0.0, 5.0])
+    def test_third_restore_queues_behind_both(self, seven_b, default_platform):
+        engine = self._burst(seven_b, default_platform, n=3)
+        assert self._io_starts(engine) == pytest.approx([0.0, 5.0, 10.0])
 
     def test_waiting_projects_first_then_jumps_to_the_next_io_completion(
         self, seven_b, default_platform
     ):
-        engine = self._burst(seven_b, default_platform, channels=1)
+        engine = self._burst(seven_b, default_platform)
         assert engine.finished_restores() == []
         # Compute pipelines with the IO: the first wait is a restore-only
         # iteration for the job whose IO has begun, not a sleep.
@@ -337,32 +317,82 @@ class TestRestoreIOParallelism:
         engine.wait_for_restores()
         assert engine.now() == pytest.approx(7.0)
 
-    def _records(self, seven_b, default_platform, parallelism, n):
+    def test_burst_restore_seconds_carry_the_io_wait(self, seven_b, default_platform):
         method = _SplitTimingMethod(seven_b, default_platform, io_threshold=1)
-        sim = ServingSimulator(
-            seven_b,
-            default_platform,
-            method,
-            EngineConfig(restore_io_parallelism=parallelism),
+        sim = ServingSimulator(seven_b, default_platform, method)
+        sim.run(
+            [
+                single_spec(history=10_000, inp=32, out=4, t=0.0, rid=f"r{i}")
+                for i in range(3)
+            ]
         )
+        # restore_seconds spans start-to-settle, so it carries the wait
+        # for the one IO path: 5s, 10s, 15s.
+        assert sorted(r.restore_seconds for r in sim.metrics.records) == pytest.approx(
+            [5.0, 10.0, 15.0], abs=0.2
+        )
+
+    @pytest.mark.parametrize("n", [1, 2, 4, 6])
+    def test_burst_books_io_jobs_back_to_back(self, seven_b, default_platform, n):
+        engine = self._burst(seven_b, default_platform, n=n)
+        assert self._io_starts(engine) == pytest.approx([5.0 * i for i in range(n)])
+        ends = sorted(job.io_done for job in engine._restoring.values())
+        assert ends == pytest.approx([5.0 * (i + 1) for i in range(n)])
+        assert engine._io_free_at == pytest.approx(5.0 * n)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_each_restore_settles_when_its_io_lands(self, seven_b, default_platform, n):
+        engine = self._burst(seven_b, default_platform, n=n)
+        settled = {}
+        while len(settled) < n:
+            engine.wait_for_restores()
+            for session_id in engine.finished_restores():
+                settled[session_id] = engine.now()
+        assert [settled[f"s{i}"] for i in range(n)] == pytest.approx(
+            [5.0 * (i + 1) for i in range(n)]
+        )
+
+    def test_idle_path_books_the_next_job_at_now(self, seven_b, default_platform):
+        engine = self._burst(seven_b, default_platform)
+        while engine.now() < 10.0 or engine._restoring:
+            engine.wait_for_restores()
+            engine.finished_restores()
+        engine.wake_at = 20.0
+        engine.wait_for_restores()  # nothing pending: jump to the arrival
+        assert engine.now() == pytest.approx(20.0)
+        engine.evict("s0")
+        assert engine.begin_round("s0", 10_036)
+        engine.start_restores({"s0": 10_036})
+        # The path went idle at 10s; the new job starts now, not then.
+        assert self._io_starts(engine) == pytest.approx([20.0])
+        assert engine._io_free_at == pytest.approx(25.0)
+
+    def test_zero_io_restore_in_a_burst_neither_waits_nor_delays(
+        self, seven_b, default_platform
+    ):
+        method = _SplitTimingMethod(seven_b, default_platform, io_threshold=100)
+        engine = CostModelEngine(seven_b, default_platform, method, budget_tokens=512)
+        histories = {"a": 10_000, "zero": 50, "b": 10_000}
+        for session_id, history in histories.items():
+            engine.open_session(session_id, history_tokens=history)
+            assert engine.begin_round(session_id, history + 36)
+        engine.start_restores({sid: h + 36 for sid, h in histories.items()})
+        starts = {sid: job.io_start for sid, job in engine._restoring.items()}
+        assert starts == pytest.approx({"a": 0.0, "zero": 0.0, "b": 5.0})
+        assert engine._io_free_at == pytest.approx(10.0)
+
+    @pytest.mark.parametrize("n", [1, 2, 4])
+    def test_restore_seconds_grow_by_one_io_job_per_place_in_line(
+        self, seven_b, default_platform, n
+    ):
+        method = _SplitTimingMethod(seven_b, default_platform, io_threshold=1)
+        sim = ServingSimulator(seven_b, default_platform, method)
         sim.run(
             [
                 single_spec(history=10_000, inp=32, out=4, t=0.0, rid=f"r{i}")
                 for i in range(n)
             ]
         )
-        return {r.request_id: r for r in sim.metrics.records}
-
-    def test_parallel_channels_improve_ttft_under_burst(
-        self, seven_b, default_platform
-    ):
-        serial = self._records(seven_b, default_platform, parallelism=1, n=3)
-        parallel = self._records(seven_b, default_platform, parallelism=3, n=3)
-        mean_serial = sum(r.ttft for r in serial.values()) / 3
-        mean_parallel = sum(r.ttft for r in parallel.values()) / 3
-        assert mean_parallel < mean_serial
-        # restore_seconds spans start-to-settle, so it carries the wait
-        # for the single channel: 5s, 10s, 15s.
-        assert sorted(r.restore_seconds for r in serial.values()) == pytest.approx(
-            [5.0, 10.0, 15.0], abs=0.2
+        assert sorted(r.restore_seconds for r in sim.metrics.records) == pytest.approx(
+            [5.0 * (i + 1) for i in range(n)], abs=0.2
         )

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import threading
 import time
+import types
 from concurrent.futures import wait
 
 import numpy as np
@@ -29,6 +30,7 @@ from repro.runtime import IOWorkerPool, RestoreExecutor, drain_granules
 from repro.simulator import platform_preset
 from repro.simulator.hardware import GPUS, GB, Platform, SSDSpec
 from repro.storage import LatencyEmulator, StorageManager
+from repro.storage import device as device_module
 
 
 def build_engine(config, scheme=None, granule_chunks=4):
@@ -429,7 +431,7 @@ class TestLatencyEmulation:
         elapsed = time.perf_counter() - t0
         assert elapsed >= 9e-3  # ~10ms of modelled IO cannot run 2-parallel
 
-    def test_single_thread_still_pays_full_debt(self):
+    def test_single_thread_still_pays_full_debt(self, monkeypatch):
         """One thread's charges sleep off in full: the overshoot credit
         only corrects timer drift, never skips modelled seconds."""
         emulator = LatencyEmulator(min_sleep_s=1e-3)
@@ -439,8 +441,29 @@ class TestLatencyEmulation:
         emulator.flush()
         wall = time.perf_counter() - t0
         assert wall >= 0.037, wall
+        # How much a real sleep overshoots depends on the host's load, so
+        # the credit bookkeeping is checked on a timer that overshoots
+        # every sleep by exactly 0.2 ms.
+        clock = [0.0]
+        sleeps = []
+
+        def overshooting_sleep(seconds):
+            sleeps.append(seconds)
+            clock[0] += seconds + 2e-4
+
+        monkeypatch.setattr(
+            device_module, "time", types.SimpleNamespace(perf_counter=lambda: clock[0])
+        )
+        emulator = LatencyEmulator(min_sleep_s=1e-3, sleep_fn=overshooting_sleep)
+        for _ in range(40):
+            emulator.charge(1e-3)
+        emulator.flush()
+        assert clock[0] >= 0.040
         # slept_s + residual debt accounts for the full 40ms charged,
-        # minus whatever overshoot the emulator credited back.
+        # minus the overshoot the emulator credited back.
+        credited = 2e-4 * len(sleeps)
+        assert emulator.slept_s + emulator.pending_s + credited == pytest.approx(0.040)
+        assert emulator.slept_s == pytest.approx(sum(sleeps))
         assert emulator.slept_s > 0.030
 
     def test_array_emulation_charges_modelled_read_seconds(self, loop_executor):

@@ -94,7 +94,7 @@ class TestPlatform:
         assert plat.uses_dram_backend
         assert plat.storage_read_bandwidth == pytest.approx(32e9)
 
-    def test_multi_gpu_aggregates(self):
+    def test_n_gpus_aggregates(self):
         plat = platform_preset("a100x4-4ssd")
         assert plat.total_flops == pytest.approx(4 * 312e12)
         assert plat.total_hbm_bandwidth == pytest.approx(4 * 1555e9)
@@ -142,3 +142,55 @@ class TestPlatform:
 
     def test_gb_unit(self):
         assert GB == 1_000_000_000
+
+
+PRESET_NAMES = [
+    "default",
+    "a100-4ssd",
+    "a100-1ssd",
+    "a100x4-4ssd",
+    "a100-dram",
+    "a30-dram",
+    "4090-dram",
+    "l20-dram",
+    "h800-dram",
+    "h800x2-dram",
+    "a100x4-dram",
+    "io-sufficient",
+    "compute-sufficient",
+    "balanced",
+]
+
+
+class TestPresets:
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    def test_preset_bandwidths_respect_the_gpu_links(self, name):
+        plat = platform_preset(name)
+        assert platform_preset(name.upper()) == plat
+        link = plat.gpu.pcie_bandwidth * plat.n_gpus
+        assert plat.uses_dram_backend == (not plat.ssds)
+        backend_read = (
+            plat.dram.bandwidth
+            if plat.uses_dram_backend
+            else sum(ssd.read_bandwidth for ssd in plat.ssds)
+        )
+        assert plat.storage_read_bandwidth == pytest.approx(min(link, backend_read))
+        assert plat.storage_write_bandwidth <= plat.storage_read_bandwidth
+        assert plat.total_flops == pytest.approx(plat.gpu.peak_flops * plat.n_gpus)
+
+    @pytest.mark.parametrize("n_gpus", [1, 2, 4, 8])
+    def test_n_gpus_scales_compute_and_the_link(self, n_gpus):
+        one = Platform(GPUS["A100"])
+        many = Platform(GPUS["A100"], n_gpus=n_gpus)
+        assert many.total_flops == pytest.approx(n_gpus * one.total_flops)
+        assert many.total_hbm_bandwidth == pytest.approx(
+            n_gpus * one.total_hbm_bandwidth
+        )
+        # The DRAM backend feeds every GPU's link until DRAM itself caps it.
+        assert many.storage_read_bandwidth == pytest.approx(
+            min(n_gpus * GPUS["A100"].pcie_bandwidth, many.dram.bandwidth)
+        )
+
+    def test_zero_gpus_rejected(self):
+        with pytest.raises(ConfigError):
+            Platform(GPUS["A100"], n_gpus=0)

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
+from repro.core.profiler import build_storage_array
 from repro.errors import ConfigError
-from repro.simulator.hardware import PM9A3, DRAMSpec
+from repro.simulator.hardware import PM9A3, DRAMSpec, platform_preset
 from repro.storage.array import StorageArray
 
 
@@ -110,3 +113,74 @@ class TestTiming:
             speeds.append(1.0 / arr.read_time(256 * chunk, chunk))
         assert speeds[1] / speeds[0] == pytest.approx(2.0, rel=0.05)
         assert speeds[2] / speeds[1] == pytest.approx(2.0, rel=0.05)
+
+
+PRESET_NAMES = [
+    "default",
+    "a100-4ssd",
+    "a100-1ssd",
+    "a100x4-4ssd",
+    "a100-dram",
+    "a30-dram",
+    "4090-dram",
+    "l20-dram",
+    "h800-dram",
+    "h800x2-dram",
+    "a100x4-dram",
+    "io-sufficient",
+    "compute-sufficient",
+    "balanced",
+]
+
+
+class TestSerialReadModel:
+    """Each device serves its share of a layer's chunks one IO at a time:
+    every chunk read pays the device's per-IO latency, and the link caps
+    what the devices deliver together."""
+
+    CHUNK = 64 * 8192
+
+    @pytest.mark.parametrize("n_chunks", [1, 5, 16, 257])
+    @pytest.mark.parametrize("n_devices", [1, 2, 4, 8])
+    def test_seconds_match_the_serial_formula(self, n_devices, n_chunks):
+        array = StorageArray([PM9A3] * n_devices, link_bandwidth=32e9)
+        timing = array.layer_read_timing(n_chunks, self.CHUNK)
+        n_ios = math.ceil(n_chunks / n_devices)
+        device_s = (
+            n_ios * PM9A3.io_latency
+            + n_chunks / n_devices * self.CHUNK / PM9A3.read_bandwidth
+        )
+        link_s = n_chunks * self.CHUNK / 32e9
+        assert timing.n_chunks == n_chunks
+        assert timing.nbytes == n_chunks * self.CHUNK
+        assert timing.seconds == pytest.approx(max(device_s, link_s), rel=1e-12)
+        assert timing.bottleneck == ("device" if device_s >= link_s else "link")
+
+    @pytest.mark.parametrize("n_chunks", [1, 2, 8, 64])
+    def test_every_read_pays_its_own_latency(self, n_chunks):
+        """Latency-dominated reads do not overlap: ``n`` one-byte chunks on
+        one device cost ``n`` IO latencies, not one."""
+        array = StorageArray([PM9A3], link_bandwidth=32e9)
+        timing = array.layer_read_timing(n_chunks, 1)
+        expected = n_chunks * PM9A3.io_latency + n_chunks / PM9A3.read_bandwidth
+        assert timing.seconds == pytest.approx(expected, rel=1e-12)
+        assert timing.bottleneck == "device"
+
+    @pytest.mark.parametrize(
+        "nbytes", [1, CHUNK - 1, CHUNK, CHUNK + 1, 10 * CHUNK + 3]
+    )
+    def test_read_time_rounds_up_to_whole_chunks(self, four_ssds, nbytes):
+        n_chunks = math.ceil(nbytes / self.CHUNK)
+        expected = four_ssds.layer_read_timing(n_chunks, self.CHUNK).seconds
+        assert four_ssds.read_time(nbytes, self.CHUNK) == expected
+
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    def test_preset_arrays_never_beat_their_aggregate_bandwidth(self, name):
+        array = build_storage_array(platform_preset(name))
+        timing = array.layer_read_timing(64, self.CHUNK)
+        floor = timing.nbytes / array.aggregate_read_bandwidth
+        assert timing.seconds >= floor * (1 - 1e-12)
+        if timing.bottleneck == "link":
+            assert timing.seconds == pytest.approx(timing.nbytes / array.link_bandwidth)
+        else:
+            assert timing.seconds >= timing.nbytes / array.link_bandwidth

@@ -8,7 +8,7 @@ import pytest
 from repro.core.profiler import build_storage_array
 from repro.errors import ConfigError
 from repro.simulator import platform_preset
-from repro.storage import GranuleSpec, StagingRing, StorageManager, pipelined_makespan
+from repro.storage import GranuleSpec, StagingRing, StorageManager
 
 
 def make_manager(platform_name: str = "default") -> StorageManager:
@@ -80,6 +80,32 @@ class TestStagingRing:
         a, b, c = ring.acquire(), ring.acquire(), ring.acquire()
         assert a is c
         assert a is not b
+
+    @pytest.mark.parametrize("depth", [2, 3, 4, 8])
+    def test_slot_returns_after_exactly_depth_acquisitions(self, depth):
+        ring = StagingRing(depth, 8, 4)
+        assert ring.depth == depth
+        first = [ring.acquire() for _ in range(depth)]
+        second = [ring.acquire() for _ in range(depth)]
+        assert all(a is b for a, b in zip(first, second))
+        # Within one window no two slots share memory, so a filled slot
+        # survives the next depth - 1 acquisitions untouched.
+        for i, slot in enumerate(first):
+            slot.fill(float(i))
+        assert all(np.all(slot == float(i)) for i, slot in enumerate(first))
+        assert not any(
+            np.shares_memory(first[i], first[j])
+            for i in range(depth)
+            for j in range(i + 1, depth)
+        )
+
+    @pytest.mark.parametrize("dtype", [np.float16, np.float32, np.float64])
+    def test_slot_geometry_and_dtype(self, dtype):
+        ring = StagingRing(3, 17, 5, dtype=dtype)
+        slot = ring.acquire()
+        assert slot.shape == (17, 5)
+        assert slot.dtype == np.dtype(dtype)
+        assert (ring.granule_tokens, ring.width) == (17, 5)
 
 
 class TestGranuleStream:
@@ -187,27 +213,3 @@ class TestGranuleStream:
         assert upcoming is not None
         assert np.array_equal(pending, expected[0][128:192])  # now granule 2's rows
 
-
-class TestPipelinedMakespan:
-    def test_bounds(self):
-        io = [1.0, 1.0, 1.0]
-        compute = [0.5, 0.5, 0.5]
-        span = pipelined_makespan(io, compute)
-        assert span >= sum(io)
-        assert span <= sum(io) + sum(compute)
-        assert span == pytest.approx(3.5)  # last compute after last read
-
-    def test_compute_bound_chains_on_compute(self):
-        span = pipelined_makespan([0.1, 0.1], [1.0, 1.0])
-        assert span == pytest.approx(0.1 + 2.0)
-
-    def test_empty_is_zero(self):
-        assert pipelined_makespan([], []) == 0.0
-
-    def test_mismatched_lengths_rejected(self):
-        with pytest.raises(ConfigError):
-            pipelined_makespan([1.0], [])
-
-    def test_negative_rejected(self):
-        with pytest.raises(ConfigError):
-            pipelined_makespan([-1.0], [1.0])
