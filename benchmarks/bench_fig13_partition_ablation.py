@@ -30,15 +30,13 @@ def measure_partitions():
     # The paper's naive token-wise scheduler balances with smooth costs
     # (it chose 794 H + 230 RE), then pays the padded-kernel price.
     naive_split = naive_tokenwise_split(config, platform, N_TOKENS)
-    naive = tokenwise_timing(config, platform, naive_split, complement="recompute")
+    naive = tokenwise_timing(config, platform, naive_split)
     # Round-up variant: manage the nearest tile-aligned token count with
     # HCache (the paper rounds 794 to 768).
     aligned = min(round_up_tokens(naive_split.n_hidden_tokens) - 128, N_TOKENS)
     aligned = max(aligned, 0)
     rounded_split = TokenPartition(aligned, N_TOKENS - aligned)
-    rounded = tokenwise_timing(
-        config, platform, rounded_split, complement="recompute", round_up=True
-    )
+    rounded = tokenwise_timing(config, platform, rounded_split, round_up=True)
     return {
         "layer": (layer_timing, decision.scheme.describe()),
         "token": (naive, f"{naive_split.n_hidden_tokens} H tokens"),

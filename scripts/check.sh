@@ -21,7 +21,9 @@
 # require_or_skip below) but REQUIRED in CI: a missing tool there is a
 # broken pipeline, not a soft skip.  repro.lint ships with the repo and
 # always runs.  The doc check keeps README.md's module map pointing at
-# packages that actually exist (and vice versa).  The hot-path gate
+# packages that actually exist (and vice versa), and every dotted
+# repro.* name and tests/*.py path in README.md, docs/ARCHITECTURE.md and
+# benchmarks/README.md resolving to a file and a definition (by AST).  The hot-path gate
 # (benchmarks/bench_hotpath.py, about a second, one run shape) asserts
 # the two checks nothing else makes:
 #   - the PR-1 O(n) floor: the decode-with-capture state path is >= 10x
@@ -76,7 +78,7 @@ require_or_skip mypy python -m mypy
 echo "== tier-1 tests =="
 python -m pytest -x -q
 
-echo "== doc freshness (README module map vs src/repro) =="
+echo "== doc freshness (README module map vs src/repro, code references in the docs) =="
 python scripts/check_docs.py
 
 # The crash-safety surfaces get their own named gate even though tier-1

@@ -1,17 +1,13 @@
-"""Benchmark harness utilities: tables, expectations, parameter sweeps."""
+"""Benchmark harness utilities: result tables and paper expectations."""
 
 from repro.analysis.reporting import (
     PaperExpectation,
     ResultTable,
     render_expectations,
 )
-from repro.analysis.sweep import SweepPoint, crossover, sweep
 
 __all__ = [
     "PaperExpectation",
     "ResultTable",
-    "SweepPoint",
-    "crossover",
     "render_expectations",
-    "sweep",
 ]

@@ -26,7 +26,6 @@ class HCacheMethod(RestorationMethod):
         self,
         config: ModelConfig,
         platform: Platform,
-        scheme: PartitionScheme | None = None,
         bubble_free: bool = True,
     ) -> None:
         """Create the method.
@@ -34,21 +33,17 @@ class HCacheMethod(RestorationMethod):
         Args:
             config: Serving model.
             platform: Hardware platform.
-            scheme: Optional fixed partition (used by ablations); when
-                omitted the scheduler decides per history length.
             bubble_free: When False, forces the pure-HCache scheme —
-                the "HCache-O" ablation variant of §6.3.1.
+                the "HCache-O" ablation variant of §6.3.1; otherwise the
+                scheduler decides per history length.
         """
         super().__init__(config, platform)
-        self._fixed_scheme = scheme
         self._bubble_free = bubble_free
         self._scheduler = BubbleFreeScheduler(config.n_layers)
         self._decisions: dict[int, ScheduleDecision] = {}
 
     def scheme_for(self, n_tokens: int) -> PartitionScheme:
         """Partition used for a history of ``n_tokens``."""
-        if self._fixed_scheme is not None:
-            return self._fixed_scheme
         if not self._bubble_free:
             return PartitionScheme.pure_hcache(self.config.n_layers)
         return self.decision_for(n_tokens).scheme

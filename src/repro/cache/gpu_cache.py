@@ -96,20 +96,3 @@ class GPUCacheSimulator:
             mean_ttft=total_ttft / n_requests,
             n_requests=n_requests,
         )
-
-    def sweep_skew(
-        self,
-        contexts: list[LEvalRequest],
-        methods: dict[str, RestorationMethod],
-        alphas: tuple[float | None, ...] = (None, 1.2, 1.4, 1.6, 1.8, 2.0),
-        n_requests: int = 2000,
-        seed: int = 0,
-    ) -> list[CachedServingResult]:
-        """The Fig. 15 sweep: every method at every skew level."""
-        results = []
-        for alpha in alphas:
-            for method in methods.values():
-                results.append(
-                    self.replay(contexts, method, n_requests, alpha, seed=seed)
-                )
-        return results

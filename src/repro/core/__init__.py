@@ -13,16 +13,14 @@ from repro.core.gqa import (
     with_kv_heads,
 )
 from repro.core.hcache import HCacheEngine, SavedContext
-from repro.core.partition import PartitionScheme, TokenPartition
+from repro.core.partition import LayerMethod, PartitionScheme, TokenPartition
 from repro.core.profiler import HardwareProfile, build_storage_array, profile_platform
 from repro.core.restoration import (
     RestorationTiming,
-    best_tokenwise_partition,
-    hcache_only_timing,
-    hcache_timing,
     naive_tokenwise_split,
     scheme_timing,
     tokenwise_timing,
+    two_stream_timing,
 )
 from repro.core.saving import (
     DecodeSavingImpact,
@@ -31,12 +29,7 @@ from repro.core.saving import (
     TwoStageSaver,
     decode_tbt_with_saving,
 )
-from repro.core.scheduler import (
-    BubbleFreeScheduler,
-    ScheduleDecision,
-    evaluate_scheme,
-    layer_plans_for_scheme,
-)
+from repro.core.scheduler import BubbleFreeScheduler, ScheduleDecision, hcache_timing
 
 __all__ = [
     "BubbleFreeScheduler",
@@ -49,6 +42,7 @@ __all__ = [
     "with_kv_heads",
     "HCacheEngine",
     "HardwareProfile",
+    "LayerMethod",
     "NoSaver",
     "PartitionScheme",
     "RestorationTiming",
@@ -56,15 +50,12 @@ __all__ = [
     "ScheduleDecision",
     "TokenPartition",
     "TwoStageSaver",
-    "best_tokenwise_partition",
     "build_storage_array",
     "decode_tbt_with_saving",
-    "evaluate_scheme",
-    "hcache_only_timing",
     "hcache_timing",
-    "layer_plans_for_scheme",
     "naive_tokenwise_split",
     "profile_platform",
     "scheme_timing",
     "tokenwise_timing",
+    "two_stream_timing",
 ]

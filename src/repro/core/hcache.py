@@ -17,7 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-from repro.core.partition import PartitionScheme
+from repro.core.partition import LayerMethod, PartitionScheme
 from repro.core.profiler import profile_platform
 from repro.core.restoration import RestorationTiming, scheme_timing
 from repro.core.scheduler import BubbleFreeScheduler, ScheduleDecision
@@ -27,7 +27,6 @@ from repro.models.transformer import Transformer
 from repro.runtime.executor import RestoreExecutor, drain_granules
 from repro.runtime.progress import RestoreProgress
 from repro.simulator.hardware import Platform
-from repro.simulator.pipeline import LayerMethod
 from repro.storage.manager import StorageManager
 from repro.storage.streaming import LayerChunk
 

@@ -12,10 +12,18 @@ token, KV layers ``2D``, and recomputed layers nothing at all.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from enum import Enum
 
 from repro.errors import ConfigError, SchedulingError
 from repro.models.config import ModelConfig
-from repro.simulator.pipeline import LayerMethod
+
+
+class LayerMethod(str, Enum):
+    """How one layer's state is restored."""
+
+    HIDDEN = "hidden"
+    KV = "kv"
+    RECOMPUTE = "recompute"
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,23 @@
-"""Restoration timing: schemes and partitions -> pipelined wall-clock time.
+"""Restoration timing: one IO stream and one compute stream (§4.1).
 
-Bridges the scheduler's partition decisions and the simulator's stream
-model into the quantities the paper reports: restoration makespan,
-restoration speed (restored tokens per second, the y-axis of Fig. 11-13),
-and per-stream bubble accounting.
+A restore runs on two resources: the IO stream moves stored state to the
+GPU, and the compute stream projects hidden states into K/V or replays
+token-recomputed layers (Fig. 5/8).  :func:`two_stream_timing` walks a
+partition scheme over the two streams under a hardware profile:
+
+- the recompute prefix runs first on the compute stream (it starts from
+  the embedding, §4.1.2);
+- the hidden-state reads run back to back on the IO stream from time
+  zero, so they prefetch under the prefix;
+- each projection starts once its own read has landed and the compute
+  stream is free;
+- the KV reads follow the hidden reads, filling the IO time left while
+  the projections drain (Fig. 8d).
+
+A stream's bubble is its idle time between its first start and the end
+of the restore.  The walk yields what the paper reports: makespan,
+restoration speed (restored tokens per second, the y-axis of Fig.
+11-13) and each stream's busy and bubble time.
 """
 
 from __future__ import annotations
@@ -12,20 +26,11 @@ from dataclasses import dataclass
 
 from repro.core.partition import PartitionScheme, TokenPartition
 from repro.core.profiler import HardwareProfile, build_storage_array, profile_platform
-from repro.core.scheduler import BubbleFreeScheduler, ScheduleDecision, layer_plans_for_scheme
 from repro.errors import ConfigError
 from repro.models.config import ModelConfig
 from repro.simulator.costs import full_layer_flops, kv_projection_flops
 from repro.simulator.gemm import kv_projection_time, round_up_tokens
 from repro.simulator.hardware import Platform
-from repro.simulator.pipeline import (
-    COMPUTE_STREAM,
-    IO_STREAM,
-    TokenwiseLayerPlan,
-    build_layerwise_schedule,
-    build_tokenwise_schedule,
-)
-from repro.simulator.streams import ScheduleResult
 from repro.storage.chunk import CHUNK_TOKENS
 
 
@@ -57,14 +62,44 @@ class RestorationTiming:
         return self.n_tokens / self.makespan
 
 
-def _timing_from_schedule(result: ScheduleResult, n_tokens: int) -> RestorationTiming:
+def two_stream_timing(scheme: PartitionScheme, profile: HardwareProfile) -> RestorationTiming:
+    """Time ``scheme``'s restoration of ``profile.n_tokens`` history tokens.
+
+    The *last* layer of a recompute prefix costs a projection, not a
+    full-layer forward: its K/V need only its input rows (the previous
+    layer's output — for layer 0 the embedding gather), never its own
+    attention or FFN, which is how :meth:`HCacheEngine.restore` runs it.
+    """
+    n_recompute = scheme.n_recompute
+    prefix = (
+        [profile.compute_token] * (n_recompute - 1) + [profile.compute_hidden]
+        if n_recompute
+        else []
+    )
+    io_work = [profile.io_hidden] * scheme.n_hidden + [profile.io_kv] * scheme.n_kv
+    compute_work = prefix + [profile.compute_hidden] * scheme.n_hidden
+
+    io_end = compute_end = 0.0
+    for seconds in prefix:
+        compute_end += seconds
+    for _ in range(scheme.n_hidden):
+        io_end += profile.io_hidden
+        compute_end = max(compute_end, io_end) + profile.compute_hidden
+    for _ in range(scheme.n_kv):
+        io_end += profile.io_kv
+
+    makespan = max(io_end, compute_end)
+    io_busy, compute_busy = sum(io_work), sum(compute_work)
+    # The IO stream starts at zero; the compute stream starts with the
+    # prefix or, without one, when the first hidden read lands.
+    compute_start = 0.0 if prefix else profile.io_hidden
     return RestorationTiming(
-        n_tokens=n_tokens,
-        makespan=result.makespan,
-        io_busy=result.busy_time(IO_STREAM),
-        compute_busy=result.busy_time(COMPUTE_STREAM),
-        io_bubble=result.bubble_time(IO_STREAM),
-        compute_bubble=result.bubble_time(COMPUTE_STREAM),
+        n_tokens=profile.n_tokens,
+        makespan=makespan,
+        io_busy=io_busy,
+        compute_busy=compute_busy,
+        io_bubble=makespan - io_busy if io_work else 0.0,
+        compute_bubble=(makespan - compute_start) - compute_busy if compute_work else 0.0,
     )
 
 
@@ -73,55 +108,34 @@ def scheme_timing(
     platform: Platform,
     n_tokens: int,
     scheme: PartitionScheme,
-    profile: HardwareProfile | None = None,
 ) -> RestorationTiming:
     """Evaluate a given partition scheme's restoration on a platform."""
     if scheme.n_layers != config.n_layers:
         raise ConfigError("scheme layer count mismatches the model")
-    prof = profile if profile is not None else profile_platform(config, platform, n_tokens)
-    result = build_layerwise_schedule(layer_plans_for_scheme(scheme, prof))
-    return _timing_from_schedule(result, n_tokens)
-
-
-def hcache_timing(
-    config: ModelConfig,
-    platform: Platform,
-    n_tokens: int,
-) -> tuple[RestorationTiming, ScheduleDecision]:
-    """Profile, schedule, and time a full HCache restoration."""
-    profile = profile_platform(config, platform, n_tokens)
-    decision = BubbleFreeScheduler(config.n_layers).schedule(profile)
-    timing = scheme_timing(config, platform, n_tokens, decision.scheme, profile)
-    return timing, decision
-
-
-def hcache_only_timing(
-    config: ModelConfig, platform: Platform, n_tokens: int
-) -> RestorationTiming:
-    """The HCache-O ablation variant: all layers from hidden states."""
-    scheme = PartitionScheme.pure_hcache(config.n_layers)
-    return scheme_timing(config, platform, n_tokens, scheme)
+    return two_stream_timing(scheme, profile_platform(config, platform, n_tokens))
 
 
 def tokenwise_timing(
     config: ModelConfig,
     platform: Platform,
     partition: TokenPartition,
-    complement: str = "recompute",
     round_up: bool = False,
 ) -> RestorationTiming:
     """Evaluate a token-wise partition (Fig. 13 ablation).
 
     Every layer restores the hidden shard by transmission + projection and
-    the complementary shard either by token recomputation (the paper's
-    Fig. 13 configuration: "794 tokens via hidden states, 230 via token
-    recomputation") or by KV transfer.  With ``round_up`` the hidden shard
-    is issued at the next tile boundary (the "Token-Wise + Round" variant);
-    without it, the irregular GEMM pays the tile padding implicitly — the
-    cuBLAS effect the paper measured.
+    the complementary shard by token recomputation (the paper's Fig. 13
+    configuration: "794 tokens via hidden states, 230 via token
+    recomputation").  With ``round_up`` the hidden shard is issued at the
+    next tile boundary (the "Token-Wise + Round" variant); without it, the
+    irregular GEMM pays the tile padding implicitly — the cuBLAS effect
+    the paper measured.
+
+    Each layer's read carries the hidden shard and its compute carries
+    the shard's projection plus the recompute, so the restore walks the
+    two streams exactly as an all-hidden layer-wise scheme with those
+    per-layer costs does (Fig. 8c).
     """
-    if complement not in ("recompute", "kv"):
-        raise ConfigError(f"unknown token-wise complement {complement!r}")
     n_h, n_o = partition.n_hidden_tokens, partition.n_other_tokens
     if partition.total_tokens == 0:
         raise ConfigError("token partition covers no tokens")
@@ -138,19 +152,18 @@ def tokenwise_timing(
             projected, config.hidden_size, config.kv_size, platform
         ).seconds
     if n_o:
-        if complement == "kv":
-            io_time += array.read_time(
-                n_o * config.kv_bytes_per_token_layer, 2 * chunk_bytes
-            )
-        else:
-            compute_time += full_layer_flops(config, n_o) / (
-                platform.total_flops * platform.prefill_efficiency
-            )
-    plans = [
-        TokenwiseLayerPlan(layer, io_time, compute_time) for layer in range(config.n_layers)
-    ]
-    result = build_tokenwise_schedule(plans)
-    return _timing_from_schedule(result, partition.total_tokens)
+        compute_time += full_layer_flops(config, n_o) / (
+            platform.total_flops * platform.prefill_efficiency
+        )
+    per_layer = HardwareProfile(
+        model=config.name,
+        n_tokens=partition.total_tokens,
+        io_hidden=io_time,
+        io_kv=0.0,
+        compute_hidden=compute_time,
+        compute_token=0.0,
+    )
+    return two_stream_timing(PartitionScheme.pure_hcache(config.n_layers), per_layer)
 
 
 def naive_tokenwise_split(
@@ -185,38 +198,3 @@ def naive_tokenwise_split(
         if cost < best_cost - 1e-15:
             best_n, best_cost = n_h, cost
     return TokenPartition(best_n, n_tokens - best_n)
-
-
-def best_tokenwise_partition(
-    config: ModelConfig,
-    platform: Platform,
-    n_tokens: int,
-    step: int = 1,
-    complement: str = "auto",
-    round_up: bool = False,
-) -> tuple[RestorationTiming, TokenPartition]:
-    """Search token splits for the best token-wise restoration time.
-
-    Mirrors what a token-wise scheduler would do: balance the per-layer IO
-    and compute by moving tokens between the HCache shard and the
-    complementary shard.  ``complement="auto"`` tries both recomputation
-    and KV transfer and keeps the faster.
-    """
-    if n_tokens <= 0:
-        raise ConfigError("n_tokens must be positive")
-    complements = ("recompute", "kv") if complement == "auto" else (complement,)
-    best: tuple[RestorationTiming, TokenPartition] | None = None
-    for comp in complements:
-        for n_h in range(0, n_tokens + 1, max(1, step)):
-            if round_up and n_h not in (0, n_tokens):
-                aligned = round_up_tokens(n_h)
-                if aligned > n_tokens or aligned != n_h:
-                    continue
-            partition = TokenPartition(n_h, n_tokens - n_h)
-            timing = tokenwise_timing(
-                config, platform, partition, complement=comp, round_up=round_up
-            )
-            if best is None or timing.makespan < best[0].makespan - 1e-12:
-                best = (timing, partition)
-    assert best is not None
-    return best

@@ -19,9 +19,10 @@ method (``L_O``), so that the compute and IO streams finish together:
 Both forms solve ``argmin max(stream finish times)`` subject to
 ``L_H + L_O = N`` — the min-max program stated in §4.1.2.  The module also
 provides an exhaustive search over partitions, used by the ablation bench
-and the test suite to confirm the closed form's optimality on the actual
-pipeline model (which adds chunk granularity and GEMM quantization the
-closed form ignores).
+and the test suite to confirm the closed form's optimality on the
+two-stream timing model (which adds chunk granularity and GEMM
+quantization the closed form ignores).  :func:`hcache_timing` profiles,
+schedules and times one restoration end to end.
 """
 
 from __future__ import annotations
@@ -30,13 +31,11 @@ import math
 from dataclasses import dataclass
 
 from repro.core.partition import PartitionScheme
-from repro.core.profiler import HardwareProfile
+from repro.core.profiler import HardwareProfile, profile_platform
+from repro.core.restoration import RestorationTiming, two_stream_timing
 from repro.errors import SchedulingError
-from repro.simulator.pipeline import (
-    LayerMethod,
-    LayerPlan,
-    build_layerwise_schedule,
-)
+from repro.models.config import ModelConfig
+from repro.simulator.hardware import Platform
 
 
 @dataclass(frozen=True)
@@ -61,33 +60,6 @@ class ScheduleDecision:
             f"(makespan {self.predicted_makespan * 1e3:.2f} ms, "
             f"bubble {self.predicted_bubble_fraction * 100:.1f}%)"
         )
-
-
-def layer_plans_for_scheme(scheme: PartitionScheme, profile: HardwareProfile) -> list[LayerPlan]:
-    """Expand a partition scheme into per-layer pipeline tasks.
-
-    The *last* layer of a RECOMPUTE prefix costs a projection, not a
-    full-layer forward: its K/V need only its input rows (the previous
-    layer's output — for layer 0 the embedding gather), never its own
-    attention or FFN, which is how :meth:`HCacheEngine.restore` runs it.
-    """
-    plans: list[LayerPlan] = []
-    last_recompute = scheme.n_recompute - 1
-    for layer, method in enumerate(scheme.methods):
-        if method is LayerMethod.HIDDEN:
-            plans.append(LayerPlan(layer, method, profile.io_hidden, profile.compute_hidden))
-        elif method is LayerMethod.KV:
-            plans.append(LayerPlan(layer, method, profile.io_kv, 0.0))
-        elif layer == last_recompute:
-            plans.append(LayerPlan(layer, method, 0.0, profile.compute_hidden))
-        else:
-            plans.append(LayerPlan(layer, method, 0.0, profile.compute_token))
-    return plans
-
-
-def evaluate_scheme(scheme: PartitionScheme, profile: HardwareProfile) -> float:
-    """Pipeline makespan of ``scheme`` under ``profile`` (seconds)."""
-    return build_layerwise_schedule(layer_plans_for_scheme(scheme, profile)).makespan
 
 
 class BubbleFreeScheduler:
@@ -119,8 +91,8 @@ class BubbleFreeScheduler:
         local refinement step checks the closed form's integer neighbours
         — plus the two pure endpoints, so extreme profiles where mixing
         never pays (e.g. hidden compute dwarfing the KV transfer it
-        saves) fall back to the better pure scheme — on the full pipeline
-        model and keeps the best, mirroring how the real system would
+        saves) fall back to the better pure scheme — on the two-stream
+        timing model and keeps the best, mirroring how the real system would
         re-profile around the analytic answer.
 
         The *other* regime's pure endpoint is also evaluated: on a
@@ -148,14 +120,7 @@ class BubbleFreeScheduler:
             schemes.append(PartitionScheme.with_recompute_prefix(self.n_layers, self.n_layers))
         else:
             schemes.append(PartitionScheme.with_kv_suffix(self.n_layers, self.n_layers))
-        best_scheme: PartitionScheme | None = None
-        best_makespan = math.inf
-        for scheme in schemes:
-            makespan = evaluate_scheme(scheme, profile)
-            if makespan < best_makespan - 1e-12:
-                best_scheme, best_makespan = scheme, makespan
-        assert best_scheme is not None
-        return self._decision(best_scheme, profile, best_makespan)
+        return self._best(schemes, profile)
 
     def _scheme_for(self, profile: HardwareProfile, l_h: int) -> PartitionScheme:
         l_o = self.n_layers - l_h
@@ -163,16 +128,23 @@ class BubbleFreeScheduler:
             return PartitionScheme.with_kv_suffix(self.n_layers, l_o)
         return PartitionScheme.with_recompute_prefix(self.n_layers, l_o)
 
-    def _decision(
-        self, scheme: PartitionScheme, profile: HardwareProfile, makespan: float
-    ) -> ScheduleDecision:
-        result = build_layerwise_schedule(layer_plans_for_scheme(scheme, profile))
-        bottleneck = "compute" if profile.compute_bound else "io"
+    @staticmethod
+    def _best(schemes: list[PartitionScheme], profile: HardwareProfile) -> ScheduleDecision:
+        """Time every candidate once and decide on the fastest (the first
+        of any that tie within 1e-12 s)."""
+        best: tuple[RestorationTiming, PartitionScheme] | None = None
+        for scheme in schemes:
+            timing = two_stream_timing(scheme, profile)
+            if best is None or timing.makespan < best[0].makespan - 1e-12:
+                best = (timing, scheme)
+        assert best is not None
+        timing, scheme = best
+        bubble = timing.compute_bubble if profile.compute_bound else timing.io_bubble
         return ScheduleDecision(
             scheme=scheme,
             profile=profile,
-            predicted_makespan=makespan,
-            predicted_bubble_fraction=result.bubble_fraction(bottleneck),
+            predicted_makespan=timing.makespan,
+            predicted_bubble_fraction=bubble / timing.makespan if timing.makespan > 0 else 0.0,
         )
 
     # -- exhaustive verification --------------------------------------
@@ -188,15 +160,21 @@ class BubbleFreeScheduler:
         the token log — the start-up read saved at no compute) is left
         to the mixed prefix + KV-suffix follow-up, not searched alone.
         """
-        best: tuple[float, PartitionScheme] | None = None
+        schemes = []
         for l_h in range(self.n_layers + 1):
             l_o = self.n_layers - l_h
-            schemes = [PartitionScheme.with_kv_suffix(self.n_layers, l_o)]
+            schemes.append(PartitionScheme.with_kv_suffix(self.n_layers, l_o))
             if not (profile.compute_bound and l_o == 1):
                 schemes.append(PartitionScheme.with_recompute_prefix(self.n_layers, l_o))
-            for scheme in schemes:
-                makespan = evaluate_scheme(scheme, profile)
-                if best is None or makespan < best[0] - 1e-12:
-                    best = (makespan, scheme)
-        assert best is not None
-        return self._decision(best[1], profile, best[0])
+        return self._best(schemes, profile)
+
+
+def hcache_timing(
+    config: ModelConfig,
+    platform: Platform,
+    n_tokens: int,
+) -> tuple[RestorationTiming, ScheduleDecision]:
+    """Profile, schedule, and time a full HCache restoration."""
+    profile = profile_platform(config, platform, n_tokens)
+    decision = BubbleFreeScheduler(config.n_layers).schedule(profile)
+    return two_stream_timing(decision.scheme, profile), decision

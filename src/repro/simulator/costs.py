@@ -15,8 +15,8 @@ least 6x, growing with context length because the quadratic attention term
 disappears (§3.2 "Comparison").
 
 These closed forms feed the bubble-free scheduler's offline profile and the
-first-order analysis benchmarks (Fig. 1); the event-driven pipeline in
-:mod:`repro.simulator.pipeline` layers chunked IO, GEMM quantization, and
+first-order analysis benchmarks (Fig. 1); the two-stream timing in
+:mod:`repro.core.restoration` layers chunked IO, GEMM quantization, and
 per-layer synchronization on top of them.
 """
 
@@ -26,7 +26,6 @@ from dataclasses import dataclass
 
 from repro.errors import ConfigError
 from repro.models.config import ModelConfig
-from repro.simulator.gemm import kv_projection_time
 from repro.simulator.hardware import Platform
 
 
@@ -78,70 +77,11 @@ def full_layer_flops(config: ModelConfig, n_tokens: int) -> float:
 
 
 @dataclass(frozen=True)
-class LayerCosts:
-    """Per-layer restoration costs for a given context length (seconds).
-
-    This is exactly the profile the bubble-free scheduler consumes
-    (§4.1.2): ``io_hidden``/``io_kv`` are transmission times and
-    ``compute_hidden``/``compute_token`` are recomputation times, all for a
-    single layer over the full history.
-    """
-
-    n_tokens: int
-    io_hidden: float
-    io_kv: float
-    compute_hidden: float
-    compute_token: float
-
-    @property
-    def hcache_layer_time(self) -> float:
-        """Pipelined per-layer HCache time: ``max(IO_hidden, C_hidden)``."""
-        return max(self.io_hidden, self.compute_hidden)
-
-    @property
-    def compute_bound(self) -> bool:
-        """True when the KV projection dominates the hidden transmission."""
-        return self.compute_hidden > self.io_hidden
-
-
-def layer_costs(
-    config: ModelConfig,
-    platform: Platform,
-    n_tokens: int,
-    use_gemm_model: bool = True,
-) -> LayerCosts:
-    """Profile one layer's restoration costs on a platform.
-
-    With ``use_gemm_model`` (the default), compute terms go through the
-    tile-quantized GEMM model; otherwise the pure §3.2 closed forms with the
-    platform's prefill efficiency are used (useful for the analytic
-    benchmarks that mirror the paper's formulas verbatim).
-    """
-    if n_tokens <= 0:
-        raise ConfigError("n_tokens must be positive")
-    bw = platform.storage_read_bandwidth
-    io_hidden = hidden_bytes(config, n_tokens, 1) / bw
-    io_kv = kv_bytes(config, n_tokens, 1) / bw
-    if use_gemm_model:
-        compute_hidden = kv_projection_time(
-            n_tokens, config.hidden_size, config.kv_size, platform
-        ).seconds
-    else:
-        compute_hidden = kv_projection_flops(config, n_tokens) / (
-            platform.total_flops * platform.gemm_eff
-        )
-    compute_token = full_layer_flops(config, n_tokens) / (
-        platform.total_flops * platform.prefill_efficiency
-    )
-    return LayerCosts(n_tokens, io_hidden, io_kv, compute_hidden, compute_token)
-
-
-@dataclass(frozen=True)
 class RestorationEstimate:
     """First-order full-model restoration estimates (no pipelining detail).
 
     All times in seconds; these reproduce the paper's Fig. 1 resource
-    comparison and bound the event-driven results.
+    comparison and bound the two-stream results.
     """
 
     n_tokens: int
@@ -166,13 +106,23 @@ def estimate_restoration(
     HCache is the per-layer max of IO and compute (perfect pipeline), KV
     offload is pure transmission, recomputation is a full prefill's compute.
     """
-    costs = layer_costs(config, platform, n_tokens, use_gemm_model=False)
+    if n_tokens <= 0:
+        raise ConfigError("n_tokens must be positive")
+    bw = platform.storage_read_bandwidth
+    io_hidden = hidden_bytes(config, n_tokens, 1) / bw
+    io_kv = kv_bytes(config, n_tokens, 1) / bw
+    compute_hidden = kv_projection_flops(config, n_tokens) / (
+        platform.total_flops * platform.gemm_eff
+    )
+    compute_token = full_layer_flops(config, n_tokens) / (
+        platform.total_flops * platform.prefill_efficiency
+    )
     n = config.n_layers
     return RestorationEstimate(
         n_tokens=n_tokens,
-        hcache=n * costs.hcache_layer_time,
-        kv_offload=n * costs.io_kv,
-        recompute=n * costs.compute_token,
+        hcache=n * max(io_hidden, compute_hidden),
+        kv_offload=n * io_kv,
+        recompute=n * compute_token,
     )
 
 

@@ -79,29 +79,6 @@ class GemmTiming:
     seconds: float
 
 
-def gemm_time(
-    n_tokens: int,
-    in_features: int,
-    out_features: int,
-    platform: Platform,
-    tile: int = DEFAULT_TILE,
-) -> GemmTiming:
-    """Model the execution of an ``(n_tokens x in) @ (in x out)`` GEMM.
-
-    A multiply-add counts as 2 FLOPs (paper §3.2, footnote 1).  The token
-    dimension is padded to the tile boundary, reproducing the step curve of
-    Fig. 13b, and the launch overhead is included so that zero-token calls
-    are not free.
-    """
-    if in_features <= 0 or out_features <= 0:
-        raise ConfigError("GEMM features must be positive")
-    padded = round_up_tokens(n_tokens, tile)
-    flops = 2.0 * padded * in_features * out_features
-    mfu = gemm_mfu(padded, platform)
-    seconds = platform.kernel_overhead + flops / (platform.total_flops * mfu)
-    return GemmTiming(n_tokens, padded, flops, mfu, seconds)
-
-
 def kv_projection_time(
     n_tokens: int,
     hidden_size: int,

@@ -34,49 +34,25 @@ class SnapshotOutcome:
 class FlushDaemon:
     """Work-conserving background flusher with a bounded staging buffer.
 
-    **Crash-loss window.**  Bytes become crash-safe only once they are
-    both flushed to the device *and* covered by an fsync barrier, which
-    the daemon issues every ``fsync_interval`` simulated seconds.  A crash
-    at time *t* therefore loses at most the staging backlog (accepted but
-    not yet flushed) plus up to ``fsync_interval`` seconds' worth of
-    flushed-but-unsynced bytes — observable as :attr:`unsynced_bytes`,
-    with :meth:`unsynced_backlog_age` bounding how stale the oldest
-    unsynced byte is.  Shrinking ``fsync_interval`` tightens the token-loss
-    bound at the cost of more barrier operations.  Barriers are evaluated
-    at event granularity: the daemon only acts inside :meth:`advance` /
-    :meth:`snapshot` calls, so a barrier "due" between two events is
-    issued at the next event, exactly like the metadata journal's
-    ``fsync_every`` batching.
+    Models only what the saving ablation (Fig. 14) reads: the staging
+    backlog, its drain at the write bandwidth, and the stall a snapshot
+    pays when the buffer would overflow.  Durability is not modelled
+    here; the real save path's loss window is the journal's
+    ``fsync_every`` batching plus ``StorageManager.seal_context``.
     """
 
-    def __init__(
-        self,
-        write_bandwidth: float,
-        staging_bytes: int = 4 * 1024**3,
-        n_threads: int = 8,
-        fsync_interval: float = 0.05,
-    ) -> None:
+    def __init__(self, write_bandwidth: float, staging_bytes: int = 4 * 1024**3) -> None:
         if write_bandwidth <= 0:
             raise ConfigError("daemon write bandwidth must be positive")
         if staging_bytes <= 0:
             raise ConfigError("staging buffer must be positive")
-        if n_threads <= 0:
-            raise ConfigError("daemon needs at least one thread")
-        if fsync_interval <= 0:
-            raise ConfigError("fsync interval must be positive")
         self.write_bandwidth = float(write_bandwidth)
         self.staging_bytes = int(staging_bytes)
-        self.n_threads = n_threads
-        self.fsync_interval = float(fsync_interval)
         self._lock = threading.Lock()
         self._backlog = 0.0  # guarded-by: _lock
         self._last_time = 0.0  # guarded-by: _lock
         self._total_flushed = 0.0  # guarded-by: _lock
         self._total_stall = 0.0  # guarded-by: _lock
-        self._total_accepted = 0.0  # guarded-by: _lock
-        self._durable_bytes = 0.0  # guarded-by: _lock
-        self._last_fsync = 0.0  # guarded-by: _lock
-        self._oldest_unsynced_at: float | None = None  # guarded-by: _lock
 
     @property
     def backlog_bytes(self) -> int:
@@ -93,35 +69,6 @@ class FlushDaemon:
         with self._lock:
             return self._total_stall
 
-    @property
-    def unsynced_bytes(self) -> int:
-        """Accepted bytes not yet covered by an fsync barrier.
-
-        The crash-loss bound in bytes: the staging backlog plus whatever
-        was flushed since the last barrier.
-        """
-        with self._lock:
-            return int(self._total_accepted - self._durable_bytes)
-
-    @property
-    def last_fsync_time(self) -> float:
-        """Simulation time of the most recent fsync barrier."""
-        with self._lock:
-            return self._last_fsync
-
-    def unsynced_backlog_age(self, now: float) -> float:
-        """Seconds the *oldest* unsynced byte has been waiting at ``now``.
-
-        0 when everything accepted so far is durable.  Under steady load
-        this hovers around ``fsync_interval`` plus the flush delay; a
-        growing age means barriers (or flushes) are falling behind and
-        the crash-loss window is widening.
-        """
-        with self._lock:
-            if self._oldest_unsynced_at is None:
-                return 0.0
-            return max(0.0, now - self._oldest_unsynced_at)
-
     def _advance_locked(self, now: float) -> None:  # holds: _lock
         if now < self._last_time - 1e-12:
             raise SimulationError("daemon time moved backwards")
@@ -130,22 +77,9 @@ class FlushDaemon:
         self._backlog -= drained
         self._total_flushed += drained
         self._last_time = max(self._last_time, now)
-        if self._last_time - self._last_fsync >= self.fsync_interval:
-            self._durable_bytes = self._total_flushed
-            self._last_fsync = self._last_time
-            if int(self._total_accepted - self._durable_bytes) == 0:
-                self._oldest_unsynced_at = None
-            else:
-                # The backlog bytes still pending arrived no earlier than
-                # the previous event; age restarts from this barrier.
-                self._oldest_unsynced_at = self._last_time
 
     def advance(self, now: float) -> None:
-        """Drain the backlog up to simulation time ``now``.
-
-        Also issues the periodic fsync barrier when one has come due:
-        everything flushed by then becomes durable.
-        """
+        """Drain the backlog up to simulation time ``now``."""
         with self._lock:
             self._advance_locked(now)
 
@@ -169,9 +103,6 @@ class FlushDaemon:
                 self._advance_locked(now + stall)
             self._backlog += nbytes
             self._total_stall += stall
-            self._total_accepted += nbytes
-            if nbytes > 0 and self._oldest_unsynced_at is None:
-                self._oldest_unsynced_at = now
             return SnapshotOutcome(
                 stall_seconds=stall, backlog_bytes=int(self._backlog)
             )

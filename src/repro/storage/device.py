@@ -59,9 +59,8 @@ class LatencyEmulator:
     sleep is long enough for the OS timer to honour it.
 
     One emulator is shared by every device of an array.  That matches how
-    the restoration timing model (:mod:`repro.simulator.pipeline`,
-    :mod:`repro.core.restoration`) charges all chunk reads to one serial
-    IO stream:
+    the restoration timing model (:mod:`repro.core.restoration`) charges
+    all chunk reads to one serial IO stream:
     ``charge`` is thread-safe, and the sleeps themselves serialize on a
     dedicated lock, so even when several IO workers charge concurrently,
     emulated IO wall clock accumulates like the one serial stream the

@@ -234,8 +234,7 @@ class ManifestJournal:
             :class:`~repro.storage.manager.StorageManager`'s lifetime.
         fsync_every: Records between ``fsync`` barriers.  1 (the default)
             makes every record durable before ``append`` returns; larger
-            values trade a bounded loss window for fewer syncs, the same
-            knob :class:`repro.storage.daemon.FlushDaemon` models in time.
+            values trade a bounded loss window for fewer syncs.
     """
 
     SNAPSHOT_NAME = "manifest.snapshot"

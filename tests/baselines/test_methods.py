@@ -109,14 +109,6 @@ class TestHCacheMethod:
         )
         assert ratio > 2.0
 
-    def test_fixed_scheme_honoured(self, seven_b, default_platform):
-        scheme = PartitionScheme.pure_kv(seven_b.n_layers)
-        method = HCacheMethod(seven_b, default_platform, scheme=scheme)
-        kv = KVOffloadMethod(seven_b, default_platform)
-        assert method.restoration_timing(1024).makespan == pytest.approx(
-            kv.restoration_timing(1024).makespan, rel=0.1
-        )
-
     def test_decision_cached(self, seven_b, default_platform):
         method = HCacheMethod(seven_b, default_platform)
         a = method.decision_for(1024)

@@ -72,16 +72,3 @@ class TestReplay:
     def test_empty_pool_rejected(self, cache_sim, seven_b, default_platform):
         with pytest.raises(ConfigError):
             cache_sim.replay([], HCacheMethod(seven_b, default_platform), 10, None)
-
-
-class TestSweep:
-    def test_sweep_shape(self, cache_sim, contexts, seven_b, default_platform):
-        methods = {
-            "hcache": HCacheMethod(seven_b, default_platform),
-            "kv-offload": KVOffloadMethod(seven_b, default_platform),
-        }
-        results = cache_sim.sweep_skew(
-            contexts, methods, alphas=(None, 1.6), n_requests=300, seed=4
-        )
-        assert len(results) == 4
-        assert {r.method for r in results} == {"hcache", "kv-offload"}

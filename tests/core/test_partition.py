@@ -4,9 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.partition import PartitionScheme, TokenPartition
+from repro.core.partition import LayerMethod, PartitionScheme, TokenPartition
 from repro.errors import ConfigError, SchedulingError
-from repro.simulator.pipeline import LayerMethod
 
 
 class TestConstruction:

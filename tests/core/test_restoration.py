@@ -5,14 +5,8 @@ from __future__ import annotations
 import pytest
 
 from repro.core.partition import PartitionScheme, TokenPartition
-from repro.core.restoration import (
-    best_tokenwise_partition,
-    hcache_only_timing,
-    hcache_timing,
-    naive_tokenwise_split,
-    scheme_timing,
-    tokenwise_timing,
-)
+from repro.core.restoration import naive_tokenwise_split, scheme_timing, tokenwise_timing
+from repro.core.scheduler import hcache_timing
 from repro.errors import ConfigError
 from repro.simulator.hardware import platform_preset
 
@@ -49,14 +43,16 @@ class TestHCacheTiming:
         1.35-1.64x on skewed hardware."""
         platform = platform_preset("compute-sufficient")
         scheduled, _ = hcache_timing(seven_b, platform, 1024)
-        only = hcache_only_timing(seven_b, platform, 1024)
+        only = scheme_timing(seven_b, platform, 1024, PartitionScheme.pure_hcache(32))
         ratio = only.makespan / scheduled.makespan
         assert 1.2 < ratio < 2.0
 
     def test_balanced_platform_no_gain(self, seven_b, default_platform):
         """On balanced hardware HCache-O is already near bubble-free."""
         scheduled, _ = hcache_timing(seven_b, default_platform, 1024)
-        only = hcache_only_timing(seven_b, default_platform, 1024)
+        only = scheme_timing(
+            seven_b, default_platform, 1024, PartitionScheme.pure_hcache(32)
+        )
         assert only.makespan / scheduled.makespan < 1.15
 
     def test_decision_scheme_consistency(self, thirteen_b, default_platform):
@@ -70,9 +66,8 @@ class TestTokenwise:
         """Fig. 13a: token-wise partition is ~12% slower; layer-wise wins."""
         platform = platform_preset("compute-sufficient")
         layer_timing, _ = hcache_timing(thirteen_b, platform, 1024)
-        token_timing, _ = best_tokenwise_partition(
-            thirteen_b, platform, 1024, step=64
-        )
+        split = naive_tokenwise_split(thirteen_b, platform, 1024)
+        token_timing = tokenwise_timing(thirteen_b, platform, split)
         assert layer_timing.makespan < token_timing.makespan
 
     def test_round_up_improves_tokenwise(self, thirteen_b):
@@ -83,13 +78,12 @@ class TestTokenwise:
 
         platform = platform_preset("compute-sufficient")
         split = naive_tokenwise_split(thirteen_b, platform, 1024)
-        naive = tokenwise_timing(thirteen_b, platform, split, complement="recompute")
+        naive = tokenwise_timing(thirteen_b, platform, split)
         aligned = max(0, min(round_up_tokens(split.n_hidden_tokens) - 128, 1024))
         rounded = tokenwise_timing(
             thirteen_b,
             platform,
             TokenPartition(aligned, 1024 - aligned),
-            complement="recompute",
             round_up=True,
         )
         layer, _ = hcache_timing(thirteen_b, platform, 1024)
@@ -103,22 +97,6 @@ class TestTokenwise:
         assert 0 < split.n_hidden_tokens < 1024
         assert split.n_hidden_tokens % 128 != 0
 
-    def test_tokenwise_kv_complement_supported(self, thirteen_b, default_platform):
-        from repro.core.partition import TokenPartition
-
-        timing = tokenwise_timing(
-            thirteen_b, default_platform, TokenPartition(512, 512), complement="kv"
-        )
-        assert timing.makespan > 0
-
-    def test_tokenwise_unknown_complement_rejected(self, thirteen_b, default_platform):
-        from repro.core.partition import TokenPartition
-
-        with pytest.raises(ConfigError):
-            tokenwise_timing(
-                thirteen_b, default_platform, TokenPartition(512, 512), complement="magic"
-            )
-
     def test_empty_partition_rejected(self, thirteen_b, default_platform):
         with pytest.raises(ConfigError):
             tokenwise_timing(thirteen_b, default_platform, TokenPartition(0, 0))
@@ -131,7 +109,7 @@ class TestTokenwise:
 
     def test_zero_tokens_rejected_in_search(self, thirteen_b, default_platform):
         with pytest.raises(ConfigError):
-            best_tokenwise_partition(thirteen_b, default_platform, 0)
+            naive_tokenwise_split(thirteen_b, default_platform, 0)
 
 
 class TestScaling:

@@ -31,7 +31,7 @@ import numpy as np
 import pytest
 
 from repro.core.hcache import HCacheEngine
-from repro.core.partition import PartitionScheme
+from repro.core.partition import LayerMethod, PartitionScheme
 from repro.core.profiler import build_storage_array
 from repro.errors import ConfigError
 from repro.models.config import model_preset
@@ -41,7 +41,6 @@ from repro.models.transformer import Transformer
 from repro.runtime import RestoreExecutor
 from repro.runtime import RestoreProgress
 from repro.simulator import platform_preset
-from repro.simulator.pipeline import LayerMethod
 from repro.storage import ManifestJournal, StorageManager
 
 CHUNK_TOKENS = 8

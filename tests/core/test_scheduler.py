@@ -6,7 +6,8 @@ import pytest
 
 from repro.core.partition import PartitionScheme
 from repro.core.profiler import HardwareProfile, profile_platform
-from repro.core.scheduler import BubbleFreeScheduler, evaluate_scheme
+from repro.core.restoration import two_stream_timing
+from repro.core.scheduler import BubbleFreeScheduler
 from repro.errors import SchedulingError
 from repro.simulator.hardware import platform_preset
 
@@ -96,7 +97,7 @@ class TestOptimality:
             PartitionScheme.pure_kv(32),
             PartitionScheme.pure_recompute(32),
         ):
-            assert decision.predicted_makespan <= evaluate_scheme(pure, prof) + 1e-12
+            assert decision.predicted_makespan <= two_stream_timing(pure, prof).makespan + 1e-12
 
     def test_compute_bound_cheap_recompute_picks_pure_recompute(self):
         """Pinned: compute-bound platform with C_token < C_H (outside the
@@ -111,7 +112,10 @@ class TestOptimality:
         assert decision.scheme.n_recompute == 8
         assert decision.scheme.n_hidden == 0
         pure_recompute = PartitionScheme.pure_recompute(8)
-        assert decision.predicted_makespan <= evaluate_scheme(pure_recompute, prof) + 1e-12
+        assert (
+            decision.predicted_makespan
+            <= two_stream_timing(pure_recompute, prof).makespan + 1e-12
+        )
         # And it matches the exhaustive search, which always knew better.
         best = scheduler.schedule_by_search(prof)
         assert decision.predicted_makespan <= best.predicted_makespan + 1e-12

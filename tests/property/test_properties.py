@@ -1,7 +1,7 @@
 """Property-based tests (hypothesis) on core data structures and invariants.
 
 These generalize the unit tests: the losslessness of HCache restoration,
-storage round-trips, scheduler optimality, stream-schedule legality, LRU
+storage round-trips, scheduler optimality, two-stream timing bounds, LRU
 bounds, and allocator accounting must hold for *arbitrary* inputs, not just
 the hand-picked ones.
 """
@@ -11,21 +11,17 @@ from __future__ import annotations
 import itertools
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from repro.core.partition import PartitionScheme
+from repro.core.partition import LayerMethod, PartitionScheme
 from repro.core.profiler import HardwareProfile
-from repro.core.scheduler import (
-    BubbleFreeScheduler,
-    evaluate_scheme,
-    layer_plans_for_scheme,
-)
+from repro.core.restoration import two_stream_timing
+from repro.core.scheduler import BubbleFreeScheduler
 from repro.cache.lru import LRUCache
 from repro.models.config import ModelConfig
 from repro.models.transformer import Transformer
-from repro.simulator.pipeline import LayerMethod, LayerPlan, build_layerwise_schedule
-from repro.simulator.streams import StreamSchedule
 from repro.storage.allocator import ChunkAllocator
 from repro.storage.chunk import ChunkLayout
 
@@ -223,7 +219,7 @@ def test_scheduler_never_worse_than_pure_schemes(io_h, kv_ratio, c_h, c_tok_mult
         PartitionScheme.pure_kv(n_layers),
         PartitionScheme.pure_recompute(n_layers),
     ):
-        assert decision.predicted_makespan <= evaluate_scheme(pure, profile) * 1.02
+        assert decision.predicted_makespan <= two_stream_timing(pure, profile).makespan * 1.02
 
 
 @SETTINGS
@@ -273,65 +269,48 @@ def test_token_sourced_layer_0_is_priced_as_a_projection(
         compute_hidden=c_h,
         compute_token=c_h * c_tok_mult,
     )
-    stored = PartitionScheme.pure_hcache(n_layers)
-    sourced = PartitionScheme.with_recompute_prefix(n_layers, 1)
-    stored_plans = layer_plans_for_scheme(stored, profile)
-    sourced_plans = layer_plans_for_scheme(sourced, profile)
-    assert [p.compute_time for p in sourced_plans] == [p.compute_time for p in stored_plans]
-    assert [p.io_time for p in sourced_plans] == [0.0] + [
-        p.io_time for p in stored_plans[1:]
-    ]
-    assert evaluate_scheme(sourced, profile) <= evaluate_scheme(stored, profile)
+    stored = two_stream_timing(PartitionScheme.pure_hcache(n_layers), profile)
+    sourced = two_stream_timing(PartitionScheme.with_recompute_prefix(n_layers, 1), profile)
+    assert sourced.compute_busy == stored.compute_busy
+    assert sourced.io_busy == pytest.approx(stored.io_busy - io_h)
+    assert sourced.makespan <= stored.makespan
     # A longer prefix pays the full-layer forward for all but its last layer.
-    longer = layer_plans_for_scheme(PartitionScheme.with_recompute_prefix(n_layers, 2), profile)
-    assert [p.compute_time for p in longer[:2]] == [profile.compute_token, c_h]
+    longer = two_stream_timing(PartitionScheme.with_recompute_prefix(n_layers, 2), profile)
+    assert longer.compute_busy == pytest.approx(profile.compute_token + (n_layers - 1) * c_h)
     if not profile.compute_bound:
         decision = BubbleFreeScheduler(n_layers).schedule(profile)
         assert decision.scheme.methods[0] is LayerMethod.RECOMPUTE
 
 
 # ---------------------------------------------------------------------------
-# pipeline / stream invariants
+# two-stream timing invariants
 # ---------------------------------------------------------------------------
 
 
 @SETTINGS
 @given(
-    durations=st.lists(
-        st.tuples(st.floats(0.0, 5.0), st.floats(0.0, 5.0)), min_size=1, max_size=16
-    )
+    times=st.tuples(*[st.floats(0.0, 5.0)] * 4),
+    n_recompute=st.integers(0, 16),
+    n_kv=st.integers(0, 16),
+    n_hidden=st.integers(0, 16),
 )
-def test_layerwise_schedule_invariants(durations):
-    plans = [
-        LayerPlan(i, LayerMethod.HIDDEN, io, compute)
-        for i, (io, compute) in enumerate(durations)
-    ]
-    result = build_layerwise_schedule(plans)
-    result.validate()
-    total_io = sum(io for io, _ in durations)
-    total_compute = sum(c for _, c in durations)
-    assert result.makespan >= max(total_io, total_compute) - 1e-9
-    assert result.makespan <= total_io + total_compute + 1e-9
-
-
-@SETTINGS
-@given(
-    tasks=st.lists(
-        st.tuples(st.sampled_from(["a", "b", "c"]), st.floats(0.0, 3.0)),
-        min_size=1,
-        max_size=20,
+def test_two_stream_timing_invariants(times, n_recompute, n_kv, n_hidden):
+    """The makespan lies between the busier stream's work and the sum of
+    both streams' work, and neither stream's bubble is negative."""
+    if n_recompute + n_kv + n_hidden == 0:
+        n_hidden = 1
+    io_h, io_kv, c_h, c_tok = times
+    profile = HardwareProfile("prop", 1024, io_h, io_kv, c_h, c_tok)
+    scheme = PartitionScheme(
+        (LayerMethod.RECOMPUTE,) * n_recompute
+        + (LayerMethod.HIDDEN,) * n_hidden
+        + (LayerMethod.KV,) * n_kv
     )
-)
-def test_stream_schedule_always_legal(tasks):
-    sched = StreamSchedule()
-    previous = None
-    for i, (stream, duration) in enumerate(tasks):
-        deps = (previous,) if previous is not None and i % 3 == 0 else ()
-        previous = sched.submit(f"t{i}", stream, duration, deps=deps)
-    result = sched.run()
-    result.validate()
-    for stream in result.streams:
-        assert result.busy_time(stream) <= result.makespan + 1e-9
+    timing = two_stream_timing(scheme, profile)
+    assert timing.makespan >= max(timing.io_busy, timing.compute_busy) - 1e-9
+    assert timing.makespan <= timing.io_busy + timing.compute_busy + 1e-9
+    assert timing.io_bubble >= -1e-9
+    assert timing.compute_bubble >= -1e-9
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,6 @@ from repro.simulator.costs import (
     hidden_bytes,
     kv_bytes,
     kv_projection_flops,
-    layer_costs,
     prefill_time,
     theoretical_compute_speedup,
 )
@@ -77,32 +76,29 @@ class TestFlopCounts:
         assert theoretical_compute_speedup(opt_30b, n) == pytest.approx(6 + n / (4 * d))
 
 
-class TestLayerCosts:
-    def test_io_kv_twice_io_hidden(self, seven_b, default_platform):
-        costs = layer_costs(seven_b, default_platform, 1024)
-        assert costs.io_kv == pytest.approx(2 * costs.io_hidden)
-
-    def test_token_recompute_dominates_projection(self, seven_b, default_platform):
-        costs = layer_costs(seven_b, default_platform, 1024)
-        assert costs.compute_token > 5 * costs.compute_hidden
-
-    def test_hcache_layer_time_is_max(self, seven_b, default_platform):
-        costs = layer_costs(seven_b, default_platform, 1024)
-        assert costs.hcache_layer_time == max(costs.io_hidden, costs.compute_hidden)
-
+class TestRestorationEstimate:
     def test_rejects_zero_tokens(self, seven_b, default_platform):
         with pytest.raises(ConfigError):
-            layer_costs(seven_b, default_platform, 0)
+            estimate_restoration(seven_b, default_platform, 0)
 
-    def test_analytic_mode_uses_closed_form(self, seven_b, default_platform):
-        analytic = layer_costs(seven_b, default_platform, 1024, use_gemm_model=False)
-        expected = kv_projection_flops(seven_b, 1024) / (
+    def test_closed_forms_of_section_3_2(self, seven_b, default_platform):
+        """HCache is the per-layer max of hidden IO and the un-tiled
+        projection; KV offload moves twice the hidden bytes."""
+        n, bw = 1024, default_platform.storage_read_bandwidth
+        est = estimate_restoration(seven_b, default_platform, n)
+        io_hidden = hidden_bytes(seven_b, n, 1) / bw
+        compute_hidden = kv_projection_flops(seven_b, n) / (
             default_platform.total_flops * default_platform.gemm_eff
         )
-        assert analytic.compute_hidden == pytest.approx(expected)
+        layers = seven_b.n_layers
+        assert est.hcache == pytest.approx(layers * max(io_hidden, compute_hidden))
+        assert est.kv_offload == pytest.approx(2 * layers * io_hidden)
+        assert est.recompute == pytest.approx(
+            layers
+            * full_layer_flops(seven_b, n)
+            / (default_platform.total_flops * default_platform.prefill_efficiency)
+        )
 
-
-class TestRestorationEstimate:
     def test_hcache_fastest(self, seven_b, default_platform):
         est = estimate_restoration(seven_b, default_platform, 2048)
         assert est.hcache < est.kv_offload < est.recompute

@@ -8,7 +8,6 @@ from repro.errors import ConfigError
 from repro.simulator.gemm import (
     DEFAULT_TILE,
     gemm_mfu,
-    gemm_time,
     kv_projection_time,
     optimal_batch_tokens,
     round_up_tokens,
@@ -59,23 +58,19 @@ class TestMFU:
 class TestGemmTime:
     def test_step_function_within_tile(self, dram_platform):
         """Fig. 13b: GEMM time is flat between tile boundaries."""
-        a = gemm_time(769, 5120, 5120, dram_platform)
-        b = gemm_time(832, 5120, 5120, dram_platform)
+        a = kv_projection_time(769, 5120, 5120, dram_platform)
+        b = kv_projection_time(832, 5120, 5120, dram_platform)
         assert a.seconds == pytest.approx(b.seconds)
 
     def test_step_up_at_boundary(self, dram_platform):
-        below = gemm_time(768, 5120, 5120, dram_platform)
-        above = gemm_time(769, 5120, 5120, dram_platform)
+        below = kv_projection_time(768, 5120, 5120, dram_platform)
+        above = kv_projection_time(769, 5120, 5120, dram_platform)
         assert above.seconds > below.seconds
 
     def test_padded_tokens_recorded(self, dram_platform):
-        t = gemm_time(794, 5120, 5120, dram_platform)
+        t = kv_projection_time(794, 5120, 5120, dram_platform)
         assert t.padded_tokens == 896
         assert t.n_tokens == 794
-
-    def test_invalid_features_rejected(self, dram_platform):
-        with pytest.raises(ConfigError):
-            gemm_time(10, 0, 10, dram_platform)
 
     def test_projection_fig13b_magnitude(self, dram_platform):
         """A 1024-token 13B K/V projection on an A100 takes a few hundred
@@ -83,10 +78,9 @@ class TestGemmTime:
         t = kv_projection_time(1024, 5120, 5120, dram_platform)
         assert 250e-6 < t.seconds < 600e-6
 
-    def test_projection_doubles_gemm_flops(self, dram_platform):
-        proj = kv_projection_time(512, 4096, 4096, dram_platform)
-        single = gemm_time(512, 4096, 4096, dram_platform)
-        assert proj.flops == pytest.approx(2 * single.flops)
+    def test_projection_flops_are_two_padded_gemms(self, dram_platform):
+        proj = kv_projection_time(500, 4096, 4096, dram_platform)
+        assert proj.flops == pytest.approx(2 * 2.0 * 512 * 4096 * 4096)
 
     def test_h800_faster_than_a100(self, dram_platform):
         from repro.simulator import platform_preset

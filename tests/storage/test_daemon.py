@@ -68,48 +68,3 @@ class TestValidation:
             FlushDaemon(write_bandwidth=0)
         with pytest.raises(ConfigError):
             FlushDaemon(write_bandwidth=1e9, staging_bytes=0)
-        with pytest.raises(ConfigError):
-            FlushDaemon(write_bandwidth=1e9, n_threads=0)
-
-
-class TestFsyncWindow:
-    """The crash-loss window: staging backlog + one fsync interval."""
-
-    def test_unsynced_until_barrier(self):
-        daemon = FlushDaemon(write_bandwidth=1e9, fsync_interval=0.1)
-        daemon.snapshot(100_000_000, now=0.0)
-        assert daemon.unsynced_bytes == 100_000_000
-        daemon.advance(0.05)  # fully flushed, but no barrier due yet
-        assert daemon.backlog_bytes == pytest.approx(50_000_000, rel=0.01)
-        assert daemon.unsynced_bytes == 100_000_000
-        daemon.advance(0.2)  # barrier due: everything flushed is durable
-        assert daemon.unsynced_bytes == 0
-        assert daemon.last_fsync_time == 0.2
-
-    def test_backlog_age_tracks_oldest_byte(self):
-        daemon = FlushDaemon(write_bandwidth=1e9, fsync_interval=0.1)
-        assert daemon.unsynced_backlog_age(5.0) == 0.0
-        daemon.snapshot(1_000_000, now=1.0)
-        assert daemon.unsynced_backlog_age(1.25) == pytest.approx(0.25)
-        daemon.advance(2.0)  # flush + barrier
-        assert daemon.unsynced_backlog_age(2.0) == 0.0
-
-    def test_barrier_only_covers_flushed_bytes(self):
-        daemon = FlushDaemon(write_bandwidth=1e9, fsync_interval=0.1)
-        daemon.snapshot(1_000_000_000, now=0.0)
-        daemon.advance(0.5)  # barrier fires with half the backlog pending
-        assert daemon.unsynced_bytes == pytest.approx(500_000_000, rel=0.01)
-        assert daemon.unsynced_backlog_age(0.6) == pytest.approx(0.1)
-
-    def test_shorter_interval_tightens_window(self):
-        tight = FlushDaemon(write_bandwidth=1e9, fsync_interval=0.01)
-        loose = FlushDaemon(write_bandwidth=1e9, fsync_interval=10.0)
-        for daemon in (tight, loose):
-            daemon.snapshot(1_000_000, now=0.0)
-            daemon.advance(0.02)
-        assert tight.unsynced_bytes == 0
-        assert loose.unsynced_bytes == 1_000_000
-
-    def test_interval_validated(self):
-        with pytest.raises(ConfigError):
-            FlushDaemon(write_bandwidth=1e9, fsync_interval=0.0)
