@@ -36,7 +36,7 @@
 # failover, recovery and the front end's token streams
 # are tier-1 tests; speed is the serving benchmark's job.  The paper's
 # figure, table and ablation benches (benchmarks/bench_{fig,tab,abl}*.py,
-# about 20 s with timing disabled) run as their own step: they need the
+# about 8 s with timing disabled) run as their own step: they need the
 # pytest-benchmark plugin, which CI installs and requires like ruff and
 # mypy.
 set -euo pipefail
@@ -83,7 +83,7 @@ python scripts/check_docs.py
 
 # The crash-safety surfaces get their own named gate even though tier-1
 # already includes these files: a recovery regression should fail with
-# "crash-recovery smoke" in the log, not as one -x casualty among 900+
+# "crash-recovery smoke" in the log, not as one -x casualty among ~1.8k
 # tests, and this stays green even if the tier-1 invocation above is
 # ever narrowed.
 echo "== crash-recovery smoke (journal truncation property, crash-window recovery, kill-and-resume) =="

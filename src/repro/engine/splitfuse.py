@@ -1,11 +1,19 @@
 """SplitFuse chunked-prefill budgeting [Sarathi-Serve / DeepSpeed-FastGen].
 
-Each iteration carries at most ``budget`` tokens of forward work: one token
-per decoding sequence plus chunks of pending prefills.  Long prompts are
-split across iterations and fused with decoding so prefills do not stall
-token generation — the mechanism HCache's serving integration inherits from
-DeepSpeed-MII (§5, Request scheduling).  The budget defaults to a
-cuBLAS-optimized size, matching §4.1.1's mini-batch observation.
+Each iteration carries one token per decoding sequence plus chunks of
+pending prefills.  Long prompts are split across iterations and fused with
+decoding so prefills do not stall token generation — the mechanism HCache's
+serving integration inherits from DeepSpeed-MII (§5, Request scheduling).
+The budget defaults to a cuBLAS-optimized size, matching §4.1.1's
+mini-batch observation.
+
+The rule: a prompt whose remainder fits in the budget minus the prompt rows
+already planned this iteration takes the whole remainder now; any other
+prompt takes what the decode and prompt rows leave of the budget.  So the
+decode rows never cut a prompt into a last chunk of 1 to ``len(decoding)``
+rows, which would cost that request one more model call before its first
+token.  An iteration's prompt rows never exceed the budget, and the call
+exceeds it by at most its decode rows.
 """
 
 from __future__ import annotations
@@ -53,28 +61,35 @@ class SplitFuseScheduler:
         if budget_tokens <= 0:
             raise ConfigError("token budget must be positive")
         self.budget_tokens = optimal_batch_tokens(budget_tokens)
-        if self.budget_tokens <= 0:
-            self.budget_tokens = budget_tokens
 
     def plan(self, decoding: list[Request], prefilling: list[Request]) -> IterationPlan:
-        """Build one iteration: decodes first, then FCFS prefill chunks."""
+        """Build one iteration: decodes first, then FCFS prefill chunks.
+
+        A prompt whose remainder fits in ``budget_tokens`` minus the prompt
+        rows already planned finishes in this iteration; any other takes
+        ``budget_tokens - len(decoding) - prompt rows`` and leaves more
+        than ``len(decoding)`` rows.  Prompt rows stay within the budget;
+        the call exceeds it by at most ``len(decoding)``.
+        """
         for request in decoding:
             if request.phase is not Phase.DECODING:
                 raise ConfigError("decode list contains a non-decoding request")
         # Decoding tokens always fit: generation must not starve (§2.2).
-        # When the decode batch alone overflows the budget, prefills get
+        # When the decode batch alone fills the budget, prefills get
         # nothing this iteration.
         chunks: list[tuple[Request, int]] = []
-        remaining = max(0, self.budget_tokens - len(decoding))
+        prompt_rows = 0
         for request in prefilling:
             if request.phase is not Phase.PREFILLING:
                 raise ConfigError("prefill list contains a non-prefilling request")
-            if remaining <= 0:
+            room = self.budget_tokens - len(decoding) - prompt_rows
+            if room <= 0:
                 break
-            take = min(request.prefill_remaining, remaining)
+            need = request.prefill_remaining
+            take = need if need <= self.budget_tokens - prompt_rows else room
             if take > 0:
                 chunks.append((request, take))
-                remaining -= take
+                prompt_rows += take
         return IterationPlan(
             decode_requests=tuple(decoding), prefill_chunks=tuple(chunks)
         )

@@ -152,3 +152,84 @@ def test_any_script_yields_the_same_decisions(
 ):
     numeric, cost = both(engines, waves, budget_tokens, max_running, tiny_config.vocab_size)
     assert numeric == cost
+
+
+def serve_beside_a_decoder(engine, clock, prompts, outputs):
+    """Session ``a`` prefills and starts decoding; then ``b`` arrives with
+    a prompt the size of the budget.  Returns every step's stats and the
+    two handles."""
+    frontend = ServingFrontend(
+        engine,
+        MemoryBudget(capacity_tokens=4096),
+        scheduler=SplitFuseScheduler(8),
+        evict_on_finish=True,
+        clock=clock,
+    )
+
+    def submit(sid):
+        return frontend.submit(
+            ServingRequest(
+                session_id=sid,
+                prompt_tokens=prompts[sid],
+                max_new_tokens=outputs[sid],
+                arrival_time=0.0,
+            )
+        )
+
+    handles = {"a": submit("a")}
+    steps = [frontend.step()]
+    handles["b"] = submit("b")
+    steps.append(frontend.step())
+    first_tokens_b = len(handles["b"].tokens())
+    steps += frontend.run_until_idle(max_steps=100)
+    return steps, handles, first_tokens_b
+
+
+def test_budget_sized_prompt_beside_a_decoder_is_served_in_one_call(
+    engines, tiny_model, tiny_config, monkeypatch
+):
+    """An 8-token prompt planned next to one decode under an 8-token
+    budget is one 8-row chunk, not 7 + 1: its first token comes out of
+    the iteration that carries that chunk, in the same model call as the
+    decoder's token.  Both engines plan it the same way."""
+    rng = np.random.default_rng(33)
+    prompts = {
+        "a": rng.integers(0, tiny_config.vocab_size, size=3),
+        "b": rng.integers(0, tiny_config.vocab_size, size=8),
+    }
+    outputs = {"a": 6, "b": 3}
+    numeric, cost = engines(8)
+    fused_calls = []
+    forward_fused = tiny_model.forward_fused
+
+    def counted(*args, **kwargs):
+        fused_calls.append(args)
+        return forward_fused(*args, **kwargs)
+
+    monkeypatch.setattr(tiny_model, "forward_fused", counted)
+    steps, handles, first_tokens_b = serve_beside_a_decoder(
+        numeric, lambda: 0.0, prompts, outputs
+    )
+    monkeypatch.undo()
+
+    assert steps[1].prefill_chunks == (("b/r0", 8),)
+    assert steps[1].decode_sessions == ("a",)
+    assert first_tokens_b == 1
+    # a's prompt, then a's decode fused with b's whole prompt; every later
+    # iteration is decode-only.
+    assert len(fused_calls) == 2
+    assert all(s.model_calls <= 1 for s in steps)
+
+    serial, _ = engines(8)
+    for sid in prompts:
+        serial.open_session(sid)
+    for sid, handle in handles.items():
+        assert handle.result().tokens == tuple(
+            serial.chat_round(sid, prompts[sid], outputs[sid])
+        )
+
+    cost_steps, _, cost_first_tokens_b = serve_beside_a_decoder(
+        cost, cost.now, prompts, outputs
+    )
+    assert [s.prefill_chunks for s in cost_steps] == [s.prefill_chunks for s in steps]
+    assert cost_first_tokens_b == 1
