@@ -21,6 +21,9 @@ from repro.simulator.costs import prefill_time
 from repro.simulator.hardware import Platform
 from repro.storage.chunk import CHUNK_TOKENS
 
+#: Token granularity of the shard-size search.
+SEARCH_STEP = 16
+
 
 @dataclass(frozen=True)
 class HybridSplit:
@@ -40,11 +43,8 @@ class NaiveHybridMethod(RestorationMethod):
 
     name = "naive-hybrid"
 
-    def __init__(self, config: ModelConfig, platform: Platform, search_step: int = 16) -> None:
+    def __init__(self, config: ModelConfig, platform: Platform) -> None:
         super().__init__(config, platform)
-        if search_step <= 0:
-            raise ConfigError("search_step must be positive")
-        self.search_step = search_step
         self._array = build_storage_array(platform)
 
     def _offload_io(self, n_tokens: int) -> float:
@@ -59,7 +59,7 @@ class NaiveHybridMethod(RestorationMethod):
         if n_tokens <= 0:
             raise ConfigError("n_tokens must be positive")
         best: tuple[float, HybridSplit] | None = None
-        step = min(self.search_step, n_tokens)
+        step = min(SEARCH_STEP, n_tokens)
         candidates = set(range(0, n_tokens + 1, step)) | {n_tokens}
         for n_rec in sorted(candidates):
             split = HybridSplit(n_rec, n_tokens - n_rec)

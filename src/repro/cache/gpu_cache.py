@@ -49,14 +49,11 @@ class GPUCacheSimulator:
         config: ModelConfig,
         platform: Platform,
         capacity_tokens: int | None = None,
-        activation_reserve: float = 0.05,
     ) -> None:
         self.config = config
         self.platform = platform
         if capacity_tokens is None:
-            capacity_tokens = MemoryBudget.for_platform(
-                config, platform, activation_reserve
-            ).capacity_tokens
+            capacity_tokens = MemoryBudget.for_platform(config, platform).capacity_tokens
         self.capacity_tokens = capacity_tokens
 
     def replay(

@@ -30,6 +30,9 @@ from repro.simulator.hardware import Platform
 from repro.storage.manager import StorageManager
 from repro.storage.streaming import LayerChunk
 
+#: The run kind a layer method stores; RECOMPUTE layers store nothing.
+_STORED_KIND = {LayerMethod.HIDDEN: "hidden", LayerMethod.KV: "kv"}
+
 
 @dataclass(frozen=True)
 class _RestorePlan:
@@ -116,7 +119,13 @@ class HCacheEngine:
     # ------------------------------------------------------------------
 
     def register_context(self, context_id: str) -> None:
-        """Declare a new context before saving states for it."""
+        """Declare a new context before saving states for it.
+
+        Opens every run the scheme stores, so the journal names them
+        before the context's first token ids: a crash before any of its
+        rows reach a device then recovers it at zero tokens, rather than
+        as a token log no run can back.
+        """
         if context_id in self._contexts:
             raise StateError(f"context {context_id!r} already registered")
         self.storage.register_context(
@@ -126,6 +135,9 @@ class HCacheEngine:
             dtype=np.float32,
             kv_width=2 * self.transformer.config.kv_size,
         )
+        for layer, method in enumerate(self.scheme.methods):
+            if method in _STORED_KIND:
+                self.storage.open_run(context_id, layer, _STORED_KIND[method])
         self._contexts[context_id] = 0
 
     def has_context(self, context_id: str) -> bool:
@@ -270,15 +282,11 @@ class HCacheEngine:
                     f"{config.n_layers}x{config.hidden_size}"
                 )
             n_tokens = len(storage.token_log(context_id))
+            for layer, kind in storage.runs(context_id):
+                if _STORED_KIND.get(engine.scheme.methods[layer]) != kind:
+                    unread.append((context_id, layer, kind))
             for layer, method in enumerate(engine.scheme.methods):
-                kind = None
-                if method is LayerMethod.HIDDEN:
-                    kind = "hidden"
-                elif method is LayerMethod.KV:
-                    kind = "kv"
-                for other in ("hidden", "kv"):
-                    if other != kind and storage.tokens_stored(context_id, layer, kind=other):
-                        unread.append((context_id, layer, other))
+                kind = _STORED_KIND.get(method)
                 if kind is None:
                     continue
                 stored = storage.tokens_stored(context_id, layer, kind=kind)

@@ -17,6 +17,9 @@ from repro.errors import ConfigError
 from repro.models.config import ModelConfig
 from repro.simulator.hardware import Platform
 
+#: HBM fraction held back for activations when sizing the KV budget.
+ACTIVATION_RESERVE = 0.05
+
 
 @dataclass(frozen=True)
 class MemoryBudget:
@@ -34,18 +37,14 @@ class MemoryBudget:
             raise ConfigError("KV capacity must be positive")
 
     @classmethod
-    def for_platform(
-        cls, config: ModelConfig, platform: Platform, activation_reserve: float = 0.05
-    ) -> "MemoryBudget":
+    def for_platform(cls, config: ModelConfig, platform: Platform) -> "MemoryBudget":
         """Derive the token budget from HBM size, weights, and a reserve.
 
         Reproduces §2.4's arithmetic: PagedAttention lets an A100-40G hold
         roughly 48K tokens of Llama2-7B KV or 17K of Llama2-13B.
         """
-        if not 0 <= activation_reserve < 1:
-            raise ConfigError("activation_reserve must be in [0, 1)")
         hbm = platform.gpu.hbm_bytes * platform.n_gpus
-        available = hbm * (1 - activation_reserve) - config.weight_bytes
+        available = hbm * (1 - ACTIVATION_RESERVE) - config.weight_bytes
         if available <= 0:
             raise ConfigError(
                 f"{config.name} does not fit on {platform.n_gpus}x {platform.gpu.name}"

@@ -57,13 +57,11 @@ class EngineConfig:
 
     Attributes:
         budget_tokens: SplitFuse per-iteration token budget.
-        activation_reserve: HBM fraction reserved for activations.
         max_running: Concurrency cap of the running batch.
         max_sim_seconds: Safety horizon; the run aborts past it.
     """
 
     budget_tokens: int = 512
-    activation_reserve: float = 0.05
     max_running: int = 256
     max_sim_seconds: float = 24 * 3600.0
 
@@ -238,7 +236,7 @@ class ServingSimulator:
         )
         self.frontend = ServingFrontend(
             self.engine,
-            MemoryBudget.for_platform(config, platform, cfg.activation_reserve),
+            MemoryBudget.for_platform(config, platform),
             scheduler=scheduler,
             max_running=cfg.max_running,
             # The trace is the offered load; back-pressure is not modelled.
@@ -319,11 +317,9 @@ def simulate_methods(
     return reports
 
 
-def max_context_tokens(
-    config: ModelConfig, platform: Platform, activation_reserve: float = 0.05
-) -> int:
+def max_context_tokens(config: ModelConfig, platform: Platform) -> int:
     """Convenience: the §2.4 KV-capacity arithmetic, in tokens."""
-    return MemoryBudget.for_platform(config, platform, activation_reserve).capacity_tokens
+    return MemoryBudget.for_platform(config, platform).capacity_tokens
 
 
 def concurrent_context_estimate(

@@ -80,6 +80,7 @@ HOT_PATHS: dict[str, frozenset[str]] = {
     "repro/storage/manager.py": frozenset(
         {
             "StorageManager.append",
+            "StorageManager._flush_chunk",
             "StorageManager.load_layer",
             "StorageManager.read_granule_into",
         }

@@ -5,7 +5,6 @@ real payload round-trips — and as a timing model consumed by the
 restoration pipeline.
 """
 
-from repro.storage.allocator import AllocatorStats, ChunkAllocator, ChunkRun
 from repro.storage.array import LayerReadTiming, StorageArray
 from repro.storage.chunk import CHUNK_TOKENS, ChunkKey, ChunkLayout
 from repro.storage.daemon import FlushDaemon, SnapshotOutcome
@@ -23,11 +22,8 @@ from repro.storage.streaming import GranuleSpec, LayerChunk, StagingRing
 
 __all__ = [
     "CHUNK_TOKENS",
-    "AllocatorStats",
-    "ChunkAllocator",
     "ChunkKey",
     "ChunkLayout",
-    "ChunkRun",
     "ContextManifest",
     "ContextMeta",
     "FaultPolicy",

@@ -89,11 +89,3 @@ class ChunkLayout:
         prefers chunking over reserving a maximum-length contiguous run.
         """
         return self.allocated_bytes(n_tokens) - self.used_bytes(n_tokens)
-
-    def token_slice(self, chunk_index: int, n_tokens: int) -> tuple[int, int]:
-        """Token range ``[start, stop)`` stored in chunk ``chunk_index``."""
-        start = chunk_index * self.tokens_per_chunk
-        if start >= n_tokens:
-            raise ConfigError(f"chunk {chunk_index} is beyond {n_tokens} tokens")
-        stop = min(start + self.tokens_per_chunk, n_tokens)
-        return start, stop

@@ -9,8 +9,10 @@ replication problem, this module makes that metadata durable with a
 classic write-ahead log:
 
 - Every mutation of the manager's durable state appends one **record** to
-  an append-only journal file: ``register`` / ``chunk`` / ``seal`` /
-  ``tokens`` / ``free_run`` / ``free``.
+  an append-only journal file: ``register`` / ``run`` / ``chunk`` /
+  ``seal`` / ``tokens`` / ``free_run`` / ``free``.  A ``run`` record opens
+  an empty (layer, kind) run; journals written before it existed open
+  runs implicitly with their first ``chunk`` or ``seal``.
 - Records are framed as ``<u32 payload_len><u32 crc32><payload>`` with a
   JSON payload.  A torn final write — the normal crash artifact of an
   append-only file — is detected by the length field; every other
@@ -131,6 +133,10 @@ class ManifestState:
                     kv_width=_kv_width(record),
                     dtype=str(record["dtype"]),
                 )
+            elif op == "run":
+                self._context(record).runs.setdefault(
+                    (int(record["layer"]), str(record["kind"])), RunManifest()
+                )
             elif op == "chunk":
                 crec = self._context(record)
                 run = crec.runs.setdefault(
@@ -157,7 +163,8 @@ class ManifestState:
             elif op == "tokens":
                 self._context(record).tokens.extend(int(t) for t in record["ids"])
             elif op == "free_run":
-                # A run with only unsealed tail rows was never journaled.
+                # Journals without ``run`` records never name a run that
+                # held only unsealed tail rows.
                 self._context(record).runs.pop(
                     (int(record["layer"]), str(record["kind"])), None
                 )
@@ -394,14 +401,13 @@ class ManifestJournal:
             )
         return records[0]
 
-    def replay(self, truncate_torn: bool = True) -> ManifestState:
+    def replay(self) -> ManifestState:
         """Fold snapshot + journal into the durable manifest state.
 
-        A torn trailing record is discarded — and, with ``truncate_torn``
-        (the default), physically truncated away so later appends extend a
-        clean prefix.  Everything before the tear replays; any complete-
-        but-corrupt record raises :class:`JournalCorruptError` instead of
-        producing wrong metadata.
+        A torn trailing record is discarded and physically truncated away,
+        so later appends extend a clean prefix.  Everything before the
+        tear replays; any complete-but-corrupt record raises
+        :class:`JournalCorruptError` instead of producing wrong metadata.
         """
         state = ManifestState()
         if self.snapshot_path.exists():
@@ -417,7 +423,7 @@ class ManifestJournal:
         except FileNotFoundError:
             data = b""
         records, clean = self._parse_frames(data, "journal", tolerate_torn=True)
-        if truncate_torn and clean < len(data):
+        if clean < len(data):
             self._truncate_log(clean)
         for record in records:
             state.apply(record)

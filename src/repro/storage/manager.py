@@ -11,6 +11,13 @@ a chunk is fully populated, it is promptly written to the NVMe device",
 until :meth:`StorageManager.seal_context` or further appends fill it.
 Restoration reads token-before-layer: one call fetches a whole layer.
 
+Each context is one record (its shape, its token log and its runs), and
+each (layer, kind) run is one record: the host tail buffer, the stored
+row count, how many tail rows the last seal put on a device, and the
+journaled chunk CRCs.  Everything the manager knows — the byte count
+against capacity, the durable manifest, a recovered manager — is read
+from or written to these records.
+
 Durability (optional): with a :class:`~repro.storage.journal.
 ManifestJournal` attached, every metadata mutation is journaled and
 :meth:`StorageManager.recover` rebuilds a manager from journal + device
@@ -28,17 +35,21 @@ devices force.
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
-from repro.errors import ConfigError, RecoveryError, StateError
-from repro.storage.allocator import ChunkAllocator
+from repro.errors import AllocationError, ConfigError, RecoveryError, StateError
 from repro.storage.array import StorageArray
-from repro.storage.chunk import CHUNK_TOKENS, ChunkKey, ChunkLayout
+from repro.storage.chunk import CHUNK_TOKENS, ChunkKey
 from repro.storage.journal import ContextManifest, ManifestJournal, ManifestState, RunManifest
 from repro.storage.streaming import GranuleSpec, StagingRing
+
+#: Journal log size that triggers a compacted snapshot (checked at seals).
+JOURNAL_COMPACT_BYTES = 1 << 20
+
+_KINDS = ("hidden", "kv")
 
 
 def _payload_crc(payload: np.ndarray) -> int:
@@ -46,19 +57,32 @@ def _payload_crc(payload: np.ndarray) -> int:
     return zlib.crc32(np.ascontiguousarray(payload).tobytes())
 
 
-class _TailBuffer:
-    """Preallocated staging buffer for one run's partially filled chunk.
+class _Run:
+    """One (context, layer, kind) token run.
 
-    Exactly one chunk worth of rows, written by slice assignment — the
-    hot saving path never builds Python lists of per-row copies nor calls
-    ``np.stack`` to flush.
+    Rows ``[0, n_tokens - n_tokens % tokens_per_chunk)`` sit on the
+    devices as full chunks; the rest are the first rows of ``tail``, a
+    preallocated one-chunk host buffer written by slice assignment.  The
+    first ``device_tail_rows`` tail rows are also on a device, in the
+    current tail slot, as the copy the last seal wrote: all of them while
+    the run is sealed, fewer once appends have grown it (that stale copy
+    stays durable until the refilled chunk or the next seal rewrites the
+    slot).  ``crcs`` holds the journaled CRC of each full chunk by index,
+    and stays empty without a journal.
     """
 
-    __slots__ = ("data", "n")
+    __slots__ = ("tail", "n_tokens", "device_tail_rows", "crcs")
 
     def __init__(self, tokens_per_chunk: int, width: int, dtype: np.dtype) -> None:
-        self.data = np.empty((tokens_per_chunk, width), dtype=dtype)
-        self.n = 0
+        self.tail = np.empty((tokens_per_chunk, width), dtype=dtype)
+        self.n_tokens = 0
+        self.device_tail_rows = 0
+        self.crcs: dict[int, int] = {}
+
+    def allocated_bytes(self) -> int:
+        """Chunk capacity held: a whole chunk for every chunk started."""
+        tokens_per_chunk = self.tail.shape[0]
+        return -(-self.n_tokens // tokens_per_chunk) * self.tail.nbytes
 
 
 @dataclass(frozen=True)
@@ -81,6 +105,15 @@ class ContextMeta:
     dtype: np.dtype
 
 
+@dataclass
+class _Context:
+    """One stored context: its shape, durable token log and runs."""
+
+    meta: ContextMeta
+    tokens: list[int] = field(default_factory=list)
+    runs: dict[tuple[int, str], _Run] = field(default_factory=dict)
+
+
 class StorageManager:
     """Chunked host storage for contextual LLM states."""
 
@@ -90,37 +123,25 @@ class StorageManager:
         capacity_bytes: int | None = None,
         tokens_per_chunk: int = CHUNK_TOKENS,
         journal: ManifestJournal | None = None,
-        journal_compact_bytes: int = 1 << 20,
     ) -> None:
         if tokens_per_chunk <= 0:
             raise ConfigError("tokens_per_chunk must be positive")
-        if journal_compact_bytes <= 0:
-            raise ConfigError("journal_compact_bytes must be positive")
-        total_capacity = capacity_bytes
-        if total_capacity is None:
-            total_capacity = sum(d.capacity_bytes for d in array.devices)
+        if capacity_bytes is None:
+            capacity_bytes = sum(d.capacity_bytes for d in array.devices)
+        if capacity_bytes <= 0:
+            raise AllocationError("storage capacity must be positive")
         self.array = array
         self.tokens_per_chunk = tokens_per_chunk
-        self.allocator = ChunkAllocator(total_capacity)
-        #: Optional write-ahead manifest journal; ``None`` leaves the hot
-        #: path exactly as before (no journaling, no crash safety).
+        #: Byte budget for chunk slots.
+        self.capacity_bytes = int(capacity_bytes)
+        #: Bytes of chunk slots in use: a whole chunk for every chunk any
+        #: run has started.  Checked against the budget before an append
+        #: lands any row; advanced as each chunk or tail row lands.
+        self.allocated_bytes = 0
+        #: Optional write-ahead manifest journal; with ``None`` the hot path
+        #: journals nothing and computes no CRC (and nothing is crash-safe).
         self.journal = journal
-        #: Log size that triggers a compacted snapshot (checked at seals).
-        self.journal_compact_bytes = int(journal_compact_bytes)
-        self._meta: dict[str, ContextMeta] = {}
-        #: Host-side partially filled tail chunks: run key -> staging buffer.
-        self._tails: dict[tuple[str, int, str], _TailBuffer] = {}
-        #: Runs whose tail is also persisted on a device as a partial chunk
-        #: (written by seal_context; rewritten when the chunk later fills).
-        self._sealed_partial: set[tuple[str, int, str]] = set()
-        #: Sealed partials whose run has since grown: run key -> (chunk
-        #: index, sealed row count).  The stale device copy stays durable
-        #: until the refilled chunk rewrites its slot.
-        self._stale_partial: dict[tuple[str, int, str], tuple[int, int]] = {}
-        #: Durable token log per context (mirrors the journal's records).
-        self._token_logs: dict[str, list[int]] = {}
-        #: CRC32 of journaled full chunks (compaction snapshot input).
-        self._chunk_crcs: dict[ChunkKey, int] = {}
+        self._contexts: dict[str, _Context] = {}
 
     # ------------------------------------------------------------------
     # context lifecycle
@@ -139,7 +160,7 @@ class StorageManager:
         ``kv_width`` is the packed K|V row width of KV-offloaded layers;
         ``None`` means the MHA width, ``2 * hidden_width``.
         """
-        if context_id in self._meta:
+        if context_id in self._contexts:
             raise StateError(f"context {context_id!r} already registered")
         if kv_width is None:
             kv_width = 2 * hidden_width
@@ -152,8 +173,7 @@ class StorageManager:
             kv_width=kv_width,
             dtype=np.dtype(dtype),
         )
-        self._meta[context_id] = meta
-        self._token_logs[context_id] = []
+        self._contexts[context_id] = _Context(meta)
         if self.journal is not None:
             self.journal.append(
                 {
@@ -167,22 +187,64 @@ class StorageManager:
             )
         return meta
 
+    def _context(self, context_id: str) -> _Context:
+        ctx = self._contexts.get(context_id)
+        if ctx is None:
+            raise StateError(f"context {context_id!r} not registered")
+        return ctx
+
+    def _run(self, context_id: str, layer: int, kind: str) -> _Run:
+        run = self._context(context_id).runs.get((layer, kind))
+        if run is None:
+            raise StateError(f"no run registered for {(context_id, layer, kind)}")
+        return run
+
     def has_context(self, context_id: str) -> bool:
-        return context_id in self._meta
+        return context_id in self._contexts
 
     def meta(self, context_id: str) -> ContextMeta:
-        if context_id not in self._meta:
-            raise StateError(f"context {context_id!r} not registered")
-        return self._meta[context_id]
+        return self._context(context_id).meta
+
+    def open_run(self, context_id: str, layer: int, kind: str = "hidden") -> None:
+        """Start an empty (layer, kind) run; a no-op if it exists.
+
+        :meth:`append` opens a run on first use.  Opening every run a
+        context will store at registration puts their journal records
+        ahead of its first ``tokens`` record, so a crash before any of
+        its rows reach a device recovers the context at zero tokens
+        instead of refusing the store.
+        """
+        self._open_run(self._context(context_id), layer, kind)
+
+    def _open_run(self, ctx: _Context, layer: int, kind: str) -> _Run:
+        run = ctx.runs.get((layer, kind))
+        if run is not None:
+            return run
+        meta = ctx.meta
+        if layer < 0 or layer >= meta.n_layers:
+            raise ConfigError(f"layer {layer} out of range for {meta.context_id!r}")
+        if kind not in _KINDS:
+            raise ConfigError(f"unknown run kind {kind!r}")
+        run = _Run(self.tokens_per_chunk, self._width(meta, kind), meta.dtype)
+        ctx.runs[(layer, kind)] = run
+        if self.journal is not None:
+            self.journal.append(
+                {"op": "run", "context_id": meta.context_id, "layer": layer, "kind": kind}
+            )
+        return run
+
+    def runs(self, context_id: str) -> tuple[tuple[int, str], ...]:
+        """The ``(layer, kind)`` of every run the context holds."""
+        return tuple(self._context(context_id).runs)
 
     def free_context(self, context_id: str) -> int:
         """Drop a context's state everywhere, returning bytes freed.
 
         A registered context may own no runs at all — a pure-recompute
         partition never stores state, and sessions can close before their
-        first save — so freeing is a no-op for the allocator in that case.
+        first save — so freeing releases nothing in that case.
         """
-        meta = self.meta(context_id)
+        ctx = self._context(context_id)
         # Journal the free *before* any deletion: replaying a prefix that
         # stops short of this record still describes readable chunks,
         # while a prefix that includes it never resurrects a half-deleted
@@ -191,21 +253,13 @@ class StorageManager:
         # chunks.
         if self.journal is not None:
             self.journal.append({"op": "free", "context_id": context_id})
-        freed = 0
-        if self.allocator.has_context_runs(context_id):
-            freed = self.allocator.free_context(context_id)
-        for key in [k for k in self._tails if k[0] == context_id]:
-            del self._tails[key]
-            self._sealed_partial.discard(key)
-            self._stale_partial.pop(key, None)
         for device in self.array.devices:
             for key in device.keys():
                 if isinstance(key, ChunkKey) and key.context_id == context_id:
                     device.delete(key)
-        for key in [k for k in self._chunk_crcs if k.context_id == context_id]:
-            del self._chunk_crcs[key]
-        self._token_logs.pop(context_id, None)
-        del self._meta[meta.context_id]
+        del self._contexts[context_id]
+        freed = sum(run.allocated_bytes() for run in ctx.runs.values())
+        self.allocated_bytes -= freed
         return freed
 
     def free_run(self, context_id: str, layer: int, kind: str = "hidden") -> int:
@@ -218,28 +272,26 @@ class StorageManager:
         back to it.  Journaled before any deletion, like
         :meth:`free_context`.
         """
-        self.allocator.run(context_id, layer, kind)
+        run = self._run(context_id, layer, kind)
         if self.journal is not None:
             self.journal.append(
                 {"op": "free_run", "context_id": context_id, "layer": layer, "kind": kind}
             )
-        freed = self.allocator.free_run(context_id, layer, kind)
-        run_key = (context_id, layer, kind)
-        del self._tails[run_key]
-        self._sealed_partial.discard(run_key)
-        self._stale_partial.pop(run_key, None)
         for device in self.array.devices:
             for key in device.keys():
                 if (
                     isinstance(key, ChunkKey)
-                    and (key.context_id, key.layer, key.kind) == run_key
+                    and key.context_id == context_id
+                    and (key.layer, key.kind) == (layer, kind)
                 ):
                     device.delete(key)
-                    self._chunk_crcs.pop(key, None)
+        del self._contexts[context_id].runs[(layer, kind)]
+        freed = run.allocated_bytes()
+        self.allocated_bytes -= freed
         return freed
 
     def context_ids(self) -> tuple[str, ...]:
-        return tuple(self._meta)
+        return tuple(self._contexts)
 
     def journal_tokens(self, context_id: str, ids: Sequence[int]) -> None:
         """Append token ids to the context's durable token log.
@@ -251,31 +303,24 @@ class StorageManager:
         crash between this record and the rows' device writes costs
         nothing but a few spurious log entries.
         """
-        self.meta(context_id)
+        ctx = self._context(context_id)
         ids = [int(t) for t in ids]
         if not ids:
             return
-        self._token_logs.setdefault(context_id, []).extend(ids)
+        ctx.tokens.extend(ids)
         if self.journal is not None:
             self.journal.append({"op": "tokens", "context_id": context_id, "ids": ids})
 
     def token_log(self, context_id: str) -> tuple[int, ...]:
         """The context's logged token ids, oldest first."""
-        self.meta(context_id)
-        return tuple(self._token_logs.get(context_id, ()))
+        return tuple(self._context(context_id).tokens)
 
     # ------------------------------------------------------------------
     # saving (layer-before-token)
     # ------------------------------------------------------------------
 
-    def _layout(self, meta: ContextMeta, kind: str) -> ChunkLayout:
-        width = meta.hidden_width if kind == "hidden" else meta.kv_width
-        return ChunkLayout(
-            tokens_per_chunk=self.tokens_per_chunk,
-            bytes_per_token=width * meta.dtype.itemsize,
-        )
-
-    def _width(self, meta: ContextMeta, kind: str) -> int:
+    @staticmethod
+    def _width(meta: ContextMeta, kind: str) -> int:
         return meta.hidden_width if kind == "hidden" else meta.kv_width
 
     def append(self, context_id: str, layer: int, states: np.ndarray, kind: str = "hidden") -> None:
@@ -285,86 +330,86 @@ class StorageManager:
         hidden size for ``kind="hidden"`` and twice that for ``kind="kv"``
         (K and V concatenated).  Full chunks are flushed to their
         round-robin device; the tail remains host-buffered.
+
+        Capacity for every chunk the block starts is checked before any
+        row lands, so a refused append changes nothing.  Rows count as
+        stored only once they land — in the tail, or on a device for the
+        rows that complete a chunk — so a failed device write leaves the
+        run at its last full chunk, and a retry of the remaining rows
+        continues from there.
         """
-        meta = self.meta(context_id)
-        if layer < 0 or layer >= meta.n_layers:
-            raise ConfigError(f"layer {layer} out of range for {context_id!r}")
-        states = np.asarray(states, dtype=meta.dtype)
-        if states.ndim != 2 or states.shape[1] != self._width(meta, kind):
-            raise ConfigError(
-                f"states must be (n, {self._width(meta, kind)}), got {states.shape}"
+        ctx = self._context(context_id)
+        run = ctx.runs.get((layer, kind))
+        states = np.asarray(states, dtype=ctx.meta.dtype)
+        width = self._width(ctx.meta, kind) if run is None else run.tail.shape[1]
+        if states.ndim != 2 or states.shape[1] != width:
+            raise ConfigError(f"states must be (n, {width}), got {states.shape}")
+        if run is None:
+            run = self._open_run(ctx, layer, kind)
+        tail = run.tail
+        cpc = self.tokens_per_chunk
+        n_new = states.shape[0]
+        rows = run.n_tokens % cpc
+        new_chunks = -(-(rows + n_new) // cpc) - (rows > 0)
+        if new_chunks * tail.nbytes > self.capacity_bytes - self.allocated_bytes:
+            raise AllocationError(
+                f"append to run ({context_id}, L{layer}, {kind}) needs "
+                f"{new_chunks * tail.nbytes} B but only "
+                f"{self.capacity_bytes - self.allocated_bytes} B are free"
             )
-        run_key = (context_id, layer, kind)
-        if not self.allocator.has_run(context_id, layer, kind):
-            self.allocator.open_run(context_id, layer, kind, self._layout(meta, kind))
-            self._tails[run_key] = _TailBuffer(
-                self.tokens_per_chunk, self._width(meta, kind), meta.dtype
-            )
-        tail = self._tails[run_key]
-        run = self.allocator.run(context_id, layer, kind)
-        flushed_tokens = run.n_tokens - tail.n
-        if run_key in self._sealed_partial:
-            # The tail chunk was persisted at the last seal; it grows now.
-            # Its stale device copy is NOT deleted here: the sealed rows
-            # stay durable (and journaled) until the refilled chunk — or a
-            # re-seal — rewrites the same slot, at which point flush/seal
-            # retire it immediately before the replacement write.  A crash
-            # anywhere in between loses only the new, never-sealed rows.
-            self._stale_partial[run_key] = (
-                flushed_tokens // self.tokens_per_chunk,
-                tail.n,
-            )
-            self._sealed_partial.discard(run_key)
-        self.allocator.extend(context_id, layer, kind, states.shape[0])
         # Stream the block through: aligned full chunks flush as slice
         # views of the input (the device snapshots them); the remainder
         # lands in the preallocated tail by slice assignment.
-        cpc = self.tokens_per_chunk
-
-        def flush_chunk(payload: np.ndarray) -> None:
-            nonlocal flushed_tokens
-            chunk_index = flushed_tokens // cpc
-            key = ChunkKey(context_id, layer, chunk_index, kind)
-            device = self.array.device_for(chunk_index, offset=layer)
-            stale = self._stale_partial.get(run_key)
-            if stale is not None and stale[0] == chunk_index:
-                # Retire the sealed partial's stale copy only now, just
-                # before its full replacement lands in the same slot.
-                device.delete(key)
-                del self._stale_partial[run_key]
-            device.write(key, payload)
-            # Commit point: journal AFTER the device write.  A journaled
-            # chunk is always readable; an unjournaled device chunk is an
-            # orphan recovery sweeps — never a double-counted token.
-            if self.journal is not None:
-                crc = _payload_crc(payload)
-                self._chunk_crcs[key] = crc
-                self.journal.append(
-                    {
-                        "op": "chunk",
-                        "context_id": context_id,
-                        "layer": layer,
-                        "kind": kind,
-                        "index": chunk_index,
-                        "crc": crc,
-                    }
-                )
-            flushed_tokens += cpc
-
         pos = 0
-        n_new = states.shape[0]
         while pos < n_new:
-            if tail.n == 0 and n_new - pos >= cpc:
-                flush_chunk(states[pos : pos + cpc])
+            rows = run.n_tokens % cpc
+            if rows == 0 and n_new - pos >= cpc:
+                self._flush_chunk(context_id, layer, kind, run, states[pos : pos + cpc])
                 pos += cpc
                 continue
-            take = min(cpc - tail.n, n_new - pos)
-            tail.data[tail.n : tail.n + take] = states[pos : pos + take]
-            tail.n += take
+            take = min(cpc - rows, n_new - pos)
+            tail[rows : rows + take] = states[pos : pos + take]
             pos += take
-            if tail.n == cpc:
-                flush_chunk(tail.data)
-                tail.n = 0
+            if rows + take == cpc:
+                self._flush_chunk(context_id, layer, kind, run, tail)
+            else:
+                if rows == 0:
+                    self.allocated_bytes += tail.nbytes
+                run.n_tokens += take
+
+    def _flush_chunk(
+        self, context_id: str, layer: int, kind: str, run: _Run, payload: np.ndarray
+    ) -> None:
+        """Write the run's next full chunk; its rows count once it lands."""
+        cpc = self.tokens_per_chunk
+        index = run.n_tokens // cpc
+        key = ChunkKey(context_id, layer, index, kind)
+        device = self.array.device_for(index, offset=layer)
+        if run.device_tail_rows:
+            # Retire the last seal's copy of this slot only now, just
+            # before its full replacement lands in the same slot.
+            device.delete(key)
+            run.device_tail_rows = 0
+        device.write(key, payload)
+        if run.n_tokens % cpc == 0:
+            self.allocated_bytes += run.tail.nbytes
+        run.n_tokens = (index + 1) * cpc
+        # Commit point: journal AFTER the device write.  A journaled
+        # chunk is always readable; an unjournaled device chunk is an
+        # orphan recovery sweeps — never a double-counted token.
+        if self.journal is not None:
+            crc = _payload_crc(payload)
+            run.crcs[index] = crc
+            self.journal.append(
+                {
+                    "op": "chunk",
+                    "context_id": context_id,
+                    "layer": layer,
+                    "kind": kind,
+                    "index": index,
+                    "crc": crc,
+                }
+            )
 
     def seal_context(self, context_id: str) -> None:
         """Flush every partially filled tail chunk to its device.
@@ -378,43 +423,36 @@ class StorageManager:
         With a journal attached, sealing is also the durability boundary
         for partial tails: one ``seal`` record commits every tail written
         here (chunk index, row count, payload CRC), and the journal is
-        compacted when its log has outgrown
-        :attr:`journal_compact_bytes`.  Unsealed tail rows are the loss
-        window a crash pays — bounded by one chunk per (layer, kind) run.
+        compacted when its log has outgrown :data:`JOURNAL_COMPACT_BYTES`.
+        Unsealed tail rows are the loss window a crash pays — bounded by
+        one chunk per (layer, kind) run.
         """
-        self.meta(context_id)
+        ctx = self._context(context_id)
+        cpc = self.tokens_per_chunk
         sealed: list[dict] = []
-        for run_key in list(self._tails):
-            ctx, layer, kind = run_key
-            if ctx != context_id:
-                continue
-            tail = self._tails[run_key]
-            if tail.n == 0 or run_key in self._sealed_partial:
-                continue
-            run = self.allocator.run(ctx, layer, kind)
-            flushed_tokens = run.n_tokens - tail.n
-            if flushed_tokens % self.tokens_per_chunk != 0:
-                raise StateError("tail must start at a chunk boundary")
-            chunk_index = flushed_tokens // self.tokens_per_chunk
-            key = ChunkKey(ctx, layer, chunk_index, kind)
-            device = self.array.device_for(chunk_index, offset=layer)
-            stale = self._stale_partial.get(run_key)
-            if stale is not None and stale[0] == chunk_index:
+        for (layer, kind), run in ctx.runs.items():
+            rows = run.n_tokens % cpc
+            if rows == run.device_tail_rows:
+                continue  # no tail, or the device copy is already current
+            index = run.n_tokens // cpc
+            key = ChunkKey(context_id, layer, index, kind)
+            device = self.array.device_for(index, offset=layer)
+            if run.device_tail_rows:
                 # A previous seal's copy occupies the slot this grown tail
                 # rewrites; retire it only now, immediately before its
                 # replacement, to keep the durability gap minimal.
                 device.delete(key)
-                del self._stale_partial[run_key]
-            device.write(key, tail.data[: tail.n])
-            self._sealed_partial.add(run_key)
+                run.device_tail_rows = 0
+            device.write(key, run.tail[:rows])
+            run.device_tail_rows = rows
             if self.journal is not None:
                 sealed.append(
                     {
                         "layer": layer,
                         "kind": kind,
-                        "index": chunk_index,
-                        "tokens": tail.n,
-                        "crc": _payload_crc(tail.data[: tail.n]),
+                        "index": index,
+                        "tokens": rows,
+                        "crc": _payload_crc(run.tail[:rows]),
                     }
                 )
         if self.journal is not None:
@@ -422,7 +460,7 @@ class StorageManager:
                 self.journal.append(
                     {"op": "seal", "context_id": context_id, "tails": sealed}
                 )
-            if self.journal.journal_bytes >= self.journal_compact_bytes:
+            if self.journal.journal_bytes >= JOURNAL_COMPACT_BYTES:
                 self.compact_journal()
 
     # ------------------------------------------------------------------
@@ -433,46 +471,31 @@ class StorageManager:
         """Snapshot the durable metadata as a replayable manifest.
 
         Exactly what replaying the journal from genesis would yield:
-        journaled full chunks, sealed tails (including a *stale* sealed
-        partial whose run has grown but whose slot has not been rewritten
-        yet — its device copy is still the durable source of those rows),
-        and the token logs.  Unsealed host-tail rows are deliberately
-        absent: they are not durable.
+        every opened run, its journaled full chunks, sealed tails
+        (including a *stale* sealed partial whose run has grown but whose
+        slot has not been rewritten yet — its device copy is still the
+        durable source of those rows), and the token logs.  Unsealed
+        host-tail rows are deliberately absent: they are not durable.
         """
         state = ManifestState()
         cpc = self.tokens_per_chunk
-        for context_id, meta in self._meta.items():
+        for context_id, ctx in self._contexts.items():
+            meta = ctx.meta
             crec = ContextManifest(
                 n_layers=meta.n_layers,
                 hidden_width=meta.hidden_width,
                 kv_width=meta.kv_width,
                 dtype=str(meta.dtype),
-                tokens=list(self._token_logs.get(context_id, [])),
+                tokens=list(ctx.tokens),
             )
             state.contexts[context_id] = crec
-            for layer in range(meta.n_layers):
-                for kind in ("hidden", "kv"):
-                    if not self.allocator.has_run(context_id, layer, kind):
-                        continue
-                    run_key = (context_id, layer, kind)
-                    run = self.allocator.run(context_id, layer, kind)
-                    tail = self._tails[run_key]
-                    full = (run.n_tokens - tail.n) // cpc
-                    rrec = RunManifest(full_chunks=full)
-                    for index in range(full):
-                        crc = self._chunk_crcs.get(ChunkKey(context_id, layer, index, kind))
-                        if crc is not None:
-                            rrec.chunk_crcs[index] = crc
-                    if run_key in self._sealed_partial:
-                        rrec.sealed_tail_index = full
-                        rrec.sealed_tail_tokens = tail.n
-                        rrec.sealed_tail_crc = _payload_crc(tail.data[: tail.n])
-                    elif run_key in self._stale_partial:
-                        index, sealed_rows = self._stale_partial[run_key]
-                        rrec.sealed_tail_index = index
-                        rrec.sealed_tail_tokens = sealed_rows
-                        rrec.sealed_tail_crc = _payload_crc(tail.data[:sealed_rows])
-                    crec.runs[(layer, kind)] = rrec
+            for run_key, run in ctx.runs.items():
+                rrec = RunManifest(full_chunks=run.n_tokens // cpc, chunk_crcs=dict(run.crcs))
+                if run.device_tail_rows:
+                    rrec.sealed_tail_index = rrec.full_chunks
+                    rrec.sealed_tail_tokens = run.device_tail_rows
+                    rrec.sealed_tail_crc = _payload_crc(run.tail[: run.device_tail_rows])
+                crec.runs[run_key] = rrec
         return state
 
     def compact_journal(self) -> None:
@@ -488,8 +511,6 @@ class StorageManager:
         journal: ManifestJournal,
         capacity_bytes: int | None = None,
         tokens_per_chunk: int = CHUNK_TOKENS,
-        journal_compact_bytes: int = 1 << 20,
-        verify_chunks: bool = True,
     ) -> "StorageManager":
         """Rebuild a manager from journal + device chunks alone.
 
@@ -507,22 +528,15 @@ class StorageManager:
         contradictions (a journaled chunk missing, a CRC mismatch, a
         token log shorter than the durable rows) raise
         :class:`~repro.errors.RecoveryError` — recovery is conservative
-        or loud, never silently wrong.  Unjournaled device chunks
-        (orphans of a crash between write and journal append) are swept.
+        or loud, never silently wrong.  Every journaled full chunk is
+        re-read to check its CRC.  Unjournaled device chunks (orphans of
+        a crash between write and journal append) are swept.
 
-        ``verify_chunks`` re-reads every full chunk to check its CRC;
-        disable it to trade integrity checking for recovery speed.  The
-        returned manager has ``journal`` attached and starts from a fresh
-        compacted snapshot describing exactly the recovered state.
+        The returned manager has ``journal`` attached and starts from a
+        fresh compacted snapshot describing exactly the recovered state.
         """
         state = journal.replay()
-        manager = cls(
-            array,
-            capacity_bytes,
-            tokens_per_chunk,
-            journal=None,
-            journal_compact_bytes=journal_compact_bytes,
-        )
+        manager = cls(array, capacity_bytes, tokens_per_chunk)
         cpc = tokens_per_chunk
         live: set[ChunkKey] = set()
         for context_id, crec in state.contexts.items():
@@ -532,17 +546,16 @@ class StorageManager:
                 raise RecoveryError(
                     f"context {context_id!r} has unknown dtype {crec.dtype!r}"
                 ) from exc
-            meta = ContextMeta(
-                context_id=context_id,
-                n_layers=crec.n_layers,
-                hidden_width=crec.hidden_width,
-                kv_width=crec.kv_width,
-                dtype=dtype,
+            ctx = _Context(
+                ContextMeta(
+                    context_id=context_id,
+                    n_layers=crec.n_layers,
+                    hidden_width=crec.hidden_width,
+                    kv_width=crec.kv_width,
+                    dtype=dtype,
+                )
             )
-            manager._meta[context_id] = meta
-            if not crec.runs:
-                manager._token_logs[context_id] = list(crec.tokens)
-                continue
+            manager._contexts[context_id] = ctx
             # Pass 1: per-run durable candidates, checking the devices.
             candidates: dict[tuple[int, str], tuple[int, np.ndarray | None]] = {}
             for (layer, kind), rrec in crec.runs.items():
@@ -558,12 +571,11 @@ class StorageManager:
                         raise RecoveryError(
                             f"journaled chunk {key} is missing from its device"
                         )
-                    if verify_chunks and index in rrec.chunk_crcs:
-                        payload, _ = device.read(key)
-                        if _payload_crc(payload) != rrec.chunk_crcs[index]:
-                            raise RecoveryError(
-                                f"chunk {key} payload fails its journaled checksum"
-                            )
+                    crc = rrec.chunk_crcs.get(index)
+                    if crc is not None and _payload_crc(device.read(key)[0]) != crc:
+                        raise RecoveryError(
+                            f"chunk {key} payload fails its journaled checksum"
+                        )
                 durable = rrec.full_chunks * cpc
                 tail_rows: np.ndarray | None = None
                 if rrec.sealed_tail_tokens > 0:
@@ -590,34 +602,29 @@ class StorageManager:
                     # completed — those rows are gone; the run rolls back to
                     # its chunk boundary (the documented rewrite window).
                 candidates[(layer, kind)] = (durable, tail_rows)
-            durable_tokens = min(d for d, _ in candidates.values())
+            durable_tokens = min((d for d, _ in candidates.values()), default=len(crec.tokens))
             if len(crec.tokens) < durable_tokens:
                 raise RecoveryError(
                     f"context {context_id!r}: token log holds {len(crec.tokens)} "
                     f"ids but {durable_tokens} rows are durable"
                 )
-            manager._token_logs[context_id] = list(crec.tokens[:durable_tokens])
+            ctx.tokens = list(crec.tokens[:durable_tokens])
             # Pass 2: rebuild every run, truncated to the common count.
+            full_keep, rem = divmod(durable_tokens, cpc)
             for (layer, kind), (_, tail_rows) in candidates.items():
                 rrec = crec.runs[(layer, kind)]
-                run_key = (context_id, layer, kind)
-                manager.allocator.open_run(
-                    context_id, layer, kind, manager._layout(meta, kind)
-                )
-                manager.allocator.extend(context_id, layer, kind, durable_tokens)
-                tailbuf = _TailBuffer(cpc, manager._width(meta, kind), meta.dtype)
-                manager._tails[run_key] = tailbuf
-                full_keep = durable_tokens // cpc
-                rem = durable_tokens - full_keep * cpc
+                run = _Run(cpc, cls._width(ctx.meta, kind), dtype)
+                ctx.runs[(layer, kind)] = run
+                run.n_tokens = durable_tokens
+                manager.allocated_bytes += run.allocated_bytes()
                 boundary_key = ChunkKey(context_id, layer, full_keep, kind)
                 if rem:
                     device = array.device_for(full_keep, offset=layer)
                     if tail_rows is not None and rrec.full_chunks == full_keep:
                         # This run's own sealed tail supplies the rows.
-                        tailbuf.data[:rem] = tail_rows[:rem]
-                        tailbuf.n = rem
+                        run.tail[:rem] = tail_rows[:rem]
                         if rem == rrec.sealed_tail_tokens:
-                            manager._sealed_partial.add(run_key)
+                            run.device_tail_rows = rem
                             live.add(boundary_key)
                         else:
                             # A shorter run truncated the context below this
@@ -630,8 +637,7 @@ class StorageManager:
                         # tail; the over-long chunk cannot stay (reads and
                         # reseals assume exact shapes).
                         payload, _ = device.read(boundary_key)
-                        tailbuf.data[:rem] = payload[:rem]
-                        tailbuf.n = rem
+                        run.tail[:rem] = payload[:rem]
                         device.delete(boundary_key)
                     else:
                         raise RecoveryError(
@@ -639,10 +645,9 @@ class StorageManager:
                             f"rows have no durable source"
                         )
                 for index in range(full_keep):
-                    key = ChunkKey(context_id, layer, index, kind)
-                    live.add(key)
+                    live.add(ChunkKey(context_id, layer, index, kind))
                     if index in rrec.chunk_crcs:
-                        manager._chunk_crcs[key] = rrec.chunk_crcs[index]
+                        run.crcs[index] = rrec.chunk_crcs[index]
         # Orphan sweep: device chunks no journaled run accounts for — the
         # crash artifacts of write-then-journal — plus everything truncated
         # above.  ``delete`` on a replicated device drops both copies.
@@ -660,9 +665,9 @@ class StorageManager:
 
     def tokens_stored(self, context_id: str, layer: int, kind: str = "hidden") -> int:
         """Tokens currently stored for one layer (0 if the run is absent)."""
-        if not self.allocator.has_run(context_id, layer, kind):
-            return 0
-        return self.allocator.run(context_id, layer, kind).n_tokens
+        ctx = self._contexts.get(context_id)
+        run = None if ctx is None else ctx.runs.get((layer, kind))
+        return 0 if run is None else run.n_tokens
 
     def load_layer(
         self,
@@ -673,34 +678,20 @@ class StorageManager:
     ) -> np.ndarray:
         """Fetch one layer's full token run as a ``(n_tokens, width)`` array.
 
-        Preallocates the destination (or fills a caller-provided ``out``,
-        e.g. one row-block of the batched restoration input) and reads
-        every device-resident chunk directly into its row slice, then
-        copies any host-buffered tail rows — no intermediate part list,
-        no ``np.concatenate``.
+        One whole-layer :meth:`read_granule_into` into a preallocated
+        destination (or a caller-provided ``out``, e.g. one row-block of
+        the batched restoration input) — no intermediate part list, no
+        ``np.concatenate``.
         """
-        meta = self.meta(context_id)
-        run = self.allocator.run(context_id, layer, kind)
-        tail = self._tails[(context_id, layer, kind)]
-        n_tokens = run.n_tokens
-        width = self._width(meta, kind)
+        run = self._run(context_id, layer, kind)
+        shape = (run.n_tokens, run.tail.shape[1])
         if out is None:
-            out = np.empty((n_tokens, width), dtype=meta.dtype)
-        elif out.shape != (n_tokens, width) or out.dtype != meta.dtype:
+            out = np.empty(shape, dtype=run.tail.dtype)
+        elif out.shape != shape or out.dtype != run.tail.dtype:
             raise ConfigError(
-                f"out must be {(n_tokens, width)} of {meta.dtype}, "
-                f"got {out.shape} of {out.dtype}"
+                f"out must be {shape} of {run.tail.dtype}, got {out.shape} of {out.dtype}"
             )
-        flushed_tokens = n_tokens - tail.n
-        cpc = self.tokens_per_chunk
-        for chunk_index in range(flushed_tokens // cpc):
-            key = ChunkKey(context_id, layer, chunk_index, kind)
-            start = chunk_index * cpc
-            self.array.device_for(chunk_index, offset=layer).read_into(
-                key, out[start : start + cpc]
-            )
-        if tail.n:
-            out[flushed_tokens:] = tail.data[: tail.n]
+        self.read_granule_into(context_id, GranuleSpec(layer, kind, 0, run.n_tokens), out)
         return out
 
     def staging_ring(
@@ -745,11 +736,10 @@ class StorageManager:
         """
         if granule_chunks <= 0:
             raise ConfigError("granule_chunks must be positive")
-        self.meta(context_id)
         granule = granule_chunks * self.tokens_per_chunk
         plan: list[GranuleSpec] = []
         for layer in layers:
-            n_tokens = self.allocator.run(context_id, layer, kind).n_tokens
+            n_tokens = self._run(context_id, layer, kind).n_tokens
             for gstart in range(0, n_tokens, granule):
                 plan.append(
                     GranuleSpec(
@@ -765,10 +755,9 @@ class StorageManager:
         """Fill ``out`` with one granule's rows.
 
         Device-resident chunks are read with :meth:`StorageDevice.read_into`
-        straight into the destination's row slices (one read per chunk, so
-        IO granularity and device busy accounting match :meth:`load_layer`
-        exactly); host-buffered tail rows are slice-copied after them.
-        The devices keep the count and modelled seconds of those reads.
+        straight into the destination's row slices (one read per chunk);
+        host-buffered tail rows are slice-copied after them.  The devices
+        keep the count and modelled seconds of those reads.
 
         Threading rules: this method is safe to run on an IO worker thread
         while another thread projects earlier granules — devices are
@@ -778,30 +767,28 @@ class StorageManager:
         into the same context concurrently with restoring it; the engine's
         save/restore lifecycle never does.
         """
-        meta = self.meta(context_id)
-        run = self.allocator.run(context_id, spec.layer, spec.kind)
-        tail = self._tails[(context_id, spec.layer, spec.kind)]
-        width = self._width(meta, spec.kind)
-        if out.shape != (spec.n_tokens, width):
+        run = self._run(context_id, spec.layer, spec.kind)
+        tail = run.tail
+        if out.shape != (spec.n_tokens, tail.shape[1]):
             raise ConfigError(
-                f"granule destination must be {(spec.n_tokens, width)}, got {out.shape}"
+                f"granule destination must be {(spec.n_tokens, tail.shape[1])}, "
+                f"got {out.shape}"
             )
         cpc = self.tokens_per_chunk
         if spec.start % cpc != 0 or spec.stop > run.n_tokens:
             raise ConfigError(
                 f"granule rows [{spec.start}, {spec.stop}) misaligned or out of range"
             )
-        flushed_tokens = run.n_tokens - tail.n
-        device_stop = min(spec.stop, flushed_tokens)
-        for start in range(spec.start, device_stop, cpc):
-            chunk_index = start // cpc
-            key = ChunkKey(context_id, spec.layer, chunk_index, spec.kind)
-            self.array.device_for(chunk_index, offset=spec.layer).read_into(
+        flushed_tokens = run.n_tokens - run.n_tokens % cpc
+        for start in range(spec.start, min(spec.stop, flushed_tokens), cpc):
+            index = start // cpc
+            key = ChunkKey(context_id, spec.layer, index, spec.kind)
+            self.array.device_for(index, offset=spec.layer).read_into(
                 key, out[start - spec.start : start - spec.start + cpc]
             )
         if spec.stop > flushed_tokens:
             tail_start = max(spec.start, flushed_tokens)
-            out[tail_start - spec.start :] = tail.data[
+            out[tail_start - spec.start :] = tail[
                 tail_start - flushed_tokens : spec.stop - flushed_tokens
             ]
 
@@ -811,31 +798,13 @@ class StorageManager:
 
     def context_bytes(self, context_id: str) -> int:
         """Bytes of chunk capacity allocated to one context."""
-        total = 0
-        for layer in range(self.meta(context_id).n_layers):
-            for kind in ("hidden", "kv"):
-                if self.allocator.has_run(context_id, layer, kind):
-                    total += self.allocator.run(context_id, layer, kind).allocated_bytes
-        return total
+        return sum(run.allocated_bytes() for run in self._context(context_id).runs.values())
 
     def per_token_bytes(self, context_id: str) -> float:
         """Average stored bytes per context token (Table 3's storage cost)."""
-        meta = self.meta(context_id)
-        n_tokens = max(
-            (
-                self.allocator.run(context_id, layer, kind).n_tokens
-                for layer in range(meta.n_layers)
-                for kind in ("hidden", "kv")
-                if self.allocator.has_run(context_id, layer, kind)
-            ),
-            default=0,
-        )
+        runs = self._context(context_id).runs.values()
+        n_tokens = max((run.n_tokens for run in runs), default=0)
         if n_tokens == 0:
             return 0.0
-        used = sum(
-            self.allocator.run(context_id, layer, kind).used_bytes
-            for layer in range(meta.n_layers)
-            for kind in ("hidden", "kv")
-            if self.allocator.has_run(context_id, layer, kind)
-        )
-        return used / n_tokens
+        cpc = self.tokens_per_chunk
+        return sum(run.n_tokens * (run.tail.nbytes // cpc) for run in runs) / n_tokens

@@ -51,6 +51,25 @@ class TestLifecycle:
         with pytest.raises(StateError):
             engine.saved_tokens("ghost")
 
+    def test_register_opens_only_the_stored_runs(self, engine, storage_manager, tiny_config):
+        """Layer 0 is token-sourced under the default scheme: no run."""
+        engine.register_context("c")
+        assert storage_manager.runs("c") == tuple(
+            (layer, "hidden") for layer in range(1, tiny_config.n_layers)
+        )
+
+    def test_register_opens_kv_runs_of_a_kv_suffix(
+        self, tiny_model, storage_manager, tiny_config
+    ):
+        n = tiny_config.n_layers
+        scheme = PartitionScheme.with_kv_suffix(n, 1)
+        HCacheEngine(tiny_model, storage_manager, scheme=scheme).register_context("c")
+        assert storage_manager.runs("c") == tuple(
+            [(layer, "hidden") for layer in range(n - 1)] + [(n - 1, "kv")]
+        )
+        runs = storage_manager.runs("c")
+        assert all(storage_manager.tokens_stored("c", *run) == 0 for run in runs)
+
 
 class TestSchemes:
     def test_default_scheme_token_sources_layer_0(self, engine, tiny_config):

@@ -48,10 +48,6 @@ class TestMemoryBudget:
         budget = MemoryBudget.for_platform(opt_30b, platform_preset("a100x4-dram"))
         assert budget.capacity_tokens > 30_000
 
-    def test_invalid_reserve(self, seven_b):
-        with pytest.raises(ConfigError):
-            MemoryBudget.for_platform(seven_b, platform_preset("a100-dram"), 1.5)
-
 
 class TestAdmission:
     def test_fcfs_admission(self):

@@ -156,6 +156,38 @@ class TestKillAndResume:
             resumed.session("s1").tokens[CPC:]
         )
 
+    @pytest.mark.parametrize("compacted", [False, True], ids=["log", "snapshot"])
+    def test_unsealed_session_without_chunks_recovers_empty(
+        self, model, journal_factory, compacted
+    ):
+        """A resident session whose rows never reached a device (8+4
+        tokens, never sealed) must not block recovery of an evicted one.
+        Its runs are journaled at registration, so the log and the
+        compacted snapshot both recover it at zero tokens."""
+        n_layers = model.config.n_layers
+        array, victim = build_stack(model, journal_factory("mixed"))
+        _, control = build_stack(model)
+        make = prompts(model, seed=31)
+        p_a, p_b, p_next = make(90), make(8), make(5)
+        for engine in (victim, control):
+            engine.open_session("a")
+            engine.chat_round("a", p_a, 10)
+            engine.evict("a")
+        victim.open_session("b")
+        victim.chat_round("b", p_b, 4)
+        ref_a = snapshot_prefix(victim.hcache.restore("a"), n_layers, 100)
+        if compacted:
+            victim.hcache.storage.compact_journal()
+        victim.hcache.storage.journal.close()
+        del victim
+
+        resumed = recover_stack(model, array, journal_factory("mixed"))
+        assert resumed.hcache.saved_tokens("a") == 100
+        assert resumed.hcache.saved_tokens("b") == 0
+        assert resumed.session("b").tokens == []
+        assert_cache_prefix(resumed.hcache.restore("a"), ref_a, n_layers)
+        assert resumed.chat_round("a", p_next, 4) == control.chat_round("a", p_next, 4)
+
     def test_clean_kill_preserves_everything(self, model, journal_factory, serve_rounds):
         """All sessions sealed before the crash: recovery is lossless and
         both sessions' continued streams match the control exactly."""
@@ -295,6 +327,25 @@ class TestKillAndResume:
         assert again.hcache.saved_tokens("s") == 106
         assert again.session("s").tokens == list(control.session("s").tokens)
         assert_cache_prefix(again.hcache.restore("s"), ref, n_layers)
+
+    def test_empty_unread_run_is_freed_on_adoption(self, model, journal_factory):
+        """An all-stored engine opens a layer-0 run at registration.  The
+        default engine never grows it, so adoption frees it even while it
+        is empty: left in place it would cut the next recovery to zero."""
+        all_stored = PartitionScheme.pure_hcache(model.config.n_layers)
+        array, victim = build_stack(model, journal_factory("empty"), all_stored)
+        victim.open_session("s")
+        victim.hcache.storage.journal.close()
+        del victim
+
+        resumed = recover_stack(model, array, journal_factory("empty"))
+        assert (0, "hidden") not in resumed.hcache.storage.runs("s")
+        resumed.chat_round("s", prompts(model, seed=23)(70), 10)
+        resumed.evict("s")
+        resumed.hcache.storage.journal.close()
+        del resumed
+        again = recover_stack(model, array, journal_factory("empty"))
+        assert again.hcache.saved_tokens("s") == 80
 
     def test_new_layout_store_opened_as_all_stored_is_refused(
         self, model, journal_factory

@@ -49,12 +49,12 @@ def test_injected_unguarded_counter_is_caught(tmp_path):
 def test_injected_journal_before_write_is_caught(tmp_path):
     dest = _copy_into_tree(tmp_path, "repro/storage/manager.py")
     source = dest.read_text()
-    target = "            device.write(key, payload)"
-    assert source.count(target) == 1, "flush_chunk write site moved; update test"
+    target = "        device.write(key, payload)"
+    assert source.count(target) == 1, "_flush_chunk write site moved; update test"
     dest.write_text(
         source.replace(
             target,
-            '            self.journal.append({"op": "chunk"})\n' + target,
+            '        self.journal.append({"op": "chunk"})\n' + target,
         )
     )
     findings = check_paths([tmp_path], default_rules())
@@ -72,7 +72,7 @@ def test_injected_delete_before_free_record_is_caught(tmp_path):
         "        if self.journal is not None:\n"
         '            self.journal.append({"op": "free", "context_id": context_id})\n'
     )
-    anchor = "        self._token_logs.pop(context_id, None)\n"
+    anchor = "        del self._contexts[context_id]\n"
     assert source.count(record) == 1, "free-record site moved; update test"
     assert source.count(anchor) == 1
     dest.write_text(source.replace(record, "").replace(anchor, record + anchor))

@@ -2,7 +2,7 @@
 
 These generalize the unit tests: the losslessness of HCache restoration,
 storage round-trips, scheduler optimality, two-stream timing bounds, LRU
-bounds, and allocator accounting must hold for *arbitrary* inputs, not just
+bounds, and storage byte accounting must hold for *arbitrary* inputs, not just
 the hand-picked ones.
 """
 
@@ -22,7 +22,6 @@ from repro.core.scheduler import BubbleFreeScheduler
 from repro.cache.lru import LRUCache
 from repro.models.config import ModelConfig
 from repro.models.transformer import Transformer
-from repro.storage.allocator import ChunkAllocator
 from repro.storage.chunk import ChunkLayout
 
 SETTINGS = settings(
@@ -103,7 +102,7 @@ def test_prefix_recompute_matches_full_prefill(n_prefix, n_tokens, token_seed):
 
 
 # ---------------------------------------------------------------------------
-# chunk layout / allocator accounting
+# chunk layout / storage byte accounting
 # ---------------------------------------------------------------------------
 
 
@@ -121,23 +120,27 @@ def test_chunk_fragmentation_bounded(tokens_per_chunk, bytes_per_token, n_tokens
 
 
 @SETTINGS
-@given(extends=st.lists(st.integers(1, 200), min_size=1, max_size=20))
-def test_allocator_accounting_consistent(extends):
-    layout = ChunkLayout(tokens_per_chunk=64, bytes_per_token=10)
-    allocator = ChunkAllocator(capacity_bytes=10**9)
-    allocator.open_run("ctx", 0, "hidden", layout)
+@given(extends=st.lists(st.integers(0, 200), min_size=1, max_size=20))
+def test_allocator_accounting_consistent(extends, default_platform):
+    """The manager's byte counter holds a whole chunk for every chunk a
+    run has started, and a free returns exactly that."""
+    from repro.core.profiler import build_storage_array
+    from repro.storage.manager import StorageManager
+
+    layout = ChunkLayout(tokens_per_chunk=64, bytes_per_token=10 * 4)
+    manager = StorageManager(build_storage_array(default_platform))
+    manager.register_context("ctx", n_layers=1, hidden_width=10)
     total = 0
     for n in extends:
-        allocator.extend("ctx", 0, "hidden", n)
+        manager.append("ctx", 0, np.zeros((n, 10), dtype=np.float32))
         total += n
-        run = allocator.run("ctx", 0, "hidden")
-        assert run.n_tokens == total
-        assert run.n_chunks == layout.chunks_for(total)
-        assert allocator.stats.used_bytes <= allocator.stats.allocated_bytes
-    freed = allocator.free_context("ctx")
+        assert manager.tokens_stored("ctx", 0) == total
+        assert manager.allocated_bytes == layout.allocated_bytes(total)
+        assert manager.context_bytes("ctx") == manager.allocated_bytes
+        assert manager.per_token_bytes("ctx") * total == layout.used_bytes(total)
+    freed = manager.free_context("ctx")
     assert freed == layout.allocated_bytes(total)
-    assert allocator.stats.allocated_bytes == 0
-    assert allocator.stats.used_bytes == 0
+    assert manager.allocated_bytes == 0
 
 
 # ---------------------------------------------------------------------------

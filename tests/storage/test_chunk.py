@@ -64,16 +64,6 @@ class TestChunkLayout:
         for n in (0, 1, 64, 200):
             assert layout.allocated_bytes(n) >= layout.used_bytes(n)
 
-    def test_token_slice(self):
-        layout = ChunkLayout(bytes_per_token=1)
-        assert layout.token_slice(0, 100) == (0, 64)
-        assert layout.token_slice(1, 100) == (64, 100)
-
-    def test_token_slice_out_of_range(self):
-        layout = ChunkLayout(bytes_per_token=1)
-        with pytest.raises(ConfigError):
-            layout.token_slice(2, 100)
-
     def test_invalid_layout_rejected(self):
         with pytest.raises(ConfigError):
             ChunkLayout(tokens_per_chunk=0, bytes_per_token=1)

@@ -245,3 +245,20 @@ class TestRecordSemantics:
         )
         assert run.sealed_tail_tokens == 0
         assert run.full_chunks == 2
+
+    def test_run_record_opens_an_empty_run(self):
+        state = fold(RECORDS[:1])
+        state.apply({"op": "run", "context_id": "a", "layer": 1, "kind": "kv"})
+        run = state.contexts["a"].runs[(1, "kv")]
+        assert (run.full_chunks, run.sealed_tail_tokens) == (0, 0)
+        # Re-opening an existing run (a chunk or seal came first) keeps it.
+        state.apply({"op": "chunk", "context_id": "a", "layer": 0, "kind": "hidden",
+                     "index": 0, "crc": 5})
+        state.apply({"op": "run", "context_id": "a", "layer": 0, "kind": "hidden"})
+        assert state.contexts["a"].runs[(0, "hidden")].full_chunks == 1
+
+    def test_runs_open_implicitly_without_run_records(self):
+        """Journals written before ``run`` records existed still replay:
+        a run's first chunk or seal opens it."""
+        state = fold(RECORDS[:4])
+        assert set(state.contexts["a"].runs) == {(0, "hidden")}

@@ -5,7 +5,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.errors import ConfigError, StateError
+from repro.errors import AllocationError, ConfigError, DeviceFault, StateError
+from repro.simulator.hardware import GB, SSDSpec
+from repro.storage import FaultPolicy, ManifestJournal, StorageArray, StorageManager
+from repro.storage import manager as manager_module
+
+CHUNK_BYTES = 64 * 32 * 4  # one 64-row chunk of width-32 fp32 rows
 
 
 def rows(n: int, width: int, seed: int = 0) -> np.ndarray:
@@ -84,7 +89,7 @@ class TestSaveLoadRoundtrip:
     def test_empty_layer_loads_empty(self, manager):
         manager.append("ctx", 0, rows(4, 32))
         with pytest.raises(StateError):
-            manager.allocator.run("ctx", 1, "hidden")
+            manager.load_layer("ctx", 1)
 
 
 class TestHotPathBuffers:
@@ -224,3 +229,134 @@ class TestAccounting:
             manager.append("ctx", layer, rows(64 * 8, 32, seed=layer))
         used = manager.array.used_bytes_per_device
         assert max(used) - min(used) <= 64 * 32 * 4
+
+
+def one_device_manager(**kwargs) -> StorageManager:
+    spec = SSDSpec("t-ssd", read_bandwidth=3 * GB, write_bandwidth=1 * GB,
+                   capacity_bytes=1 * GB)
+    manager = StorageManager(StorageArray([spec], link_bandwidth=8 * GB), **kwargs)
+    manager.register_context("ctx", n_layers=1, hidden_width=32)
+    return manager
+
+
+class TestRowsCountOnlyOnceLanded:
+    def test_failed_chunk_write_stores_only_the_landed_chunks(self):
+        manager = one_device_manager()
+        manager.array.devices[0].fault_policy = FaultPolicy(fail_writes=[2])
+        data = rows(192, 32, seed=7)
+        with pytest.raises(DeviceFault):
+            manager.append("ctx", 0, data)
+        assert manager.tokens_stored("ctx", 0) == 64
+        assert np.array_equal(manager.load_layer("ctx", 0), data[:64])
+        assert manager.allocated_bytes == CHUNK_BYTES
+        # A retry of the rows that never landed continues from chunk 1.
+        manager.append("ctx", 0, data[64:])
+        assert manager.tokens_stored("ctx", 0) == 192
+        assert np.array_equal(manager.load_layer("ctx", 0), data)
+        assert manager.allocated_bytes == 3 * CHUNK_BYTES
+
+    def test_refused_append_changes_nothing(self):
+        manager = one_device_manager(capacity_bytes=CHUNK_BYTES)
+        data = rows(10, 32)
+        manager.append("ctx", 0, data)
+        with pytest.raises(AllocationError):
+            manager.append("ctx", 0, rows(100, 32, seed=1))
+        assert manager.tokens_stored("ctx", 0) == 10
+        assert manager.allocated_bytes == CHUNK_BYTES
+        assert manager.array.total_used_bytes == 0
+        assert np.array_equal(manager.load_layer("ctx", 0), data)
+
+    def test_free_returns_the_counted_bytes(self):
+        manager = one_device_manager()
+        manager.append("ctx", 0, rows(65, 32))
+        assert manager.allocated_bytes == 2 * CHUNK_BYTES
+        assert manager.free_run("ctx", 0) == 2 * CHUNK_BYTES
+        assert manager.allocated_bytes == 0
+
+
+class TestByteAccounting:
+    """One byte counter against capacity: a whole chunk per chunk started."""
+
+    def test_chunks_allocate_lazily(self):
+        manager = one_device_manager()
+        for n, chunks in ((60, 1), (4, 1), (1, 2)):
+            manager.append("ctx", 0, rows(n, 32, seed=n))
+            assert manager.allocated_bytes == chunks * CHUNK_BYTES
+
+    def test_capacity_is_shared_by_every_run(self):
+        manager = one_device_manager(capacity_bytes=2 * CHUNK_BYTES)
+        manager.register_context("other", n_layers=1, hidden_width=32)
+        manager.append("ctx", 0, rows(64, 32))
+        manager.append("other", 0, rows(1, 32))
+        with pytest.raises(AllocationError):
+            manager.append("ctx", 0, rows(1, 32))
+        manager.free_context("other")
+        assert manager.allocated_bytes == CHUNK_BYTES
+        manager.append("ctx", 0, rows(1, 32))
+        assert manager.tokens_stored("ctx", 0) == 65
+
+    def test_fragmentation_bounded_by_one_chunk_per_run(self, manager):
+        for layer, n in enumerate((1, 63, 64, 130)):
+            manager.append("ctx", layer, rows(n, 32))
+        used = manager.per_token_bytes("ctx") * 130
+        assert 0 <= manager.context_bytes("ctx") - used < 4 * CHUNK_BYTES
+
+    def test_nonpositive_capacity_rejected(self):
+        with pytest.raises(AllocationError):
+            one_device_manager(capacity_bytes=0)
+
+
+class TestRuns:
+    def test_zero_row_append_opens_an_empty_run(self, manager):
+        manager.append("ctx", 2, rows(0, 32))
+        assert manager.runs("ctx") == ((2, "hidden"),)
+        assert manager.load_layer("ctx", 2).shape == (0, 32)
+        assert manager.allocated_bytes == 0
+
+    def test_open_run_is_idempotent(self, manager):
+        manager.open_run("ctx", 1, "kv")
+        manager.append("ctx", 1, rows(3, 64), kind="kv")
+        manager.open_run("ctx", 1, "kv")
+        assert manager.tokens_stored("ctx", 1, "kv") == 3
+
+    def test_open_run_validates_layer_and_kind(self, manager):
+        with pytest.raises(ConfigError):
+            manager.open_run("ctx", 4)
+        with pytest.raises(ConfigError):
+            manager.open_run("ctx", 0, "logits")
+        assert manager.runs("ctx") == ()
+
+    def test_rejected_block_opens_no_run(self, manager):
+        with pytest.raises(ConfigError):
+            manager.append("ctx", 0, rows(4, 16))
+        assert manager.runs("ctx") == ()
+
+
+class TestChecksumsOnlyWithAJournal:
+    @pytest.fixture
+    def crc_calls(self, monkeypatch):
+        calls = []
+        real = manager_module._payload_crc
+
+        def spy(payload):
+            calls.append(payload.shape)
+            return real(payload)
+
+        monkeypatch.setattr(manager_module, "_payload_crc", spy)
+        return calls
+
+    @staticmethod
+    def save_and_seal(manager):
+        manager.append("ctx", 0, rows(100, 32))
+        manager.seal_context("ctx")
+        manager.append("ctx", 0, rows(1, 32, seed=1))
+        manager.seal_context("ctx")
+
+    def test_no_crc_without_a_journal(self, crc_calls):
+        self.save_and_seal(one_device_manager())
+        assert crc_calls == []
+
+    def test_journaled_chunks_and_seals_carry_crcs(self, crc_calls, tmp_path):
+        with ManifestJournal(tmp_path) as journal:
+            self.save_and_seal(one_device_manager(journal=journal))
+        assert crc_calls == [(64, 32), (36, 32), (37, 32)]

@@ -316,18 +316,6 @@ class TestLoudFailures:
         with pytest.raises(RecoveryError, match="checksum"):
             recover(array, new_journal)
 
-    def test_corruption_ignorable_without_verification(self, stack):
-        array, manager, new_journal = stack
-        manager.register_context("ctx", n_layers=1, hidden_width=32)
-        manager.journal_tokens("ctx", list(range(CPC)))
-        manager.append("ctx", 0, rows(CPC))
-        device = array.device_for(0, offset=0)
-        key = ChunkKey("ctx", 0, 0, "hidden")
-        device.delete(key)
-        device.write(key, rows(CPC, seed=666))
-        recovered = recover(array, new_journal, verify_chunks=False)
-        assert recovered.tokens_stored("ctx", 0) == CPC
-
     def test_token_log_shorter_than_durable_rows_raises(self, stack):
         array, manager, new_journal = stack
         manager.register_context("ctx", n_layers=1, hidden_width=32)
