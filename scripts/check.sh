@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Local + CI gate: bytecode-compile, lint (ruff + repro.lint), types,
-# tier-1 tests, doc freshness, the hot-path gate, serving benchmark
-# smoke + self-tests.
+# tier-1 tests, doc freshness, the examples, the hot-path gate, serving
+# benchmark smoke + self-tests.
 #
 # Run this before sending a PR; .github/workflows/ci.yml runs exactly
 # this script on every push/PR.  The compileall pass catches
@@ -93,6 +93,14 @@ python -m pytest -q tests/storage/test_journal.py tests/storage/test_recovery.py
 echo "== paper figure/table/ablation benches (expectations asserted, timing disabled) =="
 require_or_skip pytest_benchmark python -m pytest -q benchmarks/bench_fig*.py \
     benchmarks/bench_tab*.py benchmarks/bench_abl*.py --benchmark-disable
+
+# The examples are the README's walkthroughs (the quickstart lives only
+# there); each runs in well under a second, so a stale call in one fails
+# here instead of in a reader's terminal.
+echo "== examples (each examples/*.py runs to completion) =="
+for example in examples/*.py; do
+    python "$example" > /dev/null
+done
 
 echo "== hot-path gate (state path >= 10x naive at 4k + layer-0 storage/read counts) =="
 python benchmarks/bench_hotpath.py

@@ -18,10 +18,10 @@ Reproduction of *Fast State Restoration in LLM Serving with HCache*
 - :mod:`repro.traces` — ShareGPT4/L-Eval-shaped workload generators.
 - :mod:`repro.cache` — GPU-resident KV reuse (LRU) experiments.
 
-Quickstart::
+Quickstart (save, evict, restore and compare on a tiny model, then the
+modelled restore times at 7B scale)::
 
-    from repro import quickstart_demo
-    quickstart_demo()
+    PYTHONPATH=src python examples/quickstart.py
 """
 
 from repro.baselines import (
@@ -70,42 +70,5 @@ __all__ = [
     "model_preset",
     "platform_preset",
     "profile_platform",
-    "quickstart_demo",
 ]
 
-
-def quickstart_demo() -> None:
-    """Smallest end-to-end demonstration: save, evict, restore, compare.
-
-    Runs a tiny model for real, restores its KV cache from hidden states,
-    and prints the restoration-time comparison for Llama2-7B on the
-    paper's default testbed.
-    """
-    import numpy as np
-
-    from repro.core.profiler import build_storage_array
-
-    config = model_preset("tiny-llama")
-    model = Transformer.from_seed(config, seed=0)
-    platform = platform_preset("default")
-    storage = StorageManager(build_storage_array(platform))
-    engine = HCacheEngine(model, storage)
-    engine.register_context("demo")
-    prompt = np.arange(24) % config.vocab_size
-    result, cache = model.prefill(prompt, capture_hidden=True)
-    assert result.hidden_states is not None
-    engine.save_states("demo", result.hidden_states, prompt, kv_cache=cache)
-    engine.seal("demo")
-    restored = engine.restore("demo")
-    print(f"lossless restore: {cache.equals(restored)}")
-
-    seven_b = model_preset("llama2-7b")
-    for name, method in default_methods(seven_b, platform).items():
-        if name == "ideal":
-            continue
-        timing = method.restoration_timing(2048)
-        print(
-            f"{name:>11}: restore 2048 tokens of {seven_b.name} in "
-            f"{timing.makespan * 1e3:7.2f} ms "
-            f"({timing.restoration_speed / 1e3:6.1f}K tokens/s)"
-        )

@@ -8,12 +8,8 @@ since only the token ids are retained.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.baselines.base import RestorationMethod
 from repro.core.restoration import RestorationTiming
-from repro.models.kv_cache import KVCache
-from repro.models.transformer import Transformer
 from repro.simulator.costs import prefill_time
 
 
@@ -37,9 +33,3 @@ class RecomputationMethod(RestorationMethod):
         """Recomputation folds history and the new prompt into one prefill
         — cheaper than two passes thanks to batched attention."""
         return prefill_time(self.config, self.platform, n_history + n_new)
-
-    @staticmethod
-    def restore_numeric(transformer: Transformer, tokens: np.ndarray) -> KVCache:
-        """Functional restoration: replay the prefill."""
-        _, cache = transformer.prefill(np.asarray(tokens))
-        return cache

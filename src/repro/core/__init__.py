@@ -12,7 +12,7 @@ from repro.core.gqa import (
     gqa_crossover_heads,
     with_kv_heads,
 )
-from repro.core.hcache import HCacheEngine, SavedContext
+from repro.core.hcache import HCacheEngine
 from repro.core.partition import LayerMethod, PartitionScheme, TokenPartition
 from repro.core.profiler import HardwareProfile, build_storage_array, profile_platform
 from repro.core.restoration import (
@@ -46,7 +46,6 @@ __all__ = [
     "NoSaver",
     "PartitionScheme",
     "RestorationTiming",
-    "SavedContext",
     "ScheduleDecision",
     "TokenPartition",
     "TwoStageSaver",

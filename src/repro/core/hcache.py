@@ -46,21 +46,6 @@ class _RestorePlan:
     granule_tokens: int
 
 
-@dataclass(frozen=True)
-class SavedContext:
-    """Book-keeping for one context the engine manages.
-
-    Attributes:
-        context_id: Stable identity.
-        scheme: Partition scheme its states were saved under.
-        n_tokens: Tokens saved so far.
-    """
-
-    context_id: str
-    scheme: PartitionScheme
-    n_tokens: int
-
-
 class HCacheEngine:
     """Saves and restores LLM contextual state via hidden states."""
 
@@ -242,9 +227,6 @@ class HCacheEngine:
 
     def context_ids(self) -> tuple[str, ...]:
         return tuple(self._contexts)
-
-    def saved_context(self, context_id: str) -> SavedContext:
-        return SavedContext(context_id, self.scheme, self.saved_tokens(context_id))
 
     @classmethod
     def recover(

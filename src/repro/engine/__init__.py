@@ -23,7 +23,7 @@ from repro.engine.api import (
 )
 from repro.engine.batching import ContinuousBatcher, MemoryBudget
 from repro.engine.frontend import RequestHandle, ServingFrontend
-from repro.engine.metrics import MetricsCollector, RequestRecord, ServingReport
+from repro.engine.metrics import MetricsCollector, ServingReport
 from repro.engine.numeric_engine import NumericServingEngine, SessionState
 from repro.engine.request import Phase, Request, RequestSpec
 from repro.engine.serving import (
@@ -49,7 +49,6 @@ __all__ = [
     "Phase",
     "Request",
     "RequestHandle",
-    "RequestRecord",
     "RequestSpec",
     "ServingEngine",
     "ServingFrontend",

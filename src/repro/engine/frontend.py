@@ -59,18 +59,17 @@ __all__ = [
 class RequestHandle:
     """Caller-facing view of one submitted request.
 
-    Holds the request itself (and, once asked for, its finished
+    Holds the request itself (and through it, once finished, its
     response), so the front end keeps nothing per request once it
     retires.
     """
 
-    __slots__ = ("request", "request_id", "session_id", "_response")
+    __slots__ = ("request", "request_id", "session_id")
 
     def __init__(self, request: _Request) -> None:
         self.request = request
         self.request_id = request.spec.request_id
         self.session_id = request.spec.session_id
-        self._response: _ServingResponse | None = None
 
     def __repr__(self) -> str:
         return f"RequestHandle({self.request_id!r}, session={self.session_id!r})"
@@ -89,25 +88,12 @@ class RequestHandle:
 
     def result(self) -> _ServingResponse:
         """The finished response; raises until the request finishes."""
-        if self._response is None:
-            if not self.finished:
-                raise _StateError(
-                    f"request {self.request_id!r} has not finished "
-                    f"(phase {self.phase.value}); drive step() or stream() first"
-                )
-            request = self.request
-            self._response = _ServingResponse(
-                request_id=self.request_id,
-                session_id=self.session_id,
-                tokens=self.tokens(),
-                arrival_time=request.spec.arrival_time,
-                admitted_at=request.admitted_at,
-                first_token_at=request.first_token_at,
-                last_token_at=request.last_token_at,
-                finished_at=request.finished_at,
-                restore_seconds=request.restore_seconds,
+        if self.request.response is None:
+            raise _StateError(
+                f"request {self.request_id!r} has not finished "
+                f"(phase {self.phase.value}); drive step() or stream() first"
             )
-        return self._response
+        return self.request.response
 
 
 class ServingFrontend:
@@ -366,10 +352,10 @@ class ServingFrontend:
 
     def _finish(self, request: _Request) -> None:
         request_id, session_id = request.spec.request_id, request.spec.session_id
-        request.mark_finished(self._clock())
+        response = request.mark_finished(self._clock())
         self.batcher.release(request)
         self._in_flight.discard(request_id)
-        self.metrics.observe(request)
+        self.metrics.observe(response)
         if self._session_tail[session_id] is not request:
             # The session's next round is queued behind this one.
             self._finished_deps.add(request_id)

@@ -1,9 +1,11 @@
 """Serving-quality metric collection (§2.2, §6 "Metrics").
 
 TTFT measures the restoration + prefill + queueing path; TBT measures the
-steady decode cadence.  The collector aggregates per-request samples into
-the summary statistics the paper plots: mean/median/p95 TTFT, mean TBT,
-and sustained throughput.
+steady decode cadence.  The collector keeps each finished request's
+:class:`~repro.engine.api.ServingResponse` — the one record of a finished
+request, the same object the caller's handle resolves to — and aggregates
+them into the summary statistics the paper plots: mean/median/p95 TTFT,
+mean TBT, and sustained throughput.
 """
 
 from __future__ import annotations
@@ -12,28 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.engine.request import Phase, Request
+from repro.engine.api import ServingResponse
 from repro.errors import StateError
-
-
-@dataclass(frozen=True)
-class RequestRecord:
-    """Immutable per-request measurement.
-
-    ``restore_seconds`` runs from the step that started the request's
-    restoration to the step that settled it, so it includes any wait for
-    the restore IO path; 0 for a request that restored nothing.
-    """
-
-    request_id: str
-    session_id: str
-    arrival_time: float
-    ttft: float
-    tbt: float
-    queue_delay: float
-    restore_seconds: float
-    output_tokens: int
-    finished_at: float
 
 
 @dataclass
@@ -67,28 +49,13 @@ class ServingReport:
 
 @dataclass
 class MetricsCollector:
-    """Accumulates finished requests and summarizes them."""
+    """Keeps every finished request's response and summarizes them."""
 
-    records: list[RequestRecord] = field(default_factory=list)
+    records: list[ServingResponse] = field(default_factory=list)
 
-    def observe(self, request: Request) -> RequestRecord:
+    def observe(self, response: ServingResponse) -> None:
         """Record a finished request."""
-        if request.phase is not Phase.FINISHED:
-            raise StateError("can only observe finished requests")
-        queue_delay = request.admitted_at - request.spec.arrival_time
-        record = RequestRecord(
-            request_id=request.spec.request_id,
-            session_id=request.spec.session_id,
-            arrival_time=request.spec.arrival_time,
-            ttft=request.ttft,
-            tbt=request.tbt,
-            queue_delay=queue_delay,
-            restore_seconds=request.restore_seconds,
-            output_tokens=request.spec.output_tokens,
-            finished_at=request.finished_at,
-        )
-        self.records.append(record)
-        return record
+        self.records.append(response)
 
     def __len__(self) -> int:
         return len(self.records)
@@ -98,13 +65,13 @@ class MetricsCollector:
         if not self.records:
             raise StateError("no finished requests to summarize")
         ttfts = np.array([r.ttft for r in self.records])
-        tbts = np.array([r.tbt for r in self.records if r.output_tokens > 1])
+        tbts = np.array([r.tpot for r in self.records if len(r.tokens) > 1])
         if tbts.size == 0:
             tbts = np.array([0.0])
         start = min(r.arrival_time for r in self.records)
         end = max(r.finished_at for r in self.records)
         duration = max(end - start, 1e-9)
-        total_tokens = sum(r.output_tokens for r in self.records)
+        total_tokens = sum(len(r.tokens) for r in self.records)
         return ServingReport(
             n_requests=len(self.records),
             duration=duration,

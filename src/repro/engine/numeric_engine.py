@@ -263,9 +263,10 @@ class NumericServingEngine:
         Every chunk and every decode token becomes one segment of a
         single packed transformer pass, each attending against its own
         session's cache — so which sessions share an iteration is free to
-        change from one call to the next.  Each segment's hidden states
-        are persisted through the ordinary HCache save path and the token
-        logs are extended, so storage contents match the serial engine.
+        change from one call to the next.  Each segment's hidden states —
+        its rows of the call's own per-layer inputs, no copy — are
+        persisted through the ordinary HCache save path and the token logs
+        are extended, so storage contents match the serial engine.
         Returns an :class:`~repro.engine.api.IterationResult` whose
         ``next_tokens`` carries every executed session's next greedy
         token; for a prefill chunk that does not complete its prompt the
@@ -295,12 +296,6 @@ class NumericServingEngine:
         step_tokens = np.array([int(token) for token in decode.values()], dtype=np.intp)
         segments = [tokens for _, tokens in chunks] + list(step_tokens[:, None])
         caches = [state.kv_cache for state in states]
-        config = self.transformer.config
-        captures = [
-            HiddenCapture(config.n_layers, config.hidden_size) for _ in states
-        ]
-        for capture, segment in zip(captures, segments):
-            capture.reserve(segment.size)
         # One kernel under two public names: a decode-only iteration keeps
         # its own, so a traced run can tell decode time from prefill time.
         if chunks:
@@ -309,7 +304,7 @@ class NumericServingEngine:
             packed_call, batch = self.transformer.decode_batch, step_tokens
         started = time.perf_counter()
         try:
-            logits = packed_call(batch, caches, captures=captures)
+            result = packed_call(batch, caches)
         except RestorationError:
             # The kernel rolled every cache back to its starting length;
             # a session whose restore died is evicted again (storage still
@@ -329,18 +324,22 @@ class NumericServingEngine:
                 for state in states
                 if state.session_id in self._landing
             )
-        for b, (state, segment) in enumerate(zip(states, segments)):
+        assert result.hidden_states is not None
+        start = 0
+        for state, segment in zip(states, segments):
             self._settle_restore(state.session_id)
+            stop = start + segment.size
             self.hcache.save_states(
                 state.session_id,
-                captures[b].block_views(0, segment.size),
+                [layer_input[start:stop] for layer_input in result.hidden_states],
                 segment,
                 kv_cache=state.kv_cache,
             )
             state.tokens.extend(int(t) for t in segment)
+            start = stop
         return IterationResult(
             next_tokens={
-                state.session_id: int(np.argmax(logits[b]))
+                state.session_id: int(np.argmax(result.logits[b]))
                 for b, state in enumerate(states)
             },
             model_calls=1,
@@ -465,8 +464,15 @@ class NumericServingEngine:
         state.kv_cache = None
 
     def close_session(self, session_id: str) -> None:
-        """End a conversation and free its storage."""
+        """End a conversation and free its storage.
+
+        A restore of it that no :meth:`finished_restores` has reported
+        yet still reads that storage: it is waited out first, and its
+        outcome — cache or failure — discarded."""
         state = self.session(session_id)
+        restoring = self._restoring.pop(session_id, None)
+        if restoring is not None:
+            wait((restoring.future,))
         self._settle_restore(session_id)
         state.kv_cache = None
         self.hcache.drop_context(session_id)

@@ -15,6 +15,7 @@ from enum import Enum
 
 import numpy as np
 
+from repro.engine.api import ServingResponse
 from repro.errors import ConfigError, StateError
 
 
@@ -80,6 +81,9 @@ class Request:
             ``finished_at`` comes one iteration later, once that token has
             been fed through the model, its state saved and the KV
             reservation released.
+        response: The finished request's one record, written by
+            :meth:`mark_finished` (what its handle resolves to and the
+            metrics keep); ``None`` until then.
     """
 
     spec: RequestSpec
@@ -94,26 +98,10 @@ class Request:
     first_token_at: float = float("nan")
     last_token_at: float = float("nan")
     finished_at: float = float("nan")
+    response: ServingResponse | None = None
 
     def __post_init__(self) -> None:
         self.prefill_remaining = self.spec.input_tokens
-
-    @property
-    def ttft(self) -> float:
-        """Time to first token (arrival to end of prefill)."""
-        if self.phase not in (Phase.DECODING, Phase.FINISHED):
-            raise StateError(f"request {self.spec.request_id} has no first token yet")
-        return self.first_token_at - self.spec.arrival_time
-
-    @property
-    def tbt(self) -> float:
-        """Mean time between tokens, first to last emitted."""
-        if self.phase is not Phase.FINISHED:
-            raise StateError(f"request {self.spec.request_id} has not finished")
-        n_gaps = self.spec.output_tokens - 1
-        if n_gaps <= 0:
-            return 0.0
-        return (self.last_token_at - self.first_token_at) / n_gaps
 
     @property
     def restore_seconds(self) -> float:
@@ -132,8 +120,21 @@ class Request:
         if len(self.emitted) == self.spec.output_tokens:
             self.last_token_at = now
 
-    def mark_finished(self, now: float) -> None:
+    def mark_finished(self, now: float) -> ServingResponse:
+        """Finish the request and write up its one record, :attr:`response`."""
         if self.phase is not Phase.DECODING:
             raise StateError("only decoding requests can finish")
         self.finished_at = now
         self.phase = Phase.FINISHED
+        self.response = ServingResponse(
+            request_id=self.spec.request_id,
+            session_id=self.spec.session_id,
+            tokens=tuple(self.emitted),
+            arrival_time=self.spec.arrival_time,
+            admitted_at=self.admitted_at,
+            first_token_at=self.first_token_at,
+            last_token_at=self.last_token_at,
+            finished_at=now,
+            restore_seconds=self.restore_seconds,
+        )
+        return self.response

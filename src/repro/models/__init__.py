@@ -4,7 +4,6 @@ numpy implementation used to validate HCache's lossless restoration."""
 from repro.models.config import FP16_BYTES, MODELS, ModelConfig, model_preset
 from repro.models.hidden_capture import HiddenCapture
 from repro.models.kv_cache import KVCache
-from repro.models.sampler import greedy, sample_temperature, sample_top_k
 from repro.models.transformer import (
     BATCHED_DECODE_ATOL,
     ForwardResult,
@@ -25,9 +24,6 @@ __all__ = [
     "ModelWeights",
     "RestoreWorkspace",
     "Transformer",
-    "greedy",
     "init_weights",
     "model_preset",
-    "sample_temperature",
-    "sample_top_k",
 ]

@@ -120,11 +120,6 @@ class ModelConfig:
         """Total model weight footprint in bytes."""
         return self.param_count * self.dtype_bytes
 
-    @property
-    def layer_weight_bytes(self) -> int:
-        """Weight bytes of a single layer (drives decode time per layer)."""
-        return self.layer_param_count * self.dtype_bytes
-
 
 #: Presets used throughout the paper's evaluation plus tiny test models.
 MODELS: dict[str, ModelConfig] = {

@@ -121,12 +121,14 @@ class ForwardResult:
     """Output of one forward pass over a block of new tokens.
 
     Attributes:
-        logits: ``(n_tokens, vocab)`` next-token logits.
+        logits: ``(n_tokens, vocab)`` next-token logits (``(segments,
+            vocab)`` from the packed calls: each segment's last row).
         hidden_states: When captured, one ``(n_tokens, hidden)`` array per
             layer holding the residual-stream input of that layer — the
             state HCache saves.  Views into the capture buffer when a
-            :class:`HiddenCapture` accumulates across calls; ``None`` when
-            not capturing.
+            :class:`HiddenCapture` accumulates across calls; the packed
+            calls' own per-layer inputs (every segment's rows) from
+            :meth:`Transformer.forward_fused`; ``None`` when not capturing.
     """
 
     logits: np.ndarray
@@ -370,8 +372,7 @@ class Transformer:
         self,
         tokens: np.ndarray,
         caches: Sequence[KVCache],
-        captures: Sequence[HiddenCapture] | None = None,
-    ) -> np.ndarray:
+    ) -> ForwardResult:
         """One decode step for ``B`` concurrent sessions in a single pass.
 
         The decode-only spelling of :meth:`forward_fused`: ``tokens[b]``
@@ -382,20 +383,19 @@ class Transformer:
         against its own cache, so batch membership is free to change
         between calls.
 
-        Returns ``(B, vocab)`` next-token logits; ``captures[b]`` gains
-        one row per layer, as in :meth:`forward_fused`.
+        Returns ``(B, vocab)`` next-token logits and row ``b`` of every
+        layer's input, as in :meth:`forward_fused`.
         """
         tokens = np.asarray(tokens)
         if tokens.ndim != 1:
             raise ConfigError("tokens must be a 1-D array, one per session")
-        return self._forward_packed(list(tokens[:, None]), caches, captures)
+        return self._forward_packed(list(tokens[:, None]), caches)
 
     def forward_fused(
         self,
         segments: Sequence[np.ndarray],
         caches: Sequence[KVCache],
-        captures: Sequence[HiddenCapture] | None = None,
-    ) -> np.ndarray:
+    ) -> ForwardResult:
         """One fused forward over variable-length segments of ``S`` sessions.
 
         The serving front end's iteration primitive: segment ``s`` is a
@@ -409,16 +409,17 @@ class Transformer:
         Every segment, decode token or chunk, goes through the attention
         kernel a serial ``forward`` uses.
 
-        Per-segment hidden states land in ``captures[s]`` exactly as a
-        serial ``forward(seg, caches[s], capture=captures[s])`` would write
-        them, so the HCache saving path is unchanged.
-
-        Returns ``(S, vocab)`` logits — for each segment, the next-token
-        logits of its *last* row (for a chunk that does not complete its
-        prompt the argmax is meaningless; the front end tracks which
-        chunks do).  No other row's final-layer output is ever read, so
-        the last layer appends every row's K/V but attends, projects and
-        feeds forward only each segment's last row.
+        Returns a :class:`ForwardResult`: ``(S, vocab)`` logits — for each
+        segment, the next-token logits of its *last* row (for a chunk that
+        does not complete its prompt the argmax is meaningless; the front
+        end tracks which chunks do) — and ``hidden_states[L]``, the packed
+        ``(rows, hidden)`` input of layer ``L``, segments in order: segment
+        ``s``'s rows are the ones a serial ``forward(seg, caches[s],
+        capture_hidden=True)`` would capture, so the HCache save path
+        slices them from the call's own activations.  No other row's
+        final-layer output is ever read, so the last layer appends every
+        row's K/V but attends, projects and feeds forward only each
+        segment's last row.
 
         **Equivalence contract:** segment ``s`` matches a serial
         ``forward(seg, caches[s])`` to within :data:`BATCHED_DECODE_ATOL`,
@@ -429,16 +430,11 @@ class Transformer:
         small-batch row slabs (see :meth:`_forward_packed`), block
         attention by how the prompt was chunked (see the constant).
         """
-        return self._forward_packed(
-            [np.asarray(seg) for seg in segments], caches, captures
-        )
+        return self._forward_packed([np.asarray(seg) for seg in segments], caches)
 
     def _forward_packed(
-        self,
-        segments: list[np.ndarray],
-        caches: Sequence[KVCache],
-        captures: Sequence[HiddenCapture] | None,
-    ) -> np.ndarray:
+        self, segments: list[np.ndarray], caches: Sequence[KVCache]
+    ) -> ForwardResult:
         """The one batched kernel behind both public spellings above.
 
         Every dense product (Q/K/V, output projection, FFN, LM head) is
@@ -448,6 +444,10 @@ class Transformer:
         is one call.  The serial :meth:`forward`, :meth:`project_kv` and
         :meth:`project_kv_chunk` keep plain ``matmul``, so restores stay
         bit-exact and the serial reference takes no slabs.
+
+        Every layer's input is a fresh array no later stage writes (each
+        residual add allocates), so the call keeps a reference to each
+        and returns them as ``hidden_states`` instead of copying rows out.
         """
         config = self.config
         caches = list(caches)
@@ -465,10 +465,6 @@ class Transformer:
         for cache in caches:
             if cache.config != config:
                 raise ConfigError("every cache must match the transformer's config")
-        if captures is not None:
-            captures = list(captures)
-            if len(captures) != len(caches):
-                raise ConfigError("need one capture per segment")
         starts = [len(cache) for cache in caches]
         sizes = [seg.size for seg in segments]
         for start, size in zip(starts, sizes):
@@ -484,11 +480,8 @@ class Transformer:
         positions = np.arange(bounds[-1]) + np.repeat(
             [start - first for start, first in zip(starts, bounds)], sizes
         )
-        rows = (
-            [capture.extend(size) for capture, size in zip(captures, sizes)]
-            if captures is not None
-            else None
-        )
+        # Layer L's input, assigned by index (the list never grows).
+        inputs = [hidden] * config.n_layers
         n_rep = config.n_heads // config.n_kv_heads
         attn_out = np.empty(
             (bounds[-1], config.n_heads, config.head_dim), dtype=np.float32
@@ -500,9 +493,7 @@ class Transformer:
         last = np.array(bounds[1:]) - 1
         try:
             for layer in range(config.n_layers):
-                if captures is not None:
-                    for s, capture in enumerate(captures):
-                        capture.write(layer, rows[s], hidden[bounds[s] : bounds[s + 1]])
+                inputs[layer] = hidden
                 w = self.weights.layers[layer]
                 final_layer = layer == config.n_layers - 1
                 # One packed projection: row r's RoPE angle comes from its own
@@ -536,7 +527,9 @@ class Transformer:
                 cache.truncate(start)
             raise
         final = self._norm(hidden, self.weights.final_norm)
-        return slab_matmul(final, self.weights.lm_head)
+        return ForwardResult(
+            logits=slab_matmul(final, self.weights.lm_head), hidden_states=inputs
+        )
 
     # ------------------------------------------------------------------
     # restoration helpers

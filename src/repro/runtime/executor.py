@@ -53,6 +53,10 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
 #: and the pipeline measurably serializes (a regression test pins this).
 RUNWAY_GRANULES = 6
 
+#: Driver threads restoring distinct contexts at once in
+#: :meth:`RestoreExecutor.restore_contexts_async`.
+MAX_CONCURRENT_RESTORES = 4
+
 
 def _run_inline(fn: Callable[..., Any], /, *args: Any) -> Future:
     """``IOWorkerPool.submit`` without a pool: run now, return it settled."""
@@ -162,8 +166,6 @@ class RestoreExecutor:
             :data:`RUNWAY_GRANULES`.  Memory cost is one staging slot per
             in-flight granule (the ring is ``inflight + 1`` deep, which
             makes slot reuse safe — see :class:`StagingRing`).
-        max_concurrent_restores: Driver threads restoring distinct
-            contexts at once in :meth:`restore_contexts_async`.
     """
 
     def __init__(
@@ -171,7 +173,6 @@ class RestoreExecutor:
         pool: IOWorkerPool | int = 1,
         *,
         inflight: int | None = None,
-        max_concurrent_restores: int = 4,
     ) -> None:
         self._owns_pool = isinstance(pool, int)
         if isinstance(pool, int):
@@ -180,11 +181,8 @@ class RestoreExecutor:
             inflight = pool.size + RUNWAY_GRANULES
         if inflight < 1:
             raise ConfigError("executor needs at least one granule in flight")
-        if max_concurrent_restores < 1:
-            raise ConfigError("max_concurrent_restores must be at least 1")
         self.pool = pool
         self.inflight = inflight
-        self.max_concurrent_restores = max_concurrent_restores
         #: Lazily created driver pool for the multi-context restores.
         self._drivers: ThreadPoolExecutor | None = None
         self._closed = False
@@ -220,7 +218,7 @@ class RestoreExecutor:
 
         Returns ``{context_id: Future[KVCache]}`` immediately; each
         restoration is the ordinary ``engine.restore(..., executor=self)``
-        on a persistent driver pool (at most ``max_concurrent_restores``
+        on a persistent driver pool (at most :data:`MAX_CONCURRENT_RESTORES`
         concurrently), all of them contending for the same IO workers.
         This is the serving front end's restore/decode overlap:
         admitted-but-evicted sessions restore in the background — their
@@ -263,7 +261,7 @@ class RestoreExecutor:
         )
         if self._drivers is None:
             self._drivers = ThreadPoolExecutor(
-                max_workers=self.max_concurrent_restores,
+                max_workers=MAX_CONCURRENT_RESTORES,
                 thread_name_prefix="hcache-restore",
             )
         sinks: "Mapping[str, RestoreProgress]" = progress if progress is not None else {}

@@ -44,12 +44,6 @@ class TestRecomputation:
         )
         assert folded < separate
 
-    def test_numeric_restore(self, tiny_model, tiny_config):
-        tokens = np.arange(10) % tiny_config.vocab_size
-        _, reference = tiny_model.prefill(tokens)
-        restored = RecomputationMethod.restore_numeric(tiny_model, tokens)
-        assert reference.equals(restored)
-
 
 class TestKVOffload:
     def test_pure_io(self, seven_b, default_platform):

@@ -22,6 +22,7 @@ from repro.engine import (
     ServingRequest,
 )
 from repro.errors import AdmissionError, ConfigError, StateError
+from repro.models.hidden_capture import HiddenCapture
 from repro.models.transformer import BATCHED_DECODE_ATOL
 from repro.runtime.executor import RestoreExecutor
 from repro.storage.manager import StorageManager
@@ -110,7 +111,7 @@ class TestEquivalence:
         second = _prompts(tiny_config, [4, 5], seed=56)
 
         def run(overlap):
-            executor = RestoreExecutor(max_concurrent_restores=2) if overlap else None
+            executor = RestoreExecutor() if overlap else None
             engine = make_engine(executor=executor)
             frontend = ServingFrontend(
                 engine,
@@ -383,6 +384,68 @@ class TestStreamingAndHandles:
         assert len(engine.session("s").tokens) == 3 + 2 + 2 + 2
 
 
+class TestNothingWrittenTwice:
+    def test_iteration_saves_from_the_call_and_a_request_has_one_record(
+        self, make_engine, tiny_config, monkeypatch
+    ):
+        """A prompt chunk beside two decode tokens is saved straight from
+        the packed call's own per-layer inputs — the iteration builds no
+        ``HiddenCapture`` — and a finished request's handle and the
+        metrics hold one and the same response."""
+        prompts = _prompts(tiny_config, [5, 7, 9], seed=61)
+        engine = make_engine()
+        for s in ("s0", "s1"):
+            engine.open_session(s)
+            engine.execute_iteration([(s, prompts[s])])
+        engine.open_session("s2")
+        built = []
+        real_init = HiddenCapture.__init__
+
+        def counting_init(capture, *args, **kwargs):
+            built.append(capture)
+            real_init(capture, *args, **kwargs)
+
+        monkeypatch.setattr(HiddenCapture, "__init__", counting_init)
+        engine.execute_iteration([("s2", prompts["s2"])], {"s0": 1, "s1": 2})
+        assert built == []
+        monkeypatch.undo()
+        assert {s: engine.hcache.saved_tokens(s) for s in prompts} == {
+            "s0": 6, "s1": 8, "s2": 9
+        }
+
+        frontend = ServingFrontend(make_engine(), MemoryBudget(capacity_tokens=4096))
+        handle = frontend.submit(
+            ServingRequest(session_id="s", prompt_tokens=prompts["s0"], max_new_tokens=3)
+        )
+        frontend.run_until_idle(max_steps=50)
+        assert handle.result() is frontend.metrics.records[-1]
+
+    def test_every_handle_resolves_to_its_metrics_record(self, make_engine, tiny_config):
+        """Several sessions, one of them with a queued second round: each
+        handle's response is the record the metrics kept for it, once."""
+        prompts = _prompts(tiny_config, [4, 6, 3], seed=62)
+        frontend = ServingFrontend(make_engine(), MemoryBudget(capacity_tokens=4096))
+        handles = [
+            frontend.submit(
+                ServingRequest(session_id=sid, prompt_tokens=prompt, max_new_tokens=2)
+            )
+            for sid, prompt in prompts.items()
+        ]
+        handles.append(
+            frontend.submit(
+                ServingRequest(session_id="s0", prompt_tokens=np.array([1, 2]), max_new_tokens=2)
+            )
+        )
+        frontend.run_until_idle(max_steps=100)
+        records = {id(record): record for record in frontend.metrics.records}
+        assert len(records) == len(frontend.metrics) == len(handles)
+        for handle in handles:
+            response = handle.result()
+            assert records[id(response)] is response
+            assert response.request_id == handle.request_id
+            assert response.tokens == handle.tokens()
+
+
 class TestTimeline:
     def test_tbt_excludes_the_final_feed_and_save_iteration(
         self, make_engine, tiny_config
@@ -408,7 +471,7 @@ class TestTimeline:
         assert (response.first_token_at, response.last_token_at) == (1.0, 4.0)
         assert response.finished_at == 5.0
         assert response.tpot == 1.0
-        assert frontend.metrics.records[0].tbt == 1.0
+        assert frontend.metrics.records[0].tpot == 1.0
 
 
 class TestBoundedBookkeeping:

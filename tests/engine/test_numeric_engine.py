@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from repro.engine.numeric_engine import NumericServingEngine
 from repro.errors import ConfigError, StateError
 from repro.models.kv_cache import KVCache
 from repro.models.transformer import Transformer
+from repro.runtime import RestoreExecutor
 from repro.storage.manager import StorageManager
 
 
@@ -143,3 +146,78 @@ class TestEquivalence:
         storage = StorageManager(build_storage_array(default_platform))
         with pytest.raises(ConfigError):
             NumericServingEngine(a, HCacheEngine(b, storage))
+
+
+class TestCloseDuringRestore:
+    def test_close_waits_out_an_unreported_restore(
+        self, tiny_model, tiny_config, default_platform
+    ):
+        """Closing a session whose background restore still reads its
+        storage waits for that restore before freeing the storage: the
+        close leaves nothing behind and no later call raises the
+        restore's read of a freed chunk."""
+        storage = StorageManager(build_storage_array(default_platform), tokens_per_chunk=8)
+        with RestoreExecutor(1) as executor:
+            engine = NumericServingEngine(
+                tiny_model, HCacheEngine(tiny_model, storage), executor=executor
+            )
+            engine.open_session("a")
+            prompt = np.random.default_rng(3).integers(0, tiny_config.vocab_size, size=40)
+            engine.chat_round("a", prompt, 4)
+            engine.evict("a")
+            gate = threading.Event()
+            real_read = storage.read_granule_into
+
+            def held_read(context_id, spec, out):
+                assert gate.wait(20.0), "the held reads were never released"
+                real_read(context_id, spec, out)
+
+            storage.read_granule_into = held_read
+            engine.start_restores({"a": 300}, background=True)
+            # Reads resume 50 ms from now: a close that does not wait for
+            # the restore has freed the storage by then.
+            release = threading.Timer(0.05, gate.set)
+            release.start()
+            engine.close_session("a")
+            release.join()
+            assert not engine.has_session("a")
+            assert not storage.has_context("a")
+            assert storage.allocated_bytes == 0
+            for _ in range(tiny_config.n_layers + 1):
+                engine.wait_for_restores()
+            assert engine.finished_restores() == []
+
+    def test_close_discards_a_restore_that_fails(
+        self, tiny_model, tiny_config, default_platform
+    ):
+        """A background restore whose read fails while its session is
+        being closed: the close waits it out, drops its failure with it,
+        and no later call reports either."""
+        storage = StorageManager(build_storage_array(default_platform), tokens_per_chunk=8)
+        with RestoreExecutor(1) as executor:
+            engine = NumericServingEngine(
+                tiny_model, HCacheEngine(tiny_model, storage), executor=executor
+            )
+            engine.open_session("a")
+            prompt = np.random.default_rng(4).integers(0, tiny_config.vocab_size, size=40)
+            engine.chat_round("a", prompt, 4)
+            engine.evict("a")
+            gate = threading.Event()
+            reads = []
+
+            def failing_read(context_id, spec, out):
+                reads.append(context_id)
+                assert gate.wait(20.0), "the held read was never released"
+                raise OSError("injected device failure")
+
+            storage.read_granule_into = failing_read
+            engine.start_restores({"a": 300}, background=True)
+            release = threading.Timer(0.05, gate.set)
+            release.start()
+            engine.close_session("a")
+            release.join()
+            assert reads  # the restore did reach the device
+            assert not engine.has_session("a")
+            assert not storage.has_context("a")
+            assert storage.allocated_bytes == 0
+            assert engine.finished_restores() == []

@@ -53,16 +53,11 @@ class TestLifecycle:
             request.emit(7, 1.0)
 
     def test_ttft_definition(self):
-        request = Request(spec=spec(arrival_time=2.0))
+        request = Request(spec=spec(arrival_time=2.0, output_tokens=1))
         request.phase = Phase.PREFILLING
         request.emit(7, 5.0)
         assert request.phase is Phase.DECODING
-        assert request.ttft == pytest.approx(3.0)
-
-    def test_ttft_before_first_token_rejected(self):
-        request = Request(spec=spec())
-        with pytest.raises(StateError):
-            _ = request.ttft
+        assert request.mark_finished(6.0).ttft == pytest.approx(3.0)
 
     def test_tbt_definition(self):
         """First to last emitted token: the iteration that feeds and saves
@@ -71,16 +66,17 @@ class TestLifecycle:
         request.phase = Phase.PREFILLING
         for i in range(5):
             request.emit(7, 1.0 + 0.25 * i)
-        request.mark_finished(9.0)
-        assert request.last_token_at == pytest.approx(2.0)
-        assert request.tbt == pytest.approx(1.0 / 4)
+        assert request.response is None  # written up only once finished
+        response = request.mark_finished(9.0)
+        assert response is request.response
+        assert response.last_token_at == pytest.approx(2.0)
+        assert response.tpot == pytest.approx(1.0 / 4)
 
     def test_tbt_single_token_output(self):
         request = Request(spec=spec(output_tokens=1))
         request.phase = Phase.PREFILLING
         request.emit(7, 1.0)
-        request.mark_finished(1.5)
-        assert request.tbt == 0.0
+        assert request.mark_finished(1.5).tpot == 0.0
 
     def test_restore_seconds(self):
         request = Request(spec=spec())
@@ -95,9 +91,43 @@ class TestLifecycle:
         with pytest.raises(StateError):
             request.mark_finished(1.0)
 
-    def test_tbt_before_finish_rejected(self):
-        request = Request(spec=spec())
-        request.phase = Phase.PREFILLING
-        request.emit(7, 1.0)
+
+def finished_request(output_tokens=3):
+    request = Request(spec=spec(arrival_time=1.0, output_tokens=output_tokens))
+    request.admitted_at = 1.25
+    request.restore_started_at = 1.25
+    request.restore_finished_at = 1.75
+    request.phase = Phase.PREFILLING
+    for i in range(output_tokens):
+        request.emit(10 + i, 2.0 + i)
+    return request
+
+
+class TestResponse:
+    def test_response_carries_the_request_timeline(self):
+        request = finished_request()
+        response = request.mark_finished(6.0)
+        assert (response.request_id, response.session_id) == ("r0", "s0")
+        assert response.tokens == (10, 11, 12)
+        assert response.arrival_time == 1.0
+        assert response.admitted_at == 1.25
+        assert (response.first_token_at, response.last_token_at) == (2.0, 4.0)
+        assert response.finished_at == 6.0
+        assert response.restore_seconds == pytest.approx(0.5)
+
+    def test_response_tokens_are_a_snapshot(self):
+        """The record is immutable: a later change to the request's token
+        list does not reach it."""
+        request = finished_request()
+        response = request.mark_finished(6.0)
+        request.emitted.append(99)
+        assert isinstance(response.tokens, tuple)
+        assert response.tokens == (10, 11, 12)
+
+    def test_finish_twice_rejected_and_record_kept(self):
+        request = finished_request()
+        response = request.mark_finished(6.0)
         with pytest.raises(StateError):
-            _ = request.tbt
+            request.mark_finished(7.0)
+        assert request.response is response
+        assert request.finished_at == 6.0

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.baselines import RecomputationMethod, default_methods
+from repro.baselines import default_methods
 from repro.core import HCacheEngine, PartitionScheme
 from repro.core.profiler import build_storage_array
 from repro.engine import NumericServingEngine, simulate_methods
@@ -41,7 +41,7 @@ class TestAllRestorationPathsAgree:
         via_kv = kv_offload.restore("c")
 
         # Recomputation path.
-        via_recompute = RecomputationMethod.restore_numeric(tiny_model, tokens)
+        _, via_recompute = tiny_model.prefill(tokens)
 
         assert reference.equals(via_hidden, atol=0.0)
         assert reference.equals(via_kv, atol=0.0)

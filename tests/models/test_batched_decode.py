@@ -79,13 +79,13 @@ def prefilled_caches(model, lengths, seed, copies=1):
 
 
 #: The two public spellings of a decode step, as ``step(model, tokens,
-#: caches, captures=None) -> (B, vocab) logits``.
+#: caches) -> ForwardResult`` with ``(B, vocab)`` logits.
 SPELLINGS = {
-    "decode_batch": lambda model, tokens, caches, captures=None: model.decode_batch(
-        np.asarray(tokens, dtype=int), caches, captures=captures
+    "decode_batch": lambda model, tokens, caches: model.decode_batch(
+        np.asarray(tokens, dtype=int), caches
     ),
-    "forward_fused": lambda model, tokens, caches, captures=None: model.forward_fused(
-        [[int(t)] for t in tokens], caches, captures=captures
+    "forward_fused": lambda model, tokens, caches: model.forward_fused(
+        [[int(t)] for t in tokens], caches
     ),
 }
 
@@ -129,7 +129,7 @@ class TestEquivalence:
         tokens = rng.integers(0, config.vocab_size, size=len(lengths))
         for _ in range(6):
             ref = serial_decode(model, tokens, serial)
-            got = step(model, tokens, batched)
+            got = step(model, tokens, batched).logits
             assert got.shape == (len(lengths), config.vocab_size)
             np.testing.assert_allclose(got, ref, atol=BATCHED_DECODE_ATOL, rtol=0)
             assert np.array_equal(np.argmax(got, 1), np.argmax(ref, 1))
@@ -146,11 +146,26 @@ class TestEquivalence:
         _, (as_tokens, as_segments) = prefilled_caches(model, lengths, seed=3, copies=2)
         tokens = np.array([4, 9, 0])
         for _ in range(4):
-            a = SPELLINGS["decode_batch"](model, tokens, as_tokens)
-            b = SPELLINGS["forward_fused"](model, tokens, as_segments)
+            a = SPELLINGS["decode_batch"](model, tokens, as_tokens).logits
+            b = SPELLINGS["forward_fused"](model, tokens, as_segments).logits
             assert np.array_equal(a, b)
             tokens = np.argmax(a, axis=1)
         caches_close(as_tokens, as_segments, 0.0)
+
+    @pytest.mark.parametrize("name", sorted(CONFIGS))
+    def test_two_spellings_return_the_same_layer_inputs(self, name):
+        """Both names hand back one ``(B, hidden)`` input per layer — row
+        ``b`` session ``b``'s — and, being one kernel, the same bits."""
+        model = get_model(name)
+        config = model.config
+        _, (as_tokens, as_segments) = prefilled_caches(model, [7, 1, 4], seed=5, copies=2)
+        tokens = np.array([2, 8, 5])
+        a = SPELLINGS["decode_batch"](model, tokens, as_tokens).hidden_states
+        b = SPELLINGS["forward_fused"](model, tokens, as_segments).hidden_states
+        assert len(a) == len(b) == config.n_layers
+        for layer in range(config.n_layers):
+            assert a[layer].shape == (3, config.hidden_size)
+            assert np.array_equal(a[layer], b[layer])
 
     @spelling
     def test_capture_rows_match_serial_capture(self, step):
@@ -159,33 +174,32 @@ class TestEquivalence:
         lengths = [4, 8]
         _, (serial, batched) = prefilled_caches(model, lengths, seed=4, copies=2)
 
-        def fresh_captures():
-            captures = []
-            for _ in lengths:
-                capture = HiddenCapture(config.n_layers, config.hidden_size)
-                capture.reserve(3)
-                captures.append(capture)
-            return captures
-
-        serial_caps = fresh_captures()
-        batched_caps = fresh_captures()
+        serial_caps = []
+        for _ in lengths:
+            capture = HiddenCapture(config.n_layers, config.hidden_size)
+            capture.reserve(3)
+            serial_caps.append(capture)
         tokens = np.array([1, 2])
-        for _ in range(3):
+        for index in range(3):
             ref = serial_decode(model, tokens, serial, captures=serial_caps)
-            step(model, tokens, batched, captures=batched_caps)
-            tokens = np.argmax(ref, axis=1)
-        for cs, cb in zip(serial_caps, batched_caps):
-            assert len(cs) == len(cb) == 3
-            for layer in range(config.n_layers):
+            result = step(model, tokens, batched)
+            assert len(result.hidden_states) == config.n_layers
+            for b, capture in enumerate(serial_caps):
+                for layer in range(config.n_layers):
+                    # Row b of the packed call's layer input is session b's.
+                    # Deeper layers differ only within the GEMM tolerance.
+                    np.testing.assert_allclose(
+                        result.hidden_states[layer][b],
+                        capture.layer_view(layer)[index],
+                        atol=BATCHED_DECODE_ATOL,
+                        rtol=0,
+                    )
                 # Layer 0's input is the embedding (pre-GEMM): bit-equal.
-                # Deeper layers differ only within the GEMM tolerance.
-                np.testing.assert_allclose(
-                    cb.layer_view(layer),
-                    cs.layer_view(layer),
-                    atol=BATCHED_DECODE_ATOL,
-                    rtol=0,
+                assert np.array_equal(
+                    result.hidden_states[0][b], capture.layer_view(0)[index]
                 )
-            assert np.array_equal(cb.layer_view(0), cs.layer_view(0))
+            tokens = np.argmax(ref, axis=1)
+        assert [len(capture) for capture in serial_caps] == [3, 3]
 
     @settings(
         max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow]
@@ -205,7 +219,7 @@ class TestEquivalence:
         tokens = rng.integers(0, config.vocab_size, size=len(lengths))
         for _ in range(2):
             ref = serial_decode(model, tokens, serial)
-            got = SPELLINGS[spelled](model, tokens, batched)
+            got = SPELLINGS[spelled](model, tokens, batched).logits
             np.testing.assert_allclose(got, ref, atol=BATCHED_DECODE_ATOL, rtol=0)
             tokens = np.argmax(ref, axis=1)
         caches_close(batched, serial, BATCHED_DECODE_ATOL)
@@ -226,7 +240,7 @@ class TestSlabDecode:
         tokens = np.random.default_rng(batch).integers(0, 4096, size=batch)
         for _ in range(3):
             ref = serial_decode(model, tokens, serial)
-            got = step(model, tokens, batched)
+            got = step(model, tokens, batched).logits
             np.testing.assert_allclose(got, ref, atol=BATCHED_DECODE_ATOL, rtol=0)
             assert np.array_equal(np.argmax(got, 1), np.argmax(ref, 1))
             tokens = np.argmax(ref, axis=1)
@@ -280,12 +294,6 @@ class TestValidation:
             step(model, [1, 2], [caches[0], caches[0]])
         # fail-fast: the cache must not have been mutated
         assert len(caches[0]) == 3
-
-    def test_capture_count_mismatch(self, step):
-        model = get_model("tiny-llama")
-        _, (caches,) = prefilled_caches(model, [2], seed=0)
-        with pytest.raises(ConfigError):
-            step(model, [1], caches, captures=[])
 
     def test_context_overflow_rejected(self, step):
         model = get_model("tiny-llama")

@@ -20,7 +20,6 @@ import pytest
 
 from repro.errors import ConfigError
 from repro.models.config import model_preset
-from repro.models.hidden_capture import HiddenCapture
 from repro.models.kv_cache import KVCache
 from repro.models.transformer import BATCHED_DECODE_ATOL, Transformer
 
@@ -61,7 +60,7 @@ class TestEquivalence:
             expected_logits.append(result.logits[-1])
         assert slab_spy.slabs == []  # a serial forward: plain @
         fused_caches = [KVCache(config) for _ in segments]
-        logits = model.forward_fused(segments, fused_caches)
+        logits = model.forward_fused(segments, fused_caches).logits
         assert logits.shape == (len(segments), config.vocab_size)
         for s in range(len(segments)):
             np.testing.assert_allclose(
@@ -90,7 +89,7 @@ class TestEquivalence:
             for seg, cache in zip(segments, serial_caches)
         ]
         assert slab_spy.slabs == []  # the serial reference never takes slabs
-        logits = model.forward_fused(segments, fused_caches)
+        logits = model.forward_fused(segments, fused_caches).logits
         for s in range(3):
             np.testing.assert_allclose(logits[s], expected[s], atol=BATCHED_DECODE_ATOL)
             assert int(np.argmax(logits[s])) == int(np.argmax(expected[s]))
@@ -129,7 +128,8 @@ class TestEquivalence:
             assert any(np.shares_memory(slab, weight) for slab in slab_spy.slabs)
 
     def test_captured_hidden_states_match_serial_capture(self, model):
-        """The HCache saving path sees identical per-segment hidden states."""
+        """The HCache saving path sees identical per-segment hidden states:
+        the packed call's own per-layer inputs, segments in order."""
         config = model.config
         segments = _prompts(config, [5, 3], seed=44)
         serial = []
@@ -137,18 +137,14 @@ class TestEquivalence:
             cache = KVCache(config)
             result = model.forward(seg, cache, capture_hidden=True)
             serial.append(result.hidden_states)
-        captures = [
-            HiddenCapture(config.n_layers, config.hidden_size)
-            for _ in segments
-        ]
-        model.forward_fused(
-            segments, [KVCache(config) for _ in segments], captures=captures
-        )
-        for s, capture in enumerate(captures):
-            got = capture.block_views(0, segments[s].size)
+        result = model.forward_fused(segments, [KVCache(config) for _ in segments])
+        assert len(result.hidden_states) == config.n_layers
+        bounds = np.cumsum([0] + [seg.size for seg in segments])
+        for s in range(len(segments)):
+            rows = slice(bounds[s], bounds[s + 1])
             for layer in range(config.n_layers):
                 np.testing.assert_allclose(
-                    got[layer], serial[s][layer], atol=BATCHED_DECODE_ATOL
+                    result.hidden_states[layer][rows], serial[s][layer], atol=BATCHED_DECODE_ATOL
                 )
 
     @pytest.mark.parametrize("chunks", [(256,), (255, 1), (128, 128)])
@@ -166,7 +162,7 @@ class TestEquivalence:
         for size in chunks:
             logits = model.forward_fused(
                 [prompt[start : start + size]], [fused_cache]
-            )
+            ).logits
             start += size
         np.testing.assert_allclose(logits[0], expected, atol=BATCHED_DECODE_ATOL, rtol=0)
         assert int(np.argmax(logits[0])) == int(np.argmax(expected))
@@ -175,6 +171,70 @@ class TestEquivalence:
             for got, want in zip(fused_cache.get(layer), serial_cache.get(layer)):
                 np.testing.assert_allclose(
                     got, want, atol=BATCHED_DECODE_ATOL, rtol=0, err_msg=f"layer {layer}"
+                )
+
+
+class TestPackedHiddenStates:
+    """What the save path slices without copying: the call's own inputs."""
+
+    def test_one_packed_array_per_layer(self, model):
+        config = model.config
+        segments = _prompts(config, [4, 1, 6], seed=50)
+        result = model.forward_fused(segments, [KVCache(config) for _ in segments])
+        assert len(result.hidden_states) == config.n_layers
+        for layer_input in result.hidden_states:
+            assert layer_input.shape == (11, config.hidden_size)
+            assert layer_input.dtype == np.float32
+        # Every layer's input is its own array: a slice of one never
+        # aliases another layer's rows.
+        for a, b in zip(result.hidden_states, result.hidden_states[1:]):
+            assert not np.shares_memory(a, b)
+
+    def test_layer_zero_input_is_the_packed_embedding(self, model):
+        """Layer 0's saved rows are the embedding of the call's tokens,
+        segments in order — bit for bit, before any slabbed product."""
+        config = model.config
+        segments = _prompts(config, [3, 7], seed=51)
+        result = model.forward_fused(segments, [KVCache(config) for _ in segments])
+        assert np.array_equal(
+            result.hidden_states[0], model.embed(np.concatenate(segments))
+        )
+
+    def test_returned_inputs_survive_the_next_call(self, model):
+        """The save path keeps views of these arrays, so no later call on
+        the same caches may write into them."""
+        config = model.config
+        caches = [KVCache(config) for _ in range(2)]
+        result = model.forward_fused(_prompts(config, [5, 2], seed=52), caches)
+        kept = [layer_input.copy() for layer_input in result.hidden_states]
+        model.forward_fused([np.array([3]), np.array([4])], caches)
+        model.decode_batch(np.array([1, 2]), caches)
+        for layer_input, copy in zip(result.hidden_states, kept):
+            assert np.array_equal(layer_input, copy)
+
+    def test_saved_rows_project_to_the_cache_the_call_wrote(self, model):
+        """A restore projects K/V from the saved rows; on a mixed call
+        (decode token after a history, fresh chunk) that reproduces the
+        K/V the packed call appended, within the batched band."""
+        config = model.config
+        (history,) = _prompts(config, [6], seed=53)
+        caches = [KVCache(config), KVCache(config)]
+        model.forward(history, caches[0])
+        segments = [np.array([9]), _prompts(config, [5], seed=54)[0]]
+        result = model.forward_fused(segments, caches)
+        starts = [history.size, 0]
+        bounds = np.cumsum([0] + [seg.size for seg in segments])
+        for s, cache in enumerate(caches):
+            rows = slice(bounds[s], bounds[s + 1])
+            positions = np.arange(starts[s], starts[s] + segments[s].size)
+            for layer in range(config.n_layers):
+                k, v = model.project_kv(layer, result.hidden_states[layer][rows], positions)
+                keys, values = cache.get(layer)
+                np.testing.assert_allclose(
+                    k, keys[starts[s] :], atol=BATCHED_DECODE_ATOL, rtol=0
+                )
+                np.testing.assert_allclose(
+                    v, values[starts[s] :], atol=BATCHED_DECODE_ATOL, rtol=0
                 )
 
 
@@ -192,10 +252,6 @@ class TestValidation:
             tiny_model.forward_fused([np.array([[1]])], [cache])
         with pytest.raises(ConfigError):
             tiny_model.forward_fused([np.array([1]), np.array([2])], [cache, cache])
-        with pytest.raises(ConfigError):
-            tiny_model.forward_fused(
-                [np.array([1]), np.array([2])], [cache, other], captures=[None]
-            )
 
     def test_rejects_context_overflow(self, tiny_model, tiny_config):
         cache = KVCache(tiny_config)
@@ -244,8 +300,8 @@ class TestRollback:
                 assert np.array_equal(cache.get(layer)[0], keys)
                 assert np.array_equal(cache.get(layer)[1], values)
         # The next call serves the same sessions exactly as if nothing happened.
-        expected = model.forward_fused(segments, control)
-        logits = model.forward_fused(segments, caches)
+        expected = model.forward_fused(segments, control).logits
+        logits = model.forward_fused(segments, caches).logits
         assert np.array_equal(logits, expected)
         for cache, twin in zip(caches, control):
             assert cache.equals(twin, atol=0.0)

@@ -27,6 +27,7 @@ from repro.errors import ConfigError, StateError
 from repro.models.config import model_preset
 from repro.models.transformer import Transformer
 from repro.runtime import IOWorkerPool, RestoreExecutor, drain_granules
+from repro.runtime.executor import MAX_CONCURRENT_RESTORES
 from repro.simulator import platform_preset
 from repro.simulator.hardware import GPUS, GB, Platform, SSDSpec
 from repro.storage import LatencyEmulator, StorageManager
@@ -317,6 +318,37 @@ class TestConcurrentContexts:
             # The pool is still usable afterwards.
             assert len(restore_all(executor, engine, ["a"])["a"].result()) == 64
 
+    def test_at_most_max_concurrent_restores_drive_at_once(self):
+        """More contexts than drivers: exactly ``MAX_CONCURRENT_RESTORES``
+        restores run together, the rest queue behind them."""
+        config = model_preset("tiny-llama")
+        model, engine = build_engine(config)
+        ids = [f"c{i}" for i in range(MAX_CONCURRENT_RESTORES + 2)]
+        for cid in ids:
+            save_context(engine, model, config, 16, context_id=cid)
+        real_restore = engine.restore
+        cond = threading.Condition()
+        active, peak = [0], [0]
+
+        def counted_restore(*args, **kwargs):
+            with cond:
+                active[0] += 1
+                peak[0] = max(peak[0], active[0])
+                cond.notify_all()
+                # Hold until every driver is busy (or a bounded wait).
+                cond.wait_for(lambda: active[0] >= MAX_CONCURRENT_RESTORES, timeout=5.0)
+            try:
+                return real_restore(*args, **kwargs)
+            finally:
+                with cond:
+                    active[0] -= 1
+
+        engine.restore = counted_restore
+        with RestoreExecutor(1) as executor:
+            futures = restore_all(executor, engine, ids)
+        assert peak[0] == MAX_CONCURRENT_RESTORES
+        assert all(len(future.result()) == 16 for future in futures.values())
+
     def test_closed_executor_raises_typed_error_up_front(self):
         config = model_preset("tiny-llama")
         model, engine = build_engine(config)
@@ -541,10 +573,6 @@ class TestPoolAndExecutorValidation:
             assert executor.inflight == 2 + 6
         with IOWorkerPool(1) as pool, RestoreExecutor(pool, inflight=9) as executor:
             assert executor.inflight == 9  # explicit inflight wins
-
-    def test_executor_validates_max_concurrent(self):
-        with pytest.raises(ConfigError):
-            RestoreExecutor(1, max_concurrent_restores=0)
 
     def test_executor_shared_pool_not_closed(self):
         with IOWorkerPool(1) as pool:
