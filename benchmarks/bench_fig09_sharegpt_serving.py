@@ -12,7 +12,7 @@ from __future__ import annotations
 from _common import emit, run_once
 
 from repro.analysis.reporting import PaperExpectation, ResultTable
-from repro.baselines import default_methods
+from repro.core.restoration import DEFAULT_METHODS
 from repro.engine import simulate_methods
 from repro.models import model_preset
 from repro.simulator import platform_preset
@@ -32,7 +32,7 @@ def serve_all_loads():
     for load in LOADS:
         workload = build_workload(conversations, rate_per_second=load, seed=8)
         results[load] = simulate_methods(
-            config, platform, default_methods(config, platform), workload
+            config, platform, DEFAULT_METHODS, workload
         )
     return results
 
@@ -96,7 +96,7 @@ def test_fig09_13b_panel(benchmark):
         ).sample_many(10)
         workload = build_workload(conversations, rate_per_second=0.15, seed=12)
         return simulate_methods(
-            config, platform, default_methods(config, platform), workload
+            config, platform, DEFAULT_METHODS, workload
         )
 
     reports = run_once(benchmark, run)
@@ -132,7 +132,7 @@ def test_fig09_throughput_headroom(benchmark):
         conversations = ShareGPTGenerator(seed=9, mean_rounds=5).sample_many(12)
         workload = build_workload(conversations, rate_per_second=0.5, seed=10)
         return simulate_methods(
-            config, platform, default_methods(config, platform), workload
+            config, platform, DEFAULT_METHODS, workload
         )
 
     reports = run_once(benchmark, run)

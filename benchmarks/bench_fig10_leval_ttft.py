@@ -11,7 +11,7 @@ import numpy as np
 from _common import emit, run_once
 
 from repro.analysis.reporting import PaperExpectation, ResultTable
-from repro.baselines import default_methods
+from repro.core.restoration import DEFAULT_METHODS, ttft
 from repro.models import model_preset
 from repro.simulator import platform_preset
 from repro.traces import LEvalGenerator
@@ -33,13 +33,18 @@ def measure():
     results = {}
     for model_name, platform_name in SETUPS:
         config = model_preset(model_name)
-        methods = default_methods(config, platform_preset(platform_name))
+        platform = platform_preset(platform_name)
         for task, requests in requests_by_task.items():
             ttfts = {
                 name: float(
-                    np.mean([m.ttft(r.context_tokens, r.input_tokens) for r in requests])
+                    np.mean(
+                        [
+                            ttft(name, config, platform, r.context_tokens, r.input_tokens)
+                            for r in requests
+                        ]
+                    )
                 )
-                for name, m in methods.items()
+                for name in DEFAULT_METHODS
             }
             results[(task, model_name)] = ttfts
     return results

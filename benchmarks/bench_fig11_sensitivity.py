@@ -15,7 +15,7 @@ from __future__ import annotations
 from _common import emit, run_once
 
 from repro.analysis.reporting import PaperExpectation, ResultTable
-from repro.baselines import default_methods
+from repro.core.restoration import DEFAULT_METHODS, method_timing
 from repro.models import model_preset
 from repro.simulator import platform_preset
 
@@ -30,10 +30,9 @@ GPU_PANELS = {
 
 def speeds_for(config_name: str, platform) -> dict[str, float]:
     config = model_preset(config_name)
-    methods = default_methods(config, platform)
     return {
-        name: m.restoration_speed(N_TOKENS) / 1e3
-        for name, m in methods.items()
+        name: method_timing(name, config, platform, N_TOKENS).restoration_speed / 1e3
+        for name in DEFAULT_METHODS
         if name != "ideal"
     }
 
@@ -138,11 +137,10 @@ def run_ctx_sweep():
     ):
         platform = platform_preset("a100x4-4ssd" if model_name == "opt-30b" else "a100-4ssd")
         config = model_preset(model_name)
-        methods = default_methods(config, platform)
         for n in lengths:
             results[(model_name, n)] = {
-                name: m.restoration_speed(n) / 1e3
-                for name, m in methods.items()
+                name: method_timing(name, config, platform, n).restoration_speed / 1e3
+                for name in DEFAULT_METHODS
                 if name != "ideal"
             }
     return results

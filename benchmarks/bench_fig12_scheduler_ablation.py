@@ -16,13 +16,7 @@ from __future__ import annotations
 from _common import emit, run_once
 
 from repro.analysis.reporting import PaperExpectation, ResultTable
-from repro.baselines import (
-    HCacheMethod,
-    HCacheOnlyMethod,
-    KVOffloadMethod,
-    NaiveHybridMethod,
-    RecomputationMethod,
-)
+from repro.core.restoration import METHODS, method_timing
 from repro.models import model_preset
 from repro.simulator import platform_preset
 
@@ -39,20 +33,15 @@ def measure():
     for regime, model_name, label in REGIMES:
         config = model_preset(model_name)
         platform = platform_preset(regime)
-        methods = {
-            "recompute": RecomputationMethod(config, platform),
-            "kv-offload": KVOffloadMethod(config, platform),
-            "hcache-o": HCacheOnlyMethod(config, platform),
-            "naive-hybrid": NaiveHybridMethod(config, platform),
-            "hcache": HCacheMethod(config, platform),
-        }
         results[(regime, label)] = {
-            name: m.restoration_speed(N_TOKENS) / 1e3 for name, m in methods.items()
+            name: method_timing(name, config, platform, N_TOKENS).restoration_speed / 1e3
+            for name in METHODS
+            if name != "ideal"
         }
     return results
 
 
-def test_fig12_bubble_free_scheduler(benchmark):
+def test_fig12_scheduler_ablation(benchmark):
     results = run_once(benchmark, measure)
     table = ResultTable(
         "Figure 12: scheduler ablation (restoration K tokens/s)",

@@ -12,7 +12,6 @@ from __future__ import annotations
 from _common import emit, run_once
 
 from repro.analysis.reporting import PaperExpectation, ResultTable
-from repro.baselines import HCacheMethod, KVOffloadMethod, RecomputationMethod
 from repro.cache import GPUCacheSimulator
 from repro.models import model_preset
 from repro.simulator import platform_preset
@@ -27,18 +26,11 @@ def measure():
     config = model_preset("llama2-7b")
     platform = platform_preset("a100-4ssd")
     contexts = LEvalGenerator(seed=0).sample_context_pool("quality", N_CONTEXTS)
-    methods = {
-        "recompute": RecomputationMethod(config, platform),
-        "kv-offload": KVOffloadMethod(config, platform),
-        "hcache": HCacheMethod(config, platform),
-    }
     simulator = GPUCacheSimulator(config, platform)
     results: dict = {}
     for alpha in ALPHAS:
-        for name, method in methods.items():
-            results[(alpha, name)] = simulator.replay(
-                contexts, method, N_REQUESTS, alpha, seed=5
-            )
+        for name in ("recompute", "kv-offload", "hcache"):
+            results[(alpha, name)] = simulator.replay(contexts, name, N_REQUESTS, alpha, seed=5)
     return results
 
 

@@ -14,8 +14,7 @@ from __future__ import annotations
 import sys
 
 from repro.analysis.reporting import ResultTable
-from repro.baselines import default_methods
-from repro.core import hcache_timing
+from repro.core import hcache_timing, method_timing
 from repro.models import model_preset
 from repro.simulator import platform_preset
 
@@ -43,13 +42,14 @@ def main() -> None:
     for name in CANDIDATES:
         platform = platform_preset(name)
         timing, decision = hcache_timing(config, platform, n_tokens)
-        methods = default_methods(config, platform)
+        kv_offload = method_timing("kv-offload", config, platform, n_tokens)
+        recompute = method_timing("recompute", config, platform, n_tokens)
         table.add_row(
             name,
             decision.scheme.describe(),
             f"{timing.restoration_speed / 1e3:.1f}",
-            f"{methods['kv-offload'].restoration_speed(n_tokens) / 1e3:.1f}",
-            f"{methods['recompute'].restoration_speed(n_tokens) / 1e3:.1f}",
+            f"{kv_offload.restoration_speed / 1e3:.1f}",
+            f"{recompute.restoration_speed / 1e3:.1f}",
             f"{decision.scheme.storage_bytes_per_token(config) / 1024:.0f}",
             f"{decision.predicted_bubble_fraction * 100:.1f}%",
         )

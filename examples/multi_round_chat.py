@@ -14,8 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.baselines import default_methods
-from repro.core import HCacheEngine
+from repro.core import HCacheEngine, hcache_timing, method_timing
 from repro.core.profiler import build_storage_array
 from repro.engine import NumericServingEngine
 from repro.models import KVCache, Transformer, model_preset
@@ -49,15 +48,14 @@ def main() -> None:
     model = Transformer.from_seed(config, seed=3)
     platform = platform_preset("default")
     storage = StorageManager(build_storage_array(platform))
-    engine = NumericServingEngine(model, HCacheEngine(model, storage, platform=platform))
+    _, decision = hcache_timing(config, platform, 1024)
+    engine = NumericServingEngine(model, HCacheEngine(model, storage, scheme=decision.scheme))
 
     rng = np.random.default_rng(17)
     prompts = [rng.integers(0, config.vocab_size, size=n) for n, _ in ROUNDS]
     outputs = [n_out for _, n_out in ROUNDS]
 
     seven_b = model_preset("llama2-7b")
-    hcache_7b = default_methods(seven_b, platform)["hcache"]
-    offload_7b = default_methods(seven_b, platform)["kv-offload"]
 
     engine.open_session("alice")
     transcript = []
@@ -71,8 +69,10 @@ def main() -> None:
             # Cost at 7B scale for the same history length (x256 tokens to
             # make the tiny demo's lengths meaningful).
             scaled = history * 256
-            restore_note = f"{hcache_7b.restoration_timing(scaled).makespan * 1e3:8.2f} ms"
-            offload_note = f"{offload_7b.restoration_timing(scaled).makespan * 1e3:8.2f} ms"
+            hcache = method_timing("hcache", seven_b, platform, scaled)
+            offload = method_timing("kv-offload", seven_b, platform, scaled)
+            restore_note = f"{hcache.makespan * 1e3:8.2f} ms"
+            offload_note = f"{offload.makespan * 1e3:8.2f} ms"
         response = engine.chat_round("alice", prompt, n_out)
         transcript.append(response)
         history = len(engine.session("alice").tokens)

@@ -14,8 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.baselines import default_methods
-from repro.core import HCacheEngine
+from repro.core import DEFAULT_METHODS, HCacheEngine, hcache_timing, method_timing
 from repro.core.profiler import build_storage_array
 from repro.models import Transformer, model_preset
 from repro.simulator import platform_preset
@@ -28,7 +27,8 @@ def main() -> None:
     model = Transformer.from_seed(config, seed=0)
     platform = platform_preset("default")
     storage = StorageManager(build_storage_array(platform))
-    engine = HCacheEngine(model, storage, platform=platform)
+    _, decision = hcache_timing(config, platform, 1024)
+    engine = HCacheEngine(model, storage, scheme=decision.scheme)
     print(f"model: {config.name} ({config.n_layers} layers, d={config.hidden_size})")
     print(f"partition scheme chosen by the bubble-free scheduler: {engine.scheme.describe()}")
 
@@ -50,10 +50,10 @@ def main() -> None:
     # --- 4. what this buys at serving scale ----------------------------
     seven_b = model_preset("llama2-7b")
     print(f"\nrestoring 2048 tokens of {seven_b.name} on {platform.gpu.name} + 4x PM9A3:")
-    for name, method in default_methods(seven_b, platform).items():
+    for name in DEFAULT_METHODS:
         if name == "ideal":
             continue
-        timing = method.restoration_timing(2048)
+        timing = method_timing(name, seven_b, platform, 2048)
         print(
             f"  {name:>11}: {timing.makespan * 1e3:7.2f} ms "
             f"({timing.restoration_speed / 1e3:6.1f}K tokens/s)"

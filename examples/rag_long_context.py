@@ -13,8 +13,8 @@ Run:  python examples/rag_long_context.py
 
 from __future__ import annotations
 
-from repro.baselines import HCacheMethod, KVOffloadMethod, RecomputationMethod
 from repro.cache import GPUCacheSimulator
+from repro.core import hcache_timing, ttft
 from repro.engine import concurrent_context_estimate
 from repro.models import model_preset
 from repro.simulator import platform_preset
@@ -32,18 +32,14 @@ def main() -> None:
     print(f"document pool: {len(documents)} docs, avg {avg_doc:.0f} tokens")
     print(f"GPU can keep ~{resident} documents resident; the rest restore on demand\n")
 
-    methods = {
-        "recompute": RecomputationMethod(config, platform),
-        "kv-offload": KVOffloadMethod(config, platform),
-        "hcache": HCacheMethod(config, platform),
-    }
+    methods = ("recompute", "kv-offload", "hcache")
     simulator = GPUCacheSimulator(config, platform)
 
     print(f"{'skew':>8}  {'hit ratio':>9}  " + "  ".join(f"{m:>12}" for m in methods))
     for alpha in (None, 1.4, 2.0):
         row = []
         hit = None
-        for method in methods.values():
+        for method in methods:
             result = simulator.replay(documents, method, n_requests=1500, alpha=alpha, seed=1)
             hit = result.hit_ratio
             row.append(f"{result.mean_ttft * 1e3:9.1f} ms")
@@ -52,12 +48,10 @@ def main() -> None:
 
     print("\nmiss-path detail (one 10.6K-token document):")
     doc = documents[0]
-    for name, method in methods.items():
-        ttft = method.ttft(doc.context_tokens, doc.input_tokens)
-        print(f"  {name:>11}: TTFT {ttft * 1e3:7.1f} ms")
-    hcache = methods["hcache"]
-    assert isinstance(hcache, HCacheMethod)
-    decision = hcache.decision_for(doc.context_tokens)
+    for name in methods:
+        seconds = ttft(name, config, platform, doc.context_tokens, doc.input_tokens)
+        print(f"  {name:>11}: TTFT {seconds * 1e3:7.1f} ms")
+    _, decision = hcache_timing(config, platform, doc.context_tokens)
     print(f"\nscheduler partition for this document: {decision.describe()}")
 
 

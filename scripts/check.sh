@@ -93,6 +93,11 @@ python -m pytest -q tests/storage/test_journal.py tests/storage/test_recovery.py
 echo "== paper figure/table/ablation benches (expectations asserted, timing disabled) =="
 require_or_skip pytest_benchmark python -m pytest -q benchmarks/bench_fig*.py \
     benchmarks/bench_tab*.py benchmarks/bench_abl*.py --benchmark-disable
+# The digests let a "figure outputs are byte-identical" claim be read
+# straight from the log: compare them with the parent commit's run.
+if compgen -G "benchmarks/results/*.txt" > /dev/null; then
+    sha256sum benchmarks/results/*.txt
+fi
 
 # The examples are the README's walkthroughs (the quickstart lives only
 # there); each runs in well under a second, so a stale call in one fails

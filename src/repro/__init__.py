@@ -4,7 +4,9 @@ Reproduction of *Fast State Restoration in LLM Serving with HCache*
 (Gao, Chen, Shu — EuroSys 2025).  The package provides:
 
 - :mod:`repro.core` — the HCache engine, bubble-free restoration
-  scheduler, chunk-oriented storage management, and two-stage saving.
+  scheduler, chunk-oriented storage management, two-stage saving, and
+  the restoration timing of every method the paper compares (token
+  recomputation, KV offload, naive hybrid, HCache-O, HCache, ideal).
 - :mod:`repro.models` — model configs plus a real numpy transformer that
   demonstrates lossless restoration.
 - :mod:`repro.simulator` — the hardware performance model standing in for
@@ -13,8 +15,6 @@ Reproduction of *Fast State Restoration in LLM Serving with HCache*
 - :mod:`repro.engine` — serving engines (timing simulation + numeric).
 - :mod:`repro.runtime` — threaded restore executor + shared IO worker
   pool (real wall-clock IO/compute overlap).
-- :mod:`repro.baselines` — token recomputation, KV offload, naive hybrid,
-  and the ideal lower bound.
 - :mod:`repro.traces` — ShareGPT4/L-Eval-shaped workload generators.
 - :mod:`repro.cache` — GPU-resident KV reuse (LRU) experiments.
 
@@ -24,20 +24,16 @@ modelled restore times at 7B scale)::
     PYTHONPATH=src python examples/quickstart.py
 """
 
-from repro.baselines import (
-    HCacheMethod,
-    IdealMethod,
-    KVOffloadMethod,
-    NaiveHybridMethod,
-    RecomputationMethod,
-    default_methods,
-)
 from repro.core import (
+    DEFAULT_METHODS,
+    METHODS,
     BubbleFreeScheduler,
     HCacheEngine,
     PartitionScheme,
     hcache_timing,
+    method_timing,
     profile_platform,
+    ttft,
 )
 from repro.engine import NumericServingEngine, ServingSimulator
 from repro.models import KVCache, ModelConfig, Transformer, model_preset
@@ -48,27 +44,25 @@ from repro.storage import StorageManager
 __version__ = "1.0.0"
 
 __all__ = [
+    "DEFAULT_METHODS",
+    "METHODS",
     "BubbleFreeScheduler",
     "HCacheEngine",
-    "HCacheMethod",
     "IOWorkerPool",
-    "IdealMethod",
     "KVCache",
-    "KVOffloadMethod",
     "ModelConfig",
-    "NaiveHybridMethod",
     "NumericServingEngine",
     "PartitionScheme",
     "Platform",
-    "RecomputationMethod",
     "RestoreExecutor",
     "ServingSimulator",
     "StorageManager",
     "Transformer",
-    "default_methods",
     "hcache_timing",
+    "method_timing",
     "model_preset",
     "platform_preset",
     "profile_platform",
+    "ttft",
 ]
 

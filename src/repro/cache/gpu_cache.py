@@ -11,12 +11,12 @@ HCache's advantage.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from repro.baselines.base import RestorationMethod
+
 from repro.cache.lru import LRUCache
+from repro.core.restoration import ttft
 from repro.engine.batching import MemoryBudget
 from repro.errors import ConfigError
 from repro.models.config import ModelConfig
-from repro.simulator.costs import prefill_time
 from repro.simulator.hardware import Platform
 from repro.traces.leval import LEvalRequest
 from repro.traces.zipf import ZipfianSampler
@@ -59,7 +59,7 @@ class GPUCacheSimulator:
     def replay(
         self,
         contexts: list[LEvalRequest],
-        method: RestorationMethod,
+        method: str,
         n_requests: int,
         alpha: float | None,
         seed: int = 0,
@@ -67,7 +67,8 @@ class GPUCacheSimulator:
         """Replay Zipf-distributed references through an LRU cache.
 
         Each reference targets one context from the pool; hits reuse the
-        GPU-resident KV, misses restore it with ``method`` first.
+        GPU-resident KV (the ``"ideal"`` TTFT), misses restore it with
+        ``method``, one of :data:`~repro.core.restoration.METHODS`, first.
         """
         if not contexts:
             raise ConfigError("context pool is empty")
@@ -78,16 +79,12 @@ class GPUCacheSimulator:
         for draw in draws:
             ctx = contexts[int(draw)]
             size = ctx.context_tokens + ctx.input_tokens
-            hit = cache.lookup(ctx.context_id, size)
-            if hit:
-                ttft = self.platform.request_overhead + prefill_time(
-                    self.config, self.platform, ctx.input_tokens
-                )
-            else:
-                ttft = method.ttft(ctx.context_tokens, ctx.input_tokens)
-            total_ttft += ttft
+            served_by = "ideal" if cache.lookup(ctx.context_id, size) else method
+            total_ttft += ttft(
+                served_by, self.config, self.platform, ctx.context_tokens, ctx.input_tokens
+            )
         return CachedServingResult(
-            method=method.name,
+            method=method,
             alpha=alpha,
             hit_ratio=cache.stats.hit_ratio,
             mean_ttft=total_ttft / n_requests,

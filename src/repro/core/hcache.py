@@ -4,34 +4,34 @@
 of the reproduction: it persists a context's per-layer hidden states (and,
 for scheduler-assigned layers, raw KV) into the chunked storage manager as
 generation proceeds, evicts GPU state, and later restores a bit-accurate
-KV cache by replaying only the K/V projections.  The same object reports
-the modelled restoration timing for its platform, so the numeric and
-performance views stay consistent.
+KV cache by replaying only the K/V projections.  Which layers come back
+from hidden states, raw KV or tokens is its :class:`PartitionScheme`;
+the modelled timing of a scheme is
+:func:`repro.core.restoration.two_stream_timing`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 from typing import Callable
 
 import numpy as np
 
 from repro.core.partition import LayerMethod, PartitionScheme
-from repro.core.profiler import profile_platform
-from repro.core.restoration import RestorationTiming, scheme_timing
-from repro.core.scheduler import BubbleFreeScheduler, ScheduleDecision
 from repro.errors import ConfigError, RecoveryError, RestorationError, StateError
 from repro.models.kv_cache import KVCache
 from repro.models.transformer import Transformer
 from repro.runtime.executor import RestoreExecutor, drain_granules
 from repro.runtime.progress import RestoreProgress
-from repro.simulator.hardware import Platform
 from repro.storage.manager import StorageManager
 from repro.storage.streaming import LayerChunk
 
 #: The run kind a layer method stores; RECOMPUTE layers store nothing.
 _STORED_KIND = {LayerMethod.HIDDEN: "hidden", LayerMethod.KV: "kv"}
+
+#: Element type of every stored hidden and KV row.
+_STORED_DTYPE = np.dtype(np.float32)
 
 
 @dataclass(frozen=True)
@@ -53,7 +53,6 @@ class HCacheEngine:
         self,
         transformer: Transformer,
         storage: StorageManager,
-        platform: Platform | None = None,
         scheme: PartitionScheme | None = None,
         stream_granule_chunks: int = 4,
     ) -> None:
@@ -63,17 +62,13 @@ class HCacheEngine:
             transformer: The serving model (provides the projection
                 weights used for restoration).
             storage: Chunked host storage for hidden states / KV.
-            platform: Hardware platform for timing queries; when given and
-                ``scheme`` is omitted, the bubble-free scheduler picks the
-                partition from an offline profile at a reference length.
-            scheme: Fixed partition scheme.  With neither a scheme nor a
-                platform, layer 0 is a 1-layer RECOMPUTE prefix and every
-                other layer HIDDEN: layer 0's hidden state *is*
-                ``embedding[tokens]``, so it is never stored, written or
-                read — restores project it from the journaled token log,
-                bit-identically to a stored layer 0.
+            scheme: Partition scheme.  By default layer 0 is a 1-layer
+                RECOMPUTE prefix and every other layer HIDDEN: layer 0's
+                hidden state *is* ``embedding[tokens]``, so it is never
+                stored, written or read — restores project it from the
+                journaled token log, bit-identically to a stored layer 0.
                 ``PartitionScheme.pure_hcache`` is the explicit all-stored
-                HCache-O ablation.
+                HCache-O ablation, ``PartitionScheme.pure_kv`` KV offload.
             stream_granule_chunks: Storage chunks coalesced into each
                 streamed restore granule.  IO stays chunk-granular; this
                 only sets how many rows each fused projection call covers.
@@ -82,21 +77,13 @@ class HCacheEngine:
             raise ConfigError("stream_granule_chunks must be positive")
         self.transformer = transformer
         self.storage = storage
-        self.platform = platform
         self.stream_granule_chunks = stream_granule_chunks
-        config = transformer.config
-        if scheme is not None:
-            if scheme.n_layers != config.n_layers:
-                raise ConfigError("scheme layer count mismatches the model")
-            self.scheme = scheme
-            self.decision: ScheduleDecision | None = None
-        elif platform is not None:
-            profile = profile_platform(config, platform, n_tokens=1024)
-            self.decision = BubbleFreeScheduler(config.n_layers).schedule(profile)
-            self.scheme = self.decision.scheme
-        else:
-            self.scheme = PartitionScheme.with_recompute_prefix(config.n_layers, 1)
-            self.decision = None
+        n_layers = transformer.config.n_layers
+        if scheme is None:
+            scheme = PartitionScheme.with_recompute_prefix(n_layers, 1)
+        elif scheme.n_layers != n_layers:
+            raise ConfigError("scheme layer count mismatches the model")
+        self.scheme = scheme
         self._contexts: dict[str, int] = {}
 
     # ------------------------------------------------------------------
@@ -117,7 +104,7 @@ class HCacheEngine:
             context_id,
             n_layers=self.transformer.config.n_layers,
             hidden_width=self.transformer.config.hidden_size,
-            dtype=np.float32,
+            dtype=_STORED_DTYPE,
             kv_width=2 * self.transformer.config.kv_size,
         )
         for layer, method in enumerate(self.scheme.methods):
@@ -233,7 +220,6 @@ class HCacheEngine:
         cls,
         transformer: Transformer,
         storage: StorageManager,
-        platform: Platform | None = None,
         scheme: PartitionScheme | None = None,
         stream_granule_chunks: int = 4,
     ) -> "HCacheEngine":
@@ -252,7 +238,7 @@ class HCacheEngine:
         stops growing would become the shortest one, and the next
         ``StorageManager.recover`` truncates a context to its shortest run.
         """
-        engine = cls(transformer, storage, platform, scheme, stream_granule_chunks)
+        engine = cls(transformer, storage, scheme, stream_granule_chunks)
         config = transformer.config
         unread: list[tuple[str, int, str]] = []
         for context_id in storage.context_ids():
@@ -478,19 +464,8 @@ class HCacheEngine:
             ),
         )
 
-    # ------------------------------------------------------------------
-    # timing
-    # ------------------------------------------------------------------
-
-    def restoration_timing(self, n_tokens: int) -> RestorationTiming:
-        """Modelled restoration time for a context of ``n_tokens``.
-
-        Requires the engine to have been built with a platform.
-        """
-        if self.platform is None:
-            raise ConfigError("engine was built without a platform; timing unavailable")
-        return scheme_timing(self.transformer.config, self.platform, n_tokens, self.scheme)
-
     def storage_bytes_per_token(self) -> int:
-        """Per-token storage footprint of the active scheme (Table 3)."""
-        return self.scheme.storage_bytes_per_token(self.transformer.config)
+        """Device bytes the active scheme stores per context token (Table 3),
+        at the element size the rows are stored in."""
+        config = replace(self.transformer.config, dtype_bytes=_STORED_DTYPE.itemsize)
+        return self.scheme.storage_bytes_per_token(config)

@@ -41,10 +41,11 @@ class PartitionScheme:
     def __post_init__(self) -> None:
         if not self.methods:
             raise SchedulingError("partition scheme must cover at least one layer")
-        recompute = [i for i, m in enumerate(self.methods) if m is LayerMethod.RECOMPUTE]
-        if recompute and recompute != list(range(len(recompute))):
+        # k RECOMPUTE layers form a prefix iff none sits at index k or later.
+        if LayerMethod.RECOMPUTE in self.methods[self.n_recompute :]:
+            recompute = self.layers_with(LayerMethod.RECOMPUTE)
             raise SchedulingError(
-                f"recompute layers must be a prefix, got layers {recompute}"
+                f"recompute layers must be a prefix, got layers {list(recompute)}"
             )
 
     @property
@@ -54,15 +55,15 @@ class PartitionScheme:
     @property
     def n_hidden(self) -> int:
         """``L_H`` — layers restored from hidden states."""
-        return sum(1 for m in self.methods if m is LayerMethod.HIDDEN)
+        return self.methods.count(LayerMethod.HIDDEN)
 
     @property
     def n_kv(self) -> int:
-        return sum(1 for m in self.methods if m is LayerMethod.KV)
+        return self.methods.count(LayerMethod.KV)
 
     @property
     def n_recompute(self) -> int:
-        return sum(1 for m in self.methods if m is LayerMethod.RECOMPUTE)
+        return self.methods.count(LayerMethod.RECOMPUTE)
 
     @property
     def n_other(self) -> int:
@@ -99,15 +100,15 @@ class PartitionScheme:
     @classmethod
     def pure_hcache(cls, n_layers: int) -> "PartitionScheme":
         """All layers from hidden states (the HCache-O ablation variant)."""
-        return cls(tuple(LayerMethod.HIDDEN for _ in range(n_layers)))
+        return cls((LayerMethod.HIDDEN,) * n_layers)
 
     @classmethod
     def pure_kv(cls, n_layers: int) -> "PartitionScheme":
-        return cls(tuple(LayerMethod.KV for _ in range(n_layers)))
+        return cls((LayerMethod.KV,) * n_layers)
 
     @classmethod
     def pure_recompute(cls, n_layers: int) -> "PartitionScheme":
-        return cls(tuple(LayerMethod.RECOMPUTE for _ in range(n_layers)))
+        return cls((LayerMethod.RECOMPUTE,) * n_layers)
 
     @classmethod
     def with_kv_suffix(cls, n_layers: int, n_kv: int) -> "PartitionScheme":

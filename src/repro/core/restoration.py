@@ -18,17 +18,25 @@ A stream's bubble is its idle time between its first start and the end
 of the restore.  The walk yields what the paper reports: makespan,
 restoration speed (restored tokens per second, the y-axis of Fig.
 11-13) and each stream's busy and bubble time.
+
+:func:`method_timing` prices each of the paper's restoration methods
+(§6) by name.  KV offload, HCache-O and HCache are partition schemes
+walked by :func:`two_stream_timing`; token recomputation is one full
+prefill, the naive hybrid a balanced token split, and ideal costs
+nothing.  :func:`ttft` adds the per-request overhead and the new
+prompt's prefill (Fig. 4 / Fig. 10).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 from repro.core.partition import PartitionScheme, TokenPartition
 from repro.core.profiler import HardwareProfile, build_storage_array, profile_platform
 from repro.errors import ConfigError
 from repro.models.config import ModelConfig
-from repro.simulator.costs import full_layer_flops, kv_projection_flops
+from repro.simulator.costs import full_layer_flops, kv_projection_flops, prefill_time
 from repro.simulator.gemm import kv_projection_time, round_up_tokens
 from repro.simulator.hardware import Platform
 from repro.storage.chunk import CHUNK_TOKENS
@@ -89,7 +97,7 @@ def two_stream_timing(scheme: PartitionScheme, profile: HardwareProfile) -> Rest
         io_end += profile.io_kv
 
     makespan = max(io_end, compute_end)
-    io_busy, compute_busy = sum(io_work), sum(compute_work)
+    io_busy, compute_busy = sum(io_work, 0.0), sum(compute_work, 0.0)
     # The IO stream starts at zero; the compute stream starts with the
     # prefix or, without one, when the first hidden read lands.
     compute_start = 0.0 if prefix else profile.io_hidden
@@ -198,3 +206,142 @@ def naive_tokenwise_split(
         if cost < best_cost - 1e-15:
             best_n, best_cost = n_h, cost
     return TokenPartition(best_n, n_tokens - best_n)
+
+
+#: The paper's restoration methods (§6): HCache and every comparator.
+METHODS = ("recompute", "kv-offload", "naive-hybrid", "hcache-o", "hcache", "ideal")
+
+#: The comparison set of the serving and TTFT figures (Fig. 4, 9, 10).
+DEFAULT_METHODS = ("recompute", "kv-offload", "hcache", "ideal")
+
+#: Token granularity of the naive hybrid's shard-size search.
+HYBRID_SEARCH_STEP = 16
+
+
+def _recompute_timing(config: ModelConfig, platform: Platform, n_tokens: int) -> RestorationTiming:
+    """DeepSpeed-MII's token recomputation: one full prefill of the history."""
+    compute = prefill_time(config, platform, n_tokens)
+    return RestorationTiming(
+        n_tokens=n_tokens,
+        makespan=compute,
+        io_busy=0.0,
+        compute_busy=compute,
+        io_bubble=0.0,
+        compute_bubble=0.0,
+    )
+
+
+def _ideal_timing(config: ModelConfig, platform: Platform, n_tokens: int) -> RestorationTiming:
+    """The paper's "Ideal": the KV is already on the GPU, nothing to restore."""
+    return RestorationTiming(
+        n_tokens=n_tokens,
+        makespan=0.0,
+        io_busy=0.0,
+        compute_busy=0.0,
+        io_bubble=0.0,
+        compute_bubble=0.0,
+    )
+
+
+def _kv_offload_timing(
+    config: ModelConfig, platform: Platform, n_tokens: int
+) -> RestorationTiming:
+    """AttentionStore's KV offload: every layer's K/V read back."""
+    return scheme_timing(config, platform, n_tokens, PartitionScheme.pure_kv(config.n_layers))
+
+
+def _hcache_only_timing(
+    config: ModelConfig, platform: Platform, n_tokens: int
+) -> RestorationTiming:
+    """HCache-O (§6.3.1): every layer from hidden states, no scheduler."""
+    return scheme_timing(
+        config, platform, n_tokens, PartitionScheme.pure_hcache(config.n_layers)
+    )
+
+
+def _hcache_timing(config: ModelConfig, platform: Platform, n_tokens: int) -> RestorationTiming:
+    """HCache: the scheme the bubble-free scheduler picks for this length."""
+    # The scheduler prices its candidates with this module's walk, so it
+    # is imported on first use rather than at module load.
+    from repro.core.scheduler import hcache_timing
+
+    return hcache_timing(config, platform, n_tokens)[0]
+
+
+def _naive_hybrid_timing(
+    config: ModelConfig, platform: Platform, n_tokens: int
+) -> RestorationTiming:
+    """§3's "initial attempt", ablated in §6.3.1.
+
+    The history *tokens* split into a shard rebuilt by prefill (compute)
+    and a shard read back as KV (IO), restored side by side.  Neither
+    volume shrinks; the shard sizes are balanced so both streams finish
+    together, the strongest form of the idea.
+    """
+    if n_tokens <= 0:
+        raise ConfigError("n_tokens must be positive")
+    step = min(HYBRID_SEARCH_STEP, n_tokens)
+    best: RestorationTiming | None = None
+    for n_recompute in sorted(set(range(0, n_tokens + 1, step)) | {n_tokens}):
+        n_offload = n_tokens - n_recompute
+        compute = prefill_time(config, platform, n_recompute)
+        io = _kv_offload_timing(config, platform, n_offload).makespan if n_offload else 0.0
+        makespan = max(compute, io)
+        if best is None or makespan < best.makespan - 1e-12:
+            best = RestorationTiming(
+                n_tokens=n_tokens,
+                makespan=makespan,
+                io_busy=io,
+                compute_busy=compute,
+                io_bubble=makespan - io,
+                compute_bubble=makespan - compute,
+            )
+    assert best is not None
+    return best
+
+
+_TIMINGS: dict[str, Callable[[ModelConfig, Platform, int], RestorationTiming]] = {
+    "recompute": _recompute_timing,
+    "kv-offload": _kv_offload_timing,
+    "naive-hybrid": _naive_hybrid_timing,
+    "hcache-o": _hcache_only_timing,
+    "hcache": _hcache_timing,
+    "ideal": _ideal_timing,
+}
+
+
+def _timing_for(name: str) -> Callable[[ModelConfig, Platform, int], RestorationTiming]:
+    if name not in _TIMINGS:
+        raise ConfigError(f"unknown restoration method {name!r}; known: {', '.join(METHODS)}")
+    return _TIMINGS[name]
+
+
+def method_timing(
+    name: str, config: ModelConfig, platform: Platform, n_tokens: int
+) -> RestorationTiming:
+    """Restoration of ``n_tokens`` of evicted history by method ``name``.
+
+    ``name`` is one of :data:`METHODS`.
+    """
+    return _timing_for(name)(config, platform, n_tokens)
+
+
+def ttft(
+    name: str, config: ModelConfig, platform: Platform, n_history: int, n_new: int
+) -> float:
+    """Batch-1 TTFT of method ``name``: the per-request overhead, the
+    restoration of ``n_history`` tokens, then the ``n_new``-token prefill.
+
+    The paper defines TTFT as the duration of the restoration and prefill
+    phases (§6, Metrics).  Token recomputation folds the history and the
+    new prompt into one prefill, cheaper than two passes thanks to
+    batched attention.
+    """
+    timing = _timing_for(name)
+    if n_new < 0 or n_history < 0:
+        raise ConfigError("token counts must be non-negative")
+    overhead = platform.request_overhead
+    if name == "recompute":
+        return overhead + prefill_time(config, platform, n_history + n_new)
+    restore = timing(config, platform, n_history).makespan if n_history else 0.0
+    return overhead + restore + prefill_time(config, platform, n_new)

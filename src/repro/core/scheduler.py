@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 
 from repro.core.partition import PartitionScheme
 from repro.core.profiler import HardwareProfile, profile_platform
@@ -169,12 +170,17 @@ class BubbleFreeScheduler:
         return self._best(schemes, profile)
 
 
+@cache
 def hcache_timing(
     config: ModelConfig,
     platform: Platform,
     n_tokens: int,
 ) -> tuple[RestorationTiming, ScheduleDecision]:
-    """Profile, schedule, and time a full HCache restoration."""
+    """Profile, schedule, and time a full HCache restoration.
+
+    Memoized per (model, platform, length): the figure benches ask for
+    the same few thousand points over and over.
+    """
     profile = profile_platform(config, platform, n_tokens)
     decision = BubbleFreeScheduler(config.n_layers).schedule(profile)
     return two_stream_timing(decision.scheme, profile), decision

@@ -17,10 +17,10 @@ passes:
   contending with decode — which is why recomputation hurts TBT and TTFT
   while KV offload hurts only TTFT, and why HCache's small projection cost
   leaves TBT within a few percent of ideal, Fig. 9d-f).
-- Every method is a restoration described by its
-  :meth:`~repro.baselines.base.RestorationMethod.restoration_timing`:
-  ideal is one that costs nothing, recomputation one with no IO and a
-  full prefill's compute (§2.4).
+- Every method is a restoration priced by
+  :func:`~repro.core.restoration.method_timing`: ideal is one that costs
+  nothing, recomputation one with no IO and a full prefill's compute
+  (§2.4).
 
 :mod:`repro.engine.numeric_engine` is about *what* an iteration computes;
 this module is about *when* it happens.
@@ -31,11 +31,12 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from functools import partial
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from repro.baselines.base import RestorationMethod
+from repro.core.restoration import RestorationTiming, method_timing
 from repro.engine.api import IterationResult, ServingRequest
 from repro.engine.batching import MemoryBudget
 from repro.engine.frontend import ServingFrontend
@@ -78,9 +79,10 @@ class _Restoration:
 class CostModelEngine:
     """A :class:`~repro.engine.api.ServingEngine` that only keeps time.
 
-    A session is a token count and a resident flag; ``method`` prices a
-    restoration as IO seconds + compute seconds; an iteration advances
-    the virtual clock (:meth:`now`) by what the cost model says it takes.
+    A session is a token count and a resident flag; ``restore_timing``
+    prices restoring a history of ``n`` tokens as IO seconds + compute
+    seconds; an iteration advances the virtual clock (:meth:`now`) by
+    what the cost model says it takes.
     ``budget_tokens`` is the SplitFuse budget the driving loop plans
     under: restoration compute runs in what an iteration leaves of it.
     """
@@ -89,13 +91,13 @@ class CostModelEngine:
         self,
         config: ModelConfig,
         platform: Platform,
-        method: RestorationMethod,
+        restore_timing: Callable[[int], RestorationTiming],
         *,
         budget_tokens: int,
     ) -> None:
         self.config = config
         self.platform = platform
-        self.method = method
+        self.restore_timing = restore_timing
         self.budget_tokens = budget_tokens
         self._prefill_sec_per_token = config.n_layers * full_layer_flops(config, 1) / (
             platform.total_flops * platform.prefill_efficiency
@@ -143,7 +145,7 @@ class CostModelEngine:
         the first chunks as they land), so a zero-IO restore never waits
         on the IO path."""
         for session_id in reserve_tokens:
-            timing = self.method.restoration_timing(self._tokens[session_id])
+            timing = self.restore_timing(self._tokens[session_id])
             start = self._now
             if timing.io_busy > 0:
                 start = max(start, self._io_free_at)
@@ -223,7 +225,7 @@ class ServingSimulator:
         self,
         config: ModelConfig,
         platform: Platform,
-        method: RestorationMethod,
+        restore_timing: Callable[[int], RestorationTiming],
         engine_config: EngineConfig | None = None,
     ) -> None:
         self.engine_config = cfg = engine_config or EngineConfig()
@@ -231,7 +233,7 @@ class ServingSimulator:
         self.engine = CostModelEngine(
             config,
             platform,
-            method,
+            restore_timing,
             budget_tokens=scheduler.budget_tokens,
         )
         self.frontend = ServingFrontend(
@@ -305,14 +307,16 @@ class ServingSimulator:
 def simulate_methods(
     config: ModelConfig,
     platform: Platform,
-    methods: dict[str, RestorationMethod],
+    methods: Sequence[str],
     specs: list[RequestSpec],
     engine_config: EngineConfig | None = None,
 ) -> dict[str, ServingReport]:
-    """Run the same trace through several restoration methods."""
+    """Run the same trace through several restoration methods, by name
+    (:data:`~repro.core.restoration.METHODS`)."""
     reports: dict[str, ServingReport] = {}
-    for name, method in methods.items():
-        simulator = ServingSimulator(config, platform, method, engine_config)
+    for name in methods:
+        timing = partial(method_timing, name, config, platform)
+        simulator = ServingSimulator(config, platform, timing, engine_config)
         reports[name] = simulator.run(list(specs))
     return reports
 

@@ -77,11 +77,6 @@ class TestSchemes:
             tiny_config.n_layers, 1
         )
 
-    def test_platform_engine_uses_scheduler(self, tiny_model, storage_manager, default_platform):
-        eng = HCacheEngine(tiny_model, storage_manager, platform=default_platform)
-        assert eng.decision is not None
-        assert eng.scheme is eng.decision.scheme
-
     def test_explicit_scheme_respected(self, tiny_model, storage_manager, tiny_config):
         scheme = PartitionScheme.with_kv_suffix(tiny_config.n_layers, 1)
         eng = HCacheEngine(tiny_model, storage_manager, scheme=scheme)
@@ -148,20 +143,20 @@ class TestRestoration:
             engine.save_states("c", result.hidden_states[:2], tokens, kv_cache=cache)
 
 
-class TestTimingFacade:
-    def test_timing_requires_platform(self, engine):
-        with pytest.raises(ConfigError):
-            engine.restoration_timing(100)
-
-    def test_timing_available_with_platform(
-        self, tiny_model, storage_manager, default_platform
+class TestStorageFootprint:
+    @pytest.mark.parametrize(
+        "make_scheme",
+        [None, PartitionScheme.pure_hcache, PartitionScheme.pure_kv],
+        ids=["default", "pure_hcache", "pure_kv"],
+    )
+    def test_reports_what_the_devices_hold(
+        self, tiny_model, storage_manager, tiny_config, make_scheme
     ):
-        eng = HCacheEngine(tiny_model, storage_manager, platform=default_platform)
-        timing = eng.restoration_timing(256)
-        assert timing.makespan > 0
-
-    def test_storage_bytes_per_token(self, tiny_model, storage_manager, tiny_config):
-        eng = HCacheEngine(tiny_model, storage_manager)
-        # Layer 0 comes back from the token log: N - 1 layers are stored.
-        expected = tiny_config.hidden_bytes_per_token_layer * (tiny_config.n_layers - 1)
-        assert eng.storage_bytes_per_token() == expected
+        """Whole 64-token chunks, so the devices hold exactly the rows."""
+        scheme = make_scheme(tiny_config.n_layers) if make_scheme else None
+        eng = HCacheEngine(tiny_model, storage_manager, scheme=scheme)
+        n = 2 * storage_manager.tokens_per_chunk
+        saved_engine(eng, tiny_model, prompt(tiny_config, n))
+        eng.seal("c")
+        held = storage_manager.array.total_used_bytes / n
+        assert eng.storage_bytes_per_token() == held

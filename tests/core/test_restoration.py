@@ -1,13 +1,24 @@
-"""Tests for restoration timing (layer-wise and token-wise)."""
+"""Tests for restoration timing: layer-wise, token-wise, and the timing
+table of every method the paper compares (§6)."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.core.partition import PartitionScheme, TokenPartition
-from repro.core.restoration import naive_tokenwise_split, scheme_timing, tokenwise_timing
+from repro.core.restoration import (
+    DEFAULT_METHODS,
+    HYBRID_SEARCH_STEP,
+    METHODS,
+    method_timing,
+    naive_tokenwise_split,
+    scheme_timing,
+    tokenwise_timing,
+    ttft,
+)
 from repro.core.scheduler import hcache_timing
 from repro.errors import ConfigError
+from repro.simulator.costs import prefill_time
 from repro.simulator.hardware import platform_preset
 
 
@@ -120,3 +131,173 @@ class TestScaling:
             for n in (1024, 4096, 16384)
         ]
         assert max(speeds) / min(speeds) < 1.4
+
+
+def speed(name, config, platform, n_tokens=1024):
+    return method_timing(name, config, platform, n_tokens).restoration_speed
+
+
+class TestMethodTable:
+    @pytest.mark.parametrize(
+        "name, scheme",
+        [
+            ("kv-offload", PartitionScheme.pure_kv),
+            ("hcache-o", PartitionScheme.pure_hcache),
+        ],
+    )
+    def test_fixed_schemes(self, seven_b, default_platform, name, scheme):
+        """KV offload and HCache-O are partition schemes on the two streams."""
+        expected = scheme_timing(seven_b, default_platform, 1024, scheme(seven_b.n_layers))
+        assert method_timing(name, seven_b, default_platform, 1024) == expected
+
+    def test_hcache_is_the_scheduled_scheme(self, thirteen_b, default_platform):
+        timing, _ = hcache_timing(thirteen_b, default_platform, 1024)
+        assert method_timing("hcache", thirteen_b, default_platform, 1024) == timing
+
+    def test_schedule_memoized_per_length(self, seven_b, default_platform):
+        assert hcache_timing(seven_b, default_platform, 1024) is hcache_timing(
+            seven_b, default_platform, 1024
+        )
+
+    def test_recompute_is_pure_compute(self, seven_b, default_platform):
+        timing = method_timing("recompute", seven_b, default_platform, 1024)
+        assert timing.io_busy == 0.0
+        assert timing.compute_busy == timing.makespan
+
+    def test_kv_offload_is_pure_io(self, seven_b, default_platform):
+        timing = method_timing("kv-offload", seven_b, default_platform, 1024)
+        assert timing.compute_busy == 0.0
+        assert timing.io_busy == timing.makespan
+
+    def test_ideal_restores_for_free(self, seven_b, default_platform):
+        assert method_timing("ideal", seven_b, default_platform, 10_000).makespan == 0.0
+
+    def test_recompute_speed_falls_with_length(self, seven_b, default_platform):
+        """Fig. 11g-i: quadratic attention makes long histories slow."""
+        assert speed("recompute", seven_b, default_platform, 16384) < speed(
+            "recompute", seven_b, default_platform, 1024
+        )
+
+    def test_kv_offload_speed_flat_in_length(self, seven_b, default_platform):
+        """Fig. 11g-i: KV offload speed is flat in history length."""
+        assert speed("kv-offload", seven_b, default_platform, 16384) == pytest.approx(
+            speed("kv-offload", seven_b, default_platform, 1024), rel=0.1
+        )
+
+    def test_unknown_method_rejected(self, seven_b, default_platform):
+        with pytest.raises(ConfigError):
+            method_timing("dram-cache", seven_b, default_platform, 1024)
+        with pytest.raises(ConfigError):
+            ttft("dram-cache", seven_b, default_platform, 0, 10)
+
+
+class TestMethodOrdering:
+    def test_hcache_fastest_on_default_testbed(self, seven_b, default_platform):
+        speeds = {
+            name: speed(name, seven_b, default_platform)
+            for name in DEFAULT_METHODS
+            if name != "ideal"
+        }
+        assert speeds["hcache"] == max(speeds.values())
+
+    @pytest.mark.parametrize(
+        "baseline, low, high",
+        [("kv-offload", 1.3, 2.8), ("recompute", 2.0, float("inf"))],
+    )
+    def test_hcache_speedup_band(self, seven_b, default_platform, baseline, low, high):
+        """§6: HCache beats KV offload by 1.3-2.7x, recompute by over 2x."""
+        ratio = speed("hcache", seven_b, default_platform) / speed(
+            baseline, seven_b, default_platform
+        )
+        assert low < ratio < high
+
+
+class TestStorage:
+    def test_kv_offload_stores_full_kv(self, seven_b):
+        scheme = PartitionScheme.pure_kv(seven_b.n_layers)
+        assert scheme.storage_bytes_per_token(seven_b) == seven_b.kv_bytes_per_token
+
+    def test_recompute_stores_nothing(self, seven_b):
+        scheme = PartitionScheme.pure_recompute(seven_b.n_layers)
+        assert scheme.storage_bytes_per_token(seven_b) == 0
+
+    def test_hcache_stores_less_than_kv_offload(self, seven_b, default_platform):
+        _, decision = hcache_timing(seven_b, default_platform, 1024)
+        assert (
+            decision.scheme.storage_bytes_per_token(seven_b)
+            < PartitionScheme.pure_kv(seven_b.n_layers).storage_bytes_per_token(seven_b)
+        )
+
+
+class TestNaiveHybrid:
+    def test_beats_both_parents_on_compute_sufficient(self, seven_b):
+        """§6.3.1: the balanced hybrid is the best no-hidden-state method."""
+        platform = platform_preset("compute-sufficient")
+        hybrid = speed("naive-hybrid", seven_b, platform)
+        assert hybrid >= speed("recompute", seven_b, platform)
+        assert hybrid >= speed("kv-offload", seven_b, platform)
+
+    def test_hcache_beats_hybrid(self, seven_b):
+        """§6.3.1: HCache outperforms the naive hybrid by 1.28-1.42x."""
+        platform = platform_preset("compute-sufficient")
+        ratio = speed("hcache", seven_b, platform) / speed("naive-hybrid", seven_b, platform)
+        assert 1.15 < ratio < 1.6
+
+    def test_shards_cover_the_history(self, seven_b, default_platform):
+        """The compute shard is a prefill of n_rec tokens on the search
+        grid and the IO shard reads the other n - n_rec as KV."""
+        n = 1024
+        timing = method_timing("naive-hybrid", seven_b, default_platform, n)
+        n_rec = next(
+            k
+            for k in range(0, n + 1, HYBRID_SEARCH_STEP)
+            if prefill_time(seven_b, default_platform, k) == timing.compute_busy
+        )
+        offload = method_timing("kv-offload", seven_b, default_platform, n - n_rec)
+        assert timing.io_busy == offload.makespan
+
+    def test_streams_run_side_by_side(self, seven_b, default_platform):
+        timing = method_timing("naive-hybrid", seven_b, default_platform, 1024)
+        assert timing.makespan == pytest.approx(max(timing.io_busy, timing.compute_busy))
+
+    def test_zero_tokens_rejected(self, seven_b, default_platform):
+        with pytest.raises(ConfigError):
+            method_timing("naive-hybrid", seven_b, default_platform, 0)
+
+
+class TestTTFT:
+    @pytest.mark.parametrize("name", METHODS)
+    def test_no_history_costs_what_ideal_costs(self, seven_b, default_platform, name):
+        """With nothing to restore every method pays the request overhead
+        and the prompt's prefill, recompute included."""
+        assert ttft(name, seven_b, default_platform, 0, 100) == ttft(
+            "ideal", seven_b, default_platform, 0, 100
+        )
+
+    @pytest.mark.parametrize("name", METHODS)
+    @pytest.mark.parametrize("n_history, n_new", [(-1, 10), (10, -1)])
+    def test_negative_counts_rejected(self, seven_b, default_platform, name, n_history, n_new):
+        with pytest.raises(ConfigError):
+            ttft(name, seven_b, default_platform, n_history, n_new)
+
+    @pytest.mark.parametrize("name", METHODS)
+    def test_ideal_lower_bounds_everyone(self, seven_b, default_platform, name):
+        ideal = ttft("ideal", seven_b, default_platform, 8192, 128)
+        assert ttft(name, seven_b, default_platform, 8192, 128) >= ideal
+
+    def test_ideal_is_overhead_plus_prefill(self, seven_b, default_platform):
+        expected = default_platform.request_overhead + prefill_time(
+            seven_b, default_platform, 100
+        )
+        assert ttft("ideal", seven_b, default_platform, 10_000, 100) == expected
+        assert expected < 0.1
+
+    def test_recompute_folds_history(self, seven_b, default_platform):
+        """One prefill over history+new beats restore-then-prefill."""
+        folded = ttft("recompute", seven_b, default_platform, 1000, 100)
+        separate = (
+            default_platform.request_overhead
+            + method_timing("recompute", seven_b, default_platform, 1000).makespan
+            + method_timing("recompute", seven_b, default_platform, 100).makespan
+        )
+        assert folded < separate

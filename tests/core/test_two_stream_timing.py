@@ -123,6 +123,8 @@ class TestClosedForms:
         io_h, io_kv, c_h, c_tok = times
         timing = two_stream_timing(PartitionScheme.pure_kv(N_LAYERS), make_profile(*times))
         assert_timing(timing, N_LAYERS * io_kv, N_LAYERS * io_kv, 0.0, 0.0, 0.0)
+        # An idle stream's busy time is a float zero, not sum([])'s int.
+        assert isinstance(timing.compute_busy, float)
 
     def test_pure_recompute(self, times):
         io_h, io_kv, c_h, c_tok = times
@@ -131,6 +133,7 @@ class TestClosedForms:
         )
         compute = (N_LAYERS - 1) * c_tok + c_h
         assert_timing(timing, compute, 0.0, compute, 0.0, 0.0)
+        assert isinstance(timing.io_busy, float)
 
     def test_decision_reads_its_own_timing(self, times):
         """The scheduler times each candidate once: its makespan and

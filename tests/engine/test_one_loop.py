@@ -3,22 +3,24 @@
 ``ServingFrontend`` is the only admit → restore → plan → execute → retire
 loop; the numeric engine and the cost-model engine sit behind the same
 seam.  With restores that settle in the step that starts them (no
-executor on the numeric side, ``IdealMethod`` on the cost-model side) the
-two must make *identical* scheduling decisions for the same request
-script — which is what lets the paper figures stand for the code that
-ships.
+executor on the numeric side, the ``"ideal"`` method on the cost-model
+side) the two must make *identical* scheduling decisions for the same
+request script — which is what lets the paper figures stand for the code
+that ships.
 """
 
 from __future__ import annotations
+
+from functools import partial
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.baselines.ideal import IdealMethod
 from repro.core.hcache import HCacheEngine
 from repro.core.profiler import build_storage_array
+from repro.core.restoration import method_timing
 from repro.engine import (
     MemoryBudget,
     NumericServingEngine,
@@ -49,7 +51,7 @@ def engines(tiny_model, tiny_config, default_platform):
         cost = CostModelEngine(
             tiny_config,
             default_platform,
-            IdealMethod(tiny_config, default_platform),
+            partial(method_timing, "ideal", tiny_config, default_platform),
             budget_tokens=budget_tokens,
         )
         return numeric, cost

@@ -3,11 +3,11 @@
 
 from __future__ import annotations
 
+from functools import partial
+
 import pytest
 
-from repro.baselines import default_methods
-from repro.baselines.base import RestorationMethod
-from repro.core.restoration import RestorationTiming
+from repro.core.restoration import DEFAULT_METHODS, RestorationTiming, method_timing
 from repro.engine.request import RequestSpec
 from repro.engine.serving import (
     CostModelEngine,
@@ -42,7 +42,7 @@ def small_workload():
 class TestSingleRequest:
     def test_request_completes(self, seven_b, default_platform):
         sim = ServingSimulator(
-            seven_b, default_platform, default_methods(seven_b, default_platform)["hcache"]
+            seven_b, default_platform, partial(method_timing, "hcache", seven_b, default_platform)
         )
         report = sim.run([single_spec()])
         assert report.n_requests == 1
@@ -50,19 +50,18 @@ class TestSingleRequest:
         assert report.mean_tbt > 0
 
     def test_ideal_ttft_is_prefill_only(self, seven_b, default_platform):
-        methods = default_methods(seven_b, default_platform)
-        ideal = ServingSimulator(seven_b, default_platform, methods["ideal"]).run(
-            [single_spec()]
-        )
-        hcache = ServingSimulator(seven_b, default_platform, methods["hcache"]).run(
-            [single_spec()]
+        ideal, hcache = (
+            ServingSimulator(
+                seven_b, default_platform, partial(method_timing, name, seven_b, default_platform)
+            ).run([single_spec()])
+            for name in ("ideal", "hcache")
         )
         assert ideal.mean_ttft < hcache.mean_ttft
 
     def test_no_history_all_methods_equal(self, seven_b, default_platform):
         spec = single_spec(history=0)
         reports = simulate_methods(
-            seven_b, default_platform, default_methods(seven_b, default_platform), [spec]
+            seven_b, default_platform, DEFAULT_METHODS, [spec]
         )
         ttfts = [r.mean_ttft for r in reports.values()]
         assert max(ttfts) - min(ttfts) < 2e-3
@@ -71,14 +70,14 @@ class TestSingleRequest:
         sim = ServingSimulator(
             thirteen_b,
             default_platform,
-            default_methods(thirteen_b, default_platform)["ideal"],
+            partial(method_timing, "ideal", thirteen_b, default_platform),
         )
         with pytest.raises(ConfigError):
             sim.run([single_spec(history=30_000)])
 
     def test_empty_workload_rejected(self, seven_b, default_platform):
         sim = ServingSimulator(
-            seven_b, default_platform, default_methods(seven_b, default_platform)["ideal"]
+            seven_b, default_platform, partial(method_timing, "ideal", seven_b, default_platform)
         )
         with pytest.raises(ConfigError):
             sim.run([])
@@ -90,7 +89,7 @@ class TestMethodOrdering:
         reports = simulate_methods(
             seven_b,
             default_platform,
-            default_methods(seven_b, default_platform),
+            DEFAULT_METHODS,
             small_workload,
         )
         assert (
@@ -106,7 +105,7 @@ class TestMethodOrdering:
         reports = simulate_methods(
             seven_b,
             default_platform,
-            default_methods(seven_b, default_platform),
+            DEFAULT_METHODS,
             small_workload,
         )
         vs_offload = reports["kv-offload"].mean_ttft / reports["hcache"].mean_ttft
@@ -119,7 +118,7 @@ class TestMethodOrdering:
         reports = simulate_methods(
             seven_b,
             default_platform,
-            default_methods(seven_b, default_platform),
+            DEFAULT_METHODS,
             small_workload,
         )
         overhead = reports["hcache"].mean_tbt / reports["ideal"].mean_tbt - 1.0
@@ -130,7 +129,7 @@ class TestMethodOrdering:
         reports = simulate_methods(
             seven_b,
             default_platform,
-            default_methods(seven_b, default_platform),
+            DEFAULT_METHODS,
             small_workload,
         )
         for report in reports.values():
@@ -139,12 +138,12 @@ class TestMethodOrdering:
 
 class TestLoadBehaviour:
     def test_ttft_grows_with_load(self, seven_b, default_platform):
-        method = default_methods(seven_b, default_platform)["kv-offload"]
+        restore_timing = partial(method_timing, "kv-offload", seven_b, default_platform)
         convs = ShareGPTGenerator(seed=9, mean_rounds=4).sample_many(10)
-        slow = ServingSimulator(seven_b, default_platform, method).run(
+        slow = ServingSimulator(seven_b, default_platform, restore_timing).run(
             build_workload(convs, rate_per_second=0.05, seed=1)
         )
-        fast = ServingSimulator(seven_b, default_platform, method).run(
+        fast = ServingSimulator(seven_b, default_platform, restore_timing).run(
             build_workload(convs, rate_per_second=2.0, seed=1)
         )
         assert fast.mean_ttft >= slow.mean_ttft * 0.95
@@ -156,7 +155,7 @@ class TestLoadBehaviour:
             RequestSpec("s/r1", "s", 0.1, 80, 64, 16, depends_on="s/r0"),
         ]
         sim = ServingSimulator(
-            seven_b, default_platform, default_methods(seven_b, default_platform)["hcache"]
+            seven_b, default_platform, partial(method_timing, "hcache", seven_b, default_platform)
         )
         sim.run(specs)
         records = {r.request_id: r for r in sim.metrics.records}
@@ -169,7 +168,7 @@ class TestLoadBehaviour:
         sim = ServingSimulator(
             seven_b,
             default_platform,
-            default_methods(seven_b, default_platform)["recompute"],
+            partial(method_timing, "recompute", seven_b, default_platform),
             config,
         )
         with pytest.raises(SimulationError):
@@ -193,22 +192,17 @@ class TestCapacityHelpers:
             concurrent_context_estimate(seven_b, platform_preset("a100-dram"), 0)
 
 
-class _SplitTimingMethod(RestorationMethod):
-    """Stub: big histories pay IO; small ones are zero-IO, compute-only.
+def split_timing(io_threshold=100):
+    """Stub restoration: big histories pay IO; small ones are zero-IO,
+    compute-only.
 
     Models a pure-recompute restoration whose state needs
     no transfer — the case where compute must not serialize behind other
     requests' IO path.
     """
 
-    name = "split-timing"
-
-    def __init__(self, config, platform, io_threshold=100):
-        super().__init__(config, platform)
-        self.io_threshold = io_threshold
-
-    def restoration_timing(self, n_tokens: int) -> RestorationTiming:
-        if n_tokens >= self.io_threshold:
+    def timing(n_tokens: int) -> RestorationTiming:
+        if n_tokens >= io_threshold:
             return RestorationTiming(
                 n_tokens=n_tokens, makespan=5.0, io_busy=5.0,
                 compute_busy=0.05, io_bubble=0.0, compute_bubble=0.0,
@@ -218,6 +212,8 @@ class _SplitTimingMethod(RestorationMethod):
             compute_busy=0.01, io_bubble=0.0, compute_bubble=0.0,
         )
 
+    return timing
+
 
 class TestZeroIORestoration:
     """Regression: zero-IO restorations must start immediately and never
@@ -226,8 +222,8 @@ class TestZeroIORestoration:
     def test_zero_io_restore_not_gated_by_other_requests_io(
         self, seven_b, default_platform
     ):
-        method = _SplitTimingMethod(seven_b, default_platform)
-        sim = ServingSimulator(seven_b, default_platform, method)
+        restore_timing = split_timing()
+        sim = ServingSimulator(seven_b, default_platform, restore_timing)
         specs = [
             single_spec(history=10_000, inp=32, out=4, t=0.0, rid="io-heavy"),
             single_spec(history=50, inp=32, out=4, t=0.0, rid="zero-io"),
@@ -241,8 +237,8 @@ class TestZeroIORestoration:
         assert records["io-heavy"].ttft >= 5.0
 
     def test_zero_io_restore_does_not_advance_io_path(self, seven_b, default_platform):
-        method = _SplitTimingMethod(seven_b, default_platform)
-        sim = ServingSimulator(seven_b, default_platform, method)
+        restore_timing = split_timing()
+        sim = ServingSimulator(seven_b, default_platform, restore_timing)
         sim.run([single_spec(history=50, inp=32, out=4, rid="zero-io")])
         assert sim.engine._io_free_at == 0.0
 
@@ -252,8 +248,8 @@ class TestZeroIORestoration:
         """Pre-fix, a zero-IO restore behind a busy IO path spun the idle
         branch in 1e-6 steps until the phantom IO cleared; a tight horizon
         plus a wall-clock budget would both trip on that."""
-        method = _SplitTimingMethod(seven_b, default_platform)
-        sim = ServingSimulator(seven_b, default_platform, method)
+        restore_timing = split_timing()
+        sim = ServingSimulator(seven_b, default_platform, restore_timing)
         specs = [
             single_spec(history=10_000, inp=32, out=64, t=0.0, rid="io-heavy"),
             single_spec(history=50, inp=32, out=4, t=0.0, rid="zero-io"),
@@ -275,8 +271,8 @@ class TestSerialRestoreIO:
 
     def _burst(self, seven_b, default_platform, n=2):
         """A cost-model engine with ``n`` 5s-IO restores started at t=0."""
-        method = _SplitTimingMethod(seven_b, default_platform, io_threshold=1)
-        engine = CostModelEngine(seven_b, default_platform, method, budget_tokens=512)
+        restore_timing = split_timing(io_threshold=1)
+        engine = CostModelEngine(seven_b, default_platform, restore_timing, budget_tokens=512)
         sessions = [f"s{i}" for i in range(n)]
         for session_id in sessions:
             engine.open_session(session_id, history_tokens=10_000)
@@ -318,8 +314,8 @@ class TestSerialRestoreIO:
         assert engine.now() == pytest.approx(7.0)
 
     def test_burst_restore_seconds_carry_the_io_wait(self, seven_b, default_platform):
-        method = _SplitTimingMethod(seven_b, default_platform, io_threshold=1)
-        sim = ServingSimulator(seven_b, default_platform, method)
+        restore_timing = split_timing(io_threshold=1)
+        sim = ServingSimulator(seven_b, default_platform, restore_timing)
         sim.run(
             [
                 single_spec(history=10_000, inp=32, out=4, t=0.0, rid=f"r{i}")
@@ -370,8 +366,8 @@ class TestSerialRestoreIO:
     def test_zero_io_restore_in_a_burst_neither_waits_nor_delays(
         self, seven_b, default_platform
     ):
-        method = _SplitTimingMethod(seven_b, default_platform, io_threshold=100)
-        engine = CostModelEngine(seven_b, default_platform, method, budget_tokens=512)
+        restore_timing = split_timing(io_threshold=100)
+        engine = CostModelEngine(seven_b, default_platform, restore_timing, budget_tokens=512)
         histories = {"a": 10_000, "zero": 50, "b": 10_000}
         for session_id, history in histories.items():
             engine.open_session(session_id, history_tokens=history)
@@ -385,8 +381,8 @@ class TestSerialRestoreIO:
     def test_restore_seconds_grow_by_one_io_job_per_place_in_line(
         self, seven_b, default_platform, n
     ):
-        method = _SplitTimingMethod(seven_b, default_platform, io_threshold=1)
-        sim = ServingSimulator(seven_b, default_platform, method)
+        restore_timing = split_timing(io_threshold=1)
+        sim = ServingSimulator(seven_b, default_platform, restore_timing)
         sim.run(
             [
                 single_spec(history=10_000, inp=32, out=4, t=0.0, rid=f"r{i}")

@@ -3,13 +3,13 @@
 from __future__ import annotations
 
 import runpy
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from repro.baselines import default_methods
-from repro.core import HCacheEngine
+from repro.core import HCacheEngine, hcache_timing, method_timing
 from repro.core.profiler import build_storage_array
 from repro.engine import ServingSimulator
 from repro.engine.request import RequestSpec
@@ -39,7 +39,7 @@ class TestServingEdgeCases:
         """A request generating exactly one token finishes at its first
         token; TBT is zero."""
         sim = ServingSimulator(
-            seven_b, default_platform, default_methods(seven_b, default_platform)["hcache"]
+            seven_b, default_platform, partial(method_timing, "hcache", seven_b, default_platform)
         )
         report = sim.run(
             [RequestSpec("r", "s", 0.0, history_tokens=500, input_tokens=8, output_tokens=1)]
@@ -53,7 +53,7 @@ class TestServingEdgeCases:
             RequestSpec(f"r{i}", f"s{i}", 0.0, 2000, 32, 8) for i in range(24)
         ]
         sim = ServingSimulator(
-            seven_b, default_platform, default_methods(seven_b, default_platform)["hcache"]
+            seven_b, default_platform, partial(method_timing, "hcache", seven_b, default_platform)
         )
         report = sim.run(specs)
         assert report.n_requests == 24
@@ -65,7 +65,7 @@ class TestServingEdgeCases:
             RequestSpec("late", "b", 500.0, 0, 16, 4),
         ]
         sim = ServingSimulator(
-            seven_b, default_platform, default_methods(seven_b, default_platform)["ideal"]
+            seven_b, default_platform, partial(method_timing, "ideal", seven_b, default_platform)
         )
         report = sim.run(specs)
         assert report.n_requests == 2
@@ -83,7 +83,7 @@ class TestServingEdgeCases:
         sim = ServingSimulator(
             thirteen_b,
             default_platform,
-            default_methods(thirteen_b, default_platform)["ideal"],
+            partial(method_timing, "ideal", thirteen_b, default_platform),
         )
         sim.run(specs)
         records = {r.request_id: r for r in sim.metrics.records}
@@ -93,12 +93,11 @@ class TestServingEdgeCases:
     def test_recompute_history_dominates_budget(self, seven_b, default_platform):
         """A 12K-token recomputation chunked through SplitFuse takes many
         iterations; its TTFT reflects the full history prefill."""
-        methods = default_methods(seven_b, default_platform)
-        rec = ServingSimulator(seven_b, default_platform, methods["recompute"]).run(
-            [RequestSpec("r", "s", 0.0, 12000, 64, 8)]
-        )
-        ideal = ServingSimulator(seven_b, default_platform, methods["ideal"]).run(
-            [RequestSpec("r", "s", 0.0, 12000, 64, 8)]
+        rec, ideal = (
+            ServingSimulator(
+                seven_b, default_platform, partial(method_timing, name, seven_b, default_platform)
+            ).run([RequestSpec("r", "s", 0.0, 12000, 64, 8)])
+            for name in ("recompute", "ideal")
         )
         assert rec.mean_ttft > 5 * ideal.mean_ttft
 
@@ -154,7 +153,8 @@ class TestCrossModelConsistency:
         config = model_preset(model_name)
         model = Transformer.from_seed(config, seed=9)
         storage = StorageManager(build_storage_array(default_platform))
-        engine = HCacheEngine(model, storage, platform=default_platform)
+        _, decision = hcache_timing(config, default_platform, 1024)
+        engine = HCacheEngine(model, storage, scheme=decision.scheme)
         engine.register_context("c")
         tokens = np.arange(30) % config.vocab_size
         result, cache = model.prefill(tokens, capture_hidden=True)

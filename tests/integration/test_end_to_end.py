@@ -5,8 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.baselines import default_methods
-from repro.core import HCacheEngine, PartitionScheme
+from repro.core import DEFAULT_METHODS, HCacheEngine, PartitionScheme
 from repro.core.profiler import build_storage_array
 from repro.engine import NumericServingEngine, simulate_methods
 from repro.models import KVCache
@@ -76,7 +75,7 @@ class TestServingPipeline:
 
     def test_full_serving_comparison(self, seven_b, default_platform, workload):
         reports = simulate_methods(
-            seven_b, default_platform, default_methods(seven_b, default_platform), workload
+            seven_b, default_platform, DEFAULT_METHODS, workload
         )
         assert set(reports) == {"recompute", "kv-offload", "hcache", "ideal"}
         for report in reports.values():
@@ -87,7 +86,7 @@ class TestServingPipeline:
         """§6.1.1: sustainable throughput differs by ~11% at most when the
         system is not overloaded."""
         reports = simulate_methods(
-            seven_b, default_platform, default_methods(seven_b, default_platform), workload
+            seven_b, default_platform, DEFAULT_METHODS, workload
         )
         rates = [r.tokens_per_second for r in reports.values()]
         assert max(rates) / min(rates) < 1.2
@@ -98,7 +97,7 @@ class TestServingPipeline:
         reports = simulate_methods(
             thirteen_b,
             default_platform,
-            default_methods(thirteen_b, default_platform),
+            DEFAULT_METHODS,
             workload,
         )
         assert reports["hcache"].mean_ttft < reports["kv-offload"].mean_ttft

@@ -10,18 +10,14 @@ from __future__ import annotations
 
 import pytest
 
-from repro.baselines import (
-    HCacheMethod,
-    HCacheOnlyMethod,
-    KVOffloadMethod,
-    NaiveHybridMethod,
-    RecomputationMethod,
-    default_methods,
-)
-from repro.core import hcache_timing
+from repro.core import DEFAULT_METHODS, hcache_timing, method_timing, ttft
 from repro.models import model_preset
 from repro.simulator import platform_preset
 from repro.simulator.costs import theoretical_compute_speedup
+
+
+def speed(name, config, platform, n_tokens=1024):
+    return method_timing(name, config, platform, n_tokens).restoration_speed
 
 
 MODEL_PLATFORMS = [
@@ -43,10 +39,10 @@ class TestAbstractClaims:
     def test_fig4_restoration_overhead(self, model, platform):
         """Fig. 4: recompute TTFT 20-26x ideal; KV offload 6.5-13x
         (10K-token L-Eval-style history)."""
-        methods = default_methods(model_preset(model), platform_preset(platform))
-        ttft = {name: m.ttft(10_000, 100) for name, m in methods.items()}
-        assert 15 < ttft["recompute"] / ttft["ideal"] < 45
-        assert 5 < ttft["kv-offload"] / ttft["ideal"] < 18
+        config, plat = model_preset(model), platform_preset(platform)
+        ttfts = {name: ttft(name, config, plat, 10_000, 100) for name in DEFAULT_METHODS}
+        assert 15 < ttfts["recompute"] / ttfts["ideal"] < 45
+        assert 5 < ttfts["kv-offload"] / ttfts["ideal"] < 18
 
 
 class TestEndToEndSpeedups:
@@ -55,17 +51,17 @@ class TestEndToEndSpeedups:
         """Fig. 10: HCache TTFT beats KV offload by 1.62-1.93x and
         recomputation by 2.66-5.73x on long contexts (bands widened to
         accommodate the simulated substrate)."""
-        methods = default_methods(model_preset(model), platform_preset(platform))
-        ttft = {name: m.ttft(10_000, 100) for name, m in methods.items()}
-        assert 1.4 < ttft["kv-offload"] / ttft["hcache"] < 2.3
-        assert 2.5 < ttft["recompute"] / ttft["hcache"] < 9.0
+        config, plat = model_preset(model), platform_preset(platform)
+        ttfts = {name: ttft(name, config, plat, 10_000, 100) for name in DEFAULT_METHODS}
+        assert 1.4 < ttfts["kv-offload"] / ttfts["hcache"] < 2.3
+        assert 2.5 < ttfts["recompute"] / ttfts["hcache"] < 9.0
 
     @pytest.mark.parametrize("model,platform", MODEL_PLATFORMS)
     def test_tab3_storage_saving(self, model, platform):
         """Table 3: per-token storage 1.92-2.40x below KV offload."""
         config = model_preset(model)
-        hcache = HCacheMethod(config, platform_preset(platform))
-        ratio = config.kv_bytes_per_token / hcache.storage_bytes_per_token()
+        _, decision = hcache_timing(config, platform_preset(platform), 1024)
+        ratio = config.kv_bytes_per_token / decision.scheme.storage_bytes_per_token(config)
         assert 1.7 <= ratio <= 2.5
 
     @pytest.mark.parametrize(
@@ -76,8 +72,8 @@ class TestEndToEndSpeedups:
         with weaker GPUs at the low end (A30/L20)."""
         config = model_preset("llama2-7b")
         platform = platform_preset(gpu_platform)
-        h = HCacheMethod(config, platform).restoration_speed(1024)
-        kv = KVOffloadMethod(config, platform).restoration_speed(1024)
+        h = speed("hcache", config, platform)
+        kv = speed("kv-offload", config, platform)
         assert 1.15 < h / kv < 2.0
 
     def test_fig11_weak_gpu_smaller_gain(self):
@@ -86,8 +82,8 @@ class TestEndToEndSpeedups:
         gains = {}
         for name in ("a100-dram", "a30-dram"):
             platform = platform_preset(name)
-            h = HCacheMethod(config, platform).restoration_speed(1024)
-            kv = KVOffloadMethod(config, platform).restoration_speed(1024)
+            h = speed("hcache", config, platform)
+            kv = speed("kv-offload", config, platform)
             gains[name] = h / kv
         assert gains["a30-dram"] < gains["a100-dram"]
 
@@ -97,8 +93,8 @@ class TestEndToEndSpeedups:
         <2x as disks multiply."""
         config = model_preset("llama2-7b")
         platform = platform_preset("default").with_ssds(n_ssds)
-        h = HCacheMethod(config, platform).restoration_speed(1024)
-        kv = KVOffloadMethod(config, platform).restoration_speed(1024)
+        h = speed("hcache", config, platform)
+        kv = speed("kv-offload", config, platform)
         assert band[0] < h / kv < band[1]
 
     def test_fig11_context_scaling(self):
@@ -112,10 +108,10 @@ class TestEndToEndSpeedups:
         """
         config = model_preset("llama2-7b")
         platform = platform_preset("default")
-        rec = RecomputationMethod(config, platform)
-        h = HCacheMethod(config, platform)
-        rec_drop = rec.restoration_speed(16384) / rec.restoration_speed(1024)
-        h_drop = h.restoration_speed(16384) / h.restoration_speed(1024)
+        rec_drop = speed("recompute", config, platform, 16384) / speed(
+            "recompute", config, platform
+        )
+        h_drop = speed("hcache", config, platform, 16384) / speed("hcache", config, platform)
         assert rec_drop < 0.92
         assert h_drop > 0.85
         assert rec_drop < h_drop
@@ -127,8 +123,8 @@ class TestAblations:
         1.28-1.42x (compute-sufficient shown; others in the bench)."""
         config = model_preset("llama2-7b")
         platform = platform_preset("compute-sufficient")
-        h = HCacheMethod(config, platform).restoration_speed(1024)
-        nh = NaiveHybridMethod(config, platform).restoration_speed(1024)
+        h = speed("hcache", config, platform)
+        nh = speed("naive-hybrid", config, platform)
         assert 1.15 < h / nh < 1.6
 
     def test_fig12_hcache_o_loses_on_io_sufficient(self):
@@ -136,8 +132,8 @@ class TestAblations:
         when IO is plentiful but compute is not."""
         config = model_preset("llama2-7b")
         platform = platform_preset("io-sufficient")
-        ho = HCacheOnlyMethod(config, platform).restoration_speed(1024)
-        kv = KVOffloadMethod(config, platform).restoration_speed(1024)
+        ho = speed("hcache-o", config, platform)
+        kv = speed("kv-offload", config, platform)
         assert ho < kv
 
     def test_fig12_scheduler_rescues_hcache(self):
@@ -146,8 +142,8 @@ class TestAblations:
         config = model_preset("llama2-7b")
         for regime in ("io-sufficient", "compute-sufficient", "balanced"):
             platform = platform_preset(regime)
-            h = HCacheMethod(config, platform).restoration_speed(1024)
-            kv = KVOffloadMethod(config, platform).restoration_speed(1024)
+            h = speed("hcache", config, platform)
+            kv = speed("kv-offload", config, platform)
             assert h / kv > 1.25, regime
 
     def test_fig13_layerwise_beats_tokenwise(self, thirteen_b):

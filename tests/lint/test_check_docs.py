@@ -45,7 +45,7 @@ def test_fixture_reports_exactly_the_stale_references(fixture_report):
         "repro.storage.daemon.FlushDaemon.write_bandwidth",
         "repro.runtime.RestoreProgress.wait_layer",
         "repro.engine.api.ServingEngine",
-        "repro.default_methods",
+        "repro.DEFAULT_METHODS",
     ],
 )
 def test_live_names_resolve(name):
