@@ -77,6 +77,9 @@ require_or_skip mypy python -m mypy
 
 echo "== tier-1 tests =="
 python -m pytest -x -q
+# The src/ line count, so a simplicity change's before/after can be read
+# straight from the log (no gate: compare it with the parent's run).
+echo "src/ lines: $(find src -name '*.py' | xargs cat | wc -l)"
 
 echo "== doc freshness (README module map vs src/repro, code references in the docs) =="
 python scripts/check_docs.py

@@ -313,8 +313,9 @@ class HCacheEngine:
         double-buffered: the next granule's device read is issued before
         the pending granule is projected, so in the modelled timeline
         layer *k*'s projection overlaps layer *k+1*'s read — compute
-        starts at IO start, which is exactly what the serving simulator's
-        ``request_io_start`` assumes.
+        starts at IO start, which is exactly what the cost-model engine's
+        ``CostModelEngine.start_restores`` assumes when it books a
+        restore's compute from the start of its IO job.
 
         With ``executor`` (a :class:`repro.runtime.RestoreExecutor`), the
         granule reads actually run on background IO workers while this

@@ -10,12 +10,7 @@ from repro.storage.chunk import CHUNK_TOKENS, ChunkKey, ChunkLayout
 from repro.storage.daemon import FlushDaemon, SnapshotOutcome
 from repro.storage.device import IOReceipt, LatencyEmulator, StorageDevice
 from repro.storage.faults import FaultPolicy
-from repro.storage.journal import (
-    ContextManifest,
-    ManifestJournal,
-    ManifestState,
-    RunManifest,
-)
+from repro.storage.journal import ManifestJournal
 from repro.storage.manager import ContextMeta, StorageManager
 from repro.storage.replicated import ReplicatedDevice
 from repro.storage.streaming import GranuleSpec, LayerChunk, StagingRing
@@ -24,7 +19,6 @@ __all__ = [
     "CHUNK_TOKENS",
     "ChunkKey",
     "ChunkLayout",
-    "ContextManifest",
     "ContextMeta",
     "FaultPolicy",
     "FlushDaemon",
@@ -34,9 +28,7 @@ __all__ = [
     "LayerChunk",
     "LayerReadTiming",
     "ManifestJournal",
-    "ManifestState",
     "ReplicatedDevice",
-    "RunManifest",
     "SnapshotOutcome",
     "StagingRing",
     "StorageArray",

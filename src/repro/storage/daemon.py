@@ -37,8 +37,9 @@ class FlushDaemon:
     Models only what the saving ablation (Fig. 14) reads: the staging
     backlog, its drain at the write bandwidth, and the stall a snapshot
     pays when the buffer would overflow.  Durability is not modelled
-    here; the real save path's loss window is the journal's
-    ``fsync_every`` batching plus ``StorageManager.seal_context``.
+    here; the real save path's loss window is the host tail rows
+    ``StorageManager.seal_context`` has not yet flushed (every journal
+    record is fsynced as it is appended).
     """
 
     def __init__(self, write_bandwidth: float, staging_bytes: int = 4 * 1024**3) -> None:

@@ -11,43 +11,57 @@ a chunk is fully populated, it is promptly written to the NVMe device",
 until :meth:`StorageManager.seal_context` or further appends fill it.
 Restoration reads token-before-layer: one call fetches a whole layer.
 
-Each context is one record (its shape, its token log and its runs), and
-each (layer, kind) run is one record: the host tail buffer, the stored
+Each context is one object (its shape, its token log and its runs), and
+each (layer, kind) run is one object: the host tail buffer, the stored
 row count, how many tail rows the last seal put on a device, and the
-journaled chunk CRCs.  Everything the manager knows — the byte count
-against capacity, the durable manifest, a recovered manager — is read
-from or written to these records.
+journaled slot CRCs.  Everything the manager knows — the byte count
+against capacity, the journal's snapshot, a recovered manager — is read
+from or written to these objects, and nothing else describes them.
 
 Durability (optional): with a :class:`~repro.storage.journal.
-ManifestJournal` attached, every metadata mutation is journaled and
-:meth:`StorageManager.recover` rebuilds a manager from journal + device
-chunks alone after a crash.  The commit-point ordering is strict — device
-write first, journal record second — so a journaled chunk is always
-readable and an unjournaled device chunk is an orphan recovery sweeps; a
-crash between the two can therefore never double-count tokens.  Sealed
-partial tails follow the same discipline: when appends grow a sealed
-partial, its stale device copy is *kept* (still journaled, still durable)
-until the moment the refilled chunk rewrites that slot, shrinking the
-crash window to the single delete+write+journal step that write-once
-devices force.
+ManifestJournal` attached, every metadata mutation is journaled as one
+record, and :meth:`StorageManager._apply` is the one place a record
+acquires meaning: :meth:`StorageManager.recover` folds the journal's
+records into a fresh manager and rebuilds it from them + device chunks
+alone after a crash, and a compacted snapshot is the records
+(:meth:`StorageManager.durable_records`) whose fold is the durable state.
+The commit-point ordering is strict — device write first, journal record
+second — so a journaled chunk is always readable and an unjournaled
+device chunk is an orphan recovery sweeps; a crash between the two can
+therefore never double-count tokens.  Sealed partial tails follow the
+same discipline: when appends grow a sealed partial, its stale device
+copy is *kept* (still journaled, still durable) until the moment the
+refilled chunk rewrites that slot, shrinking the crash window to the
+single delete+write step that write-once devices force (once the
+rewrite lands, the journaled rows are its prefix).
 """
 
 from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Any, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from repro.errors import AllocationError, ConfigError, RecoveryError, StateError
+from repro.errors import (
+    AllocationError,
+    ConfigError,
+    JournalCorruptError,
+    RecoveryError,
+    StateError,
+)
 from repro.storage.array import StorageArray
 from repro.storage.chunk import CHUNK_TOKENS, ChunkKey
-from repro.storage.journal import ContextManifest, ManifestJournal, ManifestState, RunManifest
+from repro.storage.journal import ManifestJournal
 from repro.storage.streaming import GranuleSpec, StagingRing
 
 #: Journal log size that triggers a compacted snapshot (checked at seals).
 JOURNAL_COMPACT_BYTES = 1 << 20
+
+#: Token ids per ``tokens`` record of a compacted snapshot, so that no
+#: snapshot record nears the journal's frame limit however long a log is.
+SNAPSHOT_TOKENS_PER_RECORD = 1024
 
 _KINDS = ("hidden", "kv")
 
@@ -67,8 +81,9 @@ class _Run:
     current tail slot, as the copy the last seal wrote: all of them while
     the run is sealed, fewer once appends have grown it (that stale copy
     stays durable until the refilled chunk or the next seal rewrites the
-    slot).  ``crcs`` holds the journaled CRC of each full chunk by index,
-    and stays empty without a journal.
+    slot).  ``crcs`` holds the journaled CRC of every slot by chunk index
+    — each full chunk, and the sealed tail's — and stays empty without a
+    journal.
     """
 
     __slots__ = ("tail", "n_tokens", "device_tail_rows", "crcs")
@@ -103,6 +118,17 @@ class ContextMeta:
     hidden_width: int
     kv_width: int
     dtype: np.dtype
+
+
+def _register_record(meta: ContextMeta) -> dict[str, Any]:
+    return {
+        "op": "register",
+        "context_id": meta.context_id,
+        "n_layers": meta.n_layers,
+        "hidden_width": meta.hidden_width,
+        "kv_width": meta.kv_width,
+        "dtype": str(meta.dtype),
+    }
 
 
 @dataclass
@@ -175,16 +201,7 @@ class StorageManager:
         )
         self._contexts[context_id] = _Context(meta)
         if self.journal is not None:
-            self.journal.append(
-                {
-                    "op": "register",
-                    "context_id": context_id,
-                    "n_layers": n_layers,
-                    "hidden_width": hidden_width,
-                    "kv_width": kv_width,
-                    "dtype": str(meta.dtype),
-                }
-            )
+            self.journal.append(_register_record(meta))
         return meta
 
     def _context(self, context_id: str) -> _Context:
@@ -446,13 +463,14 @@ class StorageManager:
             device.write(key, run.tail[:rows])
             run.device_tail_rows = rows
             if self.journal is not None:
+                run.crcs[index] = _payload_crc(run.tail[:rows])
                 sealed.append(
                     {
                         "layer": layer,
                         "kind": kind,
                         "index": index,
                         "tokens": rows,
-                        "crc": _payload_crc(run.tail[:rows]),
+                        "crc": run.crcs[index],
                     }
                 )
         if self.journal is not None:
@@ -467,42 +485,125 @@ class StorageManager:
     # durability: snapshot, compaction, recovery
     # ------------------------------------------------------------------
 
-    def manifest_state(self) -> ManifestState:
-        """Snapshot the durable metadata as a replayable manifest.
+    def durable_records(self) -> Iterator[dict[str, Any]]:
+        """The journal records whose fold is the durable state.
 
-        Exactly what replaying the journal from genesis would yield:
-        every opened run, its journaled full chunks, sealed tails
+        Exactly what replaying the journal from genesis would fold to:
+        every opened run, its journaled full chunks, its sealed tail
         (including a *stale* sealed partial whose run has grown but whose
         slot has not been rewritten yet — its device copy is still the
-        durable source of those rows), and the token logs.  Unsealed
+        durable source of those rows), and the token logs, split over
+        records of :data:`SNAPSHOT_TOKENS_PER_RECORD` ids.  Unsealed
         host-tail rows are deliberately absent: they are not durable.
         """
-        state = ManifestState()
         cpc = self.tokens_per_chunk
         for context_id, ctx in self._contexts.items():
-            meta = ctx.meta
-            crec = ContextManifest(
-                n_layers=meta.n_layers,
-                hidden_width=meta.hidden_width,
-                kv_width=meta.kv_width,
-                dtype=str(meta.dtype),
-                tokens=list(ctx.tokens),
-            )
-            state.contexts[context_id] = crec
-            for run_key, run in ctx.runs.items():
-                rrec = RunManifest(full_chunks=run.n_tokens // cpc, chunk_crcs=dict(run.crcs))
+            yield _register_record(ctx.meta)
+            for start in range(0, len(ctx.tokens), SNAPSHOT_TOKENS_PER_RECORD):
+                ids = ctx.tokens[start : start + SNAPSHOT_TOKENS_PER_RECORD]
+                yield {"op": "tokens", "context_id": context_id, "ids": ids}
+            tails: list[dict[str, Any]] = []
+            for (layer, kind), run in ctx.runs.items():
+                named = {"context_id": context_id, "layer": layer, "kind": kind}
+                yield {"op": "run", **named}
+                full = run.n_tokens // cpc
+                for index in range(full):
+                    yield {"op": "chunk", **named, "index": index, "crc": run.crcs[index]}
                 if run.device_tail_rows:
-                    rrec.sealed_tail_index = rrec.full_chunks
-                    rrec.sealed_tail_tokens = run.device_tail_rows
-                    rrec.sealed_tail_crc = _payload_crc(run.tail[: run.device_tail_rows])
-                crec.runs[run_key] = rrec
-        return state
+                    tail = {"layer": layer, "kind": kind, "index": full}
+                    tails.append(dict(tail, tokens=run.device_tail_rows, crc=run.crcs[full]))
+            if tails:
+                yield {"op": "seal", "context_id": context_id, "tails": tails}
 
     def compact_journal(self) -> None:
         """Write a compacted snapshot and reset the journal log."""
         if self.journal is None:
             raise StateError("storage manager has no journal attached")
-        self.journal.compact(self.manifest_state())
+        self.journal.compact(self.durable_records())
+
+    def _apply(self, record: Mapping[str, Any]) -> None:
+        """Fold one journal record into this manager's contexts and runs.
+
+        The one place a record acquires meaning; called only on a manager
+        with no journal attached, so folding journals nothing.  A folded
+        run holds only what the journal proves durable: ``n_tokens`` is
+        its journaled full chunks plus its sealed tail, ``device_tail_rows``
+        that sealed tail, and ``crcs`` every journaled slot's CRC; its host
+        tail holds nothing yet (:meth:`recover` fills it).  Runs open with
+        their ``run`` record, or — in journals written before ``run``
+        records existed — with their first ``chunk`` or ``seal``; a
+        ``register`` without ``kv_width`` predates GQA and used the MHA
+        width.
+        """
+        cpc = self.tokens_per_chunk
+        try:
+            op, context_id = record.get("op"), record.get("context_id")
+            if op == "register":
+                if context_id in self._contexts:
+                    raise JournalCorruptError(
+                        f"context {context_id!r} registered twice without a free"
+                    )
+                try:
+                    dtype = np.dtype(record["dtype"])
+                except TypeError as exc:
+                    raise RecoveryError(
+                        f"context {context_id!r} has unknown dtype {record['dtype']!r}"
+                    ) from exc
+                meta = ContextMeta(
+                    context_id=str(context_id),
+                    n_layers=int(record["n_layers"]),
+                    hidden_width=int(record["hidden_width"]),
+                    kv_width=int(record.get("kv_width", 2 * int(record["hidden_width"]))),
+                    dtype=dtype,
+                )
+                self._contexts[meta.context_id] = _Context(meta)
+                return
+            if op not in ("run", "chunk", "seal", "tokens", "free_run", "free"):
+                raise JournalCorruptError(f"unknown journal record op {op!r}")
+            ctx = self._contexts.get(context_id)
+            if ctx is None:
+                raise JournalCorruptError(
+                    f"journal record {op!r} names unknown context {context_id!r}"
+                )
+            if op == "free":
+                self._contexts.pop(context_id)
+            elif op == "tokens":
+                ctx.tokens.extend(int(t) for t in record["ids"])
+            elif op == "free_run":
+                # Journals without ``run`` records never name a run that
+                # held only unsealed tail rows.
+                ctx.runs.pop((int(record["layer"]), str(record["kind"])), None)
+            elif op == "run":
+                self._open_run(ctx, int(record["layer"]), str(record["kind"]))
+            elif op == "chunk":
+                run = self._open_run(ctx, int(record["layer"]), str(record["kind"]))
+                index, full = int(record["index"]), run.n_tokens // cpc
+                if run.device_tail_rows and index >= full:
+                    if index > full:
+                        raise RecoveryError(f"{record!r} lands past a sealed tail at chunk {full}")
+                    # The sealed partial filled up and was rewritten as a
+                    # full chunk in the same slot; the full chunk wins.
+                    run.device_tail_rows = 0
+                run.crcs[index] = int(record["crc"])
+                run.n_tokens = max(full, index + 1) * cpc + run.device_tail_rows
+            else:  # seal
+                for tail in record["tails"]:
+                    run = self._open_run(ctx, int(tail["layer"]), str(tail["kind"]))
+                    full, rows = run.n_tokens // cpc, int(tail["tokens"])
+                    if int(tail["index"]) != full:
+                        raise RecoveryError(
+                            f"{context_id!r}: sealed tail at chunk {tail['index']} but "
+                            f"{full} full chunks are journaled, in {tail!r}"
+                        )
+                    if not 0 < rows < cpc:
+                        raise JournalCorruptError(f"sealed tail of {rows} rows in {record!r}")
+                    run.crcs[full] = int(tail["crc"])
+                    run.device_tail_rows = rows
+                    run.n_tokens = full * cpc + rows
+        except ConfigError as exc:
+            raise RecoveryError(f"{exc}, in journal record {record!r}") from exc
+        except (KeyError, TypeError, ValueError) as exc:
+            raise JournalCorruptError(f"malformed journal record {record!r}") from exc
 
     @classmethod
     def recover(
@@ -515,139 +616,108 @@ class StorageManager:
         """Rebuild a manager from journal + device chunks alone.
 
         The crash-recovery (and migrate-to-another-engine) entry point:
-        nothing of the dead manager's memory survives.  The journal
-        replays into a :class:`ManifestState`; each context's durable
-        token count is the *minimum over its runs* of ``full_chunks x
-        tokens_per_chunk + sealed tail`` — a run's sealed tail counting
-        only if its device copy exists and matches the journaled CRC (a
-        retired-but-never-rewritten partial rolls that run back to its
-        chunk boundary).  Runs longer than the common durable count are
-        truncated: a boundary chunk's surviving prefix is salvaged into
-        the host tail buffer, excess device chunks are dropped, and the
-        token log is cut to exactly the durable rows.  Journal/device
-        contradictions (a journaled chunk missing, a CRC mismatch, a
-        token log shorter than the durable rows) raise
-        :class:`~repro.errors.RecoveryError` — recovery is conservative
-        or loud, never silently wrong.  Every journaled full chunk is
-        re-read to check its CRC.  Unjournaled device chunks (orphans of
-        a crash between write and journal append) are swept.
+        nothing of the dead manager's memory survives.  The journal's
+        records fold (:meth:`_apply`) into a fresh manager; each context's
+        durable token count is the *minimum over its runs* of full-chunk
+        tokens plus sealed tail — a run's sealed tail counting only if its
+        device copy exists, alone or as the prefix of a rewrite whose
+        record never landed (a retired-but-never-rewritten partial rolls
+        that run back to its chunk boundary).  Runs longer than the common
+        durable count are truncated: a boundary chunk's surviving prefix
+        is salvaged into the host tail buffer, excess device chunks are
+        dropped, and the token log is cut to exactly the durable rows.
+        Journal/device contradictions (a journaled chunk missing, a CRC or
+        shape mismatch, a layer beyond the context's, a token log shorter
+        than the durable rows) raise :class:`~repro.errors.RecoveryError`
+        — recovery is conservative or loud, never silently wrong.  Every
+        journaled slot is re-read to check its CRC.  Unjournaled device
+        chunks (orphans of a crash between write and journal append) are
+        swept.
 
         The returned manager has ``journal`` attached and starts from a
         fresh compacted snapshot describing exactly the recovered state.
         """
-        state = journal.replay()
         manager = cls(array, capacity_bytes, tokens_per_chunk)
+        for record in journal.replay():
+            manager._apply(record)
         cpc = tokens_per_chunk
         live: set[ChunkKey] = set()
-        for context_id, crec in state.contexts.items():
-            try:
-                dtype = np.dtype(crec.dtype)
-            except TypeError as exc:
-                raise RecoveryError(
-                    f"context {context_id!r} has unknown dtype {crec.dtype!r}"
-                ) from exc
-            ctx = _Context(
-                ContextMeta(
-                    context_id=context_id,
-                    n_layers=crec.n_layers,
-                    hidden_width=crec.hidden_width,
-                    kv_width=crec.kv_width,
-                    dtype=dtype,
-                )
-            )
-            manager._contexts[context_id] = ctx
-            # Pass 1: per-run durable candidates, checking the devices.
-            candidates: dict[tuple[int, str], tuple[int, np.ndarray | None]] = {}
-            for (layer, kind), rrec in crec.runs.items():
-                if layer < 0 or layer >= crec.n_layers:
-                    raise RecoveryError(
-                        f"context {context_id!r} journals layer {layer} beyond "
-                        f"its {crec.n_layers} layers"
-                    )
-                for index in range(rrec.full_chunks):
+        for context_id, ctx in manager._contexts.items():
+            # Pass 1: audit every journaled slot against the devices.
+            sealed: dict[tuple[int, str], np.ndarray] = {}
+            for (layer, kind), run in ctx.runs.items():
+                full = run.n_tokens // cpc
+                for index in range(full):
                     key = ChunkKey(context_id, layer, index, kind)
                     device = array.device_for(index, offset=layer)
                     if key not in device:
                         raise RecoveryError(
                             f"journaled chunk {key} is missing from its device"
                         )
-                    crc = rrec.chunk_crcs.get(index)
-                    if crc is not None and _payload_crc(device.read(key)[0]) != crc:
+                    # A chunk whose record was lost while later ones landed
+                    # has no CRC; its payload supplies one.
+                    crc = _payload_crc(device.read(key)[0])
+                    if run.crcs.setdefault(index, crc) != crc:
                         raise RecoveryError(
                             f"chunk {key} payload fails its journaled checksum"
                         )
-                durable = rrec.full_chunks * cpc
-                tail_rows: np.ndarray | None = None
-                if rrec.sealed_tail_tokens > 0:
-                    if rrec.sealed_tail_index != rrec.full_chunks:
-                        raise RecoveryError(
-                            f"run ({context_id!r}, L{layer}, {kind}): sealed tail "
-                            f"at chunk {rrec.sealed_tail_index} but "
-                            f"{rrec.full_chunks} full chunks are journaled"
-                        )
-                    key = ChunkKey(context_id, layer, rrec.full_chunks, kind)
-                    device = array.device_for(rrec.full_chunks, offset=layer)
-                    if key in device:
-                        payload, _ = device.read(key)
-                        if (
-                            payload.shape[0] != rrec.sealed_tail_tokens
-                            or _payload_crc(payload) != rrec.sealed_tail_crc
-                        ):
-                            raise RecoveryError(
-                                f"sealed tail {key} mismatches its journal record"
-                            )
-                        durable += rrec.sealed_tail_tokens
-                        tail_rows = payload
-                    # else: the partial was retired for a rewrite that never
-                    # completed — those rows are gone; the run rolls back to
-                    # its chunk boundary (the documented rewrite window).
-                candidates[(layer, kind)] = (durable, tail_rows)
-            durable_tokens = min((d for d, _ in candidates.values()), default=len(crec.tokens))
-            if len(crec.tokens) < durable_tokens:
+                rows = run.device_tail_rows
+                if rows:
+                    key = ChunkKey(context_id, layer, full, kind)
+                    device = array.device_for(full, offset=layer)
+                    if key not in device:
+                        # The partial was retired for a rewrite that never
+                        # landed — those rows are gone; the run rolls back
+                        # to its chunk boundary (the rewrite window).
+                        run.n_tokens = full * cpc
+                        run.device_tail_rows = 0
+                        continue
+                    payload, _ = device.read(key)
+                    if payload.shape[0] < rows or _payload_crc(payload[:rows]) != run.crcs[full]:
+                        raise RecoveryError(f"sealed tail {key} mismatches its journal record")
+                    sealed[(layer, kind)] = payload[:rows]
+                    if payload.shape[0] > rows:
+                        # The slot's rewrite (the refilled chunk, or a
+                        # longer sealed tail) landed but its record did
+                        # not.  The journaled rows are its prefix; the
+                        # rewrite itself is an orphan the sweep drops.
+                        run.device_tail_rows = 0
+            durable_tokens = min(
+                (run.n_tokens for run in ctx.runs.values()), default=len(ctx.tokens)
+            )
+            if len(ctx.tokens) < durable_tokens:
                 raise RecoveryError(
-                    f"context {context_id!r}: token log holds {len(crec.tokens)} "
+                    f"context {context_id!r}: token log holds {len(ctx.tokens)} "
                     f"ids but {durable_tokens} rows are durable"
                 )
-            ctx.tokens = list(crec.tokens[:durable_tokens])
-            # Pass 2: rebuild every run, truncated to the common count.
+            del ctx.tokens[durable_tokens:]
+            # Pass 2: cut every run to the common count.  Device chunks
+            # the cut leaves unclaimed are dropped by the sweep below.
             full_keep, rem = divmod(durable_tokens, cpc)
-            for (layer, kind), (_, tail_rows) in candidates.items():
-                rrec = crec.runs[(layer, kind)]
-                run = _Run(cpc, cls._width(ctx.meta, kind), dtype)
-                ctx.runs[(layer, kind)] = run
+            for (layer, kind), run in ctx.runs.items():
+                if run.n_tokens // cpc > full_keep:
+                    # The cut lands inside one of this run's full chunks:
+                    # salvage its prefix into the host tail; the over-long
+                    # chunk cannot stay (reads and reseals assume exact
+                    # shapes).
+                    run.device_tail_rows = 0
+                    if rem:
+                        boundary = ChunkKey(context_id, layer, full_keep, kind)
+                        payload, _ = array.device_for(full_keep, offset=layer).read(boundary)
+                        run.tail[:rem] = payload[:rem]
+                else:
+                    # The cut lands in this run's own sealed tail, whose
+                    # device copy stays only if the cut is exactly its
+                    # end; a longer copy goes, the next seal rewrites.
+                    if rem:
+                        run.tail[:rem] = sealed[(layer, kind)][:rem]
+                    if run.device_tail_rows != rem:
+                        run.device_tail_rows = 0
                 run.n_tokens = durable_tokens
                 manager.allocated_bytes += run.allocated_bytes()
-                boundary_key = ChunkKey(context_id, layer, full_keep, kind)
-                if rem:
-                    device = array.device_for(full_keep, offset=layer)
-                    if tail_rows is not None and rrec.full_chunks == full_keep:
-                        # This run's own sealed tail supplies the rows.
-                        run.tail[:rem] = tail_rows[:rem]
-                        if rem == rrec.sealed_tail_tokens:
-                            run.device_tail_rows = rem
-                            live.add(boundary_key)
-                        else:
-                            # A shorter run truncated the context below this
-                            # sealed tail; its device copy holds too many
-                            # rows — drop it, the next seal rewrites.
-                            device.delete(boundary_key)
-                    elif full_keep < rrec.full_chunks:
-                        # The durable cut lands inside one of this run's
-                        # full chunks: salvage the prefix into the host
-                        # tail; the over-long chunk cannot stay (reads and
-                        # reseals assume exact shapes).
-                        payload, _ = device.read(boundary_key)
-                        run.tail[:rem] = payload[:rem]
-                        device.delete(boundary_key)
-                    else:
-                        raise RecoveryError(
-                            f"run ({context_id!r}, L{layer}, {kind}): {rem} durable "
-                            f"rows have no durable source"
-                        )
-                for index in range(full_keep):
-                    live.add(ChunkKey(context_id, layer, index, kind))
-                    if index in rrec.chunk_crcs:
-                        run.crcs[index] = rrec.chunk_crcs[index]
+                kept = full_keep + (run.device_tail_rows > 0)
+                run.crcs = {i: c for i, c in run.crcs.items() if i < kept}
+                live.update(ChunkKey(context_id, layer, i, kind) for i in range(kept))
         # Orphan sweep: device chunks no journaled run accounts for — the
         # crash artifacts of write-then-journal — plus everything truncated
         # above.  ``delete`` on a replicated device drops both copies.

@@ -1,11 +1,21 @@
-"""Tests for the write-ahead manifest journal (crash-safe metadata)."""
+"""Tests for the write-ahead manifest journal (crash-safe metadata).
+
+The journal frames records and gives them no meaning; what they mean is
+the storage manager's fold (``StorageManager._apply``), so every state
+below is a fold of records into a fresh manager.
+"""
 
 from __future__ import annotations
 
+import json
+import struct
+import zlib
+
 import pytest
 
-from repro.errors import ConfigError, JournalCorruptError, StateError
-from repro.storage import ManifestJournal, ManifestState
+from repro.errors import JournalCorruptError, StateError
+from repro.simulator.hardware import GB, SSDSpec
+from repro.storage import ManifestJournal, StorageArray, StorageManager
 
 
 RECORDS = [
@@ -20,36 +30,32 @@ RECORDS = [
 ]
 
 
-def fold(records) -> ManifestState:
-    state = ManifestState()
+def fold(records) -> StorageManager:
+    spec = SSDSpec("t-ssd", read_bandwidth=3 * GB, write_bandwidth=1 * GB,
+                   capacity_bytes=1 * GB)
+    manager = StorageManager(StorageArray([spec], link_bandwidth=8 * GB))
     for record in records:
-        state.apply(record)
-    return state
+        manager._apply(record)
+    return manager
 
 
-def states_equal(a: ManifestState, b: ManifestState) -> bool:
-    def shape(state):
-        return {
-            cid: (
-                crec.n_layers,
-                crec.hidden_width,
-                crec.kv_width,
-                crec.dtype,
-                tuple(crec.tokens),
-                {
-                    run_key: (
-                        run.full_chunks,
-                        tuple(sorted(run.chunk_crcs.items())),
-                        run.sealed_tail_tokens,
-                        run.sealed_tail_index,
-                        run.sealed_tail_crc,
-                    )
-                    for run_key, run in crec.runs.items()
-                },
-            )
-            for cid, crec in state.contexts.items()
-        }
+def shape(manager: StorageManager) -> dict:
+    """Each context's meta, token log and runs as what the journal proves:
+    ``(n_tokens, device_tail_rows, crcs)``."""
+    return {
+        cid: (
+            ctx.meta,
+            tuple(ctx.tokens),
+            {
+                run_key: (run.n_tokens, run.device_tail_rows, dict(run.crcs))
+                for run_key, run in ctx.runs.items()
+            },
+        )
+        for cid, ctx in manager._contexts.items()
+    }
 
+
+def states_equal(a: StorageManager, b: StorageManager) -> bool:
     return shape(a) == shape(b)
 
 
@@ -59,43 +65,31 @@ class TestAppendReplay:
             for record in RECORDS:
                 journal.append(record)
             replayed = journal.replay()
-        assert states_equal(replayed, fold(RECORDS))
+        assert states_equal(fold(replayed), fold(RECORDS))
 
     def test_replay_survives_reopen(self, tmp_path):
         with ManifestJournal(tmp_path) as journal:
             for record in RECORDS:
                 journal.append(record)
         with ManifestJournal(tmp_path) as journal:
-            assert states_equal(journal.replay(), fold(RECORDS))
+            assert states_equal(fold(journal.replay()), fold(RECORDS))
 
     def test_kv_width_defaults_to_mha_for_older_journals(self):
         """Records written before GQA support carry no ``kv_width``."""
         gqa = dict(RECORDS[0], context_id="g", kv_width=4)
         state = fold([RECORDS[0], gqa])
-        assert state.contexts["a"].kv_width == 16
-        assert state.contexts["g"].kv_width == 4
-        assert states_equal(ManifestState.from_payload(state.to_payload()), state)
+        assert state.meta("a").kv_width == 16
+        assert state.meta("g").kv_width == 4
 
     def test_empty_journal_replays_empty(self, tmp_path):
         with ManifestJournal(tmp_path) as journal:
-            assert journal.replay().contexts == {}
+            assert journal.replay() == []
 
     def test_closed_journal_rejects_appends(self, tmp_path):
         journal = ManifestJournal(tmp_path)
         journal.close()
         with pytest.raises(StateError):
             journal.append(RECORDS[0])
-
-    def test_fsync_every_validated(self, tmp_path):
-        with pytest.raises(ConfigError):
-            ManifestJournal(tmp_path, fsync_every=0)
-
-    def test_batched_fsync_still_replays(self, tmp_path):
-        with ManifestJournal(tmp_path, fsync_every=16) as journal:
-            for record in RECORDS:
-                journal.append(record)
-            journal.sync()
-            assert states_equal(journal.replay(), fold(RECORDS))
 
 
 class TestTruncationProperty:
@@ -118,7 +112,7 @@ class TestTruncationProperty:
                 replayed = journal.replay()
                 # Committed prefix: every record whose frame fits the cut.
                 n_whole = sum(1 for b in boundaries[1:] if b <= offset)
-                assert states_equal(replayed, fold(RECORDS[:n_whole])), offset
+                assert states_equal(fold(replayed), fold(RECORDS[:n_whole])), offset
                 # The torn tail was physically truncated to the clean prefix.
                 assert journal.journal_bytes == boundaries[n_whole]
 
@@ -132,7 +126,7 @@ class TestTruncationProperty:
             journal.journal_path.write_bytes(data[:cut])
             journal.replay()
             journal.append(RECORDS[2])
-            assert states_equal(journal.replay(), fold(RECORDS[:1] + [RECORDS[2]]))
+            assert states_equal(fold(journal.replay()), fold(RECORDS[:1] + [RECORDS[2]]))
 
     def test_midfile_bitflip_raises(self, tmp_path):
         with ManifestJournal(tmp_path) as journal:
@@ -159,7 +153,7 @@ class TestCompaction:
                 journal.append(record)
             journal.compact(journal.replay())
             assert journal.journal_bytes == 0
-            assert states_equal(journal.replay(), fold(RECORDS))
+            assert states_equal(fold(journal.replay()), fold(RECORDS))
 
     def test_records_after_compaction_extend_snapshot(self, tmp_path):
         extra = {"op": "tokens", "context_id": "b", "ids": [5, 6]}
@@ -169,7 +163,7 @@ class TestCompaction:
             journal.compact(journal.replay())
             journal.append(extra)
         with ManifestJournal(tmp_path) as journal:
-            assert states_equal(journal.replay(), fold(RECORDS + [extra]))
+            assert states_equal(fold(journal.replay()), fold(RECORDS + [extra]))
 
     def test_generation_advances_and_stale_logs_removed(self, tmp_path):
         with ManifestJournal(tmp_path) as journal:
@@ -190,7 +184,7 @@ class TestCompaction:
             (tmp_path / "manifest.00000001.journal").touch()
         with ManifestJournal(tmp_path) as journal:
             assert journal.generation == 0
-            assert states_equal(journal.replay(), fold(RECORDS))
+            assert states_equal(fold(journal.replay()), fold(RECORDS))
 
     def test_crash_window_new_snapshot_ignores_old_log(self, tmp_path):
         """A crash *after* the rename but before stale-log deletion: the
@@ -206,7 +200,7 @@ class TestCompaction:
                 fh.write(b"")
         with ManifestJournal(tmp_path) as journal:
             assert journal.generation == 1
-            assert states_equal(journal.replay(), fold(RECORDS))
+            assert states_equal(fold(journal.replay()), fold(RECORDS))
 
     def test_snapshot_corruption_is_loud(self, tmp_path):
         with ManifestJournal(tmp_path) as journal:
@@ -219,46 +213,90 @@ class TestCompaction:
         with pytest.raises(JournalCorruptError):
             ManifestJournal(tmp_path)
 
+    def test_snapshot_is_a_header_then_one_frame_per_record(self, tmp_path):
+        with ManifestJournal(tmp_path) as journal:
+            for record in RECORDS:
+                journal.append(record)
+            journal.compact(journal.replay())
+            snapshot = journal._read_snapshot()
+        assert snapshot == (1, RECORDS)
+
+    def test_one_frame_snapshot_of_the_old_format_is_refused(self, tmp_path):
+        """Snapshots once held the whole state as one nested-JSON frame.
+        No reader for it is kept, and it must not replay as an empty
+        store: it names no record count, so it is corrupt."""
+        state = {"contexts": {"a": {
+            "n_layers": 2, "hidden_width": 8, "kv_width": 16, "dtype": "float32",
+            "tokens": [1, 2, 3], "runs": {},
+        }}}
+        payload = json.dumps({"generation": 1, "state": state}).encode()
+        (tmp_path / ManifestJournal.SNAPSHOT_NAME).write_bytes(
+            struct.pack("<II", len(payload), zlib.crc32(payload)) + payload
+        )
+        with pytest.raises(JournalCorruptError, match="record count"):
+            ManifestJournal(tmp_path)
+
+    def test_snapshot_missing_a_record_is_refused(self, tmp_path):
+        with ManifestJournal(tmp_path) as journal:
+            for record in RECORDS:
+                journal.append(record)
+            journal.compact(journal.replay())
+        snapshot = tmp_path / ManifestJournal.SNAPSHOT_NAME
+        data = snapshot.read_bytes()
+        last = data.rindex(json.dumps(RECORDS[-1], separators=(",", ":")).encode())
+        snapshot.write_bytes(data[: last - 8])
+        with pytest.raises(JournalCorruptError, match="promises"):
+            ManifestJournal(tmp_path)
+
 
 class TestRecordSemantics:
     def test_duplicate_register_is_corrupt(self):
-        state = ManifestState()
-        state.apply(RECORDS[0])
+        state = fold(RECORDS[:1])
         with pytest.raises(JournalCorruptError):
-            state.apply(RECORDS[0])
+            state._apply(RECORDS[0])
 
     def test_unknown_context_is_corrupt(self):
         with pytest.raises(JournalCorruptError):
-            ManifestState().apply({"op": "tokens", "context_id": "ghost", "ids": [1]})
+            fold([{"op": "tokens", "context_id": "ghost", "ids": [1]}])
 
     def test_unknown_op_is_corrupt(self):
         with pytest.raises(JournalCorruptError):
-            ManifestState().apply({"op": "frobnicate"})
+            fold([{"op": "frobnicate"}])
+
+    def test_malformed_record_is_corrupt(self):
+        with pytest.raises(JournalCorruptError):
+            fold([RECORDS[0], {"op": "chunk", "context_id": "a", "layer": 0}])
 
     def test_full_chunk_supersedes_sealed_tail(self):
         state = fold(RECORDS[:4])
-        run = state.contexts["a"].runs[(0, "hidden")]
-        assert run.sealed_tail_tokens == 5
-        state.apply(
+        run = state._contexts["a"].runs[(0, "hidden")]
+        assert (run.n_tokens, run.device_tail_rows, run.crcs) == (69, 5, {0: 99, 1: 7})
+        state._apply(
             {"op": "chunk", "context_id": "a", "layer": 0, "kind": "hidden",
              "index": 1, "crc": 123}
         )
-        assert run.sealed_tail_tokens == 0
-        assert run.full_chunks == 2
+        assert (run.n_tokens, run.device_tail_rows, run.crcs) == (128, 0, {0: 99, 1: 123})
 
     def test_run_record_opens_an_empty_run(self):
         state = fold(RECORDS[:1])
-        state.apply({"op": "run", "context_id": "a", "layer": 1, "kind": "kv"})
-        run = state.contexts["a"].runs[(1, "kv")]
-        assert (run.full_chunks, run.sealed_tail_tokens) == (0, 0)
+        state._apply({"op": "run", "context_id": "a", "layer": 1, "kind": "kv"})
+        run = state._contexts["a"].runs[(1, "kv")]
+        assert (run.n_tokens, run.device_tail_rows) == (0, 0)
         # Re-opening an existing run (a chunk or seal came first) keeps it.
-        state.apply({"op": "chunk", "context_id": "a", "layer": 0, "kind": "hidden",
-                     "index": 0, "crc": 5})
-        state.apply({"op": "run", "context_id": "a", "layer": 0, "kind": "hidden"})
-        assert state.contexts["a"].runs[(0, "hidden")].full_chunks == 1
+        state._apply({"op": "chunk", "context_id": "a", "layer": 0, "kind": "hidden",
+                      "index": 0, "crc": 5})
+        state._apply({"op": "run", "context_id": "a", "layer": 0, "kind": "hidden"})
+        assert state.tokens_stored("a", 0) == 64
 
     def test_runs_open_implicitly_without_run_records(self):
         """Journals written before ``run`` records existed still replay:
         a run's first chunk or seal opens it."""
         state = fold(RECORDS[:4])
-        assert set(state.contexts["a"].runs) == {(0, "hidden")}
+        assert state.runs("a") == ((0, "hidden"),)
+
+    def test_free_run_and_free_drop_what_they_name(self):
+        state = fold(RECORDS[:4] + [
+            {"op": "free_run", "context_id": "a", "layer": 0, "kind": "hidden"},
+        ])
+        assert state.runs("a") == ()
+        assert fold(RECORDS).context_ids() == ("b",)

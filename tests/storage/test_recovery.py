@@ -13,6 +13,7 @@ import pytest
 
 from repro.errors import RecoveryError, StateError
 from repro.simulator.hardware import GB, SSDSpec
+from repro.storage import journal as journal_module
 from repro.storage import (
     ChunkKey,
     ManifestJournal,
@@ -21,6 +22,10 @@ from repro.storage import (
 )
 
 CPC = 64  # the default chunk size the tests reason in
+
+
+class Crash(Exception):
+    """The simulated death of the process mid-operation."""
 
 
 def rows(n: int, width: int = 32, seed: int = 0) -> np.ndarray:
@@ -274,6 +279,62 @@ class TestCrashWindows:
         expected = np.concatenate([first, fill])[: 2 * CPC]
         assert np.array_equal(recovered.load_layer("ctx", 0), expected)
 
+    @staticmethod
+    def crash_before(manager, op):
+        """Make the manager die just before it journals an ``op`` record:
+        the device writes ahead of that record have landed."""
+        real = manager.journal.append
+
+        def append(record):
+            if record["op"] == op:
+                raise Crash(op)
+            real(record)
+
+        manager.journal.append = append
+
+    def test_refill_that_lands_without_its_record_keeps_the_sealed_rows(self, stack):
+        """A crash inside the refill of a sealed partial, after the full
+        chunk replaced the sealed copy in its slot but before its record:
+        the slot holds an orphan whose prefix is the journaled tail."""
+        array, manager, new_journal = stack
+        manager.register_context("ctx", n_layers=1, hidden_width=32)
+        block = rows(2 * CPC)
+        manager.journal_tokens("ctx", list(range(2 * CPC)))
+        manager.append("ctx", 0, block[:100])
+        manager.seal_context("ctx")
+        self.crash_before(manager, "chunk")
+        with pytest.raises(Crash):
+            manager.append("ctx", 0, block[100:])
+
+        recovered = recover(array, new_journal)
+        assert recovered.tokens_stored("ctx", 0) == 100
+        assert np.array_equal(recovered.load_layer("ctx", 0), block[:100])
+        # The orphan is swept; the next seal puts the tail back.
+        assert ChunkKey("ctx", 0, 1, "hidden") not in array.device_for(1, offset=0)
+        recovered.seal_context("ctx")
+        again = recover(array, new_journal)
+        assert np.array_equal(again.load_layer("ctx", 0), block[:100])
+
+    def test_reseal_that_lands_without_its_record_keeps_the_sealed_rows(self, stack):
+        """A crash inside a seal that rewrote grown tails in their slots
+        but never appended its record: each run keeps its journaled tail."""
+        array, manager, new_journal = stack
+        manager.register_context("ctx", n_layers=2, hidden_width=32)
+        manager.journal_tokens("ctx", list(range(110)))
+        for layer in (0, 1):
+            manager.append("ctx", layer, rows(100, seed=layer))
+        manager.seal_context("ctx")
+        for layer in (0, 1):
+            manager.append("ctx", layer, rows(10, seed=layer + 2))
+        self.crash_before(manager, "seal")
+        with pytest.raises(Crash):
+            manager.seal_context("ctx")
+
+        recovered = recover(array, new_journal)
+        assert recovered.token_log("ctx") == tuple(range(100))
+        for layer in (0, 1):
+            assert np.array_equal(recovered.load_layer("ctx", layer), rows(100, seed=layer))
+
     def test_uneven_runs_truncate_to_common_prefix(self, stack):
         """One layer sealed further along than another: the context rolls
         back to the shortest run's durable rows, salvaging boundary-chunk
@@ -292,6 +353,47 @@ class TestCrashWindows:
                 recovered.load_layer("ctx", layer), long_block[:CPC]
             )
         assert recovered.token_log("ctx") == tuple(range(CPC))
+
+
+class TestLargeStores:
+    def test_store_larger_than_one_frame_reopens_after_compaction(
+        self, stack, monkeypatch
+    ):
+        """A snapshot is one frame per record, so its size is not bounded
+        by the frame limit: a store whose snapshot outgrows one frame
+        still reopens and recovers whole."""
+        monkeypatch.setattr(journal_module, "MAX_RECORD_BYTES", 1 << 16)
+        array, manager, new_journal = stack
+        for n in range(40):
+            cid = f"ctx{n}"
+            manager.register_context(cid, n_layers=1, hidden_width=4)
+            manager.journal_tokens(cid, range(10_000 * n, 10_000 * n + 512))
+            manager.append(cid, 0, rows(512, width=4, seed=n))
+        manager.compact_journal()
+        manager.journal.close()
+
+        recovered = recover(array, new_journal)
+        assert len(recovered.context_ids()) == 40
+        for n in range(40):
+            cid = f"ctx{n}"
+            assert recovered.token_log(cid) == tuple(range(10_000 * n, 10_000 * n + 512))
+            assert np.array_equal(recovered.load_layer(cid, 0), rows(512, width=4, seed=n))
+
+    def test_long_token_log_spans_several_snapshot_records(self, stack, monkeypatch):
+        """A log journaled block by block is split again at compaction, so
+        no ``tokens`` record of a snapshot outgrows a frame."""
+        monkeypatch.setattr(journal_module, "MAX_RECORD_BYTES", 1 << 16)
+        array, manager, new_journal = stack
+        manager.register_context("ctx", n_layers=1, hidden_width=4)
+        for start in range(0, 40 * 512, 512):
+            manager.journal_tokens("ctx", range(10_000 + start, 10_000 + start + 512))
+        manager.append("ctx", 0, rows(40 * 512, width=4))
+        manager.compact_journal()
+        manager.journal.close()
+
+        recovered = recover(array, new_journal)
+        assert recovered.token_log("ctx") == tuple(range(10_000, 10_000 + 40 * 512))
+        assert np.array_equal(recovered.load_layer("ctx", 0), rows(40 * 512, width=4))
 
 
 class TestLoudFailures:
@@ -324,6 +426,46 @@ class TestLoudFailures:
         manager.append("ctx", 0, rows(CPC))
         with pytest.raises(RecoveryError, match="token log"):
             recover(array, new_journal)
+
+    def test_corrupted_sealed_tail_raises(self, stack):
+        array, manager, new_journal = stack
+        manager.register_context("ctx", n_layers=1, hidden_width=32)
+        manager.journal_tokens("ctx", list(range(100)))
+        manager.append("ctx", 0, rows(100))
+        manager.seal_context("ctx")  # 36-row partial at index 1
+        device = array.device_for(1, offset=0)
+        key = ChunkKey("ctx", 0, 1, "hidden")
+        device.delete(key)
+        device.write(key, rows(36, seed=666))
+        with pytest.raises(RecoveryError, match="sealed tail"):
+            recover(array, new_journal)
+
+    @staticmethod
+    def crafted(tmp_path, *records):
+        """Recover a fresh array from a journal holding exactly ``records``."""
+        with ManifestJournal(tmp_path) as journal:
+            for record in records:
+                journal.append(record)
+        with ManifestJournal(tmp_path) as journal:
+            return StorageManager.recover(small_array(), journal)
+
+    REGISTER = {"op": "register", "context_id": "ctx", "n_layers": 2,
+                "hidden_width": 32, "dtype": "float32"}
+
+    def test_layer_beyond_the_context_raises(self, tmp_path):
+        run = {"op": "run", "context_id": "ctx", "layer": 2, "kind": "hidden"}
+        with pytest.raises(RecoveryError, match="layer 2"):
+            self.crafted(tmp_path, self.REGISTER, run)
+
+    def test_seal_off_the_chunk_boundary_raises(self, tmp_path):
+        seal = {"op": "seal", "context_id": "ctx",
+                "tails": [{"layer": 0, "kind": "hidden", "index": 2, "tokens": 5, "crc": 0}]}
+        with pytest.raises(RecoveryError, match="sealed tail at chunk 2"):
+            self.crafted(tmp_path, self.REGISTER, seal)
+
+    def test_unknown_dtype_raises(self, tmp_path):
+        with pytest.raises(RecoveryError, match="unknown dtype"):
+            self.crafted(tmp_path, dict(self.REGISTER, dtype="float99"))
 
     def test_unjournaled_manager_rejects_compaction(self):
         manager = StorageManager(small_array())
