@@ -4,7 +4,9 @@ TBT versus decode batch size (512-token histories) for DirectIO (hidden
 states written straight to SSD chunks), HCache's two-stage saving, and the
 no-saving ideal.  Paper: two-stage tracks ideal; DirectIO matches only at
 small batches and inflates TBT as the batch grows (+34% for 7B at batch
-16, +13% for 13B at batch 32).
+16, +13% for 13B at batch 32).  The model's 13B curve turns up later but
+more steeply (+61% at batch 32), so the table checks only that 13B's
+overhead is below 7B's at batch 16.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from __future__ import annotations
 from _common import emit, run_once
 
 from repro.analysis.reporting import PaperExpectation, ResultTable
-from repro.core import DirectIOSaver, NoSaver, TwoStageSaver, decode_tbt_with_saving
+from repro.core import SAVING_STRATEGIES, decode_tbt_with_saving
 from repro.models import model_preset
 from repro.simulator import platform_preset
 
@@ -30,13 +32,8 @@ def measure():
         config = model_preset(model_name)
         for batch in batches:
             results[(model_name, batch)] = {
-                "ideal": decode_tbt_with_saving(config, platform, batch, HISTORY, NoSaver()),
-                "hcache": decode_tbt_with_saving(
-                    config, platform, batch, HISTORY, TwoStageSaver(platform)
-                ),
-                "direct-io": decode_tbt_with_saving(
-                    config, platform, batch, HISTORY, DirectIOSaver(platform)
-                ),
+                strategy: decode_tbt_with_saving(config, platform, batch, HISTORY, strategy)
+                for strategy in SAVING_STRATEGIES
             }
     return results
 
@@ -52,14 +49,14 @@ def test_fig14_two_stage_saving(benchmark):
             model_name,
             batch,
             f"{impacts['ideal'].tbt * 1e3:.2f}",
-            f"{impacts['hcache'].tbt * 1e3:.2f}",
+            f"{impacts['two-stage'].tbt * 1e3:.2f}",
             f"{impacts['direct-io'].tbt * 1e3:.2f}",
             f"{impacts['direct-io'].overhead_fraction * 100:.0f}%",
         )
 
     seven_at_16 = results[("llama2-7b", 16)]["direct-io"].overhead_fraction
-    thirteen_at_32 = results[("llama2-13b", 32)]["direct-io"].overhead_fraction
-    two_stage_worst = max(i["hcache"].overhead_fraction for i in results.values())
+    thirteen_at_16 = results[("llama2-13b", 16)]["direct-io"].overhead_fraction
+    two_stage_worst = max(i["two-stage"].overhead_fraction for i in results.values())
     expectations = [
         PaperExpectation(
             "two-stage TBT vs ideal", "consistent (no stall)",
@@ -70,10 +67,9 @@ def test_fig14_two_stage_saving(benchmark):
             holds=0.10 < seven_at_16 < 0.80,
         ),
         PaperExpectation(
-            "DirectIO overhead smaller for 13B", "+13% @ batch 32 (slower layers)",
-            f"+{thirteen_at_32 * 100:.0f}%",
-            holds=results[("llama2-13b", 16)]["direct-io"].overhead_fraction
-            < results[("llama2-7b", 16)]["direct-io"].overhead_fraction,
+            "DirectIO overhead smaller for 13B @ batch 16", "smaller (slower layers)",
+            f"13B +{thirteen_at_16 * 100:.0f}% vs 7B +{seven_at_16 * 100:.0f}%",
+            holds=thirteen_at_16 < seven_at_16,
         ),
     ]
     emit("fig14_saving_ablation", [table], expectations)

@@ -11,12 +11,14 @@ Checks, without importing the package:
    the README, so new packages can't ship undocumented.
 4. Cross-references used by the quickstart (``scripts/check.sh``,
    ``benchmarks/README.md``, the example scripts) resolve.
-5. Every dotted ``repro.…`` name and every ``tests/…py`` path in the
+5. Every dotted ``repro.…`` name, every ``tests/…py`` path and every
+   module path (``[src/][repro/]<subpackage>/<module>.py``) in the
    README, ``docs/ARCHITECTURE.md`` and ``benchmarks/README.md``
    resolves: the longest module prefix of a name must exist as a file
    under ``src/``, and what follows it must be bound at that module's
    top level, optionally followed by one name defined in that class
-   (a class imported from another ``repro`` module is followed there).
+   (a class imported from another ``repro`` module is followed there);
+   a module path must name a file under ``src/repro/``.
 
 Exits non-zero with a list of stale references; run by ``scripts/check.sh``.
 """
@@ -35,6 +37,11 @@ REFERENCE_DOCS = ("README.md", "docs/ARCHITECTURE.md", "benchmarks/README.md")
 
 _DOTTED_NAME = re.compile(r"(?<![\w/.])repro(?:\.[A-Za-z_]\w*)+")
 _TEST_PATH = re.compile(r"(?<![\w/.])tests/[\w/.-]*?\.py\b")
+#: A module file under ``src/repro/``; a path into one of the repository's
+#: own top-level directories is not one.
+_MODULE_PATH = re.compile(
+    r"(?<![\w/.])(?!(?:tests|benchmarks|scripts|examples)/)(?:src/)?(?:repro/)?\w+/\w+\.py\b"
+)
 
 
 def module_map_entries(readme_text: str) -> list[str]:
@@ -113,8 +120,9 @@ def resolves(dotted: str, package_root: Path) -> bool:
 
 
 def stale_references(text: str, root: Path = ROOT) -> list[str]:
-    """The ``repro.…`` names and ``tests/…py`` paths in ``text`` that do
-    not resolve under ``root``, each once, in order of appearance."""
+    """The ``repro.…`` names, ``tests/…py`` paths and module paths in
+    ``text`` that do not resolve under ``root``, each once, in order of
+    appearance."""
     package_root = root / "src" / "repro"
     stale: list[str] = []
     for name in dict.fromkeys(_DOTTED_NAME.findall(text)):
@@ -122,6 +130,9 @@ def stale_references(text: str, root: Path = ROOT) -> list[str]:
             stale.append(name)
     for path in dict.fromkeys(_TEST_PATH.findall(text)):
         if not (root / path).is_file():
+            stale.append(path)
+    for path in dict.fromkeys(_MODULE_PATH.findall(text)):
+        if not (package_root / path.removeprefix("src/").removeprefix("repro/")).is_file():
             stale.append(path)
     return stale
 

@@ -4,9 +4,10 @@ Reproduction of *Fast State Restoration in LLM Serving with HCache*
 (Gao, Chen, Shu — EuroSys 2025).  The package provides:
 
 - :mod:`repro.core` — the HCache engine, bubble-free restoration
-  scheduler, chunk-oriented storage management, two-stage saving, and
-  the restoration timing of every method the paper compares (token
-  recomputation, KV offload, naive hybrid, HCache-O, HCache, ideal).
+  scheduler, the restoration timing of every method the paper compares
+  (token recomputation, KV offload, naive hybrid, HCache-O, HCache,
+  ideal) and the decode-time price of each saving strategy (ideal,
+  two-stage, direct IO), each looked up by name.
 - :mod:`repro.models` — model configs plus a real numpy transformer that
   demonstrates lossless restoration.
 - :mod:`repro.simulator` — the hardware performance model standing in for

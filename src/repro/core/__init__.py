@@ -3,7 +3,7 @@
 Hidden-state save/restore orchestration (:class:`HCacheEngine`), the
 bubble-free restoration scheduler (§4.1), partition schemes, restoration
 timing of HCache and every method the paper compares it with (§6), and
-the two-stage saving path (§4.2).
+the decode-time price of two-stage saving and its alternatives (§4.2.2).
 """
 
 from repro.core.gqa import (
@@ -28,10 +28,8 @@ from repro.core.restoration import (
     two_stream_timing,
 )
 from repro.core.saving import (
+    SAVING_STRATEGIES,
     DecodeSavingImpact,
-    DirectIOSaver,
-    NoSaver,
-    TwoStageSaver,
     decode_tbt_with_saving,
 )
 from repro.core.scheduler import BubbleFreeScheduler, ScheduleDecision, hcache_timing
@@ -39,9 +37,9 @@ from repro.core.scheduler import BubbleFreeScheduler, ScheduleDecision, hcache_t
 __all__ = [
     "DEFAULT_METHODS",
     "METHODS",
+    "SAVING_STRATEGIES",
     "BubbleFreeScheduler",
     "DecodeSavingImpact",
-    "DirectIOSaver",
     "GQAAnalysis",
     "analyze_gqa",
     "gqa_aware_schedule",
@@ -50,12 +48,10 @@ __all__ = [
     "HCacheEngine",
     "HardwareProfile",
     "LayerMethod",
-    "NoSaver",
     "PartitionScheme",
     "RestorationTiming",
     "ScheduleDecision",
     "TokenPartition",
-    "TwoStageSaver",
     "build_storage_array",
     "decode_tbt_with_saving",
     "hcache_timing",

@@ -29,6 +29,7 @@ prompt's prefill (Fig. 4 / Fig. 10).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -148,11 +149,8 @@ def tokenwise_timing(
     if partition.total_tokens == 0:
         raise ConfigError("token partition covers no tokens")
     array = build_storage_array(platform)
-    hidden_nbytes = n_h * config.hidden_bytes_per_token_layer
     chunk_bytes = CHUNK_TOKENS * config.hidden_bytes_per_token_layer
-    io_time = 0.0
-    if hidden_nbytes:
-        io_time += array.read_time(hidden_nbytes, chunk_bytes)
+    io_time = array.layer_read_timing(math.ceil(n_h / CHUNK_TOKENS), chunk_bytes).seconds
     compute_time = 0.0
     if n_h:
         projected = round_up_tokens(n_h) if round_up else n_h
@@ -191,11 +189,7 @@ def naive_tokenwise_split(
     chunk_bytes = CHUNK_TOKENS * config.hidden_bytes_per_token_layer
     best_n, best_cost = 0, float("inf")
     for n_h in range(0, n_tokens + 1, max(1, step)):
-        io = (
-            array.read_time(n_h * config.hidden_bytes_per_token_layer, chunk_bytes)
-            if n_h
-            else 0.0
-        )
+        io = array.layer_read_timing(math.ceil(n_h / CHUNK_TOKENS), chunk_bytes).seconds
         compute = kv_projection_flops(config, n_h) / (
             platform.total_flops * platform.gemm_eff
         )

@@ -2,15 +2,17 @@
 
 During generation, each layer's hidden states live in a temporary buffer
 that the next layer reuses, so they must leave the GPU before the buffer is
-overwritten.  Two strategies are modelled:
+overwritten.  :func:`decode_tbt_with_saving` prices each strategy in
+:data:`SAVING_STRATEGIES` by name:
 
-- **Two-stage saving** (HCache's design): the whole batch's hidden states
-  are snapshotted to host DRAM with a single ``cudaMemcpy``; a host daemon
+- **ideal**: states are never saved (no stateful reuse).
+- **two-stage** (HCache's design): the whole batch's hidden states are
+  snapshotted to host DRAM with a single ``cudaMemcpy``; a host daemon
   packs them into chunks and flushes full chunks to the SSDs in the
   background.  The GPU stalls only if the D2H copy outlasts the layer's
   compute or the daemon's staging buffer fills — neither happens at decode
   rates (§6.3.3: ~3 GB/s worst case versus 32 GB/s PCIe).
-- **DirectIO**: hidden states are written straight to their chunks on the
+- **direct-io**: hidden states are written straight to their chunks on the
   SSDs.  With continuous batching, a batch holds tokens from many
   sequences whose chunks live at scattered locations, so each layer issues
   ``batch_size`` small synchronous writes.  These serialize on the
@@ -21,92 +23,17 @@ overwritten.  Two strategies are modelled:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Protocol
 
 from repro.errors import ConfigError
 from repro.models.config import ModelConfig
 from repro.simulator.costs import decode_iteration_time
-from repro.simulator.hardware import PM9A3, Platform, SSDSpec
-from repro.storage.daemon import FlushDaemon
+from repro.simulator.hardware import PM9A3, Platform
 
+#: The saving strategies :func:`decode_tbt_with_saving` prices (Fig. 14).
+SAVING_STRATEGIES = ("ideal", "two-stage", "direct-io")
 
-class SavingStrategy(Protocol):
-    """Anything that can report the GPU stall one layer's saving causes."""
-
-    name: str
-
-    def layer_stall(self, batch_size: int, bytes_per_token: int, layer_time: float) -> float:
-        """Stall added to one layer given the batch's per-token state size."""
-        ...
-
-
-@dataclass
-class NoSaver:
-    """Ideal baseline: states are never saved (no stateful reuse)."""
-
-    name: str = "ideal"
-
-    def layer_stall(self, batch_size: int, bytes_per_token: int, layer_time: float) -> float:
-        return 0.0
-
-
-class TwoStageSaver:
-    """HCache's snapshot-then-flush saving path."""
-
-    name = "two-stage"
-
-    def __init__(self, platform: Platform, daemon: FlushDaemon | None = None) -> None:
-        self.platform = platform
-        self.daemon = daemon if daemon is not None else FlushDaemon(
-            write_bandwidth=platform.storage_write_bandwidth
-        )
-        self._now = 0.0
-
-    def layer_stall(self, batch_size: int, bytes_per_token: int, layer_time: float) -> float:
-        """Per-layer stall: D2H snapshot overlap plus staging pressure.
-
-        The snapshot overlaps the layer's own compute on a dedicated copy
-        stream; the next layer waits only for the snapshot event, so the
-        visible stall is the copy time beyond the layer time.  The daemon
-        then absorbs the bytes; if its staging buffer is full the snapshot
-        blocks until space frees.
-        """
-        if batch_size < 0 or bytes_per_token < 0:
-            raise ConfigError("batch size and state size must be non-negative")
-        nbytes = batch_size * bytes_per_token
-        copy_time = nbytes / (self.platform.gpu.pcie_bandwidth * self.platform.n_gpus)
-        stall = max(0.0, copy_time - layer_time)
-        self._now += layer_time + stall
-        outcome = self.daemon.snapshot(nbytes, self._now)
-        self._now += outcome.stall_seconds
-        return stall + outcome.stall_seconds
-
-
-class DirectIOSaver:
-    """The ablation variant writing hidden states straight to SSD chunks."""
-
-    name = "direct-io"
-
-    def __init__(self, platform: Platform, ssd: SSDSpec | None = None) -> None:
-        self.platform = platform
-        if ssd is not None:
-            self.ssd = ssd
-        elif platform.ssds:
-            self.ssd = platform.ssds[0]
-        else:
-            self.ssd = PM9A3
-
-    def layer_stall(self, batch_size: int, bytes_per_token: int, layer_time: float) -> float:
-        """Per-layer stall of ``batch_size`` serialized small writes.
-
-        Writes overlap the layer's decode compute (double-buffered), so the
-        stall is only the excess — zero for small batches, then growing
-        roughly linearly, matching Fig. 14's shape.
-        """
-        if batch_size < 0 or bytes_per_token < 0:
-            raise ConfigError("batch size and state size must be non-negative")
-        io_time = batch_size * self.ssd.small_write_time(bytes_per_token)
-        return max(0.0, io_time - layer_time)
+#: Host staging buffer the two-stage flush daemon packs snapshots into.
+STAGING_BYTES = 4 * 1024**3
 
 
 @dataclass(frozen=True)
@@ -135,23 +62,47 @@ def decode_tbt_with_saving(
     platform: Platform,
     batch_size: int,
     history_len: int,
-    saver: SavingStrategy,
+    strategy: str,
 ) -> DecodeSavingImpact:
     """TBT of a decode batch when every layer's hidden states are saved.
 
     ``history_len`` is each sequence's context length (Fig. 14 uses 512).
     The iteration's compute is spread evenly over layers; each layer then
-    pays its saving stall.
+    pays its saving stall:
+
+    - two-stage: the snapshot overlaps the layer's compute on a copy
+      stream, so the layer waits only for the copy time beyond its own.
+      The daemon's backlog drains at the storage write bandwidth while
+      the layer runs; a snapshot that would overflow
+      :data:`STAGING_BYTES` waits until the backlog has drained enough.
+    - direct-io: ``batch_size`` serialized small writes overlap the
+      layer's compute (double-buffered), so the stall is only their
+      excess — zero for small batches, then growing roughly linearly.
     """
+    if strategy not in SAVING_STRATEGIES:
+        raise ConfigError(
+            f"unknown saving strategy {strategy!r}; known: {', '.join(SAVING_STRATEGIES)}"
+        )
     if batch_size <= 0:
         raise ConfigError("batch size must be positive")
     base_tbt = decode_iteration_time(
         config, platform, batch_size, context_tokens=batch_size * history_len
     )
     layer_time = base_tbt / config.n_layers
-    total_stall = 0.0
+    nbytes = batch_size * config.hidden_bytes_per_token_layer
+    copy_time = nbytes / (platform.gpu.pcie_bandwidth * platform.n_gpus)
+    ssd = platform.ssds[0] if platform.ssds else PM9A3
+    write_time = batch_size * ssd.small_write_time(config.hidden_bytes_per_token_layer)
+    flush_bw = platform.storage_write_bandwidth
+    total_stall = backlog = 0.0
     for _ in range(config.n_layers):
-        total_stall += saver.layer_stall(
-            batch_size, config.hidden_bytes_per_token_layer, layer_time
-        )
+        if strategy == "two-stage":
+            copy_stall = max(0.0, copy_time - layer_time)
+            backlog -= min(backlog, (layer_time + copy_stall) * flush_bw)
+            overflow_stall = max(0.0, (backlog + nbytes - STAGING_BYTES) / flush_bw)
+            backlog -= min(backlog, overflow_stall * flush_bw)
+            backlog += nbytes
+            total_stall += copy_stall + overflow_stall
+        elif strategy == "direct-io":
+            total_stall += max(0.0, write_time - layer_time)
     return DecodeSavingImpact(tbt=base_tbt + total_stall, base_tbt=base_tbt, stall=total_stall)

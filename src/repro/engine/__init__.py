@@ -28,7 +28,6 @@ from repro.engine.numeric_engine import NumericServingEngine, SessionState
 from repro.engine.request import Phase, Request, RequestSpec
 from repro.engine.serving import (
     CostModelEngine,
-    EngineConfig,
     ServingSimulator,
     concurrent_context_estimate,
     max_context_tokens,
@@ -39,7 +38,6 @@ from repro.engine.splitfuse import IterationPlan, SplitFuseScheduler
 __all__ = [
     "ContinuousBatcher",
     "CostModelEngine",
-    "EngineConfig",
     "IterationPlan",
     "IterationResult",
     "IterationStats",

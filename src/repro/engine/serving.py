@@ -52,19 +52,8 @@ from repro.simulator.hardware import Platform
 _EPS = 1e-12
 
 
-@dataclass(frozen=True)
-class EngineConfig:
-    """Tunables of the serving simulation.
-
-    Attributes:
-        budget_tokens: SplitFuse per-iteration token budget.
-        max_running: Concurrency cap of the running batch.
-        max_sim_seconds: Safety horizon; the run aborts past it.
-    """
-
-    budget_tokens: int = 512
-    max_running: int = 256
-    max_sim_seconds: float = 24 * 3600.0
+#: Safety horizon of a simulated run, in virtual seconds; the run aborts past it.
+MAX_SIM_SECONDS = 24 * 3600.0
 
 
 @dataclass
@@ -226,10 +215,8 @@ class ServingSimulator:
         config: ModelConfig,
         platform: Platform,
         restore_timing: Callable[[int], RestorationTiming],
-        engine_config: EngineConfig | None = None,
     ) -> None:
-        self.engine_config = cfg = engine_config or EngineConfig()
-        scheduler = SplitFuseScheduler(cfg.budget_tokens)
+        scheduler = SplitFuseScheduler()
         self.engine = CostModelEngine(
             config,
             platform,
@@ -240,7 +227,6 @@ class ServingSimulator:
             self.engine,
             MemoryBudget.for_platform(config, platform),
             scheduler=scheduler,
-            max_running=cfg.max_running,
             # The trace is the offered load; back-pressure is not modelled.
             max_queue=sys.maxsize,
             evict_on_finish=True,
@@ -282,12 +268,11 @@ class ServingSimulator:
                     f"capacity is {capacity} (shrink the trace or the model)"
                 )
         engine, frontend = self.engine, self.frontend
-        horizon = self.engine_config.max_sim_seconds
         idx = 0
         while idx < len(pending) or not frontend.idle:
             now = engine.now()
-            if now > horizon:
-                raise SimulationError(f"simulation exceeded {horizon}s; likely overload")
+            if now > MAX_SIM_SECONDS:
+                raise SimulationError(f"simulation exceeded {MAX_SIM_SECONDS}s; likely overload")
             while idx < len(pending) and pending[idx].arrival_time <= now + _EPS:
                 self._submit(pending[idx])
                 idx += 1
@@ -309,14 +294,13 @@ def simulate_methods(
     platform: Platform,
     methods: Sequence[str],
     specs: list[RequestSpec],
-    engine_config: EngineConfig | None = None,
 ) -> dict[str, ServingReport]:
     """Run the same trace through several restoration methods, by name
     (:data:`~repro.core.restoration.METHODS`)."""
     reports: dict[str, ServingReport] = {}
     for name in methods:
         timing = partial(method_timing, name, config, platform)
-        simulator = ServingSimulator(config, platform, timing, engine_config)
+        simulator = ServingSimulator(config, platform, timing)
         reports[name] = simulator.run(list(specs))
     return reports
 

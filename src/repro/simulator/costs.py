@@ -162,9 +162,11 @@ def decode_iteration_time(
     Decoding is bandwidth-bound: every layer's weights are read once per
     iteration and each sequence streams its KV cache through the attention
     kernel.  ``context_tokens`` is the total context length across the
-    batch (sum over sequences).
+    batch (sum over sequences); an empty batch costs nothing.
     """
-    if batch_size <= 0:
+    if batch_size < 0 or context_tokens < 0:
+        raise ConfigError("batch size and context must be non-negative")
+    if batch_size == 0:
         return 0.0
     hbm = platform.total_hbm_bandwidth
     weight_read = config.weight_bytes / hbm

@@ -7,7 +7,6 @@ restoration pipeline.
 
 from repro.storage.array import LayerReadTiming, StorageArray
 from repro.storage.chunk import CHUNK_TOKENS, ChunkKey, ChunkLayout
-from repro.storage.daemon import FlushDaemon, SnapshotOutcome
 from repro.storage.device import IOReceipt, LatencyEmulator, StorageDevice
 from repro.storage.faults import FaultPolicy
 from repro.storage.journal import ManifestJournal
@@ -21,7 +20,6 @@ __all__ = [
     "ChunkLayout",
     "ContextMeta",
     "FaultPolicy",
-    "FlushDaemon",
     "GranuleSpec",
     "IOReceipt",
     "LatencyEmulator",
@@ -29,7 +27,6 @@ __all__ = [
     "LayerReadTiming",
     "ManifestJournal",
     "ReplicatedDevice",
-    "SnapshotOutcome",
     "StagingRing",
     "StorageArray",
     "StorageDevice",

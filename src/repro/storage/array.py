@@ -159,13 +159,6 @@ class StorageArray:
     def total_used_bytes(self) -> int:
         return sum(self.used_bytes_per_device)
 
-    @property
-    def aggregate_read_bandwidth(self) -> float:
-        """Bandwidth of a large striped read, including the link cap."""
-        device_bw = sum(getattr(d.spec, "read_bandwidth", None) or d.spec.bandwidth
-                        for d in self.devices)
-        return min(device_bw, self.link_bandwidth)
-
     def _device_read_bw(self, device: "StorageDevice | ReplicatedDevice") -> float:
         spec = device.spec
         return getattr(spec, "read_bandwidth", None) or spec.bandwidth
@@ -201,27 +194,3 @@ class StorageArray:
         if device_time >= link_time:
             return LayerReadTiming(n_chunks, nbytes, device_time, "device")
         return LayerReadTiming(n_chunks, nbytes, link_time, "link")
-
-    def read_time(self, nbytes: int, chunk_bytes: int) -> float:
-        """Convenience: striped read time for ``nbytes`` of chunked data."""
-        if chunk_bytes <= 0:
-            raise ConfigError("chunk_bytes must be positive")
-        n_chunks = math.ceil(nbytes / chunk_bytes)
-        return self.layer_read_timing(n_chunks, chunk_bytes).seconds
-
-    def write_time(self, nbytes: int, chunk_bytes: int) -> float:
-        """Striped write time for ``nbytes`` of chunked data."""
-        if chunk_bytes <= 0:
-            raise ConfigError("chunk_bytes must be positive")
-        n_chunks = math.ceil(nbytes / chunk_bytes)
-        if n_chunks == 0:
-            return 0.0
-        n_dev = len(self.devices)
-        device_time = 0.0
-        for device in self.devices:
-            n_ios = math.ceil(n_chunks / n_dev)
-            share_bytes = n_chunks / n_dev * chunk_bytes
-            spec = device.spec
-            write_bw = getattr(spec, "write_bandwidth", None) or spec.bandwidth
-            device_time = max(device_time, n_ios * spec.io_latency + share_bytes / write_bw)
-        return max(device_time, nbytes / self.link_bandwidth)

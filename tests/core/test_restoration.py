@@ -3,9 +3,12 @@ table of every method the paper compares (§6)."""
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from repro.core.partition import PartitionScheme, TokenPartition
+from repro.core.profiler import build_storage_array
 from repro.core.restoration import (
     DEFAULT_METHODS,
     HYBRID_SEARCH_STEP,
@@ -20,6 +23,7 @@ from repro.core.scheduler import hcache_timing
 from repro.errors import ConfigError
 from repro.simulator.costs import prefill_time
 from repro.simulator.hardware import platform_preset
+from repro.storage.chunk import CHUNK_TOKENS
 
 
 class TestSchemeTiming:
@@ -107,6 +111,16 @@ class TestTokenwise:
         split = naive_tokenwise_split(thirteen_b, platform, 1024)
         assert 0 < split.n_hidden_tokens < 1024
         assert split.n_hidden_tokens % 128 != 0
+
+    @pytest.mark.parametrize("n_hidden", [1, 63, 64, 65, 643])
+    def test_hidden_shard_reads_whole_chunks(self, thirteen_b, default_platform, n_hidden):
+        """Each layer reads the hidden shard as whole 64-token chunks."""
+        timing = tokenwise_timing(thirteen_b, default_platform, TokenPartition(n_hidden, 0))
+        chunk_bytes = CHUNK_TOKENS * thirteen_b.hidden_bytes_per_token_layer
+        read = build_storage_array(default_platform).layer_read_timing(
+            math.ceil(n_hidden / CHUNK_TOKENS), chunk_bytes
+        )
+        assert timing.io_busy == pytest.approx(thirteen_b.n_layers * read.seconds, rel=1e-12)
 
     def test_empty_partition_rejected(self, thirteen_b, default_platform):
         with pytest.raises(ConfigError):

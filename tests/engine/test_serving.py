@@ -8,10 +8,10 @@ from functools import partial
 import pytest
 
 from repro.core.restoration import DEFAULT_METHODS, RestorationTiming, method_timing
+from repro.engine import serving
 from repro.engine.request import RequestSpec
 from repro.engine.serving import (
     CostModelEngine,
-    EngineConfig,
     ServingSimulator,
     concurrent_context_estimate,
     max_context_tokens,
@@ -163,13 +163,12 @@ class TestLoadBehaviour:
         r1_first_token = records["s/r1"].arrival_time + records["s/r1"].ttft
         assert r1_first_token >= r0_finish
 
-    def test_horizon_guard(self, seven_b, default_platform):
-        config = EngineConfig(max_sim_seconds=1e-6)
+    def test_horizon_guard(self, seven_b, default_platform, monkeypatch):
+        monkeypatch.setattr(serving, "MAX_SIM_SECONDS", 1e-6)
         sim = ServingSimulator(
             seven_b,
             default_platform,
             partial(method_timing, "recompute", seven_b, default_platform),
-            config,
         )
         with pytest.raises(SimulationError):
             sim.run([single_spec(t=1.0)])

@@ -23,6 +23,8 @@ STALE = [
     "repro.nowhere",
     "repro.core.partition.PartitionScheme.n_hidden.real",
     "tests/simulator/test_streams.py",
+    "storage/tiering.py",
+    "src/repro/baselines/kv_offload.py",
 ]
 
 
@@ -42,7 +44,7 @@ def test_fixture_reports_exactly_the_stale_references(fixture_report):
         "repro.core.restoration",
         "repro.core.scheduler.hcache_timing",
         "repro.core.partition.PartitionScheme.n_hidden",
-        "repro.storage.daemon.FlushDaemon.write_bandwidth",
+        "repro.storage.device.StorageDevice.fault_policy",
         "repro.runtime.RestoreProgress.wait_layer",
         "repro.engine.api.ServingEngine",
         "repro.DEFAULT_METHODS",

@@ -29,7 +29,6 @@ from repro.models.transformer import Transformer
 from repro.runtime import IOWorkerPool, RestoreExecutor, drain_granules
 from repro.runtime.executor import MAX_CONCURRENT_RESTORES
 from repro.simulator import platform_preset
-from repro.simulator.hardware import GPUS, GB, Platform, SSDSpec
 from repro.storage import LatencyEmulator, StorageManager
 from repro.storage import device as device_module
 
@@ -202,65 +201,106 @@ class TestAccountingParity:
             assert executor.pool.tasks_submitted > 0
 
 
+class ScriptedReads:
+    """Makes ``storage.read_granule_into`` land when the test says so.
+
+    Installed on the storage instance (the drain looks the read up at
+    every submit), it blocks the read of plan granule ``k`` on event
+    ``k`` and records when it has landed.  Nothing here reads a clock, so
+    what a consume sees banked depends only on the release script.
+    """
+
+    TIMEOUT_S = 10.0
+
+    def __init__(self, storage, plan):
+        self._read = storage.read_granule_into
+        self._index = {(spec.layer, spec.start): k for k, spec in enumerate(plan)}
+        self.releases = [threading.Event() for _ in plan]
+        self.landed: set[int] = set()
+        self._cond = threading.Condition()
+        storage.read_granule_into = self
+
+    def __call__(self, context_id, spec, view):
+        k = self._index[(spec.layer, spec.start)]
+        self.releases[k].wait(self.TIMEOUT_S)
+        self._read(context_id, spec, view)
+        with self._cond:
+            self.landed.add(k)
+            self._cond.notify_all()
+
+    def release(self, granules):
+        for k in granules:
+            self.releases[k].set()
+
+    def settle(self, submitted):
+        """Wait until every submitted, released read has landed (reads are
+        submitted in plan order, so ``submitted`` is a plan prefix)."""
+        released = sum(event.is_set() for event in self.releases)
+        with self._cond:
+            return self._cond.wait_for(
+                lambda: len(self.landed) == min(released, submitted), self.TIMEOUT_S
+            )
+
+
 class TestWindowSerialization:
+    BURST = 9
+
     def test_window_of_one_serializes_under_bursty_completion(self):
         """The in-flight window is the runway that absorbs bursty IO
-        completion.  Latency emulation with a coarse sleep quantum
-        completes granules in bursts — cheap reads return instantly while
-        debt accrues, then one read pays the whole accumulated sleep.
-        With the default window enough granules are banked that the burst
-        sleep overlaps consumption; with ``inflight=1`` the window is a
-        single granule, the burst sleep lands with no runway banked, and
-        the consumer stalls for it in full — the pipeline measurably
-        serializes and the stall shows up in the drain's wall clock."""
+        completion.  Reads here land in scripted bursts of nine: a burst
+        is released when the consumer reaches the last granule released
+        so far.  At each consume the test counts the granules already
+        landed but not yet consumed — the runway banked.  With
+        ``inflight=1`` only the next granule is ever submitted, so at most
+        one is banked and the consumer meets every burst with nothing in
+        hand; the default window banks a whole window's worth."""
         config = model_preset("tiny-llama")
-        # 20 MB/s: each 128-token granule (32 KiB of fp32 hidden) models
-        # ~1.6 ms of device time; 8 granules accrue ~13 ms of debt that a
-        # 10 ms sleep quantum releases as one late burst.
-        slow_ssd = SSDSpec(
-            name="slow", read_bandwidth=0.02 * GB, write_bandwidth=1.0 * GB
+        model, engine = build_engine(
+            config, scheme=PartitionScheme.pure_hcache(config.n_layers), granule_chunks=1
         )
-        platform = Platform(GPUS["A100"]).with_ssds(4, slow_ssd)
-        model = Transformer.from_seed(config, seed=11)
-        manager = StorageManager(build_storage_array(platform))
-        # The test drains every layer directly: all-stored scheme.
-        engine = HCacheEngine(
-            model, manager, scheme=PartitionScheme.pure_hcache(config.n_layers),
-            stream_granule_chunks=2,
-        )
-        save_context(engine, model, config, 256)
+        save_context(engine, model, config, 320)
         layers = list(range(config.n_layers))
+        plan = engine.storage.granule_plan("c", layers, "hidden", 1)
+        n = len(plan)
+        assert n == 20
 
-        def timed_drain(inflight):
-            engine.storage.array.emulate_latency(min_sleep_s=10e-3)
+        def banked_per_consume(executor):
+            storage = engine.storage
+            scripted = ScriptedReads(storage, plan)
+            scripted.release(range(self.BURST))
+            banked = []
+
+            def consume(chunk):
+                i = len(banked)
+                settled = scripted.settle(executor.pool.tasks_submitted)
+                banked.append(len({k for k in scripted.landed if k > i}) if settled else None)
+                if (i + 1) % self.BURST == 0:
+                    scripted.release(range(i + 1, min(i + 1 + self.BURST, n)))
+
             try:
-                consumed = []
-
-                def consume(chunk):
-                    consumed.append(chunk.layer)
-                    time.sleep(2e-3)
-
-                with RestoreExecutor(1, inflight=inflight) as executor:
-                    t0 = time.perf_counter()
-                    drain_granules(
-                        engine.storage, "c", layers, "hidden",
-                        engine.stream_granule_chunks, consume, executor,
-                    )
-                    wall = time.perf_counter() - t0
-                return wall, len(consumed)
+                drain_granules(storage, "c", layers, "hidden", 1, consume, executor)
             finally:
-                engine.storage.array.stop_latency_emulation()
+                del storage.read_granule_into
+            return banked
 
-        serial_wall, serial_granules = timed_drain(inflight=1)
-        overlap_wall, overlap_granules = timed_drain(inflight=None)
-        assert serial_granules == overlap_granules > 0
-        # Expected ≈1.6x (the ~11 ms burst sleep is fully exposed at
-        # inflight=1 and fully hidden at the default); 1.2x leaves slack
-        # for scheduler noise without ever passing on a non-serialized run.
-        assert serial_wall > 1.2 * overlap_wall, (serial_wall, overlap_wall)
-        # Both drains sleep the same per granule, so the wall-clock gap is
-        # the read stall the window of one failed to hide.
-        assert serial_wall > overlap_wall + 5e-3
+        def expected(window):
+            # Landed at consume i: the plan prefix both released (whole
+            # bursts up to i's) and submitted (i + 1 + window reads).
+            return [
+                min((i // self.BURST + 1) * self.BURST, i + 1 + window, n) - (i + 1)
+                for i in range(n)
+            ]
+
+        with RestoreExecutor(1, inflight=1) as executor:
+            serial = banked_per_consume(executor)
+        with RestoreExecutor(1) as executor:
+            window = executor.inflight
+            overlap = banked_per_consume(executor)
+        assert window > 1
+        assert serial == expected(1)
+        assert max(serial) == 1
+        assert overlap == expected(window)
+        assert max(overlap) == window
 
 
 class TestConcurrentContexts:

@@ -149,6 +149,15 @@ class TestPrefillAndDecode:
     def test_decode_empty_batch_free(self, seven_b, default_platform):
         assert decode_iteration_time(seven_b, default_platform, 0, 0) == 0.0
 
+    @pytest.mark.parametrize("batch_size, context_tokens", [(8, -4000), (-1, 0), (-8, 4096)])
+    def test_decode_negative_counts_rejected(
+        self, seven_b, default_platform, batch_size, context_tokens
+    ):
+        """A negative context used to shrink the KV read below zero and
+        price the iteration far under an empty history's."""
+        with pytest.raises(ConfigError):
+            decode_iteration_time(seven_b, default_platform, batch_size, context_tokens)
+
     def test_bigger_model_decodes_slower(self, seven_b, thirteen_b, default_platform):
         t7 = decode_iteration_time(seven_b, default_platform, 1, 512)
         t13 = decode_iteration_time(thirteen_b, default_platform, 1, 512)

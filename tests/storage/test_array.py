@@ -56,12 +56,20 @@ class TestPlacement:
 
 
 class TestTiming:
-    def test_aggregate_bandwidth_capped_by_link(self):
-        many = StorageArray([PM9A3] * 8, link_bandwidth=32e9)
-        assert many.aggregate_read_bandwidth == pytest.approx(32e9)
+    CHUNK = 64 * 16384
 
-    def test_aggregate_bandwidth_device_bound(self, four_ssds):
-        assert four_ssds.aggregate_read_bandwidth == pytest.approx(4 * 6.9e9)
+    def test_large_read_capped_by_link(self):
+        many = StorageArray([PM9A3] * 8, link_bandwidth=32e9)
+        timing = many.layer_read_timing(256, self.CHUNK)
+        assert timing.bottleneck == "link"
+        assert timing.seconds == pytest.approx(256 * self.CHUNK / 32e9)
+
+    def test_large_read_device_bound(self, four_ssds):
+        timing = four_ssds.layer_read_timing(256, self.CHUNK)
+        assert timing.bottleneck == "device"
+        assert timing.seconds == pytest.approx(
+            64 * PM9A3.io_latency + 256 * self.CHUNK / (4 * 6.9e9)
+        )
 
     def test_more_devices_read_faster(self):
         one = StorageArray([PM9A3], link_bandwidth=32e9)
@@ -86,19 +94,14 @@ class TestTiming:
         timing = four_ssds.layer_read_timing(16, 64 * 8192)
         assert timing.bottleneck == "device"
 
-    def test_read_time_monotone_in_bytes(self, four_ssds):
+    def test_read_time_monotone_in_chunks(self, four_ssds):
         chunk = 64 * 8192
-        times = [four_ssds.read_time(n * chunk, chunk) for n in (1, 4, 16, 64)]
+        times = [four_ssds.layer_read_timing(n, chunk).seconds for n in (1, 4, 16, 64)]
         assert times == sorted(times)
 
-    def test_write_slower_than_read(self, four_ssds):
-        chunk = 64 * 8192
-        nbytes = 32 * chunk
-        assert four_ssds.write_time(nbytes, chunk) > four_ssds.read_time(nbytes, chunk)
-
-    def test_invalid_chunk_bytes_rejected(self, four_ssds):
+    def test_negative_chunk_bytes_rejected(self, four_ssds):
         with pytest.raises(ConfigError):
-            four_ssds.read_time(1024, 0)
+            four_ssds.layer_read_timing(16, -1)
 
     def test_negative_chunks_rejected(self, four_ssds):
         with pytest.raises(ConfigError):
@@ -110,7 +113,7 @@ class TestTiming:
         speeds = []
         for n in (1, 2, 4):
             arr = StorageArray([PM9A3] * n, link_bandwidth=32e9)
-            speeds.append(1.0 / arr.read_time(256 * chunk, chunk))
+            speeds.append(1.0 / arr.layer_read_timing(256, chunk).seconds)
         assert speeds[1] / speeds[0] == pytest.approx(2.0, rel=0.05)
         assert speeds[2] / speeds[1] == pytest.approx(2.0, rel=0.05)
 
@@ -166,19 +169,12 @@ class TestSerialReadModel:
         assert timing.seconds == pytest.approx(expected, rel=1e-12)
         assert timing.bottleneck == "device"
 
-    @pytest.mark.parametrize(
-        "nbytes", [1, CHUNK - 1, CHUNK, CHUNK + 1, 10 * CHUNK + 3]
-    )
-    def test_read_time_rounds_up_to_whole_chunks(self, four_ssds, nbytes):
-        n_chunks = math.ceil(nbytes / self.CHUNK)
-        expected = four_ssds.layer_read_timing(n_chunks, self.CHUNK).seconds
-        assert four_ssds.read_time(nbytes, self.CHUNK) == expected
-
     @pytest.mark.parametrize("name", PRESET_NAMES)
-    def test_preset_arrays_never_beat_their_aggregate_bandwidth(self, name):
-        array = build_storage_array(platform_preset(name))
+    def test_preset_arrays_never_beat_their_platform_bandwidth(self, name):
+        platform = platform_preset(name)
+        array = build_storage_array(platform)
         timing = array.layer_read_timing(64, self.CHUNK)
-        floor = timing.nbytes / array.aggregate_read_bandwidth
+        floor = timing.nbytes / platform.storage_read_bandwidth
         assert timing.seconds >= floor * (1 - 1e-12)
         if timing.bottleneck == "link":
             assert timing.seconds == pytest.approx(timing.nbytes / array.link_bandwidth)
