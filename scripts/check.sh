@@ -89,9 +89,10 @@ python scripts/check_docs.py
 # "crash-recovery smoke" in the log, not as one -x casualty among ~1.8k
 # tests, and this stays green even if the tier-1 invocation above is
 # ever narrowed.
-echo "== crash-recovery smoke (journal truncation property, crash-window recovery, journaled-manager model, kill-and-resume) =="
+echo "== crash-recovery smoke (journal truncation property, crash-window recovery, journaled-manager model, kill-and-resume, mirrored writes and failover) =="
 python -m pytest -q tests/storage/test_journal.py tests/storage/test_recovery.py \
-    tests/storage/test_manager_model.py tests/integration/test_kill_and_resume.py
+    tests/storage/test_manager_model.py tests/integration/test_kill_and_resume.py \
+    tests/storage/test_faults_replication.py
 
 echo "== paper figure/table/ablation benches (expectations asserted, timing disabled) =="
 require_or_skip pytest_benchmark python -m pytest -q benchmarks/bench_fig*.py \

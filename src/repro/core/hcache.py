@@ -24,8 +24,7 @@ from repro.models.kv_cache import KVCache
 from repro.models.transformer import Transformer
 from repro.runtime.executor import RestoreExecutor, drain_granules
 from repro.runtime.progress import RestoreProgress
-from repro.storage.manager import StorageManager
-from repro.storage.streaming import LayerChunk
+from repro.storage.manager import GranuleSpec, StorageManager
 
 #: The run kind a layer method stores; RECOMPUTE layers store nothing.
 _STORED_KIND = {LayerMethod.HIDDEN: "hidden", LayerMethod.KV: "kv"}
@@ -54,7 +53,6 @@ class HCacheEngine:
         transformer: Transformer,
         storage: StorageManager,
         scheme: PartitionScheme | None = None,
-        stream_granule_chunks: int = 4,
     ) -> None:
         """Create an engine.
 
@@ -69,15 +67,9 @@ class HCacheEngine:
                 journaled token log, bit-identically to a stored layer 0.
                 ``PartitionScheme.pure_hcache`` is the explicit all-stored
                 HCache-O ablation, ``PartitionScheme.pure_kv`` KV offload.
-            stream_granule_chunks: Storage chunks coalesced into each
-                streamed restore granule.  IO stays chunk-granular; this
-                only sets how many rows each fused projection call covers.
         """
-        if stream_granule_chunks <= 0:
-            raise ConfigError("stream_granule_chunks must be positive")
         self.transformer = transformer
         self.storage = storage
-        self.stream_granule_chunks = stream_granule_chunks
         n_layers = transformer.config.n_layers
         if scheme is None:
             scheme = PartitionScheme.with_recompute_prefix(n_layers, 1)
@@ -221,7 +213,6 @@ class HCacheEngine:
         transformer: Transformer,
         storage: StorageManager,
         scheme: PartitionScheme | None = None,
-        stream_granule_chunks: int = 4,
     ) -> "HCacheEngine":
         """Adopt a crash-recovered storage manager's contexts.
 
@@ -238,7 +229,7 @@ class HCacheEngine:
         stops growing would become the shortest one, and the next
         ``StorageManager.recover`` truncates a context to its shortest run.
         """
-        engine = cls(transformer, storage, scheme, stream_granule_chunks)
+        engine = cls(transformer, storage, scheme)
         config = transformer.config
         unread: list[tuple[str, int, str]] = []
         for context_id in storage.context_ids():
@@ -295,8 +286,9 @@ class HCacheEngine:
     ) -> KVCache:
         """Rebuild the context's full KV cache, chunk-streamed (§4.1).
 
-        Layers marked HIDDEN stream from storage as granules of a few
-        chunks each and go through the fused per-chunk projection
+        Layers marked HIDDEN stream from storage as granules of
+        :data:`~repro.storage.manager.GRANULE_CHUNKS` chunks each and go
+        through the fused per-chunk projection
         (:meth:`Transformer.project_kv_chunk`) straight into the cache's
         backing buffers; KV layers stream the same way and install chunk
         by chunk.  A RECOMPUTE prefix of ``r`` layers is token-sourced:
@@ -370,7 +362,7 @@ class HCacheEngine:
 
         token_prefix: Callable[[], None] | None = None
         # (kind, layers, consume) of each stored kind.
-        drains: list[tuple[str, list[int], Callable[[LayerChunk], None]]] = []
+        drains: list[tuple[str, list[int], Callable[[GranuleSpec, np.ndarray], None]]] = []
         if plan.hidden_layers or n_recompute:
             workspace = self.transformer.restore_workspace(
                 np.arange(n_tokens), plan.granule_tokens
@@ -393,23 +385,22 @@ class HCacheEngine:
             if plan.hidden_layers:
                 drains.append((
                     "hidden", plan.hidden_layers,
-                    lambda chunk: project(chunk.layer, chunk.start, chunk.data),
+                    lambda spec, rows: project(spec.layer, spec.start, rows),
                 ))
         if plan.kv_layers:
             for layer in plan.kv_layers:
                 cache.install_view(layer, n_tokens)
 
-            def install(chunk: LayerChunk) -> None:
-                cache.install_packed_rows(chunk.layer, chunk.start, chunk.data)
-                landed(chunk.layer, chunk.data.shape[0])
+            def install(spec: GranuleSpec, rows: np.ndarray) -> None:
+                cache.install_packed_rows(spec.layer, spec.start, rows)
+                landed(spec.layer, rows.shape[0])
 
             drains.append(("kv", plan.kv_layers, install))
         # The token-sourced prefix rides under the first drain's IO
         # stream; with nothing stored it simply runs.
         for kind, layers, consume in drains:
             drain_granules(
-                self.storage, context_id, layers, kind, self.stream_granule_chunks,
-                consume, executor, token_prefix,
+                self.storage, context_id, layers, kind, consume, executor, token_prefix
             )
             token_prefix = None
         if token_prefix is not None:
@@ -460,9 +451,7 @@ class HCacheEngine:
             cache=cache,
             hidden_layers=hidden_layers,
             kv_layers=kv_layers,
-            granule_tokens=min(
-                n_tokens, self.stream_granule_chunks * self.storage.tokens_per_chunk
-            ),
+            granule_tokens=min(n_tokens, self.storage.granule_tokens),
         )
 
     def storage_bytes_per_token(self) -> int:

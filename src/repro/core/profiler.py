@@ -5,8 +5,8 @@ The bubble-free scheduler needs four per-layer quantities for the target
 KV transmission time ``IO_KV``, KV-projection compute time ``C_H``, and
 full-layer token-recompute time ``C_token``.  The real system measures them
 once per deployment; this reproduction "profiles" the simulated hardware by
-evaluating the performance model, charging chunked-read timing when the
-platform stores state on an SSD array.
+evaluating the performance model, charging the chunked-read timing of the
+platform's storage array (SSDs or host DRAM).
 """
 
 from __future__ import annotations
@@ -60,11 +60,9 @@ class HardwareProfile:
 
 
 def build_storage_array(platform: Platform) -> StorageArray:
-    """Construct the platform's storage array (SSDs, or DRAM fallback)."""
+    """Construct the platform's storage array, one device per spec."""
     link = platform.gpu.pcie_bandwidth * platform.n_gpus
-    if platform.uses_dram_backend:
-        return StorageArray([platform.dram], link_bandwidth=link)
-    return StorageArray(list(platform.ssds), link_bandwidth=link)
+    return StorageArray(platform.storage, link_bandwidth=link)
 
 
 def profile_platform(

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from repro.errors import ConfigError
 from repro.models.config import ModelConfig
 from repro.simulator.costs import decode_iteration_time
-from repro.simulator.hardware import PM9A3, Platform
+from repro.simulator.hardware import Platform
 
 #: The saving strategies :func:`decode_tbt_with_saving` prices (Fig. 14).
 SAVING_STRATEGIES = ("ideal", "two-stage", "direct-io")
@@ -91,8 +91,8 @@ def decode_tbt_with_saving(
     layer_time = base_tbt / config.n_layers
     nbytes = batch_size * config.hidden_bytes_per_token_layer
     copy_time = nbytes / (platform.gpu.pcie_bandwidth * platform.n_gpus)
-    ssd = platform.ssds[0] if platform.ssds else PM9A3
-    write_time = batch_size * ssd.small_write_time(config.hidden_bytes_per_token_layer)
+    device = platform.storage[0]
+    write_time = batch_size * device.small_write_time(config.hidden_bytes_per_token_layer)
     flush_bw = platform.storage_write_bandwidth
     total_stall = backlog = 0.0
     for _ in range(config.n_layers):

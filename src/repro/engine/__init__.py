@@ -23,7 +23,7 @@ from repro.engine.api import (
 )
 from repro.engine.batching import ContinuousBatcher, MemoryBudget
 from repro.engine.frontend import RequestHandle, ServingFrontend
-from repro.engine.metrics import MetricsCollector, ServingReport
+from repro.engine.metrics import ServingReport, summarize
 from repro.engine.numeric_engine import NumericServingEngine, SessionState
 from repro.engine.request import Phase, Request, RequestSpec
 from repro.engine.serving import (
@@ -42,7 +42,6 @@ __all__ = [
     "IterationResult",
     "IterationStats",
     "MemoryBudget",
-    "MetricsCollector",
     "NumericServingEngine",
     "Phase",
     "Request",
@@ -59,4 +58,5 @@ __all__ = [
     "concurrent_context_estimate",
     "max_context_tokens",
     "simulate_methods",
+    "summarize",
 ]

@@ -40,7 +40,6 @@ from repro.engine.api import ServingRequest as _ServingRequest
 from repro.engine.api import ServingResponse as _ServingResponse
 from repro.engine.batching import ContinuousBatcher as _ContinuousBatcher
 from repro.engine.batching import MemoryBudget as _MemoryBudget
-from repro.engine.metrics import MetricsCollector as _MetricsCollector
 from repro.engine.request import Phase as _Phase
 from repro.engine.request import Request as _Request
 from repro.engine.request import RequestSpec as _RequestSpec
@@ -144,7 +143,6 @@ class ServingFrontend:
         self.engine = engine
         self.batcher = _ContinuousBatcher(budget, max_running=max_running)
         self.scheduler = scheduler if scheduler is not None else _SplitFuseScheduler()
-        self.metrics = _MetricsCollector()
         self.max_queue = max_queue
         self.overlap_restores = overlap_restores
         self.evict_on_finish = evict_on_finish
@@ -352,10 +350,9 @@ class ServingFrontend:
 
     def _finish(self, request: _Request) -> None:
         request_id, session_id = request.spec.request_id, request.spec.session_id
-        response = request.mark_finished(self._clock())
+        request.mark_finished(self._clock())
         self.batcher.release(request)
         self._in_flight.discard(request_id)
-        self.metrics.observe(response)
         if self._session_tail[session_id] is not request:
             # The session's next round is queued behind this one.
             self._finished_deps.add(request_id)

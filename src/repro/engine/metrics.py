@@ -1,16 +1,18 @@
 """Serving-quality metric collection (§2.2, §6 "Metrics").
 
 TTFT measures the restoration + prefill + queueing path; TBT measures the
-steady decode cadence.  The collector keeps each finished request's
-:class:`~repro.engine.api.ServingResponse` — the one record of a finished
-request, the same object the caller's handle resolves to — and aggregates
-them into the summary statistics the paper plots: mean/median/p95 TTFT,
-mean TBT, and sustained throughput.
+steady decode cadence.  :func:`summarize` aggregates finished requests'
+:class:`~repro.engine.api.ServingResponse` records — the one record of a
+finished request, the object the caller's handle resolves to — into the
+summary statistics the paper plots: mean/median/p95 TTFT, mean TBT, and
+sustained throughput.  Nothing here keeps responses: whoever wants a
+report holds the ones it covers.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -47,42 +49,29 @@ class ServingReport:
         )
 
 
-@dataclass
-class MetricsCollector:
-    """Keeps every finished request's response and summarizes them."""
-
-    records: list[ServingResponse] = field(default_factory=list)
-
-    def observe(self, response: ServingResponse) -> None:
-        """Record a finished request."""
-        self.records.append(response)
-
-    def __len__(self) -> int:
-        return len(self.records)
-
-    def summarize(self) -> ServingReport:
-        """Aggregate everything observed so far."""
-        if not self.records:
-            raise StateError("no finished requests to summarize")
-        ttfts = np.array([r.ttft for r in self.records])
-        tbts = np.array([r.tpot for r in self.records if len(r.tokens) > 1])
-        if tbts.size == 0:
-            tbts = np.array([0.0])
-        start = min(r.arrival_time for r in self.records)
-        end = max(r.finished_at for r in self.records)
-        duration = max(end - start, 1e-9)
-        total_tokens = sum(len(r.tokens) for r in self.records)
-        return ServingReport(
-            n_requests=len(self.records),
-            duration=duration,
-            mean_ttft=float(ttfts.mean()),
-            p50_ttft=float(np.percentile(ttfts, 50)),
-            p95_ttft=float(np.percentile(ttfts, 95)),
-            mean_tbt=float(tbts.mean()),
-            p95_tbt=float(np.percentile(tbts, 95)),
-            requests_per_second=len(self.records) / duration,
-            tokens_per_second=total_tokens / duration,
-            p99_ttft=float(np.percentile(ttfts, 99)),
-            p50_tbt=float(np.percentile(tbts, 50)),
-            p99_tbt=float(np.percentile(tbts, 99)),
-        )
+def summarize(responses: Sequence[ServingResponse]) -> ServingReport:
+    """Aggregate finished requests' responses into one report."""
+    if not responses:
+        raise StateError("no finished requests to summarize")
+    ttfts = np.array([r.ttft for r in responses])
+    tbts = np.array([r.tpot for r in responses if len(r.tokens) > 1])
+    if tbts.size == 0:
+        tbts = np.array([0.0])
+    start = min(r.arrival_time for r in responses)
+    end = max(r.finished_at for r in responses)
+    duration = max(end - start, 1e-9)
+    total_tokens = sum(len(r.tokens) for r in responses)
+    return ServingReport(
+        n_requests=len(responses),
+        duration=duration,
+        mean_ttft=float(ttfts.mean()),
+        p50_ttft=float(np.percentile(ttfts, 50)),
+        p95_ttft=float(np.percentile(ttfts, 95)),
+        mean_tbt=float(tbts.mean()),
+        p95_tbt=float(np.percentile(tbts, 95)),
+        requests_per_second=len(responses) / duration,
+        tokens_per_second=total_tokens / duration,
+        p99_ttft=float(np.percentile(ttfts, 99)),
+        p50_tbt=float(np.percentile(tbts, 50)),
+        p99_tbt=float(np.percentile(tbts, 99)),
+    )

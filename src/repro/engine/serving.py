@@ -37,10 +37,10 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from repro.core.restoration import RestorationTiming, method_timing
-from repro.engine.api import IterationResult, ServingRequest
+from repro.engine.api import IterationResult, ServingRequest, ServingResponse
 from repro.engine.batching import MemoryBudget
-from repro.engine.frontend import ServingFrontend
-from repro.engine.metrics import ServingReport
+from repro.engine.frontend import RequestHandle, ServingFrontend
+from repro.engine.metrics import ServingReport, summarize
 from repro.engine.request import RequestSpec
 from repro.engine.splitfuse import SplitFuseScheduler
 from repro.errors import ConfigError, SimulationError, StateError
@@ -232,9 +232,10 @@ class ServingSimulator:
             evict_on_finish=True,
             clock=self.engine.now,
         )
-        self.metrics = self.frontend.metrics
+        #: The last :meth:`run`'s finished responses, in finishing order.
+        self.responses: list[ServingResponse] = []
 
-    def _submit(self, spec: RequestSpec) -> None:
+    def _submit(self, spec: RequestSpec) -> RequestHandle:
         """A session's first spec sets the history it arrives with; later
         rounds must agree with what the earlier ones leave behind."""
         if not self.engine.has_session(spec.session_id):
@@ -254,6 +255,7 @@ class ServingSimulator:
                 f"request {spec.request_id} claims {spec.history_tokens} history "
                 f"tokens but its session's earlier rounds leave {served}"
             )
+        return handle
 
     def run(self, specs: list[RequestSpec]) -> ServingReport:
         """Simulate serving ``specs`` to completion and summarize."""
@@ -268,16 +270,20 @@ class ServingSimulator:
                     f"capacity is {capacity} (shrink the trace or the model)"
                 )
         engine, frontend = self.engine, self.frontend
+        handles: dict[str, RequestHandle] = {}
+        self.responses = []
         idx = 0
         while idx < len(pending) or not frontend.idle:
             now = engine.now()
             if now > MAX_SIM_SECONDS:
                 raise SimulationError(f"simulation exceeded {MAX_SIM_SECONDS}s; likely overload")
             while idx < len(pending) and pending[idx].arrival_time <= now + _EPS:
-                self._submit(pending[idx])
+                handle = self._submit(pending[idx])
+                handles[handle.request_id] = handle
                 idx += 1
             engine.wake_at = pending[idx].arrival_time if idx < len(pending) else math.inf
             stats = frontend.step()
+            self.responses.extend(handles.pop(rid).result() for rid in stats.finished)
             if stats.has_work or engine.now() > now:
                 continue
             if idx == len(pending) and frontend.queue_depth:
@@ -286,7 +292,7 @@ class ServingSimulator:
                     "(memory too small or dependency missing)"
                 )
             engine.wait_for_restores()  # nothing runnable: skip to the next arrival
-        return self.metrics.summarize()
+        return summarize(self.responses)
 
 
 def simulate_methods(

@@ -2,7 +2,7 @@
 
 Every restoration — inline or threaded — is the same loop,
 :func:`drain_granules`: one granule plan over the drain's layers, one
-staging ring, and a **window** of granule reads kept outstanding
+staging array, and a **window** of granule reads kept outstanding
 (submitted but not yet consumed).  Without an executor the reads run
 synchronously at submit with a window of 1 — the double-buffered
 single-threaded drain; with one they run on the executor's IO worker
@@ -13,14 +13,13 @@ Determinism and bit-exactness: the granule plan is
 consumed strictly in plan order, and all projection compute runs at full
 GEMM width on the single calling thread into disjoint KV-cache row
 slices.  Worker threads only ever fill staging slots they exclusively
-own (see the threading rules on
-:class:`repro.storage.streaming.StagingRing`), so threading changes
-*where bytes move*, never *what gets computed* — the restored bytes are
-identical for every pool size, and the tests assert exactly that
-against the naive reference.
+own (the slot-reuse argument is in :func:`drain_granules`), so threading
+changes *where bytes move*, never *what gets computed* — the restored
+bytes are identical for every pool size, and the tests assert exactly
+that against the naive reference.
 
 Concurrent restorations of *different* contexts may share one executor:
-each ``restore`` call brings its own staging ring and workspace, devices
+each ``restore`` call brings its own staging array and workspace, devices
 are read-only during restoration, and the pool is the only shared
 resource — which is the point, since a shared IO path is the contention a
 real serving system sees.  Device latency emulation
@@ -33,12 +32,14 @@ from __future__ import annotations
 from collections import deque
 from concurrent.futures import Future, ThreadPoolExecutor
 from functools import partial
+from itertools import cycle
 from typing import TYPE_CHECKING, Any, Callable, Mapping, Sequence
+
+import numpy as np
 
 from repro.errors import ConfigError, StateError
 from repro.runtime.io_pool import IOWorkerPool
-from repro.storage.manager import StorageManager
-from repro.storage.streaming import LayerChunk
+from repro.storage.manager import GranuleSpec, StorageManager
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from repro.core.hcache import HCacheEngine
@@ -70,19 +71,19 @@ def drain_granules(
     context_id: str,
     layers: Sequence[int],
     kind: str,
-    granule_chunks: int,
-    consume: Callable[[LayerChunk], None],
+    consume: Callable[[GranuleSpec, np.ndarray], None],
     executor: "RestoreExecutor | None" = None,
     under_io: "Callable[[], None] | None" = None,
 ) -> None:
     """Stream ``layers``' stored rows through ``consume``, reads running ahead.
 
-    The one restore loop: one granule plan, one staging ring and a window
+    The one restore loop: one granule plan, one staging array and a window
     of ``executor.inflight`` outstanding reads on the executor's IO pool.
-    ``consume`` (projection or KV install) runs on the calling thread,
-    strictly in plan order.  The window is refilled *before* each granule
-    is consumed, so the next read runs under this granule's projection —
-    the §4.1 overlap.
+    ``consume(spec, rows)`` (projection or KV install) runs on the calling
+    thread, strictly in plan order; ``rows`` views a staging slot and is
+    valid only until ``consume`` returns.  The window is refilled *before*
+    each granule is consumed, so the next read runs under this granule's
+    projection — the §4.1 overlap.
 
     With ``executor=None`` the same loop runs with a window of 1 and
     executes each read synchronously at submit: the double-buffered
@@ -104,25 +105,24 @@ def drain_granules(
         window, submit = 1, _run_inline
     else:
         window, submit = executor.inflight, executor.pool.submit
-    plan = iter(storage.granule_plan(context_id, layers, kind, granule_chunks))
+    plan = iter(storage.granule_plan(context_id, layers, kind))
+    meta = storage.meta(context_id)
     # Outstanding reads never exceed `window` (one refill per consume), and
-    # the ring is `window + 1` deep, so the slot a refill recycles was
-    # acquired window + 1 submissions earlier — always a granule already
-    # consumed, never the live view being consumed now.
-    ring = storage.staging_ring(
-        context_id, kind, depth=window + 1, granule_chunks=granule_chunks
-    )
+    # there are `window + 1` slots taken round-robin, so the slot a refill
+    # reuses was taken window + 1 submissions earlier — always a granule
+    # already consumed, never the rows being consumed now.
+    slots = cycle(np.empty((window + 1, storage.granule_tokens, meta.width(kind)), meta.dtype))
     pending: deque = deque()
 
     def submit_next() -> None:
         spec = next(plan, None)
         if spec is None:
             return
-        view = ring.acquire()[: spec.n_tokens]
+        rows = next(slots)[: spec.n_tokens]
         # The read is looked up on the storage instance at every submit,
         # so instance-level wrappers (tracing) see each granule.
-        future = submit(storage.read_granule_into, context_id, spec, view)
-        pending.append((spec, view, future))
+        future = submit(storage.read_granule_into, context_id, spec, rows)
+        pending.append((spec, rows, future))
 
     try:
         for _ in range(window):
@@ -130,10 +130,10 @@ def drain_granules(
         if under_io is not None:
             under_io()
         while pending:
-            spec, view, future = pending.popleft()
+            spec, rows, future = pending.popleft()
             future.result()
             submit_next()
-            consume(LayerChunk(spec.layer, spec.kind, spec.start, spec.stop, view))
+            consume(spec, rows)
     # lint: disable=exception-safety -- sanctioned drain containment: settles in-flight reads, then re-raises
     except BaseException:
         # Containment: a failed read (e.g. every replica of a device
@@ -161,31 +161,22 @@ class RestoreExecutor:
         pool: The shared :class:`IOWorkerPool`, or an int to create an
             owned pool of that size.  ``close`` only shuts down owned
             pools.
-        inflight: Granule reads the drain keeps outstanding (submitted
-            but not yet consumed).  Defaults to the pool's workers plus
-            :data:`RUNWAY_GRANULES`.  Memory cost is one staging slot per
-            in-flight granule (the ring is ``inflight + 1`` deep, which
-            makes slot reuse safe — see :class:`StagingRing`).
     """
 
-    def __init__(
-        self,
-        pool: IOWorkerPool | int = 1,
-        *,
-        inflight: int | None = None,
-    ) -> None:
+    def __init__(self, pool: IOWorkerPool | int = 1) -> None:
         self._owns_pool = isinstance(pool, int)
         if isinstance(pool, int):
             pool = IOWorkerPool(pool)
-        if inflight is None:
-            inflight = pool.size + RUNWAY_GRANULES
-        if inflight < 1:
-            raise ConfigError("executor needs at least one granule in flight")
         self.pool = pool
-        self.inflight = inflight
         #: Lazily created driver pool for the multi-context restores.
         self._drivers: ThreadPoolExecutor | None = None
         self._closed = False
+
+    @property
+    def inflight(self) -> int:
+        """Granule reads a drain keeps outstanding: one per IO worker plus
+        :data:`RUNWAY_GRANULES`.  Each costs one staging slot."""
+        return self.pool.size + RUNWAY_GRANULES
 
     # -- lifecycle -----------------------------------------------------
 

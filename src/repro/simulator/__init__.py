@@ -17,8 +17,8 @@ from repro.simulator.costs import (
 from repro.simulator.gemm import GemmTiming, kv_projection_time, round_up_tokens
 from repro.simulator.hardware import (
     GPUS,
+    HOST_DRAM,
     PM9A3,
-    DRAMSpec,
     GPUSpec,
     Platform,
     SSDSpec,
@@ -27,8 +27,8 @@ from repro.simulator.hardware import (
 
 __all__ = [
     "GPUS",
+    "HOST_DRAM",
     "PM9A3",
-    "DRAMSpec",
     "GPUSpec",
     "GemmTiming",
     "Platform",

@@ -12,7 +12,7 @@ builds the named platforms used throughout the benchmarks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from repro.errors import ConfigError
 
@@ -58,7 +58,8 @@ class GPUSpec:
 
 @dataclass(frozen=True)
 class SSDSpec:
-    """A storage device's performance characteristics.
+    """A storage device's performance characteristics: an SSD, or the
+    host-DRAM region of a cloud platform (:data:`HOST_DRAM`).
 
     Attributes:
         name: Device model name.
@@ -84,7 +85,7 @@ class SSDSpec:
 
     def __post_init__(self) -> None:
         if self.read_bandwidth <= 0 or self.write_bandwidth <= 0:
-            raise ConfigError(f"SSD {self.name!r} must have positive bandwidth")
+            raise ConfigError(f"device {self.name!r} must have positive bandwidth")
 
     def read_time(self, nbytes: int, n_ios: int = 1) -> float:
         """Time to read ``nbytes`` issued as ``n_ios`` requests."""
@@ -97,27 +98,6 @@ class SSDSpec:
     def small_write_time(self, nbytes: int) -> float:
         """Time of one small synchronous write (DirectIO path)."""
         return self.small_write_latency + nbytes / self.small_write_bandwidth
-
-
-@dataclass(frozen=True)
-class DRAMSpec:
-    """Host DRAM used as the storage backend on cloud platforms (§6).
-
-    Reads are limited by the GPU's transmission (PCIe/NVLink-C2C) speed, so
-    the device itself is modelled with a bandwidth high enough not to be the
-    bottleneck, plus a tiny per-IO cost.
-    """
-
-    name: str = "host-dram"
-    bandwidth: float = 200 * GB
-    io_latency: float = 1e-6
-    capacity_bytes: int = 256 * GIB
-
-    def read_time(self, nbytes: int, n_ios: int = 1) -> float:
-        return n_ios * self.io_latency + nbytes / self.bandwidth
-
-    def write_time(self, nbytes: int, n_ios: int = 1) -> float:
-        return n_ios * self.io_latency + nbytes / self.bandwidth
 
 
 #: GPU presets from Table 2 of the paper.  HBM bandwidths come from the
@@ -137,6 +117,19 @@ PM9A3 = SSDSpec(
     write_bandwidth=4.0 * GB,
 )
 
+#: Host DRAM as the storage backend of the cloud platforms (§6).  Reads are
+#: limited by the GPU's transmission (PCIe/NVLink-C2C) speed, so the region
+#: gets a bandwidth high enough never to be the bottleneck, plus a tiny
+#: per-IO cost.  Its small-write figures are the SSD defaults, so the
+#: DirectIO ablation prices a DRAM platform's writes as it does a PM9A3's.
+HOST_DRAM = SSDSpec(
+    name="host-dram",
+    read_bandwidth=200 * GB,
+    write_bandwidth=200 * GB,
+    io_latency=1e-6,
+    capacity_bytes=256 * GIB,
+)
+
 
 @dataclass(frozen=True)
 class Platform:
@@ -147,8 +140,8 @@ class Platform:
         n_gpus: Number of GPUs used with tensor parallelism.  Peak FLOPS and
             transmission bandwidth aggregate across GPUs (§5, multi-GPU
             support: each GPU fetches a disjoint shard of hidden states).
-        ssds: SSD devices attached to the host (empty when DRAM is used).
-        dram: Host DRAM backend, used when ``ssds`` is empty.
+        storage: The devices hidden states and KV are stored on: the
+            host's SSDs, or :data:`HOST_DRAM` (the default).
         gemm_efficiency: Optional override of the GPU's large-GEMM MFU
             ceiling; ``None`` (the default) uses ``gpu.gemm_mfu``.
         prefill_efficiency: MFU of a full prefill forward pass, lower than a
@@ -163,8 +156,7 @@ class Platform:
 
     gpu: GPUSpec
     n_gpus: int = 1
-    ssds: tuple[SSDSpec, ...] = ()
-    dram: DRAMSpec = field(default_factory=DRAMSpec)
+    storage: tuple[SSDSpec, ...] = (HOST_DRAM,)
     gemm_efficiency: float | None = None
     prefill_efficiency: float = 0.55
     iteration_overhead: float = 2e-3
@@ -178,6 +170,8 @@ class Platform:
             raise ConfigError("gemm_efficiency must be in (0, 1]")
         if not 0 < self.prefill_efficiency <= 1:
             raise ConfigError("prefill_efficiency must be in (0, 1]")
+        if not self.storage:
+            raise ConfigError("a platform needs at least one storage device")
 
     @property
     def gemm_eff(self) -> float:
@@ -197,11 +191,6 @@ class Platform:
         return self.gpu.hbm_bandwidth * self.n_gpus
 
     @property
-    def uses_dram_backend(self) -> bool:
-        """True when hidden states / KV are stored in host DRAM."""
-        return not self.ssds
-
-    @property
     def storage_read_bandwidth(self) -> float:
         """Aggregate storage-to-GPU read bandwidth in bytes/s.
 
@@ -209,23 +198,19 @@ class Platform:
         with 4x PM9A3 on an A100 the SSDs saturate PCIe, matching §6.2.2.
         """
         link = self.gpu.pcie_bandwidth * self.n_gpus
-        if self.uses_dram_backend:
-            return min(link, self.dram.bandwidth)
-        return min(link, sum(ssd.read_bandwidth for ssd in self.ssds))
+        return min(link, sum(device.read_bandwidth for device in self.storage))
 
     @property
     def storage_write_bandwidth(self) -> float:
         """Aggregate GPU/host-to-storage write bandwidth in bytes/s."""
         link = self.gpu.pcie_bandwidth * self.n_gpus
-        if self.uses_dram_backend:
-            return min(link, self.dram.bandwidth)
-        return min(link, sum(ssd.write_bandwidth for ssd in self.ssds))
+        return min(link, sum(device.write_bandwidth for device in self.storage))
 
     def with_ssds(self, count: int, spec: SSDSpec = PM9A3) -> "Platform":
-        """Return a copy of this platform with ``count`` identical SSDs."""
-        if count < 0:
-            raise ConfigError("SSD count must be non-negative")
-        return replace(self, ssds=tuple(spec for _ in range(count)))
+        """Return a copy of this platform storing on ``count`` identical SSDs."""
+        if count < 1:
+            raise ConfigError("a platform needs at least one SSD")
+        return replace(self, storage=(spec,) * count)
 
 
 def platform_preset(name: str) -> Platform:

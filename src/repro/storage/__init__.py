@@ -7,12 +7,11 @@ restoration pipeline.
 
 from repro.storage.array import LayerReadTiming, StorageArray
 from repro.storage.chunk import CHUNK_TOKENS, ChunkKey, ChunkLayout
-from repro.storage.device import IOReceipt, LatencyEmulator, StorageDevice
+from repro.storage.device import LatencyEmulator, StorageDevice
 from repro.storage.faults import FaultPolicy
 from repro.storage.journal import ManifestJournal
-from repro.storage.manager import ContextMeta, StorageManager
+from repro.storage.manager import ContextMeta, GranuleSpec, StorageManager
 from repro.storage.replicated import ReplicatedDevice
-from repro.storage.streaming import GranuleSpec, LayerChunk, StagingRing
 
 __all__ = [
     "CHUNK_TOKENS",
@@ -21,13 +20,10 @@ __all__ = [
     "ContextMeta",
     "FaultPolicy",
     "GranuleSpec",
-    "IOReceipt",
     "LatencyEmulator",
-    "LayerChunk",
     "LayerReadTiming",
     "ManifestJournal",
     "ReplicatedDevice",
-    "StagingRing",
     "StorageArray",
     "StorageDevice",
     "StorageManager",

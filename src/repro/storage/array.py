@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 
 from repro.errors import ConfigError
-from repro.simulator.hardware import DRAMSpec, SSDSpec
+from repro.simulator.hardware import SSDSpec
 from repro.storage.device import LatencyEmulator, StorageDevice
 from repro.storage.replicated import ReplicatedDevice
 
@@ -50,7 +50,7 @@ class StorageArray:
 
     def __init__(
         self,
-        specs: tuple[SSDSpec | DRAMSpec, ...] | list[SSDSpec | DRAMSpec],
+        specs: tuple[SSDSpec, ...] | list[SSDSpec],
         link_bandwidth: float,
         replication: int = 1,
     ) -> None:
@@ -76,41 +76,20 @@ class StorageArray:
 
     # -- wall-clock latency emulation ----------------------------------
 
-    @property
-    def latency_emulator(self) -> LatencyEmulator | None:
-        """The shared emulator, or ``None`` when emulation is off."""
-        return self._emulator
-
-    def emulate_latency(self, min_sleep_s: float = 1e-3) -> LatencyEmulator:
+    def emulate_latency(self) -> LatencyEmulator:
         """Make every device sleep its modelled seconds for real.
 
         All devices share one :class:`LatencyEmulator`: the timing model
         charges chunk reads to a single serial IO stream, and the shared
         debt keeps the emulated wall clock faithful to that.  Returns the
         emulator so callers can :meth:`LatencyEmulator.flush` at the end
-        of a timed region.  Idempotent while already emulating with the
-        same quantum.
-
-        Raises:
-            ConfigError: when already emulating with a different
-                ``min_sleep_s`` — call :meth:`stop_latency_emulation` first.
+        of a timed region.  Idempotent.
         """
         if self._emulator is None:
-            self._emulator = LatencyEmulator(min_sleep_s)
+            self._emulator = LatencyEmulator()
             for device in self.devices:
                 device.emulator = self._emulator
-        elif self._emulator.min_sleep_s != min_sleep_s:
-            raise ConfigError(
-                f"already emulating with a {self._emulator.min_sleep_s} s sleep "
-                "quantum; stop_latency_emulation() before changing it"
-            )
         return self._emulator
-
-    def stop_latency_emulation(self) -> None:
-        """Detach the emulator; operations become instant again."""
-        self._emulator = None
-        for device in self.devices:
-            device.emulator = None
 
     def __len__(self) -> int:
         return len(self.devices)
@@ -159,10 +138,6 @@ class StorageArray:
     def total_used_bytes(self) -> int:
         return sum(self.used_bytes_per_device)
 
-    def _device_read_bw(self, device: "StorageDevice | ReplicatedDevice") -> float:
-        spec = device.spec
-        return getattr(spec, "read_bandwidth", None) or spec.bandwidth
-
     def layer_read_timing(self, n_chunks: int, chunk_bytes: int) -> LayerReadTiming:
         """Time to fetch ``n_chunks`` chunks of ``chunk_bytes`` each.
 
@@ -187,9 +162,9 @@ class StorageArray:
             n_ios = math.ceil(n_chunks / n_dev)
             share_bytes = n_chunks / n_dev * chunk_bytes
             spec = device.spec
-            latency = n_ios * spec.io_latency if hasattr(spec, "io_latency") else 0.0
-            bw = self._device_read_bw(device)
-            device_time = max(device_time, latency + share_bytes / bw)
+            device_time = max(
+                device_time, n_ios * spec.io_latency + share_bytes / spec.read_bandwidth
+            )
         link_time = nbytes / self.link_bandwidth
         if device_time >= link_time:
             return LayerReadTiming(n_chunks, nbytes, device_time, "device")

@@ -1,14 +1,15 @@
 """Simulated storage devices holding real chunk payloads.
 
 Each device is both *functional* (it stores the actual bytes/arrays so the
-numeric engine can round-trip hidden states exactly) and *timed* (reads and
-writes report the wall-clock cost the performance model assigns them, and
-the device accumulates busy time for utilization accounting).
+numeric engine can round-trip hidden states exactly) and *timed* (every
+read and write is priced by the device's :class:`SSDSpec`, and the device
+accumulates the modelled seconds and the operation counts — ``busy_seconds``
+and ``op_counts`` are the one record of its IO).
 
 Devices can additionally **emulate** their modelled latency as real wall
-clock: with a :class:`LatencyEmulator` attached, every operation sleeps the
-seconds its receipt reports before returning.  Sleeps release the GIL and
-burn no CPU, so a background IO worker "reading" from an emulated device
+clock: with a :class:`LatencyEmulator` attached, every operation sleeps its
+modelled seconds before returning.  Sleeps release the GIL and burn no
+CPU, so a background IO worker "reading" from an emulated device
 genuinely overlaps the consumer's projection compute — which is how the
 threaded restore executor (:mod:`repro.runtime`) turns the §4.1 pipeline
 into measurable wall-clock overlap even on machines whose memcpy-speed
@@ -24,27 +25,17 @@ from __future__ import annotations
 
 import threading
 import time
-from dataclasses import dataclass
 from typing import Callable, Hashable
 
 import numpy as np
 
 from repro.errors import AllocationError, ConfigError, StateError
-from repro.simulator.hardware import DRAMSpec, SSDSpec
+from repro.simulator.hardware import SSDSpec
 from repro.storage.faults import FaultPolicy
 
-
-@dataclass(frozen=True)
-class IOReceipt:
-    """Outcome of one device operation.
-
-    Attributes:
-        nbytes: Payload size.
-        seconds: Modelled duration of the operation.
-    """
-
-    nbytes: int
-    seconds: float
+#: Smallest real sleep the emulator issues, in seconds: modelled debt is
+#: batched until it fills one quantum.
+SLEEP_QUANTUM_S = 1e-3
 
 
 class LatencyEmulator:
@@ -54,9 +45,9 @@ class LatencyEmulator:
     host, while a single simulated chunk read can be modelled at a few
     microseconds — sleeping per operation would overstate IO by an order
     of magnitude.  The emulator therefore accumulates modelled seconds as
-    *debt* and sleeps it off in quanta of at least ``min_sleep_s``: totals
-    stay faithful to the model (within one quantum) while each actual
-    sleep is long enough for the OS timer to honour it.
+    *debt* and sleeps it off in quanta of at least :data:`SLEEP_QUANTUM_S`:
+    totals stay faithful to the model (within one quantum) while each
+    actual sleep is long enough for the OS timer to honour it.
 
     One emulator is shared by every device of an array.  That matches how
     the restoration timing model (:mod:`repro.core.restoration`) charges
@@ -75,14 +66,7 @@ class LatencyEmulator:
     instead of drifting ~10% high with every quantum.
     """
 
-    def __init__(
-        self,
-        min_sleep_s: float = 1e-3,
-        sleep_fn: Callable[[float], None] = time.sleep,
-    ) -> None:
-        if min_sleep_s <= 0:
-            raise ConfigError("latency emulation needs a positive sleep quantum")
-        self.min_sleep_s = min_sleep_s
+    def __init__(self, sleep_fn: Callable[[float], None] = time.sleep) -> None:
         self._sleep = sleep_fn
         self._lock = threading.Lock()
         self._sleep_lock = threading.Lock()
@@ -118,7 +102,7 @@ class LatencyEmulator:
             raise ConfigError("modelled seconds must be non-negative")
         with self._lock:
             self._debt_s += seconds
-            if self._debt_s < self.min_sleep_s:
+            if self._debt_s < SLEEP_QUANTUM_S:
                 return
             take = self._debt_s
             self._debt_s = 0.0
@@ -147,7 +131,7 @@ class StorageDevice:
     relies on this to fetch chunks from worker threads.
     """
 
-    def __init__(self, spec: SSDSpec | DRAMSpec, device_id: int) -> None:
+    def __init__(self, spec: SSDSpec, device_id: int) -> None:
         self.spec = spec
         self.device_id = device_id
         #: When set, every operation sleeps its modelled seconds for real.
@@ -155,7 +139,7 @@ class StorageDevice:
         #: When set, every operation is gated by the scripted fault policy
         #: *before* touching any payload: a faulted write stores nothing, a
         #: faulted read moves nothing, and latency spikes add modelled
-        #: seconds to the receipt (see :mod:`repro.storage.faults`).
+        #: seconds to the operation (see :mod:`repro.storage.faults`).
         self.fault_policy: FaultPolicy | None = None
         self._data: dict[Hashable, np.ndarray] = {}
         self._used_bytes = 0
@@ -213,8 +197,8 @@ class StorageDevice:
         if self.emulator is not None:
             self.emulator.charge(seconds)
 
-    def write(self, key: Hashable, payload: np.ndarray) -> IOReceipt:
-        """Store ``payload`` under ``key`` and return the timed receipt.
+    def write(self, key: Hashable, payload: np.ndarray) -> None:
+        """Store ``payload`` under ``key``.
 
         Raises:
             AllocationError: if the device would exceed its capacity.
@@ -234,28 +218,25 @@ class StorageDevice:
             )
         self._data[key] = np.array(payload, copy=True)
         self._used_bytes += nbytes
-        seconds = self.spec.write_time(nbytes) + extra
-        self._account(seconds, is_read=False)
-        return IOReceipt(nbytes, seconds)
+        self._account(self.spec.write_time(nbytes) + extra, is_read=False)
 
-    def read(self, key: Hashable) -> tuple[np.ndarray, IOReceipt]:
-        """Return a copy of the stored payload plus the timed receipt."""
+    def read(self, key: Hashable) -> np.ndarray:
+        """Return a copy of the stored payload."""
         extra = self._fault_gate(is_read=True)
         if key not in self._data:
             raise StateError(f"{self.name}: key {key!r} not present")
         payload = self._data[key]
-        seconds = self.spec.read_time(int(payload.nbytes)) + extra
-        self._account(seconds, is_read=True)
-        return np.array(payload, copy=True), IOReceipt(int(payload.nbytes), seconds)
+        self._account(self.spec.read_time(int(payload.nbytes)) + extra, is_read=True)
+        return np.array(payload, copy=True)
 
-    def read_into(self, key: Hashable, out: np.ndarray) -> IOReceipt:
+    def read_into(self, key: Hashable, out: np.ndarray) -> None:
         """Copy the stored payload directly into ``out`` (no intermediate).
 
         The restoration path preallocates one ``(n_tokens, width)`` layer
         destination and reads every chunk straight into its row slice —
         the functional analogue of a DMA into a pinned staging buffer.
         Safe to call from an IO worker thread: ``out`` must simply not be
-        read by the consumer until this returns (the staging-ring slot
+        read by the consumer until this returns (the staging-slot
         ownership rule).  An injected :class:`~repro.errors.DeviceFault`
         fires before any copy, so ``out`` is untouched and a replication
         layer can retry the same slot against a mirror.
@@ -270,9 +251,7 @@ class StorageDevice:
                 f"stored chunk {payload.shape}"
             )
         np.copyto(out, payload)
-        seconds = self.spec.read_time(int(payload.nbytes)) + extra
-        self._account(seconds, is_read=True)
-        return IOReceipt(int(payload.nbytes), seconds)
+        self._account(self.spec.read_time(int(payload.nbytes)) + extra, is_read=True)
 
     def delete(self, key: Hashable) -> int:
         """Drop a payload, returning the bytes freed."""

@@ -54,7 +54,12 @@ from repro.errors import (
 from repro.storage.array import StorageArray
 from repro.storage.chunk import CHUNK_TOKENS, ChunkKey
 from repro.storage.journal import ManifestJournal
-from repro.storage.streaming import GranuleSpec, StagingRing
+
+#: Storage chunks coalesced into each streamed restore granule.  IO stays
+#: chunk-granular (every device chunk is its own read); this only sets how
+#: many rows one projection call covers.  Read it through
+#: :attr:`StorageManager.granule_tokens`, never by importing the name.
+GRANULE_CHUNKS = 4
 
 #: Journal log size that triggers a compacted snapshot (checked at seals).
 JOURNAL_COMPACT_BYTES = 1 << 20
@@ -118,6 +123,36 @@ class ContextMeta:
     hidden_width: int
     kv_width: int
     dtype: np.dtype
+
+    def width(self, kind: str) -> int:
+        """Row width of a ``"hidden"`` or ``"kv"`` run."""
+        return self.hidden_width if kind == "hidden" else self.kv_width
+
+
+@dataclass(frozen=True)
+class GranuleSpec:
+    """Where one streamed granule sits in a layer's token run, without data.
+
+    :meth:`StorageManager.granule_plan` enumerates these without touching
+    any device, which is what lets the restore loop submit the reads ahead
+    of consumption while keeping the consumption order (and therefore the
+    numerics) identical to a single-threaded stream.
+
+    Attributes:
+        layer: Model layer the rows belong to.
+        kind: ``"hidden"`` or ``"kv"``.
+        start: First token row covered (inclusive).
+        stop: Last token row covered (exclusive).
+    """
+
+    layer: int
+    kind: str
+    start: int
+    stop: int
+
+    @property
+    def n_tokens(self) -> int:
+        return self.stop - self.start
 
 
 def _register_record(meta: ContextMeta) -> dict[str, Any]:
@@ -242,7 +277,7 @@ class StorageManager:
             raise ConfigError(f"layer {layer} out of range for {meta.context_id!r}")
         if kind not in _KINDS:
             raise ConfigError(f"unknown run kind {kind!r}")
-        run = _Run(self.tokens_per_chunk, self._width(meta, kind), meta.dtype)
+        run = _Run(self.tokens_per_chunk, meta.width(kind), meta.dtype)
         ctx.runs[(layer, kind)] = run
         if self.journal is not None:
             self.journal.append(
@@ -336,10 +371,6 @@ class StorageManager:
     # saving (layer-before-token)
     # ------------------------------------------------------------------
 
-    @staticmethod
-    def _width(meta: ContextMeta, kind: str) -> int:
-        return meta.hidden_width if kind == "hidden" else meta.kv_width
-
     def append(self, context_id: str, layer: int, states: np.ndarray, kind: str = "hidden") -> None:
         """Append per-token state rows for one layer of a context.
 
@@ -358,7 +389,7 @@ class StorageManager:
         ctx = self._context(context_id)
         run = ctx.runs.get((layer, kind))
         states = np.asarray(states, dtype=ctx.meta.dtype)
-        width = self._width(ctx.meta, kind) if run is None else run.tail.shape[1]
+        width = ctx.meta.width(kind)
         if states.ndim != 2 or states.shape[1] != width:
             raise ConfigError(f"states must be (n, {width}), got {states.shape}")
         if run is None:
@@ -656,7 +687,7 @@ class StorageManager:
                         )
                     # A chunk whose record was lost while later ones landed
                     # has no CRC; its payload supplies one.
-                    crc = _payload_crc(device.read(key)[0])
+                    crc = _payload_crc(device.read(key))
                     if run.crcs.setdefault(index, crc) != crc:
                         raise RecoveryError(
                             f"chunk {key} payload fails its journaled checksum"
@@ -672,7 +703,7 @@ class StorageManager:
                         run.n_tokens = full * cpc
                         run.device_tail_rows = 0
                         continue
-                    payload, _ = device.read(key)
+                    payload = device.read(key)
                     if payload.shape[0] < rows or _payload_crc(payload[:rows]) != run.crcs[full]:
                         raise RecoveryError(f"sealed tail {key} mismatches its journal record")
                     sealed[(layer, kind)] = payload[:rows]
@@ -703,7 +734,7 @@ class StorageManager:
                     run.device_tail_rows = 0
                     if rem:
                         boundary = ChunkKey(context_id, layer, full_keep, kind)
-                        payload, _ = array.device_for(full_keep, offset=layer).read(boundary)
+                        payload = array.device_for(full_keep, offset=layer).read(boundary)
                         run.tail[:rem] = payload[:rem]
                 else:
                     # The cut lands in this run's own sealed tail, whose
@@ -764,61 +795,31 @@ class StorageManager:
         self.read_granule_into(context_id, GranuleSpec(layer, kind, 0, run.n_tokens), out)
         return out
 
-    def staging_ring(
-        self,
-        context_id: str,
-        kind: str = "hidden",
-        depth: int = 2,
-        granule_chunks: int = 1,
-    ) -> StagingRing:
-        """Build a staging ring sized for one context's streamed reads.
-
-        ``granule_chunks`` storage chunks are coalesced into each streamed
-        granule: IO stays chunk-granular (every device chunk is a separate
-        ``read_into``), but the consumer sees fewer, larger row blocks,
-        which keeps the per-granule projection overhead amortized.
-        """
-        if granule_chunks <= 0:
-            raise ConfigError("granule_chunks must be positive")
-        meta = self.meta(context_id)
-        return StagingRing(
-            depth,
-            granule_chunks * self.tokens_per_chunk,
-            self._width(meta, kind),
-            meta.dtype,
-        )
+    @property
+    def granule_tokens(self) -> int:
+        """Rows of one streamed restore granule (:data:`GRANULE_CHUNKS` chunks)."""
+        return GRANULE_CHUNKS * self.tokens_per_chunk
 
     def granule_plan(
-        self,
-        context_id: str,
-        layers: Sequence[int],
-        kind: str = "hidden",
-        granule_chunks: int = 1,
+        self, context_id: str, layers: Sequence[int], kind: str = "hidden"
     ) -> list[GranuleSpec]:
         """Enumerate the granules a streamed restore of ``layers`` covers.
 
-        Pure metadata — no device is touched.  The specs come back layers
-        in the given order, row ranges ascending within each layer — the
-        order every consumer must project in to stay bit-exact with the
-        reference restore.  The restore loop
-        (:func:`repro.runtime.executor.drain_granules`) walks this plan to
-        issue :meth:`read_granule_into` calls ahead of consumption.
+        Pure metadata — no device is touched.  Each granule is
+        :attr:`granule_tokens` rows (a layer's last one may be shorter).
+        The specs come back layers in the given order, row ranges
+        ascending within each layer — the order every consumer must
+        project in to stay bit-exact with the reference restore.  The
+        restore loop (:func:`repro.runtime.executor.drain_granules`)
+        walks this plan to issue :meth:`read_granule_into` calls ahead of
+        consumption.
         """
-        if granule_chunks <= 0:
-            raise ConfigError("granule_chunks must be positive")
-        granule = granule_chunks * self.tokens_per_chunk
+        granule = self.granule_tokens
         plan: list[GranuleSpec] = []
         for layer in layers:
             n_tokens = self._run(context_id, layer, kind).n_tokens
-            for gstart in range(0, n_tokens, granule):
-                plan.append(
-                    GranuleSpec(
-                        layer=layer,
-                        kind=kind,
-                        start=gstart,
-                        stop=min(gstart + granule, n_tokens),
-                    )
-                )
+            for start in range(0, n_tokens, granule):
+                plan.append(GranuleSpec(layer, kind, start, min(start + granule, n_tokens)))
         return plan
 
     def read_granule_into(self, context_id: str, spec: GranuleSpec, out: np.ndarray) -> None:
@@ -832,7 +833,7 @@ class StorageManager:
         Threading rules: this method is safe to run on an IO worker thread
         while another thread projects earlier granules — devices are
         read-only during restoration, the tail buffer is only appended to
-        between restores, and ``out`` (a staging-ring slot slice) is owned
+        between restores, and ``out`` (a staging slot's rows) is owned
         by this call until it returns.  What is **not** allowed is saving
         into the same context concurrently with restoring it; the engine's
         save/restore lifecycle never does.

@@ -9,7 +9,9 @@ work unchanged over a replicated array:
 
 - **Writes** go to the primary first, then the mirror; a chunk is
   considered durable when both copies exist (the manager journals it only
-  after ``write`` returns).
+  after ``write`` returns).  A failed mirror write takes the primary's
+  copy back out, so the pair never holds half a chunk and the same write
+  can be retried.
 - **Reads** try the primary and fall back to the mirror only on a
   :class:`~repro.errors.DeviceFault` — a real failure signal.  Logical
   errors (missing key, shape mismatch) propagate unchanged: they mean the
@@ -32,7 +34,7 @@ from typing import Hashable
 import numpy as np
 
 from repro.errors import DeviceFault
-from repro.storage.device import IOReceipt, LatencyEmulator, StorageDevice
+from repro.storage.device import LatencyEmulator, StorageDevice
 
 
 class ReplicatedDevice:
@@ -109,27 +111,30 @@ class ReplicatedDevice:
         with self._stats_lock:
             self._degraded_reads += 1
 
-    def write(self, key: Hashable, payload: np.ndarray) -> IOReceipt:
+    def write(self, key: Hashable, payload: np.ndarray) -> None:
         """Write to primary then mirror; durable only when both succeed.
 
         A fault on either replica propagates: the caller must not journal
         a chunk whose mirrored copy does not exist (crash-consistency
-        would silently drop to one replica).  The receipt reports the
-        payload once with both replicas' seconds, matching the serial
-        write path the timing model charges.
+        would silently drop to one replica).  When the mirror write
+        fails, the primary's copy is deleted before the error re-raises,
+        so the key is free for a retry and its bytes are not counted.
         """
-        first = self.primary.write(key, payload)
-        second = self.mirror.write(key, payload)
-        return IOReceipt(first.nbytes, first.seconds + second.seconds)
+        self.primary.write(key, payload)
+        try:
+            self.mirror.write(key, payload)
+        except Exception:
+            self.primary.delete(key)
+            raise
 
-    def read(self, key: Hashable) -> tuple[np.ndarray, IOReceipt]:
+    def read(self, key: Hashable) -> np.ndarray:
         try:
             return self.primary.read(key)
         except DeviceFault:
             self._note_degraded()
             return self.mirror.read(key)
 
-    def read_into(self, key: Hashable, out: np.ndarray) -> IOReceipt:
+    def read_into(self, key: Hashable, out: np.ndarray) -> None:
         """Fill ``out`` from the primary, failing over to the mirror.
 
         A faulted primary read never touches ``out`` (the fault gate fires
@@ -138,10 +143,10 @@ class ReplicatedDevice:
         threads; the degraded-read counter is lock-guarded.
         """
         try:
-            return self.primary.read_into(key, out)
+            self.primary.read_into(key, out)
         except DeviceFault:
             self._note_degraded()
-            return self.mirror.read_into(key, out)
+            self.mirror.read_into(key, out)
 
     def delete(self, key: Hashable) -> int:
         """Drop every replica of a chunk, returning logical bytes freed."""

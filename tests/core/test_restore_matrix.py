@@ -4,11 +4,12 @@ There is one restore loop (:func:`repro.runtime.executor.drain_granules`)
 and one projection kernel (:meth:`Transformer.project_kv_chunk`); what
 varies is only how the loop is parameterised — no executor (inline reads,
 window 1), or an IO pool of 1, 2 or 4 workers with an in-flight window
-from one read up to deeper than the whole granule plan.  Every
+(the pool's workers plus ``RUNWAY_GRANULES``, patched here) from one read
+per worker up to deeper than the whole granule plan.  Every
 combination must restore bytes identical to the naive whole-layer reference
 (:func:`naive_restore_cache_from_hidden`) and to each other, across
 partition schemes, norm/RoPE flavors, GQA, partial tail chunks, granule
-sizes, layer counts and the ways a context reaches storage (one append,
+sizes (``GRANULE_CHUNKS``, patched here), layer counts and the ways a context reaches storage (one append,
 unaligned blocks, one token at a time, or read back by an engine that
 crash recovery rebuilt from the journal and the device chunks alone).
 
@@ -40,8 +41,10 @@ from repro.models.reference import naive_restore_cache_from_hidden
 from repro.models.transformer import Transformer
 from repro.runtime import RestoreExecutor
 from repro.runtime import RestoreProgress
+from repro.runtime import executor as executor_module
 from repro.simulator import platform_preset
 from repro.storage import ManifestJournal, StorageManager
+from repro.storage import manager as manager_module
 
 CHUNK_TOKENS = 8
 N_TOKENS = 125  # partial tail chunk
@@ -54,21 +57,21 @@ INLINE = "inline"
 WHOLE_PLAN = 64
 
 #: The loop shapes a restore drains with: INLINE, or (IO pool size —
-#: None for the executor's default pool — and in-flight window, None for
-#: the executor's default of pool size plus runway).  A window of 1 on a
-#: wide pool serialises the reads; a window below the pool size leaves
-#: workers idle; a whole-plan window fills the ring up front.
+#: None for the executor's default pool — and runway, None for the
+#: default ``RUNWAY_GRANULES``).  The in-flight window is the pool size
+#: plus the runway: with no runway one read per worker is outstanding (a
+#: single worker serialises the reads); a whole-plan window submits every
+#: granule before the first is consumed.
 LOOPS = [
     INLINE,
     (1, None),
     (2, None),
     (4, None),
     (None, None),
-    (1, 1),
-    (4, 1),
-    (4, 2),
-    (1, WHOLE_PLAN),
-    (4, WHOLE_PLAN),
+    (1, 0),
+    (4, 0),
+    (1, WHOLE_PLAN - 1),
+    (4, WHOLE_PLAN - 4),
 ]
 
 R, H, K = LayerMethod.RECOMPUTE, LayerMethod.HIDDEN, LayerMethod.KV
@@ -99,16 +102,17 @@ GQA_CONFIG = replace(
 def loop_id(loop):
     if loop == INLINE:
         return INLINE
-    pool, inflight = loop
+    pool, runway = loop
     name = f"pool{pool or '-default'}"
-    return name if inflight is None else f"{name}-window{inflight}"
+    return name if runway is None else f"{name}-window{pool + runway}"
 
 
-def executor_for(loop):
-    pool, inflight = loop
-    if pool is None:
-        return RestoreExecutor(inflight=inflight)
-    return RestoreExecutor(pool, inflight=inflight)
+def executor_for(loop, monkeypatch):
+    """The loop's executor, with ``RUNWAY_GRANULES`` patched to its runway."""
+    pool, runway = loop
+    if runway is not None:
+        monkeypatch.setattr(executor_module, "RUNWAY_GRANULES", runway)
+    return RestoreExecutor() if pool is None else RestoreExecutor(pool)
 
 
 class RecordingProgress(RestoreProgress):
@@ -128,10 +132,10 @@ def device_reads(engine):
     return sum(device.op_counts[0] for device in engine.storage.array.devices)
 
 
-def restore_through(engine, context_id, loop, **kwargs):
+def restore_through(engine, context_id, loop, monkeypatch, **kwargs):
     if loop == INLINE:
         return engine.restore(context_id, **kwargs)
-    with executor_for(loop) as executor:
+    with executor_for(loop, monkeypatch) as executor:
         return engine.restore(context_id, executor=executor, **kwargs)
 
 
@@ -205,12 +209,14 @@ def pure_hidden_restore():
 @pytest.mark.parametrize("save", list(SAVES))
 @pytest.mark.parametrize("scheme", sorted(SCHEMES))
 @pytest.mark.parametrize("loop", LOOPS, ids=loop_id)
-def test_every_restore_shape_is_bit_exact(loop, scheme, save, open_journal, pure_hidden_restore):
+def test_every_restore_shape_is_bit_exact(
+    loop, scheme, save, open_journal, pure_hidden_restore, monkeypatch
+):
     engine, oracle = build_case(SCHEMES[scheme], save, open_journal)
     n_layers = engine.transformer.config.n_layers
     sink = RecordingProgress(n_layers)
     reads_before = device_reads(engine)
-    restored = restore_through(engine, "c", loop, progress=sink)
+    restored = restore_through(engine, "c", loop, monkeypatch, progress=sink)
     assert device_reads(engine) > reads_before
     assert restored.equals(oracle, atol=0.0)
     # Every layer reported once (a second report raises inside the sink),
@@ -239,6 +245,14 @@ VARIANTS = [
         for n in (5, 64, 100, 197, 256)
     ],
     *[(f"llama-197-granule{g}", "tiny-llama", None, 197, g, True) for g in (1, 2, 8)],
+    # The KV drain installs one granule at a time: a granule of one chunk
+    # and one wider than the whole run.
+    *[
+        (f"llama-145-kv-suffix-granule{g}", "tiny-llama",
+         lambda n: PartitionScheme.with_kv_suffix(n, 2), 145, g, True)
+        for g in (1, 8)
+    ],
+    ("gqa-150-granule2", GQA_CONFIG, None, 150, 2, True),
     ("llama-97-unsealed", "tiny-llama", None, 97, 4, False),
     ("llama-145-kv-suffix", "tiny-llama", lambda n: PartitionScheme.with_kv_suffix(n, 2), 145, 4, True),
     ("llama-1", "tiny-llama", None, 1, 4, True),
@@ -256,26 +270,27 @@ VARIANTS = [
 
 @pytest.mark.parametrize("variant", VARIANTS, ids=[v[0] for v in VARIANTS])
 @pytest.mark.parametrize("loop", LOOPS, ids=loop_id)
-def test_model_length_and_granule_variants(loop, variant):
+def test_model_length_and_granule_variants(loop, variant, monkeypatch):
     _, config, scheme_of, n_tokens, granule_chunks, seal = variant
     if isinstance(config, str):
         config = model_preset(config)
+    monkeypatch.setattr(manager_module, "GRANULE_CHUNKS", granule_chunks)
     model = Transformer.from_seed(config, seed=11)
     engine = HCacheEngine(
         model,
         StorageManager(build_storage_array(platform_preset("default"))),
         scheme=scheme_of(config.n_layers) if scheme_of else None,
-        stream_granule_chunks=granule_chunks,
     )
     tokens = np.random.default_rng(5).integers(0, config.vocab_size, size=n_tokens)
     oracle = prefill_and_save(engine, model, "c", tokens, seal=seal)
     sink = RecordingProgress(config.n_layers)
-    assert restore_through(engine, "c", loop, progress=sink).equals(oracle, atol=0.0)
+    restored = restore_through(engine, "c", loop, monkeypatch, progress=sink)
+    assert restored.equals(oracle, atol=0.0)
     assert sorted(sink.layers) == list(range(config.n_layers))
 
 
 @pytest.mark.parametrize("loop", [loop for loop in LOOPS if loop != INLINE], ids=loop_id)
-def test_repeated_runs_through_one_executor_are_stable(loop):
+def test_repeated_runs_through_one_executor_are_stable(loop, monkeypatch):
     """Shake out ordering races: repeated restores through one shared
     executor must all produce identical bytes."""
     config = model_preset("tiny-llama")
@@ -285,7 +300,7 @@ def test_repeated_runs_through_one_executor_are_stable(loop):
     )
     tokens = np.random.default_rng(5).integers(0, config.vocab_size, size=197)
     oracle = prefill_and_save(engine, model, "c", tokens)
-    with executor_for(loop) as executor:
+    with executor_for(loop, monkeypatch) as executor:
         for _ in range(5):
             assert engine.restore("c", executor=executor).equals(oracle, atol=0.0)
 
@@ -339,7 +354,7 @@ def test_layer_0_is_never_appended_or_read_and_projects_after_the_first_read():
     assert events[0] == ("read", 1) and ("project", 0) in events
     assert 0 not in {layer for kind, layer in events if kind == "read"}
     # Layer 0 is projected in the stored stream's granule partition.
-    per_layer = -(-N_TOKENS // (engine.stream_granule_chunks * CHUNK_TOKENS))
+    per_layer = -(-N_TOKENS // engine.storage.granule_tokens)
     assert events.count(("project", 0)) == events.count(("project", 1)) == per_layer
     assert sum(kind == "read" for kind, _ in events) == per_layer * (n_layers - 1)
 

@@ -7,7 +7,7 @@ import pytest
 from repro.core import saving
 from repro.core.saving import SAVING_STRATEGIES, decode_tbt_with_saving
 from repro.errors import ConfigError
-from repro.simulator.hardware import PM9A3, SSDSpec, platform_preset
+from repro.simulator.hardware import HOST_DRAM, PM9A3, SSDSpec, platform_preset
 
 
 class TestTwoStage:
@@ -99,9 +99,11 @@ class TestDirectIO:
         direct = decode_tbt_with_saving(seven_b, default_platform, 24, 512, "direct-io")
         assert direct.tbt > two.tbt
 
-    def test_dram_platform_writes_to_the_default_ssd(self, seven_b):
-        """With no SSDs attached, the writes are priced on a PM9A3."""
+    def test_dram_platform_prices_small_writes_like_a_pm9a3(self, seven_b):
+        """Host DRAM keeps the SSD small-write figures, so its writes cost
+        what a PM9A3's do."""
         platform = platform_preset("a100-dram")
+        assert platform.storage == (HOST_DRAM,)
         impact = decode_tbt_with_saving(seven_b, platform, 16, 512, "direct-io")
         layer_time = impact.base_tbt / seven_b.n_layers
         write_time = 16 * PM9A3.small_write_time(seven_b.hidden_bytes_per_token_layer)

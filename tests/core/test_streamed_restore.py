@@ -26,13 +26,10 @@ from repro.simulator import platform_preset
 from repro.storage import StorageManager
 
 
-def build_engine(config, platform_name="default", scheme=None, granule_chunks=4):
+def build_engine(config, platform_name="default", scheme=None):
     model = Transformer.from_seed(config, seed=11)
     manager = StorageManager(build_storage_array(platform_preset(platform_name)))
-    engine = HCacheEngine(
-        model, manager, scheme=scheme, stream_granule_chunks=granule_chunks
-    )
-    return model, engine
+    return model, HCacheEngine(model, manager, scheme=scheme)
 
 
 def device_totals(storage):
@@ -189,13 +186,6 @@ class TestChunkProjectionValidation:
         v = np.empty_like(v_ref)
         model.project_kv_chunk(1, hidden, 0, k, v, ws)
         assert np.array_equal(k, k_ref) and np.array_equal(v, v_ref)
-
-    def test_invalid_granule_chunks_rejected(self):
-        config = model_preset("tiny-llama")
-        model = Transformer.from_seed(config, seed=0)
-        manager = StorageManager(build_storage_array(platform_preset("default")))
-        with pytest.raises(ConfigError):
-            HCacheEngine(model, manager, stream_granule_chunks=0)
 
     def test_chunk_matches_whole_layer_projection(self):
         """project_kv_chunk over row slices == project_kv over the layer."""

@@ -36,6 +36,7 @@ from repro.runtime import RestoreExecutor
 from repro.runtime.progress import RestoreProgress
 from repro.simulator.hardware import GB, SSDSpec
 from repro.storage import FaultPolicy, StorageArray, StorageManager
+from repro.storage import device as device_module
 
 JOIN_S = 20.0
 
@@ -66,11 +67,18 @@ class EagerEngine(NumericServingEngine):
         return super().finished_restores()
 
 
+@pytest.fixture
+def fine_sleeps(monkeypatch):
+    """Emulated device debt sleeps off in 0.2 ms quanta, not 1 ms."""
+    monkeypatch.setattr(device_module, "SLEEP_QUANTUM_S", 2e-4)
+
+
 def build(model, spec, *, eager, emulate=False, replication=1, workers=1, chunk_tokens=64):
-    """-> (engine, executor, array); ``eager`` engines restore on an executor."""
+    """-> (engine, executor, array); ``eager`` engines restore on an executor.
+    ``emulate`` sleeps the device's modelled seconds (see ``fine_sleeps``)."""
     array = StorageArray([spec] * replication, link_bandwidth=100 * GB, replication=replication)
     if emulate:
-        array.emulate_latency(min_sleep_s=2e-4)
+        array.emulate_latency()
         chunk_tokens = SLOW_CHUNK_TOKENS
     hcache = HCacheEngine(model, StorageManager(array, tokens_per_chunk=chunk_tokens))
     if not eager:
@@ -203,7 +211,7 @@ def assert_same_stored_states(config, engine, replay, serial, sessions):
 
 
 def test_scripted_waves_stream_like_the_serial_loop_under_early_release(
-    tiny_model, tiny_config
+    tiny_model, tiny_config, fine_sleeps
 ):
     """``test_one_loop``'s script — a cohort above ``max_running``, a
     prompt above the SplitFuse budget, an SLO jump, second rounds after
@@ -282,7 +290,7 @@ def test_scripted_waves_stream_like_the_serial_loop_under_early_release(
     seed=st.integers(0, 2**16),
 )
 def test_property_random_churn_matches_serial_under_early_release(
-    tiny_model, tiny_config, sessions, seed
+    tiny_model, tiny_config, fine_sleeps, sessions, seed
 ):
     """``test_property_random_churn_matches_serial``'s join / leave /
     evict / restore schedules, restores on an executor over a slow

@@ -10,6 +10,9 @@ call per iteration.
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -390,8 +393,8 @@ class TestNothingWrittenTwice:
     ):
         """A prompt chunk beside two decode tokens is saved straight from
         the packed call's own per-layer inputs — the iteration builds no
-        ``HiddenCapture`` — and a finished request's handle and the
-        metrics hold one and the same response."""
+        ``HiddenCapture`` — and a finished request's handle resolves to
+        its one response, the object the request wrote up."""
         prompts = _prompts(tiny_config, [5, 7, 9], seed=61)
         engine = make_engine()
         for s in ("s0", "s1"):
@@ -418,11 +421,11 @@ class TestNothingWrittenTwice:
             ServingRequest(session_id="s", prompt_tokens=prompts["s0"], max_new_tokens=3)
         )
         frontend.run_until_idle(max_steps=50)
-        assert handle.result() is frontend.metrics.records[-1]
+        assert handle.result() is handle.request.response is handle.result()
 
-    def test_every_handle_resolves_to_its_metrics_record(self, make_engine, tiny_config):
+    def test_every_handle_resolves_to_its_own_response(self, make_engine, tiny_config):
         """Several sessions, one of them with a queued second round: each
-        handle's response is the record the metrics kept for it, once."""
+        handle's response is its own request's, and no two share one."""
         prompts = _prompts(tiny_config, [4, 6, 3], seed=62)
         frontend = ServingFrontend(make_engine(), MemoryBudget(capacity_tokens=4096))
         handles = [
@@ -437,11 +440,9 @@ class TestNothingWrittenTwice:
             )
         )
         frontend.run_until_idle(max_steps=100)
-        records = {id(record): record for record in frontend.metrics.records}
-        assert len(records) == len(frontend.metrics) == len(handles)
+        assert len({id(handle.result()) for handle in handles}) == len(handles)
         for handle in handles:
             response = handle.result()
-            assert records[id(response)] is response
             assert response.request_id == handle.request_id
             assert response.tokens == handle.tokens()
 
@@ -471,7 +472,6 @@ class TestTimeline:
         assert (response.first_token_at, response.last_token_at) == (1.0, 4.0)
         assert response.finished_at == 5.0
         assert response.tpot == 1.0
-        assert frontend.metrics.records[0].tpot == 1.0
 
 
 class TestBoundedBookkeeping:
@@ -496,8 +496,22 @@ class TestBoundedBookkeeping:
             )
             assert not any(containers)
         assert len(first.result().tokens) == len(first.tokens()) == 1
-        # What does grow is the caller's to drain: one metrics record each.
-        assert len(frontend.metrics) == 2000
+
+    def test_a_finished_response_dies_with_its_handle(self, make_engine, tiny_config):
+        """The front end keeps no finished response: once the caller drops
+        the handle, the response is garbage."""
+        frontend = ServingFrontend(make_engine(), MemoryBudget(capacity_tokens=4096))
+        handle = frontend.submit(
+            ServingRequest(
+                session_id="s", prompt_tokens=np.array([1, 2]) % tiny_config.vocab_size,
+                max_new_tokens=2,
+            )
+        )
+        frontend.run_until_idle(max_steps=10)
+        response = weakref.ref(handle.result())
+        del handle
+        gc.collect()
+        assert response() is None
 
     def test_a_finished_id_is_kept_only_while_a_queued_round_depends_on_it(
         self, make_engine, tiny_config

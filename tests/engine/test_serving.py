@@ -158,7 +158,7 @@ class TestLoadBehaviour:
             seven_b, default_platform, partial(method_timing, "hcache", seven_b, default_platform)
         )
         sim.run(specs)
-        records = {r.request_id: r for r in sim.metrics.records}
+        records = {r.request_id: r for r in sim.responses}
         r0_finish = records["s/r0"].finished_at
         r1_first_token = records["s/r1"].arrival_time + records["s/r1"].ttft
         assert r1_first_token >= r0_finish
@@ -229,7 +229,7 @@ class TestZeroIORestoration:
         ]
         report = sim.run(specs)
         assert report.n_requests == 2
-        records = {r.request_id: r for r in sim.metrics.records}
+        records = {r.request_id: r for r in sim.responses}
         # The zero-IO restore's compute may begin at admission; its first
         # token must not wait for the 5s IO job of the other request.
         assert records["zero-io"].ttft < 1.0
@@ -323,7 +323,7 @@ class TestSerialRestoreIO:
         )
         # restore_seconds spans start-to-settle, so it carries the wait
         # for the one IO path: 5s, 10s, 15s.
-        assert sorted(r.restore_seconds for r in sim.metrics.records) == pytest.approx(
+        assert sorted(r.restore_seconds for r in sim.responses) == pytest.approx(
             [5.0, 10.0, 15.0], abs=0.2
         )
 
@@ -388,6 +388,6 @@ class TestSerialRestoreIO:
                 for i in range(n)
             ]
         )
-        assert sorted(r.restore_seconds for r in sim.metrics.records) == pytest.approx(
+        assert sorted(r.restore_seconds for r in sim.responses) == pytest.approx(
             [5.0 * (i + 1) for i in range(n)], abs=0.2
         )

@@ -86,7 +86,7 @@ class TestServingEdgeCases:
             partial(method_timing, "ideal", thirteen_b, default_platform),
         )
         sim.run(specs)
-        records = {r.request_id: r for r in sim.metrics.records}
+        records = {r.request_id: r for r in sim.responses}
         queue_delay = records["b"].admitted_at - records["b"].arrival_time
         assert queue_delay > 0.5 * records["a"].ttft
 

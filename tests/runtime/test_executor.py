@@ -12,7 +12,6 @@ multi-context restores, latency emulation, and executor/pool lifecycle.
 from __future__ import annotations
 
 import threading
-import time
 import types
 from concurrent.futures import wait
 
@@ -27,19 +26,24 @@ from repro.errors import ConfigError, StateError
 from repro.models.config import model_preset
 from repro.models.transformer import Transformer
 from repro.runtime import IOWorkerPool, RestoreExecutor, drain_granules
+from repro.runtime import executor as executor_module
 from repro.runtime.executor import MAX_CONCURRENT_RESTORES
 from repro.simulator import platform_preset
 from repro.storage import LatencyEmulator, StorageManager
 from repro.storage import device as device_module
+from repro.storage import manager as manager_module
 
 
-def build_engine(config, scheme=None, granule_chunks=4):
+def build_engine(config, scheme=None):
     model = Transformer.from_seed(config, seed=11)
     manager = StorageManager(build_storage_array(platform_preset("default")))
-    engine = HCacheEngine(
-        model, manager, scheme=scheme, stream_granule_chunks=granule_chunks
-    )
-    return model, engine
+    return model, HCacheEngine(model, manager, scheme=scheme)
+
+
+@pytest.fixture
+def one_chunk_granules(monkeypatch):
+    """Restore granules of one 64-token chunk (the default is four)."""
+    monkeypatch.setattr(manager_module, "GRANULE_CHUNKS", 1)
 
 def save_context(engine, model, config, n_tokens, context_id="c", seal=True, block=37):
     rng = np.random.default_rng(hash(context_id) % 2**32)
@@ -96,7 +100,11 @@ class TestDrainDirectUse:
     """The drain over every layer: pinned to the all-stored scheme (the
     default scheme stores no layer-0 rows to drain)."""
 
-    def test_drain_hands_over_every_granule_in_plan_order(self, loop_executor):
+    @pytest.mark.parametrize("granule_chunks", [1, 4])
+    def test_drain_hands_over_every_granule_in_plan_order(
+        self, loop_executor, granule_chunks, monkeypatch
+    ):
+        monkeypatch.setattr(manager_module, "GRANULE_CHUNKS", granule_chunks)
         config = model_preset("tiny-llama")
         model, engine = build_engine(config, PartitionScheme.pure_hcache(config.n_layers))
         save_context(engine, model, config, 128)
@@ -104,7 +112,7 @@ class TestDrainDirectUse:
         busy_before, reads_before = device_totals(engine.storage)
         drain_granules(
             engine.storage, "c", list(range(config.n_layers)), "hidden",
-            engine.stream_granule_chunks, chunks.append, loop_executor,
+            lambda spec, rows: chunks.append(spec), loop_executor,
         )
         busy_after, reads_after = device_totals(engine.storage)
         assert sum(c.n_tokens for c in chunks) == 128 * config.n_layers
@@ -112,30 +120,79 @@ class TestDrainDirectUse:
         assert reads_after - reads_before == 2 * config.n_layers
         assert busy_after > busy_before
         # Consumption follows the granule plan exactly.
-        plan = engine.storage.granule_plan(
-            "c", list(range(config.n_layers)), "hidden", engine.stream_granule_chunks
-        )
-        assert [(c.layer, c.start) for c in chunks] == [(g.layer, g.start) for g in plan]
+        plan = engine.storage.granule_plan("c", list(range(config.n_layers)), "hidden")
+        assert chunks == plan
 
-    def test_drain_reads_every_chunk_once(self, loop_executor):
+    def test_drain_reads_every_chunk_once(self, loop_executor, monkeypatch):
+        monkeypatch.setattr(manager_module, "GRANULE_CHUNKS", 2)
         config = model_preset("tiny-llama")
         model, engine = build_engine(config, PartitionScheme.pure_hcache(config.n_layers))
         save_context(engine, model, config, 128)
         chunks = []
         _, reads_before = device_totals(engine.storage)
-        drain_granules(engine.storage, "c", [0, 1], "hidden", 2, chunks.append, loop_executor)
+        drain_granules(
+            engine.storage, "c", [0, 1], "hidden",
+            lambda spec, rows: chunks.append(rows.copy()), loop_executor,
+        )
         _, reads_after = device_totals(engine.storage)
         assert len(chunks) == 2
         assert reads_after - reads_before == 4
 
 
+class TestDrainStaging:
+    @pytest.mark.parametrize("runway", [0, 1, 6])
+    def test_consumed_rows_are_never_an_outstanding_reads_destination(
+        self, loop_executor, runway, one_chunk_granules, monkeypatch
+    ):
+        """The drain takes ``window + 1`` staging slots round-robin: the
+        rows handed to ``consume`` are never the destination of a read
+        still outstanding, and hold exactly that granule's stored rows."""
+        monkeypatch.setattr(executor_module, "RUNWAY_GRANULES", runway)
+        window = 1 if loop_executor is None else loop_executor.inflight
+        config = model_preset("tiny-llama")
+        model, engine = build_engine(config, PartitionScheme.pure_hcache(config.n_layers))
+        save_context(engine, model, config, 320)
+        storage = engine.storage
+        layers = list(range(config.n_layers))
+        stored = {layer: storage.load_layer("c", layer) for layer in layers}
+        submitted = []
+
+        def recording(submit):
+            def wrapper(fn, /, *args):
+                submitted.append(args[2])
+                return submit(fn, *args)
+
+            return wrapper
+
+        if loop_executor is None:
+            monkeypatch.setattr(
+                executor_module, "_run_inline", recording(executor_module._run_inline)
+            )
+        else:
+            loop_executor.pool.submit = recording(loop_executor.pool.submit)
+        consumed = []
+
+        def consume(spec, rows):
+            assert submitted[len(consumed)] is rows
+            outstanding = submitted[len(consumed) + 1 :]
+            assert len(outstanding) <= window
+            assert not any(np.shares_memory(rows, other) for other in outstanding)
+            assert np.array_equal(rows, stored[spec.layer][spec.start : spec.stop])
+            consumed.append(spec)
+
+        drain_granules(storage, "c", layers, "hidden", consume, loop_executor)
+        assert consumed == storage.granule_plan("c", layers, "hidden")
+        slots = {rows.__array_interface__["data"][0] for rows in submitted}
+        assert len(slots) == min(window + 1, len(consumed))
+
+
 class TestContainment:
-    def test_failed_read_mid_drain_settles_every_future(self, loop_executor):
+    def test_failed_read_mid_drain_settles_every_future(self, loop_executor, one_chunk_granules):
         """A granule read that raises mid-drain must propagate, leave no
         in-flight read unsettled (no worker may keep filling an abandoned
         staging slot) and leave the pool usable for the next restore."""
         config = model_preset("tiny-llama")
-        model, engine = build_engine(config, granule_chunks=1)
+        model, engine = build_engine(config)
         save_context(engine, model, config, 256)
         healthy = engine.restore("c")
         storage = engine.storage
@@ -245,22 +302,22 @@ class ScriptedReads:
 class TestWindowSerialization:
     BURST = 9
 
-    def test_window_of_one_serializes_under_bursty_completion(self):
+    def test_window_of_one_serializes_under_bursty_completion(
+        self, one_chunk_granules, monkeypatch
+    ):
         """The in-flight window is the runway that absorbs bursty IO
         completion.  Reads here land in scripted bursts of nine: a burst
         is released when the consumer reaches the last granule released
         so far.  At each consume the test counts the granules already
-        landed but not yet consumed — the runway banked.  With
-        ``inflight=1`` only the next granule is ever submitted, so at most
+        landed but not yet consumed — the runway banked.  With no runway
+        on one worker only the next granule is ever submitted, so at most
         one is banked and the consumer meets every burst with nothing in
         hand; the default window banks a whole window's worth."""
         config = model_preset("tiny-llama")
-        model, engine = build_engine(
-            config, scheme=PartitionScheme.pure_hcache(config.n_layers), granule_chunks=1
-        )
+        model, engine = build_engine(config, scheme=PartitionScheme.pure_hcache(config.n_layers))
         save_context(engine, model, config, 320)
         layers = list(range(config.n_layers))
-        plan = engine.storage.granule_plan("c", layers, "hidden", 1)
+        plan = engine.storage.granule_plan("c", layers, "hidden")
         n = len(plan)
         assert n == 20
 
@@ -270,7 +327,7 @@ class TestWindowSerialization:
             scripted.release(range(self.BURST))
             banked = []
 
-            def consume(chunk):
+            def consume(spec, rows):
                 i = len(banked)
                 settled = scripted.settle(executor.pool.tasks_submitted)
                 banked.append(len({k for k in scripted.landed if k > i}) if settled else None)
@@ -278,7 +335,7 @@ class TestWindowSerialization:
                     scripted.release(range(i + 1, min(i + 1 + self.BURST, n)))
 
             try:
-                drain_granules(storage, "c", layers, "hidden", 1, consume, executor)
+                drain_granules(storage, "c", layers, "hidden", consume, executor)
             finally:
                 del storage.read_granule_into
             return banked
@@ -291,7 +348,9 @@ class TestWindowSerialization:
                 for i in range(n)
             ]
 
-        with RestoreExecutor(1, inflight=1) as executor:
+        with RestoreExecutor(1) as executor, monkeypatch.context() as patch:
+            patch.setattr(executor_module, "RUNWAY_GRANULES", 0)
+            assert executor.inflight == 1
             serial = banked_per_consume(executor)
         with RestoreExecutor(1) as executor:
             window = executor.inflight
@@ -461,28 +520,32 @@ class TestNumericServingEngineIntegration:
 
 
 class TestLatencyEmulation:
-    def test_emulator_batches_sub_quantum_charges(self):
-        sleeps = []
-        emulator = LatencyEmulator(min_sleep_s=1e-3, sleep_fn=sleeps.append)
-        for _ in range(9):
-            emulator.charge(1e-4)
-        assert sleeps == []  # 0.9 ms of debt: below the quantum
-        emulator.charge(1e-4)
-        assert len(sleeps) == 1 and sleeps[0] == pytest.approx(1e-3)
-        assert emulator.pending_s == 0.0
-        assert emulator.slept_s == pytest.approx(1e-3)
+    def test_the_default_quantum_is_one_millisecond(self):
+        assert device_module.SLEEP_QUANTUM_S == 1e-3
 
-    def test_emulator_flush_drains_remainder(self):
+    @pytest.mark.parametrize("quantum", [1e-3, 2e-4, 1.0])
+    def test_emulator_batches_sub_quantum_charges(self, quantum, monkeypatch):
+        monkeypatch.setattr(device_module, "SLEEP_QUANTUM_S", quantum)
         sleeps = []
-        emulator = LatencyEmulator(min_sleep_s=1.0, sleep_fn=sleeps.append)
+        emulator = LatencyEmulator(sleep_fn=sleeps.append)
+        emulator.charge(quantum / 4)
+        emulator.charge(quantum / 4)
+        assert sleeps == []  # half a quantum of debt
+        emulator.charge(quantum / 2)
+        assert len(sleeps) == 1 and sleeps[0] == pytest.approx(quantum)
+        assert emulator.pending_s == pytest.approx(0.0, abs=1e-12)
+        assert emulator.slept_s == pytest.approx(quantum)
+
+    def test_emulator_flush_drains_remainder(self, monkeypatch):
+        monkeypatch.setattr(device_module, "SLEEP_QUANTUM_S", 1.0)
+        sleeps = []
+        emulator = LatencyEmulator(sleep_fn=sleeps.append)
         emulator.charge(0.25)
         emulator.flush()
         assert sleeps == [pytest.approx(0.25)]
         assert emulator.pending_s == 0.0
 
     def test_emulator_rejects_bad_inputs(self):
-        with pytest.raises(ConfigError):
-            LatencyEmulator(min_sleep_s=0.0)
         emulator = LatencyEmulator(sleep_fn=lambda s: None)
         with pytest.raises(ConfigError):
             emulator.charge(-1.0)
@@ -490,43 +553,71 @@ class TestLatencyEmulation:
     def test_concurrent_sleeps_serialize_like_one_io_stream(self):
         """Two workers charging at once must not halve emulated IO wall
         clock: sleeps serialize on the emulator's sleep lock, matching
-        the single serial IO stream the makespan model costs."""
-        emulator = LatencyEmulator(min_sleep_s=1e-4)
-        def worker():
-            emulator.charge(5e-3)
-        threads = [threading.Thread(target=worker) for _ in range(2)]
-        t0 = time.perf_counter()
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        elapsed = time.perf_counter() - t0
-        assert elapsed >= 9e-3  # ~10ms of modelled IO cannot run 2-parallel
+        the single serial IO stream the makespan model costs.  The first
+        sleep holds until the second worker has charged a full quantum;
+        at no moment is more than one sleep in progress."""
+        lock = threading.Lock()
+        in_progress, peak, sleeps = [0], [0], []
+        first_entered, release = threading.Event(), threading.Event()
+
+        def counting_sleep(seconds):
+            with lock:
+                in_progress[0] += 1
+                peak[0] = max(peak[0], in_progress[0])
+                sleeps.append(seconds)
+                first = len(sleeps) == 1
+            if first:
+                first_entered.set()
+                assert release.wait(10.0)
+            with lock:
+                in_progress[0] -= 1
+
+        emulator = LatencyEmulator(sleep_fn=counting_sleep)
+        first = threading.Thread(target=emulator.charge, args=(5e-3,))
+        second = threading.Thread(target=emulator.charge, args=(5e-3,))
+        first.start()
+        assert first_entered.wait(10.0)
+        second.start()
+        # The second worker's debt fills a quantum, so it must now wait
+        # for the first sleep rather than start its own beside it.
+        second.join(0.05)
+        with lock:
+            assert in_progress[0] == 1 and len(sleeps) == 1
+        release.set()
+        first.join()
+        second.join()
+        assert peak[0] == 1
+        assert sleeps == [pytest.approx(5e-3)] * 2
+        assert emulator.slept_s == pytest.approx(10e-3)
 
     def test_single_thread_still_pays_full_debt(self, monkeypatch):
         """One thread's charges sleep off in full: the overshoot credit
-        only corrects timer drift, never skips modelled seconds."""
-        emulator = LatencyEmulator(min_sleep_s=1e-3)
-        t0 = time.perf_counter()
+        only corrects timer drift, never skips modelled seconds.  Both
+        timers are fakes: one that sleeps exactly what it is asked, and
+        one that overshoots every sleep by exactly 0.2 ms."""
+        clock = [0.0]
+        monkeypatch.setattr(
+            device_module, "time", types.SimpleNamespace(perf_counter=lambda: clock[0])
+        )
+
+        def exact_sleep(seconds):
+            clock[0] += seconds
+
+        emulator = LatencyEmulator(sleep_fn=exact_sleep)
         for _ in range(40):
             emulator.charge(1e-3)
         emulator.flush()
-        wall = time.perf_counter() - t0
-        assert wall >= 0.037, wall
-        # How much a real sleep overshoots depends on the host's load, so
-        # the credit bookkeeping is checked on a timer that overshoots
-        # every sleep by exactly 0.2 ms.
-        clock = [0.0]
+        assert clock[0] == pytest.approx(0.040)
+        assert emulator.slept_s == pytest.approx(0.040)
+        assert emulator.pending_s == pytest.approx(0.0, abs=1e-12)
+        clock[0] = 0.0
         sleeps = []
 
         def overshooting_sleep(seconds):
             sleeps.append(seconds)
             clock[0] += seconds + 2e-4
 
-        monkeypatch.setattr(
-            device_module, "time", types.SimpleNamespace(perf_counter=lambda: clock[0])
-        )
-        emulator = LatencyEmulator(min_sleep_s=1e-3, sleep_fn=overshooting_sleep)
+        emulator = LatencyEmulator(sleep_fn=overshooting_sleep)
         for _ in range(40):
             emulator.charge(1e-3)
         emulator.flush()
@@ -552,34 +643,18 @@ class TestLatencyEmulation:
         busy_before, _ = device_totals(engine.storage)
         restored = engine.restore("c", executor=loop_executor)
         emulator.flush()
-        array.stop_latency_emulation()
         busy_after, _ = device_totals(engine.storage)
         assert restored.equals(healthy, atol=0.0)
         assert busy_after > busy_before
         assert sum(charged) == pytest.approx(busy_after - busy_before)
 
-    def test_emulation_is_idempotent_and_detachable(self):
+    def test_emulation_is_idempotent(self):
         config = model_preset("tiny-llama")
         model, engine = build_engine(config)
         array = engine.storage.array
         first = array.emulate_latency()
         assert array.emulate_latency() is first
-        array.stop_latency_emulation()
-        assert array.latency_emulator is None
-        assert all(d.emulator is None for d in array.devices)
-
-    def test_a_different_quantum_while_emulating_is_rejected(self):
-        config = model_preset("tiny-llama")
-        _, engine = build_engine(config)
-        array = engine.storage.array
-        first = array.emulate_latency(min_sleep_s=1e-3)
-        assert array.emulate_latency(min_sleep_s=1e-3) is first
-        with pytest.raises(ConfigError, match="stop_latency_emulation"):
-            array.emulate_latency(min_sleep_s=10e-3)
-        assert array.latency_emulator is first and first.min_sleep_s == 1e-3
-        array.stop_latency_emulation()
-        assert array.emulate_latency(min_sleep_s=10e-3).min_sleep_s == 10e-3
-        array.stop_latency_emulation()
+        assert all(d.emulator is first for d in array.devices)
 
 
 class TestPoolAndExecutorValidation:
@@ -599,20 +674,16 @@ class TestPoolAndExecutorValidation:
             assert [f.result() for f in futures] == [0, 2, 4, 6, 8]
             assert pool.tasks_submitted == 5
 
-    def test_executor_validates_inflight(self):
-        with pytest.raises(ConfigError):
-            RestoreExecutor(1, inflight=0)
-
-    def test_default_pool_and_window(self):
+    def test_default_pool_and_window(self, monkeypatch):
         """One worker by default; the window is the pool's workers plus
-        the runway."""
+        the runway, read when a drain asks for it."""
         with RestoreExecutor() as executor:
             assert executor.pool.size == 1
             assert executor.inflight == 1 + 6
         with RestoreExecutor(2) as executor:
             assert executor.inflight == 2 + 6
-        with IOWorkerPool(1) as pool, RestoreExecutor(pool, inflight=9) as executor:
-            assert executor.inflight == 9  # explicit inflight wins
+            monkeypatch.setattr(executor_module, "RUNWAY_GRANULES", 0)
+            assert executor.inflight == 2
 
     def test_executor_shared_pool_not_closed(self):
         with IOWorkerPool(1) as pool:

@@ -15,6 +15,7 @@ from repro.models.transformer import Transformer
 from repro.runtime import RestoreExecutor
 from repro.simulator.hardware import GB, SSDSpec
 from repro.storage import FaultPolicy, StorageArray, StorageManager
+from repro.storage import manager as manager_module
 
 POOL_SIZES = [1, 2, 4]
 N_TOKENS = 300  # several chunks per layer, with a partial tail
@@ -23,12 +24,18 @@ SPEC = SSDSpec("t-ssd", read_bandwidth=3 * GB, write_bandwidth=1 * GB,
                capacity_bytes=1 * GB)
 
 
+@pytest.fixture(autouse=True)
+def two_chunk_granules(monkeypatch):
+    """Restores stream granules of two chunks, several per layer."""
+    monkeypatch.setattr(manager_module, "GRANULE_CHUNKS", 2)
+
+
 @pytest.fixture(scope="module")
 def saved_stack():
     config = model_preset("tiny-llama")
     model = Transformer.from_seed(config, seed=11)
     array = StorageArray([SPEC, SPEC], link_bandwidth=8 * GB, replication=2)
-    engine = HCacheEngine(model, StorageManager(array), stream_granule_chunks=2)
+    engine = HCacheEngine(model, StorageManager(array))
     rng = np.random.default_rng(0)
     tokens = rng.integers(0, config.vocab_size, size=N_TOKENS)
     engine.register_context("c")

@@ -7,9 +7,10 @@ import pytest
 from repro.errors import ConfigError
 from repro.simulator.hardware import (
     GB,
+    GIB,
     GPUS,
+    HOST_DRAM,
     PM9A3,
-    DRAMSpec,
     GPUSpec,
     Platform,
     SSDSpec,
@@ -66,22 +67,29 @@ class TestSSDSpec:
             SSDSpec("bad", read_bandwidth=0, write_bandwidth=1)
 
 
-class TestDRAMSpec:
+class TestHostDRAM:
+    def test_preset_figures(self):
+        assert (HOST_DRAM.read_bandwidth, HOST_DRAM.write_bandwidth) == (200 * GB, 200 * GB)
+        assert HOST_DRAM.io_latency == 1e-6
+        assert HOST_DRAM.capacity_bytes == 256 * GIB
+
     def test_dram_faster_than_any_ssd(self):
-        dram = DRAMSpec()
         nbytes = 1024**3
-        assert dram.read_time(nbytes) < PM9A3.read_time(nbytes)
+        assert HOST_DRAM.read_time(nbytes) < PM9A3.read_time(nbytes)
 
     def test_symmetric_read_write(self):
-        dram = DRAMSpec()
-        assert dram.read_time(1000) == pytest.approx(dram.write_time(1000))
+        assert HOST_DRAM.read_time(1000) == pytest.approx(HOST_DRAM.write_time(1000))
+
+    def test_small_writes_priced_like_a_pm9a3(self):
+        """The DirectIO ablation prices a DRAM platform's small writes as
+        it always has: on the SSD small-write figures."""
+        assert HOST_DRAM.small_write_time(8192) == PM9A3.small_write_time(8192)
 
 
 class TestPlatform:
     def test_default_testbed_has_four_ssds(self):
         plat = platform_preset("default")
-        assert len(plat.ssds) == 4
-        assert not plat.uses_dram_backend
+        assert plat.storage == (PM9A3,) * 4
 
     def test_four_ssds_saturate_a100_pcie(self):
         """§6.2.2: 4x PM9A3 (27.6 GB/s) is close to but under PCIe 32 GB/s."""
@@ -91,7 +99,7 @@ class TestPlatform:
 
     def test_dram_backend_limited_by_pcie(self):
         plat = platform_preset("a100-dram")
-        assert plat.uses_dram_backend
+        assert plat.storage == (HOST_DRAM,) == Platform(GPUS["A100"]).storage
         assert plat.storage_read_bandwidth == pytest.approx(32e9)
 
     def test_n_gpus_aggregates(self):
@@ -101,12 +109,16 @@ class TestPlatform:
 
     def test_with_ssds_replaces_backend(self):
         plat = platform_preset("a100-dram").with_ssds(2)
-        assert len(plat.ssds) == 2
+        assert plat.storage == (PM9A3, PM9A3)
         assert plat.storage_read_bandwidth == pytest.approx(2 * 6.9e9)
 
-    def test_with_zero_ssds_means_dram(self):
-        plat = platform_preset("default").with_ssds(0)
-        assert plat.uses_dram_backend
+    def test_with_zero_ssds_rejected(self):
+        with pytest.raises(ConfigError):
+            platform_preset("default").with_ssds(0)
+
+    def test_empty_storage_rejected(self):
+        with pytest.raises(ConfigError):
+            Platform(GPUS["A100"], storage=())
 
     def test_negative_ssd_count_rejected(self):
         with pytest.raises(ConfigError):
@@ -137,8 +149,8 @@ class TestPlatform:
     def test_fig12_regime_presets(self):
         io_suf = platform_preset("io-sufficient")
         comp_suf = platform_preset("compute-sufficient")
-        assert io_suf.gpu.name == "A30" and len(io_suf.ssds) == 4
-        assert comp_suf.gpu.name == "A100" and len(comp_suf.ssds) == 1
+        assert io_suf.gpu.name == "A30" and len(io_suf.storage) == 4
+        assert comp_suf.gpu.name == "A100" and len(comp_suf.storage) == 1
 
     def test_gb_unit(self):
         assert GB == 1_000_000_000
@@ -168,12 +180,9 @@ class TestPresets:
         plat = platform_preset(name)
         assert platform_preset(name.upper()) == plat
         link = plat.gpu.pcie_bandwidth * plat.n_gpus
-        assert plat.uses_dram_backend == (not plat.ssds)
-        backend_read = (
-            plat.dram.bandwidth
-            if plat.uses_dram_backend
-            else sum(ssd.read_bandwidth for ssd in plat.ssds)
-        )
+        dram = name.endswith("dram")
+        assert plat.storage == ((HOST_DRAM,) if dram else (PM9A3,) * len(plat.storage))
+        backend_read = sum(device.read_bandwidth for device in plat.storage)
         assert plat.storage_read_bandwidth == pytest.approx(min(link, backend_read))
         assert plat.storage_write_bandwidth <= plat.storage_read_bandwidth
         assert plat.total_flops == pytest.approx(plat.gpu.peak_flops * plat.n_gpus)
@@ -188,7 +197,7 @@ class TestPresets:
         )
         # The DRAM backend feeds every GPU's link until DRAM itself caps it.
         assert many.storage_read_bandwidth == pytest.approx(
-            min(n_gpus * GPUS["A100"].pcie_bandwidth, many.dram.bandwidth)
+            min(n_gpus * GPUS["A100"].pcie_bandwidth, HOST_DRAM.read_bandwidth)
         )
 
     def test_zero_gpus_rejected(self):

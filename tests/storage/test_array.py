@@ -9,7 +9,7 @@ import pytest
 
 from repro.core.profiler import build_storage_array
 from repro.errors import ConfigError
-from repro.simulator.hardware import PM9A3, DRAMSpec, platform_preset
+from repro.simulator.hardware import HOST_DRAM, PM9A3, platform_preset
 from repro.storage.array import StorageArray
 
 
@@ -86,7 +86,7 @@ class TestTiming:
         assert timing.nbytes == 0
 
     def test_link_bottleneck_detected(self):
-        dram = StorageArray([DRAMSpec()], link_bandwidth=32e9)
+        dram = StorageArray([HOST_DRAM], link_bandwidth=32e9)
         timing = dram.layer_read_timing(16, 64 * 8192)
         assert timing.bottleneck == "link"
 

@@ -2,13 +2,22 @@
 
 from __future__ import annotations
 
+from itertools import cycle
+
 import numpy as np
 import pytest
 
 from repro.core.profiler import build_storage_array
 from repro.errors import ConfigError
 from repro.simulator import platform_preset
-from repro.storage import GranuleSpec, StagingRing, StorageManager
+from repro.storage import GranuleSpec, StorageManager
+from repro.storage import manager as manager_module
+
+
+@pytest.fixture(autouse=True)
+def one_chunk_granules(monkeypatch):
+    """Granules of one 64-token chunk unless a test patches otherwise."""
+    monkeypatch.setattr(manager_module, "GRANULE_CHUNKS", 1)
 
 
 def make_manager(platform_name: str = "default") -> StorageManager:
@@ -47,70 +56,30 @@ def device_totals(manager):
     )
 
 
-def stream(manager, layers, kind="hidden", granule_chunks=1, depth=2):
-    """Walk ``granule_plan`` through a staging ring, one read per granule.
+def stream(manager, layers, kind="hidden", depth=2):
+    """Walk ``granule_plan`` through ``depth`` staging slots taken
+    round-robin, one read per granule.
 
     Yields ``(spec, view, io_seconds, device_reads)``, the last two the
     granule's deltas of the devices' ``busy_seconds`` / read counts; each
-    view stays valid for ``depth - 1`` further granules (the ring
-    recycles slots).
+    view stays valid for ``depth - 1`` further granules (its slot is then
+    reused).
     """
-    ring = manager.staging_ring("ctx", kind, depth=depth, granule_chunks=granule_chunks)
-    for spec in manager.granule_plan("ctx", layers, kind, granule_chunks):
-        view = ring.acquire()[: spec.n_tokens]
+    meta = manager.meta("ctx")
+    slots = cycle(np.empty((depth, manager.granule_tokens, meta.width(kind)), meta.dtype))
+    for spec in manager.granule_plan("ctx", layers, kind):
+        view = next(slots)[: spec.n_tokens]
         busy_before, reads_before = device_totals(manager)
         manager.read_granule_into("ctx", spec, view)
         busy_after, reads_after = device_totals(manager)
         yield spec, view, busy_after - busy_before, reads_after - reads_before
 
 
-class TestStagingRing:
-    def test_depth_below_two_rejected(self):
-        with pytest.raises(ConfigError):
-            StagingRing(1, 64, 16)
-
-    def test_invalid_geometry_rejected(self):
-        with pytest.raises(ConfigError):
-            StagingRing(2, 0, 16)
-        with pytest.raises(ConfigError):
-            StagingRing(2, 64, 0)
-
-    def test_slots_recycle_round_robin(self):
-        ring = StagingRing(2, 8, 4)
-        a, b, c = ring.acquire(), ring.acquire(), ring.acquire()
-        assert a is c
-        assert a is not b
-
-    @pytest.mark.parametrize("depth", [2, 3, 4, 8])
-    def test_slot_returns_after_exactly_depth_acquisitions(self, depth):
-        ring = StagingRing(depth, 8, 4)
-        assert ring.depth == depth
-        first = [ring.acquire() for _ in range(depth)]
-        second = [ring.acquire() for _ in range(depth)]
-        assert all(a is b for a, b in zip(first, second))
-        # Within one window no two slots share memory, so a filled slot
-        # survives the next depth - 1 acquisitions untouched.
-        for i, slot in enumerate(first):
-            slot.fill(float(i))
-        assert all(np.all(slot == float(i)) for i, slot in enumerate(first))
-        assert not any(
-            np.shares_memory(first[i], first[j])
-            for i in range(depth)
-            for j in range(i + 1, depth)
-        )
-
-    @pytest.mark.parametrize("dtype", [np.float16, np.float32, np.float64])
-    def test_slot_geometry_and_dtype(self, dtype):
-        ring = StagingRing(3, 17, 5, dtype=dtype)
-        slot = ring.acquire()
-        assert slot.shape == (17, 5)
-        assert slot.dtype == np.dtype(dtype)
-        assert (ring.granule_tokens, ring.width) == (17, 5)
-
-
 class TestGranuleStream:
+    @pytest.mark.parametrize("granule_chunks", [1, 4])
     @pytest.mark.parametrize("n_tokens", [1, 63, 64, 65, 197, 256])
-    def test_reassembled_stream_matches_load_layer(self, n_tokens):
+    def test_reassembled_stream_matches_load_layer(self, n_tokens, granule_chunks, monkeypatch):
+        monkeypatch.setattr(manager_module, "GRANULE_CHUNKS", granule_chunks)
         manager = make_manager()
         expected = fill_context(manager, n_tokens)
         out = np.empty((n_tokens, 16), dtype=np.float32)
@@ -120,12 +89,14 @@ class TestGranuleStream:
         assert np.array_equal(out, manager.load_layer("ctx", 1))
 
     @pytest.mark.parametrize("granule_chunks", [1, 2, 4])
-    def test_granule_coalescing_preserves_content(self, granule_chunks):
+    def test_granule_coalescing_preserves_content(self, granule_chunks, monkeypatch):
+        monkeypatch.setattr(manager_module, "GRANULE_CHUNKS", granule_chunks)
         manager = make_manager()
+        assert manager.granule_tokens == granule_chunks * 64
         expected = fill_context(manager, 197)
         out = np.zeros((197, 16), dtype=np.float32)
         total_reads = 0
-        for spec, view, _, device_reads in stream(manager, [0], granule_chunks=granule_chunks):
+        for spec, view, _, device_reads in stream(manager, [0]):
             out[spec.start : spec.stop] = view  # consume before recycling
             total_reads += device_reads
         assert np.array_equal(out, expected[0])
@@ -195,8 +166,6 @@ class TestGranuleStream:
     def test_unaligned_granule_rejected(self):
         manager = make_manager()
         fill_context(manager, 128)
-        with pytest.raises(ConfigError):
-            manager.granule_plan("ctx", [0], granule_chunks=0)
         out = np.empty((63, 16), dtype=np.float32)
         with pytest.raises(ConfigError):
             manager.read_granule_into("ctx", GranuleSpec(0, "hidden", 1, 64), out)
