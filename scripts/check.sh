@@ -94,6 +94,13 @@ python -m pytest -q tests/storage/test_journal.py tests/storage/test_recovery.py
     tests/storage/test_manager_model.py tests/integration/test_kill_and_resume.py \
     tests/storage/test_faults_replication.py
 
+# The restore's IO/compute order gets its own named gate too: the
+# virtual-clock twin runs the real restore on a fake IO pool and bounds
+# its makespan by two_stream_timing's, so a restore that stops following
+# the walk fails with "restore follows the walk" in the log.
+echo "== restore follows the walk (virtual-clock twin of two_stream_timing, every r <= 1 scheme) =="
+python -m pytest -q tests/core/test_restore_follows_walk.py
+
 echo "== paper figure/table/ablation benches (expectations asserted, timing disabled) =="
 require_or_skip pytest_benchmark python -m pytest -q benchmarks/bench_fig*.py \
     benchmarks/bench_tab*.py benchmarks/bench_abl*.py --benchmark-disable

@@ -13,8 +13,9 @@ the modelled timing of a scheme is
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from fractions import Fraction
 from functools import partial
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -33,15 +34,29 @@ _STORED_KIND = {LayerMethod.HIDDEN: "hidden", LayerMethod.KV: "kv"}
 _STORED_DTYPE = np.dtype(np.float32)
 
 
+def merge_granule_plans(*plans: Sequence[GranuleSpec]) -> list[GranuleSpec]:
+    """Merge per-kind granule plans into one, each spread in proportion.
+
+    The i-th of a plan's n granules sits at ``(i + 1/2) / n``, ties going
+    to the earlier plan.  Each plan keeps its order, and over any prefix
+    of the result each plan's count is within one granule of its share.
+    """
+    placed = sorted(
+        (Fraction(2 * i + 1, 2 * len(plan)), rank, i)
+        for rank, plan in enumerate(plans)
+        for i in range(len(plan))
+    )
+    return [plans[rank][i] for _, rank, i in placed]
+
+
 @dataclass(frozen=True)
 class _RestorePlan:
-    """What one restoration's hidden and KV drains share, resolved once."""
+    """What one restoration's drain needs, resolved once."""
 
     context_id: str
     n_tokens: int
     cache: KVCache
-    hidden_layers: list[int]
-    kv_layers: list[int]
+    granules: list[GranuleSpec]
     granule_tokens: int
 
 
@@ -231,14 +246,15 @@ class HCacheEngine:
         """
         engine = cls(transformer, storage, scheme)
         config = transformer.config
+        shape = (config.n_layers, config.hidden_size, 2 * config.kv_size)
         unread: list[tuple[str, int, str]] = []
         for context_id in storage.context_ids():
             meta = storage.meta(context_id)
-            if meta.n_layers != config.n_layers or meta.hidden_width != config.hidden_size:
+            saved = (meta.n_layers, meta.hidden_width, meta.kv_width)
+            if saved != shape:
                 raise RecoveryError(
-                    f"context {context_id!r} was saved for a "
-                    f"{meta.n_layers}x{meta.hidden_width} model; this model is "
-                    f"{config.n_layers}x{config.hidden_size}"
+                    f"context {context_id!r} was saved for a model of (layers, hidden "
+                    f"width, packed KV width) {saved}; this model is {shape}"
                 )
             n_tokens = len(storage.token_log(context_id))
             for layer, kind in storage.runs(context_id):
@@ -268,14 +284,6 @@ class HCacheEngine:
     # restoration
     # ------------------------------------------------------------------
 
-    def _check_stored(self, context_id: str, layers: list[int], kind: str, n_tokens: int) -> None:
-        for layer in layers:
-            stored = self.storage.tokens_stored(context_id, layer, kind=kind)
-            if stored != n_tokens:
-                raise RestorationError(
-                    f"layer {layer} stores {stored} {kind} rows, expected {n_tokens}"
-                )
-
     def restore(
         self,
         context_id: str,
@@ -286,69 +294,52 @@ class HCacheEngine:
     ) -> KVCache:
         """Rebuild the context's full KV cache, chunk-streamed (§4.1).
 
-        Layers marked HIDDEN stream from storage as granules of
-        :data:`~repro.storage.manager.GRANULE_CHUNKS` chunks each and go
-        through the fused per-chunk projection
-        (:meth:`Transformer.project_kv_chunk`) straight into the cache's
-        backing buffers; KV layers stream the same way and install chunk
-        by chunk.  A RECOMPUTE prefix of ``r`` layers is token-sourced:
-        layers ``[0, r - 1)`` are replayed from the journaled tokens and
-        layer ``r - 1`` — whose input rows are all its K/V needs — goes
-        through the same projection closure, workspace and granule
-        partition as a HIDDEN layer, with no attention or FFN; for ``r =
-        1`` (the default scheme) that is the embedding gather plus one
-        projection.  This work needs no stored state, so it runs on the
-        calling thread right after the drain has put its first window of
-        reads in flight and hides under the IO stream (inline, or with
-        nothing stored, it simply runs).  Both kinds drain through the one
-        loop (:func:`repro.runtime.executor.drain_granules`), which is
-        double-buffered: the next granule's device read is issued before
-        the pending granule is projected, so in the modelled timeline
-        layer *k*'s projection overlaps layer *k+1*'s read — compute
-        starts at IO start, which is exactly what the cost-model engine's
-        ``CostModelEngine.start_restores`` assumes when it books a
-        restore's compute from the start of its IO job.
+        One drain (:func:`repro.runtime.executor.drain_granules`) streams
+        every stored layer as granules of
+        :data:`~repro.storage.manager.GRANULE_CHUNKS` chunks, in one plan
+        that merges the hidden and KV granules in proportion
+        (:func:`merge_granule_plans`), so cheap KV installs refill the read
+        window between projections.  A hidden granule goes through the
+        fused projection (:meth:`Transformer.project_kv_chunk`) straight
+        into the cache; a KV granule is installed.  The next read is
+        issued before the pending granule is consumed, so compute starts
+        at IO start — what ``CostModelEngine.start_restores`` books.
 
-        With ``executor`` (a :class:`repro.runtime.RestoreExecutor`), the
-        granule reads actually run on background IO workers while this
-        thread projects, making the overlap real wall clock instead of
-        only modelled.  Threading rules: all projection compute runs on
-        the calling thread in plan order, workers only fill staging slots
-        they own, and concurrent ``restore`` calls are safe for
-        *distinct* contexts sharing one executor (never concurrently with
-        a save of the same context).
+        A RECOMPUTE prefix of ``r`` layers is token-sourced: layers
+        ``[0, r - 1)`` are replayed from the journaled tokens, and layer
+        ``r - 1`` — whose input rows are all its K/V needs — is projected
+        like a HIDDEN layer (same closure, workspace and granule split);
+        for ``r = 1`` (the default scheme) that is the embedding gather
+        plus one projection.  It runs on the calling thread once the
+        drain's first window of reads is in flight, under the IO stream.
+
+        With ``executor`` the reads run on its IO workers while this
+        thread computes, in plan order.  Concurrent ``restore`` calls are
+        safe for *distinct* contexts sharing one executor, never
+        concurrently with a save of the same context.
 
         Bit-exactness contract: HIDDEN and KV layers come back
-        bit-identical to the states that were saved — for every granule
-        size and pool size, with or without an executor, and identical
-        to the naive whole-layer reference path.  A 1-layer
-        RECOMPUTE prefix is bit-identical to restoring a stored layer 0
-        (same rows, same kernel, same granule split).  A longer one
-        replays the forward pass as one block, which matches
-        incrementally-decoded originals to float rounding (the same
-        GEMM-blocking caveat as restoring any decode-produced state).
+        bit-identical to the saved states, for every granule and pool
+        size, with or without an executor, and identical to the naive
+        whole-layer reference.  A 1-layer RECOMPUTE prefix is
+        bit-identical to a stored layer 0; a longer one replays the
+        forward pass as one block, which matches incrementally-decoded
+        originals to float rounding.
 
-        ``reserve_tokens`` lets the serving engine size the cache for the
-        upcoming round up front, so the restored history never has to be
-        recopied by a post-restore capacity growth.  The restore keeps no
-        accounting of its own: the devices count and time its reads
-        (``op_counts``, ``busy_seconds``) and an executor's pool its
-        submissions (``tasks_submitted``, ``dispatch_s``).
+        ``reserve_tokens`` sizes the cache for the upcoming round, so the
+        history is never recopied by a capacity growth.  The restore
+        counts nothing itself: the devices count and time its reads, an
+        executor's pool its submissions.
 
-        ``progress`` (optional) makes the hand-over a *layer*, not a
-        cache: it is told the planned cache before the first row is
-        written, then each layer the moment its last row has been
-        projected or installed — hidden drain, KV drain and token-sourced
-        prefix alike, each layer exactly once.
-        The stepping thread may then prefill on ``progress.step_cache``
-        while later layers are still landing (see
-        :mod:`repro.runtime.progress`); the cache returned here is
-        untouched by that — at return it still ``.equals`` the saved
-        history, with ``len(cache) == n_tokens``.
+        ``progress`` (optional) is told the planned cache before the first
+        row is written, then each layer exactly once, the moment its last
+        row is in.  The stepping thread may prefill on
+        ``progress.step_cache`` meanwhile (see
+        :mod:`repro.runtime.progress`); the returned cache still
+        ``.equals`` the saved history, with ``len(cache) == n_tokens``.
         """
         plan = self._plan_restore(context_id, reserve_tokens)
         cache, n_tokens = plan.cache, plan.n_tokens
-        n_recompute = self.scheme.n_recompute
         if progress is not None:
             progress.planned(cache, n_tokens)
         rows_left = [n_tokens] * self.transformer.config.n_layers
@@ -360,51 +351,34 @@ class HCacheEngine:
             if not rows_left[layer] and progress is not None:
                 progress.layer_landed(layer)
 
-        token_prefix: Callable[[], None] | None = None
-        # (kind, layers, consume) of each stored kind.
-        drains: list[tuple[str, list[int], Callable[[GranuleSpec, np.ndarray], None]]] = []
-        if plan.hidden_layers or n_recompute:
-            workspace = self.transformer.restore_workspace(
-                np.arange(n_tokens), plan.granule_tokens
+        views = [cache.install_view(layer, n_tokens) for layer in range(len(rows_left))]
+        workspace = (
+            self.transformer.restore_workspace(np.arange(n_tokens), plan.granule_tokens)
+            if self.scheme.n_hidden or self.scheme.n_recompute
+            else None
+        )
+
+        def project(layer: int, start: int, rows: np.ndarray) -> None:
+            k_view, v_view = views[layer]
+            stop = start + rows.shape[0]
+            self.transformer.project_kv_chunk(
+                layer, rows, start, k_view[start:stop], v_view[start:stop], workspace
             )
-            # The last RECOMPUTE layer is projected like a HIDDEN one —
-            # its input rows come from the token log instead of a device.
-            projected = ([n_recompute - 1] if n_recompute else []) + plan.hidden_layers
-            views = {layer: cache.install_view(layer, n_tokens) for layer in projected}
+            landed(layer, rows.shape[0])
 
-            def project(layer: int, start: int, rows: np.ndarray) -> None:
-                k_view, v_view = views[layer]
-                stop = start + rows.shape[0]
-                self.transformer.project_kv_chunk(
-                    layer, rows, start, k_view[start:stop], v_view[start:stop], workspace
-                )
-                landed(layer, rows.shape[0])
-
-            if n_recompute:
-                token_prefix = partial(self._restore_token_prefix, plan, project, landed)
-            if plan.hidden_layers:
-                drains.append((
-                    "hidden", plan.hidden_layers,
-                    lambda spec, rows: project(spec.layer, spec.start, rows),
-                ))
-        if plan.kv_layers:
-            for layer in plan.kv_layers:
-                cache.install_view(layer, n_tokens)
-
-            def install(spec: GranuleSpec, rows: np.ndarray) -> None:
+        def consume(spec: GranuleSpec, rows: np.ndarray) -> None:
+            if spec.kind == "hidden":
+                project(spec.layer, spec.start, rows)
+            else:
                 cache.install_packed_rows(spec.layer, spec.start, rows)
                 landed(spec.layer, rows.shape[0])
 
-            drains.append(("kv", plan.kv_layers, install))
-        # The token-sourced prefix rides under the first drain's IO
-        # stream; with nothing stored it simply runs.
-        for kind, layers, consume in drains:
-            drain_granules(
-                self.storage, context_id, layers, kind, consume, executor, token_prefix
-            )
-            token_prefix = None
-        if token_prefix is not None:
-            token_prefix()
+        token_prefix = (
+            partial(self._restore_token_prefix, plan, project, landed)
+            if self.scheme.n_recompute
+            else None
+        )
+        drain_granules(self.storage, context_id, plan.granules, consume, executor, token_prefix)
         if len(cache) != n_tokens:
             raise RestorationError("restored cache length mismatch")
         return cache
@@ -435,22 +409,31 @@ class HCacheEngine:
             project(last, start, rows[start : start + plan.granule_tokens])
 
     def _plan_restore(self, context_id: str, reserve_tokens: int) -> _RestorePlan:
-        """Resolve, once, everything the hidden and KV drains share."""
+        """Check the stored runs and resolve, once, what the drain needs."""
         n_tokens = self.saved_tokens(context_id)
         if n_tokens == 0:
             raise RestorationError(f"context {context_id!r} has no saved state")
-        hidden_layers = list(self.scheme.layers_with(LayerMethod.HIDDEN))
-        kv_layers = list(self.scheme.layers_with(LayerMethod.KV))
+        runs: dict[str, list[int]] = {"hidden": [], "kv": []}
+        for layer, method in enumerate(self.scheme.methods):
+            kind = _STORED_KIND.get(method)
+            if kind is None:
+                continue
+            stored = self.storage.tokens_stored(context_id, layer, kind=kind)
+            if stored != n_tokens:
+                raise RestorationError(
+                    f"layer {layer} stores {stored} {kind} rows, expected {n_tokens}"
+                )
+            runs[kind].append(layer)
         cache = KVCache(self.transformer.config)
         cache.reserve(max(n_tokens, reserve_tokens))
-        self._check_stored(context_id, hidden_layers, "hidden", n_tokens)
-        self._check_stored(context_id, kv_layers, "kv", n_tokens)
         return _RestorePlan(
             context_id=context_id,
             n_tokens=n_tokens,
             cache=cache,
-            hidden_layers=hidden_layers,
-            kv_layers=kv_layers,
+            # Hidden first, so a hidden granule wins a tie in the merge.
+            granules=merge_granule_plans(
+                *(self.storage.granule_plan(context_id, run, kind) for kind, run in runs.items())
+            ),
             granule_tokens=min(n_tokens, self.storage.granule_tokens),
         )
 

@@ -59,11 +59,13 @@ HOT_PATHS: dict[str, frozenset[str]] = {
     "repro/models/rope.py": frozenset({"rope_rotate_fullwidth_into"}),
     # The token-sourced prefix on the restore path (one projection per
     # granule of the last RECOMPUTE layer, rows sliced from the replayed
-    # hidden block), and the per-granule row count that reports a layer
-    # as landed.
+    # hidden block), the drain's per-granule dispatch (project a hidden
+    # granule, install a KV one), and the per-granule row count that
+    # reports a layer as landed.
     "repro/core/hcache.py": frozenset(
         {
             "HCacheEngine._restore_token_prefix",
+            "HCacheEngine.restore.consume",
             "HCacheEngine.restore.landed",
         }
     ),

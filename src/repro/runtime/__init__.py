@@ -7,10 +7,11 @@ IO/compute overlap is real wall clock:
 - :class:`IOWorkerPool` — shareable background threads that fill staging
   buffers (device ``read_into`` memcpys and emulated-latency sleeps both
   release the GIL).
-- :func:`drain_granules` — the one restore loop: granule reads run ahead
-  (on pool workers, or inline without an executor) while the calling
-  thread projects in plan order, so every pool size stays bit-exact
-  with the naive reference.
+- :func:`drain_granules` — the one restore loop, called once per restore
+  over one plan of hidden and KV granules: reads run ahead (on pool
+  workers, or inline without an executor) while the calling thread
+  projects or installs in plan order, so every pool size stays
+  bit-exact with the naive reference.
 - :class:`RestoreExecutor` — the pool and the in-flight window a
   restoration drains with; also restores multiple contexts concurrently
   through one shared pool for the serving layer.

@@ -1,22 +1,22 @@
 """The restore drain loop and its executor: real IO/compute overlap (§4.1).
 
-Every restoration — inline or threaded — is the same loop,
-:func:`drain_granules`: one granule plan over the drain's layers, one
+Every restoration — inline or threaded — is one call of the same loop,
+:func:`drain_granules`: one granule plan (the engine merges the hidden
+and KV layers' :meth:`StorageManager.granule_plan` in proportion), one
 staging array, and a **window** of granule reads kept outstanding
 (submitted but not yet consumed).  Without an executor the reads run
 synchronously at submit with a window of 1 — the double-buffered
 single-threaded drain; with one they run on the executor's IO worker
 pool while the calling thread projects.
 
-Determinism and bit-exactness: the granule plan is
-:meth:`StorageManager.granule_plan` for all layers, granules are
-consumed strictly in plan order, and all projection compute runs at full
-GEMM width on the single calling thread into disjoint KV-cache row
-slices.  Worker threads only ever fill staging slots they exclusively
-own (the slot-reuse argument is in :func:`drain_granules`), so threading
-changes *where bytes move*, never *what gets computed* — the restored
-bytes are identical for every pool size, and the tests assert exactly
-that against the naive reference.
+Determinism and bit-exactness: granules are consumed strictly in plan
+order, and all projection compute runs at full GEMM width on the single
+calling thread into disjoint KV-cache row slices.  Worker threads only
+ever fill staging slots they exclusively own (the slot-reuse argument is
+in :func:`drain_granules`), so threading changes *where bytes move*,
+never *what gets computed* — the restored bytes are identical for every
+pool size, and the tests assert exactly that against the naive
+reference.
 
 Concurrent restorations of *different* contexts may share one executor:
 each ``restore`` call brings its own staging array and workspace, devices
@@ -69,21 +69,21 @@ def _run_inline(fn: Callable[..., Any], /, *args: Any) -> Future:
 def drain_granules(
     storage: StorageManager,
     context_id: str,
-    layers: Sequence[int],
-    kind: str,
+    granules: Sequence[GranuleSpec],
     consume: Callable[[GranuleSpec, np.ndarray], None],
     executor: "RestoreExecutor | None" = None,
     under_io: "Callable[[], None] | None" = None,
 ) -> None:
-    """Stream ``layers``' stored rows through ``consume``, reads running ahead.
+    """Stream the stored rows of ``granules`` through ``consume``, reads running ahead.
 
-    The one restore loop: one granule plan, one staging array and a window
-    of ``executor.inflight`` outstanding reads on the executor's IO pool.
-    ``consume(spec, rows)`` (projection or KV install) runs on the calling
-    thread, strictly in plan order; ``rows`` views a staging slot and is
+    The one restore loop: one plan (hidden and KV granules in any order),
+    one staging array and a window of ``executor.inflight`` outstanding
+    reads on the executor's IO pool.  ``consume(spec, rows)`` (projection
+    or KV install) runs on the calling thread, strictly in plan order;
+    ``rows`` is a ``(spec.n_tokens, width)`` view of a staging slot and is
     valid only until ``consume`` returns.  The window is refilled *before*
     each granule is consumed, so the next read runs under this granule's
-    projection — the §4.1 overlap.
+    consume — the §4.1 overlap.
 
     With ``executor=None`` the same loop runs with a window of 1 and
     executes each read synchronously at submit: the double-buffered
@@ -94,7 +94,7 @@ def drain_granules(
     token-sourced recompute prefix): it runs once on the calling thread,
     right after the first window of reads has been submitted and before
     the first granule is consumed, so with an executor it hides under the
-    IO stream.  Inline, or with nothing to read, it simply runs at that
+    IO stream.  Inline, or with an empty plan, it simply runs at that
     point.
 
     The loop reads no clock and counts nothing: the devices count and
@@ -105,20 +105,24 @@ def drain_granules(
         window, submit = 1, _run_inline
     else:
         window, submit = executor.inflight, executor.pool.submit
-    plan = iter(storage.granule_plan(context_id, layers, kind))
     meta = storage.meta(context_id)
-    # Outstanding reads never exceed `window` (one refill per consume), and
-    # there are `window + 1` slots taken round-robin, so the slot a refill
-    # reuses was taken window + 1 submissions earlier — always a granule
-    # already consumed, never the rows being consumed now.
-    slots = cycle(np.empty((window + 1, storage.granule_tokens, meta.width(kind)), meta.dtype))
+    # Each slot holds a granule of the plan's widest kind; a narrower one
+    # takes a contiguous prefix of it.  Outstanding reads never exceed
+    # `window` (one refill per consume), and there are `window + 1` slots
+    # taken round-robin, so the slot a refill reuses was taken window + 1
+    # submissions earlier — always a granule already consumed, never the
+    # rows being consumed now.
+    widest = max((meta.width(spec.kind) for spec in granules), default=0)
+    slots = cycle(np.empty((window + 1, storage.granule_tokens * widest), meta.dtype))
+    plan = iter(granules)
     pending: deque = deque()
 
     def submit_next() -> None:
         spec = next(plan, None)
         if spec is None:
             return
-        rows = next(slots)[: spec.n_tokens]
+        width = meta.width(spec.kind)
+        rows = next(slots)[: spec.n_tokens * width].reshape(spec.n_tokens, width)
         # The read is looked up on the storage instance at every submit,
         # so instance-level wrappers (tracing) see each granule.
         future = submit(storage.read_granule_into, context_id, spec, rows)
@@ -229,7 +233,9 @@ class RestoreExecutor:
         per context id) is handed to each ``engine.restore`` — which posts
         every layer as it lands — and settled from the future's
         done-callback, so a waiter on it always wakes: on the layer, on
-        completion, or with the failure.
+        completion, or with the failure.  A ``progress`` id that is not in
+        ``context_ids`` raises :class:`~repro.errors.ConfigError` before
+        any restore starts.
 
         Safety: the restored context must not be saved to or dropped
         while its future is outstanding; concurrent saves of *other*
@@ -243,6 +249,10 @@ class RestoreExecutor:
         ids = list(context_ids)
         if len(set(ids)) != len(ids):
             raise ConfigError("multi-context restore needs distinct context ids")
+        sinks: "Mapping[str, RestoreProgress]" = progress if progress is not None else {}
+        stray = set(sinks) - set(ids)
+        if stray:
+            raise ConfigError(f"progress names contexts not being restored: {sorted(stray)}")
         if not ids:
             return {}
         reserve = (
@@ -255,7 +265,6 @@ class RestoreExecutor:
                 max_workers=MAX_CONCURRENT_RESTORES,
                 thread_name_prefix="hcache-restore",
             )
-        sinks: "Mapping[str, RestoreProgress]" = progress if progress is not None else {}
         futures = {
             cid: self._drivers.submit(
                 partial(

@@ -1,11 +1,12 @@
 """One exactness matrix for every way a context can be restored.
 
-There is one restore loop (:func:`repro.runtime.executor.drain_granules`)
-and one projection kernel (:meth:`Transformer.project_kv_chunk`); what
-varies is only how the loop is parameterised — no executor (inline reads,
-window 1), or an IO pool of 1, 2 or 4 workers with an in-flight window
-(the pool's workers plus ``RUNWAY_GRANULES``, patched here) from one read
-per worker up to deeper than the whole granule plan.  Every
+There is one restore loop (:func:`repro.runtime.executor.drain_granules`,
+called once per restore over one granule plan) and one projection kernel
+(:meth:`Transformer.project_kv_chunk`); what varies is only how the loop
+is parameterised — no executor (inline reads, window 1), or an IO pool
+of 1, 2 or 4 workers with an in-flight window (the pool's workers plus
+``RUNWAY_GRANULES``, patched here) from one read per worker up to deeper
+than the whole granule plan.  Every
 combination must restore bytes identical to the naive whole-layer reference
 (:func:`naive_restore_cache_from_hidden`) and to each other, across
 partition schemes, norm/RoPE flavors, GQA, partial tail chunks, granule
@@ -16,8 +17,8 @@ crash recovery rebuilt from the journal and the device chunks alone).
 The engine's default scheme token-sources layer 0 (a 1-layer RECOMPUTE
 prefix): every matrix cell also runs it and a 2-layer prefix, and must
 restore the same bytes as the all-stored pure-hidden engine.  Every cell
-restores with a progress sink attached: whichever stages fill a layer
-(hidden drain, KV drain, token-sourced prefix), it is
+restores with a progress sink attached: whichever stage fills a layer
+(a projected or installed granule, or the token-sourced prefix), it is
 reported exactly once, and the returned cache is the one a restore
 nobody watched returns.  The last section pins *where* the token-sourced
 work runs (under the drain's first window of reads) and that layer 0
@@ -80,6 +81,9 @@ SCHEMES = {
     "default": None,  # the engine's own choice: (R, H, H, H)
     "recompute2+hidden": PartitionScheme((R, R, H, H)),
     "recompute+hidden+kv": PartitionScheme((R, H, H, K)),
+    # A token-sourced prefix under KV reads alone: no hidden layer.
+    "recompute+kv": PartitionScheme((R, K, K, K)),
+    "recompute2+kv": PartitionScheme((R, R, K, K)),
     # The KV-offload baseline: every layer installs stored K|V rows.
     "pure-kv": PartitionScheme((K, K, K, K)),
 }
@@ -245,7 +249,7 @@ VARIANTS = [
         for n in (5, 64, 100, 197, 256)
     ],
     *[(f"llama-197-granule{g}", "tiny-llama", None, 197, g, True) for g in (1, 2, 8)],
-    # The KV drain installs one granule at a time: a granule of one chunk
+    # KV granules install one at a time: a granule of one chunk
     # and one wider than the whole run.
     *[
         (f"llama-145-kv-suffix-granule{g}", "tiny-llama",

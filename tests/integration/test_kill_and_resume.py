@@ -285,6 +285,22 @@ class TestKillAndResume:
         assert_cache_prefix(resumed.hcache.restore("s"), ref, config.n_layers)
         assert resumed.chat_round("s", p2, 6) == control.chat_round("s", p2, 6)
 
+    def test_gqa_store_opened_by_the_mha_model_is_refused(self, model, journal_factory):
+        """Layer count and hidden width match, but the packed K|V rows are
+        ``2 * kv_size`` of the GQA model: recovery must refuse the store
+        up front, not fail mid-restore after reading the devices."""
+        config = replace(model.config, name="tiny-gqa", n_kv_heads=2)
+        gqa = Transformer.from_seed(config, seed=11)
+        scheme = PartitionScheme.with_kv_suffix(config.n_layers, 2)
+        array, victim = build_stack(gqa, journal_factory("gqa"), scheme)
+        victim.open_session("s")
+        victim.chat_round("s", prompts(gqa, seed=9)(60), 10)
+        victim.evict("s")
+        victim.hcache.storage.journal.close()
+        del victim
+        with pytest.raises(RecoveryError, match="packed KV width"):
+            recover_stack(model, array, journal_factory("gqa"), scheme)
+
     def test_parent_layout_store_recovers_under_the_default_scheme(
         self, model, journal_factory
     ):

@@ -18,14 +18,14 @@ from concurrent.futures import wait
 import numpy as np
 import pytest
 
-from repro.core.hcache import HCacheEngine
-from repro.core.partition import PartitionScheme
+from repro.core.hcache import HCacheEngine, merge_granule_plans
+from repro.core.partition import LayerMethod, PartitionScheme
 from repro.core.profiler import build_storage_array
 from repro.engine.numeric_engine import NumericServingEngine
 from repro.errors import ConfigError, StateError
 from repro.models.config import model_preset
 from repro.models.transformer import Transformer
-from repro.runtime import IOWorkerPool, RestoreExecutor, drain_granules
+from repro.runtime import IOWorkerPool, RestoreExecutor, RestoreProgress, drain_granules
 from repro.runtime import executor as executor_module
 from repro.runtime.executor import MAX_CONCURRENT_RESTORES
 from repro.simulator import platform_preset
@@ -109,10 +109,10 @@ class TestDrainDirectUse:
         model, engine = build_engine(config, PartitionScheme.pure_hcache(config.n_layers))
         save_context(engine, model, config, 128)
         chunks = []
+        plan = engine.storage.granule_plan("c", list(range(config.n_layers)), "hidden")
         busy_before, reads_before = device_totals(engine.storage)
         drain_granules(
-            engine.storage, "c", list(range(config.n_layers)), "hidden",
-            lambda spec, rows: chunks.append(spec), loop_executor,
+            engine.storage, "c", plan, lambda spec, rows: chunks.append(spec), loop_executor
         )
         busy_after, reads_after = device_totals(engine.storage)
         assert sum(c.n_tokens for c in chunks) == 128 * config.n_layers
@@ -120,7 +120,6 @@ class TestDrainDirectUse:
         assert reads_after - reads_before == 2 * config.n_layers
         assert busy_after > busy_before
         # Consumption follows the granule plan exactly.
-        plan = engine.storage.granule_plan("c", list(range(config.n_layers)), "hidden")
         assert chunks == plan
 
     def test_drain_reads_every_chunk_once(self, loop_executor, monkeypatch):
@@ -131,7 +130,7 @@ class TestDrainDirectUse:
         chunks = []
         _, reads_before = device_totals(engine.storage)
         drain_granules(
-            engine.storage, "c", [0, 1], "hidden",
+            engine.storage, "c", engine.storage.granule_plan("c", [0, 1], "hidden"),
             lambda spec, rows: chunks.append(rows.copy()), loop_executor,
         )
         _, reads_after = device_totals(engine.storage)
@@ -139,22 +138,45 @@ class TestDrainDirectUse:
         assert reads_after - reads_before == 4
 
 
+#: A drain's plan: the hidden granules of every layer, or the hidden and
+#: KV granules of a KV-suffix scheme merged as a restore merges them.
+STAGING_PLANS = {
+    "hidden": (PartitionScheme.pure_hcache, ("hidden",)),
+    "hidden+kv": (lambda n: PartitionScheme.with_kv_suffix(n, 2), ("hidden", "kv")),
+}
+
+
 class TestDrainStaging:
+    @pytest.mark.parametrize("plan_kind", sorted(STAGING_PLANS))
     @pytest.mark.parametrize("runway", [0, 1, 6])
     def test_consumed_rows_are_never_an_outstanding_reads_destination(
-        self, loop_executor, runway, one_chunk_granules, monkeypatch
+        self, loop_executor, runway, plan_kind, one_chunk_granules, monkeypatch
     ):
         """The drain takes ``window + 1`` staging slots round-robin: the
         rows handed to ``consume`` are never the destination of a read
-        still outstanding, and hold exactly that granule's stored rows."""
+        still outstanding, and hold exactly that granule's stored rows —
+        a contiguous ``(n, width)`` view at the start of its slot, whichever
+        kind's width it has."""
         monkeypatch.setattr(executor_module, "RUNWAY_GRANULES", runway)
         window = 1 if loop_executor is None else loop_executor.inflight
         config = model_preset("tiny-llama")
-        model, engine = build_engine(config, PartitionScheme.pure_hcache(config.n_layers))
+        scheme_of, kinds = STAGING_PLANS[plan_kind]
+        scheme = scheme_of(config.n_layers)
+        model, engine = build_engine(config, scheme)
         save_context(engine, model, config, 320)
         storage = engine.storage
-        layers = list(range(config.n_layers))
-        stored = {layer: storage.load_layer("c", layer) for layer in layers}
+        runs = {
+            kind: scheme.layers_with(LayerMethod.HIDDEN if kind == "hidden" else LayerMethod.KV)
+            for kind in kinds
+        }
+        stored = {
+            (layer, kind): storage.load_layer("c", layer, kind)
+            for kind, layers in runs.items()
+            for layer in layers
+        }
+        plan = merge_granule_plans(
+            *(storage.granule_plan("c", layers, kind) for kind, layers in runs.items())
+        )
         submitted = []
 
         def recording(submit):
@@ -177,13 +199,30 @@ class TestDrainStaging:
             outstanding = submitted[len(consumed) + 1 :]
             assert len(outstanding) <= window
             assert not any(np.shares_memory(rows, other) for other in outstanding)
-            assert np.array_equal(rows, stored[spec.layer][spec.start : spec.stop])
+            assert rows.flags.c_contiguous
+            assert np.array_equal(rows, stored[spec.layer, spec.kind][spec.start : spec.stop])
             consumed.append(spec)
 
-        drain_granules(storage, "c", layers, "hidden", consume, loop_executor)
-        assert consumed == storage.granule_plan("c", layers, "hidden")
+        drain_granules(storage, "c", plan, consume, loop_executor)
+        assert consumed == plan
+        assert {spec.kind for spec in consumed} == set(kinds)
         slots = {rows.__array_interface__["data"][0] for rows in submitted}
         assert len(slots) == min(window + 1, len(consumed))
+
+    def test_an_empty_plan_reads_nothing_and_still_runs_the_work_under_io(
+        self, loop_executor
+    ):
+        config = model_preset("tiny-llama")
+        model, engine = build_engine(config)
+        save_context(engine, model, config, 64)
+        ran = []
+        _, reads_before = device_totals(engine.storage)
+        drain_granules(
+            engine.storage, "c", [], lambda spec, rows: ran.append(spec), loop_executor,
+            under_io=lambda: ran.append("under_io"),
+        )
+        assert ran == ["under_io"]
+        assert device_totals(engine.storage)[1] == reads_before
 
 
 class TestContainment:
@@ -335,7 +374,7 @@ class TestWindowSerialization:
                     scripted.release(range(i + 1, min(i + 1 + self.BURST, n)))
 
             try:
-                drain_granules(storage, "c", layers, "hidden", consume, executor)
+                drain_granules(storage, "c", plan, consume, executor)
             finally:
                 del storage.read_granule_into
             return banked
@@ -382,6 +421,25 @@ class TestConcurrentContexts:
         with RestoreExecutor(1) as executor:
             with pytest.raises(ConfigError):
                 executor.restore_contexts_async(engine, ["c", "c"])
+
+    def test_progress_for_a_context_not_restored_is_rejected_before_any_restore(self):
+        config = model_preset("tiny-llama")
+        model, engine = build_engine(config)
+        save_context(engine, model, config, 64)
+        started = []
+        real_restore = engine.restore
+
+        def recorded_restore(*args, **kwargs):
+            started.append(args)
+            return real_restore(*args, **kwargs)
+
+        engine.restore = recorded_restore
+        progress = {"elsewhere": RestoreProgress("elsewhere", config.n_layers)}
+        with RestoreExecutor(1) as executor:
+            with pytest.raises(ConfigError, match="elsewhere"):
+                executor.restore_contexts_async(engine, ["c"], progress=progress)
+            assert executor.pool.tasks_submitted == 0
+        assert started == []
 
     def test_empty_context_list(self):
         config = model_preset("tiny-llama")
