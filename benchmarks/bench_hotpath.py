@@ -1,8 +1,9 @@
 #!/usr/bin/env python
-"""Hot-path gate: the save path stays O(n) and layer 0 stays off the devices.
+"""Hot-path gate: the save path stays O(n), layer 0 stays off the devices,
+and a restore lands on the slab an eviction gave back.
 
-Two checks at 256 / 1k / 4k context tokens, each one that no tier-1 test
-and no serving-benchmark metric makes:
+Three checks at 256 / 1k / 4k context tokens, each one that no
+serving-benchmark metric makes:
 
 1. **decode-with-capture state path** — the per-token state-management
    cost of a decode step that captures hidden states and persists them:
@@ -17,6 +18,12 @@ and no serving-benchmark metric makes:
    (no layer-0 rows), a restore issues ``(N - 1) * ceil(n / 64)`` device
    chunk reads, and it restores the same bits as the all-stored
    (``pure_hcache``) engine.
+3. **slab reuse** — exact counts, no timing: through the numeric
+   serving engine, the default engine's first restore of an evicted
+   context allocates exactly one K/V slab pair (the token-sourced layer 0
+   builds no cache of its own), and once the session is evicted the
+   second restore allocates none — it lands on the slab the eviction
+   gave back to the engine's arena.
 
 Restore, decode and serving *speed* is the serving benchmark's record
 (``benchmarks/serving/``, on a model where BLAS sets the time); restore
@@ -24,7 +31,7 @@ exactness in every shape is ``tests/core/test_restore_matrix.py``.
 
 Run from the repo root; it takes about a second, prints one line per
 context size and, last, the report as one JSON line (schema
-``bench_hotpath/v10``), and exits non-zero when a check fails::
+``bench_hotpath/v11``), and exits non-zero when a check fails::
 
     python benchmarks/bench_hotpath.py
 """
@@ -44,6 +51,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from repro.core.hcache import HCacheEngine
 from repro.core.partition import PartitionScheme
 from repro.core.profiler import build_storage_array
+from repro.engine.numeric_engine import NumericServingEngine
+from repro.models import kv_cache as kv_cache_module
 from repro.models.config import ModelConfig
 from repro.models.hidden_capture import HiddenCapture
 from repro.models.kv_cache import KVCache
@@ -159,8 +168,10 @@ def bench_state_path(n_tokens: int) -> dict:
     }
 
 
-def check_layer0(model: Transformer, n_tokens: int) -> dict:
-    """Stored bytes, chunk reads and restored bits of the default engine."""
+def saved_engine(
+    model: Transformer, n_tokens: int, scheme: PartitionScheme | None = None
+) -> HCacheEngine:
+    """An engine holding one sealed ``n_tokens`` context, ``"bench"``."""
     cfg = model.config
     rng = _rng()
     tokens = rng.integers(0, cfg.vocab_size, size=n_tokens)
@@ -168,19 +179,21 @@ def check_layer0(model: Transformer, n_tokens: int) -> dict:
     hidden = [model.embed(tokens)] + [
         _rows(rng, n_tokens, cfg.hidden_size) for _ in range(cfg.n_layers - 1)
     ]
+    engine = HCacheEngine(
+        model, StorageManager(build_storage_array(platform_preset("default"))), scheme=scheme
+    )
+    engine.register_context("bench")
+    for start in range(0, n_tokens, SAVE_BLOCK):
+        stop = start + SAVE_BLOCK
+        engine.save_states("bench", [h[start:stop] for h in hidden], tokens[start:stop])
+    engine.seal("bench")
+    return engine
 
-    def saved_engine(scheme: PartitionScheme | None) -> HCacheEngine:
-        engine = HCacheEngine(
-            model, StorageManager(build_storage_array(platform_preset("default"))), scheme=scheme
-        )
-        engine.register_context("bench")
-        for start in range(0, n_tokens, SAVE_BLOCK):
-            stop = start + SAVE_BLOCK
-            engine.save_states("bench", [h[start:stop] for h in hidden], tokens[start:stop])
-        engine.seal("bench")
-        return engine
 
-    engine = saved_engine(None)
+def check_layer0(model: Transformer, n_tokens: int) -> dict:
+    """Stored bytes, chunk reads and restored bits of the default engine."""
+    cfg = model.config
+    engine = saved_engine(model, n_tokens)
     devices = engine.storage.array.devices
     reads_before = sum(device.op_counts[0] for device in devices)
     restored = engine.restore("bench")
@@ -193,7 +206,8 @@ def check_layer0(model: Transformer, n_tokens: int) -> dict:
         "expected_device_reads": stored_layers * -(-n_tokens // CHUNK_TOKENS),
         "matches_all_stored": bool(
             restored.equals(
-                saved_engine(PartitionScheme.pure_hcache(cfg.n_layers)).restore("bench"),
+                saved_engine(model, n_tokens, PartitionScheme.pure_hcache(cfg.n_layers))
+                .restore("bench"),
                 atol=0.0,
             )
         ),
@@ -207,13 +221,39 @@ def check_layer0(model: Transformer, n_tokens: int) -> dict:
     return report
 
 
+def check_slab_reuse(model: Transformer, n_tokens: int) -> dict:
+    """K/V slab pairs allocated by a cold and by a warm default restore."""
+    engine = NumericServingEngine.recover(model, saved_engine(model, n_tokens))
+    allocated: list[tuple[int, ...]] = []
+    real = kv_cache_module._slab_pair
+
+    def counted(shape: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+        allocated.append(shape)
+        return real(shape)
+
+    def restore() -> int:
+        before = len(allocated)
+        engine.start_restores({"bench": n_tokens + 1}, background=False)
+        engine.finished_restores()
+        return len(allocated) - before
+
+    kv_cache_module._slab_pair = counted
+    try:
+        cold = restore()
+        engine.evict("bench")
+        warm = restore()
+    finally:
+        kv_cache_module._slab_pair = real
+    return {"cold_allocations": cold, "warm_allocations": warm, "met": (cold, warm) == (1, 0)}
+
+
 def main() -> int:
     argparse.ArgumentParser(description=__doc__).parse_args()
     model = Transformer.from_seed(BENCH_CONFIG, seed=7)
-    report: dict = {"schema": "bench_hotpath/v10", "window": WINDOW, "sizes": {}}
+    report: dict = {"schema": "bench_hotpath/v11", "window": WINDOW, "sizes": {}}
     for n in SIZES:
-        state, layer0 = bench_state_path(n), check_layer0(model, n)
-        report["sizes"][str(n)] = {"state_path": state, "layer0": layer0}
+        state, layer0, slabs = bench_state_path(n), check_layer0(model, n), check_slab_reuse(model, n)
+        report["sizes"][str(n)] = {"state_path": state, "layer0": layer0, "slab_reuse": slabs}
         print(
             f"n={n:5d}  state path {state['speedup']:6.1f}x "
             f"({state['naive_tok_s']:9.1f} -> {state['fast_tok_s']:10.1f} tok/s)  "
@@ -221,11 +261,16 @@ def main() -> int:
             f"(expected {layer0['expected_bytes_per_token']}), "
             f"{layer0['device_reads']} chunk reads "
             f"(expected {layer0['expected_device_reads']}), "
-            f"== all-stored: {layer0['matches_all_stored']}"
+            f"== all-stored: {layer0['matches_all_stored']}  "
+            f"slabs allocated: {slabs['cold_allocations']} cold, "
+            f"{slabs['warm_allocations']} warm"
         )
     headline = report["sizes"][str(max(SIZES))]["state_path"]["speedup"]
     report["state_path_floor_met"] = headline >= STATE_PATH_FLOOR
     report["layer0_met"] = all(size["layer0"]["met"] for size in report["sizes"].values())
+    report["slab_reuse_met"] = all(
+        size["slab_reuse"]["met"] for size in report["sizes"].values()
+    )
     print(json.dumps(report))
     if not report["state_path_floor_met"]:
         print(
@@ -238,6 +283,13 @@ def main() -> int:
         print(
             "ERROR: the default engine must store and read exactly N - 1 layers "
             "(none for layer 0) and restore the all-stored engine's bits",
+            file=sys.stderr,
+        )
+        return 1
+    if not report["slab_reuse_met"]:
+        print(
+            "ERROR: a default restore must allocate one K/V slab pair cold and "
+            "none once an eviction has given one back",
             file=sys.stderr,
         )
         return 1

@@ -25,13 +25,15 @@
 # repro.* name and tests/*.py path in README.md, docs/ARCHITECTURE.md and
 # benchmarks/README.md resolving to a file and a definition (by AST).  The hot-path gate
 # (benchmarks/bench_hotpath.py, about a second, one run shape) asserts
-# the two checks nothing else makes:
+# the three checks nothing else makes:
 #   - the PR-1 O(n) floor: the decode-with-capture state path is >= 10x
 #     the naive concatenate-growth path at 4k tokens;
 #   - the token-sourced layer 0, by exact counts: the default engine's
 #     devices hold (N-1)*hidden*4 bytes per token, a restore issues
 #     (N-1)*ceil(n/64) chunk reads, and it restores the all-stored
-#     engine's bits.
+#     engine's bits;
+#   - slab reuse, by exact counts: a default restore allocates one K/V
+#     slab pair cold, and none once an eviction has given one back.
 # Restore exactness in every shape, batched-decode equivalence,
 # failover, recovery and the front end's token streams
 # are tier-1 tests; speed is the serving benchmark's job.  The paper's
@@ -118,7 +120,7 @@ for example in examples/*.py; do
     python "$example" > /dev/null
 done
 
-echo "== hot-path gate (state path >= 10x naive at 4k + layer-0 storage/read counts) =="
+echo "== hot-path gate (state path >= 10x naive at 4k + layer-0 storage/read counts + slab reuse) =="
 python benchmarks/bench_hotpath.py
 
 # The serving benchmark (BENCHMARK.json's command) is what performance PRs

@@ -21,7 +21,7 @@ import numpy as np
 
 from repro.core.partition import LayerMethod, PartitionScheme
 from repro.errors import ConfigError, RecoveryError, RestorationError, StateError
-from repro.models.kv_cache import KVCache
+from repro.models.kv_cache import KVCache, SlabArena
 from repro.models.transformer import Transformer
 from repro.runtime.executor import RestoreExecutor, drain_granules
 from repro.runtime.progress import RestoreProgress
@@ -92,6 +92,9 @@ class HCacheEngine:
             raise ConfigError("scheme layer count mismatches the model")
         self.scheme = scheme
         self._contexts: dict[str, int] = {}
+        #: Where every restored cache takes its K/V slab, and where the
+        #: serving engine's sessions give theirs back.
+        self.arena = SlabArena()
 
     # ------------------------------------------------------------------
     # saving
@@ -327,7 +330,10 @@ class HCacheEngine:
         originals to float rounding.
 
         ``reserve_tokens`` sizes the cache for the upcoming round, so the
-        history is never recopied by a capacity growth.  The restore
+        history is never recopied by a capacity growth.  The cache's slab
+        comes from :attr:`arena`, where an evicted session's slab went
+        back (:mod:`repro.models.kv_cache`); the returned cache owns it,
+        and giving it back is its owner's call.  The restore
         counts nothing itself: the devices count and time its reads, an
         executor's pool its submissions.
 
@@ -424,8 +430,7 @@ class HCacheEngine:
                     f"layer {layer} stores {stored} {kind} rows, expected {n_tokens}"
                 )
             runs[kind].append(layer)
-        cache = KVCache(self.transformer.config)
-        cache.reserve(max(n_tokens, reserve_tokens))
+        cache = self.arena.cache(self.transformer.config, max(n_tokens, reserve_tokens))
         return _RestorePlan(
             context_id=context_id,
             n_tokens=n_tokens,

@@ -173,6 +173,10 @@ class ServingEngine(_Protocol):
     sessions, their state and how a restoration is carried out.
     """
 
+    @property
+    def max_context(self) -> int:
+        """Most tokens one session's context may hold (the model's limit)."""
+
     def has_session(self, session_id: str) -> bool: ...
 
     def open_session(self, session_id: str) -> object: ...

@@ -181,9 +181,10 @@ class ServingFrontend:
         and an auto-generated round number used up only on acceptance.
 
         Raises:
-            AdmissionError: if the request's full context could never fit
-                the KV budget (it would queue forever), or the arrival
-                queue is at ``max_queue`` (back-pressure: retry later).
+            AdmissionError: if the request's full context exceeds the
+                model's ``max_context`` or could never fit the KV budget
+                (it would queue forever), or the arrival queue is at
+                ``max_queue`` (back-pressure: retry later).
             ConfigError: if ``request_id`` names a request still in flight.
         """
         session_id = request.session_id
@@ -216,6 +217,12 @@ class ServingFrontend:
             output_tokens=request.max_new_tokens,
             depends_on=None if tail is None else tail.spec.request_id,
         )
+        if spec.total_context > self.engine.max_context:
+            self._rejected += 1
+            raise _AdmissionError(
+                f"request {request_id!r} needs {spec.total_context} tokens of "
+                f"context; the model holds at most {self.engine.max_context}"
+            )
         if spec.total_context > self.batcher.budget.capacity_tokens:
             self._rejected += 1
             raise _AdmissionError(

@@ -126,6 +126,10 @@ class NumericServingEngine:
             )
         return engine
 
+    @property
+    def max_context(self) -> int:
+        return self.transformer.config.max_context
+
     def open_session(self, session_id: str) -> SessionState:
         """Start a new conversation."""
         if session_id in self._sessions:
@@ -239,7 +243,7 @@ class NumericServingEngine:
                 raise StateError(
                     f"session {session_id!r} is not GPU-resident; restore it first"
                 )
-            state.kv_cache = KVCache(self.transformer.config)
+            state.kv_cache = self.hcache.arena.cache(self.transformer.config)
         if len(state.kv_cache) != len(state.tokens):
             raise StateError(
                 f"session {session_id!r}: cache holds {len(state.kv_cache)} tokens, "
@@ -354,7 +358,7 @@ class NumericServingEngine:
         if state.kv_cache is None:
             if state.tokens:
                 return True
-            state.kv_cache = KVCache(self.transformer.config)
+            state.kv_cache = self.hcache.arena.cache(self.transformer.config, total_context)
         state.kv_cache.reserve(total_context)
         return False
 
@@ -450,17 +454,25 @@ class NumericServingEngine:
         assert state.kv_cache is not None
         error = restoring.future.exception()
         if error is not None:
+            # No release: a worker may still be writing to the slab.
             state.kv_cache = None
             raise error
-        state.kv_cache.landing = None
+        state.kv_cache.end_landing(restoring.future.result())
 
     def evict(self, session_id: str) -> None:
-        """Drop a session's GPU state; host storage keeps everything."""
+        """Drop a session's GPU state; host storage keeps everything, and
+        the cache's slab goes back to the arena for the next restore."""
         state = self.session(session_id)
         if not state.on_gpu:
             raise StateError(f"session {session_id!r} is already evicted")
         self._settle_restore(session_id)
         self.hcache.seal(session_id)
+        self._drop_cache(state)
+
+    def _drop_cache(self, state: SessionState) -> None:
+        """Give a settled session's slab back; the cache object dies with it."""
+        if state.kv_cache is not None:
+            state.kv_cache.release()
         state.kv_cache = None
 
     def close_session(self, session_id: str) -> None:
@@ -474,7 +486,7 @@ class NumericServingEngine:
         if restoring is not None:
             wait((restoring.future,))
         self._settle_restore(session_id)
-        state.kv_cache = None
+        self._drop_cache(state)
         self.hcache.drop_context(session_id)
         del self._sessions[session_id]
 

@@ -104,6 +104,10 @@ class CostModelEngine:
         """The virtual clock, in seconds; it never moves backwards."""
         return self._now
 
+    @property
+    def max_context(self) -> int:
+        return self.config.max_context
+
     def has_session(self, session_id: str) -> bool:
         return session_id in self._tokens
 

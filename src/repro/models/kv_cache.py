@@ -7,12 +7,13 @@ restoration (HCache projection, KV offload fetch, or prefix recompute),
 and truncation for eviction experiments.
 
 Storage layout: all layers share two 4-D backing buffers of shape
-``(n_layers, capacity, n_kv_heads, head_dim)`` that grow by amortized
-doubling, so ``append`` is an O(block) slice write instead of an
-O(history) ``np.concatenate`` — the difference between O(n) and O(n^2)
-decode over a whole conversation.  ``get`` returns zero-copy views of the
-live prefix; restoration paths write straight into the backing buffers
-(:meth:`KVCache.install_view`) without any defensive copy.
+``(n_layers, capacity, n_kv_heads, head_dim)`` — one **slab pair** —
+that grow by amortized doubling, so ``append`` is an O(block) slice
+write instead of an O(history) ``np.concatenate`` — the difference
+between O(n) and O(n^2) decode over a whole conversation.  ``get``
+returns zero-copy views of the live prefix; restoration paths write
+straight into the backing buffers (:meth:`KVCache.install_view`)
+without any defensive copy.
 
 View semantics: views returned by :meth:`get` alias the backing buffer.
 An in-capacity ``append`` only writes past the live prefix, so earlier
@@ -22,7 +23,23 @@ reallocation detaches them to a stale snapshot of the old buffer, and
 need a durable, current snapshot across any of those operations must
 copy, exactly as a real serving system snapshots KV pages before reuse.
 
-Every cache owns its buffers for its whole life: the packed model call
+Slab lifecycle: a serving engine's caches live on slabs from one
+:class:`SlabArena` (the HCache engine owns it).  A restore or a fresh
+session takes a slab whose capacity is rounded up to a size class
+(:func:`slab_tokens`); a cache that must grow takes the larger slab and
+gives the old one back after the copy; when the session is evicted or
+closed, its owner calls :meth:`KVCache.release` once, and the next
+restore projects into that already-resident memory.  After release the
+cache object is dead — every use raises :class:`~repro.errors.StateError`
+— because its rows may already be another session's.  A slab has one
+owner: the cache it was taken for, until a settled
+:meth:`KVCache.landing_handle` takes it over (:meth:`KVCache.end_landing`).
+A restore that failed is dropped without a release, since a worker may
+still be writing to its slab.  ``KVCache(config)`` alone, and a
+``copy.deepcopy`` of any cache, has plain buffers with exact ``reserve``
+semantics and no arena.
+
+The packed model call
 (:meth:`repro.models.transformer.Transformer.forward_fused`) attends each
 session against its own cache, so a session joining or leaving a batch
 moves no K/V rows.  The one sharing there is, is between the cache a
@@ -33,6 +50,7 @@ landed while later ones still stream.
 
 from __future__ import annotations
 
+import threading
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -44,6 +62,83 @@ from repro.models.growth import grown_capacity
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.runtime.progress import RestoreProgress
 
+#: Every arena size class is a multiple of this many tokens.
+SLAB_TOKENS = 64
+
+SlabPair = tuple[np.ndarray, np.ndarray]
+
+
+def slab_tokens(n_tokens: int) -> int:
+    """The arena size class that holds ``n_tokens`` rows.
+
+    Multiples of :data:`SLAB_TOKENS`, eight per doubling from 512 tokens
+    up, so a slab wastes under 64 rows or 1/8 of its rows: 540–564
+    tokens are all one 576-token class.
+    """
+    step = max(SLAB_TOKENS, 1 << max(n_tokens.bit_length() - 4, 0))
+    return max(1, -(-n_tokens // step)) * step
+
+
+def _slab_pair(shape: tuple[int, ...]) -> SlabPair:
+    """Allocate one K and one V buffer — the only place either is allocated."""
+    keys = np.empty(shape, dtype=np.float32)
+    return keys, np.empty_like(keys)
+
+
+class SlabArena:
+    """Whole-session K/V slab pairs, recycled between one engine's sessions.
+
+    :meth:`take` hands out a free slab of the requested size class or
+    allocates one; :meth:`give` puts a slab back.  Restore driver threads
+    take and the stepping thread gives, so the free lists sit behind one
+    lock.  Retention is bounded without a knob: a miss drops every free
+    slab (they are all of other classes) before it allocates, so free
+    plus taken bytes never exceed the most that were taken at once.
+    """
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        #: Free slab pairs by shape.
+        self._free: dict[tuple[int, ...], list[SlabPair]] = {}  # guarded-by: _lock
+        self._allocations = 0  # guarded-by: _lock
+
+    def take(self, config: ModelConfig, n_tokens: int) -> SlabPair:
+        """A slab pair of ``config``'s shape holding at least ``n_tokens`` rows."""
+        shape = (config.n_layers, slab_tokens(n_tokens), config.n_kv_heads, config.head_dim)
+        with self._lock:
+            free = self._free.get(shape)
+            if free:
+                return free.pop()
+            self._free.clear()
+            self._allocations += 1
+        return _slab_pair(shape)
+
+    def give(self, slab: SlabPair) -> None:
+        """Return a slab pair :meth:`take` handed out; nothing may use it after."""
+        with self._lock:
+            self._free.setdefault(slab[0].shape, []).append(slab)
+
+    def cache(self, config: ModelConfig, n_tokens: int = 0) -> "KVCache":
+        """An empty cache that takes its slabs from this arena; it holds one
+        covering ``n_tokens`` from the start (none for 0)."""
+        cache = KVCache(config)
+        cache._arena = self
+        if n_tokens:
+            cache._k, cache._v = self.take(config, n_tokens)
+        return cache
+
+    @property
+    def allocations(self) -> int:
+        """Slab pairs allocated so far (a hit allocates none)."""
+        with self._lock:
+            return self._allocations
+
+    @property
+    def held_bytes(self) -> int:
+        """Bytes of the free slab pairs the arena keeps."""
+        with self._lock:
+            return sum(2 * k.nbytes for free in self._free.values() for k, _ in free)
+
 
 class KVCache:
     """Key/value tensors for every layer of one sequence."""
@@ -54,6 +149,10 @@ class KVCache:
         self._row_shape = (config.n_kv_heads, config.head_dim)
         self._k = np.empty((self._n_layers, 0, *self._row_shape), dtype=np.float32)
         self._v = np.empty_like(self._k)
+        #: Where this cache's slabs come from and go back to; ``None``
+        #: for plain buffers, and for a cache that owns no slab.
+        self._arena: SlabArena | None = None
+        self._released = False
         self._lens = [0] * self._n_layers
         #: length -> number of layers currently at that length.  Keeping the
         #: histogram as an invariant makes ``__len__`` (called on every
@@ -70,6 +169,7 @@ class KVCache:
 
     def __len__(self) -> int:
         """Token count of the sequence (equal across layers)."""
+        self._check_live()
         if len(self._len_counts) != 1:
             raise StateError(
                 f"layers disagree on cached length: {sorted(self._len_counts)}"
@@ -77,11 +177,13 @@ class KVCache:
         return next(iter(self._len_counts))
 
     def layer_len(self, layer: int) -> int:
+        self._check_live()
         return self._lens[layer]
 
     @property
     def capacity(self) -> int:
         """Allocated token capacity shared by every layer."""
+        self._check_live()
         return self._k.shape[1]
 
     def _set_len(self, layer: int, new_len: int) -> None:
@@ -129,12 +231,16 @@ class KVCache:
                 "landing rows in this cache (reserve the round at restore time)"
             )
         new_cap = grown_capacity(cap, min_capacity)
-        new_k = np.empty((self._n_layers, new_cap, *self._row_shape), dtype=np.float32)
-        new_v = np.empty_like(new_k)
+        if self._arena is None:
+            new_k, new_v = _slab_pair((self._n_layers, new_cap, *self._row_shape))
+        else:
+            new_k, new_v = self._arena.take(self.config, new_cap)
         live = max(self._lens, default=0)
         if live:
             new_k[:, :live] = self._k[:, :live]
             new_v[:, :live] = self._v[:, :live]
+        if self._arena is not None and cap:
+            self._arena.give((self._k, self._v))
         self._k = new_k
         self._v = new_v
 
@@ -172,11 +278,52 @@ class KVCache:
         handle.landing = landing
         return handle
 
+    def end_landing(self, restored: "KVCache") -> None:
+        """Make this landing handle an ordinary cache: its restore returned
+        ``restored``.  The handle takes over ``restored``'s slab, and with it
+        the one :meth:`release`; ``restored`` is dead from here on."""
+        self.landing = None
+        if restored._k is self._k:
+            self._arena, restored._arena = restored._arena, None
+            restored._released = True
+
+    def release(self) -> None:
+        """Give this cache's slab back to its arena, once, from its owner.
+
+        Every later use of this object raises :class:`StateError`: the
+        rows may already be another session's.  A cache with no arena
+        has nothing to give back and stays usable.
+        """
+        self._check_live()
+        if self._arena is None:
+            return
+        if self.capacity:
+            self._arena.give((self._k, self._v))
+        self._arena = None
+        self._released = True
+
+    def __deepcopy__(self, memo: dict) -> "KVCache":
+        """A copy has plain buffers: it never takes from or gives to an arena."""
+        self._check_live()
+        clone = KVCache(self.config)
+        clone._k, clone._v = self._k.copy(), self._v.copy()
+        clone._lens = list(self._lens)
+        clone._len_counts = dict(self._len_counts)
+        return clone
+
     # ------------------------------------------------------------------
     # validation helpers
     # ------------------------------------------------------------------
 
+    def _check_live(self) -> None:
+        if self._released:
+            raise StateError(
+                "this cache gave its slab back (its session was evicted or "
+                "closed); its rows may belong to another session now"
+            )
+
     def _check_layer(self, layer: int) -> None:
+        self._check_live()
         if not 0 <= layer < self._n_layers:
             raise ConfigError(f"layer {layer} out of range")
 
@@ -257,6 +404,7 @@ class KVCache:
 
         Capacity is retained; only the live lengths shrink (O(layers)).
         """
+        self._check_live()
         if n_tokens < 0:
             raise ConfigError("cannot truncate to a negative length")
         for layer in range(self._n_layers):
@@ -331,6 +479,7 @@ class KVCache:
 
     def nbytes(self) -> int:
         """Total live cached bytes across layers (at the array dtype width)."""
+        self._check_live()
         row_bytes = self._k.itemsize * self._row_shape[0] * self._row_shape[1]
         return 2 * row_bytes * sum(self._lens)
 

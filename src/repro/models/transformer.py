@@ -580,14 +580,17 @@ class Transformer:
         Used by the bubble-free scheduler's recompute-complement mode: the
         prefix layers' KV comes from a partial forward pass over the
         original tokens.  Returns a cache filled for the prefix layers only
-        plus the hidden states entering layer ``n_prefix_layers``.
+        plus the hidden states entering layer ``n_prefix_layers``; with no
+        prefix layers that is the embedding gather alone, and the cache
+        holds no buffers at all.
         """
         if not 0 <= n_prefix_layers <= self.config.n_layers:
             raise ConfigError(f"prefix layer count {n_prefix_layers} out of range")
         tokens = np.asarray(tokens)
         positions = np.arange(tokens.size)
         cache = KVCache(self.config)
-        cache.reserve(tokens.size)
+        if n_prefix_layers:
+            cache.reserve(tokens.size)
         hidden = self.embed(tokens)
         for layer in range(n_prefix_layers):
             hidden = self.layer_forward(layer, hidden, cache, positions)

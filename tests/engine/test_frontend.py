@@ -273,6 +273,40 @@ class TestAdmissionControl:
         assert frontend.submit(request("b", 4)).request_id == "b/r0"
         assert engine.has_session("b")
 
+    def test_a_context_beyond_the_models_limit_is_rejected_before_it_runs(
+        self, make_engine, tiny_config
+    ):
+        """249 prompt + 300 new tokens exceed tiny-llama's 512-token context:
+        refused at submit, not as a ``ConfigError`` out of ``step()`` that
+        would take the batch's other requests down too."""
+        engine = make_engine()
+        frontend = ServingFrontend(engine, MemoryBudget(capacity_tokens=4096))
+        ok = frontend.submit(
+            ServingRequest(session_id="ok", prompt_tokens=np.arange(5), max_new_tokens=3)
+        )
+        with pytest.raises(AdmissionError, match="at most 512"):
+            frontend.submit(
+                ServingRequest(
+                    session_id="long",
+                    prompt_tokens=np.arange(249) % tiny_config.vocab_size,
+                    max_new_tokens=300,
+                )
+            )
+        assert frontend.rejected_requests == 1
+        assert not engine.has_session("long")
+        assert engine.hcache.storage.context_ids() == ("ok",)
+        frontend.run_until_idle(max_steps=50)
+        assert len(ok.result().tokens) == 3
+        # The limit is inclusive, and the retry is the session's first round.
+        fits = frontend.submit(
+            ServingRequest(
+                session_id="long",
+                prompt_tokens=np.arange(249) % tiny_config.vocab_size,
+                max_new_tokens=tiny_config.max_context - 249,
+            )
+        )
+        assert fits.request_id == "long/r0"
+
     def test_memory_admission_never_exceeds_budget(self, make_engine, tiny_config):
         capacity = 80
         engine = make_engine()

@@ -42,6 +42,8 @@ class _FakeSession:
 class _FakeEngine:
     """Bookkeeping-only stand-in honouring the ``ServingEngine`` seam."""
 
+    max_context = 1 << 30
+
     def __init__(self):
         self.sessions = {}
         self.restored_sessions = 0
