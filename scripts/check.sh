@@ -34,6 +34,11 @@
 #     engine's bits;
 #   - slab reuse, by exact counts: a default restore allocates one K/V
 #     slab pair cold, and none once an eviction has given one back.
+# The tier-1 step runs with TMPDIR set to a fresh `mktemp -d` directory:
+# every storage device keeps its chunk files in a private repro-dev*
+# directory under TMPDIR and removes it when the device is collected or
+# at interpreter exit, so any repro-dev* directory left there after the
+# tests is a leak, and fails the gate.
 # Restore exactness in every shape, batched-decode equivalence,
 # failover, recovery and the front end's token streams
 # are tier-1 tests; speed is the serving benchmark's job.  The paper's
@@ -77,8 +82,15 @@ python -m repro.lint src
 echo "== types (mypy, non-strict, repro.storage + repro.runtime) =="
 require_or_skip mypy python -m mypy
 
-echo "== tier-1 tests =="
-python -m pytest -x -q
+echo "== tier-1 tests (then: no device directory left behind) =="
+tier1_tmp="$(mktemp -d)"
+trap 'rm -rf "$tier1_tmp"' EXIT
+TMPDIR="$tier1_tmp" python -m pytest -x -q
+if compgen -G "$tier1_tmp/repro-dev*" > /dev/null; then
+    echo "error: tier-1 left storage device directories behind:" >&2
+    ls -d "$tier1_tmp"/repro-dev* >&2
+    exit 1
+fi
 # The src/ line count, so a simplicity change's before/after can be read
 # straight from the log (no gate: compare it with the parent's run).
 echo "src/ lines: $(find src -name '*.py' | xargs cat | wc -l)"

@@ -47,13 +47,16 @@ import numpy as np
 from repro.errors import (
     AllocationError,
     ConfigError,
+    DeviceFault,
     JournalCorruptError,
     RecoveryError,
     StateError,
 )
 from repro.storage.array import StorageArray
 from repro.storage.chunk import CHUNK_TOKENS, ChunkKey
+from repro.storage.device import StorageDevice
 from repro.storage.journal import ManifestJournal
+from repro.storage.replicated import ReplicatedDevice
 
 #: Storage chunks coalesced into each streamed restore granule.  IO stays
 #: chunk-granular (every device chunk is its own read); this only sets how
@@ -74,6 +77,19 @@ _KINDS = ("hidden", "kv")
 def _payload_crc(payload: np.ndarray) -> int:
     """CRC32 of a chunk payload's bytes (row-major, any input layout)."""
     return zlib.crc32(np.ascontiguousarray(payload).tobytes())
+
+
+def _read_journaled(device: StorageDevice | ReplicatedDevice, key: ChunkKey) -> np.ndarray:
+    """Read a chunk the journal says is durable, for recovery's audit.
+
+    A device that holds the key but cannot return its bytes (a torn or
+    unreadable chunk file) contradicts the journal just as a missing
+    chunk does.
+    """
+    try:
+        return device.read(key)
+    except DeviceFault as exc:
+        raise RecoveryError(f"journaled chunk {key} is unreadable: {exc}") from exc
 
 
 class _Run:
@@ -687,7 +703,7 @@ class StorageManager:
                         )
                     # A chunk whose record was lost while later ones landed
                     # has no CRC; its payload supplies one.
-                    crc = _payload_crc(device.read(key))
+                    crc = _payload_crc(_read_journaled(device, key))
                     if run.crcs.setdefault(index, crc) != crc:
                         raise RecoveryError(
                             f"chunk {key} payload fails its journaled checksum"
@@ -703,7 +719,7 @@ class StorageManager:
                         run.n_tokens = full * cpc
                         run.device_tail_rows = 0
                         continue
-                    payload = device.read(key)
+                    payload = _read_journaled(device, key)
                     if payload.shape[0] < rows or _payload_crc(payload[:rows]) != run.crcs[full]:
                         raise RecoveryError(f"sealed tail {key} mismatches its journal record")
                     sealed[(layer, kind)] = payload[:rows]
@@ -734,7 +750,8 @@ class StorageManager:
                     run.device_tail_rows = 0
                     if rem:
                         boundary = ChunkKey(context_id, layer, full_keep, kind)
-                        payload = array.device_for(full_keep, offset=layer).read(boundary)
+                        device = array.device_for(full_keep, offset=layer)
+                        payload = _read_journaled(device, boundary)
                         run.tail[:rem] = payload[:rem]
                 else:
                     # The cut lands in this run's own sealed tail, whose

@@ -85,9 +85,19 @@ def test_injected_delete_before_free_record_is_caught(tmp_path):
 def test_injected_hot_path_copy_is_caught(tmp_path):
     dest = _copy_into_tree(tmp_path, "repro/storage/device.py")
     source = dest.read_text()
-    target = "        np.copyto(out, payload)"
-    assert source.count(target) == 1
-    dest.write_text(source.replace(target, "        out[:] = payload.copy()"))
+    # The regression: stage the chunk in a fresh buffer, then copy it
+    # into the slot, instead of one read straight into ``out``.
+    target = (
+        "        self._io(self.spec.read_time(out.nbytes) + extra, True, "
+        "_read_file, path, out)"
+    )
+    assert source.count(target) == 1, "read_into's read moved; update test"
+    staged = (
+        "        staged = np.empty_like(out)\n"
+        + target.replace("path, out)", "path, staged)")
+        + "\n        out[:] = staged.copy()"
+    )
+    dest.write_text(source.replace(target, staged))
     findings = check_paths([tmp_path], default_rules())
     assert len(findings) == 1
     assert findings[0].rule == "hot-path"

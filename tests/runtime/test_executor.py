@@ -694,8 +694,10 @@ class TestLatencyEmulation:
         healthy = engine.restore("c")
         array = engine.storage.array
         emulator = array.emulate_latency()
-        # Swap the real sleep for a recorder: totals must equal the
-        # modelled device seconds of the restore's reads.
+        # Swap the real sleep for a recorder: what it slept, plus the real
+        # time credited instead of slept (the reads' own duration, and any
+        # timer overshoot, which flush leaves as negative pending debt),
+        # must equal the modelled device seconds of the restore's reads.
         charged = []
         emulator._sleep = charged.append
         busy_before, _ = device_totals(engine.storage)
@@ -704,7 +706,8 @@ class TestLatencyEmulation:
         busy_after, _ = device_totals(engine.storage)
         assert restored.equals(healthy, atol=0.0)
         assert busy_after > busy_before
-        assert sum(charged) == pytest.approx(busy_after - busy_before)
+        accounted = sum(charged) + emulator.credited_s + emulator.pending_s
+        assert accounted == pytest.approx(busy_after - busy_before)
 
     def test_emulation_is_idempotent(self):
         config = model_preset("tiny-llama")

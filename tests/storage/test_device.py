@@ -64,6 +64,24 @@ class TestReadWrite:
         ssd.write("k", np.zeros(1, dtype=np.float32))
         assert "k" in ssd
 
+    @pytest.mark.parametrize(
+        "slot",
+        [
+            np.zeros(3, dtype=np.float16),  # used to round 1.0001 to 1.0 silently
+            np.zeros(3, dtype=np.int32),  # used to raise a raw TypeError
+            np.zeros(4, dtype=np.float32),
+            np.zeros(6, dtype=np.float32)[::2],
+        ],
+        ids=["float16", "int32", "shape", "strided"],
+    )
+    def test_read_into_rejects_a_mismatched_slot_before_any_io(self, ssd, slot):
+        ssd.write("k", np.full(3, 1.0001, dtype=np.float32))
+        before = slot.copy()
+        with pytest.raises(StateError, match="destination"):
+            ssd.read_into("k", slot)
+        assert np.array_equal(slot, before)
+        assert ssd.op_counts == (0, 1)
+
 
 class TestCapacityAndTiming:
     def test_capacity_enforced(self):
