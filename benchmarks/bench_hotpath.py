@@ -1,9 +1,10 @@
 #!/usr/bin/env python
 """Hot-path gate: the save path stays O(n), layer 0 stays off the devices,
-and a restore lands on the slab an eviction gave back.
+a restore lands on the slab an eviction gave back, and a long prefill
+splits into row parts without moving a bit.
 
-Three checks at 256 / 1k / 4k context tokens, each one that no
-serving-benchmark metric makes:
+Three checks at 256 / 1k / 4k context tokens and one on a bench-mid
+prefill chunk, each one that no serving-benchmark metric makes:
 
 1. **decode-with-capture state path** — the per-token state-management
    cost of a decode step that captures hidden states and persists them:
@@ -24,14 +25,21 @@ serving-benchmark metric makes:
    builds no cache of its own), and once the session is evicted the
    second restore allocates none — it lands on the slab the eviction
    gave back to the engine's arena.
+4. **prefill parts** — exact counts and bits: one bench-mid 256-row
+   packed call runs in exactly ``min(usable CPUs, 2)`` row parts
+   (``Transformer._forward_packed``; one per ``PART_ROWS`` rows, at most
+   one per CPU), and its logits, hidden states and K/V are bit-identical
+   to the same call forced into one part.  The wall-clock ratio of the
+   two is printed, not gated.
 
 Restore, decode and serving *speed* is the serving benchmark's record
 (``benchmarks/serving/``, on a model where BLAS sets the time); restore
 exactness in every shape is ``tests/core/test_restore_matrix.py``.
 
-Run from the repo root; it takes about a second, prints one line per
-context size and, last, the report as one JSON line (schema
-``bench_hotpath/v11``), and exits non-zero when a check fails::
+Run from the repo root; it takes a few seconds, prints one line per
+context size, one for the prefill parts and, last, the report as one
+JSON line (schema ``bench_hotpath/v12``), and exits non-zero when a
+check fails::
 
     python benchmarks/bench_hotpath.py
 """
@@ -40,11 +48,18 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
+import statistics
 import sys
 import time
 from pathlib import Path
 
-import numpy as np
+#: One BLAS thread, as the serving rig runs: the prefill parts are the
+#: second thread, and parts over multithreaded BLAS oversubscribe the
+#: cores.  Must be set before numpy is first imported.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+import numpy as np  # noqa: E402
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
@@ -53,6 +68,7 @@ from repro.core.partition import PartitionScheme
 from repro.core.profiler import build_storage_array
 from repro.engine.numeric_engine import NumericServingEngine
 from repro.models import kv_cache as kv_cache_module
+from repro.models import transformer as transformer_module
 from repro.models.config import ModelConfig
 from repro.models.hidden_capture import HiddenCapture
 from repro.models.kv_cache import KVCache
@@ -84,6 +100,28 @@ WINDOW = 64
 #: The O(n) guarantee: fast over naive state path at the largest size.
 #: Measured 35-53x on a 2-vCPU host (1.7x at 256 tokens, 7x at 1k).
 STATE_PATH_FLOOR = 10.0
+
+#: The serving benchmark's model shape: big enough that BLAS, not the
+#: interpreter, sets the time of a packed call.
+PARTS_CONFIG = ModelConfig(
+    name="bench-mid",
+    n_layers=12,
+    hidden_size=512,
+    n_heads=8,
+    n_kv_heads=8,
+    ffn_hidden_size=1408,
+    n_ffn_mats=3,
+    vocab_size=4096,
+)
+
+#: Rows of the prefill-parts call: one SplitFuse chunk of a fresh prompt.
+PREFILL_ROWS = 256
+
+#: Timed calls per side of the prefill-parts check, alternating, after
+#: ``PARTS_WARM`` untimed split calls: a fresh process's first split calls
+#: run ~1.5x slower (measured 297, 306, 314 then 181, 224 ms).
+PARTS_REPS = 5
+PARTS_WARM = 3
 
 #: Token blocks the layer-0 check saves in (not a chunk multiple, so
 #: the storage tails fill and flush across saves).
@@ -247,10 +285,72 @@ def check_slab_reuse(model: Transformer, n_tokens: int) -> dict:
     return {"cold_allocations": cold, "warm_allocations": warm, "met": (cold, warm) == (1, 0)}
 
 
+def check_prefill_parts() -> dict:
+    """Parts and bits of one bench-mid prefill chunk, split as shipped,
+    against the same call forced into one part; and their wall clocks."""
+    cfg = PARTS_CONFIG
+    model = Transformer.from_seed(cfg, seed=0)
+    prompt = _rng().integers(0, cfg.vocab_size, size=PREFILL_ROWS)
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:
+        cpus = os.cpu_count() or 1
+    parts: list[int] = []
+    compute_qkv = model.compute_qkv
+
+    def counted(layer: int, hidden: np.ndarray, *args):
+        if layer == 0:  # each part projects its own rows once per layer
+            parts.append(hidden.shape[0])
+        return compute_qkv(layer, hidden, *args)
+
+    def timed(one_part: bool) -> tuple[float, object, KVCache]:
+        cache = KVCache(cfg)
+        real = transformer_module.part_count
+        if one_part:
+            transformer_module.part_count = lambda rows: 1
+        try:
+            t0 = time.perf_counter()
+            result = model.forward_fused([prompt], [cache])
+            return time.perf_counter() - t0, result, cache
+        finally:
+            transformer_module.part_count = real
+
+    model.compute_qkv = counted
+    _, split, split_cache = timed(one_part=False)
+    n_parts = len(parts)
+    del model.compute_qkv
+    _, whole, whole_cache = timed(one_part=True)
+    for _ in range(PARTS_WARM):
+        timed(one_part=False)
+    split_s, whole_s = [], []
+    for _ in range(PARTS_REPS):
+        split_s.append(timed(one_part=False)[0])
+        whole_s.append(timed(one_part=True)[0])
+    report = {
+        "rows": PREFILL_ROWS,
+        "usable_cpus": cpus,
+        "parts": n_parts,
+        "part_rows": sorted(parts),
+        "expected_parts": min(cpus, 2),
+        "bit_identical": bool(
+            np.array_equal(split.logits, whole.logits)
+            and all(
+                np.array_equal(a, b) for a, b in zip(split.hidden_states, whole.hidden_states)
+            )
+            and split_cache.equals(whole_cache, atol=0.0)
+        ),
+        "split_ms": statistics.median(split_s) * 1e3,
+        "one_part_ms": statistics.median(whole_s) * 1e3,
+    }
+    report["wall_ratio"] = report["split_ms"] / report["one_part_ms"]
+    report["met"] = report["parts"] == report["expected_parts"] and report["bit_identical"]
+    return report
+
+
 def main() -> int:
     argparse.ArgumentParser(description=__doc__).parse_args()
     model = Transformer.from_seed(BENCH_CONFIG, seed=7)
-    report: dict = {"schema": "bench_hotpath/v11", "window": WINDOW, "sizes": {}}
+    report: dict = {"schema": "bench_hotpath/v12", "window": WINDOW, "sizes": {}}
     for n in SIZES:
         state, layer0, slabs = bench_state_path(n), check_layer0(model, n), check_slab_reuse(model, n)
         report["sizes"][str(n)] = {"state_path": state, "layer0": layer0, "slab_reuse": slabs}
@@ -271,6 +371,16 @@ def main() -> int:
     report["slab_reuse_met"] = all(
         size["slab_reuse"]["met"] for size in report["sizes"].values()
     )
+    parts = check_prefill_parts()
+    report["prefill_parts"] = parts
+    report["prefill_parts_met"] = parts["met"]
+    print(
+        f"prefill parts: {parts['rows']} rows in {parts['parts']} parts "
+        f"(expected {parts['expected_parts']} on {parts['usable_cpus']} CPUs), "
+        f"== one part: {parts['bit_identical']}  "
+        f"{parts['split_ms']:.0f} vs {parts['one_part_ms']:.0f} ms one part "
+        f"({parts['wall_ratio']:.2f}x, not gated)"
+    )
     print(json.dumps(report))
     if not report["state_path_floor_met"]:
         print(
@@ -290,6 +400,14 @@ def main() -> int:
         print(
             "ERROR: a default restore must allocate one K/V slab pair cold and "
             "none once an eviction has given one back",
+            file=sys.stderr,
+        )
+        return 1
+    if not report["prefill_parts_met"]:
+        print(
+            f"ERROR: a {PREFILL_ROWS}-row bench-mid packed call ran in {parts['parts']} "
+            f"parts (expected {parts['expected_parts']}) or its bits differ from "
+            "the one-part call's",
             file=sys.stderr,
         )
         return 1

@@ -24,8 +24,8 @@
 # packages that actually exist (and vice versa), and every dotted
 # repro.* name and tests/*.py path in README.md, docs/ARCHITECTURE.md and
 # benchmarks/README.md resolving to a file and a definition (by AST).  The hot-path gate
-# (benchmarks/bench_hotpath.py, about a second, one run shape) asserts
-# the three checks nothing else makes:
+# (benchmarks/bench_hotpath.py, a few seconds, one run shape) asserts
+# the four checks nothing else makes:
 #   - the PR-1 O(n) floor: the decode-with-capture state path is >= 10x
 #     the naive concatenate-growth path at 4k tokens;
 #   - the token-sourced layer 0, by exact counts: the default engine's
@@ -33,7 +33,11 @@
 #     (N-1)*ceil(n/64) chunk reads, and it restores the all-stored
 #     engine's bits;
 #   - slab reuse, by exact counts: a default restore allocates one K/V
-#     slab pair cold, and none once an eviction has given one back.
+#     slab pair cold, and none once an eviction has given one back;
+#   - prefill parts, by exact count and bits: a 256-row bench-mid packed
+#     call runs in min(usable CPUs, 2) row parts and is bit-identical to
+#     the same call forced into one part (its wall-clock ratio is
+#     printed, not gated).
 # The tier-1 step runs with TMPDIR set to a fresh `mktemp -d` directory:
 # every storage device keeps its chunk files in a private repro-dev*
 # directory under TMPDIR and removes it when the device is collected or
@@ -132,7 +136,7 @@ for example in examples/*.py; do
     python "$example" > /dev/null
 done
 
-echo "== hot-path gate (state path >= 10x naive at 4k + layer-0 storage/read counts + slab reuse) =="
+echo "== hot-path gate (state path >= 10x naive at 4k + layer-0 storage/read counts + slab reuse + prefill parts) =="
 python benchmarks/bench_hotpath.py
 
 # The serving benchmark (BENCHMARK.json's command) is what performance PRs

@@ -74,6 +74,10 @@ class ServingRequest:
         prompt = np.asarray(self.prompt_tokens)
         if prompt.ndim != 1 or prompt.size == 0:
             raise _ConfigError("prompt must be a non-empty 1-D token array")
+        if not np.issubdtype(prompt.dtype, np.integer):
+            raise _ConfigError(f"prompt token ids must be integers, got {prompt.dtype}")
+        if prompt.min() < 0:
+            raise _ConfigError("prompt token ids must be non-negative")
         object.__setattr__(self, "prompt_tokens", prompt)
         if self.max_new_tokens <= 0:
             raise _ConfigError("max_new_tokens must be positive")
@@ -176,6 +180,10 @@ class ServingEngine(_Protocol):
     @property
     def max_context(self) -> int:
         """Most tokens one session's context may hold (the model's limit)."""
+
+    @property
+    def vocab_size(self) -> int:
+        """Token ids a prompt may use are ``0 .. vocab_size - 1``."""
 
     def has_session(self, session_id: str) -> bool: ...
 

@@ -181,8 +181,9 @@ class ServingFrontend:
         and an auto-generated round number used up only on acceptance.
 
         Raises:
-            AdmissionError: if the request's full context exceeds the
-                model's ``max_context`` or could never fit the KV budget
+            AdmissionError: if a prompt token id is outside the model's
+                vocabulary, the request's full context exceeds the
+                model's ``max_context``, or it could never fit the KV budget
                 (it would queue forever), or the arrival queue is at
                 ``max_queue`` (back-pressure: retry later).
             ConfigError: if ``request_id`` names a request still in flight.
@@ -217,6 +218,12 @@ class ServingFrontend:
             output_tokens=request.max_new_tokens,
             depends_on=None if tail is None else tail.spec.request_id,
         )
+        if int(request.prompt_tokens.max()) >= self.engine.vocab_size:
+            self._rejected += 1
+            raise _AdmissionError(
+                f"request {request_id!r} has a token id outside the model's "
+                f"vocabulary of {self.engine.vocab_size}"
+            )
         if spec.total_context > self.engine.max_context:
             self._rejected += 1
             raise _AdmissionError(

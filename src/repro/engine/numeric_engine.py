@@ -130,6 +130,10 @@ class NumericServingEngine:
     def max_context(self) -> int:
         return self.transformer.config.max_context
 
+    @property
+    def vocab_size(self) -> int:
+        return self.transformer.config.vocab_size
+
     def open_session(self, session_id: str) -> SessionState:
         """Start a new conversation."""
         if session_id in self._sessions:

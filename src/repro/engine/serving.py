@@ -108,6 +108,10 @@ class CostModelEngine:
     def max_context(self) -> int:
         return self.config.max_context
 
+    @property
+    def vocab_size(self) -> int:
+        return self.config.vocab_size
+
     def has_session(self, session_id: str) -> bool:
         return session_id in self._tokens
 

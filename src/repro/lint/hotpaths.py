@@ -26,7 +26,9 @@ HOT_PATHS: dict[str, frozenset[str]] = {
     # normalized in place, never copied.
     "repro/models/attention.py": frozenset({"scaled_dot_product_attention"}),
     # The serving iteration's packed model call (behind both decode_batch
-    # and forward_fused) + the one fused restore projection kernel.
+    # and forward_fused) — its lexical body includes ``run_part``, the
+    # layer stack each row part runs — + the one fused restore projection
+    # kernel.
     "repro/models/transformer.py": frozenset(
         {
             "Transformer._forward_packed",

@@ -23,6 +23,10 @@ cache's backing storage.
 
 from __future__ import annotations
 
+import os
+import threading
+from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import wait as wait_all
 from dataclasses import dataclass
 from itertools import accumulate
 from operator import matmul as plain_matmul
@@ -32,6 +36,7 @@ import numpy as np
 
 from repro.errors import ConfigError
 from repro.models.attention import (
+    QUERY_TILE,
     attention_module,
     merge_heads,
     repeat_kv,
@@ -48,6 +53,7 @@ from repro.models.rope import (
     rope_rotation_tables,
 )
 from repro.models.tensor_ops import (
+    M_MAX,
     MatMul,
     layernorm,
     layernorm_into,
@@ -77,6 +83,118 @@ from repro.models.weights import LayerWeights, ModelWeights, init_weights
 #: *restore* is outside the band and stays bit-exact: it is a function
 #: of the saved hidden states only, whichever chunking produced them.
 BATCHED_DECODE_ATOL = 1e-4
+
+#: Rows per part of a split packed call: a call of ``rows`` rows asks
+#: :func:`part_count` for one part per ``PART_ROWS`` rows, at most one
+#: per usable CPU.  Probed on the benchmark host (bench-mid, one BLAS
+#: thread, 2 vCPUs; two-part / one-part wall time, medians of 8 calls,
+#: three runs): 256 rows .56 .62 .68; 192 rows (128 + 64) .74 .76 .84;
+#: 128 rows (64 + 64) .63 .90 .99; 4–19 % more CPU at every size.
+#: 128 splits the 256-row SplitFuse chunks, where the gain is steady,
+#: and leaves smaller calls — every decode step — whole.
+PART_ROWS = 128
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def part_count(rows: int) -> int:
+    """How many parts a packed call of ``rows`` rows asks for (at least 1).
+
+    The one place the split is decided; tests monkeypatch it to force a
+    part count on any host.
+    """
+    return max(1, min(_usable_cpus(), rows // PART_ROWS))
+
+
+def _part_cuts(bounds: list[int], parts: int) -> list[int]:
+    """Row boundaries ``[0, ..., rows]`` of at most ``parts`` parts of a
+    packed call whose segment ``s`` owns rows ``[bounds[s], bounds[s + 1])``.
+
+    Each cut falls on a :data:`QUERY_TILE` boundary of the segment it cuts
+    (a segment boundary is one), and every part keeps more than
+    :data:`M_MAX` rows; when ``parts`` parts cannot obey both, fewer do.
+    Each cut is the legal row nearest an even share.
+    """
+    rows = bounds[-1]
+    legal = [r for s0, s1 in zip(bounds, bounds[1:]) for r in range(s0, s1, QUERY_TILE) if r]
+    for n in range(parts, 1, -1):
+        cuts = [0]
+        for i in range(1, n):
+            room = [
+                r for r in legal
+                if r - cuts[-1] > M_MAX and rows - r >= (n - i) * (M_MAX + 1)
+            ]
+            if not room:
+                break
+            cuts.append(min(room, key=lambda r: abs(r * n - i * rows)))
+        else:
+            return cuts + [rows]
+    return [0, rows]
+
+
+_helpers: ThreadPoolExecutor | None = None
+_helpers_lock = threading.Lock()
+
+
+def _helper_pool() -> ThreadPoolExecutor:
+    """The process-wide pool that runs parts 1… of split packed calls."""
+    global _helpers
+    with _helpers_lock:
+        if _helpers is None:
+            _helpers = ThreadPoolExecutor(
+                max_workers=max(1, _usable_cpus() - 1), thread_name_prefix="forward-part"
+            )
+        return _helpers
+
+
+if hasattr(os, "register_at_fork"):  # a forked child has none of the pool's threads
+    os.register_at_fork(after_in_child=lambda: globals().update(_helpers=None))
+
+
+class _HandOver:
+    """Per-layer hand-over between the consecutive row parts of one call.
+
+    Part ``p`` publishes layer ``L`` once every row below its end has its
+    layer-``L`` K/V in the caches — its own rows written and part
+    ``p - 1`` published — which is all a causal row's attention reads.
+    The first failure of any part stops every part at its next hand-over.
+    """
+
+    def __init__(self, n_parts: int) -> None:
+        self._changed = threading.Condition()
+        self._published = [0] * n_parts  # guarded-by: _changed
+        self._error: BaseException | None = None  # guarded-by: _changed
+
+    def __call__(self, part: int, layer: int) -> bool:
+        """Wait until part ``part - 1`` has published ``layer``, then publish
+        it for ``part``; ``False`` once any part has failed."""
+        with self._changed:
+            while part and self._published[part - 1] <= layer and self._error is None:
+                self._changed.wait()
+            if self._error is not None:
+                return False
+            self._published[part] = layer + 1
+            self._changed.notify_all()
+            return True
+
+    def fail(self, error: BaseException) -> None:
+        """Record the call's first failure and wake every waiting part."""
+        with self._changed:
+            if self._error is None:
+                self._error = error
+            self._changed.notify_all()
+
+    def raise_error(self) -> None:
+        """Re-raise the first failure of any part, if there was one."""
+        with self._changed:
+            error = self._error
+        if error is not None:
+            raise error
 
 
 class RestoreWorkspace:
@@ -445,9 +563,26 @@ class Transformer:
         :meth:`project_kv_chunk` keep plain ``matmul``, so restores stay
         bit-exact and the serial reference takes no slabs.
 
-        Every layer's input is a fresh array no later stage writes (each
-        residual add allocates), so the call keeps a reference to each
-        and returns them as ``hidden_states`` instead of copying rows out.
+        **Parts.**  The layer stack runs over :func:`part_count` contiguous
+        row ranges of the call (``run_part``): part 0 on the calling
+        thread, the others on a process-wide helper pool.  A causal row
+        never attends to a later one, so part ``p`` waits per layer only
+        for part ``p - 1``'s K/V rows (:class:`_HandOver`).  This thread
+        sizes every cache for the whole call first; parts write only their
+        own rows of those views.  The final layer's last rows run here,
+        after the join, with the ``M`` an unsplit call has.  The first
+        failure in any part stops the others; the call truncates every
+        cache to its start and re-raises it.
+
+        **Bit-identical to one part**, whatever the CPU count: each cut
+        falls on a :data:`~repro.models.attention.QUERY_TILE` boundary of
+        the segment it cuts and every part has more than ``M_MAX`` rows
+        (:func:`_part_cuts`), so every GEMM row and attention tile sees
+        exactly the rows it sees unsplit.
+
+        Layer ``L``'s input is ``inputs[L]`` of one ``(layers, rows,
+        hidden)`` buffer the parts fill and no later stage writes, so
+        ``hidden_states`` are its per-layer views, not copies.
         """
         config = self.config
         caches = list(caches)
@@ -474,61 +609,115 @@ class Transformer:
                 )
         # Packed row layout: segment s owns rows [bounds[s], bounds[s + 1]).
         bounds = list(accumulate(sizes, initial=0))
+        rows = bounds[-1]
+        inputs = np.empty((config.n_layers, rows, config.hidden_size), dtype=np.float32)
         # lint: disable=hot-path -- this call's new token ids: O(rows) ints, never O(history)
-        hidden = self.embed(np.concatenate(segments))
+        inputs[0] = self.embed(np.concatenate(segments))
         # Packed row r of segment s sits at position starts[s] + (r - bounds[s]).
-        positions = np.arange(bounds[-1]) + np.repeat(
+        positions = np.arange(rows) + np.repeat(
             [start - first for start, first in zip(starts, bounds)], sizes
         )
-        # Layer L's input, assigned by index (the list never grows).
-        inputs = [hidden] * config.n_layers
+        cuts = _part_cuts(bounds, part_count(rows))
+        hand_over = _HandOver(len(cuts) - 1)
         n_rep = config.n_heads // config.n_kv_heads
-        attn_out = np.empty(
-            (bounds[-1], config.n_heads, config.head_dim), dtype=np.float32
-        )
-        # Only each segment's last row reaches lm_head, so the final
-        # layer attends / projects / feeds forward those rows alone
-        # (every row's K/V is still appended first).  Decode-only calls
-        # are unchanged: every row is a last row.
-        last = np.array(bounds[1:]) - 1
+        final_layer = config.n_layers - 1
+        attn_out = np.empty((rows, config.n_heads, config.head_dim), dtype=np.float32)
+        # Each segment's last row's final-layer query, left by its part.
+        q_last = np.empty((len(segments), config.n_heads, config.head_dim), dtype=np.float32)
+
+        def run_part(part: int) -> None:
+            """Every layer over rows [r0, r1): write their K/V into the
+            caches' views, hand over, attend each segment's rows over
+            ``keys[:its last row + 1]``, write the next layer's input rows.
+            At the final layer, stop once the K/V rows are written."""
+            r0, r1 = cuts[part], cuts[part + 1]
+            # (segment, first row, end row, cache row of packed row 0)
+            spans = [
+                (s, max(o0, r0), min(o1, r1), starts[s] - o0)
+                for s, (o0, o1) in enumerate(zip(bounds, bounds[1:]))
+                if o0 < r1 and r0 < o1
+            ]
+            try:
+                for layer in range(config.n_layers):
+                    w = self.weights.layers[layer]
+                    x = inputs[layer, r0:r1]
+                    # One packed projection: row r's RoPE angle comes from its
+                    # own absolute position, what compute_qkv applies rowwise.
+                    q, k, v = self.compute_qkv(layer, x, positions[r0:r1], slab_matmul)
+                    for s, a, b, row in spans:
+                        if caches[s].landing is not None and a == bounds[s]:
+                            # A session released while its restore still
+                            # streams: this layer's history must have landed
+                            # before the prompt's rows go behind it.  A later
+                            # part of the segment attends only after the
+                            # hand-over, so after this wait: one per layer.
+                            caches[s].landing.wait_layer(layer)
+                        keys, values = views[s][layer]
+                        keys[row + a : row + b] = k[a - r0 : b - r0]
+                        values[row + a : row + b] = v[a - r0 : b - r0]
+                    if layer == final_layer:
+                        for s, a, b, row in spans:
+                            if b == bounds[s + 1]:
+                                q_last[s] = q[b - 1 - r0]
+                        return
+                    if not hand_over(part, layer):
+                        return
+                    for s, a, b, row in spans:
+                        keys, values = views[s][layer]
+                        scaled_dot_product_attention(
+                            q[a - r0 : b - r0],
+                            repeat_kv(keys[: row + b], n_rep),
+                            repeat_kv(values[: row + b], n_rep),
+                            query_offset=row + a,
+                            out=attn_out[a:b],
+                        )
+                    hidden = x + slab_matmul(merge_heads(attn_out[r0:r1]), w.wo)
+                    normed = self._norm(hidden, w.ffn_norm)
+                    ffn = ffn_forward(normed, w, config.n_ffn_mats, slab_matmul)
+                    np.add(hidden, ffn, out=inputs[layer + 1, r0:r1])
+            # lint: disable=exception-safety -- recorded, not swallowed: the caller joins every part and re-raises the first failure
+            except BaseException as error:
+                hand_over.fail(error)
+
+        helpers: list[Future] = []
         try:
-            for layer in range(config.n_layers):
-                inputs[layer] = hidden
-                w = self.weights.layers[layer]
-                final_layer = layer == config.n_layers - 1
-                # One packed projection: row r's RoPE angle comes from its own
-                # absolute position, exactly what compute_qkv applies rowwise.
-                q, k, v = self.compute_qkv(layer, hidden, positions, slab_matmul)
-                if final_layer:
-                    hidden, attn_out = hidden[last], attn_out[: len(segments)]
-                for s, cache in enumerate(caches):
-                    o0, o1 = bounds[s], bounds[s + 1]
-                    if cache.landing is not None:
-                        # A session released while its restore still streams:
-                        # this layer's history must have landed before the
-                        # prompt's rows go behind it (resident caches skip this).
-                        cache.landing.wait_layer(layer)
-                    cache.append(layer, k[o0:o1], v[o0:o1])
-                    keys, values = cache.get(layer)
-                    q0, out = (o1 - 1, attn_out[s : s + 1]) if final_layer else (o0, attn_out[o0:o1])
-                    scaled_dot_product_attention(
-                        q[q0:o1],
-                        repeat_kv(keys, n_rep),
-                        repeat_kv(values, n_rep),
-                        query_offset=starts[s] + q0 - o0,
-                        out=out,
-                    )
-                hidden = hidden + slab_matmul(merge_heads(attn_out), w.wo)
-                normed = self._norm(hidden, w.ffn_norm)
-                hidden = hidden + ffn_forward(normed, w, config.n_ffn_mats, slab_matmul)
-        # lint: disable=exception-safety -- rollback, then re-raise: a call that dies at layer k must not leave every cache of the batch appended for layers < k only
-        except BaseException:
+            # Sized here, on the calling thread: no KVCache method runs in a part.
+            views = [
+                [cache.install_view(layer, start + size) for layer in range(config.n_layers)]
+                for cache, start, size in zip(caches, starts, sizes)
+            ]
+            if len(cuts) > 2:
+                pool = _helper_pool()
+                helpers = [pool.submit(run_part, p) for p in range(1, len(cuts) - 1)]
+            run_part(0)
+            wait_all(helpers)
+            hand_over.raise_error()
+            # The final layer's last rows, exactly as an unsplit call runs them.
+            w = self.weights.layers[final_layer]
+            attn_last = attn_out[: len(segments)]
+            for s, layer_views in enumerate(views):
+                keys, values = layer_views[final_layer]
+                scaled_dot_product_attention(
+                    q_last[s : s + 1],
+                    repeat_kv(keys, n_rep),
+                    repeat_kv(values, n_rep),
+                    query_offset=starts[s] + sizes[s] - 1,
+                    out=attn_last[s : s + 1],
+                )
+            hidden = inputs[final_layer][np.array(bounds[1:]) - 1]
+            hidden = hidden + slab_matmul(merge_heads(attn_last), w.wo)
+            normed = self._norm(hidden, w.ffn_norm)
+            hidden = hidden + ffn_forward(normed, w, config.n_ffn_mats, slab_matmul)
+        # lint: disable=exception-safety -- stop the parts, join them, roll back, re-raise: a call that dies at layer k must not leave every cache of the batch sized for the call
+        except BaseException as error:
+            hand_over.fail(error)
+            wait_all(helpers)
             for cache, start in zip(caches, starts):
                 cache.truncate(start)
             raise
         final = self._norm(hidden, self.weights.final_norm)
         return ForwardResult(
-            logits=slab_matmul(final, self.weights.lm_head), hidden_states=inputs
+            logits=slab_matmul(final, self.weights.lm_head), hidden_states=list(inputs)
         )
 
     # ------------------------------------------------------------------

@@ -273,6 +273,44 @@ class TestAdmissionControl:
         assert frontend.submit(request("b", 4)).request_id == "b/r0"
         assert engine.has_session("b")
 
+    def test_a_prompt_outside_the_vocabulary_is_rejected_before_it_runs(
+        self, make_engine, tiny_config
+    ):
+        """An id >= the model's vocabulary is refused at submit; it would
+        otherwise raise ``ConfigError`` out of every later ``step()`` and
+        starve the well-formed request beside it."""
+        engine = make_engine()
+        frontend = ServingFrontend(engine, MemoryBudget(capacity_tokens=4096))
+        ok = frontend.submit(
+            ServingRequest(session_id="ok", prompt_tokens=np.arange(5), max_new_tokens=3)
+        )
+        vocab = tiny_config.vocab_size
+        with pytest.raises(AdmissionError, match=f"vocabulary of {vocab}"):
+            frontend.submit(
+                ServingRequest(
+                    session_id="bad", prompt_tokens=np.array([5, vocab]), max_new_tokens=3
+                )
+            )
+        assert frontend.rejected_requests == 1
+        assert not engine.has_session("bad")
+        assert engine.hcache.storage.context_ids() == ("ok",)
+        frontend.run_until_idle(max_steps=50)
+        assert len(ok.result().tokens) == 3
+        # The largest id is in range, and the retry is the session's first round.
+        fits = frontend.submit(
+            ServingRequest(
+                session_id="bad", prompt_tokens=np.array([5, vocab - 1]), max_new_tokens=3
+            )
+        )
+        assert fits.request_id == "bad/r0"
+
+    @pytest.mark.parametrize(
+        "prompt", [np.array([1.5, 2.0]), np.array([3, -1]), np.array([True, False])]
+    )
+    def test_a_prompt_that_is_not_token_ids_is_refused(self, prompt):
+        with pytest.raises(ConfigError, match="token ids"):
+            ServingRequest(session_id="s", prompt_tokens=prompt, max_new_tokens=1)
+
     def test_a_context_beyond_the_models_limit_is_rejected_before_it_runs(
         self, make_engine, tiny_config
     ):

@@ -44,7 +44,8 @@ class _FakeEngine:
 
     max_context = 1 << 30
 
-    def __init__(self):
+    def __init__(self, vocab_size):
+        self.vocab_size = vocab_size
         self.sessions = {}
         self.restored_sessions = 0
         self._restored = []
@@ -107,7 +108,7 @@ class _FakeEngine:
 def load_run(tiny_config):
     """One shared high-churn run (module-scoped: it is the slow part)."""
     capacity = 2_048
-    engine = _FakeEngine()
+    engine = _FakeEngine(tiny_config.vocab_size)
     frontend = ServingFrontend(
         engine,
         MemoryBudget(capacity_tokens=capacity),

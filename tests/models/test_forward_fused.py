@@ -8,20 +8,32 @@ front end substitutes it for a serial per-session prefill loop.
 
 Every equivalence test runs on ``tiny-llama`` and on two bench-mid-width
 configs (SwiGLU and GELU) whose packed products are summed over row
-slabs of the weight (``tensor_ops.slab_matmul``).
+slabs of the weight (``tensor_ops.slab_matmul``).  A call split into row
+parts (``transformer.part_count``, forced here) must give the one-part
+call's bits exactly.
 """
 
 from __future__ import annotations
 
+import copy
+import sys
+import threading
+import time
+from bisect import bisect_right
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from repro.errors import ConfigError
+from repro.models import transformer
+from repro.models.attention import QUERY_TILE
 from repro.models.config import model_preset
 from repro.models.kv_cache import KVCache
-from repro.models.transformer import BATCHED_DECODE_ATOL, Transformer
+from repro.models.tensor_ops import M_MAX
+from repro.models.transformer import BATCHED_DECODE_ATOL, PART_ROWS, Transformer
+from repro.runtime.progress import RestoreProgress
 
 
 WIDE = dict(
@@ -305,3 +317,245 @@ class TestRollback:
         assert np.array_equal(logits, expected)
         for cache, twin in zip(caches, control):
             assert cache.equals(twin, atol=0.0)
+
+
+PART_CONFIGS = {
+    "wide-llama": replace(CONFIGS["wide-llama"], max_context=1024),
+    "wide-opt": replace(CONFIGS["wide-opt"], max_context=1024),  # layernorm, no RoPE
+    "wide-gqa": replace(
+        CONFIGS["wide-llama"], name="wide-gqa", n_kv_heads=2, max_context=1024
+    ),
+}
+TINY_4 = replace(model_preset("tiny-llama"), name="tiny-4", n_layers=4, max_context=1024)
+PART_CUTS = transformer._part_cuts
+
+#: Packings and the parts a forced count of 2 / 3 gives them: a cut only
+#: on a query tile of the segment it cuts, every part over M_MAX rows.
+PACKINGS = [
+    ((256,), {2: 2, 3: 3}),
+    ((256, 1), {2: 2, 3: 3}),
+    ((1, 256), {2: 2, 3: 3}),
+    ((200, 200), {2: 2, 3: 3}),
+    ((100, 300), {2: 2, 3: 3}),
+    ((512,), {2: 2, 3: 3}),
+    ((300, 1, 1, 1), {2: 2, 3: 3}),
+    ((150,), {2: 2, 3: 2}),  # a third part would hold at most M_MAX rows
+    ((110,), {2: 1, 3: 1}),  # no legal cut at all
+]
+
+
+#: Every packing runs on wide-llama; the layernorm / no-RoPE and GQA
+#: configs run a cut inside a segment, at a segment boundary and a fallback.
+SPLIT_CASES = [("wide-llama", sizes, expected) for sizes, expected in PACKINGS] + [
+    (name, sizes, expected)
+    for name in ("wide-opt", "wide-gqa")
+    for sizes, expected in PACKINGS
+    if sizes in ((256, 1), (200, 200), (150,))
+]
+
+
+@pytest.fixture(scope="module")
+def part_models():
+    return {name: Transformer.from_seed(config, seed=7) for name, config in PART_CONFIGS.items()}
+
+
+def _split_call(model, sizes, parts, monkeypatch, history=0):
+    """``forward_fused`` over fresh segments with ``parts`` forced; returns
+    the result, the caches and the row cuts the call ran."""
+    config = model.config
+    monkeypatch.setattr(transformer, "part_count", lambda rows: parts)
+    cuts = []
+    monkeypatch.setattr(
+        transformer, "_part_cuts", lambda bounds, n: cuts.append(PART_CUTS(bounds, n)) or cuts[-1]
+    )
+    caches = [KVCache(config) for _ in sizes]
+    if history:
+        for cache, prompt in zip(caches, _prompts(config, [history] * len(sizes), seed=60)):
+            model.forward(prompt, cache)
+    result = model.forward_fused(_prompts(config, sizes, seed=61), caches)
+    return result, caches, cuts[-1]
+
+
+def _assert_same_bits(split, whole):
+    (result, caches, _), (expected, twins, _) = split, whole
+    assert np.array_equal(result.logits, expected.logits)
+    assert len(result.hidden_states) == len(expected.hidden_states)
+    for got, want in zip(result.hidden_states, expected.hidden_states):
+        assert np.array_equal(got, want)
+    for cache, twin in zip(caches, twins):
+        assert cache.equals(twin, atol=0.0)
+
+
+class TestParts:
+    """One packed call over row parts on the helper pool: same bits as one part."""
+
+    @pytest.mark.parametrize(
+        "name, sizes, expected",
+        SPLIT_CASES,
+        ids=[f"{name}-{'+'.join(map(str, sizes))}" for name, sizes, _ in SPLIT_CASES],
+    )
+    def test_a_split_call_is_bit_identical_to_one_part(
+        self, part_models, name, sizes, expected, monkeypatch
+    ):
+        model = part_models[name]
+        whole = _split_call(model, sizes, 1, monkeypatch)
+        for parts in (2, 3):
+            split = _split_call(model, sizes, parts, monkeypatch)
+            assert len(split[2]) - 1 == expected[parts]
+            _assert_same_bits(split, whole)
+
+    @pytest.mark.parametrize("name", sorted(PART_CONFIGS))
+    def test_caches_continuing_a_history(self, part_models, name, monkeypatch):
+        model = part_models[name]
+        whole = _split_call(model, (200, 1, 150), 1, monkeypatch, history=37)
+        for parts in (2, 3):
+            split = _split_call(model, (200, 1, 150), parts, monkeypatch, history=37)
+            assert len(split[2]) - 1 == parts
+            _assert_same_bits(split, whole)
+
+    def test_cuts_fall_on_query_tiles_and_leave_no_small_part(self):
+        rng = np.random.default_rng(62)
+        for _ in range(300):
+            sizes = rng.integers(1, 300, size=rng.integers(1, 6))
+            bounds = [0, *map(int, np.cumsum(sizes))]
+            for parts in (2, 3, 4):
+                cuts = transformer._part_cuts(bounds, parts)
+                assert cuts[0] == 0 and cuts[-1] == bounds[-1]
+                assert 1 <= len(cuts) - 1 <= parts
+                if len(cuts) > 2:
+                    assert all(b - a > M_MAX for a, b in zip(cuts, cuts[1:]))
+                for cut in cuts[1:-1]:
+                    first = bounds[bisect_right(bounds, cut) - 1]
+                    assert (cut - first) % QUERY_TILE == 0
+
+    @pytest.mark.parametrize("failing_part", [0, 1])
+    def test_a_failure_in_any_part_rolls_every_cache_back(self, failing_part, monkeypatch):
+        """Part 0 runs on the caller, part 1 on the pool; either failing at
+        layer 1 stops the other by its next hand-over, leaves every cache
+        at its start and re-raises, and the pool serves the next call."""
+        model = Transformer.from_seed(TINY_4, seed=7)
+        monkeypatch.setattr(transformer, "part_count", lambda rows: 2)
+        histories = _prompts(TINY_4, [5, 9], seed=63)
+        segments = [np.array([3]), _prompts(TINY_4, [256], seed=64)[0]]
+
+        def prefilled():
+            caches = [KVCache(TINY_4) for _ in histories]
+            for cache, history in zip(caches, histories):
+                model.forward(history, cache)
+            return caches
+
+        control, caches = prefilled(), prefilled()
+        # Rows [0, 129) and [129, 257): part 1 starts at segment 1's row 128.
+        first_position = {0: 5, 1: 9 + 128}
+        reached = {0: 0, 1: 0}
+        real = model.compute_qkv
+
+        def dies_at_layer_1(layer, hidden, positions, *product):
+            part = 0 if positions[0] == first_position[0] else 1
+            reached[part] = max(reached[part], layer)
+            if layer == 1 and part == failing_part:
+                raise MemoryError(f"injected in part {part}")
+            return real(layer, hidden, positions, *product)
+
+        model.compute_qkv = dies_at_layer_1
+        try:
+            with pytest.raises(MemoryError, match=f"part {failing_part}"):
+                model.forward_fused(segments, caches)
+        finally:
+            del model.compute_qkv
+        if failing_part == 0:
+            # Part 1 waits for part 0's layer-1 rows, which never come.
+            assert reached[1] <= 1
+        for cache, twin, history in zip(caches, control, histories):
+            cache.debug_validate()
+            assert len(cache) == history.size
+            assert cache.equals(twin, atol=0.0)
+        expected = model.forward_fused(segments, control)
+        result = model.forward_fused(segments, caches)
+        _assert_same_bits((result, caches, None), (expected, control, None))
+
+    def test_a_split_call_waits_per_layer_on_a_landing_cache(self, monkeypatch):
+        """The early-release case: a session whose restore still streams.
+        The part holding its first row waits once per layer; the later part
+        attends only after that part's hand-over.  Every row read is the
+        restored history's."""
+        model = Transformer.from_seed(TINY_4, seed=7)
+        (history,) = _prompts(TINY_4, [40], seed=65)
+        (prompt,) = _prompts(TINY_4, [256], seed=66)
+        saved = KVCache(TINY_4)
+        model.forward(history, saved)
+        control = copy.deepcopy(saved)
+        monkeypatch.setattr(transformer, "part_count", lambda rows: 1)
+        expected = model.forward_fused([prompt], [control])
+
+        restoring = KVCache(TINY_4)
+        restoring.reserve(history.size + prompt.size)
+        progress = RestoreProgress("landing", TINY_4.n_layers)
+        handle = restoring.landing_handle(history.size, progress)
+        waits = []
+        real_wait = progress.wait_layer
+
+        def wait_layer(layer):
+            waits.append((layer, threading.current_thread().name))
+            real_wait(layer)
+
+        progress.wait_layer = wait_layer
+
+        def land():
+            for layer in range(TINY_4.n_layers):
+                time.sleep(0.005)
+                keys, values = restoring.install_view(layer, history.size)
+                keys[...], values[...] = saved.get(layer)
+                progress.layer_landed(layer)
+
+        lander = threading.Thread(target=land)
+        monkeypatch.setattr(transformer, "part_count", lambda rows: 2)
+        lander.start()
+        try:
+            result = model.forward_fused([prompt], [handle])
+        finally:
+            lander.join(timeout=60)
+        assert not lander.is_alive()
+        _assert_same_bits((result, [handle], None), (expected, [control], None))
+        assert sorted(layer for layer, _ in waits) == list(range(TINY_4.n_layers))
+        assert {thread for _, thread in waits} == {threading.current_thread().name}
+
+    def test_more_parts_than_cores_under_a_short_switch_interval(self, monkeypatch):
+        """Four parts on four helper threads, switching every microsecond:
+        a lost or early hand-over would change the bits."""
+        model = Transformer.from_seed(TINY_4, seed=7)
+        sizes = (300, 1, 211)
+        expected = _split_call(model, sizes, 1, monkeypatch)
+        pool = ThreadPoolExecutor(max_workers=3)
+        monkeypatch.setattr(transformer, "_helper_pool", lambda: pool)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                done = []
+                caller = threading.Thread(
+                    target=lambda: done.append(_split_call(model, sizes, 4, monkeypatch))
+                )
+                caller.start()
+                caller.join(timeout=60)
+                assert not caller.is_alive()
+                assert len(done[0][2]) - 1 == 4
+                _assert_same_bits(done[0], expected)
+        finally:
+            sys.setswitchinterval(interval)
+            pool.shutdown()
+
+    def test_a_call_below_two_parts_of_rows_never_touches_the_pool(self, monkeypatch):
+        touched = []
+        real = transformer._helper_pool
+        monkeypatch.setattr(transformer, "_helper_pool", lambda: touched.append(1) or real())
+        model = Transformer.from_seed(TINY_4, seed=7)
+        for sizes in [(2 * PART_ROWS - 1,), (16, 1, 1, 1), (PART_ROWS, PART_ROWS - 1)]:
+            segments = _prompts(TINY_4, sizes, seed=67)
+            model.forward_fused(segments, [KVCache(TINY_4) for _ in sizes])
+        caches = [KVCache(TINY_4) for _ in range(8)]
+        model.decode_batch(np.arange(8), caches)
+        assert touched == []
+        # 2 * PART_ROWS rows take the pool exactly when the host has two CPUs.
+        model.forward_fused(_prompts(TINY_4, [2 * PART_ROWS], seed=68), [KVCache(TINY_4)])
+        assert bool(touched) == (transformer.part_count(2 * PART_ROWS) > 1)
