@@ -3,8 +3,8 @@
 a restore lands on the slab an eviction gave back, and a long prefill
 splits into row parts without moving a bit.
 
-Three checks at 256 / 1k / 4k context tokens and one on a bench-mid
-prefill chunk, each one that no serving-benchmark metric makes:
+Three checks at 256 / 1k / 4k context tokens and two on bench-mid
+calls, each one that no serving-benchmark metric makes:
 
 1. **decode-with-capture state path** — the per-token state-management
    cost of a decode step that captures hidden states and persists them:
@@ -26,19 +26,27 @@ prefill chunk, each one that no serving-benchmark metric makes:
    second restore allocates none — it lands on the slab the eviction
    gave back to the engine's arena.
 4. **prefill parts** — exact counts and bits: one bench-mid 256-row
-   packed call runs in exactly ``min(usable CPUs, 2)`` row parts
-   (``Transformer._forward_packed``; one per ``PART_ROWS`` rows, at most
-   one per CPU), and its logits, hidden states and K/V are bit-identical
-   to the same call forced into one part.  The wall-clock ratio of the
-   two is printed, not gated.
+   packed call runs in exactly ``min(usable CPUs // BLAS threads, 2)``
+   row parts (``Transformer._forward_packed``; one per ``PART_ROWS``
+   rows, parts × BLAS threads at most the CPUs), and its logits, hidden
+   states and K/V are bit-identical to the same call forced into one
+   part.  The wall-clock ratio of the two is printed, not gated.
+5. **token replay** — exact counts and bits: a bench-mid restore of
+   ``REPLAY_TOKENS`` tokens under a ``REPLAY_PREFIX``-layer recompute
+   prefix replays its first layers as one packed call in
+   ``part_count(REPLAY_TOKENS)`` parts (``Transformer.replay``), calls
+   ``layer_forward`` and ``KVCache.install`` zero times, and restores
+   the serial prefill's K/V bit for bit.  The replay's wall clock is
+   printed, not gated.
 
 Restore, decode and serving *speed* is the serving benchmark's record
 (``benchmarks/serving/``, on a model where BLAS sets the time); restore
 exactness in every shape is ``tests/core/test_restore_matrix.py``.
 
 Run from the repo root; it takes a few seconds, prints one line per
-context size, one for the prefill parts and, last, the report as one
-JSON line (schema ``bench_hotpath/v12``), and exits non-zero when a
+context size, one for the prefill parts, one for the replay and, last,
+the report as one JSON line (schema ``bench_hotpath/v13``), and exits
+non-zero when a
 check fails::
 
     python benchmarks/bench_hotpath.py
@@ -122,6 +130,12 @@ PREFILL_ROWS = 256
 #: run ~1.5x slower (measured 297, 306, 314 then 181, 224 ms).
 PARTS_REPS = 5
 PARTS_WARM = 3
+
+#: The replay check's restore: a 3-layer recompute prefix (layers 0 and 1
+#: replayed, layer 2 projected) over more than M_MAX rows, so the replay
+#: equals the serial prefill bit for bit, in two parts on two CPUs.
+REPLAY_TOKENS = 300
+REPLAY_PREFIX = 3
 
 #: Token blocks the layer-0 check saves in (not a chunk multiple, so
 #: the storage tails fill and flush across saves).
@@ -285,16 +299,12 @@ def check_slab_reuse(model: Transformer, n_tokens: int) -> dict:
     return {"cold_allocations": cold, "warm_allocations": warm, "met": (cold, warm) == (1, 0)}
 
 
-def check_prefill_parts() -> dict:
+def check_prefill_parts(model: Transformer) -> dict:
     """Parts and bits of one bench-mid prefill chunk, split as shipped,
     against the same call forced into one part; and their wall clocks."""
-    cfg = PARTS_CONFIG
-    model = Transformer.from_seed(cfg, seed=0)
+    cfg = model.config
     prompt = _rng().integers(0, cfg.vocab_size, size=PREFILL_ROWS)
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:
-        cpus = os.cpu_count() or 1
+    cpus, blas_threads = transformer_module._usable_cpus(), transformer_module._blas_threads()
     parts: list[int] = []
     compute_qkv = model.compute_qkv
 
@@ -329,9 +339,10 @@ def check_prefill_parts() -> dict:
     report = {
         "rows": PREFILL_ROWS,
         "usable_cpus": cpus,
+        "blas_threads": blas_threads,
         "parts": n_parts,
         "part_rows": sorted(parts),
-        "expected_parts": min(cpus, 2),
+        "expected_parts": max(1, min(cpus // blas_threads, 2)),
         "bit_identical": bool(
             np.array_equal(split.logits, whole.logits)
             and all(
@@ -347,10 +358,82 @@ def check_prefill_parts() -> dict:
     return report
 
 
+def check_replay(model: Transformer) -> dict:
+    """Kernel calls, parts and bits of one bench-mid restore whose first
+    layers are replayed from tokens; and the replay's wall clock."""
+    cfg = model.config
+    tokens = _rng().integers(0, cfg.vocab_size, size=REPLAY_TOKENS)
+    prefilled, oracle = model.prefill(tokens, capture_hidden=True)
+    engine = HCacheEngine(
+        model,
+        StorageManager(build_storage_array(platform_preset("default"))),
+        scheme=PartitionScheme.with_recompute_prefix(cfg.n_layers, REPLAY_PREFIX),
+    )
+    engine.register_context("bench")
+    engine.save_states("bench", prefilled.hidden_states, tokens)
+    engine.seal("bench")
+    calls = {"packed": 0, "layer_forward": 0, "install": 0}
+    parts: list[int] = []
+    replay_s: list[float] = []
+    real = {
+        "packed": model._forward_packed,
+        "layer_forward": Transformer.layer_forward,
+        "install": KVCache.install,
+        "compute_qkv": model.compute_qkv,
+        "replay": model.replay,
+    }
+
+    def counting(name: str):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return real[name](*args, **kwargs)
+
+        return counted
+
+    def compute_qkv(layer: int, hidden: np.ndarray, *args):
+        if layer == 0:  # each part projects its own rows once per layer
+            parts.append(hidden.shape[0])
+        return real["compute_qkv"](layer, hidden, *args)
+
+    def replay(*args):
+        t0 = time.perf_counter()
+        try:
+            return real["replay"](*args)
+        finally:
+            replay_s.append(time.perf_counter() - t0)
+
+    model._forward_packed, model.compute_qkv, model.replay = counting("packed"), compute_qkv, replay
+    Transformer.layer_forward = counting("layer_forward")
+    KVCache.install = counting("install")
+    try:
+        restored = engine.restore("bench")
+    finally:
+        del model._forward_packed, model.compute_qkv, model.replay
+        Transformer.layer_forward, KVCache.install = real["layer_forward"], real["install"]
+    report = {
+        "tokens": REPLAY_TOKENS,
+        "replayed_layers": REPLAY_PREFIX - 1,
+        "packed_calls": calls["packed"],
+        "parts": len(parts),
+        "expected_parts": transformer_module.part_count(REPLAY_TOKENS),
+        "layer_forward_calls": calls["layer_forward"],
+        "install_calls": calls["install"],
+        "bit_identical": bool(restored.equals(oracle, atol=0.0)),
+        "replay_ms": replay_s[0] * 1e3 if replay_s else float("nan"),
+    }
+    report["met"] = (
+        report["packed_calls"] == 1
+        and report["parts"] == report["expected_parts"]
+        and report["layer_forward_calls"] == report["install_calls"] == 0
+        and report["bit_identical"]
+    )
+    return report
+
+
 def main() -> int:
     argparse.ArgumentParser(description=__doc__).parse_args()
     model = Transformer.from_seed(BENCH_CONFIG, seed=7)
-    report: dict = {"schema": "bench_hotpath/v12", "window": WINDOW, "sizes": {}}
+    report: dict = {"schema": "bench_hotpath/v13", "window": WINDOW, "sizes": {}}
     for n in SIZES:
         state, layer0, slabs = bench_state_path(n), check_layer0(model, n), check_slab_reuse(model, n)
         report["sizes"][str(n)] = {"state_path": state, "layer0": layer0, "slab_reuse": slabs}
@@ -371,15 +454,27 @@ def main() -> int:
     report["slab_reuse_met"] = all(
         size["slab_reuse"]["met"] for size in report["sizes"].values()
     )
-    parts = check_prefill_parts()
+    mid = Transformer.from_seed(PARTS_CONFIG, seed=0)
+    parts = check_prefill_parts(mid)
     report["prefill_parts"] = parts
     report["prefill_parts_met"] = parts["met"]
     print(
         f"prefill parts: {parts['rows']} rows in {parts['parts']} parts "
-        f"(expected {parts['expected_parts']} on {parts['usable_cpus']} CPUs), "
+        f"(expected {parts['expected_parts']} on {parts['usable_cpus']} CPUs, "
+        f"{parts['blas_threads']} BLAS threads), "
         f"== one part: {parts['bit_identical']}  "
         f"{parts['split_ms']:.0f} vs {parts['one_part_ms']:.0f} ms one part "
         f"({parts['wall_ratio']:.2f}x, not gated)"
+    )
+    replay = check_replay(mid)
+    report["replay"] = replay
+    report["replay_met"] = replay["met"]
+    print(
+        f"token replay: {replay['replayed_layers']} layers of {replay['tokens']} tokens in "
+        f"{replay['packed_calls']} packed call, {replay['parts']} parts "
+        f"(expected {replay['expected_parts']}), layer_forward x{replay['layer_forward_calls']}, "
+        f"install x{replay['install_calls']}, == serial prefill: {replay['bit_identical']}  "
+        f"{replay['replay_ms']:.0f} ms (not gated)"
     )
     print(json.dumps(report))
     if not report["state_path_floor_met"]:
@@ -408,6 +503,14 @@ def main() -> int:
             f"ERROR: a {PREFILL_ROWS}-row bench-mid packed call ran in {parts['parts']} "
             f"parts (expected {parts['expected_parts']}) or its bits differ from "
             "the one-part call's",
+            file=sys.stderr,
+        )
+        return 1
+    if not report["replay_met"]:
+        print(
+            f"ERROR: a bench-mid r = {REPLAY_PREFIX} restore of {REPLAY_TOKENS} tokens must "
+            f"replay in one packed call of {replay['expected_parts']} parts, with no "
+            "layer_forward or KVCache.install call, and restore the serial prefill's bits",
             file=sys.stderr,
         )
         return 1

@@ -25,7 +25,7 @@
 # repro.* name and tests/*.py path in README.md, docs/ARCHITECTURE.md and
 # benchmarks/README.md resolving to a file and a definition (by AST).  The hot-path gate
 # (benchmarks/bench_hotpath.py, a few seconds, one run shape) asserts
-# the four checks nothing else makes:
+# the five checks nothing else makes:
 #   - the PR-1 O(n) floor: the decode-with-capture state path is >= 10x
 #     the naive concatenate-growth path at 4k tokens;
 #   - the token-sourced layer 0, by exact counts: the default engine's
@@ -35,9 +35,14 @@
 #   - slab reuse, by exact counts: a default restore allocates one K/V
 #     slab pair cold, and none once an eviction has given one back;
 #   - prefill parts, by exact count and bits: a 256-row bench-mid packed
-#     call runs in min(usable CPUs, 2) row parts and is bit-identical to
-#     the same call forced into one part (its wall-clock ratio is
-#     printed, not gated).
+#     call runs in min(usable CPUs // BLAS threads, 2) row parts and is
+#     bit-identical to the same call forced into one part (its wall-clock
+#     ratio is printed, not gated);
+#   - the token replay, by exact counts and bits: a bench-mid r = 3
+#     restore of 300 tokens replays in one packed call of part_count(300)
+#     parts, with no layer_forward or KVCache.install call, and restores
+#     the serial prefill's K/V bit for bit (its wall clock is printed,
+#     not gated).
 # The tier-1 step runs with TMPDIR set to a fresh `mktemp -d` directory:
 # every storage device keeps its chunk files in a private repro-dev*
 # directory under TMPDIR and removes it when the device is collected or
@@ -116,7 +121,7 @@ python -m pytest -q tests/storage/test_journal.py tests/storage/test_recovery.py
 # virtual-clock twin runs the real restore on a fake IO pool and bounds
 # its makespan by two_stream_timing's, so a restore that stops following
 # the walk fails with "restore follows the walk" in the log.
-echo "== restore follows the walk (virtual-clock twin of two_stream_timing, every r <= 1 scheme) =="
+echo "== restore follows the walk (virtual-clock twin of two_stream_timing, every r <= 1 scheme and pure recompute) =="
 python -m pytest -q tests/core/test_restore_follows_walk.py
 
 echo "== paper figure/table/ablation benches (expectations asserted, timing disabled) =="
@@ -136,7 +141,7 @@ for example in examples/*.py; do
     python "$example" > /dev/null
 done
 
-echo "== hot-path gate (state path >= 10x naive at 4k + layer-0 storage/read counts + slab reuse + prefill parts) =="
+echo "== hot-path gate (state path >= 10x naive at 4k + layer-0 storage/read counts + slab reuse + prefill parts + token replay) =="
 python benchmarks/bench_hotpath.py
 
 # The serving benchmark (BENCHMARK.json's command) is what performance PRs

@@ -12,17 +12,16 @@ the modelled timing of a scheme is
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from fractions import Fraction
-from functools import partial
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from repro.core.partition import LayerMethod, PartitionScheme
 from repro.errors import ConfigError, RecoveryError, RestorationError, StateError
 from repro.models.kv_cache import KVCache, SlabArena
-from repro.models.transformer import Transformer
+from repro.models.transformer import RestoreWorkspace, Transformer
 from repro.runtime.executor import RestoreExecutor, drain_granules
 from repro.runtime.progress import RestoreProgress
 from repro.storage.manager import GranuleSpec, StorageManager
@@ -47,17 +46,6 @@ def merge_granule_plans(*plans: Sequence[GranuleSpec]) -> list[GranuleSpec]:
         for i in range(len(plan))
     )
     return [plans[rank][i] for _, rank, i in placed]
-
-
-@dataclass(frozen=True)
-class _RestorePlan:
-    """What one restoration's drain needs, resolved once."""
-
-    context_id: str
-    n_tokens: int
-    cache: KVCache
-    granules: list[GranuleSpec]
-    granule_tokens: int
 
 
 class HCacheEngine:
@@ -309,7 +297,8 @@ class HCacheEngine:
         at IO start — what ``CostModelEngine.start_restores`` books.
 
         A RECOMPUTE prefix of ``r`` layers is token-sourced: layers
-        ``[0, r - 1)`` are replayed from the journaled tokens, and layer
+        ``[0, r - 1)`` are replayed from the journaled tokens by the packed
+        kernel (:meth:`Transformer.replay`) into this cache, and layer
         ``r - 1`` — whose input rows are all its K/V needs — is projected
         like a HIDDEN layer (same closure, workspace and granule split);
         for ``r = 1`` (the default scheme) that is the embedding gather
@@ -325,9 +314,9 @@ class HCacheEngine:
         bit-identical to the saved states, for every granule and pool
         size, with or without an executor, and identical to the naive
         whole-layer reference.  A 1-layer RECOMPUTE prefix is
-        bit-identical to a stored layer 0; a longer one replays the
-        forward pass as one block, which matches incrementally-decoded
-        originals to float rounding.
+        bit-identical to a stored layer 0; a longer one to the serving
+        prefill of the history (``replay``'s contract), which matches
+        incrementally-decoded originals to float rounding.
 
         ``reserve_tokens`` sizes the cache for the upcoming round, so the
         history is never recopied by a capacity growth.  The cache's slab
@@ -344,8 +333,9 @@ class HCacheEngine:
         :mod:`repro.runtime.progress`); the returned cache still
         ``.equals`` the saved history, with ``len(cache) == n_tokens``.
         """
-        plan = self._plan_restore(context_id, reserve_tokens)
-        cache, n_tokens = plan.cache, plan.n_tokens
+        n_tokens, granules = self._plan_restore(context_id)
+        cache = self.arena.cache(self.transformer.config, max(n_tokens, reserve_tokens))
+        granule_tokens = min(n_tokens, self.storage.granule_tokens)
         if progress is not None:
             progress.planned(cache, n_tokens)
         rows_left = [n_tokens] * self.transformer.config.n_layers
@@ -359,7 +349,7 @@ class HCacheEngine:
 
         views = [cache.install_view(layer, n_tokens) for layer in range(len(rows_left))]
         workspace = (
-            self.transformer.restore_workspace(np.arange(n_tokens), plan.granule_tokens)
+            RestoreWorkspace(self.transformer.config, np.arange(n_tokens), granule_tokens)
             if self.scheme.n_hidden or self.scheme.n_recompute
             else None
         )
@@ -379,43 +369,27 @@ class HCacheEngine:
                 cache.install_packed_rows(spec.layer, spec.start, rows)
                 landed(spec.layer, rows.shape[0])
 
-        token_prefix = (
-            partial(self._restore_token_prefix, plan, project, landed)
-            if self.scheme.n_recompute
-            else None
-        )
-        drain_granules(self.storage, context_id, plan.granules, consume, executor, token_prefix)
+        def token_prefix() -> None:
+            # Layers [0, r - 1) are replayed into the cache's views; layer
+            # r - 1's input rows (for r = 1 the embedding gather) are all
+            # its K/V needs, projected in the stored stream's granule
+            # partition: bit-identical to restoring those rows from a device.
+            last = self.scheme.n_recompute - 1
+            tokens = np.array(self.storage.token_log(context_id)[:n_tokens])
+            rows = self.transformer.replay(tokens, views[:last])
+            for layer in range(last):
+                landed(layer, n_tokens)
+            for start in range(0, n_tokens, granule_tokens):
+                project(last, start, rows[start : start + granule_tokens])
+
+        under_io = token_prefix if self.scheme.n_recompute else None
+        drain_granules(self.storage, context_id, granules, consume, executor, under_io)
         if len(cache) != n_tokens:
             raise RestorationError("restored cache length mismatch")
         return cache
 
-    def _restore_token_prefix(
-        self,
-        plan: _RestorePlan,
-        project: Callable[[int, int, np.ndarray], None],
-        landed: Callable[[int, int], None],
-    ) -> None:
-        """Fill the RECOMPUTE layers ``[0, r)`` from the token log alone.
-
-        Only the layers *before* the last one are replayed in full
-        (:meth:`Transformer.recompute_prefix`); the last one's input rows
-        are all its K/V needs — for ``r = 1`` the embedding gather alone
-        — and go through ``project`` in the stored stream's granule
-        partition, so the result is bit-identical to restoring those
-        rows from a device (and counted as landed there; a replayed
-        layer is reported through ``landed`` as it is installed).
-        """
-        last = self.scheme.n_recompute - 1
-        tokens = np.array(self.storage.token_log(plan.context_id)[: plan.n_tokens])
-        replayed, rows = self.transformer.recompute_prefix(tokens, last)
-        for layer in range(last):
-            plan.cache.install(layer, *replayed.get(layer))
-            landed(layer, plan.n_tokens)
-        for start in range(0, plan.n_tokens, plan.granule_tokens):
-            project(last, start, rows[start : start + plan.granule_tokens])
-
-    def _plan_restore(self, context_id: str, reserve_tokens: int) -> _RestorePlan:
-        """Check the stored runs and resolve, once, what the drain needs."""
+    def _plan_restore(self, context_id: str) -> tuple[int, list[GranuleSpec]]:
+        """Check the stored runs; return the token count and the one plan."""
         n_tokens = self.saved_tokens(context_id)
         if n_tokens == 0:
             raise RestorationError(f"context {context_id!r} has no saved state")
@@ -430,16 +404,9 @@ class HCacheEngine:
                     f"layer {layer} stores {stored} {kind} rows, expected {n_tokens}"
                 )
             runs[kind].append(layer)
-        cache = self.arena.cache(self.transformer.config, max(n_tokens, reserve_tokens))
-        return _RestorePlan(
-            context_id=context_id,
-            n_tokens=n_tokens,
-            cache=cache,
-            # Hidden first, so a hidden granule wins a tie in the merge.
-            granules=merge_granule_plans(
-                *(self.storage.granule_plan(context_id, run, kind) for kind, run in runs.items())
-            ),
-            granule_tokens=min(n_tokens, self.storage.granule_tokens),
+        # Hidden first, so a hidden granule wins a tie in the merge.
+        return n_tokens, merge_granule_plans(
+            *(self.storage.granule_plan(context_id, run, kind) for kind, run in runs.items())
         )
 
     def storage_bytes_per_token(self) -> int:

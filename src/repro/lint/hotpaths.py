@@ -25,13 +25,14 @@ HOT_PATHS: dict[str, frozenset[str]] = {
     # token and recompute all run it: the score buffer is masked and
     # normalized in place, never copied.
     "repro/models/attention.py": frozenset({"scaled_dot_product_attention"}),
-    # The serving iteration's packed model call (behind both decode_batch
-    # and forward_fused) — its lexical body includes ``run_part``, the
-    # layer stack each row part runs — + the one fused restore projection
-    # kernel.
+    # The packed model call (behind decode_batch, forward_fused and the
+    # restore's token replay, whose entry is listed too) — its lexical
+    # body includes ``run_part``, the layer stack each row part runs — +
+    # the one fused restore projection kernel.
     "repro/models/transformer.py": frozenset(
         {
             "Transformer._forward_packed",
+            "Transformer.replay",
             "Transformer.project_kv_chunk",
         }
     ),
@@ -59,14 +60,14 @@ HOT_PATHS: dict[str, frozenset[str]] = {
         }
     ),
     "repro/models/rope.py": frozenset({"rope_rotate_fullwidth_into"}),
-    # The token-sourced prefix on the restore path (one projection per
-    # granule of the last RECOMPUTE layer, rows sliced from the replayed
-    # hidden block), the drain's per-granule dispatch (project a hidden
-    # granule, install a KV one), and the per-granule row count that
-    # reports a layer as landed.
+    # The token-sourced prefix on the restore path (a replay into the
+    # restore cache's views, then one projection per granule of the last
+    # RECOMPUTE layer, rows sliced from the replayed block), the drain's
+    # per-granule dispatch (project a hidden granule, install a KV one),
+    # and the per-granule row count that reports a layer as landed.
     "repro/core/hcache.py": frozenset(
         {
-            "HCacheEngine._restore_token_prefix",
+            "HCacheEngine.restore.token_prefix",
             "HCacheEngine.restore.consume",
             "HCacheEngine.restore.landed",
         }

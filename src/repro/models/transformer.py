@@ -23,6 +23,8 @@ cache's backing storage.
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import os
 import threading
 from concurrent.futures import Future, ThreadPoolExecutor
@@ -30,7 +32,8 @@ from concurrent.futures import wait as wait_all
 from dataclasses import dataclass
 from itertools import accumulate
 from operator import matmul as plain_matmul
-from typing import Sequence
+from pathlib import Path
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -84,6 +87,9 @@ from repro.models.weights import LayerWeights, ModelWeights, init_weights
 #: of the saved hidden states only, whichever chunking produced them.
 BATCHED_DECODE_ATOL = 1e-4
 
+#: One ``(keys, values)`` view pair per layer: the rows a replay writes.
+KVViews = Sequence[tuple[np.ndarray, np.ndarray]]
+
 #: Rows per part of a split packed call: a call of ``rows`` rows asks
 #: :func:`part_count` for one part per ``PART_ROWS`` rows, at most one
 #: per usable CPU.  Probed on the benchmark host (bench-mid, one BLAS
@@ -102,13 +108,32 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
+@functools.cache
+def _blas_thread_getter() -> Callable[[], int] | None:
+    """The thread-count call of the OpenBLAS numpy's wheel bundles, if any."""
+    for lib in Path(np.__file__).parent.parent.glob("numpy.libs/*openblas*"):
+        getter = getattr(ctypes.CDLL(str(lib)), "scipy_openblas_get_num_threads64_", None)
+        if getter is not None:
+            getter.argtypes, getter.restype = [], ctypes.c_int
+        return getter
+    return None
+
+
+def _blas_threads() -> int:
+    """Threads one BLAS call may use: numpy's OpenBLAS asked in-process, else
+    ``OPENBLAS_NUM_THREADS``, else one per usable CPU (OpenBLAS's default)."""
+    getter = _blas_thread_getter()
+    threads = os.environ.get("OPENBLAS_NUM_THREADS", "") if getter is None else getter()
+    return max(1, int(threads)) if str(threads).isdigit() else _usable_cpus()
+
+
 def part_count(rows: int) -> int:
     """How many parts a packed call of ``rows`` rows asks for (at least 1).
 
-    The one place the split is decided; tests monkeypatch it to force a
-    part count on any host.
+    Parts × BLAS threads stay within the usable CPUs.  The one place the
+    split is decided; tests monkeypatch it to force a part count.
     """
-    return max(1, min(_usable_cpus(), rows // PART_ROWS))
+    return max(1, min(_usable_cpus() // _blas_threads(), rows // PART_ROWS))
 
 
 def _part_cuts(bounds: list[int], parts: int) -> list[int]:
@@ -200,14 +225,14 @@ class _HandOver:
 class RestoreWorkspace:
     """Preallocated scratch and shared RoPE tables for chunked restores.
 
-    Built once per restoration (:meth:`Transformer.restore_workspace`);
-    every chunk of every layer is then projected through the same
-    buffers, so the steady state allocates nothing and the per-chunk
-    working set (a few chunk-sized arrays) stays cache-resident.  The
-    cos/sin tables cover the full restored position range and are sliced
-    per chunk — the trigonometry is computed once, not per layer or per
-    chunk.  Under RoPE the K GEMM lands in :attr:`k_tmp` and is rotated
-    from there into the cache.
+    Built once per restoration, for the absolute ``positions`` it covers
+    and chunks of at most ``max_chunk_tokens`` rows; every chunk of every
+    layer is then projected through the same buffers, so the steady state
+    allocates nothing and the per-chunk working set (a few chunk-sized
+    arrays) stays cache-resident.  The cos/sin tables cover the full
+    restored position range and are sliced per chunk — the trigonometry
+    is computed once, not per layer or per chunk.  Under RoPE the K GEMM
+    lands in :attr:`k_tmp` and is rotated from there into the cache.
     """
 
     def __init__(self, config: ModelConfig, positions: np.ndarray, max_chunk_tokens: int) -> None:
@@ -315,16 +340,6 @@ class Transformer:
         if self.config.rope:
             k = apply_rope(k, positions)
         return k, v
-
-    def restore_workspace(self, positions: np.ndarray, max_chunk_tokens: int) -> RestoreWorkspace:
-        """Build the per-restore scratch for :meth:`project_kv_chunk`.
-
-        ``positions`` are the absolute positions of every token the
-        restore will cover (the RoPE tables are precomputed for all of
-        them once); ``max_chunk_tokens`` bounds the largest chunk that
-        will be projected through the workspace.
-        """
-        return RestoreWorkspace(self.config, positions, max_chunk_tokens)
 
     def project_kv_chunk(
         self,
@@ -551,17 +566,19 @@ class Transformer:
         return self._forward_packed([np.asarray(seg) for seg in segments], caches)
 
     def _forward_packed(
-        self, segments: list[np.ndarray], caches: Sequence[KVCache]
+        self, segments: list[np.ndarray], caches: Sequence[KVCache], prefix: KVViews | None = None
     ) -> ForwardResult:
-        """The one batched kernel behind both public spellings above.
+        """The one batched kernel behind both public spellings above and,
+        given ``prefix`` (a ``(keys, values)`` view pair per layer of
+        ``[0, stop)``) and no caches, :meth:`replay`: one segment from
+        position 0 runs those layers in full into the views, with no
+        last-row tail, final norm or LM head (zero-row logits).
 
-        Every dense product (Q/K/V, output projection, FFN, LM head) is
-        :func:`~repro.models.tensor_ops.slab_matmul`: 2–``M_MAX`` rows (a
-        small decode batch, the last-row final layer) sum over row slabs
-        of the weight inside BLAS's small-matrix limit; a prefill chunk
-        is one call.  The serial :meth:`forward`, :meth:`project_kv` and
-        :meth:`project_kv_chunk` keep plain ``matmul``, so restores stay
-        bit-exact and the serial reference takes no slabs.
+        Every dense product is :func:`~repro.models.tensor_ops.slab_matmul`:
+        2–``M_MAX`` rows (a small decode batch, the last-row final layer)
+        sum over row slabs of the weight inside BLAS's small-matrix limit;
+        more rows are one call.  The serial :meth:`forward` and the
+        projections keep plain ``matmul`` and take no slabs.
 
         **Parts.**  The layer stack runs over :func:`part_count` contiguous
         row ranges of the call (``run_part``): part 0 on the calling
@@ -569,10 +586,12 @@ class Transformer:
         never attends to a later one, so part ``p`` waits per layer only
         for part ``p - 1``'s K/V rows (:class:`_HandOver`).  This thread
         sizes every cache for the whole call first; parts write only their
-        own rows of those views.  The final layer's last rows run here,
-        after the join, with the ``M`` an unsplit call has.  The first
-        failure in any part stops the others; the call truncates every
-        cache to its start and re-raises it.
+        own rows of those views.  A logits call's final layer writes every
+        row's K/V and runs its last rows here, after the join, with the
+        ``M`` an unsplit call has.  The first failure in any part stops
+        the others; the call truncates every cache to its start and
+        re-raises it.  A stepping call and a replay may wait for each other's
+        rows, so a part no pool helper has started when part 0 ends runs here.
 
         **Bit-identical to one part**, whatever the CPU count: each cut
         falls on a :data:`~repro.models.attention.QUERY_TILE` boundary of
@@ -588,7 +607,7 @@ class Transformer:
         caches = list(caches)
         if not segments:
             raise ConfigError("a batched forward needs at least one segment")
-        if len(caches) != len(segments):
+        if prefix is None and len(caches) != len(segments):
             raise ConfigError(
                 f"{len(segments)} segments for {len(caches)} caches; need one each"
             )
@@ -600,17 +619,19 @@ class Transformer:
         for cache in caches:
             if cache.config != config:
                 raise ConfigError("every cache must match the transformer's config")
-        starts = [len(cache) for cache in caches]
+        starts = [len(cache) for cache in caches] or [0]
         sizes = [seg.size for seg in segments]
         for start, size in zip(starts, sizes):
             if start + size > config.max_context:
                 raise ConfigError(
                     f"context {start + size} exceeds max {config.max_context}"
                 )
+        # Layers [0, depth) run in full; a logits call's last one writes K/V.
+        depth = config.n_layers - 1 if prefix is None else len(prefix)
         # Packed row layout: segment s owns rows [bounds[s], bounds[s + 1]).
         bounds = list(accumulate(sizes, initial=0))
         rows = bounds[-1]
-        inputs = np.empty((config.n_layers, rows, config.hidden_size), dtype=np.float32)
+        inputs = np.empty((depth + 1, rows, config.hidden_size), dtype=np.float32)
         # lint: disable=hot-path -- this call's new token ids: O(rows) ints, never O(history)
         inputs[0] = self.embed(np.concatenate(segments))
         # Packed row r of segment s sits at position starts[s] + (r - bounds[s]).
@@ -627,9 +648,9 @@ class Transformer:
 
         def run_part(part: int) -> None:
             """Every layer over rows [r0, r1): write their K/V into the
-            caches' views, hand over, attend each segment's rows over
-            ``keys[:its last row + 1]``, write the next layer's input rows.
-            At the final layer, stop once the K/V rows are written."""
+            views, hand over, attend each segment's rows over ``keys[:its
+            last row + 1]``, write the next layer's input rows.  At a
+            logits call's final layer, stop once the K/V rows are written."""
             r0, r1 = cuts[part], cuts[part + 1]
             # (segment, first row, end row, cache row of packed row 0)
             spans = [
@@ -638,14 +659,14 @@ class Transformer:
                 if o0 < r1 and r0 < o1
             ]
             try:
-                for layer in range(config.n_layers):
+                for layer in range(len(views[0])):
                     w = self.weights.layers[layer]
                     x = inputs[layer, r0:r1]
                     # One packed projection: row r's RoPE angle comes from its
                     # own absolute position, what compute_qkv applies rowwise.
                     q, k, v = self.compute_qkv(layer, x, positions[r0:r1], slab_matmul)
                     for s, a, b, row in spans:
-                        if caches[s].landing is not None and a == bounds[s]:
+                        if caches and caches[s].landing is not None and a == bounds[s]:
                             # A session released while its restore still
                             # streams: this layer's history must have landed
                             # before the prompt's rows go behind it.  A later
@@ -655,7 +676,7 @@ class Transformer:
                         keys, values = views[s][layer]
                         keys[row + a : row + b] = k[a - r0 : b - r0]
                         values[row + a : row + b] = v[a - r0 : b - r0]
-                    if layer == final_layer:
+                    if layer == depth:
                         for s, a, b, row in spans:
                             if b == bounds[s + 1]:
                                 q_last[s] = q[b - 1 - r0]
@@ -680,18 +701,28 @@ class Transformer:
                 hand_over.fail(error)
 
         helpers: list[Future] = []
+
+        def join(run_queued: bool) -> None:
+            # A queued part leaves the pool; its future is done once dequeued.
+            for part, helper in enumerate(helpers, 1):
+                if helper.cancel() and run_queued:
+                    run_part(part)
+            wait_all([helper for helper in helpers if not helper.cancelled()])
+
         try:
             # Sized here, on the calling thread: no KVCache method runs in a part.
             views = [
                 [cache.install_view(layer, start + size) for layer in range(config.n_layers)]
                 for cache, start, size in zip(caches, starts, sizes)
-            ]
+            ] or [prefix]
             if len(cuts) > 2:
                 pool = _helper_pool()
                 helpers = [pool.submit(run_part, p) for p in range(1, len(cuts) - 1)]
             run_part(0)
-            wait_all(helpers)
+            join(run_queued=True)
             hand_over.raise_error()
+            if prefix is not None:  # a replay: no logits
+                return ForwardResult(np.empty((0, config.vocab_size), np.float32), list(inputs))
             # The final layer's last rows, exactly as an unsplit call runs them.
             w = self.weights.layers[final_layer]
             attn_last = attn_out[: len(segments)]
@@ -711,7 +742,7 @@ class Transformer:
         # lint: disable=exception-safety -- stop the parts, join them, roll back, re-raise: a call that dies at layer k must not leave every cache of the batch sized for the call
         except BaseException as error:
             hand_over.fail(error)
-            wait_all(helpers)
+            join(run_queued=False)
             for cache, start in zip(caches, starts):
                 cache.truncate(start)
             raise
@@ -754,36 +785,37 @@ class Transformer:
             raise ConfigError(
                 f"positions shape {pos.shape} mismatches token count {n}"
             )
-        workspace = self.restore_workspace(pos, max(n, 1))
+        workspace = RestoreWorkspace(self.config, pos, max(n, 1))
         cache = KVCache(self.config)
         for layer, block in enumerate(blocks):
             k_view, v_view = cache.install_view(layer, n)
             self.project_kv_chunk(layer, block, 0, k_view, v_view, workspace)
         return cache
 
+    def replay(self, tokens: np.ndarray, views: KVViews) -> np.ndarray:
+        """Token-replay layers ``[0, len(views))`` of a history, writing layer
+        ``L``'s K/V rows into ``views[L]``; return the rows entering layer
+        ``len(views)`` — with no views, the embedding gather, run by no
+        forward kernel.  Otherwise the packed kernel's layer-range call,
+        bit-identical to a one-segment :meth:`forward_fused` of the tokens
+        in one part or many; above ``M_MAX`` rows also to :meth:`prefill`,
+        at or below within :data:`BATCHED_DECODE_ATOL` of it (row slabs).
+        """
+        if not views:
+            return self.embed(tokens)
+        return self._forward_packed([np.asarray(tokens)], [], views).hidden_states[-1]
+
     def recompute_prefix(
         self, tokens: np.ndarray, n_prefix_layers: int
     ) -> tuple[KVCache, np.ndarray]:
-        """Token-recompute the first ``n_prefix_layers`` layers.
-
-        Used by the bubble-free scheduler's recompute-complement mode: the
-        prefix layers' KV comes from a partial forward pass over the
-        original tokens.  Returns a cache filled for the prefix layers only
-        plus the hidden states entering layer ``n_prefix_layers``; with no
-        prefix layers that is the embedding gather alone, and the cache
-        holds no buffers at all.
-        """
+        """:meth:`replay` of the first ``n_prefix_layers`` layers into a new
+        cache, filled for those layers only (no buffers without any);
+        returns it and the rows entering layer ``n_prefix_layers``."""
         if not 0 <= n_prefix_layers <= self.config.n_layers:
             raise ConfigError(f"prefix layer count {n_prefix_layers} out of range")
-        tokens = np.asarray(tokens)
-        positions = np.arange(tokens.size)
         cache = KVCache(self.config)
-        if n_prefix_layers:
-            cache.reserve(tokens.size)
-        hidden = self.embed(tokens)
-        for layer in range(n_prefix_layers):
-            hidden = self.layer_forward(layer, hidden, cache, positions)
-        return cache, hidden
+        views = [cache.install_view(layer, len(tokens)) for layer in range(n_prefix_layers)]
+        return cache, self.replay(tokens, views)
 
     def generate(
         self,

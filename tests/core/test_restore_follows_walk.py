@@ -12,8 +12,8 @@ The twin below runs the real :meth:`HCacheEngine.restore` and
 - a read runs at submit, so the restored bytes are real, and lands at
   ``max(IO free, now)`` plus its modelled seconds;
 - ``future.result()`` advances the clock to the landing time;
-- ``project_kv_chunk`` and the prefix replay are charged their profiled
-  seconds; KV installs cost nothing.
+- ``project_kv_chunk`` and the prefix replay (:meth:`Transformer.replay`)
+  are charged their profiled seconds; KV installs cost nothing.
 
 Nothing reads a wall clock, so the makespan is a count-like figure that
 host noise cannot blur: a restore that stops following the walk fails
@@ -59,12 +59,13 @@ WALK_SLACK = 1.15
 
 R, H, K = LayerMethod.RECOMPUTE, LayerMethod.HIDDEN, LayerMethod.KV
 
-#: Every scheme with a recompute prefix of r <= 1 and any KV suffix.
+#: Every scheme with a recompute prefix of r <= 1 and any KV suffix, and
+#: pure recompute: an 11-layer replay and one projection, no read.
 SCHEMES = [
     PartitionScheme((R,) * r + (H,) * (N_LAYERS - r - k) + (K,) * k)
     for r in (0, 1)
     for k in range(N_LAYERS - r + 1)
-]
+] + [PartitionScheme.with_recompute_prefix(N_LAYERS, N_LAYERS)]
 
 
 class VirtualClock:
@@ -108,18 +109,22 @@ class VirtualIOPool:
 
 def charged(model, clock, profile):
     """Charge ``model``'s restore compute to ``clock`` at the profile's
-    per-layer seconds, prorated by rows."""
-    project, replay = model.project_kv_chunk, model.recompute_prefix
+    per-layer seconds, prorated by rows.  Returns the layer count of
+    every replay charged, so a test can see the replay was."""
+    project, replay_layers = model.project_kv_chunk, model.replay
+    replayed = []
 
     def project_kv_chunk(layer, rows, *args):
         project(layer, rows, *args)
         clock.now += profile.compute_hidden * rows.shape[0] / N_TOKENS
 
-    def recompute_prefix(tokens, n_prefix_layers):
-        clock.now += profile.compute_token * n_prefix_layers
-        return replay(tokens, n_prefix_layers)
+    def replay(tokens, views):
+        replayed.append(len(views))
+        clock.now += profile.compute_token * len(views)
+        return replay_layers(tokens, views)
 
-    model.project_kv_chunk, model.recompute_prefix = project_kv_chunk, recompute_prefix
+    model.project_kv_chunk, model.replay = project_kv_chunk, replay
+    return replayed
 
 
 @pytest.fixture(scope="module")
@@ -166,11 +171,13 @@ def test_the_restore_follows_the_walk(scheme, profile, prefilled, drain_calls):
     engine = saved_engine(prefilled, scheme)
     assert engine.storage.granule_tokens * 4 == N_TOKENS
     clock = VirtualClock()
-    charged(engine.transformer, clock, profile)
+    replayed = charged(engine.transformer, clock, profile)
     with RestoreExecutor(VirtualIOPool(clock, profile)) as executor:
         restored = engine.restore("c", executor=executor)
     assert restored.equals(prefilled[3], atol=0.0)
     assert len(drain_calls) == 1
+    # The wrapper sits on the entry the restore calls: no replay is free.
+    assert replayed == ([scheme.n_recompute - 1] if scheme.n_recompute else [])
     walk = two_stream_timing(scheme, profile).makespan
     assert clock.now <= WALK_SLACK * walk, (clock.now, walk)
 

@@ -27,6 +27,7 @@ never touches a device.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -37,7 +38,8 @@ from repro.core.partition import LayerMethod, PartitionScheme
 from repro.core.profiler import build_storage_array
 from repro.errors import ConfigError
 from repro.models.config import model_preset
-from repro.models.kv_cache import KVCache
+from repro.models import transformer as transformer_module
+from repro.models.kv_cache import KVCache, SlabArena
 from repro.models.reference import naive_restore_cache_from_hidden
 from repro.models.transformer import Transformer
 from repro.runtime import RestoreExecutor
@@ -383,6 +385,59 @@ def test_token_sourced_work_starts_once_the_first_window_is_in_flight():
         assert first_projection == executor.inflight
         assert {kind for kind, _ in own[:first_projection]} == {"submit"}
         assert ("submit", 0) not in own
+
+
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """Counts the forward kernels' calls, the helper pool's hand-outs and
+    the K/V caches built, arena-taken and installed into."""
+    calls = Counter()
+
+    def count(owner, name, key):
+        real = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            calls[key] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    count(Transformer, "layer_forward", "layer_forward")
+    count(Transformer, "_forward_packed", "packed")
+    count(transformer_module, "_helper_pool", "helper_pool")
+    count(KVCache, "__init__", "caches_built")
+    count(KVCache, "install", "install")
+    count(SlabArena, "cache", "arena_caches")
+    # Two parts wherever a call can take them: a replay would use the pool.
+    monkeypatch.setattr(transformer_module, "part_count", lambda rows: 2)
+    return calls
+
+
+@pytest.mark.parametrize("n_recompute", [2, 3, 4])
+def test_a_replayed_prefix_is_one_packed_call_into_the_arena_cache(n_recompute, kernel_calls):
+    """No serial replay, no throwaway cache, no install copy: the packed
+    kernel writes the replayed layers into the restore's own cache."""
+    config = model_preset("tiny-llama")
+    model = Transformer.from_seed(config, seed=11)
+    scheme = PartitionScheme.with_recompute_prefix(config.n_layers, n_recompute)
+    engine = HCacheEngine(
+        model, StorageManager(build_storage_array(platform_preset("default"))), scheme=scheme
+    )
+    tokens = np.random.default_rng(5).integers(0, config.vocab_size, size=N_TOKENS)
+    oracle = prefill_and_save(engine, model, "c", tokens)
+    kernel_calls.clear()
+    restored = engine.restore("c")
+    assert dict(kernel_calls) == {
+        "packed": 1, "helper_pool": 1, "caches_built": 1, "arena_caches": 1
+    }
+    assert restored.equals(oracle, atol=0.0)
+
+
+def test_a_one_layer_prefix_reaches_no_forward_kernel(kernel_calls):
+    engine, oracle, _ = spied_default_engine()
+    kernel_calls.clear()
+    assert engine.restore("c").equals(oracle, atol=0.0)
+    assert dict(kernel_calls) == {"caches_built": 1, "arena_caches": 1}
 
 
 def test_save_states_rejects_a_layer_0_block_that_is_not_the_embeddings():

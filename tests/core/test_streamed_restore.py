@@ -21,7 +21,7 @@ from repro.errors import ConfigError
 from repro.models.config import model_preset
 from repro.models.kv_cache import KVCache
 from repro.models.reference import naive_restore_cache_from_hidden
-from repro.models.transformer import Transformer
+from repro.models.transformer import RestoreWorkspace, Transformer
 from repro.simulator import platform_preset
 from repro.storage import StorageManager
 
@@ -148,7 +148,7 @@ class TestChunkProjectionValidation:
     def test_bad_chunk_shape_rejected(self):
         config = model_preset("tiny-llama")
         model = Transformer.from_seed(config, seed=0)
-        ws = model.restore_workspace(np.arange(8), 8)
+        ws = RestoreWorkspace(model.config, np.arange(8), 8)
         k = np.empty((4, config.n_kv_heads, config.head_dim), dtype=np.float32)
         v = np.empty_like(k)
         with pytest.raises(ConfigError):
@@ -157,7 +157,7 @@ class TestChunkProjectionValidation:
     def test_chunk_beyond_workspace_rejected(self):
         config = model_preset("tiny-llama")
         model = Transformer.from_seed(config, seed=0)
-        ws = model.restore_workspace(np.arange(8), 4)
+        ws = RestoreWorkspace(model.config, np.arange(8), 4)
         h = np.zeros((8, config.hidden_size), np.float32)
         k = np.empty((8, config.n_kv_heads, config.head_dim), dtype=np.float32)
         with pytest.raises(ConfigError):
@@ -166,7 +166,7 @@ class TestChunkProjectionValidation:
     def test_rows_outside_positions_rejected(self):
         config = model_preset("tiny-llama")
         model = Transformer.from_seed(config, seed=0)
-        ws = model.restore_workspace(np.arange(8), 8)
+        ws = RestoreWorkspace(model.config, np.arange(8), 8)
         h = np.zeros((8, config.hidden_size), np.float32)
         k = np.empty((8, config.n_kv_heads, config.head_dim), dtype=np.float32)
         with pytest.raises(ConfigError):
@@ -181,7 +181,7 @@ class TestChunkProjectionValidation:
         hidden = np.random.default_rng(0).normal(size=(40, config.hidden_size))
         hidden = hidden.astype(np.float32)
         k_ref, v_ref = model.project_kv(1, hidden, np.arange(40))
-        ws = model.restore_workspace(np.arange(40), 40)
+        ws = RestoreWorkspace(model.config, np.arange(40), 40)
         k = np.empty_like(k_ref)
         v = np.empty_like(v_ref)
         model.project_kv_chunk(1, hidden, 0, k, v, ws)
@@ -196,7 +196,7 @@ class TestChunkProjectionValidation:
         hidden = rng.normal(size=(n, config.hidden_size)).astype(np.float32)
         positions = np.arange(n)
         k_ref, v_ref = model.project_kv(1, hidden, positions)
-        ws = model.restore_workspace(positions, 64)
+        ws = RestoreWorkspace(model.config, positions, 64)
         cache = KVCache(config)
         cache.reserve(n)
         k_view, v_view = cache.install_view(1, n)

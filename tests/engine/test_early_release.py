@@ -16,6 +16,7 @@ the one measured input of the release rule.
 from __future__ import annotations
 
 import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core.hcache import HCacheEngine
+from repro.core.partition import PartitionScheme
 from repro.engine import (
     MemoryBudget,
     NumericServingEngine,
@@ -31,6 +33,7 @@ from repro.engine import (
     SplitFuseScheduler,
 )
 from repro.errors import DeviceFault, RestorationError
+from repro.models import transformer as transformer_module
 from repro.models.transformer import BATCHED_DECODE_ATOL
 from repro.runtime import RestoreExecutor
 from repro.runtime.progress import RestoreProgress
@@ -464,3 +467,103 @@ def test_a_restore_dying_under_a_waiting_iteration_raises_once_and_spares_the_ba
     finally:
         gate.set()
         executor.close()
+
+
+# ---------------------------------------------------------------------------
+# a replayed prefix: the restore's packed calls share the helper pool
+# ---------------------------------------------------------------------------
+
+
+class ReleaseDuringReplay(NumericServingEngine):
+    """Reports a restoring session once its replay has begun — and waits
+    for that, so the iteration steps on it while the replay still runs."""
+
+    replaying: threading.Event
+
+    def _releasable(self):
+        return list(self._restoring) if self.replaying.is_set() else []
+
+    def finished_restores(self):
+        if self._restoring:
+            assert self.replaying.wait(JOIN_S), "the replay never began"
+        return super().finished_restores()
+
+
+def test_a_session_released_during_its_replay_streams_like_the_serial_loop(
+    tiny_model, tiny_config, monkeypatch
+):
+    """An r = 2 restore replays layer 0 in two row parts on its driver
+    thread while the iteration — the released session's prompt next to a
+    256-row one, also two parts — waits on the session's layer 0.  Both
+    calls share the one-worker helper pool, so a part no worker has
+    started must run on its own caller's thread, or each call waits for
+    the other forever."""
+    scheme = PartitionScheme.with_recompute_prefix(tiny_config.n_layers, 2)
+    rng = np.random.default_rng(74)
+    history, prompt = tokens_of(tiny_config, rng, 150), tokens_of(tiny_config, rng, 6)
+    long_prompt = tokens_of(tiny_config, rng, 256)
+
+    def engine_of(cls, executor=None):
+        storage = StorageManager(StorageArray([FAST], link_bandwidth=100 * GB))
+        hcache = HCacheEngine(tiny_model, storage, scheme=scheme)
+        return cls(tiny_model, hcache, executor=executor)
+
+    serial = engine_of(NumericServingEngine)
+    serial.open_session("r")
+    serial.chat_round("r", history, 3)
+    serial.open_session("p")
+    expected = {"r": serial.chat_round("r", prompt, 4), "p": serial.chat_round("p", long_prompt, 3)}
+
+    pool = ThreadPoolExecutor(max_workers=1)
+    monkeypatch.setattr(transformer_module, "_helper_pool", lambda: pool)
+    monkeypatch.setattr(transformer_module, "part_count", lambda rows: 2)
+    cuts = []
+    real_cuts = transformer_module._part_cuts
+    monkeypatch.setattr(
+        transformer_module, "_part_cuts", lambda b, n: cuts.append(real_cuts(b, n)) or cuts[-1]
+    )
+    replaying, waiting = threading.Event(), threading.Event()
+    real_replay, real_wait = tiny_model.replay, RestoreProgress.wait_layer
+
+    def replay(tokens, views):
+        if views:
+            replaying.set()
+            assert waiting.wait(JOIN_S), "the iteration never waited on the replay"
+        return real_replay(tokens, views)
+
+    def wait_layer(self, layer):
+        waiting.set()
+        real_wait(self, layer)
+
+    executor = RestoreExecutor(1)
+    engine = engine_of(ReleaseDuringReplay, executor)
+    engine.replaying = replaying
+    deadlocked = False
+    try:
+        engine.open_session("r")
+        engine.chat_round("r", history, 3)
+        engine.evict("r")
+        monkeypatch.setattr(tiny_model, "replay", replay)
+        monkeypatch.setattr(RestoreProgress, "wait_layer", wait_layer)
+        frontend = ServingFrontend(engine, MemoryBudget(capacity_tokens=4096))
+        handles = {
+            s: frontend.submit(ServingRequest(session_id=s, prompt_tokens=p, max_new_tokens=n))
+            for s, p, n in (("r", prompt, 4), ("p", long_prompt, 3))
+        }
+        served = threading.Thread(target=frontend.run_until_idle, kwargs={"max_steps": 50})
+        served.start()
+        served.join(JOIN_S)
+        deadlocked = served.is_alive()
+    finally:
+        replaying.set()
+        waiting.set()
+        if not deadlocked:  # a deadlocked restore would hold the close forever
+            executor.close()
+            pool.shutdown()
+    assert not deadlocked, "the iteration and the replay wait for each other"
+    assert engine.early_releases == 1
+    n_history = len(serial.session("r").tokens) - prompt.size - 4
+    # The replay and the iteration each ran in two parts.
+    calls = (n_history, prompt.size + long_prompt.size)
+    assert [len(c) - 1 for c in cuts if c[-1] in calls] == [2, 2]
+    assert {s: list(h.result().tokens) for s, h in handles.items()} == expected

@@ -16,12 +16,15 @@ call's bits exactly.
 from __future__ import annotations
 
 import copy
+import os
+import subprocess
 import sys
 import threading
 import time
 from bisect import bisect_right
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -34,6 +37,8 @@ from repro.models.kv_cache import KVCache
 from repro.models.tensor_ops import M_MAX
 from repro.models.transformer import BATCHED_DECODE_ATOL, PART_ROWS, Transformer
 from repro.runtime.progress import RestoreProgress
+
+SRC = str(Path(transformer.__file__).resolve().parents[2])
 
 
 WIDE = dict(
@@ -559,3 +564,138 @@ class TestParts:
         # 2 * PART_ROWS rows take the pool exactly when the host has two CPUs.
         model.forward_fused(_prompts(TINY_4, [2 * PART_ROWS], seed=68), [KVCache(TINY_4)])
         assert bool(touched) == (transformer.part_count(2 * PART_ROWS) > 1)
+
+    @pytest.mark.parametrize("call", ["forward_fused", "replay"])
+    def test_a_part_no_helper_has_started_runs_on_the_caller(self, part_models, call, monkeypatch):
+        """The pool is shared: its only worker may be busy (here: held until
+        the call returns) with another call's part that waits for this
+        call's rows.  Part 1 then runs on the caller, same bits."""
+        model = part_models["wide-llama"]
+        (tokens,) = _prompts(model.config, [256], seed=69)
+
+        def run(parts):
+            monkeypatch.setattr(transformer, "part_count", lambda rows: parts)
+            if call == "replay":
+                cache, boundary = model.recompute_prefix(tokens, 1)
+                return cache.get(0), boundary
+            caches = [KVCache(model.config)]
+            return model.forward_fused([tokens], caches), caches
+
+        expected = run(1)
+        pool = ThreadPoolExecutor(max_workers=1)
+        monkeypatch.setattr(transformer, "_helper_pool", lambda: pool)
+        release = threading.Event()
+        held = pool.submit(release.wait)
+        done = []
+        caller = threading.Thread(target=lambda: done.append(run(2)))
+        try:
+            caller.start()
+            caller.join(timeout=60)
+            finished = not caller.is_alive()
+        finally:
+            release.set()
+            held.result(timeout=60)
+            caller.join(timeout=60)
+            pool.shutdown()
+        assert finished and not caller.is_alive()
+        if call == "replay":
+            (keys, values), boundary = done[0]
+            assert np.array_equal(keys, expected[0][0]) and np.array_equal(values, expected[0][1])
+            assert np.array_equal(boundary, expected[1])
+        else:
+            _assert_same_bits((*done[0], None), (*expected, None))
+
+    def test_parts_times_blas_threads_stay_within_the_cpus(self, monkeypatch):
+        """A part's GEMMs run on BLAS's own threads: on the serving host's
+        two CPUs a 256-row call splits only with BLAS pinned to one."""
+        monkeypatch.setattr(transformer, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(transformer, "_blas_threads", lambda: 2)
+        assert transformer.part_count(2 * PART_ROWS) == 1
+        monkeypatch.setattr(transformer, "_blas_threads", lambda: 1)
+        assert transformer.part_count(2 * PART_ROWS) == 2
+        for cpus in (1, 2, 3, 4, 8):
+            for blas in (1, 2, 3, 4, 16):
+                monkeypatch.setattr(transformer, "_usable_cpus", lambda: cpus)
+                monkeypatch.setattr(transformer, "_blas_threads", lambda: blas)
+                parts = transformer.part_count(100 * PART_ROWS)
+                assert parts == max(1, cpus // blas)
+                assert parts == 1 or parts * blas <= cpus
+
+    def test_the_blas_thread_count_is_read_in_process(self, monkeypatch):
+        """numpy's OpenBLAS is asked (what ``OPENBLAS_NUM_THREADS`` set at
+        start-up); without it the variable is read, then one per CPU."""
+        for threads in ("1", "2"):
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": SRC}
+            read = subprocess.run(
+                [sys.executable, "-c",
+                 "from repro.models import transformer; print(transformer._blas_threads())"],
+                env=env, capture_output=True, text=True, check=True,
+            )
+            assert read.stdout.strip() == threads
+        monkeypatch.setattr(transformer, "_blas_thread_getter", lambda: None)
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
+        assert transformer._blas_threads() == 3
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS")
+        assert transformer._blas_threads() == transformer._usable_cpus()
+
+
+#: Three layers of bench-mid width: a replay of one or two layers has a
+#: layer-two or layer-three input the serving prefill also computes.
+REPLAY_CONFIGS = {name: replace(config, n_layers=3) for name, config in PART_CONFIGS.items()}
+#: Slab products (2–M_MAX rows), one-call products, and two parts.
+REPLAY_ROWS = (20, M_MAX, M_MAX + 1, 150, 300)
+
+
+@pytest.fixture(scope="module")
+def replay_models():
+    return {name: Transformer.from_seed(config, seed=7) for name, config in REPLAY_CONFIGS.items()}
+
+
+class TestReplay:
+    """The restore's token replay is the packed kernel over a layer range."""
+
+    @pytest.mark.parametrize("n", REPLAY_ROWS)
+    @pytest.mark.parametrize("name", sorted(REPLAY_CONFIGS))
+    def test_a_layer_range_call_is_the_serving_prefill(self, replay_models, name, n, monkeypatch):
+        model = replay_models[name]
+        config = model.config
+        (tokens,) = _prompts(config, [n], seed=70)
+        monkeypatch.setattr(transformer, "part_count", lambda rows: 1)
+        fused_cache = KVCache(config)
+        fused = model.forward_fused([tokens], [fused_cache])
+        serial, serial_cache = model.prefill(tokens, capture_hidden=True)
+        cuts = []
+        monkeypatch.setattr(
+            transformer, "_part_cuts", lambda b, p: cuts.append(PART_CUTS(b, p)) or cuts[-1]
+        )
+        for parts in (1, 2):
+            monkeypatch.setattr(transformer, "part_count", lambda rows: parts)
+            for stop in range(1, config.n_layers + 1):
+                cache, boundary = model.recompute_prefix(tokens, stop)
+                assert len(cuts[-1]) - 1 == (parts if n > 2 * QUERY_TILE else 1)
+                replayed = [cache.get(layer) for layer in range(stop)]
+                fused_kv = [fused_cache.get(layer) for layer in range(stop)]
+                serial_kv = [serial_cache.get(layer) for layer in range(stop)]
+                pairs = (  # no call above computes every row's final-layer output
+                    [(boundary, fused.hidden_states[stop], serial.hidden_states[stop])]
+                    if stop < config.n_layers
+                    else []
+                )
+                for (k, v), (fk, fv), (sk, sv) in zip(replayed, fused_kv, serial_kv):
+                    pairs += [(k, fk, sk), (v, fv, sv)]
+                for got, packed, reference in pairs:
+                    assert np.array_equal(got, packed)
+                    if n > M_MAX:
+                        assert np.array_equal(got, reference)
+                    else:
+                        np.testing.assert_allclose(
+                            got, reference, atol=BATCHED_DECODE_ATOL, rtol=0
+                        )
+
+    def test_no_layers_is_the_embedding_gather_and_no_kernel(self, replay_models, monkeypatch):
+        model = replay_models["wide-llama"]
+        (tokens,) = _prompts(model.config, [300], seed=71)
+        calls = []
+        monkeypatch.setattr(model, "_forward_packed", lambda *args: calls.append(args))
+        assert np.array_equal(model.replay(tokens, []), model.embed(tokens))
+        assert calls == []

@@ -21,6 +21,7 @@ from repro.models.reference import (
     naive_generate_capture,
     naive_restore_cache_from_hidden,
 )
+from repro.models.transformer import RestoreWorkspace
 
 
 def kv_rows(config, n, rng):
@@ -259,7 +260,7 @@ class TestBatchedRestore:
     def test_kernel_projects_a_layer_subset(self, tiny_model, tiny_config):
         result, _ = tiny_model.prefill(prompt(tiny_config, 11, seed=26), capture_hidden=True)
         pos = np.arange(11)
-        workspace = tiny_model.restore_workspace(pos, 11)
+        workspace = RestoreWorkspace(tiny_model.config, pos, 11)
         for layer in (1, 3):
             k_out = np.empty((11, tiny_config.n_kv_heads, tiny_config.head_dim), np.float32)
             v_out = np.empty_like(k_out)
@@ -275,7 +276,7 @@ class TestBatchedRestore:
         pos = np.arange(13)
         cache = KVCache(tiny_config)
         cache.reserve(64)
-        workspace = tiny_model.restore_workspace(pos, 13)
+        workspace = RestoreWorkspace(tiny_model.config, pos, 13)
         for layer in range(tiny_config.n_layers):
             k_view, v_view = cache.install_view(layer, 13)
             tiny_model.project_kv_chunk(
