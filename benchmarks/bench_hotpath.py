@@ -35,8 +35,8 @@ calls, each one that no serving-benchmark metric makes:
    ``REPLAY_TOKENS`` tokens under a ``REPLAY_PREFIX``-layer recompute
    prefix replays its first layers as one packed call in
    ``part_count(REPLAY_TOKENS)`` parts (``Transformer.replay``), calls
-   ``layer_forward`` and ``KVCache.install`` zero times, and restores
-   the serial prefill's K/V bit for bit.  The replay's wall clock is
+   ``layer_forward`` zero times, and restores the serial prefill's K/V
+   bit for bit.  The replay's wall clock is
    printed, not gated.
 
 Restore, decode and serving *speed* is the serving benchmark's record
@@ -45,7 +45,7 @@ exactness in every shape is ``tests/core/test_restore_matrix.py``.
 
 Run from the repo root; it takes a few seconds, prints one line per
 context size, one for the prefill parts, one for the replay and, last,
-the report as one JSON line (schema ``bench_hotpath/v13``), and exits
+the report as one JSON line (schema ``bench_hotpath/v14``), and exits
 non-zero when a
 check fails::
 
@@ -372,13 +372,12 @@ def check_replay(model: Transformer) -> dict:
     engine.register_context("bench")
     engine.save_states("bench", prefilled.hidden_states, tokens)
     engine.seal("bench")
-    calls = {"packed": 0, "layer_forward": 0, "install": 0}
+    calls = {"packed": 0, "layer_forward": 0}
     parts: list[int] = []
     replay_s: list[float] = []
     real = {
         "packed": model._forward_packed,
         "layer_forward": Transformer.layer_forward,
-        "install": KVCache.install,
         "compute_qkv": model.compute_qkv,
         "replay": model.replay,
     }
@@ -404,12 +403,11 @@ def check_replay(model: Transformer) -> dict:
 
     model._forward_packed, model.compute_qkv, model.replay = counting("packed"), compute_qkv, replay
     Transformer.layer_forward = counting("layer_forward")
-    KVCache.install = counting("install")
     try:
         restored = engine.restore("bench")
     finally:
         del model._forward_packed, model.compute_qkv, model.replay
-        Transformer.layer_forward, KVCache.install = real["layer_forward"], real["install"]
+        Transformer.layer_forward = real["layer_forward"]
     report = {
         "tokens": REPLAY_TOKENS,
         "replayed_layers": REPLAY_PREFIX - 1,
@@ -417,14 +415,13 @@ def check_replay(model: Transformer) -> dict:
         "parts": len(parts),
         "expected_parts": transformer_module.part_count(REPLAY_TOKENS),
         "layer_forward_calls": calls["layer_forward"],
-        "install_calls": calls["install"],
         "bit_identical": bool(restored.equals(oracle, atol=0.0)),
         "replay_ms": replay_s[0] * 1e3 if replay_s else float("nan"),
     }
     report["met"] = (
         report["packed_calls"] == 1
         and report["parts"] == report["expected_parts"]
-        and report["layer_forward_calls"] == report["install_calls"] == 0
+        and report["layer_forward_calls"] == 0
         and report["bit_identical"]
     )
     return report
@@ -433,7 +430,7 @@ def check_replay(model: Transformer) -> dict:
 def main() -> int:
     argparse.ArgumentParser(description=__doc__).parse_args()
     model = Transformer.from_seed(BENCH_CONFIG, seed=7)
-    report: dict = {"schema": "bench_hotpath/v13", "window": WINDOW, "sizes": {}}
+    report: dict = {"schema": "bench_hotpath/v14", "window": WINDOW, "sizes": {}}
     for n in SIZES:
         state, layer0, slabs = bench_state_path(n), check_layer0(model, n), check_slab_reuse(model, n)
         report["sizes"][str(n)] = {"state_path": state, "layer0": layer0, "slab_reuse": slabs}
@@ -473,7 +470,7 @@ def main() -> int:
         f"token replay: {replay['replayed_layers']} layers of {replay['tokens']} tokens in "
         f"{replay['packed_calls']} packed call, {replay['parts']} parts "
         f"(expected {replay['expected_parts']}), layer_forward x{replay['layer_forward_calls']}, "
-        f"install x{replay['install_calls']}, == serial prefill: {replay['bit_identical']}  "
+        f"== serial prefill: {replay['bit_identical']}  "
         f"{replay['replay_ms']:.0f} ms (not gated)"
     )
     print(json.dumps(report))
@@ -510,7 +507,7 @@ def main() -> int:
         print(
             f"ERROR: a bench-mid r = {REPLAY_PREFIX} restore of {REPLAY_TOKENS} tokens must "
             f"replay in one packed call of {replay['expected_parts']} parts, with no "
-            "layer_forward or KVCache.install call, and restore the serial prefill's bits",
+            "layer_forward call, and restore the serial prefill's bits",
             file=sys.stderr,
         )
         return 1

@@ -14,6 +14,13 @@ interrupted series keeps what it measured).  Then, per end-to-end metric of
 of the median in %, and the change's wins / ties / losses over the pairs in
 the direction ``BENCHMARK.json`` gives.
 
+A run that exits 1 (one of ``run.py``'s own checks failed: a failed
+request, an inexact restore sample, a token mismatch) still prints its
+row, with ``correct`` false, and counts in its workload's header.  Any
+such run on the change side ends the summary with a ``REFUSED`` line and
+exits 1: the benchmark's contract refuses a change whose run exits
+non-zero, whatever its metrics say.
+
 Verdicts follow the choosing-metrics rule: ``GAIN`` only when the change
 wins at least 9/10 of the pairs, its median beats the parent's by more
 than the parent's interquartile range, and no more of its requests failed
@@ -53,12 +60,15 @@ def run_once(tree: Path, workload: str, seed: int) -> dict:
     ]
     done = subprocess.run(command, cwd=tree, capture_output=True, text=True)
     last = done.stdout.rstrip("\n").rpartition("\n")[2]
-    # Exit 1 is a finished run with a wrong output: its row still counts.
+    # Exit 1 is a finished run with a wrong output: its row still counts,
+    # marked incorrect.
     if done.returncode not in (0, 1) or not last.startswith("{"):
         raise SystemExit(
             f"{tree}: {workload} seed {seed} exited {done.returncode}\n{done.stderr[-2000:]}"
         )
-    return json.loads(last)
+    line = json.loads(last)
+    line["correct"] = bool(line["correct"]) and done.returncode == 0
+    return line
 
 
 def run_pairs(trees: dict[str, Path], workload: str, seeds: list[int], rows_path: Path | None):
@@ -80,7 +90,7 @@ def run_pairs(trees: dict[str, Path], workload: str, seeds: list[int], rows_path
 
 
 def header(names: list[str]) -> str:
-    return f"{'workload':<13}{'seed':>4}  {'side':<6} ord  fail/n " + "  ".join(
+    return f"{'workload':<13}{'seed':>4}  {'side':<6} ord  correct  fail/n " + "  ".join(
         f"{n[:10]:>10}" for n in names
     )
 
@@ -89,7 +99,8 @@ def format_row(row: dict, names: list[str]) -> str:
     values = "  ".join(f"{row['metrics'].get(n, float('nan')):>10.5g}" for n in names)
     return (
         f"{row['workload']:<13}{row['seed']:>4}  {row['side']:<6} "
-        f"{'1st' if row['first'] else '2nd'}  {row['failed']}/{row['attempted']:<5} {values}"
+        f"{'1st' if row['first'] else '2nd'}  {str(row['correct']):<7}  "
+        f"{row['failed']}/{row['attempted']:<5} {values}"
     )
 
 
@@ -98,6 +109,11 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
         return values[0], values[0], values[0]
     q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return q1, median, q3
+
+
+def refused_runs(rows: list[dict]) -> int:
+    """Change-side runs that exited non-zero: each one refuses the change."""
+    return sum(r["side"] == "change" and not r["correct"] for r in rows)
 
 
 def summarize(rows: list[dict], contract: list[dict]) -> list[str]:
@@ -111,10 +127,15 @@ def summarize(rows: list[dict], contract: list[dict]) -> list[str]:
         pairs = [p for _, p in sorted(by_seed.items()) if len(p) == 2]
         failed = {s: sum(p[s]["failed"] for p in pairs) for s in SIDES}
         attempted = {s: sum(p[s]["attempted"] for p in pairs) for s in SIDES}
+        incorrect = {
+            s: sum(r["workload"] == workload and r["side"] == s and not r["correct"] for r in rows)
+            for s in SIDES
+        }
         lines.append(
             f"== {workload}: {len(pairs)} pairs; failed parent "
             f"{failed['parent']}/{attempted['parent']}, change "
-            f"{failed['change']}/{attempted['change']}"
+            f"{failed['change']}/{attempted['change']}; incorrect runs parent "
+            f"{incorrect['parent']}, change {incorrect['change']}"
         )
         lines.append(
             f"  {'metric':<24}{'parent q1 / med / q3':>30}{'change q1 / med / q3':>30}"
@@ -149,6 +170,12 @@ def summarize(rows: list[dict], contract: list[dict]) -> list[str]:
                 f"  {name:<24}{p1:>10.5g}{pm:>10.5g}{p3:>10.5g}{c1:>10.5g}{cm:>10.5g}"
                 f"{c3:>10.5g}{move:>9}  {wins}/{ties}/{losses}  {verdict}"
             )
+    refused = refused_runs(rows)
+    if refused:
+        lines.append(
+            f"REFUSED: {refused} change run(s) exited non-zero (correct: false); "
+            "the benchmark refuses the change whatever its metrics"
+        )
     return lines
 
 
@@ -184,7 +211,7 @@ def main(argv: list[str] | None = None) -> int:
     else:
         parser.error("give PARENT CHANGE --workload W, or --from-rows FILE")
     print("\n".join(summarize(rows, contract)))
-    return 0
+    return 1 if refused_runs(rows) else 0
 
 
 if __name__ == "__main__":

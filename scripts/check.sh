@@ -40,7 +40,7 @@
 #     ratio is printed, not gated);
 #   - the token replay, by exact counts and bits: a bench-mid r = 3
 #     restore of 300 tokens replays in one packed call of part_count(300)
-#     parts, with no layer_forward or KVCache.install call, and restores
+#     parts, with no layer_forward call, and restores
 #     the serial prefill's K/V bit for bit (its wall clock is printed,
 #     not gated).
 # The tier-1 step runs with TMPDIR set to a fresh `mktemp -d` directory:

@@ -9,7 +9,6 @@ the decode-time price of two-stage saving and its alternatives (§4.2.2).
 from repro.core.gqa import (
     GQAAnalysis,
     analyze_gqa,
-    gqa_aware_schedule,
     gqa_crossover_heads,
     with_kv_heads,
 )
@@ -42,7 +41,6 @@ __all__ = [
     "DecodeSavingImpact",
     "GQAAnalysis",
     "analyze_gqa",
-    "gqa_aware_schedule",
     "gqa_crossover_heads",
     "with_kv_heads",
     "HCacheEngine",

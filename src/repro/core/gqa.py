@@ -8,8 +8,8 @@ than the hidden state — and the paper suggests handling this by "first
 projecting the hidden states into a low-rank representation".
 
 This module quantifies that regime change and makes the scheduler handle
-it: :func:`gqa_aware_schedule` searches the full partition space (the
-closed forms assume the MHA byte ratio), and :func:`analyze_gqa` reports
+it: :func:`analyze_gqa` schedules a variant by searching the full
+partition space (the closed forms assume the MHA byte ratio) and reports
 where the crossover sits for a model family.
 """
 
@@ -62,30 +62,25 @@ def hidden_to_kv_ratio(config: ModelConfig) -> float:
     return config.hidden_bytes_per_token_layer / config.kv_bytes_per_token_layer
 
 
-def gqa_aware_schedule(
-    config: ModelConfig, platform: Platform, n_tokens: int
-) -> ScheduleDecision:
-    """Schedule a restoration without assuming the MHA byte ratio.
-
-    The §4.1.2 closed forms encode "hidden = KV/2"; under aggressive GQA
-    the optimum can be pure KV offload, which only the exhaustive search
-    is guaranteed to find.  Layer counts are small, so the search is cheap.
-    """
-    profile = profile_platform(config, platform, n_tokens)
-    return BubbleFreeScheduler(config.n_layers).schedule_by_search(profile)
-
-
 def analyze_gqa(
     config: ModelConfig, platform: Platform, n_tokens: int, n_kv_heads: int
 ) -> GQAAnalysis:
-    """Analyze one GQA variant's restoration strategy."""
+    """Analyze one GQA variant's restoration strategy.
+
+    The decision comes from the exhaustive search, not the §4.1.2 closed
+    forms, which encode "hidden = KV/2": under aggressive GQA the optimum
+    can be pure KV offload, which only the search is guaranteed to find.
+    Layer counts are small, so the search is cheap.
+    """
     variant = with_kv_heads(config, n_kv_heads)
     ratio = hidden_to_kv_ratio(variant)
     return GQAAnalysis(
         config=variant,
         hidden_to_kv_ratio=ratio,
         hcache_transmission_wins=ratio < 1.0,
-        decision=gqa_aware_schedule(variant, platform, n_tokens),
+        decision=BubbleFreeScheduler(variant.n_layers).schedule_by_search(
+            profile_platform(variant, platform, n_tokens)
+        ),
     )
 
 

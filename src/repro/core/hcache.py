@@ -4,9 +4,10 @@
 of the reproduction: it persists a context's per-layer hidden states (and,
 for scheduler-assigned layers, raw KV) into the chunked storage manager as
 generation proceeds, evicts GPU state, and later restores a bit-accurate
-KV cache by replaying only the K/V projections.  Which layers come back
-from hidden states, raw KV or tokens is its :class:`PartitionScheme`;
-the modelled timing of a scheme is
+KV cache by replaying only the K/V projections.  Which layers of a
+context come back from hidden states, raw KV or tokens is its layout, a
+:class:`PartitionScheme` read from the runs it stores
+(:meth:`HCacheEngine.layout`); the modelled timing of a scheme is
 :func:`repro.core.restoration.two_stream_timing`.
 """
 
@@ -19,15 +20,12 @@ from typing import Sequence
 import numpy as np
 
 from repro.core.partition import LayerMethod, PartitionScheme
-from repro.errors import ConfigError, RecoveryError, RestorationError, StateError
+from repro.errors import ConfigError, RecoveryError, RestorationError, SchedulingError, StateError
 from repro.models.kv_cache import KVCache, SlabArena
 from repro.models.transformer import RestoreWorkspace, Transformer
 from repro.runtime.executor import RestoreExecutor, drain_granules
 from repro.runtime.progress import RestoreProgress
 from repro.storage.manager import GranuleSpec, StorageManager
-
-#: The run kind a layer method stores; RECOMPUTE layers store nothing.
-_STORED_KIND = {LayerMethod.HIDDEN: "hidden", LayerMethod.KV: "kv"}
 
 #: Element type of every stored hidden and KV row.
 _STORED_DTYPE = np.dtype(np.float32)
@@ -49,7 +47,13 @@ def merge_granule_plans(*plans: Sequence[GranuleSpec]) -> list[GranuleSpec]:
 
 
 class HCacheEngine:
-    """Saves and restores LLM contextual state via hidden states."""
+    """Saves and restores LLM contextual state via hidden states.
+
+    A context's layout is its stored runs (:meth:`layout`); the engine's
+    :attr:`scheme` only picks the runs :meth:`register_context` opens, so
+    a context written under another scheme, or adopted by
+    :meth:`recover`, is saved to and restored as it was written.
+    """
 
     def __init__(
         self,
@@ -63,11 +67,12 @@ class HCacheEngine:
             transformer: The serving model (provides the projection
                 weights used for restoration).
             storage: Chunked host storage for hidden states / KV.
-            scheme: Partition scheme.  By default layer 0 is a 1-layer
-                RECOMPUTE prefix and every other layer HIDDEN: layer 0's
-                hidden state *is* ``embedding[tokens]``, so it is never
-                stored, written or read — restores project it from the
-                journaled token log, bit-identically to a stored layer 0.
+            scheme: The layout of the contexts this engine registers.
+                By default layer 0 is a 1-layer RECOMPUTE prefix and every
+                other layer HIDDEN: layer 0's hidden state *is*
+                ``embedding[tokens]``, so it is never stored, written or
+                read — restores project it from the journaled token log,
+                bit-identically to a stored layer 0.
                 ``PartitionScheme.pure_hcache`` is the explicit all-stored
                 HCache-O ablation, ``PartitionScheme.pure_kv`` KV offload.
         """
@@ -91,10 +96,11 @@ class HCacheEngine:
     def register_context(self, context_id: str) -> None:
         """Declare a new context before saving states for it.
 
-        Opens every run the scheme stores, so the journal names them
-        before the context's first token ids: a crash before any of its
-        rows reach a device then recovers it at zero tokens, rather than
-        as a token log no run can back.
+        Opens every run :attr:`scheme` stores — from here on those runs
+        are the context's layout — in the context's one ``register``
+        journal record, ahead of its first token ids: a crash before any
+        of its rows reach a device then recovers it at zero tokens in this
+        layout, rather than as a token log no run can back.
         """
         if context_id in self._contexts:
             raise StateError(f"context {context_id!r} already registered")
@@ -104,10 +110,12 @@ class HCacheEngine:
             hidden_width=self.transformer.config.hidden_size,
             dtype=_STORED_DTYPE,
             kv_width=2 * self.transformer.config.kv_size,
+            runs=[
+                (layer, method.value)
+                for layer, method in enumerate(self.scheme.methods)
+                if method is not LayerMethod.RECOMPUTE
+            ],
         )
-        for layer, method in enumerate(self.scheme.methods):
-            if method in _STORED_KIND:
-                self.storage.open_run(context_id, layer, _STORED_KIND[method])
         self._contexts[context_id] = 0
 
     def has_context(self, context_id: str) -> bool:
@@ -117,6 +125,21 @@ class HCacheEngine:
         if context_id not in self._contexts:
             raise StateError(f"context {context_id!r} not registered")
         return self._contexts[context_id]
+
+    def layout(self, context_id: str) -> PartitionScheme:
+        """The context's partition, read from its stored runs.
+
+        A layer with a run restores by the run's kind; a layer with none
+        is token-sourced.  Runs that are no layout — a layer holding both
+        kinds, or token-sourced layers that are not a prefix — raise
+        :class:`~repro.errors.SchedulingError`.
+        """
+        methods = [LayerMethod.RECOMPUTE] * self.transformer.config.n_layers
+        for layer, kind in self.storage.runs(context_id):
+            if methods[layer] is not LayerMethod.RECOMPUTE:
+                raise SchedulingError(f"layer {layer} holds two runs")
+            methods[layer] = LayerMethod(kind)
+        return PartitionScheme(tuple(methods))
 
     def save_states(
         self,
@@ -136,8 +159,9 @@ class HCacheEngine:
         context* (tail buffers and device key sets would race); saving one
         context while other contexts restore is fine.
 
+        The block goes to every run of the context's :meth:`layout`.
         RECOMPUTE layers store nothing: their K/V comes back from the
-        journaled token ids.  Under such a scheme (the default) the
+        journaled token ids.  Under such a layout (the default) the
         layer-0 block is checked against ``embedding[tokens]`` — one
         gather and compare in place of a device append — and a mismatch
         raises :class:`~repro.errors.ConfigError` before anything is
@@ -150,7 +174,7 @@ class HCacheEngine:
             tokens: The block's token ids (needed by recompute layers and
                 kept for all layers, mirroring the prompt log every serving
                 system retains).
-            kv_cache: Required when the scheme KV-offloads some layers;
+            kv_cache: Required when the layout KV-offloads some layers;
                 its trailing ``n_new`` rows for those layers are saved.
         """
         config = self.transformer.config
@@ -162,23 +186,24 @@ class HCacheEngine:
         n_new = hidden_states[0].shape[0]
         if tokens.size != n_new:
             raise ConfigError("token block must match the hidden-state block length")
-        if self.scheme.n_kv and kv_cache is None:
-            raise ConfigError("scheme KV-offloads layers; a kv_cache is required to save them")
-        if self.scheme.n_recompute and not np.array_equal(
+        start = self.saved_tokens(context_id)
+        layout = self.layout(context_id)
+        if layout.n_kv and kv_cache is None:
+            raise ConfigError("layout KV-offloads layers; a kv_cache is required to save them")
+        if layout.n_recompute and not np.array_equal(
             hidden_states[0], self.transformer.embed(tokens)
         ):
             # Layer 0 is not stored: a restore rebuilds it from the token
             # log, which is only right if these rows are the embeddings.
             raise ConfigError(
-                "layer-0 hidden states are not embedding[tokens]; the scheme "
+                "layer-0 hidden states are not embedding[tokens]; the layout "
                 "restores layer 0 from the token log"
             )
-        start = self.saved_tokens(context_id)
         # Token ids are journaled ahead of the state rows: the durable log
         # then always covers the durable rows, so crash recovery can
         # truncate it to the recovered row count without inventing ids.
         self.storage.journal_tokens(context_id, tokens)
-        for layer, method in enumerate(self.scheme.methods):
+        for layer, method in enumerate(layout.methods):
             if method is LayerMethod.HIDDEN:
                 self.storage.append(context_id, layer, hidden_states[layer], kind="hidden")
             elif method is LayerMethod.KV:
@@ -214,31 +239,20 @@ class HCacheEngine:
         return tuple(self._contexts)
 
     @classmethod
-    def recover(
-        cls,
-        transformer: Transformer,
-        storage: StorageManager,
-        scheme: PartitionScheme | None = None,
-    ) -> "HCacheEngine":
+    def recover(cls, transformer: Transformer, storage: StorageManager) -> "HCacheEngine":
         """Adopt a crash-recovered storage manager's contexts.
 
         ``storage`` comes from :meth:`StorageManager.recover`; every
-        context it holds is re-registered with this engine at its durable
-        token count, ready for a normal :meth:`restore`.  The model and
-        scheme must match the ones the states were saved under — shape
-        mismatches (wrong model) and per-layer row counts that contradict
-        the scheme's layer methods raise
-        :class:`~repro.errors.RecoveryError` rather than restoring wrong
-        state.  Runs the scheme does *not* read are freed on adoption —
-        an all-stored layout opened under the token-sourced default gives
-        up its layer-0 rows (and their device bytes) — because a run that
-        stops growing would become the shortest one, and the next
-        ``StorageManager.recover`` truncates a context to its shortest run.
+        context it holds is re-registered with a default engine at its
+        durable token count, ready for a normal :meth:`restore`, and keeps
+        the layout its runs give it — an all-stored context keeps and
+        grows its layer-0 rows.  A context saved for another model's
+        geometry, or whose runs are no layout, raises
+        :class:`~repro.errors.RecoveryError` before any device is read.
         """
-        engine = cls(transformer, storage, scheme)
+        engine = cls(transformer, storage)
         config = transformer.config
         shape = (config.n_layers, config.hidden_size, 2 * config.kv_size)
-        unread: list[tuple[str, int, str]] = []
         for context_id in storage.context_ids():
             meta = storage.meta(context_id)
             saved = (meta.n_layers, meta.hidden_width, meta.kv_width)
@@ -247,28 +261,11 @@ class HCacheEngine:
                     f"context {context_id!r} was saved for a model of (layers, hidden "
                     f"width, packed KV width) {saved}; this model is {shape}"
                 )
-            n_tokens = len(storage.token_log(context_id))
-            for layer, kind in storage.runs(context_id):
-                if _STORED_KIND.get(engine.scheme.methods[layer]) != kind:
-                    unread.append((context_id, layer, kind))
-            for layer, method in enumerate(engine.scheme.methods):
-                kind = _STORED_KIND.get(method)
-                if kind is None:
-                    continue
-                stored = storage.tokens_stored(context_id, layer, kind=kind)
-                if stored != n_tokens:
-                    raise RecoveryError(
-                        f"context {context_id!r} layer {layer} holds {stored} "
-                        f"{kind} rows but {n_tokens} tokens are durable — was it "
-                        f"saved under a different partition scheme?"
-                    )
-            engine._contexts[context_id] = n_tokens
-        # Rows this scheme never reads (an all-stored layout's layer 0
-        # under a token-sourced one) would never grow again, and the next
-        # recovery would cut their whole context back to them.  Freed only
-        # once every context has passed the checks above.
-        for run in unread:
-            storage.free_run(*run)
+            try:
+                engine.layout(context_id)
+            except SchedulingError as exc:
+                raise RecoveryError(f"context {context_id!r}'s runs are no layout: {exc}") from exc
+            engine._contexts[context_id] = len(storage.token_log(context_id))
         return engine
 
     # ------------------------------------------------------------------
@@ -296,12 +293,13 @@ class HCacheEngine:
         issued before the pending granule is consumed, so compute starts
         at IO start — what ``CostModelEngine.start_restores`` books.
 
-        A RECOMPUTE prefix of ``r`` layers is token-sourced: layers
+        The context's :meth:`layout` says which layers stream from which
+        run.  A RECOMPUTE prefix of ``r`` layers is token-sourced: layers
         ``[0, r - 1)`` are replayed from the journaled tokens by the packed
         kernel (:meth:`Transformer.replay`) into this cache, and layer
         ``r - 1`` — whose input rows are all its K/V needs — is projected
         like a HIDDEN layer (same closure, workspace and granule split);
-        for ``r = 1`` (the default scheme) that is the embedding gather
+        for ``r = 1`` (the default layout) that is the embedding gather
         plus one projection.  It runs on the calling thread once the
         drain's first window of reads is in flight, under the IO stream.
 
@@ -333,7 +331,7 @@ class HCacheEngine:
         :mod:`repro.runtime.progress`); the returned cache still
         ``.equals`` the saved history, with ``len(cache) == n_tokens``.
         """
-        n_tokens, granules = self._plan_restore(context_id)
+        n_tokens, layout, granules = self._plan_restore(context_id)
         cache = self.arena.cache(self.transformer.config, max(n_tokens, reserve_tokens))
         granule_tokens = min(n_tokens, self.storage.granule_tokens)
         if progress is not None:
@@ -350,7 +348,7 @@ class HCacheEngine:
         views = [cache.install_view(layer, n_tokens) for layer in range(len(rows_left))]
         workspace = (
             RestoreWorkspace(self.transformer.config, np.arange(n_tokens), granule_tokens)
-            if self.scheme.n_hidden or self.scheme.n_recompute
+            if layout.n_hidden or layout.n_recompute
             else None
         )
 
@@ -374,7 +372,7 @@ class HCacheEngine:
             # r - 1's input rows (for r = 1 the embedding gather) are all
             # its K/V needs, projected in the stored stream's granule
             # partition: bit-identical to restoring those rows from a device.
-            last = self.scheme.n_recompute - 1
+            last = layout.n_recompute - 1
             tokens = np.array(self.storage.token_log(context_id)[:n_tokens])
             rows = self.transformer.replay(tokens, views[:last])
             for layer in range(last):
@@ -382,35 +380,33 @@ class HCacheEngine:
             for start in range(0, n_tokens, granule_tokens):
                 project(last, start, rows[start : start + granule_tokens])
 
-        under_io = token_prefix if self.scheme.n_recompute else None
+        under_io = token_prefix if layout.n_recompute else None
         drain_granules(self.storage, context_id, granules, consume, executor, under_io)
         if len(cache) != n_tokens:
             raise RestorationError("restored cache length mismatch")
         return cache
 
-    def _plan_restore(self, context_id: str) -> tuple[int, list[GranuleSpec]]:
-        """Check the stored runs; return the token count and the one plan."""
+    def _plan_restore(self, context_id: str) -> tuple[int, PartitionScheme, list[GranuleSpec]]:
+        """Check the stored runs; return the token count, layout and plan."""
         n_tokens = self.saved_tokens(context_id)
         if n_tokens == 0:
             raise RestorationError(f"context {context_id!r} has no saved state")
-        runs: dict[str, list[int]] = {"hidden": [], "kv": []}
-        for layer, method in enumerate(self.scheme.methods):
-            kind = _STORED_KIND.get(method)
-            if kind is None:
-                continue
-            stored = self.storage.tokens_stored(context_id, layer, kind=kind)
-            if stored != n_tokens:
-                raise RestorationError(
-                    f"layer {layer} stores {stored} {kind} rows, expected {n_tokens}"
-                )
-            runs[kind].append(layer)
+        layout = self.layout(context_id)
+        plans = []
         # Hidden first, so a hidden granule wins a tie in the merge.
-        return n_tokens, merge_granule_plans(
-            *(self.storage.granule_plan(context_id, run, kind) for kind, run in runs.items())
-        )
+        for method in (LayerMethod.HIDDEN, LayerMethod.KV):
+            layers = layout.layers_with(method)
+            for layer in layers:
+                stored = self.storage.tokens_stored(context_id, layer, kind=method.value)
+                if stored != n_tokens:
+                    raise RestorationError(
+                        f"layer {layer} stores {stored} {method.value} rows, expected {n_tokens}"
+                    )
+            plans.append(self.storage.granule_plan(context_id, layers, method.value))
+        return n_tokens, layout, merge_granule_plans(*plans)
 
     def storage_bytes_per_token(self) -> int:
-        """Device bytes the active scheme stores per context token (Table 3),
-        at the element size the rows are stored in."""
+        """Device bytes a context this engine registers stores per token
+        (Table 3), at the element size the rows are stored in."""
         config = replace(self.transformer.config, dtype_bytes=_STORED_DTYPE.itemsize)
         return self.scheme.storage_bytes_per_token(config)

@@ -19,9 +19,10 @@ View semantics: views returned by :meth:`get` alias the backing buffer.
 An in-capacity ``append`` only writes past the live prefix, so earlier
 views keep their content; an ``append`` that triggers a capacity-growth
 reallocation detaches them to a stale snapshot of the old buffer, and
-``install``/``truncate`` repoint the live region in place.  Callers that
-need a durable, current snapshot across any of those operations must
-copy, exactly as a real serving system snapshots KV pages before reuse.
+``install_view``/``truncate`` repoint the live region in place.
+Callers that need a durable, current snapshot across any of those
+operations must copy, exactly as a real serving system snapshots KV
+pages before reuse.
 
 Slab lifecycle: a serving engine's caches live on slabs from one
 :class:`SlabArena` (the HCache engine owns it).  A restore or a fresh
@@ -353,23 +354,6 @@ class KVCache:
         self._k[layer, n : n + m] = keys
         self._v[layer, n : n + m] = values
         self._set_len(layer, n + m)
-
-    def install(self, layer: int, keys: np.ndarray, values: np.ndarray) -> None:
-        """Replace one layer's content wholesale (restoration path).
-
-        Writes into the preallocated backing buffer — no fresh defensive
-        copy is allocated per layer.
-        """
-        self._check_layer(layer)
-        keys = self._check_shape(keys, "keys")
-        values = self._check_shape(values, "values")
-        if keys.shape[0] != values.shape[0]:
-            raise ConfigError("keys and values must cover the same tokens")
-        n = keys.shape[0]
-        self._ensure_capacity(n)
-        self._k[layer, :n] = keys
-        self._v[layer, :n] = values
-        self._set_len(layer, n)
 
     def install_view(self, layer: int, n_tokens: int) -> tuple[np.ndarray, np.ndarray]:
         """Size one layer to ``n_tokens`` and return writable K/V views.

@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass, field
-from typing import Any, Iterator, Mapping, Sequence
+from typing import Any, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -171,7 +171,7 @@ class GranuleSpec:
         return self.stop - self.start
 
 
-def _register_record(meta: ContextMeta) -> dict[str, Any]:
+def _register_record(meta: ContextMeta, runs: Iterable[tuple[int, str]]) -> dict[str, Any]:
     return {
         "op": "register",
         "context_id": meta.context_id,
@@ -179,6 +179,7 @@ def _register_record(meta: ContextMeta) -> dict[str, Any]:
         "hidden_width": meta.hidden_width,
         "kv_width": meta.kv_width,
         "dtype": str(meta.dtype),
+        "runs": [[layer, kind] for layer, kind in runs],
     }
 
 
@@ -231,11 +232,16 @@ class StorageManager:
         hidden_width: int,
         dtype: np.dtype | type = np.float32,
         kv_width: int | None = None,
+        runs: Sequence[tuple[int, str]] = (),
     ) -> ContextMeta:
         """Declare a context before saving any of its state.
 
         ``kv_width`` is the packed K|V row width of KV-offloaded layers;
-        ``None`` means the MHA width, ``2 * hidden_width``.
+        ``None`` means the MHA width, ``2 * hidden_width``.  ``runs`` names
+        the ``(layer, kind)`` runs opened empty with the context.  They
+        are journaled in its one ``register`` record, ahead of its first
+        token ids, so a crash recovers the context with all of them or
+        not at all — never with some.
         """
         if context_id in self._contexts:
             raise StateError(f"context {context_id!r} already registered")
@@ -250,9 +256,12 @@ class StorageManager:
             kv_width=kv_width,
             dtype=np.dtype(dtype),
         )
-        self._contexts[context_id] = _Context(meta)
+        ctx = _Context(meta)
+        for layer, kind in runs:
+            self._open_run(ctx, layer, kind)
+        self._contexts[context_id] = ctx
         if self.journal is not None:
-            self.journal.append(_register_record(meta))
+            self.journal.append(_register_record(meta, ctx.runs))
         return meta
 
     def _context(self, context_id: str) -> _Context:
@@ -273,18 +282,9 @@ class StorageManager:
     def meta(self, context_id: str) -> ContextMeta:
         return self._context(context_id).meta
 
-    def open_run(self, context_id: str, layer: int, kind: str = "hidden") -> None:
-        """Start an empty (layer, kind) run; a no-op if it exists.
-
-        :meth:`append` opens a run on first use.  Opening every run a
-        context will store at registration puts their journal records
-        ahead of its first ``tokens`` record, so a crash before any of
-        its rows reach a device recovers the context at zero tokens
-        instead of refusing the store.
-        """
-        self._open_run(self._context(context_id), layer, kind)
-
     def _open_run(self, ctx: _Context, layer: int, kind: str) -> _Run:
+        """The context's ``(layer, kind)`` run, created empty if missing;
+        journals nothing."""
         run = ctx.runs.get((layer, kind))
         if run is not None:
             return run
@@ -295,10 +295,6 @@ class StorageManager:
             raise ConfigError(f"unknown run kind {kind!r}")
         run = _Run(self.tokens_per_chunk, meta.width(kind), meta.dtype)
         ctx.runs[(layer, kind)] = run
-        if self.journal is not None:
-            self.journal.append(
-                {"op": "run", "context_id": meta.context_id, "layer": layer, "kind": kind}
-            )
         return run
 
     def runs(self, context_id: str) -> tuple[tuple[int, str], ...]:
@@ -327,34 +323,6 @@ class StorageManager:
                     device.delete(key)
         del self._contexts[context_id]
         freed = sum(run.allocated_bytes() for run in ctx.runs.values())
-        self.allocated_bytes -= freed
-        return freed
-
-    def free_run(self, context_id: str, layer: int, kind: str = "hidden") -> int:
-        """Drop one layer's run of a context, returning bytes freed.
-
-        For a run the serving scheme no longer reads (a store adopted
-        under a scheme that token-sources the layer): left in place it
-        would stop growing, and :meth:`recover` — which cuts every run of
-        a context back to the shortest — would roll the whole context
-        back to it.  Journaled before any deletion, like
-        :meth:`free_context`.
-        """
-        run = self._run(context_id, layer, kind)
-        if self.journal is not None:
-            self.journal.append(
-                {"op": "free_run", "context_id": context_id, "layer": layer, "kind": kind}
-            )
-        for device in self.array.devices:
-            for key in device.keys():
-                if (
-                    isinstance(key, ChunkKey)
-                    and key.context_id == context_id
-                    and (key.layer, key.kind) == (layer, kind)
-                ):
-                    device.delete(key)
-        del self._contexts[context_id].runs[(layer, kind)]
-        freed = run.allocated_bytes()
         self.allocated_bytes -= freed
         return freed
 
@@ -410,6 +378,10 @@ class StorageManager:
             raise ConfigError(f"states must be (n, {width}), got {states.shape}")
         if run is None:
             run = self._open_run(ctx, layer, kind)
+            if self.journal is not None:
+                self.journal.append(
+                    {"op": "run", "context_id": context_id, "layer": layer, "kind": kind}
+                )
         tail = run.tail
         cpc = self.tokens_per_chunk
         n_new = states.shape[0]
@@ -536,7 +508,8 @@ class StorageManager:
         """The journal records whose fold is the durable state.
 
         Exactly what replaying the journal from genesis would fold to:
-        every opened run, its journaled full chunks, its sealed tail
+        every opened run (named by its context's ``register`` record), its
+        journaled full chunks, its sealed tail
         (including a *stale* sealed partial whose run has grown but whose
         slot has not been rewritten yet — its device copy is still the
         durable source of those rows), and the token logs, split over
@@ -545,14 +518,13 @@ class StorageManager:
         """
         cpc = self.tokens_per_chunk
         for context_id, ctx in self._contexts.items():
-            yield _register_record(ctx.meta)
+            yield _register_record(ctx.meta, ctx.runs)
             for start in range(0, len(ctx.tokens), SNAPSHOT_TOKENS_PER_RECORD):
                 ids = ctx.tokens[start : start + SNAPSHOT_TOKENS_PER_RECORD]
                 yield {"op": "tokens", "context_id": context_id, "ids": ids}
             tails: list[dict[str, Any]] = []
             for (layer, kind), run in ctx.runs.items():
                 named = {"context_id": context_id, "layer": layer, "kind": kind}
-                yield {"op": "run", **named}
                 full = run.n_tokens // cpc
                 for index in range(full):
                     yield {"op": "chunk", **named, "index": index, "crc": run.crcs[index]}
@@ -577,10 +549,12 @@ class StorageManager:
         its journaled full chunks plus its sealed tail, ``device_tail_rows``
         that sealed tail, and ``crcs`` every journaled slot's CRC; its host
         tail holds nothing yet (:meth:`recover` fills it).  Runs open with
-        their ``run`` record, or — in journals written before ``run``
-        records existed — with their first ``chunk`` or ``seal``; a
+        the ``register`` record that names them, with their ``run`` record,
+        or — in journals written before ``run`` records existed — with
+        their first ``chunk`` or ``seal``; a
         ``register`` without ``kv_width`` predates GQA and used the MHA
-        width.
+        width, and a ``free_run`` (only older journals hold one) drops
+        its run.
         """
         cpc = self.tokens_per_chunk
         try:
@@ -603,7 +577,10 @@ class StorageManager:
                     kv_width=int(record.get("kv_width", 2 * int(record["hidden_width"]))),
                     dtype=dtype,
                 )
-                self._contexts[meta.context_id] = _Context(meta)
+                ctx = _Context(meta)
+                for layer, kind in record.get("runs", ()):
+                    self._open_run(ctx, int(layer), str(kind))
+                self._contexts[meta.context_id] = ctx
                 return
             if op not in ("run", "chunk", "seal", "tokens", "free_run", "free"):
                 raise JournalCorruptError(f"unknown journal record op {op!r}")
@@ -617,8 +594,9 @@ class StorageManager:
             elif op == "tokens":
                 ctx.tokens.extend(int(t) for t in record["ids"])
             elif op == "free_run":
-                # Journals without ``run`` records never name a run that
-                # held only unsealed tail rows.
+                # Nothing writes these any more; older journals hold them
+                # (a run their recovery dropped).  Journals without ``run``
+                # records never name a run that held only unsealed tail rows.
                 ctx.runs.pop((int(record["layer"]), str(record["kind"])), None)
             elif op == "run":
                 self._open_run(ctx, int(record["layer"]), str(record["kind"]))

@@ -185,7 +185,7 @@ def build_case(scheme, save="blocks", open_journal=None):
         # Only the devices and the journal directory survive the crash.
         journal.close()
         storage = StorageManager.recover(array, open_journal(), tokens_per_chunk=CHUNK_TOKENS)
-        engine = HCacheEngine.recover(model, storage, scheme=scheme)
+        engine = HCacheEngine.recover(model, storage)
         assert engine.saved_tokens("c") == N_TOKENS
         assert engine.token_log("c") == tuple(tokens)
     return engine, oracle
@@ -390,7 +390,7 @@ def test_token_sourced_work_starts_once_the_first_window_is_in_flight():
 @pytest.fixture
 def kernel_calls(monkeypatch):
     """Counts the forward kernels' calls, the helper pool's hand-outs and
-    the K/V caches built, arena-taken and installed into."""
+    the K/V caches built and arena-taken."""
     calls = Counter()
 
     def count(owner, name, key):
@@ -406,7 +406,6 @@ def kernel_calls(monkeypatch):
     count(Transformer, "_forward_packed", "packed")
     count(transformer_module, "_helper_pool", "helper_pool")
     count(KVCache, "__init__", "caches_built")
-    count(KVCache, "install", "install")
     count(SlabArena, "cache", "arena_caches")
     # Two parts wherever a call can take them: a replay would use the pool.
     monkeypatch.setattr(transformer_module, "part_count", lambda rows: 2)
@@ -415,8 +414,8 @@ def kernel_calls(monkeypatch):
 
 @pytest.mark.parametrize("n_recompute", [2, 3, 4])
 def test_a_replayed_prefix_is_one_packed_call_into_the_arena_cache(n_recompute, kernel_calls):
-    """No serial replay, no throwaway cache, no install copy: the packed
-    kernel writes the replayed layers into the restore's own cache."""
+    """No serial replay and no throwaway cache: the packed kernel writes
+    the replayed layers into the restore's own cache."""
     config = model_preset("tiny-llama")
     model = Transformer.from_seed(config, seed=11)
     scheme = PartitionScheme.with_recompute_prefix(config.n_layers, n_recompute)

@@ -89,6 +89,32 @@ class TestAllocationCounts:
         assert len(kv_allocations) == 1
         assert engine.session("s0").kv_cache.equals(references["s0"], atol=0.0)
 
+    def test_closing_a_session_mid_restore_gives_its_slab_back(
+        self, tiny_model, default_platform
+    ):
+        """``close_session`` waits out a restore no ``finished_restores``
+        has reported; the cache it restored gives its slab back, so the
+        next restore allocates none."""
+        executor = RestoreExecutor(1)
+        try:
+            engine = NumericServingEngine(
+                tiny_model,
+                HCacheEngine(tiny_model, StorageManager(build_storage_array(default_platform))),
+                executor=executor,
+            )
+            prompts = histories(tiny_model.config, [N_TOKENS, N_TOKENS])
+            for sid, prompt in zip("ab", prompts.values()):
+                engine.open_session(sid)
+                engine.chat_round(sid, prompt, 5)
+                engine.evict(sid)
+            allocations = engine.hcache.arena.allocations
+            engine.start_restores({"a": 120}, background=True)
+            engine.close_session("a")
+            restore(engine, {"b": 120})
+            assert engine.hcache.arena.allocations == allocations
+        finally:
+            executor.close()
+
     def test_chat_rounds_reuse_the_evicted_slab(self, tiny_model, default_platform):
         engine, _ = saved_engine(
             tiny_model, default_platform, histories(tiny_model.config, [N_TOKENS])

@@ -6,7 +6,6 @@ import pytest
 
 from repro.core.gqa import (
     analyze_gqa,
-    gqa_aware_schedule,
     gqa_crossover_heads,
     hidden_to_kv_ratio,
     with_kv_heads,
@@ -69,7 +68,7 @@ class TestRegimeChange:
         variant = with_kv_heads(seven_b, 8)
         profile = profile_platform(variant, default_platform, 1024)
         closed = BubbleFreeScheduler(variant.n_layers).schedule(profile)
-        searched = gqa_aware_schedule(variant, default_platform, 1024)
+        searched = analyze_gqa(seven_b, default_platform, 1024, 8).decision
         assert searched.predicted_makespan <= closed.predicted_makespan + 1e-12
 
 

@@ -91,10 +91,14 @@ def assert_cache_prefix(cache, reference, n_layers):
         assert np.array_equal(v[: len(v_ref)], v_ref)
 
 
-def recover_stack(model, array, journal, scheme=None):
+def recover_stack(model, array, journal):
     manager = StorageManager.recover(array, journal)
-    hcache = HCacheEngine.recover(model, manager, scheme=scheme)
+    hcache = HCacheEngine.recover(model, manager)
     return NumericServingEngine.recover(model, hcache)
+
+
+def device_reads(array):
+    return sum(device.op_counts[0] for device in array.devices)
 
 
 class TestKillAndResume:
@@ -280,8 +284,9 @@ class TestKillAndResume:
         victim.hcache.storage.journal.close()
         del victim
 
-        resumed = recover_stack(gqa, array, journal_factory("gqa"), scheme)
+        resumed = recover_stack(gqa, array, journal_factory("gqa"))
         assert resumed.hcache.storage.meta("s").kv_width == 2 * config.kv_size
+        assert resumed.hcache.layout("s") == scheme
         assert_cache_prefix(resumed.hcache.restore("s"), ref, config.n_layers)
         assert resumed.chat_round("s", p2, 6) == control.chat_round("s", p2, 6)
 
@@ -299,55 +304,76 @@ class TestKillAndResume:
         victim.hcache.storage.journal.close()
         del victim
         with pytest.raises(RecoveryError, match="packed KV width"):
-            recover_stack(model, array, journal_factory("gqa"), scheme)
+            recover_stack(model, array, journal_factory("gqa"))
 
     def test_parent_layout_store_recovers_under_the_default_scheme(
-        self, model, journal_factory
+        self, model, journal_factory, monkeypatch
     ):
-        """A store written with layer-0 rows on the devices (the all-stored
-        layout every earlier version wrote) is adopted by the default
-        engine: layer 0 comes back from the token log, bit-identical to
-        the stored-layer-0 restore, and its stale rows are freed — left
-        behind they would stop growing, and a *second* crash would roll
-        the context back to them."""
+        """A context written all-stored (layer-0 rows on the devices, the
+        layout every earlier version wrote) keeps that layout under a
+        default engine: its layer-0 rows come back from the devices and
+        keep growing, next to a new context in the default layout, and
+        both survive a second crash bit-exact."""
         n_layers = model.config.n_layers
         all_stored = PartitionScheme.pure_hcache(n_layers)
+        default = PartitionScheme.with_recompute_prefix(n_layers, 1)
         array, victim = build_stack(model, journal_factory("old"), all_stored)
-        _, control = build_stack(model, scheme=all_stored)
+        _, control_old = build_stack(model, scheme=all_stored)
+        _, control_new = build_stack(model)
+        controls = {"old": control_old, "new": control_new}
         make = prompts(model, seed=21)
-        p1, p2 = make(70), make(20)
-        for engine in (victim, control):
-            engine.open_session("s")
-            engine.chat_round("s", p1, 10)
-            engine.evict("s")
-        assert victim.hcache.storage.tokens_stored("s", 0) == 80
-        ref = snapshot_prefix(victim.hcache.restore("s"), n_layers, 80)
+        p1, p2, p3, q1, q2 = make(70), make(20), make(15), make(50), make(12)
+        for engine in (victim, control_old):
+            engine.open_session("old")
+            engine.chat_round("old", p1, 10)
+            engine.evict("old")
         victim.hcache.storage.journal.close()
         del victim
 
-        resumed = recover_stack(model, array, journal_factory("old"))
-        assert resumed.hcache.scheme == PartitionScheme.with_recompute_prefix(n_layers, 1)
-        assert resumed.hcache.saved_tokens("s") == 80
-        assert_cache_prefix(resumed.hcache.restore("s"), ref, n_layers)
-        assert resumed.hcache.storage.tokens_stored("s", 0) == 0
-        assert not any(key.layer == 0 for device in array.devices for key in device.keys())
-        assert resumed.chat_round("s", p2, 6) == control.chat_round("s", p2, 6)
+        replayed = []
+        real_replay = model.replay
 
-        # Crash again after a sealed post-upgrade round: nothing rolls back.
-        for engine in (resumed, control):
-            engine.evict("s")
-        ref = snapshot_prefix(control.hcache.restore("s"), n_layers, 106)
+        def replay(tokens, views):
+            replayed.append(len(tokens))
+            return real_replay(tokens, views)
+
+        monkeypatch.setattr(model, "replay", replay)
+        resumed = recover_stack(model, array, journal_factory("old"))
+        assert resumed.hcache.layout("old") == all_stored
+        assert resumed.hcache.storage.tokens_stored("old", 0) == 80
+        assert resumed.chat_round("old", p2, 6) == control_old.chat_round("old", p2, 6)
+        assert replayed == []
+        resumed.open_session("new")
+        control_new.open_session("new")
+        assert resumed.chat_round("new", q1, 8) == control_new.chat_round("new", q1, 8)
+        assert resumed.hcache.layout("new") == default
+        assert resumed.hcache.storage.tokens_stored("old", 0) == 106
+        assert resumed.hcache.storage.tokens_stored("new", 0) == 0
+
+        # Crash again after sealing both: nothing rolls back.
+        for engine in (resumed, control_old, control_new):
+            for sid in controls:
+                if engine.has_session(sid):
+                    engine.evict(sid)
         resumed.hcache.storage.journal.close()
         del resumed
         again = recover_stack(model, array, journal_factory("old"))
-        assert again.hcache.saved_tokens("s") == 106
-        assert again.session("s").tokens == list(control.session("s").tokens)
-        assert_cache_prefix(again.hcache.restore("s"), ref, n_layers)
+        replayed.clear()
+        for sid, expect in (("old", 106), ("new", 58)):
+            control = controls[sid]
+            assert again.hcache.saved_tokens(sid) == expect
+            assert again.session(sid).tokens == list(control.session(sid).tokens)
+            assert again.hcache.restore(sid).equals(control.hcache.restore(sid), atol=0.0)
+        assert again.chat_round("old", p3, 4) == control_old.chat_round("old", p3, 4)
+        assert again.chat_round("new", q2, 4) == control_new.chat_round("new", q2, 4)
+        # Every replay is a restore of the 58-token new context (its
+        # layer-0 embedding gather); none of the 106-token old one.
+        assert set(replayed) == {58}
 
-    def test_empty_unread_run_is_freed_on_adoption(self, model, journal_factory):
-        """An all-stored engine opens a layer-0 run at registration.  The
-        default engine never grows it, so adoption frees it even while it
-        is empty: left in place it would cut the next recovery to zero."""
+    def test_an_empty_layer0_run_grows_after_adoption(self, model, journal_factory):
+        """An all-stored engine opens a layer-0 run at registration.  A
+        default engine that adopts it while it is empty grows it with the
+        context's rows, so the next recovery keeps every row."""
         all_stored = PartitionScheme.pure_hcache(model.config.n_layers)
         array, victim = build_stack(model, journal_factory("empty"), all_stored)
         victim.open_session("s")
@@ -355,27 +381,78 @@ class TestKillAndResume:
         del victim
 
         resumed = recover_stack(model, array, journal_factory("empty"))
-        assert (0, "hidden") not in resumed.hcache.storage.runs("s")
+        assert resumed.hcache.layout("s") == all_stored
         resumed.chat_round("s", prompts(model, seed=23)(70), 10)
+        assert resumed.hcache.storage.tokens_stored("s", 0) == 80
         resumed.evict("s")
         resumed.hcache.storage.journal.close()
         del resumed
         again = recover_stack(model, array, journal_factory("empty"))
         assert again.hcache.saved_tokens("s") == 80
 
-    def test_new_layout_store_opened_as_all_stored_is_refused(
-        self, model, journal_factory
+    @pytest.mark.parametrize("all_stored", [False, True], ids=["default", "all-stored"])
+    def test_a_kill_inside_registration_recovers_the_scheme_or_nothing(
+        self, model, journal_factory, all_stored
     ):
-        """The default layout holds no layer-0 rows; claiming it was saved
-        all-stored must fail recovery, not restore an empty layer."""
-        array, victim = build_stack(model, journal_factory("new"))
-        victim.open_session("s")
-        victim.chat_round("s", prompts(model, seed=22)(70), 10)
-        victim.evict("s")
-        victim.hcache.storage.journal.close()
+        """Registering a context journals one record naming every run of
+        the engine's scheme.  A kill anywhere in that record's bytes
+        recovers the context in that layout or not at all — never with
+        some of its runs, which would be no layout or a silent recompute."""
+        scheme = PartitionScheme.pure_hcache(model.config.n_layers) if all_stored else None
+        journal = journal_factory("reg")
+        array, victim = build_stack(model, journal, scheme)
+        victim.open_session("a")
+        victim.chat_round("a", prompts(model, seed=5)(40), 24)
+        victim.evict("a")
+        before = journal.journal_bytes
+        victim.open_session("b")
+        after = journal.journal_bytes
+        layout = victim.hcache.scheme
+        data = journal.journal_path.read_bytes()
+        journal.close()
         del victim
-        with pytest.raises(RecoveryError, match="layer 0"):
-            recover_stack(
-                model, array, journal_factory("new"),
-                PartitionScheme.pure_hcache(model.config.n_layers),
-            )
+        for cut in sorted({before, before + 1, (before + after) // 2, after - 1, after}):
+            # Recovery compacts its journal, so each cut gets its own.
+            cut_dir = journal.directory.parent / f"cut{cut}"
+            cut_dir.mkdir()
+            (cut_dir / journal.journal_path.name).write_bytes(data[:cut])
+            resumed = recover_stack(model, array, journal_factory(cut_dir.name))
+            assert resumed.hcache.saved_tokens("a") == 64
+            assert resumed.hcache.has_context("b") == (cut == after)
+            if cut == after:
+                assert resumed.hcache.layout("b") == layout
+                assert resumed.hcache.saved_tokens("b") == 0
+            resumed.hcache.storage.journal.close()
+
+    @pytest.mark.parametrize(
+        "runs, match",
+        [
+            ({(0, "hidden"), (1, "hidden"), (1, "kv"), (2, "hidden"), (3, "hidden")},
+             "layer 1 holds two runs"),
+            ({(0, "hidden"), (2, "hidden"), (3, "hidden")}, "no layout"),
+        ],
+        ids=["two-kinds-on-a-layer", "run-less-layer-after-a-stored-one"],
+    )
+    def test_a_store_whose_runs_are_no_layout_is_refused(
+        self, model, journal_factory, runs, match
+    ):
+        """Runs that no partition describes are refused by the engine's
+        recovery before it reads a device."""
+        array = StorageArray([SPEC, SPEC], link_bandwidth=8 * GB)
+        manager = StorageManager(array, journal=journal_factory("bad"))
+        config = model.config
+        manager.register_context(
+            "s", config.n_layers, config.hidden_size, kv_width=2 * config.kv_size
+        )
+        manager.journal_tokens("s", range(70))
+        rng = np.random.default_rng(4)
+        for layer, kind in sorted(runs):
+            width = manager.meta("s").width(kind)
+            manager.append("s", layer, rng.normal(size=(70, width)), kind=kind)
+        manager.seal_context("s")
+        manager.journal.close()
+        storage = StorageManager.recover(array, journal_factory("bad"))
+        reads = device_reads(array)
+        with pytest.raises(RecoveryError, match=match):
+            HCacheEngine.recover(model, storage)
+        assert device_reads(array) == reads

@@ -57,7 +57,8 @@ class TestInterleavedOpsMatchNaive:
                     m = int(rng.integers(0, 12))
                     for layer in range(tiny_config.n_layers):
                         k, v = kv_rows(tiny_config, m, rng)
-                        fast.install(layer, k, v)
+                        k_view, v_view = fast.install_view(layer, m)
+                        k_view[...], v_view[...] = k, v
                         naive.install(layer, k, v)
                 else:
                     fast.clear()
@@ -161,7 +162,8 @@ class TestInstallFastPaths:
         cache = KVCache(tiny_config)
         k, v = kv_rows(tiny_config, 4, rng)
         cache.append(0, k, v)
-        cache.install(1, *cache.get(0))
+        k_view, v_view = cache.install_view(1, 4)
+        k_view[...], v_view[...] = cache.get(0)
         assert np.array_equal(cache.get(1)[0], k)
 
 

@@ -72,7 +72,8 @@ class TestInstallAndPacking:
         k1, v1 = kv_rows(tiny_config, 2, seed=1)
         k2, v2 = kv_rows(tiny_config, 5, seed=2)
         cache.append(0, k1, v1)
-        cache.install(0, k2, v2)
+        k_view, v_view = cache.install_view(0, 5)
+        k_view[...], v_view[...] = k2, v2
         got_k, _ = cache.get(0)
         assert got_k.shape[0] == 5
 

@@ -55,7 +55,10 @@ def test_clear_gain_wins_every_pair():
     change = [{"ttft_p50_ms": 180.0 + s, "req_per_s": 4.0, "token_match_rate": 1.0}
               for s in range(10)]
     lines = ab_pairs.summarize(canned_rows(parent, change), CONTRACT)
-    assert lines[0] == "== doc_ingest: 10 pairs; failed parent 0/480, change 0/480"
+    assert lines[0] == (
+        "== doc_ingest: 10 pairs; failed parent 0/480, change 0/480; "
+        "incorrect runs parent 0, change 0"
+    )
     got = verdicts(lines)
     assert got["ttft_p50_ms"] == ("10/0/0", "GAIN")
     assert got["req_per_s"] == ("0/10/0", "within bound")
@@ -110,7 +113,10 @@ def test_unpaired_runs_and_failures_counted():
     rows = canned_rows(parent, parent, failed=(1, 2))
     rows.append(dict(rows[0], seed=99))  # its change run never finished
     lines = ab_pairs.summarize(rows, CONTRACT)
-    assert lines[0] == "== doc_ingest: 3 pairs; failed parent 3/144, change 6/144"
+    assert lines[0] == (
+        "== doc_ingest: 3 pairs; failed parent 3/144, change 6/144; "
+        "incorrect runs parent 0, change 0"
+    )
 
 
 def test_from_rows_prints_every_run_and_the_summary(tmp_path, capsys):
@@ -123,3 +129,49 @@ def test_from_rows_prints_every_run_and_the_summary(tmp_path, capsys):
     assert [line.split()[0] for line in out[-3:]] == [
         "ttft_p50_ms", "req_per_s", "token_match_rate"
     ]
+
+
+def test_an_incorrect_change_run_is_refused(tmp_path, capsys):
+    """A run that exited 1 keeps its row, is counted per side, and one on
+    the change side ends the summary with REFUSED and exit 1 — even
+    unpaired, and while every metric reads within bound."""
+    parent = [{"ttft_p50_ms": 200.0, "req_per_s": 4.0, "token_match_rate": 1.0}] * 3
+    rows = canned_rows(parent, parent)
+    rows[0]["correct"] = False  # seed 0, parent
+    rows.append(dict(rows[1], seed=99, correct=False))  # an unpaired change run
+    lines = ab_pairs.summarize(rows, CONTRACT)
+    assert lines[0].endswith("incorrect runs parent 1, change 1")
+    assert all(v == "within bound" for _, v in verdicts(lines[:-1]).values())
+    assert lines[-1].startswith("REFUSED: 1 change run(s)")
+    path = tmp_path / "rows.jsonl"
+    path.write_text("".join(json.dumps(r) + "\n" for r in rows))
+    assert ab_pairs.main(["--from-rows", str(path)]) == 1
+    out = capsys.readouterr().out.splitlines()
+    runs = [line.split() for line in out if line.startswith("doc_ingest")]
+    assert len(runs) == 7
+    assert [fields[4] for fields in runs] == ["False", "True", "True", "True", "True", "True",
+                                              "False"]
+    assert out[-1].startswith("REFUSED")
+
+
+def test_an_incorrect_parent_run_alone_is_no_refusal(tmp_path):
+    parent = [{"ttft_p50_ms": 200.0, "req_per_s": 4.0, "token_match_rate": 1.0}] * 2
+    rows = canned_rows(parent, parent)
+    rows[0]["correct"] = False
+    lines = ab_pairs.summarize(rows, CONTRACT)
+    assert lines[0].endswith("incorrect runs parent 1, change 0")
+    assert not any(line.startswith("REFUSED") for line in lines)
+    path = tmp_path / "rows.jsonl"
+    path.write_text("".join(json.dumps(r) + "\n" for r in rows))
+    assert ab_pairs.main(["--from-rows", str(path)]) == 0
+
+
+def test_a_run_that_exits_one_is_incorrect_whatever_it_printed(tmp_path):
+    script = tmp_path / "benchmarks" / "serving" / "run.py"
+    script.parent.mkdir(parents=True)
+    script.write_text(
+        "import json, sys\n"
+        "print(json.dumps({'correct': True, 'attempted': 1, 'failed': 0, 'metrics': {}}))\n"
+        "sys.exit(1)\n"
+    )
+    assert ab_pairs.run_once(tmp_path, "doc_ingest", 0)["correct"] is False

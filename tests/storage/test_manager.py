@@ -270,7 +270,7 @@ class TestRowsCountOnlyOnceLanded:
         manager = one_device_manager()
         manager.append("ctx", 0, rows(65, 32))
         assert manager.allocated_bytes == 2 * CHUNK_BYTES
-        assert manager.free_run("ctx", 0) == 2 * CHUNK_BYTES
+        assert manager.free_context("ctx") == 2 * CHUNK_BYTES
         assert manager.allocated_bytes == 0
 
 
@@ -313,18 +313,18 @@ class TestRuns:
         assert manager.load_layer("ctx", 2).shape == (0, 32)
         assert manager.allocated_bytes == 0
 
-    def test_open_run_is_idempotent(self, manager):
-        manager.open_run("ctx", 1, "kv")
-        manager.append("ctx", 1, rows(3, 64), kind="kv")
-        manager.open_run("ctx", 1, "kv")
-        assert manager.tokens_stored("ctx", 1, "kv") == 3
+    def test_runs_named_at_registration_open_empty(self, storage_manager):
+        storage_manager.register_context("r", 4, 32, runs=[(1, "kv"), (2, "hidden")])
+        assert storage_manager.runs("r") == ((1, "kv"), (2, "hidden"))
+        assert storage_manager.tokens_stored("r", 1, "kv") == 0
+        storage_manager.append("r", 1, rows(3, 64), kind="kv")
+        assert storage_manager.tokens_stored("r", 1, "kv") == 3
 
-    def test_open_run_validates_layer_and_kind(self, manager):
+    @pytest.mark.parametrize("run", [(4, "hidden"), (0, "logits")], ids=["layer", "kind"])
+    def test_registration_validates_run_layer_and_kind(self, storage_manager, run):
         with pytest.raises(ConfigError):
-            manager.open_run("ctx", 4)
-        with pytest.raises(ConfigError):
-            manager.open_run("ctx", 0, "logits")
-        assert manager.runs("ctx") == ()
+            storage_manager.register_context("r", 4, 32, runs=[(0, "hidden"), run])
+        assert not storage_manager.has_context("r")
 
     def test_rejected_block_opens_no_run(self, manager):
         with pytest.raises(ConfigError):

@@ -1,7 +1,7 @@
 """Model-based test of a journaled storage manager (hypothesis stateful).
 
-Random sequences of register, append (0 rows included), seal, ``free_run``,
-free, ``compact_journal`` and crash-and-recover drive a journaled
+Random sequences of register, append (0 rows included), seal, free,
+``compact_journal`` and crash-and-recover drive a journaled
 :class:`StorageManager` next to a plain-Python model of what it should
 hold.  After every step:
 
@@ -116,14 +116,6 @@ class JournaledManagerMachine(RuleBasedStateMachine):
         self.manager.seal_context(cid)
         for run in self.runs[cid].values():
             run.device_tail = len(run.rows) % CPC
-
-    @precondition(lambda self: any(self.runs.values()))
-    @rule(data=st.data())
-    def free_run(self, data) -> None:
-        cid = data.draw(st.sampled_from(sorted(c for c, runs in self.runs.items() if runs)))
-        run_key = data.draw(st.sampled_from(sorted(self.runs[cid])))
-        self.manager.free_run(cid, *run_key)
-        del self.runs[cid][run_key]
 
     @precondition(lambda self: self.runs)
     @rule(data=st.data())

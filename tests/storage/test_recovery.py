@@ -110,27 +110,27 @@ class TestCleanRecovery:
         assert recovered.token_log("kept") == (1, 2, 3)
 
     def test_freed_run_no_longer_caps_the_durable_count(self, stack):
-        """A run that stopped growing is the shortest one, and recovery
-        cuts a context to its shortest run; freeing it (journaled, device
-        chunks deleted) lets the other runs' later rows survive."""
+        """Older journals hold ``free_run`` records (nothing writes one any
+        more): recovery folds one by dropping the run, so the run — which
+        stopped growing there — does not cut its context back, and its
+        device chunks are swept as orphans."""
         array, manager, new_journal = stack
         manager.register_context("ctx", n_layers=2, hidden_width=32)
         manager.journal_tokens("ctx", range(70))
         for layer in (0, 1):
             manager.append("ctx", layer, rows(70, seed=layer))
         manager.seal_context("ctx")
-        used = array.total_used_bytes
-        assert manager.free_run("ctx", 0) > 0
-        assert manager.tokens_stored("ctx", 0) == 0
-        assert array.total_used_bytes == used // 2
-        with pytest.raises(StateError):
-            manager.free_run("ctx", 0)
+        manager.journal.append(
+            {"op": "free_run", "context_id": "ctx", "layer": 0, "kind": "hidden"}
+        )
         manager.journal_tokens("ctx", range(70, 100))
         manager.append("ctx", 1, rows(30, seed=2))
         manager.seal_context("ctx")
         recovered = recover(array, new_journal)
+        assert recovered.runs("ctx") == ((1, "hidden"),)
         assert recovered.token_log("ctx") == tuple(range(100))
         assert recovered.tokens_stored("ctx", 0) == 0
+        assert not any(key.layer == 0 for device in array.devices for key in device.keys())
         assert np.array_equal(
             recovered.load_layer("ctx", 1), np.concatenate([rows(70, seed=1), rows(30, seed=2)])
         )
