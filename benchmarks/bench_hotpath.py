@@ -30,7 +30,9 @@ calls, each one that no serving-benchmark metric makes:
    row parts (``Transformer._forward_packed``; one per ``PART_ROWS``
    rows, parts × BLAS threads at most the CPUs), and its logits, hidden
    states and K/V are bit-identical to the same call forced into one
-   part.  The wall-clock ratio of the two is printed, not gated.
+   part.  The wall-clock ratio of the two is printed, not gated, and so
+   is the cold ratio: the first split call (the process's first, which
+   starts the helper pool) against the warm split median.
 5. **token replay** — exact counts and bits: a bench-mid restore of
    ``REPLAY_TOKENS`` tokens under a ``REPLAY_PREFIX``-layer recompute
    prefix replays its first layers as one packed call in
@@ -45,7 +47,7 @@ exactness in every shape is ``tests/core/test_restore_matrix.py``.
 
 Run from the repo root; it takes a few seconds, prints one line per
 context size, one for the prefill parts, one for the replay and, last,
-the report as one JSON line (schema ``bench_hotpath/v14``), and exits
+the report as one JSON line (schema ``bench_hotpath/v15``), and exits
 non-zero when a
 check fails::
 
@@ -326,7 +328,7 @@ def check_prefill_parts(model: Transformer) -> dict:
             transformer_module.part_count = real
 
     model.compute_qkv = counted
-    _, split, split_cache = timed(one_part=False)
+    first_split_s, split, split_cache = timed(one_part=False)
     n_parts = len(parts)
     del model.compute_qkv
     _, whole, whole_cache = timed(one_part=True)
@@ -352,8 +354,10 @@ def check_prefill_parts(model: Transformer) -> dict:
         ),
         "split_ms": statistics.median(split_s) * 1e3,
         "one_part_ms": statistics.median(whole_s) * 1e3,
+        "first_split_ms": first_split_s * 1e3,
     }
     report["wall_ratio"] = report["split_ms"] / report["one_part_ms"]
+    report["cold_ratio"] = report["first_split_ms"] / report["split_ms"]
     report["met"] = report["parts"] == report["expected_parts"] and report["bit_identical"]
     return report
 
@@ -430,7 +434,7 @@ def check_replay(model: Transformer) -> dict:
 def main() -> int:
     argparse.ArgumentParser(description=__doc__).parse_args()
     model = Transformer.from_seed(BENCH_CONFIG, seed=7)
-    report: dict = {"schema": "bench_hotpath/v14", "window": WINDOW, "sizes": {}}
+    report: dict = {"schema": "bench_hotpath/v15", "window": WINDOW, "sizes": {}}
     for n in SIZES:
         state, layer0, slabs = bench_state_path(n), check_layer0(model, n), check_slab_reuse(model, n)
         report["sizes"][str(n)] = {"state_path": state, "layer0": layer0, "slab_reuse": slabs}
@@ -461,7 +465,8 @@ def main() -> int:
         f"{parts['blas_threads']} BLAS threads), "
         f"== one part: {parts['bit_identical']}  "
         f"{parts['split_ms']:.0f} vs {parts['one_part_ms']:.0f} ms one part "
-        f"({parts['wall_ratio']:.2f}x, not gated)"
+        f"({parts['wall_ratio']:.2f}x, not gated); first split call "
+        f"{parts['first_split_ms']:.0f} ms ({parts['cold_ratio']:.2f}x warm, not gated)"
     )
     replay = check_replay(mid)
     report["replay"] = replay

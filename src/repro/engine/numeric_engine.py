@@ -4,9 +4,13 @@ Where :mod:`repro.engine.serving` models *time*, this engine models
 *values*: it runs the numpy transformer for actual multi-round sessions,
 saves hidden states through the HCache engine as tokens are produced,
 evicts GPU state between rounds, restores it on the next round, and
-generates real tokens.  Correctness tests compare its outputs against an
-uninterrupted run of the same conversation — they must match exactly,
-which is the paper's losslessness claim in executable form.
+generates real tokens.  Every round, the front end's and
+:meth:`NumericServingEngine.chat_round`'s alike, runs on the packed
+kernel through :meth:`NumericServingEngine.execute_iteration`.
+Correctness tests compare its token streams against an uninterrupted
+serial ``Transformer.forward`` run of the same conversation, the oracle
+— they must match exactly, which is the paper's losslessness claim in
+executable form.
 """
 
 from __future__ import annotations
@@ -22,7 +26,6 @@ import numpy as np
 from repro.core.hcache import HCacheEngine
 from repro.engine.api import IterationResult
 from repro.errors import ConfigError, RestorationError, StateError
-from repro.models.hidden_capture import HiddenCapture
 from repro.models.kv_cache import KVCache
 from repro.models.transformer import Transformer
 from repro.runtime.executor import RestoreExecutor
@@ -160,10 +163,12 @@ class NumericServingEngine:
     ) -> list[int]:
         """Serve one conversation round, restoring evicted state if needed.
 
-        Returns the generated token ids.  States of the new prompt and the
-        generated tokens are saved to host storage as they are produced
-        (layer by layer during the forward pass, matching the paper's
-        saving path).
+        A driver of :meth:`execute_iteration`, the kernel the front end
+        runs: the prompt is one prefill iteration and every generated
+        token, the last one included, is fed back as one decode
+        iteration, so the token log and the saved states cover the whole
+        round.  Returns the generated token ids.  A round that cannot fit
+        ``max_context`` is refused before the session is touched.
         """
         state = self.session(session_id)
         prompt_tokens = np.asarray(prompt_tokens)
@@ -171,65 +176,22 @@ class NumericServingEngine:
             raise ConfigError("prompt must be a non-empty 1-D token array")
         if n_output_tokens <= 0:
             raise ConfigError("output length must be positive")
-        self._settle_restore(session_id)
-
-        # The round's final length is known up front: restore into (or
-        # reserve) a cache sized for the whole round and one shared capture
-        # buffer, so the per-token appends and hidden-state writes below
-        # never allocate or recopy history.
         round_tokens = len(state.tokens) + prompt_tokens.size + n_output_tokens
-        if state.tokens and not state.on_gpu:
+        if round_tokens > self.max_context:
+            raise ConfigError(f"context {round_tokens} exceeds max {self.max_context}")
+        self._settle_restore(session_id)
+        # The cache is sized for the whole round, so no step recopies history.
+        if self.begin_round(session_id, round_tokens):
+            self._check_restorable([session_id])
             state.kv_cache = self.hcache.restore(
                 session_id, reserve_tokens=round_tokens, executor=self.executor
             )
-        capture, logits = self._prefill_round(
-            state, prompt_tokens, round_tokens, n_output_tokens
-        )
-        cache = state.kv_cache
-        assert cache is not None
-
+        result = self.execute_iteration([(session_id, prompt_tokens)])
         generated: list[int] = []
         for _ in range(n_output_tokens):
-            token = int(np.argmax(logits))
-            generated.append(token)
-            step = self.transformer.forward(np.array([token]), cache, capture=capture)
-            assert step.hidden_states is not None
-            self.hcache.save_states(
-                session_id, step.hidden_states, np.array([token]), kv_cache=cache
-            )
-            state.tokens.append(token)
-            logits = step.logits[-1]
+            generated.append(result.next_tokens[session_id])
+            result = self.execute_iteration(decode_tokens={session_id: generated[-1]})
         return generated
-
-    def _prefill_round(
-        self,
-        state: SessionState,
-        prompt_tokens: np.ndarray,
-        round_tokens: int,
-        n_output_tokens: int,
-    ) -> tuple[HiddenCapture, np.ndarray]:
-        """Prefill phase of :meth:`chat_round`.
-
-        Checks the cache/token-log agreement, reserves the round's full
-        capacity, forwards the prompt into a round-sized capture buffer,
-        persists the prompt's states, and extends the token log.
-        Returns the capture (decode steps keep appending to it) and the
-        prompt's last-token logits.
-        """
-        cache = self._resident(state.session_id).kv_cache
-        assert cache is not None
-        cache.reserve(round_tokens)
-        capture = HiddenCapture(
-            self.transformer.config.n_layers, self.transformer.config.hidden_size
-        )
-        capture.reserve(prompt_tokens.size + n_output_tokens)
-        result = self.transformer.forward(prompt_tokens, cache, capture=capture)
-        assert result.hidden_states is not None
-        self.hcache.save_states(
-            state.session_id, result.hidden_states, prompt_tokens, kv_cache=cache
-        )
-        state.tokens.extend(int(t) for t in prompt_tokens)
-        return capture, result.logits[-1]
 
     def _resident(self, session_id: str, *, decoding: bool = False) -> SessionState:
         """The session, holding a GPU cache that agrees with its token log.
@@ -274,7 +236,8 @@ class NumericServingEngine:
         change from one call to the next.  Each segment's hidden states —
         its rows of the call's own per-layer inputs, no copy — are
         persisted through the ordinary HCache save path and the token logs
-        are extended, so storage contents match the serial engine.
+        are extended: storage holds the rows the packed call computed,
+        which match a serial ``forward`` within ``BATCHED_DECODE_ATOL``.
         Returns an :class:`~repro.engine.api.IterationResult` whose
         ``next_tokens`` carries every executed session's next greedy
         token; for a prefill chunk that does not complete its prompt the
@@ -379,9 +342,12 @@ class NumericServingEngine:
         when ``background``, as one burst finished before this returns
         otherwise.  Without one they restore here, one after the other.
         No iteration may touch a session until :meth:`finished_restores`
-        reports it.  Caches are bit-identical every way.
+        reports it.  Caches are bit-identical every way.  A batch naming
+        a session that is not evicted and idle raises ``StateError``
+        before any restore starts (:meth:`_check_restorable`).
         """
         session_ids = list(reserve_tokens)
+        self._check_restorable(session_ids)
         n_layers = self.transformer.config.n_layers
         progress = {
             sid: RestoreProgress(sid, n_layers, self._restore_changed)
@@ -403,6 +369,18 @@ class NumericServingEngine:
                 wait(futures.values())
         for sid in session_ids:
             self._restoring[sid] = _Restoring(futures[sid], progress[sid])
+
+    def _check_restorable(self, session_ids: Sequence[str]) -> None:
+        """The one restore precondition, checked for a whole batch before
+        any of its restores starts: each session has history, holds no
+        cache (a landing one holds its step handle) and has no restore in
+        flight — a second restore of a context would race the first."""
+        for sid in session_ids:
+            state = self.session(sid)
+            if not state.tokens or state.on_gpu or sid in self._restoring:
+                raise StateError(
+                    f"session {sid!r} is not an evicted, idle session with history"
+                )
 
     def _releasable(self) -> list[str]:
         """The one release rule: a restoring session may join the

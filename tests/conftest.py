@@ -7,7 +7,7 @@ import pytest
 
 from repro.core.profiler import build_storage_array
 from repro.engine import MemoryBudget, ServingFrontend, ServingRequest
-from repro.models import Transformer, model_preset
+from repro.models import KVCache, Transformer, model_preset
 from repro.simulator import platform_preset
 from repro.storage import StorageManager
 
@@ -93,6 +93,31 @@ def serve_rounds():
         return {handle.session_id: list(handle.result().tokens) for handle in handles}
 
     return serve
+
+
+@pytest.fixture(scope="session")
+def reference_rounds():
+    """The serial oracle every serving path is checked against.
+
+    ``reference(model, prompts, n_out, cache=None)`` runs a conversation's
+    rounds through ``Transformer.forward`` on one never-evicted cache (a
+    fresh one unless ``cache`` is given), feeding every generated token
+    back, the last one included, as a served round does.  Returns each
+    round's generated tokens.
+    """
+    def reference(model, prompts, n_out, cache=None):
+        cache = KVCache(model.config) if cache is None else cache
+        outputs = []
+        for prompt in prompts:
+            logits = model.forward(prompt, cache).logits[-1]
+            tokens = []
+            for _ in range(n_out):
+                tokens.append(int(np.argmax(logits)))
+                logits = model.decode_step(tokens[-1], cache).logits[-1]
+            outputs.append(tokens)
+        return outputs
+
+    return reference
 
 
 @pytest.fixture

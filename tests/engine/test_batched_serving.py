@@ -2,7 +2,8 @@
 
 A round served through ``ServingFrontend.submit/step`` (restore burst +
 fused prefill + one batched decode call per output token) must generate
-the same token streams as per-session ``chat_round`` calls, and
+the same token streams as the serial oracle (a never-evicted
+``Transformer.forward`` loop per session) and as ``chat_round``, and
 ``execute_iteration`` must execute a continuous-batching iteration
 plan's decode set as a single model call — the wiring between
 ``ContinuousBatcher`` / ``SplitFuseScheduler`` (time model) and
@@ -48,25 +49,25 @@ def open_sessions(engine, prompts):
 
 
 class TestBatchedRounds:
-    def test_matches_serial_chat_round(self, make_engine, serve_rounds, tiny_config):
+    def test_matches_serial_forward_oracle(
+        self, make_engine, serve_rounds, tiny_model, tiny_config, reference_rounds
+    ):
         rng = np.random.default_rng(31)
         prompts = {
             "a": rng.integers(0, tiny_config.vocab_size, size=9),
             "b": rng.integers(0, tiny_config.vocab_size, size=4),
             "c": rng.integers(0, tiny_config.vocab_size, size=13),
         }
-        serial = make_engine()
-        open_sessions(serial, prompts)
-        ref = {s: serial.chat_round(s, p, 6) for s, p in prompts.items()}
+        caches = {s: KVCache(tiny_config) for s in prompts}
+        ref = {s: reference_rounds(tiny_model, [p], 6, caches[s])[0] for s, p in prompts.items()}
         batched = make_engine()
         open_sessions(batched, prompts)
         out = serve_rounds(batched, list(prompts.items()), 6)
         assert out == ref
-        for session_id in prompts:
-            a = serial.session(session_id)
-            b = batched.session(session_id)
-            assert a.tokens == b.tokens
-            assert b.kv_cache.equals(a.kv_cache, atol=BATCHED_DECODE_ATOL)
+        for session_id, prompt in prompts.items():
+            session = batched.session(session_id)
+            assert session.tokens == [*prompt, *ref[session_id]]
+            assert session.kv_cache.equals(caches[session_id], atol=BATCHED_DECODE_ATOL)
 
     def test_second_round_with_mixed_eviction(self, make_engine, serve_rounds, tiny_config):
         """Round 2 batches a mix of evicted (restored) and resident sessions."""

@@ -2,9 +2,9 @@
 
 The redesign's central equivalence: driving requests through
 ``ServingFrontend`` (admission control + SLO scheduling + fused
-iterations) must generate exactly the token streams the legacy
-``chat_round`` path produced, with KV caches inside the
-``BATCHED_DECODE_ATOL`` band — while issuing at most one batched model
+iterations) must generate exactly the token streams of the serial
+oracle (a never-evicted ``Transformer.forward`` loop), with KV caches
+inside the ``BATCHED_DECODE_ATOL`` band — while issuing at most one batched model
 call per iteration.
 """
 
@@ -26,6 +26,7 @@ from repro.engine import (
 )
 from repro.errors import AdmissionError, ConfigError, StateError
 from repro.models.hidden_capture import HiddenCapture
+from repro.models.kv_cache import KVCache
 from repro.models.transformer import BATCHED_DECODE_ATOL
 from repro.runtime.executor import RestoreExecutor
 from repro.storage.manager import StorageManager
@@ -51,12 +52,12 @@ def _prompts(config, sizes, seed):
 
 
 class TestEquivalence:
-    def test_matches_serial_chat_round(self, make_engine, tiny_config):
+    def test_matches_serial_forward_oracle(
+        self, make_engine, tiny_model, tiny_config, reference_rounds
+    ):
         prompts = _prompts(tiny_config, [9, 4, 13], seed=51)
-        serial = make_engine()
-        for s in prompts:
-            serial.open_session(s)
-        ref = {s: serial.chat_round(s, p, 6) for s, p in prompts.items()}
+        caches = {s: KVCache(tiny_config) for s in prompts}
+        ref = {s: reference_rounds(tiny_model, [p], 6, caches[s])[0] for s, p in prompts.items()}
 
         engine = make_engine()
         frontend = ServingFrontend(engine, MemoryBudget(capacity_tokens=4096))
@@ -67,23 +68,20 @@ class TestEquivalence:
             for s, p in prompts.items()
         }
         frontend.run_until_idle(max_steps=500)
-        for s in prompts:
+        for s, p in prompts.items():
             assert list(handles[s].result().tokens) == ref[s]
-            assert engine.session(s).tokens == serial.session(s).tokens
-            assert engine.session(s).kv_cache.equals(
-                serial.session(s).kv_cache, atol=BATCHED_DECODE_ATOL
-            )
+            assert engine.session(s).tokens == [*p, *ref[s]]
+            assert engine.session(s).kv_cache.equals(caches[s], atol=BATCHED_DECODE_ATOL)
 
-    def test_second_round_restores_evicted_history(self, make_engine, tiny_config):
+    def test_second_round_restores_evicted_history(
+        self, make_engine, tiny_model, tiny_config, reference_rounds
+    ):
         """evict_on_finish + resubmission: the restore burst must be
         transparent — same tokens as a never-evicted serial session."""
         prompts = _prompts(tiny_config, [8, 6], seed=53)
         second = _prompts(tiny_config, [5, 7], seed=54)
-        serial = make_engine()
-        for s in prompts:
-            serial.open_session(s)
-            serial.chat_round(s, prompts[s], 3)
-        ref = {s: serial.chat_round(s, second[s], 3) for s in prompts}
+        rounds = {s: reference_rounds(tiny_model, [prompts[s], second[s]], 3) for s in prompts}
+        ref = {s: rounds[s][1] for s in prompts}
 
         engine = make_engine()
         frontend = ServingFrontend(
@@ -104,7 +102,8 @@ class TestEquivalence:
         assert {s: list(h.result().tokens) for s, h in handles.items()} == ref
         assert any(st.restores_started for st in stats)
         for s in prompts:
-            assert engine.session(s).tokens == serial.session(s).tokens
+            first, last = rounds[s]
+            assert engine.session(s).tokens == [*prompts[s], *first, *second[s], *last]
 
     def test_overlapped_restores_match_sync_restores(
         self, make_engine, tiny_config

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import threading
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
@@ -12,7 +13,6 @@ from repro.core.partition import PartitionScheme
 from repro.core.profiler import build_storage_array
 from repro.engine.numeric_engine import NumericServingEngine
 from repro.errors import ConfigError, StateError
-from repro.models.kv_cache import KVCache
 from repro.models.transformer import Transformer
 from repro.runtime import RestoreExecutor
 from repro.storage.manager import StorageManager
@@ -22,22 +22,6 @@ from repro.storage.manager import StorageManager
 def numeric_engine(tiny_model, default_platform):
     storage = StorageManager(build_storage_array(default_platform))
     return NumericServingEngine(tiny_model, HCacheEngine(tiny_model, storage))
-
-
-def reference_rounds(model, prompts, n_out):
-    """Uninterrupted multi-round generation."""
-    cache = KVCache(model.config)
-    outputs = []
-    for prompt in prompts:
-        result = model.forward(prompt, cache)
-        tokens = []
-        logits = result.logits[-1]
-        for _ in range(n_out):
-            token = int(np.argmax(logits))
-            tokens.append(token)
-            logits = model.decode_step(token, cache).logits[-1]
-        outputs.append(tokens)
-    return outputs
 
 
 class TestSessions:
@@ -82,9 +66,130 @@ class TestSessions:
             numeric_engine.chat_round("s", np.array([1]), 0)
 
 
+class TestRoundLimits:
+    def test_a_round_past_max_context_is_refused_untouched(self, numeric_engine, tiny_config):
+        """The whole round must fit before any of it runs: the prompt and
+        the fed-back outputs, the last one included."""
+        rng = np.random.default_rng(26)
+        limit = tiny_config.max_context
+        numeric_engine.open_session("s")
+        numeric_engine.chat_round("s", rng.integers(0, tiny_config.vocab_size, size=8), 2)
+        with pytest.raises(ConfigError):
+            numeric_engine.chat_round("s", rng.integers(0, tiny_config.vocab_size, size=limit - 14), 5)
+        assert numeric_engine.history_length("s") == 10
+        assert numeric_engine.hcache.saved_tokens("s") == 10
+        numeric_engine.chat_round("s", rng.integers(0, tiny_config.vocab_size, size=limit - 15), 5)
+        assert numeric_engine.history_length("s") == limit
+
+
+class TestOneKernel:
+    def test_a_restored_round_runs_only_packed_calls(
+        self, tiny_model, tiny_config, default_platform, reference_rounds
+    ):
+        """``chat_round`` is a driver of ``execute_iteration``: the prompt
+        is one fused call, each output token one decode call, and the
+        restore (token-sourced layer 0) runs no forward kernel at all."""
+        rng = np.random.default_rng(25)
+        prompts = [rng.integers(0, tiny_config.vocab_size, size=n) for n in (12, 7)]
+        # A model of its own: the spies below are attributes of the instance.
+        model = Transformer.from_seed(tiny_config, seed=7)
+        storage = StorageManager(build_storage_array(default_platform))
+        engine = NumericServingEngine(model, HCacheEngine(model, storage))
+        engine.open_session("s")
+        engine.chat_round("s", prompts[0], 4)
+        engine.evict("s")
+        calls = dict.fromkeys(("forward", "layer_forward", "forward_fused", "decode_batch"), 0)
+        for name in calls:
+
+            def counted(*args, _name=name, _real=getattr(model, name), **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+
+            setattr(model, name, counted)
+        out = engine.chat_round("s", prompts[1], 4)
+        assert calls == {"forward": 0, "layer_forward": 0, "forward_fused": 1, "decode_batch": 4}
+        assert out == reference_rounds(tiny_model, prompts, 4)[1]
+
+
+class TestRestorePrecondition:
+    """A restore starts only for an evicted, idle session with history."""
+
+    def test_chat_round_refuses_a_session_still_restoring(
+        self, tiny_model, tiny_config, default_platform, reference_rounds
+    ):
+        rng = np.random.default_rng(27)
+        prompts = [rng.integers(0, tiny_config.vocab_size, size=n) for n in (40, 6)]
+        storage = StorageManager(build_storage_array(default_platform))
+        with RestoreExecutor(1) as executor:
+            engine = NumericServingEngine(
+                tiny_model, HCacheEngine(tiny_model, storage), executor=executor
+            )
+            engine.open_session("a")
+            engine.chat_round("a", prompts[0], 3)
+            engine.evict("a")
+            engine.start_restores({"a": 60}, background=True)
+            with pytest.raises(StateError):
+                engine.chat_round("a", prompts[1], 3)
+            assert engine.history_length("a") == 43
+            released = engine.finished_restores()
+            while not released:
+                engine.wait_for_restores()
+                released = engine.finished_restores()
+            assert released == ["a"]
+            assert engine.chat_round("a", prompts[1], 3) == reference_rounds(
+                tiny_model, prompts, 3
+            )[1]
+            engine.evict("a")
+            assert engine.chat_round("a", prompts[1], 3) == reference_rounds(
+                tiny_model, [*prompts, prompts[1]], 3
+            )[2]
+
+    @pytest.mark.parametrize("pooled", [False, True], ids=["inline", "executor"])
+    def test_start_restores_refuses_a_batch_naming_a_resident_session(
+        self, tiny_model, tiny_config, default_platform, pooled
+    ):
+        """The whole batch is checked before any restore starts: the
+        resident cache is kept, no slab is taken, and the evicted session
+        of the batch is still idle."""
+        rng = np.random.default_rng(28)
+        storage = StorageManager(build_storage_array(default_platform))
+        with RestoreExecutor(1) if pooled else nullcontext() as executor:
+            engine = NumericServingEngine(
+                tiny_model, HCacheEngine(tiny_model, storage), executor=executor
+            )
+            for sid in ("evicted", "resident"):
+                engine.open_session(sid)
+                engine.chat_round(sid, rng.integers(0, tiny_config.vocab_size, size=40), 3)
+            engine.evict("evicted")
+            cache = engine.session("resident").kv_cache
+            allocations = engine.hcache.arena.allocations
+            with pytest.raises(StateError):
+                engine.start_restores({"evicted": 60, "resident": 60}, background=False)
+            assert engine.session("resident").kv_cache is cache
+            assert engine.hcache.arena.allocations == allocations
+            assert not engine.session("evicted").on_gpu
+            engine.start_restores({"evicted": 60}, background=False)
+            assert engine.finished_restores() == ["evicted"]
+
+    def test_start_restores_refuses_no_history_and_a_second_restore(
+        self, tiny_model, tiny_config, numeric_engine
+    ):
+        numeric_engine.open_session("fresh")
+        with pytest.raises(StateError):
+            numeric_engine.start_restores({"fresh": 8}, background=False)
+        numeric_engine.open_session("a")
+        numeric_engine.chat_round("a", np.arange(9) % tiny_config.vocab_size, 2)
+        numeric_engine.evict("a")
+        numeric_engine.start_restores({"a": 16}, background=False)
+        with pytest.raises(StateError):
+            numeric_engine.start_restores({"a": 16}, background=False)
+        assert numeric_engine.finished_restores() == ["a"]
+        assert len(numeric_engine.session("a").kv_cache) == 11
+
+
 class TestEquivalence:
     def test_multi_round_with_eviction_matches_uninterrupted(
-        self, tiny_model, tiny_config, numeric_engine
+        self, tiny_model, tiny_config, numeric_engine, reference_rounds
     ):
         """The paper's losslessness claim, end to end: a conversation with
         eviction + HCache restoration between every round generates the
@@ -98,7 +203,9 @@ class TestEquivalence:
             numeric_engine.evict("s")
         assert interrupted == reference_rounds(tiny_model, prompts, 5)
 
-    def test_eviction_only_between_some_rounds(self, tiny_model, tiny_config, numeric_engine):
+    def test_eviction_only_between_some_rounds(
+        self, tiny_model, tiny_config, numeric_engine, reference_rounds
+    ):
         rng = np.random.default_rng(22)
         prompts = [rng.integers(0, tiny_config.vocab_size, size=6) for _ in range(3)]
         numeric_engine.open_session("s")
@@ -108,7 +215,9 @@ class TestEquivalence:
         out.append(numeric_engine.chat_round("s", prompts[2], 4))  # stays on GPU
         assert out == reference_rounds(tiny_model, prompts, 4)
 
-    def test_mixed_scheme_engine_equivalence(self, tiny_model, tiny_config, default_platform):
+    def test_mixed_scheme_engine_equivalence(
+        self, tiny_model, tiny_config, default_platform, reference_rounds
+    ):
         """Same equivalence with a scheduler-style mixed partition."""
         storage = StorageManager(build_storage_array(default_platform))
         scheme = PartitionScheme.with_kv_suffix(tiny_config.n_layers, 1)
@@ -124,7 +233,9 @@ class TestEquivalence:
             engine.evict("s")
         assert out == reference_rounds(tiny_model, prompts, 4)
 
-    def test_two_concurrent_sessions_independent(self, tiny_model, tiny_config, numeric_engine):
+    def test_two_concurrent_sessions_independent(
+        self, tiny_model, tiny_config, numeric_engine, reference_rounds
+    ):
         rng = np.random.default_rng(24)
         pa = rng.integers(0, tiny_config.vocab_size, size=9)
         pb = rng.integers(0, tiny_config.vocab_size, size=9)
