@@ -7,13 +7,15 @@ Three checks at 256 / 1k / 4k context tokens and two on bench-mid
 calls, each one that no serving-benchmark metric makes:
 
 1. **decode-with-capture state path** — the per-token state-management
-   cost of a decode step that captures hidden states and persists them:
-   KV-cache append + hidden-state capture + chunked storage append,
-   against the pre-refactor baseline (:mod:`repro.models.reference`:
-   two ``np.concatenate`` per layer plus per-row staging copies, where
-   the amortized-growth buffers do three slice writes).  The naive path
-   is quadratic, so the gap grows with the history: the fast path must
-   be at least :data:`STATE_PATH_FLOOR` times faster at 4k tokens.
+   cost of a decode step that keeps its K/V and persists its hidden
+   states, written the way the packed kernel and the save path write
+   them: per layer, ``KVCache.install_view`` to the new length, one K/V
+   row write into the views, and ``StorageManager.append`` of the hidden
+   row; against the pre-refactor baseline (:mod:`repro.models.reference`:
+   two ``np.concatenate`` per layer for the cache, one for the captured
+   hidden history, plus per-row staging copies).  The naive path is
+   quadratic, so the gap grows with the history: the fast path must be
+   at least :data:`STATE_PATH_FLOOR` times faster at 4k tokens.
 2. **token-sourced layer 0** — exact counts, no timing: the default
    engine's devices hold ``(N - 1) * hidden * 4`` bytes per saved token
    (no layer-0 rows), a restore issues ``(N - 1) * ceil(n / 64)`` device
@@ -37,8 +39,8 @@ calls, each one that no serving-benchmark metric makes:
    ``REPLAY_TOKENS`` tokens under a ``REPLAY_PREFIX``-layer recompute
    prefix replays its first layers as one packed call in
    ``part_count(REPLAY_TOKENS)`` parts (``Transformer.replay``), calls
-   ``layer_forward`` zero times, and restores the serial prefill's K/V
-   bit for bit.  The replay's wall clock is
+   ``layer_forward`` zero times, and restores the K/V of a serial
+   ``forward`` over a fresh cache bit for bit.  The replay's wall clock is
    printed, not gated.
 
 Restore, decode and serving *speed* is the serving benchmark's record
@@ -47,7 +49,7 @@ exactness in every shape is ``tests/core/test_restore_matrix.py``.
 
 Run from the repo root; it takes a few seconds, prints one line per
 context size, one for the prefill parts, one for the replay and, last,
-the report as one JSON line (schema ``bench_hotpath/v15``), and exits
+the report as one JSON line (schema ``bench_hotpath/v16``), and exits
 non-zero when a
 check fails::
 
@@ -80,7 +82,6 @@ from repro.engine.numeric_engine import NumericServingEngine
 from repro.models import kv_cache as kv_cache_module
 from repro.models import transformer as transformer_module
 from repro.models.config import ModelConfig
-from repro.models.hidden_capture import HiddenCapture
 from repro.models.kv_cache import KVCache
 from repro.models.reference import NaiveKVCache
 from repro.models.transformer import Transformer
@@ -108,7 +109,7 @@ SIZES = (256, 1024, 4096)
 WINDOW = 64
 
 #: The O(n) guarantee: fast over naive state path at the largest size.
-#: Measured 35-53x on a 2-vCPU host (1.7x at 256 tokens, 7x at 1k).
+#: Measured 31-55x on a 2-vCPU host (2.5-3.3x at 256 tokens, 8-14x at 1k).
 STATE_PATH_FLOOR = 10.0
 
 #: The serving benchmark's model shape: big enough that BLAS, not the
@@ -197,21 +198,17 @@ def bench_state_path(n_tokens: int) -> dict:
 
     cache = KVCache(cfg)
     cache.reserve(n_tokens)
-    capture = HiddenCapture(cfg.n_layers, cfg.hidden_size)
-    capture.reserve(n_tokens)
     manager = StorageManager(build_storage_array(platform_preset("default")))
     manager.register_context("bench", n_layers=cfg.n_layers, hidden_width=cfg.hidden_size)
-    start = capture.extend(history)
     for layer in range(cfg.n_layers):
-        cache.append(layer, base_k, base_v)
-        capture.write(layer, start, base_h)
+        keys, values = cache.install_view(layer, history)
+        keys[...], values[...] = base_k, base_v
         manager.append("bench", layer, base_h)
     t0 = time.perf_counter()
-    for _ in range(WINDOW):
-        row = capture.extend(1)
+    for n in range(history, n_tokens):
         for layer in range(cfg.n_layers):
-            cache.append(layer, step_k, step_v)
-            capture.write(layer, row, step_h)
+            keys, values = cache.install_view(layer, n + 1)
+            keys[n], values[n] = step_k[0], step_v[0]
             manager.append("bench", layer, step_h)
     fast_s = time.perf_counter() - t0
 
@@ -367,7 +364,8 @@ def check_replay(model: Transformer) -> dict:
     layers are replayed from tokens; and the replay's wall clock."""
     cfg = model.config
     tokens = _rng().integers(0, cfg.vocab_size, size=REPLAY_TOKENS)
-    prefilled, oracle = model.prefill(tokens, capture_hidden=True)
+    oracle = KVCache(cfg)
+    prefilled = model.forward(tokens, oracle, capture_hidden=True)
     engine = HCacheEngine(
         model,
         StorageManager(build_storage_array(platform_preset("default"))),
@@ -434,7 +432,7 @@ def check_replay(model: Transformer) -> dict:
 def main() -> int:
     argparse.ArgumentParser(description=__doc__).parse_args()
     model = Transformer.from_seed(BENCH_CONFIG, seed=7)
-    report: dict = {"schema": "bench_hotpath/v15", "window": WINDOW, "sizes": {}}
+    report: dict = {"schema": "bench_hotpath/v16", "window": WINDOW, "sizes": {}}
     for n in SIZES:
         state, layer0, slabs = bench_state_path(n), check_layer0(model, n), check_slab_reuse(model, n)
         report["sizes"][str(n)] = {"state_path": state, "layer0": layer0, "slab_reuse": slabs}

@@ -38,7 +38,7 @@ def uninterrupted_reference(model, prompts, outputs):
         for _ in range(n_out):
             token = int(np.argmax(logits))
             tokens.append(token)
-            logits = model.decode_step(token, cache).logits[-1]
+            logits = model.forward(np.array([token]), cache).logits[-1]
         transcript.append(tokens)
     return transcript
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from repro.core import DEFAULT_METHODS, HCacheEngine, hcache_timing, method_timing
 from repro.core.profiler import build_storage_array
-from repro.models import Transformer, model_preset
+from repro.models import KVCache, Transformer, model_preset
 from repro.simulator import platform_preset
 from repro.storage import StorageManager
 
@@ -35,8 +35,10 @@ def main() -> None:
     # --- 2. prefill, capturing hidden states ---------------------------
     prompt = np.arange(40) % config.vocab_size
     engine.register_context("demo")
-    result, kv_cache = model.prefill(prompt, capture_hidden=True)
-    assert result.hidden_states is not None
+    kv_cache = KVCache(config)
+    # The serving path's one model call: its per-layer inputs are the
+    # hidden states HCache saves.
+    result = model.forward_fused([prompt], [kv_cache])
     engine.save_states("demo", result.hidden_states, prompt, kv_cache=kv_cache)
     engine.seal("demo")
     print(f"saved {engine.saved_tokens('demo')} tokens of state "

@@ -19,6 +19,12 @@ Checks, without importing the package:
    top level, optionally followed by one name defined in that class
    (a class imported from another ``repro`` module is followed there);
    a module path must name a file under ``src/repro/``.
+6. Every backticked ``Name.member`` in those documents (a trailing call
+   allowed: ``Name.member(...)``) whose ``Name`` is a class defined
+   exactly once under ``src/repro/`` names a member of that class, as in
+   check 5 (bound in its body or set on ``self``; inherited members are
+   not followed).  Any other ``Name`` — an instance, a module alias, a
+   class defined twice — is not checked.
 
 Exits non-zero with a list of stale references; run by ``scripts/check.sh``.
 """
@@ -26,6 +32,7 @@ Exits non-zero with a list of stale references; run by ``scripts/check.sh``.
 from __future__ import annotations
 
 import ast
+import functools
 import re
 import sys
 from pathlib import Path
@@ -42,6 +49,8 @@ _TEST_PATH = re.compile(r"(?<![\w/.])tests/[\w/.-]*?\.py\b")
 _MODULE_PATH = re.compile(
     r"(?<![\w/.])(?!(?:tests|benchmarks|scripts|examples)/)(?:src/)?(?:repro/)?\w+/\w+\.py\b"
 )
+#: A whole backticked ``Name.member`` reference, optionally called.
+_CLASS_MEMBER = re.compile(r"`([A-Za-z_]\w*)\.([A-Za-z_]\w*)(?:\([^`]*\))?`")
 
 
 def module_map_entries(readme_text: str) -> list[str]:
@@ -91,6 +100,17 @@ def _class_members(cls: ast.ClassDef) -> set[str]:
     return names
 
 
+@functools.cache
+def _classes(package_root: Path) -> dict[str, list[ast.ClassDef]]:
+    """Every class defined under ``package_root``, by name."""
+    classes: dict[str, list[ast.ClassDef]] = {}
+    for path in sorted(package_root.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ClassDef):
+                classes.setdefault(node.name, []).append(node)
+    return classes
+
+
 def resolves(dotted: str, package_root: Path) -> bool:
     """Whether a dotted ``repro.…`` name names a module or a definition."""
     parts = dotted.split(".")[1:]
@@ -120,9 +140,9 @@ def resolves(dotted: str, package_root: Path) -> bool:
 
 
 def stale_references(text: str, root: Path = ROOT) -> list[str]:
-    """The ``repro.…`` names, ``tests/…py`` paths and module paths in
-    ``text`` that do not resolve under ``root``, each once, in order of
-    appearance."""
+    """The ``repro.…`` names, ``tests/…py`` paths, module paths and
+    ``Class.member`` references in ``text`` that do not resolve under
+    ``root``, each once, in order of appearance per kind."""
     package_root = root / "src" / "repro"
     stale: list[str] = []
     for name in dict.fromkeys(_DOTTED_NAME.findall(text)):
@@ -134,6 +154,11 @@ def stale_references(text: str, root: Path = ROOT) -> list[str]:
     for path in dict.fromkeys(_MODULE_PATH.findall(text)):
         if not (package_root / path.removeprefix("src/").removeprefix("repro/")).is_file():
             stale.append(path)
+    classes = _classes(package_root)
+    for name, member in dict.fromkeys(_CLASS_MEMBER.findall(text)):
+        defined = classes.get(name, [])
+        if len(defined) == 1 and member not in _class_members(defined[0]):
+            stale.append(f"{name}.{member}")
     return stale
 
 

@@ -88,10 +88,6 @@ class HiddenCapture:
             raise ConfigError(f"layer {layer} out of range")
         return self._buf[layer, : self._n]
 
-    def views(self) -> list[np.ndarray]:
-        """Per-layer zero-copy views of the full captured history."""
-        return [self._buf[layer, : self._n] for layer in range(self.n_layers)]
-
     def block_views(self, start: int, stop: int) -> list[np.ndarray]:
         """Per-layer zero-copy views of rows ``[start, stop)``."""
         if not 0 <= start <= stop <= self._n:
@@ -99,11 +95,3 @@ class HiddenCapture:
                 f"rows [{start}, {stop}) outside the valid region of {self._n} tokens"
             )
         return [self._buf[layer, start:stop] for layer in range(self.n_layers)]
-
-    def stacked(self) -> np.ndarray:
-        """All layers as one ``(n_layers, n_tokens, hidden)`` view.
-
-        This is the exact input shape of the batched restoration
-        projection, available without a single copy.
-        """
-        return self._buf[:, : self._n]

@@ -422,13 +422,6 @@ class KVCache:
         out[:, kv_size:] = values[start:stop].reshape(n, kv_size)
         return out
 
-    def packed_layer(self, layer: int) -> np.ndarray:
-        """One layer's K and V concatenated per token: ``(n, 2 * kv_size)``.
-
-        This is the on-storage format for KV-offloaded layers.
-        """
-        return self.packed_rows(layer, 0, self._lens[layer])
-
     def _check_packed(self, packed: np.ndarray) -> np.ndarray:
         packed = np.asarray(packed, dtype=np.float32)
         kv_size = self.config.kv_size
@@ -468,7 +461,9 @@ class KVCache:
         return 2 * row_bytes * sum(self._lens)
 
     def equals(self, other: "KVCache", atol: float = 0.0) -> bool:
-        """Exact (default) or tolerant comparison with another cache."""
+        """Exact (default) comparison with another cache, or within an
+        absolute ``atol`` per element (no relative term: values near 10 get
+        no wider band than values near 0)."""
         if self.config.n_layers != other.config.n_layers:
             return False
         for layer in range(self.config.n_layers):
@@ -480,6 +475,9 @@ class KVCache:
                 if not (np.array_equal(k1, k2) and np.array_equal(v1, v2)):
                     return False
             else:
-                if not (np.allclose(k1, k2, atol=atol) and np.allclose(v1, v2, atol=atol)):
+                if not (
+                    np.allclose(k1, k2, rtol=0.0, atol=atol)
+                    and np.allclose(v1, v2, rtol=0.0, atol=atol)
+                ):
                     return False
         return True

@@ -1,12 +1,16 @@
 """Naive O(n^2) reference implementations of the save/restore hot path.
 
-These are the pre-optimization semantics of the KV cache, hidden-state
-capture, and restoration loop, kept verbatim so that
+These are the pre-optimization semantics of attention, the KV cache and
+the restoration loop, kept verbatim so that
 
-- property tests can assert the amortized-growth buffers are **bit-exact**
-  against the original concatenate-based behaviour, and
+- tests can assert the tiled attention kernel, the amortized-growth cache
+  and the fused granule projection are **bit-exact** against the original
+  einsum-, concatenate- and per-layer-based behaviour
+  (:func:`naive_restore_cache_from_hidden` is the restore oracle: the
+  projection of saved hidden states must reproduce the serial forward's
+  K/V), and
 - ``benchmarks/bench_hotpath.py`` can measure the speedup of the O(n)
-  hot path against the quadratic baseline forever, not just once.
+  state path against the quadratic baseline forever, not just once.
 
 Nothing in the serving stack should import this module for real work.
 """
@@ -116,13 +120,6 @@ class NaiveKVCache:
     def clear(self) -> None:
         self.truncate(0)
 
-    def packed_layer(self, layer: int) -> np.ndarray:
-        keys, values = self.get(layer)
-        n = keys.shape[0]
-        flat_k = keys.reshape(n, -1)
-        flat_v = values.reshape(n, -1)
-        return np.concatenate([flat_k, flat_v], axis=1)
-
     def nbytes(self) -> int:
         return sum(k.nbytes + v.nbytes for k, v in zip(self._keys, self._values))
 
@@ -138,38 +135,12 @@ class NaiveKVCache:
                 if not (np.array_equal(k1, k2) and np.array_equal(v1, v2)):
                     return False
             else:
-                if not (np.allclose(k1, k2, atol=atol) and np.allclose(v1, v2, atol=atol)):
+                if not (
+                    np.allclose(k1, k2, rtol=0.0, atol=atol)
+                    and np.allclose(v1, v2, rtol=0.0, atol=atol)
+                ):
                     return False
         return True
-
-
-def naive_generate_capture(
-    model,
-    prompt: np.ndarray,
-    n_new_tokens: int,
-    kv_cache=None,
-) -> tuple[list[int], object, list[np.ndarray]]:
-    """The original ``generate(capture_hidden=True)`` accumulation loop.
-
-    Re-concatenates every layer's full captured history on every decode
-    step.  Returns ``(tokens, cache, captured)`` exactly like
-    :meth:`repro.models.transformer.Transformer.generate`.
-    """
-    cache = kv_cache if kv_cache is not None else NaiveKVCache(model.config)
-    result = model.forward(np.asarray(prompt), cache, capture_hidden=True)
-    captured = [np.array(h, copy=True) for h in result.hidden_states]
-    tokens: list[int] = []
-    logits = result.logits[-1]
-    for _ in range(n_new_tokens):
-        token = int(np.argmax(logits))
-        tokens.append(token)
-        step = model.decode_step(token, cache, capture_hidden=True)
-        for layer in range(model.config.n_layers):
-            captured[layer] = np.concatenate(
-                [captured[layer], step.hidden_states[layer]], axis=0
-            )
-        logits = step.logits[-1]
-    return tokens, cache, captured
 
 
 def naive_restore_cache_from_hidden(

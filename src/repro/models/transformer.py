@@ -13,12 +13,13 @@ projection replays the very computation the forward pass performed, the
 restored KV cache matches the original exactly — the losslessness property
 the test suite asserts.
 
-Hot-path layout: capture accumulates into a :class:`HiddenCapture`
-doubling buffer (O(1) per decode step instead of an O(history)
-concatenate), and every restoration — streamed, threaded, or whole-layer —
-goes through the one fused granule kernel
-(:meth:`Transformer.project_kv_chunk`), which writes straight into the KV
-cache's backing storage.
+Production runs one forward kernel, the packed call behind
+:meth:`Transformer.forward_fused` (its per-layer inputs are the hidden
+states the serving path saves), and one restore kernel, the fused granule
+projection :meth:`Transformer.project_kv_chunk`, which writes straight
+into the KV cache's backing storage.  The serial :meth:`Transformer.forward`
+(one :meth:`Transformer.layer_forward` per layer, plain ``matmul``) is the
+oracle both are checked against.
 """
 
 from __future__ import annotations
@@ -266,12 +267,12 @@ class ForwardResult:
     Attributes:
         logits: ``(n_tokens, vocab)`` next-token logits (``(segments,
             vocab)`` from the packed calls: each segment's last row).
-        hidden_states: When captured, one ``(n_tokens, hidden)`` array per
-            layer holding the residual-stream input of that layer — the
-            state HCache saves.  Views into the capture buffer when a
-            :class:`HiddenCapture` accumulates across calls; the packed
-            calls' own per-layer inputs (every segment's rows) from
-            :meth:`Transformer.forward_fused`; ``None`` when not capturing.
+        hidden_states: One ``(n_tokens, hidden)`` array per layer holding
+            the residual-stream input of that layer — the state HCache
+            saves.  From :meth:`Transformer.forward_fused`, the packed
+            call's own per-layer inputs (every segment's rows); from the
+            serial :meth:`Transformer.forward`, views of its
+            :class:`HiddenCapture` when capturing and ``None`` otherwise.
     """
 
     logits: np.ndarray
@@ -458,8 +459,8 @@ class Transformer:
 
         When ``capture`` is given, the block's per-layer hidden states are
         written into it with O(block) slice writes and the returned
-        ``hidden_states`` are views of that buffer — the accumulation path
-        ``generate`` uses to stay O(n) over a whole generation.  Plain
+        ``hidden_states`` are views of that buffer, so one capture can
+        accumulate a history over several calls.  Plain
         ``capture_hidden=True`` allocates a block-sized buffer internally.
         """
         tokens = np.asarray(tokens)
@@ -486,20 +487,6 @@ class Transformer:
             else None
         )
         return ForwardResult(logits=logits, hidden_states=captured)
-
-    def prefill(
-        self, tokens: np.ndarray, kv_cache: KVCache | None = None, capture_hidden: bool = False
-    ) -> tuple[ForwardResult, KVCache]:
-        """Convenience: forward a prompt into a (new) cache."""
-        cache = kv_cache if kv_cache is not None else KVCache(self.config)
-        result = self.forward(tokens, cache, capture_hidden=capture_hidden)
-        return result, cache
-
-    def decode_step(
-        self, token: int, kv_cache: KVCache, capture_hidden: bool = False
-    ) -> ForwardResult:
-        """Autoregressively process one token."""
-        return self.forward(np.array([token]), kv_cache, capture_hidden=capture_hidden)
 
     def decode_batch(
         self,
@@ -755,51 +742,15 @@ class Transformer:
     # restoration helpers
     # ------------------------------------------------------------------
 
-    def restore_cache_from_hidden(
-        self,
-        hidden_states: list[np.ndarray] | np.ndarray | HiddenCapture,
-        positions: np.ndarray | None = None,
-    ) -> KVCache:
-        """Rebuild a full KV cache from per-layer hidden states.
-
-        ``hidden_states[L]`` must be the ``(n, hidden)`` residual input of
-        layer ``L`` for the whole history (what ``capture_hidden`` returns
-        and what the storage manager persists); a :class:`HiddenCapture`
-        or a pre-stacked ``(n_layers, n, hidden)`` array is used as-is.
-        Each layer is one granule through :meth:`project_kv_chunk`,
-        projected straight into the new cache's storage.
-        """
-        blocks = (
-            hidden_states.stacked()
-            if isinstance(hidden_states, HiddenCapture)
-            else hidden_states
-        )
-        if len(blocks) != self.config.n_layers:
-            raise ConfigError(
-                f"need hidden states for all {self.config.n_layers} layers, "
-                f"got {len(blocks)}"
-            )
-        n = blocks[0].shape[0]
-        pos = np.arange(n) if positions is None else np.asarray(positions)
-        if self.config.rope and pos.shape != (n,):
-            raise ConfigError(
-                f"positions shape {pos.shape} mismatches token count {n}"
-            )
-        workspace = RestoreWorkspace(self.config, pos, max(n, 1))
-        cache = KVCache(self.config)
-        for layer, block in enumerate(blocks):
-            k_view, v_view = cache.install_view(layer, n)
-            self.project_kv_chunk(layer, block, 0, k_view, v_view, workspace)
-        return cache
-
     def replay(self, tokens: np.ndarray, views: KVViews) -> np.ndarray:
         """Token-replay layers ``[0, len(views))`` of a history, writing layer
         ``L``'s K/V rows into ``views[L]``; return the rows entering layer
         ``len(views)`` — with no views, the embedding gather, run by no
         forward kernel.  Otherwise the packed kernel's layer-range call,
         bit-identical to a one-segment :meth:`forward_fused` of the tokens
-        in one part or many; above ``M_MAX`` rows also to :meth:`prefill`,
-        at or below within :data:`BATCHED_DECODE_ATOL` of it (row slabs).
+        in one part or many; above ``M_MAX`` rows also to a serial
+        :meth:`forward` of them, at or below within
+        :data:`BATCHED_DECODE_ATOL` of it (row slabs).
         """
         if not views:
             return self.embed(tokens)
@@ -816,35 +767,3 @@ class Transformer:
         cache = KVCache(self.config)
         views = [cache.install_view(layer, len(tokens)) for layer in range(n_prefix_layers)]
         return cache, self.replay(tokens, views)
-
-    def generate(
-        self,
-        prompt: np.ndarray,
-        n_new_tokens: int,
-        kv_cache: KVCache | None = None,
-        capture_hidden: bool = False,
-    ) -> tuple[list[int], KVCache, list[np.ndarray] | None]:
-        """Greedy generation, optionally capturing all hidden states.
-
-        Returns the generated token ids, the final cache, and — when
-        capturing — per-layer hidden states covering prompt plus generated
-        tokens in position order (zero-copy views of one capture buffer).
-        Both the cache and the capture are preallocated for the final
-        length, so each decode step costs O(1) state management.
-        """
-        prompt = np.asarray(prompt)
-        cache = kv_cache if kv_cache is not None else KVCache(self.config)
-        cache.reserve(len(cache) + prompt.size + n_new_tokens)
-        capture: HiddenCapture | None = None
-        if capture_hidden:
-            capture = HiddenCapture(self.config.n_layers, self.config.hidden_size)
-            capture.reserve(prompt.size + n_new_tokens)
-        result = self.forward(prompt, cache, capture=capture)
-        tokens: list[int] = []
-        logits = result.logits[-1]
-        for _ in range(n_new_tokens):
-            token = int(np.argmax(logits))
-            tokens.append(token)
-            step = self.forward(np.array([token]), cache, capture=capture)
-            logits = step.logits[-1]
-        return tokens, cache, capture.views() if capture is not None else None

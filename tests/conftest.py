@@ -22,14 +22,40 @@ def tiny_opt_config():
     return model_preset("tiny-opt")
 
 
+#: Every session-scoped model, for :func:`no_method_shadowed_on_shared_models`.
+SESSION_MODELS: list[Transformer] = []
+
+
 @pytest.fixture(scope="session")
 def tiny_model(tiny_config):
-    return Transformer.from_seed(tiny_config, seed=7)
+    SESSION_MODELS.append(Transformer.from_seed(tiny_config, seed=7))
+    return SESSION_MODELS[-1]
 
 
 @pytest.fixture(scope="session")
 def tiny_opt_model(tiny_opt_config):
-    return Transformer.from_seed(tiny_opt_config, seed=7)
+    SESSION_MODELS.append(Transformer.from_seed(tiny_opt_config, seed=7))
+    return SESSION_MODELS[-1]
+
+
+@pytest.fixture(autouse=True)
+def no_method_shadowed_on_shared_models():
+    """After each test, no session-scoped model may carry an instance
+    attribute that shadows a ``Transformer`` method.
+
+    ``monkeypatch.setattr(model, name, spy)`` undoes itself by setting the
+    bound method it saw back into the instance ``__dict__``, where it hides
+    every later class-level spy from the tests that share the model.  Spy
+    on a shared model with ``monkeypatch.setitem(vars(model), name, spy)``,
+    whose undo deletes the key.  A leak fails the test that made it and is
+    cleared, so it fails no later test.
+    """
+    yield
+    for model in SESSION_MODELS:
+        shadowed = sorted(name for name in vars(model) if hasattr(Transformer, name))
+        for name in shadowed:
+            delattr(model, name)
+        assert not shadowed, f"instance attributes shadow Transformer methods: {shadowed}"
 
 
 @pytest.fixture(scope="session")
@@ -113,7 +139,7 @@ def reference_rounds():
             tokens = []
             for _ in range(n_out):
                 tokens.append(int(np.argmax(logits)))
-                logits = model.decode_step(tokens[-1], cache).logits[-1]
+                logits = model.forward(np.array(tokens[-1:]), cache).logits[-1]
             outputs.append(tokens)
         return outputs
 

@@ -8,6 +8,7 @@ import pytest
 from repro.core.hcache import HCacheEngine
 from repro.core.partition import PartitionScheme
 from repro.errors import ConfigError, RestorationError, StateError
+from repro.models.kv_cache import KVCache
 
 
 def prompt(config, n, seed=0):
@@ -21,7 +22,8 @@ def engine(tiny_model, storage_manager):
 
 def saved_engine(engine, tiny_model, tokens):
     engine.register_context("c")
-    result, cache = tiny_model.prefill(tokens, capture_hidden=True)
+    cache = KVCache(tiny_model.config)
+    result = tiny_model.forward(tokens, cache, capture_hidden=True)
     engine.save_states("c", result.hidden_states, tokens, kv_cache=cache)
     return cache
 
@@ -91,7 +93,7 @@ class TestSchemes:
         eng = HCacheEngine(tiny_model, storage_manager, scheme=scheme)
         eng.register_context("c")
         tokens = prompt(tiny_config, 4)
-        result, _ = tiny_model.prefill(tokens, capture_hidden=True)
+        result = tiny_model.forward(tokens, KVCache(tiny_config), capture_hidden=True)
         with pytest.raises(ConfigError):
             eng.save_states("c", result.hidden_states, tokens, kv_cache=None)
 
@@ -120,9 +122,10 @@ class TestRestoration:
         """Saving across multiple generation steps restores the whole run."""
         engine.register_context("c")
         tokens = prompt(tiny_config, 6)
-        result, cache = tiny_model.prefill(tokens, capture_hidden=True)
+        cache = KVCache(tiny_model.config)
+        result = tiny_model.forward(tokens, cache, capture_hidden=True)
         engine.save_states("c", result.hidden_states, tokens, kv_cache=cache)
-        step = tiny_model.decode_step(3, cache, capture_hidden=True)
+        step = tiny_model.forward(np.array([3]), cache, capture_hidden=True)
         engine.save_states("c", step.hidden_states, np.array([3]), kv_cache=cache)
         restored = engine.restore("c")
         assert cache.equals(restored, atol=1e-5)
@@ -131,14 +134,16 @@ class TestRestoration:
     def test_mismatched_block_rejected(self, engine, tiny_model, tiny_config):
         engine.register_context("c")
         tokens = prompt(tiny_config, 5)
-        result, cache = tiny_model.prefill(tokens, capture_hidden=True)
+        cache = KVCache(tiny_model.config)
+        result = tiny_model.forward(tokens, cache, capture_hidden=True)
         with pytest.raises(ConfigError):
             engine.save_states("c", result.hidden_states, tokens[:3], kv_cache=cache)
 
     def test_wrong_layer_count_rejected(self, engine, tiny_model, tiny_config):
         engine.register_context("c")
         tokens = prompt(tiny_config, 5)
-        result, cache = tiny_model.prefill(tokens, capture_hidden=True)
+        cache = KVCache(tiny_model.config)
+        result = tiny_model.forward(tokens, cache, capture_hidden=True)
         with pytest.raises(ConfigError):
             engine.save_states("c", result.hidden_states[:2], tokens, kv_cache=cache)
 

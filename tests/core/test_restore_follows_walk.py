@@ -33,6 +33,7 @@ from repro.core.partition import LayerMethod, PartitionScheme
 from repro.core.profiler import HardwareProfile, build_storage_array
 from repro.core.restoration import two_stream_timing
 from repro.models.config import model_preset
+from repro.models.kv_cache import KVCache
 from repro.models.transformer import Transformer
 from repro.runtime import RestoreExecutor
 from repro.simulator import platform_preset
@@ -132,7 +133,8 @@ def prefilled():
     config = replace(model_preset("tiny-llama"), n_layers=N_LAYERS)
     model = Transformer.from_seed(config, seed=11)
     tokens = np.random.default_rng(5).integers(0, config.vocab_size, size=N_TOKENS)
-    result, cache = model.prefill(tokens, capture_hidden=True)
+    cache = KVCache(model.config)
+    result = model.forward(tokens, cache, capture_hidden=True)
     return config, tokens, result.hidden_states, cache
 
 

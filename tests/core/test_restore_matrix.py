@@ -149,7 +149,8 @@ def prefill_and_save(engine, model, context_id, tokens, seal=True, block=37):
     """Save a prefilled context in several append blocks; return the
     naive-reference cache of the same hidden states."""
     engine.register_context(context_id)
-    result, cache = model.prefill(tokens, capture_hidden=True)
+    cache = KVCache(model.config)
+    result = model.forward(tokens, cache, capture_hidden=True)
     for start in range(0, tokens.size, block):
         stop = min(start + block, tokens.size)
         engine.save_states(

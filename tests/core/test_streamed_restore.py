@@ -46,7 +46,8 @@ def save_rounds(engine, model, config, n_tokens, seal=True, block=37):
     rng = np.random.default_rng(5)
     tokens = rng.integers(0, config.vocab_size, size=n_tokens)
     engine.register_context("c")
-    result, cache = model.prefill(tokens, capture_hidden=True)
+    cache = KVCache(model.config)
+    result = model.forward(tokens, cache, capture_hidden=True)
     hidden = result.hidden_states
     for start in range(0, n_tokens, block):
         stop = min(start + block, n_tokens)

@@ -544,7 +544,7 @@ def test_a_session_released_during_its_replay_streams_like_the_serial_loop(
         engine.open_session("r")
         engine.chat_round("r", history, 3)
         engine.evict("r")
-        monkeypatch.setattr(tiny_model, "replay", replay)
+        monkeypatch.setitem(vars(tiny_model), "replay", replay)
         monkeypatch.setattr(RestoreProgress, "wait_layer", wait_layer)
         frontend = ServingFrontend(engine, MemoryBudget(capacity_tokens=4096))
         handles = {

@@ -156,19 +156,19 @@ class TestFusedIterationContract:
         real_fused = engine.transformer.forward_fused
         real_decode = engine.transformer.decode_batch
         real_forward = engine.transformer.forward
-        monkeypatch.setattr(
-            engine.transformer,
+        monkeypatch.setitem(
+            vars(engine.transformer),
             "forward_fused",
             lambda *a, **k: calls.__setitem__("n", calls["n"] + 1) or real_fused(*a, **k),
         )
-        monkeypatch.setattr(
-            engine.transformer,
+        monkeypatch.setitem(
+            vars(engine.transformer),
             "decode_batch",
             lambda *a, **k: calls.__setitem__("n", calls["n"] + 1)
             or real_decode(*a, **k),
         )
-        monkeypatch.setattr(
-            engine.transformer,
+        monkeypatch.setitem(
+            vars(engine.transformer),
             "forward",
             lambda *a, **k: calls.__setitem__("n", calls["n"] + 1)
             or real_forward(*a, **k),

@@ -208,7 +208,7 @@ def test_budget_sized_prompt_beside_a_decoder_is_served_in_one_call(
         fused_calls.append(args)
         return forward_fused(*args, **kwargs)
 
-    monkeypatch.setattr(tiny_model, "forward_fused", counted)
+    monkeypatch.setitem(vars(tiny_model), "forward_fused", counted)
     steps, handles, first_tokens_b = serve_beside_a_decoder(
         numeric, lambda: 0.0, prompts, outputs
     )

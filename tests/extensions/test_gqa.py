@@ -11,6 +11,8 @@ from repro.core.gqa import (
     with_kv_heads,
 )
 from repro.errors import ConfigError
+from repro.models.kv_cache import KVCache
+from repro.models.reference import naive_restore_cache_from_hidden
 
 
 class TestVariants:
@@ -93,6 +95,7 @@ class TestNumericGQA:
         )
         model = Transformer.from_seed(config, seed=5)
         tokens = np.arange(20) % config.vocab_size
-        result, cache = model.prefill(tokens, capture_hidden=True)
-        restored = model.restore_cache_from_hidden(result.hidden_states)
+        cache = KVCache(model.config)
+        result = model.forward(tokens, cache, capture_hidden=True)
+        restored = naive_restore_cache_from_hidden(model, result.hidden_states)
         assert cache.equals(restored)

@@ -14,7 +14,7 @@ from repro.core.profiler import build_storage_array
 from repro.engine import ServingSimulator
 from repro.engine.request import RequestSpec
 from repro.errors import AllocationError
-from repro.models import Transformer, model_preset
+from repro.models import KVCache, Transformer, model_preset
 from repro.storage import StorageManager
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
@@ -114,11 +114,13 @@ class TestStorageFailureInjection:
         engine.register_context("c")
         config = tiny_model.config
         tokens = np.arange(10) % config.vocab_size
-        result, cache = tiny_model.prefill(tokens, capture_hidden=True)
+        cache = KVCache(tiny_model.config)
+        result = tiny_model.forward(tokens, cache, capture_hidden=True)
         engine.save_states("c", result.hidden_states, tokens, kv_cache=cache)
         saved_before = engine.saved_tokens("c")
         big = np.arange(200) % config.vocab_size
-        big_result, big_cache = tiny_model.prefill(big, capture_hidden=True)
+        big_cache = KVCache(tiny_model.config)
+        big_result = tiny_model.forward(big, big_cache, capture_hidden=True)
         with pytest.raises(AllocationError):
             fresh = StorageManager(
                 build_storage_array(default_platform), capacity_bytes=tiny_capacity
@@ -138,7 +140,8 @@ class TestStorageFailureInjection:
         for name in ("keep", "drop"):
             engine.register_context(name)
             tokens = (np.arange(12) + hash(name) % 7) % config.vocab_size
-            result, cache = tiny_model.prefill(tokens, capture_hidden=True)
+            cache = KVCache(tiny_model.config)
+            result = tiny_model.forward(tokens, cache, capture_hidden=True)
             engine.save_states(name, result.hidden_states, tokens, kv_cache=cache)
         engine.drop_context("drop")
         assert engine.has_context("keep")
@@ -157,7 +160,8 @@ class TestCrossModelConsistency:
         engine = HCacheEngine(model, storage, scheme=decision.scheme)
         engine.register_context("c")
         tokens = np.arange(30) % config.vocab_size
-        result, cache = model.prefill(tokens, capture_hidden=True)
+        cache = KVCache(model.config)
+        result = model.forward(tokens, cache, capture_hidden=True)
         engine.save_states("c", result.hidden_states, tokens, kv_cache=cache)
         engine.seal("c")
         assert cache.equals(engine.restore("c"), atol=1e-6)

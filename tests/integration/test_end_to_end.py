@@ -19,7 +19,8 @@ class TestAllRestorationPathsAgree:
 
     def test_three_way_equivalence(self, tiny_model, tiny_config, default_platform):
         tokens = np.random.default_rng(1).integers(0, tiny_config.vocab_size, size=25)
-        result, reference = tiny_model.prefill(tokens, capture_hidden=True)
+        reference = KVCache(tiny_model.config)
+        result = tiny_model.forward(tokens, reference, capture_hidden=True)
 
         # HCache path.
         storage = StorageManager(build_storage_array(default_platform))
@@ -40,7 +41,8 @@ class TestAllRestorationPathsAgree:
         via_kv = kv_offload.restore("c")
 
         # Recomputation path.
-        _, via_recompute = tiny_model.prefill(tokens)
+        via_recompute = KVCache(tiny_config)
+        tiny_model.forward(tokens, via_recompute)
 
         assert reference.equals(via_hidden, atol=0.0)
         assert reference.equals(via_kv, atol=0.0)
@@ -48,7 +50,8 @@ class TestAllRestorationPathsAgree:
 
     def test_continuations_agree_across_paths(self, tiny_model, tiny_config, default_platform):
         tokens = np.random.default_rng(2).integers(0, tiny_config.vocab_size, size=15)
-        result, reference = tiny_model.prefill(tokens, capture_hidden=True)
+        reference = KVCache(tiny_model.config)
+        result = tiny_model.forward(tokens, reference, capture_hidden=True)
         storage = StorageManager(build_storage_array(default_platform))
         hcache = HCacheEngine(tiny_model, storage)
         hcache.register_context("c")
@@ -61,7 +64,7 @@ class TestAllRestorationPathsAgree:
             for _ in range(n):
                 token = int(np.argmax(logits))
                 out.append(token)
-                logits = tiny_model.decode_step(token, cache).logits[-1]
+                logits = tiny_model.forward(np.array([token]), cache).logits[-1]
             return out
 
         assert continue_greedy(reference, 8) == continue_greedy(restored, 8)

@@ -337,7 +337,7 @@ class TestKillAndResume:
             replayed.append(len(tokens))
             return real_replay(tokens, views)
 
-        monkeypatch.setattr(model, "replay", replay)
+        monkeypatch.setitem(vars(model), "replay", replay)
         resumed = recover_stack(model, array, journal_factory("old"))
         assert resumed.hcache.layout("old") == all_stored
         assert resumed.hcache.storage.tokens_stored("old", 0) == 80

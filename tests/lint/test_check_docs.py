@@ -25,6 +25,7 @@ STALE = [
     "tests/simulator/test_streams.py",
     "storage/tiering.py",
     "src/repro/baselines/kv_offload.py",
+    "Transformer.generate",
 ]
 
 
@@ -57,6 +58,21 @@ def test_live_names_resolve(name):
 @pytest.mark.parametrize("name", [ref for ref in STALE if ref.startswith("repro")])
 def test_stale_names_do_not_resolve(name):
     assert not check_docs.resolves(name, REPO_ROOT / "src" / "repro")
+
+
+@pytest.mark.parametrize(
+    ("text", "stale"),
+    [
+        ("`Transformer.forward_fused`", []),
+        ("`KVCache.install_view(layer, n)`", []),
+        ("`StorageDevice.fault_policy` (set on `self`)", []),
+        ("`engine.generate` (an instance, not checked)", []),
+        ("`KVCache.install(layer, keys, values)`", ["KVCache.install"]),
+        ("`HiddenCapture.stacked` and `HiddenCapture.stacked()`", ["HiddenCapture.stacked"]),
+    ],
+)
+def test_class_member_references(text, stale):
+    assert check_docs.stale_references(text) == stale
 
 
 @pytest.mark.parametrize("doc", check_docs.REFERENCE_DOCS)

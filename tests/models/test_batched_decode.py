@@ -27,7 +27,7 @@ from repro.models.config import ModelConfig, model_preset
 from repro.models.hidden_capture import HiddenCapture
 from repro.models.kv_cache import KVCache
 from repro.models.tensor_ops import M_MAX
-from repro.models.transformer import BATCHED_DECODE_ATOL, Transformer
+from repro.models.transformer import BATCHED_DECODE_ATOL, RestoreWorkspace, Transformer
 
 GQA_CONFIG = ModelConfig(
     name="tiny-gqa",
@@ -259,11 +259,14 @@ class TestSlabDecode:
         ]
         for cache, hidden in zip(caches, captured):
             positions = np.arange(len(cache))
+            workspace, restored = RestoreWorkspace(config, positions, len(cache)), KVCache(config)
             for layer in range(config.n_layers):
                 k, v = model.project_kv(layer, hidden[layer], positions)
                 assert np.array_equal(k, cache.get(layer)[0])
                 assert np.array_equal(v, cache.get(layer)[1])
-            assert model.restore_cache_from_hidden(hidden).equals(cache, atol=0.0)
+                k_view, v_view = restored.install_view(layer, len(cache))
+                model.project_kv_chunk(layer, hidden[layer], 0, k_view, v_view, workspace)
+            assert restored.equals(cache, atol=0.0)
         assert slab_spy.slabs == []
         model.decode_batch(np.array([1, 2]), caches)
         assert slab_spy.slabs

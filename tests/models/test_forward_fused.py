@@ -35,7 +35,12 @@ from repro.models.attention import QUERY_TILE
 from repro.models.config import model_preset
 from repro.models.kv_cache import KVCache
 from repro.models.tensor_ops import M_MAX
-from repro.models.transformer import BATCHED_DECODE_ATOL, PART_ROWS, Transformer
+from repro.models.transformer import (
+    BATCHED_DECODE_ATOL,
+    PART_ROWS,
+    RestoreWorkspace,
+    Transformer,
+)
 from repro.runtime.progress import RestoreProgress
 
 SRC = str(Path(transformer.__file__).resolve().parents[2])
@@ -124,12 +129,15 @@ class TestEquivalence:
         for prompt, cache in zip(prompts, caches):
             hidden = model.forward(prompt, cache, capture_hidden=True).hidden_states
             positions = np.arange(prompt.size)
+            workspace, restored = RestoreWorkspace(config, positions, prompt.size), KVCache(config)
             for layer in range(config.n_layers):
                 k, v = model.project_kv(layer, hidden[layer], positions)
                 assert np.array_equal(k, cache.get(layer)[0])
                 assert np.array_equal(v, cache.get(layer)[1])
-            # One project_kv_chunk granule per layer.
-            assert model.restore_cache_from_hidden(hidden).equals(cache, atol=0.0)
+                # One project_kv_chunk granule per layer.
+                k_view, v_view = restored.install_view(layer, prompt.size)
+                model.project_kv_chunk(layer, hidden[layer], 0, k_view, v_view, workspace)
+            assert restored.equals(cache, atol=0.0)
         assert slab_spy.slabs == []
         model.forward_fused([np.array([3]), np.array([5])], caches)
         if not _slabs_expected(config):
@@ -663,7 +671,8 @@ class TestReplay:
         monkeypatch.setattr(transformer, "part_count", lambda rows: 1)
         fused_cache = KVCache(config)
         fused = model.forward_fused([tokens], [fused_cache])
-        serial, serial_cache = model.prefill(tokens, capture_hidden=True)
+        serial_cache = KVCache(model.config)
+        serial = model.forward(tokens, serial_cache, capture_hidden=True)
         cuts = []
         monkeypatch.setattr(
             transformer, "_part_cuts", lambda b, p: cuts.append(PART_CUTS(b, p)) or cuts[-1]
@@ -696,6 +705,6 @@ class TestReplay:
         model = replay_models["wide-llama"]
         (tokens,) = _prompts(model.config, [300], seed=71)
         calls = []
-        monkeypatch.setattr(model, "_forward_packed", lambda *args: calls.append(args))
+        monkeypatch.setitem(vars(model), "_forward_packed", lambda *args: calls.append(args))
         assert np.array_equal(model.replay(tokens, []), model.embed(tokens))
         assert calls == []

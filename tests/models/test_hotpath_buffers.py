@@ -3,8 +3,8 @@
 Every optimized buffer (KVCache backing store, HiddenCapture, batched
 restoration projection) must be **bit-exact** against the preserved naive
 reference implementations in :mod:`repro.models.reference` under
-interleaved append/truncate/install sequences, generation with capture,
-and save -> seal -> append -> restore round-trips.
+interleaved append/truncate/install sequences, capture across forward
+calls, and save -> seal -> append -> restore round-trips.
 """
 
 from __future__ import annotations
@@ -16,11 +16,7 @@ from repro.core.hcache import HCacheEngine
 from repro.errors import ConfigError, StateError
 from repro.models.hidden_capture import HiddenCapture
 from repro.models.kv_cache import KVCache
-from repro.models.reference import (
-    NaiveKVCache,
-    naive_generate_capture,
-    naive_restore_cache_from_hidden,
-)
+from repro.models.reference import NaiveKVCache, naive_restore_cache_from_hidden
 from repro.models.transformer import RestoreWorkspace
 
 
@@ -75,19 +71,21 @@ class TestInterleavedOpsMatchNaive:
         k, v = kv_rows(tiny_config, 77, rng)
         fast.append(1, k, v)
         naive.append(1, k, v)
-        assert np.array_equal(fast.packed_layer(1), naive.packed_layer(1))
+        naive_k, naive_v = naive.get(1)
+        naive_packed = np.concatenate([naive_k.reshape(77, -1), naive_v.reshape(77, -1)], axis=1)
+        assert np.array_equal(fast.packed_rows(1, 0, 77), naive_packed)
         # The restore's install pair unpacks the naive cache's bytes.
         other_fast = KVCache(tiny_config)
         other_fast.install_view(1, 77)
-        other_fast.install_packed_rows(1, 0, naive.packed_layer(1))
+        other_fast.install_packed_rows(1, 0, naive_packed)
         assert other_fast.equals(naive, atol=0.0)
 
-    def test_packed_rows_match_packed_layer_slices(self, tiny_config):
+    def test_packed_rows_match_whole_layer_slices(self, tiny_config):
         rng = np.random.default_rng(8)
         cache = KVCache(tiny_config)
         k, v = kv_rows(tiny_config, 50, rng)
         cache.append(0, k, v)
-        full = cache.packed_layer(0)
+        full = cache.packed_rows(0, 0, 50)
         for start, stop in ((0, 50), (10, 30), (49, 50), (20, 20)):
             assert np.array_equal(cache.packed_rows(0, start, stop), full[start:stop])
         with pytest.raises(ConfigError):
@@ -180,19 +178,18 @@ class TestHiddenCapture:
         assert len(cap) == expected.shape[0]
         for layer in range(3):
             assert np.array_equal(cap.layer_view(layer), expected + layer)
-        assert cap.stacked().shape == (3, expected.shape[0], 8)
         tail = cap.block_views(expected.shape[0] - 2, expected.shape[0])
         assert np.array_equal(tail[1], expected[-2:] + 1)
 
     def test_reserve_skips_reallocation(self):
         cap = HiddenCapture(2, 4)
         cap.reserve(100)
-        buf_before = cap.stacked().base
+        buf_before = cap.layer_view(0).base
         for _ in range(100):
             start = cap.extend(1)
             cap.write(0, start, np.zeros((1, 4), dtype=np.float32))
             cap.write(1, start, np.zeros((1, 4), dtype=np.float32))
-        assert cap.stacked().base is buf_before
+        assert cap.layer_view(0).base is buf_before
 
     def test_bounds_checked(self):
         cap = HiddenCapture(2, 4)
@@ -205,24 +202,10 @@ class TestHiddenCapture:
             cap.block_views(0, 9)
 
 
-class TestGenerateCaptureEquivalence:
-    def test_generate_matches_naive_accumulation(self, tiny_model, tiny_config):
-        p = prompt(tiny_config, 6, seed=21)
-        fast_tokens, fast_cache, fast_cap = tiny_model.generate(
-            p, 12, capture_hidden=True
-        )
-        naive_tokens, naive_cache, naive_cap = naive_generate_capture(
-            tiny_model, p, 12
-        )
-        assert fast_tokens == naive_tokens
-        assert fast_cache.equals(naive_cache, atol=0.0)
-        assert len(fast_cap) == len(naive_cap) == tiny_config.n_layers
-        for a, b in zip(fast_cap, naive_cap):
-            assert np.array_equal(a, b)
-
+class TestForwardCapture:
     def test_forward_capture_views_match_copies(self, tiny_model, tiny_config):
         p = prompt(tiny_config, 9, seed=22)
-        result, _ = tiny_model.prefill(p, capture_hidden=True)
+        result = tiny_model.forward(p, KVCache(tiny_config), capture_hidden=True)
         cap = HiddenCapture(tiny_config.n_layers, tiny_config.hidden_size)
         result2 = tiny_model.forward(p, KVCache(tiny_config), capture=cap)
         for a, b in zip(result.hidden_states, result2.hidden_states):
@@ -231,36 +214,42 @@ class TestGenerateCaptureEquivalence:
             assert np.array_equal(cap.layer_view(layer), result.hidden_states[layer])
 
 
+def saved_and_restored(model, storage_manager, tokens, hidden):
+    """Save a serial prefill's hidden states through a default HCache
+    engine and restore them with its granule kernel."""
+    engine = HCacheEngine(model, storage_manager)
+    engine.register_context("c")
+    engine.save_states("c", hidden, tokens)
+    engine.seal("c")
+    return engine.restore("c")
+
+
 class TestBatchedRestore:
-    def test_restore_matches_naive_bit_exact(self, tiny_model, tiny_config):
-        result, cache = tiny_model.prefill(prompt(tiny_config, 33, seed=23), capture_hidden=True)
-        fast = tiny_model.restore_cache_from_hidden(result.hidden_states)
+    def test_restore_matches_naive_bit_exact(self, tiny_model, tiny_config, storage_manager):
+        tokens = prompt(tiny_config, 33, seed=23)
+        cache = KVCache(tiny_config)
+        result = tiny_model.forward(tokens, cache, capture_hidden=True)
+        fast = saved_and_restored(tiny_model, storage_manager, tokens, result.hidden_states)
         naive = naive_restore_cache_from_hidden(tiny_model, result.hidden_states)
         assert fast.equals(naive, atol=0.0)
         assert fast.equals(cache, atol=0.0)
 
-    def test_restore_opt_architecture_matches_naive(self, tiny_opt_model, tiny_opt_config):
+    def test_restore_opt_architecture_matches_naive(
+        self, tiny_opt_model, tiny_opt_config, storage_manager
+    ):
         """LayerNorm + no-RoPE models take the non-rotating branch."""
-        result, cache = tiny_opt_model.prefill(
-            prompt(tiny_opt_config, 21, seed=24), capture_hidden=True
-        )
-        fast = tiny_opt_model.restore_cache_from_hidden(result.hidden_states)
+        tokens = prompt(tiny_opt_config, 21, seed=24)
+        cache = KVCache(tiny_opt_config)
+        result = tiny_opt_model.forward(tokens, cache, capture_hidden=True)
+        fast = saved_and_restored(tiny_opt_model, storage_manager, tokens, result.hidden_states)
         naive = naive_restore_cache_from_hidden(tiny_opt_model, result.hidden_states)
         assert fast.equals(naive, atol=0.0)
         assert fast.equals(cache, atol=0.0)
 
-    def test_whole_layer_granules_match_per_layer(self, tiny_model, tiny_config):
-        result, _ = tiny_model.prefill(prompt(tiny_config, 17, seed=25), capture_hidden=True)
-        pos = np.arange(17)
-        restored = tiny_model.restore_cache_from_hidden(result.hidden_states)
-        for layer in range(tiny_config.n_layers):
-            k, v = tiny_model.project_kv(layer, result.hidden_states[layer], pos)
-            got_k, got_v = restored.get(layer)
-            assert np.array_equal(got_k, k)
-            assert np.array_equal(got_v, v)
-
     def test_kernel_projects_a_layer_subset(self, tiny_model, tiny_config):
-        result, _ = tiny_model.prefill(prompt(tiny_config, 11, seed=26), capture_hidden=True)
+        result = tiny_model.forward(
+            prompt(tiny_config, 11, seed=26), KVCache(tiny_config), capture_hidden=True
+        )
         pos = np.arange(11)
         workspace = RestoreWorkspace(tiny_model.config, pos, 11)
         for layer in (1, 3):
@@ -274,7 +263,9 @@ class TestBatchedRestore:
             assert np.array_equal(v_out, v)
 
     def test_kernel_projects_into_reserved_cache(self, tiny_model, tiny_config):
-        result, _ = tiny_model.prefill(prompt(tiny_config, 13, seed=31), capture_hidden=True)
+        result = tiny_model.forward(
+            prompt(tiny_config, 13, seed=31), KVCache(tiny_config), capture_hidden=True
+        )
         pos = np.arange(13)
         cache = KVCache(tiny_config)
         cache.reserve(64)
@@ -290,26 +281,6 @@ class TestBatchedRestore:
             got_k, got_v = cache.get(layer)
             assert np.array_equal(got_k, k)
             assert np.array_equal(got_v, v)
-
-    def test_restore_accepts_capture_and_stacked(self, tiny_model, tiny_config):
-        p = prompt(tiny_config, 8, seed=27)
-        _, cache, captured = tiny_model.generate(p, 4, capture_hidden=True)
-        stacked = np.stack(captured)
-        from_list = tiny_model.restore_cache_from_hidden(captured)
-        from_array = tiny_model.restore_cache_from_hidden(stacked)
-        # List, stacked-array, and naive inputs all take the same math.
-        assert from_list.equals(from_array, atol=0.0)
-        assert from_list.equals(
-            naive_restore_cache_from_hidden(tiny_model, captured), atol=0.0
-        )
-        # Decode-step KV was produced by M=1 GEMVs, restoration by one
-        # M=n GEMM — identical up to BLAS kernel rounding (the seed's
-        # guarantee for post-generation restores).
-        assert from_list.equals(cache, atol=1e-5)
-
-    def test_layer_count_checked(self, tiny_model):
-        with pytest.raises(ConfigError):
-            tiny_model.restore_cache_from_hidden([np.zeros((3, 64), dtype=np.float32)])
 
 
 class TestSaveSealAppendRestore:

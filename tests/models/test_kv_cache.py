@@ -9,6 +9,7 @@ import pytest
 
 from repro.errors import ConfigError, StateError
 from repro.models.kv_cache import KVCache, SlabArena, slab_tokens
+from repro.models.reference import NaiveKVCache
 
 
 def kv_rows(config, n, seed=0):
@@ -82,7 +83,7 @@ class TestInstallAndPacking:
         cache = KVCache(tiny_config)
         k, v = kv_rows(tiny_config, 7, seed=3)
         cache.append(2, k, v)
-        packed = cache.packed_layer(2)
+        packed = cache.packed_rows(2, 0, 7)
         other = KVCache(tiny_config)
         other.install_view(2, 7)
         other.install_packed_rows(2, 0, packed)
@@ -94,7 +95,7 @@ class TestInstallAndPacking:
         cache = KVCache(tiny_config)
         k, v = kv_rows(tiny_config, 3)
         cache.append(0, k, v)
-        assert cache.packed_layer(0).shape == (3, 2 * tiny_config.kv_size)
+        assert cache.packed_rows(0, 0, 3).shape == (3, 2 * tiny_config.kv_size)
 
     def test_install_packed_bad_width(self, tiny_config):
         cache = KVCache(tiny_config)
@@ -107,7 +108,7 @@ class TestInstallAndPacking:
         cache = KVCache(tiny_config)
         k, v = kv_rows(tiny_config, 11, seed=4)
         cache.append(1, k, v)
-        packed = cache.packed_layer(1)
+        packed = cache.packed_rows(1, 0, 11)
         other = KVCache(tiny_config)
         other.install_view(1, 11)
         for start in range(0, 11, 4):
@@ -162,6 +163,20 @@ class TestEvictionAndComparison:
             b.append(layer, k + 1e-3, v)
         assert not a.equals(b)
         assert a.equals(b, atol=1e-2)
+
+    @pytest.mark.parametrize("cache_type", [KVCache, NaiveKVCache])
+    def test_equals_atol_is_absolute(self, tiny_config, cache_type):
+        """``atol`` bounds the difference alone: values near 10 that differ
+        by 1.5e-4 are not equal within 1e-4 (a relative term of 1e-5, numpy's
+        default, would widen the band there to 2e-4)."""
+        a, b = cache_type(tiny_config), cache_type(tiny_config)
+        k, v = kv_rows(tiny_config, 3)
+        for layer in range(tiny_config.n_layers):
+            a.append(layer, k + 10, v)
+            b.append(layer, k + 10 + np.float32(1.5e-4), v)
+        assert not a.equals(b, atol=1e-4)
+        assert not b.equals(a, atol=1e-4)
+        assert a.equals(b, atol=2e-4)
 
     def test_equals_shape_mismatch(self, tiny_config):
         a, b = KVCache(tiny_config), KVCache(tiny_config)

@@ -21,6 +21,8 @@ from repro.core.restoration import two_stream_timing
 from repro.core.scheduler import BubbleFreeScheduler
 from repro.cache.lru import LRUCache
 from repro.models.config import ModelConfig
+from repro.models.kv_cache import KVCache
+from repro.models.reference import naive_restore_cache_from_hidden
 from repro.models.transformer import Transformer
 from repro.storage.chunk import ChunkLayout
 
@@ -75,8 +77,9 @@ def test_restoration_lossless_for_any_model(
     tokens = np.random.default_rng(token_seed).integers(
         0, model.config.vocab_size, size=n_tokens
     )
-    result, cache = model.prefill(tokens, capture_hidden=True)
-    restored = model.restore_cache_from_hidden(result.hidden_states)
+    cache = KVCache(model.config)
+    result = model.forward(tokens, cache, capture_hidden=True)
+    restored = naive_restore_cache_from_hidden(model, result.hidden_states)
     assert cache.equals(restored)
 
 
@@ -92,7 +95,8 @@ def test_prefix_recompute_matches_full_prefill(n_prefix, n_tokens, token_seed):
     tokens = np.random.default_rng(token_seed).integers(
         0, model.config.vocab_size, size=n_tokens
     )
-    _, full = model.prefill(tokens)
+    full = KVCache(model.config)
+    model.forward(tokens, full)
     prefix_cache, _ = model.recompute_prefix(tokens, n_prefix)
     for layer in range(n_prefix):
         fk, fv = full.get(layer)

@@ -24,6 +24,7 @@ from repro.core.profiler import build_storage_array
 from repro.engine.numeric_engine import NumericServingEngine
 from repro.errors import ConfigError, StateError
 from repro.models.config import model_preset
+from repro.models.kv_cache import KVCache
 from repro.models.transformer import Transformer
 from repro.runtime import IOWorkerPool, RestoreExecutor, RestoreProgress, drain_granules
 from repro.runtime import executor as executor_module
@@ -49,7 +50,8 @@ def save_context(engine, model, config, n_tokens, context_id="c", seal=True, blo
     rng = np.random.default_rng(hash(context_id) % 2**32)
     tokens = rng.integers(0, config.vocab_size, size=n_tokens)
     engine.register_context(context_id)
-    result, cache = model.prefill(tokens, capture_hidden=True)
+    cache = KVCache(model.config)
+    result = model.forward(tokens, cache, capture_hidden=True)
     hidden = result.hidden_states
     for start in range(0, n_tokens, block):
         stop = min(start + block, n_tokens)

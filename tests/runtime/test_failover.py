@@ -11,6 +11,7 @@ import pytest
 from repro.core.hcache import HCacheEngine
 from repro.errors import DeviceFault
 from repro.models.config import model_preset
+from repro.models.kv_cache import KVCache
 from repro.models.transformer import Transformer
 from repro.runtime import RestoreExecutor
 from repro.simulator.hardware import GB, SSDSpec
@@ -39,7 +40,8 @@ def saved_stack():
     rng = np.random.default_rng(0)
     tokens = rng.integers(0, config.vocab_size, size=N_TOKENS)
     engine.register_context("c")
-    result, cache = model.prefill(tokens, capture_hidden=True)
+    cache = KVCache(model.config)
+    result = model.forward(tokens, cache, capture_hidden=True)
     for start in range(0, N_TOKENS, 37):
         stop = min(start + 37, N_TOKENS)
         engine.save_states(
