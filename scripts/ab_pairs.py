@@ -24,7 +24,8 @@ non-zero, whatever its metrics say.
 Verdicts follow the choosing-metrics rule: ``GAIN`` only when the change
 wins at least 9/10 of the pairs, its median beats the parent's by more
 than the parent's interquartile range, and no more of its requests failed
-than the parent's; ``WORSE`` when the change's median
+than the parent's — read ``too few pairs`` instead below ten pairs, where
+one loss in ten cannot be told from none; ``WORSE`` when the change's median
 is worse than the parent's by more than the metric's bound; ``unresolved``
 when the parent's own interquartile range is wider than the bound; else
 ``within bound``.  Standard library only.
@@ -41,6 +42,8 @@ from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 SIDES = ("parent", "change")
+#: Fewest pairs a ``GAIN`` verdict is read from (its win share is 9 of 10).
+MIN_PAIRS = 10
 
 
 def parse_seeds(text: str) -> list[int]:
@@ -158,7 +161,7 @@ def summarize(rows: list[dict], contract: list[dict]) -> list[str]:
                 and gain > p3 - p1
                 and failed["change"] <= failed["parent"]
             ):
-                verdict = "GAIN"
+                verdict = "GAIN" if len(pairs) >= MIN_PAIRS else "too few pairs"
             elif -gain > spec["bound"] * abs(pm):
                 verdict = "WORSE"
             elif p3 - p1 > spec["bound"] * abs(pm):

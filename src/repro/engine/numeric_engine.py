@@ -96,9 +96,13 @@ class NumericServingEngine:
         #: Notified by every restore on each landed layer and at its end.
         self._restore_changed = threading.Condition()
         #: Wall seconds of the last prefill-carrying iteration, net of the
-        #: time it spent waiting on landing layers — what a restore's
-        #: predicted remainder is compared with.
+        #: time it spent waiting on landing layers — how long the released
+        #: session's own prompt call is expected to take.
         self._prefill_s = 0.0
+        #: Wall seconds of the last model call, waits included: how far off
+        #: the next release decision is.  With both at 0 (no call made yet)
+        #: only an ended restore is released.
+        self._call_s = 0.0
         #: Sessions reported by :meth:`finished_restores` while their
         #: restore was still streaming (monotonic; tests and the smoke gate
         #: read it).
@@ -286,11 +290,12 @@ class NumericServingEngine:
                     del self._landing[state.session_id]
                     state.kv_cache = None
             raise
+        self._call_s = time.perf_counter() - started
         if chunks:
             # Net of the waits on landing layers (a session gates only this
             # one call: it is settled below), or each early release would
             # stretch the measurement that justifies the next one.
-            self._prefill_s = time.perf_counter() - started - sum(
+            self._prefill_s = self._call_s - sum(
                 self._landing[state.session_id].progress.blocked_s
                 for state in states
                 if state.session_id in self._landing
@@ -387,21 +392,27 @@ class NumericServingEngine:
         iteration once its restore's predicted remaining time is no
         longer than the last prefill-carrying iteration took — from then
         on the prefill can no longer outrun the layers still landing (the
-        bubble-free condition at the restore/prefill boundary).  A
-        restore that has ended has nothing remaining."""
+        bubble-free condition at the restore/prefill boundary) — plus the
+        last model call, the horizon to the next decision: a session held
+        now would start its prompt one call later, too late to overlap the
+        landing layers.  Released now, its first token comes no later (the
+        packed kernel waits per layer), and its co-batched decoders wait
+        at most one prefill longer.  A restore that has ended has nothing
+        remaining."""
+        horizon_s = self._prefill_s + self._call_s
         return [
             sid
             for sid, restoring in self._restoring.items()
-            if restoring.progress.remaining_s() <= self._prefill_s
+            if restoring.progress.remaining_s() <= horizon_s
         ]
 
     def finished_restores(self) -> list[str]:
-        """Sessions an iteration may now name (see :meth:`_releasable`),
-        made resident on the calling thread — workers never touch session
-        state.  One whose restore is still streaming steps on a second
-        handle over the restoring cache's rows, and the packed kernel
-        waits per layer for its history; a restore that failed raises
-        here and leaves its session evicted."""
+        """Sessions an iteration may now name (the one-iteration look-ahead
+        of :meth:`_releasable`), made resident on the calling thread —
+        workers never touch session state.  One whose restore is still
+        streaming steps on a second handle over the restoring cache's
+        rows, and the packed kernel waits per layer for its history; a
+        restore that failed raises here and leaves its session evicted."""
         released = self._releasable()
         for sid in released:
             restoring = self._restoring.pop(sid)
@@ -418,7 +429,9 @@ class NumericServingEngine:
         a failure all notify, and every restore ends in one of the three —
         so there is always a next event while nothing is reportable, and
         no timeout.  Returns per event, not per release: the loop gets to
-        admit new arrivals within one layer's time."""
+        admit new arrivals within one layer's time.  "Reportable" is the
+        look-ahead rule :meth:`finished_restores` applies, not a stricter
+        idle one: both agree on whether there is anything to wait for."""
         with self._restore_changed:
             if self._restoring and not self._releasable():
                 self._restore_changed.wait()

@@ -10,7 +10,7 @@ and the *failure path* (a restore dying under a waiting iteration).
 
 No test here depends on the wall clock for its schedule: reads are held
 by events or slowed by latency emulation, and :class:`EagerEngine` pins
-the one measured input of the release rule.
+the measured prefill term of the release rule.
 """
 
 from __future__ import annotations
@@ -54,7 +54,7 @@ FAST = SSDSpec("fast", read_bandwidth=100 * GB, write_bandwidth=100 * GB, io_lat
 class EagerEngine(NumericServingEngine):
     """Reports every restore at its first landed layer — and waits for it.
 
-    Pins the measured side of the release rule (the last prefill-carrying
+    Pins one measured term of the release rule (the last prefill-carrying
     iteration's time) to an hour, so a restore is releasable as soon as
     it has a pace at all, and blocks until every in-flight restore is.
     The schedule is then the synchronous one (a restore settles in the
@@ -379,6 +379,51 @@ def test_the_measured_rule_releases_only_a_restore_the_prefill_cannot_outrun(
         engine.evict("r")  # waits the restore out before sealing
         assert engine.session("r").kv_cache is None and not engine._landing
         assert hcache.restore("r").equals(hcache.restore("r", executor=executor))
+
+
+def test_the_rule_looks_one_model_call_ahead(tiny_model, tiny_config):
+    """A restore whose remainder exceeds the measured prefill is released
+    when it fits in the prefill plus the last model call — the next
+    decision is one call away — and held when it exceeds both.  Every
+    call sets the second term, a decode-only one too; only a
+    prefill-carrying call sets the first."""
+    rng = np.random.default_rng(75)
+    array = StorageArray([FAST], link_bandwidth=100 * GB)
+    hcache = HCacheEngine(tiny_model, StorageManager(array))
+    builder = NumericServingEngine(tiny_model, hcache)
+    builder.open_session("r")
+    builder.chat_round("r", tokens_of(tiny_config, rng, 30), 2)
+    builder.evict("r")
+    with RestoreExecutor(1) as executor:
+        engine = NumericServingEngine.recover(tiny_model, hcache, executor=executor)
+        engine.open_session("d")
+        engine.execute_iteration([("d", tokens_of(tiny_config, rng, 5))])
+        assert engine._call_s == engine._prefill_s > 0.0
+        prefill_s, engine._call_s = engine._prefill_s, 0.0
+        engine.execute_iteration(decode_tokens={"d": 1})
+        assert engine._call_s > 0.0 and engine._prefill_s == prefill_s
+        gate, log = threading.Event(), []
+        hold_last_layer_reads(hcache.storage, tiny_config.n_layers - 1, gate, log)
+        try:
+            engine.start_restores({"r": 64}, background=True)
+            progress = engine._restoring["r"].progress
+            for layer in range(tiny_config.n_layers - 1):
+                progress.wait_layer(layer)
+            # The last layer is held, so the predicted remainder only grows:
+            # two terms of a quarter of it now stay below it at any later check.
+            remaining = progress.remaining_s()
+            assert 0.0 < remaining < float("inf")
+            engine._prefill_s = engine._call_s = remaining / 4
+            assert engine.finished_restores() == [] and engine.early_releases == 0
+            # Beyond the prefill alone, inside the prefill plus the next call.
+            engine._call_s = 3600.0
+            assert progress.remaining_s() > engine._prefill_s
+            assert engine.finished_restores() == ["r"] and engine.early_releases == 1
+            assert engine.session("r").kv_cache.landing is progress
+        finally:
+            gate.set()
+        engine.evict("r")
+        assert engine.session("r").kv_cache is None and not engine._landing
 
 
 # ---------------------------------------------------------------------------

@@ -83,6 +83,17 @@ def test_eight_wins_of_ten_is_no_gain():
     assert got["ttft_p50_ms"] == ("8/0/2", "within bound")
 
 
+def test_fewer_than_ten_clear_wins_are_too_few_pairs():
+    for n, verdict in ((3, "too few pairs"), (6, "too few pairs"), (10, "GAIN")):
+        parent = [{"ttft_p50_ms": 200.0 + s, "req_per_s": 4.0, "token_match_rate": 1.0}
+                  for s in range(n)]
+        change = [{"ttft_p50_ms": 160.0 + s, "req_per_s": 4.0, "token_match_rate": 1.0}
+                  for s in range(n)]
+        got = verdicts(ab_pairs.summarize(canned_rows(parent, change), CONTRACT))
+        assert got["ttft_p50_ms"] == (f"{n}/0/0", verdict)
+        assert got["req_per_s"] == (f"0/{n}/0", "within bound")
+
+
 def test_gap_inside_the_parents_spread_is_no_gain():
     parent = [{"ttft_p50_ms": 150.0 + 5 * s, "req_per_s": 4.0, "token_match_rate": 1.0}
               for s in range(10)]
