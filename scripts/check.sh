@@ -125,13 +125,17 @@ echo "== restore follows the walk (virtual-clock twin of two_stream_timing, ever
 python -m pytest -q tests/core/test_restore_follows_walk.py
 
 echo "== paper figure/table/ablation benches (expectations asserted, timing disabled) =="
+figures_start="$(date +%s.%N)"
 require_or_skip pytest_benchmark python -m pytest -q benchmarks/bench_fig*.py \
     benchmarks/bench_tab*.py benchmarks/bench_abl*.py --benchmark-disable
-# The digests let a "figure outputs are byte-identical" claim be read
-# straight from the log: compare them with the parent commit's run.
+figures_end="$(date +%s.%N)"
+# The digests let a "figure outputs are byte-identical" claim, and the
+# wall seconds a "the figures cost no more" claim, be read straight from
+# the log (no gate: compare them with the parent commit's run).
 if compgen -G "benchmarks/results/*.txt" > /dev/null; then
     sha256sum benchmarks/results/*.txt
 fi
+echo "figure step: $(awk -v s="$figures_start" -v e="$figures_end" 'BEGIN { printf "%.1f", e - s }') s"
 
 # The examples are the README's walkthroughs (the quickstart lives only
 # there); each runs in well under a second, so a stale call in one fails

@@ -7,10 +7,10 @@ factor — with 8 KV heads out of 64, a KV pair is ``2D/8 = D/4``, *smaller*
 than the hidden state — and the paper suggests handling this by "first
 projecting the hidden states into a low-rank representation".
 
-This module quantifies that regime change and makes the scheduler handle
-it: :func:`analyze_gqa` schedules a variant by searching the full
-partition space (the closed forms assume the MHA byte ratio) and reports
-where the crossover sits for a model family.
+This module quantifies that regime change: :func:`analyze_gqa` schedules
+a variant with the bubble-free scheduler, whose search needs no MHA byte
+ratio (the §4.1.2 closed forms assume one), and reports where the
+crossover sits for a model family.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ class GQAAnalysis:
             heads).
         hcache_transmission_wins: True while hidden states are the smaller
             transfer — the classic HCache regime.
-        decision: The (search-based) scheduler's partition for this config.
+        decision: The scheduler's partition for this config.
     """
 
     config: ModelConfig
@@ -67,10 +67,9 @@ def analyze_gqa(
 ) -> GQAAnalysis:
     """Analyze one GQA variant's restoration strategy.
 
-    The decision comes from the exhaustive search, not the §4.1.2 closed
-    forms, which encode "hidden = KV/2": under aggressive GQA the optimum
-    can be pure KV offload, which only the search is guaranteed to find.
-    Layer counts are small, so the search is cheap.
+    The decision is :meth:`BubbleFreeScheduler.schedule`'s optimum over
+    the whole family, not the §4.1.2 closed forms, which encode "hidden =
+    KV/2": under aggressive GQA the optimum can be pure KV offload.
     """
     variant = with_kv_heads(config, n_kv_heads)
     ratio = hidden_to_kv_ratio(variant)
@@ -78,7 +77,7 @@ def analyze_gqa(
         config=variant,
         hidden_to_kv_ratio=ratio,
         hcache_transmission_wins=ratio < 1.0,
-        decision=BubbleFreeScheduler(variant.n_layers).schedule_by_search(
+        decision=BubbleFreeScheduler(variant.n_layers).schedule(
             profile_platform(variant, platform, n_tokens)
         ),
     )

@@ -31,9 +31,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterator
 
-from repro.core.partition import PartitionScheme, TokenPartition
+from repro.core.partition import LayerMethod, PartitionScheme, TokenPartition
 from repro.core.profiler import HardwareProfile, build_storage_array, profile_platform
 from repro.errors import ConfigError
 from repro.models.config import ModelConfig
@@ -110,6 +110,38 @@ def two_stream_timing(scheme: PartitionScheme, profile: HardwareProfile) -> Rest
         io_bubble=makespan - io_busy if io_work else 0.0,
         compute_bubble=(makespan - compute_start) - compute_busy if compute_work else 0.0,
     )
+
+
+def complement_makespans(
+    n_layers: int, profile: HardwareProfile
+) -> Iterator[tuple[int, LayerMethod, float]]:
+    """``(n_other, method, makespan)`` of every scheme with one complement:
+    ``n_other`` from ``n_layers`` down to 0, as a KV suffix, then (if
+    nonzero) as a recompute prefix.  Each makespan is the walk's bit for
+    bit, from the same additions and maxima in the same order, so change
+    the two together; sharing the hidden layers' stream ends makes the
+    sweep O(N²) additions, not 2N + 1 walks.
+    """
+    io_kv, c_h = profile.io_kv, profile.compute_hidden  # read in the O(N²) loops
+    io_end, compute_end = [0.0], [0.0]  # after h hidden layers, no prefix
+    token_end = [0.0]  # after r full-layer replays
+    for _ in range(n_layers):
+        io_end.append(io_end[-1] + profile.io_hidden)
+        compute_end.append(max(compute_end[-1], io_end[-1]) + c_h)
+        token_end.append(token_end[-1] + profile.compute_token)
+    for n_other in range(n_layers, -1, -1):
+        n_hidden = n_layers - n_other
+        io = io_end[n_hidden]
+        for _ in range(n_other):
+            io += io_kv
+        yield n_other, LayerMethod.KV, max(io, compute_end[n_hidden])
+        if n_other:
+            # The prefix's last layer is a projection, not a replay.
+            compute = token_end[n_other - 1] + c_h
+            for read_end in io_end[1 : n_hidden + 1]:
+                # ``max(compute, read_end)``, the same bits without the call.
+                compute = (compute if compute >= read_end else read_end) + c_h
+            yield n_other, LayerMethod.RECOMPUTE, max(io_end[n_hidden], compute)
 
 
 def scheme_timing(

@@ -17,12 +17,13 @@ method (``L_O``), so that the compute and IO streams finish together:
       ``L_H = ceil(N * C_token / (C_token + IO_H - C_H))``
 
 Both forms solve ``argmin max(stream finish times)`` subject to
-``L_H + L_O = N`` — the min-max program stated in §4.1.2.  The module also
-provides an exhaustive search over partitions, used by the ablation bench
-and the test suite to confirm the closed form's optimality on the
-two-stream timing model (which adds chunk granularity and GEMM
-quantization the closed form ignores).  :func:`hcache_timing` profiles,
-schedules and times one restoration end to end.
+``L_H + L_O = N``, the min-max program stated in §4.1.2, in continuous
+layers.  :meth:`BubbleFreeScheduler.schedule` solves the program itself:
+it prices every ``L_H`` with either complement on the two-stream walk
+(which adds the chunk granularity and GEMM quantization the closed forms
+ignore) and keeps the fastest, so the complement follows the prices,
+not the regime.  The closed form stays as the paper's reference value.
+:func:`hcache_timing` profiles, schedules and times one restoration.
 """
 
 from __future__ import annotations
@@ -31,9 +32,9 @@ import math
 from dataclasses import dataclass
 from functools import cache
 
-from repro.core.partition import PartitionScheme
+from repro.core.partition import LayerMethod, PartitionScheme
 from repro.core.profiler import HardwareProfile, profile_platform
-from repro.core.restoration import RestorationTiming, two_stream_timing
+from repro.core.restoration import RestorationTiming, complement_makespans, two_stream_timing
 from repro.errors import SchedulingError
 from repro.models.config import ModelConfig
 from repro.simulator.hardware import Platform
@@ -45,13 +46,11 @@ class ScheduleDecision:
 
     Attributes:
         scheme: The chosen per-layer partition.
-        profile: The hardware profile the decision was derived from.
         predicted_makespan: Modelled restoration time of the scheme.
         predicted_bubble_fraction: Idle fraction of the bottleneck stream.
     """
 
     scheme: PartitionScheme
-    profile: HardwareProfile
     predicted_makespan: float
     predicted_bubble_fraction: float
 
@@ -71,8 +70,6 @@ class BubbleFreeScheduler:
             raise SchedulingError("scheduler needs a positive layer count")
         self.n_layers = n_layers
 
-    # -- the paper's closed forms -------------------------------------
-
     def closed_form_l_h(self, profile: HardwareProfile) -> int:
         """``L_H`` from the §4.1.2 formulas, clamped to ``[0, N]``."""
         n = self.n_layers
@@ -85,89 +82,33 @@ class BubbleFreeScheduler:
         return max(0, min(n, l_h))
 
     def schedule(self, profile: HardwareProfile) -> ScheduleDecision:
-        """Choose the partition for ``profile`` via the closed form.
+        """The fastest scheme of the §4.1.2 family under :func:`two_stream_timing`.
 
-        The complementary method follows the platform regime: KV offload on
-        compute-bound platforms, token recomputation on IO-bound ones.  A
-        local refinement step checks the closed form's integer neighbours
-        — plus the two pure endpoints, so extreme profiles where mixing
-        never pays (e.g. hidden compute dwarfing the KV transfer it
-        saves) fall back to the better pure scheme — on the two-stream
-        timing model and keeps the best, mirroring how the real system would
-        re-profile around the analytic answer.
-
-        The *other* regime's pure endpoint is also evaluated: on a
-        compute-bound platform the regime complement is KV offload, but
-        when token recompute is cheaper than the projection itself
-        (``C_token < C_H`` — outside the paper's studied regime, where a
-        full-layer forward always dwarfs the two projection GEMMs) no
-        KV/hidden mix can beat simply recomputing every layer, so pure
-        recompute joins the candidate set (and symmetrically pure KV on
-        IO-bound platforms).  Mixed cross-regime complements stay out of
-        scope: within either regime's own cost model the mixed optimum is
-        already covered by the closed form plus these endpoints.  That
-        includes token-sourcing layer 0 on a compute-bound platform: it
-        would save the start-up read under any KV suffix, so it belongs
-        with the mixed recompute-prefix + KV-suffix schemes, and until
-        those exist compute-bound decisions keep a stored layer 0.
+        The family is every ``L_H`` with its complement as a KV suffix or
+        a recompute prefix, less the 1-layer prefix on a compute-bound
+        profile: layer 0 stays stored there, as token-sourcing it belongs
+        with the mixed prefix + KV-suffix schemes the family leaves out.
+        Members are taken larger complement first, KV suffix first, and a
+        later one wins only if it is faster by more than 1e-12 s.
         """
-        l_h = self.closed_form_l_h(profile)
-        candidates = {
-            max(0, min(self.n_layers, layers))
-            for layers in (l_h - 1, l_h, l_h + 1, 0, self.n_layers)
-        }
-        schemes = [self._scheme_for(profile, candidate) for candidate in sorted(candidates)]
-        if profile.compute_bound:
-            schemes.append(PartitionScheme.with_recompute_prefix(self.n_layers, self.n_layers))
+        best = (0, LayerMethod.KV, math.inf)
+        for n_other, method, makespan in complement_makespans(self.n_layers, profile):
+            if method is LayerMethod.RECOMPUTE and n_other == 1 and profile.compute_bound:
+                continue
+            if makespan < best[2] - 1e-12:
+                best = (n_other, method, makespan)
+        n_other, method, _ = best
+        if method is LayerMethod.KV:
+            scheme = PartitionScheme.with_kv_suffix(self.n_layers, n_other)
         else:
-            schemes.append(PartitionScheme.with_kv_suffix(self.n_layers, self.n_layers))
-        return self._best(schemes, profile)
-
-    def _scheme_for(self, profile: HardwareProfile, l_h: int) -> PartitionScheme:
-        l_o = self.n_layers - l_h
-        if profile.compute_bound:
-            return PartitionScheme.with_kv_suffix(self.n_layers, l_o)
-        return PartitionScheme.with_recompute_prefix(self.n_layers, l_o)
-
-    @staticmethod
-    def _best(schemes: list[PartitionScheme], profile: HardwareProfile) -> ScheduleDecision:
-        """Time every candidate once and decide on the fastest (the first
-        of any that tie within 1e-12 s)."""
-        best: tuple[RestorationTiming, PartitionScheme] | None = None
-        for scheme in schemes:
-            timing = two_stream_timing(scheme, profile)
-            if best is None or timing.makespan < best[0].makespan - 1e-12:
-                best = (timing, scheme)
-        assert best is not None
-        timing, scheme = best
+            scheme = PartitionScheme.with_recompute_prefix(self.n_layers, n_other)
+        timing = two_stream_timing(scheme, profile)
         bubble = timing.compute_bubble if profile.compute_bound else timing.io_bubble
         return ScheduleDecision(
             scheme=scheme,
-            profile=profile,
             predicted_makespan=timing.makespan,
             predicted_bubble_fraction=bubble / timing.makespan if timing.makespan > 0 else 0.0,
         )
-
-    # -- exhaustive verification --------------------------------------
-
-    def schedule_by_search(self, profile: HardwareProfile) -> ScheduleDecision:
-        """Exhaustively search every ``L_H`` with both complement types.
-
-        Slower than :meth:`schedule` but guaranteed optimal within the
-        layer-wise partition family; the test suite asserts the closed form
-        stays within a small factor of this.  The family is the one
-        :meth:`schedule` draws from: on a compute-bound profile layer 0
-        stays stored, so the 1-layer recompute prefix (a projection of
-        the token log — the start-up read saved at no compute) is left
-        to the mixed prefix + KV-suffix follow-up, not searched alone.
-        """
-        schemes = []
-        for l_h in range(self.n_layers + 1):
-            l_o = self.n_layers - l_h
-            schemes.append(PartitionScheme.with_kv_suffix(self.n_layers, l_o))
-            if not (profile.compute_bound and l_o == 1):
-                schemes.append(PartitionScheme.with_recompute_prefix(self.n_layers, l_o))
-        return self._best(schemes, profile)
 
 
 @cache

@@ -36,10 +36,10 @@ class GPUSpec:
         gemm_mfu: Model-FLOPS-utilization ceiling achieved by large,
             restoration-sized GEMMs on this GPU.  Calibrated against the
             paper's measurements: the A100 value makes the 13B schedule
-            land on Table 3's "36 H + 4 KV", and the A30 value reproduces
-            HCache-O trailing KV offload in the IO-sufficient ablation
-            (§6.3.1).  Smaller-SM parts sustain lower utilization on the
-            skinny K/V-projection GEMMs.
+            land on "35 H + 5 KV", one layer from Table 3's "36 H + 4 KV",
+            and the A30 value reproduces HCache-O trailing KV offload in
+            the IO-sufficient ablation (§6.3.1).  Smaller-SM parts sustain
+            lower utilization on the skinny K/V-projection GEMMs.
     """
 
     name: str

@@ -5,7 +5,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core.partition import PartitionScheme
 from repro.core.profiler import build_storage_array
+from repro.core.restoration import two_stream_timing
 from repro.engine import MemoryBudget, ServingFrontend, ServingRequest
 from repro.models import KVCache, Transformer, model_preset
 from repro.simulator import platform_preset
@@ -82,6 +84,31 @@ def default_platform():
 @pytest.fixture(scope="session")
 def dram_platform():
     return platform_preset("a100-dram")
+
+
+@pytest.fixture(scope="session")
+def schedule_oracle():
+    """The exhaustive search ``BubbleFreeScheduler.schedule`` must equal.
+
+    ``search(n_layers, profile)`` walks every ``L_H`` with a KV suffix,
+    then with a recompute prefix (none of 1 layer on a compute-bound
+    profile), larger complement first, and keeps the first scheme that
+    beats the best so far by more than 1e-12 s.  Returns ``(scheme,
+    timing)``.
+    """
+    def search(n_layers, profile):
+        best = None
+        for n_other in range(n_layers, -1, -1):
+            schemes = [PartitionScheme.with_kv_suffix(n_layers, n_other)]
+            if not (profile.compute_bound and n_other == 1):
+                schemes.append(PartitionScheme.with_recompute_prefix(n_layers, n_other))
+            for scheme in schemes:
+                timing = two_stream_timing(scheme, profile)
+                if best is None or timing.makespan < best[1].makespan - 1e-12:
+                    best = (scheme, timing)
+        return best
+
+    return search
 
 
 @pytest.fixture

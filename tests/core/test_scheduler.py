@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.core.partition import PartitionScheme
 from repro.core.profiler import HardwareProfile, profile_platform
@@ -80,11 +82,12 @@ class TestOptimality:
             profile(10.0, 20.0, 1.0, 3.0),
         ],
     )
-    def test_closed_form_near_exhaustive_optimum(self, prof):
+    def test_schedule_is_the_exhaustive_optimum(self, prof, schedule_oracle):
         scheduler = BubbleFreeScheduler(32)
-        fast = scheduler.schedule(prof)
-        best = scheduler.schedule_by_search(prof)
-        assert fast.predicted_makespan <= best.predicted_makespan * 1.05
+        decision = scheduler.schedule(prof)
+        scheme, timing = schedule_oracle(32, prof)
+        assert decision.scheme == scheme
+        assert decision.predicted_makespan == timing.makespan
 
     def test_scheduled_beats_pure_variants(self):
         """The scheduler's pick is at least as good as all-hidden,
@@ -99,12 +102,11 @@ class TestOptimality:
         ):
             assert decision.predicted_makespan <= two_stream_timing(pure, prof).makespan + 1e-12
 
-    def test_compute_bound_cheap_recompute_picks_pure_recompute(self):
+    def test_compute_bound_cheap_recompute_picks_pure_recompute(self, schedule_oracle):
         """Pinned: compute-bound platform with C_token < C_H (outside the
         paper's regime — recomputing a layer is cheaper than its
         projection).  The regime complement (KV offload) can never beat
-        pure recompute here; the scheduler must consider the
-        cross-regime endpoint rather than return a dominated KV mix."""
+        pure recompute here, so the scheduler must not return a KV mix."""
         scheduler = BubbleFreeScheduler(8)
         prof = profile(1.0, 2.0, 5.0, 1.0)  # compute-bound, c_tok < c_h
         assert prof.compute_bound
@@ -116,11 +118,9 @@ class TestOptimality:
             decision.predicted_makespan
             <= two_stream_timing(pure_recompute, prof).makespan + 1e-12
         )
-        # And it matches the exhaustive search, which always knew better.
-        best = scheduler.schedule_by_search(prof)
-        assert decision.predicted_makespan <= best.predicted_makespan + 1e-12
+        assert decision.scheme == schedule_oracle(8, prof)[0]
 
-    def test_io_bound_cheap_kv_picks_pure_kv(self):
+    def test_io_bound_cheap_kv_picks_pure_kv(self, schedule_oracle):
         """Symmetric pinned case: IO-bound platform whose KV bytes move
         faster than hidden bytes restore (e.g. heavily quantized KV).
         Pure KV offload beats every recompute mix."""
@@ -130,14 +130,41 @@ class TestOptimality:
         decision = scheduler.schedule(prof)
         assert decision.scheme.n_kv == 8
         assert decision.scheme.n_hidden == 0
-        best = scheduler.schedule_by_search(prof)
-        assert decision.predicted_makespan <= best.predicted_makespan + 1e-12
+        assert decision.scheme == schedule_oracle(8, prof)[0]
 
     def test_bubble_small_after_scheduling(self):
         scheduler = BubbleFreeScheduler(40)
         prof = profile(1.0, 2.0, 3.0, 12.0)
         decision = scheduler.schedule(prof)
         assert decision.predicted_bubble_fraction < 0.15
+
+
+#: Per-layer seconds from 0 to 10 s, with exact values over-weighted so
+#: members tie: zero costs, ``C_token < C_H`` and ``IO_KV < IO_H`` all
+#: come up.
+COSTS = st.one_of(st.sampled_from((0.0, 0.5, 1.0, 2.0)), st.floats(0.0, 10.0))
+
+
+@settings(max_examples=200, deadline=None)
+# Bench-mid (12 layers) at 1 024 tokens, as the restore-follows-the-walk
+# twin prices it at 0.1, 0.3 and 1 GB/s.
+@example(io_h=21.3e-3, io_kv=42.3e-3, c_h=10.5e-3, c_tok=96e-3, n_layers=12)
+@example(io_h=7.3e-3, io_kv=14.3e-3, c_h=10.5e-3, c_tok=96e-3, n_layers=12)
+@example(io_h=2.4e-3, io_kv=4.5e-3, c_h=10.5e-3, c_tok=96e-3, n_layers=12)
+@example(io_h=0.0, io_kv=0.0, c_h=0.0, c_tok=0.0, n_layers=48)
+@example(io_h=1.0, io_kv=2.0, c_h=5.0, c_tok=1.0, n_layers=1)
+@given(io_h=COSTS, io_kv=COSTS, c_h=COSTS, c_tok=COSTS, n_layers=st.integers(1, 48))
+def test_schedule_equals_the_exhaustive_search(
+    io_h, io_kv, c_h, c_tok, n_layers, schedule_oracle
+):
+    """The scheduler's decision is the oracle's, in scheme and makespan:
+    the sweep prices every member exactly as the walk does, and keeps the
+    search's tie order."""
+    prof = HardwareProfile("synthetic", 1024, io_h, io_kv, c_h, c_tok)
+    decision = BubbleFreeScheduler(n_layers).schedule(prof)
+    scheme, timing = schedule_oracle(n_layers, prof)
+    assert decision.scheme == scheme
+    assert decision.predicted_makespan == timing.makespan
 
 
 class TestRealPlatforms:
@@ -159,6 +186,19 @@ class TestRealPlatforms:
         decision = BubbleFreeScheduler(thirteen_b.n_layers).schedule(prof)
         assert decision.scheme.n_kv > 0
         assert 33 <= decision.scheme.n_hidden <= 38
+
+    def test_13b_compute_sufficient_takes_the_optimum_off_the_closed_form(
+        self, thirteen_b, schedule_oracle
+    ):
+        """The closed form gives L_H = 32 here, and its neighbour 31 H + 9 RE
+        (50.09 ms) is not the optimum: 30 H + 10 RE (49.96 ms) is."""
+        prof = profile_platform(thirteen_b, platform_preset("compute-sufficient"), 1024)
+        scheduler = BubbleFreeScheduler(thirteen_b.n_layers)
+        assert scheduler.closed_form_l_h(prof) == 32
+        decision = scheduler.schedule(prof)
+        assert decision.scheme == PartitionScheme.with_recompute_prefix(40, 10)
+        assert decision.scheme.describe() == "30 H + 10 RE"
+        assert decision.predicted_makespan == schedule_oracle(40, prof)[1].makespan
 
     def test_30b_uses_recompute_complement(self, opt_30b):
         """Table 3: 30B = "40 H + 8 RE" (IO-bound with 4 GPUs, 4 SSDs)."""

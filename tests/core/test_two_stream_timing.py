@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from repro.core.partition import LayerMethod, PartitionScheme, TokenPartition
 from repro.core.profiler import HardwareProfile
-from repro.core.restoration import tokenwise_timing, two_stream_timing
+from repro.core.restoration import complement_makespans, tokenwise_timing, two_stream_timing
 from repro.core.scheduler import BubbleFreeScheduler
 from repro.simulator.hardware import platform_preset
 
@@ -136,7 +136,7 @@ class TestClosedForms:
         assert isinstance(timing.io_busy, float)
 
     def test_decision_reads_its_own_timing(self, times):
-        """The scheduler times each candidate once: its makespan and
+        """The scheduler walks its decision once: its makespan and
         bottleneck bubble fraction come from the chosen scheme's record."""
         profile = make_profile(*times)
         decision = BubbleFreeScheduler(N_LAYERS).schedule(profile)
@@ -276,3 +276,22 @@ def test_walk_matches_event_replay_bit_for_bit(n_recompute, stored, times):
         timing.compute_bubble,
     )
     assert walked == event_replay(scheme, profile)
+
+
+@settings(max_examples=100, deadline=None)
+@given(times=st.tuples(_SECONDS, _SECONDS, _SECONDS, _SECONDS), n_layers=st.integers(1, 48))
+def test_complement_sweep_is_the_walk_bit_for_bit(times, n_layers):
+    """Every scheme with one complement, in the scheduler's order, at the
+    walk's makespan to the last bit."""
+    profile = make_profile(*times)
+    swept = list(complement_makespans(n_layers, profile))
+    expected = []
+    for n_other in range(n_layers, -1, -1):
+        expected.append((n_other, LayerMethod.KV, PartitionScheme.with_kv_suffix))
+        if n_other:
+            expected.append(
+                (n_other, LayerMethod.RECOMPUTE, PartitionScheme.with_recompute_prefix)
+            )
+    assert [member[:2] for member in swept] == [member[:2] for member in expected]
+    for (n_other, _, makespan), (_, _, complement) in zip(swept, expected):
+        assert makespan == two_stream_timing(complement(n_layers, n_other), profile).makespan

@@ -63,15 +63,19 @@ class TestRegimeChange:
         gqa = analyze_gqa(seven_b, default_platform, 1024, 4)
         assert gqa.decision.predicted_makespan < mha.decision.predicted_makespan
 
-    def test_search_never_worse_than_closed_form(self, seven_b, default_platform):
+    @pytest.mark.parametrize("n_kv_heads", [32, 16, 8, 4])
+    def test_decision_is_the_exhaustive_optimum(
+        self, seven_b, default_platform, schedule_oracle, n_kv_heads
+    ):
+        """The closed forms assume the MHA byte ratio; the decision does not."""
         from repro.core.profiler import profile_platform
-        from repro.core.scheduler import BubbleFreeScheduler
 
-        variant = with_kv_heads(seven_b, 8)
+        variant = with_kv_heads(seven_b, n_kv_heads)
         profile = profile_platform(variant, default_platform, 1024)
-        closed = BubbleFreeScheduler(variant.n_layers).schedule(profile)
-        searched = analyze_gqa(seven_b, default_platform, 1024, 8).decision
-        assert searched.predicted_makespan <= closed.predicted_makespan + 1e-12
+        decision = analyze_gqa(seven_b, default_platform, 1024, n_kv_heads).decision
+        scheme, timing = schedule_oracle(variant.n_layers, profile)
+        assert decision.scheme == scheme
+        assert decision.predicted_makespan == timing.makespan
 
 
 class TestNumericGQA:
