@@ -1,9 +1,10 @@
 """Multi-round conversation with eviction between rounds (§2.3 scenario).
 
 A chatbot session accumulates history round by round.  GPU memory only
-holds a handful of sessions (§2.4), so this example evicts the session's
-KV cache after every round and restores it from hidden states when the
-user returns — then double-checks that the conversation transcript is
+holds a handful of sessions (§2.4), so this example serves each round
+through the serving loop with ``evict_on_finish=True``: the session's KV
+cache is evicted when its round finishes and restored from hidden states
+when the user returns — then the example double-checks that the conversation transcript is
 *identical* to one served without any eviction, and reports what the
 restoration would cost for Llama2-7B at each round's history length.
 
@@ -16,7 +17,7 @@ import numpy as np
 
 from repro.core import HCacheEngine, hcache_timing, method_timing
 from repro.core.profiler import build_storage_array
-from repro.engine import NumericServingEngine
+from repro.engine import MemoryBudget, NumericServingEngine, ServingFrontend, ServingRequest
 from repro.models import KVCache, Transformer, model_preset
 from repro.simulator import platform_preset
 from repro.storage import StorageManager
@@ -50,6 +51,9 @@ def main() -> None:
     storage = StorageManager(build_storage_array(platform))
     _, decision = hcache_timing(config, platform, 1024)
     engine = NumericServingEngine(model, HCacheEngine(model, storage, scheme=decision.scheme))
+    frontend = ServingFrontend(
+        engine, MemoryBudget(capacity_tokens=config.max_context), evict_on_finish=True
+    )
 
     rng = np.random.default_rng(17)
     prompts = [rng.integers(0, config.vocab_size, size=n) for n, _ in ROUNDS]
@@ -57,7 +61,6 @@ def main() -> None:
 
     seven_b = model_preset("llama2-7b")
 
-    engine.open_session("alice")
     transcript = []
     history = 0
     print("round  history  restore(HCache)  restore(KV offload)  response tokens")
@@ -73,11 +76,13 @@ def main() -> None:
             offload = method_timing("kv-offload", seven_b, platform, scaled)
             restore_note = f"{hcache.makespan * 1e3:8.2f} ms"
             offload_note = f"{offload.makespan * 1e3:8.2f} ms"
-        response = engine.chat_round("alice", prompt, n_out)
+        handle = frontend.submit(
+            ServingRequest(session_id="alice", prompt_tokens=prompt, max_new_tokens=n_out)
+        )
+        response = list(frontend.stream(handle))
         transcript.append(response)
         history = len(engine.session("alice").tokens)
         print(f"{i:>5}  {history:>7}  {restore_note:>15}  {offload_note:>19}  {response}")
-        engine.evict("alice")
 
     reference = uninterrupted_reference(model, prompts, outputs)
     print(f"\ntranscript identical to never-evicted serving: {transcript == reference}")

@@ -212,7 +212,8 @@ class ServingEngine(_Protocol):
 
     def wait_for_restores(self) -> None:
         """Nothing but unreported restores is runnable: return when one
-        may have become reportable."""
+        may have become reportable.  An engine that holds no restore in
+        flight may raise instead: nothing would ever become reportable."""
 
     def execute_iteration(
         self,

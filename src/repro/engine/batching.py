@@ -4,7 +4,8 @@ Requests join and leave the running batch at iteration granularity [Orca].
 Admission is gated on GPU memory: a request needs KV room for its whole
 context (history + prompt + output budget), which is what limits an
 A100-40G to a handful of long contexts (§2.4) and produces the 13B
-throughput ceiling in Fig. 9b.
+throughput ceiling in Fig. 9b.  It is gated on the session too: a
+session's rounds run one at a time, in the order they were queued.
 """
 
 from __future__ import annotations
@@ -84,35 +85,31 @@ class ContinuousBatcher:
             and len(self.running) < self.max_running
         )
 
-    def admit(
-        self,
-        now: float,
-        finished_sessions: set[str] | None = None,
-    ) -> list[Request]:
+    def admit(self, now: float) -> list[Request]:
         """Admit queued requests FCFS while memory allows.
 
-        ``finished_sessions`` gates dependent rounds: a round whose
-        predecessor has not finished stays queued even if memory is free
-        (users do not send round *k+1* before reading round *k*).
+        A session runs one round at a time, in submission order (users
+        do not send round *k+1* before reading round *k*): a round whose
+        session has a round running stays queued even if memory is free,
+        and does not hold up other sessions' rounds behind it.
         """
         admitted: list[Request] = []
         blocked: deque[Request] = deque()
+        busy = {r.spec.session_id for r in self.running}
         while self.queue:
             request = self.queue.popleft()
-            dep = request.spec.depends_on
-            dep_ready = dep is None or (finished_sessions is not None and dep in finished_sessions)
-            if dep_ready and self._fits(request.spec):
-                self._reserved_tokens += request.spec.total_context
-                request.admitted_at = now
-                self.running.append(request)
-                admitted.append(request)
-            else:
+            if request.spec.session_id in busy:
                 blocked.append(request)
-                # FCFS head-of-line: memory-blocked requests keep order,
-                # but dependency-blocked ones must not starve later arrivals.
-                if not dep_ready:
-                    continue
+                continue
+            if not self._fits(request.spec):
+                # FCFS head-of-line: memory-blocked requests keep order.
+                blocked.append(request)
                 break
+            busy.add(request.spec.session_id)
+            self._reserved_tokens += request.spec.total_context
+            request.admitted_at = now
+            self.running.append(request)
+            admitted.append(request)
         while blocked:
             self.queue.appendleft(blocked.pop())
         return admitted

@@ -151,11 +151,8 @@ class ServingFrontend:
         self._iteration = 0
         #: Ids of submitted, unfinished requests (the duplicate-id check).
         self._in_flight: set[str] = set()
-        #: Finished ids a queued round still ``depends_on``; dropped when
-        #: that round is admitted.
-        self._finished_deps: set[str] = set()
         #: Last submitted (not yet finished) request per session: the next
-        #: round depends on it and builds on the context it will leave.
+        #: round builds on the context it will leave.
         self._session_tail: dict[str, _Request] = {}
         self._round_counter: dict[str, int] = {}
 
@@ -216,7 +213,6 @@ class ServingFrontend:
             history_tokens=history,
             input_tokens=int(request.prompt_tokens.size),
             output_tokens=request.max_new_tokens,
-            depends_on=None if tail is None else tail.spec.request_id,
         )
         if int(request.prompt_tokens.max()) >= self.engine.vocab_size:
             self._rejected += 1
@@ -262,20 +258,21 @@ class ServingFrontend:
     def step(self) -> _IterationStats:
         """Run one serving iteration; at most one batched model call.
 
-        The one order: **admit** queued requests FCFS under the KV budget
-        → **start restores** for the admitted rounds whose history
-        is evicted → **settle** whatever restores have finished (after
-        the start, so a synchronous restore, a free one and a background
-        one that completed since the last step are the same case) →
-        **plan** the SplitFuse token budget over decoding + prefilling
-        requests, prefills in earliest-TTFT-deadline order → **execute**
-        the plan as one fused engine call → **retire** requests whose
-        final token has now been fed and saved.
+        The one order: **admit** queued requests FCFS under the KV budget,
+        one round per session at a time → **start restores** for the
+        admitted rounds whose history is evicted → **settle** whatever
+        restores have finished (after the start, so a synchronous
+        restore, a free one and a background one that completed since
+        the last step are the same case) → **plan** the SplitFuse token
+        budget over decoding + prefilling requests, prefills in
+        earliest-TTFT-deadline order → **execute** the plan as one fused
+        engine call → **retire** requests whose final token has now been
+        fed and saved.
         """
         now = self._clock()
         index = self._iteration
         self._iteration += 1
-        admitted = self.batcher.admit(now, finished_sessions=self._finished_deps)
+        admitted = self.batcher.admit(now)
         restores_started = self._start_admitted(admitted, now)
         restores_completed = self._settle_restores()
         # Earliest TTFT deadline first; the sort is stable, so best-effort
@@ -335,7 +332,6 @@ class ServingFrontend:
         """Move admitted requests into RESTORING or PREFILLING."""
         restoring: list[_Request] = []
         for request in admitted:
-            self._finished_deps.discard(request.spec.depends_on)
             if self.engine.begin_round(request.spec.session_id, request.spec.total_context):
                 request.phase = _Phase.RESTORING
                 request.restore_started_at = now
@@ -363,14 +359,12 @@ class ServingFrontend:
         return tuple(r.spec.request_id for r in completed)
 
     def _finish(self, request: _Request) -> None:
-        request_id, session_id = request.spec.request_id, request.spec.session_id
+        session_id = request.spec.session_id
         request.mark_finished(self._clock())
         self.batcher.release(request)
-        self._in_flight.discard(request_id)
+        self._in_flight.discard(request.spec.request_id)
         if self._session_tail[session_id] is not request:
-            # The session's next round is queued behind this one.
-            self._finished_deps.add(request_id)
-            return
+            return  # the session's next round is queued behind this one
         del self._session_tail[session_id]
         if self.evict_on_finish:
             self.engine.evict(session_id)

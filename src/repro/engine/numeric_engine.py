@@ -4,8 +4,8 @@ Where :mod:`repro.engine.serving` models *time*, this engine models
 *values*: it runs the numpy transformer for actual multi-round sessions,
 saves hidden states through the HCache engine as tokens are produced,
 evicts GPU state between rounds, restores it on the next round, and
-generates real tokens.  Every round, the front end's and
-:meth:`NumericServingEngine.chat_round`'s alike, runs on the packed
+generates real tokens.  Every round is served by the one loop,
+:class:`~repro.engine.frontend.ServingFrontend`, and runs on the packed
 kernel through :meth:`NumericServingEngine.execute_iteration`.
 Correctness tests compare its token streams against an uninterrupted
 serial ``Transformer.forward`` run of the same conversation, the oracle
@@ -75,10 +75,10 @@ class NumericServingEngine:
         ``executor`` (optional) is a shared :class:`RestoreExecutor`:
         every restoration this engine performs then overlaps its storage
         reads with projection compute on the executor's IO worker pool,
-        and :meth:`start_restores` brings several evicted sessions back
-        concurrently through that one pool — ``chat_round``'s implicit
-        restores included.  Restored values are bit-identical in every
-        case.
+        and :meth:`start_restores` — the one place this engine starts a
+        restore — brings several evicted sessions back concurrently
+        through that one pool.  Restored values are bit-identical in
+        every case.
         """
         if hcache.transformer is not transformer:
             raise ConfigError("HCache engine must wrap the same transformer")
@@ -120,7 +120,7 @@ class NumericServingEngine:
 
         ``hcache`` comes from :meth:`HCacheEngine.recover`; each of its
         contexts becomes an evicted session whose token log is the
-        durable log — the next :meth:`chat_round` restores its KV cache
+        durable log — the next round served restores its KV cache
         through the completely ordinary restore path.  Tokens past the
         durability boundary (unsealed tail rows lost in the crash) are
         simply absent from the log, as if they were never generated.
@@ -161,41 +161,6 @@ class NumericServingEngine:
 
     def history_length(self, session_id: str) -> int:
         return len(self.session(session_id).tokens)
-
-    def chat_round(
-        self, session_id: str, prompt_tokens: np.ndarray, n_output_tokens: int
-    ) -> list[int]:
-        """Serve one conversation round, restoring evicted state if needed.
-
-        A driver of :meth:`execute_iteration`, the kernel the front end
-        runs: the prompt is one prefill iteration and every generated
-        token, the last one included, is fed back as one decode
-        iteration, so the token log and the saved states cover the whole
-        round.  Returns the generated token ids.  A round that cannot fit
-        ``max_context`` is refused before the session is touched.
-        """
-        state = self.session(session_id)
-        prompt_tokens = np.asarray(prompt_tokens)
-        if prompt_tokens.ndim != 1 or prompt_tokens.size == 0:
-            raise ConfigError("prompt must be a non-empty 1-D token array")
-        if n_output_tokens <= 0:
-            raise ConfigError("output length must be positive")
-        round_tokens = len(state.tokens) + prompt_tokens.size + n_output_tokens
-        if round_tokens > self.max_context:
-            raise ConfigError(f"context {round_tokens} exceeds max {self.max_context}")
-        self._settle_restore(session_id)
-        # The cache is sized for the whole round, so no step recopies history.
-        if self.begin_round(session_id, round_tokens):
-            self._check_restorable([session_id])
-            state.kv_cache = self.hcache.restore(
-                session_id, reserve_tokens=round_tokens, executor=self.executor
-            )
-        result = self.execute_iteration([(session_id, prompt_tokens)])
-        generated: list[int] = []
-        for _ in range(n_output_tokens):
-            generated.append(result.next_tokens[session_id])
-            result = self.execute_iteration(decode_tokens={session_id: generated[-1]})
-        return generated
 
     def _resident(self, session_id: str, *, decoding: bool = False) -> SessionState:
         """The session, holding a GPU cache that agrees with its token log.
@@ -346,10 +311,13 @@ class NumericServingEngine:
         threads under released GILs) — while the caller keeps iterating
         when ``background``, as one burst finished before this returns
         otherwise.  Without one they restore here, one after the other.
-        No iteration may touch a session until :meth:`finished_restores`
-        reports it.  Caches are bit-identical every way.  A batch naming
-        a session that is not evicted and idle raises ``StateError``
-        before any restore starts (:meth:`_check_restorable`).
+        Every restore is recorded before it runs, and a failure stays in
+        its own future, inline as on a worker: :meth:`finished_restores`
+        raises it.  No iteration may touch a session until
+        :meth:`finished_restores` reports it.  Caches are bit-identical
+        every way.  A batch naming a session that is not evicted and idle
+        raises ``StateError`` before any restore starts
+        (:meth:`_check_restorable`).
         """
         session_ids = list(reserve_tokens)
         self._check_restorable(session_ids)
@@ -359,21 +327,24 @@ class NumericServingEngine:
             for sid in session_ids
         }
         if self.executor is None:
-            futures: dict[str, Future[KVCache]] = {}
-            for sid in session_ids:
-                futures[sid] = Future()
-                futures[sid].set_result(
-                    self.hcache.restore(sid, reserve_tokens[sid], progress=progress[sid])
-                )
-                futures[sid].add_done_callback(progress[sid].settle)
+            futures: dict[str, Future[KVCache]] = {sid: Future() for sid in session_ids}
         else:
             futures = self.executor.restore_contexts_async(
                 self.hcache, session_ids, reserve_tokens=reserve_tokens, progress=progress
             )
-            if not background:
-                wait(futures.values())
         for sid in session_ids:
             self._restoring[sid] = _Restoring(futures[sid], progress[sid])
+        if self.executor is None:
+            for sid in session_ids:
+                futures[sid].add_done_callback(progress[sid].settle)
+                try:
+                    futures[sid].set_result(
+                        self.hcache.restore(sid, reserve_tokens[sid], progress=progress[sid])
+                    )
+                except Exception as error:
+                    futures[sid].set_exception(error)
+        elif not background:
+            wait(futures.values())
 
     def _check_restorable(self, session_ids: Sequence[str]) -> None:
         """The one restore precondition, checked for a whole batch before
@@ -411,14 +382,20 @@ class NumericServingEngine:
         of :meth:`_releasable`), made resident on the calling thread —
         workers never touch session state.  One whose restore is still
         streaming steps on a second handle over the restoring cache's
-        rows, and the packed kernel waits per layer for its history; a
-        restore that failed raises here and leaves its session evicted."""
+        rows, and the packed kernel waits per layer for its history.  A
+        restore that failed raises here, before any other is released
+        (they stay recorded for the next call), and leaves its session
+        evicted."""
         released = self._releasable()
         for sid in released:
+            future = self._restoring[sid].future
+            error = future.exception() if future.done() else None
+            if error is not None:
+                del self._restoring[sid]
+                raise error
+        for sid in released:
             restoring = self._restoring.pop(sid)
-            if restoring.future.done():
-                restoring.future.result()
-            else:
+            if not restoring.future.done():
                 self.early_releases += 1
             self.session(sid).kv_cache = restoring.progress.step_cache
             self._landing[sid] = restoring
@@ -431,9 +408,13 @@ class NumericServingEngine:
         no timeout.  Returns per event, not per release: the loop gets to
         admit new arrivals within one layer's time.  "Reportable" is the
         look-ahead rule :meth:`finished_restores` applies, not a stricter
-        idle one: both agree on whether there is anything to wait for."""
+        idle one: both agree on whether there is anything to wait for.
+        With no restore in flight no event would ever come: the caller
+        waits on a failed restore's session, and ``StateError`` says so."""
         with self._restore_changed:
-            if self._restoring and not self._releasable():
+            if not self._restoring:
+                raise StateError("no restore in flight to wait for")
+            if not self._releasable():
                 self._restore_changed.wait()
 
     def _settle_restore(self, session_id: str) -> None:

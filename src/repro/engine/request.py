@@ -36,13 +36,11 @@ class RequestSpec:
     Attributes:
         request_id: Unique id.
         session_id: Conversation / context identity; rounds of one session
-            share it and execute in order.
+            share it and execute one at a time, in submission order.
         arrival_time: When the user submits the round (seconds).
         history_tokens: Evicted context that must be restored first.
         input_tokens: New prompt length.
         output_tokens: Tokens the model will generate.
-        depends_on: Optional id of the session's previous round; the engine
-            will not start this request before that one finishes.
     """
 
     request_id: str
@@ -51,7 +49,6 @@ class RequestSpec:
     history_tokens: int
     input_tokens: int
     output_tokens: int
-    depends_on: str | None = None
 
     def __post_init__(self) -> None:
         if self.arrival_time < 0:

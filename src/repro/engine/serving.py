@@ -296,8 +296,7 @@ class ServingSimulator:
                 continue
             if idx == len(pending) and frontend.queue_depth:
                 raise SimulationError(
-                    "queued requests can never be admitted "
-                    "(memory too small or dependency missing)"
+                    "queued requests can never be admitted (memory too small)"
                 )
             engine.wait_for_restores()  # nothing runnable: skip to the next arrival
         return summarize(self.responses)

@@ -3,8 +3,8 @@
 The paper's multi-round experiments start sessions with Poisson arrivals
 and space rounds within a session 30 seconds apart (§6.1.1).  This module
 turns sampled conversations into the flat, time-ordered request list the
-serving simulator consumes, wiring round dependencies so round *k+1* never
-starts before round *k* finishes.
+serving simulator consumes; rounds of one conversation share its session
+id, and the serving loop never starts round *k+1* before round *k* finishes.
 """
 
 from __future__ import annotations
@@ -41,31 +41,25 @@ def conversation_requests(
     session_start: float,
     round_interval: float = ROUND_INTERVAL_SECONDS,
 ) -> list[RequestSpec]:
-    """Expand one conversation into dependent round requests.
+    """Expand one conversation into its round requests, one per round.
 
-    Round ``k`` arrives ``k * round_interval`` after the session start and
-    depends on round ``k-1``; the engine additionally refuses to start it
-    before the dependency finishes, so slow service cannot reorder rounds.
+    Round ``k`` arrives ``k * round_interval`` after the session start;
+    the serving loop additionally refuses to start it while round
+    ``k-1`` of the same session runs, so slow service cannot reorder rounds.
     """
     if round_interval < 0:
         raise ConfigError("round interval must be non-negative")
-    specs: list[RequestSpec] = []
-    previous_id: str | None = None
-    for r in conversation.rounds:
-        request_id = f"{conversation.session_id}/r{r.round_index}"
-        specs.append(
-            RequestSpec(
-                request_id=request_id,
-                session_id=conversation.session_id,
-                arrival_time=session_start + r.round_index * round_interval,
-                history_tokens=r.history_tokens,
-                input_tokens=r.input_tokens,
-                output_tokens=r.output_tokens,
-                depends_on=previous_id,
-            )
+    return [
+        RequestSpec(
+            request_id=f"{conversation.session_id}/r{r.round_index}",
+            session_id=conversation.session_id,
+            arrival_time=session_start + r.round_index * round_interval,
+            history_tokens=r.history_tokens,
+            input_tokens=r.input_tokens,
+            output_tokens=r.output_tokens,
         )
-        previous_id = request_id
-    return specs
+        for r in conversation.rounds
+    ]
 
 
 def build_workload(

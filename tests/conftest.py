@@ -116,7 +116,41 @@ def storage_manager(default_platform):
     return StorageManager(build_storage_array(default_platform))
 
 
-@pytest.fixture
+def _serve(engine, rounds, n_output_tokens):
+    """Serve ``rounds`` (``[(session_id, prompt), ...]``) through one
+    front end, every round submitted at once, and run it until idle."""
+    frontend = ServingFrontend(
+        engine, MemoryBudget(capacity_tokens=1 << 20), overlap_restores=False
+    )
+    handles = [
+        frontend.submit(
+            ServingRequest(
+                session_id=session_id, prompt_tokens=prompt, max_new_tokens=n_output_tokens
+            )
+        )
+        for session_id, prompt in rounds
+    ]
+    frontend.run_until_idle(max_steps=10_000)
+    return [list(handle.result().tokens) for handle in handles]
+
+
+@pytest.fixture(scope="session")
+def serve_round():
+    """One conversation round via ``ServingFrontend.submit/step``.
+
+    ``serve(engine, session_id, prompt, n_output_tokens)`` serves the
+    round on a front end of its own (an evicted history restores as one
+    synchronous burst, the session stays resident afterwards) and
+    returns the generated tokens.  A round the front end refuses raises
+    its ``AdmissionError`` with the session untouched.
+    """
+    def serve(engine, session_id, prompt, n_output_tokens):
+        return _serve(engine, [(session_id, prompt)], n_output_tokens)[0]
+
+    return serve
+
+
+@pytest.fixture(scope="session")
 def serve_rounds():
     """One round for several sessions via ``ServingFrontend.submit/step``.
 
@@ -126,24 +160,8 @@ def serve_rounds():
     ``{session_id: generated tokens}``.
     """
     def serve(engine, rounds, n_output_tokens):
-        frontend = ServingFrontend(
-            engine,
-            MemoryBudget(capacity_tokens=1 << 20),
-            evict_on_finish=False,
-            overlap_restores=False,
-        )
-        handles = [
-            frontend.submit(
-                ServingRequest(
-                    session_id=session_id,
-                    prompt_tokens=prompt,
-                    max_new_tokens=n_output_tokens,
-                )
-            )
-            for session_id, prompt in rounds
-        ]
-        frontend.run_until_idle(max_steps=10_000)
-        return {handle.session_id: list(handle.result().tokens) for handle in handles}
+        outputs = _serve(engine, rounds, n_output_tokens)
+        return {session_id: out for (session_id, _), out in zip(rounds, outputs)}
 
     return serve
 

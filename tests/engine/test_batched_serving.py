@@ -3,7 +3,8 @@
 A round served through ``ServingFrontend.submit/step`` (restore burst +
 fused prefill + one batched decode call per output token) must generate
 the same token streams as the serial oracle (a never-evicted
-``Transformer.forward`` loop per session) and as ``chat_round``, and
+``Transformer.forward`` loop per session) and as the same rounds served
+one session at a time, and
 ``execute_iteration`` must execute a continuous-batching iteration
 plan's decode set as a single model call — the wiring between
 ``ContinuousBatcher`` / ``SplitFuseScheduler`` (time model) and
@@ -69,7 +70,9 @@ class TestBatchedRounds:
             assert session.tokens == [*prompt, *ref[session_id]]
             assert session.kv_cache.equals(caches[session_id], atol=BATCHED_DECODE_ATOL)
 
-    def test_second_round_with_mixed_eviction(self, make_engine, serve_rounds, tiny_config):
+    def test_second_round_with_mixed_eviction(
+        self, make_engine, serve_rounds, tiny_config, serve_round
+    ):
         """Round 2 batches a mix of evicted (restored) and resident sessions."""
         rng = np.random.default_rng(32)
         first = {s: rng.integers(0, tiny_config.vocab_size, size=7) for s in "abc"}
@@ -77,30 +80,18 @@ class TestBatchedRounds:
         serial = make_engine()
         open_sessions(serial, first)
         for s, p in first.items():
-            serial.chat_round(s, p, 3)
+            serve_round(serial, s, p, 3)
         batched = make_engine()
         open_sessions(batched, first)
         serve_rounds(batched, list(first.items()), 3)
         for engine in (serial, batched):
             engine.evict("a")
             engine.evict("c")
-        ref = {s: serial.chat_round(s, p, 4) for s, p in second.items()}
+        ref = {s: serve_round(serial, s, p, 4) for s, p in second.items()}
         out = serve_rounds(batched, list(second.items()), 4)
         assert out == ref
         for s in first:
             assert batched.session(s).tokens == serial.session(s).tokens
-
-    def test_single_session_batch_matches_chat_round(
-        self, make_engine, serve_rounds, tiny_config
-    ):
-        rng = np.random.default_rng(33)
-        prompt = rng.integers(0, tiny_config.vocab_size, size=8)
-        serial = make_engine()
-        serial.open_session("s")
-        ref = serial.chat_round("s", prompt, 5)
-        batched = make_engine()
-        batched.open_session("s")
-        assert serve_rounds(batched, [("s", prompt)], 5) == {"s": ref}
 
     def test_validation(self, make_engine):
         engine = make_engine()
@@ -120,19 +111,19 @@ class TestBatchedRounds:
 
 
 class TestDecodeIteration:
-    def test_requires_resident_prefilled_sessions(self, make_engine, tiny_config):
+    def test_requires_resident_prefilled_sessions(self, make_engine, tiny_config, serve_round):
         engine = make_engine()
         engine.open_session("s")
         with pytest.raises(ConfigError):
             engine.execute_iteration(decode_tokens={})
         with pytest.raises(StateError):
             engine.execute_iteration(decode_tokens={"s": 1})  # never prefilled, not on GPU
-        engine.chat_round("s", np.arange(4) % tiny_config.vocab_size, 2)
+        serve_round(engine, "s", np.arange(4) % tiny_config.vocab_size, 2)
         engine.evict("s")
         with pytest.raises(StateError):
             engine.execute_iteration(decode_tokens={"s": 1})  # evicted
 
-    def test_matches_serial_decode_steps(self, make_engine, tiny_config):
+    def test_matches_serial_decode_steps(self, make_engine, tiny_config, serve_round):
         rng = np.random.default_rng(34)
         prompts = {s: rng.integers(0, tiny_config.vocab_size, size=6) for s in "ab"}
         serial = make_engine()
@@ -140,7 +131,7 @@ class TestDecodeIteration:
         for engine in (serial, batched):
             open_sessions(engine, prompts)
             for s, p in prompts.items():
-                engine.chat_round(s, p, 1)
+                serve_round(engine, s, p, 1)
         pending = {s: 3 for s in prompts}
         for _ in range(4):
             # serial reference: one forward per session through the
@@ -236,11 +227,11 @@ class TestMembershipChurn:
         seed=st.integers(0, 2**16),
     )
     def test_property_random_churn_matches_serial(
-        self, make_engine, tiny_config, sessions, seed
+        self, make_engine, tiny_config, sessions, seed, serve_round
     ):
         """A random join / leave / evict / restore schedule through
-        ``ServingFrontend.step`` serves serial ``chat_round`` streams and
-        leaves the same stored states."""
+        ``ServingFrontend.step`` serves the streams of its rounds served
+        one at a time, and leaves the same stored states."""
         rng = np.random.default_rng(seed)
         plans = {}
         for i, (wait1, p1, n1, evict, wait2, p2, n2) in enumerate(sessions):
@@ -285,7 +276,7 @@ class TestMembershipChurn:
         ref = {}
         for s, (rounds, _, _) in plans.items():
             serial.open_session(s)
-            ref[s] = [serial.chat_round(s, prompt, n_out) for prompt, n_out in rounds]
+            ref[s] = [serve_round(serial, s, prompt, n_out) for prompt, n_out in rounds]
 
         engine, streams = churned()
         replay, replay_streams = churned()
@@ -334,7 +325,7 @@ class TestContinuousBatchingWiring:
         assert plan.decode_session_ids == ("s0", "s1")
 
     def test_planned_iterations_drive_batched_numeric_decode(
-        self, make_engine, tiny_config
+        self, make_engine, tiny_config, serve_round
     ):
         """End-to-end serving loop: admission -> iteration plan -> ONE
         batched numeric call per iteration, equivalent to serial serving."""
@@ -344,7 +335,7 @@ class TestContinuousBatchingWiring:
 
         serial = make_engine()
         open_sessions(serial, prompts)
-        ref = {s: serial.chat_round(s, p, n_out) for s, p in prompts.items()}
+        ref = {s: serve_round(serial, s, p, n_out) for s, p in prompts.items()}
 
         engine = make_engine()
         open_sessions(engine, prompts)

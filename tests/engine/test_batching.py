@@ -10,16 +10,15 @@ from repro.errors import ConfigError
 from repro.simulator.hardware import platform_preset
 
 
-def make_request(rid: str, total: int = 100, depends_on: str | None = None) -> Request:
+def make_request(rid: str, total: int = 100, session: str | None = None) -> Request:
     return Request(
         spec=RequestSpec(
             request_id=rid,
-            session_id=f"sess-{rid}",
+            session_id=f"sess-{rid}" if session is None else session,
             arrival_time=0.0,
             history_tokens=total - 20,
             input_tokens=10,
             output_tokens=10,
-            depends_on=depends_on,
         )
     )
 
@@ -81,19 +80,44 @@ class TestAdmission:
             batcher.release(make_request("ghost"))
 
     def test_dependency_blocks_round(self):
+        """A session runs one round at a time: its next round waits for
+        the running one to be released, however much memory is free."""
         batcher = ContinuousBatcher(MemoryBudget(1000))
-        batcher.enqueue(make_request("round2", depends_on="round1"))
-        assert batcher.admit(now=0.0, finished_sessions=set()) == []
-        admitted = batcher.admit(now=0.0, finished_sessions={"round1"})
-        assert len(admitted) == 1
+        batcher.enqueue(make_request("round1", session="s"))
+        batcher.enqueue(make_request("round2", session="s"))
+        (first,) = batcher.admit(now=0.0)
+        assert first.spec.request_id == "round1"
+        assert batcher.admit(now=0.0) == []
+        first.phase = Phase.DECODING
+        first.mark_finished(1.0)
+        batcher.release(first)
+        (second,) = batcher.admit(now=1.0)
+        assert second.spec.request_id == "round2"
 
     def test_dependency_does_not_starve_others(self):
         batcher = ContinuousBatcher(MemoryBudget(1000))
-        batcher.enqueue(make_request("blocked", depends_on="nope"))
+        batcher.enqueue(make_request("running", session="s"))
+        batcher.admit(now=0.0)
+        batcher.enqueue(make_request("blocked", session="s"))
         batcher.enqueue(make_request("free"))
-        admitted = batcher.admit(now=0.0, finished_sessions=set())
+        admitted = batcher.admit(now=0.0)
         assert [r.spec.request_id for r in admitted] == ["free"]
-        assert len(batcher.queue) == 1
+        assert [r.spec.request_id for r in batcher.queue] == ["blocked"]
+
+    def test_a_memory_blocked_round_still_stops_the_scan(self):
+        """FCFS head of line: a round that does not fit holds up every
+        round behind it, a busy session's skipped round does not."""
+        batcher = ContinuousBatcher(MemoryBudget(300))
+        batcher.enqueue(make_request("running", session="s"))
+        batcher.admit(now=0.0)
+        for request in (
+            make_request("busy", session="s"),
+            make_request("big", total=250),
+            make_request("small"),
+        ):
+            batcher.enqueue(request)
+        assert batcher.admit(now=0.0) == []
+        assert [r.spec.request_id for r in batcher.queue] == ["busy", "big", "small"]
 
     def test_max_running_cap(self):
         batcher = ContinuousBatcher(MemoryBudget(10_000), max_running=2)

@@ -5,7 +5,8 @@ The engine may report a session whose restore is still streaming
 session's history.  These tests pin the *order* (prefill starts before
 the last granule, layer L is appended after layer L landed, the first
 token needs no idle step), the *values* (streams and stored states equal
-the serial ``chat_round`` loop wherever early release really happens),
+rounds served one at a time without it wherever early release really
+happens),
 and the *failure path* (a restore dying under a waiting iteration).
 
 No test here depends on the wall clock for its schedule: reads are held
@@ -131,21 +132,21 @@ def log_progress(monkeypatch, log, last, waiting_on_last):
 
 
 def test_prefill_starts_before_the_last_granule_and_appends_behind_each_landed_layer(
-    tiny_model, tiny_config, monkeypatch
+    tiny_model, tiny_config, monkeypatch, serve_round
 ):
     rng = np.random.default_rng(71)
     history, prompt = tokens_of(tiny_config, rng, 40), tokens_of(tiny_config, rng, 6)
     serial, _, _ = build(tiny_model, FAST, eager=False)
     serial.open_session("r")
-    serial.chat_round("r", history, 3)
-    expected = serial.chat_round("r", prompt, 4)
+    serve_round(serial, "r", history, 3)
+    expected = serve_round(serial, "r", prompt, 4)
 
     engine, executor, _ = build(tiny_model, FAST, eager=True)
     last = tiny_config.n_layers - 1
     log, gate, waiting_on_last = [], threading.Event(), threading.Event()
     try:
         engine.open_session("r")
-        engine.chat_round("r", history, 3)
+        serve_round(engine, "r", history, 3)
         engine.evict("r")
         hold_last_layer_reads(engine.hcache.storage, last, gate, log)
         log_progress(monkeypatch, log, last, waiting_on_last)
@@ -190,12 +191,12 @@ def test_prefill_starts_before_the_last_granule_and_appends_behind_each_landed_l
 # ---------------------------------------------------------------------------
 
 
-def serial_streams(model, plans):
+def serial_streams(model, plans, serve_round):
     serial, _, _ = build(model, FAST, eager=False)
     streams = {}
     for session, rounds in plans.items():
         serial.open_session(session)
-        streams[session] = [serial.chat_round(session, p, n) for p, n in rounds]
+        streams[session] = [serve_round(serial, session, p, n) for p, n in rounds]
     return serial, streams
 
 
@@ -214,7 +215,7 @@ def assert_same_stored_states(config, engine, replay, serial, sessions):
 
 
 def test_scripted_waves_stream_like_the_serial_loop_under_early_release(
-    tiny_model, tiny_config, fine_sleeps
+    tiny_model, tiny_config, fine_sleeps, serve_round
 ):
     """``test_one_loop``'s script — a cohort above ``max_running``, a
     prompt above the SplitFuse budget, an SLO jump, second rounds after
@@ -232,7 +233,7 @@ def test_scripted_waves_stream_like_the_serial_loop_under_early_release(
     for wave in script:
         for session, prompt, n_out, _ in wave:
             plans.setdefault(session, []).append((prompt, n_out))
-    serial, expected = serial_streams(tiny_model, plans)
+    serial, expected = serial_streams(tiny_model, plans, serve_round)
 
     def served():
         engine, executor, _ = build(tiny_model, SLOW_READS, eager=True, emulate=True)
@@ -293,7 +294,7 @@ def test_scripted_waves_stream_like_the_serial_loop_under_early_release(
     seed=st.integers(0, 2**16),
 )
 def test_property_random_churn_matches_serial_under_early_release(
-    tiny_model, tiny_config, fine_sleeps, sessions, seed
+    tiny_model, tiny_config, fine_sleeps, sessions, seed, serve_round
 ):
     """``test_property_random_churn_matches_serial``'s join / leave /
     evict / restore schedules, restores on an executor over a slow
@@ -334,7 +335,7 @@ def test_property_random_churn_matches_serial_under_early_release(
             executor.close()
         return engine, {s: [list(h.result().tokens) for h in hs] for s, hs in handles.items()}
 
-    serial, expected = serial_streams(tiny_model, plans)
+    serial, expected = serial_streams(tiny_model, plans, serve_round)
     engine, streams = churned()
     replay, replay_streams = churned()
     assert streams == expected and replay_streams == expected
@@ -343,7 +344,7 @@ def test_property_random_churn_matches_serial_under_early_release(
 
 
 def test_the_measured_rule_releases_only_a_restore_the_prefill_cannot_outrun(
-    tiny_model, tiny_config
+    tiny_model, tiny_config, serve_round
 ):
     """The real engine, nothing pinned: with no prefill-carrying iteration
     measured yet nothing is released before it has ended; once one has
@@ -355,7 +356,7 @@ def test_the_measured_rule_releases_only_a_restore_the_prefill_cannot_outrun(
     hcache = HCacheEngine(tiny_model, StorageManager(array))
     builder = NumericServingEngine(tiny_model, hcache)
     builder.open_session("r")
-    builder.chat_round("r", tokens_of(tiny_config, rng, 30), 2)
+    serve_round(builder, "r", tokens_of(tiny_config, rng, 30), 2)
     builder.evict("r")
     with RestoreExecutor(1) as executor:
         engine = NumericServingEngine.recover(tiny_model, hcache, executor=executor)
@@ -381,7 +382,7 @@ def test_the_measured_rule_releases_only_a_restore_the_prefill_cannot_outrun(
         assert hcache.restore("r").equals(hcache.restore("r", executor=executor))
 
 
-def test_the_rule_looks_one_model_call_ahead(tiny_model, tiny_config):
+def test_the_rule_looks_one_model_call_ahead(tiny_model, tiny_config, serve_round):
     """A restore whose remainder exceeds the measured prefill is released
     when it fits in the prefill plus the last model call — the next
     decision is one call away — and held when it exceeds both.  Every
@@ -392,7 +393,7 @@ def test_the_rule_looks_one_model_call_ahead(tiny_model, tiny_config):
     hcache = HCacheEngine(tiny_model, StorageManager(array))
     builder = NumericServingEngine(tiny_model, hcache)
     builder.open_session("r")
-    builder.chat_round("r", tokens_of(tiny_config, rng, 30), 2)
+    serve_round(builder, "r", tokens_of(tiny_config, rng, 30), 2)
     builder.evict("r")
     with RestoreExecutor(1) as executor:
         engine = NumericServingEngine.recover(tiny_model, hcache, executor=executor)
@@ -432,7 +433,7 @@ def test_the_rule_looks_one_model_call_ahead(tiny_model, tiny_config):
 
 
 def test_a_restore_dying_under_a_waiting_iteration_raises_once_and_spares_the_batch(
-    tiny_model, tiny_config, monkeypatch
+    tiny_model, tiny_config, monkeypatch, serve_round
 ):
     rng = np.random.default_rng(73)
     history, prompt = tokens_of(tiny_config, rng, 40), tokens_of(tiny_config, rng, 6)
@@ -441,7 +442,7 @@ def test_a_restore_dying_under_a_waiting_iteration_raises_once_and_spares_the_ba
     expected = {}
     for s, p in others.items():
         serial.open_session(s)
-        expected[s] = serial.chat_round(s, p, 6)
+        expected[s] = serve_round(serial, s, p, 6)
 
     # 8-token chunks: the 43-token history is on the devices, not in a host tail.
     engine, executor, array = build(
@@ -451,7 +452,7 @@ def test_a_restore_dying_under_a_waiting_iteration_raises_once_and_spares_the_ba
     log, gate, waiting_on_last = [], threading.Event(), threading.Event()
     try:
         engine.open_session("r")
-        engine.chat_round("r", history, 3)
+        serve_round(engine, "r", history, 3)
         engine.evict("r")
         healthy = engine.hcache.restore("r")
         frontend = ServingFrontend(engine, MemoryBudget(capacity_tokens=4096))
@@ -536,7 +537,7 @@ class ReleaseDuringReplay(NumericServingEngine):
 
 
 def test_a_session_released_during_its_replay_streams_like_the_serial_loop(
-    tiny_model, tiny_config, monkeypatch
+    tiny_model, tiny_config, monkeypatch, serve_round
 ):
     """An r = 2 restore replays layer 0 in two row parts on its driver
     thread while the iteration — the released session's prompt next to a
@@ -556,9 +557,12 @@ def test_a_session_released_during_its_replay_streams_like_the_serial_loop(
 
     serial = engine_of(NumericServingEngine)
     serial.open_session("r")
-    serial.chat_round("r", history, 3)
+    serve_round(serial, "r", history, 3)
     serial.open_session("p")
-    expected = {"r": serial.chat_round("r", prompt, 4), "p": serial.chat_round("p", long_prompt, 3)}
+    expected = {
+        "r": serve_round(serial, "r", prompt, 4),
+        "p": serve_round(serial, "p", long_prompt, 3),
+    }
 
     pool = ThreadPoolExecutor(max_workers=1)
     monkeypatch.setattr(transformer_module, "_helper_pool", lambda: pool)
@@ -587,7 +591,7 @@ def test_a_session_released_during_its_replay_streams_like_the_serial_loop(
     deadlocked = False
     try:
         engine.open_session("r")
-        engine.chat_round("r", history, 3)
+        serve_round(engine, "r", history, 3)
         engine.evict("r")
         monkeypatch.setitem(vars(tiny_model), "replay", replay)
         monkeypatch.setattr(RestoreProgress, "wait_layer", wait_layer)

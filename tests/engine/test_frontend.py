@@ -560,7 +560,6 @@ class TestBoundedBookkeeping:
             frontend.run_until_idle(max_steps=10)
             containers = (
                 frontend._in_flight,
-                frontend._finished_deps,
                 frontend._session_tail,
                 frontend.batcher.queue,
                 frontend.batcher.running,
@@ -583,19 +582,3 @@ class TestBoundedBookkeeping:
         del handle
         gc.collect()
         assert response() is None
-
-    def test_a_finished_id_is_kept_only_while_a_queued_round_depends_on_it(
-        self, make_engine, tiny_config
-    ):
-        frontend = ServingFrontend(make_engine(), MemoryBudget(capacity_tokens=4096))
-        prompt = np.array([1, 2]) % tiny_config.vocab_size
-        for _ in range(2):
-            frontend.submit(
-                ServingRequest(session_id="s", prompt_tokens=prompt, max_new_tokens=1)
-            )
-        seen = set()
-        while not frontend.idle:
-            frontend.step()
-            seen |= frontend._finished_deps
-            assert len(frontend._finished_deps) <= 1
-        assert seen == {"s/r0"} and not frontend._finished_deps

@@ -4,8 +4,8 @@ The paper's front-end sweep draws requests from 10^5–10^6 distinct
 sessions with Zipfian popularity (§6.4) at Poisson arrival rates
 (§6.1.1).  Running real numpy forwards at that scale is pointless — the
 value path has its own equivalence tests — so this test drives the real
-``ServingFrontend`` (real admission control, scheduler, dependency
-chains, restore phases) over a fake engine whose ``execute_iteration``
+``ServingFrontend`` (real admission control, scheduler, one round per
+session at a time, restore phases) over a fake engine whose ``execute_iteration``
 only does token bookkeeping, and checks the scheduling invariants:
 
 - KV reservations never exceed the budget, on any step;

@@ -12,7 +12,7 @@ from repro.core.hcache import HCacheEngine
 from repro.core.partition import PartitionScheme
 from repro.core.profiler import build_storage_array
 from repro.engine.numeric_engine import NumericServingEngine
-from repro.errors import ConfigError, StateError
+from repro.errors import AdmissionError, ConfigError, StateError
 from repro.models.transformer import Transformer
 from repro.runtime import RestoreExecutor
 from repro.storage.manager import StorageManager
@@ -34,59 +34,65 @@ class TestSessions:
         with pytest.raises(StateError):
             numeric_engine.session("ghost")
 
-    def test_evict_twice_rejected(self, numeric_engine, tiny_config):
+    def test_evict_twice_rejected(self, numeric_engine, tiny_config, serve_round):
         numeric_engine.open_session("s")
-        numeric_engine.chat_round("s", np.arange(5) % tiny_config.vocab_size, 2)
+        serve_round(numeric_engine, "s", np.arange(5) % tiny_config.vocab_size, 2)
         numeric_engine.evict("s")
         with pytest.raises(StateError):
             numeric_engine.evict("s")
 
-    def test_close_frees_storage(self, numeric_engine, tiny_config):
+    def test_close_frees_storage(self, numeric_engine, tiny_config, serve_round):
         numeric_engine.open_session("s")
-        numeric_engine.chat_round("s", np.arange(5) % tiny_config.vocab_size, 2)
+        serve_round(numeric_engine, "s", np.arange(5) % tiny_config.vocab_size, 2)
         numeric_engine.close_session("s")
         with pytest.raises(StateError):
             numeric_engine.session("s")
 
-    def test_gpu_resident_tracking(self, numeric_engine, tiny_config):
+    def test_gpu_resident_tracking(self, numeric_engine, tiny_config, serve_round):
         numeric_engine.open_session("s")
-        numeric_engine.chat_round("s", np.arange(5) % tiny_config.vocab_size, 2)
+        serve_round(numeric_engine, "s", np.arange(5) % tiny_config.vocab_size, 2)
         assert numeric_engine.gpu_resident_sessions() == ("s",)
         numeric_engine.evict("s")
         assert numeric_engine.gpu_resident_sessions() == ()
 
-    def test_empty_prompt_rejected(self, numeric_engine):
+    def test_empty_prompt_rejected(self, numeric_engine, serve_round):
         numeric_engine.open_session("s")
         with pytest.raises(ConfigError):
-            numeric_engine.chat_round("s", np.array([]), 2)
+            serve_round(numeric_engine, "s", np.array([]), 2)
 
-    def test_zero_output_rejected(self, numeric_engine):
+    def test_zero_output_rejected(self, numeric_engine, serve_round):
         numeric_engine.open_session("s")
         with pytest.raises(ConfigError):
-            numeric_engine.chat_round("s", np.array([1]), 0)
+            serve_round(numeric_engine, "s", np.array([1]), 0)
 
 
 class TestRoundLimits:
-    def test_a_round_past_max_context_is_refused_untouched(self, numeric_engine, tiny_config):
+    def test_a_round_past_max_context_is_refused_untouched(
+        self, numeric_engine, tiny_config, serve_round
+    ):
         """The whole round must fit before any of it runs: the prompt and
         the fed-back outputs, the last one included."""
         rng = np.random.default_rng(26)
         limit = tiny_config.max_context
         numeric_engine.open_session("s")
-        numeric_engine.chat_round("s", rng.integers(0, tiny_config.vocab_size, size=8), 2)
-        with pytest.raises(ConfigError):
-            numeric_engine.chat_round("s", rng.integers(0, tiny_config.vocab_size, size=limit - 14), 5)
+        serve_round(numeric_engine, "s", rng.integers(0, tiny_config.vocab_size, size=8), 2)
+        with pytest.raises(AdmissionError):
+            serve_round(
+                numeric_engine, "s", rng.integers(0, tiny_config.vocab_size, size=limit - 14), 5
+            )
         assert numeric_engine.history_length("s") == 10
         assert numeric_engine.hcache.saved_tokens("s") == 10
-        numeric_engine.chat_round("s", rng.integers(0, tiny_config.vocab_size, size=limit - 15), 5)
+        serve_round(
+            numeric_engine, "s", rng.integers(0, tiny_config.vocab_size, size=limit - 15), 5
+        )
         assert numeric_engine.history_length("s") == limit
 
 
 class TestOneKernel:
     def test_a_restored_round_runs_only_packed_calls(
-        self, tiny_model, tiny_config, default_platform, reference_rounds
+        self, tiny_model, tiny_config, default_platform, reference_rounds, serve_round
     ):
-        """``chat_round`` is a driver of ``execute_iteration``: the prompt
+        """A served round runs on ``execute_iteration`` alone: the prompt
         is one fused call, each output token one decode call, and the
         restore (token-sourced layer 0) runs no forward kernel at all."""
         rng = np.random.default_rng(25)
@@ -96,7 +102,7 @@ class TestOneKernel:
         storage = StorageManager(build_storage_array(default_platform))
         engine = NumericServingEngine(model, HCacheEngine(model, storage))
         engine.open_session("s")
-        engine.chat_round("s", prompts[0], 4)
+        serve_round(engine, "s", prompts[0], 4)
         engine.evict("s")
         calls = dict.fromkeys(("forward", "layer_forward", "forward_fused", "decode_batch"), 0)
         for name in calls:
@@ -106,7 +112,7 @@ class TestOneKernel:
                 return _real(*args, **kwargs)
 
             setattr(model, name, counted)
-        out = engine.chat_round("s", prompts[1], 4)
+        out = serve_round(engine, "s", prompts[1], 4)
         assert calls == {"forward": 0, "layer_forward": 0, "forward_fused": 1, "decode_batch": 4}
         assert out == reference_rounds(tiny_model, prompts, 4)[1]
 
@@ -114,39 +120,9 @@ class TestOneKernel:
 class TestRestorePrecondition:
     """A restore starts only for an evicted, idle session with history."""
 
-    def test_chat_round_refuses_a_session_still_restoring(
-        self, tiny_model, tiny_config, default_platform, reference_rounds
-    ):
-        rng = np.random.default_rng(27)
-        prompts = [rng.integers(0, tiny_config.vocab_size, size=n) for n in (40, 6)]
-        storage = StorageManager(build_storage_array(default_platform))
-        with RestoreExecutor(1) as executor:
-            engine = NumericServingEngine(
-                tiny_model, HCacheEngine(tiny_model, storage), executor=executor
-            )
-            engine.open_session("a")
-            engine.chat_round("a", prompts[0], 3)
-            engine.evict("a")
-            engine.start_restores({"a": 60}, background=True)
-            with pytest.raises(StateError):
-                engine.chat_round("a", prompts[1], 3)
-            assert engine.history_length("a") == 43
-            released = engine.finished_restores()
-            while not released:
-                engine.wait_for_restores()
-                released = engine.finished_restores()
-            assert released == ["a"]
-            assert engine.chat_round("a", prompts[1], 3) == reference_rounds(
-                tiny_model, prompts, 3
-            )[1]
-            engine.evict("a")
-            assert engine.chat_round("a", prompts[1], 3) == reference_rounds(
-                tiny_model, [*prompts, prompts[1]], 3
-            )[2]
-
     @pytest.mark.parametrize("pooled", [False, True], ids=["inline", "executor"])
     def test_start_restores_refuses_a_batch_naming_a_resident_session(
-        self, tiny_model, tiny_config, default_platform, pooled
+        self, tiny_model, tiny_config, default_platform, pooled, serve_round
     ):
         """The whole batch is checked before any restore starts: the
         resident cache is kept, no slab is taken, and the evicted session
@@ -159,7 +135,7 @@ class TestRestorePrecondition:
             )
             for sid in ("evicted", "resident"):
                 engine.open_session(sid)
-                engine.chat_round(sid, rng.integers(0, tiny_config.vocab_size, size=40), 3)
+                serve_round(engine, sid, rng.integers(0, tiny_config.vocab_size, size=40), 3)
             engine.evict("evicted")
             cache = engine.session("resident").kv_cache
             allocations = engine.hcache.arena.allocations
@@ -172,13 +148,13 @@ class TestRestorePrecondition:
             assert engine.finished_restores() == ["evicted"]
 
     def test_start_restores_refuses_no_history_and_a_second_restore(
-        self, tiny_model, tiny_config, numeric_engine
+        self, tiny_model, tiny_config, numeric_engine, serve_round
     ):
         numeric_engine.open_session("fresh")
         with pytest.raises(StateError):
             numeric_engine.start_restores({"fresh": 8}, background=False)
         numeric_engine.open_session("a")
-        numeric_engine.chat_round("a", np.arange(9) % tiny_config.vocab_size, 2)
+        serve_round(numeric_engine, "a", np.arange(9) % tiny_config.vocab_size, 2)
         numeric_engine.evict("a")
         numeric_engine.start_restores({"a": 16}, background=False)
         with pytest.raises(StateError):
@@ -189,7 +165,7 @@ class TestRestorePrecondition:
 
 class TestEquivalence:
     def test_multi_round_with_eviction_matches_uninterrupted(
-        self, tiny_model, tiny_config, numeric_engine, reference_rounds
+        self, tiny_model, tiny_config, numeric_engine, reference_rounds, serve_round
     ):
         """The paper's losslessness claim, end to end: a conversation with
         eviction + HCache restoration between every round generates the
@@ -199,24 +175,24 @@ class TestEquivalence:
         numeric_engine.open_session("s")
         interrupted = []
         for prompt in prompts:
-            interrupted.append(numeric_engine.chat_round("s", prompt, 5))
+            interrupted.append(serve_round(numeric_engine, "s", prompt, 5))
             numeric_engine.evict("s")
         assert interrupted == reference_rounds(tiny_model, prompts, 5)
 
     def test_eviction_only_between_some_rounds(
-        self, tiny_model, tiny_config, numeric_engine, reference_rounds
+        self, tiny_model, tiny_config, numeric_engine, reference_rounds, serve_round
     ):
         rng = np.random.default_rng(22)
         prompts = [rng.integers(0, tiny_config.vocab_size, size=6) for _ in range(3)]
         numeric_engine.open_session("s")
-        out = [numeric_engine.chat_round("s", prompts[0], 4)]
+        out = [serve_round(numeric_engine, "s", prompts[0], 4)]
         numeric_engine.evict("s")  # evict once
-        out.append(numeric_engine.chat_round("s", prompts[1], 4))
-        out.append(numeric_engine.chat_round("s", prompts[2], 4))  # stays on GPU
+        out.append(serve_round(numeric_engine, "s", prompts[1], 4))
+        out.append(serve_round(numeric_engine, "s", prompts[2], 4))  # stays on GPU
         assert out == reference_rounds(tiny_model, prompts, 4)
 
     def test_mixed_scheme_engine_equivalence(
-        self, tiny_model, tiny_config, default_platform, reference_rounds
+        self, tiny_model, tiny_config, default_platform, reference_rounds, serve_round
     ):
         """Same equivalence with a scheduler-style mixed partition."""
         storage = StorageManager(build_storage_array(default_platform))
@@ -229,23 +205,23 @@ class TestEquivalence:
         engine.open_session("s")
         out = []
         for prompt in prompts:
-            out.append(engine.chat_round("s", prompt, 4))
+            out.append(serve_round(engine, "s", prompt, 4))
             engine.evict("s")
         assert out == reference_rounds(tiny_model, prompts, 4)
 
     def test_two_concurrent_sessions_independent(
-        self, tiny_model, tiny_config, numeric_engine, reference_rounds
+        self, tiny_model, tiny_config, numeric_engine, reference_rounds, serve_round
     ):
         rng = np.random.default_rng(24)
         pa = rng.integers(0, tiny_config.vocab_size, size=9)
         pb = rng.integers(0, tiny_config.vocab_size, size=9)
         numeric_engine.open_session("a")
         numeric_engine.open_session("b")
-        out_a = numeric_engine.chat_round("a", pa, 4)
-        out_b = numeric_engine.chat_round("b", pb, 4)
+        out_a = serve_round(numeric_engine, "a", pa, 4)
+        out_b = serve_round(numeric_engine, "b", pb, 4)
         numeric_engine.evict("a")
         numeric_engine.evict("b")
-        out_a2 = numeric_engine.chat_round("a", pb, 4)
+        out_a2 = serve_round(numeric_engine, "a", pb, 4)
         ref = reference_rounds(tiny_model, [pa, pb], 4)
         assert [out_a] == [ref[0]]
         assert out_b == reference_rounds(tiny_model, [pb], 4)[0]
@@ -261,7 +237,7 @@ class TestEquivalence:
 
 class TestCloseDuringRestore:
     def test_close_waits_out_an_unreported_restore(
-        self, tiny_model, tiny_config, default_platform
+        self, tiny_model, tiny_config, default_platform, serve_round
     ):
         """Closing a session whose background restore still reads its
         storage waits for that restore before freeing the storage: the
@@ -274,7 +250,7 @@ class TestCloseDuringRestore:
             )
             engine.open_session("a")
             prompt = np.random.default_rng(3).integers(0, tiny_config.vocab_size, size=40)
-            engine.chat_round("a", prompt, 4)
+            serve_round(engine, "a", prompt, 4)
             engine.evict("a")
             gate = threading.Event()
             real_read = storage.read_granule_into
@@ -294,12 +270,12 @@ class TestCloseDuringRestore:
             assert not engine.has_session("a")
             assert not storage.has_context("a")
             assert storage.allocated_bytes == 0
-            for _ in range(tiny_config.n_layers + 1):
-                engine.wait_for_restores()
+            with pytest.raises(StateError):
+                engine.wait_for_restores()  # nothing is left to wait for
             assert engine.finished_restores() == []
 
     def test_close_discards_a_restore_that_fails(
-        self, tiny_model, tiny_config, default_platform
+        self, tiny_model, tiny_config, default_platform, serve_round
     ):
         """A background restore whose read fails while its session is
         being closed: the close waits it out, drops its failure with it,
@@ -311,7 +287,7 @@ class TestCloseDuringRestore:
             )
             engine.open_session("a")
             prompt = np.random.default_rng(4).integers(0, tiny_config.vocab_size, size=40)
-            engine.chat_round("a", prompt, 4)
+            serve_round(engine, "a", prompt, 4)
             engine.evict("a")
             gate = threading.Event()
             reads = []

@@ -188,7 +188,7 @@ def serve_beside_a_decoder(engine, clock, prompts, outputs):
 
 
 def test_budget_sized_prompt_beside_a_decoder_is_served_in_one_call(
-    engines, tiny_model, tiny_config, monkeypatch
+    engines, tiny_model, tiny_config, monkeypatch, serve_round
 ):
     """An 8-token prompt planned next to one decode under an 8-token
     budget is one 8-row chunk, not 7 + 1: its first token comes out of
@@ -227,7 +227,7 @@ def test_budget_sized_prompt_beside_a_decoder_is_served_in_one_call(
         serial.open_session(sid)
     for sid, handle in handles.items():
         assert handle.result().tokens == tuple(
-            serial.chat_round(sid, prompts[sid], outputs[sid])
+            serve_round(serial, sid, prompts[sid], outputs[sid])
         )
 
     cost_steps, _, cost_first_tokens_b = serve_beside_a_decoder(

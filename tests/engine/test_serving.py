@@ -5,10 +5,13 @@ from __future__ import annotations
 
 from functools import partial
 
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.core.restoration import DEFAULT_METHODS, RestorationTiming, method_timing
-from repro.engine import serving
+from repro.engine import MemoryBudget, ServingFrontend, ServingRequest, serving
 from repro.engine.request import RequestSpec
 from repro.engine.serving import (
     CostModelEngine,
@@ -17,7 +20,7 @@ from repro.engine.serving import (
     max_context_tokens,
     simulate_methods,
 )
-from repro.errors import ConfigError, SimulationError
+from repro.errors import AdmissionError, ConfigError, SimulationError
 from repro.simulator.hardware import platform_preset
 from repro.traces import ShareGPTGenerator, build_workload
 
@@ -152,7 +155,7 @@ class TestLoadBehaviour:
         """Round k+1 never gets its first token before round k finishes."""
         specs = [
             RequestSpec("s/r0", "s", 0.0, 0, 64, 16),
-            RequestSpec("s/r1", "s", 0.1, 80, 64, 16, depends_on="s/r0"),
+            RequestSpec("s/r1", "s", 0.1, 80, 64, 16),
         ]
         sim = ServingSimulator(
             seven_b, default_platform, partial(method_timing, "hcache", seven_b, default_platform)
@@ -172,6 +175,75 @@ class TestLoadBehaviour:
         )
         with pytest.raises(SimulationError):
             sim.run([single_spec(t=1.0)])
+
+
+class TestSessionOrder:
+    @settings(
+        max_examples=60,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(
+        capacity=st.integers(40, 400),
+        submits=st.lists(
+            st.tuples(
+                st.integers(0, 2),  # session
+                st.integers(1, 40),  # prompt tokens
+                st.integers(1, 12),  # output tokens
+                st.integers(0, 4),  # steps before the next submit
+            ),
+            min_size=1,
+            max_size=12,
+        ),
+        evict=st.booleans(),
+    )
+    def test_property_a_session_runs_one_round_at_a_time_in_order(
+        self, seven_b, default_platform, capacity, submits, evict
+    ):
+        """Random submits over three sessions, under a random KV budget:
+        no step holds two rounds of one session, and each session's
+        rounds finish in the order they were submitted."""
+        engine = CostModelEngine(
+            seven_b,
+            default_platform,
+            partial(method_timing, "hcache", seven_b, default_platform),
+            budget_tokens=512,
+        )
+        frontend = ServingFrontend(
+            engine, MemoryBudget(capacity), evict_on_finish=evict, clock=engine.now
+        )
+        submitted: dict[str, list[str]] = {}
+        finished: dict[str, list[str]] = {}
+
+        def step():
+            stats = frontend._checked_step()
+            running = [r.spec.session_id for r in frontend.batcher.running]
+            assert len(running) == len(set(running))
+            stepped = [rid.split("/")[0] for rid, _ in stats.prefill_chunks]
+            stepped += stats.decode_sessions
+            assert len(stepped) == len(set(stepped))
+            for request_id in stats.finished:
+                finished.setdefault(request_id.split("/")[0], []).append(request_id)
+
+        for session, prompt, n_out, gap in submits:
+            request = ServingRequest(
+                session_id=f"s{session}",
+                prompt_tokens=np.zeros(prompt, dtype=np.intp),
+                max_new_tokens=n_out,
+            )
+            try:
+                handle = frontend.submit(request)
+            except AdmissionError:
+                continue  # the session's context outgrew the budget
+            submitted.setdefault(handle.session_id, []).append(handle.request_id)
+            for _ in range(gap):
+                step()
+        for _ in range(10_000):
+            if frontend.idle:
+                break
+            step()
+        assert frontend.idle
+        assert finished == submitted
 
 
 class TestCapacityHelpers:

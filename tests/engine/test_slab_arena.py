@@ -90,7 +90,7 @@ class TestAllocationCounts:
         assert engine.session("s0").kv_cache.equals(references["s0"], atol=0.0)
 
     def test_closing_a_session_mid_restore_gives_its_slab_back(
-        self, tiny_model, default_platform
+        self, tiny_model, default_platform, serve_round
     ):
         """``close_session`` waits out a restore no ``finished_restores``
         has reported; the cache it restored gives its slab back, so the
@@ -105,7 +105,7 @@ class TestAllocationCounts:
             prompts = histories(tiny_model.config, [N_TOKENS, N_TOKENS])
             for sid, prompt in zip("ab", prompts.values()):
                 engine.open_session(sid)
-                engine.chat_round(sid, prompt, 5)
+                serve_round(engine, sid, prompt, 5)
                 engine.evict(sid)
             allocations = engine.hcache.arena.allocations
             engine.start_restores({"a": 120}, background=True)
@@ -115,16 +115,16 @@ class TestAllocationCounts:
         finally:
             executor.close()
 
-    def test_chat_rounds_reuse_the_evicted_slab(self, tiny_model, default_platform):
+    def test_chat_rounds_reuse_the_evicted_slab(self, tiny_model, default_platform, serve_round):
         engine, _ = saved_engine(
             tiny_model, default_platform, histories(tiny_model.config, [N_TOKENS])
         )
         prompt = np.arange(2)  # four rounds of 3 tokens: 103-112, one size class
-        engine.chat_round("s0", prompt, 1)
+        serve_round(engine, "s0", prompt, 1)
         engine.evict("s0")
         allocations = engine.hcache.arena.allocations
         for _ in range(3):
-            engine.chat_round("s0", prompt, 1)
+            serve_round(engine, "s0", prompt, 1)
             engine.evict("s0")
         assert engine.hcache.arena.allocations == allocations
 

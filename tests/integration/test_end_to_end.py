@@ -107,7 +107,9 @@ class TestServingPipeline:
 
 
 class TestNumericServingAtScale:
-    def test_many_sessions_interleaved(self, tiny_model, tiny_config, default_platform):
+    def test_many_sessions_interleaved(
+        self, tiny_model, tiny_config, default_platform, serve_round
+    ):
         """Several conversations with interleaved rounds and evictions all
         stay consistent."""
         storage = StorageManager(build_storage_array(default_platform))
@@ -122,18 +124,20 @@ class TestNumericServingAtScale:
             for s in range(n_sessions):
                 sid = f"s{s}"
                 prompt = rng.integers(0, tiny_config.vocab_size, size=5 + s)
-                transcripts[sid].append(engine.chat_round(sid, prompt, 3))
+                transcripts[sid].append(serve_round(engine, sid, prompt, 3))
                 engine.evict(sid)
         # Each session produced three rounds of three tokens.
         for sid, rounds in transcripts.items():
             assert len(rounds) == 3
             assert all(len(r) == 3 for r in rounds)
 
-    def test_storage_freed_after_close(self, tiny_model, tiny_config, default_platform):
+    def test_storage_freed_after_close(
+        self, tiny_model, tiny_config, default_platform, serve_round
+    ):
         storage = StorageManager(build_storage_array(default_platform))
         engine = NumericServingEngine(tiny_model, HCacheEngine(tiny_model, storage))
         engine.open_session("s")
-        engine.chat_round("s", np.arange(8) % tiny_config.vocab_size, 4)
+        serve_round(engine, "s", np.arange(8) % tiny_config.vocab_size, 4)
         engine.evict("s")
         assert storage.array.total_used_bytes > 0
         engine.close_session("s")

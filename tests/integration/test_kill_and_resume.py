@@ -102,7 +102,7 @@ def device_reads(array):
 
 
 class TestKillAndResume:
-    def test_hard_kill_mid_conversation(self, model, journal_factory):
+    def test_hard_kill_mid_conversation(self, model, journal_factory, serve_round):
         n_layers = model.config.n_layers
         array, victim = build_stack(model, journal_factory("victim"))
         _, control = build_stack(model)
@@ -113,14 +113,14 @@ class TestKillAndResume:
         for engine in (victim, control):
             engine.open_session("s1")
             engine.open_session("s2")
-            engine.chat_round("s1", p1, 8)       # 48 tokens, sealed below
-            engine.chat_round("s2", p2, 18)      # 48 tokens, sealed below
+            serve_round(engine, "s1", p1, 8)    # 48 tokens, sealed below
+            serve_round(engine, "s2", p2, 18)   # 48 tokens, sealed below
             engine.evict("s1")
             engine.evict("s2")
 
         # Round 2 on the victim's s1 only — and no eviction: the round's
         # trailing rows live in unsealed host tail buffers when we kill.
-        victim.chat_round("s1", p3, 16)          # 118 tokens, 64 durable
+        serve_round(victim, "s1", p3, 16)    # 118 tokens, 64 durable
         s1_history = list(victim.session("s1").tokens)
         assert len(s1_history) == 118
 
@@ -148,12 +148,12 @@ class TestKillAndResume:
         assert_cache_prefix(resumed.hcache.restore("s2"), ref_s2, n_layers)
 
         # The recovered s2 continues exactly like the never-crashed control.
-        resumed_stream = resumed.chat_round("s2", p4, 12)
-        control_stream = control.chat_round("s2", p4, 12)
+        resumed_stream = serve_round(resumed, "s2", p4, 12)
+        control_stream = serve_round(control, "s2", p4, 12)
         assert resumed_stream == control_stream
 
         # s1 continues from its truncated durable history.
-        generated = resumed.chat_round("s1", make(10), 6)
+        generated = serve_round(resumed, "s1", make(10), 6)
         assert len(generated) == 6
         assert resumed.hcache.saved_tokens("s1") == CPC + 10 + 6
         assert resumed.session("s1").tokens == s1_history[:CPC] + list(
@@ -162,7 +162,7 @@ class TestKillAndResume:
 
     @pytest.mark.parametrize("compacted", [False, True], ids=["log", "snapshot"])
     def test_unsealed_session_without_chunks_recovers_empty(
-        self, model, journal_factory, compacted
+        self, model, journal_factory, compacted, serve_round
     ):
         """A resident session whose rows never reached a device (8+4
         tokens, never sealed) must not block recovery of an evicted one.
@@ -175,10 +175,10 @@ class TestKillAndResume:
         p_a, p_b, p_next = make(90), make(8), make(5)
         for engine in (victim, control):
             engine.open_session("a")
-            engine.chat_round("a", p_a, 10)
+            serve_round(engine, "a", p_a, 10)
             engine.evict("a")
         victim.open_session("b")
-        victim.chat_round("b", p_b, 4)
+        serve_round(victim, "b", p_b, 4)
         ref_a = snapshot_prefix(victim.hcache.restore("a"), n_layers, 100)
         if compacted:
             victim.hcache.storage.compact_journal()
@@ -190,9 +190,11 @@ class TestKillAndResume:
         assert resumed.hcache.saved_tokens("b") == 0
         assert resumed.session("b").tokens == []
         assert_cache_prefix(resumed.hcache.restore("a"), ref_a, n_layers)
-        assert resumed.chat_round("a", p_next, 4) == control.chat_round("a", p_next, 4)
+        assert serve_round(resumed, "a", p_next, 4) == serve_round(control, "a", p_next, 4)
 
-    def test_clean_kill_preserves_everything(self, model, journal_factory, serve_rounds):
+    def test_clean_kill_preserves_everything(
+        self, model, journal_factory, serve_rounds, serve_round
+    ):
         """All sessions sealed before the crash: recovery is lossless and
         both sessions' continued streams match the control exactly."""
         n_layers = model.config.n_layers
@@ -204,8 +206,8 @@ class TestKillAndResume:
         for engine in (victim, control):
             engine.open_session("s1")
             engine.open_session("s2")
-            engine.chat_round("s1", p1, 10)
-            engine.chat_round("s2", p2, 5)
+            serve_round(engine, "s1", p1, 10)
+            serve_round(engine, "s2", p2, 5)
             engine.evict("s1")
             engine.evict("s2")
         ref = {
@@ -225,7 +227,7 @@ class TestKillAndResume:
             assert_cache_prefix(resumed.hcache.restore(sid), ref[sid], n_layers)
 
         for sid in ("s1", "s2"):
-            assert resumed.chat_round(sid, p3, 9) == control.chat_round(sid, p3, 9)
+            assert serve_round(resumed, sid, p3, 9) == serve_round(control, sid, p3, 9)
 
         # And the recovered engine's *batched* round still holds together
         # (values within the documented BATCHED_DECODE_ATOL of serial).
@@ -239,20 +241,20 @@ class TestKillAndResume:
             assert len(state.kv_cache) == len(state.tokens)
             assert resumed.hcache.saved_tokens(sid) == len(state.tokens)
 
-    def test_second_crash_after_resume(self, model, journal_factory):
+    def test_second_crash_after_resume(self, model, journal_factory, serve_round):
         """Crash, resume, serve, crash again: the re-attached journal keeps
         journaling, so recovery composes."""
         array, victim = build_stack(model, journal_factory("twice"))
         make = prompts(model, seed=3)
         victim.open_session("s1")
-        first_round = victim.chat_round("s1", make(50), 6)
+        first_round = serve_round(victim, "s1", make(50), 6)
         victim.evict("s1")
         victim.hcache.storage.journal.close()
         del victim
 
         middle = recover_stack(model, array, journal_factory("twice"))
         assert middle.hcache.saved_tokens("s1") == 56
-        middle.chat_round("s1", make(30), 8)
+        serve_round(middle, "s1", make(30), 8)
         middle.evict("s1")
         history = list(middle.session("s1").tokens)
         middle.hcache.storage.journal.close()
@@ -262,10 +264,10 @@ class TestKillAndResume:
         assert final.hcache.saved_tokens("s1") == 94
         assert final.session("s1").tokens == history
         assert len(first_round) == 6
-        generated = final.chat_round("s1", make(5), 3)
+        generated = serve_round(final, "s1", make(5), 3)
         assert len(generated) == 3
 
-    def test_gqa_kv_offloaded_layers_survive_a_kill(self, journal_factory):
+    def test_gqa_kv_offloaded_layers_survive_a_kill(self, journal_factory, serve_round):
         """GQA x KV offload: packed K|V rows are ``2 * kv_size`` wide, and
         that width must ride the journal's register record through
         recovery (it used to be assumed ``2 * hidden``)."""
@@ -278,7 +280,7 @@ class TestKillAndResume:
         p1, p2 = make(70), make(20)
         for engine in (victim, control):
             engine.open_session("s")
-            engine.chat_round("s", p1, 10)
+            serve_round(engine, "s", p1, 10)
             engine.evict("s")
         ref = snapshot_prefix(victim.hcache.restore("s"), config.n_layers, 80)
         victim.hcache.storage.journal.close()
@@ -288,9 +290,11 @@ class TestKillAndResume:
         assert resumed.hcache.storage.meta("s").kv_width == 2 * config.kv_size
         assert resumed.hcache.layout("s") == scheme
         assert_cache_prefix(resumed.hcache.restore("s"), ref, config.n_layers)
-        assert resumed.chat_round("s", p2, 6) == control.chat_round("s", p2, 6)
+        assert serve_round(resumed, "s", p2, 6) == serve_round(control, "s", p2, 6)
 
-    def test_gqa_store_opened_by_the_mha_model_is_refused(self, model, journal_factory):
+    def test_gqa_store_opened_by_the_mha_model_is_refused(
+        self, model, journal_factory, serve_round
+    ):
         """Layer count and hidden width match, but the packed K|V rows are
         ``2 * kv_size`` of the GQA model: recovery must refuse the store
         up front, not fail mid-restore after reading the devices."""
@@ -299,7 +303,7 @@ class TestKillAndResume:
         scheme = PartitionScheme.with_kv_suffix(config.n_layers, 2)
         array, victim = build_stack(gqa, journal_factory("gqa"), scheme)
         victim.open_session("s")
-        victim.chat_round("s", prompts(gqa, seed=9)(60), 10)
+        serve_round(victim, "s", prompts(gqa, seed=9)(60), 10)
         victim.evict("s")
         victim.hcache.storage.journal.close()
         del victim
@@ -307,7 +311,7 @@ class TestKillAndResume:
             recover_stack(model, array, journal_factory("gqa"))
 
     def test_parent_layout_store_recovers_under_the_default_scheme(
-        self, model, journal_factory, monkeypatch
+        self, model, journal_factory, monkeypatch, serve_round
     ):
         """A context written all-stored (layer-0 rows on the devices, the
         layout every earlier version wrote) keeps that layout under a
@@ -325,7 +329,7 @@ class TestKillAndResume:
         p1, p2, p3, q1, q2 = make(70), make(20), make(15), make(50), make(12)
         for engine in (victim, control_old):
             engine.open_session("old")
-            engine.chat_round("old", p1, 10)
+            serve_round(engine, "old", p1, 10)
             engine.evict("old")
         victim.hcache.storage.journal.close()
         del victim
@@ -341,11 +345,11 @@ class TestKillAndResume:
         resumed = recover_stack(model, array, journal_factory("old"))
         assert resumed.hcache.layout("old") == all_stored
         assert resumed.hcache.storage.tokens_stored("old", 0) == 80
-        assert resumed.chat_round("old", p2, 6) == control_old.chat_round("old", p2, 6)
+        assert serve_round(resumed, "old", p2, 6) == serve_round(control_old, "old", p2, 6)
         assert replayed == []
         resumed.open_session("new")
         control_new.open_session("new")
-        assert resumed.chat_round("new", q1, 8) == control_new.chat_round("new", q1, 8)
+        assert serve_round(resumed, "new", q1, 8) == serve_round(control_new, "new", q1, 8)
         assert resumed.hcache.layout("new") == default
         assert resumed.hcache.storage.tokens_stored("old", 0) == 106
         assert resumed.hcache.storage.tokens_stored("new", 0) == 0
@@ -364,13 +368,13 @@ class TestKillAndResume:
             assert again.hcache.saved_tokens(sid) == expect
             assert again.session(sid).tokens == list(control.session(sid).tokens)
             assert again.hcache.restore(sid).equals(control.hcache.restore(sid), atol=0.0)
-        assert again.chat_round("old", p3, 4) == control_old.chat_round("old", p3, 4)
-        assert again.chat_round("new", q2, 4) == control_new.chat_round("new", q2, 4)
+        assert serve_round(again, "old", p3, 4) == serve_round(control_old, "old", p3, 4)
+        assert serve_round(again, "new", q2, 4) == serve_round(control_new, "new", q2, 4)
         # Every replay is a restore of the 58-token new context (its
         # layer-0 embedding gather); none of the 106-token old one.
         assert set(replayed) == {58}
 
-    def test_an_empty_layer0_run_grows_after_adoption(self, model, journal_factory):
+    def test_an_empty_layer0_run_grows_after_adoption(self, model, journal_factory, serve_round):
         """An all-stored engine opens a layer-0 run at registration.  A
         default engine that adopts it while it is empty grows it with the
         context's rows, so the next recovery keeps every row."""
@@ -382,7 +386,7 @@ class TestKillAndResume:
 
         resumed = recover_stack(model, array, journal_factory("empty"))
         assert resumed.hcache.layout("s") == all_stored
-        resumed.chat_round("s", prompts(model, seed=23)(70), 10)
+        serve_round(resumed, "s", prompts(model, seed=23)(70), 10)
         assert resumed.hcache.storage.tokens_stored("s", 0) == 80
         resumed.evict("s")
         resumed.hcache.storage.journal.close()
@@ -392,7 +396,7 @@ class TestKillAndResume:
 
     @pytest.mark.parametrize("all_stored", [False, True], ids=["default", "all-stored"])
     def test_a_kill_inside_registration_recovers_the_scheme_or_nothing(
-        self, model, journal_factory, all_stored
+        self, model, journal_factory, all_stored, serve_round
     ):
         """Registering a context journals one record naming every run of
         the engine's scheme.  A kill anywhere in that record's bytes
@@ -402,7 +406,7 @@ class TestKillAndResume:
         journal = journal_factory("reg")
         array, victim = build_stack(model, journal, scheme)
         victim.open_session("a")
-        victim.chat_round("a", prompts(model, seed=5)(40), 24)
+        serve_round(victim, "a", prompts(model, seed=5)(40), 24)
         victim.evict("a")
         before = journal.journal_bytes
         victim.open_session("b")

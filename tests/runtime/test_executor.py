@@ -520,7 +520,7 @@ class TestConcurrentContexts:
 
 
 class TestNumericServingEngineIntegration:
-    def _run_session(self, executor):
+    def _run_session(self, executor, serve_round):
         config = model_preset("tiny-llama")
         model = Transformer.from_seed(config, seed=3)
         manager = StorageManager(build_storage_array(platform_preset("default")))
@@ -531,17 +531,17 @@ class TestNumericServingEngineIntegration:
         outputs = []
         for round_idx in range(3):
             prompt = rng.integers(0, config.vocab_size, size=17 + round_idx)
-            outputs.append(engine.chat_round("s", prompt, n_output_tokens=4))
+            outputs.append(serve_round(engine, "s", prompt, n_output_tokens=4))
             engine.evict("s")
         return outputs
 
-    def test_rounds_identical_with_and_without_executor(self):
-        baseline = self._run_session(None)
+    def test_rounds_identical_with_and_without_executor(self, serve_round):
+        baseline = self._run_session(None, serve_round)
         with RestoreExecutor(2) as executor:
-            threaded = self._run_session(executor)
+            threaded = self._run_session(executor, serve_round)
         assert baseline == threaded
 
-    def test_start_restores_brings_sessions_back_concurrently(self):
+    def test_start_restores_brings_sessions_back_concurrently(self, serve_round):
         config = model_preset("tiny-llama")
         model = Transformer.from_seed(config, seed=3)
         manager = StorageManager(build_storage_array(platform_preset("default")))
@@ -553,7 +553,7 @@ class TestNumericServingEngineIntegration:
             for sid in ("s1", "s2", "s3"):
                 engine.open_session(sid)
                 prompt = rng.integers(0, config.vocab_size, size=23)
-                engine.chat_round(sid, prompt, n_output_tokens=3)
+                serve_round(engine, sid, prompt, n_output_tokens=3)
                 engine.evict(sid)
                 # Oracle: the single-threaded restore of the same stored
                 # state.  (The *live* cache matches only to float rounding
@@ -566,14 +566,14 @@ class TestNumericServingEngineIntegration:
                 assert restored is not None
                 assert restored.equals(cache, atol=0.0)
 
-    def test_only_an_evicted_history_asks_for_a_restore(self):
+    def test_only_an_evicted_history_asks_for_a_restore(self, serve_round):
         config = model_preset("tiny-llama")
         model = Transformer.from_seed(config, seed=3)
         manager = StorageManager(build_storage_array(platform_preset("default")))
         engine = NumericServingEngine(model, HCacheEngine(model, manager))
         engine.open_session("s")
         assert not engine.begin_round("s", 16)  # fresh: nothing to restore
-        engine.chat_round("s", np.arange(5), n_output_tokens=2)
+        serve_round(engine, "s", np.arange(5), n_output_tokens=2)
         assert not engine.begin_round("s", 16)  # resident
         engine.evict("s")
         assert engine.begin_round("s", 16)

@@ -45,12 +45,13 @@ class TestConversationRequests:
         gaps = np.diff([s.arrival_time for s in specs])
         assert np.allclose(gaps, ROUND_INTERVAL_SECONDS)
 
-    def test_dependency_chain(self):
+    def test_rounds_share_their_session_in_round_order(self):
         conv = ShareGPTGenerator(seed=4).sample_conversation("s")
         specs = conversation_requests(conv, 0.0)
-        assert specs[0].depends_on is None
-        for prev, cur in zip(specs, specs[1:]):
-            assert cur.depends_on == prev.request_id
+        assert {spec.session_id for spec in specs} == {"s"}
+        assert [spec.request_id for spec in specs] == [
+            f"s/r{r.round_index}" for r in conv.rounds
+        ]
 
     def test_history_matches_rounds(self):
         conv = ShareGPTGenerator(seed=5).sample_conversation("s")
