@@ -1,9 +1,10 @@
 #!/usr/bin/env python
 """Hot-path gate: the save path stays O(n), layer 0 stays off the devices,
-a restore lands on the slab an eviction gave back, and a long prefill
-splits into row parts without moving a bit.
+a restore lands on the slab an eviction gave back, a long prefill
+splits into row parts without moving a bit, and a burst of restores
+drains one at a time in start order.
 
-Three checks at 256 / 1k / 4k context tokens and two on bench-mid
+Three checks at 256 / 1k / 4k context tokens and three on bench-mid
 calls, each one that no serving-benchmark metric makes:
 
 1. **decode-with-capture state path** — the per-token state-management
@@ -42,16 +43,21 @@ calls, each one that no serving-benchmark metric makes:
    ``layer_forward`` zero times, and restores the K/V of a serial
    ``forward`` over a fresh cache bit for bit.  The replay's wall clock is
    printed, not gated.
+6. **restore burst** — exact counts and bits: ``BURST_RESTORES``
+   bench-mid restores of ``BURST_TOKENS`` tokens each, started at once
+   through ``RestoreExecutor.restore_contexts_async`` on one emulated
+   0.1 GB/s device, complete in start order, run on exactly one driver
+   thread, and each restores the bits of an inline restore of the same
+   context.  Their mean completion and makespan are printed, not gated.
 
 Restore, decode and serving *speed* is the serving benchmark's record
 (``benchmarks/serving/``, on a model where BLAS sets the time); restore
 exactness in every shape is ``tests/core/test_restore_matrix.py``.
 
 Run from the repo root; it takes a few seconds, prints one line per
-context size, one for the prefill parts, one for the replay and, last,
-the report as one JSON line (schema ``bench_hotpath/v16``), and exits
-non-zero when a
-check fails::
+context size, one each for the prefill parts, the replay and the
+restore burst and, last, the report as one JSON line (schema
+``bench_hotpath/v17``), and exits non-zero when a check fails::
 
     python benchmarks/bench_hotpath.py
 """
@@ -63,6 +69,7 @@ import json
 import os
 import statistics
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -85,7 +92,10 @@ from repro.models.config import ModelConfig
 from repro.models.kv_cache import KVCache
 from repro.models.reference import NaiveKVCache
 from repro.models.transformer import Transformer
+from repro.runtime import RestoreExecutor
 from repro.simulator import platform_preset
+from repro.simulator.hardware import GB, SSDSpec
+from repro.storage import StorageArray
 from repro.storage.manager import StorageManager
 
 #: Small enough to run the naive quadratic path at 4k tokens in seconds,
@@ -139,6 +149,13 @@ PARTS_WARM = 3
 #: equals the serial prefill bit for bit, in two parts on two CPUs.
 REPLAY_TOKENS = 300
 REPLAY_PREFIX = 3
+
+#: The burst check: four bench-mid histories of 512 tokens, started at
+#: once on one emulated device of the serving rig's bandwidth.
+BURST_RESTORES = 4
+BURST_TOKENS = 512
+BURST_SSD = SSDSpec("burst-0.1GBps", read_bandwidth=0.1 * GB, write_bandwidth=4 * GB,
+                    io_latency=20e-6)
 
 #: Token blocks the layer-0 check saves in (not a chunk multiple, so
 #: the storage tails fill and flush across saves).
@@ -429,10 +446,64 @@ def check_replay(model: Transformer) -> dict:
     return report
 
 
+def check_restore_burst(model: Transformer) -> dict:
+    """Order, driver threads and bits of a burst of bench-mid restores
+    started at once through ``restore_contexts_async``; and their wall
+    clocks."""
+    cfg = model.config
+    array = StorageArray([BURST_SSD], link_bandwidth=32 * GB)
+    engine = HCacheEngine(model, StorageManager(array))
+    ids = [f"burst{i}" for i in range(BURST_RESTORES)]
+    rng = _rng()
+    for cid in ids:
+        tokens = rng.integers(0, cfg.vocab_size, size=BURST_TOKENS)
+        hidden = [model.embed(tokens)] + [
+            _rows(rng, BURST_TOKENS, cfg.hidden_size) for _ in range(cfg.n_layers - 1)
+        ]
+        engine.register_context(cid)
+        engine.save_states(cid, hidden, tokens)
+        engine.seal(cid)
+    # The oracle restores inline, before the device is slowed down.
+    sequential = {cid: engine.restore(cid) for cid in ids}
+    array.emulate_latency()
+    drivers: list[str] = []
+    real_restore = engine.restore
+
+    def named_restore(*args, **kwargs):
+        drivers.append(threading.current_thread().name)
+        return real_restore(*args, **kwargs)
+
+    engine.restore = named_restore
+    completed: list[tuple[str, float]] = []
+    with RestoreExecutor(1) as executor:
+        t0 = time.perf_counter()
+        futures = executor.restore_contexts_async(engine, ids)
+        for cid, future in futures.items():
+            future.add_done_callback(
+                lambda _, cid=cid: completed.append((cid, time.perf_counter() - t0))
+            )
+        restored = {cid: future.result() for cid, future in futures.items()}
+    del engine.restore
+    report = {
+        "restores": BURST_RESTORES,
+        "tokens": BURST_TOKENS,
+        "completion_order": [cid for cid, _ in completed],
+        "in_start_order": [cid for cid, _ in completed] == ids,
+        "driver_threads": len(set(drivers)),
+        "bit_identical": all(restored[cid].equals(sequential[cid], atol=0.0) for cid in ids),
+        "mean_completion_ms": statistics.fmean(t for _, t in completed) * 1e3,
+        "makespan_ms": max(t for _, t in completed) * 1e3,
+    }
+    report["met"] = (
+        report["in_start_order"] and report["driver_threads"] == 1 and report["bit_identical"]
+    )
+    return report
+
+
 def main() -> int:
     argparse.ArgumentParser(description=__doc__).parse_args()
     model = Transformer.from_seed(BENCH_CONFIG, seed=7)
-    report: dict = {"schema": "bench_hotpath/v16", "window": WINDOW, "sizes": {}}
+    report: dict = {"schema": "bench_hotpath/v17", "window": WINDOW, "sizes": {}}
     for n in SIZES:
         state, layer0, slabs = bench_state_path(n), check_layer0(model, n), check_slab_reuse(model, n)
         report["sizes"][str(n)] = {"state_path": state, "layer0": layer0, "slab_reuse": slabs}
@@ -476,6 +547,16 @@ def main() -> int:
         f"== serial prefill: {replay['bit_identical']}  "
         f"{replay['replay_ms']:.0f} ms (not gated)"
     )
+    burst = check_restore_burst(mid)
+    report["restore_burst"] = burst
+    report["restore_burst_met"] = burst["met"]
+    print(
+        f"restore burst: {burst['restores']} x {burst['tokens']} tokens, completed "
+        f"{'in' if burst['in_start_order'] else 'NOT in'} start order on "
+        f"{burst['driver_threads']} driver thread(s), == one by one: {burst['bit_identical']}  "
+        f"mean completion {burst['mean_completion_ms']:.0f} ms, makespan "
+        f"{burst['makespan_ms']:.0f} ms (not gated)"
+    )
     print(json.dumps(report))
     if not report["state_path_floor_met"]:
         print(
@@ -511,6 +592,13 @@ def main() -> int:
             f"ERROR: a bench-mid r = {REPLAY_PREFIX} restore of {REPLAY_TOKENS} tokens must "
             f"replay in one packed call of {replay['expected_parts']} parts, with no "
             "layer_forward call, and restore the serial prefill's bits",
+            file=sys.stderr,
+        )
+        return 1
+    if not report["restore_burst_met"]:
+        print(
+            f"ERROR: a burst of {BURST_RESTORES} bench-mid restores must complete in "
+            "start order on one driver thread and restore each context's bits",
             file=sys.stderr,
         )
         return 1

@@ -25,7 +25,7 @@
 # repro.* name and tests/*.py path in README.md, docs/ARCHITECTURE.md and
 # benchmarks/README.md resolving to a file and a definition (by AST).  The hot-path gate
 # (benchmarks/bench_hotpath.py, a few seconds, one run shape) asserts
-# the five checks nothing else makes:
+# the six checks nothing else makes:
 #   - the PR-1 O(n) floor: the decode-with-capture state path is >= 10x
 #     the naive concatenate-growth path at 4k tokens;
 #   - the token-sourced layer 0, by exact counts: the default engine's
@@ -42,7 +42,12 @@
 #     restore of 300 tokens replays in one packed call of part_count(300)
 #     parts, with no layer_forward call, and restores
 #     the serial prefill's K/V bit for bit (its wall clock is printed,
-#     not gated).
+#     not gated);
+#   - the restore burst, by exact counts and bits: four bench-mid
+#     512-token restores started at once on an emulated 0.1 GB/s device
+#     complete in start order on one driver thread, each bit-identical
+#     to an inline restore (mean completion and makespan printed, not
+#     gated).
 # The tier-1 step runs with TMPDIR set to a fresh `mktemp -d` directory:
 # every storage device keeps its chunk files in a private repro-dev*
 # directory under TMPDIR and removes it when the device is collected or
@@ -145,7 +150,7 @@ for example in examples/*.py; do
     python "$example" > /dev/null
 done
 
-echo "== hot-path gate (state path >= 10x naive at 4k + layer-0 storage/read counts + slab reuse + prefill parts + token replay) =="
+echo "== hot-path gate (state path >= 10x naive at 4k + layer-0 storage/read counts + slab reuse + prefill parts + token replay + restore burst order) =="
 python benchmarks/bench_hotpath.py
 
 # The serving benchmark (BENCHMARK.json's command) is what performance PRs

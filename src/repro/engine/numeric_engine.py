@@ -76,9 +76,9 @@ class NumericServingEngine:
         every restoration this engine performs then overlaps its storage
         reads with projection compute on the executor's IO worker pool,
         and :meth:`start_restores` — the one place this engine starts a
-        restore — brings several evicted sessions back concurrently
-        through that one pool.  Restored values are bit-identical in
-        every case.
+        restore — brings evicted sessions back in the background, one
+        after the other in start order.  Restored values are
+        bit-identical in every case.
         """
         if hcache.transformer is not transformer:
             raise ConfigError("HCache engine must wrap the same transformer")
@@ -306,12 +306,12 @@ class NumericServingEngine:
         ``reserve_tokens[session_id]`` so its round never recopies history
         (and never has to grow while the restore still writes).
 
-        With an executor the sessions restore concurrently through its
-        pool (granule reads on the IO workers, projection GEMMs on driver
-        threads under released GILs) — while the caller keeps iterating
-        when ``background``, as one burst finished before this returns
-        otherwise.  Without one they restore here, one after the other.
-        Every restore is recorded before it runs, and a failure stays in
+        The sessions restore one after the other, in start order.  With
+        an executor they run on its driver thread (granule reads on the
+        IO workers, projection GEMMs under released GILs) — while the
+        caller keeps iterating when ``background``, all finished before
+        this returns otherwise.  Without one they restore here.  Every
+        restore is recorded before it runs, and a failure stays in
         its own future, inline as on a worker: :meth:`finished_restores`
         raises it.  No iteration may touch a session until
         :meth:`finished_restores` reports it.  Caches are bit-identical

@@ -90,9 +90,9 @@ class SlabArena:
     """Whole-session K/V slab pairs, recycled between one engine's sessions.
 
     :meth:`take` hands out a free slab of the requested size class or
-    allocates one; :meth:`give` puts a slab back.  Restore driver threads
-    take and the stepping thread gives, so the free lists sit behind one
-    lock.  Retention is bounded without a knob: a miss drops every free
+    allocates one; :meth:`give` puts a slab back.  The restore driver
+    thread takes and the stepping thread gives, so the free lists sit
+    behind one lock.  Retention is bounded without a knob: a miss drops every free
     slab (they are all of other classes) before it allocates, so free
     plus taken bytes never exceed the most that were taken at once.
     """

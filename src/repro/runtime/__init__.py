@@ -13,8 +13,8 @@ IO/compute overlap is real wall clock:
   projects or installs in plan order, so every pool size stays
   bit-exact with the naive reference.
 - :class:`RestoreExecutor` — the pool and the in-flight window a
-  restoration drains with; also restores multiple contexts concurrently
-  through one shared pool for the serving layer.
+  restoration drains with; also restores several contexts in the
+  background for the serving layer, one at a time in start order.
 - :class:`RestoreProgress` — the per-layer hand-over between a streaming
   restore and the serving iteration: the restore posts each layer as its
   last row lands, the packed model call waits per layer, a failure wakes

@@ -18,11 +18,10 @@ never *what gets computed* — the restored bytes are identical for every
 pool size, and the tests assert exactly that against the naive
 reference.
 
-Concurrent restorations of *different* contexts may share one executor:
-each ``restore`` call brings its own staging array and workspace, devices
-are read-only during restoration, and the pool is the only shared
-resource — which is the point, since a shared IO path is the contention a
-real serving system sees.  Device latency emulation
+Background restores of several contexts run on the executor's one
+driver thread, one after the other in start order — the FCFS booking of
+the cost model's one IO path — so a restore's reads never interleave with
+another's and its pace is its own.  Device latency emulation
 (:meth:`repro.storage.array.StorageArray.emulate_latency`) sleeps every
 read on one serial stream, so wall clock floors at the modelled IO total.
 """
@@ -53,10 +52,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
 #: with a window of one granule every completion burst stalls the consumer
 #: and the pipeline measurably serializes (a regression test pins this).
 RUNWAY_GRANULES = 6
-
-#: Driver threads restoring distinct contexts at once in
-#: :meth:`RestoreExecutor.restore_contexts_async`.
-MAX_CONCURRENT_RESTORES = 4
 
 
 def _run_inline(fn: Callable[..., Any], /, *args: Any) -> Future:
@@ -172,8 +167,8 @@ class RestoreExecutor:
         if isinstance(pool, int):
             pool = IOWorkerPool(pool)
         self.pool = pool
-        #: Lazily created driver pool for the multi-context restores.
-        self._drivers: ThreadPoolExecutor | None = None
+        #: The one background restore driver, created on first use.
+        self._driver: ThreadPoolExecutor | None = None
         self._closed = False
 
     @property
@@ -191,43 +186,41 @@ class RestoreExecutor:
         self.close()
 
     def close(self) -> None:
-        """Shut down the driver pool, and the IO pool if owned."""
+        """Shut down the driver, and the IO pool if owned."""
         self._closed = True
-        if self._drivers is not None:
-            self._drivers.shutdown(wait=True)
-            self._drivers = None
+        if self._driver is not None:
+            self._driver.shutdown(wait=True)
+            self._driver = None
         if self._owns_pool:
             self.pool.shutdown()
 
-    # -- concurrent multi-context restore ------------------------------
+    # -- background multi-context restore ------------------------------
 
     def restore_contexts_async(
         self,
         engine: "HCacheEngine",
         context_ids: Sequence[str],
         *,
-        reserve_tokens: "int | Mapping[str, int]" = 0,
+        reserve_tokens: "Mapping[str, int] | None" = None,
         progress: "Mapping[str, RestoreProgress] | None" = None,
     ) -> dict[str, "Future[KVCache]"]:
-        """Start restoring several contexts through the shared pool.
+        """Start restoring several contexts in the background, in order.
 
         Returns ``{context_id: Future[KVCache]}`` immediately; each
         restoration is the ordinary ``engine.restore(..., executor=self)``
-        on a persistent driver pool (at most :data:`MAX_CONCURRENT_RESTORES`
-        concurrently), all of them contending for the same IO workers.
-        This is the serving front end's restore/decode overlap:
-        admitted-but-evicted sessions restore in the background — their
-        granule reads on the shared
-        :class:`IOWorkerPool`, their projection GEMMs on the driver
-        threads (numpy BLAS releases the GIL) — while the calling thread
-        keeps issuing fused decode iterations for GPU-resident sessions.
-        Per-context results are bit-identical to restoring them one by
-        one — restores share no mutable state but the pool and the
-        read-only storage; only completion *timing* differs.
+        on the executor's one driver thread, ``hcache-restore-async``, one
+        at a time in start order (this call's order, after every restore
+        an earlier call started) — the cost model's first-come-first-served
+        booking on one IO path, so a restore's pace is its own.  This is
+        the serving front end's restore/decode overlap: granule reads on
+        the :class:`IOWorkerPool`, projection GEMMs on the driver (numpy
+        BLAS releases the GIL), while the calling thread keeps issuing
+        fused iterations for GPU-resident sessions.  Results are
+        bit-identical to inline restores.
 
-        ``reserve_tokens`` is one capacity for every context or a
-        per-context mapping (missing ids reserve 0 — only each context's
-        own expected length is worth preallocating).
+        ``reserve_tokens`` maps a context to the capacity its cache is
+        sized for (missing ids reserve 0 — only each context's own
+        expected length is worth preallocating).
 
         ``progress`` (one :class:`~repro.runtime.progress.RestoreProgress`
         per context id) is handed to each ``engine.restore`` — which posts
@@ -238,11 +231,11 @@ class RestoreExecutor:
         any restore starts.
 
         Safety: the restored context must not be saved to or dropped
-        while its future is outstanding; concurrent saves of *other*
-        contexts are fine, per the :meth:`HCacheEngine.restore`
-        concurrency contract.  With ``progress`` the serving engine may
-        prefill on ``progress[cid].step_cache`` meanwhile — a second
-        handle, never the cache the future resolves to.
+        while its future is outstanding; saves of *other* contexts are
+        fine, per the :meth:`HCacheEngine.restore` concurrency contract.
+        With ``progress`` the serving engine may prefill on
+        ``progress[cid].step_cache`` meanwhile — a second handle, never
+        the cache the future resolves to.
         """
         if self._closed:
             raise StateError("restore executor is closed")
@@ -253,23 +246,13 @@ class RestoreExecutor:
         stray = set(sinks) - set(ids)
         if stray:
             raise ConfigError(f"progress names contexts not being restored: {sorted(stray)}")
-        if not ids:
-            return {}
-        reserve = (
-            dict.fromkeys(ids, reserve_tokens)
-            if isinstance(reserve_tokens, int)
-            else {cid: int(reserve_tokens.get(cid, 0)) for cid in ids}
-        )
-        if self._drivers is None:
-            self._drivers = ThreadPoolExecutor(
-                max_workers=MAX_CONCURRENT_RESTORES,
-                thread_name_prefix="hcache-restore",
-            )
+        reserve = reserve_tokens if reserve_tokens is not None else {}
+        if self._driver is None:
+            self._driver = ThreadPoolExecutor(1, thread_name_prefix="hcache-restore-async")
         futures = {
-            cid: self._drivers.submit(
-                partial(
-                    engine.restore, cid, reserve[cid], executor=self, progress=sinks.get(cid)
-                )
+            cid: self._driver.submit(
+                partial(engine.restore, cid, int(reserve.get(cid, 0)), executor=self,
+                        progress=sinks.get(cid))
             )
             for cid in ids
         }

@@ -1,17 +1,16 @@
 """Background IO worker pool for the threaded restore pipeline.
 
-The pool is the "transmission stream" of §4.1 made executable: restore
-coordinators submit granule reads
-(:meth:`repro.storage.manager.StorageManager.read_granule_into`) and keep
-projecting on their own thread while workers fill staging buffers in the
+The pool is the "transmission stream" of §4.1 made executable: a restore
+submits its granule reads
+(:meth:`repro.storage.manager.StorageManager.read_granule_into`) and keeps
+projecting on its own thread while workers fill staging buffers in the
 background.  The operations a worker runs — ``np.copyto`` into a staging
 slot, and (under latency emulation) ``time.sleep`` of the modelled device
 seconds — all release the GIL, so the overlap is real wall clock, not just
 pipeline structure.
 
-One pool is meant to be **shared**: a serving engine creates it once and
-every concurrent restoration draws from the same workers, which is exactly
-the contention surface a real deployment has on its PCIe/NVMe path.
+A serving engine creates one pool and every restore it runs draws from
+it, one restore at a time (:class:`repro.runtime.executor.RestoreExecutor`).
 """
 
 from __future__ import annotations

@@ -29,6 +29,10 @@ from repro.engine import (
     SplitFuseScheduler,
 )
 from repro.engine.serving import CostModelEngine
+from repro.runtime import RestoreExecutor
+from repro.simulator.hardware import GB, SSDSpec
+from repro.storage import StorageArray
+from repro.storage import manager as manager_module
 from repro.storage.manager import StorageManager
 
 DECISIONS = (
@@ -154,6 +158,79 @@ def test_any_script_yields_the_same_decisions(
 ):
     numeric, cost = both(engines, waves, budget_tokens, max_running, tiny_config.vocab_size)
     assert numeric == cost
+
+
+#: Reads a burst's restores long enough to overlap (~70 ms for the
+#: longest history), writes instantly.
+SLOW_READS = SSDSpec("slow-reads", read_bandwidth=5e6, write_bandwidth=100 * GB, io_latency=0.0)
+
+#: First-round prompt lengths of the restore burst's sessions: the
+#: first-started restore is the longest, so restores whose reads
+#: interleaved on the IO stream would complete shortest first.
+BURST_PROMPTS = (448, 96, 32)
+
+
+def restore_orders(engine, clock, vocab_size):
+    """Serve a first round of one session per :data:`BURST_PROMPTS`
+    entry (evicted when done), then submit every second round at once.
+    Returns the request ids of ``restores_started`` and of
+    ``restores_completed``, each flattened over the steps."""
+    frontend = ServingFrontend(
+        engine,
+        MemoryBudget(capacity_tokens=4096),
+        scheduler=SplitFuseScheduler(64),
+        overlap_restores=True,
+        evict_on_finish=True,
+        clock=clock,
+    )
+    rng = np.random.default_rng(5)
+    started, completed = [], []
+    for round_prompts in (BURST_PROMPTS, (4,) * len(BURST_PROMPTS)):
+        for session, prompt_len in enumerate(round_prompts):
+            frontend.submit(
+                ServingRequest(
+                    session_id=f"s{session}",
+                    prompt_tokens=rng.integers(0, vocab_size, size=prompt_len),
+                    max_new_tokens=2,
+                    arrival_time=0.0,
+                )
+            )
+        for stats in frontend.run_until_idle(max_steps=2000):
+            started += stats.restores_started
+            completed += stats.restores_completed
+    return started, completed
+
+
+def test_both_engines_complete_a_burst_of_restores_in_start_order(
+    tiny_model, tiny_config, default_platform, monkeypatch
+):
+    """Three evicted sessions come back at once: the numeric engine's
+    background restores (one driver thread, on an emulated device) and
+    the cost model's FCFS booking on its one IO path both complete them
+    in the order they started."""
+    # One-chunk granules: many reads per restore, more than a window.
+    monkeypatch.setattr(manager_module, "GRANULE_CHUNKS", 1)
+    array = StorageArray([SLOW_READS], link_bandwidth=100 * GB)
+    array.emulate_latency()
+    storage = StorageManager(array)
+    with RestoreExecutor(1) as executor:
+        numeric = NumericServingEngine(
+            tiny_model, HCacheEngine(tiny_model, storage), executor=executor
+        )
+        numeric_started, numeric_completed = restore_orders(
+            numeric, None, tiny_config.vocab_size
+        )
+    cost = CostModelEngine(
+        tiny_config,
+        default_platform,
+        partial(method_timing, "hcache", tiny_config, default_platform),
+        budget_tokens=64,
+    )
+    cost_started, cost_completed = restore_orders(cost, cost.now, tiny_config.vocab_size)
+    assert numeric_started == ["s0/r1", "s1/r1", "s2/r1"]
+    assert numeric_completed == numeric_started
+    assert cost_started == numeric_started
+    assert cost_completed == cost_started
 
 
 def serve_beside_a_decoder(engine, clock, prompts, outputs):

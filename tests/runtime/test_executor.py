@@ -5,8 +5,9 @@ Bit-exactness of every loop shape (inline, pooled) lives in
 loop (:func:`drain_granules`) owes its callers beyond the bytes: the
 same device reads inline and pooled (counted by the devices and the IO
 pool, not by the loop), the in-flight window that absorbs bursty
-completion, containment of a read that fails mid-drain, concurrent
-multi-context restores, latency emulation, and executor/pool lifecycle.
+completion, containment of a read that fails mid-drain, background
+multi-context restores (one driver, start order), latency emulation, and
+executor/pool lifecycle.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ from repro.models.kv_cache import KVCache
 from repro.models.transformer import Transformer
 from repro.runtime import IOWorkerPool, RestoreExecutor, RestoreProgress, drain_granules
 from repro.runtime import executor as executor_module
-from repro.runtime.executor import MAX_CONCURRENT_RESTORES
 from repro.simulator import platform_preset
 from repro.storage import LatencyEmulator, StorageManager
 from repro.storage import device as device_module
@@ -456,13 +456,12 @@ class TestConcurrentContexts:
             save_context(engine, model, config, n, context_id=cid)
         with RestoreExecutor(1) as executor:
             mapped = restore_all(executor, engine, ["a", "b"], reserve_tokens={"a": 300})
-            shared = restore_all(executor, engine, ["a", "b"], reserve_tokens=300)
+            plain = restore_all(executor, engine, ["a", "b"])
             for cid, future in mapped.items():
-                assert future.result().equals(shared[cid].result(), atol=0.0)
-            # int reserves every context; a mapping only the ids it names.
+                assert future.result().equals(plain[cid].result(), atol=0.0)
+            # A mapping reserves only the ids it names.
             assert mapped["a"].result().capacity >= 300
             assert mapped["b"].result().capacity < 300
-            assert all(f.result().capacity >= 300 for f in shared.values())
 
     def test_failure_surfaces_after_the_other_drivers_finish(self):
         config = model_preset("tiny-llama")
@@ -477,36 +476,73 @@ class TestConcurrentContexts:
             # The pool is still usable afterwards.
             assert len(restore_all(executor, engine, ["a"])["a"].result()) == 64
 
-    def test_at_most_max_concurrent_restores_drive_at_once(self):
-        """More contexts than drivers: exactly ``MAX_CONCURRENT_RESTORES``
-        restores run together, the rest queue behind them."""
+    def test_a_burst_restores_one_at_a_time_in_start_order(self, one_chunk_granules):
+        """K restores started at once drain one after the other, in start
+        order, on one driver thread: context 0's last read is held, and no
+        read of a later context is issued meanwhile."""
         config = model_preset("tiny-llama")
         model, engine = build_engine(config)
-        ids = [f"c{i}" for i in range(MAX_CONCURRENT_RESTORES + 2)]
+        ids = [f"c{i}" for i in range(4)]
         for cid in ids:
-            save_context(engine, model, config, 16, context_id=cid)
+            save_context(engine, model, config, 130, context_id=cid)
+        storage = engine.storage
+        reads: list[tuple[str, object]] = []
+        real_read = storage.read_granule_into
+
+        def logged_read(context_id, spec, rows):
+            reads.append((context_id, spec))
+            return real_read(context_id, spec, rows)
+
+        storage.read_granule_into = logged_read
+        sequential = {cid: engine.restore(cid) for cid in ids}
+        plans = {cid: [spec for c, spec in reads if c == cid] for cid in ids}
+        assert all(len(plan) > 1 for plan in plans.values())
+        reads.clear()
+
+        last_of_first = plans[ids[0]][-1]
+        other_read = threading.Event()
+
+        def held_read(context_id, spec, rows):
+            reads.append((context_id, spec))
+            if context_id != ids[0]:
+                other_read.set()
+            elif spec == last_of_first:
+                # Held until another restore reads (out of order) or 0.2 s pass.
+                other_read.wait(timeout=0.2)
+            return real_read(context_id, spec, rows)
+
+        storage.read_granule_into = held_read
+        drivers: list[str] = []
         real_restore = engine.restore
-        cond = threading.Condition()
-        active, peak = [0], [0]
 
-        def counted_restore(*args, **kwargs):
-            with cond:
-                active[0] += 1
-                peak[0] = max(peak[0], active[0])
-                cond.notify_all()
-                # Hold until every driver is busy (or a bounded wait).
-                cond.wait_for(lambda: active[0] >= MAX_CONCURRENT_RESTORES, timeout=5.0)
-            try:
-                return real_restore(*args, **kwargs)
-            finally:
-                with cond:
-                    active[0] -= 1
+        def named_restore(*args, **kwargs):
+            drivers.append(threading.current_thread().name)
+            return real_restore(*args, **kwargs)
 
-        engine.restore = counted_restore
-        with RestoreExecutor(1) as executor:
-            futures = restore_all(executor, engine, ids)
-        assert peak[0] == MAX_CONCURRENT_RESTORES
-        assert all(len(future.result()) == 16 for future in futures.values())
+        engine.restore = named_restore
+        completed: list[str] = []
+        try:
+            with RestoreExecutor(1) as executor:
+                futures = executor.restore_contexts_async(engine, ids)
+                for cid, future in futures.items():
+                    future.add_done_callback(lambda _, cid=cid: completed.append(cid))
+                _, not_done = wait(futures.values(), timeout=30.0)
+                assert not not_done
+        finally:
+            del storage.read_granule_into
+            del engine.restore
+
+        order = [cid for cid, _ in reads]
+        for first, then in zip(ids, ids[1:]):
+            last = max(i for i, (cid, _) in enumerate(reads) if cid == first)
+            assert reads[last] == (first, plans[first][-1])
+            assert order.index(then) > last, (first, then)
+        assert completed == ids
+        assert len(drivers) == len(ids)
+        assert len(set(drivers)) == 1
+        assert drivers[0].startswith("hcache-restore-async_")
+        for cid in ids:
+            assert futures[cid].result().equals(sequential[cid], atol=0.0), cid
 
     def test_closed_executor_raises_typed_error_up_front(self):
         config = model_preset("tiny-llama")
@@ -541,7 +577,7 @@ class TestNumericServingEngineIntegration:
             threaded = self._run_session(executor, serve_round)
         assert baseline == threaded
 
-    def test_start_restores_brings_sessions_back_concurrently(self, serve_round):
+    def test_start_restores_brings_sessions_back_in_start_order(self, serve_round):
         config = model_preset("tiny-llama")
         model = Transformer.from_seed(config, seed=3)
         manager = StorageManager(build_storage_array(platform_preset("default")))
@@ -559,7 +595,21 @@ class TestNumericServingEngineIntegration:
                 # state.  (The *live* cache matches only to float rounding
                 # for decode-produced rows — the GEMV-vs-GEMM caveat.)
                 expected[sid] = hcache.restore(sid)
-            engine.start_restores(dict.fromkeys(expected, 0), background=False)
+            returned: list[tuple[str, str]] = []
+            real_restore = hcache.restore
+
+            def recorded_restore(sid, *args, **kwargs):
+                cache = real_restore(sid, *args, **kwargs)
+                returned.append((sid, threading.current_thread().name))
+                return cache
+
+            hcache.restore = recorded_restore
+            try:
+                engine.start_restores(dict.fromkeys(expected, 0), background=False)
+            finally:
+                del hcache.restore
+            assert [sid for sid, _ in returned] == list(expected)
+            assert {name for _, name in returned} == {"hcache-restore-async_0"}
             assert engine.finished_restores() == list(expected)
             for sid, cache in expected.items():
                 restored = engine.session(sid).kv_cache
