@@ -39,10 +39,10 @@
 #     bit-identical to the same call forced into one part (its wall-clock
 #     ratio is printed, not gated);
 #   - the token replay, by exact counts and bits: a bench-mid r = 3
-#     restore of 300 tokens replays in one packed call of part_count(300)
-#     parts, with no layer_forward call, and restores
-#     the serial prefill's K/V bit for bit (its wall clock is printed,
-#     not gated);
+#     restore of 300 tokens replays in two row chunks, one packed call
+#     of part_count(chunk rows) parts each, with no layer_forward call,
+#     and restores the serial prefill's K/V bit for bit (its wall clock
+#     is printed, not gated);
 #   - the restore burst, by exact counts and bits: four bench-mid
 #     512-token restores started at once on an emulated 0.1 GB/s device
 #     complete in start order on one driver thread, each bit-identical
@@ -126,7 +126,7 @@ python -m pytest -q tests/storage/test_journal.py tests/storage/test_recovery.py
 # virtual-clock twin runs the real restore on a fake IO pool and bounds
 # its makespan by two_stream_timing's, so a restore that stops following
 # the walk fails with "restore follows the walk" in the log.
-echo "== restore follows the walk (virtual-clock twin of two_stream_timing, every r <= 1 scheme and pure recompute) =="
+echo "== restore follows the walk (virtual-clock twin of two_stream_timing: every r <= 1 scheme, r = 2 and 3 with and without a KV suffix, pure recompute; 0.1 to 3 GB/s) =="
 python -m pytest -q tests/core/test_restore_follows_walk.py
 
 echo "== paper figure/table/ablation benches (expectations asserted, timing disabled) =="

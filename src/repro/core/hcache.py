@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import replace
 from fractions import Fraction
+from functools import partial
 from typing import Sequence
 
 import numpy as np
@@ -22,8 +23,8 @@ import numpy as np
 from repro.core.partition import LayerMethod, PartitionScheme
 from repro.errors import ConfigError, RecoveryError, RestorationError, SchedulingError, StateError
 from repro.models.kv_cache import KVCache, SlabArena
-from repro.models.transformer import RestoreWorkspace, Transformer
-from repro.runtime.executor import RestoreExecutor, drain_granules
+from repro.models.transformer import RestoreWorkspace, Transformer, replay_chunks
+from repro.runtime.executor import PlanItem, RestoreExecutor, drain_granules
 from repro.runtime.progress import RestoreProgress
 from repro.storage.manager import GranuleSpec, StorageManager
 
@@ -31,8 +32,8 @@ from repro.storage.manager import GranuleSpec, StorageManager
 _STORED_DTYPE = np.dtype(np.float32)
 
 
-def merge_granule_plans(*plans: Sequence[GranuleSpec]) -> list[GranuleSpec]:
-    """Merge per-kind granule plans into one, each spread in proportion.
+def merge_granule_plans(*plans: Sequence[PlanItem]) -> list[PlanItem]:
+    """Merge plans (granules, replay chunks) into one, each in proportion.
 
     The i-th of a plan's n granules sits at ``(i + 1/2) / n``, ties going
     to the earlier plan.  Each plan keeps its order, and over any prefix
@@ -294,14 +295,14 @@ class HCacheEngine:
         at IO start — what ``CostModelEngine.start_restores`` books.
 
         The context's :meth:`layout` says which layers stream from which
-        run.  A RECOMPUTE prefix of ``r`` layers is token-sourced: layers
-        ``[0, r - 1)`` are replayed from the journaled tokens by the packed
-        kernel (:meth:`Transformer.replay`) into this cache, and layer
-        ``r - 1`` — whose input rows are all its K/V needs — is projected
-        like a HIDDEN layer (same closure, workspace and granule split);
-        for ``r = 1`` (the default layout) that is the embedding gather
-        plus one projection.  It runs on the calling thread once the
-        drain's first window of reads is in flight, under the IO stream.
+        run.  A RECOMPUTE prefix of ``r`` layers is token-sourced by
+        read-free plan items: layers ``[0, r - 1)`` are replayed from the
+        journaled tokens (:meth:`Transformer.replay`) into this cache in
+        row chunks of about a granule, merged in proportion with the stored
+        granules; layer ``r - 1``, whose input rows are all its K/V needs,
+        is then projected like a HIDDEN layer, one item per granule.  For
+        ``r = 1`` (the default layout) that is the embedding gather and
+        the projections, at the head of the plan.
 
         With ``executor`` the reads run on its IO workers while this
         thread computes, in plan order.  Concurrent ``restore`` calls are
@@ -329,7 +330,8 @@ class HCacheEngine:
         row is in.  The stepping thread may prefill on
         ``progress.step_cache`` meanwhile (see
         :mod:`repro.runtime.progress`); the returned cache still
-        ``.equals`` the saved history, with ``len(cache) == n_tokens``.
+        ``.equals`` the saved history.  A row left unfilled raises
+        :class:`~repro.errors.RestorationError`.
         """
         n_tokens, layout, granules = self._plan_restore(context_id)
         cache = self.arena.cache(self.transformer.config, max(n_tokens, reserve_tokens))
@@ -367,23 +369,31 @@ class HCacheEngine:
                 cache.install_packed_rows(spec.layer, spec.start, rows)
                 landed(spec.layer, rows.shape[0])
 
-        def token_prefix() -> None:
-            # Layers [0, r - 1) are replayed into the cache's views; layer
-            # r - 1's input rows (for r = 1 the embedding gather) are all
+        def replay(a: int, b: int) -> None:  # a RECOMPUTE prefix's row chunk
+            entering[a:b] = self.transformer.replay(tokens[a:b], views[:last], start=a)
+            for layer in range(last):
+                landed(layer, b - a)
+
+        plan = granules
+        if layout.n_recompute:
+            # Layer r - 1's input rows (r = 1: the embedding gather) are all
             # its K/V needs, projected in the stored stream's granule
             # partition: bit-identical to restoring those rows from a device.
             last = layout.n_recompute - 1
             tokens = np.array(self.storage.token_log(context_id)[:n_tokens])
-            rows = self.transformer.replay(tokens, views[:last])
-            for layer in range(last):
-                landed(layer, n_tokens)
-            for start in range(0, n_tokens, granule_tokens):
-                project(last, start, rows[start : start + granule_tokens])
-
-        under_io = token_prefix if layout.n_recompute else None
-        drain_granules(self.storage, context_id, granules, consume, executor, under_io)
-        if len(cache) != n_tokens:
-            raise RestorationError("restored cache length mismatch")
+            entering = (np.empty((n_tokens, self.transformer.config.hidden_size), np.float32)
+                        if last else self.transformer.replay(tokens, []))
+            cuts = replay_chunks(n_tokens, -(-n_tokens // granule_tokens)) if last else [0]
+            chunks = [partial(replay, a, b) for a, b in zip(cuts, cuts[1:])]
+            plan = merge_granule_plans(chunks, granules)
+            at = plan.index(chunks[-1]) + 1 if chunks else 0
+            plan[at:at] = [
+                partial(project, last, a, entering[a : a + granule_tokens])
+                for a in range(0, n_tokens, granule_tokens)
+            ]
+        drain_granules(self.storage, context_id, plan, consume, executor)
+        if any(rows_left):
+            raise RestorationError(f"the restore left rows unfilled: {rows_left}")
         return cache
 
     def _plan_restore(self, context_id: str) -> tuple[int, PartitionScheme, list[GranuleSpec]]:

@@ -454,17 +454,16 @@ class NumericServingEngine:
     def close_session(self, session_id: str) -> None:
         """End a conversation and free its storage.
 
-        A restore of it that no :meth:`finished_restores` has reported
-        yet still reads that storage: it is waited out first, and its
+        A restore of it that is still reading that storage, reported by
+        :meth:`finished_restores` or not, is waited out first, and its
         outcome discarded — a restored cache's slab goes back to the
         arena, a failure has none to give back."""
         state = self.session(session_id)
-        restoring = self._restoring.pop(session_id, None)
+        restoring = self._restoring.pop(session_id, None) or self._landing.pop(session_id, None)
         if restoring is not None:
             wait((restoring.future,))
             if restoring.future.exception() is None:
                 restoring.future.result().release()
-        self._settle_restore(session_id)
         self._drop_cache(state)
         self.hcache.drop_context(session_id)
         del self._sessions[session_id]

@@ -60,14 +60,14 @@ HOT_PATHS: dict[str, frozenset[str]] = {
         }
     ),
     "repro/models/rope.py": frozenset({"rope_rotate_fullwidth_into"}),
-    # The token-sourced prefix on the restore path (a replay into the
-    # restore cache's views, then one projection per granule of the last
-    # RECOMPUTE layer, rows sliced from the replayed block), the drain's
-    # per-granule dispatch (project a hidden granule, install a KV one),
-    # and the per-granule row count that reports a layer as landed.
+    # The token-sourced prefix on the restore path (one row chunk's replay
+    # into the restore cache's views, its rows kept for the last RECOMPUTE
+    # layer's projections), the drain's per-granule dispatch (project a
+    # hidden granule, install a KV one), and the per-granule row count that
+    # reports a layer as landed.
     "repro/core/hcache.py": frozenset(
         {
-            "HCacheEngine.restore.token_prefix",
+            "HCacheEngine.restore.replay",
             "HCacheEngine.restore.consume",
             "HCacheEngine.restore.landed",
         }

@@ -163,6 +163,11 @@ def _part_cuts(bounds: list[int], parts: int) -> list[int]:
     return [0, rows]
 
 
+def replay_chunks(rows: int, chunks: int) -> list[int]:
+    """Bounds of at most ``chunks`` row chunks, cut as parts are: each replays bit-exactly."""
+    return _part_cuts([0, rows], chunks)
+
+
 _helpers: ThreadPoolExecutor | None = None
 _helpers_lock = threading.Lock()
 
@@ -553,13 +558,14 @@ class Transformer:
         return self._forward_packed([np.asarray(seg) for seg in segments], caches)
 
     def _forward_packed(
-        self, segments: list[np.ndarray], caches: Sequence[KVCache], prefix: KVViews | None = None
+        self, segments: list[np.ndarray], caches: Sequence[KVCache],
+        prefix: KVViews | None = None, prefix_start: int = 0,
     ) -> ForwardResult:
         """The one batched kernel behind both public spellings above and,
         given ``prefix`` (a ``(keys, values)`` view pair per layer of
         ``[0, stop)``) and no caches, :meth:`replay`: one segment from
-        position 0 runs those layers in full into the views, with no
-        last-row tail, final norm or LM head (zero-row logits).
+        position ``prefix_start`` runs those layers in full into the views, with
+        no last-row tail, final norm or LM head (zero-row logits).
 
         Every dense product is :func:`~repro.models.tensor_ops.slab_matmul`:
         2–``M_MAX`` rows (a small decode batch, the last-row final layer)
@@ -606,7 +612,7 @@ class Transformer:
         for cache in caches:
             if cache.config != config:
                 raise ConfigError("every cache must match the transformer's config")
-        starts = [len(cache) for cache in caches] or [0]
+        starts = [len(cache) for cache in caches] or [prefix_start]
         sizes = [seg.size for seg in segments]
         for start, size in zip(starts, sizes):
             if start + size > config.max_context:
@@ -742,19 +748,20 @@ class Transformer:
     # restoration helpers
     # ------------------------------------------------------------------
 
-    def replay(self, tokens: np.ndarray, views: KVViews) -> np.ndarray:
-        """Token-replay layers ``[0, len(views))`` of a history, writing layer
-        ``L``'s K/V rows into ``views[L]``; return the rows entering layer
-        ``len(views)`` — with no views, the embedding gather, run by no
-        forward kernel.  Otherwise the packed kernel's layer-range call,
+    def replay(self, tokens: np.ndarray, views: KVViews, start: int = 0) -> np.ndarray:
+        """Token-replay layers ``[0, len(views))`` of history rows from
+        ``start`` on (the views' earlier rows hold the history's), writing
+        layer ``L``'s K/V rows into ``views[L]``; return the rows entering
+        layer ``len(views)`` — with no views, the embedding gather, run by
+        no forward kernel.  Otherwise the packed kernel's layer-range call,
         bit-identical to a one-segment :meth:`forward_fused` of the tokens
-        in one part or many; above ``M_MAX`` rows also to a serial
-        :meth:`forward` of them, at or below within
+        in one part or many (or :func:`replay_chunks`); above ``M_MAX`` rows
+        also to a serial :meth:`forward` of them, at or below within
         :data:`BATCHED_DECODE_ATOL` of it (row slabs).
         """
         if not views:
             return self.embed(tokens)
-        return self._forward_packed([np.asarray(tokens)], [], views).hidden_states[-1]
+        return self._forward_packed([np.asarray(tokens)], [], views, start).hidden_states[-1]
 
     def recompute_prefix(
         self, tokens: np.ndarray, n_prefix_layers: int

@@ -1,27 +1,21 @@
 """The restore drain loop and its executor: real IO/compute overlap (§4.1).
 
 Every restoration — inline or threaded — is one call of the same loop,
-:func:`drain_granules`: one granule plan (the engine merges the hidden
-and KV layers' :meth:`StorageManager.granule_plan` in proportion), one
-staging array, and a **window** of granule reads kept outstanding
-(submitted but not yet consumed).  Without an executor the reads run
-synchronously at submit with a window of 1 — the double-buffered
-single-threaded drain; with one they run on the executor's IO worker
-pool while the calling thread projects.
+:func:`drain_granules`: one plan (stored granules and read-free work,
+merged by the engine), one staging array, and a **window** of granule
+reads kept outstanding (submitted but not yet consumed), on the
+executor's IO worker pool while the calling thread computes.
 
-Determinism and bit-exactness: granules are consumed strictly in plan
-order, and all projection compute runs at full GEMM width on the single
-calling thread into disjoint KV-cache row slices.  Worker threads only
+Determinism and bit-exactness: the plan runs strictly in order, and all
+compute runs on the single calling thread into disjoint KV-cache rows.  Worker threads only
 ever fill staging slots they exclusively own (the slot-reuse argument is
 in :func:`drain_granules`), so threading changes *where bytes move*,
 never *what gets computed* — the restored bytes are identical for every
 pool size, and the tests assert exactly that against the naive
 reference.
 
-Background restores of several contexts run on the executor's one
-driver thread, one after the other in start order — the FCFS booking of
-the cost model's one IO path — so a restore's reads never interleave with
-another's and its pace is its own.  Device latency emulation
+Background restores run on one driver thread, in start order
+(:meth:`RestoreExecutor.restore_contexts_async`).  Device latency emulation
 (:meth:`repro.storage.array.StorageArray.emulate_latency`) sleeps every
 read on one serial stream, so wall clock floors at the modelled IO total.
 """
@@ -53,6 +47,9 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
 #: and the pipeline measurably serializes (a regression test pins this).
 RUNWAY_GRANULES = 6
 
+#: A drain plan item: a granule to read and consume, or read-free work.
+PlanItem = GranuleSpec | Callable[[], None]
+
 
 def _run_inline(fn: Callable[..., Any], /, *args: Any) -> Future:
     """``IOWorkerPool.submit`` without a pool: run now, return it settled."""
@@ -64,33 +61,26 @@ def _run_inline(fn: Callable[..., Any], /, *args: Any) -> Future:
 def drain_granules(
     storage: StorageManager,
     context_id: str,
-    granules: Sequence[GranuleSpec],
+    plan: Sequence[PlanItem],
     consume: Callable[[GranuleSpec, np.ndarray], None],
     executor: "RestoreExecutor | None" = None,
-    under_io: "Callable[[], None] | None" = None,
 ) -> None:
-    """Stream the stored rows of ``granules`` through ``consume``, reads running ahead.
+    """Run ``plan`` in order on the calling thread, its granules read ahead.
 
-    The one restore loop: one plan (hidden and KV granules in any order),
-    one staging array and a window of ``executor.inflight`` outstanding
-    reads on the executor's IO pool.  ``consume(spec, rows)`` (projection
-    or KV install) runs on the calling thread, strictly in plan order;
-    ``rows`` is a ``(spec.n_tokens, width)`` view of a staging slot and is
-    valid only until ``consume`` returns.  The window is refilled *before*
-    each granule is consumed, so the next read runs under this granule's
-    consume — the §4.1 overlap.
+    The one restore loop: one plan, one staging array and a window of
+    ``executor.inflight`` outstanding reads on the executor's IO pool.  A
+    :class:`GranuleSpec` is read, then ``consume(spec, rows)`` runs with
+    ``rows`` a ``(spec.n_tokens, width)`` view of a staging slot, valid
+    until it returns; any other item is read-free work (the engine's token
+    replay and its projections), called with no argument, taking no window
+    place and no slot.  The window is refilled *before* each granule is
+    consumed, so the next read runs under this granule's consume, and the
+    reads after a callable run under it — the §4.1 overlap.
 
     With ``executor=None`` the same loop runs with a window of 1 and
     executes each read synchronously at submit: the double-buffered
     single-threaded drain (the pending granule's slot stays valid while
     the next one is read into the other).
-
-    ``under_io`` is work that needs no stored state (the engine's
-    token-sourced recompute prefix): it runs once on the calling thread,
-    right after the first window of reads has been submitted and before
-    the first granule is consumed, so with an executor it hides under the
-    IO stream.  Inline, or with an empty plan, it simply runs at that
-    point.
 
     The loop reads no clock and counts nothing: the devices count and
     time each chunk read, and the executor's pool its submissions.
@@ -107,40 +97,44 @@ def drain_granules(
     # taken round-robin, so the slot a refill reuses was taken window + 1
     # submissions earlier — always a granule already consumed, never the
     # rows being consumed now.
-    widest = max((meta.width(spec.kind) for spec in granules), default=0)
+    widest = max((meta.width(x.kind) for x in plan if isinstance(x, GranuleSpec)), default=0)
     slots = cycle(np.empty((window + 1, storage.granule_tokens * widest), meta.dtype))
-    plan = iter(granules)
-    pending: deque = deque()
+    items = iter(plan)
+    pending: deque = deque()  # (callable, None, None) or (spec, rows, read), in plan order
 
     def submit_next() -> None:
-        spec = next(plan, None)
-        if spec is None:
+        """Queue the plan up to and including its next granule's read."""
+        for item in items:
+            if not isinstance(item, GranuleSpec):
+                pending.append((item, None, None))
+                continue
+            width = meta.width(item.kind)
+            rows = next(slots)[: item.n_tokens * width].reshape(item.n_tokens, width)
+            # The read is looked up on the storage instance at every submit,
+            # so instance-level wrappers (tracing) see each granule.
+            future = submit(storage.read_granule_into, context_id, item, rows)
+            pending.append((item, rows, future))
             return
-        width = meta.width(spec.kind)
-        rows = next(slots)[: spec.n_tokens * width].reshape(spec.n_tokens, width)
-        # The read is looked up on the storage instance at every submit,
-        # so instance-level wrappers (tracing) see each granule.
-        future = submit(storage.read_granule_into, context_id, spec, rows)
-        pending.append((spec, rows, future))
 
     try:
         for _ in range(window):
             submit_next()
-        if under_io is not None:
-            under_io()
         while pending:
-            spec, rows, future = pending.popleft()
+            item, rows, future = pending.popleft()
+            if future is None:
+                item()
+                continue
             future.result()
             submit_next()
-            consume(spec, rows)
+            consume(item, rows)
     # lint: disable=exception-safety -- sanctioned drain containment: settles in-flight reads, then re-raises
     except BaseException:
         # Containment: a failed read (e.g. every replica of a device
-        # faulted) or a failed consume must not leave in-flight workers
-        # filling staging slots this drain abandoned.  Settle every
+        # faulted) or a failed consume or callable must not leave in-flight
+        # workers filling staging slots this drain abandoned.  Settle every
         # outstanding future before propagating, so the pool is clean for
         # the next restore.  (CancelledError is a BaseException.)
-        for _, _, future in pending:
+        for future in [future for _, _, future in pending if future is not None]:
             future.cancel()
             try:
                 future.result()

@@ -7,8 +7,7 @@ in-memory context registry, run lengths, tail buffers, and seal state of
 observation that streamed state makes fault tolerance a metadata-and-
 replication problem, this module makes that metadata durable with a
 classic write-ahead log of the manager's **records** (``register`` /
-``run`` / ``chunk`` / ``seal`` / ``tokens`` / ``free``, and the
-``free_run`` that older journals hold).
+``run`` / ``chunk`` / ``seal`` / ``tokens`` / ``free``).
 It gives them no meaning: ``StorageManager._apply`` is the one fold.
 
 - Records are framed as ``<u32 payload_len><u32 crc32><payload>`` with a

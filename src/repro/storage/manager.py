@@ -549,12 +549,8 @@ class StorageManager:
         its journaled full chunks plus its sealed tail, ``device_tail_rows``
         that sealed tail, and ``crcs`` every journaled slot's CRC; its host
         tail holds nothing yet (:meth:`recover` fills it).  Runs open with
-        the ``register`` record that names them, with their ``run`` record,
-        or — in journals written before ``run`` records existed — with
-        their first ``chunk`` or ``seal``; a
-        ``register`` without ``kv_width`` predates GQA and used the MHA
-        width, and a ``free_run`` (only older journals hold one) drops
-        its run.
+        the ``register`` record that names them or with their ``run``
+        record; a ``chunk`` or ``seal`` of a run never opened is malformed.
         """
         cpc = self.tokens_per_chunk
         try:
@@ -574,15 +570,15 @@ class StorageManager:
                     context_id=str(context_id),
                     n_layers=int(record["n_layers"]),
                     hidden_width=int(record["hidden_width"]),
-                    kv_width=int(record.get("kv_width", 2 * int(record["hidden_width"]))),
+                    kv_width=int(record["kv_width"]),
                     dtype=dtype,
                 )
                 ctx = _Context(meta)
-                for layer, kind in record.get("runs", ()):
+                for layer, kind in record["runs"]:
                     self._open_run(ctx, int(layer), str(kind))
                 self._contexts[meta.context_id] = ctx
                 return
-            if op not in ("run", "chunk", "seal", "tokens", "free_run", "free"):
+            if op not in ("run", "chunk", "seal", "tokens", "free"):
                 raise JournalCorruptError(f"unknown journal record op {op!r}")
             ctx = self._contexts.get(context_id)
             if ctx is None:
@@ -593,15 +589,10 @@ class StorageManager:
                 self._contexts.pop(context_id)
             elif op == "tokens":
                 ctx.tokens.extend(int(t) for t in record["ids"])
-            elif op == "free_run":
-                # Nothing writes these any more; older journals hold them
-                # (a run their recovery dropped).  Journals without ``run``
-                # records never name a run that held only unsealed tail rows.
-                ctx.runs.pop((int(record["layer"]), str(record["kind"])), None)
             elif op == "run":
                 self._open_run(ctx, int(record["layer"]), str(record["kind"]))
             elif op == "chunk":
-                run = self._open_run(ctx, int(record["layer"]), str(record["kind"]))
+                run = ctx.runs[int(record["layer"]), str(record["kind"])]
                 index, full = int(record["index"]), run.n_tokens // cpc
                 if run.device_tail_rows and index >= full:
                     if index > full:
@@ -613,7 +604,7 @@ class StorageManager:
                 run.n_tokens = max(full, index + 1) * cpc + run.device_tail_rows
             else:  # seal
                 for tail in record["tails"]:
-                    run = self._open_run(ctx, int(tail["layer"]), str(tail["kind"]))
+                    run = ctx.runs[int(tail["layer"]), str(tail["kind"])]
                     full, rows = run.n_tokens // cpc, int(tail["tokens"])
                     if int(tail["index"]) != full:
                         raise RecoveryError(

@@ -131,6 +131,20 @@ class TestRestoration:
         assert cache.equals(restored, atol=1e-5)
         assert len(restored) == 7
 
+    def test_a_plan_missing_a_granule_is_refused(self, engine, tiny_model, tiny_config):
+        """Every layer is sized before the drain, so a cache length says
+        nothing; a stored granule the plan drops leaves rows unfilled."""
+        saved_engine(engine, tiny_model, prompt(tiny_config, 20))
+        storage = engine.storage
+        real_plan = storage.granule_plan
+        storage.granule_plan = lambda *args: real_plan(*args)[:-1]  # the last stored one
+        try:
+            with pytest.raises(RestorationError, match="unfilled"):
+                engine.restore("c")
+        finally:
+            del storage.granule_plan
+        assert len(engine.restore("c")) == 20
+
     def test_mismatched_block_rejected(self, engine, tiny_model, tiny_config):
         engine.register_context("c")
         tokens = prompt(tiny_config, 5)

@@ -427,6 +427,48 @@ def test_the_rule_looks_one_model_call_ahead(tiny_model, tiny_config, serve_roun
         assert engine.session("r").kv_cache is None and not engine._landing
 
 
+def test_closing_a_session_whose_restore_fails_discards_the_failure(
+    tiny_model, tiny_config, serve_round
+):
+    """A session released while its restore streams, whose restore then
+    fails on its last layer's read, closes at the first call, as does one
+    whose failed restore was never reported: the failure is discarded with
+    the session, and its storage goes."""
+    rng = np.random.default_rng(76)
+    hcache = HCacheEngine(tiny_model, StorageManager(StorageArray([FAST], link_bandwidth=100 * GB)))
+    builder = NumericServingEngine(tiny_model, hcache)
+    for sid in ("released", "unreported"):
+        builder.open_session(sid)
+        serve_round(builder, sid, tokens_of(tiny_config, rng, 30), 2)
+        builder.evict(sid)
+    last, gate = tiny_config.n_layers - 1, threading.Event()
+    real_read = hcache.storage.read_granule_into
+
+    def failing_read(context_id, spec, out):
+        if spec.layer == last:
+            assert gate.wait(JOIN_S), "the last layer's reads were never released"
+            raise DeviceFault(f"injected layer-{last} read fault")
+        return real_read(context_id, spec, out)
+
+    hcache.storage.read_granule_into = failing_read
+    with RestoreExecutor(1) as executor:
+        engine = NumericServingEngine.recover(tiny_model, hcache, executor=executor)
+        try:
+            engine.start_restores({"released": 64}, background=True)
+            progress = engine._restoring["released"].progress
+            for layer in range(last):
+                progress.wait_layer(layer)
+            engine._prefill_s = 3600.0
+            assert engine.finished_restores() == ["released"] and engine.early_releases == 1
+            engine.start_restores({"unreported": 64}, background=True)
+        finally:
+            gate.set()
+        for sid in ("released", "unreported"):
+            engine.close_session(sid)
+            assert not engine.has_session(sid) and not hcache.has_context(sid)
+        assert not engine._restoring and not engine._landing
+
+
 # ---------------------------------------------------------------------------
 # failure: every replica of a chunk dies while the gated iteration waits
 # ---------------------------------------------------------------------------
@@ -575,11 +617,11 @@ def test_a_session_released_during_its_replay_streams_like_the_serial_loop(
     replaying, waiting = threading.Event(), threading.Event()
     real_replay, real_wait = tiny_model.replay, RestoreProgress.wait_layer
 
-    def replay(tokens, views):
+    def replay(tokens, views, start=0):
         if views:
             replaying.set()
             assert waiting.wait(JOIN_S), "the iteration never waited on the replay"
-        return real_replay(tokens, views)
+        return real_replay(tokens, views, start)
 
     def wait_layer(self, layer):
         waiting.set()
@@ -613,7 +655,8 @@ def test_a_session_released_during_its_replay_streams_like_the_serial_loop(
     assert not deadlocked, "the iteration and the replay wait for each other"
     assert engine.early_releases == 1
     n_history = len(serial.session("r").tokens) - prompt.size - 4
-    # The replay and the iteration each ran in two parts.
+    # The history is one replay chunk (one granule of rows); the replay
+    # and the iteration each ran in two parts.
     calls = (n_history, prompt.size + long_prompt.size)
-    assert [len(c) - 1 for c in cuts if c[-1] in calls] == [2, 2]
+    assert [len(c) - 1 for c in cuts if c[-1] in calls] == [1, 2, 2]
     assert {s: list(h.result().tokens) for s, h in handles.items()} == expected

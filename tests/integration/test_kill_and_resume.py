@@ -337,9 +337,9 @@ class TestKillAndResume:
         replayed = []
         real_replay = model.replay
 
-        def replay(tokens, views):
+        def replay(tokens, views, start=0):
             replayed.append(len(tokens))
-            return real_replay(tokens, views)
+            return real_replay(tokens, views, start)
 
         monkeypatch.setitem(vars(model), "replay", replay)
         resumed = recover_stack(model, array, journal_factory("old"))

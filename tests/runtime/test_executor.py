@@ -33,6 +33,7 @@ from repro.simulator import platform_preset
 from repro.storage import LatencyEmulator, StorageManager
 from repro.storage import device as device_module
 from repro.storage import manager as manager_module
+from repro.storage.manager import GranuleSpec
 
 
 def build_engine(config, scheme=None):
@@ -140,6 +141,24 @@ class TestDrainDirectUse:
         assert reads_after - reads_before == 4
 
 
+def record_submits(loop_executor, monkeypatch):
+    """The staging rows of every read the drain submits, in order."""
+    submitted = []
+
+    def recording(submit):
+        def wrapper(fn, /, *args):
+            submitted.append(args[2])
+            return submit(fn, *args)
+
+        return wrapper
+
+    if loop_executor is None:
+        monkeypatch.setattr(executor_module, "_run_inline", recording(executor_module._run_inline))
+    else:
+        loop_executor.pool.submit = recording(loop_executor.pool.submit)
+    return submitted
+
+
 #: A drain's plan: the hidden granules of every layer, or the hidden and
 #: KV granules of a KV-suffix scheme merged as a restore merges them.
 STAGING_PLANS = {
@@ -179,21 +198,7 @@ class TestDrainStaging:
         plan = merge_granule_plans(
             *(storage.granule_plan("c", layers, kind) for kind, layers in runs.items())
         )
-        submitted = []
-
-        def recording(submit):
-            def wrapper(fn, /, *args):
-                submitted.append(args[2])
-                return submit(fn, *args)
-
-            return wrapper
-
-        if loop_executor is None:
-            monkeypatch.setattr(
-                executor_module, "_run_inline", recording(executor_module._run_inline)
-            )
-        else:
-            loop_executor.pool.submit = recording(loop_executor.pool.submit)
+        submitted = record_submits(loop_executor, monkeypatch)
         consumed = []
 
         def consume(spec, rows):
@@ -211,20 +216,48 @@ class TestDrainStaging:
         slots = {rows.__array_interface__["data"][0] for rows in submitted}
         assert len(slots) == min(window + 1, len(consumed))
 
-    def test_an_empty_plan_reads_nothing_and_still_runs_the_work_under_io(
-        self, loop_executor
-    ):
+    def test_a_read_free_plan_reads_nothing_and_runs_in_plan_order(self, loop_executor):
         config = model_preset("tiny-llama")
         model, engine = build_engine(config)
         save_context(engine, model, config, 64)
         ran = []
         _, reads_before = device_totals(engine.storage)
         drain_granules(
-            engine.storage, "c", [], lambda spec, rows: ran.append(spec), loop_executor,
-            under_io=lambda: ran.append("under_io"),
+            engine.storage, "c", [lambda: ran.append(0), lambda: ran.append(1)],
+            lambda spec, rows: ran.append(spec), loop_executor,
         )
-        assert ran == ["under_io"]
+        assert ran == [0, 1]
         assert device_totals(engine.storage)[1] == reads_before
+
+    def test_read_free_items_take_no_window_place_and_no_slot(
+        self, loop_executor, one_chunk_granules, monkeypatch
+    ):
+        """Callables between the granules run in plan order while the
+        granules after them are already being read: a full window stays
+        out under each, and they take no staging slot."""
+        window = 1 if loop_executor is None else loop_executor.inflight
+        config = model_preset("tiny-llama")
+        model, engine = build_engine(config, PartitionScheme.pure_hcache(config.n_layers))
+        save_context(engine, model, config, 256)
+        granules = engine.storage.granule_plan("c", range(config.n_layers), "hidden")
+        submitted, ran = record_submits(loop_executor, monkeypatch), []
+
+        def read_free(index):
+            def item():
+                consumed = sum(isinstance(event, GranuleSpec) for event in ran)
+                assert len(submitted) - consumed == min(window, len(granules) - consumed)
+                ran.append(index)
+
+            return item
+
+        # Two callables at the head, then one after every granule.
+        plan = [read_free(0), read_free(1)]
+        for spec in granules:
+            plan += [spec, read_free(len(plan) + 1)]
+        drain_granules(engine.storage, "c", plan, lambda spec, rows: ran.append(spec), loop_executor)
+        assert ran == [item if isinstance(item, GranuleSpec) else j for j, item in enumerate(plan)]
+        slots = {rows.__array_interface__["data"][0] for rows in submitted}
+        assert len(slots) == min(window + 1, len(granules))
 
 
 class TestContainment:
@@ -266,6 +299,56 @@ class TestContainment:
         assert all(future.done() for future in futures)
         # The same executor (and its pool) serves the next restore.
         assert engine.restore("c", executor=loop_executor).equals(healthy, atol=0.0)
+
+
+    def test_a_raising_read_free_item_settles_every_outstanding_read(
+        self, loop_executor, one_chunk_granules
+    ):
+        """A callable that raises mid-plan propagates once every read
+        already out has settled, and the pool serves the next drain."""
+        config = model_preset("tiny-llama")
+        model, engine = build_engine(config, PartitionScheme.pure_hcache(config.n_layers))
+        save_context(engine, model, config, 256)
+        storage = engine.storage
+        granules = storage.granule_plan("c", range(config.n_layers), "hidden")
+        real_read, gate, futures = storage.read_granule_into, threading.Event(), []
+        if loop_executor is None:
+            gate.set()  # inline reads run at submit: none is ever out
+        else:
+            real_submit = loop_executor.pool.submit
+
+            def recording_submit(fn, /, *args):
+                futures.append(real_submit(fn, *args))
+                return futures[-1]
+
+            loop_executor.pool.submit = recording_submit
+
+        def held_read(context_id, spec, out):
+            if spec != granules[0]:
+                assert gate.wait(10.0), "the held reads were never released"
+            return real_read(context_id, spec, out)
+
+        def fail():
+            gate.set()  # the reads still out run on while the drain unwinds
+            raise RuntimeError("injected compute fault")
+
+        storage.read_granule_into = held_read
+        try:
+            with pytest.raises(RuntimeError, match="injected compute fault"):
+                drain_granules(
+                    storage, "c", granules[:1] + [fail] + granules[1:],
+                    lambda spec, rows: None, loop_executor,
+                )
+        finally:
+            gate.set()
+            del storage.read_granule_into
+        if loop_executor is not None:
+            assert len(futures) == loop_executor.inflight + 1
+        assert all(future.done() for future in futures)
+        consumed = []
+        drain_granules(storage, "c", granules, lambda spec, rows: consumed.append(spec),
+                       loop_executor)
+        assert consumed == granules
 
 
 class TestAccountingParity:

@@ -19,12 +19,14 @@ from repro.storage import ManifestJournal, StorageArray, StorageManager
 
 
 RECORDS = [
-    {"op": "register", "context_id": "a", "n_layers": 2, "hidden_width": 8, "dtype": "float32"},
+    {"op": "register", "context_id": "a", "n_layers": 2, "hidden_width": 8, "kv_width": 16,
+     "dtype": "float32", "runs": [[0, "hidden"]]},
     {"op": "tokens", "context_id": "a", "ids": [1, 2, 3]},
     {"op": "chunk", "context_id": "a", "layer": 0, "kind": "hidden", "index": 0, "crc": 99},
     {"op": "seal", "context_id": "a",
      "tails": [{"layer": 0, "kind": "hidden", "index": 1, "tokens": 5, "crc": 7}]},
-    {"op": "register", "context_id": "b", "n_layers": 2, "hidden_width": 8, "dtype": "float32"},
+    {"op": "register", "context_id": "b", "n_layers": 2, "hidden_width": 8, "kv_width": 4,
+     "dtype": "float32", "runs": []},
     {"op": "tokens", "context_id": "b", "ids": [9]},
     {"op": "free", "context_id": "a"},
 ]
@@ -73,13 +75,6 @@ class TestAppendReplay:
                 journal.append(record)
         with ManifestJournal(tmp_path) as journal:
             assert states_equal(fold(journal.replay()), fold(RECORDS))
-
-    def test_kv_width_defaults_to_mha_for_older_journals(self):
-        """Records written before GQA support carry no ``kv_width``."""
-        gqa = dict(RECORDS[0], context_id="g", kv_width=4)
-        state = fold([RECORDS[0], gqa])
-        assert state.meta("a").kv_width == 16
-        assert state.meta("g").kv_width == 4
 
     def test_empty_journal_replays_empty(self, tmp_path):
         with ManifestJournal(tmp_path) as journal:
@@ -277,26 +272,40 @@ class TestRecordSemantics:
         )
         assert (run.n_tokens, run.device_tail_rows, run.crcs) == (128, 0, {0: 99, 1: 123})
 
+    def test_register_opens_the_runs_it_names_at_its_kv_width(self):
+        state = fold(RECORDS[:1])
+        assert state.runs("a") == ((0, "hidden"),)
+        assert (state.meta("a").kv_width, fold(RECORDS[4:5]).meta("b").kv_width) == (16, 4)
+
     def test_run_record_opens_an_empty_run(self):
         state = fold(RECORDS[:1])
         state._apply({"op": "run", "context_id": "a", "layer": 1, "kind": "kv"})
         run = state._contexts["a"].runs[(1, "kv")]
         assert (run.n_tokens, run.device_tail_rows) == (0, 0)
-        # Re-opening an existing run (a chunk or seal came first) keeps it.
+        # Re-opening an existing run keeps it.
         state._apply({"op": "chunk", "context_id": "a", "layer": 0, "kind": "hidden",
                       "index": 0, "crc": 5})
         state._apply({"op": "run", "context_id": "a", "layer": 0, "kind": "hidden"})
         assert state.tokens_stored("a", 0) == 64
 
-    def test_runs_open_implicitly_without_run_records(self):
-        """Journals written before ``run`` records existed still replay:
-        a run's first chunk or seal opens it."""
-        state = fold(RECORDS[:4])
-        assert state.runs("a") == ((0, "hidden"),)
-
-    def test_free_run_and_free_drop_what_they_name(self):
-        state = fold(RECORDS[:4] + [
-            {"op": "free_run", "context_id": "a", "layer": 0, "kind": "hidden"},
-        ])
-        assert state.runs("a") == ()
+    def test_free_drops_what_it_names(self):
         assert fold(RECORDS).context_ids() == ("b",)
+
+    @pytest.mark.parametrize(
+        "record",
+        [
+            {"op": "free_run", "context_id": "a", "layer": 0, "kind": "hidden"},
+            {"op": "chunk", "context_id": "a", "layer": 1, "kind": "hidden",
+             "index": 0, "crc": 5},
+            {"op": "seal", "context_id": "a",
+             "tails": [{"layer": 0, "kind": "kv", "index": 0, "tokens": 5, "crc": 7}]},
+            {"op": "register", "context_id": "g", "n_layers": 2, "hidden_width": 8,
+             "dtype": "float32", "runs": []},
+        ],
+        ids=["free_run", "chunk-of-unopened-run", "seal-of-unopened-run", "no-kv_width"],
+    )
+    def test_a_record_shape_no_code_writes_is_corrupt(self, record):
+        """One journal format: journals die with their devices, so no
+        older record shape can meet a manager."""
+        with pytest.raises(JournalCorruptError):
+            fold(RECORDS[:1] + [record])

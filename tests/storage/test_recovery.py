@@ -109,32 +109,6 @@ class TestCleanRecovery:
         assert recovered.context_ids() == ("kept",)
         assert recovered.token_log("kept") == (1, 2, 3)
 
-    def test_freed_run_no_longer_caps_the_durable_count(self, stack):
-        """Older journals hold ``free_run`` records (nothing writes one any
-        more): recovery folds one by dropping the run, so the run — which
-        stopped growing there — does not cut its context back, and its
-        device chunks are swept as orphans."""
-        array, manager, new_journal = stack
-        manager.register_context("ctx", n_layers=2, hidden_width=32)
-        manager.journal_tokens("ctx", range(70))
-        for layer in (0, 1):
-            manager.append("ctx", layer, rows(70, seed=layer))
-        manager.seal_context("ctx")
-        manager.journal.append(
-            {"op": "free_run", "context_id": "ctx", "layer": 0, "kind": "hidden"}
-        )
-        manager.journal_tokens("ctx", range(70, 100))
-        manager.append("ctx", 1, rows(30, seed=2))
-        manager.seal_context("ctx")
-        recovered = recover(array, new_journal)
-        assert recovered.runs("ctx") == ((1, "hidden"),)
-        assert recovered.token_log("ctx") == tuple(range(100))
-        assert recovered.tokens_stored("ctx", 0) == 0
-        assert not any(key.layer == 0 for device in array.devices for key in device.keys())
-        assert np.array_equal(
-            recovered.load_layer("ctx", 1), np.concatenate([rows(70, seed=1), rows(30, seed=2)])
-        )
-
     def test_registered_but_stateless_context_survives(self, stack):
         array, manager, new_journal = stack
         manager.register_context("idle", n_layers=3, hidden_width=16)
@@ -449,8 +423,8 @@ class TestLoudFailures:
         with ManifestJournal(tmp_path) as journal:
             return StorageManager.recover(small_array(), journal)
 
-    REGISTER = {"op": "register", "context_id": "ctx", "n_layers": 2,
-                "hidden_width": 32, "dtype": "float32"}
+    REGISTER = {"op": "register", "context_id": "ctx", "n_layers": 2, "hidden_width": 32,
+                "kv_width": 64, "dtype": "float32", "runs": [[0, "hidden"]]}
 
     def test_layer_beyond_the_context_raises(self, tmp_path):
         run = {"op": "run", "context_id": "ctx", "layer": 2, "kind": "hidden"}
