@@ -200,6 +200,9 @@ class HCacheEngine:
                 "layer-0 hidden states are not embedding[tokens]; the layout "
                 "restores layer 0 from the token log"
             )
+        # All or nothing: a save that cannot fit moves no run and no journal.
+        need = self.storage.append_bytes(context_id, n_new)
+        self.storage.check_room(need, f"saving {n_new} rows of {context_id!r}")
         # Token ids are journaled ahead of the state rows: the durable log
         # then always covers the durable rows, so crash recovery can
         # truncate it to the recovered row count without inventing ids.
@@ -320,10 +323,11 @@ class HCacheEngine:
         ``reserve_tokens`` sizes the cache for the upcoming round, so the
         history is never recopied by a capacity growth.  The cache's slab
         comes from :attr:`arena`, where an evicted session's slab went
-        back (:mod:`repro.models.kv_cache`); the returned cache owns it,
-        and giving it back is its owner's call.  The restore
-        counts nothing itself: the devices count and time its reads, an
-        executor's pool its submissions.
+        back (:mod:`repro.models.kv_cache`); its one owner gives it back:
+        the returned cache, or with ``progress`` the step handle, which
+        takes it over at plan time.  The restore counts nothing itself:
+        the devices count and time its reads, an executor's pool its
+        submissions.
 
         ``progress`` (optional) is told the planned cache before the first
         row is written, then each layer exactly once, the moment its last

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import threading
 import time
-from concurrent.futures import Future, wait
+from concurrent.futures import Future
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -30,15 +30,6 @@ from repro.models.kv_cache import KVCache
 from repro.models.transformer import Transformer
 from repro.runtime.executor import RestoreExecutor
 from repro.runtime.progress import RestoreProgress
-
-
-@dataclass(frozen=True)
-class _Restoring:
-    """One restore begun by ``start_restores``: what it resolves to, and
-    which of its layers have landed."""
-
-    future: "Future[KVCache]"
-    progress: RestoreProgress
 
 
 @dataclass
@@ -78,7 +69,9 @@ class NumericServingEngine:
         and :meth:`start_restores` — the one place this engine starts a
         restore — brings evicted sessions back in the background, one
         after the other in start order.  Restored values are
-        bit-identical in every case.
+        bit-identical in every case.  Each restore is one
+        :class:`RestoreProgress`: in ``_restoring`` until reported, then
+        its session's ``kv_cache.landing`` until :meth:`_settle_restore`.
         """
         if hcache.transformer is not transformer:
             raise ConfigError("HCache engine must wrap the same transformer")
@@ -88,11 +81,7 @@ class NumericServingEngine:
         self._sessions: dict[str, SessionState] = {}
         #: Restores begun by :meth:`start_restores` and not yet reported
         #: by :meth:`finished_restores`.
-        self._restoring: dict[str, _Restoring] = {}
-        #: Reported sessions whose restore has not been seen to return:
-        #: they step on ``progress.step_cache`` and must not be saved to,
-        #: sealed or dropped before :meth:`_settle_restore`.
-        self._landing: dict[str, _Restoring] = {}
+        self._restoring: dict[str, RestoreProgress] = {}
         #: Notified by every restore on each landed layer and at its end.
         self._restore_changed = threading.Condition()
         #: Wall seconds of the last prefill-carrying iteration, net of the
@@ -236,6 +225,10 @@ class NumericServingEngine:
         step_tokens = np.array([int(token) for token in decode.values()], dtype=np.intp)
         segments = [tokens for _, tokens in chunks] + list(step_tokens[:, None])
         caches = [state.kv_cache for state in states]
+        # All or nothing: an iteration whose saves cannot fit moves no row.
+        storage = self.hcache.storage
+        need = sum(storage.append_bytes(s.session_id, seg.size) for s, seg in zip(states, segments))
+        storage.check_room(need, "saving the iteration")
         # One kernel under two public names: a decode-only iteration keeps
         # its own, so a traced run can tell decode time from prefill time.
         if chunks:
@@ -246,14 +239,12 @@ class NumericServingEngine:
         try:
             result = packed_call(batch, caches)
         except RestorationError:
-            # The kernel rolled every cache back to its starting length;
-            # a session whose restore died is evicted again (storage still
-            # holds its history), the others are as they were.
+            # The kernel rolled every cache back to its starting length; a
+            # session whose restore died gives its slab back and is evicted
+            # again (storage still holds its history).
             for state in states:
-                restoring = self._landing.get(state.session_id)
-                if restoring is not None and restoring.progress.failed:
-                    del self._landing[state.session_id]
-                    state.kv_cache = None
+                if state.kv_cache.landing is not None and state.kv_cache.landing.error is not None:
+                    self._drop_cache(state)
             raise
         self._call_s = time.perf_counter() - started
         if chunks:
@@ -261,9 +252,7 @@ class NumericServingEngine:
             # one call: it is settled below), or each early release would
             # stretch the measurement that justifies the next one.
             self._prefill_s = self._call_s - sum(
-                self._landing[state.session_id].progress.blocked_s
-                for state in states
-                if state.session_id in self._landing
+                cache.landing.blocked_s for cache in caches if cache.landing is not None
             )
         assert result.hidden_states is not None
         start = 0
@@ -311,12 +300,12 @@ class NumericServingEngine:
         IO workers, projection GEMMs under released GILs) — while the
         caller keeps iterating when ``background``, all finished before
         this returns otherwise.  Without one they restore here.  Every
-        restore is recorded before it runs, and a failure stays in
-        its own future, inline as on a worker: :meth:`finished_restores`
-        raises it.  No iteration may touch a session until
-        :meth:`finished_restores` reports it.  Caches are bit-identical
-        every way.  A batch naming a session that is not evicted and idle
-        raises ``StateError`` before any restore starts
+        restore is recorded before it runs, and a failure stays in its
+        own :class:`RestoreProgress`, inline as on a worker:
+        :meth:`finished_restores` raises it.  No iteration may touch a
+        session until :meth:`finished_restores` reports it.  Caches are
+        bit-identical every way.  A batch naming a session that is not
+        evicted and idle raises ``StateError`` before any restore starts
         (:meth:`_check_restorable`).
         """
         session_ids = list(reserve_tokens)
@@ -326,25 +315,23 @@ class NumericServingEngine:
             sid: RestoreProgress(sid, n_layers, self._restore_changed)
             for sid in session_ids
         }
-        if self.executor is None:
-            futures: dict[str, Future[KVCache]] = {sid: Future() for sid in session_ids}
-        else:
-            futures = self.executor.restore_contexts_async(
+        self._restoring.update(progress)
+        if self.executor is not None:
+            self.executor.restore_contexts_async(
                 self.hcache, session_ids, reserve_tokens=reserve_tokens, progress=progress
             )
         for sid in session_ids:
-            self._restoring[sid] = _Restoring(futures[sid], progress[sid])
-        if self.executor is None:
-            for sid in session_ids:
-                futures[sid].add_done_callback(progress[sid].settle)
+            if self.executor is None:
+                future: Future[KVCache] = Future()
+                future.add_done_callback(progress[sid].settle)
                 try:
-                    futures[sid].set_result(
+                    future.set_result(
                         self.hcache.restore(sid, reserve_tokens[sid], progress=progress[sid])
                     )
                 except Exception as error:
-                    futures[sid].set_exception(error)
-        elif not background:
-            wait(futures.values())
+                    future.set_exception(error)
+            elif not background:
+                progress[sid].wait()
 
     def _check_restorable(self, session_ids: Sequence[str]) -> None:
         """The one restore precondition, checked for a whole batch before
@@ -373,8 +360,8 @@ class NumericServingEngine:
         horizon_s = self._prefill_s + self._call_s
         return [
             sid
-            for sid, restoring in self._restoring.items()
-            if restoring.progress.remaining_s() <= horizon_s
+            for sid, progress in self._restoring.items()
+            if progress.remaining_s() <= horizon_s
         ]
 
     def finished_restores(self) -> list[str]:
@@ -384,21 +371,19 @@ class NumericServingEngine:
         streaming steps on a second handle over the restoring cache's
         rows, and the packed kernel waits per layer for its history.  A
         restore that failed raises here, before any other is released
-        (they stay recorded for the next call), and leaves its session
-        evicted."""
+        (they stay recorded for the next call), gives its slab back and
+        leaves its session evicted."""
         released = self._releasable()
         for sid in released:
-            future = self._restoring[sid].future
-            error = future.exception() if future.done() else None
+            error = self._restoring[sid].error
             if error is not None:
-                del self._restoring[sid]
+                self._restoring.pop(sid).release()
                 raise error
         for sid in released:
-            restoring = self._restoring.pop(sid)
-            if not restoring.future.done():
+            progress = self._restoring.pop(sid)
+            if not progress.settled:
                 self.early_releases += 1
-            self.session(sid).kv_cache = restoring.progress.step_cache
-            self._landing[sid] = restoring
+            self.session(sid).kv_cache = progress.step_cache
         return released
 
     def wait_for_restores(self) -> None:
@@ -421,19 +406,17 @@ class NumericServingEngine:
         """Wait out a reported session's restore before its context is
         saved to, sealed or dropped (:meth:`HCacheEngine.restore` allows
         concurrent saves of *other* contexts only).  From here on its
-        cache is an ordinary one; a restore that failed after all leaves
-        the session evicted and raises."""
-        restoring = self._landing.pop(session_id, None)
-        if restoring is None:
-            return
+        cache, the landing handle that owns the slab, is an ordinary one;
+        a restore that failed after all gives the slab back and raises."""
         state = self.session(session_id)
-        assert state.kv_cache is not None
-        error = restoring.future.exception()
-        if error is not None:
-            # No release: a worker may still be writing to the slab.
-            state.kv_cache = None
-            raise error
-        state.kv_cache.end_landing(restoring.future.result())
+        landing = state.kv_cache.landing if state.kv_cache is not None else None
+        if landing is None:
+            return
+        landing.wait()
+        if landing.error is not None:
+            self._drop_cache(state)
+            raise landing.error
+        state.kv_cache.landing = None
 
     def evict(self, session_id: str) -> None:
         """Drop a session's GPU state; host storage keeps everything, and
@@ -456,14 +439,14 @@ class NumericServingEngine:
 
         A restore of it that is still reading that storage, reported by
         :meth:`finished_restores` or not, is waited out first, and its
-        outcome discarded — a restored cache's slab goes back to the
-        arena, a failure has none to give back."""
+        outcome discarded: either way its landing handle's slab goes back
+        to the arena."""
         state = self.session(session_id)
-        restoring = self._restoring.pop(session_id, None) or self._landing.pop(session_id, None)
-        if restoring is not None:
-            wait((restoring.future,))
-            if restoring.future.exception() is None:
-                restoring.future.result().release()
+        progress = self._restoring.pop(session_id, None)
+        if progress is not None:
+            progress.release()
+        elif state.kv_cache is not None and state.kv_cache.landing is not None:
+            state.kv_cache.landing.wait()
         self._drop_cache(state)
         self.hcache.drop_context(session_id)
         del self._sessions[session_id]

@@ -33,20 +33,21 @@ closed, its owner calls :meth:`KVCache.release` once, and the next
 restore projects into that already-resident memory.  After release the
 cache object is dead — every use raises :class:`~repro.errors.StateError`
 — because its rows may already be another session's.  A slab has one
-owner: the cache it was taken for, until a settled
-:meth:`KVCache.landing_handle` takes it over (:meth:`KVCache.end_landing`).
-A restore that failed is dropped without a release, since a worker may
-still be writing to its slab.  ``KVCache(config)`` alone, and a
-``copy.deepcopy`` of any cache, has plain buffers with exact ``reserve``
-semantics and no arena.
+owner, the one cache that can give it back: the cache it was taken for,
+until a :meth:`KVCache.landing_handle` takes it over for good — the
+restore's own cache then gives nothing back.  A failed restore's handle
+is released like any other: the failure surfaces only after the restore
+has returned, and IO workers write only staging slots, never a slab.
+``KVCache(config)`` alone, and a ``copy.deepcopy`` of any cache, has
+plain buffers with exact ``reserve`` semantics and no arena.
 
 The packed model call
 (:meth:`repro.models.transformer.Transformer.forward_fused`) attends each
 session against its own cache, so a session joining or leaving a batch
 moves no K/V rows.  The one sharing there is, is between the cache a
 restore is filling and its :meth:`KVCache.landing_handle` — same rows,
-separate lengths — which lets a prompt prefill behind layers that have
-landed while later ones still stream.
+separate lengths, one owner (the handle) — which lets a prompt prefill
+behind layers that have landed while later ones still stream.
 """
 
 from __future__ import annotations
@@ -155,10 +156,6 @@ class KVCache:
         self._arena: SlabArena | None = None
         self._released = False
         self._lens = [0] * self._n_layers
-        #: length -> number of layers currently at that length.  Keeping the
-        #: histogram as an invariant makes ``__len__`` (called on every
-        #: forward pass) O(1) while still detecting layer disagreement.
-        self._len_counts: dict[int, int] = {0: self._n_layers}
         #: Set only on a :meth:`landing_handle`: the restore still writing
         #: this cache's history rows.  The packed kernel waits on it per
         #: layer before it appends; ``None`` for every resident cache.
@@ -171,11 +168,10 @@ class KVCache:
     def __len__(self) -> int:
         """Token count of the sequence (equal across layers)."""
         self._check_live()
-        if len(self._len_counts) != 1:
-            raise StateError(
-                f"layers disagree on cached length: {sorted(self._len_counts)}"
-            )
-        return next(iter(self._len_counts))
+        n = self._lens[0]
+        if self._lens.count(n) != self._n_layers:
+            raise StateError(f"layers disagree on cached length: {sorted(set(self._lens))}")
+        return n
 
     def layer_len(self, layer: int) -> int:
         self._check_live()
@@ -186,35 +182,6 @@ class KVCache:
         """Allocated token capacity shared by every layer."""
         self._check_live()
         return self._k.shape[1]
-
-    def _set_len(self, layer: int, new_len: int) -> None:
-        old = self._lens[layer]
-        if new_len == old:
-            return
-        self._lens[layer] = new_len
-        counts = self._len_counts
-        remaining = counts[old] - 1
-        if remaining:
-            counts[old] = remaining
-        else:
-            del counts[old]
-        counts[new_len] = counts.get(new_len, 0) + 1
-
-    def debug_validate(self) -> None:
-        """Expensive invariant check (tests / debugging only).
-
-        Recomputes the length histogram from scratch and verifies it
-        matches the incrementally maintained one.
-        """
-        recount: dict[int, int] = {}
-        for n in self._lens:
-            recount[n] = recount.get(n, 0) + 1
-        if recount != self._len_counts:
-            raise StateError(
-                f"length histogram {self._len_counts} out of sync with {recount}"
-            )
-        if any(n < 0 or n > self.capacity for n in self._lens):
-            raise StateError(f"layer length out of range: {self._lens}")
 
     # ------------------------------------------------------------------
     # capacity management
@@ -267,6 +234,7 @@ class KVCache:
         and layer ``L`` of the handle may be read only after
         ``landing.wait_layer(L)``.  Capacity must already cover the
         round: the handle refuses to grow until the restore has ended.
+        It takes this cache's slab over: only its :meth:`release` gives it back.
         """
         if not 0 <= n_tokens <= self.capacity:
             raise ConfigError(
@@ -274,19 +242,10 @@ class KVCache:
             )
         handle = KVCache(self.config)
         handle._k, handle._v = self._k, self._v
+        handle._arena, self._arena = self._arena, None
         handle._lens = [n_tokens] * self._n_layers
-        handle._len_counts = {n_tokens: self._n_layers}
         handle.landing = landing
         return handle
-
-    def end_landing(self, restored: "KVCache") -> None:
-        """Make this landing handle an ordinary cache: its restore returned
-        ``restored``.  The handle takes over ``restored``'s slab, and with it
-        the one :meth:`release`; ``restored`` is dead from here on."""
-        self.landing = None
-        if restored._k is self._k:
-            self._arena, restored._arena = restored._arena, None
-            restored._released = True
 
     def release(self) -> None:
         """Give this cache's slab back to its arena, once, from its owner.
@@ -309,7 +268,6 @@ class KVCache:
         clone = KVCache(self.config)
         clone._k, clone._v = self._k.copy(), self._v.copy()
         clone._lens = list(self._lens)
-        clone._len_counts = dict(self._len_counts)
         return clone
 
     # ------------------------------------------------------------------
@@ -353,7 +311,7 @@ class KVCache:
         self._ensure_capacity(n + m)
         self._k[layer, n : n + m] = keys
         self._v[layer, n : n + m] = values
-        self._set_len(layer, n + m)
+        self._lens[layer] = n + m
 
     def install_view(self, layer: int, n_tokens: int) -> tuple[np.ndarray, np.ndarray]:
         """Size one layer to ``n_tokens`` and return writable K/V views.
@@ -366,7 +324,7 @@ class KVCache:
         if n_tokens < 0:
             raise ConfigError("cannot install a negative token count")
         self._ensure_capacity(n_tokens)
-        self._set_len(layer, n_tokens)
+        self._lens[layer] = n_tokens
         return self._k[layer, :n_tokens], self._v[layer, :n_tokens]
 
     # ------------------------------------------------------------------
@@ -391,9 +349,7 @@ class KVCache:
         self._check_live()
         if n_tokens < 0:
             raise ConfigError("cannot truncate to a negative length")
-        for layer in range(self._n_layers):
-            if self._lens[layer] > n_tokens:
-                self._set_len(layer, n_tokens)
+        self._lens = [min(n, n_tokens) for n in self._lens]
 
     def clear(self) -> None:
         """Evict everything (state moves to host storage in HCache)."""

@@ -229,7 +229,7 @@ class RestoreExecutor:
         fine, per the :meth:`HCacheEngine.restore` concurrency contract.
         With ``progress`` the serving engine may prefill on
         ``progress[cid].step_cache`` meanwhile — a second handle, never
-        the cache the future resolves to.
+        the cache the future resolves to, and the owner of its slab.
         """
         if self._closed:
             raise StateError("restore executor is closed")

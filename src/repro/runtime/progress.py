@@ -16,9 +16,13 @@ Threading rules — the two threads share **no mutable cache metadata**:
   second handle over the *same row storage* with lengths of its own
   (:meth:`KVCache.landing_handle`): rows ``[0, n)`` are restore-written,
   rows ``>= n`` step-written, and the handle refuses to grow capacity
-  while the restore still writes;
+  while the restore still writes.  Whatever the restore's outcome, the
+  handle owns the slab from :meth:`planned` on;
 - :meth:`layer_landed` → :meth:`wait_layer` is the only happens-before
-  edge between a layer's restored rows and the step that reads them.
+  edge between a layer's restored rows and the step that reads them;
+- :meth:`settle` runs as the restore's ``Future`` done-callback, after
+  the restore has returned or raised: once :meth:`wait` returns, no
+  restore thread touches the slab again, whatever :attr:`error` says.
 
 Several restores may share one condition (the serving engine's), so one
 waiter can block on "any of them moved".
@@ -63,7 +67,8 @@ class RestoreProgress:
         self._landed = [False] * n_layers  # guarded-by: _changed
         self._n_landed = 0  # guarded-by: _changed
         self._started_at = 0.0  # guarded-by: _changed
-        self._settled = False  # guarded-by: _changed
+        #: The restore's future, once it has ended (:meth:`settle`).
+        self._future: "Future[KVCache] | None" = None  # guarded-by: _changed
         self._error: BaseException | None = None  # guarded-by: _changed
         self._blocked_s = 0.0  # guarded-by: _changed
         self._step_cache: "KVCache | None" = None  # guarded-by: _changed
@@ -87,11 +92,10 @@ class RestoreProgress:
             self._changed.notify_all()
 
     def settle(self, future: "Future[KVCache]") -> None:
-        """The restore returned or raised (a ``Future`` done-callback)."""
+        """The restore returned or raised: ``future``'s done-callback."""
         error = CancelledError() if future.cancelled() else future.exception()
         with self._changed:
-            self._settled = True
-            self._error = error
+            self._future, self._error = future, error
             self._changed.notify_all()
 
     # -- stepping side ---------------------------------------------------
@@ -107,12 +111,27 @@ class RestoreProgress:
     @property
     def settled(self) -> bool:
         with self._changed:
-            return self._settled
+            return self._future is not None
 
     @property
-    def failed(self) -> bool:
+    def error(self) -> BaseException | None:
+        """What the restore raised; ``None`` while it runs and once it returned."""
         with self._changed:
-            return self._error is not None
+            return self._error
+
+    def wait(self) -> None:
+        """Block until the restore has ended, either way."""
+        with self._changed:
+            while self._future is None:
+                self._changed.wait()
+
+    def release(self) -> None:
+        """Wait the restore out, then give back the slab its step handle
+        owns (a restore that failed before it planned one took none)."""
+        self.wait()
+        with self._changed:
+            if self._step_cache is not None:
+                self._step_cache.release()
 
     def remaining_s(self) -> float:
         """Predicted seconds until the last layer lands.
@@ -122,7 +141,7 @@ class RestoreProgress:
         Infinite before the first layer, 0 once the restore has ended.
         """
         with self._changed:
-            if self._settled:
+            if self._future is not None:
                 return 0.0
             if not self._n_landed:
                 return float("inf")
@@ -139,7 +158,7 @@ class RestoreProgress:
         with self._changed:
             if not self._landed[layer]:
                 t0 = self._clock()
-                while not (self._landed[layer] or self._settled):
+                while not (self._landed[layer] or self._future is not None):
                     self._changed.wait()
                 self._blocked_s += self._clock() - t0
                 if not self._landed[layer]:

@@ -385,14 +385,7 @@ class StorageManager:
         tail = run.tail
         cpc = self.tokens_per_chunk
         n_new = states.shape[0]
-        rows = run.n_tokens % cpc
-        new_chunks = -(-(rows + n_new) // cpc) - (rows > 0)
-        if new_chunks * tail.nbytes > self.capacity_bytes - self.allocated_bytes:
-            raise AllocationError(
-                f"append to run ({context_id}, L{layer}, {kind}) needs "
-                f"{new_chunks * tail.nbytes} B but only "
-                f"{self.capacity_bytes - self.allocated_bytes} B are free"
-            )
+        self.check_room(self._started_bytes(run, n_new), f"append to {context_id}/L{layer}/{kind}")
         # Stream the block through: aligned full chunks flush as slice
         # views of the input (the device snapshots them); the remainder
         # lands in the preallocated tail by slice assignment.
@@ -412,6 +405,22 @@ class StorageManager:
                 if rows == 0:
                     self.allocated_bytes += tail.nbytes
                 run.n_tokens += take
+
+    def _started_bytes(self, run: _Run, n_new: int) -> int:
+        """Bytes of the chunk slots ``n_new`` more rows start on ``run``."""
+        rows = run.n_tokens % self.tokens_per_chunk
+        return (-(-(rows + n_new) // self.tokens_per_chunk) - (rows > 0)) * run.tail.nbytes
+
+    def append_bytes(self, context_id: str, n_new: int) -> int:
+        """Bytes of the chunk slots ``n_new`` more rows start on every run
+        of the context: what a save of them takes from the capacity."""
+        return sum(self._started_bytes(r, n_new) for r in self._context(context_id).runs.values())
+
+    def check_room(self, need: int, what: str) -> None:
+        """Raise :class:`AllocationError` unless ``need`` more bytes fit."""
+        free = self.capacity_bytes - self.allocated_bytes
+        if need > free:
+            raise AllocationError(f"{what} needs {need} B of storage; {free} B are free")
 
     def _flush_chunk(
         self, context_id: str, layer: int, kind: str, run: _Run, payload: np.ndarray

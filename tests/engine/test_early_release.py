@@ -364,7 +364,7 @@ def test_the_measured_rule_releases_only_a_restore_the_prefill_cannot_outrun(
         hold_last_layer_reads(hcache.storage, tiny_config.n_layers - 1, gate, log)
         try:
             engine.start_restores({"r": 64}, background=True)
-            progress = engine._restoring["r"].progress
+            progress = engine._restoring["r"]
             for layer in range(tiny_config.n_layers - 1):
                 progress.wait_layer(layer)
             # Three of four layers are in, the last is held on the device:
@@ -378,7 +378,7 @@ def test_the_measured_rule_releases_only_a_restore_the_prefill_cannot_outrun(
         finally:
             gate.set()
         engine.evict("r")  # waits the restore out before sealing
-        assert engine.session("r").kv_cache is None and not engine._landing
+        assert engine.session("r").kv_cache is None and not engine._restoring
         assert hcache.restore("r").equals(hcache.restore("r", executor=executor))
 
 
@@ -407,7 +407,7 @@ def test_the_rule_looks_one_model_call_ahead(tiny_model, tiny_config, serve_roun
         hold_last_layer_reads(hcache.storage, tiny_config.n_layers - 1, gate, log)
         try:
             engine.start_restores({"r": 64}, background=True)
-            progress = engine._restoring["r"].progress
+            progress = engine._restoring["r"]
             for layer in range(tiny_config.n_layers - 1):
                 progress.wait_layer(layer)
             # The last layer is held, so the predicted remainder only grows:
@@ -424,7 +424,7 @@ def test_the_rule_looks_one_model_call_ahead(tiny_model, tiny_config, serve_roun
         finally:
             gate.set()
         engine.evict("r")
-        assert engine.session("r").kv_cache is None and not engine._landing
+        assert engine.session("r").kv_cache is None and not engine._restoring
 
 
 def test_closing_a_session_whose_restore_fails_discards_the_failure(
@@ -455,7 +455,7 @@ def test_closing_a_session_whose_restore_fails_discards_the_failure(
         engine = NumericServingEngine.recover(tiny_model, hcache, executor=executor)
         try:
             engine.start_restores({"released": 64}, background=True)
-            progress = engine._restoring["released"].progress
+            progress = engine._restoring["released"]
             for layer in range(last):
                 progress.wait_layer(layer)
             engine._prefill_s = 3600.0
@@ -466,7 +466,7 @@ def test_closing_a_session_whose_restore_fails_discards_the_failure(
         for sid in ("released", "unreported"):
             engine.close_session(sid)
             assert not engine.has_session(sid) and not hcache.has_context(sid)
-        assert not engine._restoring and not engine._landing
+        assert not engine._restoring
 
 
 # ---------------------------------------------------------------------------
@@ -532,7 +532,7 @@ def test_a_restore_dying_under_a_waiting_iteration_raises_once_and_spares_the_ba
         assert engine.early_releases == 1 and ("append", last) not in log
 
         # The failed session is evicted again; nobody else lost a row.
-        assert engine.session("r").kv_cache is None and not engine._landing
+        assert engine.session("r").kv_cache is None and not engine._restoring
         for s, rows in before.items():
             cache = engine.session(s).kv_cache
             assert len(cache) == len(engine.session(s).tokens) == rows[0][0].shape[0]

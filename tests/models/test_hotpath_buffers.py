@@ -60,7 +60,9 @@ class TestInterleavedOpsMatchNaive:
                     fast.clear()
                     naive.clear()
                 assert len(fast) == len(naive)
-                fast.debug_validate()
+                assert all(
+                    0 <= fast.layer_len(i) <= fast.capacity for i in range(tiny_config.n_layers)
+                )
             assert fast.equals(naive, atol=0.0)
             assert naive.equals(fast, atol=0.0)
             assert fast.nbytes() == naive.nbytes()
@@ -94,13 +96,15 @@ class TestInterleavedOpsMatchNaive:
             cache.packed_rows(0, -1, 5)
 
     def test_mismatched_layers_still_detected(self, tiny_config):
-        """The O(1) length invariant preserves the disagreement check."""
+        """``len`` checks that every layer holds the same count."""
         cache = KVCache(tiny_config)
         k, v = kv_rows(tiny_config, 2, np.random.default_rng(0))
         cache.append(0, k, v)
         with pytest.raises(StateError):
             len(cache)
-        cache.debug_validate()  # the histogram itself stays consistent
+        assert [cache.layer_len(i) for i in range(tiny_config.n_layers)] == [2] + [0] * (
+            tiny_config.n_layers - 1
+        )
 
     def test_views_stable_across_append(self, tiny_config):
         """Views returned before an in-capacity append keep their content."""

@@ -299,16 +299,17 @@ class TestSlabArena:
         clone.release()
         assert clone.capacity == 1000 and arena.allocations == 1
 
-    def test_a_settled_landing_handle_takes_over_the_slab(self, tiny_config):
+    def test_the_landing_handle_owns_the_slab(self, tiny_config):
         from repro.runtime.progress import RestoreProgress
 
         arena = SlabArena()
         restored = arena.cache(tiny_config, 30)
-        k, v = fill(restored, tiny_config, 10)
         handle = restored.landing_handle(10, RestoreProgress("c", tiny_config.n_layers))
-        handle.end_landing(restored)
-        assert handle.landing is None and np.array_equal(handle.get(1)[0], k)
-        with pytest.raises(StateError):
-            restored.get(0)  # one owner: the returned cache is dead
+        k, v = fill(restored, tiny_config, 10)
+        assert np.array_equal(handle.get(1)[0], k)  # same rows, own lengths
+        restored.release()  # one owner, and it is the handle: nothing comes back
+        assert arena.held_bytes == 0 and np.array_equal(restored.get(1)[0], k)
         handle.release()
         assert arena.held_bytes == 2 * k.itemsize * tiny_config.n_layers * 64 * k[0].size
+        with pytest.raises(StateError):
+            handle.get(0)

@@ -68,7 +68,7 @@ class TestPrediction:
             _, _, progress = planned_progress()
             progress.settle(settled_future(error))
             assert progress.settled and progress.remaining_s() == 0.0
-            assert progress.failed == (error is not None)
+            assert progress.error is error
 
     def test_a_layer_lands_once(self):
         _, _, progress = planned_progress()

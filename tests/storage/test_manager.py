@@ -295,6 +295,14 @@ class TestByteAccounting:
         manager.append("ctx", 0, rows(1, 32))
         assert manager.tokens_stored("ctx", 0) == 65
 
+    def test_append_bytes_is_what_appending_to_every_run_allocates(self, storage_manager):
+        storage_manager.register_context("r", 4, 32, runs=[(1, "kv"), (2, "hidden")])
+        for n in (1, 62, 1, 64, 130, 0):
+            before, need = storage_manager.allocated_bytes, storage_manager.append_bytes("r", n)
+            storage_manager.append("r", 1, rows(n, 64, seed=n), kind="kv")
+            storage_manager.append("r", 2, rows(n, 32, seed=n))
+            assert storage_manager.allocated_bytes - before == need
+
     def test_fragmentation_bounded_by_one_chunk_per_run(self, manager):
         for layer, n in enumerate((1, 63, 64, 130)):
             manager.append("ctx", layer, rows(n, 32))
