@@ -217,7 +217,10 @@ def bench_state_path(n_tokens: int) -> dict:
     cache = KVCache(cfg)
     cache.reserve(n_tokens)
     manager = StorageManager(build_storage_array(platform_preset("default")))
-    manager.register_context("bench", n_layers=cfg.n_layers, hidden_width=cfg.hidden_size)
+    runs = [(layer, "hidden") for layer in range(cfg.n_layers)]
+    manager.register_context(
+        "bench", n_layers=cfg.n_layers, hidden_width=cfg.hidden_size, runs=runs
+    )
     for layer in range(cfg.n_layers):
         keys, values = cache.install_view(layer, history)
         keys[...], values[...] = base_k, base_v

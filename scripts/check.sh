@@ -117,11 +117,11 @@ python scripts/check_docs.py
 # "crash-recovery smoke" in the log, not as one -x casualty among ~1.8k
 # tests, and this stays green even if the tier-1 invocation above is
 # ever narrowed.
-echo "== crash-recovery smoke (journal truncation property, crash-window recovery, journaled-manager model, kill-and-resume, mirrored writes and failover, failed restores in the serving loop, a full storage tier) =="
+echo "== crash-recovery smoke (journal truncation property, crash-window recovery over write-once chunk keys, journaled-manager model with failed writes, kill-and-resume, mirrored writes and failover, torn chunk files, failed restores in the serving loop, a full storage tier) =="
 python -m pytest -q tests/storage/test_journal.py tests/storage/test_recovery.py \
     tests/storage/test_manager_model.py tests/integration/test_kill_and_resume.py \
-    tests/storage/test_faults_replication.py tests/engine/test_restore_failures.py \
-    tests/engine/test_storage_pressure.py
+    tests/storage/test_faults_replication.py tests/storage/test_chunk_files.py \
+    tests/engine/test_restore_failures.py tests/engine/test_storage_pressure.py
 
 # The restore's IO/compute order gets its own named gate too: the
 # virtual-clock twin runs the real restore on a fake IO pool and bounds

@@ -4,7 +4,9 @@
 built: a chunk's device write strictly precedes the journal record that
 claims it (so the journal never over-claims — an unjournaled device chunk
 is a sweepable orphan, a journaled-but-unwritten chunk would be data
-loss), and a ``free`` record precedes the deletions it describes (so a
+loss), a sealed partial is deleted only after the record of the key that
+replaces it (a crash in between would lose the rows the deleted copy
+held), and a ``free`` record precedes the deletions it describes (so a
 replayed prefix never resurrects a half-deleted context).  Reordering
 either side is a one-line refactor that passes every test that doesn't
 crash mid-operation.
@@ -15,6 +17,8 @@ simplified control-flow graph:
 - Statements evaluate in order; ``if``/``try`` branches fork and merge
   ("a device write happened" holds after the merge only if it held on
   every branch; "a deletion happened" holds if it held on any).
+- No path continues past a ``raise`` (an ``except`` block that cleans up
+  and re-raises does not reach the code after the ``try``).
 - Loop bodies are assumed to execute at least once (the regression class
   is *reordering*, which this catches; a zero-iteration loop writes no
   chunk and journals an empty record).
@@ -25,8 +29,8 @@ Checked events:
 
 - ``<anything-not-journal>.write(...)`` marks the device write done.
 - ``<...>journal.append({"op": "chunk" | "seal", ...})`` must be
-  write-dominated; ``{"op": "free"}`` must precede any ``.delete(...)``
-  or ``.free_context(...)`` call.
+  write-dominated and follow no ``.delete(...)`` or ``.free_context(...)``
+  call on any path; ``{"op": "free"}`` must precede any such call.
 """
 
 from __future__ import annotations
@@ -104,7 +108,8 @@ class CommitPointRule(Rule):
     name = "commit-point"
     description = (
         "journal 'chunk'/'seal' records must follow the device write on every "
-        "path; 'free' records must precede the deletions they describe"
+        "path and precede every deletion; 'free' records must precede the "
+        "deletions they describe"
     )
 
     def check(self, module: ModuleInfo) -> list[Finding]:
@@ -139,6 +144,9 @@ class CommitPointRule(Rule):
     ) -> _State:
         if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             return state
+        if isinstance(stmt, ast.Raise):
+            # No path continues: the state every merge leaves unchanged.
+            return _State(write_done=True)
         if isinstance(stmt, ast.If):
             state = self._eval_expr(module, stmt.test, state, findings)
             then = self._eval_block(module, stmt.body, state.copy(), findings)
@@ -188,16 +196,22 @@ class CommitPointRule(Rule):
                 state = self._eval_expr(module, child, state, findings)
             op = _journal_op(node)
             if op is not None:
-                if op in _RECORD_OPS_NEEDING_WRITE and not state.write_done:
+                if op in _RECORD_OPS_NEEDING_WRITE and (state.deleted or not state.write_done):
                     findings.append(
                         self.finding(
                             module,
                             node,
-                            f"journal {op!r} record appended before the chunk's "
-                            f"device write on at least one path — the journal "
-                            f"would over-claim after a crash here",
-                            hint="write the payload to its device first; the "
-                            "record is the commit point (ARCHITECTURE §6.2)",
+                            f"journal {op!r} record appended "
+                            + (
+                                "after a deletion on at least one path — a crash "
+                                "in between loses the rows the deleted copy held"
+                                if state.deleted
+                                else "before the chunk's device write on at least "
+                                "one path — the journal would over-claim after a "
+                                "crash here"
+                            ),
+                            hint="write the payload to its device first, journal "
+                            "it, then delete what it replaces (ARCHITECTURE §6.2)",
                         )
                     )
                 elif op == "free" and state.deleted:

@@ -24,22 +24,29 @@ CHUNK_TOKENS = 64
 class ChunkKey:
     """Identity of one chunk: a context's layer-local chunk index.
 
+    Every key is written once.  A sealed partial chunk and the full chunk
+    (or longer partial) that later replaces it in the same slot differ in
+    ``rows``, so the replacement lands under a new key while the copy it
+    replaces is still on the device.
+
     Attributes:
         context_id: The conversation / document whose states are stored.
         layer: Transformer layer the chunk belongs to.
         index: Position of the chunk within the layer's token run.
         kind: ``"hidden"`` or ``"kv"`` — the scheduler may store some
             layers as KV instead of hidden states (§4.1).
+        rows: 0 for a full chunk; the row count of a sealed partial.
     """
 
     context_id: str
     layer: int
     index: int
     kind: str = "hidden"
+    rows: int = 0
 
     def __post_init__(self) -> None:
-        if self.layer < 0 or self.index < 0:
-            raise ConfigError("chunk layer and index must be non-negative")
+        if self.layer < 0 or self.index < 0 or self.rows < 0:
+            raise ConfigError("chunk layer, index and rows must be non-negative")
         if self.kind not in ("hidden", "kv"):
             raise ConfigError(f"unknown chunk kind {self.kind!r}")
 

@@ -28,18 +28,17 @@ alone after a crash, and a compacted snapshot is the records
 The commit-point ordering is strict — device write first, journal record
 second — so a journaled chunk is always readable and an unjournaled
 device chunk is an orphan recovery sweeps; a crash between the two can
-therefore never double-count tokens.  Sealed partial tails follow the
-same discipline: when appends grow a sealed partial, its stale device
-copy is *kept* (still journaled, still durable) until the moment the
-refilled chunk rewrites that slot, shrinking the crash window to the
-single delete+write step that write-once devices force (once the
-rewrite lands, the journaled rows are its prefix).
+therefore never double-count tokens.  No key is ever written twice: a
+sealed partial's key names its row count (:attr:`ChunkKey.rows`), so the
+full chunk or longer partial that replaces it lands under a key of its
+own, and the partial is deleted only once its successor's record has
+landed.  A crash at any point leaves every journaled key readable.
 """
 
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -99,10 +98,11 @@ class _Run:
     devices as full chunks; the rest are the first rows of ``tail``, a
     preallocated one-chunk host buffer written by slice assignment.  The
     first ``device_tail_rows`` tail rows are also on a device, in the
-    current tail slot, as the copy the last seal wrote: all of them while
-    the run is sealed, fewer once appends have grown it (that stale copy
-    stays durable until the refilled chunk or the next seal rewrites the
-    slot).  ``crcs`` holds the journaled CRC of every slot by chunk index
+    current tail slot, as the partial the last seal wrote (its key's
+    ``rows``): all of them while the run is sealed, fewer once appends
+    have grown it (that copy stays durable until the full chunk or the
+    next seal's longer partial is journaled, and is deleted then).
+    ``crcs`` holds the journaled CRC of every slot by chunk index
     — each full chunk, and the sealed tail's — and stays empty without a
     journal.
     """
@@ -238,10 +238,11 @@ class StorageManager:
 
         ``kv_width`` is the packed K|V row width of KV-offloaded layers;
         ``None`` means the MHA width, ``2 * hidden_width``.  ``runs`` names
-        the ``(layer, kind)`` runs opened empty with the context.  They
-        are journaled in its one ``register`` record, ahead of its first
-        token ids, so a crash recovers the context with all of them or
-        not at all — never with some.
+        the ``(layer, kind)`` runs opened empty with the context, the only
+        runs it ever holds: :meth:`append` to any other raises
+        :class:`StateError`.  They are journaled in its one ``register``
+        record, ahead of its first token ids, so a crash recovers the
+        context with all of them or not at all — never with some.
         """
         if context_id in self._contexts:
             raise StateError(f"context {context_id!r} already registered")
@@ -282,20 +283,14 @@ class StorageManager:
     def meta(self, context_id: str) -> ContextMeta:
         return self._context(context_id).meta
 
-    def _open_run(self, ctx: _Context, layer: int, kind: str) -> _Run:
-        """The context's ``(layer, kind)`` run, created empty if missing;
-        journals nothing."""
-        run = ctx.runs.get((layer, kind))
-        if run is not None:
-            return run
+    def _open_run(self, ctx: _Context, layer: int, kind: str) -> None:
+        """Open the context's ``(layer, kind)`` run empty; journals nothing."""
         meta = ctx.meta
         if layer < 0 or layer >= meta.n_layers:
             raise ConfigError(f"layer {layer} out of range for {meta.context_id!r}")
         if kind not in _KINDS:
             raise ConfigError(f"unknown run kind {kind!r}")
-        run = _Run(self.tokens_per_chunk, meta.width(kind), meta.dtype)
-        ctx.runs[(layer, kind)] = run
-        return run
+        ctx.runs[(layer, kind)] = _Run(self.tokens_per_chunk, meta.width(kind), meta.dtype)
 
     def runs(self, context_id: str) -> tuple[tuple[int, str], ...]:
         """The ``(layer, kind)`` of every run the context holds."""
@@ -363,26 +358,20 @@ class StorageManager:
         (K and V concatenated).  Full chunks are flushed to their
         round-robin device; the tail remains host-buffered.
 
-        Capacity for every chunk the block starts is checked before any
+        The run must have been named at :meth:`register_context`, and
+        capacity for every chunk the block starts is checked before any
         row lands, so a refused append changes nothing.  Rows count as
         stored only once they land — in the tail, or on a device for the
         rows that complete a chunk — so a failed device write leaves the
         run at its last full chunk, and a retry of the remaining rows
         continues from there.
         """
-        ctx = self._context(context_id)
-        run = ctx.runs.get((layer, kind))
-        states = np.asarray(states, dtype=ctx.meta.dtype)
-        width = ctx.meta.width(kind)
+        run = self._run(context_id, layer, kind)
+        tail = run.tail
+        states = np.asarray(states, dtype=tail.dtype)
+        width = tail.shape[1]
         if states.ndim != 2 or states.shape[1] != width:
             raise ConfigError(f"states must be (n, {width}), got {states.shape}")
-        if run is None:
-            run = self._open_run(ctx, layer, kind)
-            if self.journal is not None:
-                self.journal.append(
-                    {"op": "run", "context_id": context_id, "layer": layer, "kind": kind}
-                )
-        tail = run.tail
         cpc = self.tokens_per_chunk
         n_new = states.shape[0]
         self.check_room(self._started_bytes(run, n_new), f"append to {context_id}/L{layer}/{kind}")
@@ -425,16 +414,15 @@ class StorageManager:
     def _flush_chunk(
         self, context_id: str, layer: int, kind: str, run: _Run, payload: np.ndarray
     ) -> None:
-        """Write the run's next full chunk; its rows count once it lands."""
+        """Write the run's next full chunk; its rows count once it lands.
+
+        The last seal's partial of the same slot is deleted only after the
+        chunk's record, so every journaled key stays readable.
+        """
         cpc = self.tokens_per_chunk
         index = run.n_tokens // cpc
         key = ChunkKey(context_id, layer, index, kind)
         device = self.array.device_for(index, offset=layer)
-        if run.device_tail_rows:
-            # Retire the last seal's copy of this slot only now, just
-            # before its full replacement lands in the same slot.
-            device.delete(key)
-            run.device_tail_rows = 0
         device.write(key, payload)
         if run.n_tokens % cpc == 0:
             self.allocated_bytes += run.tail.nbytes
@@ -443,8 +431,7 @@ class StorageManager:
         # chunk is always readable; an unjournaled device chunk is an
         # orphan recovery sweeps — never a double-counted token.
         if self.journal is not None:
-            crc = _payload_crc(payload)
-            run.crcs[index] = crc
+            run.crcs[index] = _payload_crc(payload)
             self.journal.append(
                 {
                     "op": "chunk",
@@ -452,9 +439,12 @@ class StorageManager:
                     "layer": layer,
                     "kind": kind,
                     "index": index,
-                    "crc": crc,
+                    "crc": run.crcs[index],
                 }
             )
+        if run.device_tail_rows:
+            device.delete(replace(key, rows=run.device_tail_rows))
+            run.device_tail_rows = 0
 
     def seal_context(self, context_id: str) -> None:
         """Flush every partially filled tail chunk to its device.
@@ -462,8 +452,10 @@ class StorageManager:
         Called when a conversation round ends and the context's GPU state
         is evicted — afterwards all state also lives on the storage
         devices.  The host buffer keeps the tail rows so a later round can
-        grow the partial chunk (it is then rewritten, write-once devices
-        cannot append in place).
+        grow the partial chunk; a grown tail is sealed under a new key and
+        the partial it replaces is deleted after the ``seal`` record.  A
+        failed write deletes the partials this call wrote and changes
+        nothing else.
 
         With a journal attached, sealing is also the durability boundary
         for partial tails: one ``seal`` record commits every tail written
@@ -474,40 +466,34 @@ class StorageManager:
         """
         ctx = self._context(context_id)
         cpc = self.tokens_per_chunk
-        sealed: list[dict] = []
-        for (layer, kind), run in ctx.runs.items():
-            rows = run.n_tokens % cpc
-            if rows == run.device_tail_rows:
-                continue  # no tail, or the device copy is already current
-            index = run.n_tokens // cpc
-            key = ChunkKey(context_id, layer, index, kind)
-            device = self.array.device_for(index, offset=layer)
-            if run.device_tail_rows:
-                # A previous seal's copy occupies the slot this grown tail
-                # rewrites; retire it only now, immediately before its
-                # replacement, to keep the durability gap minimal.
+        written: list[tuple[_Run, StorageDevice | ReplicatedDevice, ChunkKey]] = []
+        try:
+            for (layer, kind), run in ctx.runs.items():
+                index, rows = divmod(run.n_tokens, cpc)
+                if rows == run.device_tail_rows:
+                    continue  # no tail, or the device copy is already current
+                key = ChunkKey(context_id, layer, index, kind, rows)
+                device = self.array.device_for(index, offset=layer)
+                device.write(key, run.tail[:rows])
+                written.append((run, device, key))
+        except Exception:
+            # Unjournaled, so no record names them: the seal changes nothing.
+            for _, device, key in written:
                 device.delete(key)
-                run.device_tail_rows = 0
-            device.write(key, run.tail[:rows])
-            run.device_tail_rows = rows
-            if self.journal is not None:
-                run.crcs[index] = _payload_crc(run.tail[:rows])
-                sealed.append(
-                    {
-                        "layer": layer,
-                        "kind": kind,
-                        "index": index,
-                        "tokens": rows,
-                        "crc": run.crcs[index],
-                    }
-                )
-        if self.journal is not None:
-            if sealed:
-                self.journal.append(
-                    {"op": "seal", "context_id": context_id, "tails": sealed}
-                )
-            if self.journal.journal_bytes >= JOURNAL_COMPACT_BYTES:
-                self.compact_journal()
+            raise
+        if self.journal is not None and written:
+            tails: list[dict[str, Any]] = []
+            for run, _, key in written:
+                run.crcs[key.index] = _payload_crc(run.tail[: key.rows])
+                tail = {"layer": key.layer, "kind": key.kind, "index": key.index}
+                tails.append(dict(tail, tokens=key.rows, crc=run.crcs[key.index]))
+            self.journal.append({"op": "seal", "context_id": context_id, "tails": tails})
+        for run, device, key in written:
+            if run.device_tail_rows:
+                device.delete(replace(key, rows=run.device_tail_rows))
+            run.device_tail_rows = key.rows
+        if self.journal is not None and self.journal.journal_bytes >= JOURNAL_COMPACT_BYTES:
+            self.compact_journal()
 
     # ------------------------------------------------------------------
     # durability: snapshot, compaction, recovery
@@ -517,13 +503,13 @@ class StorageManager:
         """The journal records whose fold is the durable state.
 
         Exactly what replaying the journal from genesis would fold to:
-        every opened run (named by its context's ``register`` record), its
-        journaled full chunks, its sealed tail
-        (including a *stale* sealed partial whose run has grown but whose
-        slot has not been rewritten yet — its device copy is still the
-        durable source of those rows), and the token logs, split over
-        records of :data:`SNAPSHOT_TOKENS_PER_RECORD` ids.  Unsealed
-        host-tail rows are deliberately absent: they are not durable.
+        every run (named by its context's ``register`` record), its
+        journaled full chunks, its sealed tail (including a sealed partial
+        whose run has grown since: until its successor is journaled, its
+        device copy is the durable source of those rows), and the token
+        logs, split over records of :data:`SNAPSHOT_TOKENS_PER_RECORD` ids.
+        Unsealed host-tail rows are deliberately absent: they are not
+        durable.
         """
         cpc = self.tokens_per_chunk
         for context_id, ctx in self._contexts.items():
@@ -557,9 +543,9 @@ class StorageManager:
         run holds only what the journal proves durable: ``n_tokens`` is
         its journaled full chunks plus its sealed tail, ``device_tail_rows``
         that sealed tail, and ``crcs`` every journaled slot's CRC; its host
-        tail holds nothing yet (:meth:`recover` fills it).  Runs open with
-        the ``register`` record that names them or with their ``run``
-        record; a ``chunk`` or ``seal`` of a run never opened is malformed.
+        tail holds nothing yet (:meth:`recover` fills it).  Runs open only
+        with the ``register`` record that names them; a ``chunk`` or
+        ``seal`` of a run it did not name is malformed.
         """
         cpc = self.tokens_per_chunk
         try:
@@ -587,7 +573,7 @@ class StorageManager:
                     self._open_run(ctx, int(layer), str(kind))
                 self._contexts[meta.context_id] = ctx
                 return
-            if op not in ("run", "chunk", "seal", "tokens", "free"):
+            if op not in ("chunk", "seal", "tokens", "free"):
                 raise JournalCorruptError(f"unknown journal record op {op!r}")
             ctx = self._contexts.get(context_id)
             if ctx is None:
@@ -598,16 +584,14 @@ class StorageManager:
                 self._contexts.pop(context_id)
             elif op == "tokens":
                 ctx.tokens.extend(int(t) for t in record["ids"])
-            elif op == "run":
-                self._open_run(ctx, int(record["layer"]), str(record["kind"]))
             elif op == "chunk":
                 run = ctx.runs[int(record["layer"]), str(record["kind"])]
                 index, full = int(record["index"]), run.n_tokens // cpc
                 if run.device_tail_rows and index >= full:
                     if index > full:
                         raise RecoveryError(f"{record!r} lands past a sealed tail at chunk {full}")
-                    # The sealed partial filled up and was rewritten as a
-                    # full chunk in the same slot; the full chunk wins.
+                    # The sealed partial filled up and its full chunk
+                    # landed; the full chunk wins, the partial is an orphan.
                     run.device_tail_rows = 0
                 run.crcs[index] = int(record["crc"])
                 run.n_tokens = max(full, index + 1) * cpc + run.device_tail_rows
@@ -644,15 +628,12 @@ class StorageManager:
         nothing of the dead manager's memory survives.  The journal's
         records fold (:meth:`_apply`) into a fresh manager; each context's
         durable token count is the *minimum over its runs* of full-chunk
-        tokens plus sealed tail — a run's sealed tail counting only if its
-        device copy exists, alone or as the prefix of a rewrite whose
-        record never landed (a retired-but-never-rewritten partial rolls
-        that run back to its chunk boundary).  Runs longer than the common
-        durable count are truncated: a boundary chunk's surviving prefix
-        is salvaged into the host tail buffer, excess device chunks are
-        dropped, and the token log is cut to exactly the durable rows.
-        Journal/device contradictions (a journaled chunk missing, a CRC or
-        shape mismatch, a layer beyond the context's, a token log shorter
+        tokens plus sealed tail.  Runs longer than the common durable count
+        are truncated: a boundary chunk's surviving prefix is salvaged into
+        the host tail buffer, excess device chunks are dropped, and the
+        token log is cut to exactly the durable rows.  Journal/device
+        contradictions (a journaled full chunk or sealed partial missing,
+        a CRC mismatch, a layer beyond the context's, a token log shorter
         than the durable rows) raise :class:`~repro.errors.RecoveryError`
         — recovery is conservative or loud, never silently wrong.  Every
         journaled slot is re-read to check its CRC.  Unjournaled device
@@ -668,12 +649,12 @@ class StorageManager:
         cpc = tokens_per_chunk
         live: set[ChunkKey] = set()
         for context_id, ctx in manager._contexts.items():
-            # Pass 1: audit every journaled slot against the devices.
-            sealed: dict[tuple[int, str], np.ndarray] = {}
+            # Pass 1: audit every journaled slot against the devices; a
+            # sealed partial's rows go back to the host tail.
             for (layer, kind), run in ctx.runs.items():
-                full = run.n_tokens // cpc
-                for index in range(full):
-                    key = ChunkKey(context_id, layer, index, kind)
+                full, rows = divmod(run.n_tokens, cpc)
+                for index in range(full + (rows > 0)):
+                    key = ChunkKey(context_id, layer, index, kind, rows if index == full else 0)
                     device = array.device_for(index, offset=layer)
                     if key not in device:
                         raise RecoveryError(
@@ -681,32 +662,14 @@ class StorageManager:
                         )
                     # A chunk whose record was lost while later ones landed
                     # has no CRC; its payload supplies one.
-                    crc = _payload_crc(_read_journaled(device, key))
+                    payload = _read_journaled(device, key)
+                    crc = _payload_crc(payload)
                     if run.crcs.setdefault(index, crc) != crc:
                         raise RecoveryError(
                             f"chunk {key} payload fails its journaled checksum"
                         )
-                rows = run.device_tail_rows
                 if rows:
-                    key = ChunkKey(context_id, layer, full, kind)
-                    device = array.device_for(full, offset=layer)
-                    if key not in device:
-                        # The partial was retired for a rewrite that never
-                        # landed — those rows are gone; the run rolls back
-                        # to its chunk boundary (the rewrite window).
-                        run.n_tokens = full * cpc
-                        run.device_tail_rows = 0
-                        continue
-                    payload = _read_journaled(device, key)
-                    if payload.shape[0] < rows or _payload_crc(payload[:rows]) != run.crcs[full]:
-                        raise RecoveryError(f"sealed tail {key} mismatches its journal record")
-                    sealed[(layer, kind)] = payload[:rows]
-                    if payload.shape[0] > rows:
-                        # The slot's rewrite (the refilled chunk, or a
-                        # longer sealed tail) landed but its record did
-                        # not.  The journaled rows are its prefix; the
-                        # rewrite itself is an orphan the sweep drops.
-                        run.device_tail_rows = 0
+                    run.tail[:rows] = payload
             durable_tokens = min(
                 (run.n_tokens for run in ctx.runs.values()), default=len(ctx.tokens)
             )
@@ -731,19 +694,20 @@ class StorageManager:
                         device = array.device_for(full_keep, offset=layer)
                         payload = _read_journaled(device, boundary)
                         run.tail[:rem] = payload[:rem]
-                else:
+                elif run.device_tail_rows != rem:
                     # The cut lands in this run's own sealed tail, whose
-                    # device copy stays only if the cut is exactly its
-                    # end; a longer copy goes, the next seal rewrites.
-                    if rem:
-                        run.tail[:rem] = sealed[(layer, kind)][:rem]
-                    if run.device_tail_rows != rem:
-                        run.device_tail_rows = 0
+                    # rows are in the host tail; its device copy stays
+                    # only if the cut is exactly its end.
+                    run.device_tail_rows = 0
                 run.n_tokens = durable_tokens
                 manager.allocated_bytes += run.allocated_bytes()
-                kept = full_keep + (run.device_tail_rows > 0)
+                rows = run.device_tail_rows
+                kept = full_keep + (rows > 0)
                 run.crcs = {i: c for i, c in run.crcs.items() if i < kept}
-                live.update(ChunkKey(context_id, layer, i, kind) for i in range(kept))
+                live.update(
+                    ChunkKey(context_id, layer, i, kind, rows if i == full_keep else 0)
+                    for i in range(kept)
+                )
         # Orphan sweep: device chunks no journaled run accounts for — the
         # crash artifacts of write-then-journal — plus everything truncated
         # above.  ``delete`` on a replicated device drops both copies.

@@ -125,7 +125,8 @@ class TestStorageFailureInjection:
             fresh = StorageManager(
                 build_storage_array(default_platform), capacity_bytes=tiny_capacity
             )
-            fresh.register_context("d", config.n_layers, config.hidden_size)
+            runs = [(layer, "hidden") for layer in range(config.n_layers)]
+            fresh.register_context("d", config.n_layers, config.hidden_size, runs=runs)
             for layer in range(config.n_layers):
                 fresh.append("d", layer, big_result.hidden_states[layer])
         # The original engine's context is intact and still restorable.

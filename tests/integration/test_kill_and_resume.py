@@ -446,7 +446,7 @@ class TestKillAndResume:
         manager = StorageManager(array, journal=journal_factory("bad"))
         config = model.config
         manager.register_context(
-            "s", config.n_layers, config.hidden_size, kv_width=2 * config.kv_size
+            "s", config.n_layers, config.hidden_size, kv_width=2 * config.kv_size, runs=runs
         )
         manager.journal_tokens("s", range(70))
         rng = np.random.default_rng(4)

@@ -1,4 +1,4 @@
-"""Fixture: commit-point orderings the rule must reject (3 seeded)."""
+"""Fixture: commit-point orderings the rule must reject (4 seeded)."""
 
 
 class Store:
@@ -18,3 +18,11 @@ class Store:
         # A crash between the delete and this record resurrects the
         # half-deleted context on replay.
         self.journal.append({"op": "free", "context_id": context_id})
+
+    def refill(self, key, partial_key, payload):
+        if self.partial:
+            # A crash between this delete and the record below loses the
+            # rows the partial held.
+            self.device.delete(partial_key)
+        self.device.write(key, payload)
+        self.journal.append({"op": "chunk", "key": key})

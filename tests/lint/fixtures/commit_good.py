@@ -25,6 +25,25 @@ class Store:
 
         flush(payload)
 
+    def refill(self, key, partial_key, payload):
+        self.device.write(key, payload)
+        self.journal.append({"op": "chunk", "key": key})
+        if self.partial:
+            self.device.delete(partial_key)
+
+    def seal_all(self, keys, payloads):
+        written = []
+        try:
+            for key, payload in zip(keys, payloads):
+                self.device.write(key, payload)
+                written.append(key)
+        except OSError:
+            # A cleanup path that re-raises reaches no record.
+            for key in written:
+                self.device.delete(key)
+            raise
+        self.journal.append({"op": "seal", "keys": written})
+
     def free(self, context_id):
         self.journal.append({"op": "free", "context_id": context_id})
         self.device.delete(context_id)

@@ -5,11 +5,12 @@ from repro.lint import CommitPointRule
 
 def test_bad_fixture_reports_each_reordering(run_rules):
     findings = run_rules("commit_bad.py", [CommitPointRule()])
-    assert [f.rule for f in findings] == ["commit-point"] * 3
+    assert [f.rule for f in findings] == ["commit-point"] * 4
     messages = [f.message for f in findings]
     assert any("'chunk' record appended before" in m for m in messages)
     assert any("'seal' record appended before" in m for m in messages)
     assert any("'free' record appended after a deletion" in m for m in messages)
+    assert any("'chunk' record appended after a deletion" in m for m in messages)
 
 
 def test_branch_missing_write_is_flagged_at_the_append(run_rules):
@@ -21,6 +22,7 @@ def test_branch_missing_write_is_flagged_at_the_append(run_rules):
 
 def test_good_fixture_is_clean(run_rules):
     # Covers: straight-line order, write-in-loop before seal, try/except
-    # around the append, the nested flush closure, free-before-delete,
-    # and metadata-only records.
+    # around the append, the nested flush closure, delete after the
+    # replacement's record, a deleting handler that re-raises,
+    # free-before-delete, and metadata-only records.
     assert run_rules("commit_good.py", [CommitPointRule()]) == []

@@ -63,6 +63,26 @@ def test_injected_journal_before_write_is_caught(tmp_path):
     assert "'chunk' record appended before" in findings[0].message
 
 
+def test_injected_delete_before_chunk_record_is_caught(tmp_path):
+    dest = _copy_into_tree(tmp_path, "repro/storage/manager.py")
+    source = dest.read_text()
+    # Retire the sealed partial before its full chunk is written: the
+    # delete-then-rewrite window write-once chunk keys closed.
+    delete = (
+        "        if run.device_tail_rows:\n"
+        "            device.delete(replace(key, rows=run.device_tail_rows))\n"
+        "            run.device_tail_rows = 0\n"
+    )
+    write = "        device.write(key, payload)\n"
+    assert source.count(delete) == 1, "_flush_chunk's delete moved; update test"
+    assert source.count(write) == 1
+    dest.write_text(source.replace(delete, "").replace(write, delete + write))
+    findings = check_paths([tmp_path], default_rules())
+    assert len(findings) == 1
+    assert findings[0].rule == "commit-point"
+    assert "'chunk' record appended after a deletion" in findings[0].message
+
+
 def test_injected_delete_before_free_record_is_caught(tmp_path):
     dest = _copy_into_tree(tmp_path, "repro/storage/manager.py")
     source = dest.read_text()

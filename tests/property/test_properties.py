@@ -133,7 +133,7 @@ def test_allocator_accounting_consistent(extends, default_platform):
 
     layout = ChunkLayout(tokens_per_chunk=64, bytes_per_token=10 * 4)
     manager = StorageManager(build_storage_array(default_platform))
-    manager.register_context("ctx", n_layers=1, hidden_width=10)
+    manager.register_context("ctx", n_layers=1, hidden_width=10, runs=[(0, "hidden")])
     total = 0
     for n in extends:
         manager.append("ctx", 0, np.zeros((n, 10), dtype=np.float32))
@@ -163,7 +163,7 @@ def test_manager_roundtrip_any_block_pattern(blocks, width, seal_every, default_
     from repro.storage.manager import StorageManager
 
     manager = StorageManager(build_storage_array(default_platform))
-    manager.register_context("ctx", n_layers=2, hidden_width=width)
+    manager.register_context("ctx", n_layers=2, hidden_width=width, runs=[(0, "hidden")])
     rng = np.random.default_rng(0)
     expected: list[np.ndarray] = []
     for i, n in enumerate(blocks):

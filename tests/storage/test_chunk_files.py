@@ -73,7 +73,7 @@ READ_DAMAGE = [truncate, remove, make_directory]
 def saved_manager(replication: int, n_rows: int = 128, journal=None):
     array = StorageArray([SPEC], link_bandwidth=8 * GB, replication=replication)
     manager = StorageManager(array, journal=journal)
-    manager.register_context("ctx", n_layers=1, hidden_width=WIDTH)
+    manager.register_context("ctx", n_layers=1, hidden_width=WIDTH, runs=[(0, "hidden")])
     block = rows(n_rows)
     manager.append("ctx", 0, block)
     manager.journal_tokens("ctx", list(range(n_rows)))

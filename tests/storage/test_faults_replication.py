@@ -175,7 +175,8 @@ class TestReplicatedArray:
         primary after saving, reads stay bit-exact through the mirrors."""
         array = StorageArray([SPEC, SPEC], link_bandwidth=8 * GB, replication=2)
         manager = StorageManager(array)
-        manager.register_context("ctx", n_layers=2, hidden_width=32)
+        runs = [(0, "hidden"), (1, "hidden")]
+        manager.register_context("ctx", n_layers=2, hidden_width=32, runs=runs)
         blocks = {layer: payload(layer, n=200)[:, :1].repeat(32, 1) for layer in range(2)}
         for layer, block in blocks.items():
             manager.append("ctx", layer, block)
@@ -191,7 +192,7 @@ class TestReplicatedArray:
         the retried append lands, and both replicas hold the same bytes."""
         array = StorageArray([SPEC], link_bandwidth=8 * GB, replication=2)
         manager = StorageManager(array)
-        manager.register_context("ctx", n_layers=1, hidden_width=32)
+        manager.register_context("ctx", n_layers=1, hidden_width=32, runs=[(0, "hidden")])
         block = payload(0, n=64)[:, :1].repeat(32, 1)
         primary, mirror = array.replica(0), array.replica(0, "mirror")
         mirror.fault_policy = FaultPolicy(fail_writes=[1])
@@ -209,7 +210,7 @@ class TestReplicatedArray:
     def test_healthy_replicated_reads_stay_primary(self):
         array = StorageArray([SPEC], link_bandwidth=8 * GB, replication=2)
         manager = StorageManager(array)
-        manager.register_context("ctx", n_layers=1, hidden_width=32)
+        manager.register_context("ctx", n_layers=1, hidden_width=32, runs=[(0, "hidden")])
         manager.append("ctx", 0, payload(0, n=64)[:, :1].repeat(32, 1))
         manager.load_layer("ctx", 0)
         assert array.degraded_reads == 0

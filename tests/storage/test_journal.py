@@ -277,17 +277,6 @@ class TestRecordSemantics:
         assert state.runs("a") == ((0, "hidden"),)
         assert (state.meta("a").kv_width, fold(RECORDS[4:5]).meta("b").kv_width) == (16, 4)
 
-    def test_run_record_opens_an_empty_run(self):
-        state = fold(RECORDS[:1])
-        state._apply({"op": "run", "context_id": "a", "layer": 1, "kind": "kv"})
-        run = state._contexts["a"].runs[(1, "kv")]
-        assert (run.n_tokens, run.device_tail_rows) == (0, 0)
-        # Re-opening an existing run keeps it.
-        state._apply({"op": "chunk", "context_id": "a", "layer": 0, "kind": "hidden",
-                      "index": 0, "crc": 5})
-        state._apply({"op": "run", "context_id": "a", "layer": 0, "kind": "hidden"})
-        assert state.tokens_stored("a", 0) == 64
-
     def test_free_drops_what_it_names(self):
         assert fold(RECORDS).context_ids() == ("b",)
 
@@ -295,6 +284,7 @@ class TestRecordSemantics:
         "record",
         [
             {"op": "free_run", "context_id": "a", "layer": 0, "kind": "hidden"},
+            {"op": "run", "context_id": "a", "layer": 1, "kind": "kv"},
             {"op": "chunk", "context_id": "a", "layer": 1, "kind": "hidden",
              "index": 0, "crc": 5},
             {"op": "seal", "context_id": "a",
@@ -302,7 +292,7 @@ class TestRecordSemantics:
             {"op": "register", "context_id": "g", "n_layers": 2, "hidden_width": 8,
              "dtype": "float32", "runs": []},
         ],
-        ids=["free_run", "chunk-of-unopened-run", "seal-of-unopened-run", "no-kv_width"],
+        ids=["free_run", "run", "chunk-of-unopened-run", "seal-of-unopened-run", "no-kv_width"],
     )
     def test_a_record_shape_no_code_writes_is_corrupt(self, record):
         """One journal format: journals die with their devices, so no

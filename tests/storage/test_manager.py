@@ -11,6 +11,8 @@ from repro.storage import FaultPolicy, ManifestJournal, StorageArray, StorageMan
 from repro.storage import manager as manager_module
 
 CHUNK_BYTES = 64 * 32 * 4  # one 64-row chunk of width-32 fp32 rows
+#: The runs the ``manager`` fixture's context declares.
+RUNS = tuple((layer, kind) for kind in ("hidden", "kv") for layer in range(4))
 
 
 def rows(n: int, width: int, seed: int = 0) -> np.ndarray:
@@ -20,7 +22,7 @@ def rows(n: int, width: int, seed: int = 0) -> np.ndarray:
 
 @pytest.fixture
 def manager(storage_manager):
-    storage_manager.register_context("ctx", n_layers=4, hidden_width=32)
+    storage_manager.register_context("ctx", n_layers=4, hidden_width=32, runs=RUNS)
     return storage_manager
 
 
@@ -83,13 +85,12 @@ class TestSaveLoadRoundtrip:
             manager.append("ctx", 0, rows(4, 16))
 
     def test_out_of_range_layer_rejected(self, manager):
-        with pytest.raises(ConfigError):
+        with pytest.raises(StateError):
             manager.append("ctx", 9, rows(4, 32))
 
     def test_empty_layer_loads_empty(self, manager):
         manager.append("ctx", 0, rows(4, 32))
-        with pytest.raises(StateError):
-            manager.load_layer("ctx", 1)
+        assert manager.load_layer("ctx", 1).shape == (0, 32)
 
 
 class TestHotPathBuffers:
@@ -190,7 +191,7 @@ class TestFreeContext:
     def test_free_then_reregister(self, manager):
         manager.append("ctx", 0, rows(10, 32))
         manager.free_context("ctx")
-        manager.register_context("ctx", n_layers=2, hidden_width=8)
+        manager.register_context("ctx", n_layers=2, hidden_width=8, runs=[(0, "hidden")])
         manager.append("ctx", 0, rows(4, 8))
         assert manager.tokens_stored("ctx", 0) == 4
 
@@ -235,7 +236,7 @@ def one_device_manager(**kwargs) -> StorageManager:
     spec = SSDSpec("t-ssd", read_bandwidth=3 * GB, write_bandwidth=1 * GB,
                    capacity_bytes=1 * GB)
     manager = StorageManager(StorageArray([spec], link_bandwidth=8 * GB), **kwargs)
-    manager.register_context("ctx", n_layers=1, hidden_width=32)
+    manager.register_context("ctx", n_layers=1, hidden_width=32, runs=[(0, "hidden")])
     return manager
 
 
@@ -285,7 +286,7 @@ class TestByteAccounting:
 
     def test_capacity_is_shared_by_every_run(self):
         manager = one_device_manager(capacity_bytes=2 * CHUNK_BYTES)
-        manager.register_context("other", n_layers=1, hidden_width=32)
+        manager.register_context("other", n_layers=1, hidden_width=32, runs=[(0, "hidden")])
         manager.append("ctx", 0, rows(64, 32))
         manager.append("other", 0, rows(1, 32))
         with pytest.raises(AllocationError):
@@ -315,12 +316,6 @@ class TestByteAccounting:
 
 
 class TestRuns:
-    def test_zero_row_append_opens_an_empty_run(self, manager):
-        manager.append("ctx", 2, rows(0, 32))
-        assert manager.runs("ctx") == ((2, "hidden"),)
-        assert manager.load_layer("ctx", 2).shape == (0, 32)
-        assert manager.allocated_bytes == 0
-
     def test_runs_named_at_registration_open_empty(self, storage_manager):
         storage_manager.register_context("r", 4, 32, runs=[(1, "kv"), (2, "hidden")])
         assert storage_manager.runs("r") == ((1, "kv"), (2, "hidden"))
@@ -337,7 +332,8 @@ class TestRuns:
     def test_rejected_block_opens_no_run(self, manager):
         with pytest.raises(ConfigError):
             manager.append("ctx", 0, rows(4, 16))
-        assert manager.runs("ctx") == ()
+        assert manager.runs("ctx") == RUNS
+        assert manager.tokens_stored("ctx", 0) == 0
 
 
 class TestChecksumsOnlyWithAJournal:

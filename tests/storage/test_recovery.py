@@ -11,17 +11,20 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.errors import RecoveryError, StateError
+from repro.errors import DeviceFault, RecoveryError, StateError
 from repro.simulator.hardware import GB, SSDSpec
 from repro.storage import journal as journal_module
 from repro.storage import (
     ChunkKey,
+    FaultPolicy,
     ManifestJournal,
     StorageArray,
     StorageManager,
 )
 
 CPC = 64  # the default chunk size the tests reason in
+HIDDEN_1 = [(0, "hidden")]
+HIDDEN_2 = [(0, "hidden"), (1, "hidden")]
 
 
 class Crash(Exception):
@@ -63,7 +66,7 @@ def recover(array, new_journal, **kwargs):
 class TestCleanRecovery:
     def test_sealed_state_roundtrips_bit_exact(self, stack):
         array, manager, new_journal = stack
-        manager.register_context("ctx", n_layers=2, hidden_width=32)
+        manager.register_context("ctx", n_layers=2, hidden_width=32, runs=HIDDEN_2)
         data = {layer: rows(130, seed=layer) for layer in range(2)}
         for layer, block in data.items():
             manager.append("ctx", layer, block)
@@ -79,7 +82,7 @@ class TestCleanRecovery:
 
     def test_chunk_aligned_state_roundtrips(self, stack):
         array, manager, new_journal = stack
-        manager.register_context("ctx", n_layers=1, hidden_width=32)
+        manager.register_context("ctx", n_layers=1, hidden_width=32, runs=HIDDEN_1)
         block = rows(CPC * 2)
         manager.journal_tokens("ctx", list(range(CPC * 2)))
         manager.append("ctx", 0, block)
@@ -89,7 +92,7 @@ class TestCleanRecovery:
 
     def test_kv_kind_recovers(self, stack):
         array, manager, new_journal = stack
-        manager.register_context("ctx", n_layers=1, hidden_width=32)
+        manager.register_context("ctx", n_layers=1, hidden_width=32, runs=[(0, "kv")])
         block = rows(70, width=64, seed=3)
         manager.journal_tokens("ctx", list(range(70)))
         manager.append("ctx", 0, block, kind="kv")
@@ -99,7 +102,7 @@ class TestCleanRecovery:
 
     def test_freed_context_stays_freed(self, stack):
         array, manager, new_journal = stack
-        manager.register_context("gone", n_layers=1, hidden_width=32)
+        manager.register_context("gone", n_layers=1, hidden_width=32, runs=HIDDEN_1)
         manager.append("gone", 0, rows(70))
         manager.seal_context("gone")
         manager.free_context("gone")
@@ -119,7 +122,7 @@ class TestCleanRecovery:
 
     def test_recovery_is_idempotent(self, stack):
         array, manager, new_journal = stack
-        manager.register_context("ctx", n_layers=1, hidden_width=32)
+        manager.register_context("ctx", n_layers=1, hidden_width=32, runs=HIDDEN_1)
         block = rows(100)
         manager.journal_tokens("ctx", list(range(100)))
         manager.append("ctx", 0, block)
@@ -130,7 +133,7 @@ class TestCleanRecovery:
 
     def test_appends_continue_after_recovery(self, stack):
         array, manager, new_journal = stack
-        manager.register_context("ctx", n_layers=1, hidden_width=32)
+        manager.register_context("ctx", n_layers=1, hidden_width=32, runs=HIDDEN_1)
         first = rows(100, seed=1)
         manager.journal_tokens("ctx", list(range(100)))
         manager.append("ctx", 0, first)
@@ -154,7 +157,7 @@ class TestCleanRecovery:
 class TestCrashWindows:
     def test_unsealed_tail_rolls_back_to_chunk_boundary(self, stack):
         array, manager, new_journal = stack
-        manager.register_context("ctx", n_layers=1, hidden_width=32)
+        manager.register_context("ctx", n_layers=1, hidden_width=32, runs=HIDDEN_1)
         block = rows(100)
         manager.journal_tokens("ctx", list(range(100)))
         manager.append("ctx", 0, block)  # 64 flushed, 36 unsealed in host RAM
@@ -165,10 +168,10 @@ class TestCrashWindows:
         assert np.array_equal(recovered.load_layer("ctx", 0), block[:CPC])
 
     def test_orphan_device_chunk_is_swept_not_counted(self, stack):
-        """Satellite (a): a crash between device write and journal append
-        leaves an unjournaled chunk; replaying must not double-count it."""
+        """A crash between device write and journal append leaves an
+        unjournaled chunk; replaying must not double-count it."""
         array, manager, new_journal = stack
-        manager.register_context("ctx", n_layers=1, hidden_width=32)
+        manager.register_context("ctx", n_layers=1, hidden_width=32, runs=HIDDEN_1)
         manager.journal_tokens("ctx", list(range(CPC)))
         manager.append("ctx", 0, rows(CPC))
         # Simulate the torn second flush: the device write landed, the
@@ -185,26 +188,11 @@ class TestCrashWindows:
         recovered.append("ctx", 0, grow)
         assert np.array_equal(recovered.load_layer("ctx", 0)[CPC:], grow)
 
-    def test_retired_partial_never_rewritten_rolls_back(self, stack):
-        """The write-once rewrite window: seal, grow, crash after the stale
-        partial was deleted but before its replacement was written."""
+    def test_grown_sealed_partial_stays_durable_until_replaced(self, stack):
+        """Appends growing a sealed partial keep its device copy: a crash
+        before the refilled chunk lands loses only the new rows."""
         array, manager, new_journal = stack
-        manager.register_context("ctx", n_layers=1, hidden_width=32)
-        block = rows(100)
-        manager.journal_tokens("ctx", list(range(100)))
-        manager.append("ctx", 0, block)
-        manager.seal_context("ctx")  # 36-row partial persisted at index 1
-        array.device_for(1, offset=0).delete(ChunkKey("ctx", 0, 1, "hidden"))
-
-        recovered = recover(array, new_journal)
-        assert recovered.tokens_stored("ctx", 0) == CPC
-        assert np.array_equal(recovered.load_layer("ctx", 0), block[:CPC])
-
-    def test_grown_sealed_partial_stays_durable_until_rewrite(self, stack):
-        """Appends growing a sealed partial keep its stale device copy: a
-        crash before the refilled chunk lands loses only the new rows."""
-        array, manager, new_journal = stack
-        manager.register_context("ctx", n_layers=1, hidden_width=32)
+        manager.register_context("ctx", n_layers=1, hidden_width=32, runs=HIDDEN_1)
         block = rows(100)
         manager.journal_tokens("ctx", list(range(100)))
         manager.append("ctx", 0, block)
@@ -218,10 +206,10 @@ class TestCrashWindows:
         assert np.array_equal(recovered.load_layer("ctx", 0), block)
 
     def test_grown_partial_survives_compaction_then_crash(self, stack):
-        """The stale-partial bookkeeping must flow through a compacted
+        """The grown-partial bookkeeping must flow through a compacted
         snapshot, not just the incremental log."""
         array, manager, new_journal = stack
-        manager.register_context("ctx", n_layers=1, hidden_width=32)
+        manager.register_context("ctx", n_layers=1, hidden_width=32, runs=HIDDEN_1)
         block = rows(100)
         manager.journal_tokens("ctx", list(range(100)))
         manager.append("ctx", 0, block)
@@ -235,11 +223,11 @@ class TestCrashWindows:
         assert np.array_equal(recovered.load_layer("ctx", 0), block)
 
     def test_refilled_partial_after_crash_counts_once(self, stack):
-        """Satellite (a) again, at the seal boundary: grow a sealed partial
-        until it refills (delete + rewrite + journal), crash, recover —
-        exactly one copy of those rows, no double count."""
+        """At the seal boundary: grow a sealed partial until it refills
+        (write the full chunk, journal it, delete the partial), crash,
+        recover — exactly one copy of those rows, no double count."""
         array, manager, new_journal = stack
-        manager.register_context("ctx", n_layers=1, hidden_width=32)
+        manager.register_context("ctx", n_layers=1, hidden_width=32, runs=HIDDEN_1)
         first = rows(100, seed=1)
         manager.journal_tokens("ctx", list(range(100)))
         manager.append("ctx", 0, first)
@@ -268,10 +256,10 @@ class TestCrashWindows:
 
     def test_refill_that_lands_without_its_record_keeps_the_sealed_rows(self, stack):
         """A crash inside the refill of a sealed partial, after the full
-        chunk replaced the sealed copy in its slot but before its record:
-        the slot holds an orphan whose prefix is the journaled tail."""
+        chunk landed under its own key but before its record: the sealed
+        partial is still on its device, and the full chunk is an orphan."""
         array, manager, new_journal = stack
-        manager.register_context("ctx", n_layers=1, hidden_width=32)
+        manager.register_context("ctx", n_layers=1, hidden_width=32, runs=HIDDEN_1)
         block = rows(2 * CPC)
         manager.journal_tokens("ctx", list(range(2 * CPC)))
         manager.append("ctx", 0, block[:100])
@@ -290,10 +278,10 @@ class TestCrashWindows:
         assert np.array_equal(again.load_layer("ctx", 0), block[:100])
 
     def test_reseal_that_lands_without_its_record_keeps_the_sealed_rows(self, stack):
-        """A crash inside a seal that rewrote grown tails in their slots
-        but never appended its record: each run keeps its journaled tail."""
+        """A crash inside a seal that wrote grown tails under new keys but
+        never appended its record: each run keeps its journaled tail."""
         array, manager, new_journal = stack
-        manager.register_context("ctx", n_layers=2, hidden_width=32)
+        manager.register_context("ctx", n_layers=2, hidden_width=32, runs=HIDDEN_2)
         manager.journal_tokens("ctx", list(range(110)))
         for layer in (0, 1):
             manager.append("ctx", layer, rows(100, seed=layer))
@@ -309,12 +297,61 @@ class TestCrashWindows:
         for layer in (0, 1):
             assert np.array_equal(recovered.load_layer("ctx", layer), rows(100, seed=layer))
 
+    def sealed_at_100(self, stack):
+        """A journaled one-layer run sealed at 100 rows (a 36-row partial)."""
+        array, manager, new_journal = stack
+        manager.register_context("ctx", n_layers=1, hidden_width=32, runs=HIDDEN_1)
+        block = rows(2 * CPC)
+        manager.journal_tokens("ctx", list(range(2 * CPC)))
+        manager.append("ctx", 0, block[:100])
+        manager.seal_context("ctx")
+        return array, manager, new_journal, block
+
+    def test_failed_refill_write_keeps_the_sealed_rows(self, stack):
+        array, manager, new_journal, block = self.sealed_at_100(stack)
+        array.replica(1).fault_policy = FaultPolicy(fail_writes=[1])
+        with pytest.raises(DeviceFault):
+            manager.append("ctx", 0, block[100:])
+
+        recovered = recover(array, new_journal)
+        assert recovered.tokens_stored("ctx", 0) == 100
+        assert np.array_equal(recovered.load_layer("ctx", 0), block[:100])
+
+    def test_failed_reseal_write_keeps_the_sealed_rows(self, stack):
+        array, manager, new_journal, block = self.sealed_at_100(stack)
+        manager.append("ctx", 0, block[100:110])
+        array.replica(1).fault_policy = FaultPolicy(fail_writes=[1])
+        with pytest.raises(DeviceFault):
+            manager.seal_context("ctx")
+
+        recovered = recover(array, new_journal)
+        assert recovered.tokens_stored("ctx", 0) == 100
+        assert np.array_equal(recovered.load_layer("ctx", 0), block[:100])
+
+    def test_append_to_an_undeclared_run_changes_nothing(self, tmp_path):
+        """Refused for naming a run the context never declared — even when
+        the capacity is full — the append journals nothing."""
+        array = small_array()
+        with ManifestJournal(tmp_path) as journal:
+            manager = StorageManager(array, capacity_bytes=2 * CPC * 32 * 4, journal=journal)
+            manager.register_context("ctx", n_layers=2, hidden_width=32, runs=HIDDEN_1)
+            manager.journal_tokens("ctx", list(range(2 * CPC)))
+            manager.append("ctx", 0, rows(2 * CPC))
+            before = journal.journal_bytes
+            with pytest.raises(StateError):
+                manager.append("ctx", 1, rows(1))
+            assert journal.journal_bytes == before
+        with ManifestJournal(tmp_path) as journal:
+            recovered = StorageManager.recover(array, journal)
+        assert recovered.token_log("ctx") == tuple(range(2 * CPC))
+        assert np.array_equal(recovered.load_layer("ctx", 0), rows(2 * CPC))
+
     def test_uneven_runs_truncate_to_common_prefix(self, stack):
         """One layer sealed further along than another: the context rolls
         back to the shortest run's durable rows, salvaging boundary-chunk
         prefixes into the host tail."""
         array, manager, new_journal = stack
-        manager.register_context("ctx", n_layers=2, hidden_width=32)
+        manager.register_context("ctx", n_layers=2, hidden_width=32, runs=HIDDEN_2)
         long_block = rows(2 * CPC, seed=0)
         manager.journal_tokens("ctx", list(range(2 * CPC)))
         manager.append("ctx", 0, long_block)  # two full chunks durable
@@ -340,7 +377,7 @@ class TestLargeStores:
         array, manager, new_journal = stack
         for n in range(40):
             cid = f"ctx{n}"
-            manager.register_context(cid, n_layers=1, hidden_width=4)
+            manager.register_context(cid, n_layers=1, hidden_width=4, runs=HIDDEN_1)
             manager.journal_tokens(cid, range(10_000 * n, 10_000 * n + 512))
             manager.append(cid, 0, rows(512, width=4, seed=n))
         manager.compact_journal()
@@ -358,7 +395,7 @@ class TestLargeStores:
         no ``tokens`` record of a snapshot outgrows a frame."""
         monkeypatch.setattr(journal_module, "MAX_RECORD_BYTES", 1 << 16)
         array, manager, new_journal = stack
-        manager.register_context("ctx", n_layers=1, hidden_width=4)
+        manager.register_context("ctx", n_layers=1, hidden_width=4, runs=HIDDEN_1)
         for start in range(0, 40 * 512, 512):
             manager.journal_tokens("ctx", range(10_000 + start, 10_000 + start + 512))
         manager.append("ctx", 0, rows(40 * 512, width=4))
@@ -373,16 +410,26 @@ class TestLargeStores:
 class TestLoudFailures:
     def test_missing_journaled_chunk_raises(self, stack):
         array, manager, new_journal = stack
-        manager.register_context("ctx", n_layers=1, hidden_width=32)
+        manager.register_context("ctx", n_layers=1, hidden_width=32, runs=HIDDEN_1)
         manager.journal_tokens("ctx", list(range(CPC)))
         manager.append("ctx", 0, rows(CPC))
         array.device_for(0, offset=0).delete(ChunkKey("ctx", 0, 0, "hidden"))
         with pytest.raises(RecoveryError, match="missing"):
             recover(array, new_journal)
 
+    def test_missing_journaled_partial_raises(self, stack):
+        array, manager, new_journal = stack
+        manager.register_context("ctx", n_layers=1, hidden_width=32, runs=HIDDEN_1)
+        manager.journal_tokens("ctx", list(range(100)))
+        manager.append("ctx", 0, rows(100))
+        manager.seal_context("ctx")  # 36-row partial at index 1
+        array.device_for(1, offset=0).delete(ChunkKey("ctx", 0, 1, "hidden", rows=36))
+        with pytest.raises(RecoveryError, match="missing"):
+            recover(array, new_journal)
+
     def test_corrupted_chunk_payload_raises(self, stack):
         array, manager, new_journal = stack
-        manager.register_context("ctx", n_layers=1, hidden_width=32)
+        manager.register_context("ctx", n_layers=1, hidden_width=32, runs=HIDDEN_1)
         manager.journal_tokens("ctx", list(range(CPC)))
         manager.append("ctx", 0, rows(CPC))
         device = array.device_for(0, offset=0)
@@ -394,7 +441,7 @@ class TestLoudFailures:
 
     def test_token_log_shorter_than_durable_rows_raises(self, stack):
         array, manager, new_journal = stack
-        manager.register_context("ctx", n_layers=1, hidden_width=32)
+        manager.register_context("ctx", n_layers=1, hidden_width=32, runs=HIDDEN_1)
         # State rows appended without their token ids ever being journaled
         # — the discipline violation recovery must refuse to paper over.
         manager.append("ctx", 0, rows(CPC))
@@ -403,15 +450,15 @@ class TestLoudFailures:
 
     def test_corrupted_sealed_tail_raises(self, stack):
         array, manager, new_journal = stack
-        manager.register_context("ctx", n_layers=1, hidden_width=32)
+        manager.register_context("ctx", n_layers=1, hidden_width=32, runs=HIDDEN_1)
         manager.journal_tokens("ctx", list(range(100)))
         manager.append("ctx", 0, rows(100))
         manager.seal_context("ctx")  # 36-row partial at index 1
         device = array.device_for(1, offset=0)
-        key = ChunkKey("ctx", 0, 1, "hidden")
+        key = ChunkKey("ctx", 0, 1, "hidden", rows=36)
         device.delete(key)
         device.write(key, rows(36, seed=666))
-        with pytest.raises(RecoveryError, match="sealed tail"):
+        with pytest.raises(RecoveryError, match="rows=36.*checksum"):
             recover(array, new_journal)
 
     @staticmethod
@@ -427,9 +474,8 @@ class TestLoudFailures:
                 "kv_width": 64, "dtype": "float32", "runs": [[0, "hidden"]]}
 
     def test_layer_beyond_the_context_raises(self, tmp_path):
-        run = {"op": "run", "context_id": "ctx", "layer": 2, "kind": "hidden"}
         with pytest.raises(RecoveryError, match="layer 2"):
-            self.crafted(tmp_path, self.REGISTER, run)
+            self.crafted(tmp_path, dict(self.REGISTER, runs=[[2, "hidden"]]))
 
     def test_seal_off_the_chunk_boundary_raises(self, tmp_path):
         seal = {"op": "seal", "context_id": "ctx",

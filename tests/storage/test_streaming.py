@@ -34,7 +34,8 @@ def fill_context(
     seal: bool = False,
 ) -> dict[int, np.ndarray]:
     rng = np.random.default_rng(99)
-    manager.register_context("ctx", n_layers=n_layers, hidden_width=width)
+    runs = [(layer, kind) for layer in range(n_layers)]
+    manager.register_context("ctx", n_layers=n_layers, hidden_width=width, runs=runs)
     expected: dict[int, np.ndarray] = {}
     for layer in range(n_layers):
         w = width if kind == "hidden" else 2 * width
