@@ -359,12 +359,13 @@ class StorageManager:
         round-robin device; the tail remains host-buffered.
 
         The run must have been named at :meth:`register_context`, and
-        capacity for every chunk the block starts is checked before any
-        row lands, so a refused append changes nothing.  Rows count as
-        stored only once they land — in the tail, or on a device for the
-        rows that complete a chunk — so a failed device write leaves the
-        run at its last full chunk, and a retry of the remaining rows
-        continues from there.
+        capacity for every chunk the block starts (and for the sealed
+        partial its full chunk replaces, held until that chunk's record
+        lands) is checked before any row lands, so a refused append
+        changes nothing.  Rows count as stored only once they land — in
+        the tail, or on a device for the rows that complete a chunk — so a
+        failed device write leaves the run at its last full chunk, and a
+        retry of the remaining rows continues from there.
         """
         run = self._run(context_id, layer, kind)
         tail = run.tail
@@ -374,7 +375,7 @@ class StorageManager:
             raise ConfigError(f"states must be (n, {width}), got {states.shape}")
         cpc = self.tokens_per_chunk
         n_new = states.shape[0]
-        self.check_room(self._started_bytes(run, n_new), f"append to {context_id}/L{layer}/{kind}")
+        self.check_room(self._room_bytes(run, n_new), f"append to {context_id}/L{layer}/{kind}")
         # Stream the block through: aligned full chunks flush as slice
         # views of the input (the device snapshots them); the remainder
         # lands in the preallocated tail by slice assignment.
@@ -395,15 +396,23 @@ class StorageManager:
                     self.allocated_bytes += tail.nbytes
                 run.n_tokens += take
 
-    def _started_bytes(self, run: _Run, n_new: int) -> int:
-        """Bytes of the chunk slots ``n_new`` more rows start on ``run``."""
-        rows = run.n_tokens % self.tokens_per_chunk
-        return (-(-(rows + n_new) // self.tokens_per_chunk) - (rows > 0)) * run.tail.nbytes
+    def _room_bytes(self, run: _Run, n_new: int) -> int:
+        """Bytes that must be free for ``n_new`` more rows on ``run``: the
+        chunk slots they start, plus the sealed partial whose full chunk
+        they complete, which stays on its device until that chunk's record
+        has landed."""
+        cpc = self.tokens_per_chunk
+        rows = run.n_tokens % cpc
+        need = (-(-(rows + n_new) // cpc) - (rows > 0)) * run.tail.nbytes
+        if run.device_tail_rows and rows + n_new >= cpc:
+            need += run.device_tail_rows * run.tail.nbytes // cpc
+        return need
 
     def append_bytes(self, context_id: str, n_new: int) -> int:
-        """Bytes of the chunk slots ``n_new`` more rows start on every run
-        of the context: what a save of them takes from the capacity."""
-        return sum(self._started_bytes(r, n_new) for r in self._context(context_id).runs.values())
+        """Bytes that must be free for ``n_new`` more rows on every run of
+        the context: the chunk slots a save of them takes from the
+        capacity, plus the sealed partials it replaces, held until then."""
+        return sum(self._room_bytes(r, n_new) for r in self._context(context_id).runs.values())
 
     def check_room(self, need: int, what: str) -> None:
         """Raise :class:`AllocationError` unless ``need`` more bytes fit."""
@@ -431,7 +440,8 @@ class StorageManager:
         # chunk is always readable; an unjournaled device chunk is an
         # orphan recovery sweeps — never a double-counted token.
         if self.journal is not None:
-            run.crcs[index] = _payload_crc(payload)
+            crc = _payload_crc(payload)
+            run.crcs[index] = crc
             self.journal.append(
                 {
                     "op": "chunk",
@@ -439,7 +449,7 @@ class StorageManager:
                     "layer": layer,
                     "kind": kind,
                     "index": index,
-                    "crc": run.crcs[index],
+                    "crc": crc,
                 }
             )
         if run.device_tail_rows:
@@ -453,9 +463,10 @@ class StorageManager:
         is evicted — afterwards all state also lives on the storage
         devices.  The host buffer keeps the tail rows so a later round can
         grow the partial chunk; a grown tail is sealed under a new key and
-        the partial it replaces is deleted after the ``seal`` record.  A
-        failed write deletes the partials this call wrote and changes
-        nothing else.
+        the partial it replaces is deleted after the ``seal`` record, so
+        the device must hold both for a moment.  A failed write (a fault,
+        or a device too full for both) deletes the partials this call
+        wrote and changes nothing else.
 
         With a journal attached, sealing is also the durability boundary
         for partial tails: one ``seal`` record commits every tail written
@@ -485,8 +496,15 @@ class StorageManager:
             tails: list[dict[str, Any]] = []
             for run, _, key in written:
                 run.crcs[key.index] = _payload_crc(run.tail[: key.rows])
-                tail = {"layer": key.layer, "kind": key.kind, "index": key.index}
-                tails.append(dict(tail, tokens=key.rows, crc=run.crcs[key.index]))
+                tails.append(
+                    {
+                        "layer": key.layer,
+                        "kind": key.kind,
+                        "index": key.index,
+                        "tokens": key.rows,
+                        "crc": run.crcs[key.index],
+                    }
+                )
             self.journal.append({"op": "seal", "context_id": context_id, "tails": tails})
         for run, device, key in written:
             if run.device_tail_rows:

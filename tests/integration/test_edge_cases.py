@@ -15,7 +15,8 @@ from repro.engine import ServingSimulator
 from repro.engine.request import RequestSpec
 from repro.errors import AllocationError
 from repro.models import KVCache, Transformer, model_preset
-from repro.storage import StorageManager
+from repro.simulator.hardware import GB, SSDSpec
+from repro.storage import StorageArray, StorageManager
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
@@ -132,6 +133,37 @@ class TestStorageFailureInjection:
         # The original engine's context is intact and still restorable.
         assert engine.saved_tokens("c") == saved_before
         assert cache.equals(engine.restore("c"))
+
+    def test_save_onto_a_full_device_is_refused_up_front(self, tiny_model):
+        """A sealed partial and the full chunk that replaces it share the
+        device for a moment.  On one device the context's two chunk slots
+        fill, the save that completes the chunk is refused before any
+        layer's rows move, and the 100 sealed tokens still restore."""
+        config = tiny_model.config
+        tokens = np.arange(128) % config.vocab_size
+
+        def engine_with(capacity_bytes: int) -> HCacheEngine:
+            spec = SSDSpec("one-ssd", read_bandwidth=GB, write_bandwidth=GB,
+                           capacity_bytes=capacity_bytes)
+            storage = StorageManager(StorageArray([spec], link_bandwidth=GB))
+            engine = HCacheEngine(tiny_model, storage)
+            engine.register_context("c")
+            return engine
+
+        engine = engine_with(engine_with(GB).storage.append_bytes("c", 128))
+        cache = KVCache(config)
+        first = tiny_model.forward(tokens[:100], cache, capture_hidden=True)
+        engine.save_states("c", first.hidden_states, tokens[:100], kv_cache=cache)
+        engine.seal("c")
+        sealed = engine.restore("c")
+        storage = engine.storage
+        used, allocated = storage.array.total_used_bytes, storage.allocated_bytes
+        rest = tiny_model.forward(tokens[100:], cache, capture_hidden=True)
+        with pytest.raises(AllocationError):
+            engine.save_states("c", rest.hidden_states, tokens[100:], kv_cache=cache)
+        assert engine.saved_tokens("c") == 100
+        assert (storage.array.total_used_bytes, storage.allocated_bytes) == (used, allocated)
+        assert sealed.equals(engine.restore("c"))
 
     def test_free_context_mid_generation(self, tiny_model, default_platform):
         """Dropping a context invalidates restores but leaves others."""

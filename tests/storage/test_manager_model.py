@@ -4,8 +4,7 @@ Random sequences of register (with a drawn, non-empty subset of the
 context's runs), append (0 rows included), seal, an append or a seal
 whose first write to one device faults, free, ``compact_journal`` and
 crash-and-recover drive a journaled :class:`StorageManager` next to a
-plain-Python model of what it should hold (derandomized, so every run
-draws the same sequences).  After every step:
+plain-Python model of what it should hold.  After every step:
 
 - the fold of the manager's durable records (what compaction would
   write) equals the fold of the journal's records (what a crash right
@@ -132,8 +131,8 @@ class JournaledManagerMachine(RuleBasedStateMachine):
     def append(self, data) -> None:
         self.append_to(data, *self.pick_run(data))
 
-    def append_to(self, data, cid: str, layer: int, kind: str) -> None:
-        n = data.draw(st.integers(0, 2 * CPC + 1))
+    def append_to(self, data, cid: str, layer: int, kind: str, least: int = 0) -> None:
+        n = data.draw(st.integers(least, 2 * CPC + 1))
         run = self.runs[cid][layer, kind]
         self.seed += 1
         block = np.random.default_rng(self.seed).normal(size=(n, run.rows.shape[1]))
@@ -183,8 +182,8 @@ class JournaledManagerMachine(RuleBasedStateMachine):
     @precondition(lambda self: self.runs)
     @rule(data=st.data())
     def faulted_append(self, data) -> None:
-        """An append whose write to its run's current slot faults: the
-        refill of a sealed partial, where a run has one."""
+        """An append that completes its run's current slot, whose write
+        faults: the refill of a sealed partial, where a run has one."""
         sealed = [
             (cid, layer, kind)
             for cid, runs in sorted(self.runs.items())
@@ -192,8 +191,10 @@ class JournaledManagerMachine(RuleBasedStateMachine):
             if run.device_tail
         ]
         cid, layer, kind = data.draw(st.sampled_from(sealed)) if sealed else self.pick_run(data)
+        least = CPC - len(self.runs[cid][layer, kind].rows) % CPC
         self.faulted(
-            self.slot_device(cid, layer, kind), lambda: self.append_to(data, cid, layer, kind)
+            self.slot_device(cid, layer, kind),
+            lambda: self.append_to(data, cid, layer, kind, least),
         )
 
     @precondition(lambda self: self.runs)
@@ -268,8 +269,7 @@ class JournaledManagerMachine(RuleBasedStateMachine):
 
 JournaledManagerMachine.TestCase.settings = settings(
     max_examples=60,
-    derandomize=True,
-    stateful_step_count=30,
+    stateful_step_count=50,
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )

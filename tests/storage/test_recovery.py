@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.errors import DeviceFault, RecoveryError, StateError
+from repro.errors import AllocationError, DeviceFault, RecoveryError, StateError
 from repro.simulator.hardware import GB, SSDSpec
 from repro.storage import journal as journal_module
 from repro.storage import (
@@ -42,10 +42,9 @@ def small_array(replication: int = 1) -> StorageArray:
     return StorageArray([spec, spec], link_bandwidth=8 * GB, replication=replication)
 
 
-@pytest.fixture
-def stack(tmp_path):
-    """(array, manager) with an attached journal; closes journals at exit."""
-    array = small_array()
+def journaled(array, tmp_path):
+    """(array, manager, new_journal) with an attached journal; closes
+    journals at exit."""
     journals = []
 
     def new_journal():
@@ -57,6 +56,20 @@ def stack(tmp_path):
     yield array, manager, new_journal
     for journal in journals:
         journal.close()
+
+
+@pytest.fixture
+def stack(tmp_path):
+    yield from journaled(small_array(), tmp_path)
+
+
+@pytest.fixture
+def full_stack(tmp_path):
+    """``stack`` on one device whose capacity is two chunks of one
+    32-wide run."""
+    spec = SSDSpec("one-ssd", read_bandwidth=3 * GB, write_bandwidth=1 * GB,
+                   capacity_bytes=2 * CPC * 32 * 4)
+    yield from journaled(StorageArray([spec], link_bandwidth=8 * GB), tmp_path)
 
 
 def recover(array, new_journal, **kwargs):
@@ -326,6 +339,36 @@ class TestCrashWindows:
 
         recovered = recover(array, new_journal)
         assert recovered.tokens_stored("ctx", 0) == 100
+        assert np.array_equal(recovered.load_layer("ctx", 0), block[:100])
+
+    def test_refill_on_a_full_device_is_refused_up_front(self, full_stack):
+        """The partial and its full chunk would share the device for a
+        moment: the append that completes the chunk is refused before any
+        row lands, and changes nothing."""
+        array, manager, new_journal, block = self.sealed_at_100(full_stack)
+        assert manager.append_bytes("ctx", 28) == 36 * 32 * 4
+        keys, before = set(array.devices[0].keys()), manager.journal.journal_bytes
+        with pytest.raises(AllocationError):
+            manager.append("ctx", 0, block[100:])
+        assert manager.tokens_stored("ctx", 0) == 100
+        assert set(array.devices[0].keys()) == keys
+        assert manager.journal.journal_bytes == before
+
+        recovered = recover(array, new_journal)
+        assert np.array_equal(recovered.load_layer("ctx", 0), block[:100])
+
+    def test_reseal_on_a_full_device_changes_nothing(self, full_stack):
+        """A 46-row partial cannot land beside the 36-row one it replaces:
+        the device refuses the write, and the old partial stays durable."""
+        array, manager, new_journal, block = self.sealed_at_100(full_stack)
+        manager.append("ctx", 0, block[100:110])
+        keys, before = set(array.devices[0].keys()), manager.journal.journal_bytes
+        with pytest.raises(AllocationError):
+            manager.seal_context("ctx")
+        assert set(array.devices[0].keys()) == keys
+        assert manager.journal.journal_bytes == before
+
+        recovered = recover(array, new_journal)
         assert np.array_equal(recovered.load_layer("ctx", 0), block[:100])
 
     def test_append_to_an_undeclared_run_changes_nothing(self, tmp_path):
